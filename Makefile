@@ -2,17 +2,7 @@
 
 GO ?= go
 
-# Perf record written by `make bench`; bump the suffix per PR so the
-# trajectory (BENCH_PR1.json, BENCH_PR2.json, ...) stays comparable.
-BENCH_OUT ?= BENCH_PR10.json
-
-# Baseline record the bench-check gate compares against.
-BENCH_BASELINE ?= BENCH_PR9.json
-# Maximum fractional regression per promoted metric (0.3 = 30%; CI runners
-# are noisy, so the gate only catches real cliffs).
-BENCH_TOLERANCE ?= 0.3
-
-.PHONY: all verify build vet test race bench bench-smoke bench-check determinism profile repro repro-quick examples clean
+.PHONY: all verify build vet test race determinism profile repro repro-quick examples clean
 
 all: verify
 
@@ -33,44 +23,18 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Run the engine microbenchmarks plus one pass of the paper benchmarks, and
-# record them (with sequential-vs-parallel `wadeploy all` wall-clock) as
-# machine-readable JSON for cross-PR comparison.
-bench:
-	( $(GO) test -bench=BenchmarkEngine -benchmem -run '^$$' ./internal/sim && \
-	  $(GO) test -bench=BenchmarkSqldb -benchmem -run '^$$' ./internal/sqldb && \
-	  $(GO) test -bench=. -benchmem -benchtime=1x -run '^$$' . && \
-	  $(GO) test -bench='SubstrateSimEventThroughput|WorkloadScaleSessions|TraceOverhead' -benchmem -run '^$$' . ) \
-	| $(GO) run ./cmd/benchjson -time-wadeploy -o $(BENCH_OUT)
-
-# One-iteration pass over every benchmark family: catches benchmarks that
-# no longer compile or crash, without paying measurement time. CI runs this.
-# The root `-bench=.` pass includes the engine-v2 throughput benchmarks
-# (SubstrateSimEventThroughput, WorkloadScaleSessions).
-bench-smoke:
-	$(GO) test -bench=BenchmarkSqldb -benchtime=1x -run '^$$' ./internal/sqldb
-	$(GO) test -bench=BenchmarkEngine -benchtime=1x -run '^$$' ./internal/sim
-	$(GO) test -bench=. -benchtime=1x -run '^$$' ./internal/trace
-	$(GO) test -bench=. -benchtime=1x -run '^$$' .
-
-# Bench-regression gate: run the measured benchmarks into a fresh record and
-# compare its promoted metrics against the checked-in baseline. Throughput
-# must not drop and WAN cost must not rise beyond BENCH_TOLERANCE.
-bench-check:
-	$(MAKE) bench BENCH_OUT=bench-check-new.json
-	$(GO) run ./cmd/benchjson -check $(BENCH_BASELINE) bench-check-new.json -tolerance $(BENCH_TOLERANCE)
-
 # Determinism gate: every deterministic surface byte-identical between the
 # sequential and the parallel scheduler (see scripts/determinism.sh).
 determinism:
 	sh scripts/determinism.sh
 
-# CPU and heap profiles over the Figure-7 session benchmark (the workload
-# most representative of paper runs). Inspect with `go tool pprof
-# wadeploy.test cpu.out` / `go tool pprof wadeploy.test mem.out`.
+# CPU and heap profiles over the paper-table golden test (five Pet Store and
+# five RUBiS configurations through the full stack — the workload most
+# representative of paper runs). Inspect with `go tool pprof wadeploy.test
+# cpu.out` / `go tool pprof wadeploy.test mem.out`.
 profile:
-	$(GO) test -bench=BenchmarkFigure7PetStoreSessions -benchtime=1x -run '^$$' \
-		-cpuprofile=cpu.out -memprofile=mem.out -o wadeploy.test .
+	$(GO) test -run TestEngineGoldenTables -count=1 \
+		-cpuprofile=cpu.out -memprofile=mem.out -o wadeploy.test ./internal/experiment
 
 # Full paper-length reproduction: Tables 6-7 and Figures 7-8 at one virtual
 # hour per configuration (about a minute of wall-clock time), plus the

@@ -11,7 +11,6 @@ import (
 	"wadeploy/internal/petstore"
 	"wadeploy/internal/rubis"
 	"wadeploy/internal/sim"
-	"wadeploy/internal/simnet"
 	"wadeploy/internal/trace"
 	"wadeploy/internal/workload"
 )
@@ -81,27 +80,21 @@ func writeSpans(enc *json.Encoder, t *trace.Trace) error {
 // why (service, WAN wait, queueing, retry). With asJSON it emits the spans
 // machine-readably instead: one JSON object per line.
 func explain(appID experiment.AppID, cfg core.ConfigID, seed int64, asJSON bool) error {
-	env := sim.NewEnv(seed)
 	var finished []*trace.Trace
-	tracer := trace.New(env, trace.Options{
+	tb, err := experiment.Deploy(appID, cfg, experiment.RunOptions{Seed: seed, Trace: &trace.Options{
 		SampleEvery: 1,
 		MaxTraces:   64,
 		OnFinish:    func(t *trace.Trace) { finished = append(finished, t) },
-	})
-	tracer.Install(env)
-	var request workload.RequestFunc
+	}})
+	if err != nil {
+		return err
+	}
+	env, tracer := tb.Env, trace.FromEnv(tb.Env)
+	remote := tb.Groups[1] // the first edge's client group
+	request := remote.Request
 	var steps []workload.Step
 	switch appID {
 	case experiment.PetStore:
-		d, err := core.NewPaperDeployment(env, core.DefaultOptions())
-		if err != nil {
-			return err
-		}
-		a, err := petstore.Deploy(d, cfg)
-		if err != nil {
-			return err
-		}
-		request = a.RequestFunc()
 		user := petstore.UserID(0)
 		steps = []workload.Step{
 			{Page: petstore.PageMain},
@@ -119,15 +112,6 @@ func explain(appID experiment.AppID, cfg core.ConfigID, seed int64, asJSON bool)
 			{Page: petstore.PageSignout},
 		}
 	case experiment.RUBiS:
-		d, err := core.NewPaperDeployment(env, rubis.DeployOptions())
-		if err != nil {
-			return err
-		}
-		a, err := rubis.Deploy(d, cfg)
-		if err != nil {
-			return err
-		}
-		request = a.RequestFunc()
 		nick, pass := rubis.Nickname(0), rubis.Password(0)
 		steps = []workload.Step{
 			{Page: rubis.PageMain},
@@ -137,11 +121,9 @@ func explain(appID experiment.AppID, cfg core.ConfigID, seed int64, asJSON bool)
 			{Page: rubis.PagePutBidForm, Params: map[string]string{"nick": nick, "password": pass, "item": "23"}},
 			{Page: rubis.PageStoreBid, Params: map[string]string{"nick": nick, "password": pass, "item": "23", "bid": "999"}},
 		}
-	default:
-		return fmt.Errorf("unknown app %q", appID)
 	}
 
-	client := workload.Client{Node: simnet.NodeClientsEdge1, ID: "explain-client"}
+	client := workload.Client{Node: remote.ClientNode, ID: "explain-client"}
 	if !asJSON {
 		fmt.Printf("Per-page causal traces: %s / %s (remote client %s; stub caches warm)\n\n",
 			appID, cfg.Title(), client.Node)

@@ -22,7 +22,7 @@
 //
 //	go run ./cmd/wadeploy all
 //
-// The benchmarks in bench_test.go regenerate each table and figure through
-// the testing.B interface and additionally measure ablations of the design
-// choices (stub caching, RMI round factor, sync vs async propagation).
+// BENCHMARK.json and bench/ define and measure the repository's performance;
+// ablations of the design choices (stub caching, RMI round factor, sync vs
+// async propagation) are go test benchmarks beside the code they vary.
 package wadeploy

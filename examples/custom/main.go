@@ -19,7 +19,6 @@ import (
 	"wadeploy/internal/container"
 	"wadeploy/internal/core"
 	"wadeploy/internal/sim"
-	"wadeploy/internal/simnet"
 	"wadeploy/internal/sqldb"
 	"wadeploy/internal/web"
 )
@@ -113,12 +112,13 @@ func run() error {
 	}
 
 	edge := d.Edges[0]
+	client := d.ClientNodeOf(edge.Name())
 	var failed error
 	env.Spawn("demo", func(p *sim.Proc) {
 		// First read: cold miss fetches across the WAN.
-		cold := timeGet(p, edge, &failed)
+		cold := timeGet(p, edge, client, &failed)
 		// Second read: local replica hit.
-		warm := timeGet(p, edge, &failed)
+		warm := timeGet(p, edge, client, &failed)
 		// Editor updates the article on the main server; the writer does
 		// not block on WAN pushes (async mode).
 		wStart := p.Now()
@@ -146,10 +146,9 @@ func run() error {
 	return failed
 }
 
-// timeGet requests article 1 from the edge's own client group and returns
-// the response time.
-func timeGet(p *sim.Proc, edge *container.Server, failed *error) time.Duration {
-	client := simnet.ClientNodeFor[edge.Name()]
+// timeGet requests article 1 from client, the edge's own client group, and
+// returns the response time.
+func timeGet(p *sim.Proc, edge *container.Server, client string, failed *error) time.Duration {
 	_, rt, err := edge.Web().Get(p, client, "article", map[string]string{"id": "1"}, nil)
 	if err != nil {
 		*failed = err

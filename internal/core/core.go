@@ -103,9 +103,10 @@ func (c ConfigID) Title() string {
 // configurations are cumulative).
 func (c ConfigID) AtLeast(threshold ConfigID) bool { return c >= threshold }
 
-// Deployment is a wide-area deployment: the paper's topology with one main
-// application server (co-located with the database) and edge application
-// servers, sharing an RMI runtime and optionally a JMS provider.
+// Deployment is a wide-area deployment: one main application server
+// (co-located with the database) and edge application servers on a
+// simnet.Hierarchy — by default the paper's star — sharing an RMI runtime and
+// a JMS provider.
 type Deployment struct {
 	Env   *sim.Env
 	Net   *simnet.Network
@@ -131,13 +132,10 @@ type Deployment struct {
 
 	rw map[string]*container.RWEntity
 
-	// clientOf maps server node -> collocated client-group node. Nil (the
-	// paper deployment) falls back to simnet.ClientNodeFor; hierarchical
-	// deployments populate it from their topology.
-	clientOf map[string]string
+	topo *simnet.Hierarchy
 }
 
-// Options configures a paper-topology deployment.
+// Options configures a deployment.
 type Options struct {
 	Seed     int64
 	RMI      rmi.Options
@@ -145,7 +143,7 @@ type Options struct {
 	Web      web.Options
 	Costs    container.CostModel
 	DBCost   sqldb.CostModel
-	Topology simnet.TopologyParams // zero WANOneWay selects the paper values
+	Topology simnet.HierarchySpec // the zero value is the paper's Fig. 2 star
 
 	// Resilience, when non-nil, arms the WAN-degradation machinery across
 	// the substrate: RMI retries/breakers, JMS redelivery, and serve-stale
@@ -163,30 +161,38 @@ type Options struct {
 // DefaultOptions returns the substrate defaults.
 func DefaultOptions() Options {
 	return Options{
-		Seed:     1,
-		RMI:      rmi.DefaultOptions,
-		JMS:      jms.DefaultOptions,
-		Web:      web.DefaultOptions,
-		Costs:    container.DefaultCostModel,
-		DBCost:   sqldb.DefaultCostModel,
-		Topology: simnet.DefaultTopologyParams(),
+		Seed:   1,
+		RMI:    rmi.DefaultOptions,
+		JMS:    jms.DefaultOptions,
+		Web:    web.DefaultOptions,
+		Costs:  container.DefaultCostModel,
+		DBCost: sqldb.DefaultCostModel,
 	}
 }
 
-// NewPaperDeployment builds the Fig. 2 testbed: three application servers in
-// a star around a router (100 ms each-way WAN), the database on the main
-// server's LAN, a JMS provider on the main server, and client-group nodes.
+// NewPaperDeployment builds a deployment on opts.Topology — left zero, the
+// Fig. 2 testbed: three application servers in a star around a router (100 ms
+// each-way WAN), the database on the main server's LAN, a JMS provider on the
+// main server, and client-group nodes.
 func NewPaperDeployment(env *sim.Env, opts Options) (*Deployment, error) {
-	params := opts.Topology
-	if params.WANOneWay == 0 {
-		params = simnet.DefaultTopologyParams()
-	}
-	if params.LANOneWay == 0 {
-		params.LANOneWay = simnet.LANOneWay
-	}
-	net, err := simnet.BuildTopology(env, params)
+	d, _, err := buildDeployment(env, opts)
+	return d, err
+}
+
+// NewHierarchicalDeployment is NewPaperDeployment on an explicit topology; it
+// also returns the hierarchy, which fault schedules and sweeps navigate.
+func NewHierarchicalDeployment(env *sim.Env, opts Options, spec simnet.HierarchySpec) (*Deployment, *simnet.Hierarchy, error) {
+	opts.Topology = spec
+	return buildDeployment(env, opts)
+}
+
+// buildDeployment builds opts.Topology and puts one application server on main
+// and on every edge (hubs route but host nothing), with the database and the
+// JMS provider on main.
+func buildDeployment(env *sim.Env, opts Options) (*Deployment, *simnet.Hierarchy, error) {
+	h, err := simnet.BuildHierarchy(env, opts.Topology)
 	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, nil, fmt.Errorf("core: %w", err)
 	}
 	db := sqldb.New()
 	db.SetCostModel(opts.DBCost)
@@ -196,37 +202,38 @@ func NewPaperDeployment(env *sim.Env, opts Options) (*Deployment, error) {
 		opts.RMI.Breaker = r.Breaker
 		opts.JMS.Redelivery = r.Redelivery
 	}
-	rt := rmi.NewRuntime(net, opts.RMI)
-	provider, err := jms.NewProvider(net, simnet.NodeMain, opts.JMS)
+	rt := rmi.NewRuntime(h.Net, opts.RMI)
+	provider, err := jms.NewProvider(h.Net, simnet.NodeMain, opts.JMS)
 	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, nil, fmt.Errorf("core: %w", err)
 	}
 	d := &Deployment{
 		Env:         env,
-		Net:         net,
+		Net:         h.Net,
 		DB:          db,
 		RMI:         rt,
 		JMS:         provider,
 		Resilience:  opts.Resilience,
 		Replication: opts.Replication,
 		rw:          make(map[string]*container.RWEntity),
+		topo:        h,
 	}
 	if r := opts.Replication; r != nil && r.EventLog {
 		d.Replog = replog.NewStore(env.Metrics(), r.LogRetention)
 	}
-	for _, name := range simnet.ServerNodes {
+	for _, name := range h.ServerNodes() {
 		srv, err := container.NewServer(container.Config{
 			Name:   name,
 			DBNode: simnet.NodeDB,
 			DB:     db,
-			Net:    net,
+			Net:    h.Net,
 			RMI:    rt,
 			JMS:    provider,
 			Web:    opts.Web,
 			Costs:  opts.Costs,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("core: server %s: %w", name, err)
+			return nil, nil, fmt.Errorf("core: server %s: %w", name, err)
 		}
 		if name == simnet.NodeMain {
 			d.Main = srv
@@ -234,7 +241,7 @@ func NewPaperDeployment(env *sim.Env, opts Options) (*Deployment, error) {
 			d.Edges = append(d.Edges, srv)
 		}
 	}
-	return d, nil
+	return d, h, nil
 }
 
 // InstrumentDB attaches a statement observer to db that mirrors every
@@ -321,12 +328,7 @@ func (d *Deployment) ServerFor(clientNode string, cfg ConfigID) *container.Serve
 
 // ClientNodeOf returns the client-group node collocated with a server node
 // ("" when the server has no local client group).
-func (d *Deployment) ClientNodeOf(server string) string {
-	if d.clientOf != nil {
-		return d.clientOf[server]
-	}
-	return simnet.ClientNodeFor[server]
-}
+func (d *Deployment) ClientNodeOf(server string) string { return d.topo.ClientNode(server) }
 
 // RegisterRW records a deployed read-write entity bean so AutoWire can
 // attach propagation to it.

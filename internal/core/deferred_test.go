@@ -108,78 +108,6 @@ func TestExtendToAtRuntime(t *testing.T) {
 	}
 }
 
-func TestAutoscalerExtendsUnderLoad(t *testing.T) {
-	d, rw, w := deferredFixture(t)
-	_ = rw
-	as, err := StartAutoscaler(d, w, AutoscalerConfig{
-		Interval:  5 * time.Second,
-		Threshold: 2,
-		Cooldown:  10 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A remote client hammers the main server across the WAN.
-	edge := d.Edges[0]
-	d.Env.Spawn("load", func(p *sim.Proc) {
-		for i := 0; i < 300; i++ {
-			stub, err := edge.StubFor(p, simnet.NodeMain, "Fetch")
-			if err != nil {
-				t.Errorf("stub: %v", err)
-				return
-			}
-			if _, err := stub.Invoke(p, "fetch", sqldb.Str("i1")); err != nil {
-				return // partitions not expected here
-			}
-			p.Sleep(100 * time.Millisecond)
-		}
-	})
-	d.Env.Run(2 * time.Minute)
-	as.Stop()
-	d.Env.Close()
-	decisions := as.Decisions()
-	if len(decisions) == 0 {
-		t.Fatal("autoscaler never extended under load")
-	}
-	if !w.DeployedOn(decisions[0].Server) {
-		t.Fatalf("decision recorded but %s not wired", decisions[0].Server)
-	}
-	if decisions[0].Rate <= 2 {
-		t.Fatalf("decision rate = %v, want above threshold", decisions[0].Rate)
-	}
-	// Cooldown must space out decisions.
-	for i := 1; i < len(decisions); i++ {
-		if decisions[i].At-decisions[i-1].At < 10*time.Second {
-			t.Fatalf("decisions %v and %v violate cooldown", decisions[i-1].At, decisions[i].At)
-		}
-	}
-}
-
-func TestAutoscalerIdleDoesNothing(t *testing.T) {
-	d, _, w := deferredFixture(t)
-	as, err := StartAutoscaler(d, w, DefaultAutoscalerConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Env.Run(5 * time.Minute)
-	as.Stop()
-	d.Env.Close()
-	if len(as.Decisions()) != 0 {
-		t.Fatalf("idle autoscaler extended: %v", as.Decisions())
-	}
-}
-
-func TestAutoscalerValidation(t *testing.T) {
-	d, _, w := deferredFixture(t)
-	if _, err := StartAutoscaler(d, w, AutoscalerConfig{Interval: 0, Threshold: 1}); err == nil {
-		t.Fatal("zero interval accepted")
-	}
-	if _, err := StartAutoscaler(d, w, AutoscalerConfig{Interval: time.Second, Threshold: 0}); err == nil {
-		t.Fatal("zero threshold accepted")
-	}
-	d.Env.Close()
-}
-
 func TestAutoWireWithMaxStalenessSetsTTL(t *testing.T) {
 	d, rw := wireFixture(t)
 	_ = rw

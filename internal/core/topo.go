@@ -1,81 +1,13 @@
-// Hierarchical deployments: the paper's fixed 1-main+2-edge star generalized
-// to main -> regional hubs -> N edge PoPs, with entity partitions assigned
-// per edge so each PoP holds a slice of the key space instead of a full
-// replica.
+// Entity partitions assigned per edge, so that on N-edge hierarchies each PoP
+// holds a slice of the key space instead of a full replica.
 package core
 
 import (
-	"fmt"
 	"sort"
 
 	"wadeploy/internal/container"
-	"wadeploy/internal/jms"
-	"wadeploy/internal/replog"
-	"wadeploy/internal/rmi"
-	"wadeploy/internal/sim"
-	"wadeploy/internal/simnet"
 	"wadeploy/internal/sqldb"
 )
-
-// NewHierarchicalDeployment builds a deployment over a hierarchical topology:
-// one application server on main and on every edge PoP (hubs route but host
-// nothing), the database and JMS provider on main, and the per-edge client
-// groups from the hierarchy. The paper deployment is untouched — this is the
-// opt-in N-edge path.
-func NewHierarchicalDeployment(env *sim.Env, opts Options, spec simnet.HierarchySpec) (*Deployment, *simnet.Hierarchy, error) {
-	h, err := simnet.BuildHierarchy(env, spec)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: %w", err)
-	}
-	db := sqldb.New()
-	db.SetCostModel(opts.DBCost)
-	InstrumentDB(env.Metrics(), db)
-	if r := opts.Resilience; r != nil {
-		opts.RMI.Retry = r.Retry
-		opts.RMI.Breaker = r.Breaker
-		opts.JMS.Redelivery = r.Redelivery
-	}
-	rt := rmi.NewRuntime(h.Net, opts.RMI)
-	provider, err := jms.NewProvider(h.Net, simnet.NodeMain, opts.JMS)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: %w", err)
-	}
-	d := &Deployment{
-		Env:         env,
-		Net:         h.Net,
-		DB:          db,
-		RMI:         rt,
-		JMS:         provider,
-		Resilience:  opts.Resilience,
-		Replication: opts.Replication,
-		rw:          make(map[string]*container.RWEntity),
-		clientOf:    h.ClientMap(),
-	}
-	if r := opts.Replication; r != nil && r.EventLog {
-		d.Replog = replog.NewStore(env.Metrics(), r.LogRetention)
-	}
-	for _, name := range h.ServerNodes() {
-		srv, err := container.NewServer(container.Config{
-			Name:   name,
-			DBNode: simnet.NodeDB,
-			DB:     db,
-			Net:    h.Net,
-			RMI:    rt,
-			JMS:    provider,
-			Web:    opts.Web,
-			Costs:  opts.Costs,
-		})
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: server %s: %w", name, err)
-		}
-		if name == simnet.NodeMain {
-			d.Main = srv
-		} else {
-			d.Edges = append(d.Edges, srv)
-		}
-	}
-	return d, h, nil
-}
 
 // PartitionAssignment maps server node -> the partition indices it owns for
 // one partitioned bean. Servers absent from the map own nothing.

@@ -131,3 +131,38 @@ func TestAutoWirePartitionedReplicas(t *testing.T) {
 		t.Fatalf("owner replica state: %v %v", st, ok)
 	}
 }
+
+// TestOneConstructor: the paper deployment is the hierarchical deployment of
+// Options.Topology, whose zero value is the star — same servers, same client
+// groups, whichever constructor is called.
+func TestOneConstructor(t *testing.T) {
+	star := newDeployment(t)
+	viaSpec, h := newHierDeployment(t, simnet.HierarchySpec{})
+	for _, d := range []*Deployment{star, viaSpec} {
+		if len(d.Edges) != 2 || d.Edges[0].Name() != simnet.NodeEdge1 || d.Edges[1].Name() != simnet.NodeEdge2 {
+			t.Fatalf("star edges = %v", d.Edges)
+		}
+		for server, clients := range map[string]string{
+			simnet.NodeMain:  simnet.NodeClientsMain,
+			simnet.NodeEdge1: simnet.NodeClientsEdge1,
+			simnet.NodeEdge2: simnet.NodeClientsEdge2,
+		} {
+			if got := d.ClientNodeOf(server); got != clients {
+				t.Errorf("clients of %s = %q, want %q", server, got, clients)
+			}
+		}
+	}
+	if got := h.Subtree(simnet.NodeRouter); len(got) != 2 {
+		t.Errorf("router subtree = %v", got)
+	}
+
+	opts := DefaultOptions()
+	opts.Topology = simnet.HierarchySpec{Edges: 3}
+	d, err := NewPaperDeployment(sim.NewEnv(11), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Edges) != 3 || d.ClientNodeOf(d.Edges[2].Name()) != simnet.EdgeClientsName(2) {
+		t.Errorf("Options.Topology ignored: %d edges, clients of the third on %q", len(d.Edges), d.ClientNodeOf(d.Edges[2].Name()))
+	}
+}

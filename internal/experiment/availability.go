@@ -159,11 +159,11 @@ func RunAvailability(app AppID, opts RunOptions) ([]*AvailabilityResult, error) 
 	}
 	node := simnet.NodeClientsEdge1
 
-	patterns := petStorePatterns
-	if app == RUBiS {
-		patterns = rubisPatterns
+	def := apps[app]
+	if def == nil {
+		return nil, fmt.Errorf("experiment: unknown app %q", app)
 	}
-	browsePattern := patterns[0]
+	browsePattern := def.patterns[0]
 
 	out := make([]*AvailabilityResult, len(core.Configs))
 	err := forEachParallel(opts.Parallelism, len(core.Configs), func(i int) error {

@@ -6,7 +6,7 @@ package experiment
 // knobs below; the *relationships* between cells (the shapes the paper
 // claims) come from the system structure, not from tuning.
 //
-// Network (simnet.DefaultTopologyParams, Fig. 2):
+// Network (the zero simnet.HierarchySpec, Fig. 2):
 //
 //	WAN one-way latency   100 ms   (paper: "100 ms latency each way")
 //	WAN bandwidth         100 Mbit/s combined

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"time"
 
+	"wadeploy/internal/container"
 	"wadeploy/internal/controller"
 	"wadeploy/internal/core"
 	"wadeploy/internal/faults"
@@ -17,6 +18,7 @@ import (
 	"wadeploy/internal/planner"
 	"wadeploy/internal/rubis"
 	"wadeploy/internal/sim"
+	"wadeploy/internal/simnet"
 	"wadeploy/internal/trace"
 	"wadeploy/internal/workload"
 )
@@ -30,21 +32,11 @@ const (
 	RUBiS    AppID = "rubis"
 )
 
-// Fault injects a WAN link failure window into a run.
-type Fault struct {
-	LinkA, LinkB string        // link endpoints (e.g. simnet.NodeEdge1, simnet.NodeRouter)
-	At           time.Duration // virtual time the link goes down
-	Duration     time.Duration // outage length
-}
-
 // RunOptions controls one experiment run.
 type RunOptions struct {
 	Seed     int64
 	Warmup   time.Duration
 	Duration time.Duration
-
-	// Faults are link outages injected during the run (failure testing).
-	Faults []Fault
 
 	// Schedule, when non-nil, arms a scripted fault schedule on the run's
 	// network (link flaps, partitions, latency/loss degradation, node
@@ -232,103 +224,157 @@ var RUBiSColumns = []struct {
 	{rubis.PatternBidder, rubis.PageStoreComment},
 }
 
-// Run executes one (application, configuration) experiment.
-func Run(app AppID, cfg core.ConfigID, opts RunOptions) (*Result, error) {
+// application is a deployed app as the runner sees it; *petstore.App and
+// *rubis.App both are one.
+type application interface {
+	Workload(scale float64) []workload.Group
+	Wiring() *core.Wiring
+}
+
+// appDef is everything the runner needs to know about one application under
+// study.
+type appDef struct {
+	options func() core.Options // substrate calibration
+	// deploy installs the app into d under cfg. The controller is non-nil
+	// only in adaptive mode.
+	deploy   func(d *core.Deployment, cfg core.ConfigID, opts RunOptions, part *container.PartitionSpec) (application, *controller.Controller, error)
+	patterns []string // usage patterns: browser, then writer
+	columns  []struct{ Pattern, Page string }
+}
+
+var apps = map[AppID]*appDef{
+	PetStore: {
+		options:  core.DefaultOptions,
+		deploy:   deployPetStore,
+		patterns: []string{petstore.PatternBrowser, petstore.PatternBuyer},
+		columns:  PetStoreColumns,
+	},
+	RUBiS: {
+		options:  rubis.DeployOptions,
+		deploy:   deployRUBiS,
+		patterns: []string{rubis.PatternBrowser, rubis.PatternBidder},
+		columns:  RUBiSColumns,
+	},
+}
+
+func deployPetStore(d *core.Deployment, cfg core.ConfigID, opts RunOptions, part *container.PartitionSpec) (application, *controller.Controller, error) {
+	if opts.Adaptive == nil {
+		a, err := petstore.DeployTopo(d, cfg, petstore.TopoOptions{Partition: part})
+		if err != nil {
+			return nil, nil, err
+		}
+		return a, nil, nil
+	}
+	a, err := petstore.DeployAdaptive(d, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	ctrl, err := controller.Start(controller.Config{
+		Deployment: d,
+		Wiring:     a.Wiring(),
+		Model:      petstore.PlannerModel(),
+		Current:    planner.Candidate{ReplicateWeb: true},
+		Seed:       opts.Seed,
+		OnExtend:   a.ActivateEdgeCatalog,
+		Apply:      a.SetEffectiveConfig,
+		Options:    *opts.Adaptive,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return a, ctrl, nil
+}
+
+func deployRUBiS(d *core.Deployment, cfg core.ConfigID, opts RunOptions, part *container.PartitionSpec) (application, *controller.Controller, error) {
+	if opts.Adaptive != nil {
+		return nil, nil, fmt.Errorf("experiment: adaptive mode is PetStore-only")
+	}
+	a, err := rubis.DeployTopo(d, cfg, rubis.TopoOptions{Partition: part})
+	if err != nil {
+		return nil, nil, err
+	}
+	return a, nil, nil
+}
+
+// Testbed is one application deployed on its simulated network and not yet
+// driven: what every run, sweep point and `wadeploy explain` starts from.
+type Testbed struct {
+	Env *sim.Env
+	// Groups is the client population: the local group, then one remote
+	// group per edge.
+	Groups []workload.Group
+
+	app  AppID
+	cfg  core.ConfigID
+	d    *core.Deployment
+	h    *simnet.Hierarchy
+	inst application
+	ctrl *controller.Controller
+}
+
+// Deploy builds the paper's testbed with app deployed under cfg and the
+// Section 3.3 client groups defined, honouring the deployment-side options
+// (Seed, Trace, Resilience, Replication, Adaptive).
+func Deploy(app AppID, cfg core.ConfigID, opts RunOptions) (*Testbed, error) {
+	return deploy(app, cfg, opts, simnet.HierarchySpec{}, 1, 0)
+}
+
+// deploy is the one set-up path: environment, tracer, topology (the zero spec
+// is the paper's star), substrate, application (its hot entities sharded into
+// that many hash partitions when partitions > 0) and the client groups at
+// scale times the paper's population.
+func deploy(app AppID, cfg core.ConfigID, opts RunOptions, spec simnet.HierarchySpec, scale float64, partitions int) (*Testbed, error) {
+	def := apps[app]
+	if def == nil {
+		return nil, fmt.Errorf("experiment: unknown app %q", app)
+	}
 	env := sim.NewEnv(opts.Seed)
 	if opts.Trace != nil {
 		trace.New(env, *opts.Trace).Install(env)
 	}
-	switch app {
-	case PetStore:
-		copts := core.DefaultOptions()
-		copts.Resilience = opts.Resilience
-		copts.Replication = opts.Replication
-		d, err := core.NewPaperDeployment(env, copts)
-		if err != nil {
-			return nil, err
-		}
-		var a *petstore.App
-		var ctrl *controller.Controller
-		if opts.Adaptive != nil {
-			a, err = petstore.DeployAdaptive(d, cfg)
-			if err != nil {
-				return nil, err
-			}
-			ctrl, err = controller.Start(controller.Config{
-				Deployment: d,
-				Wiring:     a.Wiring(),
-				Model:      petstore.PlannerModel(),
-				Current:    planner.Candidate{ReplicateWeb: true},
-				Seed:       opts.Seed,
-				OnExtend:   a.ActivateEdgeCatalog,
-				Apply:      a.SetEffectiveConfig,
-				Options:    *opts.Adaptive,
-			})
-			if err != nil {
-				return nil, err
-			}
-		} else if a, err = petstore.Deploy(d, cfg); err != nil {
-			return nil, err
-		}
-		res, err := collect(app, cfg, d, opts, petstore.PaperWorkload(a), petStorePatterns, columnsFor(app))
-		if err != nil {
-			return nil, err
-		}
-		if ctrl != nil {
-			res.Adapt = ctrl.Report()
-		}
-		return res, nil
-	case RUBiS:
-		if opts.Adaptive != nil {
-			return nil, fmt.Errorf("experiment: adaptive mode is PetStore-only")
-		}
-		copts := rubis.DeployOptions()
-		copts.Resilience = opts.Resilience
-		copts.Replication = opts.Replication
-		d, err := core.NewPaperDeployment(env, copts)
-		if err != nil {
-			return nil, err
-		}
-		a, err := rubis.Deploy(d, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return collect(app, cfg, d, opts, rubis.PaperWorkload(a), rubisPatterns, columnsFor(app))
-	default:
-		return nil, fmt.Errorf("experiment: unknown app %q", app)
+	copts := def.options()
+	copts.Resilience = opts.Resilience
+	copts.Replication = opts.Replication
+	d, h, err := core.NewHierarchicalDeployment(env, copts, spec)
+	if err != nil {
+		return nil, err
 	}
+	var part *container.PartitionSpec
+	if partitions > 0 {
+		part = &container.PartitionSpec{Scheme: container.HashPartition, Partitions: partitions}
+	}
+	inst, ctrl, err := def.deploy(d, cfg, opts, part)
+	if err != nil {
+		return nil, err
+	}
+	return &Testbed{
+		Env: env, Groups: inst.Workload(scale),
+		app: app, cfg: cfg, d: d, h: h, inst: inst, ctrl: ctrl,
+	}, nil
 }
 
-var (
-	petStorePatterns = []string{petstore.PatternBrowser, petstore.PatternBuyer}
-	rubisPatterns    = []string{rubis.PatternBrowser, rubis.PatternBidder}
-)
-
-func columnsFor(app AppID) []struct{ Pattern, Page string } {
-	var cols []struct{ Pattern, Page string }
-	if app == PetStore {
-		for _, c := range PetStoreColumns {
-			cols = append(cols, struct{ Pattern, Page string }{c.Pattern, c.Page})
-		}
-		return cols
-	}
-	for _, c := range RUBiSColumns {
-		cols = append(cols, struct{ Pattern, Page string }{c.Pattern, c.Page})
-	}
-	return cols
+// Run executes one (application, configuration) experiment on the paper's
+// testbed.
+func Run(app AppID, cfg core.ConfigID, opts RunOptions) (*Result, error) {
+	r, _, err := run(app, cfg, opts, simnet.HierarchySpec{}, 1, 0)
+	return r, err
 }
 
-func collect(app AppID, cfg core.ConfigID, d *core.Deployment, opts RunOptions,
-	groups []workload.Group, patterns []string, columns []struct{ Pattern, Page string }) (*Result, error) {
-	for _, f := range opts.Faults {
-		f := f
-		// Validate the link exists before arming the outage.
-		if err := d.Net.SetLinkState(f.LinkA, f.LinkB, true); err != nil {
-			return nil, fmt.Errorf("experiment: fault: %w", err)
-		}
-		d.Env.At(f.At, func() { _ = d.Net.SetLinkState(f.LinkA, f.LinkB, false) })
-		d.Env.At(f.At+f.Duration, func() { _ = d.Net.SetLinkState(f.LinkA, f.LinkB, true) })
+// run is the one experiment body behind Run and every sweep: deploy, then
+// drive. The testbed is returned for callers that read more than the row.
+func run(app AppID, cfg core.ConfigID, opts RunOptions, spec simnet.HierarchySpec, scale float64, partitions int) (*Result, *Testbed, error) {
+	tb, err := deploy(app, cfg, opts, spec, scale, partitions)
+	if err != nil {
+		return nil, nil, err
 	}
+	r, err := tb.drive(opts)
+	return r, tb, err
+}
+
+// drive runs the testbed's client groups for opts.Warmup+opts.Duration and
+// collects the table row.
+func (tb *Testbed) drive(opts RunOptions) (*Result, error) {
+	d := tb.d
 	if opts.Schedule != nil {
 		if err := faults.Arm(d.Net, opts.Schedule, opts.Seed); err != nil {
 			return nil, fmt.Errorf("experiment: %w", err)
@@ -345,25 +391,26 @@ func collect(app AppID, cfg core.ConfigID, d *core.Deployment, opts RunOptions,
 	}
 	stats, err := workload.Run(workload.Config{
 		Env:      d.Env,
-		Groups:   groups,
+		Groups:   tb.Groups,
 		Warmup:   opts.Warmup,
 		Duration: opts.Duration,
 		Observer: opts.Observer,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("experiment: %s/%s: %w", app, cfg, err)
+		return nil, fmt.Errorf("experiment: %s/%s: %w", tb.app, tb.cfg, err)
 	}
+	def := apps[tb.app]
 	res := &Result{
-		App:          app,
-		Config:       cfg,
-		SessionMeans: make(map[string]map[bool]time.Duration, len(patterns)),
+		App:          tb.app,
+		Config:       tb.cfg,
+		SessionMeans: make(map[string]map[bool]time.Duration, len(def.patterns)),
 		Samples:      stats.TotalSamples(),
 		Errors:       stats.Errors(),
 		RemoteCalls:  d.RMI.Stats().RemoteCalls,
 		JMSPublished: d.JMS.Published(),
 		JMSDelivered: d.JMS.Delivered(),
 	}
-	for _, c := range columns {
+	for _, c := range def.columns {
 		cell := PageCell{
 			Pattern: c.Pattern,
 			Page:    c.Page,
@@ -378,7 +425,7 @@ func collect(app AppID, cfg core.ConfigID, d *core.Deployment, opts RunOptions,
 		}
 		res.Cells = append(res.Cells, cell)
 	}
-	for _, pat := range patterns {
+	for _, pat := range def.patterns {
 		res.SessionMeans[pat] = map[bool]time.Duration{
 			true:  stats.SessionMean(pat, true),
 			false: stats.SessionMean(pat, false),
@@ -399,6 +446,9 @@ func collect(app AppID, cfg core.ConfigID, d *core.Deployment, opts RunOptions,
 		res.EdgeCPUUtil = edgeNode.CPU.Utilization()
 	}
 	res.Metrics = reg.Snapshot()
+	if tb.ctrl != nil {
+		res.Adapt = tb.ctrl.Report()
+	}
 	return res, nil
 }
 
@@ -448,12 +498,8 @@ func Figure(results []*Result) []FigureBar {
 	if len(results) == 0 {
 		return bars
 	}
-	patterns := petStorePatterns
-	if results[0].App == RUBiS {
-		patterns = rubisPatterns
-	}
 	for _, local := range []bool{true, false} {
-		for _, pat := range patterns {
+		for _, pat := range apps[results[0].App].patterns {
 			for _, r := range results {
 				bars = append(bars, FigureBar{
 					Config:  r.Config,

@@ -5,8 +5,14 @@ import (
 	"time"
 
 	"wadeploy/internal/core"
+	"wadeploy/internal/faults"
 	"wadeploy/internal/simnet"
 )
+
+// linkDown is a schedule with one link outage.
+func linkDown(a, b string, at, d time.Duration) *faults.Schedule {
+	return &faults.Schedule{Events: []faults.Event{{Kind: faults.LinkDown, A: a, B: b, At: at, Duration: d}}}
+}
 
 // faultOpts injects a one-minute WAN outage on edge1 mid-measurement.
 func faultOpts() RunOptions {
@@ -14,12 +20,7 @@ func faultOpts() RunOptions {
 		Seed:     1,
 		Warmup:   20 * time.Second,
 		Duration: 3 * time.Minute,
-		Faults: []Fault{{
-			LinkA:    simnet.NodeEdge1,
-			LinkB:    simnet.NodeRouter,
-			At:       80 * time.Second,
-			Duration: time.Minute,
-		}},
+		Schedule: linkDown(simnet.NodeEdge1, simnet.NodeRouter, 80*time.Second, time.Minute),
 	}
 }
 
@@ -67,7 +68,7 @@ func TestFaultQueryCachingKeepsBrowsersServed(t *testing.T) {
 
 func TestFaultUnknownLinkRejected(t *testing.T) {
 	opts := QuickRunOptions()
-	opts.Faults = []Fault{{LinkA: "nowhere", LinkB: "else", At: time.Second, Duration: time.Second}}
+	opts.Schedule = linkDown("nowhere", "else", time.Second, time.Second)
 	if _, err := Run(PetStore, core.Centralized, opts); err == nil {
 		t.Fatal("fault on unknown link accepted")
 	}

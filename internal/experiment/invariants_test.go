@@ -44,18 +44,17 @@ func buyerSteps() []workload.Step {
 func runSession(t *testing.T, cfg core.ConfigID, warm, measured []workload.Step,
 	perStep func(reg *metrics.Registry, page string, run func())) *metrics.Registry {
 	t.Helper()
-	env := sim.NewEnv(1)
-	d, err := core.NewPaperDeployment(env, core.DefaultOptions())
+	tb, err := Deploy(PetStore, cfg, RunOptions{Seed: 1})
 	if err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
-	a, err := petstore.Deploy(d, cfg)
-	if err != nil {
-		t.Fatalf("petstore: %v", err)
+	env, remote := tb.Env, tb.Groups[1]
+	if remote.ClientNode != simnet.NodeClientsEdge1 {
+		t.Fatalf("remote-1 is on %s, want the edge-1 client group", remote.ClientNode)
 	}
-	request := a.RequestFunc()
+	request := remote.Request
 	reg := env.Metrics()
-	client := workload.Client{Node: simnet.NodeClientsEdge1, ID: "invariant-client"}
+	client := workload.Client{Node: remote.ClientNode, ID: "invariant-client"}
 	var failed error
 	env.Spawn("invariants", func(p *sim.Proc) {
 		for _, step := range warm {

@@ -6,9 +6,6 @@ import (
 	"time"
 
 	"wadeploy/internal/core"
-	"wadeploy/internal/petstore"
-	"wadeploy/internal/rubis"
-	"wadeploy/internal/sim"
 	"wadeploy/internal/simnet"
 )
 
@@ -21,47 +18,9 @@ type SweepPoint struct {
 	RemoteWriter  time.Duration
 }
 
-// runWith executes one experiment with custom topology and workload scale.
-func runWith(app AppID, cfg core.ConfigID, opts RunOptions, topo simnet.TopologyParams, scale float64) (*Result, error) {
-	env := sim.NewEnv(opts.Seed)
-	var depOpts core.Options
-	switch app {
-	case PetStore:
-		depOpts = core.DefaultOptions()
-	case RUBiS:
-		depOpts = rubis.DeployOptions()
-	default:
-		return nil, fmt.Errorf("experiment: unknown app %q", app)
-	}
-	if topo.WANOneWay > 0 {
-		depOpts.Topology = topo
-	}
-	d, err := core.NewPaperDeployment(env, depOpts)
-	if err != nil {
-		return nil, err
-	}
-	switch app {
-	case PetStore:
-		a, err := petstore.Deploy(d, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return collect(app, cfg, d, opts, petstore.PaperWorkloadScaled(a, scale), petStorePatterns, columnsFor(app))
-	default:
-		a, err := rubis.Deploy(d, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return collect(app, cfg, d, opts, rubis.PaperWorkloadScaled(a, scale), rubisPatterns, columnsFor(app))
-	}
-}
-
 // point converts a run's session means into a sweep point.
-func point(app AppID, r *Result, x float64) SweepPoint {
-	browser, writer := petstore.PatternBrowser, petstore.PatternBuyer
-	if app == RUBiS {
-		browser, writer = rubis.PatternBrowser, rubis.PatternBidder
-	}
+func point(r *Result, x float64) SweepPoint {
+	browser, writer := apps[r.App].patterns[0], apps[r.App].patterns[1]
 	return SweepPoint{
 		X:             x,
 		LocalBrowser:  r.SessionMeans[browser][true],
@@ -85,13 +44,13 @@ func LatencySweep(app AppID, cfg core.ConfigID, oneWays []time.Duration, opts Ru
 	out := make([]SweepPoint, len(oneWays))
 	err := forEachParallel(opts.Parallelism, len(oneWays), func(i int) error {
 		wan := oneWays[i]
-		topo := simnet.DefaultTopologyParams()
-		topo.WANOneWay = wan
-		r, err := runWith(app, cfg, opts, topo, 1)
+		// Any server-to-server path crosses both router legs.
+		leg := simnet.LinkClass{OneWay: wan / 2}
+		r, _, err := run(app, cfg, opts, simnet.HierarchySpec{Backbone: leg, Metro: leg}, 1, 0)
 		if err != nil {
 			return fmt.Errorf("latency sweep %v: %w", wan, err)
 		}
-		out[i] = point(app, r, float64(wan)/float64(time.Millisecond))
+		out[i] = point(r, float64(wan)/float64(time.Millisecond))
 		return nil
 	})
 	if err != nil {
@@ -112,11 +71,11 @@ func LoadSweep(app AppID, cfg core.ConfigID, scales []float64, opts RunOptions) 
 	out := make([]SweepPoint, len(scales))
 	err := forEachParallel(opts.Parallelism, len(scales), func(i int) error {
 		s := scales[i]
-		r, err := runWith(app, cfg, opts, simnet.TopologyParams{}, s)
+		r, _, err := run(app, cfg, opts, simnet.HierarchySpec{}, s, 0)
 		if err != nil {
 			return fmt.Errorf("load sweep %v: %w", s, err)
 		}
-		out[i] = point(app, r, 30*s)
+		out[i] = point(r, 30*s)
 		return nil
 	})
 	if err != nil {

@@ -83,6 +83,31 @@ func TestLoadSweepQueueingGrowsWithLoad(t *testing.T) {
 	}
 }
 
+// TestSweepsRunTheOneBody: a sweep point at the paper's operating value is
+// the paper run — the 100 ms latency point and the scale-1 load point go
+// through the same body as Run and measure the same session means.
+func TestSweepsRunTheOneBody(t *testing.T) {
+	base, err := Run(RUBiS, core.QueryCaching, sweepOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lat, err := LatencySweep(RUBiS, core.QueryCaching, []time.Duration{simnet.WANOneWay}, sweepOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	load, err := LoadSweep(RUBiS, core.QueryCaching, []float64{1}, sweepOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := point(base, 0)
+	for name, got := range map[string]SweepPoint{"latency": lat[0], "load": load[0]} {
+		got.X = 0
+		if got != want {
+			t.Errorf("%s sweep at the paper's point measured %+v, Run measured %+v", name, got, want)
+		}
+	}
+}
+
 func TestSweepValidation(t *testing.T) {
 	if _, err := LatencySweep(PetStore, core.Centralized, []time.Duration{0}, sweepOpts()); err == nil {
 		t.Fatal("zero latency accepted")
@@ -90,7 +115,7 @@ func TestSweepValidation(t *testing.T) {
 	if _, err := LoadSweep(PetStore, core.Centralized, []float64{-1}, sweepOpts()); err == nil {
 		t.Fatal("negative scale accepted")
 	}
-	if _, err := runWith("nope", core.Centralized, sweepOpts(), simnet.TopologyParams{}, 1); err == nil {
+	if _, err := LoadSweep("nope", core.Centralized, []float64{1}, sweepOpts()); err == nil {
 		t.Fatal("unknown app accepted")
 	}
 }

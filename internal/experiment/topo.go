@@ -5,12 +5,8 @@ import (
 	"strings"
 	"time"
 
-	"wadeploy/internal/container"
 	"wadeploy/internal/core"
 	"wadeploy/internal/metrics"
-	"wadeploy/internal/petstore"
-	"wadeploy/internal/rubis"
-	"wadeploy/internal/sim"
 	"wadeploy/internal/simnet"
 )
 
@@ -81,11 +77,13 @@ func TopoSweep(app AppID, edgeCounts []int, opts TopoSweepOptions) ([]TopoPoint,
 	}
 	out := make([]TopoPoint, len(edgeCounts))
 	err := forEachParallel(opts.Parallelism, len(edgeCounts), func(i int) error {
-		pt, err := runTopoPoint(app, edgeCounts[i], opts)
+		spec := opts.Hierarchy
+		spec.Edges = edgeCounts[i]
+		r, tb, err := run(app, opts.Config, opts.RunOptions, spec, 1, opts.Partitions)
 		if err != nil {
 			return fmt.Errorf("topo sweep %d edges: %w", edgeCounts[i], err)
 		}
-		out[i] = pt
+		out[i] = topoPoint(tb, r, opts.Partitions)
 		return nil
 	})
 	if err != nil {
@@ -94,66 +92,21 @@ func TopoSweep(app AppID, edgeCounts []int, opts TopoSweepOptions) ([]TopoPoint,
 	return out, nil
 }
 
-func runTopoPoint(app AppID, edges int, opts TopoSweepOptions) (TopoPoint, error) {
-	env := sim.NewEnv(opts.Seed)
-	spec := opts.Hierarchy
-	spec.Edges = edges
-	var depOpts core.Options
-	switch app {
-	case PetStore:
-		depOpts = core.DefaultOptions()
-	case RUBiS:
-		depOpts = rubis.DeployOptions()
-	default:
-		return TopoPoint{}, fmt.Errorf("experiment: unknown app %q", app)
-	}
-	depOpts.Resilience = opts.Resilience
-	depOpts.Replication = opts.Replication
-	d, h, err := core.NewHierarchicalDeployment(env, depOpts, spec)
-	if err != nil {
-		return TopoPoint{}, err
-	}
-	var pspec *container.PartitionSpec
-	if opts.Partitions > 0 {
-		pspec = &container.PartitionSpec{Scheme: container.HashPartition, Partitions: opts.Partitions}
-	}
-	var r *Result
-	var wiring *core.Wiring
-	switch app {
-	case PetStore:
-		a, err := petstore.DeployTopo(d, opts.Config, petstore.TopoOptions{Partition: pspec})
-		if err != nil {
-			return TopoPoint{}, err
-		}
-		wiring = a.Wiring()
-		r, err = collect(app, opts.Config, d, opts.RunOptions, petstore.TopoWorkload(a), petStorePatterns, columnsFor(app))
-		if err != nil {
-			return TopoPoint{}, err
-		}
-	default:
-		a, err := rubis.DeployTopo(d, opts.Config, rubis.TopoOptions{Partition: pspec})
-		if err != nil {
-			return TopoPoint{}, err
-		}
-		wiring = a.Wiring()
-		r, err = collect(app, opts.Config, d, opts.RunOptions, rubis.TopoWorkload(a), rubisPatterns, columnsFor(app))
-		if err != nil {
-			return TopoPoint{}, err
-		}
-	}
-	sp := point(app, r, float64(edges))
+// topoPoint reads one sweep point off a finished run and its testbed.
+func topoPoint(tb *Testbed, r *Result, partitions int) TopoPoint {
+	sp := point(r, 0)
 	var entries int64
-	if wiring != nil {
-		for _, e := range d.Edges {
+	if wiring := tb.inst.Wiring(); wiring != nil {
+		for _, e := range tb.d.Edges {
 			for _, ro := range wiring.Replicas[e.Name()] {
 				entries += int64(ro.Cached())
 			}
 		}
 	}
 	return TopoPoint{
-		Edges:          edges,
-		Hubs:           len(h.HubNames),
-		Partitions:     opts.Partitions,
+		Edges:          len(tb.d.Edges),
+		Hubs:           len(tb.h.HubNames),
+		Partitions:     partitions,
 		LocalBrowser:   sp.LocalBrowser,
 		RemoteBrowser:  sp.RemoteBrowser,
 		LocalWriter:    sp.LocalWriter,
@@ -164,7 +117,7 @@ func runTopoPoint(app AppID, edges int, opts TopoSweepOptions) (TopoPoint, error
 		Msgs:           counterValue(r.Metrics, "simnet_messages_total"),
 		ReplicaEntries: entries,
 		Pushes:         counterValue(r.Metrics, "container_replica_pushes_total"),
-	}, nil
+	}
 }
 
 // knownConfig reports whether cfg is one of the study's configurations.

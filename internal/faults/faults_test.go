@@ -195,3 +195,40 @@ func TestFlapEndsUp(t *testing.T) {
 		t.Fatalf("saw %d up/down transitions, want >= 6 for 4 cycles", transitions)
 	}
 }
+
+// The paper's star is a hierarchy whose one hub is the router, so the
+// hub-level schedules apply to it: partitioning the router's subtree cuts
+// both edges off from main for exactly the window, and leaves each edge's
+// own clients connected.
+func TestSubtreePartitionOnPaperStar(t *testing.T) {
+	env := sim.NewEnv(3)
+	h, err := simnet.BuildHierarchy(env, simnet.HierarchySpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := h.Subtree(simnet.NodeRouter); len(got) != 2 {
+		t.Fatalf("router subtree = %v, want both edges", got)
+	}
+	s := SubtreePartition(h, simnet.NodeRouter, time.Second, 2*time.Second)
+	if err := Arm(h.Net, s, 3); err != nil {
+		t.Fatalf("Arm: %v", err)
+	}
+	for at, up := range map[time.Duration]bool{
+		500 * time.Millisecond: true, 1500 * time.Millisecond: false,
+		2500 * time.Millisecond: false, 3500 * time.Millisecond: true,
+	} {
+		at, up := at, up
+		env.At(at, func() {
+			for _, edge := range h.Subtree(simnet.NodeRouter) {
+				if got := h.Net.Reachable(simnet.NodeMain, edge); got != up {
+					t.Errorf("t=%v: %s reachable from main = %v, want %v", at, edge, got, up)
+				}
+				if !h.Net.Reachable(h.ClientNode(edge), edge) {
+					t.Errorf("t=%v: %s lost its local clients", at, edge)
+				}
+			}
+		})
+	}
+	env.Run(4 * time.Second)
+	env.Close()
+}

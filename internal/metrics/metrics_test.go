@@ -7,6 +7,8 @@ import (
 	"sort"
 	"testing"
 	"time"
+
+	"wadeploy/internal/race"
 )
 
 func TestBucketRoundTrip(t *testing.T) {
@@ -186,7 +188,7 @@ func TestUnsampledSeriesStayEmpty(t *testing.T) {
 // Alloc guards: the instrument hot paths must be allocation-free in steady
 // state, since they run inside the sim engine's zero-alloc event loop.
 func TestInstrumentAllocs(t *testing.T) {
-	if RaceEnabled {
+	if race.Enabled {
 		t.Skip("allocation counts are perturbed under the race detector")
 	}
 	r := NewRegistry(nil)
@@ -214,8 +216,7 @@ func TestInstrumentAllocs(t *testing.T) {
 }
 
 // Overhead guard: these pin the per-operation cost of enabled-but-unsampled
-// instruments; BenchmarkTable6_* (repo root) measures the end-to-end <2%
-// budget against the recorded BENCH_*.json baselines.
+// instruments.
 func BenchmarkCounterInc(b *testing.B) {
 	c := NewRegistry(nil).Counter("c_total")
 	b.ReportAllocs()

@@ -125,9 +125,10 @@ func DefaultPageCosts() PageCosts {
 // data, the entity beans and façades on the main server, web components and
 // stateful session beans on every active server, and — depending on cfg —
 // the read-only replicas, query caches and update propagation (via the
-// extended-descriptor AutoWire machinery).
+// extended-descriptor AutoWire machinery). It is DeployTopo with full
+// replication.
 func Deploy(d *core.Deployment, cfg core.ConfigID) (*App, error) {
-	return deploy(d, cfg, cfg, false, nil, nil)
+	return DeployTopo(d, cfg, TopoOptions{})
 }
 
 // DeployAdaptive installs Pet Store for online re-placement: the app starts

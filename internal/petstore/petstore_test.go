@@ -114,8 +114,9 @@ func TestBrowserSessionShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	counts := map[string]int{}
 	const sessions = 500
+	var steps []workload.Step
 	for i := 0; i < sessions; i++ {
-		steps := BrowserSession(rng)
+		steps = BrowserRefill(rng, steps[:0])
 		if len(steps) != BrowserSessionLength {
 			t.Fatalf("session length = %d", len(steps))
 		}
@@ -149,7 +150,7 @@ func TestBrowserSessionShape(t *testing.T) {
 
 func TestBuyerSessionSequence(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	steps := BuyerSession(rng)
+	steps := BuyerRefill(rng, nil)
 	if len(steps) != len(BuyerPages) {
 		t.Fatalf("buyer session length = %d", len(steps))
 	}
@@ -382,7 +383,7 @@ func TestCommitWithoutSigninFails(t *testing.T) {
 
 func TestPaperWorkloadRates(t *testing.T) {
 	a := deployApp(t, core.Centralized)
-	groups := PaperWorkload(a)
+	groups := a.Workload(1)
 	if len(groups) != 3 {
 		t.Fatalf("groups = %d", len(groups))
 	}

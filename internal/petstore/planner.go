@@ -124,8 +124,8 @@ func PlannerModel() *planner.Model {
 		},
 		Replicated: []string{BeanCategory, BeanProduct, BeanItem, BeanInventory},
 		Patterns: []planner.Pattern{
-			{Name: PatternBrowser, Visits: workload.ExpectedVisits(BrowserSession, visitSamples, 1)},
-			{Name: PatternBuyer, Visits: workload.ExpectedVisits(BuyerSession, 1, 1)},
+			{Name: PatternBrowser, Visits: workload.ExpectedVisits(BrowserRefill, visitSamples, 1)},
+			{Name: PatternBuyer, Visits: workload.ExpectedVisits(BuyerRefill, 1, 1)},
 		},
 		Classes: []planner.Class{
 			{Pattern: PatternBrowser, Local: true, Clients: 64},

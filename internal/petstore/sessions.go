@@ -1,8 +1,8 @@
 package petstore
 
 import (
-	"fmt"
 	"math/rand"
+	"time"
 
 	"wadeploy/internal/container"
 	"wadeploy/internal/core"
@@ -19,83 +19,6 @@ const (
 // BrowserSessionLength is the paper's browser session length (Table 2).
 const BrowserSessionLength = 20
 
-// BrowserSession generates one browser session: 20 logically organized page
-// requests starting at Main, drawn with the Table 2 weights; Item requests
-// target an item of the previously requested Product, Product requests a
-// product of the previously requested Category.
-func BrowserSession(rng *rand.Rand) []workload.Step {
-	steps := make([]workload.Step, 0, BrowserSessionLength)
-	steps = append(steps, workload.Step{Page: PageMain})
-	cat := rng.Intn(NumCategories)
-	// The last *requested* product, as (category, product): an Item page
-	// always shows an item of the previously requested Product page.
-	pcat, pprod := cat, rng.Intn(ProductsPerCategory)
-	total := 0
-	for _, bp := range BrowserPages {
-		total += bp.Weight
-	}
-	for len(steps) < BrowserSessionLength {
-		r := rng.Intn(total)
-		page := PageMain
-		for _, bp := range BrowserPages {
-			if r < bp.Weight {
-				page = bp.Page
-				break
-			}
-			r -= bp.Weight
-		}
-		switch page {
-		case PageMain:
-			steps = append(steps, workload.Step{Page: PageMain})
-		case PageCategory:
-			cat = rng.Intn(NumCategories)
-			steps = append(steps, workload.Step{
-				Page:   PageCategory,
-				Params: map[string]string{"cat": CategoryID(cat)},
-			})
-		case PageProduct:
-			pcat, pprod = cat, rng.Intn(ProductsPerCategory)
-			steps = append(steps, workload.Step{
-				Page:   PageProduct,
-				Params: map[string]string{"product": ProductID(pcat, pprod)},
-			})
-		case PageItem:
-			item := rng.Intn(ItemsPerProduct)
-			steps = append(steps, workload.Step{
-				Page:   PageItem,
-				Params: map[string]string{"item": ItemID(pcat, pprod, item)},
-			})
-		case PageSearch:
-			steps = append(steps, workload.Step{
-				Page:   PageSearch,
-				Params: map[string]string{"q": fmt.Sprintf("P%02d", rng.Intn(ProductsPerCategory)+1)},
-			})
-		}
-	}
-	return steps
-}
-
-// BuyerSession generates one buyer session: the fixed Table 3 sequence for a
-// random account buying one random item.
-func BuyerSession(rng *rand.Rand) []workload.Step {
-	user := UserID(rng.Intn(NumAccounts))
-	item := ItemID(rng.Intn(NumCategories), rng.Intn(ProductsPerCategory), rng.Intn(ItemsPerProduct))
-	auth := map[string]string{"user": user, "password": "pw-" + user}
-	cartParams := map[string]string{"item": item}
-	steps := make([]workload.Step, 0, len(BuyerPages))
-	for _, page := range BuyerPages {
-		switch page {
-		case PageVerifySignin:
-			steps = append(steps, workload.Step{Page: page, Params: auth})
-		case PageCart:
-			steps = append(steps, workload.Step{Page: page, Params: cartParams})
-		default:
-			steps = append(steps, workload.Step{Page: page})
-		}
-	}
-	return steps
-}
-
 // browserWeightTotal is the Table 2 weight sum, computed once.
 var browserWeightTotal = func() int {
 	total := 0
@@ -105,11 +28,13 @@ var browserWeightTotal = func() int {
 	return total
 }()
 
-// BrowserRefill is BrowserSession in pooled form: identical RNG draw
-// sequence and identical step values (the paper-table goldens pin this), but
-// the session is written into the caller's reused buffer with GrowStep and
-// every parameter string comes from the precomputed ID tables — zero
-// steady-state allocations per session.
+// BrowserRefill generates one browser session: 20 logically organized page
+// requests starting at Main, drawn with the Table 2 weights; Item requests
+// target an item of the previously requested Product, Product requests a
+// product of the previously requested Category. The session is written into
+// the caller's reused buffer with GrowStep and every parameter string comes
+// from the precomputed ID tables — zero steady-state allocations per session.
+// The RNG draw sequence is pinned by the paper-table goldens.
 func BrowserRefill(rng *rand.Rand, steps []workload.Step) []workload.Step {
 	steps = workload.GrowStep(steps, PageMain)
 	cat := rng.Intn(NumCategories)
@@ -142,7 +67,8 @@ func BrowserRefill(rng *rand.Rand, steps []workload.Step) []workload.Step {
 	return steps
 }
 
-// BuyerRefill is BuyerSession in pooled form (same RNG draws, same values).
+// BuyerRefill generates one buyer session: the fixed Table 3 sequence for a
+// random account buying one random item.
 func BuyerRefill(rng *rand.Rand, steps []workload.Step) []workload.Step {
 	u := rng.Intn(NumAccounts)
 	item := itemIDs[rng.Intn(NumCategories)][rng.Intn(ProductsPerCategory)][rng.Intn(ItemsPerProduct)]
@@ -160,53 +86,26 @@ func BuyerRefill(rng *rand.Rand, steps []workload.Step) []workload.Step {
 	return steps
 }
 
-// PaperWorkload returns the three client groups of Section 3.3: 30 page
-// requests per second combined, 80% browsers / 20% buyers, split equally
-// between one local and two remote groups (10 req/s each). With an 8-second
-// think time that is 64 browsers and 16 buyers per group.
-func PaperWorkload(a *App) []workload.Group { return PaperWorkloadScaled(a, 1) }
-
-// PaperWorkloadScaled scales the client population (and therefore offered
-// load) by scale while keeping the 80/20 mix and group split — the knob
-// behind load-sensitivity sweeps.
-func PaperWorkloadScaled(a *App, scale float64) []workload.Group {
-	browsers := int(64*scale + 0.5)
-	writers := int(16*scale + 0.5)
-	if browsers < 1 {
-		browsers = 1
-	}
-	if writers < 1 {
-		writers = 1
-	}
-	groups := make([]workload.Group, 0, 3)
-	type gdef struct {
-		name  string
-		node  string
-		local bool
-	}
-	for _, g := range []gdef{
-		{"local", simnet.NodeClientsMain, true},
-		{"remote-1", simnet.NodeClientsEdge1, false},
-		{"remote-2", simnet.NodeClientsEdge2, false},
-	} {
-		groups = append(groups, workload.Group{
-			Name:           g.name,
-			ClientNode:     g.node,
-			Local:          g.local,
-			Browsers:       browsers,
-			Writers:        writers,
-			Delay:          8e9, // 8s soft think time -> 10 req/s per group at scale 1
-			BrowserPattern: PatternBrowser,
-			WriterPattern:  PatternBuyer,
-			BrowserGen:     BrowserSession,
-			WriterGen:      BuyerSession,
-			BrowserRefill:  BrowserRefill,
-			WriterRefill:   BuyerRefill,
-			Request:        a.RequestFunc(),
-		})
-	}
-	return groups
+// Workload returns the client groups of Section 3.3 on the app's deployment
+// (see core.Deployment.ClientGroups) with the population scaled by scale: 80%
+// browsers / 20% buyers at an 8-second soft think time, i.e. 10 req/s per
+// paper group and 30 req/s combined at scale 1 — the knob behind
+// load-sensitivity sweeps.
+func (a *App) Workload(scale float64) []workload.Group {
+	return a.d.ClientGroups(workload.Group{
+		Delay:          8 * time.Second,
+		BrowserPattern: PatternBrowser,
+		WriterPattern:  PatternBuyer,
+		BrowserRefill:  BrowserRefill,
+		WriterRefill:   BuyerRefill,
+		Request:        a.RequestFunc(),
+	}, scale)
 }
+
+// PaperWorkload and TopoWorkload are the names the benchmark calls for
+// a.Workload(1), from when the star and the hierarchies had a builder each.
+func PaperWorkload(a *App) []workload.Group { return a.Workload(1) }
+func TopoWorkload(a *App) []workload.Group  { return a.Workload(1) }
 
 // Plan returns the validated placement plan for the active configuration —
 // the Table 1 component inventory plus the configuration's additions,

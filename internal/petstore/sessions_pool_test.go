@@ -1,9 +1,13 @@
 package petstore
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"sort"
 	"testing"
 
+	"wadeploy/internal/race"
 	"wadeploy/internal/workload"
 )
 
@@ -25,47 +29,48 @@ func stepsEqual(a, b []workload.Step) bool {
 	return true
 }
 
-// copySteps deep-copies a session so refill reuse cannot alias it.
-func copySteps(steps []workload.Step) []workload.Step {
-	out := make([]workload.Step, len(steps))
-	for i, s := range steps {
-		out[i] = workload.Step{Page: s.Page}
-		if s.Params != nil {
-			out[i].Params = make(map[string]string, len(s.Params))
-			for k, v := range s.Params {
-				out[i].Params[k] = v
+// sessionFingerprint hashes n consecutive sessions of gen from one seeded
+// RNG stream: every page and every parameter, keys in sorted order.
+func sessionFingerprint(gen workload.RefillGen, seed int64, n int) uint64 {
+	h := fnv.New64a()
+	rng := rand.New(rand.NewSource(seed))
+	var buf []workload.Step
+	for s := 0; s < n; s++ {
+		buf = gen(rng, buf[:0])
+		for _, step := range buf {
+			fmt.Fprintf(h, "%s{", step.Page)
+			keys := make([]string, 0, len(step.Params))
+			for k := range step.Params {
+				keys = append(keys, k)
 			}
+			sort.Strings(keys)
+			for _, k := range keys {
+				fmt.Fprintf(h, "%s=%s,", k, step.Params[k])
+			}
+			fmt.Fprint(h, "}")
 		}
 	}
-	return out
+	return h.Sum64()
 }
 
-// TestRefillMatchesSession pins the RefillGen contract: for the same RNG
-// stream, the pooled generators produce exactly the sessions the allocating
-// generators do — page by page, param by param — across many consecutive
-// sessions reusing one buffer.
+// TestRefillMatchesSession pins the generators' RNG contract: for a fixed
+// seed they produce exactly the sessions — page by page, param by param,
+// across many consecutive sessions reusing one buffer — that the paper-table
+// goldens were recorded with. The fingerprints were taken from the allocating
+// generators these replaced; a change to the draw order or to a parameter
+// value fails here long before it shows up as a table diff.
 func TestRefillMatchesSession(t *testing.T) {
 	cases := []struct {
-		name   string
-		gen    workload.SessionGen
-		refill workload.RefillGen
+		name string
+		gen  workload.RefillGen
+		want uint64
 	}{
-		{"browser", BrowserSession, BrowserRefill},
-		{"buyer", BuyerSession, BuyerRefill},
+		{"browser", BrowserRefill, 0xcdb1a9a8e8d672e0},
+		{"buyer", BuyerRefill, 0x882cf2737b6578fb},
 	}
 	for _, tc := range cases {
-		genRNG := rand.New(rand.NewSource(11))
-		refRNG := rand.New(rand.NewSource(11))
-		var buf []workload.Step
-		for s := 0; s < 50; s++ {
-			want := tc.gen(genRNG)
-			buf = tc.refill(refRNG, buf[:0])
-			if !stepsEqual(want, buf) {
-				t.Fatalf("%s session %d: refill differs from gen\ngen:    %+v\nrefill: %+v", tc.name, s, want, buf)
-			}
-			// The next refill reuses buf; keep a copy only to fail loudly if
-			// aliasing ever corrupts a prior comparison.
-			_ = copySteps(buf)
+		if got := sessionFingerprint(tc.gen, 11, 50); got != tc.want {
+			t.Errorf("%s: 50 sessions from seed 11 hash to %#x, want %#x", tc.name, got, tc.want)
 		}
 	}
 }
@@ -73,7 +78,7 @@ func TestRefillMatchesSession(t *testing.T) {
 // TestRefillAllocs guards the satellite claim: once the step buffer has
 // grown, generating further sessions allocates nothing.
 func TestRefillAllocs(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("allocation counts differ under -race")
 	}
 	rng := rand.New(rand.NewSource(3))
@@ -92,21 +97,22 @@ func TestRefillAllocs(t *testing.T) {
 }
 
 // TestStreamMatchesSession pins the streaming generators against the
-// allocating ones: same RNG stream, same emitted steps.
+// session generators: same RNG stream, same emitted steps.
 func TestStreamMatchesSession(t *testing.T) {
 	cases := []struct {
 		name   string
-		gen    workload.SessionGen
+		gen    workload.RefillGen
 		stream workload.StreamGen
 	}{
-		{"browser", BrowserSession, BrowserStream},
-		{"buyer", BuyerSession, BuyerStream},
+		{"browser", BrowserRefill, BrowserStream},
+		{"buyer", BuyerRefill, BuyerStream},
 	}
 	for _, tc := range cases {
 		genRNG := rand.New(rand.NewSource(29))
 		strRNG := rand.New(rand.NewSource(29))
+		var want []workload.Step
 		for s := 0; s < 50; s++ {
-			want := tc.gen(genRNG)
+			want = tc.gen(genRNG, want[:0])
 			var st workload.StreamState
 			for i, wantStep := range want {
 				var step workload.Step

@@ -131,8 +131,8 @@ func StreamTraceWAN(local bool) func(page string, rt time.Duration) time.Duratio
 // StreamWorkload builds the scale workload: totalClients spread across eight
 // edge nodes (the first co-located with the application main site), each
 // node carrying the paper's 80/20 browser/buyer mix with the 8-second soft
-// think time. It is the configuration behind BenchmarkWorkloadScaleSessions
-// and the `wadeploy scale` subcommand.
+// think time. It is the configuration behind the benchmark's scale-stream
+// workload and the `wadeploy scale` subcommand.
 func StreamWorkload(totalClients int) []workload.StreamClass {
 	const edges = 8
 	classes := make([]workload.StreamClass, 0, 2*edges)

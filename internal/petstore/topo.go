@@ -1,7 +1,6 @@
-// Partition-aware Pet Store deployment over hierarchical topologies: Item
-// and Inventory replicas hold key-space slices per edge instead of full
-// copies, query caches are scoped to the local slice, and the workload
-// spreads the paper's total offered load over N edge client groups.
+// Partition-aware Pet Store deployment: Item and Inventory replicas hold
+// key-space slices per edge instead of full copies, and query caches are
+// scoped to the local slice.
 package petstore
 
 import (
@@ -9,14 +8,12 @@ import (
 
 	"wadeploy/internal/container"
 	"wadeploy/internal/core"
-	"wadeploy/internal/simnet"
-	"wadeploy/internal/workload"
 )
 
 // TopoOptions parameterizes a partition-aware deployment.
 type TopoOptions struct {
 	// Partition shards the Item and Inventory key space. Nil keeps full
-	// replication (DeployTopo then equals Deploy on the same deployment).
+	// replication.
 	Partition *container.PartitionSpec
 	// Assignments maps edge node -> owned partitions. Nil with a non-nil
 	// Partition derives a round-robin assignment over the edges.
@@ -58,62 +55,4 @@ func (a *App) ownsQueryParam(edge *container.Server, param string) bool {
 		}
 	}
 	return false
-}
-
-// TopoWorkload is TopoWorkloadScaled at scale 1.
-func TopoWorkload(a *App) []workload.Group { return TopoWorkloadScaled(a, 1) }
-
-// TopoWorkloadScaled builds client groups for an N-edge deployment with the
-// same total offered load as the paper's workload at the same scale: one
-// local group (64 browsers / 16 buyers at scale 1) plus the paper's two
-// remote groups' worth of clients (128 browsers / 32 buyers) spread over the
-// N edge client groups, earlier edges taking the remainder. Holding the
-// total constant is what makes the edge-count sweep a scaling curve rather
-// than a load sweep.
-func TopoWorkloadScaled(a *App, scale float64) []workload.Group {
-	localBrowsers := int(64*scale + 0.5)
-	localWriters := int(16*scale + 0.5)
-	if localBrowsers < 1 {
-		localBrowsers = 1
-	}
-	if localWriters < 1 {
-		localWriters = 1
-	}
-	edges := a.d.Edges
-	n := len(edges)
-	remoteBrowsers := int(128*scale + 0.5)
-	remoteWriters := int(32*scale + 0.5)
-
-	groups := make([]workload.Group, 0, 1+n)
-	mk := func(name, node string, local bool, browsers, writers int) workload.Group {
-		return workload.Group{
-			Name:           name,
-			ClientNode:     node,
-			Local:          local,
-			Browsers:       browsers,
-			Writers:        writers,
-			Delay:          8e9, // 8s soft think time, as in the paper workload
-			BrowserPattern: PatternBrowser,
-			WriterPattern:  PatternBuyer,
-			BrowserGen:     BrowserSession,
-			WriterGen:      BuyerSession,
-			BrowserRefill:  BrowserRefill,
-			WriterRefill:   BuyerRefill,
-			Request:        a.RequestFunc(),
-		}
-	}
-	groups = append(groups, mk("local", simnet.NodeClientsMain, true, localBrowsers, localWriters))
-	for i, edge := range edges {
-		browsers := remoteBrowsers / n
-		if i < remoteBrowsers%n {
-			browsers++
-		}
-		writers := remoteWriters / n
-		if i < remoteWriters%n {
-			writers++
-		}
-		node := a.d.ClientNodeOf(edge.Name())
-		groups = append(groups, mk("remote-"+edge.Name(), node, false, browsers, writers))
-	}
-	return groups
 }

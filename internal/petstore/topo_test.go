@@ -130,7 +130,7 @@ func TestDeployTopoRejectsBadSpec(t *testing.T) {
 func TestTopoWorkloadSpread(t *testing.T) {
 	for _, edges := range []int{1, 2, 3, 5, 8} {
 		a, h := deployTopoApp(t, edges, core.QueryCaching, TopoOptions{})
-		groups := TopoWorkload(a)
+		groups := a.Workload(1)
 		if len(groups) != 1+edges {
 			t.Fatalf("edges=%d: %d groups", edges, len(groups))
 		}

@@ -1,10 +1,6 @@
 package planner
 
-import (
-	"time"
-
-	"wadeploy/internal/simnet"
-)
+import "time"
 
 // Params are the calibration constants the closed-form model is built from.
 // Every value traces to a substrate knob documented in
@@ -80,29 +76,18 @@ func DeltaPushBytes(fields int) int {
 
 // Params derives the model constants from the application's deployment
 // options (the same values core.NewPaperDeployment builds the simulated
-// testbed from). A zero Topology selects the paper's Fig. 2 values, exactly
-// as NewPaperDeployment does.
+// testbed from). The model is star-shaped: a WAN path is one main-to-edge
+// route of opts.Topology (backbone leg plus metro leg, at the bandwidth of
+// the narrower), and a zero Topology is the paper's Fig. 2 testbed.
 func (m *Model) Params() Params {
 	opts := m.Options
-	topo := opts.Topology
-	if topo.WANOneWay == 0 {
-		topo = simnet.DefaultTopologyParams()
-	}
-	if topo.LANOneWay == 0 {
-		topo.LANOneWay = simnet.LANOneWay
-	}
-	if topo.WANBps <= 0 {
-		topo.WANBps = simnet.WANBps
-	}
-	if topo.LANBps <= 0 {
-		topo.LANBps = simnet.LANBps
-	}
+	topo := opts.Topology.WithDefaults()
 	p := Params{
-		WANOneWay: topo.WANOneWay,
-		LANOneWay: topo.LANOneWay,
-		WANBps:    topo.WANBps,
-		LANBps:    topo.LANBps,
-		Edges:     len(simnet.ServerNodes) - 1,
+		WANOneWay: topo.Backbone.OneWay + topo.Metro.OneWay,
+		LANOneWay: topo.LAN.OneWay,
+		WANBps:    min(topo.Backbone.Bps, topo.Metro.Bps),
+		LANBps:    topo.LAN.Bps,
+		Edges:     topo.Edges,
 
 		Rounds:        opts.RMI.Rounds,
 		ReqBytes:      opts.RMI.RequestBytes,

@@ -1,6 +1,7 @@
 package planner_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -90,10 +91,10 @@ func TestCandidatesEnumeratesValidCombinations(t *testing.T) {
 
 func TestCandidateConfigMapsPaperLadder(t *testing.T) {
 	want := map[string]core.ConfigID{
-		"none":                      core.Centralized,
-		"web":                       core.RemoteFacade,
-		"web+entities":              core.StatefulCaching,
-		"web+entities+queries":      core.QueryCaching,
+		"none":                       core.Centralized,
+		"web":                        core.RemoteFacade,
+		"web+entities":               core.StatefulCaching,
+		"web+entities+queries":       core.QueryCaching,
 		"web+entities+queries+async": core.AsyncUpdates,
 	}
 	mapped := 0
@@ -187,21 +188,22 @@ func TestPlanForSynthesizesWiringComponents(t *testing.T) {
 	for _, p := range pl.Placements {
 		servers[p.Desc.Name] = p.Servers
 	}
-	edges := simnet.ServerNodes[1:]
+	all := m.Options.Topology.ServerNodes()
+	edges := all[1:]
 	for _, name := range []string{"ThingRO", "Updater", "UpdateSubscriber"} {
 		got, ok := servers[name]
 		if !ok {
 			t.Errorf("plan lacks wiring component %s", name)
 			continue
 		}
-		if len(got) != len(edges) {
+		if !reflect.DeepEqual(got, edges) {
 			t.Errorf("%s on %v, want edges %v", name, got, edges)
 		}
 	}
 	if got := servers["Thing"]; len(got) != 1 || got[0] != simnet.NodeMain {
 		t.Errorf("entity Thing on %v, want [%s]", got, simnet.NodeMain)
 	}
-	if got := servers["Facade"]; len(got) != len(simnet.ServerNodes) {
+	if got := servers["Facade"]; !reflect.DeepEqual(got, all) {
 		t.Errorf("cached façade on %v, want all servers", got)
 	}
 
@@ -273,5 +275,35 @@ func TestWithObservedVisitsSearchSmoke(t *testing.T) {
 	})
 	if _, err := planner.Search(adapted); err != nil {
 		t.Fatalf("Search over adapted model: %v", err)
+	}
+}
+
+// TestModelReadsTopologySpec: the node set and the WAN constants come from
+// the deployment options' topology, not from a fixed star — the zero spec is
+// the paper's testbed, any other spec is planned over its own edges.
+func TestModelReadsTopologySpec(t *testing.T) {
+	m := testModel()
+	p := m.Params()
+	if p.Edges != 2 || p.WANOneWay != simnet.WANOneWay || p.LANOneWay != simnet.LANOneWay ||
+		p.WANBps != simnet.WANBps || p.LANBps != simnet.LANBps {
+		t.Errorf("zero topology: %d edges, WAN %v at %v B/s, LAN %v at %v B/s; want the paper's testbed",
+			p.Edges, p.WANOneWay, p.WANBps, p.LANOneWay, p.LANBps)
+	}
+
+	m.Options.Topology = simnet.HierarchySpec{Edges: 3}
+	p = m.Params()
+	spec := m.Options.Topology.WithDefaults()
+	if p.Edges != 3 || p.WANOneWay != spec.Backbone.OneWay+spec.Metro.OneWay || p.WANBps != spec.Metro.Bps {
+		t.Errorf("3-edge hierarchy: %d edges, WAN %v at %v B/s", p.Edges, p.WANOneWay, p.WANBps)
+	}
+	pl := m.PlanFor(planner.Candidate{ReplicateWeb: true, EntityReplicas: true})
+	if err := pl.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{simnet.EdgeName(0), simnet.EdgeName(1), simnet.EdgeName(2)}
+	for _, pm := range pl.Placements {
+		if pm.Desc.Name == "ThingRO" && !reflect.DeepEqual(pm.Servers, want) {
+			t.Errorf("replicas on %v, want %v", pm.Servers, want)
+		}
 	}
 }

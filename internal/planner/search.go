@@ -7,7 +7,6 @@ import (
 
 	"wadeploy/internal/container"
 	"wadeploy/internal/core"
-	"wadeploy/internal/simnet"
 )
 
 // ClassMean is one client class's predicted session mean.
@@ -142,12 +141,12 @@ func Search(m *Model) (*Result, error) {
 // (read-only replicas, the edge Updater façade, the async update
 // subscriber). The result always passes core.Plan.Validate.
 func (m *Model) PlanFor(c Candidate) *core.Plan {
-	main := []string{simnet.NodeMain}
+	servers := m.Options.Topology.ServerNodes()
+	main, edges := servers[:1:1], servers[1:]
 	active := main
 	if c.ReplicateWeb {
-		active = simnet.ServerNodes
+		active = servers
 	}
-	edges := simnet.ServerNodes[1:]
 
 	pl := &core.Plan{App: m.App}
 	add := func(d container.Descriptor, servers []string) {

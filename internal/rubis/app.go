@@ -107,39 +107,10 @@ func DeployOptions() core.Options {
 	return o
 }
 
-// Deploy installs RUBiS into d under configuration cfg.
+// Deploy installs RUBiS into d under configuration cfg: DeployTopo with full
+// replication.
 func Deploy(d *core.Deployment, cfg core.ConfigID) (*App, error) {
-	if err := InitSchema(d.DB); err != nil {
-		return nil, err
-	}
-	a := &App{
-		d:          d,
-		cfg:        cfg,
-		bidSeq:     int64(NumItems * SeedBidsPerItem),
-		commentSeq: int64(SeedComments),
-		costs:      DefaultPageCosts(),
-	}
-	if err := a.deployEntities(); err != nil {
-		return nil, err
-	}
-	if err := a.deployMainFacades(); err != nil {
-		return nil, err
-	}
-	for _, srv := range a.activeServers() {
-		a.registerPages(srv)
-	}
-	if cfg.AtLeast(core.StatefulCaching) {
-		if err := a.wireReplicas(); err != nil {
-			return nil, err
-		}
-		if err := a.deployEdgeFacades(); err != nil {
-			return nil, err
-		}
-	}
-	if err := a.Plan().Validate(); err != nil {
-		return nil, fmt.Errorf("rubis: %w", err)
-	}
-	return a, nil
+	return DeployTopo(d, cfg, TopoOptions{})
 }
 
 // Config returns the active configuration.

@@ -112,8 +112,8 @@ func PlannerModel() *planner.Model {
 		},
 		Replicated: []string{BeanItem, BeanUser},
 		Patterns: []planner.Pattern{
-			{Name: PatternBrowser, Visits: workload.ExpectedVisits(BrowserSession, visitSamples, 1)},
-			{Name: PatternBidder, Visits: workload.ExpectedVisits(BidderSession, 1, 1)},
+			{Name: PatternBrowser, Visits: workload.ExpectedVisits(BrowserRefill, visitSamples, 1)},
+			{Name: PatternBidder, Visits: workload.ExpectedVisits(BidderRefill, 1, 1)},
 		},
 		Classes: []planner.Class{
 			{Pattern: PatternBrowser, Local: true, Clients: 64},

@@ -88,8 +88,9 @@ func TestBrowserSessionShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	counts := map[string]int{}
 	const sessions = 400
+	var steps []workload.Step
 	for i := 0; i < sessions; i++ {
-		steps := BrowserSession(rng)
+		steps = BrowserRefill(rng, steps[:0])
 		if len(steps) != BrowserSessionLength {
 			t.Fatalf("length = %d", len(steps))
 		}
@@ -121,7 +122,7 @@ func TestBrowserSessionShape(t *testing.T) {
 
 func TestBidderSessionSequence(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	steps := BidderSession(rng)
+	steps := BidderRefill(rng, nil)
 	if len(steps) != len(BidderPages) {
 		t.Fatalf("length = %d, want %d", len(steps), len(BidderPages))
 	}
@@ -345,7 +346,7 @@ func TestBadCredentialsRejected(t *testing.T) {
 
 func TestPaperWorkloadShape(t *testing.T) {
 	a := deployApp(t, core.Centralized)
-	groups := PaperWorkload(a)
+	groups := a.Workload(1)
 	if len(groups) != 3 {
 		t.Fatalf("groups = %d", len(groups))
 	}

@@ -2,7 +2,6 @@ package rubis
 
 import (
 	"math/rand"
-	"strconv"
 	"time"
 
 	"wadeploy/internal/container"
@@ -28,88 +27,6 @@ func itemInCategory(rng *rand.Rand, c int64) int64 {
 	return c + int64(k*NumCategories)
 }
 
-// BrowserSession generates one 40-request browser session with the Table 4
-// page weights, starting at Main; Bids requests target the previously
-// viewed item, and Item requests follow the last listing's category.
-func BrowserSession(rng *rand.Rand) []workload.Step {
-	steps := make([]workload.Step, 0, BrowserSessionLength)
-	steps = append(steps, workload.Step{Page: PageMain})
-	total := 0
-	for _, bp := range BrowserPages {
-		total += bp.Weight
-	}
-	cat := int64(rng.Intn(NumCategories) + 1)
-	region := int64(rng.Intn(NumRegions) + 1)
-	lastItem := itemInCategory(rng, cat)
-	for len(steps) < BrowserSessionLength {
-		r := rng.Intn(total)
-		page := PageMain
-		for _, bp := range BrowserPages {
-			if r < bp.Weight {
-				page = bp.Page
-				break
-			}
-			r -= bp.Weight
-		}
-		step := workload.Step{Page: page}
-		switch page {
-		case PageRegion:
-			region = int64(rng.Intn(NumRegions) + 1)
-			step.Params = map[string]string{"region": strconv.FormatInt(region, 10)}
-		case PageCategory:
-			cat = int64(rng.Intn(NumCategories) + 1)
-			step.Params = map[string]string{"cat": strconv.FormatInt(cat, 10)}
-		case PageCatRegion:
-			cat = int64(rng.Intn(NumCategories) + 1)
-			step.Params = map[string]string{
-				"cat":    strconv.FormatInt(cat, 10),
-				"region": strconv.FormatInt(region, 10),
-			}
-		case PageItem:
-			lastItem = itemInCategory(rng, cat)
-			step.Params = map[string]string{"item": strconv.FormatInt(lastItem, 10)}
-		case PageBids:
-			step.Params = map[string]string{"item": strconv.FormatInt(lastItem, 10)}
-		case PageUserInfo:
-			step.Params = map[string]string{"user": strconv.Itoa(rng.Intn(NumUsers) + 1)}
-		}
-		steps = append(steps, step)
-	}
-	return steps
-}
-
-// BidderSession generates one bidder session (Table 5): the bidder bids on
-// an item and leaves a comment for its seller, authenticating before each
-// write activity (RUBiS keeps no login session).
-func BidderSession(rng *rand.Rand) []workload.Step {
-	u := rng.Intn(NumUsers)
-	nick, pass := Nickname(u), Password(u)
-	item := int64(rng.Intn(NumItems) + 1)
-	seller := (item-1)%NumUsers + 1
-	bid := 5.0 + float64(rng.Intn(500))
-	withItem := func(extra map[string]string) map[string]string {
-		m := map[string]string{"nick": nick, "password": pass, "item": strconv.FormatInt(item, 10)}
-		for k, v := range extra {
-			m[k] = v
-		}
-		return m
-	}
-	return []workload.Step{
-		{Page: PageMain},
-		{Page: PagePutBidAuth},
-		{Page: PagePutBidForm, Params: withItem(nil)},
-		{Page: PageStoreBid, Params: withItem(map[string]string{"bid": strconv.FormatFloat(bid, 'f', 2, 64)})},
-		{Page: PagePutCommentAuth},
-		{Page: PagePutCommentForm, Params: map[string]string{
-			"nick": nick, "password": pass, "to": strconv.FormatInt(seller, 10),
-		}},
-		{Page: PageStoreComment, Params: map[string]string{
-			"nick": nick, "password": pass, "to": strconv.FormatInt(seller, 10),
-			"item": strconv.FormatInt(item, 10), "rating": strconv.Itoa(rng.Intn(5) + 1),
-		}},
-	}
-}
-
 // browserWeightTotal is the Table 4 weight sum, computed once.
 var browserWeightTotal = func() int {
 	total := 0
@@ -119,9 +36,11 @@ var browserWeightTotal = func() int {
 	return total
 }()
 
-// BrowserRefill is BrowserSession in pooled form: identical RNG draw
-// sequence and values (pinned by the paper-table goldens), written into the
-// caller's reused buffer with interned parameter strings.
+// BrowserRefill generates one 40-request browser session with the Table 4
+// page weights, starting at Main; Bids requests target the previously viewed
+// item, and Item requests follow the last listing's category. The session is
+// written into the caller's reused buffer with interned parameter strings;
+// the RNG draw sequence is pinned by the paper-table goldens.
 func BrowserRefill(rng *rand.Rand, steps []workload.Step) []workload.Step {
 	steps = workload.GrowStep(steps, PageMain)
 	cat := int64(rng.Intn(NumCategories) + 1)
@@ -162,8 +81,9 @@ func BrowserRefill(rng *rand.Rand, steps []workload.Step) []workload.Step {
 	return steps
 }
 
-// BidderRefill is BidderSession in pooled form (same RNG draws, same
-// values).
+// BidderRefill generates one bidder session (Table 5): the bidder bids on an
+// item and leaves a comment for its seller, authenticating before each write
+// activity (RUBiS keeps no login session).
 func BidderRefill(rng *rand.Rand, steps []workload.Step) []workload.Step {
 	u := rng.Intn(NumUsers)
 	nick, pass := nicknames[u], userPws[u]
@@ -208,50 +128,23 @@ func (a *App) RequestFunc() workload.RequestFunc {
 	}
 }
 
-// PaperWorkload returns the Section 3.3 client groups: 30 req/s combined,
-// 80% browsers / 20% bidders, one local and two remote groups.
-func PaperWorkload(a *App) []workload.Group { return PaperWorkloadScaled(a, 1) }
-
-// PaperWorkloadScaled scales the client population by scale, preserving the
-// mix and group split (load-sensitivity sweeps).
-func PaperWorkloadScaled(a *App, scale float64) []workload.Group {
-	browsers := int(64*scale + 0.5)
-	writers := int(16*scale + 0.5)
-	if browsers < 1 {
-		browsers = 1
-	}
-	if writers < 1 {
-		writers = 1
-	}
-	type gdef struct {
-		name  string
-		node  string
-		local bool
-	}
-	groups := make([]workload.Group, 0, 3)
-	for _, g := range []gdef{
-		{"local", simnet.NodeClientsMain, true},
-		{"remote-1", simnet.NodeClientsEdge1, false},
-		{"remote-2", simnet.NodeClientsEdge2, false},
-	} {
-		groups = append(groups, workload.Group{
-			Name:           g.name,
-			ClientNode:     g.node,
-			Local:          g.local,
-			Browsers:       browsers,
-			Writers:        writers,
-			Delay:          8 * time.Second,
-			BrowserPattern: PatternBrowser,
-			WriterPattern:  PatternBidder,
-			BrowserGen:     BrowserSession,
-			WriterGen:      BidderSession,
-			BrowserRefill:  BrowserRefill,
-			WriterRefill:   BidderRefill,
-			Request:        a.RequestFunc(),
-		})
-	}
-	return groups
+// Workload returns the Section 3.3 client groups on the app's deployment (see
+// core.Deployment.ClientGroups) with the population scaled by scale: 80%
+// browsers / 20% bidders at an 8-second think time, 30 req/s combined at
+// scale 1 — the knob behind load-sensitivity sweeps.
+func (a *App) Workload(scale float64) []workload.Group {
+	return a.d.ClientGroups(workload.Group{
+		Delay:          8 * time.Second,
+		BrowserPattern: PatternBrowser,
+		WriterPattern:  PatternBidder,
+		BrowserRefill:  BrowserRefill,
+		WriterRefill:   BidderRefill,
+		Request:        a.RequestFunc(),
+	}, scale)
 }
+
+// PaperWorkload is the name the benchmark calls for a.Workload(1).
+func PaperWorkload(a *App) []workload.Group { return a.Workload(1) }
 
 // Plan returns the validated placement plan for the active configuration.
 func (a *App) Plan() *core.Plan {

@@ -1,17 +1,14 @@
-// Partition-aware RUBiS deployment over hierarchical topologies. RUBiS keeps
-// it minimal: the Item replica (the hot, large table) shards per edge; User
-// replicas and the query caches stay full, because edge authentication and
-// the browse/search caches need global coverage.
+// Partition-aware RUBiS deployment. RUBiS keeps it minimal: the Item replica
+// (the hot, large table) shards per edge; User replicas and the query caches
+// stay full, because edge authentication and the browse/search caches need
+// global coverage.
 package rubis
 
 import (
 	"fmt"
-	"time"
 
 	"wadeploy/internal/container"
 	"wadeploy/internal/core"
-	"wadeploy/internal/simnet"
-	"wadeploy/internal/workload"
 )
 
 // TopoOptions parameterizes a partition-aware RUBiS deployment.
@@ -72,58 +69,4 @@ func DeployTopo(d *core.Deployment, cfg core.ConfigID, topo TopoOptions) (*App, 
 		return nil, fmt.Errorf("rubis: %w", err)
 	}
 	return a, nil
-}
-
-// TopoWorkload is TopoWorkloadScaled at scale 1.
-func TopoWorkload(a *App) []workload.Group { return TopoWorkloadScaled(a, 1) }
-
-// TopoWorkloadScaled builds client groups for an N-edge deployment with the
-// paper's total offered load: one local group (64/16 at scale 1) plus the
-// two remote groups' combined population (128 browsers / 32 bidders) spread
-// deterministically over the N edge client groups.
-func TopoWorkloadScaled(a *App, scale float64) []workload.Group {
-	localBrowsers := int(64*scale + 0.5)
-	localWriters := int(16*scale + 0.5)
-	if localBrowsers < 1 {
-		localBrowsers = 1
-	}
-	if localWriters < 1 {
-		localWriters = 1
-	}
-	edges := a.d.Edges
-	n := len(edges)
-	remoteBrowsers := int(128*scale + 0.5)
-	remoteWriters := int(32*scale + 0.5)
-
-	groups := make([]workload.Group, 0, 1+n)
-	mk := func(name, node string, local bool, browsers, writers int) workload.Group {
-		return workload.Group{
-			Name:           name,
-			ClientNode:     node,
-			Local:          local,
-			Browsers:       browsers,
-			Writers:        writers,
-			Delay:          8 * time.Second,
-			BrowserPattern: PatternBrowser,
-			WriterPattern:  PatternBidder,
-			BrowserGen:     BrowserSession,
-			WriterGen:      BidderSession,
-			BrowserRefill:  BrowserRefill,
-			WriterRefill:   BidderRefill,
-			Request:        a.RequestFunc(),
-		}
-	}
-	groups = append(groups, mk("local", simnet.NodeClientsMain, true, localBrowsers, localWriters))
-	for i, edge := range edges {
-		browsers := remoteBrowsers / n
-		if i < remoteBrowsers%n {
-			browsers++
-		}
-		writers := remoteWriters / n
-		if i < remoteWriters%n {
-			writers++
-		}
-		groups = append(groups, mk("remote-"+edge.Name(), a.d.ClientNodeOf(edge.Name()), false, browsers, writers))
-	}
-	return groups
 }

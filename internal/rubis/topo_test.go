@@ -94,7 +94,7 @@ func TestRubisTopoWorkloadSpread(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups := TopoWorkload(a)
+	groups := a.Workload(1)
 	if len(groups) != 4 {
 		t.Fatalf("groups = %d", len(groups))
 	}

@@ -15,6 +15,8 @@ package sim
 import (
 	"testing"
 	"time"
+
+	"wadeploy/internal/race"
 )
 
 // BenchmarkEngineEventLoop measures scheduling plus dispatching one raw
@@ -112,7 +114,7 @@ func BenchmarkEngineResourceUse(b *testing.B) {
 // TestEventLoopAllocs pins the steady-state callback dispatch path at zero
 // allocations per event once the heap's backing array has grown.
 func TestEventLoopAllocs(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("race instrumentation allocates; alloc guard runs without -race")
 	}
 	env := NewEnv(1)
@@ -136,7 +138,7 @@ func TestEventLoopAllocs(t *testing.T) {
 // TestProcessSwitchAllocs pins a full Sleep (schedule wake-up, yield, resume)
 // at zero steady-state allocations: resumptions are heap slots, not closures.
 func TestProcessSwitchAllocs(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("race instrumentation allocates; alloc guard runs without -race")
 	}
 	env := NewEnv(1)
@@ -160,7 +162,7 @@ func TestProcessSwitchAllocs(t *testing.T) {
 // one allocation per round trip: the Promise itself. Waiter registration and
 // wake-up must not allocate.
 func TestPromiseRoundTripAllocs(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("race instrumentation allocates; alloc guard runs without -race")
 	}
 	env := NewEnv(1)

@@ -7,25 +7,26 @@ import (
 )
 
 // pingTask bounces between two lanes through Shards.Send, recording each hop
-// in a shared log (appended only from its own lane's events, which is safe:
-// the log is per-test and hops alternate lanes strictly through barriers).
+// in the log of the lane it fires on (lane to): a lane's log is appended to
+// only from that lane's own events, so lanes running on different workers
+// never share a slice.
 type pingTask struct {
 	s        *Shards
 	from, to int
 	hop      int
 	limit    int
 	latency  time.Duration
-	log      *[]string
+	logs     [][]string // one per lane
 }
 
 func (p *pingTask) Fire(e *Env) {
-	*p.log = append(*p.log, fmt.Sprintf("%d->%d@%v", p.from, p.to, e.Now()))
+	p.logs[p.to] = append(p.logs[p.to], fmt.Sprintf("%d->%d@%v", p.from, p.to, e.Now()))
 	p.hop++
 	if p.hop >= p.limit {
 		return
 	}
 	next := &pingTask{s: p.s, from: p.to, to: p.from, hop: p.hop,
-		limit: p.limit, latency: p.latency, log: p.log}
+		limit: p.limit, latency: p.latency, logs: p.logs}
 	p.s.Send(p.to, p.from, e.Now()+p.latency, next)
 }
 
@@ -54,7 +55,7 @@ func runPingMesh(workers int) string {
 		// Cross-lane ping to the next lane, latency comfortably > window.
 		dst := (i + 1) % lanes
 		first := &pingTask{s: s, from: i, to: dst, limit: 12,
-			latency: 25 * time.Millisecond, log: &logs[dst]}
+			latency: 25 * time.Millisecond, logs: logs}
 		s.Send(i, dst, 25*time.Millisecond, first)
 	}
 	s.Run(500*time.Millisecond, workers)

@@ -3,6 +3,8 @@ package sim
 import (
 	"testing"
 	"time"
+
+	"wadeploy/internal/race"
 )
 
 // countTask fires and appends its tag to a shared log.
@@ -108,7 +110,7 @@ func TestTaskPastClamp(t *testing.T) {
 // TestTaskDispatchAllocs guards the task fast path: steady-state
 // self-rescheduling firings must not allocate.
 func TestTaskDispatchAllocs(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("allocation counts differ under -race")
 	}
 	env := NewEnv(1)

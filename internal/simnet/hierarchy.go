@@ -29,14 +29,21 @@ var (
 // + database + local clients) at the root, Hubs regional routing hubs one
 // backbone hop below it, and Edges edge PoPs (application server + client
 // group each) spread round-robin across the hubs one metro hop further down.
+//
+// The zero value is the paper's testbed (Section 3.1, Fig. 2): two edges in a
+// star around one hub — the Click router — whose backbone and metro legs each
+// carry half of WANOneWay, under the paper's node names (router, edge1,
+// clients-edge1, ...). A WAN-latency sweep over the star sets Backbone and
+// Metro on an otherwise zero spec.
 type HierarchySpec struct {
-	// Edges is the number of edge PoPs (>= 1).
+	// Edges is the number of edge PoPs; 0 selects the paper's star.
 	Edges int
 	// Hubs is the number of regional hubs; 0 derives one hub per eight
-	// edges (at least one).
+	// edges (at least one). The star always has its one router.
 	Hubs int
 
-	// Per-level link classes; zero values select the defaults above.
+	// Per-level link classes; zero values select the defaults above (on
+	// the star: WANOneWay/2 and WANBps for both WAN legs).
 	Backbone LinkClass // main <-> hub
 	Metro    LinkClass // hub <-> edge
 	LAN      LinkClass // clients <-> server, db <-> main
@@ -51,6 +58,10 @@ type HierarchySpec struct {
 	// client CPUs).
 	ServerCPUs int
 	ClientCPUs int
+
+	// star is set by WithDefaults on a zero-Edges spec: nodes take the
+	// paper's names instead of the numbered hierarchy names.
+	star bool
 }
 
 // DefaultHierarchySpec returns the default spec for the given edge count.
@@ -58,25 +69,39 @@ func DefaultHierarchySpec(edges int) HierarchySpec {
 	return HierarchySpec{Edges: edges}
 }
 
-// withDefaults fills zero fields.
-func (s HierarchySpec) withDefaults() HierarchySpec {
+// paperLeg is one router leg of the paper's star: any server-to-server path
+// crosses two of them, so each carries half the one-way WAN latency.
+var paperLeg = LinkClass{OneWay: WANOneWay / 2, Bps: WANBps}
+
+// WithDefaults returns the spec BuildHierarchy actually builds: zero fields
+// filled in, the hub count clamped to the edge count, and a zero-Edges spec
+// resolved to the paper's star.
+func (s HierarchySpec) WithDefaults() HierarchySpec {
+	backbone, metro := DefaultBackboneClass, DefaultMetroClass
+	if s.Edges == 0 {
+		s.Edges, s.Hubs, s.star = 2, 1, true
+		backbone, metro = paperLeg, paperLeg
+	}
 	if s.Hubs <= 0 {
 		s.Hubs = (s.Edges + 7) / 8
-		if s.Hubs < 1 {
-			s.Hubs = 1
-		}
 	}
+	if s.Hubs > s.Edges {
+		s.Hubs = s.Edges
+	}
+	// The paper's names cover exactly the star's nodes: a resolved star spec
+	// that was reshaped afterwards gets the numbered names.
+	s.star = s.star && s.Edges == len(paperEdges) && s.Hubs == 1
 	if s.Backbone.OneWay <= 0 {
-		s.Backbone.OneWay = DefaultBackboneClass.OneWay
+		s.Backbone.OneWay = backbone.OneWay
 	}
 	if s.Backbone.Bps <= 0 {
-		s.Backbone.Bps = DefaultBackboneClass.Bps
+		s.Backbone.Bps = backbone.Bps
 	}
 	if s.Metro.OneWay <= 0 {
-		s.Metro.OneWay = DefaultMetroClass.OneWay
+		s.Metro.OneWay = metro.OneWay
 	}
 	if s.Metro.Bps <= 0 {
-		s.Metro.Bps = DefaultMetroClass.Bps
+		s.Metro.Bps = metro.Bps
 	}
 	if s.LAN.OneWay <= 0 {
 		s.LAN.OneWay = DefaultLANClass.OneWay
@@ -104,6 +129,42 @@ func EdgeName(i int) string { return fmt.Sprintf("edge%03d", i) }
 // EdgeClientsName returns the client-group node collocated with edge i.
 func EdgeClientsName(i int) string { return "clients-" + EdgeName(i) }
 
+// The paper's names for the star's edges and their client groups.
+var (
+	paperEdges   = [...]string{NodeEdge1, NodeEdge2}
+	paperClients = [...]string{NodeClientsEdge1, NodeClientsEdge2}
+)
+
+// hubName and edgeNames name the nodes of a resolved spec: the numbered
+// hierarchy names, or the paper's on the star.
+func (s HierarchySpec) hubName(i int) string {
+	if s.star {
+		return NodeRouter
+	}
+	return HubName(i)
+}
+
+func (s HierarchySpec) edgeNames(i int) (edge, clients string) {
+	if s.star {
+		return paperEdges[i], paperClients[i]
+	}
+	return EdgeName(i), EdgeClientsName(i)
+}
+
+// ServerNodes returns the application-server nodes the spec deploys onto, in
+// deployment order: main first, then every edge. Hubs route but never host
+// components.
+func (s HierarchySpec) ServerNodes() []string {
+	s = s.WithDefaults()
+	out := make([]string, 0, 1+s.Edges)
+	out = append(out, NodeMain)
+	for i := 0; i < s.Edges; i++ {
+		edge, _ := s.edgeNames(i)
+		out = append(out, edge)
+	}
+	return out
+}
+
 // Hierarchy is a built hierarchical topology: the network plus the naming,
 // parent and client-group maps deployments and fault schedules navigate.
 type Hierarchy struct {
@@ -124,13 +185,10 @@ type Hierarchy struct {
 // edge PoPs, each with its own client group. Multi-hop routing, link-class
 // latencies and fault behavior all come from the underlying Network.
 func BuildHierarchy(env *sim.Env, spec HierarchySpec) (*Hierarchy, error) {
-	if spec.Edges < 1 {
-		return nil, fmt.Errorf("simnet: hierarchy needs at least 1 edge, got %d", spec.Edges)
+	if spec.Edges < 0 {
+		return nil, fmt.Errorf("simnet: hierarchy with %d edges", spec.Edges)
 	}
-	spec = spec.withDefaults()
-	if spec.Hubs > spec.Edges {
-		spec.Hubs = spec.Edges
-	}
+	spec = spec.WithDefaults()
 	n := New(env)
 	h := &Hierarchy{
 		Net:      n,
@@ -161,7 +219,7 @@ func BuildHierarchy(env *sim.Env, spec HierarchySpec) (*Hierarchy, error) {
 	h.clientOf[NodeMain] = NodeClientsMain
 	// Regional hubs: pure routing nodes one backbone hop below main.
 	for i := 0; i < spec.Hubs; i++ {
-		hub := HubName(i)
+		hub := spec.hubName(i)
 		if _, err := n.AddNode(hub, spec.ServerCPUs); err != nil {
 			return fail(err)
 		}
@@ -175,7 +233,7 @@ func BuildHierarchy(env *sim.Env, spec HierarchySpec) (*Hierarchy, error) {
 	// their primary hub (round-robin assignment keeps subtree sizes within
 	// one of each other).
 	for i := 0; i < spec.Edges; i++ {
-		edge, clients := EdgeName(i), EdgeClientsName(i)
+		edge, clients := spec.edgeNames(i)
 		hub := h.HubNames[i%spec.Hubs]
 		if _, err := n.AddNode(edge, spec.ServerCPUs); err != nil {
 			return fail(err)
@@ -205,8 +263,8 @@ func BuildHierarchy(env *sim.Env, spec HierarchySpec) (*Hierarchy, error) {
 	return h, nil
 }
 
-// ServerNodes returns the application-server nodes in deployment order: main
-// first, then every edge. Hubs route but never host components.
+// ServerNodes returns the application-server nodes in deployment order (see
+// HierarchySpec.ServerNodes).
 func (h *Hierarchy) ServerNodes() []string {
 	out := make([]string, 0, 1+len(h.EdgeNames))
 	out = append(out, NodeMain)
@@ -215,15 +273,6 @@ func (h *Hierarchy) ServerNodes() []string {
 
 // ClientNode returns the client-group node collocated with server, or "".
 func (h *Hierarchy) ClientNode(server string) string { return h.clientOf[server] }
-
-// ClientMap returns a copy of the server -> client-group map.
-func (h *Hierarchy) ClientMap() map[string]string {
-	out := make(map[string]string, len(h.clientOf))
-	for k, v := range h.clientOf {
-		out[k] = v
-	}
-	return out
-}
 
 // Parent returns a node's parent in the tree (edge -> primary hub,
 // hub -> main), or "" for main and unknown nodes.

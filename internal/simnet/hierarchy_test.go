@@ -1,7 +1,9 @@
 package simnet
 
 import (
+	"reflect"
 	"testing"
+	"time"
 
 	"wadeploy/internal/sim"
 )
@@ -162,8 +164,8 @@ func TestRedundantUplinkReroutesAroundHubCrash(t *testing.T) {
 
 func TestHierarchySpecValidation(t *testing.T) {
 	env := sim.NewEnv(1)
-	if _, err := BuildHierarchy(env, HierarchySpec{Edges: 0}); err == nil {
-		t.Fatal("expected error for zero edges")
+	if _, err := BuildHierarchy(env, HierarchySpec{Edges: -1}); err == nil {
+		t.Fatal("expected error for a negative edge count")
 	}
 	// More hubs than edges clamps rather than fails.
 	h, err := BuildHierarchy(sim.NewEnv(1), HierarchySpec{Edges: 2, Hubs: 5})
@@ -172,5 +174,100 @@ func TestHierarchySpecValidation(t *testing.T) {
 	}
 	if len(h.HubNames) != 2 {
 		t.Fatalf("hub count not clamped: %d", len(h.HubNames))
+	}
+}
+
+// TestZeroSpecIsPaperStar pins the collapse of the paper's testbed into the
+// hierarchy builder: the zero HierarchySpec yields exactly Fig. 2's node set,
+// link set and link orientation (the a>b order names the per-link metrics, so
+// it is part of the byte-identical snapshot contract), and the router is a hub
+// whose subtree is both edges — which is what lets hub-level fault schedules
+// run on the star.
+func TestZeroSpecIsPaperStar(t *testing.T) {
+	h, err := BuildHierarchy(sim.NewEnv(1), HierarchySpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantNodes := []string{NodeRouter, NodeMain, NodeEdge1, NodeEdge2, NodeDB,
+		NodeClientsMain, NodeClientsEdge1, NodeClientsEdge2}
+	if got := h.Net.Nodes(); got != len(wantNodes) {
+		t.Fatalf("nodes = %d, want %d", got, len(wantNodes))
+	}
+	for _, id := range wantNodes {
+		if h.Net.Node(id) == nil {
+			t.Errorf("node %s missing", id)
+		}
+	}
+	wan, lan := LinkClass{WANOneWay / 2, WANBps}, LinkClass{LANOneWay, LANBps}
+	wantLinks := map[string]LinkClass{
+		NodeMain + ">" + NodeRouter:        wan,
+		NodeEdge1 + ">" + NodeRouter:       wan,
+		NodeEdge2 + ">" + NodeRouter:       wan,
+		NodeDB + ">" + NodeMain:            lan,
+		NodeClientsMain + ">" + NodeMain:   lan,
+		NodeClientsEdge1 + ">" + NodeEdge1: lan,
+		NodeClientsEdge2 + ">" + NodeEdge2: lan,
+	}
+	if got := len(h.Net.links); got != len(wantLinks) {
+		t.Fatalf("links = %d, want %d", got, len(wantLinks))
+	}
+	for _, l := range h.Net.links {
+		want, ok := wantLinks[l.A+">"+l.B]
+		if !ok {
+			t.Errorf("unexpected link %s>%s", l.A, l.B)
+		} else if got := (LinkClass{l.Latency, l.Bps}); got != want {
+			t.Errorf("link %s>%s = %+v, want %+v", l.A, l.B, got, want)
+		}
+	}
+	if got := h.ServerNodes(); !reflect.DeepEqual(got, []string{NodeMain, NodeEdge1, NodeEdge2}) {
+		t.Errorf("server nodes = %v", got)
+	}
+	if got := (HierarchySpec{}).ServerNodes(); !reflect.DeepEqual(got, h.ServerNodes()) {
+		t.Errorf("spec server nodes = %v, built %v", got, h.ServerNodes())
+	}
+	if !reflect.DeepEqual(h.HubNames, []string{NodeRouter}) {
+		t.Errorf("hubs = %v", h.HubNames)
+	}
+	if got := h.Subtree(NodeRouter); !reflect.DeepEqual(got, []string{NodeEdge1, NodeEdge2}) {
+		t.Errorf("router subtree = %v", got)
+	}
+	for server, clients := range map[string]string{
+		NodeMain: NodeClientsMain, NodeEdge1: NodeClientsEdge1, NodeEdge2: NodeClientsEdge2,
+	} {
+		if got := h.ClientNode(server); got != clients {
+			t.Errorf("clients of %s = %q, want %q", server, got, clients)
+		}
+	}
+}
+
+// TestStarLatencySweepSpec: a WAN-latency sweep point is the zero spec with
+// both router legs set, and keeps the paper's names.
+func TestStarLatencySweepSpec(t *testing.T) {
+	leg := LinkClass{OneWay: 20 * time.Millisecond}
+	h, err := BuildHierarchy(sim.NewEnv(1), HierarchySpec{Backbone: leg, Metro: leg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pair := range [][2]string{{NodeMain, NodeEdge1}, {NodeEdge1, NodeEdge2}} {
+		if lat, err := h.Net.Latency(pair[0], pair[1]); err != nil || lat != 40*time.Millisecond {
+			t.Errorf("%s->%s latency %v, %v; want 40ms", pair[0], pair[1], lat, err)
+		}
+	}
+	if h.Spec.Backbone.Bps != WANBps || h.Spec.Metro.Bps != WANBps {
+		t.Errorf("star legs default to %v/%v B/s, want the paper's WAN bandwidth", h.Spec.Backbone.Bps, h.Spec.Metro.Bps)
+	}
+	// The resolved spec rebuilds the same star; reshaped, it is an ordinary
+	// hierarchy with the numbered names.
+	again, err := BuildHierarchy(sim.NewEnv(1), h.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again.EdgeNames, h.EdgeNames) {
+		t.Errorf("rebuilt from resolved spec: edges %v, want %v", again.EdgeNames, h.EdgeNames)
+	}
+	grown := h.Spec
+	grown.Edges = 3
+	if got := grown.ServerNodes(); !reflect.DeepEqual(got, []string{NodeMain, EdgeName(0), EdgeName(1), EdgeName(2)}) {
+		t.Errorf("reshaped star's servers = %v", got)
 	}
 }

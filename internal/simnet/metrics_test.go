@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"wadeploy/internal/metrics"
+	"wadeploy/internal/race"
 	"wadeploy/internal/sim"
 )
 
@@ -60,7 +61,7 @@ func TestDelayMetrics(t *testing.T) {
 // hot path: a routed, metered Delay must stay allocation-free once routes
 // and histogram buckets are warm.
 func TestDelayAllocs(t *testing.T) {
-	if metrics.RaceEnabled {
+	if race.Enabled {
 		t.Skip("allocation counts are perturbed under the race detector")
 	}
 	env := sim.NewEnv(1)

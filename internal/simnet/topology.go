@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"fmt"
 	"time"
 
 	"wadeploy/internal/sim"
@@ -46,83 +45,14 @@ const (
 	ClientCPUs = 64
 )
 
-// ServerNodes lists the three application servers in deployment order.
-var ServerNodes = []string{NodeMain, NodeEdge1, NodeEdge2}
-
-// ClientNodeFor maps an application server to its collocated client group.
-var ClientNodeFor = map[string]string{
-	NodeMain:  NodeClientsMain,
-	NodeEdge1: NodeClientsEdge1,
-	NodeEdge2: NodeClientsEdge2,
-}
-
-// TopologyParams parameterizes BuildTopology for sensitivity studies.
-type TopologyParams struct {
-	WANOneWay time.Duration
-	LANOneWay time.Duration
-	WANBps    float64
-	LANBps    float64
-}
-
-// DefaultTopologyParams returns the paper's testbed values.
-func DefaultTopologyParams() TopologyParams {
-	return TopologyParams{
-		WANOneWay: WANOneWay,
-		LANOneWay: LANOneWay,
-		WANBps:    WANBps,
-		LANBps:    LANBps,
-	}
-}
-
 // PaperTopology builds the network of Fig. 2: three application servers in a
 // star around a software router with 100 ms each-way WAN latency, a database
 // server on the main server's LAN, and a client group on each server's LAN.
+// The star is the zero HierarchySpec: two edges below one routing hub.
 func PaperTopology(env *sim.Env) (*Network, error) {
-	return BuildTopology(env, DefaultTopologyParams())
-}
-
-// BuildTopology builds the Fig. 2 shape with custom link parameters — the
-// knob behind WAN-latency sensitivity sweeps.
-func BuildTopology(env *sim.Env, params TopologyParams) (*Network, error) {
-	if params.WANBps <= 0 {
-		params.WANBps = WANBps
+	h, err := BuildHierarchy(env, HierarchySpec{})
+	if err != nil {
+		return nil, err
 	}
-	if params.LANBps <= 0 {
-		params.LANBps = LANBps
-	}
-	n := New(env)
-	add := func(id string, cpus int) error {
-		_, err := n.AddNode(id, cpus)
-		return err
-	}
-	link := func(a, b string, lat time.Duration, bps float64) error {
-		_, err := n.AddLink(a, b, lat, bps)
-		return err
-	}
-	steps := []func() error{
-		func() error { return add(NodeRouter, ServerCPUs) },
-		func() error { return add(NodeMain, ServerCPUs) },
-		func() error { return add(NodeEdge1, ServerCPUs) },
-		func() error { return add(NodeEdge2, ServerCPUs) },
-		func() error { return add(NodeDB, ServerCPUs) },
-		func() error { return add(NodeClientsMain, ClientCPUs) },
-		func() error { return add(NodeClientsEdge1, ClientCPUs) },
-		func() error { return add(NodeClientsEdge2, ClientCPUs) },
-		// Each server-to-router leg carries half the one-way WAN latency
-		// so that any server-to-server path is exactly params.WANOneWay.
-		func() error { return link(NodeMain, NodeRouter, params.WANOneWay/2, params.WANBps) },
-		func() error { return link(NodeEdge1, NodeRouter, params.WANOneWay/2, params.WANBps) },
-		func() error { return link(NodeEdge2, NodeRouter, params.WANOneWay/2, params.WANBps) },
-		// LAN hops.
-		func() error { return link(NodeDB, NodeMain, params.LANOneWay, params.LANBps) },
-		func() error { return link(NodeClientsMain, NodeMain, params.LANOneWay, params.LANBps) },
-		func() error { return link(NodeClientsEdge1, NodeEdge1, params.LANOneWay, params.LANBps) },
-		func() error { return link(NodeClientsEdge2, NodeEdge2, params.LANOneWay, params.LANBps) },
-	}
-	for _, s := range steps {
-		if err := s(); err != nil {
-			return nil, fmt.Errorf("paper topology: %w", err)
-		}
-	}
-	return n, nil
+	return h.Net, nil
 }

@@ -3,6 +3,8 @@ package sqldb
 import (
 	"fmt"
 	"testing"
+
+	"wadeploy/internal/race"
 )
 
 // newBenchDB seeds a catalog-shaped dataset large enough that plan quality
@@ -126,7 +128,7 @@ func BenchmarkSqldbSnapshotRestore(b *testing.B) {
 // to catch a reintroduced per-row or per-plan allocation.
 
 func TestPointLookupAllocGuard(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("race instrumentation allocates; alloc guard runs without -race")
 	}
 	db := newBenchDB(t)
@@ -146,7 +148,7 @@ func TestPointLookupAllocGuard(t *testing.T) {
 }
 
 func TestOrderedLimitAllocGuard(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("race instrumentation allocates; alloc guard runs without -race")
 	}
 	db := newBenchDB(t)
@@ -166,7 +168,7 @@ func TestOrderedLimitAllocGuard(t *testing.T) {
 }
 
 func TestIndexJoinAllocGuard(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("race instrumentation allocates; alloc guard runs without -race")
 	}
 	db := newBenchDB(t)

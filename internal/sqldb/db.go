@@ -223,7 +223,7 @@ type DB struct {
 	prepared map[string]Stmt
 	// labels interns Describe's "verb table" span labels per statement text.
 	labels map[string]string
-	cost     CostModel
+	cost   CostModel
 
 	// statements counts executed statements, for instrumentation.
 	statements int64

@@ -154,11 +154,11 @@ func (db *DB) execOrderedWalk(s *SelectStmt, pl *selectPlan, args []Value, hit b
 	skip := s.Offset
 	if s.Limit == 0 {
 		return &Result{
-			Cols:       pl.cols,
-			Scanned:    virtual,
+			Cols:        pl.cols,
+			Scanned:     virtual,
 			IndexProbes: 1,
-			PlanCached: hit,
-			Cost:       db.cost.cost(virtual, 0, 0),
+			PlanCached:  hit,
+			Cost:        db.cost.cost(virtual, 0, 0),
 		}, nil
 	}
 	visit := func(pos int) (done bool, err error) {

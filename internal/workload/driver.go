@@ -28,9 +28,9 @@ func (s *Step) Set(key, value string) {
 
 // GrowStep appends one step for page to steps, reusing the vacated slot —
 // including its params map, which is cleared in place — when the slice has
-// capacity. Generators written against it (the RefillGen form) stop
-// allocating a fresh []Step and a map per page once the per-client buffer
-// has grown to the longest session seen.
+// capacity. Generators written against it stop allocating a fresh []Step and
+// a map per page once the per-client buffer has grown to the longest session
+// seen.
 func GrowStep(steps []Step, page string) []Step {
 	if len(steps) < cap(steps) {
 		steps = steps[:len(steps)+1]
@@ -44,19 +44,14 @@ func GrowStep(steps []Step, page string) []Step {
 	return append(steps, Step{Page: page})
 }
 
-// SessionGen produces the step sequence of one session. Generators are
+// RefillGen produces the step sequence of one session. Generators are
 // application-specific: the Pet Store Browser draws pages with the Table 2
-// weights, the Buyer follows the fixed Table 3 sequence, and so on.
-type SessionGen func(rng *rand.Rand) []Step
-
-// RefillGen is the pooled form of SessionGen: it writes the session into
-// steps (passed with length 0 and whatever capacity previous sessions grew)
-// and returns the filled slice. A RefillGen must draw exactly the same RNG
-// sequence as its SessionGen counterpart so the two are interchangeable
-// without disturbing byte-identical outputs; the paper-table goldens pin
-// this. Params maps in reused slots arrive cleared but allocated — requests
-// consume them synchronously, so handing the same map to every session is
-// safe.
+// weights, the Buyer follows the fixed Table 3 sequence, and so on. The
+// session is written into steps (passed with length 0 and whatever capacity
+// previous sessions grew) with GrowStep, and the filled slice is returned.
+// Params maps in reused slots arrive cleared but allocated — requests consume
+// them synchronously, so handing the same map to every session is safe. The
+// RNG draw sequence is part of the contract: the paper-table goldens pin it.
 type RefillGen func(rng *rand.Rand, steps []Step) []Step
 
 // Client identifies one simulated client machine process: its network node
@@ -87,13 +82,9 @@ type Group struct {
 
 	BrowserPattern string
 	WriterPattern  string
-	BrowserGen     SessionGen
-	WriterGen      SessionGen
 
-	// BrowserRefill/WriterRefill, when set, are used instead of the Gen
-	// counterparts on the request hot path, reusing one step buffer per
-	// client. The Gen forms remain required wherever sessions are sampled
-	// outside the driver (planner visit estimation).
+	// BrowserRefill/WriterRefill generate the sessions; each client reuses
+	// one step buffer across its sessions.
 	BrowserRefill RefillGen
 	WriterRefill  RefillGen
 
@@ -147,18 +138,18 @@ func Run(cfg Config) (*Stats, error) {
 		if g.Delay <= 0 {
 			return nil, fmt.Errorf("workload: group %q has non-positive delay", g.Name)
 		}
-		if g.Browsers > 0 && g.BrowserGen == nil && g.BrowserRefill == nil {
+		if g.Browsers > 0 && g.BrowserRefill == nil {
 			return nil, fmt.Errorf("workload: group %q has browsers but no generator", g.Name)
 		}
-		if g.Writers > 0 && g.WriterGen == nil && g.WriterRefill == nil {
+		if g.Writers > 0 && g.WriterRefill == nil {
 			return nil, fmt.Errorf("workload: group %q has writers but no generator", g.Name)
 		}
 		ids := makeIdentities(cfg.Env, g)
 		for i := 0; i < g.Browsers; i++ {
-			spawnClient(cfg, stats, g, ids[i], g.BrowserPattern, g.BrowserGen, g.BrowserRefill)
+			spawnClient(cfg, stats, g, ids[i], g.BrowserPattern, g.BrowserRefill)
 		}
 		for i := 0; i < g.Writers; i++ {
-			spawnClient(cfg, stats, g, ids[g.Browsers+i], g.WriterPattern, g.WriterGen, g.WriterRefill)
+			spawnClient(cfg, stats, g, ids[g.Browsers+i], g.WriterPattern, g.WriterRefill)
 		}
 	}
 	cfg.Env.Run(cfg.Warmup + cfg.Duration)
@@ -213,7 +204,7 @@ func makeIdentities(env *sim.Env, g Group) []clientIdentity {
 // trace ID derived from the client's stable name and its page ordinal — pure
 // logical identity, so the sampler picks the same requests no matter how the
 // surrounding experiment is parallelized.
-func spawnClient(cfg Config, stats *Stats, g Group, id clientIdentity, pattern string, gen SessionGen, refill RefillGen) {
+func spawnClient(cfg Config, stats *Stats, g Group, id clientIdentity, pattern string, refill RefillGen) {
 	env := cfg.Env
 	client := Client{Node: g.ClientNode, ID: id.name}
 	tracer := trace.FromEnv(env)
@@ -226,11 +217,7 @@ func spawnClient(cfg Config, stats *Stats, g Group, id clientIdentity, pattern s
 			traceKey = trace.ClientKey(id.name)
 		}
 		for p.Now() < end {
-			if refill != nil {
-				steps = refill(rng, steps[:0])
-			} else {
-				steps = gen(rng)
-			}
+			steps = refill(rng, steps[:0])
 			for _, step := range steps {
 				if p.Now() >= end {
 					return

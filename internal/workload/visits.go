@@ -7,14 +7,16 @@ import "math/rand"
 // private deterministic RNG. The planner derives its page weights from this
 // so the analytic model and the simulated workload share one definition of
 // a session; deterministic inputs give a deterministic map.
-func ExpectedVisits(gen SessionGen, n int, seed int64) map[string]float64 {
+func ExpectedVisits(gen RefillGen, n int, seed int64) map[string]float64 {
 	if n <= 0 {
 		n = 1
 	}
 	rng := rand.New(rand.NewSource(seed))
 	counts := make(map[string]float64)
+	var steps []Step
 	for i := 0; i < n; i++ {
-		for _, step := range gen(rng) {
+		steps = gen(rng, steps[:0])
+		for _, step := range steps {
 			counts[step.Page]++
 		}
 	}

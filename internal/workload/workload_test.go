@@ -179,11 +179,10 @@ func fixedRequest(rt time.Duration) RequestFunc {
 	}
 }
 
-func singlePageGen(page string, n int) SessionGen {
-	return func(rng *rand.Rand) []Step {
-		steps := make([]Step, n)
-		for i := range steps {
-			steps[i] = Step{Page: page}
+func singlePageGen(page string, n int) RefillGen {
+	return func(rng *rand.Rand, steps []Step) []Step {
+		for i := 0; i < n; i++ {
+			steps = GrowStep(steps, page)
 		}
 		return steps
 	}
@@ -200,7 +199,7 @@ func TestRunOfferedLoadIndependentOfResponseTime(t *testing.T) {
 				Name: "g", ClientNode: "c", Local: true,
 				Browsers: 10, Delay: time.Second,
 				BrowserPattern: "Browser",
-				BrowserGen:     singlePageGen("Main", 5),
+				BrowserRefill:  singlePageGen("Main", 5),
 				Request:        fixedRequest(rt),
 			}},
 			Warmup:   0,
@@ -233,9 +232,9 @@ func TestRunSplitsPatterns(t *testing.T) {
 			Name: "g", ClientNode: "c", Local: false,
 			Browsers: 4, Writers: 1, Delay: time.Second,
 			BrowserPattern: "Browser", WriterPattern: "Bidder",
-			BrowserGen: singlePageGen("Item", 3),
-			WriterGen:  singlePageGen("StoreBid", 3),
-			Request:    fixedRequest(5 * time.Millisecond),
+			BrowserRefill: singlePageGen("Item", 3),
+			WriterRefill:  singlePageGen("StoreBid", 3),
+			Request:       fixedRequest(5 * time.Millisecond),
 		}},
 		Warmup:   2 * time.Second,
 		Duration: 20 * time.Second,
@@ -274,8 +273,8 @@ func TestRunValidation(t *testing.T) {
 		t.Fatal("zero duration accepted")
 	}
 	bad := []Group{
-		{Name: "no-request", Browsers: 1, Delay: time.Second, BrowserGen: singlePageGen("p", 1)},
-		{Name: "no-delay", Browsers: 1, Request: fixedRequest(0), BrowserGen: singlePageGen("p", 1)},
+		{Name: "no-request", Browsers: 1, Delay: time.Second, BrowserRefill: singlePageGen("p", 1)},
+		{Name: "no-delay", Browsers: 1, Request: fixedRequest(0), BrowserRefill: singlePageGen("p", 1)},
 		{Name: "no-gen", Browsers: 1, Delay: time.Second, Request: fixedRequest(0)},
 		{Name: "no-writer-gen", Writers: 1, Delay: time.Second, Request: fixedRequest(0)},
 	}
@@ -295,11 +294,9 @@ func TestRunDeterministicAcrossRuns(t *testing.T) {
 				Name: "g", ClientNode: "c", Local: true,
 				Browsers: 3, Delay: 500 * time.Millisecond,
 				BrowserPattern: "Browser",
-				BrowserGen: func(rng *rand.Rand) []Step {
-					n := rng.Intn(4) + 1
-					steps := make([]Step, n)
-					for i := range steps {
-						steps[i] = Step{Page: "P"}
+				BrowserRefill: func(rng *rand.Rand, steps []Step) []Step {
+					for n := rng.Intn(4) + 1; n > 0; n-- {
+						steps = GrowStep(steps, "P")
 					}
 					return steps
 				},
