@@ -486,20 +486,29 @@ func TestQueryInvalidationApplier(t *testing.T) {
 			t.Error("stale entry served after invalidation")
 		}
 	})
-	// Recompute mode pushes fresh values instead.
-	qi2 := &QueryInvalidation{
-		Cache: qc,
-		Recompute: func(u Update) map[string]any {
-			return map[string]any{"itemsByProduct:P1": "fresh"}
+	// Push mode installs the main server's current result instead.
+	views := NewQueryViews(f.env.Metrics(), []CachedQuerySpec{{
+		Name: "itemsByProduct", InvalidatedBy: []string{"ItemRW"},
+		View: &QueryView{
+			Key:   func(c Commit) string { return "itemsByProduct:P1" },
+			Query: func(c Commit) (any, error) { return "fresh", nil },
 		},
+	}})
+	if err := views.committed(Commit{Bean: "ItemRW", PK: sqldb.Str("I-1")}, true); err != nil {
+		t.Fatal(err)
 	}
-	qi2.ApplyUpdate(Update{Bean: "ItemRW", PK: sqldb.Str("I-1")})
+	qi2 := &QueryInvalidation{Cache: qc, Views: views}
+	// A delta too thin to name the product still finds the key.
+	qi2.ApplyUpdate(Update{Bean: "ItemRW", PK: sqldb.Str("I-1"), State: State{"qty": sqldb.Int(1)}, Delta: true})
 	f.run(t, func(p *sim.Proc) {
 		v, err := qc.Get(p, "itemsByProduct:P1")
 		if err != nil || v != "fresh" {
-			t.Errorf("recompute push: %v, %v", v, err)
+			t.Errorf("view push: %v, %v", v, err)
 		}
 	})
+	if qc.Pushed() != 1 {
+		t.Errorf("pushed = %d, want 1", qc.Pushed())
+	}
 }
 
 func TestJDBCRoundTripChargedForRemoteDB(t *testing.T) {

@@ -124,12 +124,19 @@ type ReplicaSpec struct {
 }
 
 // CachedQuerySpec is the extended-descriptor entry for one cached query:
-// its name, and which entity beans' writes invalidate it.
+// its name, which entity beans' writes invalidate it, and how it is
+// refreshed.
 type CachedQuerySpec struct {
 	// Name is the query's cache-key prefix (keys are "<Name>:<param>").
 	Name string
 	// InvalidatedBy lists read-write beans whose updates affect the query.
 	InvalidatedBy []string
+	// View, when set, selects push refresh: the main server keeps the
+	// query's results current at every commit of an invalidating bean and
+	// the edges install them as the update arrives. Nil selects pull
+	// refresh: the update marks the query's entries stale and the next read
+	// re-fetches.
+	View *QueryView
 }
 
 // ExtendedDescriptor is the paper's proposed deployment-descriptor
@@ -218,6 +225,9 @@ func (d *ExtendedDescriptor) Validate() error {
 			return fmt.Errorf("%w: duplicate cached query %s", ErrBadDescriptor, q.Name)
 		}
 		qseen[q.Name] = true
+		if q.View != nil && (q.View.Key == nil || q.View.Query == nil) {
+			return fmt.Errorf("%w: cached query %s: a view needs Key and Query", ErrBadDescriptor, q.Name)
+		}
 		for _, b := range q.InvalidatedBy {
 			if !seen[b] {
 				// Queries may be invalidated by beans without replicas;

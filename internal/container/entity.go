@@ -100,6 +100,7 @@ type RWEntity struct {
 	table     string
 	pkCol     string
 	props     []Propagator
+	views     *QueryViews
 	deltaPush bool
 
 	// SQL text for the fixed-shape operations, built once at deploy time so
@@ -156,6 +157,10 @@ func (b *RWEntity) AddPropagator(pr Propagator) { b.props = append(b.props, pr) 
 func (b *RWEntity) PrependPropagator(pr Propagator) {
 	b.props = append([]Propagator{pr}, b.props...)
 }
+
+// SetQueryViews hooks the main server's query views onto the bean's commit
+// point, ahead of the whole propagator chain (nil detaches them).
+func (b *RWEntity) SetQueryViews(v *QueryViews) { b.views = v }
 
 // RemovePropagator detaches a previously attached propagator (the migration
 // cut-over detaches its drain buffer here). Removing a propagator that is
@@ -254,7 +259,8 @@ func (b *RWEntity) Insert(p *sim.Proc, st State) error {
 	}
 	b.writes++
 	b.mStore.Inc()
-	return b.propagate(p, Update{Bean: b.name, PK: st[b.pkCol], State: st.Clone()})
+	full := st.Clone() // a fresh variable: reusing st would make every caller's literal escape
+	return b.commit(p, Update{Bean: b.name, PK: full[b.pkCol], State: full}, full, nil)
 }
 
 // UpdateFields applies changes to the entity (ejbStore at commit) and
@@ -288,7 +294,7 @@ func (b *RWEntity) UpdateFields(p *sim.Proc, pk sqldb.Value, changes State) (Sta
 	if b.deltaPush {
 		u = Update{Bean: b.name, PK: pk, State: changes.Clone(), Delta: true}
 	}
-	if err := b.propagate(p, u); err != nil {
+	if err := b.commit(p, u, merged, cur); err != nil {
 		return nil, err
 	}
 	return merged, nil
@@ -296,6 +302,14 @@ func (b *RWEntity) UpdateFields(p *sim.Proc, pk sqldb.Value, changes State) (Sta
 
 // Delete removes the entity (ejbRemove) and propagates the deletion.
 func (b *RWEntity) Delete(p *sim.Proc, pk sqldb.Value) error {
+	var last State
+	if b.views != nil {
+		// The views find the queries the entity leaves from the state it had.
+		var err error
+		if last, err = b.Load(p, pk); err != nil {
+			return err
+		}
+	}
 	b.srv.Compute(p, b.srv.costs.EntityStoreCPU)
 	res, err := b.srv.SQL(p, b.deleteSQL, pk)
 	if err != nil {
@@ -306,7 +320,7 @@ func (b *RWEntity) Delete(p *sim.Proc, pk sqldb.Value) error {
 	}
 	b.writes++
 	b.mStore.Inc()
-	return b.propagate(p, Update{Bean: b.name, PK: pk, Deleted: true})
+	return b.commit(p, Update{Bean: b.name, PK: pk, Deleted: true}, last, nil)
 }
 
 // UpdateIfVersion is the optimistic variant of UpdateFields: it applies
@@ -328,8 +342,18 @@ func (b *RWEntity) UpdateIfVersion(p *sim.Proc, pk sqldb.Value, versionCol strin
 	return b.UpdateFields(p, pk, bumped)
 }
 
-func (b *RWEntity) propagate(p *sim.Proc, u Update) error {
+// commit is the bean's commit point. The query views refresh first — on the
+// main server, in zero virtual time, from the full post-write state — so
+// every propagator, blocking or not, delivers updates whose query results
+// are already current; then the propagators run in chain order.
+func (b *RWEntity) commit(p *sim.Proc, u Update, state, prev State) error {
 	u.CommittedAt = p.Now()
+	if b.views != nil {
+		c := Commit{Bean: b.name, PK: u.PK, State: state, Prev: prev, Deleted: u.Deleted}
+		if err := b.views.committed(c, len(b.props) > 0); err != nil {
+			return fmt.Errorf("entity %s commit: %w", b.name, err)
+		}
+	}
 	for _, pr := range b.props {
 		if err := pr.Propagate(p, []Update{u}); err != nil {
 			return fmt.Errorf("entity %s propagate: %w", b.name, err)

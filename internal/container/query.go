@@ -7,6 +7,7 @@ import (
 
 	"wadeploy/internal/metrics"
 	"wadeploy/internal/sim"
+	"wadeploy/internal/sqldb"
 	"wadeploy/internal/trace"
 )
 
@@ -30,6 +31,8 @@ type QueryCache struct {
 	misses  int64
 	refresh int64
 	pushed  int64
+	// invalidations counts InvalidatePrefix calls, whatever they matched.
+	invalidations int64
 
 	// ttl, when positive, bounds how long an entry is served without a
 	// refetch; staleMaxAge, when positive, lets a failed refetch fall
@@ -98,6 +101,9 @@ func (qc *QueryCache) Hits() int64   { return qc.hits }
 func (qc *QueryCache) Misses() int64 { return qc.misses }
 func (qc *QueryCache) Pushed() int64 { return qc.pushed }
 
+// Invalidations returns the number of prefix invalidations applied.
+func (qc *QueryCache) Invalidations() int64 { return qc.invalidations }
+
 // Size returns the number of cached query results.
 func (qc *QueryCache) Size() int { return len(qc.entries) }
 
@@ -156,6 +162,7 @@ func (qc *QueryCache) Put(key string, v any) {
 // (pull mode). Use "<queryName>:" to drop one query's results, or "" to
 // drop everything.
 func (qc *QueryCache) InvalidatePrefix(prefix string) int {
+	qc.invalidations++
 	n := 0
 	for k, e := range qc.entries {
 		if strings.HasPrefix(k, prefix) && !e.stale {
@@ -176,28 +183,217 @@ func (qc *QueryCache) ApplyPush(key string, v any) {
 }
 
 // QueryInvalidation adapts a QueryCache to the Applier interface so an
-// UpdaterFacade can invalidate (or recompute) affected queries when an
-// entity update arrives. Affected maps an update to the cache-key prefixes
-// it invalidates; Recompute, when non-nil, turns the update into fresh
-// (key, result) pairs to push instead of invalidating.
+// UpdaterFacade can refresh the affected queries when an entity update
+// arrives. Push-refreshed queries (Views) install the main server's current
+// result for every key the entity's commits refreshed; pull-refreshed ones
+// are invalidated by the cache-key prefixes Affected maps the update to.
 type QueryInvalidation struct {
-	Cache     *QueryCache
-	Affected  func(u Update) []string
-	Recompute func(u Update) map[string]any
+	Cache    *QueryCache
+	Affected func(u Update) []string
+	Views    *QueryViews
 }
 
 // ApplyUpdate implements Applier.
 func (qi *QueryInvalidation) ApplyUpdate(u Update) {
-	if qi.Recompute != nil {
-		for k, v := range qi.Recompute(u) {
-			qi.Cache.ApplyPush(k, v)
-		}
-		return
+	if qi.Views != nil {
+		qi.Views.install(qi.Cache, u)
 	}
 	if qi.Affected == nil {
 		return
 	}
 	for _, prefix := range qi.Affected(u) {
 		qi.Cache.InvalidatePrefix(prefix)
+	}
+}
+
+// Commit is what a read-write bean shows the query views at its commit
+// point: the entity's full state after and before the write, whatever the
+// propagators then put on the wire (full state, delta, coalesced batch).
+// Both states are shared with the commit's other observers and must not be
+// mutated.
+type Commit struct {
+	Bean    string
+	PK      sqldb.Value
+	State   State // full post-write state; for a delete, the state the entity had
+	Prev    State // pre-write state of an update; nil for an insert or a delete
+	Deleted bool
+}
+
+// Touches reports whether the commit changed any of cols: always for an
+// insert or a delete, for an update when a value differs across the write.
+func (c Commit) Touches(cols ...string) bool {
+	if c.Prev == nil {
+		return true
+	}
+	for _, col := range cols {
+		if c.Prev[col] != c.State[col] {
+			return true
+		}
+	}
+	return false
+}
+
+// QueryView declares a cached query push-refreshed (Section 4.4: the main
+// server computes the fresh result and ships it in the bulk push) and tells
+// the main server how to keep one result per cache key current.
+type QueryView struct {
+	// Key returns the cache key c.State puts the entity under, or "" when
+	// the commit leaves the query alone.
+	Key func(c Commit) string
+	// Query executes the query for Key(c) on the main server, taking its
+	// parameters from c.State. An update that moves the entity from one key
+	// to another runs both on the reverse commit as well (State and Prev
+	// swapped) to refresh the key it left.
+	Query func(c Commit) (any, error)
+	// Maintain, when non-nil, derives the result after an insert or update
+	// from the one before it without SQL; ok = false falls back to Query,
+	// as every delete does. It must return a new value and leave prev
+	// untouched: edge caches hold prev by reference.
+	Maintain func(prev any, c Commit) (next any, ok bool)
+}
+
+// QueryViews holds the main server's materialised result of every
+// push-refreshed cached query, one immutable value per cache key. Each
+// commit to an invalidating bean refreshes every key it affects exactly once,
+// on the main server, before the propagator chain runs: by the query's
+// maintainer when it applies, by one re-execution otherwise. The edges'
+// QueryInvalidation appliers then install the current value by reference, so
+// refresh cost does not depend on the edge count or the propagation mode.
+//
+// Invariant: each key's value equals a fresh execution of its query, once
+// every write whose SQL statement has run has reached its commit (a statement
+// is charged its database service time in between, and for that long the
+// database is a row ahead of the views, as it is of the entity replicas).
+type QueryViews struct {
+	specs   map[string]*QueryView   // query name -> declaration
+	byBean  map[string][]*QueryView // invalidating bean -> views, descriptor order
+	results map[string]any
+	// touched lists, per entity, the keys its commits have refreshed — what
+	// an edge installs for an update of that entity, which may be a delta
+	// too thin to rebuild the keys from.
+	touched map[entityRef][]string
+
+	mMaintained *metrics.Counter
+	mRequeries  *metrics.Counter
+}
+
+type entityRef struct {
+	bean string
+	pk   sqldb.Value
+}
+
+// NewQueryViews builds the views the descriptor's cached queries declare, or
+// returns nil when none does. The container_queryview_* counters register
+// here, so deployments without push-refreshed queries keep their metric
+// snapshots.
+func NewQueryViews(reg *metrics.Registry, queries []CachedQuerySpec) *QueryViews {
+	var v *QueryViews
+	for _, q := range queries {
+		if q.View == nil {
+			continue
+		}
+		if v == nil {
+			v = &QueryViews{
+				specs:       make(map[string]*QueryView),
+				byBean:      make(map[string][]*QueryView),
+				results:     make(map[string]any),
+				touched:     make(map[entityRef][]string),
+				mMaintained: reg.Counter("container_queryview_maintained_total"),
+				mRequeries:  reg.Counter("container_queryview_requeries_total"),
+			}
+		}
+		v.specs[q.Name] = q.View
+		for _, bean := range q.InvalidatedBy {
+			v.byBean[bean] = append(v.byBean[bean], q.View)
+		}
+	}
+	return v
+}
+
+// Seed installs a preloaded result as key's current value; keys of queries
+// without a view are ignored.
+func (v *QueryViews) Seed(key string, result any) {
+	name, _, _ := strings.Cut(key, ":")
+	if v.specs[name] != nil {
+		v.results[key] = result
+	}
+}
+
+// Result returns key's current value.
+func (v *QueryViews) Result(key string) (any, bool) {
+	r, ok := v.results[key]
+	return r, ok
+}
+
+// Len returns the number of materialised keys.
+func (v *QueryViews) Len() int { return len(v.results) }
+
+// committed refreshes every key the commit affects. shipped says whether the
+// bean's updates travel to the edges at all: only then are the entity's keys
+// put on record for install.
+func (v *QueryViews) committed(c Commit, shipped bool) error {
+	ref := entityRef{c.Bean, c.PK}
+	keys := v.touched[ref]
+	n := len(keys)
+	for _, q := range v.byBean[c.Bean] {
+		key := q.Key(c)
+		if key != "" {
+			if err := v.refresh(q, key, c, !c.Deleted); err != nil {
+				return err
+			}
+			keys = addKey(keys, key)
+		}
+		if c.Prev == nil {
+			continue
+		}
+		// The key the entity left, if the write moved it.
+		undo := c
+		undo.State, undo.Prev = c.Prev, c.State
+		if left := q.Key(undo); left != "" && left != key {
+			if err := v.refresh(q, left, undo, false); err != nil {
+				return err
+			}
+			keys = addKey(keys, left)
+		}
+	}
+	if shipped && len(keys) != n {
+		v.touched[ref] = keys
+	}
+	return nil
+}
+
+// refresh brings key up to date with c: through the maintainer when allowed,
+// seeded and willing, through one re-execution otherwise.
+func (v *QueryViews) refresh(q *QueryView, key string, c Commit, maintain bool) error {
+	if prev, seeded := v.results[key]; maintain && seeded && q.Maintain != nil {
+		if next, ok := q.Maintain(prev, c); ok {
+			v.mMaintained.Inc()
+			v.results[key] = next
+			return nil
+		}
+	}
+	next, err := q.Query(c)
+	if err != nil {
+		return fmt.Errorf("query view %s: %w", key, err)
+	}
+	v.mRequeries.Inc()
+	v.results[key] = next
+	return nil
+}
+
+func addKey(keys []string, key string) []string {
+	for _, k := range keys {
+		if k == key {
+			return keys
+		}
+	}
+	return append(keys, key)
+}
+
+// install pushes the current value of every key u's entity has refreshed
+// into an edge cache.
+func (v *QueryViews) install(qc *QueryCache, u Update) {
+	for _, key := range v.touched[entityRef{u.Bean, u.PK}] {
+		qc.ApplyPush(key, v.results[key])
 	}
 }

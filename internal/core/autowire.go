@@ -23,11 +23,6 @@ type WireOptions struct {
 	// caches; nil yields push-only caches.
 	QueryFetchFor func(server *container.Server) container.QueryFetch
 
-	// QueryRecompute, when non-nil, turns an entity update into fresh
-	// (cache key, result) pairs pushed into the edge query caches instead
-	// of invalidating them.
-	QueryRecompute func(u container.Update) map[string]any
-
 	// UpdaterName and SubscriberName override the generated bean names.
 	UpdaterName    string
 	SubscriberName string
@@ -65,6 +60,7 @@ type Wiring struct {
 	asyncProp  *container.AsyncPropagator
 	asyncBatch *container.BatchingPropagator // shared batched-async publisher
 	anyAsync   bool
+	views      *container.QueryViews // main-side results of the push-refreshed queries, or nil
 }
 
 // Replica returns the read-only replica of rwBean on server, or nil.
@@ -77,6 +73,22 @@ func (w *Wiring) Replica(server, rwBean string) *container.ROEntity {
 
 // Cache returns the query cache on server, or nil.
 func (w *Wiring) Cache(server string) *container.QueryCache { return w.Caches[server] }
+
+// QueryViews returns the main server's materialised results of the
+// push-refreshed cached queries, or nil when the descriptor declares none.
+func (w *Wiring) QueryViews() *container.QueryViews { return w.views }
+
+// SeedQuery warm-deploys one query result computed at deploy time: into
+// every wired edge cache, and into the main server's view when the query is
+// push-refreshed, so the first commit can maintain it.
+func (w *Wiring) SeedQuery(key string, result any) {
+	for _, qc := range w.Caches {
+		qc.Put(key, result)
+	}
+	if w.views != nil {
+		w.views.Seed(key, result)
+	}
+}
 
 // DeployedOn reports whether the replica bundle is live on server.
 func (w *Wiring) DeployedOn(server string) bool {
@@ -200,6 +212,23 @@ func AutoWire(d *Deployment, ext *container.ExtendedDescriptor, opts WireOptions
 		}
 	}
 
+	// The query views hook onto the commit point of every bean that
+	// invalidates a push-refreshed query.
+	if w.views = container.NewQueryViews(d.Env.Metrics(), ext.CachedQueries); w.views != nil {
+		for _, q := range ext.CachedQueries {
+			if q.View == nil {
+				continue
+			}
+			for _, bean := range q.InvalidatedBy {
+				rw := d.RW(bean)
+				if rw == nil {
+					return nil, fmt.Errorf("core: autowire: cached query %s: read-write bean %s is not registered", q.Name, bean)
+				}
+				rw.SetQueryViews(w.views)
+			}
+		}
+	}
+
 	// The event-log recorder observes every commit ahead of the chain
 	// (before any blocking push sleeps on the WAN), so a catch-up replay
 	// sealed mid-commit can never miss an update the replicas saw.
@@ -282,14 +311,15 @@ func (w *Wiring) ExtendTo(server *container.Server) error {
 			}
 		}
 		w.Caches[server.Name()] = qc
-		inval := &container.QueryInvalidation{
-			Cache:     qc,
-			Affected:  affectedFunc(w.ext),
-			Recompute: w.opts.QueryRecompute,
-		}
+		// One applier per invalidating bean, however many queries list it.
+		inval := &container.QueryInvalidation{Cache: qc, Affected: affectedFunc(w.ext), Views: w.views}
+		registered := make(map[string]bool)
 		for _, q := range w.ext.CachedQueries {
 			for _, beanName := range q.InvalidatedBy {
-				uf.Register(beanName, inval)
+				if !registered[beanName] {
+					registered[beanName] = true
+					uf.Register(beanName, inval)
+				}
 			}
 		}
 	}
@@ -383,11 +413,14 @@ func (w *Wiring) ResumeTargets(server string) {
 }
 
 // affectedFunc builds the update→invalidated-prefixes mapping declared in
-// the descriptor: an update to bean B invalidates every cached query that
-// lists B among its invalidating operations.
+// the descriptor: an update to bean B invalidates every pull-refreshed
+// cached query that lists B among its invalidating operations.
 func affectedFunc(ext *container.ExtendedDescriptor) func(u container.Update) []string {
 	byBean := make(map[string][]string)
 	for _, q := range ext.CachedQueries {
+		if q.View != nil {
+			continue
+		}
 		for _, b := range q.InvalidatedBy {
 			byBean[b] = append(byBean[b], q.Name+":")
 		}

@@ -1,0 +1,145 @@
+package core
+
+import (
+	"testing"
+
+	"wadeploy/internal/container"
+	"wadeploy/internal/sim"
+	"wadeploy/internal/sqldb"
+)
+
+// constView is a push-refreshed query with one key and a constant result.
+func constView(name string, by ...string) container.CachedQuerySpec {
+	return container.CachedQuerySpec{Name: name, InvalidatedBy: by, View: &container.QueryView{
+		Key:   func(container.Commit) string { return name + ":" },
+		Query: func(container.Commit) (any, error) { return name, nil },
+	}}
+}
+
+// TestQueryViewOneApplierPerBean: a bean that several cached queries list is
+// registered with each edge's updater façade once, so one commit reaches each
+// edge's query applier exactly once — in push mode affected keys × edges
+// installs, in pull mode one InvalidatePrefix per prefix.
+func TestQueryViewOneApplierPerBean(t *testing.T) {
+	t.Run("push", func(t *testing.T) {
+		d, rw := wireFixture(t)
+		ext := &container.ExtendedDescriptor{
+			Replicas: []container.ReplicaSpec{
+				{Bean: "ItemRW", Update: container.SyncUpdate, Refresh: container.PushRefresh},
+			},
+			CachedQueries: []container.CachedQuerySpec{
+				constView("a", "ItemRW"), constView("b", "ItemRW"), constView("c", "ItemRW"),
+			},
+		}
+		w, err := AutoWire(d, ext, WireOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.SeedQuery("a:", "seeded")
+		RunWarm(d.Env, "writer", func(p *sim.Proc) {
+			if _, err := rw.UpdateFields(p, sqldb.Str("i1"), container.State{"qty": sqldb.Int(5)}); err != nil {
+				t.Errorf("update: %v", err)
+			}
+		})
+		reg := d.Env.Metrics()
+		if got := reg.CounterValue("container_queryview_requeries_total"); got != 3 {
+			t.Errorf("re-queries = %d, want 3 (one per affected key, whatever the edge count)", got)
+		}
+		if got, want := reg.CounterValue("container_querycache_pushed_total"), int64(3*len(d.Edges)); got != want {
+			t.Errorf("pushed = %d, want %d (affected keys × edges)", got, want)
+		}
+		for _, edge := range d.Edges {
+			qc := w.Cache(edge.Name())
+			if qc.Pushed() != 3 || qc.Size() != 3 {
+				t.Errorf("%s: %d pushes into %d entries, want 3 and 3", edge.Name(), qc.Pushed(), qc.Size())
+			}
+			RunWarm(d.Env, "reader", func(p *sim.Proc) {
+				if v, err := qc.Get(p, "a:"); err != nil || v != "a" {
+					t.Errorf("%s a: = %v (%v), want the view's refreshed value", edge.Name(), v, err)
+				}
+			})
+		}
+	})
+
+	t.Run("pull", func(t *testing.T) {
+		d, rw := wireFixture(t)
+		ext := &container.ExtendedDescriptor{
+			Replicas: []container.ReplicaSpec{
+				{Bean: "ItemRW", Update: container.SyncUpdate, Refresh: container.PushRefresh},
+			},
+			// Pet Store's Product: listed by both queries.
+			CachedQueries: []container.CachedQuerySpec{
+				{Name: "productsByCategory", InvalidatedBy: []string{"ItemRW", "CategoryRW"}},
+				{Name: "itemsByProduct", InvalidatedBy: []string{"InventoryRW", "ItemRW"}},
+			},
+		}
+		w, err := AutoWire(d, ext, WireOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.QueryViews() != nil {
+			t.Fatal("pull-only descriptor built query views")
+		}
+		RunWarm(d.Env, "writer", func(p *sim.Proc) {
+			if _, err := rw.UpdateFields(p, sqldb.Str("i1"), container.State{"qty": sqldb.Int(5)}); err != nil {
+				t.Errorf("update: %v", err)
+			}
+		})
+		for _, edge := range d.Edges {
+			if got := w.Cache(edge.Name()).Invalidations(); got != 2 {
+				t.Errorf("%s: %d prefix invalidations for one commit, want 2 (one per query)", edge.Name(), got)
+			}
+		}
+	})
+}
+
+// TestQueryViewMixedDescriptor: push and pull queries share one descriptor;
+// the commit installs the first and marks the second stale.
+func TestQueryViewMixedDescriptor(t *testing.T) {
+	d, rw := wireFixture(t)
+	fetches := 0
+	ext := &container.ExtendedDescriptor{
+		Replicas: []container.ReplicaSpec{
+			{Bean: "ItemRW", Update: container.SyncUpdate, Refresh: container.PushRefresh},
+		},
+		CachedQueries: []container.CachedQuerySpec{
+			constView("pushed", "ItemRW"),
+			{Name: "pulled", InvalidatedBy: []string{"ItemRW"}},
+		},
+	}
+	w, err := AutoWire(d, ext, WireOptions{
+		QueryFetchFor: func(*container.Server) container.QueryFetch {
+			return func(_ *sim.Proc, key string) (any, error) {
+				fetches++
+				return "fetched", nil
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.SeedQuery("pushed:", "old")
+	w.SeedQuery("pulled:", "old")
+	qc := w.Cache(d.Edges[0].Name())
+	RunWarm(d.Env, "writer", func(p *sim.Proc) {
+		if _, err := rw.UpdateFields(p, sqldb.Str("i1"), container.State{"qty": sqldb.Int(5)}); err != nil {
+			t.Errorf("update: %v", err)
+		}
+		if v, err := qc.Get(p, "pushed:"); err != nil || v != "pushed" || fetches != 0 {
+			t.Errorf("pushed: = %v (%v) after %d fetches, want the installed view", v, err, fetches)
+		}
+		if v, err := qc.Get(p, "pulled:"); err != nil || v != "fetched" || fetches != 1 {
+			t.Errorf("pulled: = %v (%v) after %d fetches, want one refetch", v, err, fetches)
+		}
+	})
+}
+
+func TestQueryViewNeedsRegisteredBean(t *testing.T) {
+	d, _ := wireFixture(t)
+	_, err := AutoWire(d, &container.ExtendedDescriptor{
+		CachedQueries: []container.CachedQuerySpec{constView("q", "Ghost")},
+	}, WireOptions{})
+	if err == nil {
+		t.Fatal("view invalidated by an unregistered bean accepted")
+	}
+}

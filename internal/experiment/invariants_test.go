@@ -2,10 +2,12 @@ package experiment
 
 import (
 	"testing"
+	"time"
 
 	"wadeploy/internal/core"
 	"wadeploy/internal/metrics"
 	"wadeploy/internal/petstore"
+	"wadeploy/internal/rubis"
 	"wadeploy/internal/sim"
 	"wadeploy/internal/simnet"
 	"wadeploy/internal/workload"
@@ -149,5 +151,43 @@ func TestInvariantAsyncUpdatesNoBlockingPushes(t *testing.T) {
 	contrast := runSession(t, core.StatefulCaching, nil, steps, nil)
 	if v := contrast.CounterValue("container_sync_pushes_total"); v == 0 {
 		t.Errorf("stateful-caching contrast: no sync pushes recorded; writes should block on WAN pushes")
+	}
+}
+
+// TestInvariantQueryViewsRefreshOncePerCommit asserts the push-based query
+// update rule (Section 4.4: the main server computes the fresh result and
+// ships it in the bulk push) as a measured cost: in both RUBiS configurations
+// that cache queries, a replicated commit costs at most one query
+// re-execution however many edges and cache keys it reaches — the listings
+// are maintained without SQL — and each edge installs exactly the affected
+// keys.
+func TestInvariantQueryViewsRefreshOncePerCommit(t *testing.T) {
+	for _, cfg := range []core.ConfigID{core.QueryCaching, core.AsyncUpdates} {
+		res, tb, err := run(RUBiS, cfg, RunOptions{Seed: 1, Duration: time.Minute}, simnet.HierarchySpec{}, 1, 0)
+		if err != nil {
+			t.Fatalf("%v: %v", cfg, err)
+		}
+		app := tb.inst.(*rubis.App)
+		bids, comments := app.Bids(), app.Comments()
+		if bids == 0 || comments == 0 {
+			t.Fatalf("%v: %d bids, %d comments: the run wrote nothing", cfg, bids, comments)
+		}
+		requeries := snapCounter(res.Metrics, "container_queryview_requeries_total")
+		maintained := snapCounter(res.Metrics, "container_queryview_maintained_total")
+		// Every storeBid commits one Item (bid history re-executed, two
+		// listings maintained), every storeComment one User (comment list
+		// re-executed, userByNick maintained). A write the run's end cut
+		// short is counted but may not have committed, hence the bounds.
+		if requeries > bids+comments {
+			t.Errorf("%v: %d re-queries for %d replicated commits, want at most one each", cfg, requeries, bids+comments)
+		}
+		if maintained < requeries || maintained == 0 {
+			t.Errorf("%v: %d maintained refreshes against %d re-queries: a listing fell back to SQL", cfg, maintained, requeries)
+		}
+		// A bid touches three keys, a comment two, on every edge.
+		pushed := snapCounter(res.Metrics, "container_querycache_pushed_total")
+		if want := (3*bids + 2*comments) * int64(len(tb.d.Edges)); pushed == 0 || pushed > want {
+			t.Errorf("%v: %d edge installs, want at most %d (affected keys × edges)", cfg, pushed, want)
+		}
 	}
 }

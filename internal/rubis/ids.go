@@ -16,6 +16,9 @@ var (
 	bidStrs   [500]string          // "5.00".."504.00"
 	nicknames [NumUsers]string
 	userPws   [NumUsers]string
+	// itemsByCatRegion cache keys: built on every CategoryRegion page and
+	// every Item commit.
+	catRegionKeys [NumCategories][NumRegions]string
 )
 
 func init() {
@@ -31,6 +34,11 @@ func init() {
 	for u := range nicknames {
 		nicknames[u] = fmt.Sprintf("bidder%03d", u+1)
 		userPws[u] = "pw-" + nicknames[u]
+	}
+	for c := range catRegionKeys {
+		for r := range catRegionKeys[c] {
+			catRegionKeys[c][r] = QueryItemsByCatRegion + ":" + smallInts[c+1] + "/" + smallInts[r+1]
+		}
 	}
 }
 

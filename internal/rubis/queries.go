@@ -1,7 +1,6 @@
 package rubis
 
 import (
-	"fmt"
 	"strconv"
 
 	"wadeploy/internal/sqldb"
@@ -28,7 +27,10 @@ func keyRegionCategories(r int64) string {
 }
 func keyItemsByCategory(c int64) string { return QueryItemsByCategory + ":" + strconv.FormatInt(c, 10) }
 func keyItemsByCatRegion(c, r int64) string {
-	return fmt.Sprintf("%s:%d/%d", QueryItemsByCatRegion, c, r)
+	if c >= 1 && c <= NumCategories && r >= 1 && r <= NumRegions {
+		return catRegionKeys[c-1][r-1]
+	}
+	return QueryItemsByCatRegion + ":" + strconv.FormatInt(c, 10) + "/" + strconv.FormatInt(r, 10)
 }
 func keyBidHistory(item int64) string  { return QueryBidHistory + ":" + strconv.FormatInt(item, 10) }
 func keyUserInfo(u int64) string       { return QueryUserInfo + ":" + strconv.FormatInt(u, 10) }
@@ -91,6 +93,11 @@ func qUserComments(user int64) query {
 			JOIN users u ON u.id = c.from_user WHERE c.to_user = ? ORDER BY c.comment_date DESC`,
 		args: []sqldb.Value{sqldb.Int(user)},
 	}
+}
+
+// qUser reads one user row by id.
+func qUser(id int64) query {
+	return query{sql: `SELECT * FROM users WHERE id = ?`, args: []sqldb.Value{sqldb.Int(id)}}
 }
 
 // qUserByNick is the authentication finder (nickname is uniquely indexed).

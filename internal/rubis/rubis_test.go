@@ -16,16 +16,7 @@ import (
 
 func deployApp(t *testing.T, cfg core.ConfigID) *App {
 	t.Helper()
-	env := sim.NewEnv(9)
-	d, err := core.NewPaperDeployment(env, DeployOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := Deploy(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a
+	return deployOn(t, 9, cfg, simnet.HierarchySpec{}, nil)
 }
 
 func get(t *testing.T, a *App, p *sim.Proc, client workload.Client, page string, params map[string]string) time.Duration {

@@ -56,19 +56,7 @@ func (a *App) wireReplicas() error {
 		},
 	}
 	if a.cfg.AtLeast(core.QueryCaching) {
-		ext.CachedQueries = []container.CachedQuerySpec{
-			{Name: QueryAllCategories},
-			{Name: QueryAllRegions},
-			{Name: QueryRegionCategories, InvalidatedBy: []string{BeanItem}},
-			{Name: QueryItemsByCategory, InvalidatedBy: []string{BeanItem}},
-			{Name: QueryItemsByCatRegion, InvalidatedBy: []string{BeanItem}},
-			{Name: QueryBidHistory, InvalidatedBy: []string{BeanItem}},
-			{Name: QueryUserInfo, InvalidatedBy: []string{BeanUser}},
-			{Name: QueryUserByNick, InvalidatedBy: []string{BeanUser}},
-		}
-		// RUBiS uses the push-based query update mechanism: the bulk push
-		// carries recomputed results, so edge readers are never penalized.
-		opts.QueryRecompute = a.recomputeQueries
+		ext.CachedQueries = a.cachedQueries()
 	}
 	w, err := core.AutoWire(a.d, ext, opts)
 	if err != nil {
@@ -78,42 +66,175 @@ func (a *App) wireReplicas() error {
 	return a.preload()
 }
 
-// recomputeQueries maps one entity update to the fresh query results that
-// ride the push message. In the real system these are computed on the main
-// server (co-located with the database) while assembling the bulk RMI/JMS
-// push; edge application costs are therefore not charged here.
-func (a *App) recomputeQueries(u container.Update) map[string]any {
-	out := make(map[string]any)
+// cachedQueries declares the session queries the edges cache. RUBiS uses the
+// push-based query update mechanism: every query a write can change has a
+// view, so the main server (co-located with the database) computes the
+// fresh result once per commit and the bulk push installs it — edge readers
+// are never penalized. Every steady-state refresh is maintained without SQL;
+// the queries are re-executed for inserted items, moves, rows beyond a
+// listing's LIMIT and keys that were never preloaded.
+func (a *App) cachedQueries() []container.CachedQuerySpec {
 	db := a.d.DB
-	switch u.Bean {
-	case BeanItem:
-		id := u.PK.AsInt()
-		if rows, err := runDirect(db, qBidHistory(id)); err == nil {
-			out[keyBidHistory(id)] = rows
-		}
-		if u.State != nil {
-			cat := u.State["category"].AsInt()
-			region := u.State["region"].AsInt()
-			if rows, err := runDirect(db, qItemsByCategory(cat)); err == nil {
-				out[keyItemsByCategory(cat)] = rows
+	// rows adapts a query builder to a view's Query.
+	rows := func(q func(c container.Commit) query) func(c container.Commit) (any, error) {
+		return func(c container.Commit) (any, error) { return runDirect(db, q(c)) }
+	}
+	cat := func(c container.Commit) int64 { return c.State["category"].AsInt() }
+	region := func(c container.Commit) int64 { return c.State["region"].AsInt() }
+	// The two history queries change when a Bid or a Comment is inserted —
+	// beans with no replicas, so the hook costs no WAN traffic — and reach
+	// the edges with the Item or User commit that follows in the same store
+	// transaction. owner names the item (user) either commit belongs to.
+	owner := func(child, fk string) func(c container.Commit) int64 {
+		return func(c container.Commit) int64 {
+			if c.Bean == child {
+				return c.State[fk].AsInt()
 			}
-			if rows, err := runDirect(db, qItemsByCatRegion(cat, region)); err == nil {
-				out[keyItemsByCatRegion(cat, region)] = rows
-			}
-		}
-	case BeanUser:
-		id := u.PK.AsInt()
-		if rows, err := runDirect(db, qUserComments(id)); err == nil {
-			if u.State != nil {
-				out[keyUserInfo(id)] = &UserInfoPage{User: u.State, Comments: rows}
-			}
-		}
-		if u.State != nil {
-			nick := u.State["nickname"].AsString()
-			out[keyUserByNick(nick)] = []container.State{u.State}
+			return c.PK.AsInt()
 		}
 	}
-	return out
+	bidItem, commentUser := owner(BeanBid, "item_id"), owner(BeanComment, "to_user")
+	return []container.CachedQuerySpec{
+		{Name: QueryAllCategories},
+		{Name: QueryAllRegions},
+		{Name: QueryRegionCategories, InvalidatedBy: []string{BeanItem}, View: &container.QueryView{
+			// Only an item entering or leaving a (region, category) pair
+			// changes the region's category list.
+			Key: func(c container.Commit) string {
+				if !c.Touches("category", "region") {
+					return ""
+				}
+				return keyRegionCategories(region(c))
+			},
+			Query: rows(func(c container.Commit) query { return qRegionCategories(region(c)) }),
+		}},
+		{Name: QueryItemsByCategory, InvalidatedBy: []string{BeanItem}, View: &container.QueryView{
+			Key:      func(c container.Commit) string { return keyItemsByCategory(cat(c)) },
+			Query:    rows(func(c container.Commit) query { return qItemsByCategory(cat(c)) }),
+			Maintain: maintainItemList,
+		}},
+		{Name: QueryItemsByCatRegion, InvalidatedBy: []string{BeanItem}, View: &container.QueryView{
+			Key:      func(c container.Commit) string { return keyItemsByCatRegion(cat(c), region(c)) },
+			Query:    rows(func(c container.Commit) query { return qItemsByCatRegion(cat(c), region(c)) }),
+			Maintain: maintainItemList,
+		}},
+		{Name: QueryBidHistory, InvalidatedBy: []string{BeanBid, BeanItem}, View: &container.QueryView{
+			Key:   func(c container.Commit) string { return keyBidHistory(bidItem(c)) },
+			Query: rows(func(c container.Commit) query { return qBidHistory(bidItem(c)) }),
+			Maintain: func(prev any, c container.Commit) (any, bool) {
+				if c.Bean == BeanItem {
+					return prev, true // the Bid insert refreshed it; this commit ships it
+				}
+				next, ok := a.maintainHistory(prev.([]container.State), c, "user_id", "bid", "qty", "bid_date")
+				return next, ok
+			},
+		}},
+		{Name: QueryUserInfo, InvalidatedBy: []string{BeanComment, BeanUser}, View: &container.QueryView{
+			Key: func(c container.Commit) string { return keyUserInfo(commentUser(c)) },
+			Query: func(c container.Commit) (any, error) {
+				id := commentUser(c)
+				user := c.State
+				if c.Bean == BeanComment {
+					users, err := runDirect(db, qUser(id))
+					if err != nil {
+						return nil, err
+					}
+					if len(users) == 0 {
+						return nil, fmt.Errorf("rubis: comment for user %d: %w", id, container.ErrNoSuchEntity)
+					}
+					user = users[0]
+				}
+				comments, err := runDirect(db, qUserComments(id))
+				if err != nil {
+					return nil, err
+				}
+				return &UserInfoPage{User: user, Comments: comments}, nil
+			},
+			Maintain: func(prev any, c container.Commit) (any, bool) {
+				page := prev.(*UserInfoPage)
+				if c.Bean == BeanUser {
+					return &UserInfoPage{User: c.State, Comments: page.Comments}, true
+				}
+				comments, ok := a.maintainHistory(page.Comments, c, "from_user", "comment_date", "rating", "comment")
+				if !ok {
+					return nil, false
+				}
+				return &UserInfoPage{User: page.User, Comments: comments}, true
+			},
+		}},
+		{Name: QueryUserByNick, InvalidatedBy: []string{BeanUser}, View: &container.QueryView{
+			Key: func(c container.Commit) string { return keyUserByNick(c.State["nickname"].AsString()) },
+			Query: rows(func(c container.Commit) query {
+				return qUserByNick(c.State["nickname"].AsString())
+			}),
+			// The nickname is unique, so the result is the committed row.
+			Maintain: func(_ any, c container.Commit) (any, bool) {
+				return []container.State{c.State}, true
+			},
+		}},
+	}
+}
+
+// maintainHistory refreshes one of the two history listings — an item's bids,
+// highest first, or a user's comments, newest first, each row joined with its
+// author's nickname — after the insert of a Bid or Comment. author is the
+// inserted row's foreign key to its author, by the listing's ORDER BY ... DESC
+// column and cols the other columns it projects. The nickname comes from the
+// author's userInfo view instead of the join, and the new row goes behind
+// every row that does not sort below it, where the stable sort puts the
+// latest insert.
+func (a *App) maintainHistory(rows []container.State, c container.Commit, author, by string, cols ...string) ([]container.State, bool) {
+	if c.Prev != nil || c.Deleted {
+		return nil, false
+	}
+	v, ok := a.wiring.QueryViews().Result(keyUserInfo(c.State[author].AsInt()))
+	if !ok {
+		return nil, false
+	}
+	row := container.State{"nickname": v.(*UserInfoPage).User["nickname"], by: c.State[by]}
+	for _, col := range cols {
+		row[col] = c.State[col]
+	}
+	at := len(rows)
+	for i, r := range rows {
+		if sqldb.Compare(r[by], row[by]) < 0 {
+			at = i
+			break
+		}
+	}
+	next := make([]container.State, 0, len(rows)+1)
+	next = append(next, rows[:at]...)
+	next = append(next, row)
+	return append(next, rows[at:]...), true
+}
+
+// itemListCols are the columns the two item listings project.
+var itemListCols = [...]string{"id", "name", "initial_price", "max_bid", "nb_of_bids", "end_date"}
+
+// maintainItemList refreshes an item listing (items of one category, or of
+// one category and region, ordered by end_date) after an Item commit: when
+// the commit wrote no filter or order column and the item is on the page,
+// the page is the previous one with that row replaced. Inserts, moves and
+// items beyond the LIMIT re-execute the query.
+func maintainItemList(prev any, c container.Commit) (any, bool) {
+	rows, ok := prev.([]container.State)
+	if !ok || c.Touches("category", "region", "end_date") {
+		return nil, false
+	}
+	for i, row := range rows {
+		if sqldb.Compare(row["id"], c.PK) != 0 {
+			continue
+		}
+		fresh := make(container.State, len(itemListCols))
+		for _, col := range itemListCols {
+			fresh[col] = c.State[col]
+		}
+		next := make([]container.State, len(rows))
+		copy(next, rows)
+		next[i] = fresh
+		return next, true
+	}
+	return nil, false
 }
 
 // preload warm-deploys the read-only beans (and, from QueryCaching on, the
@@ -168,18 +289,12 @@ func (a *App) preload() error {
 	if err != nil {
 		return fmt.Errorf("rubis preload users: %w", err)
 	}
-	caches := make([]*container.QueryCache, 0, len(a.d.Edges))
-	for _, edge := range a.d.Edges {
-		caches = append(caches, a.wiring.Cache(edge.Name()))
-	}
 	for _, e := range entries {
 		rows, err := runDirect(a.d.DB, e.q)
 		if err != nil {
 			return fmt.Errorf("rubis preload %s: %w", e.key, err)
 		}
-		for _, qc := range caches {
-			qc.Put(e.key, rows)
-		}
+		a.wiring.SeedQuery(e.key, rows)
 	}
 	for _, u := range userRows {
 		id := u["id"].AsInt()
@@ -187,11 +302,8 @@ func (a *App) preload() error {
 		if err != nil {
 			return fmt.Errorf("rubis preload user info: %w", err)
 		}
-		info := &UserInfoPage{User: u, Comments: comments}
-		for _, qc := range caches {
-			qc.Put(keyUserInfo(id), info)
-			qc.Put(keyUserByNick(u["nickname"].AsString()), []container.State{u})
-		}
+		a.wiring.SeedQuery(keyUserInfo(id), &UserInfoPage{User: u, Comments: comments})
+		a.wiring.SeedQuery(keyUserByNick(u["nickname"].AsString()), []container.State{u})
 	}
 	return nil
 }

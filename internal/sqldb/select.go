@@ -86,7 +86,7 @@ func (db *DB) execSelectSingle(s *SelectStmt, pl *selectPlan, args []Value, hit 
 				return nil
 			}
 		}
-		out, err := projectRow(s, &ctx)
+		out, err := projectRow(s, &ctx, len(pl.cols))
 		if err != nil {
 			return err
 		}
@@ -178,7 +178,7 @@ func (db *DB) execOrderedWalk(s *SelectStmt, pl *selectPlan, args []Value, hit b
 			skip--
 			return false, nil
 		}
-		out, err := projectRow(s, &ctx)
+		out, err := projectRow(s, &ctx, len(pl.cols))
 		if err != nil {
 			return false, err
 		}
@@ -330,7 +330,7 @@ func (db *DB) execSelectJoin(s *SelectStmt, pl *selectPlan, args []Value, hit bo
 		rows = grouped
 	} else {
 		for _, ctx := range matches {
-			out, err := projectRow(s, ctx)
+			out, err := projectRow(s, ctx, len(pl.cols))
 			if err != nil {
 				return nil, err
 			}
@@ -420,9 +420,10 @@ func itemsHaveAggregate(items []SelectItem) bool {
 	return false
 }
 
-// projectRow computes the output row for one match in non-aggregate mode.
-func projectRow(s *SelectStmt, ctx *evalCtx) ([]Value, error) {
-	var out []Value
+// projectRow computes the output row for one match in non-aggregate mode;
+// ncols is the plan's output column count, so the row is allocated once.
+func projectRow(s *SelectStmt, ctx *evalCtx, ncols int) ([]Value, error) {
+	out := make([]Value, 0, ncols)
 	for _, item := range s.Items {
 		if item.Star {
 			for _, bt := range ctx.tables {

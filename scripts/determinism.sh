@@ -44,6 +44,11 @@ echo '== consistency spectrum across arm parallelism =='
 $GO run ./cmd/wadeploy -quick -parallel 1 consistency > consistency-p1.txt
 $GO run ./cmd/wadeploy -quick -parallel 8 consistency > consistency-p8.txt
 diff consistency-p1.txt consistency-p8.txt
+# RUBiS's delta arms are where the push-refreshed query caches depend on the
+# main server's views rather than on what rides the wire.
+$GO run ./cmd/wadeploy -quick -app rubis -parallel 1 consistency > consistency-rubis-p1.txt
+$GO run ./cmd/wadeploy -quick -app rubis -parallel 8 consistency > consistency-rubis-p8.txt
+diff consistency-rubis-p1.txt consistency-rubis-p8.txt
 
 echo '== topology sweep across point parallelism =='
 # Each edge-count point is an independent seeded simulation: the scaling
