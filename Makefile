@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all verify build vet test race determinism profile repro repro-quick examples clean
+.PHONY: all verify build vet test race determinism loc profile repro repro-quick examples clean
 
 all: verify
 
@@ -27,6 +27,10 @@ race:
 # sequential and the parallel scheduler (see scripts/determinism.sh).
 determinism:
 	sh scripts/determinism.sh
+
+# Non-test Go line count against the budget in scripts/loc.sh.
+loc:
+	sh scripts/loc.sh
 
 # CPU and heap profiles over the paper-table golden test (five Pet Store and
 # five RUBiS configurations through the full stack — the workload most

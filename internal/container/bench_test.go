@@ -14,6 +14,20 @@ import (
 	"wadeploy/internal/web"
 )
 
+// newPusher builds an RMI pusher with the given window from srv to the
+// "Updater" façade on each edge.
+func newPusher(b *testing.B, srv *container.Server, window time.Duration, msgBytes int, edges ...string) *container.Pusher {
+	b.Helper()
+	ps, err := container.NewPusher(srv, "", window, msgBytes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, e := range edges {
+		ps.AddTarget(container.PushTarget{Server: e, Facade: "Updater"})
+	}
+	return ps
+}
+
 func reportMs(b *testing.B, name string, d time.Duration) {
 	b.ReportMetric(float64(d)/float64(time.Millisecond), name)
 }
@@ -73,7 +87,7 @@ func BenchmarkAblationDeltaVsFullPush(b *testing.B) {
 			}
 			uf.Register("Wide", ro)
 			// Full-state records on this table are large (wide rows).
-			rw.AddPropagator(container.NewSyncPropagator(main, []container.SyncTarget{{Server: "edge", Facade: "Updater"}}, 64*1024))
+			rw.AddPropagator(newPusher(b, main, 0, 64*1024, "edge"))
 			var mean time.Duration
 			env.Spawn("writer", func(p *sim.Proc) {
 				var total time.Duration
@@ -151,17 +165,11 @@ func BenchmarkBatchedPushThroughput(b *testing.B) {
 				b.Fatal(err)
 			}
 			uf.Register("Wide", ro)
-			targets := []container.SyncTarget{{Server: "edge", Facade: "Updater"}}
-			var bp *container.BatchingPropagator
+			var window time.Duration
 			if batched {
-				bp, err = container.NewBatchingPropagator(main, 100*time.Millisecond, "", targets, 64*1024)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rw.AddPropagator(bp)
-			} else {
-				rw.AddPropagator(container.NewSyncPropagator(main, targets, 64*1024))
+				window = 100 * time.Millisecond
 			}
+			rw.AddPropagator(newPusher(b, main, window, 64*1024, "edge"))
 			// Each iteration drives a burst of commits, so even the CI
 			// smoke's single iteration spans many coalescing windows.
 			const burst = 50
@@ -182,6 +190,7 @@ func BenchmarkBatchedPushThroughput(b *testing.B) {
 				mean = total / time.Duration(commits)
 			})
 			env.RunAll()
+			snap := env.Metrics().Snapshot()
 			env.Close()
 			reportMs(b, "write-ms", mean)
 			if elapsed > 0 {
@@ -189,11 +198,11 @@ func BenchmarkBatchedPushThroughput(b *testing.B) {
 			}
 			var msgs, wire float64
 			if batched {
-				msgs = float64(bp.Messages())
-				wire = float64(bp.WireBytesTotal())
+				msgs = float64(snap.Counter("push_batch_messages_total"))
+				wire = float64(snap.Counter("push_batch_bytes_total"))
 			} else {
-				// SyncPropagator pays one push per commit, each the size of
-				// a one-field delta.
+				// Without a window every commit pays one push the size of a
+				// one-field delta.
 				one := container.Update{Bean: "Wide", Delta: true, State: container.State{"a": sqldb.Int(0)}}
 				msgs = float64(commits)
 				wire = float64(commits * one.WireBytes())
@@ -238,7 +247,7 @@ func BenchmarkAblationSeqVsParallelFanOut(b *testing.B) {
 				return s
 			}
 			main := mk(simnet.NodeMain)
-			var targets []container.SyncTarget
+			var edges []string
 			for _, edgeName := range []string{simnet.NodeEdge1, simnet.NodeEdge2} {
 				edge := mk(edgeName)
 				ro, err := container.DeployROEntity(edge, "KVRO", "KV", nil)
@@ -250,13 +259,13 @@ func BenchmarkAblationSeqVsParallelFanOut(b *testing.B) {
 					b.Fatal(err)
 				}
 				uf.Register("KV", ro)
-				targets = append(targets, container.SyncTarget{Server: edgeName, Facade: "Updater"})
+				edges = append(edges, edgeName)
 			}
 			rw, err := container.DeployRWEntity(main, "KV", "kv", "id")
 			if err != nil {
 				b.Fatal(err)
 			}
-			sp := container.NewSyncPropagator(main, targets, 512)
+			sp := newPusher(b, main, 0, 512, edges...)
 			sp.Parallel = parallel
 			rw.AddPropagator(sp)
 			var mean time.Duration

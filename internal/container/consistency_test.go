@@ -95,11 +95,7 @@ func TestROEntityPropagationDelayMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	uf.Register("InventoryRW", ro)
-	ap, err := NewAsyncPropagator(f.main, "updates", 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rw.AddPropagator(ap)
+	rw.AddPropagator(newPusher(t, f.main, "updates", 0, 512))
 	if _, err := DeployUpdateSubscriber(f.edge, "Sub", "updates", uf); err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +153,7 @@ func TestUpdateIfVersionOptimisticConcurrency(t *testing.T) {
 	})
 }
 
-func TestSyncPropagatorBestEffortSkipsPartitionedEdge(t *testing.T) {
+func TestPusherBestEffortSkipsPartitionedEdge(t *testing.T) {
 	f := newFixture(t)
 	rw, err := DeployRWEntity(f.main, "InventoryRW", "inventory", "item_id")
 	if err != nil {
@@ -172,7 +168,7 @@ func TestSyncPropagatorBestEffortSkipsPartitionedEdge(t *testing.T) {
 		t.Fatal(err)
 	}
 	uf.Register("InventoryRW", ro)
-	sp := NewSyncPropagator(f.main, []SyncTarget{{Server: "edge", Facade: "Updater"}}, 512)
+	sp := newPusher(t, f.main, "", 0, 512, edgeUpdater)
 	sp.BestEffort = true
 	rw.AddPropagator(sp)
 	if err := f.net.SetLinkState("main", "edge", false); err != nil {
@@ -184,15 +180,15 @@ func TestSyncPropagatorBestEffortSkipsPartitionedEdge(t *testing.T) {
 			t.Fatalf("best-effort write failed: %v", err)
 		}
 	})
-	if sp.Skipped() != 1 {
-		t.Fatalf("skipped = %d, want 1", sp.Skipped())
+	if skipped := f.env.Metrics().Snapshot().Counter("container_sync_push_skipped_total"); skipped != 1 {
+		t.Fatalf("skipped = %d, want 1", skipped)
 	}
 	if ro.Pushes() != 0 {
 		t.Fatalf("pushes = %d, want 0 (partitioned)", ro.Pushes())
 	}
 }
 
-func TestSyncPropagatorStrictFailsOnPartition(t *testing.T) {
+func TestPusherStrictFailsOnPartition(t *testing.T) {
 	f := newFixture(t)
 	rw, err := DeployRWEntity(f.main, "InventoryRW", "inventory", "item_id")
 	if err != nil {
@@ -201,7 +197,7 @@ func TestSyncPropagatorStrictFailsOnPartition(t *testing.T) {
 	if _, err := DeployUpdaterFacade(f.edge, "Updater"); err != nil {
 		t.Fatal(err)
 	}
-	rw.AddPropagator(NewSyncPropagator(f.main, []SyncTarget{{Server: "edge", Facade: "Updater"}}, 512))
+	rw.AddPropagator(newPusher(t, f.main, "", 0, 512, edgeUpdater))
 	if err := f.net.SetLinkState("main", "edge", false); err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +224,7 @@ func TestDeltaPushMergesChangedFieldsOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	uf.Register("InventoryRW", ro)
-	rw.AddPropagator(NewSyncPropagator(f.main, []SyncTarget{{Server: "edge", Facade: "Updater"}}, 4096))
+	rw.AddPropagator(newPusher(t, f.main, "", 0, 4096, edgeUpdater))
 	ro.Preload(sqldb.Str("i1"), State{"item_id": sqldb.Str("i1"), "qty": sqldb.Int(10)})
 	f.run(t, func(p *sim.Proc) {
 		if _, err := rw.UpdateFields(p, sqldb.Str("i1"), State{"qty": sqldb.Int(7)}); err != nil {
@@ -265,7 +261,7 @@ func TestDeltaPushWithoutLocalCopyIsIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	uf.Register("InventoryRW", ro)
-	rw.AddPropagator(NewSyncPropagator(f.main, []SyncTarget{{Server: "edge", Facade: "Updater"}}, 1024))
+	rw.AddPropagator(newPusher(t, f.main, "", 0, 1024, edgeUpdater))
 	f.run(t, func(p *sim.Proc) {
 		// Delta arrives for an entity the replica never loaded: ignored.
 		if _, err := rw.UpdateFields(p, sqldb.Str("i2"), State{"qty": sqldb.Int(1)}); err != nil {
@@ -369,10 +365,8 @@ func TestParallelSyncPushOverlapsFanOut(t *testing.T) {
 			}
 			uf.Register("KV", ro)
 		}
-		sp := NewSyncPropagator(main, []SyncTarget{
-			{Server: "e1", Facade: "Updater"},
-			{Server: "e2", Facade: "Updater"},
-		}, 512)
+		sp := newPusher(t, main, "", 0, 512,
+			PushTarget{Server: "e1", Facade: "Updater"}, PushTarget{Server: "e2", Facade: "Updater"})
 		sp.Parallel = parallel
 		rw.AddPropagator(sp)
 		var cost time.Duration

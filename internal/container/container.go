@@ -294,15 +294,6 @@ func (s *Server) SQLReplica(p *sim.Proc, query string, args ...sqldb.Value) (*sq
 // this server: JDBC round trips to the DB node (when remote) plus the
 // statement's cost charged to the DB node's CPU.
 func (s *Server) SQL(p *sim.Proc, query string, args ...sqldb.Value) (*sqldb.Result, error) {
-	return s.sqlOn(p, nil, query, args...)
-}
-
-// SQLTx executes one statement within tx, with the same cost accounting.
-func (s *Server) SQLTx(p *sim.Proc, tx *sqldb.Tx, query string, args ...sqldb.Value) (*sqldb.Result, error) {
-	return s.sqlOn(p, tx, query, args...)
-}
-
-func (s *Server) sqlOn(p *sim.Proc, tx *sqldb.Tx, query string, args ...sqldb.Value) (*sqldb.Result, error) {
 	s.sqlStatements++
 	s.mSQL.Inc()
 	remote := s.dbSrv.ID != s.name
@@ -330,13 +321,7 @@ func (s *Server) sqlOn(p *sim.Proc, tx *sqldb.Tx, query string, args ...sqldb.Va
 		}
 		p.Sleep(time.Duration(rounds * float64(rtt)))
 	}
-	var res *sqldb.Result
-	var err error
-	if tx != nil {
-		res, err = tx.Exec(query, args...)
-	} else {
-		res, err = s.db.Exec(query, args...)
-	}
+	res, err := s.db.Exec(query, args...)
 	if err != nil {
 		return nil, err
 	}

@@ -231,92 +231,6 @@ func TestRWEntityCRUDAgainstDB(t *testing.T) {
 	}
 }
 
-func TestSyncPropagatorBlocksWriter(t *testing.T) {
-	f := newFixture(t)
-	rw, err := DeployRWEntity(f.main, "InventoryRW", "inventory", "item_id")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ro, err := DeployROEntity(f.edge, "InventoryRO", "InventoryRW", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uf, err := DeployUpdaterFacade(f.edge, "Updater")
-	if err != nil {
-		t.Fatal(err)
-	}
-	uf.Register("InventoryRW", ro)
-	rw.AddPropagator(NewSyncPropagator(f.main, []SyncTarget{{Server: "edge", Facade: "Updater"}}, 512))
-	var writeCost time.Duration
-	f.run(t, func(p *sim.Proc) {
-		start := p.Now()
-		if _, err := rw.UpdateFields(p, sqldb.Str("i1"), State{"qty": sqldb.Int(3)}); err != nil {
-			t.Errorf("update: %v", err)
-		}
-		writeCost = p.Now() - start
-		// Zero staleness: the replica must already hold the new value.
-		st, err := ro.Get(p, sqldb.Str("i1"))
-		if err != nil {
-			t.Errorf("ro get: %v", err)
-			return
-		}
-		if st["qty"].AsInt() != 3 {
-			t.Errorf("replica qty = %v, want 3 immediately after write", st["qty"])
-		}
-	})
-	if writeCost < 200*time.Millisecond {
-		t.Fatalf("sync write cost %v, want >= WAN RTT (writer must block)", writeCost)
-	}
-	if uf.Applied() != 1 || ro.Pushes() != 1 {
-		t.Fatalf("applied=%d pushes=%d", uf.Applied(), ro.Pushes())
-	}
-}
-
-func TestAsyncPropagatorDoesNotBlockWriter(t *testing.T) {
-	f := newFixture(t)
-	rw, err := DeployRWEntity(f.main, "InventoryRW", "inventory", "item_id")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ro, err := DeployROEntity(f.edge, "InventoryRO", "InventoryRW", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uf, err := DeployUpdaterFacade(f.edge, "Updater")
-	if err != nil {
-		t.Fatal(err)
-	}
-	uf.Register("InventoryRW", ro)
-	ap, err := NewAsyncPropagator(f.main, "updates", 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rw.AddPropagator(ap)
-	if _, err := DeployUpdateSubscriber(f.edge, "UpdateSubscriber", "updates", uf); err != nil {
-		t.Fatal(err)
-	}
-	var writeCost time.Duration
-	f.run(t, func(p *sim.Proc) {
-		start := p.Now()
-		if _, err := rw.UpdateFields(p, sqldb.Str("i1"), State{"qty": sqldb.Int(2)}); err != nil {
-			t.Errorf("update: %v", err)
-		}
-		writeCost = p.Now() - start
-	})
-	if writeCost >= 100*time.Millisecond {
-		t.Fatalf("async write cost %v; writer must not wait for WAN delivery", writeCost)
-	}
-	// After the simulation drains, the update must have arrived.
-	if ro.Pushes() != 1 {
-		t.Fatalf("pushes = %d, want 1 (delivered asynchronously)", ro.Pushes())
-	}
-	st := State{}
-	_ = st
-	if f.jms.Delivered() != 1 {
-		t.Fatalf("jms delivered = %d", f.jms.Delivered())
-	}
-}
-
 func TestROEntityHitMissAndPullRefresh(t *testing.T) {
 	f := newFixture(t)
 	rw, err := DeployRWEntity(f.main, "InventoryRW", "inventory", "item_id")
@@ -597,9 +511,6 @@ func TestMDBRequiresJMS(t *testing.T) {
 	}
 	if _, err := DeployMDB(noJMS, "mdb", "t", nil); err == nil {
 		t.Fatal("MDB without JMS accepted")
-	}
-	if _, err := NewAsyncPropagator(noJMS, "t", 0); err == nil {
-		t.Fatal("async propagator without JMS accepted")
 	}
 }
 

@@ -37,10 +37,10 @@ const (
 	// AsyncUpdate publishes to a JMS topic and returns immediately.
 	AsyncUpdate
 	// LeaseUpdate sits between the two: the writer returns immediately,
-	// and a batching propagator coalesces everything committed inside a
-	// tick window into one last-writer delta per entity, pushed to each
-	// edge as a single RMI message per window. Staleness is bounded by
-	// the window (MaxStaleness, or an explicit BatchWindow).
+	// and everything committed inside a tick window is coalesced into one
+	// last-writer delta per entity, pushed to each edge as a single RMI
+	// message per window. Staleness is bounded by the window
+	// (MaxStaleness, or an explicit BatchWindow).
 	LeaseUpdate
 )
 
@@ -87,7 +87,8 @@ func (m RefreshMode) String() string {
 type ReplicaSpec struct {
 	// Bean is the read-write entity bean to replicate.
 	Bean string
-	// Update selects blocking (sync) or JMS (async) propagation.
+	// Update is the method of update: sync, async or lease. With
+	// BatchWindow it resolves to the Pusher's (transport, window) pair.
 	Update UpdateMode
 	// Refresh selects push or pull replica refresh.
 	Refresh RefreshMode
@@ -104,12 +105,6 @@ type ReplicaSpec struct {
 	// DeltaPush propagates only changed fields (Section 4.3's "transfer
 	// only the changes" optimization). Requires PushRefresh.
 	DeltaPush bool
-	// FullState opts out of deltas-by-default
-	// (core.ReplicationOptions.DeltasByDefault): the replica keeps
-	// receiving full post-write state even when the wiring would
-	// otherwise switch it to delta pushes. Mutually exclusive with
-	// DeltaPush.
-	FullState bool
 	// BatchWindow, when positive, batches and coalesces pushes per
 	// (destination, window): async publishes collapse into one topic
 	// message per window, lease pushes into one RMI message per edge per
@@ -191,9 +186,6 @@ func (d *ExtendedDescriptor) Validate() error {
 		}
 		if r.DeltaPush && r.Refresh != PushRefresh {
 			return fmt.Errorf("%w: replica %s: delta push requires push refresh", ErrBadDescriptor, r.Bean)
-		}
-		if r.DeltaPush && r.FullState {
-			return fmt.Errorf("%w: replica %s: delta push conflicts with full-state", ErrBadDescriptor, r.Bean)
 		}
 		if r.MaxStaleness < 0 {
 			return fmt.Errorf("%w: replica %s: negative max staleness", ErrBadDescriptor, r.Bean)

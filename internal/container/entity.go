@@ -11,7 +11,6 @@ import (
 	"wadeploy/internal/rmi"
 	"wadeploy/internal/sim"
 	"wadeploy/internal/sqldb"
-	"wadeploy/internal/trace"
 )
 
 // ErrNoSuchEntity is returned when an entity row does not exist.
@@ -85,8 +84,8 @@ func (u Update) WireBytes() int {
 	return 1024
 }
 
-// Propagator delivers committed updates to replicas. Implementations decide
-// whether the writer blocks (SyncPropagator) or not (AsyncPropagator).
+// Propagator observes committed updates in chain order. Pusher delivers them
+// to the replicas; UpdateBuffer and the event-log recorder only record them.
 type Propagator interface {
 	Propagate(p *sim.Proc, updates []Update) error
 }
@@ -110,7 +109,6 @@ type RWEntity struct {
 	deleteSQL  string
 	findPrefix string
 
-	loads  int64
 	writes int64
 
 	mLoad  *metrics.Counter
@@ -138,9 +136,6 @@ func DeployRWEntity(srv *Server, name, table, pkCol string) (*RWEntity, error) {
 
 // Name returns the bean's deployment name.
 func (b *RWEntity) Name() string { return b.name }
-
-// Loads returns the number of ejbLoad operations performed.
-func (b *RWEntity) Loads() int64 { return b.loads }
 
 // Writes returns the number of committed write operations.
 func (b *RWEntity) Writes() int64 { return b.writes }
@@ -206,7 +201,6 @@ func (b *RWEntity) Propagators() int { return len(b.props) }
 // ejbLoad; the paper's baseline removes the redundant extra database call,
 // so this is a single SELECT).
 func (b *RWEntity) Load(p *sim.Proc, pk sqldb.Value) (State, error) {
-	b.loads++
 	b.mLoad.Inc()
 	b.srv.Compute(p, b.srv.costs.EntityLoadCPU)
 	res, err := b.srv.SQL(p, b.loadSQL, pk)
@@ -383,7 +377,6 @@ type FetchFunc func(p *sim.Proc, pk sqldb.Value) (State, error)
 type ROEntity struct {
 	srv   *Server
 	name  string
-	rw    string // name of the backing read-write bean
 	fetch FetchFunc
 	ttl   time.Duration // 0 = no timeout invalidation
 
@@ -428,7 +421,8 @@ type roEntry struct {
 	loadedAt time.Duration
 }
 
-// DeployROEntity deploys a read-only replica of rwBean. fetch is used on
+// DeployROEntity deploys a read-only replica of rwBean (named for the reader:
+// updates reach the replica through UpdaterFacade.Register). fetch is used on
 // cold misses and pull refreshes; it may be nil for strictly push-fed
 // replicas that tolerate ErrNoSuchEntity on cold reads.
 func DeployROEntity(srv *Server, name, rwBean string, fetch FetchFunc) (*ROEntity, error) {
@@ -439,7 +433,6 @@ func DeployROEntity(srv *Server, name, rwBean string, fetch FetchFunc) (*ROEntit
 	b := &ROEntity{
 		srv:        srv,
 		name:       name,
-		rw:         rwBean,
 		fetch:      fetch,
 		entries:    make(map[string]roEntry),
 		mHits:      reg.Counter("container_replica_hits_total"),
@@ -454,9 +447,6 @@ func DeployROEntity(srv *Server, name, rwBean string, fetch FetchFunc) (*ROEntit
 
 // Name returns the bean's deployment name.
 func (b *ROEntity) Name() string { return b.name }
-
-// Backing returns the read-write bean this replica mirrors.
-func (b *ROEntity) Backing() string { return b.rw }
 
 // Hits, Misses, Pushes report cache behavior for tests and reports.
 func (b *ROEntity) Hits() int64   { return b.hits }
@@ -784,281 +774,6 @@ func (ub *UpdateBuffer) Drain() []Update {
 	out := ub.updates
 	ub.updates = nil
 	return out
-}
-
-// SyncPropagator pushes updates synchronously over RMI to updater façades on
-// other servers: the writer blocks until every replica has applied the
-// update (zero staleness, Section 4.3). Pushes happen sequentially, which is
-// why write response time grows with the number of replicas.
-type SyncPropagator struct {
-	srv     *Server
-	targets []SyncTarget
-	bytes   int
-
-	// filters holds optional per-target update filters (partitioned
-	// replicas: each edge only receives updates for keys it owns). Kept in
-	// a side map so SyncTarget stays comparable. A target without an entry
-	// receives everything — that path is byte-identical to the unfiltered
-	// propagator.
-	filters map[SyncTarget]func(Update) bool
-
-	// BestEffort makes unreachable replicas non-fatal: the push is skipped
-	// (and counted) instead of failing the writer's transaction. The
-	// default is strict, preserving the paper's zero-staleness guarantee;
-	// best-effort trades consistency for write availability during WAN
-	// partitions.
-	BestEffort bool
-
-	// Parallel fans the blocking pushes out concurrently instead of
-	// sequentially: the writer still blocks for zero staleness, but for
-	// roughly one push latency instead of the sum. The paper's measured
-	// commit times sit between the two extremes (suggesting partial
-	// overlap in JBoss); this knob lets the ablation quantify both ends.
-	Parallel bool
-
-	skipped int64
-
-	mPushes  *metrics.Counter
-	mSkipped *metrics.Counter
-	mPushNs  *metrics.Histogram
-}
-
-// SyncTarget names an updater façade deployment.
-type SyncTarget struct {
-	Server string // node ID
-	Facade string // updater façade bean name
-}
-
-// NewSyncPropagator creates a blocking push propagator from srv to targets.
-func NewSyncPropagator(srv *Server, targets []SyncTarget, msgBytes int) *SyncPropagator {
-	if msgBytes <= 0 {
-		msgBytes = 1024
-	}
-	reg := srv.Env().Metrics()
-	return &SyncPropagator{
-		srv: srv, targets: targets, bytes: msgBytes,
-		mPushes:  reg.Counter("container_sync_pushes_total"),
-		mSkipped: reg.Counter("container_sync_push_skipped_total"),
-		mPushNs:  reg.Histogram("container_sync_push_ns"),
-	}
-}
-
-// Skipped returns the number of pushes dropped in best-effort mode.
-func (sp *SyncPropagator) Skipped() int64 { return sp.skipped }
-
-// AddTarget attaches another replica destination at runtime (dynamic
-// demand-driven redeployment). Adding an existing target is a no-op.
-func (sp *SyncPropagator) AddTarget(t SyncTarget) {
-	for _, cur := range sp.targets {
-		if cur == t {
-			return
-		}
-	}
-	sp.targets = append(sp.targets, t)
-}
-
-// RemoveTarget detaches a replica destination at runtime (retirement of a
-// remote replica bundle, or suspension of pushes to an unreachable edge).
-// Removing an absent target is a no-op. The target's filter, if any, stays
-// registered so a later re-add (resume after suspension) keeps its scope.
-func (sp *SyncPropagator) RemoveTarget(t SyncTarget) {
-	for i, cur := range sp.targets {
-		if cur == t {
-			sp.targets = append(sp.targets[:i], sp.targets[i+1:]...)
-			return
-		}
-	}
-}
-
-// SetTargetFilter scopes pushes to t: only updates passing keep are sent
-// (partitioned replicas receive just their slice of the key space). A nil
-// keep removes the filter, restoring full propagation to t.
-func (sp *SyncPropagator) SetTargetFilter(t SyncTarget, keep func(Update) bool) {
-	if keep == nil {
-		delete(sp.filters, t)
-		return
-	}
-	if sp.filters == nil {
-		sp.filters = make(map[SyncTarget]func(Update) bool)
-	}
-	sp.filters[t] = keep
-}
-
-// updatesFor applies t's filter to the batch. The nil-filter path returns
-// the batch unsliced, keeping unpartitioned propagation byte-identical.
-func (sp *SyncPropagator) updatesFor(t SyncTarget, updates []Update) []Update {
-	keep, ok := sp.filters[t]
-	if !ok {
-		return updates
-	}
-	out := make([]Update, 0, len(updates))
-	for _, u := range updates {
-		if keep(u) {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
-// Targets returns the number of replica destinations.
-func (sp *SyncPropagator) Targets() int { return len(sp.targets) }
-
-// batchBytes sizes a push: delta updates ride their WireBytes estimate,
-// full-state batches the configured record size.
-func (sp *SyncPropagator) batchBytes(updates []Update) int {
-	total := 0
-	for _, u := range updates {
-		if u.Delta || u.Deleted {
-			total += u.WireBytes()
-		} else {
-			total += sp.bytes
-		}
-	}
-	if total <= 0 {
-		total = sp.bytes
-	}
-	return total
-}
-
-// Propagate blocks while each target applies the batch.
-func (sp *SyncPropagator) Propagate(p *sim.Proc, updates []Update) error {
-	// Sequential pushes nest their rmi spans right here, so the fan-out
-	// span's self-time is ~0 and each call claims its own cause. Parallel
-	// pushes run on spawned processes (async spans), leaving the wait for
-	// the slowest target as this span's self-time — wide-area wait whenever
-	// any target is across a WAN link.
-	pushCause := trace.CauseService
-	if sp.Parallel && len(sp.targets) > 1 && trace.Active(p) {
-		for _, t := range sp.targets {
-			if t.Server != sp.srv.name && sp.srv.net.WideArea(sp.srv.name, t.Server) {
-				pushCause = trace.CauseWAN
-				break
-			}
-		}
-	}
-	defer trace.Op(p, "push", "sync fan-out", sp.srv.name, "", pushCause)()
-	start := p.Now()
-	defer func() { sp.mPushNs.Observe(p.Now() - start) }()
-	payload := sp.batchBytes(updates)
-	if sp.Parallel && len(sp.targets) > 1 {
-		return sp.propagateParallel(p, payload, updates)
-	}
-	for _, t := range sp.targets {
-		batch, pl := updates, payload
-		if len(sp.filters) > 0 {
-			if batch = sp.updatesFor(t, updates); len(batch) == 0 {
-				// Nothing in this target's partition slice: no push at all.
-				continue
-			}
-			if len(batch) < len(updates) {
-				pl = sp.batchBytes(batch)
-			}
-		}
-		if err := sp.pushOne(p, t, pl, batch); err != nil {
-			if sp.BestEffort {
-				sp.skipped++
-				sp.mSkipped.Inc()
-				continue
-			}
-			return err
-		}
-	}
-	return nil
-}
-
-// pushOne performs the blocking push to a single target.
-func (sp *SyncPropagator) pushOne(p *sim.Proc, t SyncTarget, payload int, updates []Update) error {
-	stub, err := sp.srv.StubFor(p, t.Server, t.Facade)
-	if err == nil {
-		_, err = stub.InvokeSized(p, MethodApply, payload, 64, updates)
-	}
-	if err != nil {
-		return fmt.Errorf("sync push to %s/%s: %w", t.Server, t.Facade, err)
-	}
-	sp.mPushes.Inc()
-	return nil
-}
-
-// propagateParallel fans pushes out concurrently and blocks for all of them.
-func (sp *SyncPropagator) propagateParallel(p *sim.Proc, payload int, updates []Update) error {
-	env := sp.srv.Env()
-	promises := make([]*sim.Promise[struct{}], 0, len(sp.targets))
-	for _, t := range sp.targets {
-		t := t
-		batch, pl := updates, payload
-		if len(sp.filters) > 0 {
-			if batch = sp.updatesFor(t, updates); len(batch) == 0 {
-				continue
-			}
-			if len(batch) < len(updates) {
-				pl = sp.batchBytes(batch)
-			}
-		}
-		pr := sim.NewPromise[struct{}](env)
-		promises = append(promises, pr)
-		ctx := trace.Capture(p)
-		env.Spawn("sync-push:"+t.Server, func(pp *sim.Proc) {
-			defer trace.Adopt(pp, ctx, "push", "apply batch", t.Server, trace.CauseService)()
-			if err := sp.pushOne(pp, t, pl, batch); err != nil {
-				pr.Fail(err)
-				return
-			}
-			pr.Resolve(struct{}{})
-		})
-	}
-	var firstErr error
-	for _, pr := range promises {
-		if _, err := sim.Await(p, pr); err != nil {
-			if sp.BestEffort {
-				sp.skipped++
-				sp.mSkipped.Inc()
-				continue
-			}
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	return firstErr
-}
-
-// AsyncPropagator publishes updates to a JMS topic; MDB subscribers on the
-// edge servers apply them (Section 4.5). The writer pays only the local
-// publish cost.
-type AsyncPropagator struct {
-	srv   *Server
-	topic string
-	bytes int
-
-	mPublishes *metrics.Counter
-}
-
-// NewAsyncPropagator creates a non-blocking propagator publishing on topic.
-func NewAsyncPropagator(srv *Server, topic string, msgBytes int) (*AsyncPropagator, error) {
-	if srv.jms == nil {
-		return nil, fmt.Errorf("container: async propagator on %s: no JMS provider", srv.name)
-	}
-	if msgBytes <= 0 {
-		msgBytes = 1024
-	}
-	srv.jms.CreateTopic(topic)
-	return &AsyncPropagator{
-		srv: srv, topic: topic, bytes: msgBytes,
-		mPublishes: srv.Env().Metrics().Counter("container_async_publishes_total"),
-	}, nil
-}
-
-// Topic returns the JMS topic name.
-func (ap *AsyncPropagator) Topic() string { return ap.topic }
-
-// Propagate publishes the batch and returns without waiting for delivery.
-func (ap *AsyncPropagator) Propagate(p *sim.Proc, updates []Update) error {
-	defer trace.Opf(p, "jms", ap.srv.name, "", trace.CauseService, "publish ", ap.topic, "")()
-	if err := ap.srv.jms.Publish(p, ap.srv.name, ap.topic, updates, ap.bytes); err != nil {
-		return fmt.Errorf("async push: %w", err)
-	}
-	ap.mPublishes.Inc()
-	return nil
 }
 
 // DeployUpdateSubscriber deploys an MDB on srv that feeds a local updater

@@ -127,7 +127,7 @@ func (s *PartitionSpec) Owns(owned []int) func(sqldb.Value) bool {
 }
 
 // UpdateFilter builds a propagation filter passing only updates whose key
-// falls in the owned partitions (SyncPropagator.SetTargetFilter).
+// falls in the owned partitions (Pusher.SetTargetFilter).
 func (s *PartitionSpec) UpdateFilter(owned []int) func(Update) bool {
 	owns := s.Owns(owned)
 	return func(u Update) bool { return owns(u.PK) }

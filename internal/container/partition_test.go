@@ -133,67 +133,6 @@ func TestPartitionedReplicaOwnership(t *testing.T) {
 	}
 }
 
-func TestSyncPropagatorTargetFilter(t *testing.T) {
-	f := newFixture(t)
-	rw, err := DeployRWEntity(f.main, "InventoryRW", "inventory", "item_id")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ro, err := DeployROEntity(f.edge, "InventoryRO", "InventoryRW", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uf, err := DeployUpdaterFacade(f.edge, "Updater")
-	if err != nil {
-		t.Fatal(err)
-	}
-	uf.Register("InventoryRW", ro)
-	target := SyncTarget{Server: "edge", Facade: "Updater"}
-	sp := NewSyncPropagator(f.main, []SyncTarget{target}, 512)
-	spec := &PartitionSpec{Scheme: RangePartition, Partitions: 2, Bounds: []string{"i2"}}
-	sp.SetTargetFilter(target, spec.UpdateFilter([]int{0}))
-	rw.AddPropagator(sp)
-
-	var outside time.Duration
-	f.run(t, func(p *sim.Proc) {
-		// A write outside the edge's partition slice: no push at all, so
-		// the writer never pays the WAN round trip.
-		start := p.Now()
-		if _, err := rw.UpdateFields(p, sqldb.Str("i2"), State{"qty": sqldb.Int(1)}); err != nil {
-			t.Errorf("update i2: %v", err)
-		}
-		outside = p.Now() - start
-		// A write inside the slice propagates synchronously.
-		if _, err := rw.UpdateFields(p, sqldb.Str("i1"), State{"qty": sqldb.Int(7)}); err != nil {
-			t.Errorf("update i1: %v", err)
-		}
-	})
-	if outside >= 100*time.Millisecond {
-		t.Fatalf("out-of-slice write cost %v; filtered target must not be pushed", outside)
-	}
-	if uf.Applied() != 1 || ro.Pushes() != 1 {
-		t.Fatalf("applied=%d pushes=%d, want 1/1 (only the owned write)", uf.Applied(), ro.Pushes())
-	}
-	if st, ok := ro.Peek(sqldb.Str("i1")); !ok || st["qty"].AsInt() != 7 {
-		t.Fatalf("owned write not applied at replica: %v %v", st, ok)
-	}
-	if _, ok := ro.Peek(sqldb.Str("i2")); ok {
-		t.Fatal("out-of-slice write reached the replica")
-	}
-
-	// Clearing the filter restores full propagation.
-	sp.SetTargetFilter(target, nil)
-	f.env.Spawn("test2", func(p *sim.Proc) {
-		if _, err := rw.UpdateFields(p, sqldb.Str("i2"), State{"qty": sqldb.Int(9)}); err != nil {
-			t.Errorf("update i2 unfiltered: %v", err)
-		}
-	})
-	f.env.RunAll()
-	if ro.Pushes() != 2 {
-		t.Fatalf("pushes = %d after filter removal, want 2", ro.Pushes())
-	}
-}
-
 // TestPartitionScopedServeStale pins the graceful-degradation contract under
 // partitioning: when the central site is unreachable, an edge keeps serving
 // its owned slice from stale local copies, while unowned keys — which are

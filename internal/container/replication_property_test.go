@@ -21,7 +21,7 @@ import (
 func TestPropertySyncPushZeroStaleness(t *testing.T) {
 	f := func(seed int64, opsRaw uint8) bool {
 		f := newPropFixture(seed)
-		rw, ro := f.wireSync()
+		rw, ro := f.wire(pushRows[0])
 		ok := true
 		f.env.Spawn("driver", func(p *sim.Proc) {
 			expected := int64(10) // seeded qty for i1
@@ -57,12 +57,13 @@ func TestPropertySyncPushZeroStaleness(t *testing.T) {
 	}
 }
 
-// Property: under asynchronous propagation, replicas converge to the final
-// written value once the simulation drains, for any write sequence.
+// Property: on every row whose writer does not block (lease, async, batched
+// async), replicas converge to the final written value once the simulation
+// drains, for any write sequence.
 func TestPropertyAsyncEventualConvergence(t *testing.T) {
-	f := func(seed int64, opsRaw uint8) bool {
+	f := func(seed int64, opsRaw uint8, rowRaw uint8) bool {
 		fx := newPropFixture(seed)
-		rw, ro := fx.wireAsync()
+		rw, ro := fx.wire(pushRows[1+int(rowRaw)%3])
 		final := int64(10)
 		ok := true
 		fx.env.Spawn("writer", func(p *sim.Proc) {
@@ -137,45 +138,10 @@ func newPropFixture(seed int64) *fixtureP {
 	return &fixtureP{env: env, main: mk("main"), edge: mk("edge")}
 }
 
-func (f *fixtureP) wireSync() (*RWEntity, *ROEntity) {
-	rw, err := DeployRWEntity(f.main, "InvRW", "inventory", "item_id")
+// wire is wireRow on the property fixture, with the replica preloaded.
+func (f *fixtureP) wire(row pushRow) (*RWEntity, *ROEntity) {
+	rw, ro, _, _, err := wireRow(f.main, f.edge, row, 256)
 	if err != nil {
-		panic(err)
-	}
-	ro, err := DeployROEntity(f.edge, "InvRO", "InvRW", nil)
-	if err != nil {
-		panic(err)
-	}
-	uf, err := DeployUpdaterFacade(f.edge, "Updater")
-	if err != nil {
-		panic(err)
-	}
-	uf.Register("InvRW", ro)
-	rw.AddPropagator(NewSyncPropagator(f.main, []SyncTarget{{Server: "edge", Facade: "Updater"}}, 256))
-	f.preload(ro)
-	return rw, ro
-}
-
-func (f *fixtureP) wireAsync() (*RWEntity, *ROEntity) {
-	rw, err := DeployRWEntity(f.main, "InvRW", "inventory", "item_id")
-	if err != nil {
-		panic(err)
-	}
-	ro, err := DeployROEntity(f.edge, "InvRO", "InvRW", nil)
-	if err != nil {
-		panic(err)
-	}
-	uf, err := DeployUpdaterFacade(f.edge, "Updater")
-	if err != nil {
-		panic(err)
-	}
-	uf.Register("InvRW", ro)
-	ap, err := NewAsyncPropagator(f.main, "updates", 256)
-	if err != nil {
-		panic(err)
-	}
-	rw.AddPropagator(ap)
-	if _, err := DeployUpdateSubscriber(f.edge, "Sub", "updates", uf); err != nil {
 		panic(err)
 	}
 	f.preload(ro)

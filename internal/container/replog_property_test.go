@@ -97,7 +97,7 @@ func TestPropertyLogReplayEquivalentToDirectApplication(t *testing.T) {
 				t.Fatal(err)
 			}
 			uf.Register("InvRW", live)
-			ap, err := container.NewAsyncPropagator(main, "updates", 256)
+			ap, err := container.NewPusher(main, "updates", 0, 256)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -241,9 +241,8 @@ func (b *StatefulBean) replicate(p *sim.Proc, sessionKey string, st State) error
 // MDBean is a deployed message-driven bean: an asynchronous façade consuming
 // a JMS topic (the UpdateSubscriber of Section 4.5).
 type MDBean struct {
-	srv      *Server
-	name     string
-	received int64
+	srv  *Server
+	name string
 
 	mRecv *metrics.Counter
 }
@@ -260,7 +259,6 @@ func DeployMDB(srv *Server, name, topic string, onMessage func(p *sim.Proc, srvr
 		mRecv: srv.Env().Metrics().Counter("container_mdb_deliveries_total"),
 	}
 	err := srv.jms.Subscribe(topic, srv.name, name, func(p *sim.Proc, msg *jms.Message) {
-		b.received++
 		b.mRecv.Inc()
 		srv.Compute(p, srv.costs.MethodCPU)
 		onMessage(p, srv, msg)
@@ -274,6 +272,3 @@ func DeployMDB(srv *Server, name, topic string, onMessage func(p *sim.Proc, srvr
 
 // Name returns the bean's deployment name.
 func (b *MDBean) Name() string { return b.name }
-
-// Received returns the number of messages consumed.
-func (b *MDBean) Received() int64 { return b.received }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"wadeploy/internal/container"
 	"wadeploy/internal/replog"
@@ -23,9 +24,8 @@ type WireOptions struct {
 	// caches; nil yields push-only caches.
 	QueryFetchFor func(server *container.Server) container.QueryFetch
 
-	// UpdaterName and SubscriberName override the generated bean names.
-	UpdaterName    string
-	SubscriberName string
+	// UpdaterName overrides the generated updater façade bean name.
+	UpdaterName string
 
 	// PartitionAssignments maps a partitioned bean name to its per-server
 	// partition assignment. A bean with a PartitionSpec but no assignment
@@ -33,7 +33,7 @@ type WireOptions struct {
 	// assignment arms it).
 	PartitionAssignments map[string]PartitionAssignment
 
-	// Deferred skips the initial per-edge deployment: propagators are
+	// Deferred skips the initial per-edge deployment: pushers are
 	// created (with no targets) and attached to the read-write beans, but
 	// no replicas, caches or subscribers are materialized until
 	// Wiring.ExtendTo is called — the paper's demand-driven deployment
@@ -51,16 +51,16 @@ type Wiring struct {
 	Caches      map[string]*container.QueryCache
 	Subscribers map[string]*container.MDBean
 
-	d          *Deployment
-	ext        *container.ExtendedDescriptor
-	specs      []container.ReplicaSpec // effective specs (replication overrides applied)
-	opts       WireOptions
-	syncProps  map[string]*container.SyncPropagator     // rw bean -> propagator
-	leaseProps map[string]*container.BatchingPropagator // rw bean -> lease propagator
-	asyncProp  *container.AsyncPropagator
-	asyncBatch *container.BatchingPropagator // shared batched-async publisher
-	anyAsync   bool
-	views      *container.QueryViews // main-side results of the push-refreshed queries, or nil
+	d     *Deployment
+	ext   *container.ExtendedDescriptor
+	specs []container.ReplicaSpec // effective specs (replication overrides applied)
+	opts  WireOptions
+	// The pushers, by transport: RMI ones per read-write bean (sync and
+	// lease specs; partition filters are per bean), topic ones per distinct
+	// batch window (async specs share a message per window).
+	rmiPushers   map[string]*container.Pusher
+	topicPushers map[time.Duration]*container.Pusher
+	views        *container.QueryViews // main-side results of the push-refreshed queries, or nil
 }
 
 // Replica returns the read-only replica of rwBean on server, or nil.
@@ -103,11 +103,9 @@ func (w *Wiring) updaterName() string {
 	return "AutoUpdater"
 }
 
-func (w *Wiring) subscriberName() string {
-	if w.opts.SubscriberName != "" {
-		return w.opts.SubscriberName
-	}
-	return "AutoUpdateSubscriber"
+// target is server's updater façade as a push destination.
+func (w *Wiring) target(server string) container.PushTarget {
+	return container.PushTarget{Server: server, Facade: w.updaterName()}
 }
 
 // AutoWire implements the paper's pattern-implementation automation
@@ -115,8 +113,8 @@ func (w *Wiring) subscriberName() string {
 // edge server, the read-only replicas and query caches the descriptor
 // declares, an updater façade that applies pushed updates in one bulk call,
 // and — for async replicas — the JMS topic and message-driven subscriber;
-// it then attaches the matching propagators to the registered read-write
-// beans. Application deployers only write the descriptor.
+// it then attaches the matching pushers to the registered read-write beans.
+// Application deployers only write the descriptor.
 func AutoWire(d *Deployment, ext *container.ExtendedDescriptor, opts WireOptions) (*Wiring, error) {
 	if err := ext.Validate(); err != nil {
 		return nil, fmt.Errorf("core: autowire: %w", err)
@@ -137,79 +135,55 @@ func AutoWire(d *Deployment, ext *container.ExtendedDescriptor, opts WireOptions
 	}
 
 	w := &Wiring{
-		Replicas:    make(map[string]map[string]*container.ROEntity),
-		Updaters:    make(map[string]*container.UpdaterFacade),
-		Caches:      make(map[string]*container.QueryCache),
-		Subscribers: make(map[string]*container.MDBean),
-		d:           d,
-		ext:         ext,
-		specs:       specs,
-		opts:        opts,
-		syncProps:   make(map[string]*container.SyncPropagator),
-		leaseProps:  make(map[string]*container.BatchingPropagator),
-	}
-	for _, spec := range specs {
-		if spec.Update == container.AsyncUpdate {
-			w.anyAsync = true
-		}
-	}
-	if w.anyAsync {
-		// Declare the topic before edge subscribers attach to it.
-		d.JMS.CreateTopic(ext.Topic)
-		ap, err := container.NewAsyncPropagator(d.Main, ext.Topic, opts.PushBytes)
-		if err != nil {
-			return nil, fmt.Errorf("core: autowire: %w", err)
-		}
-		w.asyncProp = ap
+		Replicas:     make(map[string]map[string]*container.ROEntity),
+		Updaters:     make(map[string]*container.UpdaterFacade),
+		Caches:       make(map[string]*container.QueryCache),
+		Subscribers:  make(map[string]*container.MDBean),
+		d:            d,
+		ext:          ext,
+		specs:        specs,
+		opts:         opts,
+		rmiPushers:   make(map[string]*container.Pusher),
+		topicPushers: make(map[time.Duration]*container.Pusher),
 	}
 
-	// Attach propagators to the read-write beans (targets accrue as
-	// servers are wired, so deferred wiring starts with empty fan-out).
+	// Resolve each spec's method of update to its pusher's (transport,
+	// window) pair and attach the pusher to the read-write bean. RMI targets
+	// accrue as servers are wired, so deferred wiring starts with empty
+	// fan-out; creating a topic pusher declares the topic before any edge
+	// subscriber attaches to it.
 	for _, spec := range specs {
 		rw := d.RW(spec.Bean)
 		if spec.DeltaPush {
 			rw.SetDeltaPush(true)
 		}
-		switch spec.Update {
-		case container.SyncUpdate:
-			sp := container.NewSyncPropagator(d.Main, nil, opts.PushBytes)
-			sp.BestEffort = spec.BestEffort
-			if d.Resilience != nil {
+		topic, window := "", spec.BatchWindow
+		switch {
+		case spec.Update == container.AsyncUpdate:
+			topic = ext.Topic
+		case spec.Update == container.LeaseUpdate && window <= 0:
+			window = replog.StalenessBudget(spec.MaxStaleness)
+		}
+		var ps *container.Pusher
+		if topic != "" {
+			ps = w.topicPushers[window] // async specs with the same window share a message
+		}
+		if ps == nil {
+			var err error
+			if ps, err = container.NewPusher(d.Main, topic, window, opts.PushBytes); err != nil {
+				return nil, fmt.Errorf("core: autowire: %w", err)
+			}
+			if topic != "" {
+				w.topicPushers[window] = ps
+			} else {
 				// Under a resilience policy a partitioned edge must not
 				// fail writers everywhere: skip unreachable targets (the
 				// replica's TTL + serve-stale bound covers the gap).
-				sp.BestEffort = true
+				ps.BestEffort = spec.BestEffort || d.Resilience != nil
+				w.rmiPushers[spec.Bean] = ps
 			}
-			w.syncProps[spec.Bean] = sp
-			rw.AddPropagator(sp)
-		case container.AsyncUpdate:
-			if spec.BatchWindow > 0 {
-				// Batched async: M beans share one topic message per tick
-				// window, N commits per entity collapse to one delta.
-				if w.asyncBatch == nil {
-					bp, err := container.NewBatchingPropagator(d.Main, spec.BatchWindow, ext.Topic, nil, opts.PushBytes)
-					if err != nil {
-						return nil, fmt.Errorf("core: autowire: %w", err)
-					}
-					w.asyncBatch = bp
-				}
-				rw.AddPropagator(w.asyncBatch)
-			} else {
-				rw.AddPropagator(w.asyncProp)
-			}
-		case container.LeaseUpdate:
-			window := spec.BatchWindow
-			if window <= 0 {
-				window = replog.StalenessBudget(spec.MaxStaleness)
-			}
-			bp, err := container.NewBatchingPropagator(d.Main, window, "", nil, opts.PushBytes)
-			if err != nil {
-				return nil, fmt.Errorf("core: autowire: %w", err)
-			}
-			bp.BestEffort = spec.BestEffort || d.Resilience != nil
-			w.leaseProps[spec.Bean] = bp
-			rw.AddPropagator(bp)
 		}
+		rw.AddPropagator(ps)
 	}
 
 	// The query views hook onto the commit point of every bean that
@@ -324,22 +298,15 @@ func (w *Wiring) ExtendTo(server *container.Server) error {
 		}
 	}
 
-	if w.anyAsync {
-		sub, err := container.DeployUpdateSubscriber(server, w.subscriberName(), w.ext.Topic, uf)
+	if len(w.topicPushers) > 0 {
+		sub, err := container.DeployUpdateSubscriber(server, "AutoUpdateSubscriber", w.ext.Topic, uf)
 		if err != nil {
 			return fmt.Errorf("core: autowire subscriber on %s: %w", server.Name(), err)
 		}
 		w.Subscribers[server.Name()] = sub
 	}
 
-	for _, spec := range w.specs {
-		if sp, ok := w.syncProps[spec.Bean]; ok {
-			sp.AddTarget(container.SyncTarget{Server: server.Name(), Facade: w.updaterName()})
-		}
-		if bp, ok := w.leaseProps[spec.Bean]; ok {
-			bp.AddTarget(container.SyncTarget{Server: server.Name(), Facade: w.updaterName()})
-		}
-	}
+	w.ResumeTargets(server.Name())
 	return nil
 }
 
@@ -353,16 +320,6 @@ func (w *Wiring) ReplicaBeans() []string {
 	return out
 }
 
-// LeasePropagator returns the bounded-staleness batcher for rwBean, or nil
-// when the bean is not lease-replicated.
-func (w *Wiring) LeasePropagator(rwBean string) *container.BatchingPropagator {
-	return w.leaseProps[rwBean]
-}
-
-// AsyncBatcher returns the shared batched-async publisher, or nil when
-// async pushes are unbatched.
-func (w *Wiring) AsyncBatcher() *container.BatchingPropagator { return w.asyncBatch }
-
 // Deployment returns the deployment the wiring extends.
 func (w *Wiring) Deployment() *Deployment { return w.d }
 
@@ -371,13 +328,10 @@ func (w *Wiring) Deployment() *Deployment { return w.d }
 // update propagation. The re-placement controller maps these onto a planner
 // candidate to price the extended placement.
 func (w *Wiring) Provides() (entities, queries, async bool) {
-	return len(w.ext.Replicas) > 0, len(w.ext.CachedQueries) > 0, w.anyAsync
+	return len(w.ext.Replicas) > 0, len(w.ext.CachedQueries) > 0, len(w.topicPushers) > 0
 }
 
-// UpdaterFacadeName returns the JNDI name of the per-server updater façade.
-func (w *Wiring) UpdaterFacadeName() string { return w.updaterName() }
-
-// SuspendTargets stops synchronous pushes to server's updater façade — the
+// SuspendTargets stops RMI pushes (sync and lease) to server's updater façade — the
 // retirement half of the controller's decisions, taken when an edge has been
 // unreachable for several epochs. The replica bundle stays deployed (a
 // restarted edge resumes serving within its staleness bound, until a resync
@@ -386,29 +340,21 @@ func (w *Wiring) UpdaterFacadeName() string { return w.updaterName() }
 // redelivery machinery already decouples writers from dead subscribers.
 // A no-op when the server is not wired or already suspended.
 func (w *Wiring) SuspendTargets(server string) {
-	t := container.SyncTarget{Server: server, Facade: w.updaterName()}
-	for _, sp := range w.syncProps {
-		sp.RemoveTarget(t)
-	}
-	for _, bp := range w.leaseProps {
-		bp.RemoveTarget(t)
+	for _, ps := range w.rmiPushers {
+		ps.RemoveTarget(w.target(server))
 	}
 }
 
-// ResumeTargets re-attaches synchronous pushes to server's updater façade
-// after SuspendTargets — the final step of a resync migration, once the
-// replica state has been refreshed. A no-op when the server is not wired;
+// ResumeTargets attaches RMI pushes to server's updater façade: the last step
+// of wiring a server, and of a resync migration after SuspendTargets, once
+// the replica state has been refreshed. A no-op when the server is not wired;
 // AddTarget makes re-attachment idempotent.
 func (w *Wiring) ResumeTargets(server string) {
 	if !w.DeployedOn(server) {
 		return
 	}
-	t := container.SyncTarget{Server: server, Facade: w.updaterName()}
-	for _, sp := range w.syncProps {
-		sp.AddTarget(t)
-	}
-	for _, bp := range w.leaseProps {
-		bp.AddTarget(t)
+	for _, ps := range w.rmiPushers {
+		ps.AddTarget(w.target(server))
 	}
 }
 

@@ -219,7 +219,7 @@ func buildDeployment(env *sim.Env, opts Options) (*Deployment, *simnet.Hierarchy
 		topo:        h,
 	}
 	if r := opts.Replication; r != nil && r.EventLog {
-		d.Replog = replog.NewStore(env.Metrics(), r.LogRetention)
+		d.Replog = replog.NewStore(env.Metrics(), 0)
 	}
 	for _, name := range h.ServerNodes() {
 		srv, err := container.NewServer(container.Config{

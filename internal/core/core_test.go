@@ -234,6 +234,58 @@ func TestAutoWireAsyncDoesNotBlock(t *testing.T) {
 	}
 }
 
+// TestAutoWireOneTopicPusherPerWindow: async specs with different batch
+// windows flush on their own windows, and specs with the same window share one
+// message per window.
+func TestAutoWireOneTopicPusherPerWindow(t *testing.T) {
+	d, fast := wireFixture(t)
+	beans := map[string]*container.RWEntity{"ItemRW": fast}
+	for _, name := range []string{"SlowRW", "AlsoSlowRW"} {
+		rw, err := container.DeployRWEntity(d.Main, name, "item", "id")
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.RegisterRW(rw)
+		beans[name] = rw
+	}
+	async := func(bean string, window time.Duration) container.ReplicaSpec {
+		return container.ReplicaSpec{Bean: bean, Update: container.AsyncUpdate, Refresh: container.PushRefresh, BatchWindow: window}
+	}
+	w, err := AutoWire(d, &container.ExtendedDescriptor{
+		Topic: "item-updates",
+		Replicas: []container.ReplicaSpec{
+			async("ItemRW", 100*time.Millisecond), async("SlowRW", 2*time.Second), async("AlsoSlowRW", 2*time.Second),
+		},
+	}, WireOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edge := d.Edges[0].Name()
+	RunWarm(d.Env, "writer", func(p *sim.Proc) {
+		for _, rw := range beans {
+			if _, err := rw.UpdateFields(p, sqldb.Str("i1"), container.State{"qty": sqldb.Int(9)}); err != nil {
+				t.Errorf("update: %v", err)
+			}
+		}
+		p.Sleep(time.Second) // past the 100 ms window and the WAN, inside the 2 s one
+		if got := w.Replica(edge, "ItemRW").Pushes(); got != 1 {
+			t.Errorf("100 ms bean: %d pushes after 1 s, want 1", got)
+		}
+		if got := w.Replica(edge, "SlowRW").Pushes(); got != 0 {
+			t.Errorf("2 s bean: %d pushes after 1 s, want 0 (it must not ride the 100 ms window)", got)
+		}
+	})
+	for bean := range beans {
+		if got := w.Replica(edge, bean).Pushes(); got != 1 {
+			t.Errorf("%s: %d pushes after the drain, want 1", bean, got)
+		}
+	}
+	// Two windows flushed once each: the two 2 s beans shared a message.
+	if got := d.Env.Metrics().Snapshot().Counter("push_batch_messages_total"); got != 2 {
+		t.Errorf("push_batch_messages_total = %d, want 2", got)
+	}
+}
+
 func TestAutoWirePullRefreshInvalidates(t *testing.T) {
 	d, rw := wireFixture(t)
 	fetches := 0

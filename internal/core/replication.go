@@ -13,9 +13,8 @@ import (
 // remain byte-identical — the two-book discipline.
 type ReplicationOptions struct {
 	// DeltasByDefault makes every push-refresh replica receive delta
-	// pushes (changed fields only) unless its spec opts out with
-	// FullState. This is Section 4.3's "transfer only the changes"
-	// optimization promoted from opt-in to default.
+	// pushes (changed fields only). This is Section 4.3's "transfer only
+	// the changes" optimization promoted from opt-in to default.
 	DeltasByDefault bool
 
 	// BatchWindow, when positive, batches and coalesces asynchronous
@@ -30,11 +29,6 @@ type ReplicationOptions struct {
 	// the last acknowledged epoch instead of shipping state snapshots.
 	EventLog bool
 
-	// LogRetention bounds entries retained per bean log
-	// (0 = replog.DefaultRetention); a suffix older than the bound falls
-	// back to a snapshot transfer.
-	LogRetention int
-
 	// Mode, when non-zero, overrides every replica spec's update mode —
 	// the consistency-spectrum experiment's knob for sweeping one
 	// workload across sync, lease and async propagation.
@@ -43,17 +37,6 @@ type ReplicationOptions struct {
 	// MaxStaleness, with Mode == LeaseUpdate, is the per-replica
 	// staleness budget the lease window is derived from.
 	MaxStaleness time.Duration
-}
-
-// DefaultReplication returns the recommended post-paper defaults: deltas
-// wherever the descriptor allows them, async pushes batched per 200ms tick
-// window, and the event log armed for replay-based catch-up.
-func DefaultReplication() *ReplicationOptions {
-	return &ReplicationOptions{
-		DeltasByDefault: true,
-		BatchWindow:     200 * time.Millisecond,
-		EventLog:        true,
-	}
 }
 
 // effectiveReplicas applies the replication overrides to the descriptor's
@@ -77,7 +60,7 @@ func (r *ReplicationOptions) effectiveReplicas(specs []container.ReplicaSpec) []
 				s.BatchWindow = 0
 			}
 		}
-		if r.DeltasByDefault && s.Refresh == container.PushRefresh && !s.FullState {
+		if r.DeltasByDefault && s.Refresh == container.PushRefresh {
 			s.DeltaPush = true
 		}
 		if r.BatchWindow > 0 && s.Update != container.SyncUpdate && s.BatchWindow == 0 {

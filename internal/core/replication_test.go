@@ -8,19 +8,6 @@ import (
 	"wadeploy/internal/sim"
 )
 
-func TestDefaultReplication(t *testing.T) {
-	r := DefaultReplication()
-	if !r.DeltasByDefault || !r.EventLog {
-		t.Fatalf("defaults = %+v, want deltas and event log on", r)
-	}
-	if r.BatchWindow != 200*time.Millisecond {
-		t.Fatalf("default batch window = %v", r.BatchWindow)
-	}
-	if r.Mode != 0 || r.MaxStaleness != 0 || r.LogRetention != 0 {
-		t.Fatalf("defaults must not override mode/staleness/retention: %+v", r)
-	}
-}
-
 func TestEffectiveReplicasNilIsIdentityCopy(t *testing.T) {
 	specs := []container.ReplicaSpec{
 		{Bean: "A", Update: container.SyncUpdate, Refresh: container.PushRefresh},
@@ -66,7 +53,6 @@ func TestEffectiveReplicasModeOverride(t *testing.T) {
 func TestEffectiveReplicasDeltasByDefault(t *testing.T) {
 	specs := []container.ReplicaSpec{
 		{Bean: "Push", Update: container.AsyncUpdate, Refresh: container.PushRefresh},
-		{Bean: "Full", Update: container.AsyncUpdate, Refresh: container.PushRefresh, FullState: true},
 		{Bean: "Pull", Update: container.AsyncUpdate, Refresh: container.PullRefresh},
 	}
 	r := &ReplicationOptions{DeltasByDefault: true}
@@ -75,9 +61,6 @@ func TestEffectiveReplicasDeltasByDefault(t *testing.T) {
 		t.Fatal("push-refresh replica not switched to deltas")
 	}
 	if out[1].DeltaPush {
-		t.Fatal("FullState opt-out ignored")
-	}
-	if out[2].DeltaPush {
 		t.Fatal("pull-refresh replica switched to deltas (has no push to slim)")
 	}
 }

@@ -35,9 +35,12 @@ func (a PartitionAssignment) Owned(server string) []int {
 	return owned
 }
 
-// applyPartitioning arms a freshly deployed replica and its sync-propagation
-// target with the bean's partition slice for this server. No-op for
-// unpartitioned beans or beans without an assignment (full replication).
+// applyPartitioning arms a freshly deployed replica and, when its bean is
+// pushed over RMI, the server's push target with the bean's partition slice.
+// No-op for unpartitioned beans or beans without an assignment (full
+// replication). A topic message is shared across edges, so async pushes stay
+// unfiltered at the source and the replica's ownership check drops unowned
+// keys on arrival.
 func (w *Wiring) applyPartitioning(server string, spec container.ReplicaSpec, ro *container.ROEntity) {
 	if spec.Partition == nil {
 		return
@@ -48,13 +51,9 @@ func (w *Wiring) applyPartitioning(server string, spec container.ReplicaSpec, ro
 	}
 	owned := asg.Owned(server)
 	ro.SetOwnership(spec.Partition.Owns(owned))
-	if sp, ok := w.syncProps[spec.Bean]; ok {
-		t := container.SyncTarget{Server: server, Facade: w.updaterName()}
-		sp.SetTargetFilter(t, spec.Partition.UpdateFilter(owned))
+	if ps, ok := w.rmiPushers[spec.Bean]; ok {
+		ps.SetTargetFilter(w.target(server), spec.Partition.UpdateFilter(owned))
 	}
-	// Lease and async propagation stay unfiltered at the source: the
-	// replica-side ownership check drops unowned pushes on arrival, and a
-	// batched/topic message is shared across edges anyway.
 }
 
 // OwnsKey reports whether the replica of bean on server owns pk — the hook

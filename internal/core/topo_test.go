@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"wadeploy/internal/container"
 	"wadeploy/internal/sim"
@@ -61,9 +62,16 @@ func TestRoundRobinAssignment(t *testing.T) {
 
 // TestAutoWirePartitionedReplicas pins the end-to-end partitioning contract:
 // with a PartitionSpec and an assignment, each edge's replica owns a disjoint
-// slice, preloads outside the slice are dropped, and a sync write pushes to
-// exactly the owning edge.
+// slice, preloads outside the slice are dropped, and a write — pushed inside
+// the commit or with a lease's window — leaves main for exactly the owning
+// edge.
 func TestAutoWirePartitionedReplicas(t *testing.T) {
+	for _, mode := range []container.UpdateMode{container.SyncUpdate, container.LeaseUpdate} {
+		t.Run(mode.String(), func(t *testing.T) { testPartitionedReplicas(t, mode) })
+	}
+}
+
+func testPartitionedReplicas(t *testing.T, mode container.UpdateMode) {
 	d, _ := newHierDeployment(t, simnet.HierarchySpec{Edges: 2, Hubs: 1})
 	if _, err := d.DB.Exec(`CREATE TABLE item (id TEXT PRIMARY KEY, qty INT NOT NULL)`); err != nil {
 		t.Fatal(err)
@@ -81,7 +89,7 @@ func TestAutoWirePartitionedReplicas(t *testing.T) {
 	pspec := &container.PartitionSpec{Scheme: container.RangePartition, Partitions: 2, Bounds: []string{"m"}}
 	ext := &container.ExtendedDescriptor{
 		Replicas: []container.ReplicaSpec{
-			{Bean: "ItemRW", Update: container.SyncUpdate, Refresh: container.PushRefresh, Partition: pspec},
+			{Bean: "ItemRW", Update: mode, Refresh: container.PushRefresh, MaxStaleness: time.Second, Partition: pspec},
 		},
 	}
 	edges := []string{d.Edges[0].Name(), d.Edges[1].Name()}
@@ -118,7 +126,8 @@ func TestAutoWirePartitionedReplicas(t *testing.T) {
 	if ro0.Cached() != 1 || ro1.Cached() != 1 {
 		t.Fatalf("cached: %s=%d %s=%d, want 1 each", edges[0], ro0.Cached(), edges[1], ro1.Cached())
 	}
-	// A sync write pushes to exactly the owning edge.
+	// A write is sent to exactly the owning edge: the other edge's updater
+	// façade never hears of it.
 	RunWarm(d.Env, "writer", func(p *sim.Proc) {
 		if _, err := rw.UpdateFields(p, sqldb.Str("a1"), container.State{"qty": sqldb.Int(3)}); err != nil {
 			t.Errorf("update: %v", err)
@@ -126,6 +135,9 @@ func TestAutoWirePartitionedReplicas(t *testing.T) {
 	})
 	if ro0.Pushes() != 1 || ro1.Pushes() != 0 {
 		t.Fatalf("pushes after write to a1: %s=%d %s=%d, want 1/0", edges[0], ro0.Pushes(), edges[1], ro1.Pushes())
+	}
+	if got0, got1 := w.Updaters[edges[0]].Applied(), w.Updaters[edges[1]].Applied(); got0 != 1 || got1 != 0 {
+		t.Fatalf("updates received after write to a1: %s=%d %s=%d, want 1/0", edges[0], got0, edges[1], got1)
 	}
 	if st, ok := ro0.Peek(sqldb.Str("a1")); !ok || st["qty"].AsInt() != 3 {
 		t.Fatalf("owner replica state: %v %v", st, ok)

@@ -10,18 +10,6 @@ import (
 	"wadeploy/internal/metrics"
 )
 
-// counterOf sums a counter family in a snapshot: the bare name plus any
-// labeled children ("name{label=...}").
-func counterOf(snap *metrics.Snapshot, name string) int64 {
-	var total int64
-	for _, c := range snap.Counters {
-		if c.Name == name || strings.HasPrefix(c.Name, name+"{") {
-			total += c.Value
-		}
-	}
-	return total
-}
-
 // availQuickOptions is the availability-test run: short enough for CI, with
 // enough pre-outage traffic (5 virtual minutes) that the edge caches have
 // seen the whole key space before the WAN link drops. The canonical outage
@@ -85,15 +73,15 @@ func TestAvailabilityInvariants(t *testing.T) {
 		"rmi_retries_total",
 		"rmi_call_timeouts_total",
 		"rmi_breaker_fastfail_total",
-		"rmi_breaker_transitions_total",
+		`rmi_breaker_transitions_total{to="open"}`,
 		"container_stale_serves_total",
 		"jms_redeliveries_total",
 		"simnet_dropped_total",
-		"faults_injected_total",
+		`faults_injected_total{kind="link-down"}`,
 	}
 	for _, r := range results {
 		for _, name := range families {
-			totals[name] += counterOf(r.Full.Metrics, name)
+			totals[name] += r.Full.Metrics.Counter(name)
 		}
 	}
 	for _, name := range families {

@@ -7,7 +7,6 @@ import (
 
 	"wadeploy/internal/container"
 	"wadeploy/internal/core"
-	"wadeploy/internal/metrics"
 	"wadeploy/internal/petstore"
 	"wadeploy/internal/rubis"
 )
@@ -86,28 +85,6 @@ func (r *ConsistencyResult) MsgsPerCommit() float64 {
 	return float64(r.Msgs) / float64(r.Commits)
 }
 
-// snapCounter returns a counter's value from a registry snapshot (0 when the
-// counter was never registered — lazily registered families stay absent on
-// arms that do not arm them).
-func snapCounter(s *metrics.Snapshot, name string) int64 {
-	for _, c := range s.Counters {
-		if c.Name == name {
-			return c.Value
-		}
-	}
-	return 0
-}
-
-// snapHistogram returns a histogram snapshot by name, or nil.
-func snapHistogram(s *metrics.Snapshot, name string) *metrics.HistogramSnapshot {
-	for i := range s.Histograms {
-		if s.Histograms[i].Name == name {
-			return &s.Histograms[i]
-		}
-	}
-	return nil
-}
-
 // RunConsistency sweeps the staleness-latency spectrum: the application's
 // asynchronous-updates configuration re-run once per arm with the
 // replication override pinning every replica to that arm's propagation mode.
@@ -134,13 +111,13 @@ func RunConsistency(app AppID, opts RunOptions) ([]*ConsistencyResult, error) {
 			Page:        page,
 			WriteLocal:  full.Mean(pattern, page, true),
 			WriteRemote: full.Mean(pattern, page, false),
-			Commits:     snapCounter(full.Metrics, "container_ejb_store_total"),
+			Commits:     full.Metrics.Counter("container_ejb_store_total"),
 			Full:        full,
 		}
-		cr.Msgs = snapCounter(full.Metrics, "container_sync_pushes_total") +
-			snapCounter(full.Metrics, "container_async_publishes_total") +
-			snapCounter(full.Metrics, "push_batch_messages_total")
-		if h := snapHistogram(full.Metrics, "container_replica_staleness_ns"); h != nil && h.Count > 0 {
+		cr.Msgs = full.Metrics.Counter("container_sync_pushes_total") +
+			full.Metrics.Counter("container_async_publishes_total") +
+			full.Metrics.Counter("push_batch_messages_total")
+		if h := full.Metrics.Histogram("container_replica_staleness_ns"); h != nil && h.Count > 0 {
 			cr.StaleSamples = h.Count
 			cr.StaleMean = time.Duration(h.SumNs / h.Count)
 			cr.StaleP95 = time.Duration(h.P95Ns)

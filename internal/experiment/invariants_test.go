@@ -172,8 +172,8 @@ func TestInvariantQueryViewsRefreshOncePerCommit(t *testing.T) {
 		if bids == 0 || comments == 0 {
 			t.Fatalf("%v: %d bids, %d comments: the run wrote nothing", cfg, bids, comments)
 		}
-		requeries := snapCounter(res.Metrics, "container_queryview_requeries_total")
-		maintained := snapCounter(res.Metrics, "container_queryview_maintained_total")
+		requeries := res.Metrics.Counter("container_queryview_requeries_total")
+		maintained := res.Metrics.Counter("container_queryview_maintained_total")
 		// Every storeBid commits one Item (bid history re-executed, two
 		// listings maintained), every storeComment one User (comment list
 		// re-executed, userByNick maintained). A write the run's end cut
@@ -185,7 +185,7 @@ func TestInvariantQueryViewsRefreshOncePerCommit(t *testing.T) {
 			t.Errorf("%v: %d maintained refreshes against %d re-queries: a listing fell back to SQL", cfg, maintained, requeries)
 		}
 		// A bid touches three keys, a comment two, on every edge.
-		pushed := snapCounter(res.Metrics, "container_querycache_pushed_total")
+		pushed := res.Metrics.Counter("container_querycache_pushed_total")
 		if want := (3*bids + 2*comments) * int64(len(tb.d.Edges)); pushed == 0 || pushed > want {
 			t.Errorf("%v: %d edge installs, want at most %d (affected keys × edges)", cfg, pushed, want)
 		}

@@ -5,8 +5,6 @@ import (
 	"sort"
 	"strings"
 	"time"
-
-	"wadeploy/internal/metrics"
 )
 
 // FormatMetricsComparison renders one row per registry instrument with a
@@ -94,17 +92,4 @@ func FormatMetricsComparison(results []*Result) string {
 		fmt.Fprintln(&b)
 	}
 	return b.String()
-}
-
-// CounterFrom returns a named counter's value from a snapshot (0 if absent).
-func CounterFrom(s *metrics.Snapshot, name string) int64 {
-	if s == nil {
-		return 0
-	}
-	for _, c := range s.Counters {
-		if c.Name == name {
-			return c.Value
-		}
-	}
-	return 0
 }

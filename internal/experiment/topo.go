@@ -114,9 +114,9 @@ func topoPoint(tb *Testbed, r *Result, partitions int) TopoPoint {
 		Samples:        r.Samples,
 		Errors:         r.Errors,
 		WANBytes:       wanBytes(r.Metrics),
-		Msgs:           counterValue(r.Metrics, "simnet_messages_total"),
+		Msgs:           r.Metrics.Counter("simnet_messages_total"),
 		ReplicaEntries: entries,
-		Pushes:         counterValue(r.Metrics, "container_replica_pushes_total"),
+		Pushes:         r.Metrics.Counter("container_replica_pushes_total"),
 	}
 }
 
@@ -151,15 +151,6 @@ func wanBytes(s *metrics.Snapshot) int64 {
 		}
 	}
 	return total
-}
-
-func counterValue(s *metrics.Snapshot, name string) int64 {
-	for _, c := range s.Counters {
-		if c.Name == name {
-			return c.Value
-		}
-	}
-	return 0
 }
 
 // FormatTopo renders the scaling curve as an aligned table: per-pattern

@@ -29,17 +29,3 @@ func SubtreePartition(h *simnet.Hierarchy, hub string, at, duration time.Duratio
 	}
 	return s
 }
-
-// HubCrash builds a schedule that crashes one hub for [at, at+duration).
-// Without redundant uplinks this partitions the hub's subtree; with them,
-// traffic reroutes over each edge's backup uplink after one route
-// recomputation.
-func HubCrash(hub string, at, duration time.Duration) *Schedule {
-	return &Schedule{
-		Name:   "hub-crash-" + hub,
-		Window: [2]time.Duration{at, at + duration},
-		Events: []Event{
-			{Kind: NodeDown, Node: hub, At: at, Duration: duration},
-		},
-	}
-}

@@ -284,6 +284,27 @@ type Snapshot struct {
 	Histograms []HistogramSnapshot `json:"histograms,omitempty"`
 }
 
+// Counter returns the named counter's value, 0 when the run never registered
+// it (lazily registered families stay absent from runs that do not arm them).
+func (s *Snapshot) Counter(name string) int64 {
+	for _, c := range s.Counters {
+		if c.Name == name {
+			return c.Value
+		}
+	}
+	return 0
+}
+
+// Histogram returns the named histogram, or nil.
+func (s *Snapshot) Histogram(name string) *HistogramSnapshot {
+	for i := range s.Histograms {
+		if s.Histograms[i].Name == name {
+			return &s.Histograms[i]
+		}
+	}
+	return nil
+}
+
 // Snapshot captures the current state of every instrument.
 func (r *Registry) Snapshot() *Snapshot {
 	s := &Snapshot{CapturedNs: int64(r.now())}

@@ -1,7 +1,6 @@
 package petstore
 
 import (
-	"math/rand"
 	"time"
 
 	"wadeploy/internal/container"
@@ -28,63 +27,12 @@ var browserWeightTotal = func() int {
 	return total
 }()
 
-// BrowserRefill generates one browser session: 20 logically organized page
-// requests starting at Main, drawn with the Table 2 weights; Item requests
-// target an item of the previously requested Product, Product requests a
-// product of the previously requested Category. The session is written into
-// the caller's reused buffer with GrowStep and every parameter string comes
-// from the precomputed ID tables — zero steady-state allocations per session.
-// The RNG draw sequence is pinned by the paper-table goldens.
-func BrowserRefill(rng *rand.Rand, steps []workload.Step) []workload.Step {
-	steps = workload.GrowStep(steps, PageMain)
-	cat := rng.Intn(NumCategories)
-	pcat, pprod := cat, rng.Intn(ProductsPerCategory)
-	for n := 1; n < BrowserSessionLength; n++ {
-		r := rng.Intn(browserWeightTotal)
-		page := PageMain
-		for _, bp := range BrowserPages {
-			if r < bp.Weight {
-				page = bp.Page
-				break
-			}
-			r -= bp.Weight
-		}
-		steps = workload.GrowStep(steps, page)
-		s := &steps[len(steps)-1]
-		switch page {
-		case PageCategory:
-			cat = rng.Intn(NumCategories)
-			s.Set("cat", categoryIDs[cat])
-		case PageProduct:
-			pcat, pprod = cat, rng.Intn(ProductsPerCategory)
-			s.Set("product", productIDs[pcat][pprod])
-		case PageItem:
-			s.Set("item", itemIDs[pcat][pprod][rng.Intn(ItemsPerProduct)])
-		case PageSearch:
-			s.Set("q", searchQs[rng.Intn(ProductsPerCategory)])
-		}
-	}
-	return steps
-}
-
-// BuyerRefill generates one buyer session: the fixed Table 3 sequence for a
-// random account buying one random item.
-func BuyerRefill(rng *rand.Rand, steps []workload.Step) []workload.Step {
-	u := rng.Intn(NumAccounts)
-	item := itemIDs[rng.Intn(NumCategories)][rng.Intn(ProductsPerCategory)][rng.Intn(ItemsPerProduct)]
-	for _, page := range BuyerPages {
-		steps = workload.GrowStep(steps, page)
-		s := &steps[len(steps)-1]
-		switch page {
-		case PageVerifySignin:
-			s.Set("user", userIDs[u])
-			s.Set("password", passwords[u])
-		case PageCart:
-			s.Set("item", item)
-		}
-	}
-	return steps
-}
+// BrowserRefill and BuyerRefill are the sessions of stream.go in the pooled
+// form workload.Run drives.
+var (
+	BrowserRefill = workload.Refill(BrowserStream)
+	BuyerRefill   = workload.Refill(BuyerStream)
+)
 
 // Workload returns the client groups of Section 3.3 on the app's deployment
 // (see core.Deployment.ClientGroups) with the population scaled by scale: 80%

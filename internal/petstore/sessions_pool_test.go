@@ -11,24 +11,6 @@ import (
 	"wadeploy/internal/workload"
 )
 
-// stepsEqual compares two step sequences including params.
-func stepsEqual(a, b []workload.Step) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Page != b[i].Page || len(a[i].Params) != len(b[i].Params) {
-			return false
-		}
-		for k, v := range a[i].Params {
-			if b[i].Params[k] != v {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // sessionFingerprint hashes n consecutive sessions of gen from one seeded
 // RNG stream: every page and every parameter, keys in sorted order.
 func sessionFingerprint(gen workload.RefillGen, seed int64, n int) uint64 {
@@ -93,41 +75,5 @@ func TestRefillAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("steady-state session generation allocates %.1f objects, want 0", allocs)
-	}
-}
-
-// TestStreamMatchesSession pins the streaming generators against the
-// session generators: same RNG stream, same emitted steps.
-func TestStreamMatchesSession(t *testing.T) {
-	cases := []struct {
-		name   string
-		gen    workload.RefillGen
-		stream workload.StreamGen
-	}{
-		{"browser", BrowserRefill, BrowserStream},
-		{"buyer", BuyerRefill, BuyerStream},
-	}
-	for _, tc := range cases {
-		genRNG := rand.New(rand.NewSource(29))
-		strRNG := rand.New(rand.NewSource(29))
-		var want []workload.Step
-		for s := 0; s < 50; s++ {
-			want = tc.gen(genRNG, want[:0])
-			var st workload.StreamState
-			for i, wantStep := range want {
-				var step workload.Step
-				if !tc.stream(strRNG, &st, &step) {
-					t.Fatalf("%s session %d: stream ended at step %d of %d", tc.name, s, i, len(want))
-				}
-				st.Pos++
-				if !stepsEqual([]workload.Step{wantStep}, []workload.Step{step}) {
-					t.Fatalf("%s session %d step %d: stream %+v, gen %+v", tc.name, s, i, step, wantStep)
-				}
-			}
-			var step workload.Step
-			if tc.stream(strRNG, &st, &step) {
-				t.Fatalf("%s session %d: stream continued past %d steps", tc.name, s, len(want))
-			}
-		}
 	}
 }

@@ -9,14 +9,18 @@ import (
 	"wadeploy/internal/workload"
 )
 
-// Streaming-form session generators: the same Table 2/3 session structure as
-// BrowserSession/BuyerSession, but emitted one step at a time through the
-// bounded-memory streaming engine. Cross-step context (the browser's current
-// category and last-requested product, the buyer's account and item) lives
-// in the three StreamState registers, so a session's footprint is its task
-// struct — no step slice, no per-session RNG.
+// The session generators: the Table 2/3 session structure emitted one step at
+// a time. Cross-step context (the browser's current category and
+// last-requested product, the buyer's account and item) lives in the three
+// StreamState registers, so under the streaming engine a session's footprint
+// is its task struct — no step slice, no per-session RNG. Every parameter
+// string comes from the precomputed ID tables, and the RNG draw sequence is
+// pinned by the paper-table goldens.
 
-// BrowserStream emits one browser-session step per call; register layout:
+// BrowserStream emits one browser-session step per call: 20 logically
+// organized page requests starting at Main, drawn with the Table 2 weights;
+// Item requests target an item of the previously requested Product, Product
+// requests a product of the previously requested Category. Register layout:
 // R[0] = current category, R[1]/R[2] = last requested product (cat, prod).
 func BrowserStream(rng *rand.Rand, st *workload.StreamState, step *workload.Step) bool {
 	if st.Pos >= BrowserSessionLength {
@@ -54,7 +58,8 @@ func BrowserStream(rng *rand.Rand, st *workload.StreamState, step *workload.Step
 	return true
 }
 
-// BuyerStream emits the fixed Table 3 buyer sequence; register layout:
+// BuyerStream emits the fixed Table 3 sequence for a random account buying
+// one random item; register layout:
 // R[0] = account, R[1] = item index (flattened).
 func BuyerStream(rng *rand.Rand, st *workload.StreamState, step *workload.Step) bool {
 	if int(st.Pos) >= len(BuyerPages) {

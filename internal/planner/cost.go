@@ -51,9 +51,8 @@ type Params struct {
 
 	// Event-log replication (Options.Replication). Zero values — the
 	// paper default — leave every prediction untouched.
-	DeltaBytes   int           // wire size of a one-field delta push
-	DeltaDefault bool          // deltas-by-default armed
-	BatchWindow  time.Duration // batched/lease flush window (0 = unbatched)
+	DeltaBytes   int  // wire size of a one-field delta push
+	DeltaDefault bool // deltas-by-default armed
 }
 
 // Substrate constants the model shares with the engine but that are not
@@ -121,7 +120,6 @@ func (m *Model) Params() Params {
 	p.DeltaBytes = DeltaPushBytes(1)
 	if r := opts.Replication; r != nil {
 		p.DeltaDefault = r.DeltasByDefault
-		p.BatchWindow = r.BatchWindow
 	}
 	return p
 }
@@ -210,34 +208,6 @@ func (ev *Evaluator) pushCost(c Candidate) time.Duration {
 	one += xfer(p.WANOneWay, p.PushReplyBytes, p.WANBps)
 	one += time.Duration((p.Rounds - 1) * float64(2*p.WANOneWay))
 	return time.Duration(p.Edges) * one
-}
-
-// BatchedPushPerCommit prices the system-side WAN cost per commit under
-// batched/coalesced propagation (leases and batched async): one message
-// per edge per window, amortized over the commits the window coalesces.
-// The writer itself pays ~nothing — this is the number to weigh against
-// pushCost when deciding whether a staleness budget buys its bandwidth
-// back. fields sizes the coalesced delta per entity; distinct is how many
-// distinct entities a window's message carries.
-func (ev *Evaluator) BatchedPushPerCommit(commitsPerWindow, distinct float64, fields int) time.Duration {
-	p := ev.p
-	if commitsPerWindow < 1 {
-		commitsPerWindow = 1
-	}
-	if distinct < 1 {
-		distinct = 1
-	}
-	if distinct > commitsPerWindow {
-		distinct = commitsPerWindow
-	}
-	bytes := int(distinct) * DeltaPushBytes(fields)
-	apply := time.Duration(distinct) * (p.MethodCPU + p.CacheHitCPU)
-	one := p.MarshalCPU
-	one += xfer(p.WANOneWay, bytes, p.WANBps)
-	one += apply
-	one += xfer(p.WANOneWay, p.PushReplyBytes, p.WANBps)
-	perWindow := time.Duration(p.Edges) * one
-	return time.Duration(float64(perWindow) / commitsPerWindow)
 }
 
 // Op evaluation.

@@ -364,18 +364,6 @@ func EdgeHit(ctx Ctx) bool { return ctx.AtEdge && ctx.C.EntityReplicas }
 // EdgeCached is true when the op runs on an edge that holds query caches.
 func EdgeCached(ctx Ctx) bool { return ctx.AtEdge && ctx.C.QueryCaches }
 
-// And combines predicates conjunctively.
-func And(conds ...Cond) Cond {
-	return func(ctx Ctx) bool {
-		for _, c := range conds {
-			if !c(ctx) {
-				return false
-			}
-		}
-		return true
-	}
-}
-
 // Op is one node of a page's cost profile. Evaluation is defined in cost.go.
 type Op interface {
 	cost(ev *Evaluator, ctx Ctx) time.Duration

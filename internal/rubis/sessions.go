@@ -36,88 +36,12 @@ var browserWeightTotal = func() int {
 	return total
 }()
 
-// BrowserRefill generates one 40-request browser session with the Table 4
-// page weights, starting at Main; Bids requests target the previously viewed
-// item, and Item requests follow the last listing's category. The session is
-// written into the caller's reused buffer with interned parameter strings;
-// the RNG draw sequence is pinned by the paper-table goldens.
-func BrowserRefill(rng *rand.Rand, steps []workload.Step) []workload.Step {
-	steps = workload.GrowStep(steps, PageMain)
-	cat := int64(rng.Intn(NumCategories) + 1)
-	region := int64(rng.Intn(NumRegions) + 1)
-	lastItem := itemInCategory(rng, cat)
-	for n := 1; n < BrowserSessionLength; n++ {
-		r := rng.Intn(browserWeightTotal)
-		page := PageMain
-		for _, bp := range BrowserPages {
-			if r < bp.Weight {
-				page = bp.Page
-				break
-			}
-			r -= bp.Weight
-		}
-		steps = workload.GrowStep(steps, page)
-		s := &steps[len(steps)-1]
-		switch page {
-		case PageRegion:
-			region = int64(rng.Intn(NumRegions) + 1)
-			s.Set("region", intStr(region))
-		case PageCategory:
-			cat = int64(rng.Intn(NumCategories) + 1)
-			s.Set("cat", intStr(cat))
-		case PageCatRegion:
-			cat = int64(rng.Intn(NumCategories) + 1)
-			s.Set("cat", intStr(cat))
-			s.Set("region", intStr(region))
-		case PageItem:
-			lastItem = itemInCategory(rng, cat)
-			s.Set("item", intStr(lastItem))
-		case PageBids:
-			s.Set("item", intStr(lastItem))
-		case PageUserInfo:
-			s.Set("user", intStr(int64(rng.Intn(NumUsers)+1)))
-		}
-	}
-	return steps
-}
-
-// BidderRefill generates one bidder session (Table 5): the bidder bids on an
-// item and leaves a comment for its seller, authenticating before each write
-// activity (RUBiS keeps no login session).
-func BidderRefill(rng *rand.Rand, steps []workload.Step) []workload.Step {
-	u := rng.Intn(NumUsers)
-	nick, pass := nicknames[u], userPws[u]
-	item := int64(rng.Intn(NumItems) + 1)
-	seller := (item-1)%NumUsers + 1
-	bid := rng.Intn(500)
-	itemS, sellerS := intStr(item), intStr(seller)
-	setAuth := func(s *workload.Step) {
-		s.Set("nick", nick)
-		s.Set("password", pass)
-	}
-	for _, page := range BidderPages {
-		steps = workload.GrowStep(steps, page)
-		s := &steps[len(steps)-1]
-		switch page {
-		case PagePutBidForm:
-			setAuth(s)
-			s.Set("item", itemS)
-		case PageStoreBid:
-			setAuth(s)
-			s.Set("item", itemS)
-			s.Set("bid", bidStrs[bid])
-		case PagePutCommentForm:
-			setAuth(s)
-			s.Set("to", sellerS)
-		case PageStoreComment:
-			setAuth(s)
-			s.Set("to", sellerS)
-			s.Set("item", itemS)
-			s.Set("rating", ratings[rng.Intn(5)])
-		}
-	}
-	return steps
-}
+// BrowserRefill and BidderRefill are the sessions of stream.go in the pooled
+// form workload.Run drives.
+var (
+	BrowserRefill = workload.Refill(BrowserStream)
+	BidderRefill  = workload.Refill(BidderStream)
+)
 
 // RequestFunc adapts the app to the workload driver.
 func (a *App) RequestFunc() workload.RequestFunc {

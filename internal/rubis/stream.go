@@ -6,11 +6,15 @@ import (
 	"wadeploy/internal/workload"
 )
 
-// Streaming-form session generators (see petstore/stream.go for the model):
-// the Table 4/5 session structure emitted one step at a time with cross-step
-// context in the StreamState registers.
+// The session generators (see petstore/stream.go for the model): the Table
+// 4/5 session structure emitted one step at a time with cross-step context in
+// the StreamState registers and interned parameter strings; the RNG draw
+// sequence is pinned by the paper-table goldens.
 
-// BrowserStream emits one browser-session step per call; register layout:
+// BrowserStream emits one browser-session step per call: 40 requests with the
+// Table 4 page weights, starting at Main; Bids requests target the previously
+// viewed item, and Item requests follow the last listing's category. Register
+// layout:
 // R[0] = current category, R[1] = current region, R[2] = last viewed item.
 func BrowserStream(rng *rand.Rand, st *workload.StreamState, step *workload.Step) bool {
 	if st.Pos >= BrowserSessionLength {
@@ -55,7 +59,9 @@ func BrowserStream(rng *rand.Rand, st *workload.StreamState, step *workload.Step
 	return true
 }
 
-// BidderStream emits the fixed Table 5 bidder sequence; register layout:
+// BidderStream emits the fixed Table 5 bidder sequence: the bidder bids on an
+// item and leaves a comment for its seller, authenticating before each write
+// activity (RUBiS keeps no login session). Register layout:
 // R[0] = user, R[1] = item, R[2] = bid table index.
 func BidderStream(rng *rand.Rand, st *workload.StreamState, step *workload.Step) bool {
 	if int(st.Pos) >= len(BidderPages) {

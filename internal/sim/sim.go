@@ -422,9 +422,6 @@ func NewPromise[T any](e *Env) *Promise[T] {
 	return &Promise[T]{env: e}
 }
 
-// Resolved reports whether the promise has been resolved.
-func (pr *Promise[T]) Resolved() bool { return pr.resolved }
-
 // Resolve fulfills the promise with v and wakes all waiters at the current
 // virtual time. Resolving an already-resolved promise is a no-op.
 func (pr *Promise[T]) Resolve(v T) { pr.complete(v, nil) }
@@ -504,9 +501,6 @@ func (r *Resource) Cap() int { return r.cap }
 
 // InUse returns the number of currently held slots.
 func (r *Resource) InUse() int { return r.inUse }
-
-// QueueLen returns the number of processes waiting for a slot.
-func (r *Resource) QueueLen() int { return len(r.queue) }
 
 func (r *Resource) account() {
 	now := r.env.now

@@ -217,9 +217,6 @@ func (n *Network) EnableFaults(seed int64) {
 	}
 }
 
-// FaultsEnabled reports whether EnableFaults has been called.
-func (n *Network) FaultsEnabled() bool { return n.frng != nil }
-
 // SetLinkQuality replaces the a-b link's quality (latency multiplier, jitter
 // fraction, drop probability). The zero LinkQuality restores nominal service.
 // Routing weights follow the latency multiplier, so the route cache is

@@ -347,11 +347,3 @@ func (p *Profile) VisitShares() map[string]map[string]float64 {
 	}
 	return out
 }
-
-// CauseShare returns cause c's fraction of the page's mean critical path.
-func (pp PageProfile) CauseShare(c Cause) float64 {
-	if pp.MeanNs <= 0 {
-		return 0
-	}
-	return float64(pp.CauseNs[c.String()]) / float64(pp.MeanNs)
-}

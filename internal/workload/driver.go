@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
+	"sync"
 	"time"
 
 	"wadeploy/internal/sim"
@@ -53,6 +54,30 @@ func GrowStep(steps []Step, page string) []Step {
 // them synchronously, so handing the same map to every session is safe. The
 // RNG draw sequence is part of the contract: the paper-table goldens pin it.
 type RefillGen func(rng *rand.Rand, steps []Step) []Step
+
+// Refill gives a session described as a StreamGen its RefillGen form: gen
+// runs from the zero state until it ends the session, each step written into
+// the caller's buffer through GrowStep, so one description serves both
+// drivers with the same RNG draws. The StreamState is pooled because a
+// pointer handed to a func value escapes: steady-state sessions allocate
+// nothing.
+func Refill(gen StreamGen) RefillGen {
+	return func(rng *rand.Rand, steps []Step) []Step {
+		st := refillStates.Get().(*StreamState)
+		defer refillStates.Put(st)
+		*st = StreamState{}
+		for {
+			n := len(steps)
+			steps = GrowStep(steps, "")
+			if !gen(rng, st, &steps[n]) {
+				return steps[:n]
+			}
+			st.Pos++
+		}
+	}
+}
+
+var refillStates = sync.Pool{New: func() any { return new(StreamState) }}
 
 // Client identifies one simulated client machine process: its network node
 // and a unique ID that applications use to key per-client web sessions.

@@ -298,3 +298,51 @@ func TestStreamTraceBlameUsesWANHint(t *testing.T) {
 		t.Fatalf("aggregate missing a locality: local=%v remote=%v", sawLocal, sawRemote)
 	}
 }
+
+// TestRefillRunsStreamGenToExhaustion: the adaptor emits exactly the steps
+// the streaming engine would draw from the same RNG — every session from the
+// zero state, params of a reused slot cleared — allocates nothing once the
+// buffer has grown, and may be shared by concurrent drivers.
+func TestRefillRunsStreamGenToExhaustion(t *testing.T) {
+	refill := Refill(testStreamGen)
+	rng, ref := rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))
+	var buf []Step
+	for s := 0; s < 3; s++ {
+		buf = refill(rng, buf[:0])
+		var st StreamState
+		for i := 0; ; i++ {
+			var want Step
+			if !testStreamGen(ref, &st, &want) {
+				if i != len(buf) {
+					t.Fatalf("session %d: %d steps, want %d", s, len(buf), i)
+				}
+				break
+			}
+			st.Pos++
+			if i >= len(buf) || buf[i].Page != want.Page || len(buf[i].Params) != len(want.Params) || buf[i].Params["id"] != want.Params["id"] {
+				t.Fatalf("session %d step %d: got %+v, want %+v", s, i, buf, want)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { buf = refill(rng, buf[:0]) }); allocs > 0 {
+		t.Errorf("steady-state refill allocates %.1f objects, want 0", allocs)
+	}
+	done := make(chan int, 4)
+	for g := 0; g < cap(done); g++ {
+		go func(seed int64) {
+			rng := rand.New(rand.NewSource(seed))
+			var own []Step
+			n := 0
+			for s := 0; s < 200; s++ {
+				own = refill(rng, own[:0])
+				n += len(own)
+			}
+			done <- n
+		}(int64(g))
+	}
+	for g := 0; g < cap(done); g++ {
+		if n := <-done; n != 200*5 {
+			t.Errorf("concurrent refill produced %d steps, want %d", n, 200*5)
+		}
+	}
+}
