@@ -385,20 +385,16 @@ func scale(sessionsN, shardsN, workers int, traceOn bool, sample uint64, opts ex
 			}
 			fmt.Printf("blame %-8s %-14s %-6s views=%-8d mean=%-8v svc=%v wan=%v\n",
 				e.Key.Pattern, e.Key.Page, loc, e.Agg.Count, mean,
-				e.Agg.ByCause[trace.CauseService]/time.Duration(max64(e.Agg.Count, 1)),
-				e.Agg.ByCause[trace.CauseWAN]/time.Duration(max64(e.Agg.Count, 1)))
+				e.Agg.ByCause[trace.CauseService]/time.Duration(max(e.Agg.Count, 1)),
+				e.Agg.ByCause[trace.CauseWAN]/time.Duration(max(e.Agg.Count, 1)))
 		}
 	}
 	fmt.Fprintf(os.Stderr, "scale: wall %.2fs, %.0f events/s, %.0f simulated pages/s\n",
 		wall.Seconds(), float64(res.Events)/wall.Seconds(), float64(res.Pages)/wall.Seconds())
-	return nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
+	if res.Clamped > 0 {
+		fmt.Fprintf(os.Stderr, "scale: warning: %d cross-lane sends fell inside the barrier window and were delivered late, at the round end\n", res.Clamped)
 	}
-	return b
+	return nil
 }
 
 // sweepTarget resolves the -app and -config flags.

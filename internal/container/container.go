@@ -172,7 +172,7 @@ func NewServer(cfg Config) (*Server, error) {
 		dbSrv:       dbNode,
 		jms:         cfg.JMS,
 		costs:       cfg.Costs,
-		stubs:       rmi.NewStubCache(cfg.RMI, cfg.Name),
+		stubs:       rmi.NewStubCache(cfg.RMI, cfg.Name, bindPrefix),
 		beans:       make(map[string]*binding),
 		mSQL:        reg.CounterVec("container_sql_statements_total", "server").With(cfg.Name),
 		mReplicaSQL: reg.CounterVec("container_replica_sql_statements_total", "server").With(cfg.Name),
@@ -221,15 +221,16 @@ func (s *Server) Compute(p *sim.Proc, d time.Duration) {
 	trace.Use(p, s.node.CPU, s.name, d)
 }
 
-// bindName is the JNDI name a bean is bound under.
-func bindName(bean string) string { return "ejb/" + bean }
+// bindPrefix is the JNDI context beans are bound under; the stub cache adds
+// it on a miss only, so a cached bean call builds no name.
+const bindPrefix = "ejb/"
 
 // bind registers a bean's invocation handler in this server's JNDI registry.
 func (s *Server) bind(name string, kind BeanKind, h rmi.Handler) error {
 	if _, dup := s.beans[name]; dup {
 		return fmt.Errorf("container: bean %s already deployed on %s", name, s.name)
 	}
-	if _, err := s.rt.Bind(s.name, bindName(name), h); err != nil {
+	if _, err := s.rt.Bind(s.name, bindPrefix+name, h); err != nil {
 		return fmt.Errorf("container: deploy %s on %s: %w", name, s.name, err)
 	}
 	s.beans[name] = &binding{name: name, kind: kind}
@@ -242,7 +243,7 @@ func (s *Server) bind(name string, kind BeanKind, h rmi.Handler) error {
 // dispatch to the new handler from their next call and no request ever
 // observes the name unbound.
 func (s *Server) rebind(name string, kind BeanKind, h rmi.Handler) error {
-	if _, err := s.rt.Rebind(s.name, bindName(name), h); err != nil {
+	if _, err := s.rt.Rebind(s.name, bindPrefix+name, h); err != nil {
 		return fmt.Errorf("container: rebind %s on %s: %w", name, s.name, err)
 	}
 	s.beans[name] = &binding{name: name, kind: kind}
@@ -252,14 +253,14 @@ func (s *Server) rebind(name string, kind BeanKind, h rmi.Handler) error {
 // StubFor returns a cached stub for a bean deployed on targetServer,
 // modeling the EJBHomeFactory pattern (one JNDI lookup ever, then cached).
 func (s *Server) StubFor(p *sim.Proc, targetServer, bean string) (*rmi.Stub, error) {
-	return s.stubs.Get(p, targetServer, bindName(bean))
+	return s.stubs.Get(p, targetServer, bean)
 }
 
 // LookupUncached performs a full JNDI lookup (no stub caching) — the
 // anti-pattern the EJBHomeFactory removes, kept for the centralized
 // baseline and for tests that quantify the difference.
 func (s *Server) LookupUncached(p *sim.Proc, targetServer, bean string) (*rmi.Stub, error) {
-	return s.rt.Lookup(p, s.name, targetServer, bindName(bean))
+	return s.rt.Lookup(p, s.name, targetServer, bindPrefix+bean)
 }
 
 // AttachReplicaDB gives this server a local database replica for

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"wadeploy/internal/jms"
+	"wadeploy/internal/race"
 	"wadeploy/internal/rmi"
 	"wadeploy/internal/sim"
 	"wadeploy/internal/simnet"
@@ -642,6 +643,32 @@ func TestLookupUncachedPaysEveryTime(t *testing.T) {
 		second := p.Now() - start
 		if first < 150*time.Millisecond || second < 150*time.Millisecond {
 			t.Errorf("uncached lookups cost %v/%v, want RTT each", first, second)
+		}
+	})
+}
+
+// TestStubForHitAllocs pins the EJBHomeFactory fast path: once a bean's stub
+// is cached, fetching it builds no JNDI name and no cache key.
+func TestStubForHitAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	f := newFixture(t)
+	if _, err := DeployStateless(f.main, "Catalog", map[string]Method{}); err != nil {
+		t.Fatal(err)
+	}
+	f.run(t, func(p *sim.Proc) {
+		if _, err := f.edge.StubFor(p, "main", "Catalog"); err != nil { // the one lookup
+			t.Errorf("stub: %v", err)
+			return
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := f.edge.StubFor(p, "main", "Catalog"); err != nil {
+				t.Errorf("stub: %v", err)
+			}
+		})
+		if allocs > 0 {
+			t.Errorf("cached StubFor allocates %.1f objects, want 0", allocs)
 		}
 	})
 }

@@ -584,12 +584,14 @@ func (b *ROEntity) Get(p *sim.Proc, pk sqldb.Value) (State, error) {
 }
 
 // Preload installs state without cost accounting (warm-up/seeding). Keys
-// outside the replica's partition slice are dropped.
+// outside the replica's partition slice are dropped. The replica keeps st
+// itself and the caller must not change it afterwards: stored states are only
+// ever replaced, never written, so one State may seed any number of replicas.
 func (b *ROEntity) Preload(pk sqldb.Value, st State) {
 	if !b.Owns(pk) {
 		return
 	}
-	b.entries[pkKey(pk)] = roEntry{state: st.Clone(), loadedAt: b.srv.Env().Now()}
+	b.entries[pkKey(pk)] = roEntry{state: st, loadedAt: b.srv.Env().Now()}
 }
 
 // ApplyUpdate applies a pushed update (push-based refresh: replicas always

@@ -78,7 +78,7 @@ type App struct {
 	carts       map[string]*container.StatefulBean
 	controllers map[string]*container.StatefulBean
 
-	sessions map[string]*web.Session
+	sessions map[[2]string]*web.Session // by {client ID, server}
 	orderSeq int64
 	lineSeq  int64
 
@@ -158,7 +158,7 @@ func deploy(d *core.Deployment, cfg, target core.ConfigID, adaptive bool, partSp
 		partAssign:  partAssign,
 		carts:       make(map[string]*container.StatefulBean),
 		controllers: make(map[string]*container.StatefulBean),
-		sessions:    make(map[string]*web.Session),
+		sessions:    make(map[[2]string]*web.Session),
 		costs:       DefaultPageCosts(),
 	}
 	if err := a.deployEntities(); err != nil {
@@ -705,11 +705,10 @@ func (a *App) preloadReplicas() error {
 		if err != nil {
 			return fmt.Errorf("petstore preload: %w", err)
 		}
-		for _, edge := range a.d.Edges {
-			ro := a.wiring.Replica(edge.Name(), s.bean)
-			for _, row := range res.Rows {
-				st := container.StateFromRow(res.Cols, row)
-				ro.Preload(st[s.pk], st)
+		for _, row := range res.Rows {
+			st := container.StateFromRow(res.Cols, row) // one per row, shared by every edge holding it
+			for _, edge := range a.d.Edges {
+				a.wiring.Replica(edge.Name(), s.bean).Preload(st[s.pk], st)
 			}
 		}
 	}
@@ -859,10 +858,10 @@ func allStates(res *sqldb.Result) []container.State {
 
 // sessionFor returns (creating on demand) the client's web session on srv.
 func (a *App) sessionFor(clientID string, srv *container.Server) *web.Session {
-	k := clientID + "|" + srv.Name()
+	k := [2]string{clientID, srv.Name()} // no joined string per page
 	s, ok := a.sessions[k]
 	if !ok {
-		s = srv.Web().NewSession(k)
+		s = srv.Web().NewSession(clientID + "|" + srv.Name())
 		a.sessions[k] = s
 	}
 	return s

@@ -7,6 +7,7 @@ import (
 
 	"wadeploy/internal/container"
 	"wadeploy/internal/core"
+	"wadeploy/internal/race"
 	"wadeploy/internal/sim"
 	"wadeploy/internal/simnet"
 	"wadeploy/internal/sqldb"
@@ -522,5 +523,27 @@ func TestAsyncUpdatesEventuallyConsistentReplicas(t *testing.T) {
 	}
 	if a.Deployment().JMS.Published() == 0 {
 		t.Fatal("no JMS traffic in async configuration")
+	}
+}
+
+// TestSessionForHitAllocs pins the per-page session lookup: a client that
+// already has its session on the server builds no key to find it.
+func TestSessionForHitAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	a := deployApp(t, core.Centralized)
+	srv := a.d.ServerFor(remoteClient.Node, core.Centralized)
+	first := a.sessionFor(remoteClient.ID, srv)
+	if want := remoteClient.ID + "|" + srv.Name(); first.ID != want {
+		t.Fatalf("session ID %q, want %q", first.ID, want)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if a.sessionFor(remoteClient.ID, srv) != first {
+			t.Error("second lookup made a second session")
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("sessionFor on an existing session allocates %.1f objects, want 0", allocs)
 	}
 }

@@ -45,7 +45,7 @@ func BenchmarkAblationStubCaching(b *testing.B) {
 			}
 			var mean time.Duration
 			env.Spawn("caller", func(p *sim.Proc) {
-				cache := rmi.NewStubCache(rt, simnet.NodeEdge1)
+				cache := rmi.NewStubCache(rt, simnet.NodeEdge1, "")
 				if cached {
 					// Warm the cache: the one-time lookup is the point
 					// of the pattern, not part of steady-state cost.

@@ -344,24 +344,26 @@ func (rt *Runtime) networkRoundTrip(p *sim.Proc, from, to string, reqBytes, repl
 type StubCache struct {
 	rt     *Runtime
 	caller string
-	stubs  map[string]*Stub
+	prefix string
+	stubs  map[[2]string]*Stub // by {registry node, name}: a hit joins no string
 }
 
-// NewStubCache creates an empty stub cache for callerNode.
-func NewStubCache(rt *Runtime, callerNode string) *StubCache {
-	return &StubCache{rt: rt, caller: callerNode, stubs: make(map[string]*Stub)}
+// NewStubCache creates an empty stub cache for callerNode. Every name is
+// looked up under the JNDI context prefix (the container's is "ejb/").
+func NewStubCache(rt *Runtime, callerNode, prefix string) *StubCache {
+	return &StubCache{rt: rt, caller: callerNode, prefix: prefix, stubs: make(map[[2]string]*Stub)}
 }
 
 // Get returns a cached stub, performing (and paying for) a JNDI lookup only
 // on first use.
 func (c *StubCache) Get(p *sim.Proc, registryNode, name string) (*Stub, error) {
-	k := registryNode + "/" + name
+	k := [2]string{registryNode, name}
 	if s, ok := c.stubs[k]; ok {
 		c.rt.mStubHits.Inc()
 		return s, nil
 	}
 	c.rt.mStubMiss.Inc()
-	s, err := c.rt.Lookup(p, c.caller, registryNode, name)
+	s, err := c.rt.Lookup(p, c.caller, registryNode, c.prefix+name)
 	if err != nil {
 		return nil, err
 	}

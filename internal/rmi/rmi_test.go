@@ -123,7 +123,7 @@ func TestStubCacheAvoidsSecondLookup(t *testing.T) {
 	if _, err := rt.Bind("b", "svc", func(p *sim.Proc, c *Call) (any, error) { return nil, nil }); err != nil {
 		t.Fatal(err)
 	}
-	cache := NewStubCache(rt, "a")
+	cache := NewStubCache(rt, "a", "")
 	env.Spawn("caller", func(p *sim.Proc) {
 		first := p.Now()
 		if _, err := cache.Get(p, "b", "svc"); err != nil {

@@ -254,11 +254,10 @@ func (a *App) preload() error {
 		if err != nil {
 			return fmt.Errorf("rubis preload: %w", err)
 		}
-		for _, edge := range a.d.Edges {
-			ro := a.wiring.Replica(edge.Name(), src.bean)
-			for _, row := range res.Rows {
-				st := container.StateFromRow(res.Cols, row)
-				ro.Preload(st["id"], st)
+		for _, row := range res.Rows {
+			st := container.StateFromRow(res.Cols, row) // one per row, shared by every edge holding it
+			for _, edge := range a.d.Edges {
+				a.wiring.Replica(edge.Name(), src.bean).Preload(st["id"], st)
 			}
 		}
 	}

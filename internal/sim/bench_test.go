@@ -4,10 +4,11 @@ package sim
 //
 // Every experiment run dispatches millions of events and process switches,
 // so regressions here multiply across the whole evaluation grid. The
-// benchmarks report ns/op and allocs/op for the three hot paths (raw
-// callback dispatch, process switching, promise rendezvous); the Test*Allocs
-// guards pin the steady-state allocation counts so an accidental
-// closure-per-event reintroduction fails the test suite rather than just
+// benchmarks report ns/op and allocs/op for the hot paths (raw callback
+// dispatch, process switching and the in-place sleep that avoids it, process
+// start on a pooled coroutine, promise rendezvous); the Test*Allocs guards pin
+// the steady-state allocation counts so an accidental closure-per-event or
+// coroutine-per-process reintroduction fails the test suite rather than just
 // slowing the tables down.
 //
 //	go test -bench=BenchmarkEngine -benchmem ./internal/sim
@@ -54,12 +55,32 @@ func BenchmarkEngineEventLoopDeep(b *testing.B) {
 	env.Close()
 }
 
-// BenchmarkEngineProcessSwitch measures one full process switch: the
-// scheduler resumes a process, the process schedules its own wake-up and
-// yields back. This is the Sleep/Await hot path.
+// BenchmarkEngineProcessSwitch measures one full process switch: a process
+// schedules its own wake-up and yields, the scheduler pops the other
+// process's wake-up and resumes it. Two processes in lock-step, because each
+// one's wake-up is then never the next event (the other's is queued at the
+// same instant, earlier) and every Sleep really leaves its stack.
 func BenchmarkEngineProcessSwitch(b *testing.B) {
 	env := NewEnv(1)
-	env.Spawn("switcher", func(p *Proc) {
+	for k := 0; k < 2; k++ {
+		env.Spawn("switcher", func(p *Proc) {
+			for i := 0; i < b.N/2; i++ {
+				p.Sleep(time.Microsecond)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	env.RunAll()
+	b.StopTimer()
+	env.Close()
+}
+
+// BenchmarkEngineSleepInPlace measures the Sleep that is next in line: with
+// nothing else queued the clock advances on the sleeper's own stack.
+func BenchmarkEngineSleepInPlace(b *testing.B) {
+	env := NewEnv(1)
+	env.Spawn("sleeper", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			p.Sleep(time.Microsecond)
 		}
@@ -68,6 +89,25 @@ func BenchmarkEngineProcessSwitch(b *testing.B) {
 	b.ResetTimer()
 	env.RunAll()
 	b.StopTimer()
+	env.Close()
+}
+
+// BenchmarkEngineSpawn measures starting and finishing a process: the Proc,
+// its start event, and a first step on the coroutine the previous one left
+// idle.
+func BenchmarkEngineSpawn(b *testing.B) {
+	env := NewEnv(1)
+	child := func(*Proc) {}
+	env.Spawn("parent", func(p *Proc) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			env.Spawn("child", child)
+			p.Sleep(time.Microsecond)
+		}
+		b.StopTimer()
+	})
+	b.ReportAllocs()
+	env.RunAll()
 	env.Close()
 }
 
@@ -135,57 +175,106 @@ func TestEventLoopAllocs(t *testing.T) {
 	env.Close()
 }
 
-// TestProcessSwitchAllocs pins a full Sleep (schedule wake-up, yield, resume)
-// at zero steady-state allocations: resumptions are heap slots, not closures.
+// TestProcessSwitchAllocs pins Sleep at zero steady-state allocations on both
+// of its paths: the in-place clock advance of a sleeper that is next in line,
+// and the full switch (schedule wake-up, yield, resume) — resumptions are
+// queue slots, not closures, and the hand-off is a coroutine switch.
 func TestProcessSwitchAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates; alloc guard runs without -race")
 	}
 	env := NewEnv(1)
-	var avg float64
+	var inPlace, switched float64
+	measuring := true
 	env.Spawn("sleeper", func(p *Proc) {
 		for i := 0; i < 64; i++ {
-			p.Sleep(time.Microsecond) // warm up heap and goroutine stack
+			p.Sleep(time.Microsecond) // warm up the queue and the stack
 		}
-		avg = testing.AllocsPerRun(1000, func() {
-			p.Sleep(time.Microsecond)
+		inPlace = testing.AllocsPerRun(1000, func() { p.Sleep(time.Microsecond) })
+		// A second process in lock-step: its wake-up is always queued at the
+		// instant this one's would be, so neither is ever next in line.
+		env.Spawn("other", func(q *Proc) {
+			for measuring {
+				q.Sleep(time.Microsecond)
+			}
 		})
+		for i := 0; i < 64; i++ {
+			p.Sleep(time.Microsecond)
+		}
+		switched = testing.AllocsPerRun(1000, func() { p.Sleep(time.Microsecond) })
+		measuring = false
 	})
 	env.RunAll()
 	env.Close()
-	if avg > 0 {
-		t.Errorf("process switch allocates %.2f objects per switch, want 0", avg)
+	if inPlace > 0 || switched > 0 {
+		t.Errorf("Sleep allocates %.2f objects in place and %.2f per switch, want 0 and 0", inPlace, switched)
 	}
 }
 
-// TestPromiseRoundTripAllocs pins the single-waiter promise rendezvous at
-// one allocation per round trip: the Promise itself. Waiter registration and
-// wake-up must not allocate.
+// TestSpawnAllocs pins a process start at one allocation, the Proc: the
+// coroutine comes from the idle list its predecessor parked on.
+func TestSpawnAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates; alloc guard runs without -race")
+	}
+	env := NewEnv(1)
+	var avg float64
+	ran := 0
+	child := func(*Proc) { ran++ }
+	env.Spawn("parent", func(p *Proc) {
+		spawnAndRun := func() {
+			env.Spawn("child", child)
+			p.Sleep(time.Microsecond) // child starts, returns, parks its coroutine
+		}
+		for i := 0; i < 64; i++ {
+			spawnAndRun()
+		}
+		ran = 0
+		avg = testing.AllocsPerRun(1000, spawnAndRun)
+	})
+	env.RunAll()
+	env.Close()
+	if ran != 1001 { // AllocsPerRun makes one warm-up call of its own
+		t.Fatalf("%d children ran, want 1001", ran)
+	}
+	if avg > 1 {
+		t.Errorf("spawning and running a process allocates %.2f objects, want 1 (the Proc)", avg)
+	}
+}
+
+// TestPromiseRoundTripAllocs pins the single-waiter promise rendezvous —
+// waiter registration, wake-up, and the switch out and back — at zero
+// allocations beyond the Promise itself, which is made ahead of the
+// measurement.
 func TestPromiseRoundTripAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates; alloc guard runs without -race")
 	}
 	env := NewEnv(1)
 	var avg float64
-	var pr *Promise[int]
-	resolve := func() { pr.Resolve(7) }
+	const runs = 500
+	promises := make([]*Promise[int], 64+runs+1) // AllocsPerRun makes one warm-up call of its own
+	for i := range promises {
+		promises[i] = NewPromise[int](env)
+	}
+	next := 0
+	resolve := func() { promises[next].Resolve(7) }
+	roundTrip := func() {
+		env.After(0, resolve)
+		if MustAwait(env.Current(), promises[next]) != 7 {
+			t.Error("wrong promise value")
+		}
+		next++
+	}
 	env.Spawn("driver", func(p *Proc) {
 		for i := 0; i < 64; i++ {
-			pr = NewPromise[int](env)
-			env.After(0, resolve)
-			MustAwait(p, pr)
+			roundTrip()
 		}
-		avg = testing.AllocsPerRun(500, func() {
-			pr = NewPromise[int](env)
-			env.After(0, resolve)
-			if MustAwait(p, pr) != 7 {
-				t.Error("wrong promise value")
-			}
-		})
+		avg = testing.AllocsPerRun(runs, roundTrip)
 	})
 	env.RunAll()
 	env.Close()
-	if avg > 1 {
-		t.Errorf("promise round trip allocates %.2f objects, want 1 (the promise)", avg)
+	if avg > 0 {
+		t.Errorf("promise round trip allocates %.2f objects, want 0", avg)
 	}
 }

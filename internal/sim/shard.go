@@ -1,7 +1,8 @@
 package sim
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,26 +34,22 @@ import (
 // Exactness contract: a send whose deadline lands inside the current round is
 // clamped to the round end. Callers that route all cross-lane traffic with
 // latency ≥ window (the simnet WAN links comfortably exceed any sensible
-// window) never hit the clamp and observe latencies exactly as scheduled.
+// window) never hit the clamp and observe latencies exactly as scheduled;
+// Clamped counts the sends that did.
 type Shards struct {
-	envs   []*Env
-	window time.Duration
+	envs    []*Env
+	window  time.Duration
+	clamped uint64 // cross-lane sends the barrier moved to a round end
 
 	bufs   [][]crossMsg // len n*n, index src*n+dst; appended only by src's worker
 	srcSeq []uint64     // per-src send counter, breaks same-instant ties
 
-	inbox []inMsg // barrier scratch, reused across rounds
+	inbox []crossMsg // barrier scratch, reused across rounds
 }
 
-// crossMsg is one buffered cross-lane task delivery.
+// crossMsg is one buffered cross-lane task delivery; (at, src, srcSeq) is the
+// barrier's sort key.
 type crossMsg struct {
-	at     time.Duration
-	srcSeq uint64
-	task   Task
-}
-
-// inMsg is a crossMsg joined with its source lane for barrier sorting.
-type inMsg struct {
 	at     time.Duration
 	src    int
 	srcSeq uint64
@@ -83,9 +80,6 @@ func NewShards(seed int64, n int, window time.Duration) *Shards {
 	return s
 }
 
-// N returns the number of lanes.
-func (s *Shards) N() int { return len(s.envs) }
-
 // Env returns lane i's environment. Lane-local scheduling (AtTask, Spawn,
 // resources) goes directly through it; only cross-lane traffic must use Send.
 func (s *Shards) Env(i int) *Env { return s.envs[i] }
@@ -103,14 +97,10 @@ func (s *Shards) Dispatched() uint64 {
 	return total
 }
 
-// Pending returns the total scheduled-but-unexecuted events across all lanes.
-func (s *Shards) Pending() int {
-	total := 0
-	for _, e := range s.envs {
-		total += e.Pending()
-	}
-	return total
-}
+// Clamped returns the number of cross-lane sends whose deadline fell inside
+// the round they were made in, and which the barrier therefore delivered
+// late, at the round end. Zero: every latency was observed as scheduled.
+func (s *Shards) Clamped() uint64 { return s.clamped }
 
 // Send schedules t to fire at virtual time at on lane dst. Called from lane
 // src while it runs a round; same-lane sends schedule directly. Cross-lane
@@ -123,7 +113,7 @@ func (s *Shards) Send(src, dst int, at time.Duration, t Task) {
 	}
 	s.srcSeq[src]++
 	i := src*len(s.envs) + dst
-	s.bufs[i] = append(s.bufs[i], crossMsg{at: at, srcSeq: s.srcSeq[src], task: t})
+	s.bufs[i] = append(s.bufs[i], crossMsg{at: at, src: src, srcSeq: s.srcSeq[src], task: t})
 }
 
 // nextEventAt returns the earliest pending event time across lanes.
@@ -204,22 +194,16 @@ func (s *Shards) flush(roundEnd time.Duration) {
 		for src := 0; src < n; src++ {
 			i := src*n + dst
 			for _, m := range s.bufs[i] {
-				at := m.at
-				if at < roundEnd {
-					at = roundEnd
+				if m.at < roundEnd {
+					m.at = roundEnd
+					s.clamped++
 				}
-				inbox = append(inbox, inMsg{at: at, src: src, srcSeq: m.srcSeq, task: m.task})
+				inbox = append(inbox, m)
 			}
 			s.bufs[i] = s.bufs[i][:0]
 		}
-		sort.Slice(inbox, func(a, b int) bool {
-			if inbox[a].at != inbox[b].at {
-				return inbox[a].at < inbox[b].at
-			}
-			if inbox[a].src != inbox[b].src {
-				return inbox[a].src < inbox[b].src
-			}
-			return inbox[a].srcSeq < inbox[b].srcSeq
+		slices.SortFunc(inbox, func(a, b crossMsg) int {
+			return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.src, b.src), cmp.Compare(a.srcSeq, b.srcSeq))
 		})
 		for _, m := range inbox {
 			s.envs[dst].AtTask(m.at, m.task)
@@ -233,8 +217,6 @@ func (s *Shards) Close() {
 	for _, e := range s.envs {
 		e.Close()
 	}
-	for i := range s.bufs {
-		s.bufs[i] = nil
-	}
+	clear(s.bufs)
 	s.inbox = nil
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -66,7 +67,7 @@ func runPingMesh(workers int) string {
 			out += "  " + line + "\n"
 		}
 	}
-	out += fmt.Sprintf("total dispatched %d, now %v\n", s.Dispatched(), s.Now())
+	out += fmt.Sprintf("total dispatched %d, now %v, clamped %d\n", s.Dispatched(), s.Now(), s.Clamped())
 	s.Close()
 	return out
 }
@@ -76,6 +77,10 @@ func runPingMesh(workers int) string {
 // worker count. Run with -race to also check the no-locks round protocol.
 func TestShardsWorkerCountInvariance(t *testing.T) {
 	want := runPingMesh(1)
+	// Every ping's latency exceeds the window, so the run is exact.
+	if !strings.HasSuffix(want, ", clamped 0\n") {
+		t.Errorf("ping mesh with latency > window reports clamped sends:\n%s", want)
+	}
 	for _, workers := range []int{2, 4, 8} {
 		if got := runPingMesh(workers); got != want {
 			t.Errorf("workers=%d transcript differs from sequential run:\n--- sequential\n%s--- workers=%d\n%s",
@@ -101,6 +106,9 @@ func TestShardsClampBelowWindow(t *testing.T) {
 	if deliveredAt != 51*time.Millisecond {
 		t.Fatalf("clamped delivery at %v, want 51ms (round end)", deliveredAt)
 	}
+	if got := s.Clamped(); got != 1 {
+		t.Fatalf("Clamped() = %d, want 1", got)
+	}
 	s.Close()
 }
 
@@ -121,7 +129,7 @@ func TestShardsSameLaneSend(t *testing.T) {
 	s.Close()
 }
 
-// TestShardsProcsInLanes checks goroutine processes work inside lanes: each
+// TestShardsProcsInLanes checks processes work inside lanes: each
 // lane's Proc sleeps and the clocks stay in lockstep at barriers.
 func TestShardsProcsInLanes(t *testing.T) {
 	s := NewShards(7, 3, 10*time.Millisecond)

@@ -8,16 +8,33 @@
 // wall-clock time executes in milliseconds and every run with the same seed
 // is byte-for-byte reproducible.
 //
-// Exactly one process goroutine runs at a time: the scheduler and the running
-// process hand control back and forth over unbuffered channels, so process
-// code needs no locking. Blocking operations (Proc.Sleep, Await,
-// Resource.Acquire) may only be called from process goroutines, never from
-// raw event callbacks scheduled with Env.At.
+// Exactly one process runs at a time, so process code needs no locking. A
+// process runs on a runtime coroutine (iter.Pull): the scheduler resumes it
+// with next, a blocking operation hands control back with yield, and neither
+// touches a channel, the run queue or a second thread. Two rules make the
+// hand-off cheaper still without moving a single event:
+//
+//   - Coroutines outlive processes: when a process function returns, its
+//     coroutine parks on Env.idle and the next process's first step reuses it
+//     (the Proc is always a fresh value). Close ends them all, and so does the
+//     dispatch loop once the queue is empty and no process is left on a
+//     stack, so an Env run to quiescence and dropped holds no goroutine.
+//   - Sleep advances the clock in place when its wake-up is the event the
+//     scheduler would pop next (strictly earlier than everything queued, and
+//     within the running loop's horizon): no push, no pop, no switch; seq and
+//     Dispatched advance exactly as on the queued path. It relies on
+//     timerQueue.nextAt never migrating the wheel's overflow (see there).
+//
+// Blocking operations (Proc.Sleep, Await, Resource.Acquire) may only be
+// called from processes, never from raw event callbacks scheduled with
+// Env.At.
 package sim
 
 import (
 	"errors"
 	"fmt"
+	"iter"
+	"math"
 	"math/rand"
 	"time"
 
@@ -25,12 +42,9 @@ import (
 )
 
 // errKilled is panicked inside a blocked process when the environment is
-// closed, unwinding the process goroutine. It is recovered by the process
-// wrapper and never escapes to user code.
+// closed, unwinding the process's stack. It is recovered by the coroutine
+// that runs the process and never escapes to user code.
 var errKilled = errors.New("sim: process killed by Env.Close")
-
-// ErrClosed is returned by operations on an environment that has been closed.
-var ErrClosed = errors.New("sim: environment closed")
 
 // event is a scheduled callback, process resumption or task firing. seq
 // breaks ties so that events scheduled earlier at the same instant run first,
@@ -55,7 +69,6 @@ type event struct {
 // ordering oracle, since a single global heap is trivially correct.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
 func (h eventHeap) Less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
@@ -126,12 +139,12 @@ type Env struct {
 	dispatched uint64
 	rng        *rand.Rand
 
-	yield  chan struct{}  // a running process signals the scheduler here
-	live   map[*Proc]bool // processes that have started and not finished
-	closed bool
-	inRun  bool
-	curr   *Proc // process currently holding control, if any
-	fatal  any   // panic value captured from a process, re-raised by the scheduler
+	horizon time.Duration // the dispatch loop in progress runs no event later than this
+	coros   []*coroutine  // every coroutine not yet stopped: running a process, or idle
+	idle    []*coroutine  // the ones whose process returned, awaiting the next first step
+	live    int           // processes spawned and neither finished nor killed
+	closed  bool
+	curr    *Proc // process currently holding control, if any
 
 	metrics *metrics.Registry // lazily created; reads the virtual clock
 
@@ -140,11 +153,7 @@ type Env struct {
 
 // NewEnv returns a fresh environment whose random source is seeded with seed.
 func NewEnv(seed int64) *Env {
-	e := &Env{
-		rng:   rand.New(rand.NewSource(seed)),
-		yield: make(chan struct{}),
-		live:  make(map[*Proc]bool),
-	}
+	e := &Env{rng: rand.New(rand.NewSource(seed))}
 	e.events.memoTick = -1
 	return e
 }
@@ -172,7 +181,7 @@ func (e *Env) Rand() *rand.Rand { return e.rng }
 // Metrics returns the environment's metrics registry, creating it on first
 // use. The registry reads the virtual clock, so sampled series are as
 // deterministic as the run itself. Instruments are mutated only under the
-// engine's one-goroutine-at-a-time handoff protocol and therefore take no
+// engine's one-process-at-a-time handoff protocol and therefore take no
 // locks.
 func (e *Env) Metrics() *metrics.Registry {
 	if e.metrics == nil {
@@ -195,47 +204,37 @@ func (e *Env) NextEventAt() (time.Duration, bool) { return e.events.nextAt() }
 
 // Live reports the number of processes that have been spawned and have
 // neither finished nor been killed.
-func (e *Env) Live() int { return len(e.live) }
+func (e *Env) Live() int { return e.live }
 
-// At schedules fn to run at virtual time at (clamped to now if in the past).
-// fn runs on the scheduler and must not call blocking process operations.
-func (e *Env) At(at time.Duration, fn func()) {
+// schedule queues ev at ev.at (clamped to now if in the past) under the next
+// sequence number.
+func (e *Env) schedule(ev event) {
 	if e.closed {
 		return
 	}
-	if at < e.now {
-		at = e.now
+	if ev.at < e.now {
+		ev.at = e.now
 	}
 	e.seq++
-	e.events.push(event{at: at, seq: e.seq, fn: fn}, e.now)
+	ev.seq = e.seq
+	e.events.push(ev, e.now)
 }
+
+// At schedules fn to run at virtual time at (clamped to now if in the past).
+// fn runs on the scheduler and must not call blocking process operations.
+func (e *Env) At(at time.Duration, fn func()) { e.schedule(event{at: at, fn: fn}) }
 
 // After schedules fn to run d from now.
 func (e *Env) After(d time.Duration, fn func()) { e.At(e.now+d, fn) }
 
-// scheduleProc schedules p to be resumed at virtual time at (clamped to now
-// if in the past). It is the allocation-free counterpart of
-// At(at, func() { e.step(p) }) used by Sleep, promise resolution and
-// resource hand-off.
-func (e *Env) scheduleProc(at time.Duration, p *Proc) {
-	if e.closed {
-		return
-	}
-	if at < e.now {
-		at = e.now
-	}
-	e.seq++
-	e.events.push(event{at: at, seq: e.seq, proc: p}, e.now)
-}
-
-// Proc is a simulation process: a goroutine whose execution is interleaved
+// Proc is a simulation process: a function whose execution is interleaved
 // deterministically with all other processes by the environment.
 type Proc struct {
 	env      *Env
 	name     string
-	resume   chan struct{}
-	kill     bool
-	traceCtx any // opaque per-process slot for a causal tracer's span state
+	fn       func(p *Proc)
+	co       *coroutine // the coroutine running fn; nil before the first step and after fn returns
+	traceCtx any        // opaque per-process slot for a causal tracer's span state
 }
 
 // SetTraceCtx stores an opaque causal-tracing context on the process. The
@@ -262,65 +261,82 @@ func (p *Proc) Rand() *rand.Rand { return p.env.rng }
 // Spawn starts a new process running fn at the current virtual time. The
 // process begins execution when the scheduler reaches its start event during
 // Run or RunAll.
-func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
-	return e.SpawnAt(e.now, name, fn)
-}
+func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc { return e.SpawnAt(e.now, name, fn) }
 
 // SpawnAt starts a new process running fn at virtual time at.
 func (e *Env) SpawnAt(at time.Duration, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name, resume: make(chan struct{})}
+	p := &Proc{env: e, name: name, fn: fn}
 	if e.closed {
 		return p
 	}
-	e.live[p] = true
-	go func() {
-		<-p.resume
-		if p.kill {
-			// Killed before first resume: unwind without running fn.
-			delete(e.live, p)
-			e.yield <- struct{}{}
-			return
-		}
-		defer func() {
-			delete(e.live, p)
-			if r := recover(); r != nil && r != any(errKilled) {
-				// Capture application panics; the scheduler re-raises them
-				// on its own goroutine so tests can observe them.
-				e.fatal = fmt.Sprintf("sim: process %q panicked: %v", p.name, r)
-			}
-			e.curr = nil
-			e.yield <- struct{}{}
-		}()
-		fn(p)
-	}()
-	e.scheduleProc(at, p)
+	e.live++
+	e.schedule(event{at: at, proc: p})
 	return p
 }
 
-// step transfers control to p and waits until p yields back. If the process
-// panicked, the panic is re-raised here on the scheduler goroutine.
-func (e *Env) step(p *Proc) {
-	e.curr = p
-	p.resume <- struct{}{}
-	<-e.yield
-	if e.fatal != nil {
-		f := e.fatal
-		e.fatal = nil
-		panic(f)
+// coroutine is the stack a process runs on. It takes one process after
+// another: between two it sits on Env.idle, parked in loop's yield.
+type coroutine struct {
+	proc  *Proc                   // the process to run at the next resume, then the one running
+	next  func() (struct{}, bool) // scheduler side: resume until the next yield
+	stop  func()                  // scheduler side: make the pending yield return false
+	yield func(struct{}) bool     // process side: back to the scheduler; false is the kill signal
+}
+
+// loop is the coroutine's body: run the process step handed over, park idle,
+// repeat, until the process or the parked coroutine itself is stopped.
+func (c *coroutine) loop(yield func(struct{}) bool) {
+	c.yield = yield
+	for c.run() && yield(struct{}{}) {
 	}
+}
+
+// run executes c.proc and parks c idle. It reports false after a kill (c has
+// been stopped); an application panic or runtime.Goexit ends c through
+// iter.Pull, which re-raises either on the scheduler, inside the next or stop
+// call that resumed the process.
+func (c *coroutine) run() (parked bool) {
+	p, e := c.proc, c.proc.env
+	defer func() {
+		p.co, p.fn = nil, nil // a stale *Proc must not pin fn's captured scope
+		e.live--
+		if r := recover(); r != nil && r != any(errKilled) {
+			panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
+		}
+	}()
+	p.fn(p)
+	c.proc = nil
+	e.idle = append(e.idle, c)
+	return true
+}
+
+// step transfers control to p and returns when p blocks or finishes. The
+// first step of a process takes an idle coroutine, or makes one.
+func (e *Env) step(p *Proc) {
+	c := p.co
+	if c == nil {
+		if n := len(e.idle); n > 0 {
+			c = e.idle[n-1]
+			e.idle = e.idle[:n-1]
+		} else {
+			c = new(coroutine)
+			c.next, c.stop = iter.Pull(c.loop)
+			e.coros = append(e.coros, c)
+		}
+		c.proc, p.co = p, c
+	}
+	e.curr = p
+	c.next()
+	e.curr = nil
 }
 
 // pause yields control from the running process back to the scheduler and
 // blocks until the process is resumed. It panics with errKilled if the
 // environment was closed while the process was blocked.
 func (p *Proc) pause() {
-	p.env.curr = nil
-	p.env.yield <- struct{}{}
-	<-p.resume
-	if p.kill {
+	if !p.co.yield(struct{}{}) {
 		panic(errKilled)
 	}
-	p.env.curr = p
 }
 
 // Sleep suspends the process for d of virtual time. Negative durations are
@@ -330,20 +346,45 @@ func (p *Proc) Sleep(d time.Duration) {
 		d = 0
 	}
 	e := p.env
-	e.scheduleProc(e.now+d, p)
+	at := e.now + d
+	// In place when the wake-up is what the dispatch loop would pop next (a
+	// queued event at the same instant has a lower seq and goes first, hence
+	// the strict <): counted as scheduled and dispatched, on this stack.
+	if next, queued := e.events.nextAt(); !e.closed && at <= e.horizon && (!queued || at < next) {
+		e.seq++
+		e.now = at
+		e.dispatched++
+		return
+	}
+	e.schedule(event{at: at, proc: p})
 	p.pause()
 }
 
 // Run executes events in timestamp order until the virtual clock would pass
 // until, until no events remain, or until Close has been called. The clock is
-// left at the time of the last executed event (or at until, whichever is
-// smaller, if events beyond until remain).
+// left at until (it never moves backwards).
 func (e *Env) Run(until time.Duration) {
-	e.inRun = true
-	defer func() { e.inRun = false }()
-	for !e.closed && e.events.len() > 0 {
-		if at, _ := e.events.nextAt(); at > until {
-			e.now = until
+	e.dispatch(until)
+	if e.now < until {
+		e.now = until
+	}
+}
+
+// RunAll executes events until none remain or Close is called.
+func (e *Env) RunAll() { e.dispatch(math.MaxInt64) }
+
+// dispatch is the scheduler loop: pop events in (at, seq) order and run them,
+// none later than horizon.
+func (e *Env) dispatch(horizon time.Duration) {
+	e.horizon = horizon
+	for !e.closed {
+		at, queued := e.events.nextAt()
+		if !queued && e.live == 0 {
+			// Every coroutine is idle: an Env dropped now, without Close, must
+			// hold no goroutine. (With a process blocked for good it needs Close.)
+			e.stopCoroutines()
+		}
+		if !queued || at > horizon {
 			return
 		}
 		ev := e.events.pop()
@@ -358,28 +399,15 @@ func (e *Env) Run(until time.Duration) {
 			ev.fn()
 		}
 	}
-	if e.now < until {
-		e.now = until
-	}
 }
 
-// RunAll executes events until none remain or Close is called.
-func (e *Env) RunAll() {
-	e.inRun = true
-	defer func() { e.inRun = false }()
-	for !e.closed && e.events.len() > 0 {
-		ev := e.events.pop()
-		e.now = ev.at
-		e.dispatched++
-		switch {
-		case ev.proc != nil:
-			e.step(ev.proc)
-		case ev.task != nil:
-			ev.task.Fire(e)
-		default:
-			ev.fn()
-		}
+// stopCoroutines ends every coroutine: an idle one returns from its loop, one
+// running a process unwinds it (its deferred functions run).
+func (e *Env) stopCoroutines() {
+	for _, c := range e.coros {
+		c.stop()
 	}
+	e.coros, e.idle = nil, nil
 }
 
 // Close terminates the simulation: every live process is unwound (its
@@ -391,12 +419,10 @@ func (e *Env) Close() {
 		return
 	}
 	e.closed = true
-	for p := range e.live {
-		p.kill = true
-		e.step(p)
-	}
+	e.stopCoroutines()
+	e.live = 0 // a process that never took its first step has no stack to unwind
 	// Pending events — raw callbacks and task firings included — are
-	// dropped, never executed: tasks have no goroutine to unwind, so Close
+	// dropped, never executed: tasks have no stack to unwind, so Close
 	// for them means "will not fire" (pinned by TestTaskCloseSemantics).
 	e.events.reset()
 }
@@ -441,11 +467,11 @@ func (pr *Promise[T]) complete(v T, err error) {
 	pr.err = err
 	e := pr.env
 	if pr.waiter != nil {
-		e.scheduleProc(e.now, pr.waiter)
+		e.schedule(event{at: e.now, proc: pr.waiter})
 		pr.waiter = nil
 	}
 	for _, w := range pr.waiters {
-		e.scheduleProc(e.now, w)
+		e.schedule(event{at: e.now, proc: w})
 	}
 	pr.waiters = nil
 }
@@ -536,7 +562,7 @@ func (r *Resource) Release() {
 		next := r.queue[0]
 		r.queue = r.queue[1:]
 		// The slot transfers directly: inUse stays constant.
-		r.env.scheduleProc(r.env.now, next)
+		r.env.schedule(event{at: r.env.now, proc: next})
 		return
 	}
 	r.account()

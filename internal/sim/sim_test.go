@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -331,16 +334,120 @@ func TestCloseIdempotent(t *testing.T) {
 
 func TestProcessPanicSurfacesOnScheduler(t *testing.T) {
 	e := NewEnv(1)
+	e.Spawn("idler", func(p *Proc) { p.Sleep(time.Hour) })
 	e.Spawn("bad", func(p *Proc) {
 		p.Sleep(time.Millisecond)
 		panic("kaboom")
 	})
 	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("expected panic from RunAll")
+		if r, want := recover(), `sim: process "bad" panicked: kaboom`; r != any(want) {
+			t.Fatalf("RunAll panicked with %v, want %q", r, want)
+		}
+		e.Close() // the environment still unwinds its other processes
+		if e.Live() != 0 {
+			t.Fatalf("live = %d after Close, want 0", e.Live())
 		}
 	}()
 	e.RunAll()
+}
+
+// TestGoexitInProcessEndsCaller pins what t.FailNow inside a process needs:
+// runtime.Goexit on a process's stack ends the goroutine driving the
+// simulation (running its deferred calls) instead of leaving it waiting for a
+// process that will never hand control back.
+func TestGoexitInProcessEndsCaller(t *testing.T) {
+	ended := make(chan struct{})
+	returned := false
+	go func() {
+		defer close(ended)
+		e := NewEnv(1)
+		e.Spawn("quitter", func(p *Proc) {
+			p.Sleep(time.Millisecond)
+			runtime.Goexit()
+		})
+		e.RunAll()
+		returned = true
+	}()
+	select {
+	case <-ended:
+	case <-time.After(10 * time.Second):
+		t.Fatal("RunAll hangs after a process called runtime.Goexit")
+	}
+	if returned {
+		t.Fatal("RunAll returned normally after a process called runtime.Goexit")
+	}
+}
+
+// TestNoGoroutineOutlivesTheRun pins the idle pool's lifetime: coroutines are
+// goroutines, and none may survive Close — or RunAll reaching quiescence with
+// no Close at all, which is how a dropped Env stays collectable.
+func TestNoGoroutineOutlivesTheRun(t *testing.T) {
+	// An upper bound, not an exact count: a goroutine of an earlier test may
+	// still be on its way out when this is read.
+	base := runtime.NumGoroutine()
+	sleeper := func(p *Proc) {
+		for i := 0; i < 3; i++ {
+			p.Sleep(time.Duration(1+p.Rand().Intn(5)) * time.Millisecond)
+		}
+	}
+
+	e := NewEnv(1)
+	for i := 0; i < 8; i++ {
+		e.Spawn("sleeper", sleeper)
+	}
+	e.Run(time.Millisecond)
+	if n := runtime.NumGoroutine(); n <= base {
+		t.Fatalf("%d goroutines mid-run, %d before it: processes are not running on coroutines", n, base)
+	}
+	e.RunAll()
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after RunAll to quiescence, want at most %d", n, base)
+	}
+
+	e = NewEnv(1)
+	never := NewPromise[int](e)
+	for i := 0; i < 8; i++ {
+		e.Spawn("sleeper", sleeper) // finished by Close time: idle coroutines
+		e.Spawn("stuck", func(p *Proc) { Await(p, never) })
+		e.SpawnAt(time.Hour, "late", sleeper) // never started: no coroutine
+	}
+	e.Run(time.Second)
+	e.Close()
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after Close, want at most %d", n, base)
+	}
+}
+
+// TestCoroutineReuseStartsClean pins that what is pooled is the stack, never
+// the process: the second process on a coroutine is a fresh Proc with its own
+// name and no trace context, and the first one's handle stays what it was.
+func TestCoroutineReuseStartsClean(t *testing.T) {
+	e := NewEnv(1)
+	first := e.Spawn("first", func(p *Proc) { p.SetTraceCtx("span of first") })
+	e.Spawn("driver", func(p *Proc) {
+		p.Sleep(time.Millisecond) // first has returned: its coroutine is idle
+		second := e.Spawn("second", func(q *Proc) {
+			if q.Name() != "second" || q.TraceCtx() != nil {
+				t.Errorf("reused coroutine started %q with trace context %v", q.Name(), q.TraceCtx())
+			}
+			if e.Current() != q {
+				t.Errorf("Current() = %v inside second", e.Current())
+			}
+		})
+		p.Sleep(time.Millisecond)
+		if second == first {
+			t.Error("Spawn handed out the finished process's Proc again")
+		}
+		if len(e.coros) != 2 || len(e.idle) != 1 {
+			t.Errorf("%d coroutines, %d idle, after three processes never more than two at a time; want 2 and 1 (second reuses first's)",
+				len(e.coros), len(e.idle))
+		}
+	})
+	e.Run(time.Second)
+	if first.Name() != "first" || first.TraceCtx() != "span of first" {
+		t.Errorf("finished process's handle changed: %q, %v", first.Name(), first.TraceCtx())
+	}
+	e.Close()
 }
 
 func TestUtilizationZeroAtStart(t *testing.T) {
@@ -571,5 +678,93 @@ func TestEnvCurrentTracksRunningProc(t *testing.T) {
 	}
 	if inCallback != nil {
 		t.Fatalf("Current inside raw callback = %v, want nil", inCallback)
+	}
+}
+
+// scriptTask sleeps through a script of durations the way a process would,
+// but as a self-rescheduling Task: AfterTask has no in-place fast path, so
+// its log is the order oracle for Proc.Sleep's.
+type scriptTask struct {
+	id     int
+	script []time.Duration
+	next   int
+	log    *[]string
+}
+
+func wakeLine(e *Env, id int) string {
+	return fmt.Sprintf("%v id=%d dispatched=%d", e.Now(), id, e.Dispatched())
+}
+
+func (s *scriptTask) Fire(e *Env) {
+	if s.next > 0 {
+		*s.log = append(*s.log, wakeLine(e, s.id))
+	}
+	if s.next < len(s.script) {
+		e.AfterTask(s.script[s.next], s)
+		s.next++
+	}
+}
+
+// TestSleepInPlaceMatchesQueuedOrder is the order oracle for the in-place
+// clock advance: processes sleeping seeded-random durations — zero sleeps,
+// ties between processes, sleeps past the wheel horizon, and a Run(until)
+// boundary in the middle — must wake at the same times, in the same order and
+// at the same Dispatched() count as tasks that schedule every one of those
+// wake-ups through the queue.
+func TestSleepInPlaceMatchesQueuedOrder(t *testing.T) {
+	const wheelHorizon = time.Duration(wheelSlots) << wheelShift
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		scripts := make([][]time.Duration, 1+rng.Intn(6))
+		for i := range scripts {
+			scripts[i] = make([]time.Duration, 1+rng.Intn(40))
+			for k := range scripts[i] {
+				switch rng.Intn(8) {
+				case 0:
+					scripts[i][k] = 0
+				case 1, 2: // a coarse grid makes ties between processes common
+					scripts[i][k] = time.Duration(1+rng.Intn(3)) * time.Millisecond
+				case 3:
+					scripts[i][k] = wheelHorizon + time.Duration(rng.Int63n(int64(wheelHorizon)))
+				default:
+					scripts[i][k] = time.Duration(rng.Intn(5000)) * time.Microsecond
+				}
+			}
+		}
+		until := time.Duration(rng.Intn(60)) * time.Millisecond
+
+		drive := func(start func(e *Env, id int, script []time.Duration, log *[]string)) []string {
+			var log []string
+			e := NewEnv(seed)
+			for id, script := range scripts {
+				start(e, id, script, &log)
+			}
+			e.Run(until)
+			log = append(log, fmt.Sprintf("Run(%v): now=%v dispatched=%d pending=%d", until, e.Now(), e.Dispatched(), e.Pending()))
+			e.RunAll()
+			log = append(log, fmt.Sprintf("RunAll: now=%v dispatched=%d pending=%d", e.Now(), e.Dispatched(), e.Pending()))
+			e.Close()
+			return log
+		}
+		procs := drive(func(e *Env, id int, script []time.Duration, log *[]string) {
+			e.Spawn("sleeper", func(p *Proc) {
+				for _, d := range script {
+					p.Sleep(d)
+					*log = append(*log, wakeLine(e, id))
+				}
+			})
+		})
+		tasks := drive(func(e *Env, id int, script []time.Duration, log *[]string) {
+			e.AfterTask(0, &scriptTask{id: id, script: script, log: log})
+		})
+		if !slices.Equal(procs, tasks) {
+			for i := range procs {
+				if i >= len(tasks) || procs[i] != tasks[i] {
+					t.Fatalf("seed %d: entry %d of %d/%d differs:\n  processes: %s\n  tasks:     %s",
+						seed, i, len(procs), len(tasks), procs[i], append(tasks, "(none)")[i])
+				}
+			}
+			t.Fatalf("seed %d: processes logged %d entries, tasks %d", seed, len(procs), len(tasks))
+		}
 	}
 }

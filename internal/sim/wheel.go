@@ -22,9 +22,10 @@ const (
 //
 // Invariants (checked reasoning, not runtime asserts):
 //
-//   - cursor ≤ tick(ev.at) for every queued event: pushes are clamped to
-//     virtual now by the Env, and cursor only advances to ticks of popped
-//     events (or re-anchors when the queue is empty).
+//   - cursor ≤ tick(now) ≤ tick(ev.at) for every queued event: pushes are
+//     clamped to virtual now by the Env, and cursor only advances to ticks of
+//     popped events — migrate runs inside pop, never inside a peek — or
+//     re-anchors at now when the queue is empty.
 //   - Wheel slots hold only ticks in [cursor, windowEnd); the overflow heap
 //     holds only ticks ≥ windowEnd. windowEnd - cursor ≤ wheelSlots, so a
 //     slot holds events of exactly one tick at a time and its heap top is the
@@ -37,14 +38,14 @@ const (
 // heap) and the slot scan amortizes to O(1) per event plus one wheel sweep
 // per horizon.
 type timerQueue struct {
-	slots    [wheelSlots]eventHeap
+	slots    *[wheelSlots]eventHeap // 96 KB: made by the first push; reset drops it, so a closed Env a registry still pins keeps none
 	overflow eventHeap
 
 	size      int   // events resident in wheel slots (excludes overflow)
 	cursor    int64 // all queued events have tick ≥ cursor
 	windowEnd int64 // wheel covers ticks [cursor, windowEnd)
 
-	// memoTick caches the next non-empty slot's tick so the Run loop's
+	// memoTick caches the next non-empty slot's tick so the dispatch loop's
 	// peek-then-pop pair scans the wheel once, not twice. -1 means unknown.
 	memoTick int64
 }
@@ -59,6 +60,9 @@ func (q *timerQueue) len() int { return q.size + len(q.overflow) }
 // clamps past deadlines).
 func (q *timerQueue) push(ev event, now time.Duration) {
 	if q.size == 0 && len(q.overflow) == 0 {
+		if q.slots == nil {
+			q.slots = new([wheelSlots]eventHeap)
+		}
 		q.cursor = tickOf(now)
 		q.windowEnd = q.cursor + wheelSlots
 		q.memoTick = -1
@@ -89,12 +93,9 @@ func (q *timerQueue) migrate() {
 	q.memoTick = q.cursor
 }
 
-// nextTick returns the tick of the earliest queued event, migrating overflow
-// events into the wheel first if it is empty. The queue must be non-empty.
+// nextTick returns the tick of the earliest event in the wheel, which must be
+// non-empty.
 func (q *timerQueue) nextTick() int64 {
-	if q.size == 0 {
-		q.migrate()
-	}
 	if q.memoTick >= 0 {
 		return q.memoTick
 	}
@@ -107,17 +108,25 @@ func (q *timerQueue) nextTick() int64 {
 }
 
 // nextAt returns the earliest queued event's deadline without removing it.
+// It never migrates: that moves cursor to the overflow's earliest tick, and a
+// caller that then stops the clock short of it (Proc.Sleep's in-place
+// advance, Run at its horizon) would file its next push behind the cursor.
 func (q *timerQueue) nextAt() (time.Duration, bool) {
-	if q.len() == 0 {
-		return 0, false
+	if q.size > 0 {
+		return q.slots[q.nextTick()&wheelMask][0].at, true
 	}
-	t := q.nextTick()
-	return q.slots[t&wheelMask][0].at, true
+	if len(q.overflow) > 0 {
+		return q.overflow[0].at, true
+	}
+	return 0, false
 }
 
-// pop removes and returns the earliest event by (at, seq). The queue must be
-// non-empty.
+// pop removes and returns the earliest event by (at, seq), migrating overflow
+// events into the wheel first if it is empty. The queue must be non-empty.
 func (q *timerQueue) pop() event {
+	if q.size == 0 {
+		q.migrate()
+	}
 	t := q.nextTick()
 	q.cursor = t
 	h := &q.slots[t&wheelMask]
@@ -131,12 +140,7 @@ func (q *timerQueue) pop() event {
 
 // reset drops every queued event and releases slot backing arrays.
 func (q *timerQueue) reset() {
-	if q.size > 0 {
-		for i := range q.slots {
-			q.slots[i] = nil
-		}
-	}
-	q.overflow = nil
+	q.slots, q.overflow = nil, nil
 	q.size = 0
 	q.memoTick = -1
 }

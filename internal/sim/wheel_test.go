@@ -11,7 +11,10 @@ import (
 // through a bare eventHeap (trivially correct (at, seq) order) and the pop
 // sequences must be identical. Schedules cover the regimes that matter:
 // deadlines at now, within the wheel horizon, far beyond it (overflow +
-// migrate), and pushes interleaved mid-drain.
+// migrate), pushes interleaved mid-drain, and — what Proc.Sleep's in-place
+// clock advance and Run stopping at its horizon do — a peek followed by
+// moving now forward without a pop and pushing relative to the new now,
+// which is only safe because the peek never migrates.
 func TestWheelMatchesHeap(t *testing.T) {
 	const (
 		trials  = 50
@@ -44,9 +47,41 @@ func TestWheelMatchesHeap(t *testing.T) {
 			oracle.push(ev)
 		}
 
+		// advance peeks, moves now to somewhere short of the earliest event
+		// and pushes from there.
+		advance := func() {
+			at, ok := q.nextAt()
+			if !ok || at != oracle[0].at {
+				t.Fatalf("trial %d: nextAt = (%v, %v), heap top is %v", trial, at, ok, oracle[0].at)
+			}
+			if q.cursor > tickOf(now) {
+				t.Fatalf("trial %d: peek moved cursor to tick %d, past now's tick %d", trial, q.cursor, tickOf(now))
+			}
+			if at > now {
+				now += time.Duration(rng.Int63n(int64(at - now)))
+			}
+			push()
+		}
+
+		// The wheel-empty / overflow-non-empty case, deterministically: a far
+		// push into an empty queue lands in overflow.
+		now = time.Duration(trial) * horizon
+		seq++
+		far := event{at: now + 2*horizon, seq: seq}
+		q.push(far, now)
+		oracle.push(far)
+		if q.size != 0 || len(q.overflow) != 1 {
+			t.Fatalf("trial %d: far push landed in the wheel", trial)
+		}
+		advance()
+
 		for i := 0; i < ops; i++ {
-			if len(oracle) == 0 || rng.Intn(3) > 0 {
+			switch r := rng.Intn(6); {
+			case len(oracle) == 0 || r >= 3:
 				push()
+				continue
+			case r == 2:
+				advance()
 				continue
 			}
 			got, want := q.pop(), oracle.pop()

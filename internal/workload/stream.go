@@ -1,9 +1,10 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"wadeploy/internal/sim"
@@ -102,6 +103,7 @@ type StreamResult struct {
 	Events   uint64 // engine events dispatched across all lanes
 	Pages    uint64 // page requests completed (including warm-up)
 	Sessions uint64 // sessions completed (including warm-up)
+	Clamped  uint64 // cross-lane sends delivered late, at a round end (sim.Shards.Clamped); 0 = exact
 
 	// Tracing outputs, populated when StreamConfig.Trace is set: the merged
 	// per-lane blame aggregates, the surviving flight-recorder contents
@@ -295,7 +297,7 @@ func RunStream(cfg StreamConfig) (*StreamResult, error) {
 	}
 
 	lanes.Run(end, workers)
-	res := &StreamResult{Stats: shardStats[0], Events: lanes.Dispatched()}
+	res := &StreamResult{Stats: shardStats[0], Events: lanes.Dispatched(), Clamped: lanes.Clamped()}
 	lanes.Close()
 	for _, st := range shardStats[1:] {
 		res.Stats.Merge(st)
@@ -314,12 +316,8 @@ func RunStream(cfg StreamConfig) (*StreamResult, error) {
 		}
 		// Per-lane rings evict independently; order the merged survivors by
 		// root start time (then ID) so the view is stable for any Workers.
-		sort.Slice(res.Traces, func(i, j int) bool {
-			a, b := res.Traces[i], res.Traces[j]
-			if a.Root().Start != b.Root().Start {
-				return a.Root().Start < b.Root().Start
-			}
-			return a.ID < b.ID
+		slices.SortFunc(res.Traces, func(a, b *trace.Trace) int {
+			return cmp.Or(cmp.Compare(a.Root().Start, b.Root().Start), cmp.Compare(a.ID, b.ID))
 		})
 	}
 	return res, nil

@@ -67,8 +67,8 @@ func testStreamConfig(workers int) StreamConfig {
 }
 
 func streamFingerprint(res *StreamResult) string {
-	out := fmt.Sprintf("events=%d pages=%d sessions=%d errors=%d\n",
-		res.Events, res.Pages, res.Sessions, res.Stats.Errors())
+	out := fmt.Sprintf("events=%d pages=%d sessions=%d errors=%d clamped=%d\n",
+		res.Events, res.Pages, res.Sessions, res.Stats.Errors(), res.Clamped)
 	for _, k := range res.Stats.Keys() {
 		s := res.Stats.Series(k)
 		out += fmt.Sprintf("%s/%s/%v n=%d mean=%v min=%v max=%v p95=%v\n",
@@ -88,6 +88,9 @@ func TestStreamWorkerCountInvariance(t *testing.T) {
 	want := streamFingerprint(res)
 	if res.Stats.TotalSamples() == 0 {
 		t.Fatal("no samples recorded")
+	}
+	if res.Clamped != 0 {
+		t.Fatalf("Clamped = %d: sessions never leave their lane, so no send can land inside the window", res.Clamped)
 	}
 	for _, workers := range []int{2, 4, 8} {
 		res, err := RunStream(testStreamConfig(workers))
