@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all verify build vet test race determinism loc profile repro repro-quick examples clean
+.PHONY: all verify build vet test race determinism loc sqldb-inventory profile repro repro-quick examples clean
 
 all: verify
 
@@ -31,6 +31,12 @@ determinism:
 # Non-test Go line count against the budget in scripts/loc.sh.
 loc:
 	sh scripts/loc.sh
+
+# Caller coverage of internal/sqldb from every other package's tests: fails
+# on a function no caller reaches or a total under the floor in
+# scripts/sqldb-inventory.sh.
+sqldb-inventory:
+	sh scripts/sqldb-inventory.sh
 
 # CPU and heap profiles over the paper-table golden test (five Pet Store and
 # five RUBiS configurations through the full stack — the workload most

@@ -213,12 +213,12 @@ func TestRWEntityCRUDAgainstDB(t *testing.T) {
 		if err := inv.Delete(p, sqldb.Str("i2")); err != nil {
 			t.Errorf("delete: %v", err)
 		}
-		states, err := inv.FindWhere(p, "qty > ?", sqldb.Int(0))
+		image, err := inv.Snapshot(p)
 		if err != nil {
-			t.Errorf("find: %v", err)
+			t.Errorf("snapshot: %v", err)
 		}
-		if len(states) != 2 {
-			t.Errorf("find returned %d states", len(states))
+		if len(image) != 2 {
+			t.Errorf("snapshot returned %d entities", len(image))
 		}
 		if _, err := inv.Load(p, sqldb.Str("i2")); !errors.Is(err, ErrNoSuchEntity) {
 			t.Errorf("load deleted: %v", err)

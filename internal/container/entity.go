@@ -105,9 +105,9 @@ type RWEntity struct {
 	// SQL text for the fixed-shape operations, built once at deploy time so
 	// the hot paths hand the database a stable string (which its prepared-
 	// statement cache keys on) without per-call concatenation.
-	loadSQL    string
-	deleteSQL  string
-	findPrefix string
+	loadSQL     string
+	deleteSQL   string
+	snapshotSQL string
 
 	writes int64
 
@@ -124,11 +124,11 @@ func DeployRWEntity(srv *Server, name, table, pkCol string) (*RWEntity, error) {
 	reg := srv.Env().Metrics()
 	b := &RWEntity{
 		srv: srv, name: name, table: table, pkCol: pkCol,
-		loadSQL:    "SELECT * FROM " + table + " WHERE " + pkCol + " = ?",
-		deleteSQL:  "DELETE FROM " + table + " WHERE " + pkCol + " = ?",
-		findPrefix: "SELECT * FROM " + table,
-		mLoad:      reg.Counter("container_ejb_load_total"),
-		mStore:     reg.Counter("container_ejb_store_total"),
+		loadSQL:     "SELECT * FROM " + table + " WHERE " + pkCol + " = ?",
+		deleteSQL:   "DELETE FROM " + table + " WHERE " + pkCol + " = ?",
+		snapshotSQL: "SELECT * FROM " + table,
+		mLoad:       reg.Counter("container_ejb_load_total"),
+		mStore:      reg.Counter("container_ejb_store_total"),
 	}
 	srv.beans[name] = &binding{name: name, kind: Entity}
 	return b, nil
@@ -176,7 +176,7 @@ func (b *RWEntity) RemovePropagator(pr Propagator) {
 // image (sum of WireBytes) separately.
 func (b *RWEntity) Snapshot(p *sim.Proc) ([]Update, error) {
 	b.srv.Compute(p, b.srv.costs.EntityLoadCPU)
-	res, err := b.srv.SQL(p, b.findPrefix)
+	res, err := b.srv.SQL(p, b.snapshotSQL)
 	if err != nil {
 		return nil, fmt.Errorf("entity %s snapshot: %w", b.name, err)
 	}
@@ -211,25 +211,6 @@ func (b *RWEntity) Load(p *sim.Proc, pk sqldb.Value) (State, error) {
 		return nil, fmt.Errorf("entity %s pk %v: %w", b.name, pk, ErrNoSuchEntity)
 	}
 	return StateFromRow(res.Cols, res.Rows[0]), nil
-}
-
-// FindWhere runs a finder query (SELECT * FROM table WHERE <cond>) and
-// returns the matching entities' states.
-func (b *RWEntity) FindWhere(p *sim.Proc, cond string, args ...sqldb.Value) ([]State, error) {
-	b.srv.Compute(p, b.srv.costs.EntityLoadCPU)
-	q := b.findPrefix
-	if strings.TrimSpace(cond) != "" {
-		q += " WHERE " + cond
-	}
-	res, err := b.srv.SQL(p, q, args...)
-	if err != nil {
-		return nil, fmt.Errorf("entity %s find: %w", b.name, err)
-	}
-	out := make([]State, 0, res.Len())
-	for _, row := range res.Rows {
-		out = append(out, StateFromRow(res.Cols, row))
-	}
-	return out, nil
 }
 
 // Insert creates a new entity (ejbCreate) and propagates it.

@@ -25,11 +25,6 @@ type CreateIndexStmt struct {
 	Unique bool
 }
 
-// DropTableStmt is DROP TABLE name.
-type DropTableStmt struct {
-	Name string
-}
-
 // InsertStmt is INSERT INTO table [(cols)] VALUES (...), (...).
 type InsertStmt struct {
 	Table string
@@ -78,12 +73,10 @@ func (t TableRef) Name() string {
 	return t.Table
 }
 
-// SelectItem is one output column: an expression with an optional alias, or
-// a bare star.
+// SelectItem is one output column: an expression or a bare star.
 type SelectItem struct {
-	Star  bool
-	Expr  Expr
-	Alias string
+	Star bool
+	Expr Expr
 }
 
 // OrderKey is one ORDER BY term.
@@ -92,21 +85,17 @@ type OrderKey struct {
 	Desc bool
 }
 
-// SelectStmt is a SELECT query over zero or more joined tables.
+// SelectStmt is a SELECT query over one or more joined tables.
 type SelectStmt struct {
 	Distinct bool
 	Items    []SelectItem
 	From     []TableRef
-	// JoinOn holds the ON condition for each table after the first
-	// (explicit JOIN syntax); nil entries mean comma-join (filtered by
-	// WHERE).
+	// JoinOn holds the ON condition that joined each table after the first;
+	// JoinOn[0] is nil.
 	JoinOn  []Expr
 	Where   Expr
-	GroupBy []Expr
-	Having  Expr
 	OrderBy []OrderKey
 	Limit   int // -1 when absent
-	Offset  int
 
 	// plan caches table binding and access-path selection (see
 	// UpdateStmt.plan for the safety argument).
@@ -115,7 +104,6 @@ type SelectStmt struct {
 
 func (*CreateTableStmt) stmt() {}
 func (*CreateIndexStmt) stmt() {}
-func (*DropTableStmt) stmt()   {}
 func (*InsertStmt) stmt()      {}
 func (*UpdateStmt) stmt()      {}
 func (*DeleteStmt) stmt()      {}
@@ -142,8 +130,8 @@ type ColumnRef struct {
 	// Resolution cache filled in by evalCtx.resolve. Each AST belongs to
 	// exactly one DB (via its prepared-statement cache) and is only
 	// evaluated under that DB's mutex, so mutating these here is safe.
-	// cachedT's pointer identity validates the entry: dropping and
-	// re-creating a table yields a new *table and the cache misses.
+	// cachedT's pointer identity validates the entry: Restore installs new
+	// *table values and the cache misses.
 	cachedT    *table
 	cachedSlot int
 	cachedCol  int
@@ -156,85 +144,7 @@ type BinaryExpr struct {
 	Left, Right Expr
 }
 
-// UnaryExpr applies NOT or unary minus.
-type UnaryExpr struct {
-	Op string // "NOT" or "-"
-	X  Expr
-}
-
-// IsNullExpr is expr IS [NOT] NULL.
-type IsNullExpr struct {
-	X      Expr
-	Negate bool
-}
-
-// InExpr is expr IN (v1, v2, ...).
-type InExpr struct {
-	X      Expr
-	List   []Expr
-	Negate bool
-}
-
-// BetweenExpr is expr BETWEEN lo AND hi.
-type BetweenExpr struct {
-	X, Lo, Hi Expr
-	Negate    bool
-}
-
-// FuncCall is an aggregate or scalar function call. Star marks COUNT(*).
-type FuncCall struct {
-	Name string // upper-cased
-	Args []Expr
-	Star bool
-}
-
 func (*Literal) expr()     {}
 func (*Placeholder) expr() {}
 func (*ColumnRef) expr()   {}
 func (*BinaryExpr) expr()  {}
-func (*UnaryExpr) expr()   {}
-func (*IsNullExpr) expr()  {}
-func (*InExpr) expr()      {}
-func (*BetweenExpr) expr() {}
-func (*FuncCall) expr()    {}
-
-// aggregateFuncs are the supported aggregate functions.
-var aggregateFuncs = map[string]bool{
-	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
-}
-
-// hasAggregate reports whether the expression tree contains an aggregate
-// function call.
-func hasAggregate(e Expr) bool {
-	switch x := e.(type) {
-	case nil:
-		return false
-	case *FuncCall:
-		if aggregateFuncs[x.Name] {
-			return true
-		}
-		for _, a := range x.Args {
-			if hasAggregate(a) {
-				return true
-			}
-		}
-	case *BinaryExpr:
-		return hasAggregate(x.Left) || hasAggregate(x.Right)
-	case *UnaryExpr:
-		return hasAggregate(x.X)
-	case *IsNullExpr:
-		return hasAggregate(x.X)
-	case *InExpr:
-		if hasAggregate(x.X) {
-			return true
-		}
-		for _, v := range x.List {
-			if hasAggregate(v) {
-				return true
-			}
-		}
-	case *BetweenExpr:
-		return hasAggregate(x.X) || hasAggregate(x.Lo) || hasAggregate(x.Hi)
-	}
-	return false
-}

@@ -61,23 +61,6 @@ func BenchmarkSqldbPointLookup(b *testing.B) {
 	}
 }
 
-func BenchmarkSqldbRangeScan(b *testing.B) {
-	db := newBenchDB(b)
-	st, err := db.PrepareStmt(`SELECT name FROM item WHERE id > ? AND id < ?`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lo := int64(i % 1900)
-		r, err := st.Exec(Int(lo), Int(lo+21))
-		if err != nil || r.Len() != 20 {
-			b.Fatalf("rows=%d err=%v", r.Len(), err)
-		}
-	}
-}
-
 func BenchmarkSqldbOrderedLimit(b *testing.B) {
 	db := newBenchDB(b)
 	st, err := db.PrepareStmt(`SELECT id, name FROM item WHERE price < ? ORDER BY id LIMIT 25`)

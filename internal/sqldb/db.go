@@ -72,25 +72,6 @@ type Result struct {
 // Len returns the number of result rows.
 func (r *Result) Len() int { return len(r.Rows) }
 
-// Col returns the index of the named result column, or -1.
-func (r *Result) Col(name string) int {
-	for i, c := range r.Cols {
-		if c == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// Value returns the value at (row, named column); NULL if absent.
-func (r *Result) Value(row int, col string) Value {
-	i := r.Col(col)
-	if i < 0 || row < 0 || row >= len(r.Rows) {
-		return Null()
-	}
-	return r.Rows[row][i]
-}
-
 // row is one stored tuple; dead rows are tombstones left by DELETE.
 type row struct {
 	vals []Value
@@ -98,26 +79,22 @@ type row struct {
 }
 
 // index is a hash index over a single column, doubled by an ordered key
-// list so range scans, prefix-LIKE scans and index-ordered walks can
-// traverse the same structure. Two invariants hold at all times:
+// list so an ORDER BY on the column can walk the same structure. Two
+// invariants hold at all times:
 //
 //   - keys lists exactly the keys present in m, sorted by compareKey;
 //   - every bucket holds its live row positions in ascending order.
 //
 // The second invariant makes every access path — full scan, hash probe,
-// range walk — enumerate candidates in the same row-position order, which is
-// what keeps result row order identical across plan choices.
+// ordered walk within one key — enumerate candidates in the same
+// row-position order, which is what keeps result row order identical across
+// plan choices.
 type index struct {
 	name   string
 	col    int
 	unique bool
 	m      map[key][]int // value -> live row positions, ascending
 	keys   []key         // keys of m, sorted by compareKey
-
-	// nonASCII counts string keys containing non-ASCII bytes. Prefix-LIKE
-	// narrowing enumerates ASCII case variants, which cannot account for
-	// Unicode case folding, so it only engages while this is zero.
-	nonASCII int
 }
 
 func (ix *index) add(k key, pos int) {
@@ -156,9 +133,6 @@ func (ix *index) remove(k key, pos int) {
 }
 
 func (ix *index) insertKey(k key) {
-	if k.k == KindString && !isASCII(k.s) {
-		ix.nonASCII++
-	}
 	n := len(ix.keys)
 	// Monotonically growing keys (sequential primary keys) append.
 	if n == 0 || compareKey(ix.keys[n-1], k) < 0 {
@@ -176,9 +150,6 @@ func (ix *index) removeKey(k key) {
 	if i < len(ix.keys) && ix.keys[i] == k {
 		copy(ix.keys[i:], ix.keys[i+1:])
 		ix.keys = ix.keys[:len(ix.keys)-1]
-		if k.k == KindString && !isASCII(k.s) {
-			ix.nonASCII--
-		}
 	}
 }
 
@@ -225,12 +196,9 @@ type DB struct {
 	labels map[string]string
 	cost   CostModel
 
-	// statements counts executed statements, for instrumentation.
-	statements int64
-
-	// epoch counts schema changes (CREATE/DROP TABLE, CREATE INDEX,
-	// Restore). Cached query plans record the epoch they were built at and
-	// rebuild when it moves.
+	// epoch counts schema changes (CREATE TABLE, CREATE INDEX, Restore).
+	// Cached query plans record the epoch they were built at and rebuild
+	// when it moves.
 	epoch int64
 
 	// profiling records every successful statement's StatementInfo into
@@ -252,7 +220,7 @@ type DB struct {
 
 // StatementInfo describes one executed statement for an observer.
 type StatementInfo struct {
-	Verb      string // select, insert, update, delete, create-table, create-index, drop-table
+	Verb      string // select, insert, update, delete, create-table, create-index
 	Table     string // target table (first FROM table for joins)
 	Scanned   int    // rows examined (virtual: the cost model's view)
 	Written   int    // rows inserted/updated/deleted
@@ -277,22 +245,18 @@ func New() *DB {
 // SetCostModel replaces the cost model (use before serving traffic).
 func (db *DB) SetCostModel(c CostModel) { db.cost = c }
 
-// Statements returns the number of statements executed so far.
-func (db *DB) Statements() int64 {
+// PreparedTexts returns, sorted, every statement text in the
+// prepared-statement cache: the distinct statements this database has been
+// asked to parse, by Exec, PrepareStmt or Describe.
+func (db *DB) PreparedTexts() []string {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.statements
-}
-
-// Tables returns the names of all tables.
-func (db *DB) Tables() []string {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	names := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		names = append(names, n)
+	texts := make([]string, 0, len(db.prepared))
+	for sql := range db.prepared {
+		texts = append(texts, sql)
 	}
-	return names
+	sort.Strings(texts)
+	return texts
 }
 
 // RowCount returns the number of live rows in the named table.
@@ -306,14 +270,8 @@ func (db *DB) RowCount(tableName string) (int, error) {
 	return t.live, nil
 }
 
-// Prepare parses sql once; later Exec calls with the same text reuse the
-// parse. It is an error-checking convenience: Exec caches parses anyway.
-func (db *DB) Prepare(sql string) (Stmt, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.prepareLocked(sql)
-}
-
+// prepareLocked parses sql through the prepared-statement cache. db.mu must
+// be held.
 func (db *DB) prepareLocked(sql string) (Stmt, error) {
 	if st, ok := db.prepared[sql]; ok {
 		return st, nil
@@ -353,9 +311,6 @@ func (db *DB) Describe(sql string) string {
 func describeStmt(st Stmt) string {
 	switch s := st.(type) {
 	case *SelectStmt:
-		if len(s.From) == 0 {
-			return "select"
-		}
 		return "select " + s.From[0].Table
 	case *InsertStmt:
 		return "insert " + s.Table
@@ -367,8 +322,6 @@ func describeStmt(st Stmt) string {
 		return "create-table " + s.Name
 	case *CreateIndexStmt:
 		return "create-index " + s.Table
-	case *DropTableStmt:
-		return "drop-table " + s.Name
 	default:
 		return "sql"
 	}
@@ -502,7 +455,6 @@ func (tx *Tx) Rollback() error {
 
 // execLocked dispatches a parsed statement. db.mu must be held.
 func (db *DB) execLocked(st Stmt, args []Value, tx *Tx) (*Result, error) {
-	db.statements++
 	res, err := db.dispatchLocked(st, args, tx)
 	if err == nil && (db.observer != nil || db.profiling) {
 		info := statementInfo(st, res)
@@ -528,10 +480,7 @@ func statementInfo(st Stmt, res *Result) StatementInfo {
 	}
 	switch s := st.(type) {
 	case *SelectStmt:
-		info.Verb, info.Planned = "select", true
-		if len(s.From) > 0 {
-			info.Table = s.From[0].Table
-		}
+		info.Verb, info.Table, info.Planned = "select", s.From[0].Table, true
 	case *InsertStmt:
 		info.Verb, info.Table, info.Written = "insert", s.Table, res.Affected
 	case *UpdateStmt:
@@ -542,8 +491,6 @@ func statementInfo(st Stmt, res *Result) StatementInfo {
 		info.Verb, info.Table = "create-table", s.Name
 	case *CreateIndexStmt:
 		info.Verb, info.Table = "create-index", s.Table
-	case *DropTableStmt:
-		info.Verb, info.Table = "drop-table", s.Name
 	}
 	return info
 }
@@ -555,8 +502,6 @@ func (db *DB) dispatchLocked(st Stmt, args []Value, tx *Tx) (*Result, error) {
 		return db.execCreateTable(s)
 	case *CreateIndexStmt:
 		return db.execCreateIndex(s)
-	case *DropTableStmt:
-		return db.execDropTable(s)
 	case *InsertStmt:
 		return db.execInsert(s, args, tx)
 	case *UpdateStmt:
@@ -633,15 +578,6 @@ func (db *DB) execCreateIndex(s *CreateIndexStmt) (*Result, error) {
 	t.indexes = append(t.indexes, ix)
 	db.epoch++
 	return &Result{Cost: db.cost.cost(t.live, 0, 0)}, nil
-}
-
-func (db *DB) execDropTable(s *DropTableStmt) (*Result, error) {
-	if _, ok := db.tables[s.Name]; !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, s.Name)
-	}
-	delete(db.tables, s.Name)
-	db.epoch++
-	return &Result{Cost: db.cost.cost(0, 0, 0)}, nil
 }
 
 func (db *DB) execInsert(s *InsertStmt, args []Value, tx *Tx) (*Result, error) {

@@ -78,78 +78,8 @@ func (c *evalCtx) eval(e Expr) (Value, error) {
 		return c.params[x.Idx], nil
 	case *ColumnRef:
 		return c.resolve(x)
-	case *UnaryExpr:
-		v, err := c.eval(x.X)
-		if err != nil {
-			return Value{}, err
-		}
-		switch x.Op {
-		case "NOT":
-			if v.IsNull() {
-				return Null(), nil
-			}
-			return Bool(!v.AsBool()), nil
-		case "-":
-			switch v.K {
-			case KindInt:
-				return Int(-v.I), nil
-			case KindFloat:
-				return Float(-v.F), nil
-			case KindNull:
-				return Null(), nil
-			default:
-				return Value{}, fmt.Errorf("sqldb: cannot negate %v", v.K)
-			}
-		}
-		return Value{}, fmt.Errorf("sqldb: unknown unary op %s", x.Op)
 	case *BinaryExpr:
 		return c.evalBinary(x)
-	case *IsNullExpr:
-		v, err := c.eval(x.X)
-		if err != nil {
-			return Value{}, err
-		}
-		return Bool(v.IsNull() != x.Negate), nil
-	case *InExpr:
-		v, err := c.eval(x.X)
-		if err != nil {
-			return Value{}, err
-		}
-		match := false
-		for _, item := range x.List {
-			iv, err := c.eval(item)
-			if err != nil {
-				return Value{}, err
-			}
-			if Equal(v, iv) {
-				match = true
-				break
-			}
-		}
-		return Bool(match != x.Negate), nil
-	case *BetweenExpr:
-		v, err := c.eval(x.X)
-		if err != nil {
-			return Value{}, err
-		}
-		lo, err := c.eval(x.Lo)
-		if err != nil {
-			return Value{}, err
-		}
-		hi, err := c.eval(x.Hi)
-		if err != nil {
-			return Value{}, err
-		}
-		if v.IsNull() || lo.IsNull() || hi.IsNull() {
-			return Null(), nil
-		}
-		in := Compare(v, lo) >= 0 && Compare(v, hi) <= 0
-		return Bool(in != x.Negate), nil
-	case *FuncCall:
-		if aggregateFuncs[x.Name] {
-			return Value{}, fmt.Errorf("sqldb: aggregate %s outside aggregation context", x.Name)
-		}
-		return c.evalScalarFunc(x)
 	default:
 		return Value{}, fmt.Errorf("sqldb: cannot evaluate %T", e)
 	}
@@ -275,55 +205,17 @@ func (c *evalCtx) evalBinary(x *BinaryExpr) (Value, error) {
 	return Value{}, fmt.Errorf("sqldb: unknown operator %s", x.Op)
 }
 
-func (c *evalCtx) evalScalarFunc(x *FuncCall) (Value, error) {
-	args := make([]Value, len(x.Args))
-	for i, a := range x.Args {
-		v, err := c.eval(a)
-		if err != nil {
-			return Value{}, err
-		}
-		args[i] = v
-	}
-	switch x.Name {
-	case "LOWER":
-		if len(args) != 1 {
-			return Value{}, fmt.Errorf("sqldb: LOWER takes 1 argument")
-		}
-		if args[0].IsNull() {
-			return Null(), nil
-		}
-		return Str(strings.ToLower(args[0].AsString())), nil
-	case "UPPER":
-		if len(args) != 1 {
-			return Value{}, fmt.Errorf("sqldb: UPPER takes 1 argument")
-		}
-		if args[0].IsNull() {
-			return Null(), nil
-		}
-		return Str(strings.ToUpper(args[0].AsString())), nil
-	case "LENGTH":
-		if len(args) != 1 {
-			return Value{}, fmt.Errorf("sqldb: LENGTH takes 1 argument")
-		}
-		if args[0].IsNull() {
-			return Null(), nil
-		}
-		return Int(int64(len(args[0].AsString()))), nil
-	default:
-		return Value{}, fmt.Errorf("sqldb: unknown function %s", x.Name)
-	}
-}
-
 // likeMatch implements SQL LIKE with % (any run) and _ (any single char),
 // case-insensitively (matching MySQL's default collation behavior, which the
 // applications' keyword search relies on). ASCII operands — all the hot
 // keyword-search traffic — fold per byte during the match; anything with
-// multi-byte runes falls back to lowercasing both strings up front.
+// multi-byte runes is lowercased up front, after which the per-byte fold
+// is the identity.
 func likeMatch(s, pattern string) bool {
 	if isASCII(s) && isASCII(pattern) {
 		return likeRecFold(s, pattern)
 	}
-	return likeRec(strings.ToLower(s), strings.ToLower(pattern))
+	return likeRecFold(strings.ToLower(s), strings.ToLower(pattern))
 }
 
 func isASCII(s string) bool {
@@ -342,8 +234,8 @@ func lowerByte(b byte) byte {
 	return b
 }
 
-// likeRecFold is likeRec with per-byte ASCII case folding, avoiding the
-// ToLower copies of both operands on every row.
+// likeRecFold matches p against s with per-byte ASCII case folding, avoiding
+// the ToLower copies of both operands on every row.
 func likeRecFold(s, p string) bool {
 	for len(p) > 0 {
 		switch p[0] {
@@ -367,38 +259,6 @@ func likeRecFold(s, p string) bool {
 			s, p = s[1:], p[1:]
 		default:
 			if len(s) == 0 || lowerByte(s[0]) != lowerByte(p[0]) {
-				return false
-			}
-			s, p = s[1:], p[1:]
-		}
-	}
-	return len(s) == 0
-}
-
-func likeRec(s, p string) bool {
-	for len(p) > 0 {
-		switch p[0] {
-		case '%':
-			// Collapse consecutive %.
-			for len(p) > 0 && p[0] == '%' {
-				p = p[1:]
-			}
-			if len(p) == 0 {
-				return true
-			}
-			for i := 0; i <= len(s); i++ {
-				if likeRec(s[i:], p) {
-					return true
-				}
-			}
-			return false
-		case '_':
-			if len(s) == 0 {
-				return false
-			}
-			s, p = s[1:], p[1:]
-		default:
-			if len(s) == 0 || s[0] != p[0] {
 				return false
 			}
 			s, p = s[1:], p[1:]

@@ -11,7 +11,12 @@ type parser struct {
 	toks    []token
 	pos     int
 	nParams int
+	depth   int // open parentheses around the expression being parsed
 }
+
+// maxNesting bounds parenthesis depth: each level costs six stack frames, and
+// statement text is untrusted input.
+const maxNesting = 100
 
 // Parse parses a single SQL statement.
 func Parse(sql string) (Stmt, error) {
@@ -24,20 +29,14 @@ func Parse(sql string) (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Optional trailing semicolon.
-	if p.peek().kind == tokSymbol && p.peek().text == ";" {
-		p.next()
-	}
 	if p.peek().kind != tokEOF {
 		return nil, p.errorf("unexpected %q after statement", p.peek().text)
 	}
 	return st, nil
 }
 
-func (p *parser) peek() token   { return p.toks[p.pos] }
-func (p *parser) next() token   { t := p.toks[p.pos]; p.pos++; return t }
-func (p *parser) save() int     { return p.pos }
-func (p *parser) restore(s int) { p.pos = s }
+func (p *parser) peek() token { return p.toks[p.pos] }
+func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
 
 func (p *parser) errorf(format string, args ...any) error {
 	return &SyntaxError{Pos: p.peek().pos, Msg: fmt.Sprintf(format, args...), SQL: p.sql}
@@ -100,8 +99,6 @@ func (p *parser) statement() (Stmt, error) {
 		return p.deleteStmt()
 	case "CREATE":
 		return p.createStmt()
-	case "DROP":
-		return p.dropStmt()
 	default:
 		return nil, p.errorf("unsupported statement %s", t.text)
 	}
@@ -180,26 +177,12 @@ func (p *parser) columnKind() (Kind, error) {
 	}
 	p.next()
 	switch t.text {
-	case "INT", "INTEGER":
+	case "INT":
 		return KindInt, nil
-	case "FLOAT", "REAL":
+	case "FLOAT":
 		return KindFloat, nil
-	case "TEXT", "VARCHAR":
-		// VARCHAR may carry a length we ignore.
-		if p.acceptSymbol("(") {
-			if p.peek().kind != tokNumber {
-				return 0, p.errorf("expected length")
-			}
-			p.next()
-			if err := p.expectSymbol(")"); err != nil {
-				return 0, err
-			}
-		}
+	case "TEXT":
 		return KindString, nil
-	case "BOOL", "BOOLEAN":
-		return KindBool, nil
-	case "TIMESTAMP":
-		return KindTime, nil
 	default:
 		return 0, p.errorf("unsupported column type %s", t.text)
 	}
@@ -233,20 +216,6 @@ func (p *parser) createIndex(unique bool) (Stmt, error) {
 		Col:    strings.ToLower(col),
 		Unique: unique,
 	}, nil
-}
-
-func (p *parser) dropStmt() (Stmt, error) {
-	if err := p.expectKeyword("DROP"); err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("TABLE"); err != nil {
-		return nil, err
-	}
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	return &DropTableStmt{Name: strings.ToLower(name)}, nil
 }
 
 func (p *parser) insertStmt() (Stmt, error) {
@@ -385,17 +354,7 @@ func (p *parser) selectStmt() (Stmt, error) {
 			if err != nil {
 				return nil, err
 			}
-			item := SelectItem{Expr: e}
-			if p.acceptKeyword("AS") {
-				alias, err := p.ident()
-				if err != nil {
-					return nil, err
-				}
-				item.Alias = strings.ToLower(alias)
-			} else if p.peek().kind == tokIdent {
-				item.Alias = strings.ToLower(p.next().text)
-			}
-			st.Items = append(st.Items, item)
+			st.Items = append(st.Items, SelectItem{Expr: e})
 		}
 		if p.acceptSymbol(",") {
 			continue
@@ -405,44 +364,27 @@ func (p *parser) selectStmt() (Stmt, error) {
 	if err := p.expectKeyword("FROM"); err != nil {
 		return nil, err
 	}
-	// FROM list with optional JOIN ... ON.
+	// FROM table [JOIN table ON cond]...
 	ref, err := p.tableRef()
 	if err != nil {
 		return nil, err
 	}
 	st.From = append(st.From, ref)
 	st.JoinOn = append(st.JoinOn, nil)
-	for {
-		if p.acceptSymbol(",") {
-			ref, err := p.tableRef()
-			if err != nil {
-				return nil, err
-			}
-			st.From = append(st.From, ref)
-			st.JoinOn = append(st.JoinOn, nil)
-			continue
+	for p.acceptKeyword("JOIN") {
+		ref, err := p.tableRef()
+		if err != nil {
+			return nil, err
 		}
-		inner := p.acceptKeyword("INNER")
-		if p.acceptKeyword("JOIN") {
-			ref, err := p.tableRef()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectKeyword("ON"); err != nil {
-				return nil, err
-			}
-			on, err := p.expression()
-			if err != nil {
-				return nil, err
-			}
-			st.From = append(st.From, ref)
-			st.JoinOn = append(st.JoinOn, on)
-			continue
+		if err := p.expectKeyword("ON"); err != nil {
+			return nil, err
 		}
-		if inner {
-			return nil, p.errorf("expected JOIN after INNER")
+		on, err := p.expression()
+		if err != nil {
+			return nil, err
 		}
-		break
+		st.From = append(st.From, ref)
+		st.JoinOn = append(st.JoinOn, on)
 	}
 	if p.acceptKeyword("WHERE") {
 		w, err := p.expression()
@@ -450,32 +392,6 @@ func (p *parser) selectStmt() (Stmt, error) {
 			return nil, err
 		}
 		st.Where = w
-	}
-	if p.acceptKeyword("GROUP") {
-		if err := p.expectKeyword("BY"); err != nil {
-			return nil, err
-		}
-		for {
-			e, err := p.expression()
-			if err != nil {
-				return nil, err
-			}
-			st.GroupBy = append(st.GroupBy, e)
-			if p.acceptSymbol(",") {
-				continue
-			}
-			break
-		}
-	}
-	if p.acceptKeyword("HAVING") {
-		h, err := p.expression()
-		if err != nil {
-			return nil, err
-		}
-		if len(st.GroupBy) == 0 && !hasAggregate(h) {
-			return nil, p.errorf("HAVING requires GROUP BY or an aggregate")
-		}
-		st.Having = h
 	}
 	if p.acceptKeyword("ORDER") {
 		if err := p.expectKeyword("BY"); err != nil {
@@ -505,12 +421,6 @@ func (p *parser) selectStmt() (Stmt, error) {
 		}
 		st.Limit = int(p.next().num.AsInt())
 	}
-	if p.acceptKeyword("OFFSET") {
-		if p.peek().kind != tokNumber {
-			return nil, p.errorf("expected OFFSET count")
-		}
-		st.Offset = int(p.next().num.AsInt())
-	}
 	return st, nil
 }
 
@@ -520,13 +430,7 @@ func (p *parser) tableRef() (TableRef, error) {
 		return TableRef{}, err
 	}
 	ref := TableRef{Table: strings.ToLower(name)}
-	if p.acceptKeyword("AS") {
-		alias, err := p.ident()
-		if err != nil {
-			return TableRef{}, err
-		}
-		ref.Alias = strings.ToLower(alias)
-	} else if p.peek().kind == tokIdent {
+	if p.peek().kind == tokIdent {
 		ref.Alias = strings.ToLower(p.next().text)
 	}
 	return ref, nil
@@ -534,14 +438,11 @@ func (p *parser) tableRef() (TableRef, error) {
 
 // Expression grammar, lowest precedence first:
 // expr     = andExpr (OR andExpr)*
-// andExpr  = notExpr (AND notExpr)*
-// notExpr  = [NOT] cmpExpr
-// cmpExpr  = addExpr [(=|<>|<|<=|>|>=|LIKE) addExpr | IS [NOT] NULL |
-//            [NOT] IN (...) | [NOT] BETWEEN addExpr AND addExpr]
+// andExpr  = cmpExpr (AND cmpExpr)*
+// cmpExpr  = addExpr [(=|<>|<|<=|>|>=|LIKE) addExpr]
 // addExpr  = mulExpr ((+|-) mulExpr)*
-// mulExpr  = unary ((*|/) unary)*
-// unary    = [-] primary
-// primary  = literal | placeholder | funcCall | columnRef | (expr)
+// mulExpr  = primary ((*|/) primary)*
+// primary  = literal | placeholder | columnRef | (expr)
 
 func (p *parser) expression() (Expr, error) {
 	left, err := p.andExpr()
@@ -559,12 +460,12 @@ func (p *parser) expression() (Expr, error) {
 }
 
 func (p *parser) andExpr() (Expr, error) {
-	left, err := p.notExpr()
+	left, err := p.cmpExpr()
 	if err != nil {
 		return nil, err
 	}
 	for p.acceptKeyword("AND") {
-		right, err := p.notExpr()
+		right, err := p.cmpExpr()
 		if err != nil {
 			return nil, err
 		}
@@ -573,107 +474,28 @@ func (p *parser) andExpr() (Expr, error) {
 	return left, nil
 }
 
-func (p *parser) notExpr() (Expr, error) {
-	if p.acceptKeyword("NOT") {
-		x, err := p.notExpr()
-		if err != nil {
-			return nil, err
-		}
-		return &UnaryExpr{Op: "NOT", X: x}, nil
-	}
-	return p.cmpExpr()
-}
-
 func (p *parser) cmpExpr() (Expr, error) {
 	left, err := p.addExpr()
 	if err != nil {
 		return nil, err
 	}
 	t := p.peek()
+	isCmp := t.kind == tokKeyword && t.text == "LIKE"
 	if t.kind == tokSymbol {
 		switch t.text {
 		case "=", "<>", "<", "<=", ">", ">=":
-			p.next()
-			right, err := p.addExpr()
-			if err != nil {
-				return nil, err
-			}
-			return &BinaryExpr{Op: t.text, Left: left, Right: right}, nil
+			isCmp = true
 		}
 	}
-	if t.kind == tokKeyword {
-		switch t.text {
-		case "LIKE":
-			p.next()
-			right, err := p.addExpr()
-			if err != nil {
-				return nil, err
-			}
-			return &BinaryExpr{Op: "LIKE", Left: left, Right: right}, nil
-		case "IS":
-			p.next()
-			neg := p.acceptKeyword("NOT")
-			if err := p.expectKeyword("NULL"); err != nil {
-				return nil, err
-			}
-			return &IsNullExpr{X: left, Negate: neg}, nil
-		case "IN":
-			p.next()
-			return p.inList(left, false)
-		case "BETWEEN":
-			p.next()
-			return p.between(left, false)
-		case "NOT":
-			// expr NOT IN / expr NOT BETWEEN.
-			saved := p.save()
-			p.next()
-			if p.acceptKeyword("IN") {
-				return p.inList(left, true)
-			}
-			if p.acceptKeyword("BETWEEN") {
-				return p.between(left, true)
-			}
-			p.restore(saved)
-		}
+	if !isCmp {
+		return left, nil
 	}
-	return left, nil
-}
-
-func (p *parser) inList(left Expr, neg bool) (Expr, error) {
-	if err := p.expectSymbol("("); err != nil {
-		return nil, err
-	}
-	in := &InExpr{X: left, Negate: neg}
-	for {
-		e, err := p.expression()
-		if err != nil {
-			return nil, err
-		}
-		in.List = append(in.List, e)
-		if p.acceptSymbol(",") {
-			continue
-		}
-		break
-	}
-	if err := p.expectSymbol(")"); err != nil {
-		return nil, err
-	}
-	return in, nil
-}
-
-func (p *parser) between(left Expr, neg bool) (Expr, error) {
-	lo, err := p.addExpr()
+	p.next()
+	right, err := p.addExpr()
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectKeyword("AND"); err != nil {
-		return nil, err
-	}
-	hi, err := p.addExpr()
-	if err != nil {
-		return nil, err
-	}
-	return &BetweenExpr{X: left, Lo: lo, Hi: hi, Negate: neg}, nil
+	return &BinaryExpr{Op: t.text, Left: left, Right: right}, nil
 }
 
 func (p *parser) addExpr() (Expr, error) {
@@ -697,7 +519,7 @@ func (p *parser) addExpr() (Expr, error) {
 }
 
 func (p *parser) mulExpr() (Expr, error) {
-	left, err := p.unary()
+	left, err := p.primary()
 	if err != nil {
 		return nil, err
 	}
@@ -705,7 +527,7 @@ func (p *parser) mulExpr() (Expr, error) {
 		t := p.peek()
 		if t.kind == tokSymbol && (t.text == "*" || t.text == "/") {
 			p.next()
-			right, err := p.unary()
+			right, err := p.primary()
 			if err != nil {
 				return nil, err
 			}
@@ -714,17 +536,6 @@ func (p *parser) mulExpr() (Expr, error) {
 		}
 		return left, nil
 	}
-}
-
-func (p *parser) unary() (Expr, error) {
-	if p.acceptSymbol("-") {
-		x, err := p.unary()
-		if err != nil {
-			return nil, err
-		}
-		return &UnaryExpr{Op: "-", X: x}, nil
-	}
-	return p.primary()
 }
 
 func (p *parser) primary() (Expr, error) {
@@ -742,27 +553,13 @@ func (p *parser) primary() (Expr, error) {
 		p.nParams++
 		return e, nil
 	case tokKeyword:
-		switch t.text {
-		case "NULL":
+		if t.text == "NULL" {
 			p.next()
 			return &Literal{Val: Null()}, nil
-		case "TRUE":
-			p.next()
-			return &Literal{Val: Bool(true)}, nil
-		case "FALSE":
-			p.next()
-			return &Literal{Val: Bool(false)}, nil
-		case "COUNT", "SUM", "AVG", "MIN", "MAX":
-			p.next()
-			return p.funcCall(t.text)
 		}
 		return nil, p.errorf("unexpected keyword %s in expression", t.text)
 	case tokIdent:
 		p.next()
-		// Function call, qualified column, or bare column.
-		if p.peek().kind == tokSymbol && p.peek().text == "(" {
-			return p.funcCall(strings.ToUpper(t.text))
-		}
 		if p.acceptSymbol(".") {
 			col, err := p.ident()
 			if err != nil {
@@ -773,8 +570,12 @@ func (p *parser) primary() (Expr, error) {
 		return &ColumnRef{Name: strings.ToLower(t.text)}, nil
 	case tokSymbol:
 		if t.text == "(" {
+			if p.depth++; p.depth > maxNesting {
+				return nil, p.errorf("expression nested deeper than %d", maxNesting)
+			}
 			p.next()
 			e, err := p.expression()
+			p.depth--
 			if err != nil {
 				return nil, err
 			}
@@ -785,36 +586,4 @@ func (p *parser) primary() (Expr, error) {
 		}
 	}
 	return nil, p.errorf("unexpected %q in expression", t.text)
-}
-
-func (p *parser) funcCall(name string) (Expr, error) {
-	if err := p.expectSymbol("("); err != nil {
-		return nil, err
-	}
-	fc := &FuncCall{Name: name}
-	if p.acceptSymbol("*") {
-		fc.Star = true
-		if err := p.expectSymbol(")"); err != nil {
-			return nil, err
-		}
-		return fc, nil
-	}
-	if p.acceptSymbol(")") {
-		return fc, nil
-	}
-	for {
-		e, err := p.expression()
-		if err != nil {
-			return nil, err
-		}
-		fc.Args = append(fc.Args, e)
-		if p.acceptSymbol(",") {
-			continue
-		}
-		break
-	}
-	if err := p.expectSymbol(")"); err != nil {
-		return nil, err
-	}
-	return fc, nil
 }

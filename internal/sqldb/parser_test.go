@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -14,19 +15,32 @@ func mustParse(t *testing.T, sql string) Stmt {
 	return st
 }
 
+// wantSyntaxErrorAt asserts that sql fails to parse with a SyntaxError
+// positioned at the first occurrence of token.
+func wantSyntaxErrorAt(t *testing.T, sql, token string) {
+	t.Helper()
+	_, err := Parse(sql)
+	var se *SyntaxError
+	if !errors.As(err, &se) {
+		t.Errorf("Parse(%q) = %v, want *SyntaxError", sql, err)
+		return
+	}
+	if want := strings.Index(sql, token); se.Pos != want {
+		t.Errorf("Parse(%q): error at %d (%s), want %d (%q)", sql, se.Pos, se.Msg, want, token)
+	}
+}
+
 func TestParseCreateTable(t *testing.T) {
 	st := mustParse(t, `CREATE TABLE item (
 		id INT PRIMARY KEY,
 		name TEXT NOT NULL,
-		price FLOAT,
-		in_stock BOOL,
-		listed TIMESTAMP
+		price FLOAT
 	)`)
 	ct, ok := st.(*CreateTableStmt)
 	if !ok {
 		t.Fatalf("got %T", st)
 	}
-	if ct.Name != "item" || len(ct.Cols) != 5 {
+	if ct.Name != "item" || len(ct.Cols) != 3 {
 		t.Fatalf("table = %s, cols = %d", ct.Name, len(ct.Cols))
 	}
 	if !ct.Cols[0].PrimaryKey || !ct.Cols[0].NotNull || ct.Cols[0].Kind != KindInt {
@@ -35,16 +49,15 @@ func TestParseCreateTable(t *testing.T) {
 	if !ct.Cols[1].NotNull || ct.Cols[1].Kind != KindString {
 		t.Fatalf("name col wrong: %+v", ct.Cols[1])
 	}
-	if ct.Cols[4].Kind != KindTime {
-		t.Fatalf("listed col wrong: %+v", ct.Cols[4])
+	if ct.Cols[2].Kind != KindFloat || ct.Cols[2].NotNull {
+		t.Fatalf("price col wrong: %+v", ct.Cols[2])
 	}
 }
 
 func TestParseVarcharLength(t *testing.T) {
-	st := mustParse(t, `CREATE TABLE u (name VARCHAR(100))`)
-	ct := st.(*CreateTableStmt)
-	if ct.Cols[0].Kind != KindString {
-		t.Fatalf("VARCHAR(100) parsed as %v", ct.Cols[0].Kind)
+	// One spelling per column type: the aliases are not types.
+	for _, alias := range []string{"VARCHAR(100)", "INTEGER", "REAL", "BOOL", "BOOLEAN"} {
+		wantSyntaxErrorAt(t, `CREATE TABLE u (name `+alias+`)`, alias)
 	}
 }
 
@@ -68,27 +81,33 @@ func TestParseInsertPlaceholders(t *testing.T) {
 }
 
 func TestParseSelectFull(t *testing.T) {
-	st := mustParse(t, `SELECT i.name, COUNT(*) AS n
+	st := mustParse(t, `SELECT i.name, b.amount
 		FROM items i JOIN bids b ON b.item_id = i.id
 		WHERE i.category = ? AND b.amount > 10
-		GROUP BY i.name
-		ORDER BY n DESC, i.name ASC
-		LIMIT 25 OFFSET 5`)
+		ORDER BY b.amount DESC, i.name ASC
+		LIMIT 25`)
 	sel := st.(*SelectStmt)
-	if len(sel.Items) != 2 || sel.Items[1].Alias != "n" {
+	if len(sel.Items) != 2 || sel.Items[1].Star {
 		t.Fatalf("items: %+v", sel.Items)
 	}
+	if sel.From[0].Name() != "i" || sel.From[1].Name() != "b" {
+		t.Fatalf("aliases: %+v", sel.From)
+	}
+	// Bare aliases name tables only; AS and output aliases are not grammar.
+	wantSyntaxErrorAt(t, `SELECT name FROM items AS i`, "AS")
+	wantSyntaxErrorAt(t, `SELECT name AS n FROM items`, "AS")
+	wantSyntaxErrorAt(t, `SELECT name n FROM items`, "n FROM")
 	if len(sel.From) != 2 || sel.From[1].Table != "bids" || sel.JoinOn[1] == nil {
 		t.Fatalf("from: %+v", sel.From)
 	}
-	if sel.Where == nil || len(sel.GroupBy) != 1 || len(sel.OrderBy) != 2 {
+	if sel.Where == nil || len(sel.OrderBy) != 2 {
 		t.Fatalf("clauses: %+v", sel)
 	}
 	if !sel.OrderBy[0].Desc || sel.OrderBy[1].Desc {
 		t.Fatalf("order dirs: %+v", sel.OrderBy)
 	}
-	if sel.Limit != 25 || sel.Offset != 5 {
-		t.Fatalf("limit/offset: %d/%d", sel.Limit, sel.Offset)
+	if sel.Limit != 25 {
+		t.Fatalf("limit: %d", sel.Limit)
 	}
 }
 
@@ -126,21 +145,24 @@ func TestParseOperatorPrecedence(t *testing.T) {
 }
 
 func TestParseInBetweenIsNullLike(t *testing.T) {
-	st := mustParse(t, `SELECT a FROM t WHERE a IN (1, 2) AND b NOT IN (3)
-		AND c BETWEEN 1 AND 5 AND d IS NOT NULL AND e LIKE '%cat%' AND f IS NULL`)
-	sel := st.(*SelectStmt)
-	if sel.Where == nil {
-		t.Fatal("no where")
+	st := mustParse(t, `SELECT a FROM t WHERE e LIKE '%cat%' OR f LIKE ?`)
+	or := st.(*SelectStmt).Where.(*BinaryExpr)
+	if l, ok := or.Left.(*BinaryExpr); !ok || or.Op != "OR" || l.Op != "LIKE" {
+		t.Fatalf("where = %#v", or)
 	}
+	wantSyntaxErrorAt(t, `SELECT a FROM t WHERE a IN (1, 2)`, "IN")
+	wantSyntaxErrorAt(t, `SELECT a FROM t WHERE e LIKE 'x' AND c BETWEEN 1 AND 5`, "BETWEEN")
+	wantSyntaxErrorAt(t, `SELECT a FROM t WHERE d IS NOT NULL`, "IS")
 }
 
 func TestParseUpdateDelete(t *testing.T) {
-	st := mustParse(t, `UPDATE inv SET qty = qty - 1, touched = TRUE WHERE item_id = ?`)
+	st := mustParse(t, `UPDATE inv SET qty = qty - 1, touched = 1 WHERE item_id = ?`)
 	up := st.(*UpdateStmt)
 	if up.Table != "inv" || len(up.Sets) != 2 || up.Where == nil {
 		t.Fatalf("%+v", up)
 	}
-	st = mustParse(t, `DELETE FROM sessions WHERE expired = TRUE`)
+	st = mustParse(t, `DELETE FROM sessions WHERE expired = 1`)
+	wantSyntaxErrorAt(t, `DELETE FROM sessions WHERE expired = TRUE`, "TRUE")
 	del := st.(*DeleteStmt)
 	if del.Table != "sessions" || del.Where == nil {
 		t.Fatalf("%+v", del)
@@ -156,9 +178,11 @@ func TestParseCreateIndex(t *testing.T) {
 }
 
 func TestParseCommaJoin(t *testing.T) {
-	st := mustParse(t, `SELECT a.x FROM a, b WHERE a.id = b.aid`)
+	// A join is spelled JOIN ... ON; every joined table carries its condition.
+	wantSyntaxErrorAt(t, `SELECT a.x FROM a, b WHERE a.id = b.aid`, ", b")
+	st := mustParse(t, `SELECT a.x FROM a JOIN b ON a.id = b.aid JOIN c ON c.bid = b.id`)
 	sel := st.(*SelectStmt)
-	if len(sel.From) != 2 || sel.JoinOn[1] != nil {
+	if len(sel.From) != 3 || sel.JoinOn[0] != nil || sel.JoinOn[1] == nil || sel.JoinOn[2] == nil {
 		t.Fatalf("%+v", sel)
 	}
 }
@@ -174,14 +198,15 @@ func TestParseStringEscapes(t *testing.T) {
 }
 
 func TestParseComments(t *testing.T) {
-	mustParse(t, "SELECT a FROM t -- trailing comment\nWHERE a = 1")
+	wantSyntaxErrorAt(t, "SELECT a FROM t -- trailing comment\nWHERE a = 1", "-- trailing")
 }
 
 func TestParseNegativeNumber(t *testing.T) {
-	st := mustParse(t, `SELECT a FROM t WHERE a > -5`)
-	sel := st.(*SelectStmt)
-	gt := sel.Where.(*BinaryExpr)
-	if _, ok := gt.Right.(*UnaryExpr); !ok {
+	// No unary minus: a negative constant is a subtraction or a parameter.
+	wantSyntaxErrorAt(t, `SELECT a FROM t WHERE a > -5`, "-5")
+	st := mustParse(t, `SELECT a FROM t WHERE a > 0 - 5`)
+	gt := st.(*SelectStmt).Where.(*BinaryExpr)
+	if sub, ok := gt.Right.(*BinaryExpr); !ok || sub.Op != "-" {
 		t.Fatalf("right = %#v", gt.Right)
 	}
 }
@@ -200,10 +225,21 @@ func TestParseErrors(t *testing.T) {
 		"CREATE TABLE t (a BLOB)",
 		"SELECT a FROM t LIMIT x",
 		"SELECT a FROM t; SELECT b FROM t",
+		"SELECT a FROM t WHERE a != 1",
 		"SELECT a FROM t WHERE s = 'unterminated",
 		"SELECT a FROM t WHERE a @ 1",
 		"CREATE UNIQUE TABLE t (a INT)",
-		"SELECT a FROM t INNER WHERE a = 1",
+		"SELECT a FROM t INNER JOIN u ON u.a = t.a",
+		// Forms the applications never issue have no grammar rule.
+		"SELECT a FROM t GROUP BY a",
+		"SELECT a FROM t HAVING a > 1",
+		"SELECT a FROM t WHERE a IN (1)",
+		"SELECT a FROM t WHERE a BETWEEN 1 AND 2",
+		"SELECT a FROM t WHERE a IS NULL",
+		"SELECT a FROM t LIMIT 1 OFFSET 1",
+		"SELECT LOWER(a) FROM t",
+		"SELECT a FROM t WHERE NOT a = 1",
+		"DROP TABLE t",
 	}
 	for _, sql := range cases {
 		if _, err := Parse(sql); err == nil {
@@ -218,19 +254,15 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestParseTrailingSemicolon(t *testing.T) {
-	mustParse(t, "SELECT a FROM t;")
+	// Exec takes one statement; there is no separator to tolerate.
+	wantSyntaxErrorAt(t, "SELECT a FROM t;", ";")
 }
 
 func TestParseAggregates(t *testing.T) {
-	st := mustParse(t, `SELECT COUNT(*), SUM(price), AVG(price), MIN(price), MAX(price) FROM items`)
-	sel := st.(*SelectStmt)
-	if len(sel.Items) != 5 {
-		t.Fatalf("items = %d", len(sel.Items))
-	}
-	fc := sel.Items[0].Expr.(*FuncCall)
-	if fc.Name != "COUNT" || !fc.Star {
-		t.Fatalf("%+v", fc)
-	}
+	sql := `SELECT price, COUNT(*), SUM(price), AVG(price), MIN(price), MAX(price) FROM items`
+	wantSyntaxErrorAt(t, sql, "COUNT")
+	// The names stay reserved, so none of them reads as a column either.
+	wantSyntaxErrorAt(t, `SELECT max FROM items`, "max")
 }
 
 func TestParseDistinct(t *testing.T) {
@@ -248,10 +280,6 @@ func TestParseQualifiedStarUnsupported(t *testing.T) {
 }
 
 func TestParseScalarFuncs(t *testing.T) {
-	st := mustParse(t, `SELECT LOWER(name) FROM t WHERE UPPER(name) LIKE 'A%'`)
-	sel := st.(*SelectStmt)
-	fc := sel.Items[0].Expr.(*FuncCall)
-	if fc.Name != "LOWER" || len(fc.Args) != 1 {
-		t.Fatalf("%+v", fc)
-	}
+	wantSyntaxErrorAt(t, `SELECT LOWER(name) FROM t`, "(")
+	wantSyntaxErrorAt(t, `SELECT name FROM t WHERE UPPER(name) LIKE 'A%'`, "(")
 }

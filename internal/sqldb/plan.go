@@ -1,10 +1,6 @@
 package sqldb
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "fmt"
 
 // This file is the query planner: it turns a parsed statement plus the
 // current schema into a cached physical plan. Plans hang off the AST nodes
@@ -20,30 +16,10 @@ import (
 // identical too, every access path enumerates candidate rows in ascending
 // row-position order — the same order a full scan produces — so filtering,
 // stable sorting and LIMIT see the same sequence whichever path ran.
-
-// accessKind classifies the physical access path for one table.
-type accessKind uint8
-
-const (
-	accessFull  accessKind = iota // walk every live row
-	accessEq                      // hash probe on an equality conjunct
-	accessRange                   // ordered-key walk between bounds
-	accessLike                    // ordered-key walk over prefix case variants
-)
-
-// accessPath is a physical narrowing strategy applied when the legacy probe
-// logic falls back to a full scan. It is sound because each narrowing
-// conjunct is a top-level AND conjunct: a row outside the narrowed set makes
-// that conjunct false or NULL, so the full predicate rejects it anyway.
-type accessPath struct {
-	kind     accessKind
-	ix       *index
-	eq       Expr // accessEq: column-free value expression
-	lo, hi   Expr // accessRange: bound expressions; either may be nil
-	loStrict bool // lo is exclusive (>)
-	hiStrict bool // hi is exclusive (<)
-	like     Expr // accessLike: pattern expression
-}
+//
+// Three shapes exist beside the full scan, which stays the reference: a hash
+// probe on an equality candidate, an index-ordered walk with early stop, and
+// an index nested-loop join (a probe per join level).
 
 // probeCand is one equality conjunct that statically matched the legacy
 // index-probe shape. Execution walks candidates in conjunct order and the
@@ -57,11 +33,10 @@ type probeCand struct {
 
 // matchPlan caches the access decision for UPDATE/DELETE row matching.
 type matchPlan struct {
-	db     *DB
-	epoch  int64
-	t      *table
-	cands  []probeCand
-	access accessPath
+	db    *DB
+	epoch int64
+	t     *table
+	cands []probeCand
 }
 
 // levelPlan holds the probe candidates for one FROM table of a SELECT,
@@ -77,24 +52,16 @@ type orderedWalk struct {
 	desc bool
 }
 
-// singlePlan is the extra physical detail for non-aggregated single-table
-// SELECTs, where narrowing scans and ordered walks apply.
-type singlePlan struct {
-	access accessPath
-	walk   *orderedWalk
-}
-
 // selectPlan caches table binding, output columns and per-level access
 // decisions for a SELECT.
 type selectPlan struct {
-	db         *DB
-	epoch      int64
-	tabs       []*table
-	names      []string
-	cols       []string
-	aggregated bool
-	levels     []levelPlan
-	single     *singlePlan // non-nil iff one table and not aggregated
+	db     *DB
+	epoch  int64
+	tabs   []*table
+	names  []string
+	cols   []string
+	levels []levelPlan
+	walk   *orderedWalk // single-table only; nil means filter, then sort
 }
 
 // andConjuncts flattens a predicate's top-level AND tree left-to-right,
@@ -113,23 +80,12 @@ func andConjuncts(e Expr, out []Expr) []Expr {
 // execution and are handled there.
 func staticEvaluable(e Expr, tabs []*table, names []string) bool {
 	switch x := e.(type) {
-	case nil:
-		return true
 	case *Literal, *Placeholder:
 		return true
 	case *ColumnRef:
 		return staticResolvable(x, tabs, names)
 	case *BinaryExpr:
 		return staticEvaluable(x.Left, tabs, names) && staticEvaluable(x.Right, tabs, names)
-	case *UnaryExpr:
-		return staticEvaluable(x.X, tabs, names)
-	case *FuncCall:
-		for _, a := range x.Args {
-			if !staticEvaluable(a, tabs, names) {
-				return false
-			}
-		}
-		return !aggregateFuncs[x.Name]
 	default:
 		return false
 	}
@@ -245,155 +201,11 @@ func selectEqSide(t *table, name string, l, r Expr, boundTabs []*table, boundNam
 	return probeCand{col: col, ix: t.indexOn(col), val: r}, true
 }
 
-// buildAccess picks a physical narrowing path for the full-scan case of a
-// single-table predicate: an indexed equality conjunct the legacy walk
-// stopped short of, else an indexed range, else an indexed prefix LIKE.
-func buildAccess(t *table, conjuncts []Expr) accessPath {
-	for _, c := range conjuncts {
-		be, ok := c.(*BinaryExpr)
-		if !ok || be.Op != "=" {
-			continue
-		}
-		for _, lr := range [2][2]Expr{{be.Left, be.Right}, {be.Right, be.Left}} {
-			ref, ok := lr[0].(*ColumnRef)
-			if !ok || (ref.Table != "" && ref.Table != t.name) {
-				continue
-			}
-			col, ok := t.colIdx[ref.Name]
-			if !ok || !staticEvaluable(lr[1], nil, nil) {
-				continue
-			}
-			if ix := t.indexOn(col); ix != nil {
-				return accessPath{kind: accessEq, ix: ix, eq: lr[1]}
-			}
-		}
-	}
-	// First indexed column with a range conjunct wins; the first lower and
-	// first upper bound found for it merge into one key interval.
-	var ir *index
-	var lo, hi Expr
-	var loS, hiS bool
-	for _, c := range conjuncts {
-		col, clo, chi, cloS, chiS, ok := rangeConjunct(t, c)
-		if !ok {
-			continue
-		}
-		if ir == nil {
-			ix := t.indexOn(col)
-			if ix == nil {
-				continue
-			}
-			ir, lo, hi, loS, hiS = ix, clo, chi, cloS, chiS
-			continue
-		}
-		if col != ir.col {
-			continue
-		}
-		if lo == nil && clo != nil {
-			lo, loS = clo, cloS
-		}
-		if hi == nil && chi != nil {
-			hi, hiS = chi, chiS
-		}
-	}
-	if ir != nil {
-		return accessPath{kind: accessRange, ix: ir, lo: lo, hi: hi, loStrict: loS, hiStrict: hiS}
-	}
-	for _, c := range conjuncts {
-		be, ok := c.(*BinaryExpr)
-		if !ok || be.Op != "LIKE" {
-			continue
-		}
-		ref, isRef := be.Left.(*ColumnRef)
-		if !isRef || (ref.Table != "" && ref.Table != t.name) {
-			continue
-		}
-		col, exists := t.colIdx[ref.Name]
-		if !exists || t.cols[col].Kind != KindString || !staticEvaluable(be.Right, nil, nil) {
-			continue
-		}
-		if ix := t.indexOn(col); ix != nil {
-			return accessPath{kind: accessLike, ix: ix, like: be.Right}
-		}
-	}
-	return accessPath{kind: accessFull}
-}
-
-// rangeConjunct recognizes a comparison or BETWEEN between a column of t and
-// column-free bound expressions, normalizing value-vs-column comparisons.
-func rangeConjunct(t *table, c Expr) (col int, lo, hi Expr, loStrict, hiStrict bool, ok bool) {
-	switch e := c.(type) {
-	case *BinaryExpr:
-		var ref *ColumnRef
-		var val Expr
-		var op string
-		if rf, isRef := e.Left.(*ColumnRef); isRef {
-			ref, val, op = rf, e.Right, e.Op
-		} else if rf, isRef := e.Right.(*ColumnRef); isRef {
-			ref, val = rf, e.Left
-			switch e.Op {
-			case "<":
-				op = ">"
-			case "<=":
-				op = ">="
-			case ">":
-				op = "<"
-			case ">=":
-				op = "<="
-			default:
-				return
-			}
-		} else {
-			return
-		}
-		switch op {
-		case "<", "<=", ">", ">=":
-		default:
-			return
-		}
-		if ref.Table != "" && ref.Table != t.name {
-			return
-		}
-		c2, exists := t.colIdx[ref.Name]
-		if !exists || !staticEvaluable(val, nil, nil) {
-			return
-		}
-		col, ok = c2, true
-		switch op {
-		case "<":
-			hi, hiStrict = val, true
-		case "<=":
-			hi = val
-		case ">":
-			lo, loStrict = val, true
-		case ">=":
-			lo = val
-		}
-		return
-	case *BetweenExpr:
-		if e.Negate {
-			return
-		}
-		ref, isRef := e.X.(*ColumnRef)
-		if !isRef || (ref.Table != "" && ref.Table != t.name) {
-			return
-		}
-		c2, exists := t.colIdx[ref.Name]
-		if !exists || !staticEvaluable(e.Lo, nil, nil) || !staticEvaluable(e.Hi, nil, nil) {
-			return
-		}
-		return c2, e.Lo, e.Hi, false, false, true
-	}
-	return
-}
-
 // buildMatchPlan plans UPDATE/DELETE row matching against t.
 func buildMatchPlan(db *DB, t *table, where Expr) *matchPlan {
-	pl := &matchPlan{db: db, epoch: db.epoch, t: t, access: accessPath{kind: accessFull}}
+	pl := &matchPlan{db: db, epoch: db.epoch, t: t}
 	if where != nil {
-		conjuncts := andConjuncts(where, nil)
-		pl.cands = matchEqCands(t, conjuncts)
-		pl.access = buildAccess(t, conjuncts)
+		pl.cands = matchEqCands(t, andConjuncts(where, nil))
 	}
 	return pl
 }
@@ -441,12 +253,11 @@ func buildSelectPlan(db *DB, s *SelectStmt) (*selectPlan, error) {
 		seen[names[i]] = true
 	}
 	pl := &selectPlan{
-		db:         db,
-		epoch:      db.epoch,
-		tabs:       tabs,
-		names:      names,
-		cols:       outputColumns(s, tabs),
-		aggregated: len(s.GroupBy) > 0 || itemsHaveAggregate(s.Items) || s.Having != nil,
+		db:    db,
+		epoch: db.epoch,
+		tabs:  tabs,
+		names: names,
+		cols:  outputColumns(s, tabs),
 	}
 	pl.levels = make([]levelPlan, len(tabs))
 	for i := range tabs {
@@ -456,27 +267,17 @@ func buildSelectPlan(db *DB, s *SelectStmt) (*selectPlan, error) {
 		}
 		pl.levels[i] = levelPlan{cands: selectProbeCands(tabs[i], names[i], probe, tabs[:i], names[:i])}
 	}
-	if len(tabs) == 1 && !pl.aggregated {
-		var conjuncts []Expr
-		if s.Where != nil {
-			conjuncts = andConjuncts(s.Where, nil)
-		}
-		sp := &singlePlan{access: buildAccess(tabs[0], conjuncts)}
-		sp.walk = orderedWalkFor(s, tabs[0], names[0], pl.levels[0].cands, sp.access)
-		pl.single = sp
+	if len(tabs) == 1 {
+		pl.walk = orderedWalkFor(s, tabs[0], names[0], pl.levels[0].cands)
 	}
 	return pl, nil
 }
 
 // orderedWalkFor decides whether the result can be produced by walking an
 // ordered index instead of materialize-then-sort. The legacy candidate list
-// must be empty so the virtual scan figure is t.live on every execution, and
-// without a LIMIT a narrowing scan plus sort beats walking every row.
-func orderedWalkFor(s *SelectStmt, t *table, name string, cands []probeCand, access accessPath) *orderedWalk {
+// must be empty so the virtual scan figure is t.live on every execution.
+func orderedWalkFor(s *SelectStmt, t *table, name string, cands []probeCand) *orderedWalk {
 	if s.Distinct || len(s.OrderBy) != 1 || len(cands) != 0 {
-		return nil
-	}
-	if s.Limit < 0 && access.kind != accessFull {
 		return nil
 	}
 	ref, ok := s.OrderBy[0].Expr.(*ColumnRef)
@@ -492,149 +293,6 @@ func orderedWalkFor(s *SelectStmt, t *table, name string, cands []probeCand, acc
 		return nil
 	}
 	return &orderedWalk{ix: ix, desc: s.OrderBy[0].Desc}
-}
-
-// accessCandidates returns the physical candidate positions for a predicate
-// the legacy logic would full-scan, narrowed by the access path. narrowed
-// reports whether a narrowing applied; when false the caller walks the
-// table. Returned positions are live and ascending. ctx supplies parameters
-// only — access expressions are column-free by construction.
-func accessCandidates(a accessPath, ctx *evalCtx) (cands []int, probes int, narrowed bool) {
-	switch a.kind {
-	case accessEq:
-		v, err := ctx.eval(a.eq)
-		if err != nil {
-			return nil, 0, false
-		}
-		return a.ix.m[v.mapKey()], 1, true
-	case accessRange:
-		var loK, hiK key
-		hasLo, hasHi := a.lo != nil, a.hi != nil
-		if hasLo {
-			v, err := ctx.eval(a.lo)
-			if err != nil {
-				return nil, 0, false
-			}
-			if v.IsNull() {
-				return nil, 1, true // col-vs-NULL rejects every row
-			}
-			loK = v.mapKey()
-		}
-		if hasHi {
-			v, err := ctx.eval(a.hi)
-			if err != nil {
-				return nil, 0, false
-			}
-			if v.IsNull() {
-				return nil, 1, true
-			}
-			hiK = v.mapKey()
-		}
-		keys := a.ix.keys
-		start := 0
-		if hasLo {
-			if a.loStrict {
-				start = sort.Search(len(keys), func(i int) bool { return compareKey(keys[i], loK) > 0 })
-			} else {
-				start = sort.Search(len(keys), func(i int) bool { return compareKey(keys[i], loK) >= 0 })
-			}
-		}
-		end := len(keys)
-		if hasHi {
-			if a.hiStrict {
-				end = sort.Search(len(keys), func(i int) bool { return compareKey(keys[i], hiK) >= 0 })
-			} else {
-				end = sort.Search(len(keys), func(i int) bool { return compareKey(keys[i], hiK) > 0 })
-			}
-		}
-		var out []int
-		for i := start; i < end; i++ {
-			if keys[i].k == KindNull {
-				continue // NULL fails every range conjunct
-			}
-			out = append(out, a.ix.m[keys[i]]...)
-		}
-		sort.Ints(out)
-		return out, 1, true
-	case accessLike:
-		v, err := ctx.eval(a.like)
-		if err != nil {
-			return nil, 0, false
-		}
-		if v.IsNull() {
-			return nil, 1, true
-		}
-		prefix := likePrefix(v.AsString())
-		// Case-insensitive LIKE narrows by enumerating raw-byte case
-		// variants of the prefix; any non-ASCII key in the index could
-		// case-fold across that enumeration, so its presence (tracked on
-		// the index) forces the full scan.
-		if prefix == "" || !isASCII(prefix) || a.ix.nonASCII > 0 {
-			return nil, 0, false
-		}
-		variants := casedVariants(prefix)
-		if variants == nil {
-			return nil, 0, false
-		}
-		keys := a.ix.keys
-		var out []int
-		for _, vr := range variants {
-			k := key{k: KindString, s: vr}
-			i := sort.Search(len(keys), func(i int) bool { return compareKey(keys[i], k) >= 0 })
-			for ; i < len(keys) && keys[i].k == KindString && strings.HasPrefix(keys[i].s, vr); i++ {
-				out = append(out, a.ix.m[keys[i]]...)
-			}
-			probes++
-		}
-		sort.Ints(out)
-		return out, probes, true
-	}
-	return nil, 0, false
-}
-
-// likePrefix is the literal prefix of a LIKE pattern up to its first
-// wildcard.
-func likePrefix(p string) string {
-	for i := 0; i < len(p); i++ {
-		if p[i] == '%' || p[i] == '_' {
-			return p[:i]
-		}
-	}
-	return p
-}
-
-// casedVariants enumerates every ASCII case variant of prefix — the set of
-// raw prefixes a case-insensitive match can start with. Capped at 4 letters
-// (16 variants); longer prefixes report nil and fall back to a full scan.
-func casedVariants(prefix string) []string {
-	letters := 0
-	for i := 0; i < len(prefix); i++ {
-		b := prefix[i]
-		if 'a' <= b && b <= 'z' || 'A' <= b && b <= 'Z' {
-			letters++
-		}
-	}
-	if letters > 4 {
-		return nil
-	}
-	variants := []string{""}
-	for i := 0; i < len(prefix); i++ {
-		b := prefix[i]
-		lo := lowerByte(b)
-		up := lo
-		if 'a' <= lo && lo <= 'z' {
-			up = lo - ('a' - 'A')
-		}
-		next := make([]string, 0, 2*len(variants))
-		for _, v := range variants {
-			next = append(next, v+string(lo))
-			if up != lo {
-				next = append(next, v+string(up))
-			}
-		}
-		variants = next
-	}
-	return variants
 }
 
 // matchRowsPlanned matches rows for UPDATE/DELETE under a plan. It returns
@@ -682,21 +340,6 @@ func (db *DB) matchRowsPlanned(pl *matchPlan, where Expr, args []Value) (out []i
 		return out, virtual, true, virtual, probes, nil
 	}
 	virtual = t.live
-	if cands, p, narrowed := accessCandidates(pl.access, &ctx); narrowed {
-		probes += p
-		for _, pos := range cands {
-			r := t.rows[pos]
-			ctx.tables[0].vals = r.vals
-			v, everr := ctx.eval(where)
-			if everr != nil {
-				return nil, 0, false, 0, 0, everr
-			}
-			if v.AsBool() {
-				out = append(out, pos)
-			}
-		}
-		return out, virtual, false, len(cands), probes, nil
-	}
 	for pos, r := range t.rows {
 		if r.dead {
 			continue

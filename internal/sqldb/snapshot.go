@@ -13,8 +13,7 @@ package sqldb
 
 // Snapshot is an immutable copy of a database's full state.
 type Snapshot struct {
-	tables     map[string]*table
-	statements int64
+	tables map[string]*table
 
 	// profile holds the StatementInfo stream recorded while the source
 	// database was seeded (see RecordProfile). Restore replays it into the
@@ -40,10 +39,7 @@ func (db *DB) RecordProfile(on bool) {
 func (db *DB) Snapshot() *Snapshot {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	s := &Snapshot{
-		tables:     make(map[string]*table, len(db.tables)),
-		statements: db.statements,
-	}
+	s := &Snapshot{tables: make(map[string]*table, len(db.tables))}
 	for name, t := range db.tables {
 		s.tables[name] = copyTable(t)
 	}
@@ -54,17 +50,16 @@ func (db *DB) Snapshot() *Snapshot {
 }
 
 // Restore replaces the database's tables with a fresh deep copy of the
-// snapshot's, adds the snapshot's statement count, and replays the recorded
-// seed profile into the observer. The write hook is deliberately not fired:
-// restoring is state transfer, not statement execution (replication seeds
-// replicas before attaching hooks, mirroring InitSchema-based seeding).
+// snapshot's and replays the recorded seed profile into the observer. The
+// write hook is deliberately not fired: restoring is state transfer, not
+// statement execution (replication seeds replicas before attaching hooks,
+// mirroring InitSchema-based seeding).
 func (db *DB) Restore(s *Snapshot) {
 	db.mu.Lock()
 	db.tables = make(map[string]*table, len(s.tables))
 	for name, t := range s.tables {
 		db.tables[name] = copyTable(t)
 	}
-	db.statements += s.statements
 	db.epoch++ // invalidate any cached plans bound to the old tables
 	observer := db.observer
 	profiling := db.profiling
@@ -79,18 +74,6 @@ func (db *DB) Restore(s *Snapshot) {
 		}
 	}
 	db.mu.Unlock()
-}
-
-// Clone returns a new database seeded from the snapshot, with the same cost
-// model as the receiver.
-func (db *DB) Clone(s *Snapshot) *DB {
-	db.mu.Lock()
-	cost := db.cost
-	db.mu.Unlock()
-	n := New()
-	n.cost = cost
-	n.Restore(s)
-	return n
 }
 
 // copyTable deep-copies row and index structure. Immutable parts — name,
@@ -127,12 +110,11 @@ func copyTable(t *table) *table {
 // the neighbouring bucket).
 func copyIndex(ix *index) *index {
 	n := &index{
-		name:     ix.name,
-		col:      ix.col,
-		unique:   ix.unique,
-		m:        make(map[key][]int, len(ix.m)),
-		keys:     append([]key(nil), ix.keys...),
-		nonASCII: ix.nonASCII,
+		name:   ix.name,
+		col:    ix.col,
+		unique: ix.unique,
+		m:      make(map[key][]int, len(ix.m)),
+		keys:   append([]key(nil), ix.keys...),
 	}
 	total := 0
 	for _, b := range ix.m {

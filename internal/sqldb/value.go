@@ -1,11 +1,13 @@
-// Package sqldb implements a small embedded relational database with a SQL
-// subset: CREATE TABLE, CREATE INDEX, INSERT, SELECT (WHERE, inner joins,
-// aggregates, GROUP BY, ORDER BY, LIMIT/OFFSET, LIKE), UPDATE and DELETE,
-// plus transactions with rollback and hash indexes.
+// Package sqldb implements a small embedded relational database with the SQL
+// subset the two applications issue: CREATE TABLE, CREATE [UNIQUE] INDEX,
+// INSERT, UPDATE, DELETE and SELECT [DISTINCT] with WHERE, inner joins,
+// ORDER BY, LIMIT and LIKE, plus transactions with rollback and hash
+// indexes. A feature exists here iff a caller outside the package reaches it
+// (make sqldb-inventory checks); everything else fails Parse.
 //
 // It substitutes for the Oracle/MySQL servers of the paper's testbed: the
 // entity beans' persistence (BMP and CMP finders) and the applications'
-// aggregate queries execute against it. A pluggable cost model reports a
+// listing queries execute against it. A pluggable cost model reports a
 // virtual service time per statement so the discrete-event simulation can
 // charge database work to the DB node's CPU.
 package sqldb
@@ -14,7 +16,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // Kind identifies the dynamic type of a Value.
@@ -28,7 +29,6 @@ const (
 	KindFloat
 	KindString
 	KindBool
-	KindTime
 )
 
 func (k Kind) String() string {
@@ -43,8 +43,6 @@ func (k Kind) String() string {
 		return "TEXT"
 	case KindBool:
 		return "BOOL"
-	case KindTime:
-		return "TIMESTAMP"
 	default:
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}
@@ -57,7 +55,6 @@ type Value struct {
 	F float64
 	S string
 	B bool
-	T time.Time
 }
 
 // Constructors.
@@ -76,9 +73,6 @@ func Str(v string) Value { return Value{K: KindString, S: v} }
 
 // Bool returns a boolean value.
 func Bool(v bool) Value { return Value{K: KindBool, B: v} }
-
-// Time returns a timestamp value.
-func Time(v time.Time) Value { return Value{K: KindTime, T: v} }
 
 // IsNull reports whether the value is SQL NULL.
 func (v Value) IsNull() bool { return v.K == KindNull }
@@ -131,8 +125,6 @@ func (v Value) AsString() string {
 		return v.S
 	case KindBool:
 		return strconv.FormatBool(v.B)
-	case KindTime:
-		return v.T.Format(time.RFC3339)
 	default:
 		return ""
 	}
@@ -152,14 +144,6 @@ func (v Value) AsBool() bool {
 	default:
 		return false
 	}
-}
-
-// AsTime returns the value as a time.Time (zero if not a timestamp).
-func (v Value) AsTime() time.Time {
-	if v.K == KindTime {
-		return v.T
-	}
-	return time.Time{}
 }
 
 // String implements fmt.Stringer for debugging output.
@@ -217,37 +201,20 @@ func Compare(a, b Value) int {
 		default:
 			return 1
 		}
-	case KindTime:
-		switch {
-		case a.T.Before(b.T):
-			return -1
-		case a.T.After(b.T):
-			return 1
-		default:
-			return 0
-		}
 	default:
 		return 0
 	}
 }
 
-// Equal reports SQL equality (NULL never equals anything, including NULL).
-func Equal(a, b Value) bool {
-	if a.K == KindNull || b.K == KindNull {
-		return false
-	}
-	return Compare(a, b) == 0
-}
-
 // key is a comparable form of Value suitable for use as a map key in hash
-// indexes and GROUP BY buckets. Numeric values normalize to float64 so that
-// Int(3) and Float(3) hash identically, matching Compare.
+// indexes. Numeric values normalize to float64 so that Int(3) and Float(3)
+// hash identically, matching Compare. A predicate result (KindBool) shares
+// the zero key with NULL: no column stores one, nothing stored equals
+// either, and every probed bucket is re-filtered by the full predicate.
 type key struct {
 	k Kind
 	f float64
 	s string
-	b bool
-	t int64
 }
 
 func (v Value) mapKey() key {
@@ -258,10 +225,6 @@ func (v Value) mapKey() key {
 		return key{k: KindFloat, f: v.F}
 	case KindString:
 		return key{k: KindString, s: v.S}
-	case KindBool:
-		return key{k: KindBool, b: v.B}
-	case KindTime:
-		return key{k: KindTime, t: v.T.UnixNano()}
 	default:
 		return key{}
 	}
@@ -290,24 +253,6 @@ func compareKey(a, b key) int {
 		}
 	case KindString:
 		return strings.Compare(a.s, b.s)
-	case KindBool:
-		switch {
-		case a.b == b.b:
-			return 0
-		case !a.b:
-			return -1
-		default:
-			return 1
-		}
-	case KindTime:
-		switch {
-		case a.t < b.t:
-			return -1
-		case a.t > b.t:
-			return 1
-		default:
-			return 0
-		}
 	default:
 		return 0
 	}
@@ -330,17 +275,6 @@ func coerce(v Value, to Kind) (Value, error) {
 		}
 	case KindString:
 		return Str(v.AsString()), nil
-	case KindBool:
-		if v.K == KindInt {
-			return Bool(v.I != 0), nil
-		}
-	case KindTime:
-		if v.K == KindString {
-			t, err := time.Parse(time.RFC3339, v.S)
-			if err == nil {
-				return Time(t), nil
-			}
-		}
 	}
 	return Value{}, fmt.Errorf("sqldb: cannot coerce %v (%v) to %v", v, v.K, to)
 }

@@ -4,59 +4,67 @@
 # `make determinism`; it also works locally from the repo root.
 #
 # Each block runs one command twice (-parallel 1 vs -parallel 8) and diffs
-# the output. Snapshots (*-p1.txt, *-w1.txt, metrics-p1.json) are left in
-# the working directory so CI can upload them as artifacts.
+# the output. Snapshots (*-p1.txt, *-w1.txt, metrics-p1.json) go to $OUT,
+# which CI sets and uploads; without OUT they go to a temporary directory
+# that is removed on success and named on failure.
 set -eu
 
 GO="${GO:-go}"
+if [ -n "${OUT:-}" ]; then
+	mkdir -p "$OUT"
+	out="$OUT"
+else
+	out=$(mktemp -d)
+	trap 'status=$?; if [ "$status" -eq 0 ]; then rm -rf "$out"; else echo "determinism gate: snapshots left in $out"; fi' EXIT
+fi
 
 echo '== table6 under the canonical WAN-outage schedule =='
 # Same seed, same tables, same metric snapshots at any parallelism.
-$GO run ./cmd/wadeploy -quick -faults canonical -parallel 1 -metrics-out metrics-p1.json table6 > table6-p1.txt
-$GO run ./cmd/wadeploy -quick -faults canonical -parallel 8 -metrics-out metrics-p8.json table6 > table6-p8.txt
-diff table6-p1.txt table6-p8.txt
-diff metrics-p1.json metrics-p8.json
+$GO run ./cmd/wadeploy -quick -faults canonical -parallel 1 -metrics-out "$out/metrics-p1.json" table6 > "$out/table6-p1.txt"
+$GO run ./cmd/wadeploy -quick -faults canonical -parallel 8 -metrics-out "$out/metrics-p8.json" table6 > "$out/table6-p8.txt"
+diff "$out/table6-p1.txt" "$out/table6-p8.txt"
+diff "$out/metrics-p1.json" "$out/metrics-p8.json"
 
 echo '== streaming workload engine across worker counts =='
 # Results depend on the shard count, never the worker count.
-$GO run ./cmd/wadeploy -quick -sessions 20000 -shards 4 -parallel 1 scale > scale-w1.txt
-$GO run ./cmd/wadeploy -quick -sessions 20000 -shards 4 -parallel 8 scale > scale-w8.txt
-diff scale-w1.txt scale-w8.txt
+$GO run ./cmd/wadeploy -quick -sessions 20000 -shards 4 -parallel 1 scale > "$out/scale-w1.txt"
+$GO run ./cmd/wadeploy -quick -sessions 20000 -shards 4 -parallel 8 scale > "$out/scale-w8.txt"
+diff "$out/scale-w1.txt" "$out/scale-w8.txt"
 
 echo '== causal tracing across parallelism =='
 # The sampler is a pure function of the trace ID, never of scheduling.
-$GO run ./cmd/wadeploy -quick -sample 4 -parallel 1 trace > trace-p1.txt
-$GO run ./cmd/wadeploy -quick -sample 4 -parallel 8 trace > trace-p8.txt
-diff trace-p1.txt trace-p8.txt
-$GO run ./cmd/wadeploy -quick -sessions 20000 -shards 4 -parallel 1 -trace scale > scale-trace-w1.txt
-$GO run ./cmd/wadeploy -quick -sessions 20000 -shards 4 -parallel 8 -trace scale > scale-trace-w8.txt
-diff scale-trace-w1.txt scale-trace-w8.txt
+$GO run ./cmd/wadeploy -quick -sample 4 -parallel 1 trace > "$out/trace-p1.txt"
+$GO run ./cmd/wadeploy -quick -sample 4 -parallel 8 trace > "$out/trace-p8.txt"
+diff "$out/trace-p1.txt" "$out/trace-p8.txt"
+$GO run ./cmd/wadeploy -quick -sessions 20000 -shards 4 -parallel 1 -trace scale > "$out/scale-trace-w1.txt"
+$GO run ./cmd/wadeploy -quick -sessions 20000 -shards 4 -parallel 8 -trace scale > "$out/scale-trace-w8.txt"
+diff "$out/scale-trace-w1.txt" "$out/scale-trace-w8.txt"
 
 echo '== online re-placement controller =='
 # The controller draws only on the virtual clock and its dedicated RNG
 # stream, never on scheduling order.
-$GO run ./cmd/wadeploy -quick -parallel 1 adapt > adapt-p1.txt
-$GO run ./cmd/wadeploy -quick -parallel 8 adapt > adapt-p8.txt
-diff adapt-p1.txt adapt-p8.txt
+$GO run ./cmd/wadeploy -quick -parallel 1 adapt > "$out/adapt-p1.txt"
+$GO run ./cmd/wadeploy -quick -parallel 8 adapt > "$out/adapt-p8.txt"
+diff "$out/adapt-p1.txt" "$out/adapt-p8.txt"
 
 echo '== consistency spectrum across arm parallelism =='
 # Each replication arm is an independent seeded simulation.
-$GO run ./cmd/wadeploy -quick -parallel 1 consistency > consistency-p1.txt
-$GO run ./cmd/wadeploy -quick -parallel 8 consistency > consistency-p8.txt
-diff consistency-p1.txt consistency-p8.txt
+$GO run ./cmd/wadeploy -quick -parallel 1 consistency > "$out/consistency-p1.txt"
+$GO run ./cmd/wadeploy -quick -parallel 8 consistency > "$out/consistency-p8.txt"
+diff "$out/consistency-p1.txt" "$out/consistency-p8.txt"
 # RUBiS's delta arms are where the push-refreshed query caches depend on the
 # main server's views rather than on what rides the wire.
-$GO run ./cmd/wadeploy -quick -app rubis -parallel 1 consistency > consistency-rubis-p1.txt
-$GO run ./cmd/wadeploy -quick -app rubis -parallel 8 consistency > consistency-rubis-p8.txt
-diff consistency-rubis-p1.txt consistency-rubis-p8.txt
+$GO run ./cmd/wadeploy -quick -app rubis -parallel 1 consistency > "$out/consistency-rubis-p1.txt"
+$GO run ./cmd/wadeploy -quick -app rubis -parallel 8 consistency > "$out/consistency-rubis-p8.txt"
+diff "$out/consistency-rubis-p1.txt" "$out/consistency-rubis-p8.txt"
 
 echo '== topology sweep across point parallelism =='
 # Each edge-count point is an independent seeded simulation: the scaling
 # table (latency, WAN traffic, footprint, pushes) must be byte-identical
 # at any -parallel.
-$GO run ./cmd/wadeploy -quick -edges 2,4,8,16 -partitions 8 -config query-caching -parallel 1 topo > topo-p1.txt
-$GO run ./cmd/wadeploy -quick -edges 2,4,8,16 -partitions 8 -config query-caching -parallel 8 topo > topo-p8.txt
-diff topo-p1.txt topo-p8.txt
+$GO run ./cmd/wadeploy -quick -edges 2,4,8,16 -partitions 8 -config query-caching -parallel 1 topo > "$out/topo-p1.txt"
+$GO run ./cmd/wadeploy -quick -edges 2,4,8,16 -partitions 8 -config query-caching -parallel 8 topo > "$out/topo-p8.txt"
+diff "$out/topo-p1.txt" "$out/topo-p8.txt"
 
 echo '== engine goldens =='
 # Hierarchies, partitioning, delta replication, batching and the event log
