@@ -38,12 +38,13 @@ loc:
 sqldb-inventory:
 	sh scripts/sqldb-inventory.sh
 
-# CPU and heap profiles over the paper-table golden test (five Pet Store and
-# five RUBiS configurations through the full stack — the workload most
-# representative of paper runs). Inspect with `go tool pprof wadeploy.test
-# cpu.out` / `go tool pprof wadeploy.test mem.out`.
+# CPU and heap profiles of steady-state full-stack rounds: the repository
+# benchmark's petstore-centralized workload (BENCH=RubisAsyncRound for
+# rubis-async), deployed off the clock, ten rounds. Inspect with
+# `go tool pprof -top wadeploy.test cpu.out` / `... -sample_index=alloc_space mem.out`.
+BENCH ?= PetstoreCentralizedRound
 profile:
-	$(GO) test -run TestEngineGoldenTables -count=1 \
+	$(GO) test -run '^$$' -bench '^Benchmark$(BENCH)$$' -benchtime 10x \
 		-cpuprofile=cpu.out -memprofile=mem.out -o wadeploy.test ./internal/experiment
 
 # Full paper-length reproduction: Tables 6-7 and Figures 7-8 at one virtual

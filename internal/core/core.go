@@ -269,37 +269,58 @@ func InstrumentDB(reg *metrics.Registry, db *sqldb.DB) {
 	planHitsByVerb := reg.CounterVec("sqldb_plan_cache_hits_total", "verb")
 	planMisses := reg.Counter("sqldb_plan_cache_misses_total")
 	planMissesByVerb := reg.CounterVec("sqldb_plan_cache_misses_total", "verb")
+	// The labelled children of one (verb, table) are resolved once, in the
+	// order the first such statement reaches them: a plan-cache child only
+	// exists once a statement of that verb has hit or missed.
+	type stmtCounters struct {
+		byVerb, byTable, actualByTable, probesByTable *metrics.Counter
+		planHitsByVerb, planMissesByVerb              *metrics.Counter
+	}
+	resolved := make(map[[2]string]*stmtCounters)
 	db.SetObserver(func(st sqldb.StatementInfo) {
-		total.Inc()
-		byVerb.With(st.Verb).Inc()
-		if st.Table != "" {
-			byTable.With(st.Table).Inc()
+		c := resolved[[2]string{st.Verb, st.Table}]
+		if c == nil {
+			c = &stmtCounters{byVerb: byVerb.With(st.Verb)}
+			if st.Table != "" {
+				c.byTable = byTable.With(st.Table)
+				c.actualByTable = actualByTable.With(st.Table)
+				c.probesByTable = probesByTable.With(st.Table)
+			}
+			resolved[[2]string{st.Verb, st.Table}] = c
 		}
+		total.Inc()
+		c.byVerb.Inc()
 		scanned.Add(int64(st.Scanned))
 		written.Add(int64(st.Written))
 		returned.Add(int64(st.Returned))
 		scannedActual.Add(int64(st.ScannedActual))
 		probes.Add(int64(st.IndexProbes))
-		if st.Table != "" {
-			actualByTable.With(st.Table).Add(int64(st.ScannedActual))
-			probesByTable.With(st.Table).Add(int64(st.IndexProbes))
+		if c.byTable != nil {
+			c.byTable.Inc()
+			c.actualByTable.Add(int64(st.ScannedActual))
+			c.probesByTable.Add(int64(st.IndexProbes))
 		}
-		if st.Planned {
-			if st.PlanHit {
-				planHits.Inc()
-				planHitsByVerb.With(st.Verb).Inc()
-			} else {
-				planMisses.Inc()
-				planMissesByVerb.With(st.Verb).Inc()
-			}
+		// Planned marks the access-path verbs: select, update and delete.
+		if !st.Planned {
+			return
 		}
-		switch st.Verb {
-		case "select", "update", "delete":
-			if st.IndexUsed {
-				indexScans.Inc()
-			} else {
-				fullScans.Inc()
+		if st.PlanHit {
+			if c.planHitsByVerb == nil {
+				c.planHitsByVerb = planHitsByVerb.With(st.Verb)
 			}
+			planHits.Inc()
+			c.planHitsByVerb.Inc()
+		} else {
+			if c.planMissesByVerb == nil {
+				c.planMissesByVerb = planMissesByVerb.With(st.Verb)
+			}
+			planMisses.Inc()
+			c.planMissesByVerb.Inc()
+		}
+		if st.IndexUsed {
+			indexScans.Inc()
+		} else {
+			fullScans.Inc()
 		}
 	})
 }

@@ -41,6 +41,11 @@ type timerQueue struct {
 	slots    *[wheelSlots]eventHeap // 96 KB: made by the first push; reset drops it, so a closed Env a registry still pins keeps none
 	overflow eventHeap
 
+	// free holds the backing arrays of slots that pop emptied. An empty slot
+	// is nil and its first push takes an array from here, so the wheel keeps
+	// one array per slot occupied at the same time, not per slot ever touched.
+	free []eventHeap
+
 	size      int   // events resident in wheel slots (excludes overflow)
 	cursor    int64 // all queued events have tick ≥ cursor
 	windowEnd int64 // wheel covers ticks [cursor, windowEnd)
@@ -69,14 +74,23 @@ func (q *timerQueue) push(ev event, now time.Duration) {
 	}
 	tick := tickOf(ev.at)
 	if tick < q.windowEnd {
-		q.slots[tick&wheelMask].push(ev)
-		q.size++
+		q.pushSlot(tick, ev)
 		if q.memoTick >= 0 && tick < q.memoTick {
 			q.memoTick = tick
 		}
 		return
 	}
 	q.overflow.push(ev)
+}
+
+// pushSlot files ev, whose tick is inside the window, in its wheel slot.
+func (q *timerQueue) pushSlot(tick int64, ev event) {
+	h := &q.slots[tick&wheelMask]
+	if n := len(q.free); *h == nil && n > 0 {
+		*h, q.free[n-1], q.free = q.free[n-1], nil, q.free[:n-1]
+	}
+	h.push(ev)
+	q.size++
 }
 
 // migrate re-anchors the window at the overflow heap's earliest tick and
@@ -87,8 +101,7 @@ func (q *timerQueue) migrate() {
 	q.windowEnd = q.cursor + wheelSlots
 	for len(q.overflow) > 0 && tickOf(q.overflow[0].at) < q.windowEnd {
 		ev := q.overflow.pop()
-		q.slots[tickOf(ev.at)&wheelMask].push(ev)
-		q.size++
+		q.pushSlot(tickOf(ev.at), ev)
 	}
 	q.memoTick = q.cursor
 }
@@ -133,6 +146,8 @@ func (q *timerQueue) pop() event {
 	ev := h.pop()
 	q.size--
 	if len(*h) == 0 {
+		q.free = append(q.free, *h)
+		*h = nil
 		q.memoTick = -1
 	}
 	return ev
@@ -140,7 +155,7 @@ func (q *timerQueue) pop() event {
 
 // reset drops every queued event and releases slot backing arrays.
 func (q *timerQueue) reset() {
-	q.slots, q.overflow = nil, nil
+	q.slots, q.overflow, q.free = nil, nil, nil
 	q.size = 0
 	q.memoTick = -1
 }

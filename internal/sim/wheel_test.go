@@ -154,3 +154,51 @@ func TestWheelReanchor(t *testing.T) {
 		t.Fatalf("popped seq %d, want 2", ev.seq)
 	}
 }
+
+// TestWheelKeepsOneArrayPerOccupiedSlot pins the slot free list: over a run
+// several horizons long that touches every slot, the backing arrays the
+// queue holds (non-nil slots plus the free list) never exceed the peak
+// number of slots occupied at the same time.
+func TestWheelKeepsOneArrayPerOccupiedSlot(t *testing.T) {
+	var q timerQueue
+	q.memoTick = -1
+	rng := rand.New(rand.NewSource(1))
+	held := func() (occupied, arrays int) {
+		for i := range q.slots {
+			if len(q.slots[i]) > 0 {
+				occupied++
+			}
+			if q.slots[i] != nil {
+				arrays++
+			}
+		}
+		return occupied, arrays + len(q.free)
+	}
+	var now time.Duration
+	var seq uint64
+	peak := 0
+	const pending = 64 // events in flight, each rescheduled within a quarter horizon
+	reschedule := func() {
+		seq++
+		delay := time.Duration(rng.Int63n(int64(wheelSlots/4) << wheelShift))
+		q.push(event{at: now + delay, seq: seq}, now)
+	}
+	for i := 0; i < pending; i++ {
+		reschedule()
+	}
+	peak, _ = held()
+	for now < 5*time.Duration(wheelSlots)<<wheelShift {
+		now = q.pop().at
+		reschedule()
+		occupied, arrays := held()
+		if occupied > peak {
+			peak = occupied
+		}
+		if arrays > peak {
+			t.Fatalf("at %v the queue holds %d slot arrays, peak occupancy is %d", now, arrays, peak)
+		}
+	}
+	if peak > pending {
+		t.Fatalf("peak occupancy %d exceeds the %d events in flight", peak, pending)
+	}
+}

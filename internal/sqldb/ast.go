@@ -30,6 +30,10 @@ type InsertStmt struct {
 	Table string
 	Cols  []string
 	Rows  [][]Expr
+
+	// plan caches column binding and the compiled value expressions (see
+	// UpdateStmt.plan for the safety argument).
+	plan *insertPlan
 }
 
 // Assign is one SET col = expr clause.
@@ -44,9 +48,11 @@ type UpdateStmt struct {
 	Sets  []Assign
 	Where Expr
 
-	// plan caches the WHERE access path. Like ColumnRef's resolution
-	// cache, each AST belongs to exactly one DB and is only executed under
-	// that DB's mutex; the plan revalidates against db+epoch on use.
+	// plan caches the access path and the compiled WHERE and SET clauses.
+	// Each AST belongs to exactly one DB (via its prepared-statement cache)
+	// and is only executed under that DB's mutex; the plan revalidates
+	// against db+epoch on use. Everything else in the AST is immutable after
+	// Parse.
 	plan *matchPlan
 }
 
@@ -55,7 +61,7 @@ type DeleteStmt struct {
 	Table string
 	Where Expr
 
-	// plan caches the WHERE access path (see UpdateStmt.plan).
+	// plan caches the access path and the compiled WHERE (see UpdateStmt.plan).
 	plan *matchPlan
 }
 
@@ -97,8 +103,8 @@ type SelectStmt struct {
 	OrderBy []OrderKey
 	Limit   int // -1 when absent
 
-	// plan caches table binding and access-path selection (see
-	// UpdateStmt.plan for the safety argument).
+	// plan caches table binding, access-path selection and every compiled
+	// expression (see UpdateStmt.plan for the safety argument).
 	plan *selectPlan
 }
 
@@ -126,15 +132,6 @@ type Placeholder struct {
 type ColumnRef struct {
 	Table string
 	Name  string
-
-	// Resolution cache filled in by evalCtx.resolve. Each AST belongs to
-	// exactly one DB (via its prepared-statement cache) and is only
-	// evaluated under that DB's mutex, so mutating these here is safe.
-	// cachedT's pointer identity validates the entry: Restore installs new
-	// *table values and the cache misses.
-	cachedT    *table
-	cachedSlot int
-	cachedCol  int
 }
 
 // BinaryExpr applies an operator to two operands. Op is one of:

@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"strconv"
 	"testing"
 
 	"wadeploy/internal/race"
@@ -105,79 +106,50 @@ func BenchmarkSqldbSnapshotRestore(b *testing.B) {
 	}
 }
 
-// Alloc guards: the hot read paths must stay allocation-light so thousands
-// of simulated statements per run do not thrash the collector. Ceilings are
-// generous versus measured values to absorb runtime drift, but tight enough
-// to catch a reintroduced per-row or per-plan allocation.
+// Alloc guards: a SELECT allocates its Result, one slab of values and one
+// slice of rows, whatever its row count; everything else an execution needs
+// is plan scratch. A reintroduced per-row or per-statement allocation trips
+// these.
 
-func TestPointLookupAllocGuard(t *testing.T) {
+func allocGuard(t *testing.T, db *DB, ceiling float64, wantRows int, sql string, args ...Value) {
+	t.Helper()
 	if race.Enabled {
 		t.Skip("race instrumentation allocates; alloc guard runs without -race")
 	}
-	db := newBenchDB(t)
-	st, err := db.PrepareStmt(`SELECT name, price FROM item WHERE id = ?`)
+	st, err := db.PrepareStmt(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	arg := Int(7)
-	avg := testing.AllocsPerRun(200, func() {
-		if _, err := st.Exec(arg); err != nil {
+	if res, err := st.Exec(args...); err != nil || res.Len() != wantRows {
+		t.Fatalf("%s: %d rows, want %d (err %v)", sql, res.Len(), wantRows, err)
+	}
+	avg := testing.AllocsPerRun(100, func() {
+		if _, err := st.Exec(args...); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if avg > 12 {
-		t.Fatalf("point lookup allocates %.1f/op, ceiling 12", avg)
+	if avg > ceiling {
+		t.Fatalf("%s allocates %.1f/op for %d rows, ceiling %.0f", sql, avg, wantRows, ceiling)
 	}
 }
 
+func TestPointLookupAllocGuard(t *testing.T) {
+	allocGuard(t, newBenchDB(t), 3, 1, `SELECT name, price FROM item WHERE id = ?`, Int(7))
+}
+
 func TestOrderedLimitAllocGuard(t *testing.T) {
-	if race.Enabled {
-		t.Skip("race instrumentation allocates; alloc guard runs without -race")
-	}
 	db := newBenchDB(t)
-	st, err := db.PrepareStmt(`SELECT id FROM item ORDER BY id LIMIT 25`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	avg := testing.AllocsPerRun(200, func() {
-		if _, err := st.Exec(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// ~2 allocs per returned row (row slice + backing) plus fixed overhead.
-	if avg > 70 {
-		t.Fatalf("ordered LIMIT 25 allocates %.1f/op, ceiling 70", avg)
+	for _, rows := range []int{5, 500} {
+		limit := strconv.Itoa(rows)
+		// An index-ordered walk, a sort by stored values and a sort by an
+		// evaluated key.
+		allocGuard(t, db, 3, rows, `SELECT id FROM item ORDER BY id LIMIT `+limit)
+		allocGuard(t, db, 3, rows, `SELECT * FROM item WHERE price < ? ORDER BY name DESC, grp LIMIT `+limit, Float(400))
+		allocGuard(t, db, 3, rows, `SELECT id, price * 2 FROM item ORDER BY 0 - price, id LIMIT `+limit)
 	}
 }
 
 func TestIndexJoinAllocGuard(t *testing.T) {
-	if race.Enabled {
-		t.Skip("race instrumentation allocates; alloc guard runs without -race")
-	}
-	db := newBenchDB(t)
-	st, err := db.PrepareStmt(
-		`SELECT item.name FROM item JOIN detail ON detail.item_id = item.id WHERE item.grp = ?`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arg := Int(3)
-	res, err := st.Exec(arg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := res.Len()
-	if rows == 0 {
-		t.Fatal("join returned no rows")
-	}
-	avg := testing.AllocsPerRun(100, func() {
-		if _, err := st.Exec(arg); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// Budget: a retained context + bound copy + output row per match, plus
-	// fixed overhead. Anything super-linear in matches trips this.
-	ceiling := float64(8*rows + 32)
-	if avg > ceiling {
-		t.Fatalf("index join allocates %.1f/op for %d rows, ceiling %.0f", avg, rows, ceiling)
-	}
+	allocGuard(t, newBenchDB(t), 4, 120,
+		`SELECT item.name, detail.note FROM item JOIN detail ON detail.item_id = item.id WHERE item.grp = ? ORDER BY detail.id DESC`, Int(3))
 }

@@ -191,10 +191,8 @@ func (t *table) indexOn(c int) *index {
 type DB struct {
 	mu       sync.Mutex
 	tables   map[string]*table
-	prepared map[string]Stmt
-	// labels interns Describe's "verb table" span labels per statement text.
-	labels map[string]string
-	cost   CostModel
+	prepared map[string]*Prepared
+	cost     CostModel
 
 	// epoch counts schema changes (CREATE TABLE, CREATE INDEX, Restore).
 	// Cached query plans record the epoch they were built at and rebuild
@@ -237,7 +235,7 @@ type StatementInfo struct {
 func New() *DB {
 	return &DB{
 		tables:   make(map[string]*table),
-		prepared: make(map[string]Stmt),
+		prepared: make(map[string]*Prepared),
 		cost:     DefaultCostModel,
 	}
 }
@@ -272,59 +270,48 @@ func (db *DB) RowCount(tableName string) (int, error) {
 
 // prepareLocked parses sql through the prepared-statement cache. db.mu must
 // be held.
-func (db *DB) prepareLocked(sql string) (Stmt, error) {
-	if st, ok := db.prepared[sql]; ok {
-		return st, nil
+func (db *DB) prepareLocked(sql string) (*Prepared, error) {
+	if p, ok := db.prepared[sql]; ok {
+		return p, nil
 	}
 	st, err := Parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	db.prepared[sql] = st
-	return st, nil
+	p := &Prepared{db: db, sql: sql, st: st}
+	switch s := st.(type) {
+	case *SelectStmt:
+		p.info = StatementInfo{Verb: "select", Table: s.From[0].Table, Planned: true}
+	case *InsertStmt:
+		p.info, p.write = StatementInfo{Verb: "insert", Table: s.Table}, true
+	case *UpdateStmt:
+		p.info, p.write = StatementInfo{Verb: "update", Table: s.Table, Planned: true}, true
+	case *DeleteStmt:
+		p.info, p.write = StatementInfo{Verb: "delete", Table: s.Table, Planned: true}, true
+	case *CreateTableStmt:
+		p.info = StatementInfo{Verb: "create-table", Table: s.Name}
+	case *CreateIndexStmt:
+		p.info = StatementInfo{Verb: "create-index", Table: s.Table}
+	}
+	p.label = p.info.Verb + " " + p.info.Table
+	db.prepared[sql] = p
+	return p, nil
 }
 
 // Describe returns a compact "verb table" label for sql ("select item",
-// "update account"), parsing through the prepared-statement cache. Labels
-// are interned alongside the parse, so repeated calls with the same
-// statement text return the same string without allocating — tracing layers
-// can label per-statement spans at no steady-state cost. Unparseable text
-// is labeled "sql" (execution will surface the error).
+// "update account"), parsing through the prepared-statement cache. The
+// label is built once per statement text, so repeated calls return the same
+// string without allocating — tracing layers can label per-statement spans
+// at no steady-state cost. Unparseable text is labeled "sql" (execution
+// will surface the error).
 func (db *DB) Describe(sql string) string {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if label, ok := db.labels[sql]; ok {
-		return label
-	}
-	label := "sql"
-	if st, err := db.prepareLocked(sql); err == nil {
-		label = describeStmt(st)
-	}
-	if db.labels == nil {
-		db.labels = make(map[string]string)
-	}
-	db.labels[sql] = label
-	return label
-}
-
-// describeStmt renders one parsed statement as "verb table".
-func describeStmt(st Stmt) string {
-	switch s := st.(type) {
-	case *SelectStmt:
-		return "select " + s.From[0].Table
-	case *InsertStmt:
-		return "insert " + s.Table
-	case *UpdateStmt:
-		return "update " + s.Table
-	case *DeleteStmt:
-		return "delete " + s.Table
-	case *CreateTableStmt:
-		return "create-table " + s.Name
-	case *CreateIndexStmt:
-		return "create-index " + s.Table
-	default:
+	p, err := db.prepareLocked(sql)
+	if err != nil {
 		return "sql"
 	}
+	return p.label
 }
 
 // SetWriteHook registers fn to observe every successful mutating statement
@@ -351,28 +338,12 @@ func (db *DB) SetObserver(fn func(StatementInfo)) {
 // bound to args.
 func (db *DB) Exec(sql string, args ...Value) (*Result, error) {
 	db.mu.Lock()
-	st, err := db.prepareLocked(sql)
+	p, err := db.prepareLocked(sql)
 	if err != nil {
 		db.mu.Unlock()
 		return nil, err
 	}
-	res, err := db.execLocked(st, args, nil)
-	hook := db.onWrite
-	db.mu.Unlock()
-	if err == nil && hook != nil && isWrite(st) && res.Affected > 0 {
-		hook(sql, args)
-	}
-	return res, err
-}
-
-// isWrite reports whether st mutates table contents.
-func isWrite(st Stmt) bool {
-	switch st.(type) {
-	case *InsertStmt, *UpdateStmt, *DeleteStmt:
-		return true
-	default:
-		return false
-	}
+	return p.execAndUnlock(args)
 }
 
 // Query is Exec; provided for call-site readability.
@@ -406,12 +377,12 @@ func (tx *Tx) Exec(sql string, args ...Value) (*Result, error) {
 	}
 	tx.db.mu.Lock()
 	defer tx.db.mu.Unlock()
-	st, err := tx.db.prepareLocked(sql)
+	p, err := tx.db.prepareLocked(sql)
 	if err != nil {
 		return nil, err
 	}
-	res, err := tx.db.execLocked(st, args, tx)
-	if err == nil && isWrite(st) && res.Affected > 0 {
+	res, err := tx.db.execLocked(p, args, tx)
+	if err == nil && p.write && res.Affected > 0 {
 		tx.writes = append(tx.writes, txWrite{sql: sql, args: append([]Value(nil), args...)})
 	}
 	return res, err
@@ -453,11 +424,16 @@ func (tx *Tx) Rollback() error {
 	return nil
 }
 
-// execLocked dispatches a parsed statement. db.mu must be held.
-func (db *DB) execLocked(st Stmt, args []Value, tx *Tx) (*Result, error) {
-	res, err := db.dispatchLocked(st, args, tx)
+// execLocked executes a prepared statement and reports it to the observer:
+// the statement's static half (verb, table, planned) was derived when it
+// was prepared, the rest comes from the result. db.mu must be held.
+func (db *DB) execLocked(p *Prepared, args []Value, tx *Tx) (*Result, error) {
+	res, err := db.dispatchLocked(p.st, args, tx)
 	if err == nil && (db.observer != nil || db.profiling) {
-		info := statementInfo(st, res)
+		info := p.info
+		info.Scanned, info.Written, info.Returned = res.Scanned, res.Affected, len(res.Rows)
+		info.IndexUsed, info.PlanHit = res.IndexUsed, res.PlanCached
+		info.ScannedActual, info.IndexProbes = res.ScannedActual, res.IndexProbes
 		if db.observer != nil {
 			db.observer(info)
 		}
@@ -466,33 +442,6 @@ func (db *DB) execLocked(st Stmt, args []Value, tx *Tx) (*Result, error) {
 		}
 	}
 	return res, err
-}
-
-// statementInfo derives the observer's view of one executed statement.
-func statementInfo(st Stmt, res *Result) StatementInfo {
-	info := StatementInfo{
-		Scanned:       res.Scanned,
-		Returned:      len(res.Rows),
-		IndexUsed:     res.IndexUsed,
-		ScannedActual: res.ScannedActual,
-		IndexProbes:   res.IndexProbes,
-		PlanHit:       res.PlanCached,
-	}
-	switch s := st.(type) {
-	case *SelectStmt:
-		info.Verb, info.Table, info.Planned = "select", s.From[0].Table, true
-	case *InsertStmt:
-		info.Verb, info.Table, info.Written = "insert", s.Table, res.Affected
-	case *UpdateStmt:
-		info.Verb, info.Table, info.Written, info.Planned = "update", s.Table, res.Affected, true
-	case *DeleteStmt:
-		info.Verb, info.Table, info.Written, info.Planned = "delete", s.Table, res.Affected, true
-	case *CreateTableStmt:
-		info.Verb, info.Table = "create-table", s.Name
-	case *CreateIndexStmt:
-		info.Verb, info.Table = "create-index", s.Table
-	}
-	return info
 }
 
 // dispatchLocked executes a parsed statement. db.mu must be held.
@@ -580,67 +529,94 @@ func (db *DB) execCreateIndex(s *CreateIndexStmt) (*Result, error) {
 	return &Result{Cost: db.cost.cost(t.live, 0, 0)}, nil
 }
 
-func (db *DB) execInsert(s *InsertStmt, args []Value, tx *Tx) (*Result, error) {
+// insertPlan is an INSERT's column binding and compiled value expressions.
+type insertPlan struct {
+	planStamp
+	t      *table
+	cols   []string // the named columns, or all of the table's
+	colPos []int
+	rows   [][]evalFn
+	fr     frame
+}
+
+func (db *DB) insertPlanFor(s *InsertStmt) (*insertPlan, error) {
+	if pl := s.plan; pl != nil && pl.planStamp == db.stamp() {
+		return pl, nil
+	}
 	t, ok := db.tables[s.Table]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
 	}
-	cols := s.Cols
-	if len(cols) == 0 {
-		cols = make([]string, len(t.cols))
-		for i, c := range t.cols {
-			cols[i] = c.Name
+	pl := &insertPlan{planStamp: db.stamp(), t: t, cols: s.Cols}
+	if len(pl.cols) == 0 {
+		for _, c := range t.cols {
+			pl.cols = append(pl.cols, c.Name)
 		}
 	}
-	colPos := make([]int, len(cols))
-	for i, name := range cols {
+	for _, name := range pl.cols {
 		c, err := t.col(name)
 		if err != nil {
 			return nil, err
 		}
-		colPos[i] = c
+		pl.colPos = append(pl.colPos, c)
 	}
-	written := 0
-	ctx := &evalCtx{params: args}
-	// Track applied rows so a failure part-way through a multi-row insert
-	// rolls the statement back (statements are atomic even in autocommit).
-	applied := make([]int, 0, len(s.Rows))
-	for _, exprRow := range s.Rows {
-		if len(exprRow) != len(cols) {
-			db.undoInserts(t, applied)
-			return nil, fmt.Errorf("sqldb: insert into %s: %d values for %d columns", s.Table, len(exprRow), len(cols))
+	for _, exprs := range s.Rows {
+		row := make([]evalFn, len(exprs))
+		for i, e := range exprs {
+			row[i] = scope{}.compile(e)
 		}
-		vals := make([]Value, len(t.cols))
-		for i, e := range exprRow {
-			v, err := ctx.eval(e)
-			if err != nil {
-				db.undoInserts(t, applied)
-				return nil, err
-			}
-			cv, err := coerce(v, t.cols[colPos[i]].Kind)
-			if err != nil {
-				db.undoInserts(t, applied)
-				return nil, fmt.Errorf("insert %s.%s: %w", s.Table, cols[i], err)
-			}
-			vals[colPos[i]] = cv
-		}
-		if err := db.insertRow(t, vals, tx); err != nil {
-			db.undoInserts(t, applied)
-			return nil, err
-		}
-		applied = append(applied, len(t.rows)-1)
-		written++
+		pl.rows = append(pl.rows, row)
 	}
-	return &Result{Affected: written, Cost: db.cost.cost(0, written, 0)}, nil
+	s.plan = pl
+	return pl, nil
 }
 
-// undoInserts tombstones rows applied by a failing multi-row insert. The
-// rows also sit in the enclosing transaction's undo log (as kills), which is
-// harmless: killing a dead row is a no-op.
-func (db *DB) undoInserts(t *table, positions []int) {
-	for i := len(positions) - 1; i >= 0; i-- {
-		db.killRow(t, positions[i])
+// row evaluates one VALUES tuple into a new stored row.
+func (pl *insertPlan) row(exprs []evalFn) ([]Value, error) {
+	t := pl.t
+	if len(exprs) != len(pl.cols) {
+		return nil, fmt.Errorf("sqldb: insert into %s: %d values for %d columns", t.name, len(exprs), len(pl.cols))
 	}
+	vals := make([]Value, len(t.cols))
+	for i, e := range exprs {
+		v, err := e(&pl.fr)
+		if err != nil {
+			return nil, err
+		}
+		cv, err := coerce(v, t.cols[pl.colPos[i]].Kind)
+		if err != nil {
+			return nil, fmt.Errorf("insert %s.%s: %w", t.name, pl.cols[i], err)
+		}
+		vals[pl.colPos[i]] = cv
+	}
+	return vals, nil
+}
+
+func (db *DB) execInsert(s *InsertStmt, args []Value, tx *Tx) (*Result, error) {
+	pl, err := db.insertPlanFor(s)
+	if err != nil {
+		return nil, err
+	}
+	t := pl.t
+	pl.fr.params = args
+	first := len(t.rows)
+	for _, exprs := range pl.rows {
+		vals, err := pl.row(exprs)
+		if err == nil {
+			err = db.insertRow(t, vals, tx)
+		}
+		if err != nil {
+			// A failure part-way through a multi-row insert rolls the
+			// statement back (statements are atomic even in autocommit).
+			// The rows also sit in the enclosing transaction's undo log (as
+			// kills), which is harmless: killing a dead row is a no-op.
+			for pos := len(t.rows) - 1; pos >= first; pos-- {
+				db.killRow(t, pos)
+			}
+			return nil, err
+		}
+	}
+	return &Result{Affected: len(pl.rows), Cost: db.cost.cost(0, len(pl.rows), 0)}, nil
 }
 
 // insertRow validates constraints and stores vals in t, logging undo in tx.
@@ -694,160 +670,151 @@ func (db *DB) reviveRow(t *table, pos int, vals []Value) {
 	}
 }
 
-func (db *DB) execUpdate(s *UpdateStmt, args []Value, tx *Tx) (*Result, error) {
-	t, ok := db.tables[s.Table]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
-	}
-	setPos := make([]int, len(s.Sets))
-	for i, a := range s.Sets {
-		c, err := t.col(a.Col)
-		if err != nil {
-			return nil, err
+// replaceRow swaps in a new value slice for the row at pos, moving its index
+// entries. Stored vals are never mutated in place.
+func (t *table) replaceRow(pos int, vals []Value) {
+	r := t.rows[pos]
+	for _, ix := range t.indexes {
+		oldK, newK := r.vals[ix.col].mapKey(), vals[ix.col].mapKey()
+		if oldK != newK {
+			ix.remove(oldK, pos)
+			ix.add(newK, pos)
 		}
-		setPos[i] = c
 	}
-	pl, hit := matchPlanCached(&s.plan, db, t, s.Where)
-	positions, scanned, usedIndex, actual, probes, err := db.matchRowsPlanned(pl, s.Where, args)
+	r.vals = vals
+}
+
+func (db *DB) execUpdate(s *UpdateStmt, args []Value, tx *Tx) (*Result, error) {
+	pl, hit, err := db.matchPlanFor(&s.plan, s.Table, s.Where, s.Sets)
 	if err != nil {
 		return nil, err
 	}
+	probed, scanned, err := pl.match(args)
+	if err != nil {
+		return nil, err
+	}
+	t := pl.t
 	// Phase 1: evaluate and validate every row's new values so a failure
 	// leaves the table untouched (statement atomicity).
-	planned := make([][]Value, len(positions))
-	ctx := evalCtx{params: args, tables: []boundTable{{name: s.Table, t: t}}}
-	for i, pos := range positions {
-		r := t.rows[pos]
-		ctx.tables[0].vals = r.vals
-		newVals := append([]Value(nil), r.vals...)
-		for j, a := range s.Sets {
-			v, err := ctx.eval(a.Expr)
+	pl.newVals = pl.newVals[:0]
+	for _, pos := range pl.pos {
+		old := t.rows[pos].vals
+		pl.fr.rows[0] = old
+		vals := append([]Value(nil), old...)
+		for j, set := range pl.sets {
+			v, err := set.val(&pl.fr)
 			if err != nil {
 				return nil, err
 			}
-			cv, err := coerce(v, t.cols[setPos[j]].Kind)
+			def := &t.cols[set.col]
+			cv, err := coerce(v, def.Kind)
 			if err != nil {
-				return nil, fmt.Errorf("update %s.%s: %w", s.Table, a.Col, err)
+				return nil, fmt.Errorf("update %s.%s: %w", s.Table, s.Sets[j].Col, err)
 			}
-			if t.cols[setPos[j]].NotNull && cv.IsNull() {
-				return nil, fmt.Errorf("%w: %s.%s", ErrNotNull, t.name, a.Col)
+			if def.NotNull && cv.IsNull() {
+				return nil, fmt.Errorf("%w: %s.%s", ErrNotNull, t.name, def.Name)
 			}
-			newVals[setPos[j]] = cv
+			vals[set.col] = cv
 		}
-		planned[i] = newVals
+		pl.newVals = append(pl.newVals, vals)
 	}
 	// Phase 2: apply with undo-on-conflict so intra-statement unique
 	// violations roll the whole statement back.
-	applyRow := func(pos int, newVals []Value) {
-		r := t.rows[pos]
-		for _, ix := range t.indexes {
-			oldK, newK := r.vals[ix.col].mapKey(), newVals[ix.col].mapKey()
-			if oldK != newK {
-				ix.remove(oldK, pos)
-				ix.add(newK, pos)
-			}
-		}
-		r.vals = newVals
-	}
-	type change struct {
-		pos     int
-		oldVals []Value
-	}
-	var applied []change
-	rollback := func() {
-		for i := len(applied) - 1; i >= 0; i-- {
-			applyRow(applied[i].pos, applied[i].oldVals)
-		}
-	}
-	for i, pos := range positions {
-		r := t.rows[pos]
-		newVals := planned[i]
+	pl.oldVals = pl.oldVals[:0]
+	for i, pos := range pl.pos {
+		old, vals := t.rows[pos].vals, pl.newVals[i]
 		for _, ix := range t.indexes {
 			if !ix.unique {
 				continue
 			}
-			oldK, newK := r.vals[ix.col].mapKey(), newVals[ix.col].mapKey()
-			if oldK != newK && !newVals[ix.col].IsNull() && len(ix.m[newK]) > 0 {
-				rollback()
-				return nil, fmt.Errorf("%w: %s.%s = %v", ErrDuplicateKey, t.name, t.cols[ix.col].Name, newVals[ix.col])
+			oldK, newK := old[ix.col].mapKey(), vals[ix.col].mapKey()
+			if oldK != newK && !vals[ix.col].IsNull() && len(ix.m[newK]) > 0 {
+				for i := len(pl.oldVals) - 1; i >= 0; i-- {
+					t.replaceRow(pl.pos[i], pl.oldVals[i])
+				}
+				return nil, fmt.Errorf("%w: %s.%s = %v", ErrDuplicateKey, t.name, t.cols[ix.col].Name, vals[ix.col])
 			}
 		}
-		oldVals := r.vals
-		applyRow(pos, newVals)
-		applied = append(applied, change{pos: pos, oldVals: oldVals})
+		t.replaceRow(pos, vals)
+		pl.oldVals = append(pl.oldVals, old)
 		if tx != nil {
-			pos, oldVals := pos, oldVals
-			tx.undo = append(tx.undo, func() { applyRow(pos, oldVals) })
+			tx.undo = append(tx.undo, func() { t.replaceRow(pos, old) })
 		}
 	}
-	return &Result{
-		Affected:      len(applied),
-		Scanned:       scanned,
-		IndexUsed:     usedIndex,
-		ScannedActual: actual,
-		IndexProbes:   probes,
-		PlanCached:    hit,
-		Cost:          db.cost.cost(scanned, len(applied), 0),
-	}, nil
+	return db.matchResult(hit, probed, scanned, len(pl.pos)), nil
 }
 
 func (db *DB) execDelete(s *DeleteStmt, args []Value, tx *Tx) (*Result, error) {
-	t, ok := db.tables[s.Table]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
-	}
-	pl, hit := matchPlanCached(&s.plan, db, t, s.Where)
-	positions, scanned, usedIndex, actual, probes, err := db.matchRowsPlanned(pl, s.Where, args)
+	pl, hit, err := db.matchPlanFor(&s.plan, s.Table, s.Where, nil)
 	if err != nil {
 		return nil, err
 	}
-	for _, pos := range positions {
-		oldVals := t.rows[pos].vals
+	probed, scanned, err := pl.match(args)
+	if err != nil {
+		return nil, err
+	}
+	t := pl.t
+	for _, pos := range pl.pos {
+		old := t.rows[pos].vals
 		db.killRow(t, pos)
 		if tx != nil {
-			pos, oldVals := pos, oldVals
-			tx.undo = append(tx.undo, func() { db.reviveRow(t, pos, oldVals) })
+			tx.undo = append(tx.undo, func() { db.reviveRow(t, pos, old) })
 		}
 	}
-	return &Result{
-		Affected:      len(positions),
+	return db.matchResult(hit, probed, scanned, len(pl.pos)), nil
+}
+
+// matchResult is the Result of an UPDATE or DELETE. The virtual and the
+// actual scan figure coincide: a probed bucket's length, or every live row.
+func (db *DB) matchResult(hit, probed bool, scanned, affected int) *Result {
+	res := &Result{
+		Affected:      affected,
 		Scanned:       scanned,
-		IndexUsed:     usedIndex,
-		ScannedActual: actual,
-		IndexProbes:   probes,
+		IndexUsed:     probed,
+		ScannedActual: scanned,
 		PlanCached:    hit,
-		Cost:          db.cost.cost(scanned, len(positions), 0),
-	}, nil
+		Cost:          db.cost.cost(scanned, affected, 0),
+	}
+	if probed {
+		res.IndexProbes = 1
+	}
+	return res
 }
 
 // Prepared is a parsed statement bound to its database: a handle whose Exec
-// skips the SQL-text map lookup and reuses the statement's cached plan.
+// skips the SQL-text map lookup and reuses the statement's cached plan. It
+// is immutable; every caller preparing the same text shares one.
 type Prepared struct {
-	db  *DB
-	sql string
-	st  Stmt
+	db    *DB
+	sql   string
+	st    Stmt
+	info  StatementInfo // the static half: Verb, Table, Planned
+	label string        // "verb table", for Describe
+	write bool          // st mutates table contents
 }
 
 // PrepareStmt parses sql once and returns a reusable handle bound to db.
 func (db *DB) PrepareStmt(sql string) (*Prepared, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	st, err := db.prepareLocked(sql)
-	if err != nil {
-		return nil, err
-	}
-	return &Prepared{db: db, sql: sql, st: st}, nil
+	return db.prepareLocked(sql)
 }
 
 // Exec executes the prepared statement with ? parameters bound to args. It
 // behaves exactly like DB.Exec with the handle's SQL text.
 func (p *Prepared) Exec(args ...Value) (*Result, error) {
+	p.db.mu.Lock()
+	return p.execAndUnlock(args)
+}
+
+// execAndUnlock executes outside a transaction with db.mu held, releases it
+// and then notifies the write hook.
+func (p *Prepared) execAndUnlock(args []Value) (*Result, error) {
 	db := p.db
-	db.mu.Lock()
-	res, err := db.execLocked(p.st, args, nil)
+	res, err := db.execLocked(p, args, nil)
 	hook := db.onWrite
 	db.mu.Unlock()
-	if err == nil && hook != nil && isWrite(p.st) && res.Affected > 0 {
+	if err == nil && hook != nil && p.write && res.Affected > 0 {
 		hook(p.sql, args)
 	}
 	return res, err

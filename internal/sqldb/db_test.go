@@ -120,7 +120,7 @@ func TestSelectJoinWithIndexProbe(t *testing.T) {
 	if r.Len() != 2 {
 		t.Fatalf("rows = %d", r.Len())
 	}
-	if r.Rows[0][0].S != "cal" || r.Rows[0][1].F != 60.0 {
+	if r.Rows[0][0].S != "cal" || r.Rows[0][1].AsFloat() != 60.0 {
 		t.Fatalf("%v", r.Rows)
 	}
 }
@@ -254,7 +254,7 @@ func TestCoercionIntToFloatColumn(t *testing.T) {
 		t.Fatal(err)
 	}
 	r, _ := db.Query(`SELECT price FROM items WHERE id = 9`)
-	if r.Rows[0][0].K != KindFloat || r.Rows[0][0].F != 20 {
+	if r.Rows[0][0].K != KindFloat || r.Rows[0][0].AsFloat() != 20 {
 		t.Fatalf("price = %#v", r.Rows[0][0])
 	}
 }

@@ -5,212 +5,251 @@ import (
 	"strings"
 )
 
-// boundTable is one table's current row inside an evaluation context.
-type boundTable struct {
-	name string // alias or table name as referenced in the query
-	t    *table
-	vals []Value
-}
+// Expressions are lowered once per plan to closures over a frame: column
+// references become (slot, ordinal) reads, operators are decoded, and a
+// reference that does not resolve becomes a closure returning the error the
+// reference would raise — when, and only when, a row reaches it. The AST is
+// immutable after Parse.
 
-// evalCtx evaluates expressions against zero or more bound rows plus
-// statement parameters.
-type evalCtx struct {
-	tables []boundTable
+// frame is what a compiled expression reads: the current row of every FROM
+// slot bound so far, and the statement's parameters.
+type frame struct {
+	rows   [][]Value
 	params []Value
 }
 
-func (c *evalCtx) resolve(ref *ColumnRef) (Value, error) {
-	// Fast path: the per-statement cache remembers which bound-table slot
-	// and column index this reference resolved to last time. The pointer
-	// comparison against the cached *table revalidates the map lookup.
-	if ref.cachedT != nil && ref.cachedSlot < len(c.tables) {
-		bt := &c.tables[ref.cachedSlot]
-		if bt.t == ref.cachedT && (ref.Table != "" && bt.name == ref.Table ||
-			ref.Table == "" && len(c.tables) == 1) {
-			return bt.vals[ref.cachedCol], nil
-		}
-	}
-	if ref.Table != "" {
-		for si := range c.tables {
-			bt := &c.tables[si]
-			if bt.name == ref.Table {
-				i, ok := bt.t.colIdx[ref.Name]
-				if !ok {
-					return Value{}, fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, ref.Table, ref.Name)
-				}
-				ref.cachedT, ref.cachedSlot, ref.cachedCol = bt.t, si, i
-				return bt.vals[i], nil
-			}
-		}
-		return Value{}, fmt.Errorf("%w: unknown table %s", ErrNoSuchColumn, ref.Table)
-	}
-	found := -1
-	var v Value
-	for _, bt := range c.tables {
-		if i, ok := bt.t.colIdx[ref.Name]; ok {
-			if found >= 0 {
-				return Value{}, fmt.Errorf("sqldb: ambiguous column %s", ref.Name)
-			}
-			found = i
-			v = bt.vals[i]
-		}
-	}
-	if found < 0 {
-		return Value{}, fmt.Errorf("%w: %s", ErrNoSuchColumn, ref.Name)
-	}
-	// Only a single-table context can cache an unqualified reference:
-	// with several tables bound the ambiguity check must rerun, and a
-	// partially-bound join context could later gain a clashing table.
-	if len(c.tables) == 1 {
-		ref.cachedT, ref.cachedSlot, ref.cachedCol = c.tables[0].t, 0, found
-	}
-	return v, nil
+// evalFn is a compiled expression.
+type evalFn func(fr *frame) (Value, error)
+
+// scope is the table prefix an expression is compiled against. The prefix
+// matters: an unqualified name is ambiguous only among the tables in it.
+type scope struct {
+	tabs  []*table
+	names []string // alias or table name as referenced in the query
 }
 
-func (c *evalCtx) eval(e Expr) (Value, error) {
+// column resolves ref to a slot and column ordinal, or to the error that
+// evaluating it raises.
+func (sc scope) column(ref *ColumnRef) (slot, col int, err error) {
+	if ref.Table != "" {
+		for si, name := range sc.names {
+			if name == ref.Table {
+				i, ok := sc.tabs[si].colIdx[ref.Name]
+				if !ok {
+					return 0, 0, fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, ref.Table, ref.Name)
+				}
+				return si, i, nil
+			}
+		}
+		return 0, 0, fmt.Errorf("%w: unknown table %s", ErrNoSuchColumn, ref.Table)
+	}
+	slot = -1
+	for si, t := range sc.tabs {
+		if i, ok := t.colIdx[ref.Name]; ok {
+			if slot >= 0 {
+				return 0, 0, fmt.Errorf("sqldb: ambiguous column %s", ref.Name)
+			}
+			slot, col = si, i
+		}
+	}
+	if slot < 0 {
+		return 0, 0, fmt.Errorf("%w: %s", ErrNoSuchColumn, ref.Name)
+	}
+	return slot, col, nil
+}
+
+func failing(err error) evalFn {
+	return func(*frame) (Value, error) { return Value{}, err }
+}
+
+// compile lowers e against the scope's tables.
+func (sc scope) compile(e Expr) evalFn {
 	switch x := e.(type) {
 	case *Literal:
-		return x.Val, nil
+		v := x.Val
+		return func(*frame) (Value, error) { return v, nil }
 	case *Placeholder:
-		if x.Idx >= len(c.params) {
-			return Value{}, fmt.Errorf("sqldb: missing parameter %d", x.Idx+1)
+		idx := x.Idx
+		return func(fr *frame) (Value, error) {
+			if idx >= len(fr.params) {
+				return Value{}, fmt.Errorf("sqldb: missing parameter %d", idx+1)
+			}
+			return fr.params[idx], nil
 		}
-		return c.params[x.Idx], nil
 	case *ColumnRef:
-		return c.resolve(x)
+		slot, col, err := sc.column(x)
+		if err != nil {
+			return failing(err)
+		}
+		return func(fr *frame) (Value, error) { return fr.rows[slot][col], nil }
 	case *BinaryExpr:
-		return c.evalBinary(x)
+		return sc.compileBinary(x)
 	default:
-		return Value{}, fmt.Errorf("sqldb: cannot evaluate %T", e)
+		return failing(fmt.Errorf("sqldb: cannot evaluate %T", e))
 	}
 }
 
-func (c *evalCtx) evalBinary(x *BinaryExpr) (Value, error) {
-	// Short-circuit logical operators with three-valued logic.
+// cmpTruth maps a comparison operator to its result for Compare's -1, 0, +1.
+var cmpTruth = map[string][3]bool{
+	"=":  {false, true, false},
+	"<>": {true, false, true},
+	"<":  {true, false, false},
+	"<=": {true, true, false},
+	">":  {false, false, true},
+	">=": {false, true, true},
+}
+
+func (sc scope) compileBinary(x *BinaryExpr) evalFn {
+	l, r := sc.compile(x.Left), sc.compile(x.Right)
 	switch x.Op {
-	case "AND":
-		l, err := c.eval(x.Left)
-		if err != nil {
-			return Value{}, err
-		}
-		if !l.IsNull() && !l.AsBool() {
-			return Bool(false), nil
-		}
-		r, err := c.eval(x.Right)
-		if err != nil {
-			return Value{}, err
-		}
-		if !r.IsNull() && !r.AsBool() {
-			return Bool(false), nil
-		}
-		if l.IsNull() || r.IsNull() {
-			return Null(), nil
-		}
-		return Bool(true), nil
-	case "OR":
-		l, err := c.eval(x.Left)
-		if err != nil {
-			return Value{}, err
-		}
-		if !l.IsNull() && l.AsBool() {
-			return Bool(true), nil
-		}
-		r, err := c.eval(x.Right)
-		if err != nil {
-			return Value{}, err
-		}
-		if !r.IsNull() && r.AsBool() {
-			return Bool(true), nil
-		}
-		if l.IsNull() || r.IsNull() {
-			return Null(), nil
-		}
-		return Bool(false), nil
-	}
-	l, err := c.eval(x.Left)
-	if err != nil {
-		return Value{}, err
-	}
-	r, err := c.eval(x.Right)
-	if err != nil {
-		return Value{}, err
-	}
-	switch x.Op {
-	case "=", "<>", "<", "<=", ">", ">=":
-		if l.IsNull() || r.IsNull() {
-			return Null(), nil
-		}
-		cmp := Compare(l, r)
-		var b bool
-		switch x.Op {
-		case "=":
-			b = cmp == 0
-		case "<>":
-			b = cmp != 0
-		case "<":
-			b = cmp < 0
-		case "<=":
-			b = cmp <= 0
-		case ">":
-			b = cmp > 0
-		case ">=":
-			b = cmp >= 0
-		}
-		return Bool(b), nil
-	case "LIKE":
-		if l.IsNull() || r.IsNull() {
-			return Null(), nil
-		}
-		return Bool(likeMatch(l.AsString(), r.AsString())), nil
-	case "+", "-", "*", "/":
-		if l.IsNull() || r.IsNull() {
-			return Null(), nil
-		}
-		if x.Op == "+" && (l.K == KindString || r.K == KindString) {
-			return Str(l.AsString() + r.AsString()), nil
-		}
-		if !l.numeric() || !r.numeric() {
-			return Value{}, fmt.Errorf("sqldb: arithmetic on non-numeric values %v %s %v", l, x.Op, r)
-		}
-		if l.K == KindInt && r.K == KindInt {
-			switch x.Op {
-			case "+":
-				return Int(l.I + r.I), nil
-			case "-":
-				return Int(l.I - r.I), nil
-			case "*":
-				return Int(l.I * r.I), nil
-			case "/":
-				if r.I == 0 {
-					return Null(), nil
-				}
-				return Int(l.I / r.I), nil
+	case "AND", "OR":
+		// Short-circuit with three-valued logic: decided is the operand
+		// value that settles the result whatever the other side is.
+		decided := x.Op == "OR"
+		return func(fr *frame) (Value, error) {
+			lv, err := l(fr)
+			if err != nil {
+				return Value{}, err
 			}
-		}
-		lf, rf := l.AsFloat(), r.AsFloat()
-		switch x.Op {
-		case "+":
-			return Float(lf + rf), nil
-		case "-":
-			return Float(lf - rf), nil
-		case "*":
-			return Float(lf * rf), nil
-		case "/":
-			if rf == 0 {
+			if !lv.IsNull() && lv.AsBool() == decided {
+				return Bool(decided), nil
+			}
+			rv, err := r(fr)
+			if err != nil {
+				return Value{}, err
+			}
+			if !rv.IsNull() && rv.AsBool() == decided {
+				return Bool(decided), nil
+			}
+			if lv.IsNull() || rv.IsNull() {
 				return Null(), nil
 			}
-			return Float(lf / rf), nil
+			return Bool(!decided), nil
+		}
+	case "LIKE":
+		pat := analyseLike("")
+		return func(fr *frame) (Value, error) {
+			lv, rv, ok, err := operands(l, r, fr)
+			if !ok {
+				return Value{}, err
+			}
+			if p := rv.AsString(); p != pat.text {
+				pat = analyseLike(p)
+			}
+			return Bool(pat.match(lv.AsString())), nil
+		}
+	case "+", "-", "*", "/":
+		op := x.Op[0]
+		return func(fr *frame) (Value, error) {
+			lv, rv, ok, err := operands(l, r, fr)
+			if !ok {
+				return Value{}, err
+			}
+			return arith(op, lv, rv)
 		}
 	}
-	return Value{}, fmt.Errorf("sqldb: unknown operator %s", x.Op)
+	if truth, ok := cmpTruth[x.Op]; ok {
+		return func(fr *frame) (Value, error) {
+			lv, rv, ok, err := operands(l, r, fr)
+			if !ok {
+				return Value{}, err
+			}
+			return Bool(truth[Compare(lv, rv)+1]), nil
+		}
+	}
+	return failing(fmt.Errorf("sqldb: unknown operator %s", x.Op))
+}
+
+// operands evaluates the two sides of a non-logical operator left to right.
+// ok is false when one raised (err is set) or either is NULL, which every
+// such operator propagates: the caller returns the zero Value and err.
+func operands(l, r evalFn, fr *frame) (lv, rv Value, ok bool, err error) {
+	if lv, err = l(fr); err == nil {
+		if rv, err = r(fr); err == nil {
+			ok = lv.K != KindNull && rv.K != KindNull
+		}
+	}
+	return lv, rv, ok, err
+}
+
+// arith applies + - * / to two non-NULL values; + concatenates when either
+// side is a string, and division by zero is NULL.
+func arith(op byte, l, r Value) (Value, error) {
+	if op == '+' && (l.K == KindString || r.K == KindString) {
+		return Str(l.AsString() + r.AsString()), nil
+	}
+	if !l.numeric() || !r.numeric() {
+		return Value{}, fmt.Errorf("sqldb: arithmetic on non-numeric values %v %c %v", l, op, r)
+	}
+	if l.K == KindInt && r.K == KindInt {
+		switch op {
+		case '+':
+			return Int(l.I + r.I), nil
+		case '-':
+			return Int(l.I - r.I), nil
+		case '*':
+			return Int(l.I * r.I), nil
+		}
+		if r.I == 0 {
+			return Null(), nil
+		}
+		return Int(l.I / r.I), nil
+	}
+	lf, rf := l.AsFloat(), r.AsFloat()
+	switch op {
+	case '+':
+		return Float(lf + rf), nil
+	case '-':
+		return Float(lf - rf), nil
+	case '*':
+		return Float(lf * rf), nil
+	}
+	if rf == 0 {
+		return Null(), nil
+	}
+	return Float(lf / rf), nil
+}
+
+// likePattern is one analysed LIKE pattern. An ASCII pattern of the form
+// %literal% with no inner wildcard — the applications' keyword search — is a
+// case-folded substring search; every other pattern, and every non-ASCII
+// subject, goes through likeMatch, which stays the reference.
+type likePattern struct {
+	text   string
+	substr bool   // text is %needle%
+	needle string // lower-cased
+}
+
+func analyseLike(p string) likePattern {
+	pat := likePattern{text: p}
+	if n := len(p); n >= 2 && p[0] == '%' && p[n-1] == '%' && isASCII(p) && !strings.ContainsAny(p[1:n-1], "%_") {
+		pat.substr, pat.needle = true, strings.ToLower(p[1:n-1])
+	}
+	return pat
+}
+
+func (pat *likePattern) match(s string) bool {
+	if !pat.substr || !isASCII(s) {
+		return likeMatch(s, pat.text)
+	}
+	n := pat.needle
+	for i := 0; i+len(n) <= len(s); i++ {
+		j := 0
+		for j < len(n) && lowerByte(s[i+j]) == n[j] {
+			j++
+		}
+		if j == len(n) {
+			return true
+		}
+	}
+	return false
 }
 
 // likeMatch implements SQL LIKE with % (any run) and _ (any single char),
 // case-insensitively (matching MySQL's default collation behavior, which the
-// applications' keyword search relies on). ASCII operands — all the hot
-// keyword-search traffic — fold per byte during the match; anything with
-// multi-byte runes is lowercased up front, after which the per-byte fold
-// is the identity.
+// applications' keyword search relies on). ASCII operands fold per byte
+// during the match; anything with multi-byte runes is lowercased up front,
+// after which the per-byte fold is the identity.
 func likeMatch(s, pattern string) bool {
 	if isASCII(s) && isASCII(pattern) {
 		return likeRecFold(s, pattern)

@@ -3,10 +3,11 @@ package sqldb
 import "fmt"
 
 // This file is the query planner: it turns a parsed statement plus the
-// current schema into a cached physical plan. Plans hang off the AST nodes
-// (like the ColumnRef resolution cache, each AST belongs to exactly one DB
-// via its prepared-statement cache) and revalidate against the owning DB and
-// its schema epoch on every use.
+// current schema into a cached physical plan whose expressions are compiled
+// (eval.go). Plans hang off the AST nodes (each AST belongs to exactly one DB
+// via its prepared-statement cache), revalidate against the owning DB and
+// its schema epoch on every use, and own the scratch an execution needs:
+// plans only run under db.mu, so one execution at a time uses it.
 //
 // The cardinal rule is that plan choice may change how much work execution
 // really does, but never the virtual accounting the simulation charges time
@@ -26,42 +27,96 @@ import "fmt"
 // first one whose value expression evaluates decides probe-vs-scan, exactly
 // as the original engine's dynamic walk did.
 type probeCand struct {
-	col int
-	ix  *index // index covering col, or nil
-	val Expr   // value side of the equality
+	ix  *index // index covering the column, or nil
+	val evalFn // value side of the equality, compiled against the shallower levels
 }
 
-// matchPlan caches the access decision for UPDATE/DELETE row matching.
-type matchPlan struct {
+// resolveProbe walks a level's probe candidates in conjunct order; the
+// first one whose value evaluates decides probe-vs-scan — indexed or not.
+func resolveProbe(cands []probeCand, fr *frame) (bucket []int, probed bool) {
+	for _, c := range cands {
+		v, err := c.val(fr)
+		if err != nil {
+			continue
+		}
+		if c.ix != nil {
+			return c.ix.m[v.mapKey()], true
+		}
+		break
+	}
+	return nil, false
+}
+
+// planStamp says which database and schema epoch a plan was built for; a
+// cached plan is valid while its stamp equals db.stamp().
+type planStamp struct {
 	db    *DB
 	epoch int64
-	t     *table
-	cands []probeCand
 }
 
-// levelPlan holds the probe candidates for one FROM table of a SELECT,
-// matched against the tables bound at shallower join levels.
-type levelPlan struct {
+func (db *DB) stamp() planStamp { return planStamp{db, db.epoch} }
+
+// setOp is one compiled SET clause of an UPDATE.
+type setOp struct {
+	col int
+	val evalFn
+}
+
+// matchPlan is the plan of an UPDATE or DELETE: the access decision for row
+// matching, the compiled WHERE and SET clauses, and the execution scratch.
+type matchPlan struct {
+	planStamp
+	t     *table
 	cands []probeCand
+	where evalFn // nil when absent
+	sets  []setOp
+
+	fr      frame
+	pos     []int     // matched row positions
+	newVals [][]Value // UPDATE: the new row per matched position
+	oldVals [][]Value // UPDATE: the replaced row per applied position
+}
+
+// level is one FROM table of a SELECT: its probe candidates, matched against
+// the tables bound at shallower join levels, and its compiled ON condition.
+type level struct {
+	cands []probeCand
+	on    evalFn // nil for the first table
 }
 
 // orderedWalk says a single-table ORDER BY can be produced by walking the
-// ordered index instead of materialize-then-sort.
+// ordered index instead of match-then-sort.
 type orderedWalk struct {
 	ix   *index
 	desc bool
 }
 
-// selectPlan caches table binding, output columns and per-level access
-// decisions for a SELECT.
+// orderKey is one compiled ORDER BY term; plain keys also carry the stored
+// column they name.
+type orderKey struct {
+	val       evalFn
+	slot, col int
+	desc      bool
+}
+
+// selectPlan caches table binding, output columns, per-level access
+// decisions and every compiled expression of a SELECT.
 type selectPlan struct {
-	db     *DB
-	epoch  int64
+	planStamp
 	tabs   []*table
-	names  []string
 	cols   []string
-	levels []levelPlan
-	walk   *orderedWalk // single-table only; nil means filter, then sort
+	levels []level
+	walk   *orderedWalk // single-table only; nil means match, then sort
+	where  evalFn       // nil when absent
+	items  []evalFn     // nil entry: a star
+	order  []orderKey
+
+	// plainItems: every item is a star or a resolved column, so projection
+	// cannot fail and LIMIT may cut the matches before it. plainOrder: every
+	// ORDER BY key is a resolved column, so matches sort by stored values.
+	plainItems, plainOrder bool
+
+	run selectRun
 }
 
 // andConjuncts flattens a predicate's top-level AND tree left-to-right,
@@ -74,70 +129,50 @@ func andConjuncts(e Expr, out []Expr) []Expr {
 	return append(out, e)
 }
 
-// staticEvaluable mirrors evaluableWith on table definitions alone: whether
-// e can evaluate using only the given bound tables and parameters. The
-// dynamic failure modes (out-of-range placeholder, type errors) surface at
-// execution and are handled there.
-func staticEvaluable(e Expr, tabs []*table, names []string) bool {
+// evaluable reports whether e can evaluate using only the scope's tables and
+// parameters. The dynamic failure modes (out-of-range placeholder, type
+// errors) surface at execution and are handled there.
+func (sc scope) evaluable(e Expr) bool {
 	switch x := e.(type) {
 	case *Literal, *Placeholder:
 		return true
 	case *ColumnRef:
-		return staticResolvable(x, tabs, names)
+		_, _, err := sc.column(x)
+		return err == nil
 	case *BinaryExpr:
-		return staticEvaluable(x.Left, tabs, names) && staticEvaluable(x.Right, tabs, names)
+		return sc.evaluable(x.Left) && sc.evaluable(x.Right)
 	default:
 		return false
 	}
 }
 
-// staticResolvable mirrors evalCtx.resolve's success condition over table
-// definitions.
-func staticResolvable(ref *ColumnRef, tabs []*table, names []string) bool {
-	if ref.Table != "" {
-		for i, n := range names {
-			if n == ref.Table {
-				_, ok := tabs[i].colIdx[ref.Name]
-				return ok
-			}
-		}
-		return false
+// eqCands collects, in conjunct order and both orientations, the equality
+// conjuncts of pred that side accepts as a probe candidate.
+func eqCands(pred Expr, side func(l, r Expr) (probeCand, bool)) []probeCand {
+	if pred == nil {
+		return nil
 	}
-	found := 0
-	for _, t := range tabs {
-		if _, ok := t.colIdx[ref.Name]; ok {
-			found++
-		}
-	}
-	return found == 1
-}
-
-// matchEqCands mirrors the legacy indexableEq/eqSides shape test for
-// UPDATE/DELETE: equality conjuncts between a column of t and a literal or
-// placeholder, both orientations, in conjunct order.
-func matchEqCands(t *table, conjuncts []Expr) []probeCand {
 	var cands []probeCand
-	for _, c := range conjuncts {
+	for _, c := range andConjuncts(pred, nil) {
 		be, ok := c.(*BinaryExpr)
 		if !ok || be.Op != "=" {
 			continue
 		}
-		if pc, ok := matchEqSide(t, be.Left, be.Right); ok {
+		if pc, ok := side(be.Left, be.Right); ok {
 			cands = append(cands, pc)
 		}
-		if pc, ok := matchEqSide(t, be.Right, be.Left); ok {
+		if pc, ok := side(be.Right, be.Left); ok {
 			cands = append(cands, pc)
 		}
 	}
 	return cands
 }
 
+// matchEqSide mirrors the legacy shape test for UPDATE/DELETE: a column of
+// t against a literal or placeholder.
 func matchEqSide(t *table, l, r Expr) (probeCand, bool) {
 	ref, ok := l.(*ColumnRef)
-	if !ok {
-		return probeCand{}, false
-	}
-	if ref.Table != "" && ref.Table != t.name {
+	if !ok || (ref.Table != "" && ref.Table != t.name) {
 		return probeCand{}, false
 	}
 	c, ok := t.colIdx[ref.Name]
@@ -146,41 +181,16 @@ func matchEqSide(t *table, l, r Expr) (probeCand, bool) {
 	}
 	switch r.(type) {
 	case *Literal, *Placeholder:
-		return probeCand{col: c, ix: t.indexOn(c), val: r}, true
+		return probeCand{ix: t.indexOn(c), val: scope{}.compile(r)}, true
 	}
 	return probeCand{}, false
 }
 
-// selectProbeCands mirrors the legacy boundEq/boundEqSides shape test for
-// one SELECT join level: equality conjuncts between a column of t and an
-// expression evaluable from the already-bound tables, both orientations, in
-// conjunct order.
-func selectProbeCands(t *table, name string, probe Expr, boundTabs []*table, boundNames []string) []probeCand {
-	if probe == nil {
-		return nil
-	}
-	var cands []probeCand
-	for _, c := range andConjuncts(probe, nil) {
-		be, ok := c.(*BinaryExpr)
-		if !ok || be.Op != "=" {
-			continue
-		}
-		if pc, ok := selectEqSide(t, name, be.Left, be.Right, boundTabs, boundNames); ok {
-			cands = append(cands, pc)
-		}
-		if pc, ok := selectEqSide(t, name, be.Right, be.Left, boundTabs, boundNames); ok {
-			cands = append(cands, pc)
-		}
-	}
-	return cands
-}
-
-func selectEqSide(t *table, name string, l, r Expr, boundTabs []*table, boundNames []string) (probeCand, bool) {
+// selectEqSide mirrors the legacy shape test for one SELECT join level: a
+// column of t against an expression evaluable from the already-bound tables.
+func selectEqSide(t *table, name string, l, r Expr, bound scope) (probeCand, bool) {
 	ref, ok := l.(*ColumnRef)
-	if !ok {
-		return probeCand{}, false
-	}
-	if ref.Table != "" && ref.Table != name {
+	if !ok || (ref.Table != "" && ref.Table != name) {
 		return probeCand{}, false
 	}
 	col, ok := t.colIdx[ref.Name]
@@ -189,43 +199,51 @@ func selectEqSide(t *table, name string, l, r Expr, boundTabs []*table, boundNam
 	}
 	if ref.Table == "" {
 		// Unqualified: must not be ambiguous with a bound table.
-		for _, bt := range boundTabs {
+		for _, bt := range bound.tabs {
 			if _, clash := bt.colIdx[ref.Name]; clash {
 				return probeCand{}, false
 			}
 		}
 	}
-	if !staticEvaluable(r, boundTabs, boundNames) {
+	if !bound.evaluable(r) {
 		return probeCand{}, false
 	}
-	return probeCand{col: col, ix: t.indexOn(col), val: r}, true
+	return probeCand{ix: t.indexOn(col), val: bound.compile(r)}, true
 }
 
-// buildMatchPlan plans UPDATE/DELETE row matching against t.
-func buildMatchPlan(db *DB, t *table, where Expr) *matchPlan {
-	pl := &matchPlan{db: db, epoch: db.epoch, t: t}
+// matchPlanFor returns the UPDATE or DELETE's cached plan when it is still
+// valid for db's current schema, rebuilding it otherwise. A plan that fails
+// to build is never cached, so every execution reports the error.
+func (db *DB) matchPlanFor(slot **matchPlan, name string, where Expr, sets []Assign) (*matchPlan, bool, error) {
+	if pl := *slot; pl != nil && pl.planStamp == db.stamp() {
+		return pl, true, nil
+	}
+	t, ok := db.tables[name]
+	if !ok {
+		return nil, false, fmt.Errorf("%w: %s", ErrNoSuchTable, name)
+	}
+	sc := scope{tabs: []*table{t}, names: []string{name}}
+	pl := &matchPlan{planStamp: db.stamp(), t: t, fr: frame{rows: make([][]Value, 1)}}
+	for _, a := range sets {
+		c, err := t.col(a.Col)
+		if err != nil {
+			return nil, false, err
+		}
+		pl.sets = append(pl.sets, setOp{col: c, val: sc.compile(a.Expr)})
+	}
 	if where != nil {
-		pl.cands = matchEqCands(t, andConjuncts(where, nil))
+		pl.where = sc.compile(where)
+		pl.cands = eqCands(where, func(l, r Expr) (probeCand, bool) { return matchEqSide(t, l, r) })
 	}
-	return pl
-}
-
-// matchPlanCached returns the statement's cached plan when it is still
-// valid for db's current schema, rebuilding it otherwise. Runs under db.mu.
-func matchPlanCached(slot **matchPlan, db *DB, t *table, where Expr) (*matchPlan, bool) {
-	if pl := *slot; pl != nil && pl.db == db && pl.epoch == db.epoch {
-		return pl, true
-	}
-	pl := buildMatchPlan(db, t, where)
 	*slot = pl
-	return pl, false
+	return pl, false, nil
 }
 
 // selectPlanFor returns the SELECT's cached plan when still valid,
 // rebuilding it otherwise. Plans that fail to build (unknown table,
 // duplicate alias) are never cached so every execution reports the error.
 func (db *DB) selectPlanFor(s *SelectStmt) (*selectPlan, bool, error) {
-	if pl := s.plan; pl != nil && pl.db == db && pl.epoch == db.epoch {
+	if pl := s.plan; pl != nil && pl.planStamp == db.stamp() {
 		return pl, true, nil
 	}
 	pl, err := buildSelectPlan(db, s)
@@ -237,126 +255,128 @@ func (db *DB) selectPlanFor(s *SelectStmt) (*selectPlan, bool, error) {
 }
 
 func buildSelectPlan(db *DB, s *SelectStmt) (*selectPlan, error) {
-	tabs := make([]*table, len(s.From))
-	names := make([]string, len(s.From))
-	seen := make(map[string]bool, len(s.From))
+	n := len(s.From)
+	all := scope{tabs: make([]*table, n), names: make([]string, n)}
+	seen := make(map[string]bool, n)
 	for i, ref := range s.From {
 		t, ok := db.tables[ref.Table]
 		if !ok {
 			return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, ref.Table)
 		}
-		tabs[i] = t
-		names[i] = ref.Name()
-		if seen[names[i]] {
-			return nil, fmt.Errorf("sqldb: duplicate table name %s in FROM", names[i])
+		all.tabs[i], all.names[i] = t, ref.Name()
+		if seen[all.names[i]] {
+			return nil, fmt.Errorf("sqldb: duplicate table name %s in FROM", all.names[i])
 		}
-		seen[names[i]] = true
+		seen[all.names[i]] = true
 	}
 	pl := &selectPlan{
-		db:    db,
-		epoch: db.epoch,
-		tabs:  tabs,
-		names: names,
-		cols:  outputColumns(s, tabs),
+		planStamp:  db.stamp(),
+		tabs:       all.tabs,
+		cols:       outputColumns(s, all.tabs),
+		levels:     make([]level, n),
+		plainItems: true,
+		plainOrder: true,
+		run:        selectRun{fr: frame{rows: make([][]Value, n)}, cur: make([]int, n)},
 	}
-	pl.levels = make([]levelPlan, len(tabs))
-	for i := range tabs {
-		probe := s.Where
+	// Each expression is compiled against exactly the table prefix it is
+	// evaluated with: probe values see the shallower levels, an ON condition
+	// its own level too, everything else every table.
+	for i, t := range all.tabs {
+		bound := scope{tabs: all.tabs[:i], names: all.names[:i]}
+		probe, name := s.Where, all.names[i]
 		if i > 0 {
 			probe = s.JoinOn[i]
+			pl.levels[i].on = scope{tabs: all.tabs[:i+1], names: all.names[:i+1]}.compile(probe)
 		}
-		pl.levels[i] = levelPlan{cands: selectProbeCands(tabs[i], names[i], probe, tabs[:i], names[:i])}
+		pl.levels[i].cands = eqCands(probe, func(l, r Expr) (probeCand, bool) { return selectEqSide(t, name, l, r, bound) })
 	}
-	if len(tabs) == 1 {
-		pl.walk = orderedWalkFor(s, tabs[0], names[0], pl.levels[0].cands)
+	if s.Where != nil {
+		pl.where = all.compile(s.Where)
+	}
+	for _, item := range s.Items {
+		if item.Star {
+			pl.items = append(pl.items, nil)
+			continue
+		}
+		pl.items = append(pl.items, all.compile(item.Expr))
+		if _, _, ok := all.plainColumn(item.Expr); !ok {
+			pl.plainItems = false
+		}
+	}
+	for _, ok := range s.OrderBy {
+		key := orderKey{val: all.compile(ok.Expr), desc: ok.Desc}
+		var plain bool
+		if key.slot, key.col, plain = all.plainColumn(ok.Expr); !plain {
+			pl.plainOrder = false
+		}
+		pl.order = append(pl.order, key)
+	}
+	if n == 1 {
+		pl.walk = orderedWalkFor(s, pl)
 	}
 	return pl, nil
 }
 
+// plainColumn reports the slot and ordinal of e when it is a column
+// reference that resolves.
+func (sc scope) plainColumn(e Expr) (slot, col int, ok bool) {
+	ref, isRef := e.(*ColumnRef)
+	if !isRef {
+		return 0, 0, false
+	}
+	slot, col, err := sc.column(ref)
+	return slot, col, err == nil
+}
+
 // orderedWalkFor decides whether the result can be produced by walking an
-// ordered index instead of materialize-then-sort. The legacy candidate list
-// must be empty so the virtual scan figure is t.live on every execution.
-func orderedWalkFor(s *SelectStmt, t *table, name string, cands []probeCand) *orderedWalk {
-	if s.Distinct || len(s.OrderBy) != 1 || len(cands) != 0 {
+// ordered index instead of match-then-sort. The legacy candidate list must
+// be empty so the virtual scan figure is t.live on every execution.
+func orderedWalkFor(s *SelectStmt, pl *selectPlan) *orderedWalk {
+	if s.Distinct || len(pl.order) != 1 || !pl.plainOrder || len(pl.levels[0].cands) != 0 {
 		return nil
 	}
-	ref, ok := s.OrderBy[0].Expr.(*ColumnRef)
-	if !ok || (ref.Table != "" && ref.Table != name) {
-		return nil
-	}
-	col, ok := t.colIdx[ref.Name]
-	if !ok {
-		return nil
-	}
-	ix := t.indexOn(col)
+	ix := pl.tabs[0].indexOn(pl.order[0].col)
 	if ix == nil {
 		return nil
 	}
-	return &orderedWalk{ix: ix, desc: s.OrderBy[0].Desc}
+	return &orderedWalk{ix: ix, desc: pl.order[0].desc}
 }
 
-// matchRowsPlanned matches rows for UPDATE/DELETE under a plan. It returns
-// matching positions, the virtual scan count and index flag (pinned to the
-// original engine's figures), and the actual rows visited and index probes
-// performed by the physical plan.
-func (db *DB) matchRowsPlanned(pl *matchPlan, where Expr, args []Value) (out []int, virtual int, usedIndex bool, actual, probes int, err error) {
+// match finds the rows an UPDATE or DELETE touches, in ascending position
+// order, into pl.pos. It reports whether an index narrowed the scan and the
+// number of rows visited — the virtual and the actual figure coincide: a
+// probed bucket's length, or every live row.
+func (pl *matchPlan) match(args []Value) (probed bool, scanned int, err error) {
 	t := pl.t
-	ctx := evalCtx{params: args, tables: []boundTable{{name: t.name, t: t}}}
-	var bucket []int
-	probed := false
-	for _, c := range pl.cands {
-		var v Value
-		switch e := c.val.(type) {
-		case *Literal:
-			v = e.Val
-		case *Placeholder:
-			if e.Idx >= len(args) {
-				continue
+	pl.fr.params = args
+	pl.pos = pl.pos[:0]
+	visit := func(pos int, vals []Value) error {
+		if pl.where != nil {
+			pl.fr.rows[0] = vals
+			v, err := pl.where(&pl.fr)
+			if err != nil || !v.AsBool() {
+				return err
 			}
-			v = args[e.Idx]
-		default:
-			continue
 		}
-		if c.ix != nil {
-			bucket = c.ix.m[v.mapKey()]
-			probed = true
-			probes++
-		}
-		break
+		pl.pos = append(pl.pos, pos)
+		return nil
 	}
+	bucket, probed := resolveProbe(pl.cands, &pl.fr)
 	if probed {
-		virtual = len(bucket)
 		for _, pos := range bucket {
-			r := t.rows[pos]
-			ctx.tables[0].vals = r.vals
-			v, everr := ctx.eval(where)
-			if everr != nil {
-				return nil, 0, false, 0, 0, everr
-			}
-			if v.AsBool() {
-				out = append(out, pos)
+			if err := visit(pos, t.rows[pos].vals); err != nil {
+				return false, 0, err
 			}
 		}
-		return out, virtual, true, virtual, probes, nil
+		return true, len(bucket), nil
 	}
-	virtual = t.live
 	for pos, r := range t.rows {
 		if r.dead {
 			continue
 		}
-		actual++
-		if where == nil {
-			out = append(out, pos)
-			continue
-		}
-		ctx.tables[0].vals = r.vals
-		v, everr := ctx.eval(where)
-		if everr != nil {
-			return nil, 0, false, 0, 0, everr
-		}
-		if v.AsBool() {
-			out = append(out, pos)
+		if err := visit(pos, r.vals); err != nil {
+			return false, 0, err
 		}
 	}
-	return out, virtual, false, actual, probes, nil
+	return false, t.live, nil
 }

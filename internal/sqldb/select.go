@@ -1,329 +1,243 @@
 package sqldb
 
-import "sort"
+import "slices"
 
-// execSelect runs a SELECT under a cached plan: single-table statements get
-// a one-pass filter-and-project scan (optionally walking an ordered index),
-// joins run the nested-loop path with per-level index probes.
+// A SELECT runs in two passes. Pass 1 collects the accepted rows as position
+// tuples (one position per FROM table) into plan scratch — by nested loops
+// with a probe per level, or by walking an ordered index — and orders them.
+// Pass 2 projects them into one slab the caller owns: a Result is three
+// allocations whatever its row count, and never aliases plan scratch or
+// stored rows.
+
+// selectRun is a selectPlan's execution scratch, reused under db.mu.
+type selectRun struct {
+	fr   frame
+	cur  []int   // the tuple being extended, one position per level
+	pos  []int   // accepted tuples, flattened
+	ord  []int   // tuple numbers in result order (ORDER BY only)
+	keys []Value // evaluated ORDER BY keys per tuple (non-plain keys only)
+
+	scanned, probes int
+	usedIndex       bool
+}
+
 func (db *DB) execSelect(s *SelectStmt, args []Value) (*Result, error) {
 	pl, hit, err := db.selectPlanFor(s)
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case pl.walk != nil:
-		return db.execOrderedWalk(s, pl, args, hit)
-	case len(pl.tabs) == 1:
-		return db.execSelectSingle(s, pl, args, hit)
-	default:
-		return db.execSelectJoin(s, pl, args, hit)
+	run := &pl.run
+	run.fr.params = args
+	run.pos = run.pos[:0]
+	run.scanned, run.probes, run.usedIndex = 0, 0, false
+	res := &Result{Cols: pl.cols, PlanCached: hit}
+	if pl.walk != nil {
+		// The virtual scan figure stays t.live — what match-then-sort reports.
+		res.Scanned, res.IndexProbes = pl.tabs[0].live, 1
+		err = pl.walkIndex(s.Limit)
+	} else {
+		err = pl.match(0)
+		res.Scanned, res.IndexProbes, res.IndexUsed = run.scanned, run.probes, run.usedIndex
 	}
+	if err != nil {
+		return nil, err
+	}
+	res.ScannedActual = run.scanned
+	n := len(pl.tabs)
+	m := len(run.pos) / n
+	ordered := len(pl.order) > 0 && pl.walk == nil
+	if ordered {
+		if err := pl.sortMatches(m); err != nil {
+			return nil, err
+		}
+	}
+	// Projection precedes DISTINCT and LIMIT, so a row LIMIT drops still
+	// raises its evaluation error — unless projection cannot fail.
+	if pl.plainItems && !s.Distinct && s.Limit >= 0 && s.Limit < m {
+		m = s.Limit
+	}
+	if m > 0 {
+		width := len(pl.cols)
+		slab := make([]Value, m*width)
+		res.Rows = make([][]Value, m)
+		for i := range res.Rows {
+			k := i
+			if ordered {
+				k = run.ord[i]
+			}
+			pl.bind(k)
+			out := slab[i*width : (i+1)*width : (i+1)*width]
+			if err := pl.project(out); err != nil {
+				return nil, err
+			}
+			res.Rows[i] = out
+		}
+		if s.Distinct {
+			res.Rows = distinctRows(res.Rows)
+		}
+		if s.Limit >= 0 && s.Limit < len(res.Rows) {
+			res.Rows = res.Rows[:s.Limit]
+		}
+	}
+	res.Cost = db.cost.cost(res.Scanned, 0, len(res.Rows))
+	return res, nil
 }
 
-// resolveProbe walks a level's probe candidates in conjunct order; the
-// first one whose value expression evaluates decides probe-vs-scan, exactly
-// as the original engine's dynamic conjunct walk did — indexed or not.
-func resolveProbe(cands []probeCand, ctx *evalCtx) (bucket []int, probed bool) {
-	for _, c := range cands {
-		v, err := ctx.eval(c.val)
-		if err != nil {
-			continue
-		}
-		if c.ix != nil {
-			return c.ix.m[v.mapKey()], true
-		}
-		break
-	}
-	return nil, false
-}
-
-// execSelectSingle runs a single-table SELECT in one pass: each surviving
-// row is projected and its sort keys evaluated immediately, with no per-row
-// context retained.
-func (db *DB) execSelectSingle(s *SelectStmt, pl *selectPlan, args []Value, hit bool) (*Result, error) {
-	t := pl.tabs[0]
-	ctx := evalCtx{params: args, tables: []boundTable{{name: pl.names[0], t: t}}}
-
-	bucket, probed := resolveProbe(pl.levels[0].cands, &ctx)
-	virtual, probes := t.live, 0
-	if probed {
-		virtual, probes = len(bucket), 1
-	}
-	actual := 0
-
-	needKeys := len(s.OrderBy) > 0
-	var rows [][]Value
-	var keys [][]Value
-	visit := func(r *row) error {
-		actual++
-		ctx.tables[0].vals = r.vals
-		if s.Where != nil {
-			v, err := ctx.eval(s.Where)
-			if err != nil {
+// match extends the current tuple with every row of level i that passes the
+// level's ON condition, probing an index where the plan found a candidate; a
+// complete tuple that passes WHERE is accepted. Virtual and actual scan
+// counts coincide here: the legacy access decisions are preserved exactly.
+func (pl *selectPlan) match(i int) error {
+	run := &pl.run
+	if i == len(pl.tabs) {
+		if pl.where != nil {
+			v, err := pl.where(&run.fr)
+			if err != nil || !v.AsBool() {
 				return err
 			}
-			if !v.AsBool() {
-				return nil
-			}
 		}
-		out, err := projectRow(s, &ctx, len(pl.cols))
-		if err != nil {
-			return err
-		}
-		rows = append(rows, out)
-		if needKeys {
-			ks := make([]Value, len(s.OrderBy))
-			for j, ok := range s.OrderBy {
-				v, err := ctx.eval(ok.Expr)
-				if err != nil {
-					return err
-				}
-				ks[j] = v
+		run.pos = append(run.pos, run.cur...)
+		return nil
+	}
+	t := pl.tabs[i]
+	if bucket, probed := resolveProbe(pl.levels[i].cands, &run.fr); probed {
+		run.usedIndex = true
+		run.probes++
+		for _, pos := range bucket {
+			if err := pl.step(i, pos, t.rows[pos]); err != nil {
+				return err
 			}
-			keys = append(keys, ks)
 		}
 		return nil
 	}
-	if probed {
-		for _, pos := range bucket {
-			if err := visit(t.rows[pos]); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		for _, r := range t.rows {
-			if r.dead {
-				continue
-			}
-			if err := visit(r); err != nil {
-				return nil, err
-			}
+	for pos, r := range t.rows {
+		if err := pl.step(i, pos, r); err != nil {
+			return err
 		}
 	}
-
-	if needKeys {
-		sortKeyedRows(rows, keys, s.OrderBy)
-	}
-	if s.Distinct {
-		rows = distinctRows(rows)
-	}
-	rows = limitRows(rows, s.Limit)
-
-	return &Result{
-		Cols:          pl.cols,
-		Rows:          rows,
-		Scanned:       virtual,
-		IndexUsed:     probed,
-		ScannedActual: actual,
-		IndexProbes:   probes,
-		PlanCached:    hit,
-		Cost:          db.cost.cost(virtual, 0, len(rows)),
-	}, nil
+	return nil
 }
 
-// execOrderedWalk produces an ORDER BY result by walking the ordered index,
-// terminating early once LIMIT rows have been accepted. The virtual scan
-// figure stays t.live — what the full-scan-and-sort plan reported.
-func (db *DB) execOrderedWalk(s *SelectStmt, pl *selectPlan, args []Value, hit bool) (*Result, error) {
-	t := pl.tabs[0]
-	w := pl.walk
-	ctx := evalCtx{params: args, tables: []boundTable{{name: pl.names[0], t: t}}}
-	virtual := t.live
-	actual := 0
-	var rows [][]Value
-	if s.Limit == 0 {
-		return &Result{
-			Cols:        pl.cols,
-			Scanned:     virtual,
-			IndexProbes: 1,
-			PlanCached:  hit,
-			Cost:        db.cost.cost(virtual, 0, 0),
-		}, nil
+func (pl *selectPlan) step(i, pos int, r *row) error {
+	if r.dead {
+		return nil
 	}
-	visit := func(pos int) (done bool, err error) {
-		r := t.rows[pos]
-		actual++
-		ctx.tables[0].vals = r.vals
-		if s.Where != nil {
-			v, err := ctx.eval(s.Where)
-			if err != nil {
-				return false, err
-			}
-			if !v.AsBool() {
-				return false, nil
-			}
+	run := &pl.run
+	run.scanned++
+	run.fr.rows[i], run.cur[i] = r.vals, pos
+	if on := pl.levels[i].on; on != nil {
+		v, err := on(&run.fr)
+		if err != nil || !v.AsBool() {
+			return err
 		}
-		out, err := projectRow(s, &ctx, len(pl.cols))
-		if err != nil {
-			return false, err
-		}
-		rows = append(rows, out)
-		return s.Limit >= 0 && len(rows) >= s.Limit, nil
 	}
+	return pl.match(i + 1)
+}
+
+// walkIndex accepts rows in the ordered index's key order — within one key a
+// bucket is in position order, which is what a stable sort leaves — and
+// stops once limit rows (negative: no limit) have been accepted.
+func (pl *selectPlan) walkIndex(limit int) error {
+	run, t, w := &pl.run, pl.tabs[0], pl.walk
 	keys := w.ix.keys
-walk:
 	for i := range keys {
 		k := keys[i]
 		if w.desc {
 			k = keys[len(keys)-1-i]
 		}
 		for _, pos := range w.ix.m[k] {
-			done, err := visit(pos)
-			if err != nil {
-				return nil, err
+			if limit >= 0 && len(run.pos) >= limit {
+				return nil
 			}
-			if done {
-				break walk
-			}
-		}
-	}
-	return &Result{
-		Cols:          pl.cols,
-		Rows:          rows,
-		Scanned:       virtual,
-		ScannedActual: actual,
-		IndexProbes:   1,
-		PlanCached:    hit,
-		Cost:          db.cost.cost(virtual, 0, len(rows)),
-	}, nil
-}
-
-// execSelectJoin runs joins: recursive nested loops with per-level index
-// probes, retaining a context per matched combination for ordering. Virtual
-// and actual scan counts coincide here — the legacy access decisions are
-// preserved exactly; the savings come from plan reuse and allocation
-// elimination.
-func (db *DB) execSelectJoin(s *SelectStmt, pl *selectPlan, args []Value, hit bool) (*Result, error) {
-	tabs, names := pl.tabs, pl.names
-
-	scanned := 0
-	probes := 0
-	usedIndex := false
-	var matches []*evalCtx
-
-	// filter is reused for WHERE and ON evaluation so that rejected row
-	// combinations — the overwhelming majority in a scan — cost no
-	// allocation; only accepted ones get a retained context of their own.
-	// resolver evaluates probe values against the bound prefix. boundArr is
-	// the single reusable binding frame, copied only on accept.
-	filter := evalCtx{params: args}
-	resolver := evalCtx{params: args}
-	boundArr := make([]boundTable, len(tabs))
-	for i := range tabs {
-		boundArr[i] = boundTable{name: names[i], t: tabs[i]}
-	}
-
-	// join recursively extends the current row combination table by table.
-	var join func(i int) error
-	step := func(i int, r *row) (descend bool, err error) {
-		if r.dead {
-			return false, nil
-		}
-		scanned++
-		boundArr[i].vals = r.vals
-		if i > 0 {
-			filter.tables = boundArr[:i+1]
-			v, err := filter.eval(s.JoinOn[i])
-			if err != nil {
-				return false, err
-			}
-			if !v.AsBool() {
-				return false, nil
-			}
-		}
-		return true, nil
-	}
-	join = func(i int) error {
-		if i == len(tabs) {
-			if s.Where != nil {
-				filter.tables = boundArr
-				v, err := filter.eval(s.Where)
+			run.scanned++
+			if pl.where != nil {
+				run.fr.rows[0] = t.rows[pos].vals
+				v, err := pl.where(&run.fr)
 				if err != nil {
 					return err
 				}
 				if !v.AsBool() {
-					return nil
+					continue
 				}
 			}
-			matches = append(matches, &evalCtx{params: args, tables: append([]boundTable(nil), boundArr...)})
-			return nil
+			run.pos = append(run.pos, pos)
 		}
-		t := tabs[i]
-		resolver.tables = boundArr[:i]
-		bucket, probed := resolveProbe(pl.levels[i].cands, &resolver)
-		if probed {
-			usedIndex = true
-			probes++
-			for _, pos := range bucket {
-				descend, err := step(i, t.rows[pos])
+	}
+	return nil
+}
+
+// bind makes tuple k the frame's current rows.
+func (pl *selectPlan) bind(k int) {
+	n := len(pl.tabs)
+	for slot, pos := range pl.run.pos[k*n : (k+1)*n] {
+		pl.run.fr.rows[slot] = pl.tabs[slot].rows[pos].vals
+	}
+}
+
+// project writes the frame's output row into out.
+func (pl *selectPlan) project(out []Value) error {
+	fr := &pl.run.fr
+	o := 0
+	for _, item := range pl.items {
+		if item == nil {
+			for _, vals := range fr.rows {
+				o += copy(out[o:], vals)
+			}
+			continue
+		}
+		v, err := item(fr)
+		if err != nil {
+			return err
+		}
+		out[o] = v
+		o++
+	}
+	return nil
+}
+
+// sortMatches fills run.ord with the m accepted tuples' numbers in ORDER BY
+// order. Tuples are accepted in ascending position order, so breaking ties
+// by tuple number is the stable order. Plain keys compare the stored values
+// in place; anything else is evaluated once per tuple first.
+func (pl *selectPlan) sortMatches(m int) error {
+	run := &pl.run
+	n, nk := len(pl.tabs), len(pl.order)
+	run.ord = run.ord[:0]
+	for k := 0; k < m; k++ {
+		run.ord = append(run.ord, k)
+	}
+	if !pl.plainOrder {
+		run.keys = run.keys[:0]
+		for k := 0; k < m; k++ {
+			pl.bind(k)
+			for _, key := range pl.order {
+				v, err := key.val(&run.fr)
 				if err != nil {
 					return err
 				}
-				if descend {
-					if err := join(i + 1); err != nil {
-						return err
-					}
+				run.keys = append(run.keys, v)
+			}
+		}
+	}
+	slices.SortFunc(run.ord, func(a, b int) int {
+		for j, key := range pl.order {
+			var c int
+			if pl.plainOrder {
+				rows := pl.tabs[key.slot].rows
+				c = Compare(rows[run.pos[a*n+key.slot]].vals[key.col], rows[run.pos[b*n+key.slot]].vals[key.col])
+			} else {
+				c = Compare(run.keys[a*nk+j], run.keys[b*nk+j])
+			}
+			if c != 0 {
+				if key.desc {
+					return -c
 				}
-			}
-			return nil
-		}
-		for _, r := range t.rows {
-			descend, err := step(i, r)
-			if err != nil {
-				return err
-			}
-			if descend {
-				if err := join(i + 1); err != nil {
-					return err
-				}
+				return c
 			}
 		}
-		return nil
-	}
-	if err := join(0); err != nil {
-		return nil, err
-	}
-
-	var rows [][]Value
-	for _, ctx := range matches {
-		out, err := projectRow(s, ctx, len(pl.cols))
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, out)
-	}
-
-	// Sort before deduplicating so that DISTINCT keeps rows in order and
-	// row/match alignment holds while sort keys are evaluated.
-	if len(s.OrderBy) > 0 {
-		if err := orderRows(s, rows, matches); err != nil {
-			return nil, err
-		}
-	}
-
-	if s.Distinct {
-		rows = distinctRows(rows)
-	}
-	rows = limitRows(rows, s.Limit)
-
-	return &Result{
-		Cols:          pl.cols,
-		Rows:          rows,
-		Scanned:       scanned,
-		IndexUsed:     usedIndex,
-		ScannedActual: scanned,
-		IndexProbes:   probes,
-		PlanCached:    hit,
-		Cost:          db.cost.cost(scanned, 0, len(rows)),
-	}, nil
-}
-
-// limitRows applies LIMIT (negative when absent).
-func limitRows(rows [][]Value, limit int) [][]Value {
-	if limit >= 0 && limit < len(rows) {
-		rows = rows[:limit]
-	}
-	return rows
+		return a - b
+	})
+	return nil
 }
 
 // outputColumns derives result column names.
@@ -348,74 +262,6 @@ func exprName(e Expr) string {
 		return ref.Name
 	}
 	return "expr"
-}
-
-// projectRow computes the output row for one match; ncols is the plan's
-// output column count, so the row is allocated once.
-func projectRow(s *SelectStmt, ctx *evalCtx, ncols int) ([]Value, error) {
-	out := make([]Value, 0, ncols)
-	for _, item := range s.Items {
-		if item.Star {
-			for _, bt := range ctx.tables {
-				out = append(out, bt.vals...)
-			}
-			continue
-		}
-		v, err := ctx.eval(item.Expr)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// orderRows sorts a join's rows per ORDER BY, evaluating the sort keys
-// against the match context each row was projected from.
-func orderRows(s *SelectStmt, rows [][]Value, matches []*evalCtx) error {
-	keys := make([][]Value, len(rows))
-	for i := range rows {
-		ks := make([]Value, len(s.OrderBy))
-		for j, ok := range s.OrderBy {
-			v, err := matches[i].eval(ok.Expr)
-			if err != nil {
-				return err
-			}
-			ks[j] = v
-		}
-		keys[i] = ks
-	}
-	sortKeyedRows(rows, keys, s.OrderBy)
-	return nil
-}
-
-// sortKeyedRows stably sorts rows in place by their pre-evaluated ORDER BY
-// keys, permuting keys alongside.
-func sortKeyedRows(rows [][]Value, keys [][]Value, order []OrderKey) {
-	type keyed struct {
-		row  []Value
-		keys []Value
-	}
-	keyedRows := make([]keyed, len(rows))
-	for i := range rows {
-		keyedRows[i] = keyed{row: rows[i], keys: keys[i]}
-	}
-	sort.SliceStable(keyedRows, func(a, b int) bool {
-		for j, ok := range order {
-			c := Compare(keyedRows[a].keys[j], keyedRows[b].keys[j])
-			if c == 0 {
-				continue
-			}
-			if ok.Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
-	for i := range rows {
-		rows[i] = keyedRows[i].row
-	}
 }
 
 // distinctRows removes duplicate rows, keeping first occurrences.

@@ -5,6 +5,17 @@
 // indexes. A feature exists here iff a caller outside the package reaches it
 // (make sqldb-inventory checks); everything else fails Parse.
 //
+// A statement is parsed once per text and planned once per schema epoch. The
+// plan holds every expression of the statement compiled to a closure over
+// column ordinals (eval.go), the access decision for each table, and the
+// scratch an execution reuses; plans run under the database mutex, one
+// execution at a time. A SELECT collects the accepted row positions, orders
+// them, and projects them into one slab of values: a Result is three
+// allocations whatever its row count, and it belongs to the caller — it
+// aliases neither plan scratch nor the stored rows, which are never mutated
+// in place. A Value is 32 bytes: a kind, one int64 that holds an INT, the
+// bits of a FLOAT or a predicate's 0/1, and a string.
+//
 // It substitutes for the Oracle/MySQL servers of the paper's testbed: the
 // entity beans' persistence (BMP and CMP finders) and the applications'
 // listing queries execute against it. A pluggable cost model reports a
@@ -14,6 +25,7 @@ package sqldb
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -48,13 +60,13 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is a dynamically typed SQL value. The zero value is NULL.
+// Value is a dynamically typed SQL value, 32 bytes. The zero value is NULL.
+// I holds an INT, the IEEE bits of a FLOAT, or a predicate result's 0/1; use
+// the constructors and As* accessors rather than the fields.
 type Value struct {
 	K Kind
 	I int64
-	F float64
 	S string
-	B bool
 }
 
 // Constructors.
@@ -66,13 +78,21 @@ func Null() Value { return Value{} }
 func Int(v int64) Value { return Value{K: KindInt, I: v} }
 
 // Float returns a floating-point value.
-func Float(v float64) Value { return Value{K: KindFloat, F: v} }
+func Float(v float64) Value { return Value{K: KindFloat, I: int64(math.Float64bits(v))} }
 
 // Str returns a string value.
 func Str(v string) Value { return Value{K: KindString, S: v} }
 
 // Bool returns a boolean value.
-func Bool(v bool) Value { return Value{K: KindBool, B: v} }
+func Bool(v bool) Value {
+	if v {
+		return Value{K: KindBool, I: 1}
+	}
+	return Value{K: KindBool}
+}
+
+// f is a FLOAT's value.
+func (v Value) f() float64 { return math.Float64frombits(uint64(v.I)) }
 
 // IsNull reports whether the value is SQL NULL.
 func (v Value) IsNull() bool { return v.K == KindNull }
@@ -83,12 +103,9 @@ func (v Value) AsInt() int64 {
 	case KindInt:
 		return v.I
 	case KindFloat:
-		return int64(v.F)
+		return int64(v.f())
 	case KindBool:
-		if v.B {
-			return 1
-		}
-		return 0
+		return v.I
 	case KindString:
 		n, _ := strconv.ParseInt(v.S, 10, 64)
 		return n
@@ -103,7 +120,7 @@ func (v Value) AsFloat() float64 {
 	case KindInt:
 		return float64(v.I)
 	case KindFloat:
-		return v.F
+		return v.f()
 	case KindString:
 		f, _ := strconv.ParseFloat(v.S, 64)
 		return f
@@ -120,11 +137,11 @@ func (v Value) AsString() string {
 	case KindInt:
 		return strconv.FormatInt(v.I, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.FormatFloat(v.f(), 'g', -1, 64)
 	case KindString:
 		return v.S
 	case KindBool:
-		return strconv.FormatBool(v.B)
+		return strconv.FormatBool(v.I != 0)
 	default:
 		return ""
 	}
@@ -133,12 +150,10 @@ func (v Value) AsString() string {
 // AsBool returns the value interpreted as a boolean. NULL is false.
 func (v Value) AsBool() bool {
 	switch v.K {
-	case KindBool:
-		return v.B
-	case KindInt:
+	case KindBool, KindInt:
 		return v.I != 0
 	case KindFloat:
-		return v.F != 0
+		return v.f() != 0
 	case KindString:
 		return v.S != ""
 	default:
@@ -193,14 +208,7 @@ func Compare(a, b Value) int {
 	case KindString:
 		return strings.Compare(a.S, b.S)
 	case KindBool:
-		switch {
-		case a.B == b.B:
-			return 0
-		case !a.B:
-			return -1
-		default:
-			return 1
-		}
+		return int(a.I - b.I)
 	default:
 		return 0
 	}
@@ -222,7 +230,7 @@ func (v Value) mapKey() key {
 	case KindInt:
 		return key{k: KindFloat, f: float64(v.I)}
 	case KindFloat:
-		return key{k: KindFloat, f: v.F}
+		return key{k: KindFloat, f: v.f()}
 	case KindString:
 		return key{k: KindString, s: v.S}
 	default:

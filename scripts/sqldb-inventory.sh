@@ -14,7 +14,7 @@
 set -eu
 
 GO="${GO:-go}"
-FLOOR=75.0
+FLOOR=75.3
 
 # file:function, one reason each. Safety code no caller test provokes.
 ALLOW='
@@ -22,7 +22,9 @@ ast.go:stmt        marker method: only ever called through the Stmt interface sw
 ast.go:expr        marker method, as above for Expr
 lexer.go:Error     no caller test hands the database malformed SQL; the text is outside input
 parser.go:errorf   as above: every syntax error of a reachable statement is built here
-db.go:undoInserts  statement atomicity of a failing multi-row INSERT; no application insert fails half-way
+eval.go:failing     a reference that does not resolve compiles to its error; every application reference resolves
+eval.go:likeMatch   the general LIKE matcher, the reference the substring path is tested against; the keyword search only sends ASCII %word%
+eval.go:likeRecFold as above: the recursion of likeMatch
 db.go:reviveRow    transaction undo of a DELETE; caller tests roll back inserts and updates only
 value.go:Null      the NULL constructor: no application column holds NULL, every NULL arm is three-valued-logic safety
 value.go:String    Kind.String, only in the type-error message of coerce; Value.String on the next lines is reached
