@@ -1,73 +1,154 @@
 package main
 
 import (
+	"bytes"
+	"flag"
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current output")
 
 // tiny returns args for a very short run.
 func tiny(extra ...string) []string {
 	return append([]string{"-warmup", "5s", "-duration", "30s"}, extra...)
 }
 
-func TestRunInventory(t *testing.T) {
-	if err := run([]string{"inventory"}); err != nil {
+// stdout runs one command line and returns what it printed to standard
+// output; stderr (wall-clock lines) is left alone.
+func stdout(t *testing.T, args []string) []byte {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestRunTable6Tiny(t *testing.T) {
-	if err := run(tiny("table6")); err != nil {
-		t.Fatal(err)
+	saved := os.Stdout
+	os.Stdout = w
+	out := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- b
+	}()
+	runErr := run(args)
+	w.Close()
+	os.Stdout = saved
+	got := <-out
+	r.Close()
+	if runErr != nil {
+		t.Fatalf("run(%v): %v", args, runErr)
 	}
+	return got
 }
 
-// TestRunTableParallel exercises the -parallel flag across the sequential
-// path, an explicit pool, and the one-worker-per-CPU default.
-func TestRunTableParallel(t *testing.T) {
-	for _, parallel := range []string{"1", "4", "0"} {
-		if err := run(tiny("-parallel", parallel, "table7")); err != nil {
-			t.Fatalf("-parallel %s: %v", parallel, err)
+// golden checks a command line's stdout byte for byte against
+// testdata/<name>.golden; `go test ./cmd/wadeploy -update` rewrites the file.
+func golden(t *testing.T, name string, args ...string) {
+	t.Helper()
+	got := stdout(t, args)
+	path := filepath.Join("testdata", name+".golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Fatalf("wadeploy %s: stdout differs from %s at line %d\n got: %q\nwant: %q",
+				strings.Join(args, " "), path, i+1, g, w)
 		}
 	}
 }
 
-func TestRunFig8Tiny(t *testing.T) {
-	if err := run(tiny("fig8")); err != nil {
-		t.Fatal(err)
+func TestRunInventory(t *testing.T) {
+	golden(t, "inventory", "inventory")
+}
+
+func TestRunTable6Tiny(t *testing.T) {
+	golden(t, "table6", tiny("table6")...)
+	golden(t, "fig7", tiny("fig7")...)
+}
+
+// TestRunTableParallel exercises the -parallel flag across the sequential
+// path, an explicit pool, and the one-worker-per-CPU default: every setting
+// prints the same table.
+func TestRunTableParallel(t *testing.T) {
+	for _, parallel := range []string{"1", "4", "0"} {
+		golden(t, "table7-ext-p95-diag", tiny("-parallel", parallel, "-ext", "-p95", "-diag", "table7")...)
 	}
+}
+
+func TestRunFig8Tiny(t *testing.T) {
+	golden(t, "fig8", tiny("fig8")...)
 }
 
 func TestRunTableWithExtAndP95(t *testing.T) {
-	if err := run(tiny("-ext", "-p95", "-diag", "table6")); err != nil {
-		t.Fatal(err)
-	}
+	golden(t, "table6-ext-p95-diag", tiny("-ext", "-p95", "-diag", "table6")...)
+}
+
+func TestRunAll(t *testing.T) {
+	golden(t, "all", tiny("all")...)
+}
+
+func TestRunMetrics(t *testing.T) {
+	golden(t, "metrics-rubis", tiny("-app", "rubis", "metrics")...)
 }
 
 func TestRunSweeps(t *testing.T) {
-	if err := run(tiny("-app", "rubis", "-config", "centralized", "sweep-load")); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(tiny("-app", "petstore", "-config", "async-updates", "sweep-latency")); err != nil {
-		t.Fatal(err)
-	}
+	golden(t, "sweep-load-rubis", tiny("-app", "rubis", "-config", "centralized", "sweep-load")...)
+	golden(t, "sweep-latency-petstore", tiny("-app", "petstore", "-config", "async-updates", "sweep-latency")...)
 }
 
 func TestRunExplain(t *testing.T) {
-	if err := run([]string{"-app", "rubis", "-config", "query-caching", "explain"}); err != nil {
-		t.Fatal(err)
+	golden(t, "explain-rubis", "-app", "rubis", "-config", "query-caching", "explain")
+}
+
+func TestRunExplainJSON(t *testing.T) {
+	golden(t, "explain-petstore-json", "-app", "petstore", "-config", "async-updates", "-json", "explain")
+}
+
+func TestRunPlan(t *testing.T) {
+	for _, app := range []string{"petstore", "rubis"} {
+		golden(t, "plan-"+app, "-app", app, "plan")
+		golden(t, "plan-"+app+"-json", "-app", app, "-json", "plan")
 	}
+}
+
+func TestRunAdapt(t *testing.T) {
+	golden(t, "adapt", tiny("-epoch", "5s", "adapt")...)
+}
+
+func TestRunConsistency(t *testing.T) {
+	golden(t, "consistency", tiny("consistency")...)
 }
 
 func TestRunFaultsTiny(t *testing.T) {
-	if err := run(tiny("-faults", "canonical", "faults")); err != nil {
-		t.Fatal(err)
-	}
+	golden(t, "faults", tiny("-faults", "canonical", "faults")...)
 }
 
 func TestRunTableWithFaults(t *testing.T) {
-	if err := run(tiny("-faults", "canonical", "table6")); err != nil {
-		t.Fatal(err)
-	}
+	golden(t, "table6-faults", tiny("-faults", "canonical", "table6")...)
 }
 
 func TestRunErrors(t *testing.T) {
@@ -86,23 +167,11 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-func TestRunExplainJSON(t *testing.T) {
-	if err := run([]string{"-app", "petstore", "-config", "async-updates", "-json", "explain"}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRunTraceTiny(t *testing.T) {
-	if err := run(tiny("-sample", "4", "trace")); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(tiny("-sample", "4", "-json", "-app", "rubis", "trace")); err != nil {
-		t.Fatal(err)
-	}
+	golden(t, "trace-petstore", tiny("-sample", "4", "trace")...)
+	golden(t, "trace-rubis-json", tiny("-sample", "4", "-json", "-app", "rubis", "trace")...)
 }
 
 func TestRunScaleTraced(t *testing.T) {
-	if err := run(tiny("-sessions", "2000", "-shards", "2", "-trace", "-sample", "8", "scale")); err != nil {
-		t.Fatal(err)
-	}
+	golden(t, "scale-traced", tiny("-sessions", "2000", "-shards", "2", "-trace", "-sample", "8", "scale")...)
 }

@@ -3,12 +3,8 @@ package main
 import "testing"
 
 func TestRunTopoTiny(t *testing.T) {
-	if err := run(tiny("-edges", "2,3", "-partitions", "4", "topo")); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(tiny("-app", "rubis", "-config", "query-caching", "-edges", "2", "-partitions", "0", "topo")); err != nil {
-		t.Fatal(err)
-	}
+	golden(t, "topo-petstore", tiny("-edges", "2,4", "-partitions", "4", "topo")...)
+	golden(t, "topo-rubis", tiny("-app", "rubis", "-config", "query-caching", "-edges", "2", "-partitions", "0", "topo")...)
 }
 
 func TestRunTopoErrors(t *testing.T) {
