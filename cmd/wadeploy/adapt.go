@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-
 	"time"
 
 	"wadeploy/internal/controller"
@@ -18,13 +17,7 @@ import (
 // timeline, adaptation lag, availability during the outage window and the
 // steady-state latency before/after the extension program. Output is
 // byte-identical at any -parallel setting.
-func adapt(app experiment.AppID, cfg core.ConfigID, epoch time.Duration, opts experiment.RunOptions) error {
-	if app != experiment.PetStore {
-		return fmt.Errorf("adapt: PetStore only")
-	}
-	if !cfg.AtLeast(core.StatefulCaching) {
-		return fmt.Errorf("adapt: target %s has nothing to extend (pick stateful-caching or later)", cfg)
-	}
+func adapt(app experiment.AppID, cfg core.Policy, epoch time.Duration, opts experiment.RunOptions) error {
 	if opts.Schedule == nil {
 		opts.Schedule = faults.Canonical(opts.Warmup, opts.Duration)
 		opts.Resilience = core.DefaultResilience()

@@ -79,7 +79,7 @@ func writeSpans(enc *json.Encoder, t *trace.Trace) error {
 // milliseconds go (TCP, RMI, SQL, rendering, pushes), on which node, and
 // why (service, WAN wait, queueing, retry). With asJSON it emits the spans
 // machine-readably instead: one JSON object per line.
-func explain(appID experiment.AppID, cfg core.ConfigID, seed int64, asJSON bool) error {
+func explain(appID experiment.AppID, cfg core.Policy, seed int64, asJSON bool) error {
 	var finished []*trace.Trace
 	tb, err := experiment.Deploy(appID, cfg, experiment.RunOptions{Seed: seed, Trace: &trace.Options{
 		SampleEvery: 1,

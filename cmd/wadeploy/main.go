@@ -398,7 +398,7 @@ func scale(sessionsN, shardsN, workers int, traceOn bool, sample uint64, opts ex
 }
 
 // sweepTarget resolves the -app and -config flags.
-func sweepTarget(app, cfg string) (experiment.AppID, core.ConfigID, error) {
+func sweepTarget(app, cfg string) (experiment.AppID, core.Policy, error) {
 	var a experiment.AppID
 	switch app {
 	case "petstore":
@@ -406,14 +406,14 @@ func sweepTarget(app, cfg string) (experiment.AppID, core.ConfigID, error) {
 	case "rubis":
 		a = experiment.RUBiS
 	default:
-		return "", 0, fmt.Errorf("unknown app %q (want petstore|rubis)", app)
+		return "", core.Policy{}, fmt.Errorf("unknown app %q (want petstore|rubis)", app)
 	}
 	for _, c := range core.Configs {
 		if c.String() == cfg {
 			return a, c, nil
 		}
 	}
-	return "", 0, fmt.Errorf("unknown config %q", cfg)
+	return "", core.Policy{}, fmt.Errorf("unknown config %q", cfg)
 }
 
 func table(app experiment.AppID, opts experiment.RunOptions, figure, diag, p95, ext bool, csvPath, metricsOut string) error {

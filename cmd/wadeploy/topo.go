@@ -37,7 +37,7 @@ func parseEdgeCounts(s string) ([]int, error) {
 // the hot entities hash-partitioned across the PoPs when -partitions > 0.
 // The stdout table depends only on the seed, the sweep parameters and the
 // durations — never on -parallel; wall clock goes to stderr.
-func topo(app experiment.AppID, cfg core.ConfigID, edgesFlag string, partitions int, opts experiment.RunOptions) error {
+func topo(app experiment.AppID, cfg core.Policy, edgesFlag string, partitions int, opts experiment.RunOptions) error {
 	edgeCounts, err := parseEdgeCounts(edgesFlag)
 	if err != nil {
 		return err

@@ -11,9 +11,10 @@
 //     substrates with calibrated cost models;
 //   - internal/container — an EJB-style component container: session beans,
 //     entity beans, read-only replicas, query caches, update propagation;
-//   - internal/core — the paper's contribution: the five incremental
-//     distribution configurations, design-rule validation, and automated
-//     pattern wiring from extended deployment descriptors (Section 5);
+//   - internal/core — the paper's contribution: placement policies (the
+//     five incremental distribution configurations are five named ones),
+//     design-rule validation, and automated pattern wiring from extended
+//     deployment descriptors (Section 5);
 //   - internal/petstore, internal/rubis — the two applications under test;
 //   - internal/workload, internal/experiment — the Section 3 methodology and
 //     the Table 6/7, Figure 7/8 harness.

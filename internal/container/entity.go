@@ -180,13 +180,33 @@ func (b *RWEntity) Snapshot(p *sim.Proc) ([]Update, error) {
 	if err != nil {
 		return nil, fmt.Errorf("entity %s snapshot: %w", b.name, err)
 	}
-	now := p.Now()
+	return b.updatesOf(res, p.Now()), nil
+}
+
+// Image reads the bean's entire backing table outside simulated time and
+// returns a full-state Update per entity in table order: the data snapshot a
+// warm-deployed replica ships with.
+func (b *RWEntity) Image() ([]Update, error) {
+	stmt, err := b.srv.db.PrepareStmt(b.snapshotSQL)
+	if err != nil {
+		return nil, fmt.Errorf("entity %s image: %w", b.name, err)
+	}
+	res, err := stmt.Exec()
+	if err != nil {
+		return nil, fmt.Errorf("entity %s image: %w", b.name, err)
+	}
+	return b.updatesOf(res, 0), nil
+}
+
+// updatesOf turns the bean's whole table, read by snapshotSQL, into one
+// full-state Update per entity committed at at.
+func (b *RWEntity) updatesOf(res *sqldb.Result, at time.Duration) []Update {
 	out := make([]Update, 0, res.Len())
 	for _, row := range res.Rows {
 		st := StateFromRow(res.Cols, row)
-		out = append(out, Update{Bean: b.name, PK: st[b.pkCol], State: st, CommittedAt: now})
+		out = append(out, Update{Bean: b.name, PK: st[b.pkCol], State: st, CommittedAt: at})
 	}
-	return out, nil
+	return out
 }
 
 // SetDeltaPush makes UpdateFields propagate only the changed fields instead

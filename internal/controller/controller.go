@@ -124,14 +124,10 @@ type Config struct {
 	// Model, when non-nil, enables observed-model re-planning: each epoch
 	// the planner search re-runs on the model reweighted by the flight
 	// recorder's observed page mix, and the controller extends when the
-	// wiring's target placement beats the current one by Hysteresis. When
-	// nil the controller runs in threshold mode on Threshold.
+	// wiring's target placement beats the starting one (the remote-façade
+	// tier a Deferred deployment serves from) by Hysteresis. When nil the
+	// controller runs in threshold mode on Threshold.
 	Model *planner.Model
-
-	// Current is the planner candidate describing the starting placement
-	// (model mode); typically {ReplicateWeb: true} for a remote-façade
-	// deployment awaiting extension.
-	Current planner.Candidate
 
 	// Threshold, in remote calls per second, is the extension trigger in
 	// threshold mode (Model nil) — the planner.ExtensionThreshold rate at
@@ -151,10 +147,9 @@ type Config struct {
 	OnExtend func(server *container.Server) error
 
 	// Apply, when non-nil, is invoked once the extension program completes
-	// on every edge, with the paper configuration the placement now
-	// corresponds to (the hook adaptive apps use to update their reported
-	// effective configuration).
-	Apply func(core.ConfigID)
+	// on every edge, with the policy the placement now corresponds to (the
+	// hook adaptive apps use to update their reported effective policy).
+	Apply func(core.Policy)
 
 	Options Options
 }
@@ -205,10 +200,9 @@ type Report struct {
 	Migrations []Migration
 
 	// Extended reports whether the extension program completed on every
-	// edge; FinalConfig is the paper configuration the final placement
-	// corresponds to.
+	// edge; FinalConfig is the policy the final placement corresponds to.
 	Extended    bool
-	FinalConfig core.ConfigID
+	FinalConfig core.Policy
 }
 
 // Controller is the online re-placement control loop.
@@ -224,8 +218,8 @@ type Controller struct {
 	decided   bool          // extension program active
 	extended  bool          // extension program complete
 	decidedAt time.Duration // cooldown anchor
-	current   planner.Candidate
-	target    planner.Candidate
+	current   core.Policy
+	target    core.Policy
 
 	lastRemote int64 // rmi remote-call count at last tick (threshold mode)
 	wideCtr    *metrics.Counter
@@ -272,7 +266,6 @@ func Start(cfg Config) (*Controller, error) {
 	opts := cfg.Options.withDefaults()
 	env := cfg.Deployment.Env
 	reg := env.Metrics()
-	ent, qry, asy := cfg.Wiring.Provides()
 	c := &Controller{
 		cfg:  cfg,
 		opts: opts,
@@ -280,13 +273,8 @@ func Start(cfg Config) (*Controller, error) {
 		rng:  rand.New(rand.NewSource(cfg.Seed ^ ctrlSeedSalt)),
 		tr:   trace.FromEnv(env),
 
-		current: cfg.Current,
-		target: planner.Candidate{
-			ReplicateWeb:   true,
-			EntityReplicas: ent,
-			QueryCaches:    qry,
-			AsyncUpdates:   asy,
-		},
+		current:   core.RemoteFacade,
+		target:    cfg.Wiring.Provides(),
 		wideCtr:   reg.Counter("rmi_wide_area_calls_total"),
 		down:      make(map[string]int),
 		suspended: make(map[string]bool),
@@ -460,10 +448,10 @@ func (c *Controller) predictedWin(p *sim.Proc) (win float64, detail string, ok b
 	}
 	var curCost, tgtCost time.Duration
 	for _, r := range res.Ranked {
-		if r.Candidate == c.current {
+		if r.Policy == c.current {
 			curCost = r.Overall
 		}
-		if r.Candidate == c.target {
+		if r.Policy == c.target {
 			tgtCost = r.Overall
 		}
 	}
@@ -473,7 +461,7 @@ func (c *Controller) predictedWin(p *sim.Proc) (win float64, detail string, ok b
 	win = 1 - float64(tgtCost)/float64(curCost)
 	detail = fmt.Sprintf("%s: predicted %v -> %v (%s, %d wide-area calls this epoch, best=%s)",
 		observed, curCost.Round(time.Millisecond), tgtCost.Round(time.Millisecond),
-		c.target, wideDelta, res.Best().Candidate)
+		c.target.Patterns(), wideDelta, res.Best().Policy.Patterns())
 	return win, detail, true
 }
 
@@ -546,9 +534,7 @@ func (c *Controller) act(p *sim.Proc) {
 	c.extended = true
 	c.current = c.target
 	if c.cfg.Apply != nil {
-		if id, ok := c.target.Config(); ok {
-			c.cfg.Apply(id)
-		}
+		c.cfg.Apply(c.target)
 	}
 }
 
@@ -557,15 +543,11 @@ func (c *Controller) Epochs() int { return c.epoch }
 
 // Report snapshots the adaptation log.
 func (c *Controller) Report() *Report {
-	rep := &Report{
-		Epochs:     c.epoch,
-		Events:     append([]Event(nil), c.events...),
-		Migrations: append([]Migration(nil), c.migs...),
-		Extended:   c.extended,
+	return &Report{
+		Epochs:      c.epoch,
+		Events:      append([]Event(nil), c.events...),
+		Migrations:  append([]Migration(nil), c.migs...),
+		Extended:    c.extended,
+		FinalConfig: c.current,
 	}
-	cur := c.current
-	if id, ok := cur.Config(); ok {
-		rep.FinalConfig = id
-	}
-	return rep
 }

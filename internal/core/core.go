@@ -1,7 +1,10 @@
 // Package core implements the paper's primary contribution: the machinery
 // for distributing a component-based application across a wide-area
-// deployment according to a small set of design rules, applied as five
-// incremental configurations (Section 4):
+// deployment according to a small set of design rules. A placement is one
+// Policy value — which distribution patterns apply, how the hot entities are
+// partitioned, whether the replica bundle is deployed up front or on demand —
+// and the paper's five incremental configurations (Section 4) are five named
+// policies:
 //
 //  1. Centralized — everything on the main server.
 //  2. RemoteFacade — web components and stateful session beans replicated to
@@ -35,73 +38,6 @@ import (
 	"wadeploy/internal/sqldb"
 	"wadeploy/internal/web"
 )
-
-// ConfigID selects one of the paper's five incremental configurations.
-type ConfigID int
-
-// The five configurations of Section 4, in order of application, plus the
-// DBReplication extension (the "orthogonal technique" of Section 6: edge
-// database replicas absorb the reads that application partitioning leaves
-// behind, such as the Pet Store keyword Search).
-const (
-	Centralized ConfigID = iota + 1
-	RemoteFacade
-	StatefulCaching
-	QueryCaching
-	AsyncUpdates
-	DBReplication
-)
-
-// Configs lists the paper's configurations in order (the DBReplication
-// extension is excluded so Tables 6-7 keep the paper's five rows; see
-// ExtensionConfigs).
-var Configs = []ConfigID{Centralized, RemoteFacade, StatefulCaching, QueryCaching, AsyncUpdates}
-
-// ExtensionConfigs lists configurations beyond the paper's evaluation.
-var ExtensionConfigs = []ConfigID{DBReplication}
-
-func (c ConfigID) String() string {
-	switch c {
-	case Centralized:
-		return "centralized"
-	case RemoteFacade:
-		return "remote-facade"
-	case StatefulCaching:
-		return "stateful-caching"
-	case QueryCaching:
-		return "query-caching"
-	case AsyncUpdates:
-		return "async-updates"
-	case DBReplication:
-		return "db-replication"
-	default:
-		return fmt.Sprintf("ConfigID(%d)", int(c))
-	}
-}
-
-// Title returns the paper's section heading for the configuration.
-func (c ConfigID) Title() string {
-	switch c {
-	case Centralized:
-		return "Centralized application"
-	case RemoteFacade:
-		return "Remote façade"
-	case StatefulCaching:
-		return "Stateful component caching"
-	case QueryCaching:
-		return "Query caching"
-	case AsyncUpdates:
-		return "Asynchronous updates"
-	case DBReplication:
-		return "DB replication (ext)"
-	default:
-		return c.String()
-	}
-}
-
-// AtLeast reports whether c includes the optimizations of threshold (the
-// configurations are cumulative).
-func (c ConfigID) AtLeast(threshold ConfigID) bool { return c >= threshold }
 
 // Deployment is a wide-area deployment: one main application server
 // (co-located with the database) and edge application servers on a
@@ -332,11 +268,30 @@ func (d *Deployment) Servers() []*container.Server {
 	return append(out, d.Edges...)
 }
 
-// ServerFor returns the application server a client group should talk to in
-// the given configuration: its collocated server when edges are active,
-// otherwise the main server.
-func (d *Deployment) ServerFor(clientNode string, cfg ConfigID) *container.Server {
-	if !cfg.AtLeast(RemoteFacade) {
+// EdgeNames lists the edge servers by name, in deployment order.
+func (d *Deployment) EdgeNames() []string {
+	out := make([]string, len(d.Edges))
+	for i, e := range d.Edges {
+		out[i] = e.Name()
+	}
+	return out
+}
+
+// WebServers returns the servers that host web components and session beans
+// under p: every server when the web tier is replicated to the edges,
+// otherwise main alone.
+func (d *Deployment) WebServers(p Policy) []*container.Server {
+	if p.ReplicateWeb {
+		return d.Servers()
+	}
+	return []*container.Server{d.Main}
+}
+
+// ServerFor returns the application server a client group should talk to
+// under p: its collocated server when the web tier is replicated to the
+// edges, otherwise the main server.
+func (d *Deployment) ServerFor(clientNode string, p Policy) *container.Server {
+	if !p.ReplicateWeb {
 		return d.Main
 	}
 	for _, s := range d.Servers() {

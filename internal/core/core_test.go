@@ -62,27 +62,79 @@ func TestConfigOrderingAndNames(t *testing.T) {
 	if len(Configs) != 5 {
 		t.Fatalf("configs = %d", len(Configs))
 	}
+	// The configurations are cumulative: each adds patterns to the last.
 	for i := 1; i < len(Configs); i++ {
-		if Configs[i] <= Configs[i-1] {
-			t.Fatal("configs out of order")
+		if len(Configs[i].enabled()) != len(Configs[i-1].enabled())+1 {
+			t.Fatalf("%s does not extend %s by one pattern", Configs[i], Configs[i-1])
 		}
 	}
-	if !AsyncUpdates.AtLeast(QueryCaching) || Centralized.AtLeast(RemoteFacade) {
-		t.Fatal("AtLeast broken")
-	}
-	names := map[ConfigID]string{
+	names := map[Policy]string{
 		Centralized:     "centralized",
 		RemoteFacade:    "remote-facade",
 		StatefulCaching: "stateful-caching",
 		QueryCaching:    "query-caching",
 		AsyncUpdates:    "async-updates",
+		DBReplication:   "db-replication",
 	}
-	for id, want := range names {
-		if id.String() != want {
-			t.Errorf("%d.String() = %s, want %s", id, id.String(), want)
+	for p, want := range names {
+		if p.String() != want {
+			t.Errorf("%s.String() = %s, want %s", p.Patterns(), p.String(), want)
 		}
-		if id.Title() == "" {
-			t.Errorf("%v has no title", id)
+		if p.Title() == "" || p.Title() == p.Patterns() {
+			t.Errorf("%v has no title", p)
+		}
+		// Partitioning and deferral do not rename a pattern set.
+		q := p
+		q.Partition = &container.PartitionSpec{Scheme: container.HashPartition, Partitions: 4}
+		q.Deferred = true
+		if name, ok := q.Name(); !ok || name != want {
+			t.Errorf("%s partitioned and deferred is named %q", want, name)
+		}
+	}
+	if name, ok := (Policy{ReplicateWeb: true, QueryCaches: true}).Name(); ok {
+		t.Errorf("web+queries is named %q; the paper names only the ladder", name)
+	}
+	if got := (Policy{ReplicateWeb: true, QueryCaches: true}).String(); got != "web+queries" {
+		t.Errorf("unnamed String() = %q", got)
+	}
+}
+
+// TestPolicyValid pins the pattern dependencies and the enumeration the
+// planner searches.
+func TestPolicyValid(t *testing.T) {
+	for _, p := range []Policy{
+		{EntityReplicas: true},
+		{QueryCaches: true},
+		{AsyncUpdates: true},
+		{ReplicateWeb: true, AsyncUpdates: true},
+		{EntityReplicas: true, QueryCaches: true, AsyncUpdates: true},
+		{ReplicateWeb: true, Deferred: true},
+		{Deferred: true},
+	} {
+		if p.Valid() || p.Validate() == nil {
+			t.Errorf("%+v should be invalid", p)
+		}
+	}
+	deferred := StatefulCaching
+	deferred.Deferred = true
+	if err := deferred.Validate(); err != nil {
+		t.Errorf("deferred stateful caching: %v", err)
+	}
+	bad := QueryCaching
+	bad.Partition = &container.PartitionSpec{Scheme: container.HashPartition}
+	if err := bad.Validate(); !errors.Is(err, ErrPolicy) {
+		t.Errorf("zero-partition spec: %v", err)
+	}
+	sets := PatternSets()
+	if len(sets) != 8 {
+		t.Fatalf("%d pattern sets, want 8", len(sets))
+	}
+	for i, p := range sets {
+		if !p.Valid() {
+			t.Errorf("invalid pattern set enumerated: %s", p.Patterns())
+		}
+		if i > 0 && len(p.enabled()) < len(sets[i-1].enabled()) {
+			t.Errorf("pattern sets not ordered by pattern count: %s after %s", p.Patterns(), sets[i-1].Patterns())
 		}
 	}
 }

@@ -1,0 +1,222 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"sort"
+	"strings"
+
+	"wadeploy/internal/container"
+)
+
+// Policy is one placement of an application across a deployment: which of
+// the paper's four distribution patterns apply, whether edge database
+// replicas absorb the reads the patterns leave behind, how the replicated hot
+// entities are sharded, and whether the replica bundle is deployed up front
+// or on demand. Applications deploy from it (one Deploy per application),
+// the planner ranks it and the re-placement controller extends it. It is
+// comparable: two policies are equal when they place the same way.
+type Policy struct {
+	// ReplicateWeb replicates web components and stateful session beans to
+	// the edge servers behind remote façades (Sections 4.2–4.3).
+	ReplicateWeb bool
+
+	// EntityReplicas deploys read-only entity-bean replicas on the edges
+	// (stateful component caching, Section 4.3). Requires ReplicateWeb.
+	EntityReplicas bool
+
+	// QueryCaches deploys query caches on the edges (Section 4.4).
+	// Requires ReplicateWeb.
+	QueryCaches bool
+
+	// AsyncUpdates propagates writes to edge caches through JMS instead of
+	// blocking wide-area pushes (Section 4.5). Requires a cache to update.
+	AsyncUpdates bool
+
+	// DBReplicas streams committed statements to a database replica on
+	// every edge, so reads the patterns leave behind (the keyword Search)
+	// run locally: the "orthogonal technique" of Section 6.
+	DBReplicas bool
+
+	// Partition shards the replicated hot entities' key space; nil keeps
+	// the paper's full replication. Partitions are assigned round-robin
+	// over the deployment's edges.
+	Partition *container.PartitionSpec
+
+	// Deferred deploys the web tier at the edges but leaves the replica
+	// bundle for a controller to migrate in at run time — the paper's
+	// on-demand (re)deployment (Section 6). Requires ReplicateWeb and a
+	// cache to extend.
+	Deferred bool
+}
+
+// The five configurations of Section 4, in order of application, plus the
+// DBReplication extension.
+var (
+	Centralized     = Policy{}
+	RemoteFacade    = Policy{ReplicateWeb: true}
+	StatefulCaching = Policy{ReplicateWeb: true, EntityReplicas: true}
+	QueryCaching    = Policy{ReplicateWeb: true, EntityReplicas: true, QueryCaches: true}
+	AsyncUpdates    = Policy{ReplicateWeb: true, EntityReplicas: true, QueryCaches: true, AsyncUpdates: true}
+	DBReplication   = Policy{ReplicateWeb: true, EntityReplicas: true, QueryCaches: true, AsyncUpdates: true, DBReplicas: true}
+)
+
+// Configs lists the paper's configurations in order (the DBReplication
+// extension is excluded so Tables 6-7 keep the paper's five rows; see
+// ExtensionConfigs).
+var Configs = []Policy{Centralized, RemoteFacade, StatefulCaching, QueryCaching, AsyncUpdates}
+
+// ExtensionConfigs lists configurations beyond the paper's evaluation.
+var ExtensionConfigs = []Policy{DBReplication}
+
+// names is the one name table: a policy is named by its pattern set (plus
+// DB replicas) alone, whatever its partitioning or deferral.
+var names = []struct {
+	p           Policy
+	name, title string
+}{
+	{Centralized, "centralized", "Centralized application"},
+	{RemoteFacade, "remote-facade", "Remote façade"},
+	{StatefulCaching, "stateful-caching", "Stateful component caching"},
+	{QueryCaching, "query-caching", "Query caching"},
+	{AsyncUpdates, "async-updates", "Asynchronous updates"},
+	{DBReplication, "db-replication", "DB replication (ext)"},
+}
+
+// named looks p's pattern set up in the name table.
+func (p Policy) named() (name, title string, ok bool) {
+	p.Partition, p.Deferred = nil, false
+	for _, n := range names {
+		if n.p == p {
+			return n.name, n.title, true
+		}
+	}
+	return "", "", false
+}
+
+// Name returns the name of the paper configuration that applies exactly p's
+// patterns, if one does.
+func (p Policy) Name() (string, bool) {
+	name, _, ok := p.named()
+	return name, ok
+}
+
+// String is the configuration name, or Patterns for a combination the paper
+// did not name.
+func (p Policy) String() string {
+	if name, _, ok := p.named(); ok {
+		return name
+	}
+	return p.Patterns()
+}
+
+// Title returns the paper's section heading for the configuration, or
+// Patterns for a combination the paper did not name.
+func (p Policy) Title() string {
+	if _, title, ok := p.named(); ok {
+		return title
+	}
+	return p.Patterns()
+}
+
+// enabled lists the short names of p's patterns in ladder order.
+func (p Policy) enabled() []string {
+	var out []string
+	for _, f := range [...]struct {
+		on   bool
+		name string
+	}{
+		{p.ReplicateWeb, "web"}, {p.EntityReplicas, "entities"}, {p.QueryCaches, "queries"},
+		{p.AsyncUpdates, "async"}, {p.DBReplicas, "db"},
+	} {
+		if f.on {
+			out = append(out, f.name)
+		}
+	}
+	return out
+}
+
+// Patterns renders the enabled patterns compactly in ladder order, e.g.
+// "web+entities+queries+async", or "none" for the centralized placement.
+func (p Policy) Patterns() string {
+	if e := p.enabled(); len(e) > 0 {
+		return strings.Join(e, "+")
+	}
+	return "none"
+}
+
+// Valid reports whether p respects the pattern dependencies: caches need an
+// edge web tier to serve from, asynchronous updates need a cache to update,
+// and a deferred deployment needs both — web components at the edges to
+// serve while the bundle arrives, and a cache bundle to extend.
+func (p Policy) Valid() bool {
+	caches := p.EntityReplicas || p.QueryCaches
+	switch {
+	case caches && !p.ReplicateWeb:
+		return false
+	case p.AsyncUpdates && !caches:
+		return false
+	case p.Deferred && !(p.ReplicateWeb && caches):
+		return false
+	}
+	return true
+}
+
+// ErrPolicy reports a policy that breaks a pattern dependency or that an
+// application cannot deploy.
+var ErrPolicy = errors.New("core: policy cannot be deployed")
+
+// Validate returns nil when p is Valid and its partition spec is well formed,
+// otherwise an ErrPolicy naming p.
+func (p Policy) Validate() error {
+	if !p.Valid() {
+		return p.Unsupported("it breaks a pattern dependency (caches need edge web components, async updates a cache, a deferred deployment both)")
+	}
+	if err := p.Partition.Validate(); err != nil {
+		return fmt.Errorf("%w: %s: %w", ErrPolicy, p.describe(), err)
+	}
+	return nil
+}
+
+// Unsupported returns an ErrPolicy naming p and why it cannot be deployed.
+func (p Policy) Unsupported(why string) error {
+	return fmt.Errorf("%w: %s: %s", ErrPolicy, p.describe(), why)
+}
+
+// describe names p in full: its patterns, deferral and partitioning.
+func (p Policy) describe() string {
+	desc := p.String()
+	if p.Deferred {
+		desc += ", deferred"
+	}
+	if s := p.Partition; s != nil {
+		desc += fmt.Sprintf(", %d %s partitions", s.Partitions, s.Scheme)
+	}
+	return desc
+}
+
+// PatternSets enumerates the valid pattern combinations (eight for the four
+// patterns), ordered by pattern count and then by Patterns, so search output
+// is deterministic.
+func PatternSets() []Policy {
+	var out []Policy
+	for bits := 0; bits < 16; bits++ {
+		p := Policy{
+			ReplicateWeb:   bits&1 != 0,
+			EntityReplicas: bits&2 != 0,
+			QueryCaches:    bits&4 != 0,
+			AsyncUpdates:   bits&8 != 0,
+		}
+		if p.Valid() {
+			out = append(out, p)
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		ni, nj := len(out[i].enabled()), len(out[j].enabled())
+		if ni != nj {
+			return ni < nj
+		}
+		return out[i].Patterns() < out[j].Patterns()
+	})
+	return out
+}

@@ -14,8 +14,8 @@ import (
 type PartitionAssignment map[string][]int
 
 // RoundRobinAssignment spreads partitions over the edges in ring order
-// (partition p lands on edges[p mod len(edges)]) — the deterministic default
-// when the planner has no rate information to do better.
+// (partition p lands on edges[p mod len(edges)]): how AutoWire assigns every
+// partitioned bean over the deployment's edges.
 func RoundRobinAssignment(spec *container.PartitionSpec, edges []string) PartitionAssignment {
 	asg := make(PartitionAssignment, len(edges))
 	if spec == nil || len(edges) == 0 {
@@ -37,15 +37,11 @@ func (a PartitionAssignment) Owned(server string) []int {
 
 // applyPartitioning arms a freshly deployed replica and, when its bean is
 // pushed over RMI, the server's push target with the bean's partition slice.
-// No-op for unpartitioned beans or beans without an assignment (full
-// replication). A topic message is shared across edges, so async pushes stay
-// unfiltered at the source and the replica's ownership check drops unowned
-// keys on arrival.
+// No-op for unpartitioned beans (full replication). A topic message is shared
+// across edges, so async pushes stay unfiltered at the source and the
+// replica's ownership check drops unowned keys on arrival.
 func (w *Wiring) applyPartitioning(server string, spec container.ReplicaSpec, ro *container.ROEntity) {
-	if spec.Partition == nil {
-		return
-	}
-	asg, ok := w.opts.PartitionAssignments[spec.Bean]
+	asg, ok := w.owned[spec.Bean]
 	if !ok {
 		return
 	}

@@ -61,8 +61,8 @@ func TestRoundRobinAssignment(t *testing.T) {
 }
 
 // TestAutoWirePartitionedReplicas pins the end-to-end partitioning contract:
-// with a PartitionSpec and an assignment, each edge's replica owns a disjoint
-// slice, preloads outside the slice are dropped, and a write — pushed inside
+// with a PartitionSpec, assigned round-robin over the edges, each edge's
+// replica owns a disjoint slice, preloads outside the slice are dropped, and a write — pushed inside
 // the commit or with a lease's window — leaves main for exactly the owning
 // edge.
 func TestAutoWirePartitionedReplicas(t *testing.T) {
@@ -93,12 +93,7 @@ func testPartitionedReplicas(t *testing.T, mode container.UpdateMode) {
 		},
 	}
 	edges := []string{d.Edges[0].Name(), d.Edges[1].Name()}
-	w, err := AutoWire(d, ext, WireOptions{
-		PushBytes: 256,
-		PartitionAssignments: map[string]PartitionAssignment{
-			"ItemRW": {edges[0]: []int{0}, edges[1]: []int{1}},
-		},
-	})
+	w, err := AutoWire(d, ext, WireOptions{PushBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,9 +19,9 @@ import (
 type AdaptArm struct {
 	// Label names the arm: "static", "resilient", "adaptive".
 	Label string
-	// Config is the deployed configuration (the extension target for the
-	// adaptive arm).
-	Config core.ConfigID
+	// Config is the deployed policy (Deferred, with the extension target's
+	// patterns, for the adaptive arm).
+	Config core.Policy
 	// Controller reports whether the re-placement controller ran.
 	Controller bool
 	// Full is the run result; Full.Adapt is non-nil on the adaptive arm.
@@ -71,10 +71,10 @@ const adaptBucket = 10 * time.Second
 //     and resynchronizes the stale edge after it heals.
 //
 // cfg is the adaptive arm's extension target (and the resilient arm's
-// configuration); it must be at least StatefulCaching. Runs are
-// deterministic: the same seed yields byte-identical reports at any
-// Parallelism.
-func RunAdapt(app AppID, cfg core.ConfigID, opts RunOptions) (*AdaptReport, error) {
+// policy); the adaptive arm deploys it Deferred, which needs a cache to
+// extend. Runs are deterministic: the same seed yields byte-identical reports
+// at any Parallelism.
+func RunAdapt(app AppID, cfg core.Policy, opts RunOptions) (*AdaptReport, error) {
 	if app != PetStore {
 		return nil, fmt.Errorf("experiment: adapt is PetStore-only")
 	}
@@ -84,8 +84,10 @@ func RunAdapt(app AppID, cfg core.ConfigID, opts RunOptions) (*AdaptReport, erro
 	if opts.Resilience == nil {
 		opts.Resilience = core.DefaultResilience()
 	}
-	if opts.Adaptive == nil {
-		opts.Adaptive = &controller.Options{}
+	adaptive := cfg
+	adaptive.Deferred = true
+	if err := adaptive.Validate(); err != nil {
+		return nil, fmt.Errorf("experiment: adapt target: %w", err)
 	}
 	window := opts.Schedule.Window
 	if window == [2]time.Duration{} {
@@ -104,21 +106,17 @@ func RunAdapt(app AppID, cfg core.ConfigID, opts RunOptions) (*AdaptReport, erro
 	arms := []*AdaptArm{
 		{Label: "static", Config: core.RemoteFacade},
 		{Label: "resilient", Config: cfg},
-		{Label: "adaptive", Config: cfg, Controller: true},
+		{Label: "adaptive", Config: adaptive, Controller: true},
 	}
 	err := forEachParallel(opts.Parallelism, len(arms), func(i int) error {
 		arm := arms[i]
 		obs := workload.NewWindowObserver(node, adaptBucket)
 		ropts := opts
 		ropts.Observer = obs.Observe
-		if arm.Controller {
-			if ropts.Trace == nil {
-				// The controller re-plans on the flight recorder's observed
-				// page mix; tracing adds no delays and draws no randomness.
-				ropts.Trace = &trace.Options{SampleEvery: 4}
-			}
-		} else {
-			ropts.Adaptive = nil
+		if arm.Controller && ropts.Trace == nil {
+			// The controller re-plans on the flight recorder's observed page
+			// mix; tracing adds no delays and draws no randomness.
+			ropts.Trace = &trace.Options{SampleEvery: 4}
 		}
 		full, err := Run(app, arm.Config, ropts)
 		if err != nil {

@@ -36,7 +36,7 @@ func (p PageAvail) SuccessRate() float64 {
 // while their WAN uplink was down.
 type AvailabilityResult struct {
 	App    AppID
-	Config core.ConfigID
+	Config core.Policy
 
 	// Node is the scored client node; Window is the scored interval of
 	// virtual time (both taken from the fault schedule).

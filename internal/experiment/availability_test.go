@@ -40,7 +40,7 @@ func availResults(t *testing.T) []*AvailabilityResult {
 // that each resilience mechanism actually fired.
 func TestAvailabilityInvariants(t *testing.T) {
 	results := availResults(t)
-	byConfig := make(map[core.ConfigID]*AvailabilityResult)
+	byConfig := make(map[core.Policy]*AvailabilityResult)
 	for _, r := range results {
 		byConfig[r.Config] = r
 	}
@@ -52,7 +52,7 @@ func TestAvailabilityInvariants(t *testing.T) {
 	if rate := cent.BrowseSuccessRate(); rate > 0.05 {
 		t.Errorf("centralized browse success = %.1f%%, want ~0%% (clients cut off from main)", 100*rate)
 	}
-	for _, cfg := range []core.ConfigID{core.QueryCaching, core.AsyncUpdates} {
+	for _, cfg := range []core.Policy{core.QueryCaching, core.AsyncUpdates} {
 		r := byConfig[cfg]
 		if r.BrowseOK+r.BrowseFail == 0 {
 			t.Fatalf("%s saw no browse traffic in the window", cfg)

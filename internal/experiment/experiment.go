@@ -81,11 +81,9 @@ type RunOptions struct {
 	// figure byte-identical.
 	Trace *trace.Options
 
-	// Adaptive, when non-nil, deploys the app in adaptive mode (starting at
-	// RemoteFacade with the target configuration's descriptor wired
-	// deferred) and starts the online re-placement controller with these
-	// options; cfg becomes the controller's extension target. PetStore
-	// only. Result.Adapt carries the adaptation report.
+	// Adaptive tunes the online re-placement controller a Deferred policy
+	// starts with (nil: the controller's defaults); the policy's patterns
+	// are its extension target. Result.Adapt carries the adaptation report.
 	Adaptive *controller.Options
 }
 
@@ -117,7 +115,7 @@ type PageCell struct {
 // Result is one configuration's measured row of Table 6/7 plus diagnostics.
 type Result struct {
 	App    AppID
-	Config core.ConfigID
+	Config core.Policy
 	Cells  []PageCell
 
 	// Session means by (pattern, locality): the Figure 7/8 bars.
@@ -140,8 +138,8 @@ type Result struct {
 	// Trace carries the causal-tracing outputs when RunOptions.Trace was set.
 	Trace *TraceReport
 
-	// Adapt is the online re-placement controller's report when
-	// RunOptions.Adaptive was set.
+	// Adapt is the online re-placement controller's report when the
+	// policy was Deferred.
 	Adapt *controller.Report
 }
 
@@ -231,69 +229,43 @@ type application interface {
 	Wiring() *core.Wiring
 }
 
+// extensible is an application a Deferred policy deployed: the controller
+// rebinds each edge's façades onto the replicas it migrates in and reports
+// the policy it reached.
+type extensible interface {
+	ActivateEdgeCatalog(edge *container.Server) error
+	SetPolicy(core.Policy)
+}
+
 // appDef is everything the runner needs to know about one application under
 // study.
 type appDef struct {
-	options func() core.Options // substrate calibration
-	// deploy installs the app into d under cfg. The controller is non-nil
-	// only in adaptive mode.
-	deploy   func(d *core.Deployment, cfg core.ConfigID, opts RunOptions, part *container.PartitionSpec) (application, *controller.Controller, error)
-	patterns []string // usage patterns: browser, then writer
+	options  func() core.Options                                      // substrate calibration
+	deploy   func(*core.Deployment, core.Policy) (application, error) // the app's Deploy
+	model    func() *planner.Model                                    // what the controller re-plans with
+	patterns []string                                                 // usage patterns: browser, then writer
 	columns  []struct{ Pattern, Page string }
 }
 
 var apps = map[AppID]*appDef{
 	PetStore: {
-		options:  core.DefaultOptions,
-		deploy:   deployPetStore,
+		options: core.DefaultOptions,
+		deploy: func(d *core.Deployment, p core.Policy) (application, error) {
+			return petstore.Deploy(d, p)
+		},
+		model:    petstore.PlannerModel,
 		patterns: []string{petstore.PatternBrowser, petstore.PatternBuyer},
 		columns:  PetStoreColumns,
 	},
 	RUBiS: {
-		options:  rubis.DeployOptions,
-		deploy:   deployRUBiS,
+		options: rubis.DeployOptions,
+		deploy: func(d *core.Deployment, p core.Policy) (application, error) {
+			return rubis.Deploy(d, p)
+		},
+		model:    rubis.PlannerModel,
 		patterns: []string{rubis.PatternBrowser, rubis.PatternBidder},
 		columns:  RUBiSColumns,
 	},
-}
-
-func deployPetStore(d *core.Deployment, cfg core.ConfigID, opts RunOptions, part *container.PartitionSpec) (application, *controller.Controller, error) {
-	if opts.Adaptive == nil {
-		a, err := petstore.DeployTopo(d, cfg, petstore.TopoOptions{Partition: part})
-		if err != nil {
-			return nil, nil, err
-		}
-		return a, nil, nil
-	}
-	a, err := petstore.DeployAdaptive(d, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	ctrl, err := controller.Start(controller.Config{
-		Deployment: d,
-		Wiring:     a.Wiring(),
-		Model:      petstore.PlannerModel(),
-		Current:    planner.Candidate{ReplicateWeb: true},
-		Seed:       opts.Seed,
-		OnExtend:   a.ActivateEdgeCatalog,
-		Apply:      a.SetEffectiveConfig,
-		Options:    *opts.Adaptive,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return a, ctrl, nil
-}
-
-func deployRUBiS(d *core.Deployment, cfg core.ConfigID, opts RunOptions, part *container.PartitionSpec) (application, *controller.Controller, error) {
-	if opts.Adaptive != nil {
-		return nil, nil, fmt.Errorf("experiment: adaptive mode is PetStore-only")
-	}
-	a, err := rubis.DeployTopo(d, cfg, rubis.TopoOptions{Partition: part})
-	if err != nil {
-		return nil, nil, err
-	}
-	return a, nil, nil
 }
 
 // Testbed is one application deployed on its simulated network and not yet
@@ -305,7 +277,7 @@ type Testbed struct {
 	Groups []workload.Group
 
 	app  AppID
-	cfg  core.ConfigID
+	cfg  core.Policy
 	d    *core.Deployment
 	h    *simnet.Hierarchy
 	inst application
@@ -314,16 +286,16 @@ type Testbed struct {
 
 // Deploy builds the paper's testbed with app deployed under cfg and the
 // Section 3.3 client groups defined, honouring the deployment-side options
-// (Seed, Trace, Resilience, Replication, Adaptive).
-func Deploy(app AppID, cfg core.ConfigID, opts RunOptions) (*Testbed, error) {
-	return deploy(app, cfg, opts, simnet.HierarchySpec{}, 1, 0)
+// (Seed, Trace, Resilience, Replication, and Adaptive for a Deferred cfg).
+func Deploy(app AppID, cfg core.Policy, opts RunOptions) (*Testbed, error) {
+	return deploy(app, cfg, opts, simnet.HierarchySpec{}, 1)
 }
 
 // deploy is the one set-up path: environment, tracer, topology (the zero spec
-// is the paper's star), substrate, application (its hot entities sharded into
-// that many hash partitions when partitions > 0) and the client groups at
-// scale times the paper's population.
-func deploy(app AppID, cfg core.ConfigID, opts RunOptions, spec simnet.HierarchySpec, scale float64, partitions int) (*Testbed, error) {
+// is the paper's star), substrate, application, the re-placement controller
+// of a Deferred policy, and the client groups at scale times the paper's
+// population.
+func deploy(app AppID, cfg core.Policy, opts RunOptions, spec simnet.HierarchySpec, scale float64) (*Testbed, error) {
 	def := apps[app]
 	if def == nil {
 		return nil, fmt.Errorf("experiment: unknown app %q", app)
@@ -339,13 +311,15 @@ func deploy(app AppID, cfg core.ConfigID, opts RunOptions, spec simnet.Hierarchy
 	if err != nil {
 		return nil, err
 	}
-	var part *container.PartitionSpec
-	if partitions > 0 {
-		part = &container.PartitionSpec{Scheme: container.HashPartition, Partitions: partitions}
-	}
-	inst, ctrl, err := def.deploy(d, cfg, opts, part)
+	inst, err := def.deploy(d, cfg)
 	if err != nil {
 		return nil, err
+	}
+	var ctrl *controller.Controller
+	if cfg.Deferred {
+		if ctrl, err = startController(def, d, inst, opts); err != nil {
+			return nil, err
+		}
 	}
 	return &Testbed{
 		Env: env, Groups: inst.Workload(scale),
@@ -353,17 +327,39 @@ func deploy(app AppID, cfg core.ConfigID, opts RunOptions, spec simnet.Hierarchy
 	}, nil
 }
 
-// Run executes one (application, configuration) experiment on the paper's
-// testbed.
-func Run(app AppID, cfg core.ConfigID, opts RunOptions) (*Result, error) {
-	r, _, err := run(app, cfg, opts, simnet.HierarchySpec{}, 1, 0)
+// startController starts the online re-placement controller on a Deferred
+// deployment: it extends the wiring toward the policy's patterns, pricing
+// placements with the app's planner model.
+func startController(def *appDef, d *core.Deployment, inst application, opts RunOptions) (*controller.Controller, error) {
+	app, ok := inst.(extensible)
+	if !ok {
+		return nil, fmt.Errorf("experiment: %T cannot be extended at run time", inst)
+	}
+	var copts controller.Options
+	if opts.Adaptive != nil {
+		copts = *opts.Adaptive
+	}
+	return controller.Start(controller.Config{
+		Deployment: d,
+		Wiring:     inst.Wiring(),
+		Model:      def.model(),
+		Seed:       opts.Seed,
+		OnExtend:   app.ActivateEdgeCatalog,
+		Apply:      app.SetPolicy,
+		Options:    copts,
+	})
+}
+
+// Run executes one (application, policy) experiment on the paper's testbed.
+func Run(app AppID, cfg core.Policy, opts RunOptions) (*Result, error) {
+	r, _, err := run(app, cfg, opts, simnet.HierarchySpec{}, 1)
 	return r, err
 }
 
 // run is the one experiment body behind Run and every sweep: deploy, then
 // drive. The testbed is returned for callers that read more than the row.
-func run(app AppID, cfg core.ConfigID, opts RunOptions, spec simnet.HierarchySpec, scale float64, partitions int) (*Result, *Testbed, error) {
-	tb, err := deploy(app, cfg, opts, spec, scale, partitions)
+func run(app AppID, cfg core.Policy, opts RunOptions, spec simnet.HierarchySpec, scale float64) (*Result, *Testbed, error) {
+	tb, err := deploy(app, cfg, opts, spec, scale)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -461,14 +457,14 @@ func RunTable(app AppID, opts RunOptions) ([]*Result, error) {
 // RunTableWithExtensions appends the extension configurations (currently
 // DB replication, Pet Store only) to the paper's five rows.
 func RunTableWithExtensions(app AppID, opts RunOptions) ([]*Result, error) {
-	configs := append([]core.ConfigID(nil), core.Configs...)
+	configs := append([]core.Policy(nil), core.Configs...)
 	if app == PetStore {
 		configs = append(configs, core.ExtensionConfigs...)
 	}
 	return runConfigs(app, opts, configs)
 }
 
-func runConfigs(app AppID, opts RunOptions, configs []core.ConfigID) ([]*Result, error) {
+func runConfigs(app AppID, opts RunOptions, configs []core.Policy) ([]*Result, error) {
 	out := make([]*Result, len(configs))
 	err := forEachParallel(opts.Parallelism, len(configs), func(i int) error {
 		r, err := Run(app, configs[i], opts)
@@ -486,7 +482,7 @@ func runConfigs(app AppID, opts RunOptions, configs []core.ConfigID) ([]*Result,
 
 // FigureBar is one bar of Figure 7/8.
 type FigureBar struct {
-	Config  core.ConfigID
+	Config  core.Policy
 	Pattern string
 	Local   bool
 	Mean    time.Duration

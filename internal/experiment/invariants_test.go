@@ -43,7 +43,7 @@ func buyerSteps() []workload.Step {
 // then runs the measured steps (through perStep when given, so callers can
 // read counter deltas around each page). Steps run from the edge-1 client
 // group; the environment's registry is returned for final assertions.
-func runSession(t *testing.T, cfg core.ConfigID, warm, measured []workload.Step,
+func runSession(t *testing.T, cfg core.Policy, warm, measured []workload.Step,
 	perStep func(reg *metrics.Registry, page string, run func())) *metrics.Registry {
 	t.Helper()
 	tb, err := Deploy(PetStore, cfg, RunOptions{Seed: 1})
@@ -162,8 +162,8 @@ func TestInvariantAsyncUpdatesNoBlockingPushes(t *testing.T) {
 // are maintained without SQL — and each edge installs exactly the affected
 // keys.
 func TestInvariantQueryViewsRefreshOncePerCommit(t *testing.T) {
-	for _, cfg := range []core.ConfigID{core.QueryCaching, core.AsyncUpdates} {
-		res, tb, err := run(RUBiS, cfg, RunOptions{Seed: 1, Duration: time.Minute}, simnet.HierarchySpec{}, 1, 0)
+	for _, cfg := range []core.Policy{core.QueryCaching, core.AsyncUpdates} {
+		res, tb, err := run(RUBiS, cfg, RunOptions{Seed: 1, Duration: time.Minute}, simnet.HierarchySpec{}, 1)
 		if err != nil {
 			t.Fatalf("%v: %v", cfg, err)
 		}

@@ -1,15 +1,21 @@
 package experiment
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"wadeploy/internal/container"
 	"wadeploy/internal/core"
 	"wadeploy/internal/petstore"
 	"wadeploy/internal/planner"
 	"wadeploy/internal/rubis"
 	"wadeploy/internal/sim"
+	"wadeploy/internal/simnet"
 )
 
 // accuracyBand is the relative error the analytic model must stay within
@@ -54,32 +60,32 @@ func TestPlannerPredictionsMatchSimulation(t *testing.T) {
 			t.Fatalf("%s: %v", app, err)
 		}
 		for _, rk := range res.Ranked {
-			if !rk.HasConfig {
+			if _, ok := rk.Policy.Name(); !ok {
 				continue
 			}
-			sim := byConfig(sims[app], rk.Config)
+			sim := byConfig(sims[app], rk.Policy)
 			if sim == nil {
-				t.Fatalf("%s: no simulated result for %s", app, rk.Config)
+				t.Fatalf("%s: no simulated result for %s", app, rk.Policy)
 			}
 			for _, cm := range rk.PerClass {
 				got := sim.SessionMeans[cm.Pattern][cm.Local]
 				if got == 0 {
 					t.Fatalf("%s/%s: no simulated session mean for %s local=%v",
-						app, rk.Config, cm.Pattern, cm.Local)
+						app, rk.Policy, cm.Pattern, cm.Local)
 				}
 				if e := relErr(cm.Mean, got); e > accuracyBand {
 					t.Errorf("%s/%s %s local=%v: predicted %v, simulated %v (err %.1f%% > %.0f%%)",
-						app, rk.Config, cm.Pattern, cm.Local, cm.Mean, got,
+						app, rk.Policy, cm.Pattern, cm.Local, cm.Mean, got,
 						e*100, accuracyBand*100)
 				}
 			}
 			simOv := simOverall(m, sim)
 			if e := relErr(rk.Overall, simOv); e > accuracyBand {
 				t.Errorf("%s/%s overall: predicted %v, simulated %v (err %.1f%% > %.0f%%)",
-					app, rk.Config, rk.Overall, simOv, e*100, accuracyBand*100)
+					app, rk.Policy, rk.Overall, simOv, e*100, accuracyBand*100)
 			} else {
 				t.Logf("%s/%s overall: predicted %v, simulated %v (err %.1f%%)",
-					app, rk.Config, rk.Overall, simOv, relErr(rk.Overall, simOv)*100)
+					app, rk.Policy, rk.Overall, simOv, relErr(rk.Overall, simOv)*100)
 			}
 		}
 	}
@@ -98,13 +104,13 @@ func TestPlannerRecommendsAsyncUpdates(t *testing.T) {
 			t.Fatalf("%s: %v", app, err)
 		}
 		best := res.Best()
-		if !best.HasConfig || best.Config != core.AsyncUpdates {
-			t.Errorf("%s: top-ranked candidate is %s (%s), want %s",
-				app, best.Candidate, best.ConfigName(), core.AsyncUpdates)
+		if best.Policy != core.AsyncUpdates {
+			t.Errorf("%s: top-ranked pattern set is %s (%s), want %s",
+				app, best.Policy.Patterns(), best.ConfigName(), core.AsyncUpdates)
 		}
-		if got := res.GreedyCandidate(); got != best.Candidate {
+		if got := res.Greedy(); got != best.Policy {
 			t.Errorf("%s: greedy climb ends at %s, exhaustive best is %s",
-				app, got, best.Candidate)
+				app, got.Patterns(), best.Policy.Patterns())
 		}
 		// The simulation ranks the paper configs the same way at the top.
 		bestSim, bestCfg := time.Duration(math.MaxInt64), core.Centralized
@@ -156,65 +162,102 @@ func TestPlannerLadderClimbsAllFourPatterns(t *testing.T) {
 	}
 }
 
-// TestPlannerPlansMatchApplicationPlans pins the synthesized placement
-// against the hand-written application Plan() for each paper configuration:
-// the advisor must emit byte-for-byte the same placements the deployment
-// descriptors install.
-func TestPlannerPlansMatchApplicationPlans(t *testing.T) {
-	appPlan := func(app AppID, cfg core.ConfigID) *core.Plan {
-		env := sim.NewEnv(1)
-		switch app {
-		case PetStore:
-			d, err := core.NewPaperDeployment(env, core.DefaultOptions())
-			if err != nil {
-				t.Fatal(err)
+// TestDeployedMatchesPlanned pins each application's one Deploy against the
+// plan the planner synthesizes from the same component list: for both apps,
+// every valid pattern set (plus DB replication for Pet Store), on the star
+// and on a 4-edge/2-hub hierarchy, fully replicated and with 4 hash
+// partitions, Deploy either installs on every server exactly the beans
+// PlanFor places there, or refuses the combination by name. A deferred
+// deployment installs the remote-façade plan plus Pet Store's delegating
+// edge catalogs; RUBiS has no deferred path.
+func TestDeployedMatchesPlanned(t *testing.T) {
+	// Query caches without entity replicas have no deploy path in either
+	// app: Pet Store's caches are invalidated by the replicas' pushes, and
+	// RUBiS's edge forms read the replicas.
+	refused := map[string]bool{"web+queries": true, "web+queries+async": true}
+	topologies := map[string]simnet.HierarchySpec{
+		"star":      {},
+		"hierarchy": {Edges: 4, Hubs: 2},
+	}
+	deployOn := func(app AppID, spec simnet.HierarchySpec, p core.Policy) (*core.Deployment, error) {
+		opts := apps[app].options()
+		opts.Topology = spec
+		d, err := core.NewPaperDeployment(sim.NewEnv(1), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = apps[app].deploy(d, p)
+		return d, err
+	}
+	// installs checks that every server holds exactly the beans pl places
+	// on it.
+	installs := func(what string, d *core.Deployment, pl *core.Plan) {
+		for _, srv := range d.Servers() {
+			var want []string
+			for _, pm := range pl.Placements {
+				if slices.Contains(pm.Servers, srv.Name()) {
+					want = append(want, pm.Desc.Name)
+				}
 			}
-			a, err := petstore.Deploy(d, cfg)
-			if err != nil {
-				t.Fatal(err)
+			for _, name := range want {
+				if !srv.HasBean(name) {
+					t.Errorf("%s: %s lacks %s", what, srv.Name(), name)
+				}
 			}
-			return a.Plan()
-		default:
-			d, err := core.NewPaperDeployment(env, rubis.DeployOptions())
-			if err != nil {
-				t.Fatal(err)
+			if srv.Beans() != len(want) {
+				t.Errorf("%s: %s holds %d beans, the plan places %v", what, srv.Name(), srv.Beans(), want)
 			}
-			a, err := rubis.Deploy(d, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return a.Plan()
 		}
 	}
 	for app, m := range plannerModels() {
-		for _, c := range planner.Candidates() {
-			cfg, ok := c.Config()
-			if !ok {
-				continue
-			}
-			got := m.PlanFor(c)
-			want := appPlan(app, cfg)
-			if len(got.Placements) != len(want.Placements) {
-				t.Errorf("%s/%s: synthesized %d placements, app plan has %d",
-					app, cfg, len(got.Placements), len(want.Placements))
-				continue
-			}
-			for i, p := range got.Placements {
-				w := want.Placements[i]
-				if p.Desc != w.Desc {
-					t.Errorf("%s/%s placement %d: desc %+v, want %+v", app, cfg, i, p.Desc, w.Desc)
-				}
-				if len(p.Servers) != len(w.Servers) {
-					t.Errorf("%s/%s %s: servers %v, want %v", app, cfg, p.Desc.Name, p.Servers, w.Servers)
-					continue
-				}
-				for j := range p.Servers {
-					if p.Servers[j] != w.Servers[j] {
-						t.Errorf("%s/%s %s: servers %v, want %v", app, cfg, p.Desc.Name, p.Servers, w.Servers)
-						break
+		policies := core.PatternSets()
+		if app == PetStore {
+			policies = append(policies, core.DBReplication)
+		}
+		for topo, spec := range topologies {
+			m.Options.Topology = spec
+			for _, partitions := range []int{0, 4} {
+				for _, p := range policies {
+					if partitions > 0 {
+						p.Partition = &container.PartitionSpec{Scheme: container.HashPartition, Partitions: partitions}
 					}
+					what := fmt.Sprintf("%s/%s/%s/%d partitions", app, p.Patterns(), topo, partitions)
+					d, err := deployOn(app, spec, p)
+					if refused[p.Patterns()] {
+						if !errors.Is(err, core.ErrPolicy) || !strings.Contains(err.Error(), p.String()) {
+							t.Errorf("%s: deployed (%v), want a policy error naming it", what, err)
+						}
+						continue
+					}
+					if err != nil {
+						t.Errorf("%s: %v", what, err)
+						continue
+					}
+					pl := m.PlanFor(p)
+					if err := pl.Validate(); err != nil {
+						t.Errorf("%s: plan: %v", what, err)
+					}
+					installs(what, d, pl)
 				}
 			}
 		}
+	}
+
+	deferred := core.AsyncUpdates
+	deferred.Deferred = true
+	d, err := deployOn(PetStore, simnet.HierarchySpec{}, deferred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := plannerModels()[PetStore].PlanFor(core.RemoteFacade)
+	for i, pm := range pl.Placements {
+		if pm.Desc.Name == petstore.BeanCatalog {
+			// The delegating edge catalogs the controller later rebinds.
+			pl.Placements[i].Servers = append([]string{d.Main.Name()}, d.EdgeNames()...)
+		}
+	}
+	installs("petstore deferred", d, pl)
+	if _, err := deployOn(RUBiS, simnet.HierarchySpec{}, deferred); !errors.Is(err, core.ErrPolicy) {
+		t.Errorf("rubis deferred: %v, want a policy error", err)
 	}
 }

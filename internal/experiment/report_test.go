@@ -17,7 +17,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files under testda
 // goldenResults is a tiny synthetic two-configuration run with hand-picked
 // values, so each formatter's exact layout is pinned.
 func goldenResults() []*Result {
-	mk := func(cfg core.ConfigID, localMS, remoteMS int) *Result {
+	mk := func(cfg core.Policy, localMS, remoteMS int) *Result {
 		r := &Result{
 			App:    PetStore,
 			Config: cfg,

@@ -13,7 +13,7 @@ import (
 // one iteration deploys the testbed off the clock and times exactly the call
 // that advances the simulation, as a benchmark round does.
 
-func benchmarkRound(b *testing.B, app AppID, cfg core.ConfigID, warmup, duration time.Duration) {
+func benchmarkRound(b *testing.B, app AppID, cfg core.Policy, warmup, duration time.Duration) {
 	b.ReportAllocs()
 	pages := 0
 	for i := 0; i < b.N; i++ {

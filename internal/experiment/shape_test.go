@@ -33,7 +33,7 @@ func tables(t *testing.T) ([]*Result, []*Result) {
 	return psTable, rbTable
 }
 
-func byConfig(results []*Result, cfg core.ConfigID) *Result {
+func byConfig(results []*Result, cfg core.Policy) *Result {
 	for _, r := range results {
 		if r.Config == cfg {
 			return r

@@ -23,7 +23,7 @@ import (
 // Regenerate: go test ./internal/experiment -run TestStatementInventory -update
 func TestStatementInventory(t *testing.T) {
 	type arm struct {
-		cfg  core.ConfigID
+		cfg  core.Policy
 		opts RunOptions
 	}
 	var out strings.Builder
@@ -46,7 +46,7 @@ func TestStatementInventory(t *testing.T) {
 		}
 		runs := make(map[string]int)
 		for _, a := range arms {
-			_, tb, err := run(app, a.cfg, a.opts, simnet.HierarchySpec{}, 1, 0)
+			_, tb, err := run(app, a.cfg, a.opts, simnet.HierarchySpec{}, 1)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", app, a.cfg, err)
 			}

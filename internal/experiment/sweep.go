@@ -33,7 +33,7 @@ func point(r *Result, x float64) SweepPoint {
 // LatencySweep measures session response times as the WAN one-way latency
 // varies — how each configuration's benefit scales with network distance
 // (not a paper experiment; a sensitivity study over its fixed 100 ms point).
-func LatencySweep(app AppID, cfg core.ConfigID, oneWays []time.Duration, opts RunOptions) ([]SweepPoint, error) {
+func LatencySweep(app AppID, cfg core.Policy, oneWays []time.Duration, opts RunOptions) ([]SweepPoint, error) {
 	// Validate every point before launching workers so bad input fails the
 	// same way regardless of parallelism.
 	for _, wan := range oneWays {
@@ -46,7 +46,7 @@ func LatencySweep(app AppID, cfg core.ConfigID, oneWays []time.Duration, opts Ru
 		wan := oneWays[i]
 		// Any server-to-server path crosses both router legs.
 		leg := simnet.LinkClass{OneWay: wan / 2}
-		r, _, err := run(app, cfg, opts, simnet.HierarchySpec{Backbone: leg, Metro: leg}, 1, 0)
+		r, _, err := run(app, cfg, opts, simnet.HierarchySpec{Backbone: leg, Metro: leg}, 1)
 		if err != nil {
 			return fmt.Errorf("latency sweep %v: %w", wan, err)
 		}
@@ -62,7 +62,7 @@ func LatencySweep(app AppID, cfg core.ConfigID, oneWays []time.Duration, opts Ru
 // LoadSweep measures session response times as the offered load scales
 // around the paper's 30 req/s operating point, exposing where CPU queueing
 // begins to dominate.
-func LoadSweep(app AppID, cfg core.ConfigID, scales []float64, opts RunOptions) ([]SweepPoint, error) {
+func LoadSweep(app AppID, cfg core.Policy, scales []float64, opts RunOptions) ([]SweepPoint, error) {
 	for _, s := range scales {
 		if s <= 0 {
 			return nil, fmt.Errorf("experiment: non-positive load scale %v", s)
@@ -71,7 +71,7 @@ func LoadSweep(app AppID, cfg core.ConfigID, scales []float64, opts RunOptions) 
 	out := make([]SweepPoint, len(scales))
 	err := forEachParallel(opts.Parallelism, len(scales), func(i int) error {
 		s := scales[i]
-		r, _, err := run(app, cfg, opts, simnet.HierarchySpec{}, s, 0)
+		r, _, err := run(app, cfg, opts, simnet.HierarchySpec{}, s)
 		if err != nil {
 			return fmt.Errorf("load sweep %v: %w", s, err)
 		}

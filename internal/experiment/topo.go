@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"wadeploy/internal/container"
 	"wadeploy/internal/core"
 	"wadeploy/internal/metrics"
 	"wadeploy/internal/simnet"
@@ -14,10 +15,9 @@ import (
 type TopoSweepOptions struct {
 	RunOptions
 
-	// Config is the configuration under test (default QueryCaching — the
-	// paper's best all-round pattern, and the one whose replica footprint
-	// partitioning shrinks).
-	Config core.ConfigID
+	// Config is the policy under test; its Partition is set from
+	// Partitions.
+	Config core.Policy
 
 	// Partitions > 0 shards the hot entities (Item/Inventory for Pet Store,
 	// Item for RUBiS) into this many hash partitions spread round-robin over
@@ -64,11 +64,12 @@ type TopoPoint struct {
 // spread over the N edge client groups, and measure latency and WAN traffic.
 // Same seed, same options: byte-identical points at any Parallelism.
 func TopoSweep(app AppID, edgeCounts []int, opts TopoSweepOptions) ([]TopoPoint, error) {
-	if opts.Config == 0 {
-		opts.Config = core.QueryCaching
+	cfg := opts.Config
+	if opts.Partitions > 0 {
+		cfg.Partition = &container.PartitionSpec{Scheme: container.HashPartition, Partitions: opts.Partitions}
 	}
-	if !knownConfig(opts.Config) {
-		return nil, fmt.Errorf("experiment: unknown configuration %d", int(opts.Config))
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("experiment: %w", err)
 	}
 	for _, n := range edgeCounts {
 		if n < 1 {
@@ -79,7 +80,7 @@ func TopoSweep(app AppID, edgeCounts []int, opts TopoSweepOptions) ([]TopoPoint,
 	err := forEachParallel(opts.Parallelism, len(edgeCounts), func(i int) error {
 		spec := opts.Hierarchy
 		spec.Edges = edgeCounts[i]
-		r, tb, err := run(app, opts.Config, opts.RunOptions, spec, 1, opts.Partitions)
+		r, tb, err := run(app, cfg, opts.RunOptions, spec, 1)
 		if err != nil {
 			return fmt.Errorf("topo sweep %d edges: %w", edgeCounts[i], err)
 		}
@@ -118,21 +119,6 @@ func topoPoint(tb *Testbed, r *Result, partitions int) TopoPoint {
 		ReplicaEntries: entries,
 		Pushes:         r.Metrics.Counter("container_replica_pushes_total"),
 	}
-}
-
-// knownConfig reports whether cfg is one of the study's configurations.
-func knownConfig(cfg core.ConfigID) bool {
-	for _, c := range core.Configs {
-		if cfg == c {
-			return true
-		}
-	}
-	for _, c := range core.ExtensionConfigs {
-		if cfg == c {
-			return true
-		}
-	}
-	return false
 }
 
 // wanBytes sums the per-link byte counters over links with a hub endpoint —

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 func shortTopoOpts() TopoSweepOptions {
 	return TopoSweepOptions{
 		RunOptions: RunOptions{Seed: 1, Warmup: 30 * time.Second, Duration: 2 * time.Minute},
+		Config:     core.QueryCaching,
 	}
 }
 
@@ -100,8 +102,8 @@ func TestTopoSweepValidation(t *testing.T) {
 		t.Error("zero edge count accepted")
 	}
 	bad := shortTopoOpts()
-	bad.Config = core.ConfigID(99)
-	if _, err := TopoSweep(PetStore, []int{2}, bad); err == nil {
-		t.Error("unknown config accepted")
+	bad.Config = core.Policy{QueryCaches: true}
+	if _, err := TopoSweep(PetStore, []int{2}, bad); !errors.Is(err, core.ErrPolicy) {
+		t.Errorf("caches without an edge web tier: %v, want a policy error", err)
 	}
 }

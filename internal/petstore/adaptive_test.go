@@ -6,12 +6,18 @@ import (
 
 	"wadeploy/internal/controller"
 	"wadeploy/internal/core"
-	"wadeploy/internal/planner"
 	"wadeploy/internal/sim"
 )
 
+// deferred is p deployed on demand: the web tier up front, the replica
+// bundle left for a controller.
+func deferred(p core.Policy) core.Policy {
+	p.Deferred = true
+	return p
+}
+
 // TestAdaptivePreExtensionServesViaCentral: before the controller extends
-// anything, an adaptive deployment behaves exactly like the remote-façade
+// anything, a deferred deployment behaves exactly like the remote-façade
 // configuration — edge catalogs delegate every call to main, no replicas or
 // caches are consulted.
 func TestAdaptivePreExtensionServesViaCentral(t *testing.T) {
@@ -20,7 +26,7 @@ func TestAdaptivePreExtensionServesViaCentral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := DeployAdaptive(d, core.AsyncUpdates)
+	a, err := Deploy(d, deferred(core.AsyncUpdates))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,17 +55,17 @@ func TestAdaptivePreExtensionServesViaCentral(t *testing.T) {
 }
 
 // TestAdaptiveControllerCutOver runs the real control loop against an idle
-// adaptive deployment: the planner model alone predicts the win, the
+// deferred deployment: the planner model alone predicts the win, the
 // controller live-migrates the bundle to both edges, the JNDI cut-over
 // rebinds the edge catalogs onto the replicas, and the app's effective
-// configuration is updated to the target.
+// policy is updated to the target.
 func TestAdaptiveControllerCutOver(t *testing.T) {
 	env := sim.NewEnv(2)
 	d, err := core.NewPaperDeployment(env, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := DeployAdaptive(d, core.AsyncUpdates)
+	a, err := Deploy(d, deferred(core.AsyncUpdates))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,10 +73,9 @@ func TestAdaptiveControllerCutOver(t *testing.T) {
 		Deployment: d,
 		Wiring:     a.Wiring(),
 		Model:      PlannerModel(),
-		Current:    planner.Candidate{ReplicateWeb: true},
 		Seed:       2,
 		OnExtend:   a.ActivateEdgeCatalog,
-		Apply:      a.SetEffectiveConfig,
+		Apply:      a.SetPolicy,
 		Options: controller.Options{
 			Epoch:         5 * time.Second,
 			ConfirmEpochs: 2,
@@ -89,8 +94,8 @@ func TestAdaptiveControllerCutOver(t *testing.T) {
 	if rep.FinalConfig != core.AsyncUpdates {
 		t.Errorf("final config %v, want %v", rep.FinalConfig, core.AsyncUpdates)
 	}
-	if a.Config() != core.AsyncUpdates {
-		t.Errorf("app effective config %v, want %v (Apply hook not invoked?)", a.Config(), core.AsyncUpdates)
+	if a.Policy() != core.AsyncUpdates {
+		t.Errorf("app effective policy %v, want %v (Apply hook not invoked?)", a.Policy(), core.AsyncUpdates)
 	}
 	for _, edge := range d.Edges {
 		if !a.Wiring().DeployedOn(edge.Name()) {

@@ -8,6 +8,7 @@ import (
 	"wadeploy/internal/container"
 	"wadeploy/internal/core"
 	"wadeploy/internal/dbrepl"
+	"wadeploy/internal/planner"
 	"wadeploy/internal/rmi"
 	"wadeploy/internal/sim"
 	"wadeploy/internal/simnet"
@@ -44,18 +45,34 @@ const (
 // configuration (Fig. 6).
 const UpdateTopic = "petstore-updates"
 
-// App is one deployed Pet Store instance under a specific configuration.
-type App struct {
-	d   *core.Deployment
-	cfg core.ConfigID
+// layout is Pet Store's one component list: Table 1's beans with their
+// placement rules, plus the read-mostly entities Section 4.3 replicates.
+// Deploy installs the entities and replicas from it and validates the plan
+// it synthesizes; PlannerModel prices it.
+var layout = &planner.Layout{
+	App: "petstore",
+	Components: []planner.Component{
+		planner.Facade(BeanCatalog, container.StatelessSession, planner.EdgeWithAnyCache),
+		planner.Facade(BeanCustomer, container.StatelessSession, planner.EdgeNever),
+		planner.Facade(BeanCart, container.StatefulSession, planner.EdgeWithWeb),
+		planner.Facade(BeanController, container.StatefulSession, planner.EdgeWithWeb),
+		planner.Entity(BeanCategory, "category", "catid", container.BMP),
+		planner.Entity(BeanProduct, "product", "productid", container.BMP),
+		planner.Entity(BeanItem, "item", "itemid", container.BMP),
+		planner.Entity(BeanInventory, "inventory", "itemid", container.BMP),
+		planner.Entity(BeanSignOn, "signon", "username", container.BMP),
+		planner.Entity(BeanAccount, "account", "userid", container.BMP),
+		planner.Entity(BeanOrder, "orders", "orderid", container.BMP),
+		planner.Entity(BeanOrderStatus, "orderstatus", "orderid", container.BMP),
+		planner.Entity(BeanLineItem, "lineitem", "lineid", container.BMP),
+	},
+	Replicated: []string{BeanCategory, BeanProduct, BeanItem, BeanInventory},
+}
 
-	// adaptive marks a DeployAdaptive instance: the app starts serving at
-	// RemoteFacade and the online re-placement controller extends it toward
-	// target at runtime. target drives the extended descriptor (which
-	// replica bundle a migration materializes); cfg tracks the currently
-	// effective configuration.
-	adaptive bool
-	target   core.ConfigID
+// App is one deployed Pet Store instance under a specific policy.
+type App struct {
+	d      *core.Deployment
+	policy core.Policy
 
 	categoryRW  *container.RWEntity
 	productRW   *container.RWEntity
@@ -68,12 +85,6 @@ type App struct {
 	lineItemRW  *container.RWEntity
 
 	wiring *core.Wiring
-
-	// partSpec/partAssign arm entity partitioning (DeployTopo): Item and
-	// Inventory replicas hold key-space slices per the assignment instead
-	// of full copies. Nil for the paper's deployments.
-	partSpec   *container.PartitionSpec
-	partAssign core.PartitionAssignment
 
 	carts       map[string]*container.StatefulBean
 	controllers map[string]*container.StatefulBean
@@ -121,41 +132,32 @@ func DefaultPageCosts() PageCosts {
 	}
 }
 
-// Deploy installs Pet Store into d under configuration cfg: the schema and
-// data, the entity beans and façades on the main server, web components and
-// stateful session beans on every active server, and — depending on cfg —
-// the read-only replicas, query caches and update propagation (via the
-// extended-descriptor AutoWire machinery). It is DeployTopo with full
-// replication.
-func Deploy(d *core.Deployment, cfg core.ConfigID) (*App, error) {
-	return DeployTopo(d, cfg, TopoOptions{})
-}
-
-// DeployAdaptive installs Pet Store for online re-placement: the app starts
-// serving at the remote-façade tier (web components everywhere, every
-// catalog read crossing the WAN) with the replica bundle's extended
-// descriptor wired in deferred mode — propagators attached, no replicas
-// materialized — so a controller can live-migrate the bundle described by
-// target (≥ StatefulCaching) onto the edges while traffic flows.
-func DeployAdaptive(d *core.Deployment, target core.ConfigID) (*App, error) {
-	if !target.AtLeast(core.StatefulCaching) {
-		return nil, fmt.Errorf("petstore: adaptive target %s has nothing to extend (need >= %s)",
-			target, core.StatefulCaching)
+// Deploy installs Pet Store into d under policy p: the schema and data, the
+// entity beans and façades on the main server, web components and stateful
+// session beans on every active server, and — depending on p — the
+// read-only replicas (Item and Inventory sharded per p.Partition), query
+// caches and update propagation (via the extended-descriptor AutoWire
+// machinery) and edge database replicas. A Deferred policy starts serving at
+// the remote-façade tier, every catalog read crossing the WAN, with the
+// replica bundle's descriptor wired deferred — propagators attached, no
+// replicas materialized — so a controller can live-migrate the bundle onto
+// the edges while traffic flows. A static deployment is checked against the
+// plan the planner synthesizes for p from the component list.
+func Deploy(d *core.Deployment, p core.Policy) (*App, error) {
+	if err := p.Validate(); err != nil {
+		return nil, fmt.Errorf("petstore: %w", err)
 	}
-	return deploy(d, core.RemoteFacade, target, true, nil, nil)
-}
-
-func deploy(d *core.Deployment, cfg, target core.ConfigID, adaptive bool, partSpec *container.PartitionSpec, partAssign core.PartitionAssignment) (*App, error) {
+	if p.QueryCaches && !p.EntityReplicas {
+		// The pull-refreshed caches hear of Category/Product/Item writes
+		// only through the replicas' update pushes.
+		return nil, fmt.Errorf("petstore: %w", p.Unsupported("query caches need the entity replicas' update pushes to invalidate them"))
+	}
 	if err := InitSchema(d.DB); err != nil {
 		return nil, err
 	}
 	a := &App{
 		d:           d,
-		cfg:         cfg,
-		target:      target,
-		adaptive:    adaptive,
-		partSpec:    partSpec,
-		partAssign:  partAssign,
+		policy:      p,
 		carts:       make(map[string]*container.StatefulBean),
 		controllers: make(map[string]*container.StatefulBean),
 		sessions:    make(map[[2]string]*web.Session),
@@ -170,51 +172,41 @@ func deploy(d *core.Deployment, cfg, target core.ConfigID, adaptive bool, partSp
 	if err := a.deployWebTier(); err != nil {
 		return nil, err
 	}
-	if a.descriptorConfig().AtLeast(core.StatefulCaching) {
+	if p.EntityReplicas {
 		if err := a.wireReplicas(); err != nil {
 			return nil, err
 		}
-		deployCatalogs := a.deployEdgeCatalogs
-		if a.adaptive {
+		catalog := a.edgeCatalogMethods
+		if p.Deferred {
 			// The replica-backed catalogs arrive by rebind when the
 			// controller cuts each edge over (ActivateEdgeCatalog).
-			deployCatalogs = a.deployEdgeCatalogDelegates
+			catalog = a.delegateCatalogMethods
 		}
-		if err := deployCatalogs(); err != nil {
+		if err := a.deployEdgeCatalogs(catalog); err != nil {
 			return nil, err
 		}
 	}
-	if cfg.AtLeast(core.DBReplication) {
+	if p.DBReplicas {
 		if err := a.wireDBReplicas(); err != nil {
 			return nil, err
 		}
 	}
-	if !adaptive {
-		// An adaptive deployment intentionally starts below its descriptor
-		// (replicas arrive by migration), so the static plan check does not
-		// apply until the controller finishes extending.
-		if err := a.Plan().Validate(); err != nil {
+	if !p.Deferred {
+		// A deferred deployment intentionally starts below its policy
+		// (replicas arrive by migration), so the plan applies only once the
+		// controller finishes extending.
+		if err := layout.Plan(p, d.Main.Name(), d.EdgeNames()).Validate(); err != nil {
 			return nil, fmt.Errorf("petstore: %w", err)
 		}
 	}
 	return a, nil
 }
 
-// descriptorConfig is the configuration the extended deployment descriptor
-// is built for: the live one for static deploys, the controller's target
-// for adaptive ones.
-func (a *App) descriptorConfig() core.ConfigID {
-	if a.adaptive {
-		return a.target
-	}
-	return a.cfg
-}
-
-// SetEffectiveConfig records the configuration the running placement now
-// corresponds to (the controller's Apply hook after its extension program
-// completes). Request routing is identical for every configuration at or
-// above RemoteFacade, so this only affects reporting.
-func (a *App) SetEffectiveConfig(cfg core.ConfigID) { a.cfg = cfg }
+// SetPolicy records the policy the running placement now corresponds to
+// (the controller's Apply hook after its extension program completes).
+// Request routing is identical for every policy that replicates the web
+// tier, so this only affects reporting.
+func (a *App) SetPolicy(p core.Policy) { a.policy = p }
 
 // wireDBReplicas sets up the Section 6 extension: asynchronous
 // statement-based database replication to every edge server, so highly
@@ -243,56 +235,41 @@ func (a *App) wireDBReplicas() error {
 	return nil
 }
 
-// DBPrimary exposes the replication primary (nil below DBReplication).
+// DBPrimary exposes the replication primary (nil without DB replicas).
 func (a *App) DBPrimary() *dbrepl.Primary { return a.dbPrimary }
 
-// Config returns the configuration the app was deployed under.
-func (a *App) Config() core.ConfigID { return a.cfg }
+// Policy returns the policy the app was deployed under, or the one a
+// controller extended it to.
+func (a *App) Policy() core.Policy { return a.policy }
 
 // Deployment returns the underlying deployment.
 func (a *App) Deployment() *core.Deployment { return a.d }
 
-// Wiring exposes the auto-wired replicas and caches (nil below
-// StatefulCaching).
+// Wiring exposes the auto-wired replicas and caches (nil without entity
+// replicas).
 func (a *App) Wiring() *core.Wiring { return a.wiring }
 
 // Orders returns the number of committed orders.
 func (a *App) Orders() int64 { return a.orderSeq }
 
+// deployEntities deploys the component list's entity beans on the main
+// server.
 func (a *App) deployEntities() error {
-	type spec struct {
-		name, table, pk string
-		out             **container.RWEntity
-	}
-	specs := []spec{
-		{BeanCategory, "category", "catid", &a.categoryRW},
-		{BeanProduct, "product", "productid", &a.productRW},
-		{BeanItem, "item", "itemid", &a.itemRW},
-		{BeanInventory, "inventory", "itemid", &a.inventoryRW},
-		{BeanSignOn, "signon", "username", &a.signonRW},
-		{BeanAccount, "account", "userid", &a.accountRW},
-		{BeanOrder, "orders", "orderid", &a.orderRW},
-		{BeanOrderStatus, "orderstatus", "orderid", &a.statusRW},
-		{BeanLineItem, "lineitem", "lineid", &a.lineItemRW},
-	}
-	for _, s := range specs {
-		b, err := container.DeployRWEntity(a.d.Main, s.name, s.table, s.pk)
+	for _, c := range layout.Components {
+		if c.Desc.Kind != container.Entity {
+			continue
+		}
+		b, err := container.DeployRWEntity(a.d.Main, c.Desc.Name, c.Desc.Table, c.Desc.PKColumn)
 		if err != nil {
 			return fmt.Errorf("petstore: %w", err)
 		}
-		*s.out = b
 		a.d.RegisterRW(b)
 	}
+	a.categoryRW, a.productRW = a.d.RW(BeanCategory), a.d.RW(BeanProduct)
+	a.itemRW, a.inventoryRW = a.d.RW(BeanItem), a.d.RW(BeanInventory)
+	a.signonRW, a.accountRW = a.d.RW(BeanSignOn), a.d.RW(BeanAccount)
+	a.orderRW, a.statusRW, a.lineItemRW = a.d.RW(BeanOrder), a.d.RW(BeanOrderStatus), a.d.RW(BeanLineItem)
 	return nil
-}
-
-// activeServers returns the servers that host web components and session
-// beans under the current configuration.
-func (a *App) activeServers() []*container.Server {
-	if a.cfg.AtLeast(core.RemoteFacade) {
-		return a.d.Servers()
-	}
-	return []*container.Server{a.d.Main}
 }
 
 // catalogStub resolves the Catalog façade a server should talk to: its own
@@ -478,7 +455,7 @@ func (a *App) customerMethods() map[string]container.Method {
 // deployWebTier installs the stateful session beans and servlets on every
 // active server.
 func (a *App) deployWebTier() error {
-	for _, srv := range a.activeServers() {
+	for _, srv := range a.d.WebServers(a.policy) {
 		cart, err := container.DeployStateful(srv, BeanCart, a.cartMethods(srv))
 		if err != nil {
 			return fmt.Errorf("petstore: %w", err)
@@ -502,8 +479,8 @@ func (a *App) deployWebTier() error {
 
 // cartMethods implements the ShoppingCart stateful session bean. The cart
 // stores its lines in conversational state; addItem resolves item details
-// through the server's Catalog path (which is where the configuration
-// changes bite: RMI below StatefulCaching, local read-only beans above).
+// through the server's Catalog path (which is where the policy bites: RMI
+// without entity replicas, local read-only beans with them).
 func (a *App) cartMethods(srv *container.Server) map[string]container.Method {
 	return map[string]container.Method{
 		"addItem": func(p *sim.Proc, inv *container.Invocation) (any, error) {
@@ -538,14 +515,12 @@ func (a *App) cartMethods(srv *container.Server) map[string]container.Method {
 	}
 }
 
-// getItemVia fetches item details the way the current configuration
-// dictates: local read-only beans when the server has them, otherwise via
-// the Catalog façade (one RMI call from an edge).
 // useReplicas reports whether srv should answer catalog reads from its
 // read-only replicas. Checking the live wiring rather than the deployed
-// configuration is what lets an adaptive run change answer mid-flight: the
-// moment a migration cuts an edge over, its handlers start hitting the
-// replicas.
+// policy is what lets a deferred run change answer mid-flight: the moment a
+// migration cuts an edge over, its handlers start hitting the replicas. (A
+// wired edge always holds replicas: Deploy refuses query caches without
+// them.)
 func (a *App) useReplicas(srv *container.Server) bool {
 	return srv.Name() != simnet.NodeMain && a.wiring != nil && a.wiring.DeployedOn(srv.Name())
 }
@@ -555,6 +530,9 @@ func (a *App) useQueryCache(srv *container.Server) bool {
 	return a.wiring != nil && a.wiring.Cache(srv.Name()) != nil
 }
 
+// getItemVia fetches item details the way the policy dictates: local
+// read-only beans when the server has them, otherwise via the Catalog façade
+// (one RMI call from an edge).
 func (a *App) getItemVia(p *sim.Proc, srv *container.Server, itemID string) (*ItemPage, error) {
 	if a.useReplicas(srv) {
 		itemRO := a.wiring.Replica(srv.Name(), BeanItem)
@@ -570,12 +548,12 @@ func (a *App) getItemVia(p *sim.Proc, srv *container.Server, itemID string) (*It
 		return &ItemPage{Item: item, Qty: qtySt["qty"].AsInt()}, nil
 	}
 	// The fallback must target the central Catalog, not catalogStub: the
-	// edge Catalog façade's own getItem lands here, and in an adaptive
+	// edge Catalog façade's own getItem lands here, and in a deferred
 	// deployment that façade exists before the replicas do — resolving the
-	// local catalog again would recurse forever. Static configurations are
-	// unaffected (below StatefulCaching no edge catalog exists, so
-	// catalogStub resolved to main anyway; at or above it, edges answer
-	// from replicas and never reach this branch).
+	// local catalog again would recurse forever. Static deployments are
+	// unaffected (without entity replicas no edge catalog exists, so
+	// catalogStub resolved to main anyway; with them, edges answer from
+	// replicas and never reach this branch).
 	stub, err := a.centralCatalogStub(p, srv)
 	if err != nil {
 		return nil, err
@@ -591,44 +569,33 @@ func (a *App) getItemVia(p *sim.Proc, srv *container.Server, itemID string) (*It
 	return page, nil
 }
 
-// wireReplicas applies the extended deployment descriptor for the
-// configuration: read-only Category/Product/Item/Inventory beans with push
-// refresh, query caches from QueryCaching on, and sync vs async propagation.
+// wireReplicas applies the extended deployment descriptor for the policy:
+// read-only replicas of the component list's replicated beans with push
+// refresh (Item and Inventory, which share the itemid key space, sharded per
+// the policy's partition spec), the two catalog query caches when the policy
+// has them, and sync vs async propagation.
 func (a *App) wireReplicas() error {
-	dcfg := a.descriptorConfig()
 	update := container.SyncUpdate
-	if dcfg.AtLeast(core.AsyncUpdates) {
+	if a.policy.AsyncUpdates {
 		update = container.AsyncUpdate
 	}
-	ext := &container.ExtendedDescriptor{
-		Topic: UpdateTopic,
-		Replicas: []container.ReplicaSpec{
-			{Bean: BeanCategory, Update: update, Refresh: container.PushRefresh},
-			{Bean: BeanProduct, Update: update, Refresh: container.PushRefresh},
-			{Bean: BeanItem, Update: update, Refresh: container.PushRefresh, Partition: a.partSpec},
-			{Bean: BeanInventory, Update: update, Refresh: container.PushRefresh, Partition: a.partSpec},
-		},
+	ext := &container.ExtendedDescriptor{Topic: UpdateTopic}
+	for _, bean := range layout.Replicated {
+		spec := container.ReplicaSpec{Bean: bean, Update: update, Refresh: container.PushRefresh}
+		if bean == BeanItem || bean == BeanInventory {
+			spec.Partition = a.policy.Partition
+		}
+		ext.Replicas = append(ext.Replicas, spec)
 	}
-	if dcfg.AtLeast(core.QueryCaching) {
+	if a.policy.QueryCaches {
 		ext.CachedQueries = []container.CachedQuerySpec{
 			{Name: QueryProductsByCategory, InvalidatedBy: []string{BeanProduct, BeanCategory}},
 			{Name: QueryItemsByProduct, InvalidatedBy: []string{BeanItem, BeanProduct}},
 		}
 	}
-	var assignments map[string]core.PartitionAssignment
-	if a.partSpec != nil && a.partAssign != nil {
-		// Item and Inventory share the itemid key space, so one assignment
-		// covers both.
-		assignments = map[string]core.PartitionAssignment{
-			BeanItem:      a.partAssign,
-			BeanInventory: a.partAssign,
-		}
-	}
 	w, err := core.AutoWire(a.d, ext, core.WireOptions{
-		PushBytes:            replicaPushBytes,
-		UpdaterName:          "Updater",
-		Deferred:             a.adaptive,
-		PartitionAssignments: assignments,
+		PushBytes: replicaPushBytes,
+		Deferred:  a.policy.Deferred,
 		FetchFor: func(server *container.Server, rwBean string) container.FetchFunc {
 			return func(p *sim.Proc, pk sqldb.Value) (container.State, error) {
 				stub, err := a.centralCatalogStub(p, server)
@@ -674,52 +641,20 @@ func (a *App) wireReplicas() error {
 		return fmt.Errorf("petstore: %w", err)
 	}
 	a.wiring = w
-	if a.adaptive {
+	if a.policy.Deferred {
 		// Replicas do not exist yet; each one receives its snapshot when
 		// the controller migrates it in.
 		return nil
 	}
-	return a.preloadReplicas()
+	return w.Preload()
 }
 
-// preloadReplicas warm-deploys the read-only beans with the current catalog
-// contents, modeling replicas shipped with a data snapshot (measurement runs
-// start after warm-up either way).
-func (a *App) preloadReplicas() error {
-	type src struct {
-		bean  string
-		query string
-		pk    string
-	}
-	for _, s := range []src{
-		{BeanCategory, `SELECT * FROM category`, "catid"},
-		{BeanProduct, `SELECT * FROM product`, "productid"},
-		{BeanItem, `SELECT * FROM item`, "itemid"},
-		{BeanInventory, `SELECT * FROM inventory`, "itemid"},
-	} {
-		stmt, err := a.d.DB.PrepareStmt(s.query)
-		if err != nil {
-			return fmt.Errorf("petstore preload: %w", err)
-		}
-		res, err := stmt.Exec()
-		if err != nil {
-			return fmt.Errorf("petstore preload: %w", err)
-		}
-		for _, row := range res.Rows {
-			st := container.StateFromRow(res.Cols, row) // one per row, shared by every edge holding it
-			for _, edge := range a.d.Edges {
-				a.wiring.Replica(edge.Name(), s.bean).Preload(st[s.pk], st)
-			}
-		}
-	}
-	return nil
-}
-
-// deployEdgeCatalogs installs the edge Catalog façades that delegate to
-// read-only beans, query caches, or the central Catalog (Fig. 4/5 wiring).
-func (a *App) deployEdgeCatalogs() error {
+// deployEdgeCatalogs installs an edge Catalog façade on every edge, built by
+// methods: the replica-backed one (Fig. 4/5 wiring) or, for a deferred
+// deployment, the delegate-only one.
+func (a *App) deployEdgeCatalogs(methods func(edge *container.Server) map[string]container.Method) error {
 	for _, edge := range a.d.Edges {
-		if _, err := container.DeployStateless(edge, BeanCatalog, a.edgeCatalogMethods(edge)); err != nil {
+		if _, err := container.DeployStateless(edge, BeanCatalog, methods(edge)); err != nil {
 			return fmt.Errorf("petstore: %w", err)
 		}
 	}
@@ -774,8 +709,8 @@ func (a *App) edgeCatalogMethods(edge *container.Server) map[string]container.Me
 	}
 }
 
-// delegateCatalogMethods builds the pre-extension edge Catalog of an
-// adaptive deployment: every method forwards to the central Catalog in one
+// delegateCatalogMethods builds the pre-extension edge Catalog of a
+// deferred deployment: every method forwards to the central Catalog in one
 // WAN call, the remote-façade tier expressed as a local façade so the JNDI
 // name exists from the start and the cut-over is a pure handler swap.
 func (a *App) delegateCatalogMethods(edge *container.Server) map[string]container.Method {
@@ -794,17 +729,6 @@ func (a *App) delegateCatalogMethods(edge *container.Server) map[string]containe
 		"getItem":       delegate("getItem"),
 		"search":        delegate("search"),
 	}
-}
-
-// deployEdgeCatalogDelegates installs the delegate-only edge Catalogs an
-// adaptive deployment starts with.
-func (a *App) deployEdgeCatalogDelegates() error {
-	for _, edge := range a.d.Edges {
-		if _, err := container.DeployStateless(edge, BeanCatalog, a.delegateCatalogMethods(edge)); err != nil {
-			return fmt.Errorf("petstore: %w", err)
-		}
-	}
-	return nil
 }
 
 // ActivateEdgeCatalog rebinds one edge's Catalog JNDI name from the
@@ -868,10 +792,10 @@ func (a *App) sessionFor(clientID string, srv *container.Server) *web.Session {
 }
 
 // RequestFunc adapts the deployed app to the workload driver: each request
-// is routed to the client group's server for the active configuration.
+// is routed to the client group's server under the policy.
 func (a *App) RequestFunc() workload.RequestFunc {
 	return func(p *sim.Proc, client workload.Client, step workload.Step) (time.Duration, error) {
-		srv := a.d.ServerFor(client.Node, a.cfg)
+		srv := a.d.ServerFor(client.Node, a.policy)
 		sess := a.sessionFor(client.ID, srv)
 		_, rt, err := srv.Web().Get(p, client.Node, step.Page, step.Params, sess)
 		return rt, err

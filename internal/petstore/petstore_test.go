@@ -16,7 +16,7 @@ import (
 )
 
 // deployApp builds a fresh deployment with Pet Store installed under cfg.
-func deployApp(t *testing.T, cfg core.ConfigID) *App {
+func deployApp(t *testing.T, cfg core.Policy) *App {
 	t.Helper()
 	env := sim.NewEnv(5)
 	d, err := core.NewPaperDeployment(env, core.DefaultOptions())
@@ -49,10 +49,7 @@ var (
 func TestDeployAllConfigs(t *testing.T) {
 	for _, cfg := range core.Configs {
 		a := deployApp(t, cfg)
-		if err := a.Plan().Validate(); err != nil {
-			t.Errorf("%v: plan invalid: %v", cfg, err)
-		}
-		if cfg.AtLeast(core.StatefulCaching) && a.Wiring() == nil {
+		if cfg.EntityReplicas && a.Wiring() == nil {
 			t.Errorf("%v: no wiring", cfg)
 		}
 		a.Deployment().Env.Close()
@@ -262,7 +259,7 @@ func TestAsyncUpdatesUnblockCommit(t *testing.T) {
 }
 
 // buyerCommitTime runs one buyer session and returns the Commit page time.
-func buyerCommitTime(t *testing.T, cfg core.ConfigID, client workload.Client) time.Duration {
+func buyerCommitTime(t *testing.T, cfg core.Policy, client workload.Client) time.Duration {
 	t.Helper()
 	a := deployApp(t, cfg)
 	var commit time.Duration

@@ -1,7 +1,6 @@
 package petstore
 
 import (
-	"wadeploy/internal/container"
 	"wadeploy/internal/core"
 	"wadeploy/internal/planner"
 	"wadeploy/internal/workload"
@@ -16,8 +15,8 @@ const replicaPushBytes = 1024
 // same generator the workload driver runs.
 const visitSamples = 8192
 
-// PlannerModel describes Pet Store to the deployment advisor: Table 1's
-// components with their placement rules, the page cost profiles behind
+// PlannerModel describes Pet Store to the deployment advisor: the component
+// list Deploy installs from, the page cost profiles behind
 // Tables 2–3 (each page's stub calls, SQL shapes, rendering cost and
 // response size), and the paper's 80/20 two-remote-group client mix.
 func PlannerModel() *planner.Model {
@@ -90,39 +89,11 @@ func PlannerModel() *planner.Model {
 			Name: name, RenderCPU: c.CPU, RenderLat: c.Lat, Bytes: bytes, Body: body,
 		}
 	}
-	facade := func(name string, kind container.BeanKind, rule planner.EdgeRule) planner.Component {
-		return planner.Component{
-			Desc: container.Descriptor{Name: name, Kind: kind, Facade: true},
-			Rule: rule,
-		}
-	}
-	entity := func(name, table, pk string) planner.Component {
-		return planner.Component{Desc: container.Descriptor{
-			Name: name, Kind: container.Entity, Table: table, PKColumn: pk,
-			Persistence: container.BMP, LocalOnly: true,
-		}}
-	}
 
 	return &planner.Model{
-		App:       "petstore",
+		Layout:    layout,
 		Options:   core.DefaultOptions(),
 		PushBytes: replicaPushBytes,
-		Components: []planner.Component{
-			facade(BeanCatalog, container.StatelessSession, planner.EdgeWithAnyCache),
-			facade(BeanCustomer, container.StatelessSession, planner.EdgeNever),
-			facade(BeanCart, container.StatefulSession, planner.EdgeWithWeb),
-			facade(BeanController, container.StatefulSession, planner.EdgeWithWeb),
-			entity(BeanCategory, "category", "catid"),
-			entity(BeanProduct, "product", "productid"),
-			entity(BeanItem, "item", "itemid"),
-			entity(BeanInventory, "inventory", "itemid"),
-			entity(BeanSignOn, "signon", "username"),
-			entity(BeanAccount, "account", "userid"),
-			entity(BeanOrder, "orders", "orderid"),
-			entity(BeanOrderStatus, "orderstatus", "orderid"),
-			entity(BeanLineItem, "lineitem", "lineid"),
-		},
-		Replicated: []string{BeanCategory, BeanProduct, BeanItem, BeanInventory},
 		Patterns: []planner.Pattern{
 			{Name: PatternBrowser, Visits: workload.ExpectedVisits(BrowserRefill, visitSamples, 1)},
 			{Name: PatternBuyer, Visits: workload.ExpectedVisits(BuyerRefill, 1, 1)},

@@ -1,6 +1,7 @@
 package petstore
 
 import (
+	"errors"
 	"testing"
 
 	"wadeploy/internal/container"
@@ -13,34 +14,34 @@ import (
 
 // deployTopoApp builds an N-edge hierarchical deployment with Pet Store
 // installed partition-aware.
-func deployTopoApp(t *testing.T, edges int, cfg core.ConfigID, topo TopoOptions) (*App, *simnet.Hierarchy) {
+func deployTopoApp(t *testing.T, edges int, p core.Policy) (*App, *simnet.Hierarchy) {
 	t.Helper()
 	env := sim.NewEnv(5)
 	d, h, err := core.NewHierarchicalDeployment(env, core.DefaultOptions(), simnet.HierarchySpec{Edges: edges})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := DeployTopo(d, cfg, topo)
+	a, err := Deploy(d, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return a, h
 }
 
+// partitioned is p with its hot entities hash-sharded n ways.
+func partitioned(p core.Policy, n int) core.Policy {
+	p.Partition = &container.PartitionSpec{Scheme: container.HashPartition, Partitions: n}
+	return p
+}
+
 func TestDeployTopoUnpartitionedMatchesDeploy(t *testing.T) {
-	a, _ := deployTopoApp(t, 4, core.QueryCaching, TopoOptions{})
+	a, _ := deployTopoApp(t, 4, core.QueryCaching)
 	defer a.Deployment().Env.Close()
-	if a.partSpec != nil {
-		t.Fatal("nil TopoOptions must not partition")
-	}
 	// Every edge owns every query param: caching is unrestricted.
 	for _, edge := range a.Deployment().Edges {
 		if !a.ownsQueryParam(edge, ItemID(0, 0, 0)) {
 			t.Fatalf("%s should own all params without partitioning", edge.Name())
 		}
-	}
-	if err := a.Plan().Validate(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -50,8 +51,7 @@ func TestDeployTopoUnpartitionedMatchesDeploy(t *testing.T) {
 // unowned items still succeed via the remote-get path.
 func TestDeployTopoPartitionedOwnership(t *testing.T) {
 	const edges = 4
-	pspec := &container.PartitionSpec{Scheme: container.HashPartition, Partitions: edges}
-	a, h := deployTopoApp(t, edges, core.QueryCaching, TopoOptions{Partition: pspec})
+	a, h := deployTopoApp(t, edges, partitioned(core.QueryCaching, edges))
 	defer a.Deployment().Env.Close()
 
 	d := a.Deployment()
@@ -111,6 +111,8 @@ func TestDeployTopoPartitionedOwnership(t *testing.T) {
 	}
 }
 
+// TestDeployTopoRejectsBadSpec goes through DeployTopo, the forward the
+// benchmark deploys its partitioned hierarchy with.
 func TestDeployTopoRejectsBadSpec(t *testing.T) {
 	env := sim.NewEnv(5)
 	defer env.Close()
@@ -119,8 +121,16 @@ func TestDeployTopoRejectsBadSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := &container.PartitionSpec{Scheme: container.RangePartition, Partitions: 3, Bounds: []string{"z", "a"}}
-	if _, err := DeployTopo(d, core.QueryCaching, TopoOptions{Partition: bad}); err == nil {
-		t.Fatal("unsorted range bounds accepted")
+	if _, err := DeployTopo(d, core.QueryCaching, TopoOptions{Partition: bad}); !errors.Is(err, core.ErrPolicy) {
+		t.Fatalf("unsorted range bounds: %v, want a policy error", err)
+	}
+	good := &container.PartitionSpec{Scheme: container.HashPartition, Partitions: 2}
+	a, err := DeployTopo(d, core.QueryCaching, TopoOptions{Partition: good})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Policy().Partition != good {
+		t.Fatal("DeployTopo dropped the partition spec")
 	}
 }
 
@@ -129,7 +139,7 @@ func TestDeployTopoRejectsBadSpec(t *testing.T) {
 // paper's two remote groups, spread deterministically.
 func TestTopoWorkloadSpread(t *testing.T) {
 	for _, edges := range []int{1, 2, 3, 5, 8} {
-		a, h := deployTopoApp(t, edges, core.QueryCaching, TopoOptions{})
+		a, h := deployTopoApp(t, edges, core.QueryCaching)
 		groups := a.Workload(1)
 		if len(groups) != 1+edges {
 			t.Fatalf("edges=%d: %d groups", edges, len(groups))

@@ -1,6 +1,10 @@
 package planner
 
-import "time"
+import (
+	"time"
+
+	"wadeploy/internal/core"
+)
 
 // Params are the calibration constants the closed-form model is built from.
 // Every value traces to a substrate knob documented in
@@ -191,7 +195,7 @@ func (ev *Evaluator) loadCost() time.Duration {
 // caches: a blocking wide-area push per edge under synchronous propagation,
 // or a local transactional JMS publish under asynchronous updates (delivery
 // then happens off the writer's critical path).
-func (ev *Evaluator) pushCost(c Candidate) time.Duration {
+func (ev *Evaluator) pushCost(c core.Policy) time.Duration {
 	p := ev.p
 	if c.AsyncUpdates {
 		return p.PublishCPU
@@ -275,10 +279,10 @@ func (i If) cost(ev *Evaluator, ctx Ctx) time.Duration {
 }
 
 // PageCost predicts the response time of one page for a client of the given
-// locality under candidate c: TCP handshake (keep-alive off), request
+// locality under policy c: TCP handshake (keep-alive off), request
 // transfer, servlet dispatch, the handler's stub calls, rendering, and the
 // response transfer.
-func (ev *Evaluator) PageCost(c Candidate, page *Page, local bool) time.Duration {
+func (ev *Evaluator) PageCost(c core.Policy, page *Page, local bool) time.Duration {
 	p := ev.p
 	atEdge := !local && c.ReplicateWeb
 
@@ -311,7 +315,7 @@ func (ev *Evaluator) PageCost(c Candidate, page *Page, local bool) time.Duration
 // SessionMean predicts a pattern's mean response time across its pages for
 // one locality, weighted by expected visit counts — the quantity plotted in
 // the paper's Figures 7 and 8.
-func (ev *Evaluator) SessionMean(c Candidate, pattern string, local bool) time.Duration {
+func (ev *Evaluator) SessionMean(c core.Policy, pattern string, local bool) time.Duration {
 	pat := ev.m.pattern(pattern)
 	if pat == nil {
 		return 0
@@ -337,7 +341,7 @@ func (ev *Evaluator) SessionMean(c Candidate, pattern string, local bool) time.D
 // weighted by client count: soft think-time pacing gives every client the
 // same request rate, so a class contributes in proportion to its
 // population. This is the search objective.
-func (ev *Evaluator) Overall(c Candidate) time.Duration {
+func (ev *Evaluator) Overall(c core.Policy) time.Duration {
 	var sum float64
 	clients := 0
 	for _, cl := range ev.m.Classes {

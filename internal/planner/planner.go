@@ -2,135 +2,25 @@
 // automated placement search over the paper's four distribution patterns
 // (replicated web tier / remote façades, stateful component caching, query
 // caching, asynchronous updates). The paper's stated long-term goal
-// (Section 6) is automating the application of those patterns; today each
-// application hand-codes one core.Plan per configuration. The planner closes
-// that gap: from an application model — bean descriptors, page profiles,
-// session mixes and the substrate's calibration constants (see
-// internal/experiment/calibrate.go) — it predicts the mean response time of
-// any candidate placement in closed form over
+// (Section 6) is automating the application of those patterns. Each
+// application states its components once, as a Layout; the planner
+// synthesizes the core.Plan any core.Policy places from it (the plan the
+// application's Deploy validates), and from an application model — the
+// layout plus page profiles, session mixes and the substrate's calibration
+// constants (see internal/experiment/calibrate.go) — predicts the mean
+// response time of every pattern set in closed form over
 //
 //	rounds × RTT + payload/bandwidth + service time
 //
-// and searches the candidate space for the cheapest plan, emitting a
-// core.Plan that passes Plan.Validate().
+// and searches them for the cheapest placement.
 package planner
 
 import (
-	"sort"
-	"strings"
 	"time"
 
 	"wadeploy/internal/container"
 	"wadeploy/internal/core"
 )
-
-// Candidate is one point in the placement search space: which of the four
-// distribution patterns are applied. The paper's five cumulative
-// configurations are five of the eight valid combinations.
-type Candidate struct {
-	// ReplicateWeb replicates web components and stateful session beans to
-	// the edge servers behind remote façades (Sections 4.2–4.3).
-	ReplicateWeb bool
-
-	// EntityReplicas deploys read-only entity-bean replicas on the edges
-	// (stateful component caching, Section 4.3). Requires ReplicateWeb.
-	EntityReplicas bool
-
-	// QueryCaches deploys query caches on the edges (Section 4.4).
-	// Requires ReplicateWeb.
-	QueryCaches bool
-
-	// AsyncUpdates propagates writes to edge caches through JMS instead of
-	// blocking wide-area pushes (Section 4.5). Requires a cache to update.
-	AsyncUpdates bool
-}
-
-// Valid reports whether the combination respects the pattern dependencies:
-// caches need an edge web tier to serve from, and asynchronous updates need
-// a cache to update.
-func (c Candidate) Valid() bool {
-	if (c.EntityReplicas || c.QueryCaches) && !c.ReplicateWeb {
-		return false
-	}
-	if c.AsyncUpdates && !c.EntityReplicas && !c.QueryCaches {
-		return false
-	}
-	return true
-}
-
-// features returns the enabled patterns in ladder order.
-func (c Candidate) features() []Feature {
-	var out []Feature
-	for _, f := range Features {
-		if c.Has(f) {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// String renders the candidate compactly, e.g. "web+entities+queries+async"
-// or "none" for the centralized placement.
-func (c Candidate) String() string {
-	fs := c.features()
-	if len(fs) == 0 {
-		return "none"
-	}
-	parts := make([]string, len(fs))
-	for i, f := range fs {
-		parts[i] = f.String()
-	}
-	return strings.Join(parts, "+")
-}
-
-// Config maps the candidate onto the paper's cumulative configuration that
-// deploys exactly these patterns, if one exists: the five paper
-// configurations are the prefixes of the ladder W ⊂ W+E ⊂ W+E+Q ⊂ W+E+Q+A.
-func (c Candidate) Config() (core.ConfigID, bool) {
-	switch c {
-	case Candidate{}:
-		return core.Centralized, true
-	case Candidate{ReplicateWeb: true}:
-		return core.RemoteFacade, true
-	case Candidate{ReplicateWeb: true, EntityReplicas: true}:
-		return core.StatefulCaching, true
-	case Candidate{ReplicateWeb: true, EntityReplicas: true, QueryCaches: true}:
-		return core.QueryCaching, true
-	case Candidate{ReplicateWeb: true, EntityReplicas: true, QueryCaches: true, AsyncUpdates: true}:
-		return core.AsyncUpdates, true
-	}
-	return 0, false
-}
-
-// Has reports whether a feature is enabled.
-func (c Candidate) Has(f Feature) bool {
-	switch f {
-	case FeatureWeb:
-		return c.ReplicateWeb
-	case FeatureEntities:
-		return c.EntityReplicas
-	case FeatureQueries:
-		return c.QueryCaches
-	case FeatureAsync:
-		return c.AsyncUpdates
-	}
-	return false
-}
-
-// With returns the candidate with one more feature enabled.
-func (c Candidate) With(f Feature) Candidate {
-	switch f {
-	case FeatureWeb:
-		c.ReplicateWeb = true
-	case FeatureEntities:
-		c.EntityReplicas = true
-	case FeatureQueries:
-		c.QueryCaches = true
-	case FeatureAsync:
-		c.AsyncUpdates = true
-	}
-	return c
-}
 
 // Feature is one rung of the pattern ladder.
 type Feature int
@@ -146,44 +36,26 @@ const (
 // Features lists all four patterns in ladder order.
 var Features = []Feature{FeatureWeb, FeatureEntities, FeatureQueries, FeatureAsync}
 
-func (f Feature) String() string {
+// String is the pattern's short name: the policy with only this pattern
+// renders as it.
+func (f Feature) String() string { return f.With(core.Policy{}).Patterns() }
+
+// In reports whether the pattern is enabled in p.
+func (f Feature) In(p core.Policy) bool { return f.With(p) == p }
+
+// With returns p with the pattern enabled.
+func (f Feature) With(p core.Policy) core.Policy {
 	switch f {
 	case FeatureWeb:
-		return "web"
+		p.ReplicateWeb = true
 	case FeatureEntities:
-		return "entities"
+		p.EntityReplicas = true
 	case FeatureQueries:
-		return "queries"
+		p.QueryCaches = true
 	case FeatureAsync:
-		return "async"
+		p.AsyncUpdates = true
 	}
-	return "unknown"
-}
-
-// Candidates enumerates the valid combinations (eight for the full ladder),
-// ordered by feature count and then ladder position, so search output is
-// deterministic.
-func Candidates() []Candidate {
-	var out []Candidate
-	for bits := 0; bits < 16; bits++ {
-		c := Candidate{
-			ReplicateWeb:   bits&1 != 0,
-			EntityReplicas: bits&2 != 0,
-			QueryCaches:    bits&4 != 0,
-			AsyncUpdates:   bits&8 != 0,
-		}
-		if c.Valid() {
-			out = append(out, c)
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		ni, nj := len(out[i].features()), len(out[j].features())
-		if ni != nj {
-			return ni < nj
-		}
-		return out[i].String() < out[j].String()
-	})
-	return out
+	return p
 }
 
 // EdgeRule says when a component is deployed on the edge servers (it is
@@ -201,7 +73,7 @@ const (
 )
 
 // active reports whether the rule puts the component on the edges under c.
-func (r EdgeRule) active(c Candidate) bool {
+func (r EdgeRule) active(c core.Policy) bool {
 	switch r {
 	case EdgeWithWeb:
 		return c.ReplicateWeb
@@ -219,6 +91,20 @@ func (r EdgeRule) active(c Candidate) bool {
 type Component struct {
 	Desc container.Descriptor
 	Rule EdgeRule
+}
+
+// Facade is a remotely invocable session or message-driven bean placed on
+// the edges by rule.
+func Facade(name string, kind container.BeanKind, rule EdgeRule) Component {
+	return Component{Desc: container.Descriptor{Name: name, Kind: kind, Facade: true}, Rule: rule}
+}
+
+// Entity is a local-only entity bean over table, pinned to the main server.
+func Entity(name, table, pk string, persistence container.Persistence) Component {
+	return Component{Desc: container.Descriptor{
+		Name: name, Kind: container.Entity, Table: table, PKColumn: pk,
+		Persistence: persistence, LocalOnly: true,
+	}}
 }
 
 // Pattern is a service usage pattern (Section 3.3): its name and the
@@ -249,11 +135,11 @@ type Page struct {
 	Body      Op            // handler ops; nil for a static page
 }
 
-// Model is everything the planner needs to know about one application.
-type Model struct {
-	App       string       // plan name ("petstore", "rubis")
-	Options   core.Options // substrate knobs (RMI rounds, costs, topology)
-	PushBytes int          // replica-refresh push payload (WireOptions.PushBytes)
+// Layout is an application's component list: the one statement of its beans
+// that the application deploys from and the planner prices, so the two
+// cannot disagree on what a policy places where.
+type Layout struct {
+	App string // plan name ("petstore", "rubis")
 
 	// Components are the application's beans in descriptor order; plan
 	// synthesis preserves this order.
@@ -262,6 +148,13 @@ type Model struct {
 	// Replicated lists the read-write entity beans that get read-only
 	// edge replicas ("<name>RO") when EntityReplicas is enabled.
 	Replicated []string
+}
+
+// Model is everything the planner needs to know about one application.
+type Model struct {
+	*Layout
+	Options   core.Options // substrate knobs (RMI rounds, costs, topology)
+	PushBytes int          // replica-refresh push payload (WireOptions.PushBytes)
 
 	Patterns []Pattern
 	Classes  []Class
@@ -269,10 +162,10 @@ type Model struct {
 }
 
 // component looks a bean up by name, or returns nil.
-func (m *Model) component(name string) *Component {
-	for i := range m.Components {
-		if m.Components[i].Desc.Name == name {
-			return &m.Components[i]
+func (l *Layout) component(name string) *Component {
+	for i := range l.Components {
+		if l.Components[i].Desc.Name == name {
+			return &l.Components[i]
 		}
 	}
 	return nil
@@ -328,21 +221,21 @@ func (m *Model) pattern(name string) *Pattern {
 }
 
 // beanAtEdge reports whether a bean is deployed on the edge servers under c.
-func (m *Model) beanAtEdge(name string, c Candidate) bool {
+func (m *Model) beanAtEdge(name string, c core.Policy) bool {
 	if comp := m.component(name); comp != nil {
 		return comp.Rule.active(c)
 	}
 	return false
 }
 
-// Ctx is the evaluation context of an op: the candidate under evaluation and
+// Ctx is the evaluation context of an op: the policy under evaluation and
 // whether the op runs on an edge server (false: the main server).
 type Ctx struct {
-	C      Candidate
+	C      core.Policy
 	AtEdge bool
 }
 
-// Cond is a candidate/site predicate used by conditional ops.
+// Cond is a policy/site predicate used by conditional ops.
 type Cond func(ctx Ctx) bool
 
 // AtEdge is true when the op runs on an edge server.
@@ -394,14 +287,14 @@ type SQL struct {
 type Load struct{}
 
 // Insert is an entity-bean create: ejbStore plus an INSERT, plus cache
-// propagation when Push holds for the candidate.
+// propagation when Push holds for the policy.
 type Insert struct {
 	Push Cond
 }
 
 // Update is an entity-bean field update: the container loads the bean, then
 // stores it (ejbLoad + SELECT + ejbStore + UPDATE), plus cache propagation
-// when Push holds for the candidate.
+// when Push holds for the policy.
 type Update struct {
 	Push Cond
 }
@@ -412,7 +305,7 @@ type Hit struct{}
 // CPUTime is a raw service-time burst at the current site.
 type CPUTime time.Duration
 
-// If selects between two subtrees on a candidate/site predicate. Else may
+// If selects between two subtrees on a policy/site predicate. Else may
 // be nil.
 type If struct {
 	Cond       Cond

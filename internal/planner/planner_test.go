@@ -2,7 +2,6 @@ package planner_test
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -30,22 +29,24 @@ func testModel() *planner.Model {
 		planner.Update{Push: planner.HasAnyCache},
 	}}
 	return &planner.Model{
-		App:       "demo",
-		Options:   core.DefaultOptions(),
-		PushBytes: 1024,
-		Components: []planner.Component{
-			{
-				Desc: container.Descriptor{Name: "Facade", Kind: container.StatelessSession, Facade: true},
-				Rule: planner.EdgeWithAnyCache,
-			},
-			{
-				Desc: container.Descriptor{
-					Name: "Thing", Kind: container.Entity, Table: "things", PKColumn: "id",
-					Persistence: container.BMP, LocalOnly: true,
+		Layout: &planner.Layout{
+			App: "demo",
+			Components: []planner.Component{
+				{
+					Desc: container.Descriptor{Name: "Facade", Kind: container.StatelessSession, Facade: true},
+					Rule: planner.EdgeWithAnyCache,
+				},
+				{
+					Desc: container.Descriptor{
+						Name: "Thing", Kind: container.Entity, Table: "things", PKColumn: "id",
+						Persistence: container.BMP, LocalOnly: true,
+					},
 				},
 			},
+			Replicated: []string{"Thing"},
 		},
-		Replicated: []string{"Thing"},
+		Options:   core.DefaultOptions(),
+		PushBytes: 1024,
 		Patterns: []planner.Pattern{
 			{Name: "Reader", Visits: map[string]float64{"View": 10}},
 			{Name: "Writer", Visits: map[string]float64{"View": 2, "Save": 1}},
@@ -64,33 +65,24 @@ func testModel() *planner.Model {
 }
 
 func TestCandidatesEnumeratesValidCombinations(t *testing.T) {
-	cands := planner.Candidates()
-	if len(cands) != 8 {
-		t.Fatalf("got %d candidates, want 8", len(cands))
+	res, err := planner.Search(testModel())
+	if err != nil {
+		t.Fatal(err)
 	}
-	seen := make(map[string]bool)
-	prevFeatures := 0
-	for _, c := range cands {
-		if !c.Valid() {
-			t.Errorf("invalid candidate enumerated: %s", c)
+	seen := make(map[core.Policy]bool)
+	for _, r := range res.Ranked {
+		if !r.Policy.Valid() || seen[r.Policy] {
+			t.Errorf("ranked %s twice or invalid", r.Policy.Patterns())
 		}
-		if seen[c.String()] {
-			t.Errorf("duplicate candidate: %s", c)
-		}
-		seen[c.String()] = true
-		n := strings.Count(c.String(), "+") + 1
-		if c.String() == "none" {
-			n = 0
-		}
-		if n < prevFeatures {
-			t.Errorf("candidates not ordered by feature count: %s after %d features", c, prevFeatures)
-		}
-		prevFeatures = n
+		seen[r.Policy] = true
+	}
+	if len(seen) != len(core.PatternSets()) {
+		t.Errorf("ranked %d pattern sets, want every one of %d", len(seen), len(core.PatternSets()))
 	}
 }
 
 func TestCandidateConfigMapsPaperLadder(t *testing.T) {
-	want := map[string]core.ConfigID{
+	want := map[string]core.Policy{
 		"none":                       core.Centralized,
 		"web":                        core.RemoteFacade,
 		"web+entities":               core.StatefulCaching,
@@ -98,35 +90,49 @@ func TestCandidateConfigMapsPaperLadder(t *testing.T) {
 		"web+entities+queries+async": core.AsyncUpdates,
 	}
 	mapped := 0
-	for _, c := range planner.Candidates() {
-		cfg, ok := c.Config()
-		wantCfg, isPaper := want[c.String()]
+	for _, c := range core.PatternSets() {
+		name, ok := c.Name()
+		wantCfg, isPaper := want[c.Patterns()]
 		if ok != isPaper {
-			t.Errorf("%s: Config() ok=%v, want %v", c, ok, isPaper)
+			t.Errorf("%s: Name() ok=%v, want %v", c.Patterns(), ok, isPaper)
 			continue
 		}
 		if ok {
 			mapped++
-			if cfg != wantCfg {
-				t.Errorf("%s: Config() = %s, want %s", c, cfg, wantCfg)
+			if c != wantCfg || name != wantCfg.String() {
+				t.Errorf("%s: named %s, want %s", c.Patterns(), name, wantCfg)
 			}
 		}
 	}
 	if mapped != len(core.Configs) {
-		t.Errorf("%d candidates map to paper configs, want %d", mapped, len(core.Configs))
+		t.Errorf("%d pattern sets map to paper configs, want %d", mapped, len(core.Configs))
 	}
 }
 
 func TestCandidateDependenciesRejected(t *testing.T) {
-	for _, c := range []planner.Candidate{
+	res, err := planner.Search(testModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranked := make(map[core.Policy]bool)
+	for _, r := range res.Ranked {
+		ranked[r.Policy] = true
+	}
+	for _, c := range []core.Policy{
 		{EntityReplicas: true},
 		{QueryCaches: true},
 		{AsyncUpdates: true},
 		{ReplicateWeb: true, AsyncUpdates: true},
-		{EntityReplicas: true, QueryCaches: true, AsyncUpdates: true},
 	} {
-		if c.Valid() {
-			t.Errorf("%+v should be invalid", c)
+		if ranked[c] {
+			t.Errorf("%s breaks a pattern dependency but was ranked", c.Patterns())
+		}
+	}
+	// Every rung of the greedy ladder is a valid pattern set.
+	var p core.Policy
+	for _, s := range res.Ladder {
+		if p = s.Feature.With(p); !p.Valid() {
+			t.Errorf("ladder steps through invalid %s", p.Patterns())
 		}
 	}
 }
@@ -146,12 +152,12 @@ func TestSearchRanksCacheConfigsAboveCentralized(t *testing.T) {
 		}
 	}
 	best := res.Best()
-	if !best.Candidate.ReplicateWeb || !best.Candidate.EntityReplicas {
-		t.Errorf("best candidate %s lacks the entity replicas the read-heavy mix favors", best.Candidate)
+	if !best.Policy.ReplicateWeb || !best.Policy.EntityReplicas {
+		t.Errorf("best pattern set %s lacks the entity replicas the read-heavy mix favors", best.Policy.Patterns())
 	}
 	var centralized planner.Ranked
 	for _, r := range res.Ranked {
-		if r.Candidate == (planner.Candidate{}) {
+		if r.Policy == core.Centralized {
 			centralized = r
 		}
 	}
@@ -179,8 +185,7 @@ func TestSearchIsDeterministic(t *testing.T) {
 
 func TestPlanForSynthesizesWiringComponents(t *testing.T) {
 	m := testModel()
-	full := planner.Candidate{ReplicateWeb: true, EntityReplicas: true, QueryCaches: true, AsyncUpdates: true}
-	pl := m.PlanFor(full)
+	pl := m.PlanFor(core.AsyncUpdates)
 	if err := pl.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +195,7 @@ func TestPlanForSynthesizesWiringComponents(t *testing.T) {
 	}
 	all := m.Options.Topology.ServerNodes()
 	edges := all[1:]
-	for _, name := range []string{"ThingRO", "Updater", "UpdateSubscriber"} {
+	for _, name := range []string{"ThingRO", core.UpdaterBean, core.SubscriberBean} {
 		got, ok := servers[name]
 		if !ok {
 			t.Errorf("plan lacks wiring component %s", name)
@@ -207,7 +212,7 @@ func TestPlanForSynthesizesWiringComponents(t *testing.T) {
 		t.Errorf("cached façade on %v, want all servers", got)
 	}
 
-	pl = m.PlanFor(planner.Candidate{})
+	pl = m.PlanFor(core.Centralized)
 	if err := pl.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +301,7 @@ func TestModelReadsTopologySpec(t *testing.T) {
 	if p.Edges != 3 || p.WANOneWay != spec.Backbone.OneWay+spec.Metro.OneWay || p.WANBps != spec.Metro.Bps {
 		t.Errorf("3-edge hierarchy: %d edges, WAN %v at %v B/s", p.Edges, p.WANOneWay, p.WANBps)
 	}
-	pl := m.PlanFor(planner.Candidate{ReplicateWeb: true, EntityReplicas: true})
+	pl := m.PlanFor(core.StatefulCaching)
 	if err := pl.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -14,10 +14,10 @@ func ms(d time.Duration) string {
 	return fmt.Sprintf("%.1fms", float64(d)/float64(time.Millisecond))
 }
 
-// FormatResult renders the ranked candidates as a text table. sims, when
-// non-nil, maps paper configuration names (core.ConfigID.String()) to
-// simulated overall means; candidates with a simulated value gain a
-// simulated column and a prediction-error column.
+// FormatResult renders the ranked pattern sets as a text table. sims, when
+// non-nil, maps paper configuration names (core.Policy.Name) to simulated
+// overall means; pattern sets with a simulated value gain a simulated column
+// and a prediction-error column.
 func FormatResult(res *Result, sims map[string]time.Duration) string {
 	if res == nil || len(res.Ranked) == 0 {
 		return "(no result)\n"
@@ -30,16 +30,9 @@ func FormatResult(res *Result, sims map[string]time.Duration) string {
 	}
 	fmt.Fprintln(&b, header)
 	for i, r := range res.Ranked {
-		line := fmt.Sprintf("%4d  %-26s %-16s %10s", i+1, r.Candidate, r.ConfigName(), ms(r.Overall))
+		line := fmt.Sprintf("%4d  %-26s %-16s %10s", i+1, r.Policy.Patterns(), r.ConfigName(), ms(r.Overall))
 		if sims != nil {
-			sim, ok := time.Duration(0), false
-			if r.HasConfig {
-				sim, ok = sims[r.Config.String()], true
-				if sim == 0 {
-					ok = false
-				}
-			}
-			if ok {
+			if sim := r.simulated(sims); sim != 0 {
 				err := (float64(r.Overall) - float64(sim)) / float64(sim) * 100
 				line += fmt.Sprintf(" %10s %+6.1f%%", ms(sim), err)
 			} else {
@@ -57,7 +50,7 @@ func FormatResult(res *Result, sims map[string]time.Duration) string {
 
 	best := res.Best()
 	fmt.Fprintf(&b, "\nPer-class means for the recommended plan (%s / %s):\n",
-		best.Candidate, best.ConfigName())
+		best.Policy.Patterns(), best.ConfigName())
 	for _, cm := range best.PerClass {
 		loc := "remote"
 		if cm.Local {
@@ -118,6 +111,15 @@ type jsonStep struct {
 
 func toMs(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
+// simulated looks the pattern set's simulated overall mean up by its paper
+// configuration name; 0 when it has none.
+func (r Ranked) simulated(sims map[string]time.Duration) time.Duration {
+	if name, ok := r.Policy.Name(); ok {
+		return sims[name]
+	}
+	return 0
+}
+
 // WriteJSON emits the machine-readable form of FormatResult: ranked
 // candidates with predicted (and optionally simulated) cost, per-class
 // means, the synthesized plan, and the greedy ladder.
@@ -126,15 +128,15 @@ func WriteJSON(w io.Writer, res *Result, sims map[string]time.Duration) error {
 	for i, r := range res.Ranked {
 		jc := jsonCandidate{
 			Rank:        i + 1,
-			Patterns:    r.Candidate.String(),
+			Patterns:    r.Policy.Patterns(),
 			PredictedMs: toMs(r.Overall),
 		}
-		if r.HasConfig {
-			jc.Config = r.Config.String()
-			if sim := sims[r.Config.String()]; sim != 0 {
-				jc.SimulatedMs = toMs(sim)
-				jc.ErrorPct = (float64(r.Overall) - float64(sim)) / float64(sim) * 100
-			}
+		if name, ok := r.Policy.Name(); ok {
+			jc.Config = name
+		}
+		if sim := r.simulated(sims); sim != 0 {
+			jc.SimulatedMs = toMs(sim)
+			jc.ErrorPct = (float64(r.Overall) - float64(sim)) / float64(sim) * 100
 		}
 		for _, cm := range r.PerClass {
 			jc.PerClass = append(jc.PerClass, jsonClassMean{

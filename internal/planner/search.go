@@ -17,22 +17,19 @@ type ClassMean struct {
 	Mean    time.Duration
 }
 
-// Ranked is one evaluated candidate: its predicted cost, the paper
-// configuration it corresponds to (if any), and the synthesized placement
-// plan.
+// Ranked is one evaluated pattern set: its predicted cost and the
+// synthesized placement plan.
 type Ranked struct {
-	Candidate Candidate
-	Config    core.ConfigID // valid only when HasConfig
-	HasConfig bool
-	Overall   time.Duration
-	PerClass  []ClassMean
-	Plan      *core.Plan
+	Policy   core.Policy
+	Overall  time.Duration
+	PerClass []ClassMean
+	Plan     *core.Plan
 }
 
-// ConfigName renders the matching paper configuration, or "—".
+// ConfigName renders the paper configuration the pattern set is, or "—".
 func (r Ranked) ConfigName() string {
-	if r.HasConfig {
-		return r.Config.String()
+	if name, ok := r.Policy.Name(); ok {
+		return name
 	}
 	return "—"
 }
@@ -44,7 +41,7 @@ type Step struct {
 	After   time.Duration
 }
 
-// Result is a full planner run: every valid candidate ranked by predicted
+// Result is a full planner run: every valid pattern set ranked by predicted
 // overall mean (ascending, deterministic tie-break on the ladder order) plus
 // the greedy climb that a pattern-by-pattern search takes.
 type Result struct {
@@ -63,19 +60,19 @@ type Result struct {
 	Ladder []Step
 }
 
-// Best returns the top-ranked candidate.
+// Best returns the top-ranked pattern set.
 func (r *Result) Best() Ranked { return r.Ranked[0] }
 
-// GreedyCandidate returns the candidate the greedy climb ends at.
-func (r *Result) GreedyCandidate() Candidate {
-	c := Candidate{}
+// Greedy returns the pattern set the greedy climb ends at.
+func (r *Result) Greedy() core.Policy {
+	var p core.Policy
 	for _, s := range r.Ladder {
-		c = c.With(s.Feature)
+		p = s.Feature.With(p)
 	}
-	return c
+	return p
 }
 
-// Search evaluates every valid candidate exhaustively (the pattern space is
+// Search evaluates every valid pattern set exhaustively (the pattern space is
 // eight points — exhaustive is exact and cheap) and runs the greedy ladder
 // climb for comparison and for the report's narrative.
 func Search(m *Model) (*Result, error) {
@@ -84,9 +81,8 @@ func Search(m *Model) (*Result, error) {
 	}
 	ev := NewEvaluator(m)
 	res := &Result{App: m.App}
-	for _, c := range Candidates() {
-		r := Ranked{Candidate: c, Overall: ev.Overall(c), Plan: m.PlanFor(c)}
-		r.Config, r.HasConfig = c.Config()
+	for _, c := range core.PatternSets() {
+		r := Ranked{Policy: c, Overall: ev.Overall(c), Plan: m.PlanFor(c)}
 		for _, cl := range m.Classes {
 			r.PerClass = append(r.PerClass, ClassMean{
 				Pattern: cl.Pattern,
@@ -96,18 +92,18 @@ func Search(m *Model) (*Result, error) {
 			})
 		}
 		if err := r.Plan.Validate(); err != nil {
-			return nil, fmt.Errorf("planner: synthesized plan for %s: %w", c, err)
+			return nil, fmt.Errorf("planner: synthesized plan for %s: %w", c.Patterns(), err)
 		}
 		res.Ranked = append(res.Ranked, r)
 	}
-	// Candidates() is already in ladder order; a stable sort on the
+	// PatternSets() is already in ladder order; a stable sort on the
 	// objective keeps ties deterministic.
 	sort.SliceStable(res.Ranked, func(i, j int) bool {
 		return res.Ranked[i].Overall < res.Ranked[j].Overall
 	})
 
-	res.Base = ev.Overall(Candidate{})
-	cur, best := Candidate{}, res.Base
+	res.Base = ev.Overall(core.Centralized)
+	cur, best := core.Centralized, res.Base
 	for {
 		var (
 			pick     Feature
@@ -115,10 +111,10 @@ func Search(m *Model) (*Result, error) {
 			found    bool
 		)
 		for _, f := range Features {
-			if cur.Has(f) {
+			if f.In(cur) {
 				continue
 			}
-			next := cur.With(f)
+			next := f.With(cur)
 			if !next.Valid() {
 				continue
 			}
@@ -130,49 +126,54 @@ func Search(m *Model) (*Result, error) {
 		if !found {
 			break
 		}
-		cur, best = cur.With(pick), pickCost
+		cur, best = pick.With(cur), pickCost
 		res.Ladder = append(res.Ladder, Step{Feature: pick, After: pickCost})
 	}
 	return res, nil
 }
 
-// PlanFor synthesizes the placement plan for a candidate: the application's
-// components placed by their edge rules, plus the wiring-derived components
-// (read-only replicas, the edge Updater façade, the async update
-// subscriber). The result always passes core.Plan.Validate.
-func (m *Model) PlanFor(c Candidate) *core.Plan {
+// PlanFor synthesizes the placement plan for p on the model's topology.
+func (m *Model) PlanFor(p core.Policy) *core.Plan {
 	servers := m.Options.Topology.ServerNodes()
-	main, edges := servers[:1:1], servers[1:]
-	active := main
-	if c.ReplicateWeb {
-		active = servers
+	return m.Layout.Plan(p, servers[0], servers[1:])
+}
+
+// Plan places the layout's components under p on a main server and its
+// edges: each component by its edge rule, plus the wiring AutoWire
+// materializes (read-only replicas, the edge updater façade, the async update
+// subscriber). The result always passes core.Plan.Validate.
+func (l *Layout) Plan(p core.Policy, main string, edges []string) *core.Plan {
+	mainOnly := []string{main}
+	active := mainOnly
+	if p.ReplicateWeb {
+		active = append([]string{main}, edges...)
 	}
 
-	pl := &core.Plan{App: m.App}
+	pl := &core.Plan{App: l.App}
 	add := func(d container.Descriptor, servers []string) {
 		pl.Placements = append(pl.Placements, core.Placement{Desc: d, Servers: servers})
 	}
-	for _, comp := range m.Components {
-		servers := main
-		if comp.Rule.active(c) {
+	for _, comp := range l.Components {
+		servers := mainOnly
+		if comp.Rule.active(p) {
 			servers = active
 		}
 		add(comp.Desc, servers)
 	}
-	if c.EntityReplicas {
-		for _, ro := range m.Replicated {
+	if p.EntityReplicas {
+		for _, ro := range l.Replicated {
 			add(container.Descriptor{
 				Name: ro + "RO", Kind: container.Entity, LocalOnly: true,
 			}, edges)
 		}
 	}
-	if c.EntityReplicas || c.QueryCaches {
+	if p.EntityReplicas || p.QueryCaches {
 		add(container.Descriptor{
-			Name: "Updater", Kind: container.StatelessSession, Facade: true,
+			Name: core.UpdaterBean, Kind: container.StatelessSession, Facade: true,
 		}, edges)
-		if c.AsyncUpdates {
+		if p.AsyncUpdates {
 			add(container.Descriptor{
-				Name: "UpdateSubscriber", Kind: container.MessageDriven, Facade: true,
+				Name: core.SubscriberBean, Kind: container.MessageDriven, Facade: true,
 			}, edges)
 		}
 	}

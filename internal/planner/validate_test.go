@@ -17,7 +17,7 @@ import (
 // beans (or pin to main with Bean "").
 func randomModel(rng *rand.Rand) *planner.Model {
 	m := &planner.Model{
-		App:       fmt.Sprintf("rand%04d", rng.Intn(10000)),
+		Layout:    &planner.Layout{App: fmt.Sprintf("rand%04d", rng.Intn(10000))},
 		Options:   core.DefaultOptions(),
 		PushBytes: 64 << rng.Intn(8),
 	}
@@ -128,17 +128,17 @@ func TestRandomModelsProduceValidPlans(t *testing.T) {
 		}
 		for i, r := range res.Ranked {
 			if err := r.Plan.Validate(); err != nil {
-				t.Fatalf("trial %d (%s) candidate %s: invalid plan: %v", trial, m.App, r.Candidate, err)
+				t.Fatalf("trial %d (%s) pattern set %s: invalid plan: %v", trial, m.App, r.Policy.Patterns(), err)
 			}
 			if r.Overall <= 0 {
-				t.Fatalf("trial %d (%s) candidate %s: non-positive prediction %v", trial, m.App, r.Candidate, r.Overall)
+				t.Fatalf("trial %d (%s) pattern set %s: non-positive prediction %v", trial, m.App, r.Policy.Patterns(), r.Overall)
 			}
 			if i > 0 && r.Overall < res.Ranked[i-1].Overall {
 				t.Fatalf("trial %d (%s): ranking not ascending at %d", trial, m.App, i)
 			}
 		}
 		// The greedy climb must end no worse than it started, and at a
-		// candidate the exhaustive ranking agrees is no worse.
+		// pattern set the exhaustive ranking agrees is no worse.
 		if len(res.Ladder) > 0 {
 			last := res.Ladder[len(res.Ladder)-1].After
 			if last >= res.Base {

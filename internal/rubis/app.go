@@ -6,6 +6,7 @@ import (
 
 	"wadeploy/internal/container"
 	"wadeploy/internal/core"
+	"wadeploy/internal/planner"
 	"wadeploy/internal/rmi"
 	"wadeploy/internal/sim"
 	"wadeploy/internal/simnet"
@@ -41,10 +42,39 @@ const (
 // UpdateTopic is the JMS topic for the asynchronous-updates configuration.
 const UpdateTopic = "rubis-updates"
 
-// App is one deployed RUBiS instance under a specific configuration.
+// layout is RUBiS's one component list: the session façades of the Session
+// Façade configuration with their placement rules, the entity beans, and the
+// Item and User beans the read-mostly pattern replicates. Deploy installs the
+// entities and replicas from it and validates the plan it synthesizes;
+// PlannerModel prices it.
+var layout = &planner.Layout{
+	App: "rubis",
+	Components: []planner.Component{
+		planner.Facade(SBBrowseCategories, container.StatelessSession, planner.EdgeWithQueryCaches),
+		planner.Facade(SBBrowseRegions, container.StatelessSession, planner.EdgeWithQueryCaches),
+		planner.Facade(SBSearchByCategory, container.StatelessSession, planner.EdgeWithQueryCaches),
+		planner.Facade(SBSearchByRegion, container.StatelessSession, planner.EdgeWithQueryCaches),
+		planner.Facade(SBViewItem, container.StatelessSession, planner.EdgeWithEntityReplicas),
+		planner.Facade(SBViewBidHistory, container.StatelessSession, planner.EdgeWithEntityReplicas),
+		planner.Facade(SBViewUserInfo, container.StatelessSession, planner.EdgeWithEntityReplicas),
+		planner.Facade(SBPutBid, container.StatelessSession, planner.EdgeWithQueryCaches),
+		planner.Facade(SBPutComment, container.StatelessSession, planner.EdgeWithQueryCaches),
+		planner.Facade(SBStoreBid, container.StatelessSession, planner.EdgeNever),
+		planner.Facade(SBStoreComment, container.StatelessSession, planner.EdgeNever),
+		planner.Entity(BeanItem, "items", "id", container.CMP),
+		planner.Entity(BeanUser, "users", "id", container.CMP),
+		planner.Entity(BeanBid, "bids", "id", container.CMP),
+		planner.Entity(BeanComment, "comments", "id", container.CMP),
+		planner.Entity(BeanCategory, "categories", "id", container.CMP),
+		planner.Entity(BeanRegion, "regions", "id", container.CMP),
+	},
+	Replicated: []string{BeanItem, BeanUser},
+}
+
+// App is one deployed RUBiS instance under a specific policy.
 type App struct {
-	d   *core.Deployment
-	cfg core.ConfigID
+	d      *core.Deployment
+	policy core.Policy
 
 	itemRW     *container.RWEntity
 	userRW     *container.RWEntity
@@ -54,11 +84,6 @@ type App struct {
 	regionRW   *container.RWEntity
 
 	wiring *core.Wiring
-
-	// Partitioning (nil/absent = the paper's full Item replication): set by
-	// DeployTopo before wiring so each edge's Item replica holds a slice.
-	partSpec   *container.PartitionSpec
-	partAssign core.PartitionAssignment
 
 	bidSeq     int64
 	commentSeq int64
@@ -107,14 +132,59 @@ func DeployOptions() core.Options {
 	return o
 }
 
-// Deploy installs RUBiS into d under configuration cfg: DeployTopo with full
-// replication.
-func Deploy(d *core.Deployment, cfg core.ConfigID) (*App, error) {
-	return DeployTopo(d, cfg, TopoOptions{})
+// Deploy installs RUBiS into d under policy p: the schema and data, the
+// entity beans and session façades on the main server, the servlets on every
+// active server, and — depending on p — the read-only Item and User replicas
+// (Items sharded per p.Partition; Users stay full, because edge
+// authentication needs every nickname everywhere), the edge façades, the
+// push-refreshed query caches and update propagation. The deployment is
+// checked against the plan the planner synthesizes for p from the component
+// list. RUBiS has no deferred (controller-extended) or DB-replica path.
+func Deploy(d *core.Deployment, p core.Policy) (*App, error) {
+	if err := p.Validate(); err != nil {
+		return nil, fmt.Errorf("rubis: %w", err)
+	}
+	switch {
+	case p.Deferred:
+		return nil, fmt.Errorf("rubis: %w", p.Unsupported("RUBiS has no on-demand deployment path"))
+	case p.DBReplicas:
+		return nil, fmt.Errorf("rubis: %w", p.Unsupported("RUBiS has no edge database replicas"))
+	case p.QueryCaches && !p.EntityReplicas:
+		// The edge bid and comment forms read the Item and User replicas.
+		return nil, fmt.Errorf("rubis: %w", p.Unsupported("the edge bid and comment forms need the entity replicas"))
+	}
+	if err := InitSchema(d.DB); err != nil {
+		return nil, err
+	}
+	a := &App{
+		d:          d,
+		policy:     p,
+		bidSeq:     int64(NumItems * SeedBidsPerItem),
+		commentSeq: int64(SeedComments),
+		costs:      DefaultPageCosts(),
+	}
+	if err := a.deployEntities(); err != nil {
+		return nil, err
+	}
+	if err := a.deployMainFacades(); err != nil {
+		return nil, err
+	}
+	for _, srv := range a.d.WebServers(a.policy) {
+		a.registerPages(srv)
+	}
+	if p.EntityReplicas {
+		if err := a.wireReplicas(); err != nil {
+			return nil, err
+		}
+		if err := a.deployEdgeFacades(); err != nil {
+			return nil, err
+		}
+	}
+	if err := layout.Plan(p, d.Main.Name(), d.EdgeNames()).Validate(); err != nil {
+		return nil, fmt.Errorf("rubis: %w", err)
+	}
+	return a, nil
 }
-
-// Config returns the active configuration.
-func (a *App) Config() core.ConfigID { return a.cfg }
 
 // Deployment returns the underlying deployment.
 func (a *App) Deployment() *core.Deployment { return a.d }
@@ -126,33 +196,21 @@ func (a *App) Wiring() *core.Wiring { return a.wiring }
 func (a *App) Bids() int64     { return a.bidSeq - int64(NumItems*SeedBidsPerItem) }
 func (a *App) Comments() int64 { return a.commentSeq - int64(SeedComments) }
 
-func (a *App) activeServers() []*container.Server {
-	if a.cfg.AtLeast(core.RemoteFacade) {
-		return a.d.Servers()
-	}
-	return []*container.Server{a.d.Main}
-}
-
+// deployEntities deploys the component list's entity beans on the main
+// server.
 func (a *App) deployEntities() error {
-	type spec struct {
-		name, table, pk string
-		out             **container.RWEntity
-	}
-	for _, s := range []spec{
-		{BeanItem, "items", "id", &a.itemRW},
-		{BeanUser, "users", "id", &a.userRW},
-		{BeanBid, "bids", "id", &a.bidRW},
-		{BeanComment, "comments", "id", &a.commentRW},
-		{BeanCategory, "categories", "id", &a.categoryRW},
-		{BeanRegion, "regions", "id", &a.regionRW},
-	} {
-		b, err := container.DeployRWEntity(a.d.Main, s.name, s.table, s.pk)
+	for _, c := range layout.Components {
+		if c.Desc.Kind != container.Entity {
+			continue
+		}
+		b, err := container.DeployRWEntity(a.d.Main, c.Desc.Name, c.Desc.Table, c.Desc.PKColumn)
 		if err != nil {
 			return fmt.Errorf("rubis: %w", err)
 		}
-		*s.out = b
 		a.d.RegisterRW(b)
 	}
+	a.itemRW, a.userRW, a.bidRW = a.d.RW(BeanItem), a.d.RW(BeanUser), a.d.RW(BeanBid)
+	a.commentRW, a.categoryRW, a.regionRW = a.d.RW(BeanComment), a.d.RW(BeanCategory), a.d.RW(BeanRegion)
 	return nil
 }
 

@@ -1,7 +1,6 @@
 package rubis
 
 import (
-	"wadeploy/internal/container"
 	"wadeploy/internal/planner"
 	"wadeploy/internal/workload"
 )
@@ -14,8 +13,9 @@ const replicaPushBytes = 1024
 // weights for the stochastic browser pattern.
 const visitSamples = 8192
 
-// PlannerModel describes RUBiS to the deployment advisor: the linear
-// servlet → session-façade → entity architecture (Section 3.4), each page's
+// PlannerModel describes RUBiS to the deployment advisor: the component list
+// Deploy installs from (the linear servlet → session-façade → entity
+// architecture of Section 3.4), each page's
 // query shapes from the seeded dataset sizes, and the paper's 80/20
 // two-remote-group client mix.
 func PlannerModel() *planner.Model {
@@ -74,43 +74,11 @@ func PlannerModel() *planner.Model {
 			Name: name, RenderCPU: c.CPU, RenderLat: c.Lat, Bytes: bytes, Body: body,
 		}
 	}
-	facade := func(name string, rule planner.EdgeRule) planner.Component {
-		return planner.Component{
-			Desc: container.Descriptor{Name: name, Kind: container.StatelessSession, Facade: true},
-			Rule: rule,
-		}
-	}
-	entity := func(name, table string) planner.Component {
-		return planner.Component{Desc: container.Descriptor{
-			Name: name, Kind: container.Entity, Table: table, PKColumn: "id",
-			Persistence: container.CMP, LocalOnly: true,
-		}}
-	}
 
 	return &planner.Model{
-		App:       "rubis",
+		Layout:    layout,
 		Options:   DeployOptions(),
 		PushBytes: replicaPushBytes,
-		Components: []planner.Component{
-			facade(SBBrowseCategories, planner.EdgeWithQueryCaches),
-			facade(SBBrowseRegions, planner.EdgeWithQueryCaches),
-			facade(SBSearchByCategory, planner.EdgeWithQueryCaches),
-			facade(SBSearchByRegion, planner.EdgeWithQueryCaches),
-			facade(SBViewItem, planner.EdgeWithEntityReplicas),
-			facade(SBViewBidHistory, planner.EdgeWithEntityReplicas),
-			facade(SBViewUserInfo, planner.EdgeWithEntityReplicas),
-			facade(SBPutBid, planner.EdgeWithQueryCaches),
-			facade(SBPutComment, planner.EdgeWithQueryCaches),
-			facade(SBStoreBid, planner.EdgeNever),
-			facade(SBStoreComment, planner.EdgeNever),
-			entity(BeanItem, "items"),
-			entity(BeanUser, "users"),
-			entity(BeanBid, "bids"),
-			entity(BeanComment, "comments"),
-			entity(BeanCategory, "categories"),
-			entity(BeanRegion, "regions"),
-		},
-		Replicated: []string{BeanItem, BeanUser},
 		Patterns: []planner.Pattern{
 			{Name: PatternBrowser, Visits: workload.ExpectedVisits(BrowserRefill, visitSamples, 1)},
 			{Name: PatternBidder, Visits: workload.ExpectedVisits(BidderRefill, 1, 1)},

@@ -17,7 +17,7 @@ import (
 
 // deployOn deploys RUBiS under cfg on topology spec with a replication
 // override (nil keeps the paper's propagation path).
-func deployOn(t *testing.T, seed int64, cfg core.ConfigID, spec simnet.HierarchySpec, repl *core.ReplicationOptions) *App {
+func deployOn(t *testing.T, seed int64, cfg core.Policy, spec simnet.HierarchySpec, repl *core.ReplicationOptions) *App {
 	t.Helper()
 	opts := DeployOptions()
 	opts.Replication = repl

@@ -4,10 +4,7 @@ import (
 	"math/rand"
 	"time"
 
-	"wadeploy/internal/container"
-	"wadeploy/internal/core"
 	"wadeploy/internal/sim"
-	"wadeploy/internal/simnet"
 	"wadeploy/internal/workload"
 )
 
@@ -46,7 +43,7 @@ var (
 // RequestFunc adapts the app to the workload driver.
 func (a *App) RequestFunc() workload.RequestFunc {
 	return func(p *sim.Proc, client workload.Client, step workload.Step) (time.Duration, error) {
-		srv := a.d.ServerFor(client.Node, a.cfg)
+		srv := a.d.ServerFor(client.Node, a.policy)
 		_, rt, err := srv.Web().Get(p, client.Node, step.Page, step.Params, nil)
 		return rt, err
 	}
@@ -69,64 +66,3 @@ func (a *App) Workload(scale float64) []workload.Group {
 
 // PaperWorkload is the name the benchmark calls for a.Workload(1).
 func PaperWorkload(a *App) []workload.Group { return a.Workload(1) }
-
-// Plan returns the validated placement plan for the active configuration.
-func (a *App) Plan() *core.Plan {
-	main := []string{simnet.NodeMain}
-	active := make([]string, 0, 3)
-	for _, s := range a.activeServers() {
-		active = append(active, s.Name())
-	}
-	edges := make([]string, 0, len(a.d.Edges))
-	for _, e := range a.d.Edges {
-		edges = append(edges, e.Name())
-	}
-	pl := &core.Plan{App: "rubis"}
-	add := func(d container.Descriptor, servers []string) {
-		pl.Placements = append(pl.Placements, core.Placement{Desc: d, Servers: servers})
-	}
-	facade := func(name string, servers []string) {
-		add(container.Descriptor{Name: name, Kind: container.StatelessSession, Facade: true}, servers)
-	}
-	viewServers := main
-	if a.cfg.AtLeast(core.StatefulCaching) {
-		viewServers = active
-	}
-	cachedServers := main
-	if a.cfg.AtLeast(core.QueryCaching) {
-		cachedServers = active
-	}
-	facade(SBBrowseCategories, cachedServers)
-	facade(SBBrowseRegions, cachedServers)
-	facade(SBSearchByCategory, cachedServers)
-	facade(SBSearchByRegion, cachedServers)
-	facade(SBViewItem, viewServers)
-	facade(SBViewBidHistory, viewServers)
-	facade(SBViewUserInfo, viewServers)
-	facade(SBPutBid, cachedServers)
-	facade(SBPutComment, cachedServers)
-	facade(SBStoreBid, main)
-	facade(SBStoreComment, main)
-	entity := func(name, table string) {
-		add(container.Descriptor{
-			Name: name, Kind: container.Entity, Table: table, PKColumn: "id",
-			Persistence: container.CMP, LocalOnly: true,
-		}, main)
-	}
-	entity(BeanItem, "items")
-	entity(BeanUser, "users")
-	entity(BeanBid, "bids")
-	entity(BeanComment, "comments")
-	entity(BeanCategory, "categories")
-	entity(BeanRegion, "regions")
-	if a.cfg.AtLeast(core.StatefulCaching) {
-		for _, ro := range []string{BeanItem, BeanUser} {
-			add(container.Descriptor{Name: ro + "RO", Kind: container.Entity, LocalOnly: true}, edges)
-		}
-		facade("Updater", edges)
-		if a.cfg.AtLeast(core.AsyncUpdates) {
-			add(container.Descriptor{Name: "UpdateSubscriber", Kind: container.MessageDriven, Facade: true}, edges)
-		}
-	}
-	return pl
-}

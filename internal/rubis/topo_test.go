@@ -12,10 +12,10 @@ import (
 	"wadeploy/internal/workload"
 )
 
-// TestDeployTopoPartitionedItems pins RUBiS's minimal partitioning contract:
+// TestDeployPartitionedItems pins RUBiS's minimal partitioning contract:
 // Item replicas shard per edge (disjoint ownership, remote gets for unowned
 // ids), User replicas stay full.
-func TestDeployTopoPartitionedItems(t *testing.T) {
+func TestDeployPartitionedItems(t *testing.T) {
 	const edges = 4
 	env := sim.NewEnv(9)
 	defer env.Close()
@@ -23,8 +23,9 @@ func TestDeployTopoPartitionedItems(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pspec := &container.PartitionSpec{Scheme: container.HashPartition, Partitions: edges}
-	a, err := DeployTopo(d, core.QueryCaching, TopoOptions{Partition: pspec})
+	p := core.QueryCaching
+	p.Partition = &container.PartitionSpec{Scheme: container.HashPartition, Partitions: edges}
+	a, err := Deploy(d, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestRubisTopoWorkloadSpread(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := DeployTopo(d, core.QueryCaching, TopoOptions{})
+	a, err := Deploy(d, core.QueryCaching)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,32 +11,28 @@ import (
 )
 
 // wireReplicas applies the extended deployment descriptor: read-only BMP
-// versions of the Item and User beans with push refresh (Section 4.3), all
-// session queries cached with push-based recomputation from QueryCaching on
-// (Section 4.4), and sync vs async propagation depending on configuration.
+// versions of the component list's replicated beans with push refresh
+// (Section 4.3), all session queries cached with push-based recomputation
+// when the policy has query caches (Section 4.4), and sync vs async
+// propagation.
 func (a *App) wireReplicas() error {
 	update := container.SyncUpdate
-	if a.cfg.AtLeast(core.AsyncUpdates) {
+	if a.policy.AsyncUpdates {
 		update = container.AsyncUpdate
 	}
-	ext := &container.ExtendedDescriptor{
-		Topic: UpdateTopic,
-		Replicas: []container.ReplicaSpec{
-			// Items partition when DeployTopo asks for it; Users stay fully
-			// replicated (tiny, read-mostly, and the edge auth path needs
-			// every nickname everywhere).
-			{Bean: BeanItem, Update: update, Refresh: container.PushRefresh, Partition: a.partSpec},
-			{Bean: BeanUser, Update: update, Refresh: container.PushRefresh},
-		},
-	}
-	var assignments map[string]core.PartitionAssignment
-	if a.partSpec != nil && a.partAssign != nil {
-		assignments = map[string]core.PartitionAssignment{BeanItem: a.partAssign}
+	ext := &container.ExtendedDescriptor{Topic: UpdateTopic}
+	for _, bean := range layout.Replicated {
+		spec := container.ReplicaSpec{Bean: bean, Update: update, Refresh: container.PushRefresh}
+		if bean == BeanItem {
+			// Only Items shard; Users stay fully replicated (tiny,
+			// read-mostly, and the edge auth path needs every nickname
+			// everywhere).
+			spec.Partition = a.policy.Partition
+		}
+		ext.Replicas = append(ext.Replicas, spec)
 	}
 	opts := core.WireOptions{
-		PushBytes:            replicaPushBytes,
-		UpdaterName:          "Updater",
-		PartitionAssignments: assignments,
+		PushBytes: replicaPushBytes,
 		FetchFor: func(server *container.Server, rwBean string) container.FetchFunc {
 			return func(p *sim.Proc, pk sqldb.Value) (container.State, error) {
 				stub, err := server.StubFor(p, simnet.NodeMain, SBViewItem)
@@ -55,7 +51,7 @@ func (a *App) wireReplicas() error {
 			}
 		},
 	}
-	if a.cfg.AtLeast(core.QueryCaching) {
+	if a.policy.QueryCaches {
 		ext.CachedQueries = a.cachedQueries()
 	}
 	w, err := core.AutoWire(a.d, ext, opts)
@@ -237,31 +233,13 @@ func maintainItemList(prev any, c container.Commit) (any, bool) {
 	return nil, false
 }
 
-// preload warm-deploys the read-only beans (and, from QueryCaching on, the
+// preload warm-deploys the read-only beans (and, with query caches, the
 // edge query caches) with current database contents.
 func (a *App) preload() error {
-	for _, src := range []struct {
-		bean, query string
-	}{
-		{BeanItem, `SELECT * FROM items`},
-		{BeanUser, `SELECT * FROM users`},
-	} {
-		stmt, err := a.d.DB.PrepareStmt(src.query)
-		if err != nil {
-			return fmt.Errorf("rubis preload: %w", err)
-		}
-		res, err := stmt.Exec()
-		if err != nil {
-			return fmt.Errorf("rubis preload: %w", err)
-		}
-		for _, row := range res.Rows {
-			st := container.StateFromRow(res.Cols, row) // one per row, shared by every edge holding it
-			for _, edge := range a.d.Edges {
-				a.wiring.Replica(edge.Name(), src.bean).Preload(st["id"], st)
-			}
-		}
+	if err := a.wiring.Preload(); err != nil {
+		return fmt.Errorf("rubis: %w", err)
 	}
-	if !a.cfg.AtLeast(core.QueryCaching) {
+	if !a.policy.QueryCaches {
 		return nil
 	}
 	type entry struct {
@@ -308,8 +286,8 @@ func (a *App) preload() error {
 }
 
 // deployEdgeFacades installs the edge session façades: SB_ViewItem backed by
-// the read-only beans from StatefulCaching on, plus cache-backed browse,
-// search, history and form façades from QueryCaching on.
+// the read-only beans, plus cache-backed browse, search, history and form
+// façades when the policy has query caches.
 func (a *App) deployEdgeFacades() error {
 	for _, edge := range a.d.Edges {
 		edge := edge
@@ -324,7 +302,7 @@ func (a *App) deployEdgeFacades() error {
 		}
 		cache := func() *container.QueryCache { return a.wiring.Cache(edge.Name()) }
 		cachedOrDelegate := func(p *sim.Proc, key, bean, method string, args ...any) (any, error) {
-			if a.cfg.AtLeast(core.QueryCaching) {
+			if a.policy.QueryCaches {
 				return cache().Get(p, key)
 			}
 			return delegate(p, bean, method, args...)
@@ -362,10 +340,10 @@ func (a *App) deployEdgeFacades() error {
 		}); err != nil {
 			return err
 		}
-		if !a.cfg.AtLeast(core.QueryCaching) {
+		if !a.policy.QueryCaches {
 			continue
 		}
-		// From QueryCaching on, every read-only façade runs at the edge.
+		// With query caches, every read-only façade runs at the edge.
 		edgeAuth := func(p *sim.Proc, nick, pass string) (container.State, error) {
 			v, err := cache().Get(p, keyUserByNick(nick))
 			if err != nil {
