@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all verify build vet test race determinism loc sqldb-inventory profile repro repro-quick examples clean
+.PHONY: all verify build vet test race determinism bench-digests loc sqldb-inventory profile repro repro-quick examples clean
 
 all: verify
 
@@ -28,6 +28,11 @@ race:
 determinism:
 	sh scripts/determinism.sh
 
+# The smoke benchmark's four digests against scripts/bench-smoke-digests.txt
+# (run `go run ./bench -smoke -traced` first); UPDATE=1 rewrites the file.
+bench-digests:
+	sh scripts/bench-digests.sh
+
 # Non-test Go line count against the budget in scripts/loc.sh.
 loc:
 	sh scripts/loc.sh
@@ -38,9 +43,10 @@ loc:
 sqldb-inventory:
 	sh scripts/sqldb-inventory.sh
 
-# CPU and heap profiles of steady-state full-stack rounds: the repository
-# benchmark's petstore-centralized workload (BENCH=RubisAsyncRound for
-# rubis-async), deployed off the clock, ten rounds. Inspect with
+# CPU and heap profiles of steady-state full-stack rounds of one of the
+# repository benchmark's three full-stack workloads, deployed off the clock,
+# ten rounds: petstore-centralized (the default), BENCH=RubisAsyncRound for
+# rubis-async, BENCH=PetstoreTopo128Round for petstore-topo128. Inspect with
 # `go tool pprof -top wadeploy.test cpu.out` / `... -sample_index=alloc_space mem.out`.
 BENCH ?= PetstoreCentralizedRound
 profile:

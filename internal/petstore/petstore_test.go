@@ -112,9 +112,8 @@ func TestBrowserSessionShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	counts := map[string]int{}
 	const sessions = 500
-	var steps []workload.Step
 	for i := 0; i < sessions; i++ {
-		steps = BrowserRefill(rng, steps[:0])
+		steps := session(BrowserStream, rng)
 		if len(steps) != BrowserSessionLength {
 			t.Fatalf("session length = %d", len(steps))
 		}
@@ -148,7 +147,7 @@ func TestBrowserSessionShape(t *testing.T) {
 
 func TestBuyerSessionSequence(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	steps := BuyerRefill(rng, nil)
+	steps := session(BuyerStream, rng)
 	if len(steps) != len(BuyerPages) {
 		t.Fatalf("buyer session length = %d", len(steps))
 	}

@@ -95,8 +95,8 @@ func PlannerModel() *planner.Model {
 		Options:   core.DefaultOptions(),
 		PushBytes: replicaPushBytes,
 		Patterns: []planner.Pattern{
-			{Name: PatternBrowser, Visits: workload.ExpectedVisits(BrowserRefill, visitSamples, 1)},
-			{Name: PatternBuyer, Visits: workload.ExpectedVisits(BuyerRefill, 1, 1)},
+			{Name: PatternBrowser, Visits: workload.ExpectedVisits(BrowserStream, visitSamples, 1)},
+			{Name: PatternBuyer, Visits: workload.ExpectedVisits(BuyerStream, 1, 1)},
 		},
 		Classes: []planner.Class{
 			{Pattern: PatternBrowser, Local: true, Clients: 64},

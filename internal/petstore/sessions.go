@@ -25,12 +25,9 @@ var browserWeightTotal = func() int {
 	return total
 }()
 
-// BrowserRefill and BuyerRefill are the sessions of stream.go in the pooled
-// form workload.Run drives.
-var (
-	BrowserRefill = workload.Refill(BrowserStream)
-	BuyerRefill   = workload.Refill(BuyerStream)
-)
+// BrowserRefill is BrowserStream writing whole sessions into a buffer: the
+// name the benchmark's session-generation probe times.
+var BrowserRefill = workload.Refill(BrowserStream)
 
 // Workload returns the client groups of Section 3.3 on the app's deployment
 // (see core.Deployment.ClientGroups) with the population scaled by scale: 80%
@@ -42,8 +39,8 @@ func (a *App) Workload(scale float64) []workload.Group {
 		Delay:          8 * time.Second,
 		BrowserPattern: PatternBrowser,
 		WriterPattern:  PatternBuyer,
-		BrowserRefill:  BrowserRefill,
-		WriterRefill:   BuyerRefill,
+		BrowserGen:     BrowserStream,
+		WriterGen:      BuyerStream,
 		Request:        a.RequestFunc(),
 	}, scale)
 }

@@ -11,15 +11,33 @@ import (
 	"wadeploy/internal/workload"
 )
 
+// session steps gen through the next whole session drawn from rng, each step
+// in a Step of its own.
+func session(gen workload.StreamGen, rng *rand.Rand) []workload.Step {
+	var steps []workload.Step
+	for st := (workload.StreamState{}); ; st.Pos++ {
+		var step workload.Step
+		if !gen(rng, &st, &step) {
+			return steps
+		}
+		steps = append(steps, step)
+	}
+}
+
 // sessionFingerprint hashes n consecutive sessions of gen from one seeded
-// RNG stream: every page and every parameter, keys in sorted order.
-func sessionFingerprint(gen workload.RefillGen, seed int64, n int) uint64 {
+// RNG stream, stepped as the drivers step it — one Step reused and cleared
+// per page: every page and every parameter, keys in sorted order.
+func sessionFingerprint(gen workload.StreamGen, seed int64, n int) uint64 {
 	h := fnv.New64a()
 	rng := rand.New(rand.NewSource(seed))
-	var buf []workload.Step
+	var step workload.Step
 	for s := 0; s < n; s++ {
-		buf = gen(rng, buf[:0])
-		for _, step := range buf {
+		for st := (workload.StreamState{}); ; st.Pos++ {
+			step.Page = ""
+			clear(step.Params)
+			if !gen(rng, &st, &step) {
+				break
+			}
 			fmt.Fprintf(h, "%s{", step.Page)
 			keys := make([]string, 0, len(step.Params))
 			for k := range step.Params {
@@ -37,18 +55,20 @@ func sessionFingerprint(gen workload.RefillGen, seed int64, n int) uint64 {
 
 // TestRefillMatchesSession pins the generators' RNG contract: for a fixed
 // seed they produce exactly the sessions — page by page, param by param,
-// across many consecutive sessions reusing one buffer — that the paper-table
-// goldens were recorded with. The fingerprints were taken from the allocating
-// generators these replaced; a change to the draw order or to a parameter
-// value fails here long before it shows up as a table diff.
+// across many consecutive sessions — that the paper-table goldens were
+// recorded with. The fingerprints were taken from the allocating
+// generators these replaced, and held when the driver went from whole
+// sessions drawn up front to one step drawn per page; a change to the draw
+// order or to a parameter value fails here long before it shows up as a
+// table diff.
 func TestRefillMatchesSession(t *testing.T) {
 	cases := []struct {
 		name string
-		gen  workload.RefillGen
+		gen  workload.StreamGen
 		want uint64
 	}{
-		{"browser", BrowserRefill, 0xcdb1a9a8e8d672e0},
-		{"buyer", BuyerRefill, 0x882cf2737b6578fb},
+		{"browser", BrowserStream, 0xcdb1a9a8e8d672e0},
+		{"buyer", BuyerStream, 0x882cf2737b6578fb},
 	}
 	for _, tc := range cases {
 		if got := sessionFingerprint(tc.gen, 11, 50); got != tc.want {
@@ -57,23 +77,33 @@ func TestRefillMatchesSession(t *testing.T) {
 	}
 }
 
-// TestRefillAllocs guards the satellite claim: once the step buffer has
-// grown, generating further sessions allocates nothing.
+// TestRefillAllocs guards per-step generation: once the step's params map
+// exists, drawing further steps into it allocates nothing.
 func TestRefillAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts differ under -race")
 	}
 	rng := rand.New(rand.NewSource(3))
-	var buf []workload.Step
-	for s := 0; s < 20; s++ { // grow the buffer and its param maps
-		buf = BrowserRefill(rng, buf[:0])
-		buf = BuyerRefill(rng, buf[:0])
+	var browser, buyer workload.StreamState
+	var step workload.Step
+	draw := func(gen workload.StreamGen, st *workload.StreamState) {
+		step.Page = ""
+		clear(step.Params)
+		if !gen(rng, st, &step) {
+			*st = workload.StreamState{}
+			gen(rng, st, &step)
+		}
+		st.Pos++
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		buf = BrowserRefill(rng, buf[:0])
-		buf = BuyerRefill(rng, buf[:0])
+	for i := 0; i < 100; i++ { // allocate the params map
+		draw(BrowserStream, &browser)
+		draw(BuyerStream, &buyer)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		draw(BrowserStream, &browser)
+		draw(BuyerStream, &buyer)
 	})
 	if allocs > 0 {
-		t.Errorf("steady-state session generation allocates %.1f objects, want 0", allocs)
+		t.Errorf("steady-state step generation allocates %.1f objects, want 0", allocs)
 	}
 }

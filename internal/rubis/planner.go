@@ -80,8 +80,8 @@ func PlannerModel() *planner.Model {
 		Options:   DeployOptions(),
 		PushBytes: replicaPushBytes,
 		Patterns: []planner.Pattern{
-			{Name: PatternBrowser, Visits: workload.ExpectedVisits(BrowserRefill, visitSamples, 1)},
-			{Name: PatternBidder, Visits: workload.ExpectedVisits(BidderRefill, 1, 1)},
+			{Name: PatternBrowser, Visits: workload.ExpectedVisits(BrowserStream, visitSamples, 1)},
+			{Name: PatternBidder, Visits: workload.ExpectedVisits(BidderStream, 1, 1)},
 		},
 		Classes: []planner.Class{
 			{Pattern: PatternBrowser, Local: true, Clients: 64},

@@ -79,9 +79,8 @@ func TestBrowserSessionShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	counts := map[string]int{}
 	const sessions = 400
-	var steps []workload.Step
 	for i := 0; i < sessions; i++ {
-		steps = BrowserRefill(rng, steps[:0])
+		steps := session(BrowserStream, rng)
 		if len(steps) != BrowserSessionLength {
 			t.Fatalf("length = %d", len(steps))
 		}
@@ -113,7 +112,7 @@ func TestBrowserSessionShape(t *testing.T) {
 
 func TestBidderSessionSequence(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	steps := BidderRefill(rng, nil)
+	steps := session(BidderStream, rng)
 	if len(steps) != len(BidderPages) {
 		t.Fatalf("length = %d, want %d", len(steps), len(BidderPages))
 	}

@@ -33,13 +33,6 @@ var browserWeightTotal = func() int {
 	return total
 }()
 
-// BrowserRefill and BidderRefill are the sessions of stream.go in the pooled
-// form workload.Run drives.
-var (
-	BrowserRefill = workload.Refill(BrowserStream)
-	BidderRefill  = workload.Refill(BidderStream)
-)
-
 // RequestFunc adapts the app to the workload driver.
 func (a *App) RequestFunc() workload.RequestFunc {
 	return func(p *sim.Proc, client workload.Client, step workload.Step) (time.Duration, error) {
@@ -58,8 +51,8 @@ func (a *App) Workload(scale float64) []workload.Group {
 		Delay:          8 * time.Second,
 		BrowserPattern: PatternBrowser,
 		WriterPattern:  PatternBidder,
-		BrowserRefill:  BrowserRefill,
-		WriterRefill:   BidderRefill,
+		BrowserGen:     BrowserStream,
+		WriterGen:      BidderStream,
 		Request:        a.RequestFunc(),
 	}, scale)
 }

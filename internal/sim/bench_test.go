@@ -124,7 +124,7 @@ func BenchmarkEnginePromiseRoundTrip(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			pr = NewPromise[int](env)
 			env.After(0, resolve)
-			if MustAwait(p, pr) != 1 {
+			if v, err := Await(p, pr); err != nil || v != 1 {
 				b.Fail()
 			}
 		}
@@ -242,6 +242,33 @@ func TestSpawnAllocs(t *testing.T) {
 	}
 }
 
+// TestRestartAllocs pins one restart cycle — fn returns, its coroutine parks,
+// the wake-up is queued and popped, fn runs again on a pooled coroutine — at
+// zero allocations: the Proc is reused and the wake-up is a queue slot.
+func TestRestartAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates; alloc guard runs without -race")
+	}
+	env := NewEnv(1)
+	runs := 0
+	env.Spawn("restarter", func(p *Proc) {
+		runs++
+		p.RestartAt(p.Now() + time.Millisecond)
+	})
+	cycle := func() { env.Run(env.Now() + time.Millisecond) }
+	for i := 0; i < 64; i++ {
+		cycle()
+	}
+	avg := testing.AllocsPerRun(1000, cycle)
+	env.Close()
+	if runs != 1+64+1001 { // AllocsPerRun makes one warm-up call of its own
+		t.Fatalf("%d runs, want %d", runs, 1+64+1001)
+	}
+	if avg > 0 {
+		t.Errorf("a restart cycle allocates %.2f objects, want 0", avg)
+	}
+}
+
 // TestPromiseRoundTripAllocs pins the single-waiter promise rendezvous —
 // waiter registration, wake-up, and the switch out and back — at zero
 // allocations beyond the Promise itself, which is made ahead of the
@@ -261,7 +288,7 @@ func TestPromiseRoundTripAllocs(t *testing.T) {
 	resolve := func() { promises[next].Resolve(7) }
 	roundTrip := func() {
 		env.After(0, resolve)
-		if MustAwait(env.Current(), promises[next]) != 7 {
+		if v, err := Await(env.Current(), promises[next]); err != nil || v != 7 {
 			t.Error("wrong promise value")
 		}
 		next++

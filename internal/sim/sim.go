@@ -11,7 +11,7 @@
 // Exactly one process runs at a time, so process code needs no locking. A
 // process runs on a runtime coroutine (iter.Pull): the scheduler resumes it
 // with next, a blocking operation hands control back with yield, and neither
-// touches a channel, the run queue or a second thread. Two rules make the
+// touches a channel, the run queue or a second thread. Three rules make the
 // hand-off cheaper still without moving a single event:
 //
 //   - Coroutines outlive processes: when a process function returns, its
@@ -19,6 +19,11 @@
 //     (the Proc is always a fresh value). Close ends them all, and so does the
 //     dispatch loop once the queue is empty and no process is left on a
 //     stack, so an Env run to quiescence and dropped holds no goroutine.
+//   - Proc.RestartAt, as a process's last act, gives its coroutine back while
+//     it waits: the same Proc runs its function again from the top at the
+//     queue position and Dispatched count a Sleep until then would take, so
+//     a process keeping its state on the heap waits as one timer entry. A
+//     killed or panicking process never restarts.
 //   - Sleep advances the clock in place when its wake-up is the event the
 //     scheduler would pop next (strictly earlier than everything queued, and
 //     within the running loop's horizon): no push, no pop, no switch; seq and
@@ -230,12 +235,21 @@ func (e *Env) After(d time.Duration, fn func()) { e.At(e.now+d, fn) }
 // Proc is a simulation process: a function whose execution is interleaved
 // deterministically with all other processes by the environment.
 type Proc struct {
-	env      *Env
-	name     string
-	fn       func(p *Proc)
-	co       *coroutine // the coroutine running fn; nil before the first step and after fn returns
-	traceCtx any        // opaque per-process slot for a causal tracer's span state
+	env       *Env
+	name      string
+	fn        func(p *Proc)
+	co        *coroutine    // the coroutine running fn; nil before the first step and after fn returns
+	traceCtx  any           // opaque per-process slot for a causal tracer's span state
+	restart   bool          // RestartAt was called: run fn again at restartAt once it returns
+	restartAt time.Duration // the restart's wake-up time
 }
+
+// RestartAt makes fn's return end only the current run: the same Proc (name,
+// trace context and all) is scheduled to run fn again from the top at at,
+// clamped to now, and its coroutine is pooled meanwhile. As fn's last act it
+// takes the queue position and Dispatched count Sleep(at-Now()) would, so the
+// schedule is unchanged. A process killed or panicking first never restarts.
+func (p *Proc) RestartAt(at time.Duration) { p.restart, p.restartAt = true, at }
 
 // SetTraceCtx stores an opaque causal-tracing context on the process. The
 // slot belongs to whatever tracer is installed on the environment; sim itself
@@ -291,13 +305,16 @@ func (c *coroutine) loop(yield func(struct{}) bool) {
 	}
 }
 
-// run executes c.proc and parks c idle. It reports false after a kill (c has
-// been stopped); an application panic or runtime.Goexit ends c through
-// iter.Pull, which re-raises either on the scheduler, inside the next or stop
-// call that resumed the process.
+// run executes c.proc, schedules its restart if it asked for one, and parks c
+// idle. It reports false after a kill (c has been stopped); an application
+// panic or runtime.Goexit ends c through iter.Pull, which re-raises either on
+// the scheduler, inside the next or stop call that resumed the process.
 func (c *coroutine) run() (parked bool) {
 	p, e := c.proc, c.proc.env
 	defer func() {
+		if parked {
+			return
+		}
 		p.co, p.fn = nil, nil // a stale *Proc must not pin fn's captured scope
 		e.live--
 		if r := recover(); r != nil && r != any(errKilled) {
@@ -305,13 +322,20 @@ func (c *coroutine) run() (parked bool) {
 		}
 	}()
 	p.fn(p)
-	c.proc = nil
+	c.proc, p.co = nil, nil
+	if p.restart {
+		p.restart = false
+		e.schedule(event{at: p.restartAt, proc: p})
+	} else {
+		p.fn = nil
+		e.live--
+	}
 	e.idle = append(e.idle, c)
 	return true
 }
 
-// step transfers control to p and returns when p blocks or finishes. The
-// first step of a process takes an idle coroutine, or makes one.
+// step transfers control to p and returns when p blocks or finishes. Each
+// run's first step takes an idle coroutine, or makes one.
 func (e *Env) step(p *Proc) {
 	c := p.co
 	if c == nil {
@@ -489,15 +513,6 @@ func Await[T any](p *Proc, pr *Promise[T]) (T, error) {
 		p.pause()
 	}
 	return pr.value, pr.err
-}
-
-// MustAwait is Await for promises that cannot fail; it panics on error.
-func MustAwait[T any](p *Proc, pr *Promise[T]) T {
-	v, err := Await(p, pr)
-	if err != nil {
-		panic(fmt.Sprintf("sim: MustAwait: %v", err))
-	}
-	return v
 }
 
 // Resource models a server with cap identical slots. Processes acquire a

@@ -390,10 +390,19 @@ func TestNoGoroutineOutlivesTheRun(t *testing.T) {
 			p.Sleep(time.Duration(1+p.Rand().Intn(5)) * time.Millisecond)
 		}
 	}
+	restarter := func() func(p *Proc) {
+		runs := 0
+		return func(p *Proc) {
+			if runs++; runs <= 3 {
+				p.RestartAt(p.Now() + time.Duration(1+p.Rand().Intn(5))*time.Millisecond)
+			}
+		}
+	}
 
 	e := NewEnv(1)
 	for i := 0; i < 8; i++ {
 		e.Spawn("sleeper", sleeper)
+		e.Spawn("restarter", restarter())
 	}
 	e.Run(time.Millisecond)
 	if n := runtime.NumGoroutine(); n <= base {
@@ -409,12 +418,16 @@ func TestNoGoroutineOutlivesTheRun(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		e.Spawn("sleeper", sleeper) // finished by Close time: idle coroutines
 		e.Spawn("stuck", func(p *Proc) { Await(p, never) })
-		e.SpawnAt(time.Hour, "late", sleeper) // never started: no coroutine
+		e.SpawnAt(time.Hour, "late", sleeper)                          // never started: no coroutine
+		e.Spawn("restarter", func(p *Proc) { p.RestartAt(time.Hour) }) // restart pending: no coroutine
 	}
 	e.Run(time.Second)
 	e.Close()
 	if n := runtime.NumGoroutine(); n > base {
 		t.Errorf("%d goroutines after Close, want at most %d", n, base)
+	}
+	if e.Live() != 0 {
+		t.Errorf("%d processes live after Close, want 0", e.Live())
 	}
 }
 
@@ -539,19 +552,6 @@ func TestPropertyEventOrderInvariant(t *testing.T) {
 	}
 }
 
-func TestMustAwaitPanicsOnError(t *testing.T) {
-	e := NewEnv(1)
-	pr := NewPromise[int](e)
-	pr.Fail(errBoom)
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("expected MustAwait panic to surface")
-		}
-	}()
-	e.Spawn("p", func(p *Proc) { MustAwait(p, pr) })
-	e.RunAll()
-}
-
 func TestOperationsAfterCloseAreInert(t *testing.T) {
 	e := NewEnv(1)
 	e.Spawn("p", func(p *Proc) { p.Sleep(time.Hour) })
@@ -587,13 +587,14 @@ func TestPromiseResolveFromEventCallback(t *testing.T) {
 	e := NewEnv(1)
 	pr := NewPromise[int](e)
 	var got int
+	var err error
 	e.Spawn("waiter", func(p *Proc) {
-		got = MustAwait(p, pr)
+		got, err = Await(p, pr)
 	})
 	e.At(time.Second, func() { pr.Resolve(7) })
 	e.RunAll()
-	if got != 7 {
-		t.Fatalf("got = %d", got)
+	if got != 7 || err != nil {
+		t.Fatalf("got = %d, %v", got, err)
 	}
 }
 
@@ -605,14 +606,14 @@ func TestChainedPromises(t *testing.T) {
 		a.Resolve(1)
 	})
 	e.Spawn("stage2", func(p *Proc) {
-		v := MustAwait(p, a)
+		v, _ := Await(p, a)
 		p.Sleep(10 * time.Millisecond)
 		b.Resolve(v + 1)
 	})
 	var final int
 	var at time.Duration
 	e.Spawn("stage3", func(p *Proc) {
-		final = MustAwait(p, b)
+		final, _ = Await(p, b)
 		at = p.Now()
 	})
 	e.RunAll()
@@ -746,7 +747,10 @@ func TestSleepInPlaceMatchesQueuedOrder(t *testing.T) {
 			e.Close()
 			return log
 		}
-		procs := drive(func(e *Env, id int, script []time.Duration, log *[]string) {
+		tasks := drive(func(e *Env, id int, script []time.Duration, log *[]string) {
+			e.AfterTask(0, &scriptTask{id: id, script: script, log: log})
+		})
+		sleepers := drive(func(e *Env, id int, script []time.Duration, log *[]string) {
 			e.Spawn("sleeper", func(p *Proc) {
 				for _, d := range script {
 					p.Sleep(d)
@@ -754,17 +758,105 @@ func TestSleepInPlaceMatchesQueuedOrder(t *testing.T) {
 				}
 			})
 		})
-		tasks := drive(func(e *Env, id int, script []time.Duration, log *[]string) {
-			e.AfterTask(0, &scriptTask{id: id, script: script, log: log})
+		// A restarting process keeps its place in the script off the stack and
+		// gives its coroutine back across every wait.
+		restarters := drive(func(e *Env, id int, script []time.Duration, log *[]string) {
+			next := 0
+			e.Spawn("restarter", func(p *Proc) {
+				if next > 0 {
+					*log = append(*log, wakeLine(e, id))
+				}
+				if next < len(script) {
+					p.RestartAt(p.Now() + script[next])
+					next++
+				}
+			})
 		})
-		if !slices.Equal(procs, tasks) {
-			for i := range procs {
-				if i >= len(tasks) || procs[i] != tasks[i] {
-					t.Fatalf("seed %d: entry %d of %d/%d differs:\n  processes: %s\n  tasks:     %s",
-						seed, i, len(procs), len(tasks), procs[i], append(tasks, "(none)")[i])
+		for _, impl := range []struct {
+			name string
+			log  []string
+		}{{"sleeping processes", sleepers}, {"restarting processes", restarters}} {
+			if slices.Equal(impl.log, tasks) {
+				continue
+			}
+			for i := range impl.log {
+				if i >= len(tasks) || impl.log[i] != tasks[i] {
+					t.Fatalf("seed %d: %s: entry %d of %d/%d differs:\n  %s\n  tasks: %s",
+						seed, impl.name, i, len(impl.log), len(tasks), impl.log[i], append(tasks, "(none)")[i])
 				}
 			}
-			t.Fatalf("seed %d: processes logged %d entries, tasks %d", seed, len(procs), len(tasks))
+			t.Fatalf("seed %d: %s logged %d entries, tasks %d", seed, impl.name, len(impl.log), len(tasks))
 		}
 	}
+}
+
+// TestRestartRules pins what RestartAt keeps and when it does not apply: the
+// restarted process is the same Proc (name, trace context, Current), and one
+// killed by Close or ended by a panic is never scheduled again.
+func TestRestartRules(t *testing.T) {
+	t.Run("same Proc", func(t *testing.T) {
+		e := NewEnv(1)
+		runs := 0
+		var proc *Proc
+		proc = e.Spawn("restarter", func(p *Proc) {
+			runs++
+			if p != proc || e.Current() != p || p.Name() != "restarter" {
+				t.Errorf("run %d: on %p named %q (Current %p), want the spawned %p", runs, p, p.Name(), e.Current(), proc)
+			}
+			if runs == 1 {
+				p.SetTraceCtx("span")
+				p.RestartAt(p.Now() + time.Millisecond)
+				return
+			}
+			if p.TraceCtx() != "span" || p.Now() != time.Millisecond {
+				t.Errorf("restart at %v with trace context %v, want 1ms and the first run's", p.Now(), p.TraceCtx())
+			}
+		})
+		e.RunAll()
+		if runs != 2 || e.Live() != 0 {
+			t.Errorf("%d runs, %d live after RunAll; want 2 and 0", runs, e.Live())
+		}
+		e.Close()
+	})
+	t.Run("killed by Close", func(t *testing.T) {
+		e := NewEnv(1)
+		never := NewPromise[int](e)
+		runs := 0
+		e.Spawn("stuck", func(p *Proc) {
+			runs++
+			p.RestartAt(p.Now() + time.Millisecond)
+			Await(p, never)
+		})
+		e.Run(time.Second)
+		e.Close()
+		e.RunAll()
+		if runs != 1 || e.Live() != 0 || e.Pending() != 0 {
+			t.Errorf("%d runs, %d live, %d pending after Close; want 1, 0, 0", runs, e.Live(), e.Pending())
+		}
+	})
+	t.Run("panicking", func(t *testing.T) {
+		e := NewEnv(1)
+		runs := 0
+		e.Spawn("bad", func(p *Proc) {
+			runs++
+			p.RestartAt(p.Now() + time.Millisecond)
+			panic("kaboom")
+		})
+		func() {
+			defer func() {
+				if r := recover(); r == nil {
+					t.Error("the process's panic did not surface")
+				}
+			}()
+			e.RunAll()
+		}()
+		if e.Live() != 0 || e.Pending() != 0 {
+			t.Errorf("%d live, %d pending after the panic; want 0 and 0", e.Live(), e.Pending())
+		}
+		e.RunAll()
+		e.Close()
+		if runs != 1 {
+			t.Errorf("a panicking process ran %d times, want 1", runs)
+		}
+	})
 }

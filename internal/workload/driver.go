@@ -17,9 +17,10 @@ type Step struct {
 	Params map[string]string
 }
 
-// Set stores one request parameter, allocating the map on first use. With
-// GrowStep's map reuse, steady-state sessions Set into already-allocated
-// maps and the pair is allocation-free.
+// Set stores one request parameter, allocating the map on first use. Both
+// drivers draw every step into a Step they reuse, clearing the map in place,
+// so steady-state sessions Set into an already-allocated map and the pair is
+// allocation-free.
 func (s *Step) Set(key, value string) {
 	if s.Params == nil {
 		s.Params = make(map[string]string, 4)
@@ -27,48 +28,29 @@ func (s *Step) Set(key, value string) {
 	s.Params[key] = value
 }
 
-// GrowStep appends one step for page to steps, reusing the vacated slot —
-// including its params map, which is cleared in place — when the slice has
-// capacity. Generators written against it stop allocating a fresh []Step and
-// a map per page once the per-client buffer has grown to the longest session
-// seen.
-func GrowStep(steps []Step, page string) []Step {
-	if len(steps) < cap(steps) {
-		steps = steps[:len(steps)+1]
-		s := &steps[len(steps)-1]
-		s.Page = page
-		if s.Params != nil {
-			clear(s.Params)
-		}
-		return steps
-	}
-	return append(steps, Step{Page: page})
-}
-
-// RefillGen produces the step sequence of one session. Generators are
-// application-specific: the Pet Store Browser draws pages with the Table 2
-// weights, the Buyer follows the fixed Table 3 sequence, and so on. The
-// session is written into steps (passed with length 0 and whatever capacity
-// previous sessions grew) with GrowStep, and the filled slice is returned.
-// Params maps in reused slots arrive cleared but allocated — requests consume
-// them synchronously, so handing the same map to every session is safe. The
-// RNG draw sequence is part of the contract: the paper-table goldens pin it.
+// RefillGen writes the step sequence of one whole session into steps (passed
+// with length 0) and returns the filled slice. It and Refill remain for the
+// benchmark's session-generation probe, which times whole sessions.
 type RefillGen func(rng *rand.Rand, steps []Step) []Step
 
 // Refill gives a session described as a StreamGen its RefillGen form: gen
-// runs from the zero state until it ends the session, each step written into
-// the caller's buffer through GrowStep, so one description serves both
-// drivers with the same RNG draws. The StreamState is pooled because a
-// pointer handed to a func value escapes: steady-state sessions allocate
-// nothing.
+// runs from the zero state until it ends the session, with the RNG draws of
+// the drivers, each step written into the caller's buffer — reusing a vacated
+// slot and its params map, cleared in place, where the buffer has capacity.
+// The StreamState is pooled because a pointer handed to a func value escapes:
+// steady-state sessions allocate nothing.
 func Refill(gen StreamGen) RefillGen {
 	return func(rng *rand.Rand, steps []Step) []Step {
 		st := refillStates.Get().(*StreamState)
 		defer refillStates.Put(st)
 		*st = StreamState{}
-		for {
-			n := len(steps)
-			steps = GrowStep(steps, "")
+		for n := len(steps); ; n++ {
+			if n == cap(steps) {
+				steps = append(steps, Step{})
+			}
+			steps = steps[:n+1]
+			steps[n].Page = ""
+			clear(steps[n].Params)
 			if !gen(rng, st, &steps[n]) {
 				return steps[:n]
 			}
@@ -87,7 +69,8 @@ type Client struct {
 }
 
 // RequestFunc issues one page request on behalf of a client and returns the
-// measured response time.
+// measured response time. step.Params belongs to the driver, which redraws
+// it for the client's next page: a request reads it and must not keep it.
 type RequestFunc func(p *sim.Proc, client Client, step Step) (time.Duration, error)
 
 // Group is one client group: the machines collocated with one application
@@ -108,10 +91,10 @@ type Group struct {
 	BrowserPattern string
 	WriterPattern  string
 
-	// BrowserRefill/WriterRefill generate the sessions; each client reuses
-	// one step buffer across its sessions.
-	BrowserRefill RefillGen
-	WriterRefill  RefillGen
+	// BrowserGen/WriterGen generate the sessions; each client draws its next
+	// step just before requesting it.
+	BrowserGen StreamGen
+	WriterGen  StreamGen
 
 	Request RequestFunc
 }
@@ -156,123 +139,120 @@ func Run(cfg Config) (*Stats, error) {
 		return nil, fmt.Errorf("workload: non-positive duration")
 	}
 	stats := NewStats(cfg.Warmup)
-	for _, g := range cfg.Groups {
+	tracer := trace.FromEnv(cfg.Env)
+	for i := range cfg.Groups {
+		g := &cfg.Groups[i]
 		if g.Request == nil {
 			return nil, fmt.Errorf("workload: group %q has no request function", g.Name)
 		}
 		if g.Delay <= 0 {
 			return nil, fmt.Errorf("workload: group %q has non-positive delay", g.Name)
 		}
-		if g.Browsers > 0 && g.BrowserRefill == nil {
+		if g.Browsers > 0 && g.BrowserGen == nil {
 			return nil, fmt.Errorf("workload: group %q has browsers but no generator", g.Name)
 		}
-		if g.Writers > 0 && g.WriterRefill == nil {
+		if g.Writers > 0 && g.WriterGen == nil {
 			return nil, fmt.Errorf("workload: group %q has writers but no generator", g.Name)
 		}
-		ids := makeIdentities(cfg.Env, g)
-		for i := 0; i < g.Browsers; i++ {
-			spawnClient(cfg, stats, g, ids[i], g.BrowserPattern, g.BrowserRefill)
-		}
-		for i := 0; i < g.Writers; i++ {
-			spawnClient(cfg, stats, g, ids[g.Browsers+i], g.WriterPattern, g.WriterRefill)
-		}
+		spawnClients(&cfg, stats, tracer, g)
 	}
 	cfg.Env.Run(cfg.Warmup + cfg.Duration)
 	cfg.Env.Close()
 	return stats, nil
 }
 
-// clientIdentity is one client's precomputed name, start jitter and private
-// RNG seed.
-type clientIdentity struct {
-	name   string
-	jitter time.Duration
-	seed   int64
+// client is one simulated client of Run, kept in a heap record rather than on
+// a stack: its private RNG, its session's generator state, the one step it
+// requests next and its trace identity. Its process serves pages back to back
+// while responses outlast Delay; otherwise it restarts itself when the next
+// page is due, so a thinking client holds a timer entry and no coroutine.
+type client struct {
+	cfg     *Config
+	stats   *Stats
+	g       *Group
+	id      Client
+	pattern string
+	gen     StreamGen
+	rng     *rand.Rand
+	st      StreamState
+	step    Step
+	// tracer is nil when tracing is off; with it every page gets a trace ID
+	// from the client's stable name (traceKey) and page ordinal (traceSeq),
+	// pure logical identity, so the sampler picks the same requests however
+	// the surrounding experiment is parallelized.
+	tracer             *trace.Tracer
+	traceKey, traceSeq uint64
 }
 
-// makeIdentities computes every client identity of a group up front, in the
-// exact order clients spawn: browsers then writers, each drawing its jitter
-// and then its seed from the env RNG (the draw order the paper goldens pin).
-// Names are built with one append-formatted allocation per client instead of
-// spawnClient's former fmt.Sprintf, and the per-pattern prefix is shared.
-func makeIdentities(env *sim.Env, g Group) []clientIdentity {
-	ids := make([]clientIdentity, g.Browsers+g.Writers)
+// spawnClients starts the group's clients, browsers then writers, each
+// drawing its start jitter and then its private RNG seed from the env RNG
+// (the draw order the paper goldens pin). The first request is jittered
+// across one Delay interval so arrivals spread evenly instead of thundering
+// in at t=0. Names share one append-formatted prefix per pattern.
+func spawnClients(cfg *Config, stats *Stats, tracer *trace.Tracer, g *Group) {
+	env := cfg.Env
+	clients := make([]client, g.Browsers+g.Writers)
 	buf := make([]byte, 0, 64)
-	prefix := func(pattern string) []byte {
-		buf = buf[:0]
-		buf = append(buf, "client/"...)
+	for i := range clients {
+		pattern, gen := g.BrowserPattern, g.BrowserGen
+		if i >= g.Browsers {
+			pattern, gen = g.WriterPattern, g.WriterGen
+		}
+		buf = append(buf[:0], "client/"...)
 		buf = append(buf, g.Name...)
 		buf = append(buf, '/')
 		buf = append(buf, pattern...)
 		buf = append(buf, '-')
-		return buf
-	}
-	for i := range ids {
-		pattern := g.BrowserPattern
-		if i >= g.Browsers {
-			pattern = g.WriterPattern
+		name := string(strconv.AppendInt(buf, int64(i), 10))
+		jitter := time.Duration(env.Rand().Int63n(int64(g.Delay)))
+		c := &clients[i]
+		*c = client{
+			cfg: cfg, stats: stats, g: g,
+			id:      Client{Node: g.ClientNode, ID: name},
+			pattern: pattern,
+			gen:     gen,
+			rng:     rand.New(rand.NewSource(env.Rand().Int63())),
+			tracer:  tracer,
 		}
-		ids[i] = clientIdentity{
-			name:   string(strconv.AppendInt(prefix(pattern), int64(i), 10)),
-			jitter: time.Duration(env.Rand().Int63n(int64(g.Delay))),
-			seed:   env.Rand().Int63(),
+		if tracer != nil {
+			c.traceKey = trace.ClientKey(name)
 		}
+		env.SpawnAt(env.Now()+jitter, name, c.serve)
 	}
-	return ids
 }
 
-// spawnClient starts one client process running sessions back to back. Each
-// client's first request is jittered across one Delay interval so arrivals
-// spread evenly instead of thundering in at t=0.
-//
-// When a tracer is installed on the environment, every page request gets a
-// trace ID derived from the client's stable name and its page ordinal — pure
-// logical identity, so the sampler picks the same requests no matter how the
-// surrounding experiment is parallelized.
-func spawnClient(cfg Config, stats *Stats, g Group, id clientIdentity, pattern string, refill RefillGen) {
-	env := cfg.Env
-	client := Client{Node: g.ClientNode, ID: id.name}
-	tracer := trace.FromEnv(env)
-	env.SpawnAt(env.Now()+id.jitter, id.name, func(p *sim.Proc) {
-		rng := rand.New(rand.NewSource(id.seed))
-		end := cfg.Warmup + cfg.Duration
-		var steps []Step
-		var traceKey, traceSeq uint64
-		if tracer != nil {
-			traceKey = trace.ClientKey(id.name)
+// serve is the client's process function; each run of it starts when a page
+// is due.
+func (c *client) serve(p *sim.Proc) {
+	g, end := c.g, c.cfg.Warmup+c.cfg.Duration
+	for p.Now() < end {
+		if ok, _ := nextStep(c.gen, c.rng, &c.st, &c.step); !ok {
+			return // the generator produces empty sessions: retire the client
 		}
-		for p.Now() < end {
-			steps = refill(rng, steps[:0])
-			for _, step := range steps {
-				if p.Now() >= end {
-					return
-				}
-				start := p.Now()
-				var endTrace func()
-				if tracer != nil {
-					endTrace = tracer.StartPage(p, trace.PageTraceID(traceKey, traceSeq), pattern, step.Page, g.ClientNode, g.Local)
-					traceSeq++
-				}
-				rt, err := g.Request(p, client, step)
-				if endTrace != nil {
-					endTrace()
-				}
-				if err != nil {
-					stats.RecordError(p.Now(), step.Page)
-				} else {
-					stats.Record(p.Now(), SeriesKey{Pattern: pattern, Page: step.Page, Local: g.Local}, rt)
-				}
-				if cfg.Observer != nil {
-					cfg.Observer(p.Now(), client, SeriesKey{Pattern: pattern, Page: step.Page, Local: g.Local}, rt, err)
-				}
-				// Soft think time: wait out the remainder of the
-				// Delay interval; if the response took longer than
-				// Delay, start the next request immediately.
-				elapsed := p.Now() - start
-				if wait := g.Delay - elapsed; wait > 0 {
-					p.Sleep(wait)
-				}
-			}
+		start := p.Now()
+		var endTrace func()
+		if c.tracer != nil {
+			endTrace = c.tracer.StartPage(p, trace.PageTraceID(c.traceKey, c.traceSeq), c.pattern, c.step.Page, g.ClientNode, g.Local)
+			c.traceSeq++
 		}
-	})
+		rt, err := g.Request(p, c.id, c.step)
+		if endTrace != nil {
+			endTrace()
+		}
+		key := SeriesKey{Pattern: c.pattern, Page: c.step.Page, Local: g.Local}
+		if err != nil {
+			c.stats.RecordError(p.Now(), c.step.Page)
+		} else {
+			c.stats.Record(p.Now(), key, rt)
+		}
+		if c.cfg.Observer != nil {
+			c.cfg.Observer(p.Now(), c.id, key, rt, err)
+		}
+		// Soft think time: the next request starts Delay after this one did,
+		// or at once if the response took longer than that.
+		if due := start + g.Delay; due > p.Now() {
+			p.RestartAt(due)
+			return
+		}
+	}
 }

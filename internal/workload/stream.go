@@ -17,12 +17,13 @@ import (
 // struct in a single slab allocation. Memory is therefore bounded per class
 // (plus the slab, linear in clients at well under 100 B each), not per
 // session: 100k concurrent clients fit in a few megabytes where the process
-// driver spends a goroutine stack, a 5 KB rand.Rand and a fresh []Step per
-// session. Sessions advance as closure-free sim.Task state machines — two
-// engine events per page (request start, response completion), no goroutine
-// handoff — and classes are partitioned across sim.Shards lanes by simnet
-// node, so one large run parallelizes across OS threads with deterministic
-// results for any worker count.
+// driver pays a 5 KB rand.Rand and one Step per client (and a stack only
+// while a request is in flight, none while the client thinks). Sessions
+// advance as closure-free sim.Task state machines — two engine events per
+// page (request start, response completion), no goroutine handoff — and
+// classes are partitioned across sim.Shards lanes by simnet node, so one
+// large run parallelizes across OS threads with deterministic results for
+// any worker count.
 
 // StreamState is the per-session generator state: the step position plus
 // three scratch registers generators use to carry cross-step context (the
@@ -37,6 +38,24 @@ type StreamState struct {
 // is complete. The engine advances Pos; generators read st.R freely and may
 // draw from rng on any step. A fresh session arrives as the zero StreamState.
 type StreamGen func(rng *rand.Rand, st *StreamState, step *Step) bool
+
+// nextStep draws the next step of the session in st into step, clearing step
+// first, and advances st. When gen ends the session it starts a fresh one
+// from the zero state and reports renewed; ok is false when gen produces an
+// empty session. Both drivers draw through it, so a client's sessions are the
+// same RNG draws in the same order under either.
+func nextStep(gen StreamGen, rng *rand.Rand, st *StreamState, step *Step) (ok, renewed bool) {
+	step.Page = ""
+	clear(step.Params)
+	if ok = gen(rng, st, step); !ok {
+		*st = StreamState{}
+		ok, renewed = gen(rng, st, step), true
+	}
+	if ok {
+		st.Pos++
+	}
+	return ok, renewed
+}
 
 // StreamRequest models one page request synchronously: it returns the
 // simulated response time (or an error counted against the page). It runs on
@@ -189,18 +208,13 @@ func (s *streamSession) Fire(e *sim.Env) {
 		return
 	}
 	step := &cr.scratch
-	step.Page = ""
-	if step.Params != nil {
-		clear(step.Params)
-	}
-	if !cr.class.Gen(cr.rng, &s.st, step) {
+	ok, renewed := nextStep(cr.class.Gen, cr.rng, &s.st, step)
+	if renewed {
 		cr.sessions++
-		s.st = StreamState{}
-		if !cr.class.Gen(cr.rng, &s.st, step) {
-			return // generator produces empty sessions; retire the client
-		}
 	}
-	s.st.Pos++
+	if !ok {
+		return // generator produces empty sessions; retire the client
+	}
 	s.page = step.Page
 	s.pageStart = e.Now()
 	rt, err := cr.class.Request(e, cr.class, &s.st, step)

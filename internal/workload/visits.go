@@ -7,17 +7,18 @@ import "math/rand"
 // private deterministic RNG. The planner derives its page weights from this
 // so the analytic model and the simulated workload share one definition of
 // a session; deterministic inputs give a deterministic map.
-func ExpectedVisits(gen RefillGen, n int, seed int64) map[string]float64 {
+func ExpectedVisits(gen StreamGen, n int, seed int64) map[string]float64 {
 	if n <= 0 {
 		n = 1
 	}
 	rng := rand.New(rand.NewSource(seed))
 	counts := make(map[string]float64)
-	var steps []Step
+	var step Step
 	for i := 0; i < n; i++ {
-		steps = gen(rng, steps[:0])
-		for _, step := range steps {
+		for st := (StreamState{}); gen(rng, &st, &step); st.Pos++ {
 			counts[step.Page]++
+			step.Page = ""
+			clear(step.Params)
 		}
 	}
 	for page := range counts {

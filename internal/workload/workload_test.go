@@ -3,12 +3,15 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"wadeploy/internal/metrics"
+	"wadeploy/internal/race"
 	"wadeploy/internal/sim"
 )
 
@@ -179,12 +182,13 @@ func fixedRequest(rt time.Duration) RequestFunc {
 	}
 }
 
-func singlePageGen(page string, n int) RefillGen {
-	return func(rng *rand.Rand, steps []Step) []Step {
-		for i := 0; i < n; i++ {
-			steps = GrowStep(steps, page)
+func singlePageGen(page string, n int) StreamGen {
+	return func(rng *rand.Rand, st *StreamState, step *Step) bool {
+		if int(st.Pos) >= n {
+			return false
 		}
-		return steps
+		step.Page = page
+		return true
 	}
 }
 
@@ -199,7 +203,7 @@ func TestRunOfferedLoadIndependentOfResponseTime(t *testing.T) {
 				Name: "g", ClientNode: "c", Local: true,
 				Browsers: 10, Delay: time.Second,
 				BrowserPattern: "Browser",
-				BrowserRefill:  singlePageGen("Main", 5),
+				BrowserGen:     singlePageGen("Main", 5),
 				Request:        fixedRequest(rt),
 			}},
 			Warmup:   0,
@@ -232,9 +236,9 @@ func TestRunSplitsPatterns(t *testing.T) {
 			Name: "g", ClientNode: "c", Local: false,
 			Browsers: 4, Writers: 1, Delay: time.Second,
 			BrowserPattern: "Browser", WriterPattern: "Bidder",
-			BrowserRefill: singlePageGen("Item", 3),
-			WriterRefill:  singlePageGen("StoreBid", 3),
-			Request:       fixedRequest(5 * time.Millisecond),
+			BrowserGen: singlePageGen("Item", 3),
+			WriterGen:  singlePageGen("StoreBid", 3),
+			Request:    fixedRequest(5 * time.Millisecond),
 		}},
 		Warmup:   2 * time.Second,
 		Duration: 20 * time.Second,
@@ -273,8 +277,8 @@ func TestRunValidation(t *testing.T) {
 		t.Fatal("zero duration accepted")
 	}
 	bad := []Group{
-		{Name: "no-request", Browsers: 1, Delay: time.Second, BrowserRefill: singlePageGen("p", 1)},
-		{Name: "no-delay", Browsers: 1, Request: fixedRequest(0), BrowserRefill: singlePageGen("p", 1)},
+		{Name: "no-request", Browsers: 1, Delay: time.Second, BrowserGen: singlePageGen("p", 1)},
+		{Name: "no-delay", Browsers: 1, Request: fixedRequest(0), BrowserGen: singlePageGen("p", 1)},
 		{Name: "no-gen", Browsers: 1, Delay: time.Second, Request: fixedRequest(0)},
 		{Name: "no-writer-gen", Writers: 1, Delay: time.Second, Request: fixedRequest(0)},
 	}
@@ -294,11 +298,15 @@ func TestRunDeterministicAcrossRuns(t *testing.T) {
 				Name: "g", ClientNode: "c", Local: true,
 				Browsers: 3, Delay: 500 * time.Millisecond,
 				BrowserPattern: "Browser",
-				BrowserRefill: func(rng *rand.Rand, steps []Step) []Step {
-					for n := rng.Intn(4) + 1; n > 0; n-- {
-						steps = GrowStep(steps, "P")
+				BrowserGen: func(rng *rand.Rand, st *StreamState, step *Step) bool {
+					if st.Pos == 0 {
+						st.R[0] = int64(rng.Intn(4) + 1)
 					}
-					return steps
+					if int64(st.Pos) >= st.R[0] {
+						return false
+					}
+					step.Page = "P"
+					return true
 				},
 				Request: fixedRequest(7 * time.Millisecond),
 			}},
@@ -311,6 +319,92 @@ func TestRunDeterministicAcrossRuns(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("nondeterministic stats:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// TestThinkingClientHoldsNoCoroutine pins where a Run client waits: across
+// its think time on a timer entry, not on a goroutine stack. 240 clients pace
+// their pages 8 s apart and a request takes 100 ms, so about 3 are in flight
+// at a time; mid-run, the goroutines above the baseline (the engine's pooled
+// coroutines) may not outnumber the most requests ever in flight at once.
+func TestThinkingClientHoldsNoCoroutine(t *testing.T) {
+	const clients = 240
+	base := runtime.NumGoroutine()
+	inFlight, peak, midRun := 0, 0, 0
+	_, err := Run(Config{
+		Env: sim.NewEnv(1),
+		Groups: []Group{{
+			Name: "g", ClientNode: "c", Browsers: clients, Delay: 8 * time.Second,
+			BrowserPattern: "Browser", BrowserGen: singlePageGen("Main", 20),
+			Request: func(p *sim.Proc, _ Client, _ Step) (time.Duration, error) {
+				inFlight++
+				peak = max(peak, inFlight)
+				if midRun == 0 && p.Now() >= time.Minute {
+					midRun = runtime.NumGoroutine()
+				}
+				p.Sleep(100 * time.Millisecond)
+				inFlight--
+				return 100 * time.Millisecond, nil
+			},
+		}},
+		Duration: 2 * time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if midRun == 0 {
+		t.Fatal("no request issued after the first minute")
+	}
+	t.Logf("%d goroutines before the run, %d mid-run; at most %d requests in flight", base, midRun, peak)
+	if extra := midRun - base; extra > peak {
+		t.Errorf("%d goroutines above the baseline mid-run with %d clients, want at most %d (the most requests in flight at once)",
+			extra, clients, peak)
+	}
+}
+
+// TestDriverAllocsPerPage pins the driver's own per-page cost with a null
+// request — drawing the step into the client's Step, recording the page,
+// restarting the client when the next page is due — at (almost) no
+// allocations in steady state. Two run lengths are compared so set-up
+// (clients, RNGs, coroutines, the first series) cancels out.
+func TestDriverAllocsPerPage(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates; alloc guard runs without -race")
+	}
+	gen := func(rng *rand.Rand, st *StreamState, step *Step) bool {
+		if st.Pos >= 20 {
+			return false
+		}
+		step.Page = "Item"
+		step.Set("item", strconv.Itoa(rng.Intn(4)))
+		return true
+	}
+	run := func(d time.Duration) (mallocs uint64, pages int) {
+		cfg := Config{
+			Env: sim.NewEnv(1),
+			Groups: []Group{{
+				Name: "g", ClientNode: "c", Browsers: 240, Delay: 8 * time.Second,
+				BrowserPattern: "Browser", BrowserGen: gen,
+				Request: func(*sim.Proc, Client, Step) (time.Duration, error) { return 0, nil },
+			}},
+			Duration: d,
+			Observer: func(time.Duration, Client, SeriesKey, time.Duration, error) { pages++ },
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs, pages
+	}
+	shortAllocs, shortPages := run(time.Minute)
+	longAllocs, longPages := run(11 * time.Minute)
+	perPage := float64(longAllocs-shortAllocs) / float64(longPages-shortPages)
+	t.Logf("%.4f allocations per page over %d pages", perPage, longPages-shortPages)
+	if perPage >= 0.05 {
+		t.Errorf("the driver allocates %.3f objects per page in steady state (%d pages), want < 0.05",
+			perPage, longPages-shortPages)
 	}
 }
 
