@@ -73,21 +73,7 @@ func run() error {
 		Deferred:  true,
 		PushBytes: pushBytes,
 		FetchFor: func(server *container.Server, rwBean string) container.FetchFunc {
-			return func(p *sim.Proc, pk sqldb.Value) (container.State, error) {
-				stub, err := server.StubFor(p, simnet.NodeMain, "PriceFacade")
-				if err != nil {
-					return nil, err
-				}
-				v, err := stub.Invoke(p, "get", pk)
-				if err != nil {
-					return nil, err
-				}
-				st, ok := v.(container.State)
-				if !ok {
-					return nil, fmt.Errorf("get returned %T", v)
-				}
-				return st, nil
-			}
+			return container.FetchFrom(server, simnet.NodeMain, "PriceFacade", "get")
 		},
 	})
 	if err != nil {

@@ -75,21 +75,7 @@ func run() error {
 	}, core.WireOptions{
 		PushBytes: 2048,
 		FetchFor: func(server *container.Server, rwBean string) container.FetchFunc {
-			return func(p *sim.Proc, pk sqldb.Value) (container.State, error) {
-				stub, err := server.StubFor(p, d.Main.Name(), "ArticleFacade")
-				if err != nil {
-					return nil, err
-				}
-				v, err := stub.Invoke(p, "fetch", pk)
-				if err != nil {
-					return nil, err
-				}
-				st, ok := v.(container.State)
-				if !ok {
-					return nil, fmt.Errorf("fetch returned %T", v)
-				}
-				return st, nil
-			}
+			return container.FetchFrom(server, d.Main.Name(), "ArticleFacade", "fetch")
 		},
 	})
 	if err != nil {
@@ -107,7 +93,7 @@ func run() error {
 				return nil, err
 			}
 			edge.Compute(p, 2*time.Millisecond)
-			return &web.Response{Bytes: len(st["body"].AsString()) + 2048}, nil
+			return &web.Response{Bytes: len(st.Get("body").AsString()) + 2048}, nil
 		})
 	}
 
@@ -139,7 +125,7 @@ func run() error {
 			failed = err
 			return
 		}
-		fmt.Printf("replica now: %q (version %d)\n", st["headline"].AsString(), st["version"].AsInt())
+		fmt.Printf("replica now: %q (version %d)\n", st.Get("headline").AsString(), st.Get("version").AsInt())
 	})
 	env.RunAll()
 	env.Close()

@@ -1,25 +1,24 @@
 package container
 
+import "wadeploy/internal/sqldb"
+
 // mergeUpdate folds a later commit onto an accumulated one for the same
-// entity, last-writer-wins per field. The accumulator owns its State map
-// (callers clone on first insert), so delta-onto-delta and delta-onto-full
-// merges write in place without allocating; deletes, full-state pushes and
-// writes after a delete replace the accumulator wholesale.
-func mergeUpdate(acc *Update, u Update) {
-	switch {
-	case u.Deleted, !u.Delta, acc.Deleted:
-		st := u.State
-		if st != nil {
-			st = st.Clone()
-		}
+// entity, last-writer-wins per field, and reports whether acc's row is now
+// the accumulator's own copy. Deletes, full-state pushes and writes after a
+// delete replace the accumulator wholesale, sharing u's row. A delta folds
+// into acc's row: in place when owned says the accumulator already holds a
+// copy nobody else has seen, else into the one copy With makes.
+func mergeUpdate(acc *Update, u Update, owned bool) bool {
+	if u.Deleted || !u.Delta || acc.Deleted {
 		*acc = u
-		acc.State = st
-	default:
-		for k, v := range u.State {
-			acc.State[k] = v
-		}
-		acc.CommittedAt = u.CommittedAt
+		return false
 	}
+	var own []sqldb.Value
+	if owned {
+		own = acc.State.vals
+	}
+	acc.State, acc.CommittedAt = acc.State.over(own, u.State), u.CommittedAt
+	return true
 }
 
 // CoalesceUpdates collapses a commit-ordered batch so each entity appears
@@ -42,39 +41,39 @@ func CoalesceUpdates(updates []Update) []Update {
 
 type updateKey struct {
 	bean string
-	pk   string
+	pk   sqldb.Value
 }
 
 // coalescer is the coalescing buffer: one pending update per entity, in
-// first-appearance order. The zero value is empty and ready.
+// first-appearance order, and whether its row is the buffer's own copy. The
+// zero value is empty and ready.
 type coalescer struct {
 	pending []Update
+	owned   []bool
 	index   map[updateKey]int
 }
 
 // add folds u into the buffer and reports whether it merged into an update
 // already pending for the same entity.
 func (c *coalescer) add(u Update) bool {
-	k := updateKey{u.Bean, pkKey(u.PK)}
+	k := updateKey{u.Bean, u.PK}
 	if i, ok := c.index[k]; ok {
-		mergeUpdate(&c.pending[i], u)
+		c.owned[i] = mergeUpdate(&c.pending[i], u, c.owned[i])
 		return true
 	}
 	if c.index == nil {
 		c.index = make(map[updateKey]int)
 	}
 	c.index[k] = len(c.pending)
-	if u.State != nil {
-		u.State = u.State.Clone()
-	}
 	c.pending = append(c.pending, u)
+	c.owned = append(c.owned, false)
 	return false
 }
 
 // take empties the buffer and returns what was pending.
 func (c *coalescer) take() []Update {
 	out := c.pending
-	c.pending = nil
+	c.pending, c.owned = nil, c.owned[:0]
 	clear(c.index)
 	return out
 }

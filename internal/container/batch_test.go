@@ -49,10 +49,10 @@ func TestExtendedDescriptorValidateReplicationRules(t *testing.T) {
 
 func TestCoalesceUpdatesLastWriterWins(t *testing.T) {
 	in := []Update{
-		{Bean: "A", PK: sqldb.Str("1"), Delta: true, State: State{"x": sqldb.Int(1)}, CommittedAt: 1},
-		{Bean: "B", PK: sqldb.Str("1"), Delta: true, State: State{"x": sqldb.Int(7)}, CommittedAt: 2},
-		{Bean: "A", PK: sqldb.Str("1"), Delta: true, State: State{"y": sqldb.Int(2)}, CommittedAt: 3},
-		{Bean: "A", PK: sqldb.Str("1"), Delta: true, State: State{"x": sqldb.Int(9)}, CommittedAt: 4},
+		{Bean: "A", PK: sqldb.Str("1"), Delta: true, State: State{"x": sqldb.Int(1)}.row(), CommittedAt: 1},
+		{Bean: "B", PK: sqldb.Str("1"), Delta: true, State: State{"x": sqldb.Int(7)}.row(), CommittedAt: 2},
+		{Bean: "A", PK: sqldb.Str("1"), Delta: true, State: State{"y": sqldb.Int(2)}.row(), CommittedAt: 3},
+		{Bean: "A", PK: sqldb.Str("1"), Delta: true, State: State{"x": sqldb.Int(9)}.row(), CommittedAt: 4},
 	}
 	out := CoalesceUpdates(in)
 	if len(out) != 2 {
@@ -60,24 +60,24 @@ func TestCoalesceUpdatesLastWriterWins(t *testing.T) {
 	}
 	// First appearance order: A before B.
 	a := out[0]
-	if a.Bean != "A" || a.State["x"].AsInt() != 9 || a.State["y"].AsInt() != 2 || a.CommittedAt != 4 {
+	if a.Bean != "A" || a.State.Get("x").AsInt() != 9 || a.State.Get("y").AsInt() != 2 || a.CommittedAt != 4 {
 		t.Fatalf("A coalesced wrong: %+v", a)
 	}
-	if out[1].Bean != "B" || out[1].State["x"].AsInt() != 7 {
+	if out[1].Bean != "B" || out[1].State.Get("x").AsInt() != 7 {
 		t.Fatalf("B coalesced wrong: %+v", out[1])
 	}
 	// Input must not be mutated (the log replay path shares the entries).
-	if in[0].State["x"].AsInt() != 1 || len(in[0].State) != 1 {
+	if in[0].State.Get("x").AsInt() != 1 || in[0].State.Len() != 1 {
 		t.Fatalf("input update mutated: %+v", in[0])
 	}
 }
 
 func TestCoalesceUpdatesDeleteAndReinsert(t *testing.T) {
 	in := []Update{
-		{Bean: "A", PK: sqldb.Str("1"), Delta: true, State: State{"x": sqldb.Int(1)}},
+		{Bean: "A", PK: sqldb.Str("1"), Delta: true, State: State{"x": sqldb.Int(1)}.row()},
 		{Bean: "A", PK: sqldb.Str("1"), Deleted: true},
 		{Bean: "A", PK: sqldb.Str("2"), Deleted: true},
-		{Bean: "A", PK: sqldb.Str("2"), State: State{"x": sqldb.Int(5)}},
+		{Bean: "A", PK: sqldb.Str("2"), State: State{"x": sqldb.Int(5)}.row()},
 	}
 	out := CoalesceUpdates(in)
 	if len(out) != 2 {
@@ -86,7 +86,7 @@ func TestCoalesceUpdatesDeleteAndReinsert(t *testing.T) {
 	if !out[0].Deleted {
 		t.Fatalf("pk 1 should coalesce to a tombstone: %+v", out[0])
 	}
-	if out[1].Deleted || out[1].Delta || out[1].State["x"].AsInt() != 5 {
+	if out[1].Deleted || out[1].Delta || out[1].State.Get("x").AsInt() != 5 {
 		t.Fatalf("pk 2 should coalesce to the re-inserted full state: %+v", out[1])
 	}
 }

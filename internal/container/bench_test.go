@@ -203,7 +203,7 @@ func BenchmarkBatchedPushThroughput(b *testing.B) {
 			} else {
 				// Without a window every commit pays one push the size of a
 				// one-field delta.
-				one := container.Update{Bean: "Wide", Delta: true, State: container.State{"a": sqldb.Int(0)}}
+				one := container.Update{Bean: "Wide", Delta: true, State: container.RowOf(&[]string{"a"}, []sqldb.Value{sqldb.Int(0)})}
 				msgs = float64(commits)
 				wire = float64(commits * one.WireBytes())
 			}

@@ -19,7 +19,7 @@ func TestROEntityTTLInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	fetches := 0
-	ro, err := DeployROEntity(f.edge, "InventoryRO", "InventoryRW", func(p *sim.Proc, pk sqldb.Value) (State, error) {
+	ro, err := DeployROEntity(f.edge, "InventoryRO", "InventoryRW", func(p *sim.Proc, pk sqldb.Value) (Row, error) {
 		fetches++
 		return rw.Load(p, pk)
 	})
@@ -54,9 +54,9 @@ func TestROEntityTTLInvalidation(t *testing.T) {
 func TestROEntityTTLResetByPush(t *testing.T) {
 	f := newFixture(t)
 	fetches := 0
-	ro, err := DeployROEntity(f.edge, "RO", "RW", func(p *sim.Proc, pk sqldb.Value) (State, error) {
+	ro, err := DeployROEntity(f.edge, "RO", "RW", func(p *sim.Proc, pk sqldb.Value) (Row, error) {
 		fetches++
-		return State{"v": sqldb.Int(1)}, nil
+		return State{"v": sqldb.Int(1)}.row(), nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -68,14 +68,14 @@ func TestROEntityTTLResetByPush(t *testing.T) {
 		}
 		p.Sleep(8 * time.Second)
 		// A push renews the entry's clock.
-		ro.ApplyUpdate(Update{Bean: "RW", PK: sqldb.Str("a"), State: State{"v": sqldb.Int(2)}})
+		ro.ApplyUpdate(Update{Bean: "RW", PK: sqldb.Str("a"), State: State{"v": sqldb.Int(2)}.row()})
 		p.Sleep(8 * time.Second) // 16s since load, 8s since push
 		st, err := ro.Get(p, sqldb.Str("a"))
 		if err != nil {
 			t.Fatalf("get: %v", err)
 		}
-		if st["v"].AsInt() != 2 || fetches != 1 {
-			t.Fatalf("v=%v fetches=%d; push should have renewed TTL", st["v"], fetches)
+		if st.Get("v").AsInt() != 2 || fetches != 1 {
+			t.Fatalf("v=%v fetches=%d; push should have renewed TTL", st.Get("v"), fetches)
 		}
 	})
 }
@@ -131,8 +131,8 @@ func TestUpdateIfVersionOptimisticConcurrency(t *testing.T) {
 		if err != nil {
 			t.Fatalf("A: %v", err)
 		}
-		if st["version"].AsInt() != 2 {
-			t.Fatalf("version after A = %v", st["version"])
+		if st.Get("version").AsInt() != 2 {
+			t.Fatalf("version after A = %v", st.Get("version"))
 		}
 		// Writer B also read version 1 (stale): must be rejected.
 		_, err = rw.UpdateIfVersion(p, sqldb.Int(1), "version", 1, State{"body": sqldb.Str("from B")})
@@ -143,7 +143,7 @@ func TestUpdateIfVersionOptimisticConcurrency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cur["body"].AsString() != "from A" || cur["version"].AsInt() != 2 {
+		if cur.Get("body").AsString() != "from A" || cur.Get("version").AsInt() != 2 {
 			t.Fatalf("state = %v, stale write leaked", cur)
 		}
 		// B retries with the fresh version.
@@ -235,7 +235,7 @@ func TestDeltaPushMergesChangedFieldsOnly(t *testing.T) {
 			t.Fatalf("get: %v", err)
 		}
 		// Changed field merged; untouched fields survive.
-		if st["qty"].AsInt() != 7 || st["item_id"].AsString() != "i1" {
+		if st.Get("qty").AsInt() != 7 || st.Get("item_id").AsString() != "i1" {
 			t.Fatalf("merged state = %v", st)
 		}
 	})
@@ -249,7 +249,7 @@ func TestDeltaPushWithoutLocalCopyIsIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	rw.SetDeltaPush(true)
-	ro, err := DeployROEntity(f.edge, "InventoryRO", "InventoryRW", func(p *sim.Proc, pk sqldb.Value) (State, error) {
+	ro, err := DeployROEntity(f.edge, "InventoryRO", "InventoryRW", func(p *sim.Proc, pk sqldb.Value) (Row, error) {
 		fetches++
 		return rw.Load(p, pk)
 	})
@@ -272,8 +272,8 @@ func TestDeltaPushWithoutLocalCopyIsIgnored(t *testing.T) {
 		if err != nil {
 			t.Fatalf("get: %v", err)
 		}
-		if st["qty"].AsInt() != 1 {
-			t.Fatalf("qty = %v", st["qty"])
+		if st.Get("qty").AsInt() != 1 {
+			t.Fatalf("qty = %v", st.Get("qty"))
 		}
 	})
 	if fetches != 1 {
@@ -282,8 +282,8 @@ func TestDeltaPushWithoutLocalCopyIsIgnored(t *testing.T) {
 }
 
 func TestUpdateWireBytes(t *testing.T) {
-	full := Update{State: State{"a": sqldb.Int(1), "b": sqldb.Int(2)}}
-	delta := Update{State: State{"a": sqldb.Int(1)}, Delta: true}
+	full := Update{State: State{"a": sqldb.Int(1), "b": sqldb.Int(2)}.row()}
+	delta := Update{State: State{"a": sqldb.Int(1)}.row(), Delta: true}
 	del := Update{Deleted: true}
 	if full.WireBytes() != 1024 {
 		t.Fatalf("full = %d", full.WireBytes())

@@ -201,8 +201,8 @@ func TestRWEntityCRUDAgainstDB(t *testing.T) {
 			t.Errorf("load: %v", err)
 			return
 		}
-		if st["qty"].AsInt() != 10 {
-			t.Errorf("qty = %v", st["qty"])
+		if st.Get("qty").AsInt() != 10 {
+			t.Errorf("qty = %v", st.Get("qty"))
 		}
 		if _, err := inv.UpdateFields(p, sqldb.Str("i1"), State{"qty": sqldb.Int(9)}); err != nil {
 			t.Errorf("update: %v", err)
@@ -239,7 +239,7 @@ func TestROEntityHitMissAndPullRefresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	fetches := 0
-	ro, err := DeployROEntity(f.edge, "InventoryRO", "InventoryRW", func(p *sim.Proc, pk sqldb.Value) (State, error) {
+	ro, err := DeployROEntity(f.edge, "InventoryRO", "InventoryRW", func(p *sim.Proc, pk sqldb.Value) (Row, error) {
 		fetches++
 		return rw.Load(p, pk) // stands in for the remote façade call
 	})
@@ -249,7 +249,7 @@ func TestROEntityHitMissAndPullRefresh(t *testing.T) {
 	f.run(t, func(p *sim.Proc) {
 		// Cold miss fetches.
 		st, err := ro.Get(p, sqldb.Str("i1"))
-		if err != nil || st["qty"].AsInt() != 10 {
+		if err != nil || st.Get("qty").AsInt() != 10 {
 			t.Errorf("get: %v, %v", st, err)
 		}
 		// Second read is a local hit.
@@ -284,9 +284,9 @@ func TestROEntityWithoutFetchPath(t *testing.T) {
 		if _, err := ro.Get(p, sqldb.Str("i1")); !errors.Is(err, ErrNoSuchEntity) {
 			t.Errorf("err = %v", err)
 		}
-		ro.ApplyUpdate(Update{Bean: "InventoryRW", PK: sqldb.Str("i1"), State: State{"qty": sqldb.Int(4)}})
+		ro.ApplyUpdate(Update{Bean: "InventoryRW", PK: sqldb.Str("i1"), State: State{"qty": sqldb.Int(4)}.row()})
 		st, err := ro.Get(p, sqldb.Str("i1"))
-		if err != nil || st["qty"].AsInt() != 4 {
+		if err != nil || st.Get("qty").AsInt() != 4 {
 			t.Errorf("get after push: %v, %v", st, err)
 		}
 		// Deletion push removes the entry.
@@ -300,9 +300,9 @@ func TestROEntityWithoutFetchPath(t *testing.T) {
 func TestROEntityPreloadAndInvalidateAll(t *testing.T) {
 	f := newFixture(t)
 	fetches := 0
-	ro, err := DeployROEntity(f.edge, "RO", "RW", func(p *sim.Proc, pk sqldb.Value) (State, error) {
+	ro, err := DeployROEntity(f.edge, "RO", "RW", func(p *sim.Proc, pk sqldb.Value) (Row, error) {
 		fetches++
-		return State{"v": sqldb.Int(99)}, nil
+		return State{"v": sqldb.Int(99)}.row(), nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -313,11 +313,11 @@ func TestROEntityPreloadAndInvalidateAll(t *testing.T) {
 		t.Fatalf("cached = %d", ro.Cached())
 	}
 	f.run(t, func(p *sim.Proc) {
-		if st, _ := ro.Get(p, sqldb.Str("a")); st["v"].AsInt() != 1 {
+		if st, _ := ro.Get(p, sqldb.Str("a")); st.Get("v").AsInt() != 1 {
 			t.Error("preload not served")
 		}
 		ro.InvalidateAll()
-		if st, _ := ro.Get(p, sqldb.Str("a")); st["v"].AsInt() != 99 {
+		if st, _ := ro.Get(p, sqldb.Str("a")); st.Get("v").AsInt() != 99 {
 			t.Error("stale entry served after InvalidateAll")
 		}
 	})
@@ -414,7 +414,7 @@ func TestQueryInvalidationApplier(t *testing.T) {
 	}
 	qi2 := &QueryInvalidation{Cache: qc, Views: views}
 	// A delta too thin to name the product still finds the key.
-	qi2.ApplyUpdate(Update{Bean: "ItemRW", PK: sqldb.Str("I-1"), State: State{"qty": sqldb.Int(1)}, Delta: true})
+	qi2.ApplyUpdate(Update{Bean: "ItemRW", PK: sqldb.Str("I-1"), State: State{"qty": sqldb.Int(1)}.row(), Delta: true})
 	f.run(t, func(p *sim.Proc) {
 		v, err := qc.Get(p, "itemsByProduct:P1")
 		if err != nil || v != "fresh" {

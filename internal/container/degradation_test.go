@@ -14,20 +14,20 @@ import (
 // outlives the bound.
 func TestROEntityServesStaleDuringPartition(t *testing.T) {
 	f := newFixture(t)
-	fetch := func(p *sim.Proc, pk sqldb.Value) (State, error) {
+	fetch := func(p *sim.Proc, pk sqldb.Value) (Row, error) {
 		stub, err := f.edge.StubFor(p, "main", "InvFacade")
 		if err != nil {
-			return nil, err
+			return Row{}, err
 		}
 		v, err := stub.Invoke(p, "get", pk)
 		if err != nil {
-			return nil, err
+			return Row{}, err
 		}
-		return v.(State), nil
+		return v.(Row), nil
 	}
 	if _, err := DeployStateless(f.main, "InvFacade", map[string]Method{
 		"get": func(p *sim.Proc, inv *Invocation) (any, error) {
-			return State{"item_id": sqldb.Str("i1"), "qty": sqldb.Int(10)}, nil
+			return State{"item_id": sqldb.Str("i1"), "qty": sqldb.Int(10)}.row(), nil
 		},
 	}); err != nil {
 		t.Fatal(err)
@@ -54,8 +54,8 @@ func TestROEntityServesStaleDuringPartition(t *testing.T) {
 		st, err := ro.Get(p, pk)
 		if err != nil {
 			t.Errorf("stale read during partition: %v", err)
-		} else if st["qty"].AsInt() != 10 {
-			t.Errorf("stale read qty = %v", st["qty"])
+		} else if st.Get("qty").AsInt() != 10 {
+			t.Errorf("stale read qty = %v", st.Get("qty"))
 		}
 		if ro.StaleServes() != 1 {
 			t.Errorf("stale serves = %d, want 1", ro.StaleServes())

@@ -22,42 +22,12 @@ var ErrNoSuchEntity = errors.New("container: no such entity")
 // over possibly-stale presentation data (Section 4.5).
 var ErrStaleVersion = errors.New("container: stale version")
 
-// State is an entity bean's field values keyed by column name.
-type State map[string]sqldb.Value
-
-// Clone returns a copy of the state.
-func (st State) Clone() State {
-	out := make(State, len(st))
-	for k, v := range st {
-		out[k] = v
-	}
-	return out
-}
-
-// Merge returns a copy of st with changes applied on top.
-func (st State) Merge(changes State) State {
-	out := st.Clone()
-	for k, v := range changes {
-		out[k] = v
-	}
-	return out
-}
-
-// StateFromRow builds a State from a result row.
-func StateFromRow(cols []string, row []sqldb.Value) State {
-	st := make(State, len(cols))
-	for i, c := range cols {
-		st[c] = row[i]
-	}
-	return st
-}
-
 // Update describes one committed write to a read-write entity, propagated to
 // read-only replicas and query caches.
 type Update struct {
 	Bean    string      // read-write bean name
 	PK      sqldb.Value // primary key of the affected entity
-	State   State       // full post-write state (changed fields only when Delta)
+	State   Row         // full post-write state (changed fields only when Delta)
 	Deleted bool
 
 	// Delta marks State as containing only the fields the write changed
@@ -79,7 +49,7 @@ func (u Update) WireBytes() int {
 		return 96
 	}
 	if u.Delta {
-		return 64 + 96*len(u.State)
+		return 64 + 96*u.State.Len()
 	}
 	return 1024
 }
@@ -202,9 +172,9 @@ func (b *RWEntity) Image() ([]Update, error) {
 // full-state Update per entity committed at at.
 func (b *RWEntity) updatesOf(res *sqldb.Result, at time.Duration) []Update {
 	out := make([]Update, 0, res.Len())
-	for _, row := range res.Rows {
-		st := StateFromRow(res.Cols, row)
-		out = append(out, Update{Bean: b.name, PK: st[b.pkCol], State: st, CommittedAt: at})
+	for _, vals := range res.Rows {
+		row := Row{&res.Cols, vals}
+		out = append(out, Update{Bean: b.name, PK: row.Get(b.pkCol), State: row, CommittedAt: at})
 	}
 	return out
 }
@@ -219,85 +189,65 @@ func (b *RWEntity) Propagators() int { return len(b.props) }
 
 // Load reads the entity's state by primary key (ejbFindByPrimaryKey +
 // ejbLoad; the paper's baseline removes the redundant extra database call,
-// so this is a single SELECT).
-func (b *RWEntity) Load(p *sim.Proc, pk sqldb.Value) (State, error) {
+// so this is a single SELECT). The row is the SELECT's own: no copy.
+func (b *RWEntity) Load(p *sim.Proc, pk sqldb.Value) (Row, error) {
 	b.mLoad.Inc()
 	b.srv.Compute(p, b.srv.costs.EntityLoadCPU)
 	res, err := b.srv.SQL(p, b.loadSQL, pk)
 	if err != nil {
-		return nil, fmt.Errorf("entity %s load: %w", b.name, err)
+		return Row{}, fmt.Errorf("entity %s load: %w", b.name, err)
 	}
-	if res.Len() == 0 {
-		return nil, fmt.Errorf("entity %s pk %v: %w", b.name, pk, ErrNoSuchEntity)
+	row := FirstRow(res)
+	if row.IsZero() {
+		return Row{}, fmt.Errorf("entity %s pk %v: %w", b.name, pk, ErrNoSuchEntity)
 	}
-	return StateFromRow(res.Cols, res.Rows[0]), nil
+	return row, nil
 }
 
 // Insert creates a new entity (ejbCreate) and propagates it.
 func (b *RWEntity) Insert(p *sim.Proc, st State) error {
 	b.srv.Compute(p, b.srv.costs.EntityStoreCPU)
-	cols := make([]string, 0, len(st))
-	args := make([]sqldb.Value, 0, len(st))
-	for c := range st {
-		cols = append(cols, c)
-	}
-	// Deterministic column order.
-	sortStrings(cols)
-	marks := make([]string, len(cols))
-	for i, c := range cols {
-		args = append(args, st[c])
-		marks[i] = "?"
-	}
-	q := "INSERT INTO " + b.table + " (" + strings.Join(cols, ", ") + ") VALUES (" + strings.Join(marks, ", ") + ")"
-	if _, err := b.srv.SQL(p, q, args...); err != nil {
+	image := st.row() // sorted columns: deterministic SQL text
+	q := "INSERT INTO " + b.table + " (" + strings.Join(image.columns(), ", ") + ") VALUES (" + strings.TrimPrefix(strings.Repeat(", ?", image.Len()), ", ") + ")"
+	if _, err := b.srv.SQL(p, q, image.vals...); err != nil {
 		return fmt.Errorf("entity %s insert: %w", b.name, err)
 	}
 	b.writes++
 	b.mStore.Inc()
-	full := st.Clone() // a fresh variable: reusing st would make every caller's literal escape
-	return b.commit(p, Update{Bean: b.name, PK: full[b.pkCol], State: full}, full, nil)
+	return b.commit(p, Update{Bean: b.name, PK: image.Get(b.pkCol), State: image}, image, Row{})
 }
 
 // UpdateFields applies changes to the entity (ejbStore at commit) and
-// propagates the merged post-write state.
-func (b *RWEntity) UpdateFields(p *sim.Proc, pk sqldb.Value, changes State) (State, error) {
+// propagates the merged post-write state (or, with delta pushes, the row of
+// changed columns alone).
+func (b *RWEntity) UpdateFields(p *sim.Proc, pk sqldb.Value, changes State) (Row, error) {
 	cur, err := b.Load(p, pk)
 	if err != nil {
-		return nil, err
+		return Row{}, err
 	}
 	b.srv.Compute(p, b.srv.costs.EntityStoreCPU)
-	cols := make([]string, 0, len(changes))
-	for c := range changes {
-		cols = append(cols, c)
-	}
-	sortStrings(cols)
-	sets := make([]string, len(cols))
-	args := make([]sqldb.Value, 0, len(cols)+1)
-	for i, c := range cols {
-		sets[i] = c + " = ?"
-		args = append(args, changes[c])
-	}
-	args = append(args, pk)
-	q := "UPDATE " + b.table + " SET " + strings.Join(sets, ", ") + " WHERE " + b.pkCol + " = ?"
-	if _, err := b.srv.SQL(p, q, args...); err != nil {
-		return nil, fmt.Errorf("entity %s update: %w", b.name, err)
+	delta := changes.row() // sorted columns: deterministic SQL text
+	q := "UPDATE " + b.table + " SET " + strings.Join(delta.columns(), " = ?, ") + " = ? WHERE " + b.pkCol + " = ?"
+	// The pk lands in the spare slot past the delta's values.
+	if _, err := b.srv.SQL(p, q, append(delta.vals, pk)...); err != nil {
+		return Row{}, fmt.Errorf("entity %s update: %w", b.name, err)
 	}
 	b.writes++
 	b.mStore.Inc()
-	merged := cur.Merge(changes)
+	merged := cur.With(delta)
 	u := Update{Bean: b.name, PK: pk, State: merged}
 	if b.deltaPush {
-		u = Update{Bean: b.name, PK: pk, State: changes.Clone(), Delta: true}
+		u = Update{Bean: b.name, PK: pk, State: delta, Delta: true}
 	}
 	if err := b.commit(p, u, merged, cur); err != nil {
-		return nil, err
+		return Row{}, err
 	}
 	return merged, nil
 }
 
 // Delete removes the entity (ejbRemove) and propagates the deletion.
 func (b *RWEntity) Delete(p *sim.Proc, pk sqldb.Value) error {
-	var last State
+	var last Row
 	if b.views != nil {
 		// The views find the queries the entity leaves from the state it had.
 		var err error
@@ -315,7 +265,7 @@ func (b *RWEntity) Delete(p *sim.Proc, pk sqldb.Value) error {
 	}
 	b.writes++
 	b.mStore.Inc()
-	return b.commit(p, Update{Bean: b.name, PK: pk, Deleted: true}, last, nil)
+	return b.commit(p, Update{Bean: b.name, PK: pk, Deleted: true}, last, Row{})
 }
 
 // UpdateIfVersion is the optimistic variant of UpdateFields: it applies
@@ -323,13 +273,13 @@ func (b *RWEntity) Delete(p *sim.Proc, pk sqldb.Value) error {
 // version by one. A mismatch returns ErrStaleVersion and leaves the entity
 // untouched. This protects use cases that read (possibly stale) replica data
 // in one transaction and write in a later one.
-func (b *RWEntity) UpdateIfVersion(p *sim.Proc, pk sqldb.Value, versionCol string, expected int64, changes State) (State, error) {
+func (b *RWEntity) UpdateIfVersion(p *sim.Proc, pk sqldb.Value, versionCol string, expected int64, changes State) (Row, error) {
 	cur, err := b.Load(p, pk)
 	if err != nil {
-		return nil, err
+		return Row{}, err
 	}
-	if got := cur[versionCol].AsInt(); got != expected {
-		return nil, fmt.Errorf("entity %s pk %v: have version %d, caller expected %d: %w",
+	if got := cur.Get(versionCol).AsInt(); got != expected {
+		return Row{}, fmt.Errorf("entity %s pk %v: have version %d, caller expected %d: %w",
 			b.name, pk, got, expected, ErrStaleVersion)
 	}
 	bumped := changes.Clone()
@@ -341,7 +291,7 @@ func (b *RWEntity) UpdateIfVersion(p *sim.Proc, pk sqldb.Value, versionCol strin
 // main server, in zero virtual time, from the full post-write state — so
 // every propagator, blocking or not, delivers updates whose query results
 // are already current; then the propagators run in chain order.
-func (b *RWEntity) commit(p *sim.Proc, u Update, state, prev State) error {
+func (b *RWEntity) commit(p *sim.Proc, u Update, state, prev Row) error {
 	u.CommittedAt = p.Now()
 	if b.views != nil {
 		c := Commit{Bean: b.name, PK: u.PK, State: state, Prev: prev, Deleted: u.Deleted}
@@ -357,19 +307,31 @@ func (b *RWEntity) commit(p *sim.Proc, u Update, state, prev State) error {
 	return nil
 }
 
-// sortStrings is a tiny insertion sort to avoid importing sort for hot maps.
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
 // FetchFunc retrieves an entity's fresh state for a read-only replica on a
 // cold miss or pull refresh — typically one RMI call to a façade co-located
 // with the read-write bean.
-type FetchFunc func(p *sim.Proc, pk sqldb.Value) (State, error)
+type FetchFunc func(p *sim.Proc, pk sqldb.Value) (Row, error)
+
+// FetchFrom is that usual fetch path: one call from srv of method on the
+// façade bean deployed on node, passing args and then the key, which the
+// façade answers with the entity's Row (its read-write bean's Load).
+func FetchFrom(srv *Server, node, bean, method string, args ...any) FetchFunc {
+	return func(p *sim.Proc, pk sqldb.Value) (Row, error) {
+		stub, err := srv.StubFor(p, node, bean)
+		if err != nil {
+			return Row{}, err
+		}
+		v, err := stub.Invoke(p, method, append(args[:len(args):len(args)], pk)...)
+		if err != nil {
+			return Row{}, err
+		}
+		row, ok := v.(Row)
+		if !ok {
+			return Row{}, fmt.Errorf("container: %s.%s returned %T", bean, method, v)
+		}
+		return row, nil
+	}
+}
 
 // ROEntity is a read-only replica of an entity bean deployed on an edge
 // server (the read-mostly pattern, Section 4.3). Reads are served from local
@@ -381,7 +343,7 @@ type ROEntity struct {
 	fetch FetchFunc
 	ttl   time.Duration // 0 = no timeout invalidation
 
-	entries map[string]roEntry
+	entries map[sqldb.Value]roEntry
 
 	// staleMaxAge, when positive, lets a failed refresh serve the cached
 	// copy while it is younger than the bound (graceful degradation when
@@ -417,7 +379,7 @@ type ROEntity struct {
 }
 
 type roEntry struct {
-	state    State
+	state    Row
 	stale    bool
 	loadedAt time.Duration
 }
@@ -435,7 +397,7 @@ func DeployROEntity(srv *Server, name, rwBean string, fetch FetchFunc) (*ROEntit
 		srv:        srv,
 		name:       name,
 		fetch:      fetch,
-		entries:    make(map[string]roEntry),
+		entries:    make(map[sqldb.Value]roEntry),
 		mHits:      reg.Counter("container_replica_hits_total"),
 		mMisses:    reg.Counter("container_replica_misses_total"),
 		mStaleRef:  reg.Counter("container_replica_stale_refreshes_total"),
@@ -514,15 +476,13 @@ func (b *ROEntity) Cached() int { return len(b.entries) }
 // Peek returns the locally cached state for pk without touching the fetch
 // path, hit/miss accounting, or CPU costs — a white-box view for tests and
 // diagnostics that must observe cache contents without mutating them.
-func (b *ROEntity) Peek(pk sqldb.Value) (State, bool) {
-	e, ok := b.entries[pkKey(pk)]
+func (b *ROEntity) Peek(pk sqldb.Value) (Row, bool) {
+	e, ok := b.entries[pk]
 	if !ok {
-		return nil, false
+		return Row{}, false
 	}
 	return e.state, true
 }
-
-func pkKey(pk sqldb.Value) string { return pk.String() }
 
 // expired reports whether an entry has outlived the timeout invalidation.
 func (b *ROEntity) expired(e roEntry) bool {
@@ -530,33 +490,33 @@ func (b *ROEntity) expired(e roEntry) bool {
 }
 
 // Get serves the entity's state: locally when fresh, via fetch on a miss,
-// after a pull invalidation, or after timeout expiry.
-func (b *ROEntity) Get(p *sim.Proc, pk sqldb.Value) (State, error) {
+// after a pull invalidation, or after timeout expiry. A hit returns the
+// stored row itself — "from local memory", with no copy.
+func (b *ROEntity) Get(p *sim.Proc, pk sqldb.Value) (Row, error) {
 	if !b.Owns(pk) {
 		// Outside this replica's partition slice: always a remote get,
 		// never cached locally (the slice is the whole point — an edge
 		// holds only its partitions).
 		if b.fetch == nil {
-			return nil, fmt.Errorf("read-only %s pk %v (unowned, no fetch path): %w", b.name, pk, ErrNoSuchEntity)
+			return Row{}, fmt.Errorf("read-only %s pk %v (unowned, no fetch path): %w", b.name, pk, ErrNoSuchEntity)
 		}
 		b.remoteGets++
 		b.mRemoteGets.Inc()
 		st, err := b.fetch(p, pk)
 		if err != nil {
-			return nil, fmt.Errorf("read-only %s remote get: %w", b.name, err)
+			return Row{}, fmt.Errorf("read-only %s remote get: %w", b.name, err)
 		}
 		return st, nil
 	}
-	k := pkKey(pk)
-	e, ok := b.entries[k]
+	e, ok := b.entries[pk]
 	if ok && !e.stale && !b.expired(e) {
 		b.hits++
 		b.mHits.Inc()
 		b.srv.Compute(p, b.srv.costs.CacheHitCPU)
-		return e.state.Clone(), nil
+		return e.state, nil
 	}
 	if b.fetch == nil {
-		return nil, fmt.Errorf("read-only %s pk %v (no fetch path): %w", b.name, pk, ErrNoSuchEntity)
+		return Row{}, fmt.Errorf("read-only %s pk %v (no fetch path): %w", b.name, pk, ErrNoSuchEntity)
 	}
 	if ok {
 		b.staleRefreshes++
@@ -575,25 +535,27 @@ func (b *ROEntity) Get(p *sim.Proc, pk sqldb.Value) (State, error) {
 				b.staleServes++
 				b.mStale.Inc()
 				b.mStaleAge.Observe(age)
-				return e.state.Clone(), nil
+				return e.state, nil
 			}
 		}
-		return nil, fmt.Errorf("read-only %s refresh: %w", b.name, err)
+		return Row{}, fmt.Errorf("read-only %s refresh: %w", b.name, err)
 	}
-	b.entries[k] = roEntry{state: st.Clone(), loadedAt: p.Now()}
+	b.entries[pk] = roEntry{state: st, loadedAt: p.Now()}
 	return st, nil
 }
 
-// Preload installs state without cost accounting (warm-up/seeding). Keys
-// outside the replica's partition slice are dropped. The replica keeps st
-// itself and the caller must not change it afterwards: stored states are only
-// ever replaced, never written, so one State may seed any number of replicas.
-func (b *ROEntity) Preload(pk sqldb.Value, st State) {
+// Seed installs row without cost accounting (warm-up, a migration's
+// snapshot). Keys outside the replica's partition slice are dropped. A Row
+// never changes, so one may seed any number of replicas.
+func (b *ROEntity) Seed(pk sqldb.Value, row Row) {
 	if !b.Owns(pk) {
 		return
 	}
-	b.entries[pkKey(pk)] = roEntry{state: st, loadedAt: b.srv.Env().Now()}
+	b.entries[pk] = roEntry{state: row, loadedAt: b.srv.Env().Now()}
 }
+
+// Preload is Seed from a State, columns sorted by name.
+func (b *ROEntity) Preload(pk sqldb.Value, st State) { b.Seed(pk, st.row()) }
 
 // ApplyUpdate applies a pushed update (push-based refresh: replicas always
 // serve local reads).
@@ -615,38 +577,32 @@ func (b *ROEntity) ApplyUpdate(u Update) {
 		}
 		b.mStaleness.Observe(delay)
 	}
-	k := pkKey(u.PK)
 	if u.Deleted {
-		delete(b.entries, k)
+		delete(b.entries, u.PK)
 		return
 	}
 	if u.Delta {
-		e, ok := b.entries[k]
+		e, ok := b.entries[u.PK]
 		if !ok {
 			// No local copy to patch: leave it to the next read's fetch.
 			return
 		}
-		b.entries[k] = roEntry{state: e.state.Merge(u.State), loadedAt: now}
+		b.entries[u.PK] = roEntry{state: e.state.With(u.State), loadedAt: now}
 		return
 	}
-	b.entries[k] = roEntry{state: u.State.Clone(), loadedAt: now}
+	b.entries[u.PK] = roEntry{state: u.State, loadedAt: now}
 }
 
 // Reset drops every cached entry. A resync migration clears the replica
 // before installing a fresh snapshot, so rows deleted while the replica was
 // cut off do not linger past the resync.
-func (b *ROEntity) Reset() {
-	for k := range b.entries {
-		delete(b.entries, k)
-	}
-}
+func (b *ROEntity) Reset() { clear(b.entries) }
 
 // Invalidate marks one entity stale (pull-based refresh).
 func (b *ROEntity) Invalidate(pk sqldb.Value) {
-	k := pkKey(pk)
-	if e, ok := b.entries[k]; ok {
+	if e, ok := b.entries[pk]; ok {
 		e.stale = true
-		b.entries[k] = e
+		b.entries[pk] = e
 	}
 }
 

@@ -75,9 +75,9 @@ func TestRangePartitionBounds(t *testing.T) {
 func TestPartitionedReplicaOwnership(t *testing.T) {
 	f := newFixture(t)
 	fetches := 0
-	ro, err := DeployROEntity(f.edge, "RO", "RW", func(p *sim.Proc, pk sqldb.Value) (State, error) {
+	ro, err := DeployROEntity(f.edge, "RO", "RW", func(p *sim.Proc, pk sqldb.Value) (Row, error) {
 		fetches++
-		return State{"v": sqldb.Int(99)}, nil
+		return State{"v": sqldb.Int(99)}.row(), nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -98,23 +98,23 @@ func TestPartitionedReplicaOwnership(t *testing.T) {
 	}
 
 	// Pushed updates for unowned keys are dropped before any accounting.
-	ro.ApplyUpdate(Update{Bean: "RW", PK: sqldb.Str("i2"), State: State{"v": sqldb.Int(3)}})
+	ro.ApplyUpdate(Update{Bean: "RW", PK: sqldb.Str("i2"), State: State{"v": sqldb.Int(3)}.row()})
 	if ro.Pushes() != 0 || ro.Cached() != 1 {
 		t.Fatalf("unowned push applied: pushes=%d cached=%d", ro.Pushes(), ro.Cached())
 	}
-	ro.ApplyUpdate(Update{Bean: "RW", PK: sqldb.Str("i1"), State: State{"v": sqldb.Int(4)}})
+	ro.ApplyUpdate(Update{Bean: "RW", PK: sqldb.Str("i1"), State: State{"v": sqldb.Int(4)}.row()})
 	if ro.Pushes() != 1 {
 		t.Fatalf("owned push not applied: pushes=%d", ro.Pushes())
 	}
 
 	f.run(t, func(p *sim.Proc) {
 		// Owned key: served locally, no fetch.
-		if st, err := ro.Get(p, sqldb.Str("i1")); err != nil || st["v"].AsInt() != 4 {
+		if st, err := ro.Get(p, sqldb.Str("i1")); err != nil || st.Get("v").AsInt() != 4 {
 			t.Errorf("owned get: %v, %v", st, err)
 		}
 		// Unowned key: remote get every time, never cached.
 		for i := 0; i < 2; i++ {
-			if st, err := ro.Get(p, sqldb.Str("i2")); err != nil || st["v"].AsInt() != 99 {
+			if st, err := ro.Get(p, sqldb.Str("i2")); err != nil || st.Get("v").AsInt() != 99 {
 				t.Errorf("unowned get: %v, %v", st, err)
 			}
 		}
@@ -140,11 +140,11 @@ func TestPartitionedReplicaOwnership(t *testing.T) {
 func TestPartitionScopedServeStale(t *testing.T) {
 	f := newFixture(t)
 	central := true
-	ro, err := DeployROEntity(f.edge, "RO", "RW", func(p *sim.Proc, pk sqldb.Value) (State, error) {
+	ro, err := DeployROEntity(f.edge, "RO", "RW", func(p *sim.Proc, pk sqldb.Value) (Row, error) {
 		if !central {
-			return nil, errors.New("central site unreachable")
+			return Row{}, errors.New("central site unreachable")
 		}
-		return State{"v": sqldb.Int(99)}, nil
+		return State{"v": sqldb.Int(99)}.row(), nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +159,7 @@ func TestPartitionScopedServeStale(t *testing.T) {
 		// Owned key, invalidated, refresh fails: served stale.
 		ro.Invalidate(sqldb.Str("i1"))
 		st, err := ro.Get(p, sqldb.Str("i1"))
-		if err != nil || st["v"].AsInt() != 1 {
+		if err != nil || st.Get("v").AsInt() != 1 {
 			t.Errorf("owned stale serve: %v, %v", st, err)
 		}
 		// Unowned key: remote get fails, and there is no stale fallback

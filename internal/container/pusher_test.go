@@ -88,7 +88,7 @@ func wirePusher(t *testing.T, f *fixture, row pushRow) (*RWEntity, *ROEntity, *U
 
 func peekQty(ro *ROEntity, pk string) int64 {
 	st, _ := ro.Peek(sqldb.Str(pk))
-	return st["qty"].AsInt()
+	return st.Get("qty").AsInt()
 }
 
 // TestPusherRows drives the same six commits (five to i1, one to i2, back to
@@ -166,7 +166,7 @@ func TestPusherRows(t *testing.T) {
 				if c, m, fl := snap.Counter("push_batch_commits_total"), snap.Counter("push_batch_coalesced_total"), snap.Counter("push_batch_flushes_total"); c != 6 || m != 4 || fl != 1 {
 					t.Errorf("commits=%d coalesced=%d flushes=%d, want 6/4/1", c, m, fl)
 				}
-				one := Update{Delta: true, State: State{"qty": sqldb.Int(0)}}
+				one := Update{Delta: true, State: State{"qty": sqldb.Int(0)}.row()}
 				if got, want := snap.Counter("push_batch_bytes_total"), int64(2*one.WireBytes()); got != want {
 					t.Errorf("push_batch_bytes_total = %d, want two one-field deltas = %d", got, want)
 				}
@@ -307,14 +307,14 @@ func TestPusherFilterAtSource(t *testing.T) {
 // message, prices a delta and a delete at their WireBytes estimate and only a
 // full-state update at the configured record size.
 func TestPusherUnbatchedPublishSizesByPayload(t *testing.T) {
-	delta := Update{Bean: "InvRW", PK: sqldb.Str("i1"), Delta: true, State: State{"qty": sqldb.Int(1)}}
+	delta := Update{Bean: "InvRW", PK: sqldb.Str("i1"), Delta: true, State: State{"qty": sqldb.Int(1)}.row()}
 	del := Update{Bean: "InvRW", PK: sqldb.Str("i1"), Deleted: true}
 	cases := []struct {
 		name string
 		u    Update
 		want int
 	}{
-		{"full", Update{Bean: "InvRW", PK: sqldb.Str("i1"), State: State{"qty": sqldb.Int(1)}}, 512},
+		{"full", Update{Bean: "InvRW", PK: sqldb.Str("i1"), State: State{"qty": sqldb.Int(1)}.row()}, 512},
 		{"delta", delta, delta.WireBytes()},
 		{"delete", del, del.WireBytes()},
 	}
@@ -349,7 +349,7 @@ func TestPusherSeparateWindows(t *testing.T) {
 		}
 		p.Sleep(500 * time.Millisecond)
 		st, err := ro.Get(p, sqldb.Str("i1"))
-		if err != nil || st["qty"].AsInt() != 2 {
+		if err != nil || st.Get("qty").AsInt() != 2 {
 			t.Errorf("i1: %v, %v (want qty 2)", st, err)
 		}
 	})
@@ -379,23 +379,23 @@ func TestPusherValidation(t *testing.T) {
 }
 
 // The coalescing hot path (a same-key delta folding into an already-pending
-// update inside an armed window) must stay allocation-flat: the only
-// allocation allowed is the pk-key string the propagator chain already pays
-// everywhere else.
+// update inside an armed window) must stay allocation-flat: the pending row
+// is copied once, on its first merge, and every later delta folds into that
+// copy in place (0 measured; the ceiling leaves room for one).
 func TestPusherCoalesceAllocs(t *testing.T) {
 	f := newFixture(t)
 	ps := newPusher(t, f.main, "", time.Second, 1024, edgeUpdater)
-	seedBatch := []Update{{Bean: "Inv", PK: sqldb.Str("i1"), Delta: true, State: State{"qty": sqldb.Int(0)}}}
+	seedBatch := []Update{{Bean: "Inv", PK: sqldb.Str("i1"), Delta: true, State: State{"qty": sqldb.Int(0)}.row()}}
 	if err := ps.Propagate(nil, seedBatch); err != nil { // arms the window, inserts the pending entry
 		t.Fatal(err)
 	}
-	batch := []Update{{Bean: "Inv", PK: sqldb.Str("i1"), Delta: true, State: State{"qty": sqldb.Int(1)}}}
+	batch := []Update{{Bean: "Inv", PK: sqldb.Str("i1"), Delta: true, State: State{"qty": sqldb.Int(1)}.row()}}
 	allocs := testing.AllocsPerRun(200, func() {
 		if err := ps.Propagate(nil, batch); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > 1 {
-		t.Fatalf("coalescing a pending same-key delta allocates %.1f times per commit, want <= 1 (the pk key)", allocs)
+		t.Fatalf("coalescing a pending same-key delta allocates %.1f times per commit, want <= 1", allocs)
 	}
 }

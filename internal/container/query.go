@@ -209,24 +209,22 @@ func (qi *QueryInvalidation) ApplyUpdate(u Update) {
 // Commit is what a read-write bean shows the query views at its commit
 // point: the entity's full state after and before the write, whatever the
 // propagators then put on the wire (full state, delta, coalesced batch).
-// Both states are shared with the commit's other observers and must not be
-// mutated.
 type Commit struct {
 	Bean    string
 	PK      sqldb.Value
-	State   State // full post-write state; for a delete, the state the entity had
-	Prev    State // pre-write state of an update; nil for an insert or a delete
+	State   Row // full post-write state; for a delete, the state the entity had
+	Prev    Row // pre-write state of an update; zero for an insert or a delete
 	Deleted bool
 }
 
 // Touches reports whether the commit changed any of cols: always for an
 // insert or a delete, for an update when a value differs across the write.
 func (c Commit) Touches(cols ...string) bool {
-	if c.Prev == nil {
+	if c.Prev.IsZero() {
 		return true
 	}
 	for _, col := range cols {
-		if c.Prev[col] != c.State[col] {
+		if c.Prev.Get(col) != c.State.Get(col) {
 			return true
 		}
 	}
@@ -343,7 +341,7 @@ func (v *QueryViews) committed(c Commit, shipped bool) error {
 			}
 			keys = addKey(keys, key)
 		}
-		if c.Prev == nil {
+		if c.Prev.IsZero() {
 			continue
 		}
 		// The key the entity left, if the write moved it.

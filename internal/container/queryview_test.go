@@ -27,13 +27,13 @@ func newViewFixture(t *testing.T) *viewFixture {
 		f.queries[key]++
 		return rowsOf(f.db, sql, args...)
 	}
-	byQty := func(c Commit) string { return "byQty:" + c.State["qty"].AsString() }
+	byQty := func(c Commit) string { return "byQty:" + c.State.Get("qty").AsString() }
 	f.views = NewQueryViews(f.env.Metrics(), []CachedQuerySpec{
 		{Name: "static"},
 		{Name: "byQty", InvalidatedBy: []string{"InvRW"}, View: &QueryView{
 			Key: byQty,
 			Query: func(c Commit) (any, error) {
-				return rows(byQty(c), `SELECT item_id FROM inventory WHERE qty = ? ORDER BY item_id`, c.State["qty"])
+				return rows(byQty(c), `SELECT item_id FROM inventory WHERE qty = ? ORDER BY item_id`, c.State.Get("qty"))
 			},
 		}},
 		{Name: "stock", InvalidatedBy: []string{"InvRW"}, View: &QueryView{
@@ -43,14 +43,14 @@ func newViewFixture(t *testing.T) *viewFixture {
 			},
 			Maintain: func(prev any, c Commit) (any, bool) {
 				f.maintain++
-				if c.Prev == nil {
+				if c.Prev.IsZero() {
 					return nil, false // an insert adds a row
 				}
-				old := prev.([]State)
-				next := make([]State, len(old))
+				old := prev.([]Row)
+				next := make([]Row, len(old))
 				copy(next, old)
 				for i, row := range next {
-					if row["item_id"] == c.PK {
+					if row.Get("item_id") == c.PK {
 						next[i] = c.State
 						return next, true
 					}
@@ -151,19 +151,15 @@ func TestQueryViewRefreshedOncePerCommit(t *testing.T) {
 	}
 }
 
-func rowsOf(db *sqldb.DB, sql string, args ...sqldb.Value) ([]State, error) {
+func rowsOf(db *sqldb.DB, sql string, args ...sqldb.Value) ([]Row, error) {
 	res, err := db.Exec(sql, args...)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]State, 0, res.Len())
-	for _, row := range res.Rows {
-		out = append(out, StateFromRow(res.Cols, row))
-	}
-	return out, nil
+	return RowsOf(res), nil
 }
 
-func mustRows(t *testing.T, db *sqldb.DB, sql string, args ...sqldb.Value) []State {
+func mustRows(t *testing.T, db *sqldb.DB, sql string, args ...sqldb.Value) []Row {
 	t.Helper()
 	out, err := rowsOf(db, sql, args...)
 	if err != nil {
@@ -212,7 +208,7 @@ func TestQueryViewInstallWhateverRidesTheWire(t *testing.T) {
 		}
 	})
 	// An update of an entity that never committed installs nothing.
-	qi.ApplyUpdate(Update{Bean: "InvRW", PK: sqldb.Str("i2"), State: State{"qty": sqldb.Int(1)}, Delta: true})
+	qi.ApplyUpdate(Update{Bean: "InvRW", PK: sqldb.Str("i2"), State: State{"qty": sqldb.Int(1)}.row(), Delta: true})
 	if qc.Pushed() != int64(len(keys)) {
 		t.Fatalf("pushed = %d after an unknown entity's update, want %d", qc.Pushed(), len(keys))
 	}
@@ -244,8 +240,8 @@ func TestQueryViewQueryErrorFailsTheCommit(t *testing.T) {
 // a maintained refresh once the entity's keys are on record.
 func TestQueryViewMaintainedCommitAllocs(t *testing.T) {
 	f := newFixture(t)
-	state := State{"item_id": sqldb.Str("i1")}
-	var result any = []State{state} // boxed once: the maintainer's own cost is not the hook's
+	state := State{"item_id": sqldb.Str("i1")}.row()
+	var result any = []Row{state} // boxed once: the maintainer's own cost is not the hook's
 	views := NewQueryViews(f.env.Metrics(), []CachedQuerySpec{{
 		Name: "q", InvalidatedBy: []string{"InvRW"},
 		View: &QueryView{

@@ -40,7 +40,7 @@ func TestPropertySyncPushZeroStaleness(t *testing.T) {
 						ok = false
 						return
 					}
-					if st["qty"].AsInt() != expected {
+					if st.Get("qty").AsInt() != expected {
 						ok = false
 						return
 					}
@@ -85,7 +85,7 @@ func TestPropertyAsyncEventualConvergence(t *testing.T) {
 		converged := true
 		fx.env.Spawn("reader", func(p *sim.Proc) {
 			st, err := ro.Get(p, sqldb.Str("i1"))
-			if err != nil || st["qty"].AsInt() != final {
+			if err != nil || st.Get("qty").AsInt() != final {
 				converged = false
 			}
 		})

@@ -33,13 +33,13 @@ func cloneRef(ref map[string]container.State) map[string]container.State {
 	return out
 }
 
-func statesEqual(a, b container.State) bool {
-	if len(a) != len(b) {
+// rowEquals reports whether row holds exactly st's columns and values.
+func rowEquals(row container.Row, st container.State) bool {
+	if row.Len() != len(st) {
 		return false
 	}
-	for k, v := range a {
-		w, ok := b[k]
-		if !ok || sqldb.Compare(v, w) != 0 {
+	for k, v := range st {
+		if sqldb.Compare(row.Get(k), v) != 0 {
 			return false
 		}
 	}
@@ -201,7 +201,7 @@ func TestPropertyLogReplayEquivalentToDirectApplication(t *testing.T) {
 					if !ok {
 						t.Fatalf("epoch %d: pk %s missing after replay", e, pk)
 					}
-					if !statesEqual(got, want) {
+					if !rowEquals(got, want) {
 						t.Fatalf("epoch %d: pk %s = %v, want %v", e, pk, got, want)
 					}
 				}

@@ -160,13 +160,13 @@ func (r *rig) spawnReader(until time.Duration) {
 }
 
 // groundTruth reads the authoritative table state via a snapshot on main.
-func (r *rig) groundTruth(t *testing.T, p *sim.Proc) map[string]container.State {
+func (r *rig) groundTruth(t *testing.T, p *sim.Proc) map[string]container.Row {
 	t.Helper()
 	rows, err := r.rw.Snapshot(p)
 	if err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	truth := make(map[string]container.State, len(rows))
+	truth := make(map[string]container.Row, len(rows))
 	for _, u := range rows {
 		truth[u.PK.String()] = u.State
 	}
@@ -183,7 +183,7 @@ func TestMigratedReplicaMatchesNeverMigrated(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			const writes = 600
-			final := func(deferred bool) (states map[string]map[string]container.State, replayed int) {
+			final := func(deferred bool) (states map[string]map[string]container.Row, replayed int) {
 				r := newRig(t, seed, deferred)
 				var ctrl *controller.Controller
 				if deferred {
@@ -192,7 +192,7 @@ func TestMigratedReplicaMatchesNeverMigrated(t *testing.T) {
 				}
 				r.spawnWriter(t, seed+1000, writes, 10*time.Millisecond)
 
-				states = make(map[string]map[string]container.State)
+				states = make(map[string]map[string]container.Row)
 				r.settle(t, func(p *sim.Proc) {
 					truth := r.groundTruth(t, p)
 					for _, edge := range r.d.Edges {
@@ -202,7 +202,7 @@ func TestMigratedReplicaMatchesNeverMigrated(t *testing.T) {
 							continue
 						}
 						ro := r.w.Replica(name, "Price")
-						got := make(map[string]container.State)
+						got := make(map[string]container.Row)
 						for pk, want := range truth {
 							st, ok := ro.Peek(sqldb.Int(atoi(t, pk)))
 							if !ok {

@@ -140,7 +140,7 @@ func (c *Controller) migrate(p *sim.Proc, edge *container.Server, resync bool) M
 			continue
 		}
 		for _, u := range snaps[bean] {
-			ro.Preload(u.PK, u.State.Clone())
+			ro.Seed(u.PK, u.State)
 		}
 	}
 	residual := buf.Drain()

@@ -227,8 +227,8 @@ func AutoWire(d *Deployment, ext *container.ExtendedDescriptor, opts WireOptions
 
 // Preload warm-deploys every wired replica with its read-write bean's current
 // table contents, modeling replicas shipped with a data snapshot
-// (measurement runs start after warm-up either way). Each entity's state is
-// one value shared by every edge holding it.
+// (measurement runs start after warm-up either way). Each entity's row is
+// shared by every edge holding it.
 func (w *Wiring) Preload() error {
 	for _, spec := range w.specs {
 		image, err := w.d.RW(spec.Bean).Image()
@@ -238,7 +238,7 @@ func (w *Wiring) Preload() error {
 		for _, u := range image {
 			for _, edge := range w.d.Edges {
 				if ro := w.Replica(edge.Name(), spec.Bean); ro != nil {
-					ro.Preload(u.PK, u.State)
+					ro.Seed(u.PK, u.State)
 				}
 			}
 		}

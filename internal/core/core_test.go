@@ -348,7 +348,7 @@ func TestAutoWirePullRefreshInvalidates(t *testing.T) {
 	}
 	w, err := AutoWire(d, ext, WireOptions{
 		FetchFor: func(server *container.Server, rwBean string) container.FetchFunc {
-			return func(p *sim.Proc, pk sqldb.Value) (container.State, error) {
+			return func(p *sim.Proc, pk sqldb.Value) (container.Row, error) {
 				fetches++
 				return rw.Load(p, pk)
 			}
@@ -373,8 +373,8 @@ func TestAutoWirePullRefreshInvalidates(t *testing.T) {
 			t.Errorf("get: %v", err)
 			return
 		}
-		if st["qty"].AsInt() != 1 {
-			t.Errorf("stale read after pull invalidation: %v", st["qty"])
+		if st.Get("qty").AsInt() != 1 {
+			t.Errorf("stale read after pull invalidation: %v", st.Get("qty"))
 		}
 	})
 	if fetches != 2 {

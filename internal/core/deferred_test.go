@@ -30,16 +30,16 @@ func deferredFixture(t *testing.T) (*Deployment, *container.RWEntity, *Wiring) {
 	}, WireOptions{
 		Deferred: true,
 		FetchFor: func(server *container.Server, rwBean string) container.FetchFunc {
-			return func(p *sim.Proc, pk sqldb.Value) (container.State, error) {
+			return func(p *sim.Proc, pk sqldb.Value) (container.Row, error) {
 				stub, err := server.StubFor(p, simnet.NodeMain, "Fetch")
 				if err != nil {
-					return nil, err
+					return container.Row{}, err
 				}
 				v, err := stub.Invoke(p, "fetch", pk)
 				if err != nil {
-					return nil, err
+					return container.Row{}, err
 				}
-				return v.(container.State), nil
+				return v.(container.Row), nil
 			}
 		},
 	})
@@ -98,8 +98,8 @@ func TestExtendToAtRuntime(t *testing.T) {
 		if err != nil {
 			t.Fatalf("get: %v", err)
 		}
-		if st["qty"].AsInt() != 5 {
-			t.Fatalf("replica qty = %v after extension, want pushed 5", st["qty"])
+		if st.Get("qty").AsInt() != 5 {
+			t.Fatalf("replica qty = %v after extension, want pushed 5", st.Get("qty"))
 		}
 	})
 	// The other edge remains unwired: pushes target only edge1.

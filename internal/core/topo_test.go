@@ -134,7 +134,7 @@ func testPartitionedReplicas(t *testing.T, mode container.UpdateMode) {
 	if got0, got1 := w.Updaters[edges[0]].Applied(), w.Updaters[edges[1]].Applied(); got0 != 1 || got1 != 0 {
 		t.Fatalf("updates received after write to a1: %s=%d %s=%d, want 1/0", edges[0], got0, edges[1], got1)
 	}
-	if st, ok := ro0.Peek(sqldb.Str("a1")); !ok || st["qty"].AsInt() != 3 {
+	if st, ok := ro0.Peek(sqldb.Str("a1")); !ok || st.Get("qty").AsInt() != 3 {
 		t.Fatalf("owner replica state: %v %v", st, ok)
 	}
 }

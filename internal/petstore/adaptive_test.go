@@ -46,7 +46,7 @@ func TestAdaptivePreExtensionServesViaCentral(t *testing.T) {
 			t.Errorf("getItemVia: %v", err)
 			return
 		}
-		if page.Item == nil {
+		if page.Item.IsZero() {
 			t.Error("nil item")
 		}
 	})
@@ -114,7 +114,7 @@ func TestAdaptiveControllerCutOver(t *testing.T) {
 			t.Errorf("getItemVia after cut-over: %v", err)
 			return
 		}
-		if page.Item == nil {
+		if page.Item.IsZero() {
 			t.Error("nil item after cut-over")
 		}
 	})

@@ -316,7 +316,7 @@ func (a *App) mainCatalogMethods() map[string]container.Method {
 			if err != nil {
 				return nil, err
 			}
-			return &CategoryPage{Category: firstState(catRes), Products: allStates(prodRes)}, nil
+			return &CategoryPage{Category: container.FirstRow(catRes), Products: container.RowsOf(prodRes)}, nil
 		},
 		// getItemsOf returns the product row and its item rows.
 		"getItemsOf": func(p *sim.Proc, inv *container.Invocation) (any, error) {
@@ -329,7 +329,7 @@ func (a *App) mainCatalogMethods() map[string]container.Method {
 			if err != nil {
 				return nil, err
 			}
-			return &ProductPage{Product: firstState(prodRes), Items: allStates(itemRes)}, nil
+			return &ProductPage{Product: container.FirstRow(prodRes), Items: container.RowsOf(itemRes)}, nil
 		},
 		// getItem returns one item plus its inventory quantity.
 		"getItem": func(p *sim.Proc, inv *container.Invocation) (any, error) {
@@ -343,7 +343,7 @@ func (a *App) mainCatalogMethods() map[string]container.Method {
 			if err != nil {
 				return nil, err
 			}
-			return allStates(res), nil
+			return container.RowsOf(res), nil
 		},
 		// fetchState serves read-only replica refreshes (the remote façade
 		// the read-mostly pattern queries on pull/miss).
@@ -369,7 +369,7 @@ func (a *App) loadItemDetails(p *sim.Proc, itemID string) (*ItemPage, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ItemPage{Item: item, Qty: invSt["qty"].AsInt()}, nil
+	return &ItemPage{Item: item, Qty: invSt.Get("qty").AsInt()}, nil
 }
 
 // customerMethods implements the Customer façade ("serves as a façade to
@@ -383,7 +383,7 @@ func (a *App) customerMethods() map[string]container.Method {
 			if err != nil {
 				return nil, fmt.Errorf("petstore signon: %w", err)
 			}
-			if st["password"].AsString() != pass {
+			if st.Get("password").AsString() != pass {
 				return false, nil
 			}
 			return true, nil
@@ -411,7 +411,7 @@ func (a *App) customerMethods() map[string]container.Method {
 			}
 			a.orderSeq++
 			orderID := a.orderSeq
-			total := item["listprice"].AsFloat() * float64(qty)
+			total := item.Get("listprice").AsFloat() * float64(qty)
 			if err := a.orderRW.Insert(p, container.State{
 				"orderid":    sqldb.Int(orderID),
 				"userid":     sqldb.Str(user),
@@ -432,7 +432,7 @@ func (a *App) customerMethods() map[string]container.Method {
 				"orderid":   sqldb.Int(orderID),
 				"itemid":    sqldb.Str(itemID),
 				"quantity":  sqldb.Int(int64(qty)),
-				"unitprice": item["listprice"],
+				"unitprice": item.Get("listprice"),
 			}); err != nil {
 				return nil, err
 			}
@@ -443,7 +443,7 @@ func (a *App) customerMethods() map[string]container.Method {
 				return nil, err
 			}
 			if _, err := a.inventoryRW.UpdateFields(p, sqldb.Str(itemID), container.State{
-				"qty": sqldb.Int(invSt["qty"].AsInt() - int64(qty)),
+				"qty": sqldb.Int(invSt.Get("qty").AsInt() - int64(qty)),
 			}); err != nil {
 				return nil, err
 			}
@@ -491,9 +491,9 @@ func (a *App) cartMethods(srv *container.Server) map[string]container.Method {
 			}
 			n := inv.State["count"].AsInt()
 			inv.State[fmt.Sprintf("item%d", n)] = sqldb.Str(itemID)
-			inv.State[fmt.Sprintf("price%d", n)] = details.Item["listprice"]
+			inv.State[fmt.Sprintf("price%d", n)] = details.Item.Get("listprice")
 			inv.State["count"] = sqldb.Int(n + 1)
-			total := inv.State["total"].AsFloat() + details.Item["listprice"].AsFloat()
+			total := inv.State["total"].AsFloat() + details.Item.Get("listprice").AsFloat()
 			inv.State["total"] = sqldb.Float(total)
 			return n + 1, nil
 		},
@@ -545,7 +545,7 @@ func (a *App) getItemVia(p *sim.Proc, srv *container.Server, itemID string) (*It
 		if err != nil {
 			return nil, err
 		}
-		return &ItemPage{Item: item, Qty: qtySt["qty"].AsInt()}, nil
+		return &ItemPage{Item: item, Qty: qtySt.Get("qty").AsInt()}, nil
 	}
 	// The fallback must target the central Catalog, not catalogStub: the
 	// edge Catalog façade's own getItem lands here, and in a deferred
@@ -597,21 +597,7 @@ func (a *App) wireReplicas() error {
 		PushBytes: replicaPushBytes,
 		Deferred:  a.policy.Deferred,
 		FetchFor: func(server *container.Server, rwBean string) container.FetchFunc {
-			return func(p *sim.Proc, pk sqldb.Value) (container.State, error) {
-				stub, err := a.centralCatalogStub(p, server)
-				if err != nil {
-					return nil, err
-				}
-				v, err := stub.Invoke(p, "fetchState", rwBean, pk)
-				if err != nil {
-					return nil, err
-				}
-				st, ok := v.(container.State)
-				if !ok {
-					return nil, fmt.Errorf("petstore: fetchState returned %T", v)
-				}
-				return st, nil
-			}
+			return container.FetchFrom(server, simnet.NodeMain, BeanCatalog, "fetchState", rwBean)
 		},
 		// Pet Store uses the pull-based query-cache update mechanism
 		// ("For simplicity", Section 4.4): misses re-execute against the
@@ -702,7 +688,7 @@ func (a *App) edgeCatalogMethods(edge *container.Server) map[string]container.Me
 				if err != nil {
 					return nil, err
 				}
-				return allStates(res), nil
+				return container.RowsOf(res), nil
 			}
 			return delegate(p, "search", inv.StringArg(0))
 		},
@@ -746,38 +732,23 @@ func (a *App) ActivateEdgeCatalog(edge *container.Server) error {
 // CategoryPage, ProductPage, ItemPage and CartSummary are the façade return
 // values the web tier renders.
 type CategoryPage struct {
-	Category container.State
-	Products []container.State
+	Category container.Row
+	Products []container.Row
 }
 
 type ProductPage struct {
-	Product container.State
-	Items   []container.State
+	Product container.Row
+	Items   []container.Row
 }
 
 type ItemPage struct {
-	Item container.State
+	Item container.Row
 	Qty  int64
 }
 
 type CartSummary struct {
 	Count int64
 	Total float64
-}
-
-func firstState(res *sqldb.Result) container.State {
-	if res.Len() == 0 {
-		return nil
-	}
-	return container.StateFromRow(res.Cols, res.Rows[0])
-}
-
-func allStates(res *sqldb.Result) []container.State {
-	out := make([]container.State, 0, res.Len())
-	for _, row := range res.Rows {
-		out = append(out, container.StateFromRow(res.Cols, row))
-	}
-	return out
 }
 
 // sessionFor returns (creating on demand) the client's web session on srv.

@@ -319,8 +319,8 @@ func TestBuyerSessionEndToEndUpdatesState(t *testing.T) {
 				t.Errorf("%s: %v", edge.Name(), err)
 				return
 			}
-			if st["qty"].AsInt() != InitialInventoryQty-1 {
-				t.Errorf("%s replica qty = %v, want %d", edge.Name(), st["qty"], InitialInventoryQty-1)
+			if st.Get("qty").AsInt() != InitialInventoryQty-1 {
+				t.Errorf("%s replica qty = %v, want %d", edge.Name(), st.Get("qty"), InitialInventoryQty-1)
 			}
 		})
 	}
@@ -509,8 +509,8 @@ func TestAsyncUpdatesEventuallyConsistentReplicas(t *testing.T) {
 				t.Errorf("%s: %v", edge.Name(), err)
 				return
 			}
-			if st["qty"].AsInt() != InitialInventoryQty-1 {
-				t.Errorf("%s replica qty = %v, want converged %d", edge.Name(), st["qty"], InitialInventoryQty-1)
+			if st.Get("qty").AsInt() != InitialInventoryQty-1 {
+				t.Errorf("%s replica qty = %v, want converged %d", edge.Name(), st.Get("qty"), InitialInventoryQty-1)
 			}
 		})
 		if ro.MeanPropagationDelay() < 50*time.Millisecond {

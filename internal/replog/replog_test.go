@@ -13,7 +13,7 @@ import (
 func upd(bean string, pk string, field string, v int64) container.Update {
 	return container.Update{
 		Bean: bean, PK: sqldb.Str(pk), Delta: true,
-		State: container.State{field: sqldb.Int(v)},
+		State: container.RowOf(&[]string{field}, []sqldb.Value{sqldb.Int(v)}),
 	}
 }
 
@@ -114,11 +114,11 @@ func TestCoalescedSince(t *testing.T) {
 	if len(ups) != 2 {
 		t.Fatalf("coalesced to %d updates, want 2", len(ups))
 	}
-	if ups[0].State["x"].AsInt() != 2 || ups[0].State["y"].AsInt() != 3 {
+	if ups[0].State.Get("x").AsInt() != 2 || ups[0].State.Get("y").AsInt() != 3 {
 		t.Fatalf("pk 1 coalesced wrong: %+v", ups[0])
 	}
 	// Coalescing must not mutate the retained entries.
-	if st := l.entries[0].Update.State; len(st) != 1 || st["x"].AsInt() != 1 {
+	if st := l.entries[0].Update.State; st.Len() != 1 || st.Get("x").AsInt() != 1 {
 		t.Fatalf("log entry mutated by coalesce: %+v", st)
 	}
 	ups, err = l.CoalescedSince(l.Head())

@@ -225,43 +225,35 @@ func (a *App) sbStub(p *sim.Proc, srv *container.Server, bean string) (*rmi.Stub
 }
 
 // runQuery executes q with full cost accounting on srv.
-func runQuery(p *sim.Proc, srv *container.Server, q query) ([]container.State, error) {
+func runQuery(p *sim.Proc, srv *container.Server, q query) ([]container.Row, error) {
 	res, err := srv.SQL(p, q.sql, q.args...)
 	if err != nil {
 		return nil, err
 	}
-	return statesOf(res), nil
+	return container.RowsOf(res), nil
 }
 
 // runDirect executes q against the database with no simulated cost: used at
 // deploy time (preloading) and inside push recomputation, where the real
 // system computes results on the main server and ships them in the bulk
 // push message.
-func runDirect(db *sqldb.DB, q query) ([]container.State, error) {
+func runDirect(db *sqldb.DB, q query) ([]container.Row, error) {
 	res, err := db.Exec(q.sql, q.args...)
 	if err != nil {
 		return nil, err
 	}
-	return statesOf(res), nil
-}
-
-func statesOf(res *sqldb.Result) []container.State {
-	out := make([]container.State, 0, res.Len())
-	for _, row := range res.Rows {
-		out = append(out, container.StateFromRow(res.Cols, row))
-	}
-	return out
+	return container.RowsOf(res), nil
 }
 
 // authenticate verifies credentials on the main server (the SignOn step that
 // precedes every RUBiS write activity).
-func (a *App) authenticate(p *sim.Proc, nick, pass string) (container.State, error) {
+func (a *App) authenticate(p *sim.Proc, nick, pass string) (container.Row, error) {
 	rows, err := runQuery(p, a.d.Main, qUserByNick(nick))
 	if err != nil {
-		return nil, err
+		return container.Row{}, err
 	}
-	if len(rows) == 0 || rows[0]["password"].AsString() != pass {
-		return nil, fmt.Errorf("rubis: bad credentials for %s", nick)
+	if len(rows) == 0 || rows[0].Get("password").AsString() != pass {
+		return container.Row{}, fmt.Errorf("rubis: bad credentials for %s", nick)
 	}
 	return rows[0], nil
 }
@@ -391,7 +383,7 @@ func (a *App) storeBid(p *sim.Proc, nick, pass string, itemID int64, amount floa
 	a.bidSeq++
 	if err := a.bidRW.Insert(p, container.State{
 		"id":       sqldb.Int(a.bidSeq),
-		"user_id":  user["id"],
+		"user_id":  user.Get("id"),
 		"item_id":  sqldb.Int(itemID),
 		"qty":      sqldb.Int(1),
 		"bid":      sqldb.Float(amount),
@@ -399,12 +391,12 @@ func (a *App) storeBid(p *sim.Proc, nick, pass string, itemID int64, amount floa
 	}); err != nil {
 		return nil, err
 	}
-	maxBid := item["max_bid"].AsFloat()
+	maxBid := item.Get("max_bid").AsFloat()
 	if amount > maxBid {
 		maxBid = amount
 	}
 	if _, err := a.itemRW.UpdateFields(p, sqldb.Int(itemID), container.State{
-		"nb_of_bids": sqldb.Int(item["nb_of_bids"].AsInt() + 1),
+		"nb_of_bids": sqldb.Int(item.Get("nb_of_bids").AsInt() + 1),
 		"max_bid":    sqldb.Float(maxBid),
 	}); err != nil {
 		return nil, err
@@ -426,7 +418,7 @@ func (a *App) storeComment(p *sim.Proc, nick, pass string, toUser, itemID, ratin
 	a.commentSeq++
 	if err := a.commentRW.Insert(p, container.State{
 		"id":           sqldb.Int(a.commentSeq),
-		"from_user":    from["id"],
+		"from_user":    from.Get("id"),
 		"to_user":      sqldb.Int(toUser),
 		"item_id":      sqldb.Int(itemID),
 		"rating":       sqldb.Int(rating),
@@ -436,7 +428,7 @@ func (a *App) storeComment(p *sim.Proc, nick, pass string, toUser, itemID, ratin
 		return nil, err
 	}
 	if _, err := a.userRW.UpdateFields(p, sqldb.Int(toUser), container.State{
-		"rating": sqldb.Int(target["rating"].AsInt() + rating),
+		"rating": sqldb.Int(target.Get("rating").AsInt() + rating),
 	}); err != nil {
 		return nil, err
 	}
@@ -445,8 +437,8 @@ func (a *App) storeComment(p *sim.Proc, nick, pass string, toUser, itemID, ratin
 
 // UserInfoPage is the User Info façade result.
 type UserInfoPage struct {
-	User     container.State
-	Comments []container.State
+	User     container.Row
+	Comments []container.Row
 }
 
 func asInt64(v any) int64 {

@@ -59,7 +59,7 @@ func TestDeltaModeKeepsQueryCachesFresh(t *testing.T) {
 				get(t, a, p, remoteClient, PageStoreComment, cstore)
 			})
 			wantUser, err := runDirect(a.d.DB, qUser(seller))
-			if err != nil || len(wantUser) != 1 || len(wantUser[0]) != 7 {
+			if err != nil || len(wantUser) != 1 || wantUser[0].Len() != 7 {
 				t.Fatalf("seller row = %v (%v)", wantUser, err)
 			}
 			cat := (item-1)%NumCategories + 1
@@ -74,13 +74,13 @@ func TestDeltaModeKeepsQueryCachesFresh(t *testing.T) {
 						t.Errorf("%s: %v", edge.Name(), err)
 						return
 					}
-					var row container.State
-					for _, r := range v.([]container.State) {
-						if r["id"].AsInt() == item {
+					var row container.Row
+					for _, r := range v.([]container.Row) {
+						if r.Get("id").AsInt() == item {
 							row = r
 						}
 					}
-					if row["nb_of_bids"].AsInt() != SeedBidsPerItem+1 || row["max_bid"].AsFloat() != 999.50 {
+					if row.Get("nb_of_bids").AsInt() != SeedBidsPerItem+1 || row.Get("max_bid").AsFloat() != 999.50 {
 						t.Errorf("%s list row of item %d = %v, want the 999.50 bid", edge.Name(), item, row)
 					}
 					v, err = qc.Get(p, keyUserInfo(seller))
@@ -133,11 +133,11 @@ func (vp *viewProbe) Propagate(_ *sim.Proc, updates []container.Update) error {
 	return nil
 }
 
-func (vp *viewProbe) fresh(q query) []container.State { return freshRows(vp.t, vp.a, q) }
+func (vp *viewProbe) fresh(q query) []container.Row { return freshRows(vp.t, vp.a, q) }
 
 // freshRows executes q against the database at no simulated cost. It may run
 // on a process goroutine, so a failure is an Error, not a Fatal.
-func freshRows(t *testing.T, a *App, q query) []container.State {
+func freshRows(t *testing.T, a *App, q query) []container.Row {
 	t.Helper()
 	rows, err := runDirect(a.d.DB, q)
 	if err != nil {
@@ -161,7 +161,7 @@ func (vp *viewProbe) checkItem(id int64) {
 		vp.t.Errorf("item %d: %d rows", id, len(st))
 		return
 	}
-	cat, region := st[0]["category"].AsInt(), st[0]["region"].AsInt()
+	cat, region := st[0].Get("category").AsInt(), st[0].Get("region").AsInt()
 	vp.check(keyBidHistory(id), vp.fresh(qBidHistory(id)))
 	vp.check(keyItemsByCategory(cat), vp.fresh(qItemsByCategory(cat)))
 	vp.check(keyItemsByCatRegion(cat, region), vp.fresh(qItemsByCatRegion(cat, region)))
@@ -175,7 +175,7 @@ func (vp *viewProbe) checkUser(id int64) {
 		return
 	}
 	vp.check(keyUserInfo(id), &UserInfoPage{User: rows[0], Comments: vp.fresh(qUserComments(id))})
-	vp.check(keyUserByNick(rows[0]["nickname"].AsString()), rows)
+	vp.check(keyUserByNick(rows[0].Get("nickname").AsString()), rows)
 }
 
 // TestQueryViewMaintainedEqualsRequeried is the view ≡ query invariant as a
@@ -318,7 +318,7 @@ func newItem(id, cat, region, endDate int64) container.State {
 func checkEdgesHoldViews(t *testing.T, a *App, lastItem int64) {
 	t.Helper()
 	views := a.wiring.QueryViews()
-	fresh := func(q query) []container.State { return freshRows(t, a, q) }
+	fresh := func(q query) []container.Row { return freshRows(t, a, q) }
 	want := map[string]any{}
 	for r := int64(1); r <= NumRegions; r++ {
 		want[keyRegionCategories(r)] = fresh(qRegionCategories(r))
@@ -333,9 +333,9 @@ func checkEdgesHoldViews(t *testing.T, a *App, lastItem int64) {
 		want[keyBidHistory(i)] = fresh(qBidHistory(i))
 	}
 	for _, u := range fresh(query{sql: `SELECT * FROM users`}) {
-		id := u["id"].AsInt()
+		id := u.Get("id").AsInt()
 		want[keyUserInfo(id)] = &UserInfoPage{User: u, Comments: fresh(qUserComments(id))}
-		want[keyUserByNick(u["nickname"].AsString())] = []container.State{u}
+		want[keyUserByNick(u.Get("nickname").AsString())] = []container.Row{u}
 	}
 	if views.Len() != len(want) {
 		t.Errorf("%d views, want %d", views.Len(), len(want))
@@ -434,7 +434,7 @@ func TestQueryViewMaintainedItemCommitAllocs(t *testing.T) {
 	if err != nil || len(prev) != 1 {
 		t.Fatalf("item row = %v (%v)", prev, err)
 	}
-	state := prev[0].Merge(container.State{"nb_of_bids": sqldb.Int(4), "max_bid": sqldb.Float(999.50)})
+	state := prev[0].With(container.RowOf(&[]string{"nb_of_bids", "max_bid"}, []sqldb.Value{sqldb.Int(4), sqldb.Float(999.50)}))
 	c := container.Commit{Bean: BeanItem, PK: sqldb.Int(item), State: state, Prev: prev[0]}
 	views := a.wiring.QueryViews()
 	for _, q := range a.cachedQueries() {
@@ -454,16 +454,16 @@ func TestQueryViewMaintainedItemCommitAllocs(t *testing.T) {
 		if allocs > 6 {
 			t.Errorf("%s: maintaining a bid allocates %.0f times, want at most 6", q.Name, allocs)
 		}
-		rows := next.([]container.State)
-		if len(rows) != len(before.([]container.State)) {
-			t.Fatalf("%s: page went from %d to %d rows", q.Name, len(before.([]container.State)), len(rows))
+		rows := next.([]container.Row)
+		if len(rows) != len(before.([]container.Row)) {
+			t.Fatalf("%s: page went from %d to %d rows", q.Name, len(before.([]container.Row)), len(rows))
 		}
 		for i, row := range rows {
-			if was := before.([]container.State)[i]; row["id"].AsInt() != item {
+			if was := before.([]container.Row)[i]; row.Get("id").AsInt() != item {
 				if !reflect.DeepEqual(row, was) {
 					t.Errorf("%s row %d changed: %v -> %v", q.Name, i, was, row)
 				}
-			} else if row["max_bid"].AsFloat() != 999.50 || was["max_bid"].AsFloat() == 999.50 {
+			} else if row.Get("max_bid").AsFloat() != 999.50 || was.Get("max_bid").AsFloat() == 999.50 {
 				t.Errorf("%s: row %v from %v: want a fresh row and the previous page untouched", q.Name, row, was)
 			}
 		}

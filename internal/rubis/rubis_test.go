@@ -301,21 +301,21 @@ func TestBidderFlowUpdatesStateAndCaches(t *testing.T) {
 				t.Errorf("replica: %v", err)
 				return
 			}
-			if st["nb_of_bids"].AsInt() != SeedBidsPerItem+1 {
-				t.Errorf("%s replica nb_of_bids = %v", edge.Name(), st["nb_of_bids"])
+			if st.Get("nb_of_bids").AsInt() != SeedBidsPerItem+1 {
+				t.Errorf("%s replica nb_of_bids = %v", edge.Name(), st.Get("nb_of_bids"))
 			}
 			v, err := qc.Get(p, keyBidHistory(item))
 			if err != nil {
 				t.Errorf("cache: %v", err)
 				return
 			}
-			rows, ok := v.([]container.State)
+			rows, ok := v.([]container.Row)
 			if !ok || len(rows) != SeedBidsPerItem+1 {
 				t.Errorf("%s bid history cache has %d rows, want %d", edge.Name(), len(rows), SeedBidsPerItem+1)
 				return
 			}
-			if rows[0]["bid"].AsFloat() != 999.50 {
-				t.Errorf("%s cached top bid = %v, want pushed recomputation", edge.Name(), rows[0]["bid"])
+			if rows[0].Get("bid").AsFloat() != 999.50 {
+				t.Errorf("%s cached top bid = %v, want pushed recomputation", edge.Name(), rows[0].Get("bid"))
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package rubis
 
 import (
 	"fmt"
+	"slices"
 
 	"wadeploy/internal/container"
 	"wadeploy/internal/core"
@@ -34,21 +35,7 @@ func (a *App) wireReplicas() error {
 	opts := core.WireOptions{
 		PushBytes: replicaPushBytes,
 		FetchFor: func(server *container.Server, rwBean string) container.FetchFunc {
-			return func(p *sim.Proc, pk sqldb.Value) (container.State, error) {
-				stub, err := server.StubFor(p, simnet.NodeMain, SBViewItem)
-				if err != nil {
-					return nil, err
-				}
-				v, err := stub.Invoke(p, "fetchState", rwBean, pk)
-				if err != nil {
-					return nil, err
-				}
-				st, ok := v.(container.State)
-				if !ok {
-					return nil, fmt.Errorf("rubis: fetchState returned %T", v)
-				}
-				return st, nil
-			}
+			return container.FetchFrom(server, simnet.NodeMain, SBViewItem, "fetchState", rwBean)
 		},
 	}
 	if a.policy.QueryCaches {
@@ -75,8 +62,8 @@ func (a *App) cachedQueries() []container.CachedQuerySpec {
 	rows := func(q func(c container.Commit) query) func(c container.Commit) (any, error) {
 		return func(c container.Commit) (any, error) { return runDirect(db, q(c)) }
 	}
-	cat := func(c container.Commit) int64 { return c.State["category"].AsInt() }
-	region := func(c container.Commit) int64 { return c.State["region"].AsInt() }
+	cat := func(c container.Commit) int64 { return c.State.Get("category").AsInt() }
+	region := func(c container.Commit) int64 { return c.State.Get("region").AsInt() }
 	// The two history queries change when a Bid or a Comment is inserted —
 	// beans with no replicas, so the hook costs no WAN traffic — and reach
 	// the edges with the Item or User commit that follows in the same store
@@ -84,7 +71,7 @@ func (a *App) cachedQueries() []container.CachedQuerySpec {
 	owner := func(child, fk string) func(c container.Commit) int64 {
 		return func(c container.Commit) int64 {
 			if c.Bean == child {
-				return c.State[fk].AsInt()
+				return c.State.Get(fk).AsInt()
 			}
 			return c.PK.AsInt()
 		}
@@ -121,7 +108,7 @@ func (a *App) cachedQueries() []container.CachedQuerySpec {
 				if c.Bean == BeanItem {
 					return prev, true // the Bid insert refreshed it; this commit ships it
 				}
-				next, ok := a.maintainHistory(prev.([]container.State), c, "user_id", "bid", "qty", "bid_date")
+				next, ok := a.maintainHistory(prev.([]container.Row), c, "user_id", "bid", &bidHistoryCols)
 				return next, ok
 			},
 		}},
@@ -151,7 +138,7 @@ func (a *App) cachedQueries() []container.CachedQuerySpec {
 				if c.Bean == BeanUser {
 					return &UserInfoPage{User: c.State, Comments: page.Comments}, true
 				}
-				comments, ok := a.maintainHistory(page.Comments, c, "from_user", "comment_date", "rating", "comment")
+				comments, ok := a.maintainHistory(page.Comments, c, "from_user", "comment_date", &commentCols)
 				if !ok {
 					return nil, false
 				}
@@ -159,13 +146,13 @@ func (a *App) cachedQueries() []container.CachedQuerySpec {
 			},
 		}},
 		{Name: QueryUserByNick, InvalidatedBy: []string{BeanUser}, View: &container.QueryView{
-			Key: func(c container.Commit) string { return keyUserByNick(c.State["nickname"].AsString()) },
+			Key: func(c container.Commit) string { return keyUserByNick(c.State.Get("nickname").AsString()) },
 			Query: rows(func(c container.Commit) query {
-				return qUserByNick(c.State["nickname"].AsString())
+				return qUserByNick(c.State.Get("nickname").AsString())
 			}),
 			// The nickname is unique, so the result is the committed row.
 			Maintain: func(_ any, c container.Commit) (any, bool) {
-				return []container.State{c.State}, true
+				return []container.Row{c.State}, true
 			},
 		}},
 	}
@@ -175,37 +162,45 @@ func (a *App) cachedQueries() []container.CachedQuerySpec {
 // highest first, or a user's comments, newest first, each row joined with its
 // author's nickname — after the insert of a Bid or Comment. author is the
 // inserted row's foreign key to its author, by the listing's ORDER BY ... DESC
-// column and cols the other columns it projects. The nickname comes from the
-// author's userInfo view instead of the join, and the new row goes behind
-// every row that does not sort below it, where the stable sort puts the
-// latest insert.
-func (a *App) maintainHistory(rows []container.State, c container.Commit, author, by string, cols ...string) ([]container.State, bool) {
-	if c.Prev != nil || c.Deleted {
+// column and cols its projection, in order. The nickname comes from the
+// author's userInfo view instead of the join, the other columns from the
+// inserted row, and the new row goes behind every row that does not sort
+// below it, where the stable sort puts the latest insert.
+func (a *App) maintainHistory(rows []container.Row, c container.Commit, author, by string, cols *[]string) ([]container.Row, bool) {
+	if !c.Prev.IsZero() || c.Deleted {
 		return nil, false
 	}
-	v, ok := a.wiring.QueryViews().Result(keyUserInfo(c.State[author].AsInt()))
+	v, ok := a.wiring.QueryViews().Result(keyUserInfo(c.State.Get(author).AsInt()))
 	if !ok {
 		return nil, false
 	}
-	row := container.State{"nickname": v.(*UserInfoPage).User["nickname"], by: c.State[by]}
-	for _, col := range cols {
-		row[col] = c.State[col]
+	vals := make([]sqldb.Value, len(*cols))
+	for i, col := range *cols {
+		if vals[i] = c.State.Get(col); col == "nickname" {
+			vals[i] = v.(*UserInfoPage).User.Get(col)
+		}
 	}
+	row := container.RowOf(cols, vals)
 	at := len(rows)
 	for i, r := range rows {
-		if sqldb.Compare(r[by], row[by]) < 0 {
+		if sqldb.Compare(r.Get(by), row.Get(by)) < 0 {
 			at = i
 			break
 		}
 	}
-	next := make([]container.State, 0, len(rows)+1)
+	next := make([]container.Row, 0, len(rows)+1)
 	next = append(next, rows[:at]...)
 	next = append(next, row)
 	return append(next, rows[at:]...), true
 }
 
-// itemListCols are the columns the two item listings project.
-var itemListCols = [...]string{"id", "name", "initial_price", "max_bid", "nb_of_bids", "end_date"}
+// The columns the listings project, in order: what a maintained row carries,
+// so it equals the row a fresh execution returns.
+var (
+	bidHistoryCols = []string{"nickname", "bid", "qty", "bid_date"}
+	commentCols    = []string{"rating", "comment_date", "comment", "nickname"}
+	itemListCols   = []string{"id", "name", "initial_price", "max_bid", "nb_of_bids", "end_date"}
+)
 
 // maintainItemList refreshes an item listing (items of one category, or of
 // one category and region, ordered by end_date) after an Item commit: when
@@ -213,21 +208,20 @@ var itemListCols = [...]string{"id", "name", "initial_price", "max_bid", "nb_of_
 // the page is the previous one with that row replaced. Inserts, moves and
 // items beyond the LIMIT re-execute the query.
 func maintainItemList(prev any, c container.Commit) (any, bool) {
-	rows, ok := prev.([]container.State)
+	rows, ok := prev.([]container.Row)
 	if !ok || c.Touches("category", "region", "end_date") {
 		return nil, false
 	}
 	for i, row := range rows {
-		if sqldb.Compare(row["id"], c.PK) != 0 {
+		if sqldb.Compare(row.Get("id"), c.PK) != 0 {
 			continue
 		}
-		fresh := make(container.State, len(itemListCols))
-		for _, col := range itemListCols {
-			fresh[col] = c.State[col]
+		vals := make([]sqldb.Value, len(itemListCols))
+		for j, col := range itemListCols {
+			vals[j] = c.State.Get(col)
 		}
-		next := make([]container.State, len(rows))
-		copy(next, rows)
-		next[i] = fresh
+		next := slices.Clone(rows)
+		next[i] = container.RowOf(&itemListCols, vals)
 		return next, true
 	}
 	return nil, false
@@ -274,13 +268,13 @@ func (a *App) preload() error {
 		a.wiring.SeedQuery(e.key, rows)
 	}
 	for _, u := range userRows {
-		id := u["id"].AsInt()
+		id := u.Get("id").AsInt()
 		comments, err := runDirect(a.d.DB, qUserComments(id))
 		if err != nil {
 			return fmt.Errorf("rubis preload user info: %w", err)
 		}
 		a.wiring.SeedQuery(keyUserInfo(id), &UserInfoPage{User: u, Comments: comments})
-		a.wiring.SeedQuery(keyUserByNick(u["nickname"].AsString()), []container.State{u})
+		a.wiring.SeedQuery(keyUserByNick(u.Get("nickname").AsString()), []container.Row{u})
 	}
 	return nil
 }
@@ -344,14 +338,14 @@ func (a *App) deployEdgeFacades() error {
 			continue
 		}
 		// With query caches, every read-only façade runs at the edge.
-		edgeAuth := func(p *sim.Proc, nick, pass string) (container.State, error) {
+		edgeAuth := func(p *sim.Proc, nick, pass string) (container.Row, error) {
 			v, err := cache().Get(p, keyUserByNick(nick))
 			if err != nil {
-				return nil, err
+				return container.Row{}, err
 			}
-			rows, _ := v.([]container.State)
-			if len(rows) == 0 || rows[0]["password"].AsString() != pass {
-				return nil, fmt.Errorf("rubis: bad credentials for %s", nick)
+			rows, _ := v.([]container.Row)
+			if len(rows) == 0 || rows[0].Get("password").AsString() != pass {
+				return container.Row{}, fmt.Errorf("rubis: bad credentials for %s", nick)
 			}
 			return rows[0], nil
 		}
