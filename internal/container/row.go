@@ -51,8 +51,8 @@ type Row struct {
 // it.
 func RowOf(cols *[]string, vals []sqldb.Value) Row { return Row{cols, vals} }
 
-// RowsOf returns a SELECT result's rows, sharing its slices: a result belongs
-// to its caller (sqldb never reuses one).
+// RowsOf returns a SELECT result's rows, sharing its slices: a result is a
+// read-only snapshot that sqldb never reuses or changes.
 func RowsOf(res *sqldb.Result) []Row {
 	out := make([]Row, len(res.Rows))
 	for i, vals := range res.Rows {

@@ -205,16 +205,17 @@ func InstrumentDB(reg *metrics.Registry, db *sqldb.DB) {
 	planHitsByVerb := reg.CounterVec("sqldb_plan_cache_hits_total", "verb")
 	planMisses := reg.Counter("sqldb_plan_cache_misses_total")
 	planMissesByVerb := reg.CounterVec("sqldb_plan_cache_misses_total", "verb")
-	// The labelled children of one (verb, table) are resolved once, in the
-	// order the first such statement reaches them: a plan-cache child only
-	// exists once a statement of that verb has hit or missed.
+	// A statement's labelled children are resolved once per prepared
+	// statement, in the order the first statement of its (verb, table)
+	// reaches them: a plan-cache child only exists once a statement of that
+	// verb has hit or missed.
 	type stmtCounters struct {
 		byVerb, byTable, actualByTable, probesByTable *metrics.Counter
 		planHitsByVerb, planMissesByVerb              *metrics.Counter
 	}
-	resolved := make(map[[2]string]*stmtCounters)
+	resolved := make(map[*sqldb.StmtID]*stmtCounters)
 	db.SetObserver(func(st sqldb.StatementInfo) {
-		c := resolved[[2]string{st.Verb, st.Table}]
+		c := resolved[st.Stmt]
 		if c == nil {
 			c = &stmtCounters{byVerb: byVerb.With(st.Verb)}
 			if st.Table != "" {
@@ -222,7 +223,7 @@ func InstrumentDB(reg *metrics.Registry, db *sqldb.DB) {
 				c.actualByTable = actualByTable.With(st.Table)
 				c.probesByTable = probesByTable.With(st.Table)
 			}
-			resolved[[2]string{st.Verb, st.Table}] = c
+			resolved[st.Stmt] = c
 		}
 		total.Inc()
 		c.byVerb.Inc()

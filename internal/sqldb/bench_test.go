@@ -106,9 +106,10 @@ func BenchmarkSqldbSnapshotRestore(b *testing.B) {
 	}
 }
 
-// Alloc guards: a SELECT allocates its Result, one slab of values and one
-// slice of rows, whatever its row count; everything else an execution needs
-// is plan scratch. A reintroduced per-row or per-statement allocation trips
+// Alloc guards: a SELECT allocates its Result, one slice of rows and — unless
+// it is a single-table SELECT *, whose rows are the stored slices — one slab
+// of values, whatever its row count; everything else an execution needs is
+// plan scratch. A reintroduced per-row or per-statement allocation trips
 // these.
 
 func allocGuard(t *testing.T, db *DB, ceiling float64, wantRows int, sql string, args ...Value) {
@@ -147,6 +148,16 @@ func TestOrderedLimitAllocGuard(t *testing.T) {
 		allocGuard(t, db, 3, rows, `SELECT * FROM item WHERE price < ? ORDER BY name DESC, grp LIMIT `+limit, Float(400))
 		allocGuard(t, db, 3, rows, `SELECT id, price * 2 FROM item ORDER BY 0 - price, id LIMIT `+limit)
 	}
+}
+
+func TestSelectStarAllocGuard(t *testing.T) {
+	db := newBenchDB(t)
+	allocGuard(t, db, 2, 1, `SELECT * FROM item WHERE id = ?`, Int(7))
+	allocGuard(t, db, 2, 500, `SELECT * FROM item ORDER BY id DESC LIMIT 500`)
+	allocGuard(t, db, 2, 500, `SELECT * FROM item WHERE price < ? ORDER BY name DESC, grp LIMIT 500`, Float(400))
+	// The keyword search walks 1,925 rows for 25: once the first execution
+	// has folded the rows it read, LIKE allocates nothing.
+	allocGuard(t, db, 2, 25, `SELECT * FROM item WHERE name LIKE ? OR name LIKE ? ORDER BY id LIMIT 25`, Str("%none%"), Str("%M-19%"))
 }
 
 func TestIndexJoinAllocGuard(t *testing.T) {

@@ -11,7 +11,8 @@ import (
 )
 
 // What lowering statements to closures could silently break: when an
-// unresolvable reference raises, who owns a result, and the LIKE fast path.
+// unresolvable reference raises, what a result shares with the store, and
+// the LIKE fast path.
 
 // TestEvaluationErrorsRaiseOnlyWhenReached: a reference that cannot resolve
 // and a missing parameter are errors of the row that evaluates them, not of
@@ -114,48 +115,106 @@ func dumpAB(t *testing.T, db *DB) string {
 	return fingerprint(mustExec(t, db, `SELECT * FROM a`)) + fingerprint(mustExec(t, db, `SELECT * FROM b`))
 }
 
-// scribble overwrites every value of a result and appends to every row.
+// scribble overwrites every value of a result that owns its rows.
 func scribble(r *Result) {
-	for i, row := range r.Rows {
+	for _, row := range r.Rows {
 		for j := range row {
 			row[j] = Str("scribbled")
 		}
-		r.Rows[i] = append(row, Str("appended"))
 	}
 }
 
-// TestResultRowsAreCallerOwned: a Result aliases neither plan scratch nor
-// the stored rows, so a caller may do anything to it.
-func TestResultRowsAreCallerOwned(t *testing.T) {
+// isStar reports whether sql is a single-table SELECT * without DISTINCT,
+// whose result rows are the stored value slices.
+func isStar(sql string) bool {
+	st, err := Parse(sql)
+	s, ok := st.(*SelectStmt)
+	return err == nil && ok && len(s.From) == 1 && len(s.Items) == 1 && s.Items[0].Star && !s.Distinct
+}
+
+// checkResultIsSnapshot holds res, which db just returned for sql, to the
+// result contract. A SELECT * row is a stored slice whose capacity is its
+// length, so a caller's append copies; any other row is in a slab the result
+// owns, so scribbling on it changes no later execution. No later UPDATE,
+// DELETE, rollback or Restore changes a row already returned. db ends as it
+// started.
+func checkResultIsSnapshot(t *testing.T, db *DB, sql string, args []Value, res *Result) {
+	t.Helper()
+	want := fingerprint(res)
+	if isStar(sql) {
+		for i, row := range res.Rows {
+			if cap(row) != len(row) {
+				t.Fatalf("%s: row %d has capacity %d past its %d values: an append would write into the store", sql, i, cap(row), len(row))
+			}
+		}
+	} else {
+		scribble(mustExec(t, db, sql, args...))
+		if again := mustExec(t, db, sql, args...); fingerprint(again) != want {
+			t.Fatalf("%s: scribbling on one result changed the next:\n%s\nwant\n%s", sql, fingerprint(again), want)
+		}
+	}
+	snap := db.Snapshot()
+	tx := db.Begin()
+	clobber(t, db, tx.Exec)
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	clobber(t, db, db.Exec)
+	db.Restore(snap)
+	if got := fingerprint(res); got != want {
+		t.Fatalf("%s: later writes, a rollback and a Restore changed a returned result:\n%s\nwant\n%s", sql, got, want)
+	}
+}
+
+// clobber sets every nullable non-key column of every table to NULL, then
+// deletes every row, through exec.
+func clobber(t *testing.T, db *DB, exec func(string, ...Value) (*Result, error)) {
+	t.Helper()
+	for name, tab := range db.tables {
+		var sets []string
+		for _, c := range tab.cols {
+			if !c.NotNull && !c.PrimaryKey {
+				sets = append(sets, c.Name+" = NULL")
+			}
+		}
+		stmts := []string{`DELETE FROM ` + name}
+		if len(sets) > 0 {
+			stmts = append([]string{`UPDATE ` + name + ` SET ` + strings.Join(sets, ", ")}, stmts...)
+		}
+		for _, sql := range stmts {
+			if _, err := exec(sql); err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+		}
+	}
+}
+
+// TestResultRowsAreSnapshots: whatever plan produced it, a result is a
+// read-only snapshot (checkResultIsSnapshot), and a single-table SELECT *
+// hands back the stored value slices themselves.
+func TestResultRowsAreSnapshots(t *testing.T) {
 	db := newBenchDB(t)
+	// A stored slice may have spare capacity (UPDATE builds its new values
+	// by append); give row 7's some, which no result may expose.
+	r7 := db.tables["item"].rows[7]
+	r7.vals = append(make([]Value, 0, 2*len(r7.vals)), r7.vals...)
 	for _, sql := range []string{
 		`SELECT * FROM item WHERE id = 7`,
 		`SELECT * FROM item WHERE grp = 3 ORDER BY price DESC LIMIT 9`,
+		`SELECT * FROM item ORDER BY id DESC LIMIT 9`,
 		`SELECT id, name FROM item ORDER BY id LIMIT 9`,
 		`SELECT item.name, detail.note FROM item JOIN detail ON detail.item_id = item.id WHERE item.grp = 3 ORDER BY detail.id`,
 		`SELECT DISTINCT grp FROM item ORDER BY grp`,
+		`SELECT DISTINCT * FROM item WHERE grp = 3`,
 	} {
-		st, err := db.PrepareStmt(sql)
-		if err != nil {
-			t.Fatal(err)
+		res := mustExec(t, db, sql)
+		if isStar(sql) {
+			stored := db.tables["item"].rows[res.Rows[0][0].AsInt()].vals
+			if &res.Rows[0][0] != &stored[0] {
+				t.Errorf("%s: the first row is a copy, not the stored slice", sql)
+			}
 		}
-		first, err := st.Exec()
-		if err != nil {
-			t.Fatalf("%s: %v", sql, err)
-		}
-		want := fingerprint(first)
-		scribble(first)
-		second, err := st.Exec()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := fingerprint(second); got != want {
-			t.Errorf("%s: second execution differs after scribbling on the first\ngot  %s\nwant %s", sql, got, want)
-		}
-		scribble(second)
-		if third := mustExec(t, db, sql); fingerprint(third) != want {
-			t.Errorf("%s: stored rows changed by scribbling on a result", sql)
-		}
+		checkResultIsSnapshot(t, db, sql, nil, res)
 	}
 }
 
@@ -197,8 +256,11 @@ func TestConcurrentPreparedSelect(t *testing.T) {
 }
 
 // TestLikeFastPathMatchesGeneralMatcher: whatever analyseLike decides, a
-// pattern matches exactly the subjects likeMatch says it matches — pairwise,
-// and through one prepared statement whose pattern changes per execution.
+// pattern matches exactly the subjects likeMatch says it matches — through a
+// column operand, which a %needle% pattern searches in the row's folded copy,
+// and through an expression operand, which always goes to likeMatch — with
+// one prepared statement each whose pattern changes per execution, and again
+// after an update replaced every subject.
 func TestLikeFastPathMatchesGeneralMatcher(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	alphabet := []string{"a", "A", "b", "B", "c", " ", "%", "_", "ä", "Ä", "K", "\u212a"} // KELVIN SIGN lower-cases to k
@@ -223,32 +285,52 @@ func TestLikeFastPathMatchesGeneralMatcher(t *testing.T) {
 	for i, s := range subjects {
 		mustExec(t, db, `INSERT INTO s VALUES (?, ?)`, Int(int64(i)), Str(s))
 	}
-	st, err := db.PrepareStmt(`SELECT id FROM s WHERE name LIKE ? ORDER BY id`)
-	if err != nil {
-		t.Fatal(err)
-	}
 	fast := 0
 	for _, p := range patterns {
-		pat := analyseLike(p)
-		if pat.substr {
+		if analyseLike(p).substr {
 			fast++
-		}
-		var want []int64
-		for i, s := range subjects {
-			if pat.match(s) != likeMatch(s, p) {
-				t.Fatalf("%q LIKE %q: fast path says %v, likeMatch %v", s, p, pat.match(s), likeMatch(s, p))
-			}
-			if likeMatch(s, p) {
-				want = append(want, int64(i))
-			}
-		}
-		if got := intColumn(mustExec(t, db, st.sql, Str(p)), 0); !equalInts(got, want) {
-			t.Fatalf("LIKE %q through the prepared statement: ids %v, want %v", p, got, want)
 		}
 	}
 	if fast < 50 || fast > len(patterns)-50 {
-		t.Fatalf("%d of %d patterns took the substring path: the table no longer covers both", fast, len(patterns))
+		t.Fatalf("%d of %d patterns take the substring path: the table no longer covers both", fast, len(patterns))
 	}
+	check := func() {
+		t.Helper()
+		for _, p := range patterns {
+			var want []int64
+			for i, s := range subjects {
+				if likeMatch(s, p) {
+					want = append(want, int64(i))
+				}
+			}
+			for _, sql := range []string{
+				`SELECT id FROM s WHERE name LIKE ? ORDER BY id`,
+				`SELECT id FROM s WHERE name + '' LIKE ? ORDER BY id`,
+			} {
+				if got := intColumn(mustExec(t, db, sql, Str(p)), 0); !equalInts(got, want) {
+					t.Fatalf("%s with %q: ids %v, want %v", sql, p, got, want)
+				}
+			}
+		}
+	}
+	check()
+	// An UPDATE swaps every row's values, and with them its folded copy.
+	mustExec(t, db, `UPDATE s SET name = name + 'k'`)
+	for i := range subjects {
+		subjects[i] += "k"
+	}
+	check()
+	// So does the undo of one, after a search folded the values it wrote.
+	tx := db.Begin()
+	for _, sql := range []string{`UPDATE s SET name = 'zzz'`, `SELECT id FROM s WHERE name LIKE '%z%'`} {
+		if _, err := tx.Exec(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	check()
 }
 
 // TestValueLayout pins the 32-byte Value and what moving a float's bits and

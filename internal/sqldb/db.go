@@ -3,7 +3,9 @@ package sqldb
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 )
@@ -72,17 +74,46 @@ type Result struct {
 // Len returns the number of result rows.
 func (r *Result) Len() int { return len(r.Rows) }
 
-// row is one stored tuple; dead rows are tombstones left by DELETE.
+// row is one stored tuple; dead rows are tombstones left by DELETE. vals is
+// never written in place: UPDATE and undo swap in another slice, which is why
+// a snapshot and a SELECT * result may share it.
 type row struct {
 	vals []Value
 	dead bool
+
+	// folded is vals with every TEXT value lower-cased (strings.ToLower),
+	// built by the first folded LIKE that reads the row and dropped wherever
+	// vals is swapped. Only the row struct, which no other database shares,
+	// points at it.
+	folded *[]string
 }
 
-// index is a hash index over a single column, doubled by an ordered key
-// list so an ORDER BY on the column can walk the same structure. Two
+// fold returns the lower-cased copy of the row's TEXT value in column col.
+// Like every execution it runs under db.mu.
+func (r *row) fold(col int) string {
+	if r.folded == nil {
+		f := make([]string, len(r.vals))
+		for i, v := range r.vals {
+			if v.K == KindString {
+				f[i] = strings.ToLower(v.S)
+			}
+		}
+		r.folded = &f
+	}
+	return (*r.folded)[col]
+}
+
+// bucket is one key of an index and the live row positions holding it.
+type bucket struct {
+	k   key
+	pos []int // ascending, never empty
+}
+
+// index is a hash index over a single column whose buckets are also held in
+// key order, so an ORDER BY on the column walks them without hashing. Two
 // invariants hold at all times:
 //
-//   - keys lists exactly the keys present in m, sorted by compareKey;
+//   - sorted holds exactly the buckets of m, ordered by compareKey;
 //   - every bucket holds its live row positions in ascending order.
 //
 // The second invariant makes every access path — full scan, hash probe,
@@ -93,64 +124,69 @@ type index struct {
 	name   string
 	col    int
 	unique bool
-	m      map[key][]int // value -> live row positions, ascending
-	keys   []key         // keys of m, sorted by compareKey
+	m      map[key]*bucket
+	sorted []*bucket
+}
+
+func newIndex(name string, col int, unique bool) *index {
+	return &index{name: name, col: col, unique: unique, m: make(map[key]*bucket)}
+}
+
+// lookup returns the live row positions holding k, ascending.
+func (ix *index) lookup(k key) []int {
+	if b := ix.m[k]; b != nil {
+		return b.pos
+	}
+	return nil
 }
 
 func (ix *index) add(k key, pos int) {
-	b, ok := ix.m[k]
-	if !ok {
-		ix.insertKey(k)
-		ix.m[k] = append(b, pos)
-		return
+	b := ix.m[k]
+	if b == nil {
+		b = &bucket{k: k}
+		ix.m[k] = b
+		n := len(ix.sorted)
+		// Monotonically growing keys (sequential primary keys) append.
+		if n == 0 || compareKey(ix.sorted[n-1].k, k) < 0 {
+			ix.sorted = append(ix.sorted, b)
+		} else {
+			ix.sorted = slices.Insert(ix.sorted, ix.search(k), b)
+		}
 	}
 	// New rows get the highest position, so appends dominate.
-	if n := len(b); b[n-1] < pos {
-		ix.m[k] = append(b, pos)
+	if n := len(b.pos); n == 0 || b.pos[n-1] < pos {
+		b.pos = append(b.pos, pos)
 		return
 	}
-	i := sort.SearchInts(b, pos)
-	b = append(b, 0)
-	copy(b[i+1:], b[i:])
-	b[i] = pos
-	ix.m[k] = b
+	b.pos = slices.Insert(b.pos, sort.SearchInts(b.pos, pos), pos)
 }
 
 func (ix *index) remove(k key, pos int) {
 	b := ix.m[k]
-	i := sort.SearchInts(b, pos)
-	if i >= len(b) || b[i] != pos {
+	if b == nil {
 		return
 	}
-	copy(b[i:], b[i+1:])
-	b = b[:len(b)-1]
-	if len(b) == 0 {
-		delete(ix.m, k)
-		ix.removeKey(k)
+	i := sort.SearchInts(b.pos, pos)
+	if i >= len(b.pos) || b.pos[i] != pos {
 		return
 	}
-	ix.m[k] = b
+	b.pos = slices.Delete(b.pos, i, i+1)
+	if len(b.pos) > 0 {
+		return
+	}
+	delete(ix.m, k)
+	j := ix.search(k)
+	if j >= len(ix.sorted) || ix.sorted[j] != b {
+		// compareKey is no total order once a NaN is stored.
+		j = slices.Index(ix.sorted, b)
+	}
+	ix.sorted = slices.Delete(ix.sorted, j, j+1)
 }
 
-func (ix *index) insertKey(k key) {
-	n := len(ix.keys)
-	// Monotonically growing keys (sequential primary keys) append.
-	if n == 0 || compareKey(ix.keys[n-1], k) < 0 {
-		ix.keys = append(ix.keys, k)
-		return
-	}
-	i := sort.Search(n, func(i int) bool { return compareKey(ix.keys[i], k) >= 0 })
-	ix.keys = append(ix.keys, key{})
-	copy(ix.keys[i+1:], ix.keys[i:])
-	ix.keys[i] = k
-}
-
-func (ix *index) removeKey(k key) {
-	i := sort.Search(len(ix.keys), func(i int) bool { return compareKey(ix.keys[i], k) >= 0 })
-	if i < len(ix.keys) && ix.keys[i] == k {
-		copy(ix.keys[i:], ix.keys[i+1:])
-		ix.keys = ix.keys[:len(ix.keys)-1]
-	}
+// search returns the position of the first bucket whose key is not below k.
+func (ix *index) search(k key) int {
+	i, _ := slices.BinarySearchFunc(ix.sorted, k, func(b *bucket, k key) int { return compareKey(b.k, k) })
+	return i
 }
 
 // table is the physical storage for one table.
@@ -218,6 +254,12 @@ type DB struct {
 
 // StatementInfo describes one executed statement for an observer.
 type StatementInfo struct {
+	// Stmt identifies the prepared statement: one per statement text and
+	// database, the same pointer on every execution, so an observer can key
+	// what it resolves per statement by it. A Restore replays the seeding
+	// database's identities.
+	Stmt *StmtID
+
 	Verb      string // select, insert, update, delete, create-table, create-index
 	Table     string // target table (first FROM table for joins)
 	Scanned   int    // rows examined (virtual: the cost model's view)
@@ -229,6 +271,11 @@ type StatementInfo struct {
 	IndexProbes   int  // index lookups performed
 	Planned       bool // statement verb goes through the plan cache
 	PlanHit       bool // plan was served from the cache
+}
+
+// StmtID is the identity of one prepared statement (StatementInfo.Stmt).
+type StmtID struct {
+	SQL string // the statement text
 }
 
 // New returns an empty database with the default cost model.
@@ -293,6 +340,7 @@ func (db *DB) prepareLocked(sql string) (*Prepared, error) {
 	case *CreateIndexStmt:
 		p.info = StatementInfo{Verb: "create-index", Table: s.Table}
 	}
+	p.info.Stmt = &StmtID{SQL: sql}
 	p.label = p.info.Verb + " " + p.info.Table
 	db.prepared[sql] = p
 	return p, nil
@@ -487,12 +535,7 @@ func (db *DB) execCreateTable(s *CreateTableStmt) (*Result, error) {
 		}
 	}
 	if t.pk >= 0 {
-		t.indexes = append(t.indexes, &index{
-			name:   s.Name + "_pk",
-			col:    t.pk,
-			unique: true,
-			m:      make(map[key][]int),
-		})
+		t.indexes = append(t.indexes, newIndex(s.Name+"_pk", t.pk, true))
 	}
 	db.tables[s.Name] = t
 	db.epoch++
@@ -513,13 +556,13 @@ func (db *DB) execCreateIndex(s *CreateIndexStmt) (*Result, error) {
 			return nil, fmt.Errorf("sqldb: index %s already exists", s.Name)
 		}
 	}
-	ix := &index{name: s.Name, col: c, unique: s.Unique, m: make(map[key][]int)}
+	ix := newIndex(s.Name, c, s.Unique)
 	for pos, r := range t.rows {
 		if r.dead {
 			continue
 		}
 		k := r.vals[c].mapKey()
-		if s.Unique && len(ix.m[k]) > 0 && !r.vals[c].IsNull() {
+		if s.Unique && len(ix.lookup(k)) > 0 && !r.vals[c].IsNull() {
 			return nil, fmt.Errorf("%w: building unique index %s", ErrDuplicateKey, s.Name)
 		}
 		ix.add(k, pos)
@@ -627,7 +670,7 @@ func (db *DB) insertRow(t *table, vals []Value, tx *Tx) error {
 		}
 	}
 	for _, ix := range t.indexes {
-		if ix.unique && !vals[ix.col].IsNull() && len(ix.m[vals[ix.col].mapKey()]) > 0 {
+		if ix.unique && !vals[ix.col].IsNull() && len(ix.lookup(vals[ix.col].mapKey())) > 0 {
 			return fmt.Errorf("%w: %s.%s = %v", ErrDuplicateKey, t.name, t.cols[ix.col].Name, vals[ix.col])
 		}
 	}
@@ -663,7 +706,7 @@ func (db *DB) reviveRow(t *table, pos int, vals []Value) {
 		return
 	}
 	r.dead = false
-	r.vals = vals
+	r.vals, r.folded = vals, nil
 	t.live++
 	for _, ix := range t.indexes {
 		ix.add(vals[ix.col].mapKey(), pos)
@@ -681,7 +724,7 @@ func (t *table) replaceRow(pos int, vals []Value) {
 			ix.add(newK, pos)
 		}
 	}
-	r.vals = vals
+	r.vals, r.folded = vals, nil
 }
 
 func (db *DB) execUpdate(s *UpdateStmt, args []Value, tx *Tx) (*Result, error) {
@@ -698,9 +741,9 @@ func (db *DB) execUpdate(s *UpdateStmt, args []Value, tx *Tx) (*Result, error) {
 	// leaves the table untouched (statement atomicity).
 	pl.newVals = pl.newVals[:0]
 	for _, pos := range pl.pos {
-		old := t.rows[pos].vals
-		pl.fr.rows[0] = old
-		vals := append([]Value(nil), old...)
+		r := t.rows[pos]
+		pl.fr.rows[0] = r
+		vals := append([]Value(nil), r.vals...)
 		for j, set := range pl.sets {
 			v, err := set.val(&pl.fr)
 			if err != nil {
@@ -728,7 +771,7 @@ func (db *DB) execUpdate(s *UpdateStmt, args []Value, tx *Tx) (*Result, error) {
 				continue
 			}
 			oldK, newK := old[ix.col].mapKey(), vals[ix.col].mapKey()
-			if oldK != newK && !vals[ix.col].IsNull() && len(ix.m[newK]) > 0 {
+			if oldK != newK && !vals[ix.col].IsNull() && len(ix.lookup(newK)) > 0 {
 				for i := len(pl.oldVals) - 1; i >= 0; i-- {
 					t.replaceRow(pl.pos[i], pl.oldVals[i])
 				}
@@ -788,7 +831,7 @@ type Prepared struct {
 	db    *DB
 	sql   string
 	st    Stmt
-	info  StatementInfo // the static half: Verb, Table, Planned
+	info  StatementInfo // the static half: Stmt, Verb, Table, Planned
 	label string        // "verb table", for Describe
 	write bool          // st mutates table contents
 }

@@ -307,6 +307,21 @@ func TestDistinct(t *testing.T) {
 	if r.Len() != 2 || r.Rows[0][0].S != "home" || r.Rows[1][0].S != "sports" {
 		t.Fatalf("%v", r.Rows)
 	}
+	// Rows compare value by value: the first two rows render to one joined
+	// string, and a predicate's false, true and NULL are three values.
+	mustExec(t, db, `CREATE TABLE pairs (id INT PRIMARY KEY, a TEXT, b TEXT)`)
+	mustExec(t, db, `INSERT INTO pairs VALUES (1, ?, 'c'), (2, 'a', ?), (3, NULL, 'c'), (4, 'a', ?)`,
+		Str("a'\x00'b"), Str("b'\x00'c"), Str("b'\x00'c"))
+	for sql, want := range map[string]int{
+		`SELECT DISTINCT a, b FROM pairs`:       3,
+		`SELECT DISTINCT a = 'a' FROM pairs`:    3,
+		`SELECT DISTINCT b, a = 'a' FROM pairs`: 3,
+		`SELECT DISTINCT b FROM pairs`:          2,
+	} {
+		if r := mustExec(t, db, sql); r.Len() != want {
+			t.Errorf("%s: %d rows, want %d: %v", sql, r.Len(), want, r.Rows)
+		}
+	}
 }
 
 func TestNullComparisonsNeverMatch(t *testing.T) {
@@ -448,6 +463,13 @@ func TestStatementsCounter(t *testing.T) {
 	// metrics layer exports.
 	if len(seen) != 1 || seen[0].Verb != "select" || seen[0].Table != "users" || seen[0].Returned != 3 {
 		t.Fatalf("observed %+v", seen)
+	}
+	// A statement keeps its identity across executions, and another text
+	// (of the same verb and table) has its own.
+	mustExec(t, db, `SELECT * FROM users`)
+	mustExec(t, db, `SELECT id FROM users`)
+	if seen[1].Stmt != seen[0].Stmt || seen[2].Stmt == seen[0].Stmt || seen[2].Stmt.SQL != `SELECT id FROM users` {
+		t.Fatalf("identities %p %p %p", seen[0].Stmt, seen[1].Stmt, seen[2].Stmt)
 	}
 }
 

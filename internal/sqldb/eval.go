@@ -14,7 +14,7 @@ import (
 // frame is what a compiled expression reads: the current row of every FROM
 // slot bound so far, and the statement's parameters.
 type frame struct {
-	rows   [][]Value
+	rows   []*row
 	params []Value
 }
 
@@ -81,7 +81,7 @@ func (sc scope) compile(e Expr) evalFn {
 		if err != nil {
 			return failing(err)
 		}
-		return func(fr *frame) (Value, error) { return fr.rows[slot][col], nil }
+		return func(fr *frame) (Value, error) { return fr.rows[slot].vals[col], nil }
 	case *BinaryExpr:
 		return sc.compileBinary(x)
 	default:
@@ -128,6 +128,7 @@ func (sc scope) compileBinary(x *BinaryExpr) evalFn {
 		}
 	case "LIKE":
 		pat := analyseLike("")
+		slot, col, isCol := sc.plainColumn(x.Left)
 		return func(fr *frame) (Value, error) {
 			lv, rv, ok, err := operands(l, r, fr)
 			if !ok {
@@ -136,7 +137,10 @@ func (sc scope) compileBinary(x *BinaryExpr) evalFn {
 			if p := rv.AsString(); p != pat.text {
 				pat = analyseLike(p)
 			}
-			return Bool(pat.match(lv.AsString())), nil
+			if pat.substr && isCol && lv.K == KindString {
+				return Bool(strings.Contains(fr.rows[slot].fold(col), pat.needle)), nil
+			}
+			return Bool(likeMatch(lv.AsString(), pat.text)), nil
 		}
 	case "+", "-", "*", "/":
 		op := x.Op[0]
@@ -211,9 +215,11 @@ func arith(op byte, l, r Value) (Value, error) {
 }
 
 // likePattern is one analysed LIKE pattern. An ASCII pattern of the form
-// %literal% with no inner wildcard — the applications' keyword search — is a
-// case-folded substring search; every other pattern, and every non-ASCII
-// subject, goes through likeMatch, which stays the reference.
+// %needle% with no inner wildcard — the applications' keyword search — whose
+// subject is a stored TEXT column is a substring search of the row's folded
+// copy (row.fold), which is the subject lower-cased exactly as likeMatch
+// lower-cases it, so the two agree on every subject. Every other pattern and
+// operand goes through likeMatch, which stays the reference.
 type likePattern struct {
 	text   string
 	substr bool   // text is %needle%
@@ -228,33 +234,12 @@ func analyseLike(p string) likePattern {
 	return pat
 }
 
-func (pat *likePattern) match(s string) bool {
-	if !pat.substr || !isASCII(s) {
-		return likeMatch(s, pat.text)
-	}
-	n := pat.needle
-	for i := 0; i+len(n) <= len(s); i++ {
-		j := 0
-		for j < len(n) && lowerByte(s[i+j]) == n[j] {
-			j++
-		}
-		if j == len(n) {
-			return true
-		}
-	}
-	return false
-}
-
 // likeMatch implements SQL LIKE with % (any run) and _ (any single char),
 // case-insensitively (matching MySQL's default collation behavior, which the
-// applications' keyword search relies on). ASCII operands fold per byte
-// during the match; anything with multi-byte runes is lowercased up front,
-// after which the per-byte fold is the identity.
+// applications' keyword search relies on): both operands are lower-cased with
+// strings.ToLower, then matched byte for byte.
 func likeMatch(s, pattern string) bool {
-	if isASCII(s) && isASCII(pattern) {
-		return likeRecFold(s, pattern)
-	}
-	return likeRecFold(strings.ToLower(s), strings.ToLower(pattern))
+	return likeRec(strings.ToLower(s), strings.ToLower(pattern))
 }
 
 func isASCII(s string) bool {
@@ -266,16 +251,8 @@ func isASCII(s string) bool {
 	return true
 }
 
-func lowerByte(b byte) byte {
-	if 'A' <= b && b <= 'Z' {
-		return b + ('a' - 'A')
-	}
-	return b
-}
-
-// likeRecFold matches p against s with per-byte ASCII case folding, avoiding
-// the ToLower copies of both operands on every row.
-func likeRecFold(s, p string) bool {
+// likeRec matches the pattern p against s.
+func likeRec(s, p string) bool {
 	for len(p) > 0 {
 		switch p[0] {
 		case '%':
@@ -286,7 +263,7 @@ func likeRecFold(s, p string) bool {
 				return true
 			}
 			for i := 0; i <= len(s); i++ {
-				if likeRecFold(s[i:], p) {
+				if likeRec(s[i:], p) {
 					return true
 				}
 			}
@@ -297,7 +274,7 @@ func likeRecFold(s, p string) bool {
 			}
 			s, p = s[1:], p[1:]
 		default:
-			if len(s) == 0 || lowerByte(s[0]) != lowerByte(p[0]) {
+			if len(s) == 0 || s[0] != p[0] {
 				return false
 			}
 			s, p = s[1:], p[1:]

@@ -40,7 +40,7 @@ func resolveProbe(cands []probeCand, fr *frame) (bucket []int, probed bool) {
 			continue
 		}
 		if c.ix != nil {
-			return c.ix.m[v.mapKey()], true
+			return c.ix.lookup(v.mapKey()), true
 		}
 		break
 	}
@@ -114,7 +114,9 @@ type selectPlan struct {
 	// plainItems: every item is a star or a resolved column, so projection
 	// cannot fail and LIMIT may cut the matches before it. plainOrder: every
 	// ORDER BY key is a resolved column, so matches sort by stored values.
-	plainItems, plainOrder bool
+	// star: a single-table SELECT * without DISTINCT, whose result rows are
+	// the stored value slices themselves.
+	plainItems, plainOrder, star bool
 
 	run selectRun
 }
@@ -223,7 +225,7 @@ func (db *DB) matchPlanFor(slot **matchPlan, name string, where Expr, sets []Ass
 		return nil, false, fmt.Errorf("%w: %s", ErrNoSuchTable, name)
 	}
 	sc := scope{tabs: []*table{t}, names: []string{name}}
-	pl := &matchPlan{planStamp: db.stamp(), t: t, fr: frame{rows: make([][]Value, 1)}}
+	pl := &matchPlan{planStamp: db.stamp(), t: t, fr: frame{rows: make([]*row, 1)}}
 	for _, a := range sets {
 		c, err := t.col(a.Col)
 		if err != nil {
@@ -276,7 +278,8 @@ func buildSelectPlan(db *DB, s *SelectStmt) (*selectPlan, error) {
 		levels:     make([]level, n),
 		plainItems: true,
 		plainOrder: true,
-		run:        selectRun{fr: frame{rows: make([][]Value, n)}, cur: make([]int, n)},
+		star:       n == 1 && len(s.Items) == 1 && s.Items[0].Star && !s.Distinct,
+		run:        selectRun{fr: frame{rows: make([]*row, n)}, cur: make([]int, n)},
 	}
 	// Each expression is compiled against exactly the table prefix it is
 	// evaluated with: probe values see the shallower levels, an ON condition
@@ -350,9 +353,9 @@ func (pl *matchPlan) match(args []Value) (probed bool, scanned int, err error) {
 	t := pl.t
 	pl.fr.params = args
 	pl.pos = pl.pos[:0]
-	visit := func(pos int, vals []Value) error {
+	visit := func(pos int, r *row) error {
 		if pl.where != nil {
-			pl.fr.rows[0] = vals
+			pl.fr.rows[0] = r
 			v, err := pl.where(&pl.fr)
 			if err != nil || !v.AsBool() {
 				return err
@@ -364,7 +367,7 @@ func (pl *matchPlan) match(args []Value) (probed bool, scanned int, err error) {
 	bucket, probed := resolveProbe(pl.cands, &pl.fr)
 	if probed {
 		for _, pos := range bucket {
-			if err := visit(pos, t.rows[pos].vals); err != nil {
+			if err := visit(pos, t.rows[pos]); err != nil {
 				return false, 0, err
 			}
 		}
@@ -374,7 +377,7 @@ func (pl *matchPlan) match(args []Value) (probed bool, scanned int, err error) {
 		if r.dead {
 			continue
 		}
-		if err := visit(pos, r.vals); err != nil {
+		if err := visit(pos, r); err != nil {
 			return false, 0, err
 		}
 	}

@@ -4,29 +4,27 @@ import (
 	"testing"
 )
 
-// checkIndexInvariant verifies the ordered-index structural invariant: keys
-// mirrors the map's key set in compareKey order, and every bucket holds
-// strictly ascending row positions.
+// checkIndexInvariant verifies the ordered-index structural invariant: the
+// sorted buckets are exactly the map's, in compareKey order, and every
+// bucket holds strictly ascending row positions.
 func checkIndexInvariant(t *testing.T, ix *index) {
 	t.Helper()
-	if len(ix.keys) != len(ix.m) {
-		t.Fatalf("index %s: %d sorted keys vs %d map keys", ix.name, len(ix.keys), len(ix.m))
+	if len(ix.sorted) != len(ix.m) {
+		t.Fatalf("index %s: %d sorted buckets vs %d map keys", ix.name, len(ix.sorted), len(ix.m))
 	}
-	for i, k := range ix.keys {
-		if _, ok := ix.m[k]; !ok {
-			t.Fatalf("index %s: sorted key %d missing from map", ix.name, i)
+	for i, b := range ix.sorted {
+		if ix.m[b.k] != b {
+			t.Fatalf("index %s: sorted bucket %d is not the map's bucket for its key", ix.name, i)
 		}
-		if i > 0 && compareKey(ix.keys[i-1], k) >= 0 {
-			t.Fatalf("index %s: keys out of order at %d", ix.name, i)
+		if i > 0 && compareKey(ix.sorted[i-1].k, b.k) >= 0 {
+			t.Fatalf("index %s: buckets out of order at %d", ix.name, i)
 		}
-	}
-	for k, b := range ix.m {
-		if len(b) == 0 {
-			t.Fatalf("index %s: empty bucket for %v", ix.name, k)
+		if len(b.pos) == 0 {
+			t.Fatalf("index %s: empty bucket for %v", ix.name, b.k)
 		}
-		for i := 1; i < len(b); i++ {
-			if b[i-1] >= b[i] {
-				t.Fatalf("index %s: bucket %v not ascending: %v", ix.name, k, b)
+		for j := 1; j < len(b.pos); j++ {
+			if b.pos[j-1] >= b.pos[j] {
+				t.Fatalf("index %s: bucket %v not ascending: %v", ix.name, b.k, b.pos)
 			}
 		}
 	}

@@ -4,10 +4,13 @@ import "slices"
 
 // A SELECT runs in two passes. Pass 1 collects the accepted rows as position
 // tuples (one position per FROM table) into plan scratch — by nested loops
-// with a probe per level, or by walking an ordered index — and orders them.
-// Pass 2 projects them into one slab the caller owns: a Result is three
-// allocations whatever its row count, and never aliases plan scratch or
-// stored rows.
+// with a probe per level, or by walking an ordered index's buckets in key
+// order — and orders them. Pass 2 builds the result, which never aliases plan
+// scratch and is read-only: a single-table SELECT * hands back the stored
+// value slices themselves, capacity cut to length (two allocations whatever
+// the row count); projections, joins and DISTINCT project into one slab
+// (three). Stored slices are never written in place, so a result is a
+// snapshot that no later write, rollback or Restore changes.
 
 // selectRun is a selectPlan's execution scratch, reused under db.mu.
 type selectRun struct {
@@ -58,12 +61,20 @@ func (db *DB) execSelect(s *SelectStmt, args []Value) (*Result, error) {
 	}
 	if m > 0 {
 		width := len(pl.cols)
-		slab := make([]Value, m*width)
+		var slab []Value
+		if !pl.star {
+			slab = make([]Value, m*width)
+		}
 		res.Rows = make([][]Value, m)
 		for i := range res.Rows {
 			k := i
 			if ordered {
 				k = run.ord[i]
+			}
+			if pl.star {
+				vals := pl.tabs[0].rows[run.pos[k]].vals
+				res.Rows[i] = vals[:width:width]
+				continue
 			}
 			pl.bind(k)
 			out := slab[i*width : (i+1)*width : (i+1)*width]
@@ -124,7 +135,7 @@ func (pl *selectPlan) step(i, pos int, r *row) error {
 	}
 	run := &pl.run
 	run.scanned++
-	run.fr.rows[i], run.cur[i] = r.vals, pos
+	run.fr.rows[i], run.cur[i] = r, pos
 	if on := pl.levels[i].on; on != nil {
 		v, err := on(&run.fr)
 		if err != nil || !v.AsBool() {
@@ -134,24 +145,25 @@ func (pl *selectPlan) step(i, pos int, r *row) error {
 	return pl.match(i + 1)
 }
 
-// walkIndex accepts rows in the ordered index's key order — within one key a
-// bucket is in position order, which is what a stable sort leaves — and
-// stops once limit rows (negative: no limit) have been accepted.
+// walkIndex accepts rows in the ordered index's key order, iterating its
+// sorted buckets (backwards for DESC) — within one key a bucket is in
+// position order, which is what a stable sort leaves — and stops once limit
+// rows (negative: no limit) have been accepted.
 func (pl *selectPlan) walkIndex(limit int) error {
 	run, t, w := &pl.run, pl.tabs[0], pl.walk
-	keys := w.ix.keys
-	for i := range keys {
-		k := keys[i]
+	buckets := w.ix.sorted
+	for i := range buckets {
+		b := buckets[i]
 		if w.desc {
-			k = keys[len(keys)-1-i]
+			b = buckets[len(buckets)-1-i]
 		}
-		for _, pos := range w.ix.m[k] {
+		for _, pos := range b.pos {
 			if limit >= 0 && len(run.pos) >= limit {
 				return nil
 			}
 			run.scanned++
 			if pl.where != nil {
-				run.fr.rows[0] = t.rows[pos].vals
+				run.fr.rows[0] = t.rows[pos]
 				v, err := pl.where(&run.fr)
 				if err != nil {
 					return err
@@ -170,7 +182,7 @@ func (pl *selectPlan) walkIndex(limit int) error {
 func (pl *selectPlan) bind(k int) {
 	n := len(pl.tabs)
 	for slot, pos := range pl.run.pos[k*n : (k+1)*n] {
-		pl.run.fr.rows[slot] = pl.tabs[slot].rows[pos].vals
+		pl.run.fr.rows[slot] = pl.tabs[slot].rows[pos]
 	}
 }
 
@@ -180,8 +192,8 @@ func (pl *selectPlan) project(out []Value) error {
 	o := 0
 	for _, item := range pl.items {
 		if item == nil {
-			for _, vals := range fr.rows {
-				o += copy(out[o:], vals)
+			for _, r := range fr.rows {
+				o += copy(out[o:], r.vals)
 			}
 			continue
 		}
@@ -264,19 +276,28 @@ func exprName(e Expr) string {
 	return "expr"
 }
 
-// distinctRows removes duplicate rows, keeping first occurrences.
+// distinctRows removes duplicate rows, keeping first occurrences. Rows are
+// duplicates when their values' distinctKeys are equal column by column. A
+// row is hashed by its first column and compared in full with the kept rows
+// chained under the same first key.
 func distinctRows(rows [][]Value) [][]Value {
-	seen := make(map[string]bool, len(rows))
+	last := make(map[key]int, len(rows)) // first column's key -> latest kept row with it
+	prev := make([]int, 0, len(rows))    // kept row -> the kept row before it with the same first key, or -1
 	out := rows[:0]
+next:
 	for _, r := range rows {
-		k := ""
-		for _, v := range r {
-			k += v.String() + "\x00"
+		k := r[0].distinctKey()
+		head, ok := last[k]
+		if !ok {
+			head = -1
 		}
-		if seen[k] {
-			continue
+		for j := head; j >= 0; j = prev[j] {
+			if slices.EqualFunc(out[j], r, func(a, b Value) bool { return a.distinctKey() == b.distinctKey() }) {
+				continue next
+			}
 		}
-		seen[k] = true
+		last[k] = len(out)
+		prev = append(prev, head)
 		out = append(out, r)
 	}
 	return out

@@ -5,11 +5,13 @@ package sqldb
 // captures the seeded state once so later databases can Restore it — a deep
 // structural copy with no SQL in the loop.
 //
-// Row value slices are shared between the snapshot and every database
-// restored from it. That is safe because the engine never mutates a vals
-// slice in place: UPDATE builds a fresh slice and swaps the pointer, and
-// DELETE/rollback only toggle the dead flag. Column definitions and name
-// maps are immutable after CREATE TABLE and are shared too.
+// Row value slices are shared between the snapshot, every database restored
+// from it and every SELECT * result read from those. That is safe because
+// the engine never mutates a vals slice in place: UPDATE builds a fresh slice
+// and swaps the pointer, and DELETE/rollback only toggle the dead flag.
+// Column definitions and name maps are immutable after CREATE TABLE and are
+// shared too. A row's folded copy is not carried: each database builds its
+// own, under its own mutex.
 
 // Snapshot is an immutable copy of a database's full state.
 type Snapshot struct {
@@ -105,27 +107,28 @@ func copyTable(t *table) *table {
 	return nt
 }
 
-// copyIndex deep-copies an index, packing all bucket slices into a single
-// backing array (full-cap sliced so a post-restore append cannot bleed into
-// the neighbouring bucket).
+// copyIndex deep-copies an index, packing the buckets into one block and
+// their positions into a single backing array (full-cap sliced so a
+// post-restore append cannot bleed into the neighbouring bucket).
 func copyIndex(ix *index) *index {
 	n := &index{
 		name:   ix.name,
 		col:    ix.col,
 		unique: ix.unique,
-		m:      make(map[key][]int, len(ix.m)),
-		keys:   append([]key(nil), ix.keys...),
+		m:      make(map[key]*bucket, len(ix.sorted)),
+		sorted: make([]*bucket, len(ix.sorted)),
 	}
 	total := 0
-	for _, b := range ix.m {
-		total += len(b)
+	for _, b := range ix.sorted {
+		total += len(b.pos)
 	}
 	backing := make([]int, 0, total)
-	for _, k := range n.keys {
-		b := ix.m[k]
+	block := make([]bucket, len(ix.sorted))
+	for i, b := range ix.sorted {
 		off := len(backing)
-		backing = append(backing, b...)
-		n.m[k] = backing[off:len(backing):len(backing)]
+		backing = append(backing, b.pos...)
+		block[i] = bucket{k: b.k, pos: backing[off:len(backing):len(backing)]}
+		n.sorted[i], n.m[b.k] = &block[i], &block[i]
 	}
 	return n
 }

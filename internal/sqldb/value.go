@@ -9,12 +9,15 @@
 // plan holds every expression of the statement compiled to a closure over
 // column ordinals (eval.go), the access decision for each table, and the
 // scratch an execution reuses; plans run under the database mutex, one
-// execution at a time. A SELECT collects the accepted row positions, orders
-// them, and projects them into one slab of values: a Result is three
-// allocations whatever its row count, and it belongs to the caller — it
-// aliases neither plan scratch nor the stored rows, which are never mutated
-// in place. A Value is 32 bytes: a kind, one int64 that holds an INT, the
-// bits of a FLOAT or a predicate's 0/1, and a string.
+// execution at a time. A SELECT collects the accepted row positions (an
+// indexed ORDER BY walks the index's key-sorted buckets, never hashing) and
+// orders them. Result rows are read-only snapshots: a single-table SELECT *
+// returns the stored value slices, capacity cut to length (two allocations
+// whatever the row count), any other SELECT one slab (three), and stored
+// slices are never written in place. A col LIKE '%word%' searches a
+// lower-cased copy of the stored value, made once per row version. A Value is
+// 32 bytes: a kind, one int64 that holds an INT, the bits of a FLOAT or a
+// predicate's 0/1, and a string.
 //
 // It substitutes for the Oracle/MySQL servers of the paper's testbed: the
 // entity beans' persistence (BMP and CMP finders) and the applications'
@@ -236,6 +239,19 @@ func (v Value) mapKey() key {
 	default:
 		return key{}
 	}
+}
+
+// distinctKey is v's identity under DISTINCT: its index key, so Int(1) equals
+// Float(1) as Compare says, except that a predicate's true and false stay
+// apart from NULL and from each other, and every NaN is one value.
+func (v Value) distinctKey() key {
+	switch {
+	case v.K == KindBool:
+		return key{k: KindBool, f: float64(v.I)}
+	case v.K == KindFloat && math.IsNaN(v.f()):
+		return key{k: KindFloat, s: "NaN"}
+	}
+	return v.mapKey()
 }
 
 // compareKey orders index keys consistently with Compare over the values
