@@ -112,9 +112,11 @@ type Server struct {
 	web   *web.Container
 	db    *sqldb.DB
 	dbSrv *simnet.Node // node the database runs on
-	jms   *jms.Provider
-	costs CostModel
-	stubs *rmi.StubCache
+	// dbRoute is the JDBC connection's route to the database node.
+	dbRoute *simnet.Route
+	jms     *jms.Provider
+	costs   CostModel
+	stubs   *rmi.StubCache
 
 	beans map[string]*binding
 
@@ -170,6 +172,7 @@ func NewServer(cfg Config) (*Server, error) {
 		web:         wc,
 		db:          cfg.DB,
 		dbSrv:       dbNode,
+		dbRoute:     cfg.Net.Route(cfg.Name, cfg.DBNode),
 		jms:         cfg.JMS,
 		costs:       cfg.Costs,
 		stubs:       rmi.NewStubCache(cfg.RMI, cfg.Name, bindPrefix),
@@ -304,7 +307,7 @@ func (s *Server) SQL(p *sim.Proc, query string, args ...sqldb.Value) (*sqldb.Res
 		var sqlPeer string
 		if remote {
 			sqlPeer = s.name
-			if s.net.WideArea(s.name, s.dbSrv.ID) {
+			if s.dbRoute.WideArea() {
 				sqlCause = trace.CauseWAN
 			}
 		}
@@ -316,7 +319,7 @@ func (s *Server) SQL(p *sim.Proc, query string, args ...sqldb.Value) (*sqldb.Res
 		if rounds < 1 {
 			rounds = 1
 		}
-		rtt, err := s.net.RTT(s.name, s.dbSrv.ID)
+		rtt, err := s.dbRoute.RTT()
 		if err != nil {
 			return nil, fmt.Errorf("container: jdbc %s->%s: %w", s.name, s.dbSrv.ID, err)
 		}

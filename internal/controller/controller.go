@@ -223,6 +223,7 @@ type Controller struct {
 
 	lastRemote int64 // rmi remote-call count at last tick (threshold mode)
 	wideCtr    *metrics.Counter
+	remoteCtr  *metrics.Counter
 	lastWide   int64 // wide-area call count at last tick (activity signal)
 
 	down      map[string]int // consecutive unreachable epochs per edge
@@ -276,6 +277,7 @@ func Start(cfg Config) (*Controller, error) {
 		current:   core.RemoteFacade,
 		target:    cfg.Wiring.Provides(),
 		wideCtr:   reg.Counter("rmi_wide_area_calls_total"),
+		remoteCtr: reg.Counter("rmi_remote_calls_total"),
 		down:      make(map[string]int),
 		suspended: make(map[string]bool),
 		needSync:  make(map[string]bool),
@@ -358,7 +360,7 @@ func (c *Controller) watchReachability(p *sim.Proc) {
 	main := d.Main.Name()
 	for _, edge := range d.Edges {
 		name := edge.Name()
-		if d.Net.Reachable(main, name) {
+		if d.Net.Route(main, name).Reachable() {
 			if c.down[name] > 0 {
 				c.record(p, Event{Kind: EventRecovered, Server: name,
 					Detail: fmt.Sprintf("unreachable for %d epochs", c.down[name])})
@@ -422,7 +424,7 @@ func (c *Controller) predictedWin(p *sim.Proc) (win float64, detail string, ok b
 	c.lastWide = wide
 
 	if c.cfg.Model == nil {
-		remote := c.cfg.Deployment.RMI.Stats().RemoteCalls
+		remote := c.remoteCtr.Value()
 		delta := remote - c.lastRemote
 		c.lastRemote = remote
 		rate := float64(delta) / c.opts.Epoch.Seconds()
@@ -476,7 +478,7 @@ func (c *Controller) act(p *sim.Proc) {
 
 	for _, edge := range d.Edges {
 		name := edge.Name()
-		if !c.needSync[name] || !d.Net.Reachable(main, name) {
+		if !c.needSync[name] || !d.Net.Route(main, name).Reachable() {
 			continue
 		}
 		m := c.migrate(p, edge, true)
@@ -508,7 +510,7 @@ func (c *Controller) act(p *sim.Proc) {
 	}
 	for _, edge := range d.Edges {
 		name := edge.Name()
-		if w.DeployedOn(name) || !d.Net.Reachable(main, name) {
+		if w.DeployedOn(name) || !d.Net.Route(main, name).Reachable() {
 			continue
 		}
 		m := c.migrate(p, edge, false)

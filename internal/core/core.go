@@ -69,6 +69,8 @@ type Deployment struct {
 	rw map[string]*container.RWEntity
 
 	topo *simnet.Hierarchy
+	// byClient maps each client-group node to its collocated server.
+	byClient map[string]*container.Server
 }
 
 // Options configures a deployment.
@@ -153,6 +155,7 @@ func buildDeployment(env *sim.Env, opts Options) (*Deployment, *simnet.Hierarchy
 		Replication: opts.Replication,
 		rw:          make(map[string]*container.RWEntity),
 		topo:        h,
+		byClient:    make(map[string]*container.Server),
 	}
 	if r := opts.Replication; r != nil && r.EventLog {
 		d.Replog = replog.NewStore(env.Metrics(), 0)
@@ -176,6 +179,7 @@ func buildDeployment(env *sim.Env, opts Options) (*Deployment, *simnet.Hierarchy
 		} else {
 			d.Edges = append(d.Edges, srv)
 		}
+		d.byClient[h.ClientNode(name)] = srv
 	}
 	return d, h, nil
 }
@@ -295,10 +299,8 @@ func (d *Deployment) ServerFor(clientNode string, p Policy) *container.Server {
 	if !p.ReplicateWeb {
 		return d.Main
 	}
-	for _, s := range d.Servers() {
-		if d.ClientNodeOf(s.Name()) == clientNode {
-			return s
-		}
+	if s := d.byClient[clientNode]; s != nil {
+		return s
 	}
 	return d.Main
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"wadeploy/internal/container"
+	"wadeploy/internal/race"
 	"wadeploy/internal/sim"
 	"wadeploy/internal/simnet"
 	"wadeploy/internal/sqldb"
@@ -55,6 +56,10 @@ func TestServerForRouting(t *testing.T) {
 	// Unknown client nodes fall back to main.
 	if s := d.ServerFor("stranger", AsyncUpdates); s != d.Main {
 		t.Errorf("stranger -> %s", s.Name())
+	}
+	// It runs once per page: an index lookup, no server list built.
+	if avg := testing.AllocsPerRun(100, func() { d.ServerFor(simnet.NodeClientsEdge2, RemoteFacade) }); avg != 0 && !race.Enabled {
+		t.Errorf("ServerFor allocates %.1f per call, want 0", avg)
 	}
 }
 

@@ -231,7 +231,7 @@ func (p *Primary) flushShip() {
 // network message sized for the whole batch, applied statement by statement
 // in commit order on arrival.
 func (p *Primary) shipBatchTo(r *Replica, batch []stmt, ctx trace.Ctx, attempt int) {
-	delay, err := p.net.Delay(p.node, r.node.ID, p.bytes*len(batch))
+	delay, err := p.net.Route(p.node, r.node.ID).Delay(p.bytes * len(batch))
 	if err != nil {
 		if attempt < p.retryMax {
 			p.mRetries.Inc()
@@ -283,7 +283,7 @@ func (p *Primary) shipBatchTo(r *Replica, batch []stmt, ctx trace.Ctx, attempt i
 // shipTo attempts delivery of one statement to one replica; attempt counts
 // retries already spent.
 func (p *Primary) shipTo(r *Replica, sql string, argsCopy []sqldb.Value, ctx trace.Ctx, attempt int) {
-	delay, err := p.net.Delay(p.node, r.node.ID, p.bytes)
+	delay, err := p.net.Route(p.node, r.node.ID).Delay(p.bytes)
 	if err != nil {
 		if attempt < p.retryMax {
 			p.mRetries.Inc()

@@ -402,7 +402,7 @@ func (tb *Testbed) drive(opts RunOptions) (*Result, error) {
 		SessionMeans: make(map[string]map[bool]time.Duration, len(def.patterns)),
 		Samples:      stats.TotalSamples(),
 		Errors:       stats.Errors(),
-		RemoteCalls:  d.RMI.Stats().RemoteCalls,
+		RemoteCalls:  d.Env.Metrics().CounterValue("rmi_remote_calls_total"),
 		JMSPublished: d.JMS.Published(),
 		JMSDelivered: d.JMS.Delivered(),
 	}

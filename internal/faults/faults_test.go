@@ -89,7 +89,7 @@ func TestArmDrivesLinkAndNodeState(t *testing.T) {
 		edge2OK     bool
 		edge2OneWay time.Duration
 	}
-	base, err := net.Latency(simnet.NodeMain, simnet.NodeEdge2)
+	base, err := net.Route(simnet.NodeMain, simnet.NodeEdge2).Latency()
 	if err != nil {
 		t.Fatalf("latency: %v", err)
 	}
@@ -106,14 +106,14 @@ func TestArmDrivesLinkAndNodeState(t *testing.T) {
 	for _, pr := range probes {
 		pr := pr
 		env.At(pr.at, func() {
-			if got := net.Reachable(simnet.NodeMain, simnet.NodeEdge1); got != pr.edge1OK {
+			if got := net.Route(simnet.NodeMain, simnet.NodeEdge1).Reachable(); got != pr.edge1OK {
 				t.Errorf("t=%v: edge1 reachable = %v, want %v", pr.at, got, pr.edge1OK)
 			}
-			if got := net.Reachable(simnet.NodeMain, simnet.NodeEdge2); got != pr.edge2OK {
+			if got := net.Route(simnet.NodeMain, simnet.NodeEdge2).Reachable(); got != pr.edge2OK {
 				t.Errorf("t=%v: edge2 reachable = %v, want %v", pr.at, got, pr.edge2OK)
 			}
 			if pr.edge2OK && pr.edge2OneWay > 0 {
-				lat, err := net.Latency(simnet.NodeMain, simnet.NodeEdge2)
+				lat, err := net.Route(simnet.NodeMain, simnet.NodeEdge2).Latency()
 				if err != nil {
 					t.Errorf("t=%v: latency: %v", pr.at, err)
 				} else if lat != pr.edge2OneWay {
@@ -139,7 +139,7 @@ func TestDropProbabilityIsDeterministic(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			at := time.Duration(i) * 100 * time.Millisecond
 			env.At(at, func() {
-				_, err := net.Delay(simnet.NodeMain, simnet.NodeEdge1, 1000)
+				_, err := net.Route(simnet.NodeMain, simnet.NodeEdge1).Delay(1000)
 				var de *simnet.DroppedError
 				switch {
 				case err == nil:
@@ -179,7 +179,7 @@ func TestFlapEndsUp(t *testing.T) {
 	for i := 0; i < 24; i++ {
 		at := time.Duration(i) * 250 * time.Millisecond
 		env.At(at, func() {
-			up := net.Reachable(simnet.NodeMain, simnet.NodeEdge1)
+			up := net.Route(simnet.NodeMain, simnet.NodeEdge1).Reachable()
 			if up != last {
 				transitions++
 				last = up
@@ -220,10 +220,10 @@ func TestSubtreePartitionOnPaperStar(t *testing.T) {
 		at, up := at, up
 		env.At(at, func() {
 			for _, edge := range h.Subtree(simnet.NodeRouter) {
-				if got := h.Net.Reachable(simnet.NodeMain, edge); got != up {
+				if got := h.Net.Route(simnet.NodeMain, edge).Reachable(); got != up {
 					t.Errorf("t=%v: %s reachable from main = %v, want %v", at, edge, got, up)
 				}
-				if !h.Net.Reachable(h.ClientNode(edge), edge) {
+				if !h.Net.Route(h.ClientNode(edge), edge).Reachable() {
 					t.Errorf("t=%v: %s lost its local clients", at, edge)
 				}
 			}

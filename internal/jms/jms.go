@@ -74,9 +74,10 @@ var DefaultOptions = Options{
 }
 
 type subscription struct {
-	node string
-	name string
-	fn   Subscriber
+	node  string
+	name  string
+	fn    Subscriber
+	route *simnet.Route // broker -> subscriber
 	// lastArrival enforces per-subscription FIFO delivery.
 	lastArrival time.Duration
 }
@@ -166,7 +167,7 @@ func (pr *Provider) Subscribe(topic, node, name string, fn Subscriber) error {
 	if pr.net.Node(node) == nil {
 		return fmt.Errorf("jms: subscribe %s: no such node %s", topic, node)
 	}
-	t.subs = append(t.subs, &subscription{node: node, name: name, fn: fn})
+	t.subs = append(t.subs, &subscription{node: node, name: name, fn: fn, route: pr.net.Route(pr.node, node)})
 	return nil
 }
 
@@ -214,7 +215,7 @@ func (pr *Provider) Publish(p *sim.Proc, fromNode, topic string, body any, bytes
 // is configured, in which case it is re-attempted up to the policy's cap and
 // then counted as a dead letter.
 func (pr *Provider) deliver(t *Topic, sub *subscription, msg *Message, ctx trace.Ctx, attempt int) {
-	delay, err := pr.net.Delay(pr.node, sub.node, msg.Bytes)
+	delay, err := sub.route.Delay(msg.Bytes)
 	if err != nil {
 		rd := pr.opts.Redelivery
 		if rd == nil {

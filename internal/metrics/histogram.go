@@ -66,9 +66,6 @@ type Histogram struct {
 	buckets []int64
 }
 
-// Name returns the registered name ("" for a free-standing histogram).
-func (h *Histogram) Name() string { return h.nm }
-
 // Observe records one duration. Negative durations clamp to zero.
 func (h *Histogram) Observe(d time.Duration) {
 	v := int64(d)

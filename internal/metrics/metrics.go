@@ -10,7 +10,9 @@ package metrics
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -22,13 +24,9 @@ type Point struct {
 
 // Counter is a monotonically increasing value.
 type Counter struct {
-	nm     string
-	v      int64
-	series []Point
+	nm string
+	v  int64
 }
-
-// Name returns the registered name.
-func (c *Counter) Name() string { return c.nm }
 
 // Inc adds one.
 func (c *Counter) Inc() { c.v++ }
@@ -42,13 +40,9 @@ func (c *Counter) Value() int64 { return c.v }
 
 // Gauge is a value that can move both ways.
 type Gauge struct {
-	nm     string
-	v      int64
-	series []Point
+	nm string
+	v  int64
 }
-
-// Name returns the registered name.
-func (g *Gauge) Name() string { return g.nm }
 
 // Set replaces the value.
 func (g *Gauge) Set(v int64) { g.v = v }
@@ -69,11 +63,17 @@ func LabelName(name, label, value string) string {
 // Registry holds the instruments of one simulation environment. The zero
 // value is not usable; construct with NewRegistry.
 type Registry struct {
-	now      func() time.Duration
+	now func() time.Duration
+	// byName holds the unlabelled instruments by name and the label
+	// families by "name{label}". A family's children live only in the
+	// family: a topology's per-link series cost no entry here.
 	byName   map[string]any
-	counters []*Counter
+	counters []*Counter // every counter, family children included
 	gauges   []*Gauge
 	hists    []*Histogram
+	// series[i] holds counters[i]'s sampled points and gseries[i]
+	// gauges[i]'s; both stay nil until the first Sample.
+	series, gseries [][]Point
 }
 
 // NewRegistry builds a registry reading virtual time from now (nil means a
@@ -85,129 +85,172 @@ func NewRegistry(now func() time.Duration) *Registry {
 	return &Registry{now: now, byName: make(map[string]any)}
 }
 
-// Counter returns the counter registered under name, creating it on first
-// use. Registering the same name as a different instrument kind panics: the
-// schema is fixed at instrumentation sites, so a clash is a programming
-// error.
-func (r *Registry) Counter(name string) *Counter {
+// splitLabel parses a family child's name, name{label="value"}.
+func splitLabel(s string) (name, label, value string, ok bool) {
+	name, rest, ok := strings.Cut(s, "{")
+	if !ok || !strings.HasSuffix(rest, `"}`) {
+		return "", "", "", false
+	}
+	label, value, ok = strings.Cut(rest[:len(rest)-2], `="`)
+	return name, label, value, ok
+}
+
+// lookup returns the instrument registered under name: an unlabelled one,
+// or the child of a label family.
+func (r *Registry) lookup(name string) (any, bool) {
 	if in, ok := r.byName[name]; ok {
-		c, ok := in.(*Counter)
+		return in, true
+	}
+	fam, label, value, ok := splitLabel(name)
+	if !ok {
+		return nil, false
+	}
+	switch v := r.byName[fam+"{"+label+"}"].(type) {
+	case *CounterVec:
+		return v.find(value)
+	case *HistogramVec:
+		return v.find(value)
+	}
+	return nil, false
+}
+
+// instrument returns what is registered under name, registering create()
+// there on first use. Registering the same name as a different instrument
+// kind panics: the schema is fixed at instrumentation sites, so a clash is a
+// programming error.
+func instrument[T any](r *Registry, name string, create func() T) T {
+	if in, ok := r.lookup(name); ok {
+		t, ok := in.(T)
 		if !ok {
 			panic(fmt.Sprintf("metrics: %s already registered as %T", name, in))
 		}
-		return c
+		return t
 	}
+	t := create()
+	r.byName[name] = t
+	return t
+}
+
+func (r *Registry) newCounter(name string) *Counter {
 	c := &Counter{nm: name}
-	r.byName[name] = c
 	r.counters = append(r.counters, c)
 	return c
 }
 
-// Gauge returns the gauge registered under name, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	if in, ok := r.byName[name]; ok {
-		g, ok := in.(*Gauge)
-		if !ok {
-			panic(fmt.Sprintf("metrics: %s already registered as %T", name, in))
-		}
-		return g
-	}
-	g := &Gauge{nm: name}
-	r.byName[name] = g
-	r.gauges = append(r.gauges, g)
-	return g
-}
-
-// Histogram returns the histogram registered under name, creating it on
-// first use.
-func (r *Registry) Histogram(name string) *Histogram {
-	if in, ok := r.byName[name]; ok {
-		h, ok := in.(*Histogram)
-		if !ok {
-			panic(fmt.Sprintf("metrics: %s already registered as %T", name, in))
-		}
-		return h
-	}
+func (r *Registry) newHistogram(name string) *Histogram {
 	h := &Histogram{nm: name}
-	r.byName[name] = h
 	r.hists = append(r.hists, h)
 	return h
 }
 
-// CounterVec is a family of counters keyed by one label value.
-type CounterVec struct {
-	r        *Registry
-	nm       string
-	label    string
-	children map[string]*Counter
+// Counter returns the counter registered under name, creating it on first
+// use; a labelled name is a child of its CounterVec.
+func (r *Registry) Counter(name string) *Counter {
+	if fam, label, value, ok := splitLabel(name); ok {
+		return r.CounterVec(fam, label).With(value)
+	}
+	return instrument(r, name, func() *Counter { return r.newCounter(name) })
 }
+
+// Gauge returns the gauge registered under name, creating it on first use.
+func (r *Registry) Gauge(name string) *Gauge {
+	return instrument(r, name, func() *Gauge {
+		g := &Gauge{nm: name}
+		r.gauges = append(r.gauges, g)
+		return g
+	})
+}
+
+// Histogram returns the histogram registered under name, creating it on
+// first use; a labelled name is a child of its HistogramVec.
+func (r *Registry) Histogram(name string) *Histogram {
+	if fam, label, value, ok := splitLabel(name); ok {
+		return r.HistogramVec(fam, label).With(value)
+	}
+	return instrument(r, name, func() *Histogram { return r.newHistogram(name) })
+}
+
+// vec is a label family: its children sorted by label value, each value a
+// substring of the child's full name. A sorted slice is smaller than a map,
+// and a registry keeps one child per link direction of its topology.
+type vec[T any] struct {
+	r         *Registry
+	nm, label string
+	children  []child[T]
+}
+
+type child[T any] struct {
+	value string
+	in    T
+}
+
+// search is a binary search for value: its index, or where to insert it.
+func (v *vec[T]) search(value string) (int, bool) {
+	i, j := 0, len(v.children)
+	for i < j {
+		if h := int(uint(i+j) >> 1); v.children[h].value < value {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i, i < len(v.children) && v.children[i].value == value
+}
+
+// find returns the child labelled value.
+func (v *vec[T]) find(value string) (any, bool) {
+	if i, ok := v.search(value); ok {
+		return v.children[i].in, true
+	}
+	return nil, false
+}
+
+// with returns the child labelled value, creating it from its full name on
+// first use.
+func (v *vec[T]) with(value string, create func(name string) T) T {
+	i, ok := v.search(value)
+	if !ok {
+		name := LabelName(v.nm, v.label, value)
+		value = name[len(name)-len(value)-2 : len(name)-2]
+		v.children = slices.Insert(v.children, i, child[T]{value: value, in: create(name)})
+	}
+	return v.children[i].in
+}
+
+// CounterVec is a family of counters keyed by one label value.
+type CounterVec struct{ vec[*Counter] }
 
 // CounterVec returns the counter family name{label=...}, creating it on
 // first use.
 func (r *Registry) CounterVec(name, label string) *CounterVec {
-	key := name + "{" + label + "}"
-	if in, ok := r.byName[key]; ok {
-		v, ok := in.(*CounterVec)
-		if !ok {
-			panic(fmt.Sprintf("metrics: %s already registered as %T", key, in))
-		}
-		return v
-	}
-	v := &CounterVec{r: r, nm: name, label: label, children: make(map[string]*Counter)}
-	r.byName[key] = v
-	return v
+	return instrument(r, name+"{"+label+"}", func() *CounterVec {
+		return &CounterVec{vec[*Counter]{r: r, nm: name, label: label}}
+	})
 }
 
 // With returns the child counter for one label value, creating it on first
-// use. Steady-state calls are a single map lookup.
-func (v *CounterVec) With(value string) *Counter {
-	if c, ok := v.children[value]; ok {
-		return c
-	}
-	c := v.r.Counter(LabelName(v.nm, v.label, value))
-	v.children[value] = c
-	return c
-}
+// use. Steady-state calls are a binary search.
+func (v *CounterVec) With(value string) *Counter { return v.with(value, v.r.newCounter) }
 
 // HistogramVec is a family of histograms keyed by one label value.
-type HistogramVec struct {
-	r        *Registry
-	nm       string
-	label    string
-	children map[string]*Histogram
-}
+type HistogramVec struct{ vec[*Histogram] }
 
 // HistogramVec returns the histogram family name{label=...}, creating it on
 // first use.
 func (r *Registry) HistogramVec(name, label string) *HistogramVec {
-	key := name + "{" + label + "}"
-	if in, ok := r.byName[key]; ok {
-		v, ok := in.(*HistogramVec)
-		if !ok {
-			panic(fmt.Sprintf("metrics: %s already registered as %T", key, in))
-		}
-		return v
-	}
-	v := &HistogramVec{r: r, nm: name, label: label, children: make(map[string]*Histogram)}
-	r.byName[key] = v
-	return v
+	return instrument(r, name+"{"+label+"}", func() *HistogramVec {
+		return &HistogramVec{vec[*Histogram]{r: r, nm: name, label: label}}
+	})
 }
 
 // With returns the child histogram for one label value, creating it on
 // first use.
-func (v *HistogramVec) With(value string) *Histogram {
-	if h, ok := v.children[value]; ok {
-		return h
-	}
-	h := v.r.Histogram(LabelName(v.nm, v.label, value))
-	v.children[value] = h
-	return h
-}
+func (v *HistogramVec) With(value string) *Histogram { return v.with(value, v.r.newHistogram) }
 
 // CounterValue reads a counter by (possibly labeled) name; absent counters
 // read as 0 so tests can assert on instruments the run never touched.
 func (r *Registry) CounterValue(name string) int64 {
-	if in, ok := r.byName[name]; ok {
+	if in, ok := r.lookup(name); ok {
 		if c, ok := in.(*Counter); ok {
 			return c.Value()
 		}
@@ -217,7 +260,7 @@ func (r *Registry) CounterValue(name string) int64 {
 
 // GaugeValue reads a gauge by name (0 when absent).
 func (r *Registry) GaugeValue(name string) int64 {
-	if in, ok := r.byName[name]; ok {
+	if in, ok := r.lookup(name); ok {
 		if g, ok := in.(*Gauge); ok {
 			return g.Value()
 		}
@@ -227,7 +270,7 @@ func (r *Registry) GaugeValue(name string) int64 {
 
 // FindHistogram returns the histogram registered under name, or nil.
 func (r *Registry) FindHistogram(name string) *Histogram {
-	if in, ok := r.byName[name]; ok {
+	if in, ok := r.lookup(name); ok {
 		if h, ok := in.(*Histogram); ok {
 			return h
 		}
@@ -240,12 +283,25 @@ func (r *Registry) FindHistogram(name string) *Histogram {
 // so unsampled runs never grow series memory.
 func (r *Registry) Sample() {
 	t := r.now()
-	for _, c := range r.counters {
-		c.series = append(c.series, Point{T: t, V: c.v})
+	r.series = sample(r.series, r.counters, t)
+	r.gseries = sample(r.gseries, r.gauges, t)
+}
+
+func sample[T interface{ Value() int64 }](series [][]Point, ins []T, t time.Duration) [][]Point {
+	series = append(series, make([][]Point, len(ins)-len(series))...)
+	for i, in := range ins {
+		series[i] = append(series[i], Point{T: t, V: in.Value()})
 	}
-	for _, g := range r.gauges {
-		g.series = append(g.series, Point{T: t, V: g.v})
+	return series
+}
+
+// points copies series[i], the sampled points of the i-th instrument (nil
+// when it was never sampled).
+func points(series [][]Point, i int) []Point {
+	if i >= len(series) {
+		return nil
 	}
+	return append([]Point(nil), series[i]...)
 }
 
 // BucketCount is one non-empty histogram bucket in a snapshot.
@@ -308,11 +364,11 @@ func (s *Snapshot) Histogram(name string) *HistogramSnapshot {
 // Snapshot captures the current state of every instrument.
 func (r *Registry) Snapshot() *Snapshot {
 	s := &Snapshot{CapturedNs: int64(r.now())}
-	for _, c := range r.counters {
-		s.Counters = append(s.Counters, CounterSnapshot{Name: c.nm, Value: c.v, Series: append([]Point(nil), c.series...)})
+	for i, c := range r.counters {
+		s.Counters = append(s.Counters, CounterSnapshot{Name: c.nm, Value: c.v, Series: points(r.series, i)})
 	}
-	for _, g := range r.gauges {
-		s.Gauges = append(s.Gauges, CounterSnapshot{Name: g.nm, Value: g.v, Series: append([]Point(nil), g.series...)})
+	for i, g := range r.gauges {
+		s.Gauges = append(s.Gauges, CounterSnapshot{Name: g.nm, Value: g.v, Series: points(r.gseries, i)})
 	}
 	for _, h := range r.hists {
 		hs := HistogramSnapshot{

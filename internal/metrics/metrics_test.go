@@ -133,6 +133,38 @@ func TestVecChildren(t *testing.T) {
 	}
 }
 
+// TestVecChildrenByFullName: family children are kept only in their family,
+// yet every name-keyed entry point finds them — registering a child's full
+// name returns the child, registering it as another kind panics — and each
+// is exported exactly once.
+func TestVecChildrenByFullName(t *testing.T) {
+	r := NewRegistry(nil)
+	h := r.HistogramVec("wait_ns", "link").With("a>b")
+	h.Observe(time.Millisecond)
+	if r.FindHistogram(`wait_ns{link="a>b"}`) != h || r.Histogram(`wait_ns{link="a>b"}`) != h {
+		t.Fatal("histogram child not found by its full name")
+	}
+	early := r.Counter(`bytes_total{link="a>b"}`) // full name first, family later
+	if r.CounterVec("bytes_total", "link").With("a>b") != early {
+		t.Fatal("family child registered by full name first is a second counter")
+	}
+	for _, name := range []string{`wait_ns{link="b>a"}`, `wait_ns{link=}`, `wait_ns{link="a>b"`, `nofamily{x="y"}`} {
+		if r.FindHistogram(name) != nil {
+			t.Fatalf("FindHistogram(%s) found a child that was never registered", name)
+		}
+	}
+	s := r.Snapshot()
+	if len(s.Counters) != 1 || len(s.Histograms) != 1 || s.Histograms[0].Name != `wait_ns{link="a>b"}` || s.Histograms[0].Count != 1 {
+		t.Fatalf("snapshot: %+v", s)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("registering a histogram child's full name as a counter should panic")
+		}
+	}()
+	r.Counter(`wait_ns{link="a>b"}`)
+}
+
 func TestSampleAndSnapshotDeterminism(t *testing.T) {
 	build := func() *Registry {
 		now := time.Duration(0)

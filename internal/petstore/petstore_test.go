@@ -212,13 +212,13 @@ func TestRemoteFacadeServesSessionPagesLocally(t *testing.T) {
 
 func TestRemoteFacadeOneRMIPerCategoryPage(t *testing.T) {
 	a := deployApp(t, core.RemoteFacade)
-	rt := a.Deployment().RMI
+	reg := a.Deployment().Env.Metrics()
 	core.RunWarm(a.Deployment().Env, "probe", func(p *sim.Proc) {
 		// Warm stub caches first.
 		get(t, a, p, remoteClient, PageCategory, map[string]string{"cat": CategoryID(0)})
-		before := rt.Stats().RemoteCalls
+		before := reg.CounterValue("rmi_remote_calls_total")
 		get(t, a, p, remoteClient, PageCategory, map[string]string{"cat": CategoryID(1)})
-		if got := rt.Stats().RemoteCalls - before; got != 1 {
+		if got := reg.CounterValue("rmi_remote_calls_total") - before; got != 1 {
 			t.Errorf("Category page made %d wide-area RMI calls, want 1", got)
 		}
 	})
@@ -226,12 +226,12 @@ func TestRemoteFacadeOneRMIPerCategoryPage(t *testing.T) {
 
 func TestStatefulCachingItemPageLocal(t *testing.T) {
 	a := deployApp(t, core.StatefulCaching)
-	rt := a.Deployment().RMI
+	reg := a.Deployment().Env.Metrics()
 	var item time.Duration
 	core.RunWarm(a.Deployment().Env, "probe", func(p *sim.Proc) {
-		before := rt.Stats().RemoteCalls
+		before := reg.CounterValue("rmi_remote_calls_total")
 		item = get(t, a, p, remoteClient, PageItem, map[string]string{"item": ItemID(0, 0, 0)})
-		if got := rt.Stats().RemoteCalls - before; got != 0 {
+		if got := reg.CounterValue("rmi_remote_calls_total") - before; got != 0 {
 			t.Errorf("Item page made %d wide-area RMI calls, want 0 (read-only beans)", got)
 		}
 	})
@@ -328,14 +328,14 @@ func TestBuyerSessionEndToEndUpdatesState(t *testing.T) {
 
 func TestQueryCachingCategoryPageLocalAfterWarm(t *testing.T) {
 	a := deployApp(t, core.QueryCaching)
-	rt := a.Deployment().RMI
+	reg := a.Deployment().Env.Metrics()
 	core.RunWarm(a.Deployment().Env, "probe", func(p *sim.Proc) {
 		params := map[string]string{"cat": CategoryID(3)}
 		// First access misses and pays the pull fetch.
 		first := get(t, a, p, remoteClient, PageCategory, params)
-		before := rt.Stats().RemoteCalls
+		before := reg.CounterValue("rmi_remote_calls_total")
 		second := get(t, a, p, remoteClient, PageCategory, params)
-		if got := rt.Stats().RemoteCalls - before; got != 0 {
+		if got := reg.CounterValue("rmi_remote_calls_total") - before; got != 0 {
 			t.Errorf("warm Category page made %d RMI calls, want 0", got)
 		}
 		if second > 150*time.Millisecond {
@@ -345,9 +345,9 @@ func TestQueryCachingCategoryPageLocalAfterWarm(t *testing.T) {
 			t.Errorf("cold remote Category = %v, want a pull fetch", first)
 		}
 		// Search is never cached: still one RMI.
-		before = rt.Stats().RemoteCalls
+		before = reg.CounterValue("rmi_remote_calls_total")
 		get(t, a, p, remoteClient, PageSearch, map[string]string{"q": "P01"})
-		if got := rt.Stats().RemoteCalls - before; got != 1 {
+		if got := reg.CounterValue("rmi_remote_calls_total") - before; got != 1 {
 			t.Errorf("Search made %d RMI calls, want 1", got)
 		}
 	})
@@ -428,11 +428,11 @@ var _ = web.DefaultOptions // keep import for potential helpers
 
 func TestDBReplicationMakesSearchLocal(t *testing.T) {
 	a := deployApp(t, core.DBReplication)
-	rt := a.Deployment().RMI
+	reg := a.Deployment().Env.Metrics()
 	core.RunWarm(a.Deployment().Env, "probe", func(p *sim.Proc) {
-		before := rt.Stats().RemoteCalls
+		before := reg.CounterValue("rmi_remote_calls_total")
 		searchT := get(t, a, p, remoteClient, PageSearch, map[string]string{"q": "P04"})
-		if got := rt.Stats().RemoteCalls - before; got != 0 {
+		if got := reg.CounterValue("rmi_remote_calls_total") - before; got != 0 {
 			t.Errorf("Search made %d RMI calls, want 0 (edge DB replica)", got)
 		}
 		if searchT > 150*time.Millisecond {

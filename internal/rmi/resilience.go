@@ -200,11 +200,11 @@ func isNetworkError(err error) bool {
 	return errors.As(err, &ue) || errors.As(err, &de) || errors.Is(err, ErrCallTimeout)
 }
 
-// transferOrTimeout performs one one-way transfer; a silent drop charges the
-// per-call timeout (the caller has no signal until its timer fires) and maps
-// to ErrCallTimeout.
-func (s *Stub) transferOrTimeout(p *sim.Proc, from, to string, bytes int) error {
-	err := s.rt.net.Transfer(p, from, to, bytes)
+// transferOrTimeout performs one one-way transfer over r; a silent drop
+// charges the per-call timeout (the caller has no signal until its timer
+// fires) and maps to ErrCallTimeout.
+func (s *Stub) transferOrTimeout(p *sim.Proc, r *simnet.Route, bytes int) error {
+	err := r.Transfer(p, bytes)
 	var de *simnet.DroppedError
 	if errors.As(err, &de) && s.rt.resil.retry != nil {
 		s.rt.resil.mTimeouts.Inc()
@@ -220,15 +220,16 @@ func (s *Stub) transferOrTimeout(p *sim.Proc, from, to string, bytes int) error 
 func (s *Stub) attemptRemote(p *sim.Proc, call *Call, reqBytes, replyBytes int) (any, error) {
 	rt := s.rt
 	p.Sleep(rt.opts.MarshalCPU)
-	if err := s.transferOrTimeout(p, s.caller, s.obj.Node, reqBytes); err != nil {
+	out, back := s.routes()
+	if err := s.transferOrTimeout(p, out, reqBytes); err != nil {
 		return nil, fmt.Errorf("rmi: invoke %s.%s: %w", s.obj.Name, call.Method, err)
 	}
 	result, err := s.obj.h(p, call)
-	if terr := s.transferOrTimeout(p, s.obj.Node, s.caller, replyBytes); terr != nil {
+	if terr := s.transferOrTimeout(p, back, replyBytes); terr != nil {
 		return nil, fmt.Errorf("rmi: invoke %s.%s (reply): %w", s.obj.Name, call.Method, terr)
 	}
 	if extra := rt.opts.Rounds - 1; extra > 0 {
-		rtt, rttErr := rt.net.RTT(s.caller, s.obj.Node)
+		rtt, rttErr := out.RTT()
 		if rttErr == nil {
 			p.Sleep(time.Duration(extra * float64(rtt)))
 		}
@@ -266,7 +267,6 @@ func (s *Stub) invokeResilient(p *sim.Proc, call *Call, reqBytes, replyBytes int
 		netFail := err != nil && isNetworkError(err)
 		res.record(p.Now(), s.caller, s.obj.Node, !netFail)
 		if !netFail {
-			rt.stats.WideAreaRTT += p.Now() - start
 			rt.mRemoteNs.Observe(p.Now() - start)
 			return result, err
 		}

@@ -93,22 +93,11 @@ var DefaultOptions = Options{
 	MarshalCPU:    500 * time.Microsecond,
 }
 
-// Stats counts invocation traffic, used by tests to verify design rules
-// such as "at most one wide-area RMI call per page".
-type Stats struct {
-	LocalCalls  int64
-	RemoteCalls int64
-	WideAreaRTT time.Duration // cumulative network time spent in remote calls
-	Lookups     int64
-	RemoteLkups int64
-}
-
 // Runtime owns the registries of every node and performs invocations.
 type Runtime struct {
-	net   *simnet.Network
-	opts  Options
-	reg   map[string]map[string]*Object // node -> name -> object
-	stats Stats
+	net  *simnet.Network
+	opts Options
+	reg  map[string]map[string]*Object // node -> name -> object
 
 	mLocal      *metrics.Counter
 	mRemote     *metrics.Counter
@@ -152,12 +141,6 @@ func (rt *Runtime) Net() *simnet.Network { return rt.net }
 
 // Options returns the active cost model.
 func (rt *Runtime) Options() Options { return rt.opts }
-
-// Stats returns a snapshot of invocation counters.
-func (rt *Runtime) Stats() Stats { return rt.stats }
-
-// ResetStats zeroes the counters (used between warm-up and measurement).
-func (rt *Runtime) ResetStats() { rt.stats = Stats{} }
 
 // Bind registers handler h under name in node's registry.
 func (rt *Runtime) Bind(node, name string, h Handler) (*Object, error) {
@@ -210,6 +193,19 @@ type Stub struct {
 	rt     *Runtime
 	obj    *Object
 	caller string
+
+	// out and back are the request and reply routes, held from the first
+	// remote call on: a warm stub moves its messages without a lookup.
+	out, back *simnet.Route
+}
+
+// routes returns the stub's request and reply routes, resolving the handles
+// on first use.
+func (s *Stub) routes() (out, back *simnet.Route) {
+	if s.out == nil {
+		s.out, s.back = s.rt.net.Route(s.caller, s.obj.Node), s.rt.net.Route(s.obj.Node, s.caller)
+	}
+	return s.out, s.back
 }
 
 // Target returns the node the stub points at.
@@ -225,7 +221,6 @@ func (s *Stub) Remote() bool { return s.obj.Node != s.caller }
 // A lookup against a remote registry costs one remote call; a local lookup
 // costs only local dispatch CPU. The returned stub is owned by callerNode.
 func (rt *Runtime) Lookup(p *sim.Proc, callerNode, registryNode, name string) (*Stub, error) {
-	rt.stats.Lookups++
 	rt.mLookups.Inc()
 	lookupCause := trace.CauseService
 	var lookupPeer string
@@ -237,7 +232,6 @@ func (rt *Runtime) Lookup(p *sim.Proc, callerNode, registryNode, name string) (*
 	}
 	defer trace.Opf(p, "jndi", registryNode, lookupPeer, lookupCause, name, " @ ", registryNode)()
 	if callerNode != registryNode {
-		rt.stats.RemoteLkups++
 		rt.mRemoteLkup.Inc()
 		if err := rt.networkRoundTrip(p, callerNode, registryNode, 128, 256); err != nil {
 			return nil, fmt.Errorf("rmi: lookup %s on %s: %w", name, registryNode, err)
@@ -283,16 +277,15 @@ func (s *Stub) InvokeSized(p *sim.Proc, method string, reqBytes, replyBytes int,
 	rt := s.rt
 	call := &Call{Method: method, Args: args, Caller: s.caller}
 	if !s.Remote() {
-		rt.stats.LocalCalls++
 		rt.mLocal.Inc()
 		defer trace.Opf(p, "call", s.caller, "", trace.CauseService, s.obj.Name, ".", method)()
 		p.Sleep(rt.opts.LocalDispatch)
 		return s.obj.h(p, call)
 	}
-	rt.stats.RemoteCalls++
 	rt.mRemote.Inc()
+	out, back := s.routes()
 	wide := true // unreachable counts as wide: whatever stalls there, a LAN did not
-	if oneWay, owErr := rt.net.Latency(s.caller, s.obj.Node); owErr == nil {
+	if oneWay, owErr := out.Latency(); owErr == nil {
 		wide = oneWay >= wideAreaOneWay
 		if wide {
 			rt.mWide.Inc()
@@ -311,21 +304,20 @@ func (s *Stub) InvokeSized(p *sim.Proc, method string, reqBytes, replyBytes int,
 	}
 	start := p.Now()
 	p.Sleep(rt.opts.MarshalCPU)
-	if err := rt.net.Transfer(p, s.caller, s.obj.Node, reqBytes); err != nil {
+	if err := out.Transfer(p, reqBytes); err != nil {
 		return nil, fmt.Errorf("rmi: invoke %s.%s: %w", s.obj.Name, method, err)
 	}
 	result, err := s.obj.h(p, call)
-	if terr := rt.net.Transfer(p, s.obj.Node, s.caller, replyBytes); terr != nil {
+	if terr := back.Transfer(p, replyBytes); terr != nil {
 		return nil, fmt.Errorf("rmi: invoke %s.%s (reply): %w", s.obj.Name, method, terr)
 	}
 	// Extra round trips for RMI ping/DGC traffic.
 	if extra := rt.opts.Rounds - 1; extra > 0 {
-		rtt, rttErr := rt.net.RTT(s.caller, s.obj.Node)
+		rtt, rttErr := out.RTT()
 		if rttErr == nil {
 			p.Sleep(time.Duration(extra * float64(rtt)))
 		}
 	}
-	rt.stats.WideAreaRTT += p.Now() - start
 	rt.mRemoteNs.Observe(p.Now() - start)
 	return result, err
 }

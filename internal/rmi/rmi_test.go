@@ -51,8 +51,8 @@ func TestLocalInvokeCostsDispatchOnly(t *testing.T) {
 	if elapsed != DefaultOptions.LocalDispatch {
 		t.Fatalf("local call took %v, want %v", elapsed, DefaultOptions.LocalDispatch)
 	}
-	if s := rt.Stats(); s.LocalCalls != 1 || s.RemoteCalls != 0 {
-		t.Fatalf("stats = %+v", s)
+	if l, r := counter(t, env, "rmi_local_calls_total"), counter(t, env, "rmi_remote_calls_total"); l != 1 || r != 0 {
+		t.Fatalf("local calls %d, remote calls %d", l, r)
 	}
 }
 
@@ -86,8 +86,8 @@ func TestRemoteInvokeCostsRoundsTimesRTT(t *testing.T) {
 	if elapsed != 300*time.Millisecond {
 		t.Fatalf("remote call took %v, want 300ms", elapsed)
 	}
-	if s := rt.Stats(); s.RemoteCalls != 1 {
-		t.Fatalf("stats = %+v", s)
+	if r := counter(t, env, "rmi_remote_calls_total"); r != 1 {
+		t.Fatalf("remote calls %d", r)
 	}
 }
 
@@ -111,8 +111,8 @@ func TestRemoteLookupCostsRoundTrip(t *testing.T) {
 	if elapsed < 200*time.Millisecond {
 		t.Fatalf("remote lookup took %v, want >= 200ms", elapsed)
 	}
-	if s := rt.Stats(); s.Lookups != 1 || s.RemoteLkups != 1 {
-		t.Fatalf("stats = %+v", s)
+	if l, r := counter(t, env, "rmi_lookups_total"), counter(t, env, "rmi_remote_lookups_total"); l != 1 || r != 1 {
+		t.Fatalf("lookups %d, remote lookups %d", l, r)
 	}
 }
 
@@ -144,8 +144,8 @@ func TestStubCacheAvoidsSecondLookup(t *testing.T) {
 	if cache.Size() != 1 {
 		t.Fatalf("cache size = %d", cache.Size())
 	}
-	if s := rt.Stats(); s.Lookups != 1 {
-		t.Fatalf("lookups = %d, want 1", s.Lookups)
+	if l := counter(t, env, "rmi_lookups_total"); l != 1 {
+		t.Fatalf("lookups = %d, want 1", l)
 	}
 }
 
@@ -269,26 +269,6 @@ func TestRoundsFloorIsOne(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	env := sim.NewEnv(1)
-	net := twoNodeNet(t, env)
-	rt := NewRuntime(net, DefaultOptions)
-	if _, err := rt.Bind("a", "svc", func(p *sim.Proc, c *Call) (any, error) { return nil, nil }); err != nil {
-		t.Fatal(err)
-	}
-	env.Spawn("caller", func(p *sim.Proc) {
-		stub, _ := rt.LocalStub("a", "a", "svc")
-		if _, err := stub.Invoke(p, "m"); err != nil {
-			t.Error(err)
-		}
-	})
-	env.RunAll()
-	rt.ResetStats()
-	if s := rt.Stats(); s.LocalCalls != 0 {
-		t.Fatalf("stats not reset: %+v", s)
-	}
-}
-
 func TestInvokePayloadSizeAffectsDuration(t *testing.T) {
 	env := sim.NewEnv(1)
 	// Slow link so serialization dominates: 1 KB/s.
@@ -343,7 +323,7 @@ func TestWideAreaRTTAccumulates(t *testing.T) {
 		}
 	})
 	env.RunAll()
-	if got := rt.Stats().WideAreaRTT; got < 600*time.Millisecond {
-		t.Fatalf("WideAreaRTT = %v, want >= 3 calls' worth", got)
+	if got := env.Metrics().FindHistogram("rmi_remote_call_ns").Sum(); got < 600*time.Millisecond {
+		t.Fatalf("remote call time = %v, want >= 3 calls' worth", got)
 	}
 }

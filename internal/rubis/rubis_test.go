@@ -148,14 +148,14 @@ func TestCentralizedShapes(t *testing.T) {
 
 func TestRemoteFacadeStaticPagesLocal(t *testing.T) {
 	a := deployApp(t, core.RemoteFacade)
-	rt := a.Deployment().RMI
+	reg := a.Deployment().Env.Metrics()
 	core.RunWarm(a.Deployment().Env, "probe", func(p *sim.Proc) {
 		// Static pages never touch the EJB tier.
-		before := rt.Stats().RemoteCalls
+		before := reg.CounterValue("rmi_remote_calls_total")
 		mainT := get(t, a, p, remoteClient, PageMain, nil)
 		get(t, a, p, remoteClient, PageBrowse, nil)
 		get(t, a, p, remoteClient, PagePutBidAuth, nil)
-		if got := rt.Stats().RemoteCalls - before; got != 0 {
+		if got := reg.CounterValue("rmi_remote_calls_total") - before; got != 0 {
 			t.Errorf("static pages made %d RMI calls", got)
 		}
 		if mainT > 60*time.Millisecond {
@@ -163,9 +163,9 @@ func TestRemoteFacadeStaticPagesLocal(t *testing.T) {
 		}
 		// Dynamic pages make exactly one wide-area call (after stub warm).
 		get(t, a, p, remoteClient, PageCategory, map[string]string{"cat": "1"})
-		before = rt.Stats().RemoteCalls
+		before = reg.CounterValue("rmi_remote_calls_total")
 		catT := get(t, a, p, remoteClient, PageCategory, map[string]string{"cat": "2"})
-		if got := rt.Stats().RemoteCalls - before; got != 1 {
+		if got := reg.CounterValue("rmi_remote_calls_total") - before; got != 1 {
 			t.Errorf("Category made %d RMI calls, want 1", got)
 		}
 		if catT < 250*time.Millisecond || catT > 450*time.Millisecond {
@@ -176,11 +176,11 @@ func TestRemoteFacadeStaticPagesLocal(t *testing.T) {
 
 func TestStatefulCachingItemLocalBidsRemote(t *testing.T) {
 	a := deployApp(t, core.StatefulCaching)
-	rt := a.Deployment().RMI
+	reg := a.Deployment().Env.Metrics()
 	core.RunWarm(a.Deployment().Env, "probe", func(p *sim.Proc) {
-		before := rt.Stats().RemoteCalls
+		before := reg.CounterValue("rmi_remote_calls_total")
 		itemT := get(t, a, p, remoteClient, PageItem, map[string]string{"item": "7"})
-		if got := rt.Stats().RemoteCalls - before; got != 0 {
+		if got := reg.CounterValue("rmi_remote_calls_total") - before; got != 0 {
 			t.Errorf("Item made %d RMI calls, want 0 (read-only bean)", got)
 		}
 		if itemT > 80*time.Millisecond {
@@ -188,9 +188,9 @@ func TestStatefulCachingItemLocalBidsRemote(t *testing.T) {
 		}
 		// Bids still needs the aggregate query on main.
 		get(t, a, p, remoteClient, PageBids, map[string]string{"item": "7"}) // warm stub
-		before = rt.Stats().RemoteCalls
+		before = reg.CounterValue("rmi_remote_calls_total")
 		bidsT := get(t, a, p, remoteClient, PageBids, map[string]string{"item": "8"})
-		if got := rt.Stats().RemoteCalls - before; got != 1 {
+		if got := reg.CounterValue("rmi_remote_calls_total") - before; got != 1 {
 			t.Errorf("Bids made %d RMI calls, want 1", got)
 		}
 		if bidsT < 250*time.Millisecond {
@@ -201,9 +201,9 @@ func TestStatefulCachingItemLocalBidsRemote(t *testing.T) {
 
 func TestQueryCachingAllBrowserPagesLocal(t *testing.T) {
 	a := deployApp(t, core.QueryCaching)
-	rt := a.Deployment().RMI
+	reg := a.Deployment().Env.Metrics()
 	core.RunWarm(a.Deployment().Env, "probe", func(p *sim.Proc) {
-		before := rt.Stats().RemoteCalls
+		before := reg.CounterValue("rmi_remote_calls_total")
 		pages := []struct {
 			page   string
 			params map[string]string
@@ -223,14 +223,14 @@ func TestQueryCachingAllBrowserPagesLocal(t *testing.T) {
 				t.Errorf("remote %s = %v, want local (query caching)", pg.page, rt2)
 			}
 		}
-		if got := rt.Stats().RemoteCalls - before; got != 0 {
+		if got := reg.CounterValue("rmi_remote_calls_total") - before; got != 0 {
 			t.Errorf("browser pages made %d RMI calls, want 0", got)
 		}
 		// The bid form (auth + item) is local too.
 		form, _, _, _ := bidderParams(3, 21)
-		before = rt.Stats().RemoteCalls
+		before = reg.CounterValue("rmi_remote_calls_total")
 		formT := get(t, a, p, remoteClient, PagePutBidForm, form)
-		if got := rt.Stats().RemoteCalls - before; got != 0 {
+		if got := reg.CounterValue("rmi_remote_calls_total") - before; got != 0 {
 			t.Errorf("PutBidForm made %d RMI calls, want 0", got)
 		}
 		if formT > 100*time.Millisecond {

@@ -173,7 +173,7 @@ func TestNodeDownBlocksTransit(t *testing.T) {
 	if err := n.SetNodeState("b", false); err != nil {
 		t.Fatal(err)
 	}
-	lat, err := n.Latency("a", "c")
+	lat, err := n.Route("a", "c").Latency()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,13 +181,13 @@ func TestNodeDownBlocksTransit(t *testing.T) {
 		t.Fatalf("latency a->c with b down = %v, want 50ms direct", lat)
 	}
 	// The downed node itself is unreachable as an endpoint.
-	if _, err := n.Latency("a", "b"); err == nil {
+	if _, err := n.Route("a", "b").Latency(); err == nil {
 		t.Fatal("downed node reachable as endpoint")
 	}
 	if err := n.SetNodeState("b", true); err != nil {
 		t.Fatal(err)
 	}
-	lat, err = n.Latency("a", "c")
+	lat, err = n.Route("a", "c").Latency()
 	if err != nil {
 		t.Fatal(err)
 	}

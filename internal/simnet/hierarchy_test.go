@@ -34,7 +34,7 @@ func TestHierarchyShape(t *testing.T) {
 		spec := h.Spec
 		wantLat := spec.Backbone.OneWay + spec.Metro.OneWay
 		for _, e := range h.EdgeNames {
-			lat, err := h.Net.Latency(e, NodeMain)
+			lat, err := h.Net.Route(e, NodeMain).Latency()
 			if err != nil {
 				t.Fatalf("edges=%d: %s unreachable: %v", edges, e, err)
 			}
@@ -66,7 +66,7 @@ func TestHierarchyTwoEdgesSameHubLatency(t *testing.T) {
 	}
 	// Edges 0 and 2 share hub00 (round-robin over 2 hubs): their distance
 	// is two metro hops, never touching the backbone.
-	lat, err := h.Net.Latency(EdgeName(0), EdgeName(2))
+	lat, err := h.Net.Route(EdgeName(0), EdgeName(2)).Latency()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestHierarchyTwoEdgesSameHubLatency(t *testing.T) {
 		t.Fatalf("same-hub edge latency %v, want %v", lat, want)
 	}
 	// Edges 0 and 1 sit under different hubs: metro + backbone + backbone + metro.
-	lat, err = h.Net.Latency(EdgeName(0), EdgeName(1))
+	lat, err = h.Net.Route(EdgeName(0), EdgeName(1)).Latency()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,17 +98,17 @@ func TestHubCrashPartitionsSubtree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range sub {
-		if h.Net.Reachable(e, NodeMain) {
+		if h.Net.Route(e, NodeMain).Reachable() {
 			t.Fatalf("%s still reachable after %s crash", e, hub)
 		}
 		// Local clients keep their edge.
-		if !h.Net.Reachable(h.ClientNode(e), e) {
+		if !h.Net.Route(h.ClientNode(e), e).Reachable() {
 			t.Fatalf("%s lost its local clients after %s crash", e, hub)
 		}
 	}
 	// The other subtree is untouched.
 	for _, e := range h.Subtree(h.HubNames[1]) {
-		if !h.Net.Reachable(e, NodeMain) {
+		if !h.Net.Route(e, NodeMain).Reachable() {
 			t.Fatalf("%s unreachable though its hub is up", e)
 		}
 	}
@@ -117,7 +117,7 @@ func TestHubCrashPartitionsSubtree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range sub {
-		if !h.Net.Reachable(e, NodeMain) {
+		if !h.Net.Route(e, NodeMain).Reachable() {
 			t.Fatalf("%s unreachable after %s restart", e, hub)
 		}
 	}
@@ -134,7 +134,7 @@ func TestRedundantUplinkReroutesAroundHubCrash(t *testing.T) {
 	// Before the crash, the primary (shorter) uplink carries the traffic.
 	primary := h.Spec.Backbone.OneWay + h.Spec.Metro.OneWay
 	for _, e := range sub {
-		lat, err := h.Net.Latency(e, NodeMain)
+		lat, err := h.Net.Route(e, NodeMain).Latency()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func TestRedundantUplinkReroutesAroundHubCrash(t *testing.T) {
 		if b := h.BackupHub(e); b == "" {
 			t.Fatalf("%s has no backup hub", e)
 		}
-		lat, err := h.Net.Latency(e, NodeMain)
+		lat, err := h.Net.Route(e, NodeMain).Latency()
 		if err != nil {
 			t.Fatalf("%s unreachable despite redundant uplink: %v", e, err)
 		}
@@ -249,7 +249,7 @@ func TestStarLatencySweepSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pair := range [][2]string{{NodeMain, NodeEdge1}, {NodeEdge1, NodeEdge2}} {
-		if lat, err := h.Net.Latency(pair[0], pair[1]); err != nil || lat != 40*time.Millisecond {
+		if lat, err := h.Net.Route(pair[0], pair[1]).Latency(); err != nil || lat != 40*time.Millisecond {
 			t.Errorf("%s->%s latency %v, %v; want 40ms", pair[0], pair[1], lat, err)
 		}
 	}

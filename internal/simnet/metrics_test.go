@@ -26,11 +26,11 @@ func TestDelayMetrics(t *testing.T) {
 		t.Fatalf("simnet_links = %d", got)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := n.Delay("a", "b", 1000); err != nil {
+		if _, err := n.Route("a", "b").Delay(1000); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := n.Delay("b", "a", 500); err != nil {
+	if _, err := n.Route("b", "a").Delay(500); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.CounterValue("simnet_messages_total"); got != 4 {
@@ -80,12 +80,12 @@ func TestDelayAllocs(t *testing.T) {
 	// Zero-byte messages keep serialization (and hence queue waits and the
 	// delivery delay) constant, so warmed histogram buckets never grow.
 	for i := 0; i < 100; i++ {
-		if _, err := n.Delay("a", "b", 0); err != nil {
+		if _, err := n.Route("a", "b").Delay(0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if avg := testing.AllocsPerRun(1000, func() {
-		if _, err := n.Delay("a", "b", 0); err != nil {
+		if _, err := n.Route("a", "b").Delay(0); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {

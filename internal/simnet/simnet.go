@@ -9,11 +9,17 @@
 // The quantities the paper's experiments depend on — round-trip times between
 // client groups and servers, and transfer delays for request/response
 // payloads — are reproduced by Delay/Transfer/Send below.
+//
+// A path is a Route, a handle on one (from, to) pair that the caller keeps
+// (an RMI stub, a web client's connection, a server's JDBC link): resolved
+// by Dijkstra over node ordinals on first use and again only after the
+// network changes, it moves a message without a lookup by name.
 package simnet
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"wadeploy/internal/metrics"
@@ -64,7 +70,9 @@ type Node struct {
 	ID  string
 	CPU *sim.Resource
 
-	down bool
+	down  bool
+	ord   int32   // position in Network.byOrd
+	links []*Link // incident links, in AddLink order
 }
 
 // Link is a bidirectional connection between two nodes.
@@ -73,6 +81,7 @@ type Link struct {
 	Latency time.Duration // one-way propagation delay
 	Bps     float64       // bandwidth in bytes per second
 
+	ends    [2]*Node // the nodes named A and B
 	down    bool
 	quality LinkQuality
 	// busyUntil tracks per-direction transmitter occupancy: [0] is A->B,
@@ -90,12 +99,15 @@ type Link struct {
 type Network struct {
 	env   *sim.Env
 	nodes map[string]*Node
+	byOrd []*Node
 	links []*Link
-	adj   map[string][]*Link
 
-	// routes caches computed paths; invalidated when topology or link
-	// state changes.
-	routes map[[2]string][]*Link
+	// epoch advances on every change that can move a shortest path (a node
+	// or link added, a link or node state or quality changed); a Route
+	// resolved at an older epoch resolves again on its next use.
+	epoch  uint64
+	routes map[[2]string]*Route // one shared handle per (from, to) asked for
+	sp     shortestPaths
 
 	mMsgs     *metrics.Counter
 	mBytes    *metrics.Counter
@@ -118,8 +130,8 @@ func New(env *sim.Env) *Network {
 	return &Network{
 		env:       env,
 		nodes:     make(map[string]*Node),
-		adj:       make(map[string][]*Link),
-		routes:    make(map[[2]string][]*Link),
+		epoch:     1,
+		routes:    make(map[[2]string]*Route),
 		mMsgs:     reg.Counter("simnet_messages_total"),
 		mBytes:    reg.Counter("simnet_bytes_total"),
 		mDelay:    reg.Histogram("simnet_delivery_delay_ns"),
@@ -138,23 +150,28 @@ func (n *Network) AddNode(id string, cpuSlots int) (*Node, error) {
 	if _, ok := n.nodes[id]; ok {
 		return nil, fmt.Errorf("simnet: duplicate node %q", id)
 	}
-	node := &Node{ID: id, CPU: sim.NewResource(n.env, cpuSlots)}
+	node := &Node{ID: id, CPU: sim.NewResource(n.env, cpuSlots), ord: int32(len(n.byOrd))}
 	n.nodes[id] = node
+	n.byOrd = append(n.byOrd, node)
+	n.epoch++ // a route to a name that did not exist yet resolves again
 	return node, nil
 }
 
 // Node returns the node with the given ID, or nil.
 func (n *Network) Node(id string) *Node { return n.nodes[id] }
 
-// HasLink reports whether a link between a and b exists (in either order).
-func (n *Network) HasLink(a, b string) bool {
+// findLink returns the a-b link (in either order), or nil.
+func (n *Network) findLink(a, b string) *Link {
 	for _, l := range n.links {
 		if (l.A == a && l.B == b) || (l.A == b && l.B == a) {
-			return true
+			return l
 		}
 	}
-	return false
+	return nil
 }
+
+// HasLink reports whether a link between a and b exists (in either order).
+func (n *Network) HasLink(a, b string) bool { return n.findLink(a, b) != nil }
 
 // Nodes returns the number of nodes.
 func (n *Network) Nodes() int { return len(n.nodes) }
@@ -162,39 +179,40 @@ func (n *Network) Nodes() int { return len(n.nodes) }
 // AddLink connects a and b with the given one-way latency and bandwidth
 // (bytes per second). Both endpoints must exist.
 func (n *Network) AddLink(a, b string, latency time.Duration, bps float64) (*Link, error) {
-	if _, ok := n.nodes[a]; !ok {
+	na, nb := n.nodes[a], n.nodes[b]
+	if na == nil {
 		return nil, fmt.Errorf("simnet: link endpoint %q does not exist", a)
 	}
-	if _, ok := n.nodes[b]; !ok {
+	if nb == nil {
 		return nil, fmt.Errorf("simnet: link endpoint %q does not exist", b)
 	}
 	if bps <= 0 {
 		return nil, fmt.Errorf("simnet: link %s-%s bandwidth must be positive", a, b)
 	}
-	l := &Link{A: a, B: b, Latency: latency, Bps: bps}
-	l.mBytes[0] = n.linkBytes.With(a + ">" + b)
-	l.mBytes[1] = n.linkBytes.With(b + ">" + a)
-	l.mQueue[0] = n.linkQueue.With(a + ">" + b)
-	l.mQueue[1] = n.linkQueue.With(b + ">" + a)
+	l := &Link{A: a, B: b, Latency: latency, Bps: bps, ends: [2]*Node{na, nb}}
+	ab, ba := a+">"+b, b+">"+a
+	l.mBytes[0] = n.linkBytes.With(ab)
+	l.mBytes[1] = n.linkBytes.With(ba)
+	l.mQueue[0] = n.linkQueue.With(ab)
+	l.mQueue[1] = n.linkQueue.With(ba)
 	n.mLinks.Add(1)
 	n.links = append(n.links, l)
-	n.adj[a] = append(n.adj[a], l)
-	n.adj[b] = append(n.adj[b], l)
-	n.routes = make(map[[2]string][]*Link)
+	na.links = append(na.links, l)
+	nb.links = append(nb.links, l)
+	n.epoch++
 	return l, nil
 }
 
 // SetLinkState marks the a-b link up or down. Transfers across a down link
 // fail with an UnreachableError (unless another path exists).
 func (n *Network) SetLinkState(a, b string, up bool) error {
-	for _, l := range n.links {
-		if (l.A == a && l.B == b) || (l.A == b && l.B == a) {
-			l.down = !up
-			n.routes = make(map[[2]string][]*Link)
-			return nil
-		}
+	l := n.findLink(a, b)
+	if l == nil {
+		return fmt.Errorf("simnet: no link %s-%s", a, b)
 	}
-	return fmt.Errorf("simnet: no link %s-%s", a, b)
+	l.down = !up
+	n.epoch++
+	return nil
 }
 
 // faultSeedSalt decorrelates the fault RNG stream from the env seed itself;
@@ -219,20 +237,19 @@ func (n *Network) EnableFaults(seed int64) {
 
 // SetLinkQuality replaces the a-b link's quality (latency multiplier, jitter
 // fraction, drop probability). The zero LinkQuality restores nominal service.
-// Routing weights follow the latency multiplier, so the route cache is
-// invalidated.
+// Routing weights follow the latency multiplier, so every route resolves
+// again on its next use.
 func (n *Network) SetLinkQuality(a, b string, q LinkQuality) error {
 	if q.LatencyMult < 0 || q.JitterFrac < 0 || q.DropProb < 0 || q.DropProb > 1 {
 		return fmt.Errorf("simnet: invalid link quality %+v for %s-%s", q, a, b)
 	}
-	for _, l := range n.links {
-		if (l.A == a && l.B == b) || (l.A == b && l.B == a) {
-			l.quality = q
-			n.routes = make(map[[2]string][]*Link)
-			return nil
-		}
+	l := n.findLink(a, b)
+	if l == nil {
+		return fmt.Errorf("simnet: no link %s-%s", a, b)
 	}
-	return fmt.Errorf("simnet: no link %s-%s", a, b)
+	l.quality = q
+	n.epoch++
+	return nil
 }
 
 // SetNodeState marks a node up (restarted) or down (crashed). Messages to,
@@ -243,7 +260,7 @@ func (n *Network) SetNodeState(id string, up bool) error {
 		return fmt.Errorf("simnet: no node %q", id)
 	}
 	node.down = !up
-	n.routes = make(map[[2]string][]*Link)
+	n.epoch++
 	return nil
 }
 
@@ -257,83 +274,153 @@ func (l *Link) effLatency() time.Duration {
 	return l.Latency
 }
 
-// path returns the latency-shortest live path from a to b using Dijkstra.
-func (n *Network) path(a, b string) ([]*Link, error) {
-	if a == b {
-		return nil, nil
+// hop is one link of a resolved route and the direction the route crosses
+// it in: 0 is A->B, 1 is B->A.
+type hop struct {
+	l   *Link
+	dir int
+}
+
+// Route is a caller-held handle on the latency-shortest live path from one
+// node to another. It resolves on first use and again after any change to
+// the network (see Network.epoch), so it never goes stale; in between, a
+// message over it walks pre-resolved hops.
+type Route struct {
+	net      *Network
+	from, to string
+	epoch    uint64 // the network epoch hops, lat and err were resolved at
+	hops     []hop
+	lat      time.Duration // sum of the hops' effective latencies
+	err      error         // *UnreachableError when no live path exists
+}
+
+// Route returns the shared handle on the from -> to path, which callers on a
+// hot path keep.
+func (n *Network) Route(from, to string) *Route {
+	key := [2]string{from, to}
+	r := n.routes[key]
+	if r == nil {
+		r = &Route{net: n, from: from, to: to}
+		n.routes[key] = r
 	}
-	key := [2]string{a, b}
-	if p, ok := n.routes[key]; ok {
-		if p == nil {
-			return nil, &UnreachableError{From: a, To: b}
+	return r
+}
+
+// current re-resolves the route if the network changed since it last was.
+func (r *Route) current() {
+	if r.epoch != r.net.epoch {
+		r.resolve()
+	}
+}
+
+// resolve computes the path with Dijkstra over node ordinals: among equally
+// distant nodes the smaller ID settles first and a node keeps the first
+// predecessor that reached it, so the path depends on the topology alone.
+func (r *Route) resolve() {
+	n, sp := r.net, &r.net.sp
+	r.epoch, r.hops, r.lat, r.err = n.epoch, r.hops[:0], 0, nil
+	if r.from == r.to {
+		return
+	}
+	src, dst := n.nodes[r.from], n.nodes[r.to]
+	if src == nil || dst == nil || src.down || dst.down || !sp.run(n, src, dst) {
+		r.err = &UnreachableError{From: r.from, To: r.to}
+		return
+	}
+	for at := dst; at != src; { // walk back from dst, then reverse
+		l, dir := sp.via[at.ord], 0 // arrived at B over A->B
+		if l.ends[0] == at {
+			dir = 1
 		}
-		return p, nil
+		r.hops = append(r.hops, hop{l: l, dir: dir})
+		r.lat += l.effLatency()
+		at = l.ends[dir]
 	}
-	if na, ok := n.nodes[a]; ok && na.down {
-		n.routes[key] = nil
-		return nil, &UnreachableError{From: a, To: b}
+	slices.Reverse(r.hops)
+}
+
+// shortestPaths is Dijkstra's scratch, kept on the network so that
+// resolving a route allocates nothing once warm. Like the rest of the
+// network it belongs to one simulation and is used by one process at a time.
+type shortestPaths struct {
+	dist  []time.Duration
+	via   []*Link
+	state []uint8 // 0 unreached, 1 reached, 2 settled
+	queue []queued
+}
+
+type queued struct {
+	dist time.Duration
+	node *Node
+}
+
+// before orders the queue: shorter distance first, then smaller node ID.
+func (a queued) before(b queued) bool {
+	return a.dist < b.dist || (a.dist == b.dist && a.node.ID < b.node.ID)
+}
+
+// run settles live nodes outward from src until dst is settled (true) or
+// none is left (false); via then holds the link each node was reached over.
+func (s *shortestPaths) run(n *Network, src, dst *Node) bool {
+	if len(s.state) < len(n.byOrd) {
+		s.dist, s.via, s.state = make([]time.Duration, len(n.byOrd)), make([]*Link, len(n.byOrd)), make([]uint8, len(n.byOrd))
 	}
-	if nb, ok := n.nodes[b]; ok && nb.down {
-		n.routes[key] = nil
-		return nil, &UnreachableError{From: a, To: b}
-	}
-	type entry struct {
-		dist time.Duration
-		via  *Link
-		prev string
-	}
-	dist := map[string]entry{a: {}}
-	visited := map[string]bool{}
-	for {
-		// Select the unvisited node with the smallest distance
-		// (deterministic tie-break by node ID).
-		cur, best := "", time.Duration(-1)
-		for id, e := range dist {
-			if visited[id] {
-				continue
+	clear(s.state)
+	s.queue = s.queue[:0]
+	s.reach(src, 0, nil)
+	for len(s.queue) > 0 {
+		q := s.pop()
+		cur := q.node
+		if s.state[cur.ord] == 2 || q.dist != s.dist[cur.ord] {
+			continue // settled already, or superseded by a shorter entry
+		}
+		if cur == dst {
+			return true
+		}
+		s.state[cur.ord] = 2
+		for _, l := range cur.links {
+			next := l.ends[1]
+			if next == cur {
+				next = l.ends[0]
 			}
-			if best < 0 || e.dist < best || (e.dist == best && id < cur) {
-				cur, best = id, e.dist
+			if nd := q.dist + l.effLatency(); !l.down && !next.down && (s.state[next.ord] == 0 || nd < s.dist[next.ord]) {
+				s.reach(next, nd, l)
 			}
 		}
-		if cur == "" {
-			n.routes[key] = nil
-			return nil, &UnreachableError{From: a, To: b}
+	}
+	return false
+}
+
+// reach records a new or shorter distance to node and queues it.
+func (s *shortestPaths) reach(node *Node, d time.Duration, via *Link) {
+	s.state[node.ord], s.dist[node.ord], s.via[node.ord] = max(s.state[node.ord], 1), d, via
+	q := append(s.queue, queued{dist: d, node: node})
+	for i := len(q) - 1; i > 0 && q[i].before(q[(i-1)/2]); i = (i - 1) / 2 {
+		q[i], q[(i-1)/2] = q[(i-1)/2], q[i]
+	}
+	s.queue = q
+}
+
+// pop removes and returns the queue's first entry.
+func (s *shortestPaths) pop() queued {
+	q, top := s.queue, s.queue[0]
+	q[0] = q[len(q)-1]
+	q = q[:len(q)-1]
+	for i := 0; ; {
+		m := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(q) && q[c].before(q[m]) {
+				m = c
+			}
 		}
-		if cur == b {
+		if m == i {
 			break
 		}
-		visited[cur] = true
-		for _, l := range n.adj[cur] {
-			if l.down {
-				continue
-			}
-			next := l.B
-			if next == cur {
-				next = l.A
-			}
-			if nn, ok := n.nodes[next]; ok && nn.down {
-				continue
-			}
-			nd := dist[cur].dist + l.effLatency()
-			if e, ok := dist[next]; !ok || nd < e.dist {
-				dist[next] = entry{dist: nd, via: l, prev: cur}
-			}
-		}
+		q[i], q[m] = q[m], q[i]
+		i = m
 	}
-	// Walk back from b to a collecting links.
-	var rev []*Link
-	for at := b; at != a; {
-		e := dist[at]
-		rev = append(rev, e.via)
-		at = e.prev
-	}
-	p := make([]*Link, len(rev))
-	for i := range rev {
-		p[i] = rev[len(rev)-1-i]
-	}
-	n.routes[key] = p
-	return p, nil
+	s.queue = q
+	return top
 }
 
 // WideAreaOneWay is the one-way latency at or above which a path counts as
@@ -342,95 +429,72 @@ func (n *Network) path(a, b string) ([]*Link, error) {
 // identically; tracing and the rmi statistics share this one.
 const WideAreaOneWay = 10 * time.Millisecond
 
-// WideArea reports whether the current shortest live path from a to b
-// crosses a wide-area distance (one-way latency ≥ WideAreaOneWay).
-// Unreachable pairs count as wide: whatever stalls there, a LAN did not.
-func (n *Network) WideArea(a, b string) bool {
-	d, err := n.Latency(a, b)
-	return err != nil || d >= WideAreaOneWay
+// Latency returns the one-way propagation delay along the current shortest
+// live path.
+func (r *Route) Latency() (time.Duration, error) {
+	r.current()
+	return r.lat, r.err
 }
 
-// Latency returns the one-way propagation delay from a to b along the
-// current shortest live path.
-func (n *Network) Latency(a, b string) (time.Duration, error) {
-	p, err := n.path(a, b)
-	if err != nil {
-		return 0, err
-	}
-	var total time.Duration
-	for _, l := range p {
-		total += l.effLatency()
-	}
-	return total, nil
+// RTT returns the round-trip time over the route (twice its latency).
+func (r *Route) RTT() (time.Duration, error) {
+	r.current()
+	return 2 * r.lat, r.err
 }
 
-// RTT returns the round-trip time between a and b.
-func (n *Network) RTT(a, b string) (time.Duration, error) {
-	lat, err := n.Latency(a, b)
-	if err != nil {
-		return 0, err
-	}
-	return 2 * lat, nil
+// WideArea reports whether the current shortest live path crosses a
+// wide-area distance (one-way latency ≥ WideAreaOneWay). An unreachable
+// pair counts as wide: whatever stalls there, a LAN did not.
+func (r *Route) WideArea() bool {
+	r.current()
+	return r.err != nil || r.lat >= WideAreaOneWay
 }
 
-// Reachable reports whether a live path from a to b exists.
-func (n *Network) Reachable(a, b string) bool {
-	_, err := n.path(a, b)
-	return err == nil
+// Reachable reports whether a live path exists.
+func (r *Route) Reachable() bool {
+	r.current()
+	return r.err == nil
 }
 
 // Delay computes the delivery delay for a message of the given size sent now
-// from a to b, reserving transmitter time on every link along the path
+// over the route, reserving transmitter time on every link along the path
 // (cut-through model: propagation delays add, serialization occupies each
 // link's transmitter in turn).
-func (n *Network) Delay(from, to string, bytes int) (time.Duration, error) {
-	if bytes < 0 {
-		bytes = 0
+func (r *Route) Delay(bytes int) (time.Duration, error) {
+	r.current()
+	if r.err != nil {
+		return 0, r.err
 	}
-	p, err := n.path(from, to)
-	if err != nil {
-		return 0, err
-	}
+	bytes = max(bytes, 0)
+	n := r.net
 	if n.frng != nil {
 		// Loss sweep before any transmitter reservation: a dropped
 		// message consumes no bandwidth, and RNG draws happen only on
 		// lossy links so enabling loss on one link leaves every other
 		// link's timing untouched.
-		for _, l := range p {
-			if l.quality.DropProb > 0 && n.frng.Float64() < l.quality.DropProb {
+		for _, h := range r.hops {
+			if p := h.l.quality.DropProb; p > 0 && n.frng.Float64() < p {
 				n.mDropped.Inc()
-				return 0, &DroppedError{From: from, To: to}
+				return 0, &DroppedError{From: r.from, To: r.to}
 			}
 		}
 	}
 	now := n.env.Now()
 	depart := now // when the head of the message enters the next link
 	arrive := now
-	at := from
-	for _, l := range p {
-		dir := 0
-		if l.A != at {
-			dir = 1
-		}
+	for _, h := range r.hops {
+		l, dir := h.l, h.dir
 		lat := l.effLatency()
 		if n.frng != nil && l.quality.JitterFrac > 0 {
 			lat += time.Duration(n.frng.Float64() * l.quality.JitterFrac * float64(lat))
 		}
 		ser := time.Duration(float64(bytes) / l.Bps * float64(time.Second))
-		start := depart
-		if l.busyUntil[dir] > start {
-			start = l.busyUntil[dir]
-		}
+		start := max(depart, l.busyUntil[dir])
 		l.mBytes[dir].Add(int64(bytes))
 		l.mQueue[dir].Observe(start - depart)
 		l.busyUntil[dir] = start + ser
 		depart = start + lat
 		arrive = start + ser + lat
-		if l.A == at {
-			at = l.B
-		} else {
-			at = l.A
-		}
 	}
 	n.mMsgs.Inc()
 	n.mBytes.Add(int64(bytes))
@@ -438,15 +502,33 @@ func (n *Network) Delay(from, to string, bytes int) (time.Duration, error) {
 	return arrive - now, nil
 }
 
-// Transfer blocks the process for the delivery delay of a message from
-// from to to. It models one one-way network hop of an RPC or HTTP exchange.
-func (n *Network) Transfer(p *sim.Proc, from, to string, bytes int) error {
-	d, err := n.Delay(from, to, bytes)
-	if err != nil {
-		return err
+// Transfer blocks the process for the delivery delay of a message over the
+// route. It models one one-way network hop of an RPC or HTTP exchange.
+func (r *Route) Transfer(p *sim.Proc, bytes int) error {
+	d, err := r.Delay(bytes)
+	if err == nil {
+		p.Sleep(d)
 	}
-	p.Sleep(d)
-	return nil
+	return err
+}
+
+// Send delivers a message asynchronously: fn runs on the scheduler at the
+// delivery time. It returns the delivery delay. Use it for one-way messages
+// such as JMS publications.
+func (r *Route) Send(bytes int, fn func()) (time.Duration, error) {
+	d, err := r.Delay(bytes)
+	if err == nil {
+		r.net.env.After(d, fn)
+	}
+	return d, err
+}
+
+// WideArea is Route(a, b).WideArea().
+func (n *Network) WideArea(a, b string) bool { return n.Route(a, b).WideArea() }
+
+// Transfer is Route(from, to).Transfer(p, bytes).
+func (n *Network) Transfer(p *sim.Proc, from, to string, bytes int) error {
+	return n.Route(from, to).Transfer(p, bytes)
 }
 
 // BulkError reports a bulk state transfer that failed part-way through.
@@ -481,33 +563,22 @@ func (n *Network) TransferBulk(p *sim.Proc, from, to string, bytes, chunk int) e
 	if chunk <= 0 {
 		chunk = 64 << 10
 	}
+	r := n.Route(from, to)
 	sent := 0
 	for sent < bytes {
 		sz := bytes - sent
 		if sz > chunk {
 			sz = chunk
 		}
-		d, err := n.Delay(from, to, sz)
+		d, err := r.Delay(sz)
 		if err != nil {
 			return &BulkError{From: from, To: to, Sent: sent, Err: err}
 		}
 		p.Sleep(d)
-		if !n.Reachable(from, to) {
+		if !r.Reachable() {
 			return &BulkError{From: from, To: to, Sent: sent, Err: &UnreachableError{From: from, To: to}}
 		}
 		sent += sz
 	}
 	return nil
-}
-
-// Send delivers a message asynchronously: fn runs on the scheduler at the
-// delivery time. It returns the delivery delay. Use it for one-way messages
-// such as JMS publications.
-func (n *Network) Send(from, to string, bytes int, fn func()) (time.Duration, error) {
-	d, err := n.Delay(from, to, bytes)
-	if err != nil {
-		return 0, err
-	}
-	n.env.After(d, fn)
-	return d, nil
 }

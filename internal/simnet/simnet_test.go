@@ -32,7 +32,7 @@ func TestShortestPathRouting(t *testing.T) {
 	env := sim.NewEnv(1)
 	n := buildTriangle(t, env)
 	// a->c direct is 50ms; via b is 20ms, so the route should go via b.
-	lat, err := n.Latency("a", "c")
+	lat, err := n.Route("a", "c").Latency()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +44,11 @@ func TestShortestPathRouting(t *testing.T) {
 func TestRTTSymmetric(t *testing.T) {
 	env := sim.NewEnv(1)
 	n := buildTriangle(t, env)
-	ab, err := n.RTT("a", "b")
+	ab, err := n.Route("a", "b").RTT()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ba, err := n.RTT("b", "a")
+	ba, err := n.Route("b", "a").RTT()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestRTTSymmetric(t *testing.T) {
 func TestSelfLatencyZero(t *testing.T) {
 	env := sim.NewEnv(1)
 	n := buildTriangle(t, env)
-	lat, err := n.Latency("a", "a")
+	lat, err := n.Route("a", "a").Latency()
 	if err != nil || lat != 0 {
 		t.Fatalf("self latency = %v, %v; want 0, nil", lat, err)
 	}
@@ -72,7 +72,7 @@ func TestLinkFailureReroutes(t *testing.T) {
 	if err := n.SetLinkState("a", "b", false); err != nil {
 		t.Fatal(err)
 	}
-	lat, err := n.Latency("a", "b")
+	lat, err := n.Route("a", "b").Latency()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,19 +91,19 @@ func TestPartitionUnreachable(t *testing.T) {
 	if err := n.SetLinkState("a", "c", false); err != nil {
 		t.Fatal(err)
 	}
-	_, err := n.Latency("a", "b")
+	_, err := n.Route("a", "b").Latency()
 	var ue *UnreachableError
 	if !errors.As(err, &ue) {
 		t.Fatalf("err = %v, want UnreachableError", err)
 	}
-	if n.Reachable("a", "c") {
+	if n.Route("a", "c").Reachable() {
 		t.Fatal("a should not reach c after partition")
 	}
 	// Recovery restores routing.
 	if err := n.SetLinkState("a", "b", true); err != nil {
 		t.Fatal(err)
 	}
-	if !n.Reachable("a", "b") {
+	if !n.Route("a", "b").Reachable() {
 		t.Fatal("a should reach b after recovery")
 	}
 }
@@ -146,11 +146,11 @@ func TestLinkSerializationQueues(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Two back-to-back 100-byte sends at t=0 must serialize: 100ms, 200ms.
-	d1, err := n.Delay("a", "b", 100)
+	d1, err := n.Route("a", "b").Delay(100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := n.Delay("a", "b", 100)
+	d2, err := n.Route("a", "b").Delay(100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,8 +170,8 @@ func TestOppositeDirectionsDoNotContend(t *testing.T) {
 	if _, err := n.AddLink("a", "b", 0, 1000); err != nil {
 		t.Fatal(err)
 	}
-	d1, _ := n.Delay("a", "b", 100)
-	d2, _ := n.Delay("b", "a", 100)
+	d1, _ := n.Route("a", "b").Delay(100)
+	d2, _ := n.Route("b", "a").Delay(100)
 	if d1 != d2 {
 		t.Fatalf("full-duplex link contended: %v vs %v", d1, d2)
 	}
@@ -181,7 +181,7 @@ func TestSendSchedulesDelivery(t *testing.T) {
 	env := sim.NewEnv(1)
 	n := buildTriangle(t, env)
 	delivered := time.Duration(-1)
-	if _, err := n.Send("a", "b", 0, func() { delivered = env.Now() }); err != nil {
+	if _, err := n.Route("a", "b").Send(0, func() { delivered = env.Now() }); err != nil {
 		t.Fatal(err)
 	}
 	env.RunAll()
@@ -241,7 +241,7 @@ func TestPaperTopologyRTTs(t *testing.T) {
 		{NodeClientsEdge1, NodeMain, 2 * (LANOneWay + WANOneWay)},
 	}
 	for _, c := range cases {
-		got, err := n.RTT(c.a, c.b)
+		got, err := n.Route(c.a, c.b).RTT()
 		if err != nil {
 			t.Fatalf("RTT(%s,%s): %v", c.a, c.b, err)
 		}
@@ -260,11 +260,11 @@ func TestPaperTopologyWANFailureIsolatesEdge(t *testing.T) {
 	if err := n.SetLinkState(NodeEdge1, NodeRouter, false); err != nil {
 		t.Fatal(err)
 	}
-	if n.Reachable(NodeEdge1, NodeMain) {
+	if n.Route(NodeEdge1, NodeMain).Reachable() {
 		t.Fatal("edge1 should be cut off from main")
 	}
 	// Clients on edge1's LAN can still reach edge1.
-	if !n.Reachable(NodeClientsEdge1, NodeEdge1) {
+	if !n.Route(NodeClientsEdge1, NodeEdge1).Reachable() {
 		t.Fatal("edge1 LAN clients should still reach edge1")
 	}
 }
@@ -290,12 +290,12 @@ func TestPropertyRoutingOptimality(t *testing.T) {
 		if _, err := n.AddLink("a", "c", d(l3), 1e9); err != nil {
 			return false
 		}
-		ac, err := n.Latency("a", "c")
+		ac, err := n.Route("a", "c").Latency()
 		if err != nil {
 			return false
 		}
-		ab, _ := n.Latency("a", "b")
-		bc, _ := n.Latency("b", "c")
+		ab, _ := n.Route("a", "b").Latency()
+		bc, _ := n.Route("b", "c").Latency()
 		direct := d(l3)
 		viaB := d(l1) + d(l2)
 		want := direct
@@ -328,7 +328,7 @@ func TestPropertyDelayMonotonicInSize(t *testing.T) {
 			small, large = large, small
 		}
 		// Fresh link per measurement to avoid serialization carryover.
-		d1, err := n.Delay("a", "b", small)
+		d1, err := n.Route("a", "b").Delay(small)
 		if err != nil {
 			return false
 		}
@@ -343,7 +343,7 @@ func TestPropertyDelayMonotonicInSize(t *testing.T) {
 		if _, err := n2.AddLink("a", "b", time.Millisecond, 1e4); err != nil {
 			return false
 		}
-		d2, err := n2.Delay("a", "b", large)
+		d2, err := n2.Route("a", "b").Delay(large)
 		if err != nil {
 			return false
 		}

@@ -101,6 +101,7 @@ type Container struct {
 	net      *simnet.Network
 	opts     Options
 	servlets map[string]Handler
+	conns    map[string]*conn // by client node
 
 	served int64
 
@@ -122,6 +123,7 @@ func NewContainer(net *simnet.Network, node string, opts Options) (*Container, e
 		net:       net,
 		opts:      opts,
 		servlets:  make(map[string]Handler),
+		conns:     make(map[string]*conn),
 		mReqs:     reg.CounterVec("web_requests_total", "server").With(node),
 		mErrors:   reg.Counter("web_request_errors_total"),
 		mSessions: reg.CounterVec("web_sessions_created_total", "server").With(node),
@@ -178,33 +180,49 @@ func (c *Container) serve(p *sim.Proc, req *Request) (*Response, error) {
 	return resp, nil
 }
 
+// conn is one client node's pair of routes to the container, resolved on
+// its first request and held for every later one.
+type conn struct {
+	up, down *simnet.Route // client -> server, server -> client
+}
+
+func (c *Container) conn(clientNode string) *conn {
+	cn := c.conns[clientNode]
+	if cn == nil {
+		cn = &conn{up: c.net.Route(clientNode, c.node.ID), down: c.net.Route(c.node.ID, clientNode)}
+		c.conns[clientNode] = cn
+	}
+	return cn
+}
+
 // Get performs one HTTP page request from clientNode against the container:
 // TCP handshake (unless keep-alive), request transfer, servlet execution,
 // response transfer. It returns the response and the total elapsed time.
 func (c *Container) Get(p *sim.Proc, clientNode, page string, params map[string]string, sess *Session) (*Response, time.Duration, error) {
 	start := p.Now()
 	server := c.node.ID
+	cn := c.conn(clientNode)
 	// The http span's self-time is the request/response transfers; the
 	// handshake and servlet work get their own child spans. Client-to-server
 	// transfer time is WAN wait when the client sits across a wide link.
 	netCause := trace.CauseService
-	if trace.Active(p) && c.net.WideArea(clientNode, server) {
+	if trace.Active(p) && cn.up.WideArea() {
 		netCause = trace.CauseWAN
 	}
 	defer trace.Opf(p, "http", server, clientNode, netCause, page, " @ ", server)()
 	if !c.opts.KeepAlive {
 		endTCP := trace.Opf(p, "tcp", server, clientNode, netCause, "handshake ", clientNode, " -> "+server)
 		// TCP three-way handshake: one round trip before data flows.
-		err := c.net.Transfer(p, clientNode, server, 64)
+		err := cn.up.Transfer(p, 64)
 		if err == nil {
-			err = c.net.Transfer(p, server, clientNode, 64)
+			err = cn.down.Transfer(p, 64)
 		}
 		endTCP()
 		if err != nil {
 			return nil, 0, fmt.Errorf("web: connect %s->%s: %w", clientNode, server, err)
 		}
 	}
-	if err := c.net.Transfer(p, clientNode, server, c.opts.RequestBytes); err != nil {
+	if err := cn.up.Transfer(p, c.opts.RequestBytes); err != nil {
 		return nil, 0, fmt.Errorf("web: request %s: %w", page, err)
 	}
 	req := &Request{Page: page, Params: params, Session: sess, ClientNode: clientNode}
@@ -214,7 +232,7 @@ func (c *Container) Get(p *sim.Proc, clientNode, page string, params map[string]
 	if err != nil {
 		return nil, 0, err
 	}
-	if err := c.net.Transfer(p, server, clientNode, resp.Bytes); err != nil {
+	if err := cn.down.Transfer(p, resp.Bytes); err != nil {
 		return nil, 0, fmt.Errorf("web: response %s: %w", page, err)
 	}
 	return resp, p.Now() - start, nil
