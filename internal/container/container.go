@@ -126,6 +126,7 @@ type Server struct {
 	replicaDB *sqldb.DB
 
 	sqlStatements int64
+	invs          sim.Free[Invocation] // envelopes of the business-method calls not in flight
 
 	mSQL        *metrics.Counter
 	mReplicaSQL *metrics.Counter

@@ -116,19 +116,19 @@ func (s *PartitionSpec) PartitionForKey(key string) int {
 	}
 }
 
-// Owns builds an ownership predicate over the given partition set — the hook
-// ROEntity.SetOwnership and propagation filters share.
-func (s *PartitionSpec) Owns(owned []int) func(sqldb.Value) bool {
-	set := make(map[int]bool, len(owned))
+// OwnedSet marks the owned partitions in a set indexed by partition, the one
+// form ROEntity ownership (Owns) and Pusher.SetTargetPartitions share.
+func (s *PartitionSpec) OwnedSet(owned []int) []bool {
+	set := make([]bool, max(s.Partitions, 1))
 	for _, p := range owned {
 		set[p] = true
 	}
-	return func(pk sqldb.Value) bool { return set[s.PartitionFor(pk)] }
+	return set
 }
 
-// UpdateFilter builds a propagation filter passing only updates whose key
-// falls in the owned partitions (Pusher.SetTargetFilter).
-func (s *PartitionSpec) UpdateFilter(owned []int) func(Update) bool {
-	owns := s.Owns(owned)
-	return func(u Update) bool { return owns(u.PK) }
+// Owns builds an ownership predicate over the given partition set — the hook
+// ROEntity.SetOwnership takes.
+func (s *PartitionSpec) Owns(owned []int) func(sqldb.Value) bool {
+	set := s.OwnedSet(owned)
+	return func(pk sqldb.Value) bool { return set[s.PartitionFor(pk)] }
 }

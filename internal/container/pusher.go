@@ -40,13 +40,11 @@ type Pusher struct {
 
 	// targets are the destinations. The topic is a JMS pusher's only one,
 	// held as the zero PushTarget so every row walks the same list.
-	targets []PushTarget
+	targets []pushDest
 
-	// filters holds optional per-target update filters (partitioned
-	// replicas: each edge only receives updates for keys it owns). Kept in
-	// a side map so PushTarget stays comparable. A target without an entry
-	// receives everything.
-	filters map[PushTarget]func(Update) bool
+	// part and scopes partition-scope targets; scopes outlives RemoveTarget.
+	part   *PartitionSpec
+	scopes map[PushTarget][]bool
 
 	// BestEffort makes an unreachable replica non-fatal to a writer that
 	// blocks on it: the push is skipped (and counted) instead of failing the
@@ -73,6 +71,29 @@ type Pusher struct {
 	mBytes     *metrics.Counter
 }
 
+// pushDest is one destination and the partitions it owns (nil: all).
+type pushDest struct {
+	PushTarget
+	owns []bool
+}
+
+// keep returns the updates (of partitions parts) d owns: updates itself when
+// it owns them all, a copy only when the batch splits.
+func (d *pushDest) keep(updates []Update, parts []int) []Update {
+	for i, p := range parts {
+		if !d.owns[p] {
+			batch := updates[:i:i] // full, so the first append copies
+			for j := i + 1; j < len(parts); j++ {
+				if d.owns[parts[j]] {
+					batch = append(batch, updates[j])
+				}
+			}
+			return batch
+		}
+	}
+	return updates
+}
+
 // NewPusher creates a propagator on srv. A topic selects the JMS transport;
 // without one the pusher sends RMI to the targets AddTarget gives it. Each
 // row registers only its own metric family, so a run that never builds a row
@@ -84,13 +105,13 @@ func NewPusher(srv *Server, topic string, window time.Duration, msgBytes int) (*
 	if msgBytes <= 0 {
 		msgBytes = 1024
 	}
-	ps := &Pusher{srv: srv, topic: topic, window: window, bytes: msgBytes}
+	ps := &Pusher{srv: srv, topic: topic, window: window, bytes: msgBytes, scopes: map[PushTarget][]bool{}}
 	if topic != "" {
 		if srv.jms == nil {
 			return nil, fmt.Errorf("container: pusher on %s: no JMS provider", srv.name)
 		}
 		srv.jms.CreateTopic(topic)
-		ps.targets = []PushTarget{{}}
+		ps.targets = []pushDest{{}}
 	}
 	reg := srv.Env().Metrics()
 	switch {
@@ -115,39 +136,41 @@ func NewPusher(srv *Server, topic string, window time.Duration, msgBytes int) (*
 // target is a no-op.
 func (ps *Pusher) AddTarget(t PushTarget) {
 	for _, cur := range ps.targets {
-		if cur == t {
+		if cur.PushTarget == t {
 			return
 		}
 	}
-	ps.targets = append(ps.targets, t)
+	ps.targets = append(ps.targets, pushDest{t, ps.scopes[t]})
 }
 
 // RemoveTarget detaches a replica destination at runtime (suspension of
 // pushes to an unreachable edge). Removing an absent target is a no-op. The
-// target's filter, if any, stays registered so a later re-add keeps its
-// scope.
+// target's partition scope, if any, stays registered so a later re-add
+// keeps it.
 func (ps *Pusher) RemoveTarget(t PushTarget) {
 	for i, cur := range ps.targets {
-		if cur == t {
+		if cur.PushTarget == t {
 			ps.targets = append(ps.targets[:i], ps.targets[i+1:]...)
 			return
 		}
 	}
 }
 
-// SetTargetFilter scopes pushes to t: only updates passing keep are sent
-// (partitioned replicas receive just their slice of the key space), and a
-// commit or window with nothing for t sends it no message at all. A nil keep
-// removes the filter, restoring full propagation to t.
-func (ps *Pusher) SetTargetFilter(t PushTarget, keep func(Update) bool) {
-	if keep == nil {
-		delete(ps.filters, t)
-		return
+// SetTargetPartitions scopes pushes to t to the keys in spec's owned
+// partitions (a partitioned replica's slice of the key space); a commit or
+// window with nothing for t sends it no message. Scoped targets share the
+// pusher's one bean, and so its spec. A nil spec restores full propagation.
+func (ps *Pusher) SetTargetPartitions(t PushTarget, spec *PartitionSpec, owned []int) {
+	var owns []bool
+	if spec != nil {
+		ps.part, owns = spec, spec.OwnedSet(owned)
 	}
-	if ps.filters == nil {
-		ps.filters = make(map[PushTarget]func(Update) bool)
+	ps.scopes[t] = owns
+	for i := range ps.targets {
+		if ps.targets[i].PushTarget == t {
+			ps.targets[i].owns = owns
+		}
 	}
-	ps.filters[t] = keep
 }
 
 // batchBytes sizes a message: deltas and deletes ride their WireBytes
@@ -215,7 +238,7 @@ func (ps *Pusher) flush() {
 	_ = ps.send(nil, ps.buf.take())
 }
 
-// send ships updates to every destination, each getting the part its filter
+// send ships updates to every destination, each getting the part its scope
 // keeps. A writer (p != nil) blocks until all of them applied it — one after
 // the other on its own process, or with Parallel all at once on a process
 // each — and sees the first failure unless BestEffort. A flush (p == nil) has
@@ -224,17 +247,17 @@ func (ps *Pusher) flush() {
 func (ps *Pusher) send(p *sim.Proc, updates []Update) error {
 	inline := p != nil && !ps.parallel()
 	payload := ps.batchBytes(updates)
+	parts := make([]int, 0, 4)
+	if ps.part != nil {
+		for _, u := range updates {
+			parts = append(parts, ps.part.PartitionFor(u.PK))
+		}
+	}
 	var waits []*sim.Promise[struct{}]
-	for _, t := range ps.targets {
-		batch, pl := updates, payload
-		if keep, ok := ps.filters[t]; ok {
-			batch = make([]Update, 0, len(updates))
-			for _, u := range updates {
-				if keep(u) {
-					batch = append(batch, u)
-				}
-			}
-			if len(batch) == 0 {
+	for _, d := range ps.targets {
+		batch, pl, t := updates, payload, d.PushTarget
+		if d.owns != nil {
+			if batch = d.keep(updates, parts); len(batch) == 0 {
 				continue
 			}
 			pl = ps.batchBytes(batch)

@@ -268,7 +268,7 @@ func TestPusherFilterAtSource(t *testing.T) {
 			f := newFixture(t)
 			rw, ro, uf, ps := wirePusher(t, f, row)
 			spec := &PartitionSpec{Scheme: RangePartition, Partitions: 2, Bounds: []string{"i2"}}
-			ps.SetTargetFilter(edgeUpdater, spec.UpdateFilter([]int{0}))
+			ps.SetTargetPartitions(edgeUpdater, spec, []int{0})
 			write := func(pk string, qty int64) time.Duration {
 				var cost time.Duration
 				f.run(t, func(p *sim.Proc) {
@@ -293,8 +293,8 @@ func TestPusherFilterAtSource(t *testing.T) {
 			if peekQty(ro, "i1") != 7 || peekQty(ro, "i2") != 5 {
 				t.Fatalf("replica i1=%d i2=%d, want 7 and the preloaded 5", peekQty(ro, "i1"), peekQty(ro, "i2"))
 			}
-			// Clearing the filter restores full propagation.
-			ps.SetTargetFilter(edgeUpdater, nil)
+			// Clearing the scope restores full propagation.
+			ps.SetTargetPartitions(edgeUpdater, nil, nil)
 			write("i2", 9)
 			if ro.Pushes() != 2 || peekQty(ro, "i2") != 9 {
 				t.Fatalf("pushes=%d i2=%d after filter removal, want 2 and 9", ro.Pushes(), peekQty(ro, "i2"))

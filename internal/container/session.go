@@ -10,7 +10,9 @@ import (
 	"wadeploy/internal/trace"
 )
 
-// Invocation is the context passed to a session-bean business method.
+// Invocation is the context passed to a session-bean business method, an
+// envelope its Server recycles once the method returns: a method copies what
+// it keeps (Args and State are the caller's and the instance's own).
 type Invocation struct {
 	Server  *Server
 	Method  string
@@ -45,7 +47,6 @@ type StatelessBean struct {
 	srv     *Server
 	name    string
 	methods map[string]Method
-	calls   int64
 
 	mCalls *metrics.Counter
 }
@@ -83,23 +84,16 @@ func RedeployStateless(srv *Server, name string, methods map[string]Method) (*St
 // Name returns the bean's deployment name.
 func (b *StatelessBean) Name() string { return b.name }
 
-// Calls returns the number of business-method invocations served.
-func (b *StatelessBean) Calls() int64 { return b.calls }
-
 func (b *StatelessBean) handle(p *sim.Proc, call *rmi.Call) (any, error) {
 	m, ok := b.methods[call.Method]
 	if !ok {
 		return nil, fmt.Errorf("container: %s.%s: %w", b.name, call.Method, ErrNoSuchMethod)
 	}
-	b.calls++
 	b.mCalls.Inc()
 	b.srv.Compute(p, b.srv.costs.MethodCPU)
-	return m(p, &Invocation{
-		Server: b.srv,
-		Method: call.Method,
-		Args:   call.Args,
-		Caller: call.Caller,
-	})
+	inv := b.srv.invs.Take(Invocation{Server: b.srv, Method: call.Method, Args: call.Args, Caller: call.Caller})
+	defer b.srv.invs.Put(inv)
+	return m(p, inv)
 }
 
 // StatefulBean is a deployed stateful session bean: one conversational-state
@@ -111,7 +105,6 @@ type StatefulBean struct {
 	name      string
 	methods   map[string]Method
 	instances map[string]State
-	calls     int64
 
 	// Session replication (the memory-to-memory stateful-session-EJB
 	// replication J2EE clusters use for failover; the paper notes it is a
@@ -168,9 +161,6 @@ func DeployStateful(srv *Server, name string, methods map[string]Method) (*State
 // Name returns the bean's deployment name.
 func (b *StatefulBean) Name() string { return b.name }
 
-// Calls returns the number of business-method invocations served.
-func (b *StatefulBean) Calls() int64 { return b.calls }
-
 // Instances returns the number of live conversational-state instances.
 func (b *StatefulBean) Instances() int { return len(b.instances) }
 
@@ -204,17 +194,12 @@ func (b *StatefulBean) handle(p *sim.Proc, call *rmi.Call) (any, error) {
 		b.instances[sessionKey] = st
 		b.mActivations.Inc()
 	}
-	b.calls++
 	b.mCalls.Inc()
 	b.srv.Compute(p, b.srv.costs.MethodCPU)
-	result, err := m(p, &Invocation{
-		Server:  b.srv,
-		Method:  call.Method,
-		Args:    call.Args[1:],
-		Caller:  call.Caller,
-		Session: sessionKey,
-		State:   st,
-	})
+	inv := b.srv.invs.Take(Invocation{Server: b.srv, Method: call.Method, Args: call.Args[1:], Caller: call.Caller,
+		Session: sessionKey, State: st})
+	defer b.srv.invs.Put(inv)
+	result, err := m(p, inv)
 	if err == nil && b.replicaServer != "" && b.replicaServer != b.srv.name {
 		if rerr := b.replicate(p, sessionKey, st); rerr != nil {
 			return nil, fmt.Errorf("container: %s session replication: %w", b.name, rerr)

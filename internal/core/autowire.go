@@ -58,7 +58,7 @@ type Wiring struct {
 	// round-robin over the deployment's edges.
 	owned map[string]PartitionAssignment
 	// The pushers, by transport: RMI ones per read-write bean (sync and
-	// lease specs; partition filters are per bean), topic ones per distinct
+	// lease specs; partition scopes are per bean), topic ones per distinct
 	// batch window (async specs share a message per window).
 	rmiPushers   map[string]*container.Pusher
 	topicPushers map[time.Duration]*container.Pusher

@@ -48,7 +48,7 @@ func (w *Wiring) applyPartitioning(server string, spec container.ReplicaSpec, ro
 	owned := asg.Owned(server)
 	ro.SetOwnership(spec.Partition.Owns(owned))
 	if ps, ok := w.rmiPushers[spec.Bean]; ok {
-		ps.SetTargetFilter(w.target(server), spec.Partition.UpdateFilter(owned))
+		ps.SetTargetPartitions(w.target(server), spec.Partition, owned)
 	}
 }
 

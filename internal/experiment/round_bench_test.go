@@ -1,11 +1,13 @@
 package experiment
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
 	"wadeploy/internal/container"
 	"wadeploy/internal/core"
+	"wadeploy/internal/race"
 	"wadeploy/internal/simnet"
 	"wadeploy/internal/workload"
 )
@@ -47,7 +49,61 @@ func BenchmarkRubisAsyncRound(b *testing.B) {
 }
 
 func BenchmarkPetstoreTopo128Round(b *testing.B) {
+	benchmarkRound(b, PetStore, topo128Policy(), simnet.DefaultHierarchySpec(128), 5*time.Minute, 20*time.Minute)
+}
+
+// topo128Policy is petstore-topo128's placement: query caching with the
+// entities hash-partitioned eight ways over the edges.
+func topo128Policy() core.Policy {
 	cfg := core.QueryCaching
 	cfg.Partition = &container.PartitionSpec{Scheme: container.HashPartition, Partitions: 8}
-	benchmarkRound(b, PetStore, cfg, simnet.DefaultHierarchySpec(128), 5*time.Minute, 20*time.Minute)
+	return cfg
+}
+
+// TestPageAllocBudget holds each full-stack workload to its heap-allocation
+// budget per page, counted over the pages of a short round after its
+// warm-up: a call envelope, row slice, argument slice, response or push
+// batch that starts being allocated per page again shows here first.
+func TestPageAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates; alloc guard runs without -race")
+	}
+	cases := []struct {
+		name   string
+		app    AppID
+		cfg    core.Policy
+		spec   simnet.HierarchySpec
+		budget float64
+	}{
+		{"petstore-centralized", PetStore, core.Centralized, simnet.HierarchySpec{}, 7.5},
+		{"rubis-async", RUBiS, core.AsyncUpdates, simnet.HierarchySpec{}, 7.0},
+		{"petstore-topo128", PetStore, topo128Policy(), simnet.DefaultHierarchySpec(128), 9.0},
+	}
+	const warmup = 2 * time.Minute
+	for _, c := range cases {
+		tb, err := deploy(c.app, c.cfg, RunOptions{Seed: 1}, c.spec, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		pages, warm := 0, 0
+		_, err = workload.Run(workload.Config{
+			Env: tb.Env, Groups: tb.Groups, Warmup: warmup, Duration: 3 * time.Minute,
+			Observer: func(now time.Duration, _ workload.Client, _ workload.SeriesKey, _ time.Duration, _ error) {
+				if pages++; warm == 0 && now >= warmup {
+					runtime.ReadMemStats(&before)
+					warm = pages
+				}
+			},
+		})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perPage := float64(after.Mallocs-before.Mallocs) / float64(pages-warm)
+		t.Logf("%s: %.2f allocs/page over %d pages after warm-up", c.name, perPage, pages-warm)
+		if perPage > c.budget {
+			t.Errorf("%s allocates %.2f objects per page, budget %.1f", c.name, perPage, c.budget)
+		}
+	}
 }

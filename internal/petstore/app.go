@@ -101,10 +101,11 @@ type App struct {
 // PageCost is the application-side cost of rendering one page, split into
 // CPU (charged to the server, creating contention) and latency (JSP
 // pipeline, logging, connection handling — time that does not occupy a CPU
-// slot).
+// slot), and the page it renders.
 type PageCost struct {
-	CPU time.Duration
-	Lat time.Duration
+	CPU  time.Duration
+	Lat  time.Duration
+	Page *web.Response // the rendered page, shared read-only by its requests
 }
 
 // PageCosts maps page name to its render cost.
@@ -114,21 +115,22 @@ type PageCosts map[string]PageCost
 // response times land near Table 6's first row. Pet Store is deliberately a
 // heavyweight application (design-pattern showcase, not a benchmark).
 func DefaultPageCosts() PageCosts {
+	kb := func(n int) *web.Response { return &web.Response{Status: 200, Bytes: n * 1024} }
 	return PageCosts{
-		PageMain:     {CPU: 12 * time.Millisecond, Lat: 64 * time.Millisecond},
-		PageCategory: {CPU: 14 * time.Millisecond, Lat: 66 * time.Millisecond},
-		PageProduct:  {CPU: 14 * time.Millisecond, Lat: 65 * time.Millisecond},
-		PageItem:     {CPU: 13 * time.Millisecond, Lat: 61 * time.Millisecond},
-		PageSearch:   {CPU: 16 * time.Millisecond, Lat: 72 * time.Millisecond},
+		PageMain:     {CPU: 12 * time.Millisecond, Lat: 64 * time.Millisecond, Page: kb(12)},
+		PageCategory: {CPU: 14 * time.Millisecond, Lat: 66 * time.Millisecond, Page: kb(10)},
+		PageProduct:  {CPU: 14 * time.Millisecond, Lat: 65 * time.Millisecond, Page: kb(10)},
+		PageItem:     {CPU: 13 * time.Millisecond, Lat: 61 * time.Millisecond, Page: kb(8)},
+		PageSearch:   {CPU: 16 * time.Millisecond, Lat: 72 * time.Millisecond, Page: kb(9)},
 
-		PageSignin:       {CPU: 10 * time.Millisecond, Lat: 60 * time.Millisecond},
-		PageVerifySignin: {CPU: 12 * time.Millisecond, Lat: 58 * time.Millisecond},
-		PageCart:         {CPU: 14 * time.Millisecond, Lat: 88 * time.Millisecond},
-		PageCheckout:     {CPU: 12 * time.Millisecond, Lat: 56 * time.Millisecond},
-		PagePlaceOrder:   {CPU: 10 * time.Millisecond, Lat: 52 * time.Millisecond},
-		PageBilling:      {CPU: 10 * time.Millisecond, Lat: 52 * time.Millisecond},
-		PageCommit:       {CPU: 20 * time.Millisecond, Lat: 106 * time.Millisecond},
-		PageSignout:      {CPU: 12 * time.Millisecond, Lat: 66 * time.Millisecond},
+		PageSignin:       {CPU: 10 * time.Millisecond, Lat: 60 * time.Millisecond, Page: kb(4)},
+		PageVerifySignin: {CPU: 12 * time.Millisecond, Lat: 58 * time.Millisecond, Page: kb(5)},
+		PageCart:         {CPU: 14 * time.Millisecond, Lat: 88 * time.Millisecond, Page: kb(7)},
+		PageCheckout:     {CPU: 12 * time.Millisecond, Lat: 56 * time.Millisecond, Page: kb(6)},
+		PagePlaceOrder:   {CPU: 10 * time.Millisecond, Lat: 52 * time.Millisecond, Page: kb(6)},
+		PageBilling:      {CPU: 10 * time.Millisecond, Lat: 52 * time.Millisecond, Page: kb(6)},
+		PageCommit:       {CPU: 20 * time.Millisecond, Lat: 106 * time.Millisecond, Page: kb(7)},
+		PageSignout:      {CPU: 12 * time.Millisecond, Lat: 66 * time.Millisecond, Page: kb(4)},
 	}
 }
 

@@ -45,12 +45,14 @@ var BuyerPages = []string{
 	PagePlaceOrder, PageBilling, PageCommit, PageSignout,
 }
 
-// render charges the page's application-side cost on srv.
-func (a *App) render(p *sim.Proc, srv *container.Server, page string) {
+// render charges the page's application-side cost on srv and returns the
+// page's response.
+func (a *App) render(p *sim.Proc, srv *container.Server, page string) *web.Response {
 	defer trace.Op(p, "render", page, srv.Name(), "", trace.CauseService)()
 	c := a.costs[page]
 	srv.Compute(p, c.CPU)
 	p.Sleep(c.Lat)
+	return c.Page
 }
 
 // registerPages installs all servlets on srv's web container.
@@ -58,8 +60,7 @@ func (a *App) registerPages(srv *container.Server) {
 	w := srv.Web()
 
 	w.Handle(PageMain, func(p *sim.Proc, r *web.Request) (*web.Response, error) {
-		a.render(p, srv, PageMain)
-		return &web.Response{Bytes: 12 * 1024}, nil
+		return a.render(p, srv, PageMain), nil
 	})
 
 	w.Handle(PageCategory, func(p *sim.Proc, r *web.Request) (*web.Response, error) {
@@ -70,8 +71,7 @@ func (a *App) registerPages(srv *container.Server) {
 		if _, err := stub.Invoke(p, "getProductsOf", r.Param("cat")); err != nil {
 			return nil, err
 		}
-		a.render(p, srv, PageCategory)
-		return &web.Response{Bytes: 10 * 1024}, nil
+		return a.render(p, srv, PageCategory), nil
 	})
 
 	w.Handle(PageProduct, func(p *sim.Proc, r *web.Request) (*web.Response, error) {
@@ -82,16 +82,14 @@ func (a *App) registerPages(srv *container.Server) {
 		if _, err := stub.Invoke(p, "getItemsOf", r.Param("product")); err != nil {
 			return nil, err
 		}
-		a.render(p, srv, PageProduct)
-		return &web.Response{Bytes: 10 * 1024}, nil
+		return a.render(p, srv, PageProduct), nil
 	})
 
 	w.Handle(PageItem, func(p *sim.Proc, r *web.Request) (*web.Response, error) {
 		if _, err := a.getItemVia(p, srv, r.Param("item")); err != nil {
 			return nil, err
 		}
-		a.render(p, srv, PageItem)
-		return &web.Response{Bytes: 8 * 1024}, nil
+		return a.render(p, srv, PageItem), nil
 	})
 
 	w.Handle(PageSearch, func(p *sim.Proc, r *web.Request) (*web.Response, error) {
@@ -102,13 +100,11 @@ func (a *App) registerPages(srv *container.Server) {
 		if _, err := stub.Invoke(p, "search", r.Param("q")); err != nil {
 			return nil, err
 		}
-		a.render(p, srv, PageSearch)
-		return &web.Response{Bytes: 9 * 1024}, nil
+		return a.render(p, srv, PageSearch), nil
 	})
 
 	w.Handle(PageSignin, func(p *sim.Proc, r *web.Request) (*web.Response, error) {
-		a.render(p, srv, PageSignin)
-		return &web.Response{Bytes: 4 * 1024}, nil
+		return a.render(p, srv, PageSignin), nil
 	})
 
 	// VerifySignin makes the pattern's two RMI calls: Customer creation
@@ -132,8 +128,7 @@ func (a *App) registerPages(srv *container.Server) {
 		}
 		r.Session.Set("user", user)
 		r.Session.Set("profile", profile)
-		a.render(p, srv, PageVerifySignin)
-		return &web.Response{Bytes: 5 * 1024}, nil
+		return a.render(p, srv, PageVerifySignin), nil
 	})
 
 	w.Handle(PageCart, func(p *sim.Proc, r *web.Request) (*web.Response, error) {
@@ -147,8 +142,7 @@ func (a *App) registerPages(srv *container.Server) {
 		if _, err := cart.Invoke(p, "addItem", r.Session.ID, r.Param("item")); err != nil {
 			return nil, err
 		}
-		a.render(p, srv, PageCart)
-		return &web.Response{Bytes: 7 * 1024}, nil
+		return a.render(p, srv, PageCart), nil
 	})
 
 	w.Handle(PageCheckout, func(p *sim.Proc, r *web.Request) (*web.Response, error) {
@@ -162,13 +156,11 @@ func (a *App) registerPages(srv *container.Server) {
 		if _, err := cart.Invoke(p, "summary", r.Session.ID); err != nil {
 			return nil, err
 		}
-		a.render(p, srv, PageCheckout)
-		return &web.Response{Bytes: 6 * 1024}, nil
+		return a.render(p, srv, PageCheckout), nil
 	})
 
 	w.Handle(PagePlaceOrder, func(p *sim.Proc, r *web.Request) (*web.Response, error) {
-		a.render(p, srv, PagePlaceOrder)
-		return &web.Response{Bytes: 6 * 1024}, nil
+		return a.render(p, srv, PagePlaceOrder), nil
 	})
 
 	w.Handle(PageBilling, func(p *sim.Proc, r *web.Request) (*web.Response, error) {
@@ -177,8 +169,7 @@ func (a *App) registerPages(srv *container.Server) {
 		if r.Session.Get("profile") == nil {
 			return nil, fmt.Errorf("petstore: billing without signin")
 		}
-		a.render(p, srv, PageBilling)
-		return &web.Response{Bytes: 6 * 1024}, nil
+		return a.render(p, srv, PageBilling), nil
 	})
 
 	w.Handle(PageCommit, func(p *sim.Proc, r *web.Request) (*web.Response, error) {
@@ -208,8 +199,7 @@ func (a *App) registerPages(srv *container.Server) {
 		if _, err := customer.Invoke(p, "placeOrder", user, itemID, 1); err != nil {
 			return nil, err
 		}
-		a.render(p, srv, PageCommit)
-		return &web.Response{Bytes: 7 * 1024}, nil
+		return a.render(p, srv, PageCommit), nil
 	})
 
 	w.Handle(PageSignout, func(p *sim.Proc, r *web.Request) (*web.Response, error) {
@@ -223,8 +213,7 @@ func (a *App) registerPages(srv *container.Server) {
 		a.carts[srv.Name()].Remove(r.Session.ID)
 		r.Session.Delete("user")
 		r.Session.Delete("profile")
-		a.render(p, srv, PageSignout)
-		return &web.Response{Bytes: 4 * 1024}, nil
+		return a.render(p, srv, PageSignout), nil
 	})
 }
 

@@ -83,10 +83,10 @@ func PlannerModel() *planner.Model {
 		planner.Update{Push: planner.HasEntityReplicas},
 	}
 
-	page := func(name string, bytes int, body planner.Op) planner.Page {
+	page := func(name string, body planner.Op) planner.Page {
 		c := costs[name]
 		return planner.Page{
-			Name: name, RenderCPU: c.CPU, RenderLat: c.Lat, Bytes: bytes, Body: body,
+			Name: name, RenderCPU: c.CPU, RenderLat: c.Lat, Bytes: c.Page.Bytes, Body: body,
 		}
 	}
 
@@ -105,36 +105,36 @@ func PlannerModel() *planner.Model {
 			{Pattern: PatternBuyer, Local: false, Clients: 32},
 		},
 		Pages: []planner.Page{
-			page(PageMain, 12*1024, nil),
-			page(PageCategory, 10*1024, planner.Call{Bean: BeanCatalog, Body: cachedOrDelegate(productsOf)}),
-			page(PageProduct, 10*1024, planner.Call{Bean: BeanCatalog, Body: cachedOrDelegate(itemsOf)}),
-			page(PageItem, 8*1024, getItemVia),
-			page(PageSearch, 9*1024, planner.Call{Bean: BeanCatalog, Body: planner.If{
+			page(PageMain, nil),
+			page(PageCategory, planner.Call{Bean: BeanCatalog, Body: cachedOrDelegate(productsOf)}),
+			page(PageProduct, planner.Call{Bean: BeanCatalog, Body: cachedOrDelegate(itemsOf)}),
+			page(PageItem, getItemVia),
+			page(PageSearch, planner.Call{Bean: BeanCatalog, Body: planner.If{
 				Cond: planner.AtEdge,
 				Then: planner.Call{Body: searchSQL},
 				Else: searchSQL,
 			}}),
-			page(PageSignin, 4*1024, nil),
-			page(PageVerifySignin, 5*1024, planner.Seq{
+			page(PageSignin, nil),
+			page(PageVerifySignin, planner.Seq{
 				planner.Call{Bean: BeanCustomer, Body: planner.Load{}}, // createCustomer: SignOn
 				planner.Call{Bean: BeanCustomer, Body: planner.Load{}}, // getProfile: Account
 			}),
-			page(PageCart, 7*1024, planner.Seq{
+			page(PageCart, planner.Seq{
 				planner.Call{Bean: BeanController},
 				planner.Call{Bean: BeanCart, Body: getItemVia},
 			}),
-			page(PageCheckout, 6*1024, planner.Seq{
+			page(PageCheckout, planner.Seq{
 				planner.Call{Bean: BeanController},
 				planner.Call{Bean: BeanCart},
 			}),
-			page(PagePlaceOrder, 6*1024, nil),
-			page(PageBilling, 6*1024, nil),
-			page(PageCommit, 7*1024, planner.Seq{
+			page(PagePlaceOrder, nil),
+			page(PageBilling, nil),
+			page(PageCommit, planner.Seq{
 				planner.Call{Bean: BeanController},
 				planner.Call{Bean: BeanCart},
 				planner.Call{Bean: BeanCustomer, Body: placeOrder},
 			}),
-			page(PageSignout, 4*1024, planner.Call{Bean: BeanCart}),
+			page(PageSignout, planner.Call{Bean: BeanCart}),
 		},
 	}
 }

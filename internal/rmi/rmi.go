@@ -9,6 +9,9 @@
 // time. JNDI lookups against a remote registry cost a full remote call,
 // which is exactly the overhead the EJBHomeFactory stub-caching pattern
 // removes.
+//
+// A handler's *Call is an envelope the Runtime recycles once the handler
+// returns, so a handler copies what it keeps (Args is the caller's slice).
 package rmi
 
 import (
@@ -111,6 +114,7 @@ type Runtime struct {
 	// resil is nil unless a retry or breaker policy is configured; its
 	// metric families exist only in resilience-enabled runs.
 	resil *resilience
+	calls sim.Free[Call] // envelopes of the invocations not in flight
 }
 
 // NewRuntime creates an RMI runtime over net with the given cost options.
@@ -275,7 +279,8 @@ func (s *Stub) Invoke(p *sim.Proc, method string, args ...any) (any, error) {
 // costs marshalling CPU plus Rounds round trips of network time.
 func (s *Stub) InvokeSized(p *sim.Proc, method string, reqBytes, replyBytes int, args ...any) (any, error) {
 	rt := s.rt
-	call := &Call{Method: method, Args: args, Caller: s.caller}
+	call := rt.calls.Take(Call{Method: method, Args: args, Caller: s.caller})
+	defer rt.calls.Put(call)
 	if !s.Remote() {
 		rt.mLocal.Inc()
 		defer trace.Opf(p, "call", s.caller, "", trace.CauseService, s.obj.Name, ".", method)()

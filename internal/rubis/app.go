@@ -11,6 +11,7 @@ import (
 	"wadeploy/internal/sim"
 	"wadeploy/internal/simnet"
 	"wadeploy/internal/sqldb"
+	"wadeploy/internal/web"
 )
 
 // Stateless session façade names (the Session Façade configuration of the
@@ -91,10 +92,12 @@ type App struct {
 	costs PageCosts
 }
 
-// PageCost splits a page's render cost into CPU and non-CPU latency.
+// PageCost splits a page's render cost into CPU and non-CPU latency, and
+// holds the page it renders.
 type PageCost struct {
-	CPU time.Duration
-	Lat time.Duration
+	CPU  time.Duration
+	Lat  time.Duration
+	Page *web.Response // the rendered page, shared read-only by its requests
 }
 
 // PageCosts maps page name to render cost.
@@ -103,23 +106,24 @@ type PageCosts map[string]PageCost
 // DefaultPageCosts is calibrated against Table 7's centralized row: RUBiS is
 // a deliberately lightweight, benchmark-grade application.
 func DefaultPageCosts() PageCosts {
+	kb := func(n int) *web.Response { return &web.Response{Status: 200, Bytes: n * 1024} }
 	return PageCosts{
-		PageMain:           {CPU: 2 * time.Millisecond, Lat: 9 * time.Millisecond},
-		PageBrowse:         {CPU: 2 * time.Millisecond, Lat: 8 * time.Millisecond},
-		PageAllCategories:  {CPU: 4 * time.Millisecond, Lat: 24 * time.Millisecond},
-		PageAllRegions:     {CPU: 4 * time.Millisecond, Lat: 17 * time.Millisecond},
-		PageRegion:         {CPU: 5 * time.Millisecond, Lat: 24 * time.Millisecond},
-		PageCategory:       {CPU: 6 * time.Millisecond, Lat: 31 * time.Millisecond},
-		PageCatRegion:      {CPU: 4 * time.Millisecond, Lat: 12 * time.Millisecond},
-		PageItem:           {CPU: 4 * time.Millisecond, Lat: 16 * time.Millisecond},
-		PageBids:           {CPU: 6 * time.Millisecond, Lat: 28 * time.Millisecond},
-		PageUserInfo:       {CPU: 6 * time.Millisecond, Lat: 31 * time.Millisecond},
-		PagePutBidAuth:     {CPU: 2 * time.Millisecond, Lat: 8 * time.Millisecond},
-		PagePutBidForm:     {CPU: 5 * time.Millisecond, Lat: 20 * time.Millisecond},
-		PageStoreBid:       {CPU: 6 * time.Millisecond, Lat: 22 * time.Millisecond},
-		PagePutCommentAuth: {CPU: 2 * time.Millisecond, Lat: 8 * time.Millisecond},
-		PagePutCommentForm: {CPU: 5 * time.Millisecond, Lat: 15 * time.Millisecond},
-		PageStoreComment:   {CPU: 6 * time.Millisecond, Lat: 22 * time.Millisecond},
+		PageMain:           {CPU: 2 * time.Millisecond, Lat: 9 * time.Millisecond, Page: kb(2)},
+		PageBrowse:         {CPU: 2 * time.Millisecond, Lat: 8 * time.Millisecond, Page: kb(2)},
+		PageAllCategories:  {CPU: 4 * time.Millisecond, Lat: 24 * time.Millisecond, Page: kb(4)},
+		PageAllRegions:     {CPU: 4 * time.Millisecond, Lat: 17 * time.Millisecond, Page: kb(4)},
+		PageRegion:         {CPU: 5 * time.Millisecond, Lat: 24 * time.Millisecond, Page: kb(4)},
+		PageCategory:       {CPU: 6 * time.Millisecond, Lat: 31 * time.Millisecond, Page: kb(8)},
+		PageCatRegion:      {CPU: 4 * time.Millisecond, Lat: 12 * time.Millisecond, Page: kb(6)},
+		PageItem:           {CPU: 4 * time.Millisecond, Lat: 16 * time.Millisecond, Page: kb(4)},
+		PageBids:           {CPU: 6 * time.Millisecond, Lat: 28 * time.Millisecond, Page: kb(6)},
+		PageUserInfo:       {CPU: 6 * time.Millisecond, Lat: 31 * time.Millisecond, Page: kb(6)},
+		PagePutBidAuth:     {CPU: 2 * time.Millisecond, Lat: 8 * time.Millisecond, Page: kb(2)},
+		PagePutBidForm:     {CPU: 5 * time.Millisecond, Lat: 20 * time.Millisecond, Page: kb(4)},
+		PageStoreBid:       {CPU: 6 * time.Millisecond, Lat: 22 * time.Millisecond, Page: kb(3)},
+		PagePutCommentAuth: {CPU: 2 * time.Millisecond, Lat: 8 * time.Millisecond, Page: kb(2)},
+		PagePutCommentForm: {CPU: 5 * time.Millisecond, Lat: 15 * time.Millisecond, Page: kb(4)},
+		PageStoreComment:   {CPU: 6 * time.Millisecond, Lat: 22 * time.Millisecond, Page: kb(3)},
 	}
 }
 

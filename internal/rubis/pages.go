@@ -54,11 +54,13 @@ var BidderPages = []string{
 	PagePutCommentAuth, PagePutCommentForm, PageStoreComment,
 }
 
-func (a *App) render(p *sim.Proc, srv *container.Server, page string) {
+// render charges the page's render cost on srv and returns its response.
+func (a *App) render(p *sim.Proc, srv *container.Server, page string) *web.Response {
 	defer trace.Op(p, "render", page, srv.Name(), "", trace.CauseService)()
 	c := a.costs[page]
 	srv.Compute(p, c.CPU)
 	p.Sleep(c.Lat)
+	return c.Page
 }
 
 func intParam(r *web.Request, key string) int64 {
@@ -71,21 +73,20 @@ func intParam(r *web.Request, key string) int64 {
 func (a *App) registerPages(srv *container.Server) {
 	w := srv.Web()
 
-	static := func(page string, bytes int) {
+	static := func(page string) {
 		w.Handle(page, func(p *sim.Proc, r *web.Request) (*web.Response, error) {
-			a.render(p, srv, page)
-			return &web.Response{Bytes: bytes}, nil
+			return a.render(p, srv, page), nil
 		})
 	}
-	static(PageMain, 2*1024)
-	static(PageBrowse, 2*1024)
-	static(PagePutBidAuth, 2*1024)
-	static(PagePutCommentAuth, 2*1024)
+	static(PageMain)
+	static(PageBrowse)
+	static(PagePutBidAuth)
+	static(PagePutCommentAuth)
 
 	// one wires a page to a single façade call — the design rule the
 	// paper enforces ("only one RMI call from the web layer to the EJB
 	// layer in every servlet web page generation method").
-	one := func(page, bean, method string, bytes int, argsOf func(r *web.Request) []any) {
+	one := func(page, bean, method string, argsOf func(r *web.Request) []any) {
 		w.Handle(page, func(p *sim.Proc, r *web.Request) (*web.Response, error) {
 			stub, err := a.sbStub(p, srv, bean)
 			if err != nil {
@@ -94,32 +95,31 @@ func (a *App) registerPages(srv *container.Server) {
 			if _, err := stub.Invoke(p, method, argsOf(r)...); err != nil {
 				return nil, err
 			}
-			a.render(p, srv, page)
-			return &web.Response{Bytes: bytes}, nil
+			return a.render(p, srv, page), nil
 		})
 	}
 
-	one(PageAllCategories, SBBrowseCategories, "getAll", 4*1024,
+	one(PageAllCategories, SBBrowseCategories, "getAll",
 		func(r *web.Request) []any { return nil })
-	one(PageAllRegions, SBBrowseRegions, "getAll", 4*1024,
+	one(PageAllRegions, SBBrowseRegions, "getAll",
 		func(r *web.Request) []any { return nil })
-	one(PageRegion, SBBrowseCategories, "forRegion", 4*1024,
+	one(PageRegion, SBBrowseCategories, "forRegion",
 		func(r *web.Request) []any { return []any{intParam(r, "region")} })
-	one(PageCategory, SBSearchByCategory, "get", 8*1024,
+	one(PageCategory, SBSearchByCategory, "get",
 		func(r *web.Request) []any { return []any{intParam(r, "cat")} })
-	one(PageCatRegion, SBSearchByRegion, "get", 6*1024,
+	one(PageCatRegion, SBSearchByRegion, "get",
 		func(r *web.Request) []any { return []any{intParam(r, "cat"), intParam(r, "region")} })
-	one(PageItem, SBViewItem, "get", 4*1024,
+	one(PageItem, SBViewItem, "get",
 		func(r *web.Request) []any { return []any{intParam(r, "item")} })
-	one(PageBids, SBViewBidHistory, "get", 6*1024,
+	one(PageBids, SBViewBidHistory, "get",
 		func(r *web.Request) []any { return []any{intParam(r, "item")} })
-	one(PageUserInfo, SBViewUserInfo, "get", 6*1024,
+	one(PageUserInfo, SBViewUserInfo, "get",
 		func(r *web.Request) []any { return []any{intParam(r, "user")} })
-	one(PagePutBidForm, SBPutBid, "form", 4*1024,
+	one(PagePutBidForm, SBPutBid, "form",
 		func(r *web.Request) []any {
 			return []any{r.Param("nick"), r.Param("password"), intParam(r, "item")}
 		})
-	one(PagePutCommentForm, SBPutComment, "form", 4*1024,
+	one(PagePutCommentForm, SBPutComment, "form",
 		func(r *web.Request) []any {
 			return []any{r.Param("nick"), r.Param("password"), intParam(r, "to")}
 		})
@@ -135,8 +135,7 @@ func (a *App) registerPages(srv *container.Server) {
 		if _, err := stub.Invoke(p, "store", r.Param("nick"), r.Param("password"), intParam(r, "item"), amount); err != nil {
 			return nil, err
 		}
-		a.render(p, srv, PageStoreBid)
-		return &web.Response{Bytes: 3 * 1024}, nil
+		return a.render(p, srv, PageStoreBid), nil
 	})
 	w.Handle(PageStoreComment, func(p *sim.Proc, r *web.Request) (*web.Response, error) {
 		stub, err := srv.StubFor(p, a.d.Main.Name(), SBStoreComment)
@@ -147,7 +146,6 @@ func (a *App) registerPages(srv *container.Server) {
 			intParam(r, "to"), intParam(r, "item"), intParam(r, "rating")); err != nil {
 			return nil, err
 		}
-		a.render(p, srv, PageStoreComment)
-		return &web.Response{Bytes: 3 * 1024}, nil
+		return a.render(p, srv, PageStoreComment), nil
 	})
 }

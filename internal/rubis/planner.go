@@ -68,10 +68,10 @@ func PlannerModel() *planner.Model {
 		planner.Update{Push: planner.HasAnyCache}, // User rating
 	}
 
-	page := func(name string, bytes int, body planner.Op) planner.Page {
+	page := func(name string, body planner.Op) planner.Page {
 		c := costs[name]
 		return planner.Page{
-			Name: name, RenderCPU: c.CPU, RenderLat: c.Lat, Bytes: bytes, Body: body,
+			Name: name, RenderCPU: c.CPU, RenderLat: c.Lat, Bytes: c.Page.Bytes, Body: body,
 		}
 	}
 
@@ -90,32 +90,32 @@ func PlannerModel() *planner.Model {
 			{Pattern: PatternBidder, Local: false, Clients: 32},
 		},
 		Pages: []planner.Page{
-			page(PageMain, 2*1024, nil),
-			page(PageBrowse, 2*1024, nil),
-			page(PageAllCategories, 4*1024, planner.Call{Bean: SBBrowseCategories, Body: cachedRead(qAllCats)}),
-			page(PageAllRegions, 4*1024, planner.Call{Bean: SBBrowseRegions, Body: cachedRead(qAllRegs)}),
-			page(PageRegion, 4*1024, planner.Call{Bean: SBBrowseCategories, Body: cachedRead(qRegionCats)}),
-			page(PageCategory, 8*1024, planner.Call{Bean: SBSearchByCategory, Body: cachedRead(qByCategory)}),
-			page(PageCatRegion, 6*1024, planner.Call{Bean: SBSearchByRegion, Body: cachedRead(qByCatRegion)}),
-			page(PageItem, 4*1024, planner.Call{Bean: SBViewItem, Body: planner.If{
+			page(PageMain, nil),
+			page(PageBrowse, nil),
+			page(PageAllCategories, planner.Call{Bean: SBBrowseCategories, Body: cachedRead(qAllCats)}),
+			page(PageAllRegions, planner.Call{Bean: SBBrowseRegions, Body: cachedRead(qAllRegs)}),
+			page(PageRegion, planner.Call{Bean: SBBrowseCategories, Body: cachedRead(qRegionCats)}),
+			page(PageCategory, planner.Call{Bean: SBSearchByCategory, Body: cachedRead(qByCategory)}),
+			page(PageCatRegion, planner.Call{Bean: SBSearchByRegion, Body: cachedRead(qByCatRegion)}),
+			page(PageItem, planner.Call{Bean: SBViewItem, Body: planner.If{
 				Cond: planner.AtEdge, Then: planner.Hit{}, Else: planner.Load{},
 			}}),
-			page(PageBids, 6*1024, planner.Call{Bean: SBViewBidHistory, Body: viewRead(qBids)}),
-			page(PageUserInfo, 6*1024, planner.Call{Bean: SBViewUserInfo, Body: viewRead(planner.Seq{planner.Load{}, qComments})}),
-			page(PagePutBidAuth, 2*1024, nil),
-			page(PagePutBidForm, 4*1024, planner.Call{Bean: SBPutBid, Body: planner.If{
+			page(PageBids, planner.Call{Bean: SBViewBidHistory, Body: viewRead(qBids)}),
+			page(PageUserInfo, planner.Call{Bean: SBViewUserInfo, Body: viewRead(planner.Seq{planner.Load{}, qComments})}),
+			page(PagePutBidAuth, nil),
+			page(PagePutBidForm, planner.Call{Bean: SBPutBid, Body: planner.If{
 				Cond: planner.AtEdge,
 				Then: planner.Seq{planner.Hit{}, planner.Hit{}}, // cached auth + Item replica
 				Else: planner.Seq{qAuth, planner.Load{}},
 			}}),
-			page(PageStoreBid, 3*1024, planner.Call{Bean: SBStoreBid, Body: storeBid}),
-			page(PagePutCommentAuth, 2*1024, nil),
-			page(PagePutCommentForm, 4*1024, planner.Call{Bean: SBPutComment, Body: planner.If{
+			page(PageStoreBid, planner.Call{Bean: SBStoreBid, Body: storeBid}),
+			page(PagePutCommentAuth, nil),
+			page(PagePutCommentForm, planner.Call{Bean: SBPutComment, Body: planner.If{
 				Cond: planner.AtEdge,
 				Then: planner.Seq{planner.Hit{}, planner.Hit{}}, // cached auth + User replica
 				Else: planner.Seq{qAuth, planner.Load{}},
 			}}),
-			page(PageStoreComment, 3*1024, planner.Call{Bean: SBStoreComment, Body: storeComment}),
+			page(PageStoreComment, planner.Call{Bean: SBStoreComment, Body: storeComment}),
 		},
 	}
 }

@@ -269,6 +269,41 @@ func TestRestartAllocs(t *testing.T) {
 	}
 }
 
+// TestResourceQueueAllocs pins a steady contended Acquire/Release loop at
+// zero allocations: the wait queue reuses its backing array instead of
+// walking forward through it.
+func TestResourceQueueAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates; alloc guard runs without -race")
+	}
+	env := NewEnv(1)
+	r := NewResource(env, 1)
+	// Three processes contend for one slot forever: at every instant two
+	// wait while the third holds it.
+	for i := 0; i < 3; i++ {
+		env.Spawn("user", func(p *Proc) {
+			for {
+				r.Use(p, time.Millisecond)
+			}
+		})
+	}
+	step := func() { env.Run(env.Now() + time.Millisecond) }
+	for i := 0; i < 64; i++ {
+		step()
+	}
+	// One run is 1,000 cycles, so a queue that grows now and then (a
+	// doubling every so often) still counts.
+	total := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 1000; i++ {
+			step()
+		}
+	})
+	env.Close()
+	if total > 0 {
+		t.Errorf("1,000 contended Acquire/Release cycles allocate %.0f objects, want 0", total)
+	}
+}
+
 // TestPromiseRoundTripAllocs pins the single-waiter promise rendezvous —
 // waiter registration, wake-up, and the switch out and back — at zero
 // allocations beyond the Promise itself, which is made ahead of the

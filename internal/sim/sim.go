@@ -523,6 +523,7 @@ type Resource struct {
 	cap   int
 	inUse int
 	queue []*Proc
+	head  int // queue[head:] wait; Release compacts once half the array is served
 
 	// Accounting for utilization reporting.
 	busy       time.Duration
@@ -573,9 +574,11 @@ func (r *Resource) Acquire(p *Proc) {
 
 // Release frees a slot, handing it to the longest-waiting process if any.
 func (r *Resource) Release() {
-	if len(r.queue) > 0 {
-		next := r.queue[0]
-		r.queue = r.queue[1:]
+	if r.head < len(r.queue) {
+		next := r.queue[r.head]
+		if r.head++; 2*r.head >= len(r.queue) {
+			r.queue, r.head = r.queue[:copy(r.queue, r.queue[r.head:])], 0
+		}
 		// The slot transfers directly: inUse stays constant.
 		r.env.schedule(event{at: r.env.now, proc: next})
 		return
@@ -590,4 +593,24 @@ func (r *Resource) Use(p *Proc, service time.Duration) {
 	r.Acquire(p)
 	p.Sleep(service)
 	r.Release()
+}
+
+// Free is a free list of per-call envelopes, owned by an object of one Env.
+type Free[T any] struct{ free []*T }
+
+// Take returns a *T holding v, a recycled one when there is one.
+func (f *Free[T]) Take(v T) (p *T) {
+	if n := len(f.free); n > 0 {
+		f.free, p = f.free[:n-1], f.free[n-1]
+	} else {
+		p = new(T)
+	}
+	*p = v
+	return p
+}
+
+// Put zeroes v and keeps it for a later Take.
+func (f *Free[T]) Put(v *T) {
+	*v = *new(T)
+	f.free = append(f.free, v)
 }

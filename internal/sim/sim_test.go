@@ -231,6 +231,38 @@ func TestResourceQueuesFIFO(t *testing.T) {
 	}
 }
 
+// Waiters are served in arrival order across many drain and refill cycles,
+// with the queue growing, draining and compacting between them: every
+// waiter gets the slot in the order it asked for it.
+func TestResourceFIFOAcrossRefills(t *testing.T) {
+	e := NewEnv(1)
+	r := NewResource(e, 1)
+	var order []int
+	next := 0
+	for cycle := 0; cycle < 40; cycle++ {
+		// Waves of 1..7 arrivals, so drains and partial refills interleave.
+		wave := 1 + cycle%7
+		for i := 0; i < wave; i++ {
+			id := next
+			next++
+			e.Spawn("w", func(p *Proc) {
+				p.Sleep(time.Duration(cycle) * time.Second)
+				r.Use(p, time.Duration(1+id%3)*time.Millisecond)
+				order = append(order, id)
+			})
+		}
+	}
+	e.RunAll()
+	if len(order) != next {
+		t.Fatalf("%d of %d waiters served", len(order), next)
+	}
+	for i, id := range order {
+		if id != i {
+			t.Fatalf("service order %v, want arrival order", order)
+		}
+	}
+}
+
 func TestResourceParallelSlots(t *testing.T) {
 	e := NewEnv(1)
 	r := NewResource(e, 3)

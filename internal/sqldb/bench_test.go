@@ -160,6 +160,24 @@ func TestSelectStarAllocGuard(t *testing.T) {
 	allocGuard(t, db, 2, 25, `SELECT * FROM item WHERE name LIKE ? OR name LIKE ? ORDER BY id LIMIT 25`, Str("%none%"), Str("%M-19%"))
 }
 
+// A one-row result has no row slice: a point SELECT * is its Result alone,
+// a point projection the Result and its slab. Arguments passed variadically
+// are copied into the plan, so the caller's slice stays on its stack.
+func TestOneRowResultAllocGuard(t *testing.T) {
+	db := newBenchDB(t)
+	allocGuard(t, db, 1, 1, `SELECT * FROM item WHERE id = ?`, Int(7))
+	allocGuard(t, db, 2, 1, `SELECT name, price FROM item WHERE id = ?`, Int(7))
+	id := int64(7)
+	avg := testing.AllocsPerRun(100, func() {
+		if res, err := db.Exec(`SELECT * FROM item WHERE id = ?`, Int(id)); err != nil || res.Len() != 1 {
+			t.Fatalf("point select: %v", err)
+		}
+	})
+	if avg > 1 {
+		t.Fatalf("a point SELECT * with a variadic argument allocates %.1f/op, want 1", avg)
+	}
+}
+
 func TestIndexJoinAllocGuard(t *testing.T) {
 	allocGuard(t, newBenchDB(t), 4, 120,
 		`SELECT item.name, detail.note FROM item JOIN detail ON detail.item_id = item.id WHERE item.grp = ? ORDER BY detail.id DESC`, Int(3))

@@ -69,6 +69,7 @@ type Result struct {
 	// PlanCached reports whether the statement reused a cached query plan
 	// (SELECT, UPDATE and DELETE only).
 	PlanCached bool
+	one        [1][]Value // Rows' backing array when there is exactly one row
 }
 
 // Len returns the number of result rows.
@@ -641,7 +642,7 @@ func (db *DB) execInsert(s *InsertStmt, args []Value, tx *Tx) (*Result, error) {
 		return nil, err
 	}
 	t := pl.t
-	pl.fr.params = args
+	pl.fr.params = append(pl.fr.params[:0], args...)
 	first := len(t.rows)
 	for _, exprs := range pl.rows {
 		vals, err := pl.row(exprs)
@@ -858,7 +859,7 @@ func (p *Prepared) execAndUnlock(args []Value) (*Result, error) {
 	hook := db.onWrite
 	db.mu.Unlock()
 	if err == nil && hook != nil && p.write && res.Affected > 0 {
-		hook(p.sql, args)
+		hook(p.sql, slices.Clone(args))
 	}
 	return res, err
 }

@@ -2,6 +2,8 @@ package sqldb
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -515,5 +517,42 @@ func TestDescribeLabels(t *testing.T) {
 	a, b := db.Describe("SELECT id FROM item"), db.Describe("SELECT id FROM item")
 	if a != b || a != "select item" {
 		t.Errorf("interned label mismatch: %q vs %q", a, b)
+	}
+}
+
+// ORDER BY … LIMIT k returns exactly the full sort's first k rows in order,
+// ties broken by position, on duplicate-heavy keys, DESC, multi-key and
+// evaluated orders, and for k at or past the matches.
+func TestOrderedLimitMatchesFullSort(t *testing.T) {
+	db := New()
+	if _, err := db.Exec(`CREATE TABLE t (id INT PRIMARY KEY, a INT, b TEXT, c FLOAT)`); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 300; i++ {
+		if _, err := db.Exec(`INSERT INTO t VALUES (?, ?, ?, ?)`, Int(int64(i)), Int(int64(rng.Intn(4))),
+			Str(string(rune('x'+rng.Intn(3)))), Float(float64(rng.Intn(10)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	orders := []string{"a", "a DESC", "b, a", "a DESC, b DESC", "c, b DESC", "0 - c, a", "a, c DESC, b DESC"}
+	for _, from := range []string{"SELECT id, a, b, c FROM t", "SELECT * FROM t WHERE a <> 2", "SELECT b, id FROM t WHERE c < 8"} {
+		for _, order := range orders {
+			full, err := db.Query(from + " ORDER BY " + order)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range []int{0, 1, 2, 7, 50, full.Len() - 1, full.Len(), full.Len() + 1, 1000} {
+				q := fmt.Sprintf("%s ORDER BY %s LIMIT %d", from, order, k)
+				got, err := db.Query(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := full.Rows[:min(k, full.Len())]
+				if fmt.Sprint(got.Rows) != fmt.Sprint(want) {
+					t.Fatalf("%s:\n got %v\nwant %v", q, got.Rows, want)
+				}
+			}
+		}
 	}
 }

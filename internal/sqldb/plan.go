@@ -351,7 +351,7 @@ func orderedWalkFor(s *SelectStmt, pl *selectPlan) *orderedWalk {
 // probed bucket's length, or every live row.
 func (pl *matchPlan) match(args []Value) (probed bool, scanned int, err error) {
 	t := pl.t
-	pl.fr.params = args
+	pl.fr.params = append(pl.fr.params[:0], args...)
 	pl.pos = pl.pos[:0]
 	visit := func(pos int, r *row) error {
 		if pl.where != nil {

@@ -30,7 +30,7 @@ func (db *DB) execSelect(s *SelectStmt, args []Value) (*Result, error) {
 		return nil, err
 	}
 	run := &pl.run
-	run.fr.params = args
+	run.fr.params = append(run.fr.params[:0], args...)
 	run.pos = run.pos[:0]
 	run.scanned, run.probes, run.usedIndex = 0, 0, false
 	res := &Result{Cols: pl.cols, PlanCached: hit}
@@ -65,7 +65,9 @@ func (db *DB) execSelect(s *SelectStmt, args []Value) (*Result, error) {
 		if !pl.star {
 			slab = make([]Value, m*width)
 		}
-		res.Rows = make([][]Value, m)
+		if res.Rows = res.one[:1:1]; m > 1 {
+			res.Rows = make([][]Value, m)
+		}
 		for i := range res.Rows {
 			k := i
 			if ordered {

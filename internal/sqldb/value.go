@@ -13,8 +13,11 @@
 // indexed ORDER BY walks the index's key-sorted buckets, never hashing) and
 // orders them. Result rows are read-only snapshots: a single-table SELECT *
 // returns the stored value slices, capacity cut to length (two allocations
-// whatever the row count), any other SELECT one slab (three), and stored
-// slices are never written in place. A col LIKE '%word%' searches a
+// whatever the row count; one for a single row, which the Result holds
+// without a row slice), any other SELECT one slab (three; two for one row),
+// and stored slices are never written in place. Arguments are copied into
+// plan scratch, never kept, so a caller's variadic arguments stay on its
+// stack; the write hook gets a copy of its own. A col LIKE '%word%' searches a
 // lower-cased copy of the stored value, made once per row version. A Value is
 // 32 bytes: a kind, one int64 that holds an INT, the bits of a FLOAT or a
 // predicate's 0/1, and a string.

@@ -7,9 +7,13 @@
 // HTTP session state (the servlet HTTPSession) is modeled by Session, which
 // lives on the web tier: in distributed configurations each client group's
 // sessions are held by its collocated edge server.
+//
+// A handler's *Request is an envelope the Container recycles once the handler
+// returns, so a handler copies what it keeps; a *Response may be shared.
 package web
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"time"
@@ -58,7 +62,7 @@ type Request struct {
 // Param returns a request parameter ("" when absent).
 func (r *Request) Param(key string) string { return r.Params[key] }
 
-// Response is the servlet's reply.
+// Response is the servlet's reply; the container fills zero fields in a copy.
 type Response struct {
 	Status int
 	Bytes  int // rendered page size
@@ -102,6 +106,8 @@ type Container struct {
 	opts     Options
 	servlets map[string]Handler
 	conns    map[string]*conn // by client node
+	reqs     sim.Free[Request]
+	dflt     Response // what a nil response means
 
 	served int64
 
@@ -124,6 +130,7 @@ func NewContainer(net *simnet.Network, node string, opts Options) (*Container, e
 		opts:      opts,
 		servlets:  make(map[string]Handler),
 		conns:     make(map[string]*conn),
+		dflt:      Response{Status: 200, Bytes: opts.DefaultPageBytes},
 		mReqs:     reg.CounterVec("web_requests_total", "server").With(node),
 		mErrors:   reg.Counter("web_request_errors_total"),
 		mSessions: reg.CounterVec("web_sessions_created_total", "server").With(node),
@@ -153,7 +160,7 @@ func (c *Container) Handle(page string, h Handler) {
 func (c *Container) Pages() int { return len(c.servlets) }
 
 // serve dispatches the request to the servlet, charging dispatch CPU on the
-// container's node.
+// container's node. It never writes the handler's response.
 func (c *Container) serve(p *sim.Proc, req *Request) (*Response, error) {
 	h, ok := c.servlets[req.Page]
 	if !ok {
@@ -168,14 +175,10 @@ func (c *Container) serve(p *sim.Proc, req *Request) (*Response, error) {
 		c.mErrors.Inc()
 		return nil, err
 	}
-	if resp == nil {
-		resp = &Response{Status: 200}
-	}
-	if resp.Status == 0 {
-		resp.Status = 200
-	}
-	if resp.Bytes == 0 {
-		resp.Bytes = c.opts.DefaultPageBytes
+	if resp = cmp.Or(resp, &c.dflt); resp.Status == 0 || resp.Bytes == 0 {
+		filled := *resp
+		filled.Status, filled.Bytes = cmp.Or(resp.Status, 200), cmp.Or(resp.Bytes, c.dflt.Bytes)
+		return &filled, nil
 	}
 	return resp, nil
 }
@@ -225,7 +228,8 @@ func (c *Container) Get(p *sim.Proc, clientNode, page string, params map[string]
 	if err := cn.up.Transfer(p, c.opts.RequestBytes); err != nil {
 		return nil, 0, fmt.Errorf("web: request %s: %w", page, err)
 	}
-	req := &Request{Page: page, Params: params, Session: sess, ClientNode: clientNode}
+	req := c.reqs.Take(Request{Page: page, Params: params, Session: sess, ClientNode: clientNode})
+	defer c.reqs.Put(req)
 	endServe := trace.Op(p, "servlet", page, server, "", trace.CauseService)
 	resp, err := c.serve(p, req)
 	endServe()
