@@ -38,7 +38,11 @@ func main() {
 
 func run() error {
 	env := sim.NewEnv(seed)
-	d, err := core.NewPaperDeployment(env, core.DefaultOptions())
+	// A deferred deployment: the replica bundle is declared below but
+	// deployed only when the controller extends it to an edge.
+	opts := core.DefaultOptions()
+	opts.Deferred = true
+	d, err := core.NewPaperDeployment(env, opts)
 	if err != nil {
 		return err
 	}
@@ -64,13 +68,12 @@ func run() error {
 		return err
 	}
 
-	// Deferred wiring: descriptor declared, nothing deployed yet.
+	// The descriptor is declared; nothing is deployed on the edges yet.
 	wiring, err := core.AutoWire(d, &container.ExtendedDescriptor{
 		Replicas: []container.ReplicaSpec{
 			{Bean: "Price", Update: container.SyncUpdate, Refresh: container.PushRefresh},
 		},
 	}, core.WireOptions{
-		Deferred:  true,
 		PushBytes: pushBytes,
 		FetchFor: func(server *container.Server, rwBean string) container.FetchFunc {
 			return container.FetchFrom(server, simnet.NodeMain, "PriceFacade", "get")

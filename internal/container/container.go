@@ -241,19 +241,6 @@ func (s *Server) bind(name string, kind BeanKind, h rmi.Handler) error {
 	return nil
 }
 
-// rebind swaps the handler bound under a bean's JNDI name in place, binding
-// fresh when the name is absent — the live-migration cut-over primitive.
-// The swap happens within the current simulation event, so cached stubs
-// dispatch to the new handler from their next call and no request ever
-// observes the name unbound.
-func (s *Server) rebind(name string, kind BeanKind, h rmi.Handler) error {
-	if _, err := s.rt.Rebind(s.name, bindPrefix+name, h); err != nil {
-		return fmt.Errorf("container: rebind %s on %s: %w", name, s.name, err)
-	}
-	s.beans[name] = &binding{name: name, kind: kind}
-	return nil
-}
-
 // StubFor returns a cached stub for a bean deployed on targetServer,
 // modeling the EJBHomeFactory pattern (one JNDI lookup ever, then cached).
 func (s *Server) StubFor(p *sim.Proc, targetServer, bean string) (*rmi.Stub, error) {

@@ -64,23 +64,6 @@ func DeployStateless(srv *Server, name string, methods map[string]Method) (*Stat
 	return b, nil
 }
 
-// RedeployStateless swaps the stateless bean bound under name for one with
-// the given business methods, rebinding the JNDI entry in place (or binding
-// fresh when absent). This is the live-migration cut-over: the swap
-// completes within the current simulation event, cached EJBHomeFactory
-// stubs dispatch to the new implementation from their next call, and no
-// request ever finds the name unbound.
-func RedeployStateless(srv *Server, name string, methods map[string]Method) (*StatelessBean, error) {
-	b := &StatelessBean{
-		srv: srv, name: name, methods: methods,
-		mCalls: srv.Env().Metrics().Counter("container_stateless_calls_total"),
-	}
-	if err := srv.rebind(name, StatelessSession, b.handle); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
 // Name returns the bean's deployment name.
 func (b *StatelessBean) Name() string { return b.name }
 

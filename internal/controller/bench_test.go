@@ -18,7 +18,9 @@ import (
 // main, and a deferred wiring the controller can extend.
 func benchControllerRig(b *testing.B, env *sim.Env, rows int) (*core.Deployment, *core.Wiring) {
 	b.Helper()
-	d, err := core.NewPaperDeployment(env, core.DefaultOptions())
+	opts := core.DefaultOptions()
+	opts.Deferred = true
+	d, err := core.NewPaperDeployment(env, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -47,7 +49,7 @@ func benchControllerRig(b *testing.B, env *sim.Env, rows int) (*core.Deployment,
 		Replicas: []container.ReplicaSpec{
 			{Bean: "Price", Update: container.SyncUpdate, Refresh: container.PushRefresh, BestEffort: true},
 		},
-	}, core.WireOptions{Deferred: true, PushBytes: 256})
+	}, core.WireOptions{PushBytes: 256})
 	if err != nil {
 		b.Fatal(err)
 	}

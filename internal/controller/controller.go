@@ -11,6 +11,12 @@
 // resynchronized with a fresh state transfer before pushes resume — the
 // fault → detect → re-place → recover story.
 //
+// The controller knows the application only through its core.Wiring: an
+// extension's cut-over is Wiring.ExtendTo plus the replayed snapshot, in one
+// simulation event, and the application's edge façades pick the replicas up
+// because they consult the wiring on every call. The policy a run reached
+// is recorded once, in Report.FinalConfig.
+//
 // Determinism contract: every decision derives from the virtual clock
 // (epoch ticks are p.Sleep on the env), from deterministic observations
 // (reachability probes, counter values, the blame aggregator's sorted
@@ -27,7 +33,6 @@ import (
 	"math/rand"
 	"time"
 
-	"wadeploy/internal/container"
 	"wadeploy/internal/core"
 	"wadeploy/internal/metrics"
 	"wadeploy/internal/planner"
@@ -116,8 +121,9 @@ func (o Options) withDefaults() Options {
 // Config binds a controller to a deployment.
 type Config struct {
 	// Deployment and Wiring identify the system under control. The wiring
-	// must exist (typically wired Deferred so the controller owns all
-	// extension decisions), but may already cover some servers.
+	// must exist (typically on a core.Options.Deferred deployment, so the
+	// controller owns all extension decisions), but may already cover some
+	// servers.
 	Deployment *core.Deployment
 	Wiring     *core.Wiring
 
@@ -125,7 +131,7 @@ type Config struct {
 	// the planner search re-runs on the model reweighted by the flight
 	// recorder's observed page mix, and the controller extends when the
 	// wiring's target placement beats the starting one (the remote-façade
-	// tier a Deferred deployment serves from) by Hysteresis. When nil the
+	// tier a deferred deployment serves from) by Hysteresis. When nil the
 	// controller runs in threshold mode on Threshold.
 	Model *planner.Model
 
@@ -137,19 +143,6 @@ type Config struct {
 	// Seed is the run's seed; the controller derives its private RNG
 	// stream from it (seed XOR ctrlSeedSalt).
 	Seed int64
-
-	// OnExtend, when non-nil, runs inside an extension migration's cut-over
-	// event, after the replica state is installed and replayed — the
-	// application's chance to rebind its edge façades (JNDI handler swap)
-	// onto the freshly wired replicas. It must not sleep: the cut-over's
-	// atomicity guarantee is that everything happens in one simulation
-	// event.
-	OnExtend func(server *container.Server) error
-
-	// Apply, when non-nil, is invoked once the extension program completes
-	// on every edge, with the policy the placement now corresponds to (the
-	// hook adaptive apps use to update their reported effective policy).
-	Apply func(core.Policy)
 
 	Options Options
 }
@@ -535,9 +528,6 @@ func (c *Controller) act(p *sim.Proc) {
 	c.decided = false
 	c.extended = true
 	c.current = c.target
-	if c.cfg.Apply != nil {
-		c.cfg.Apply(c.target)
-	}
 }
 
 // Epochs returns the number of completed epochs.

@@ -46,6 +46,7 @@ func newRigOpts(t *testing.T, seed int64, deferred bool, ropts *core.Replication
 	env := sim.NewEnv(seed)
 	opts := core.DefaultOptions()
 	opts.Replication = ropts
+	opts.Deferred = deferred
 	d, err := core.NewPaperDeployment(env, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -76,10 +77,7 @@ func newRigOpts(t *testing.T, seed int64, deferred bool, ropts *core.Replication
 			// Best-effort pushes: a partitioned edge must not fail writers.
 			{Bean: "Price", Update: container.SyncUpdate, Refresh: container.PushRefresh, BestEffort: true},
 		},
-	}, core.WireOptions{
-		Deferred:  deferred,
-		PushBytes: 256,
-	})
+	}, core.WireOptions{PushBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -149,16 +149,6 @@ func (c *Controller) migrate(p *sim.Proc, edge *container.Server, resync bool) M
 	if up := w.Updaters[name]; up != nil && len(replay) > 0 {
 		up.ApplyLocal(replay)
 	}
-	if !resync && c.cfg.OnExtend != nil {
-		if err := c.cfg.OnExtend(edge); err != nil {
-			m.Failed = true
-			m.Err = fmt.Sprintf("on-extend: %v", err)
-			m.End = p.Now()
-			c.migs = append(c.migs, m)
-			c.mMigFails.Inc()
-			return m
-		}
-	}
 	m.Replayed = len(replay)
 	m.End = p.Now()
 	c.migs = append(c.migs, m)

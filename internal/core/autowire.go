@@ -31,14 +31,6 @@ type WireOptions struct {
 	// QueryFetchFor builds the pull re-execution path for the edge query
 	// caches; nil yields push-only caches.
 	QueryFetchFor func(server *container.Server) container.QueryFetch
-
-	// Deferred skips the initial per-edge deployment: pushers are
-	// created (with no targets) and attached to the read-write beans, but
-	// no replicas, caches or subscribers are materialized until
-	// Wiring.ExtendTo is called — the paper's demand-driven deployment
-	// mode ("stateful component instantiation and (re)deployment can be
-	// done on-demand at run-time", Section 6).
-	Deferred bool
 }
 
 // Wiring is what AutoWire materialized, keyed by edge-server name. It also
@@ -215,7 +207,7 @@ func AutoWire(d *Deployment, ext *container.ExtendedDescriptor, opts WireOptions
 		}
 	}
 
-	if !opts.Deferred {
+	if !d.Deferred {
 		for _, edge := range d.Edges {
 			if err := w.ExtendTo(edge); err != nil {
 				return nil, err

@@ -1,10 +1,9 @@
 // Package core implements the paper's primary contribution: the machinery
 // for distributing a component-based application across a wide-area
 // deployment according to a small set of design rules. A placement is one
-// Policy value — which distribution patterns apply, how the hot entities are
-// partitioned, whether the replica bundle is deployed up front or on demand —
-// and the paper's five incremental configurations (Section 4) are five named
-// policies:
+// Policy value — which distribution patterns apply and how the hot entities
+// are partitioned — and the paper's five incremental configurations
+// (Section 4) are five named policies:
 //
 //  1. Centralized — everything on the main server.
 //  2. RemoteFacade — web components and stateful session beans replicated to
@@ -21,7 +20,9 @@
 // (only façades may be invoked remotely; everything else is local-only) and
 // AutoWire, which materializes replicas, updater façades, topics and MDB
 // subscribers from an extended deployment descriptor so applications do not
-// hand-implement the update machinery.
+// hand-implement the update machinery. A deployment built with
+// Options.Deferred starts without that bundle, and Wiring.ExtendTo installs
+// it one server at a time while traffic flows.
 package core
 
 import (
@@ -61,6 +62,10 @@ type Deployment struct {
 	// event-log backend.
 	Replication *ReplicationOptions
 
+	// Deferred echoes Options.Deferred so AutoWire leaves the replica
+	// bundle for Wiring.ExtendTo.
+	Deferred bool
+
 	// Replog is the event-log replication store, non-nil when
 	// Replication.EventLog is set. AutoWire prepends a recorder to every
 	// replicated read-write bean; the controller replays it for catch-up.
@@ -94,6 +99,14 @@ type Options struct {
 	// coalesced pushes, bounded-staleness leases). Nil (the default)
 	// keeps the paper's propagation path and byte-identical table output.
 	Replication *ReplicationOptions
+
+	// Deferred starts the deployment without its replica bundle: AutoWire
+	// attaches the pushers (with no targets) but materializes no replicas,
+	// caches or subscribers until Wiring.ExtendTo reaches a server — the
+	// paper's on-demand (re)deployment ("stateful component instantiation
+	// and (re)deployment can be done on-demand at run-time", Section 6),
+	// which the re-placement controller drives.
+	Deferred bool
 }
 
 // DefaultOptions returns the substrate defaults.
@@ -153,6 +166,7 @@ func buildDeployment(env *sim.Env, opts Options) (*Deployment, *simnet.Hierarchy
 		JMS:         provider,
 		Resilience:  opts.Resilience,
 		Replication: opts.Replication,
+		Deferred:    opts.Deferred,
 		rw:          make(map[string]*container.RWEntity),
 		topo:        h,
 		byClient:    make(map[string]*container.Server),

@@ -88,12 +88,11 @@ func TestConfigOrderingAndNames(t *testing.T) {
 		if p.Title() == "" || p.Title() == p.Patterns() {
 			t.Errorf("%v has no title", p)
 		}
-		// Partitioning and deferral do not rename a pattern set.
+		// Partitioning does not rename a pattern set.
 		q := p
 		q.Partition = &container.PartitionSpec{Scheme: container.HashPartition, Partitions: 4}
-		q.Deferred = true
 		if name, ok := q.Name(); !ok || name != want {
-			t.Errorf("%s partitioned and deferred is named %q", want, name)
+			t.Errorf("%s partitioned is named %q", want, name)
 		}
 	}
 	if name, ok := (Policy{ReplicateWeb: true, QueryCaches: true}).Name(); ok {
@@ -113,17 +112,10 @@ func TestPolicyValid(t *testing.T) {
 		{AsyncUpdates: true},
 		{ReplicateWeb: true, AsyncUpdates: true},
 		{EntityReplicas: true, QueryCaches: true, AsyncUpdates: true},
-		{ReplicateWeb: true, Deferred: true},
-		{Deferred: true},
 	} {
 		if p.Valid() || p.Validate() == nil {
 			t.Errorf("%+v should be invalid", p)
 		}
-	}
-	deferred := StatefulCaching
-	deferred.Deferred = true
-	if err := deferred.Validate(); err != nil {
-		t.Errorf("deferred stateful caching: %v", err)
 	}
 	bad := QueryCaching
 	bad.Partition = &container.PartitionSpec{Scheme: container.HashPartition}
@@ -201,7 +193,12 @@ func TestPlanValidateRejectsViolations(t *testing.T) {
 // wireFixture sets up a deployment with one RW entity over a seeded table.
 func wireFixture(t *testing.T) (*Deployment, *container.RWEntity) {
 	t.Helper()
-	d := newDeployment(t)
+	return itemFixture(t, newDeployment(t))
+}
+
+// itemFixture seeds d with an item table and registers its read-write bean.
+func itemFixture(t *testing.T, d *Deployment) (*Deployment, *container.RWEntity) {
+	t.Helper()
 	if _, err := d.DB.Exec(`CREATE TABLE item (id TEXT PRIMARY KEY, qty INT NOT NULL)`); err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,13 @@ import (
 // and deferred wiring (no replicas yet).
 func deferredFixture(t *testing.T) (*Deployment, *container.RWEntity, *Wiring) {
 	t.Helper()
-	d, rw := wireFixture(t)
+	opts := DefaultOptions()
+	opts.Deferred = true
+	d, err := NewPaperDeployment(sim.NewEnv(11), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, rw := itemFixture(t, d)
 	if _, err := container.DeployStateless(d.Main, "Fetch", map[string]container.Method{
 		"fetch": func(p *sim.Proc, inv *container.Invocation) (any, error) {
 			pk, _ := inv.Arg(0).(sqldb.Value)
@@ -28,7 +34,6 @@ func deferredFixture(t *testing.T) (*Deployment, *container.RWEntity, *Wiring) {
 			{Bean: "ItemRW", Update: container.SyncUpdate, Refresh: container.PushRefresh},
 		},
 	}, WireOptions{
-		Deferred: true,
 		FetchFor: func(server *container.Server, rwBean string) container.FetchFunc {
 			return func(p *sim.Proc, pk sqldb.Value) (container.Row, error) {
 				stub, err := server.StubFor(p, simnet.NodeMain, "Fetch")

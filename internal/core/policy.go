@@ -11,11 +11,11 @@ import (
 
 // Policy is one placement of an application across a deployment: which of
 // the paper's four distribution patterns apply, whether edge database
-// replicas absorb the reads the patterns leave behind, how the replicated hot
-// entities are sharded, and whether the replica bundle is deployed up front
-// or on demand. Applications deploy from it (one Deploy per application),
-// the planner ranks it and the re-placement controller extends it. It is
-// comparable: two policies are equal when they place the same way.
+// replicas absorb the reads the patterns leave behind, and how the replicated
+// hot entities are sharded. Applications deploy from it (one Deploy per
+// application), the planner ranks it and the re-placement controller extends
+// toward it. It is comparable: two policies are equal when they place the
+// same way.
 type Policy struct {
 	// ReplicateWeb replicates web components and stateful session beans to
 	// the edge servers behind remote façades (Sections 4.2–4.3).
@@ -42,12 +42,6 @@ type Policy struct {
 	// the paper's full replication. Partitions are assigned round-robin
 	// over the deployment's edges.
 	Partition *container.PartitionSpec
-
-	// Deferred deploys the web tier at the edges but leaves the replica
-	// bundle for a controller to migrate in at run time — the paper's
-	// on-demand (re)deployment (Section 6). Requires ReplicateWeb and a
-	// cache to extend.
-	Deferred bool
 }
 
 // The five configurations of Section 4, in order of application, plus the
@@ -70,7 +64,7 @@ var Configs = []Policy{Centralized, RemoteFacade, StatefulCaching, QueryCaching,
 var ExtensionConfigs = []Policy{DBReplication}
 
 // names is the one name table: a policy is named by its pattern set (plus
-// DB replicas) alone, whatever its partitioning or deferral.
+// DB replicas) alone, whatever its partitioning.
 var names = []struct {
 	p           Policy
 	name, title string
@@ -85,7 +79,7 @@ var names = []struct {
 
 // named looks p's pattern set up in the name table.
 func (p Policy) named() (name, title string, ok bool) {
-	p.Partition, p.Deferred = nil, false
+	p.Partition = nil
 	for _, n := range names {
 		if n.p == p {
 			return n.name, n.title, true
@@ -146,17 +140,14 @@ func (p Policy) Patterns() string {
 }
 
 // Valid reports whether p respects the pattern dependencies: caches need an
-// edge web tier to serve from, asynchronous updates need a cache to update,
-// and a deferred deployment needs both — web components at the edges to
-// serve while the bundle arrives, and a cache bundle to extend.
+// edge web tier to serve from, and asynchronous updates need a cache to
+// update.
 func (p Policy) Valid() bool {
 	caches := p.EntityReplicas || p.QueryCaches
 	switch {
 	case caches && !p.ReplicateWeb:
 		return false
 	case p.AsyncUpdates && !caches:
-		return false
-	case p.Deferred && !(p.ReplicateWeb && caches):
 		return false
 	}
 	return true
@@ -170,7 +161,7 @@ var ErrPolicy = errors.New("core: policy cannot be deployed")
 // otherwise an ErrPolicy naming p.
 func (p Policy) Validate() error {
 	if !p.Valid() {
-		return p.Unsupported("it breaks a pattern dependency (caches need edge web components, async updates a cache, a deferred deployment both)")
+		return p.Unsupported("it breaks a pattern dependency (caches need edge web components, async updates a cache)")
 	}
 	if err := p.Partition.Validate(); err != nil {
 		return fmt.Errorf("%w: %s: %w", ErrPolicy, p.describe(), err)
@@ -183,12 +174,9 @@ func (p Policy) Unsupported(why string) error {
 	return fmt.Errorf("%w: %s: %s", ErrPolicy, p.describe(), why)
 }
 
-// describe names p in full: its patterns, deferral and partitioning.
+// describe names p in full: its patterns and partitioning.
 func (p Policy) describe() string {
 	desc := p.String()
-	if p.Deferred {
-		desc += ", deferred"
-	}
 	if s := p.Partition; s != nil {
 		desc += fmt.Sprintf(", %d %s partitions", s.Partitions, s.Scheme)
 	}

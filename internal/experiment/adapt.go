@@ -19,8 +19,8 @@ import (
 type AdaptArm struct {
 	// Label names the arm: "static", "resilient", "adaptive".
 	Label string
-	// Config is the deployed policy (Deferred, with the extension target's
-	// patterns, for the adaptive arm).
+	// Config is the deployed policy; the adaptive arm deploys it deferred
+	// and extends toward it.
 	Config core.Policy
 	// Controller reports whether the re-placement controller ran.
 	Controller bool
@@ -71,9 +71,10 @@ const adaptBucket = 10 * time.Second
 //     and resynchronizes the stale edge after it heals.
 //
 // cfg is the adaptive arm's extension target (and the resilient arm's
-// policy); the adaptive arm deploys it Deferred, which needs a cache to
-// extend. Runs are deterministic: the same seed yields byte-identical reports
-// at any Parallelism.
+// policy); the adaptive arm deploys it deferred, which needs a replica bundle
+// to extend. opts.Adaptive tunes the adaptive arm's controller and applies to
+// no other arm. Runs are deterministic: the same seed yields byte-identical
+// reports at any Parallelism.
 func RunAdapt(app AppID, cfg core.Policy, opts RunOptions) (*AdaptReport, error) {
 	if app != PetStore {
 		return nil, fmt.Errorf("experiment: adapt is PetStore-only")
@@ -84,10 +85,9 @@ func RunAdapt(app AppID, cfg core.Policy, opts RunOptions) (*AdaptReport, error)
 	if opts.Resilience == nil {
 		opts.Resilience = core.DefaultResilience()
 	}
-	adaptive := cfg
-	adaptive.Deferred = true
-	if err := adaptive.Validate(); err != nil {
-		return nil, fmt.Errorf("experiment: adapt target: %w", err)
+	adaptive := opts.Adaptive
+	if adaptive == nil {
+		adaptive = &controller.Options{}
 	}
 	window := opts.Schedule.Window
 	if window == [2]time.Duration{} {
@@ -106,17 +106,21 @@ func RunAdapt(app AppID, cfg core.Policy, opts RunOptions) (*AdaptReport, error)
 	arms := []*AdaptArm{
 		{Label: "static", Config: core.RemoteFacade},
 		{Label: "resilient", Config: cfg},
-		{Label: "adaptive", Config: adaptive, Controller: true},
+		{Label: "adaptive", Config: cfg, Controller: true},
 	}
 	err := forEachParallel(opts.Parallelism, len(arms), func(i int) error {
 		arm := arms[i]
 		obs := workload.NewWindowObserver(node, adaptBucket)
 		ropts := opts
 		ropts.Observer = obs.Observe
-		if arm.Controller && ropts.Trace == nil {
-			// The controller re-plans on the flight recorder's observed page
-			// mix; tracing adds no delays and draws no randomness.
-			ropts.Trace = &trace.Options{SampleEvery: 4}
+		ropts.Adaptive = nil
+		if arm.Controller {
+			ropts.Adaptive = adaptive
+			if ropts.Trace == nil {
+				// The controller re-plans on the flight recorder's observed
+				// page mix; tracing adds no delays and draws no randomness.
+				ropts.Trace = &trace.Options{SampleEvery: 4}
+			}
 		}
 		full, err := Run(app, arm.Config, ropts)
 		if err != nil {

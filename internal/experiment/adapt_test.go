@@ -95,3 +95,15 @@ func TestRunAdaptDeterministicAcrossParallelism(t *testing.T) {
 		t.Fatalf("adaptation report differs between -parallel 1 and 3:\n--- parallel 1\n%s\n--- parallel 3\n%s", seq, par)
 	}
 }
+
+// TestRunAdaptNeedsReplicaBundle: the adaptive arm deploys its target
+// deferred, and a target with no replica bundle leaves the controller
+// nothing to extend, so the run fails naming the policy.
+func TestRunAdaptNeedsReplicaBundle(t *testing.T) {
+	opts := adaptQuickOptions()
+	opts.Warmup, opts.Duration = time.Second, 10*time.Second
+	_, err := RunAdapt(PetStore, core.RemoteFacade, opts)
+	if err == nil || !strings.Contains(err.Error(), core.RemoteFacade.String()) {
+		t.Fatalf("RunAdapt(remote-facade) = %v, want an error naming the policy", err)
+	}
+}

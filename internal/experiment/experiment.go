@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"time"
 
-	"wadeploy/internal/container"
 	"wadeploy/internal/controller"
 	"wadeploy/internal/core"
 	"wadeploy/internal/faults"
@@ -81,9 +80,10 @@ type RunOptions struct {
 	// figure byte-identical.
 	Trace *trace.Options
 
-	// Adaptive tunes the online re-placement controller a Deferred policy
-	// starts with (nil: the controller's defaults); the policy's patterns
-	// are its extension target. Result.Adapt carries the adaptation report.
+	// Adaptive, when non-nil, deploys the policy deferred
+	// (core.Options.Deferred) and starts the online re-placement controller
+	// with these options, extending toward the policy's patterns.
+	// Result.Adapt carries the adaptation report.
 	Adaptive *controller.Options
 }
 
@@ -138,8 +138,8 @@ type Result struct {
 	// Trace carries the causal-tracing outputs when RunOptions.Trace was set.
 	Trace *TraceReport
 
-	// Adapt is the online re-placement controller's report when the
-	// policy was Deferred.
+	// Adapt is the online re-placement controller's report when
+	// RunOptions.Adaptive was set.
 	Adapt *controller.Report
 }
 
@@ -229,14 +229,6 @@ type application interface {
 	Wiring() *core.Wiring
 }
 
-// extensible is an application a Deferred policy deployed: the controller
-// rebinds each edge's façades onto the replicas it migrates in and reports
-// the policy it reached.
-type extensible interface {
-	ActivateEdgeCatalog(edge *container.Server) error
-	SetPolicy(core.Policy)
-}
-
 // appDef is everything the runner needs to know about one application under
 // study.
 type appDef struct {
@@ -286,14 +278,14 @@ type Testbed struct {
 
 // Deploy builds the paper's testbed with app deployed under cfg and the
 // Section 3.3 client groups defined, honouring the deployment-side options
-// (Seed, Trace, Resilience, Replication, and Adaptive for a Deferred cfg).
+// (Seed, Trace, Resilience, Replication and Adaptive).
 func Deploy(app AppID, cfg core.Policy, opts RunOptions) (*Testbed, error) {
 	return deploy(app, cfg, opts, simnet.HierarchySpec{}, 1)
 }
 
 // deploy is the one set-up path: environment, tracer, topology (the zero spec
 // is the paper's star), substrate, application, the re-placement controller
-// of a Deferred policy, and the client groups at scale times the paper's
+// of an adaptive run, and the client groups at scale times the paper's
 // population.
 func deploy(app AppID, cfg core.Policy, opts RunOptions, spec simnet.HierarchySpec, scale float64) (*Testbed, error) {
 	def := apps[app]
@@ -307,6 +299,7 @@ func deploy(app AppID, cfg core.Policy, opts RunOptions, spec simnet.HierarchySp
 	copts := def.options()
 	copts.Resilience = opts.Resilience
 	copts.Replication = opts.Replication
+	copts.Deferred = opts.Adaptive != nil
 	d, h, err := core.NewHierarchicalDeployment(env, copts, spec)
 	if err != nil {
 		return nil, err
@@ -316,38 +309,22 @@ func deploy(app AppID, cfg core.Policy, opts RunOptions, spec simnet.HierarchySp
 		return nil, err
 	}
 	var ctrl *controller.Controller
-	if cfg.Deferred {
-		if ctrl, err = startController(def, d, inst, opts); err != nil {
-			return nil, err
+	if opts.Adaptive != nil {
+		ctrl, err = controller.Start(controller.Config{
+			Deployment: d,
+			Wiring:     inst.Wiring(),
+			Model:      def.model(),
+			Seed:       opts.Seed,
+			Options:    *opts.Adaptive,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("experiment: deferred %s: %w", cfg, err)
 		}
 	}
 	return &Testbed{
 		Env: env, Groups: inst.Workload(scale),
 		app: app, cfg: cfg, d: d, h: h, inst: inst, ctrl: ctrl,
 	}, nil
-}
-
-// startController starts the online re-placement controller on a Deferred
-// deployment: it extends the wiring toward the policy's patterns, pricing
-// placements with the app's planner model.
-func startController(def *appDef, d *core.Deployment, inst application, opts RunOptions) (*controller.Controller, error) {
-	app, ok := inst.(extensible)
-	if !ok {
-		return nil, fmt.Errorf("experiment: %T cannot be extended at run time", inst)
-	}
-	var copts controller.Options
-	if opts.Adaptive != nil {
-		copts = *opts.Adaptive
-	}
-	return controller.Start(controller.Config{
-		Deployment: d,
-		Wiring:     inst.Wiring(),
-		Model:      def.model(),
-		Seed:       opts.Seed,
-		OnExtend:   app.ActivateEdgeCatalog,
-		Apply:      app.SetPolicy,
-		Options:    copts,
-	})
 }
 
 // Run executes one (application, policy) experiment on the paper's testbed.

@@ -168,8 +168,8 @@ func TestPlannerLadderClimbsAllFourPatterns(t *testing.T) {
 // and on a 4-edge/2-hub hierarchy, fully replicated and with 4 hash
 // partitions, Deploy either installs on every server exactly the beans
 // PlanFor places there, or refuses the combination by name. A deferred
-// deployment installs the remote-façade plan plus Pet Store's delegating
-// edge catalogs; RUBiS has no deferred path.
+// deployment installs the remote-façade plan plus Pet Store's edge
+// catalogs; RUBiS has no deferred path.
 func TestDeployedMatchesPlanned(t *testing.T) {
 	// Query caches without entity replicas have no deploy path in either
 	// app: Pet Store's caches are invalidated by the replicas' pushes, and
@@ -179,9 +179,10 @@ func TestDeployedMatchesPlanned(t *testing.T) {
 		"star":      {},
 		"hierarchy": {Edges: 4, Hubs: 2},
 	}
-	deployOn := func(app AppID, spec simnet.HierarchySpec, p core.Policy) (*core.Deployment, error) {
+	deployOn := func(app AppID, spec simnet.HierarchySpec, p core.Policy, deferred bool) (*core.Deployment, error) {
 		opts := apps[app].options()
 		opts.Topology = spec
+		opts.Deferred = deferred
 		d, err := core.NewPaperDeployment(sim.NewEnv(1), opts)
 		if err != nil {
 			t.Fatal(err)
@@ -222,7 +223,7 @@ func TestDeployedMatchesPlanned(t *testing.T) {
 						p.Partition = &container.PartitionSpec{Scheme: container.HashPartition, Partitions: partitions}
 					}
 					what := fmt.Sprintf("%s/%s/%s/%d partitions", app, p.Patterns(), topo, partitions)
-					d, err := deployOn(app, spec, p)
+					d, err := deployOn(app, spec, p, false)
 					if refused[p.Patterns()] {
 						if !errors.Is(err, core.ErrPolicy) || !strings.Contains(err.Error(), p.String()) {
 							t.Errorf("%s: deployed (%v), want a policy error naming it", what, err)
@@ -243,21 +244,20 @@ func TestDeployedMatchesPlanned(t *testing.T) {
 		}
 	}
 
-	deferred := core.AsyncUpdates
-	deferred.Deferred = true
-	d, err := deployOn(PetStore, simnet.HierarchySpec{}, deferred)
+	d, err := deployOn(PetStore, simnet.HierarchySpec{}, core.AsyncUpdates, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pl := plannerModels()[PetStore].PlanFor(core.RemoteFacade)
 	for i, pm := range pl.Placements {
 		if pm.Desc.Name == petstore.BeanCatalog {
-			// The delegating edge catalogs the controller later rebinds.
+			// The edge catalogs, which forward to main until the
+			// controller cuts their edge over.
 			pl.Placements[i].Servers = append([]string{d.Main.Name()}, d.EdgeNames()...)
 		}
 	}
 	installs("petstore deferred", d, pl)
-	if _, err := deployOn(RUBiS, simnet.HierarchySpec{}, deferred); !errors.Is(err, core.ErrPolicy) {
+	if _, err := deployOn(RUBiS, simnet.HierarchySpec{}, core.AsyncUpdates, true); !errors.Is(err, core.ErrPolicy) {
 		t.Errorf("rubis deferred: %v, want a policy error", err)
 	}
 }

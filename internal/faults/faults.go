@@ -16,6 +16,7 @@ package faults
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -89,6 +90,18 @@ type scheduleJSON struct {
 	Events   []eventJSON `json:"events"`
 }
 
+// maxMs bounds every millisecond field of the JSON form (about 146 years):
+// its conversion to a Duration cannot wrap, and At+Duration cannot overflow.
+const maxMs = math.MaxInt64 / 2 / int64(time.Millisecond)
+
+// millis converts one millisecond field, rejecting values beyond maxMs.
+func millis(field string, ms int64) (time.Duration, error) {
+	if ms > maxMs || ms < -maxMs {
+		return 0, fmt.Errorf("faults: %s %d out of range (|%s| <= %d)", field, ms, field, maxMs)
+	}
+	return time.Duration(ms) * time.Millisecond, nil
+}
+
 // Parse decodes a schedule from its JSON form. Unknown fields are rejected
 // so schedule typos fail loudly instead of silently injecting nothing.
 func Parse(data []byte) (*Schedule, error) {
@@ -99,18 +112,29 @@ func Parse(data []byte) (*Schedule, error) {
 		return nil, fmt.Errorf("faults: parse schedule: %w", err)
 	}
 	s := &Schedule{Name: sj.Name}
-	if len(sj.WindowMs) == 2 {
-		s.Window[0] = time.Duration(sj.WindowMs[0]) * time.Millisecond
-		s.Window[1] = time.Duration(sj.WindowMs[1]) * time.Millisecond
-	} else if len(sj.WindowMs) != 0 {
+	if len(sj.WindowMs) != 0 && len(sj.WindowMs) != 2 {
 		return nil, fmt.Errorf("faults: window_ms must have exactly 2 elements, got %d", len(sj.WindowMs))
 	}
+	for i, ms := range sj.WindowMs {
+		var err error
+		if s.Window[i], err = millis("window_ms", ms); err != nil {
+			return nil, err
+		}
+	}
 	for i, ej := range sj.Events {
+		at, err := millis("at_ms", ej.AtMs)
+		if err != nil {
+			return nil, fmt.Errorf("%w (event %d)", err, i)
+		}
+		dur, err := millis("duration_ms", ej.DurationMs)
+		if err != nil {
+			return nil, fmt.Errorf("%w (event %d)", err, i)
+		}
 		e := Event{
 			Kind:        Kind(ej.Kind),
 			Node:        ej.Node,
-			At:          time.Duration(ej.AtMs) * time.Millisecond,
-			Duration:    time.Duration(ej.DurationMs) * time.Millisecond,
+			At:          at,
+			Duration:    dur,
 			LatencyMult: ej.LatencyMult,
 			JitterFrac:  ej.JitterFrac,
 			DropProb:    ej.DropProb,
@@ -175,6 +199,9 @@ func (s *Schedule) Validate() error {
 		if e.At < 0 || e.Duration <= 0 {
 			return fail("needs at >= 0 and duration > 0")
 		}
+		if e.Duration > math.MaxInt64-e.At {
+			return fail("ends past the largest representable time")
+		}
 		isLink := false
 		switch e.Kind {
 		case LinkDown, LinkFlap, Latency, Drop:
@@ -193,6 +220,9 @@ func (s *Schedule) Validate() error {
 		case LinkFlap:
 			if e.Cycles < 1 {
 				return fail("needs cycles >= 1")
+			}
+			if e.Duration/time.Duration(e.Cycles) < time.Millisecond {
+				return fail("needs a flap period of at least 1ms (cycles <= duration_ms)")
 			}
 		case Latency:
 			if e.LatencyMult <= 0 && e.JitterFrac <= 0 {

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -52,6 +53,12 @@ func TestParseRejectsBadSchedules(t *testing.T) {
 		"flap cycles":   `{"events":[{"kind":"link-flap","link":["a","b"],"at_ms":0,"duration_ms":1}]}`,
 		"no node":       `{"events":[{"kind":"node-down","at_ms":0,"duration_ms":1}]}`,
 		"bad window":    `{"window_ms":[5,1],"events":[]}`,
+		// 18446744074709 ms wraps to an event at 999.4 ms.
+		"at_ms wraps": `{"events":[{"kind":"node-down","node":"edge1","at_ms":18446744074709,"duration_ms":1}]}`,
+		// The revert would land before the fault, at a negative time.
+		"end overflows": `{"events":[{"kind":"node-down","node":"edge1","at_ms":1000,"duration_ms":9223372036854}]}`,
+		// Two billion cycles over 1 ms: a 0 ns flap period.
+		"flap period": `{"events":[{"kind":"link-flap","link":["a","b"],"at_ms":0,"duration_ms":1,"cycles":2000000000}]}`,
 	}
 	for name, in := range cases {
 		if _, err := Parse([]byte(in)); err == nil {
@@ -231,4 +238,37 @@ func TestSubtreePartitionOnPaperStar(t *testing.T) {
 	}
 	env.Run(4 * time.Second)
 	env.Close()
+}
+
+// FuzzParseSchedule holds the schedule parser to its contract on any input
+// (`-faults FILE` reads a user's file): an accepted schedule is valid, every
+// event starts at a non-negative time and ends after it starts, and the
+// schedule survives a MarshalJSON round trip unchanged. The seed corpus is
+// under testdata/fuzz/FuzzParseSchedule.
+func FuzzParseSchedule(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Parse(data)
+		if err != nil {
+			return
+		}
+		if err := s.Validate(); err != nil {
+			t.Fatalf("accepted schedule fails Validate: %v", err)
+		}
+		for i, e := range s.Events {
+			if e.At < 0 || e.At+e.Duration <= e.At {
+				t.Fatalf("event %d spans [%v, %v+%v)", i, e.At, e.At, e.Duration)
+			}
+		}
+		out, err := s.MarshalJSON()
+		if err != nil {
+			t.Fatalf("marshal: %v", err)
+		}
+		again, err := Parse(out)
+		if err != nil {
+			t.Fatalf("re-parse of %s: %v", out, err)
+		}
+		if !reflect.DeepEqual(again, s) {
+			t.Fatalf("round trip changed the schedule:\n got %+v\nwant %+v", again, s)
+		}
+	})
 }

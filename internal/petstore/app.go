@@ -139,12 +139,11 @@ func DefaultPageCosts() PageCosts {
 // session beans on every active server, and — depending on p — the
 // read-only replicas (Item and Inventory sharded per p.Partition), query
 // caches and update propagation (via the extended-descriptor AutoWire
-// machinery) and edge database replicas. A Deferred policy starts serving at
-// the remote-façade tier, every catalog read crossing the WAN, with the
-// replica bundle's descriptor wired deferred — propagators attached, no
-// replicas materialized — so a controller can live-migrate the bundle onto
-// the edges while traffic flows. A static deployment is checked against the
-// plan the planner synthesizes for p from the component list.
+// machinery) and edge database replicas. On a deferred deployment
+// (core.Options.Deferred) the replica bundle is wired but not materialized,
+// so the edge Catalogs' entity and query reads cross the WAN until a
+// controller live-migrates the bundle onto their edge. A static deployment is checked
+// against the plan the planner synthesizes for p from the component list.
 func Deploy(d *core.Deployment, p core.Policy) (*App, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("petstore: %w", err)
@@ -178,13 +177,7 @@ func Deploy(d *core.Deployment, p core.Policy) (*App, error) {
 		if err := a.wireReplicas(); err != nil {
 			return nil, err
 		}
-		catalog := a.edgeCatalogMethods
-		if p.Deferred {
-			// The replica-backed catalogs arrive by rebind when the
-			// controller cuts each edge over (ActivateEdgeCatalog).
-			catalog = a.delegateCatalogMethods
-		}
-		if err := a.deployEdgeCatalogs(catalog); err != nil {
+		if err := a.deployEdgeCatalogs(); err != nil {
 			return nil, err
 		}
 	}
@@ -193,7 +186,7 @@ func Deploy(d *core.Deployment, p core.Policy) (*App, error) {
 			return nil, err
 		}
 	}
-	if !p.Deferred {
+	if !d.Deferred {
 		// A deferred deployment intentionally starts below its policy
 		// (replicas arrive by migration), so the plan applies only once the
 		// controller finishes extending.
@@ -203,12 +196,6 @@ func Deploy(d *core.Deployment, p core.Policy) (*App, error) {
 	}
 	return a, nil
 }
-
-// SetPolicy records the policy the running placement now corresponds to
-// (the controller's Apply hook after its extension program completes).
-// Request routing is identical for every policy that replicates the web
-// tier, so this only affects reporting.
-func (a *App) SetPolicy(p core.Policy) { a.policy = p }
 
 // wireDBReplicas sets up the Section 6 extension: asynchronous
 // statement-based database replication to every edge server, so highly
@@ -240,8 +227,7 @@ func (a *App) wireDBReplicas() error {
 // DBPrimary exposes the replication primary (nil without DB replicas).
 func (a *App) DBPrimary() *dbrepl.Primary { return a.dbPrimary }
 
-// Policy returns the policy the app was deployed under, or the one a
-// controller extended it to.
+// Policy returns the policy the app was deployed under.
 func (a *App) Policy() core.Policy { return a.policy }
 
 // Deployment returns the underlying deployment.
@@ -549,13 +535,9 @@ func (a *App) getItemVia(p *sim.Proc, srv *container.Server, itemID string) (*It
 		}
 		return &ItemPage{Item: item, Qty: qtySt.Get("qty").AsInt()}, nil
 	}
-	// The fallback must target the central Catalog, not catalogStub: the
-	// edge Catalog façade's own getItem lands here, and in a deferred
-	// deployment that façade exists before the replicas do — resolving the
-	// local catalog again would recurse forever. Static deployments are
-	// unaffected (without entity replicas no edge catalog exists, so
-	// catalogStub resolved to main anyway; with them, edges answer from
-	// replicas and never reach this branch).
+	// The fallback targets the central Catalog, not catalogStub: the edge
+	// Catalog's own getItem lands here before its edge is cut over, and
+	// resolving the local Catalog again would recurse forever.
 	stub, err := a.centralCatalogStub(p, srv)
 	if err != nil {
 		return nil, err
@@ -597,7 +579,6 @@ func (a *App) wireReplicas() error {
 	}
 	w, err := core.AutoWire(a.d, ext, core.WireOptions{
 		PushBytes: replicaPushBytes,
-		Deferred:  a.policy.Deferred,
 		FetchFor: func(server *container.Server, rwBean string) container.FetchFunc {
 			return container.FetchFrom(server, simnet.NodeMain, BeanCatalog, "fetchState", rwBean)
 		},
@@ -629,7 +610,7 @@ func (a *App) wireReplicas() error {
 		return fmt.Errorf("petstore: %w", err)
 	}
 	a.wiring = w
-	if a.policy.Deferred {
+	if a.d.Deferred {
 		// Replicas do not exist yet; each one receives its snapshot when
 		// the controller migrates it in.
 		return nil
@@ -637,12 +618,11 @@ func (a *App) wireReplicas() error {
 	return w.Preload()
 }
 
-// deployEdgeCatalogs installs an edge Catalog façade on every edge, built by
-// methods: the replica-backed one (Fig. 4/5 wiring) or, for a deferred
-// deployment, the delegate-only one.
-func (a *App) deployEdgeCatalogs(methods func(edge *container.Server) map[string]container.Method) error {
+// deployEdgeCatalogs installs the replica-backed edge Catalog façade
+// (Fig. 4/5 wiring) on every edge.
+func (a *App) deployEdgeCatalogs() error {
 	for _, edge := range a.d.Edges {
-		if _, err := container.DeployStateless(edge, BeanCatalog, methods(edge)); err != nil {
+		if _, err := container.DeployStateless(edge, BeanCatalog, a.edgeCatalogMethods(edge)); err != nil {
 			return fmt.Errorf("petstore: %w", err)
 		}
 	}
@@ -650,7 +630,10 @@ func (a *App) deployEdgeCatalogs(methods func(edge *container.Server) map[string
 }
 
 // edgeCatalogMethods builds the replica-backed edge Catalog implementation
-// for one edge server.
+// for one edge server. Each call checks the live wiring, so an edge whose
+// bundle has not arrived yet (a deferred deployment before its cut-over)
+// forwards every read to the central Catalog in one WAN call, and answers
+// from its replicas from the event Wiring.ExtendTo installs them in.
 func (a *App) edgeCatalogMethods(edge *container.Server) map[string]container.Method {
 	delegate := func(p *sim.Proc, method, param string) (any, error) {
 		stub, err := a.centralCatalogStub(p, edge)
@@ -695,40 +678,6 @@ func (a *App) edgeCatalogMethods(edge *container.Server) map[string]container.Me
 			return delegate(p, "search", inv.StringArg(0))
 		},
 	}
-}
-
-// delegateCatalogMethods builds the pre-extension edge Catalog of a
-// deferred deployment: every method forwards to the central Catalog in one
-// WAN call, the remote-façade tier expressed as a local façade so the JNDI
-// name exists from the start and the cut-over is a pure handler swap.
-func (a *App) delegateCatalogMethods(edge *container.Server) map[string]container.Method {
-	delegate := func(method string) container.Method {
-		return func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			stub, err := a.centralCatalogStub(p, edge)
-			if err != nil {
-				return nil, err
-			}
-			return stub.Invoke(p, method, inv.StringArg(0))
-		}
-	}
-	return map[string]container.Method{
-		"getProductsOf": delegate("getProductsOf"),
-		"getItemsOf":    delegate("getItemsOf"),
-		"getItem":       delegate("getItem"),
-		"search":        delegate("search"),
-	}
-}
-
-// ActivateEdgeCatalog rebinds one edge's Catalog JNDI name from the
-// delegate-only implementation to the replica-backed one — the application
-// half of a live-migration cut-over. The rebind happens in place within the
-// current simulation event: cached stubs follow on their next call and no
-// request ever observes the name unbound.
-func (a *App) ActivateEdgeCatalog(edge *container.Server) error {
-	if _, err := container.RedeployStateless(edge, BeanCatalog, a.edgeCatalogMethods(edge)); err != nil {
-		return fmt.Errorf("petstore: %w", err)
-	}
-	return nil
 }
 
 // CategoryPage, ProductPage, ItemPage and CartSummary are the façade return

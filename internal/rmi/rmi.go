@@ -171,26 +171,6 @@ func (rt *Runtime) Unbind(node, name string) {
 	}
 }
 
-// Rebind atomically replaces the handler bound under name on node, binding
-// anew if the name is absent. Unlike Unbind+Bind — which opens a window in
-// which a concurrent Lookup observes ErrNotBound — Rebind swaps the handler
-// on the existing Object in place within a single simulation event, so no
-// request ever sees a dangling JNDI name, and stubs already cached by
-// EJBHomeFactory caches dispatch to the new handler on their next call. The
-// live-migration path uses this for the traffic cut-over.
-func (rt *Runtime) Rebind(node, name string, h Handler) (*Object, error) {
-	if rt.net.Node(node) == nil {
-		return nil, fmt.Errorf("rmi: rebind %s: no such node %s", name, node)
-	}
-	if m := rt.reg[node]; m != nil {
-		if obj, ok := m[name]; ok {
-			obj.h = h
-			return obj, nil
-		}
-	}
-	return rt.Bind(node, name, h)
-}
-
 // Stub is a client-side reference to a remote object, held by a specific
 // caller node.
 type Stub struct {
