@@ -62,13 +62,10 @@ repro:
 repro-quick:
 	$(GO) run ./cmd/wadeploy -quick all
 
+# Every example's stdout against its examples/<name>/stdout.golden
+# (see scripts/examples.sh); UPDATE=1 rewrites the goldens.
 examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/custom
-	$(GO) run ./examples/petstore
-	$(GO) run ./examples/rubis
-	$(GO) run ./examples/failover
-	$(GO) run ./examples/autoscale
+	GO=$(GO) sh scripts/examples.sh
 
 clean:
 	$(GO) clean ./...

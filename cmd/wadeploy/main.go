@@ -146,12 +146,11 @@ func run(args []string) error {
 				return err
 			}
 		case "metrics":
-			app := experiment.PetStore
-			if *appFlag == "rubis" {
-				app = experiment.RUBiS
+			app, err := parseApp(*appFlag)
+			if err != nil {
+				return err
 			}
 			var results []*experiment.Result
-			var err error
 			if *ext {
 				results, err = experiment.RunTableWithExtensions(app, opts)
 			} else {
@@ -168,21 +167,17 @@ func run(args []string) error {
 				}
 			}
 		case "faults":
-			app := experiment.PetStore
-			if *appFlag == "rubis" {
-				app = experiment.RUBiS
-			} else if *appFlag != "petstore" {
-				return fmt.Errorf("unknown app %q (want petstore|rubis)", *appFlag)
+			app, err := parseApp(*appFlag)
+			if err != nil {
+				return err
 			}
 			if err := availability(app, opts, *diag, *metricsOut); err != nil {
 				return err
 			}
 		case "consistency":
-			app := experiment.PetStore
-			if *appFlag == "rubis" {
-				app = experiment.RUBiS
-			} else if *appFlag != "petstore" {
-				return fmt.Errorf("unknown app %q (want petstore|rubis)", *appFlag)
+			app, err := parseApp(*appFlag)
+			if err != nil {
+				return err
 			}
 			if err := consistency(app, opts, *diag); err != nil {
 				return err
@@ -190,11 +185,9 @@ func run(args []string) error {
 		case "inventory":
 			printInventory()
 		case "plan":
-			app := experiment.PetStore
-			if *appFlag == "rubis" {
-				app = experiment.RUBiS
-			} else if *appFlag != "petstore" {
-				return fmt.Errorf("unknown app %q (want petstore|rubis)", *appFlag)
+			app, err := parseApp(*appFlag)
+			if err != nil {
+				return err
 			}
 			if err := plan(app, *jsonOut, *sim, *observed, *cfgFlag, opts); err != nil {
 				return err
@@ -254,11 +247,9 @@ func run(args []string) error {
 				return err
 			}
 		case "trace":
-			app := experiment.PetStore
-			if *appFlag == "rubis" {
-				app = experiment.RUBiS
-			} else if *appFlag != "petstore" {
-				return fmt.Errorf("unknown app %q (want petstore|rubis)", *appFlag)
+			app, err := parseApp(*appFlag)
+			if err != nil {
+				return err
 			}
 			if err := traceReport(app, opts, *cfgFlag, *jsonOut, *ext, *sample); err != nil {
 				return err
@@ -397,16 +388,20 @@ func scale(sessionsN, shardsN, workers int, traceOn bool, sample uint64, opts ex
 	return nil
 }
 
+// parseApp resolves the -app flag.
+func parseApp(app string) (experiment.AppID, error) {
+	switch a := experiment.AppID(app); a {
+	case experiment.PetStore, experiment.RUBiS:
+		return a, nil
+	}
+	return "", fmt.Errorf("unknown app %q (want petstore|rubis)", app)
+}
+
 // sweepTarget resolves the -app and -config flags.
 func sweepTarget(app, cfg string) (experiment.AppID, core.Policy, error) {
-	var a experiment.AppID
-	switch app {
-	case "petstore":
-		a = experiment.PetStore
-	case "rubis":
-		a = experiment.RUBiS
-	default:
-		return "", core.Policy{}, fmt.Errorf("unknown app %q (want petstore|rubis)", app)
+	a, err := parseApp(app)
+	if err != nil {
+		return "", core.Policy{}, err
 	}
 	for _, c := range core.Configs {
 		if c.String() == cfg {

@@ -158,6 +158,9 @@ func TestRunErrors(t *testing.T) {
 		{"-config", "nope", "sweep-latency"},
 		{"-app", "nope", "explain"},
 		{"-app", "nope", "faults"},
+		tiny("-app", "nope", "metrics"),
+		tiny("-app", "nope", "plan"),
+		tiny("-app", "nope", "consistency"),
 		{"-faults", "/nonexistent/schedule.json", "table6"},
 	}
 	for _, args := range cases {

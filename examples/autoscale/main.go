@@ -110,7 +110,6 @@ func run() error {
 		Options: controller.Options{
 			Epoch:         10 * time.Second,
 			ConfirmEpochs: 2,
-			Cooldown:      20 * time.Second,
 		},
 	})
 	if err != nil {

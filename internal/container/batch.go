@@ -24,10 +24,8 @@ func mergeUpdate(acc *Update, u Update, owned bool) bool {
 // CoalesceUpdates collapses a commit-ordered batch so each entity appears
 // once, carrying the last-writer-wins merge of everything that happened to
 // it (N commits to the same bean collapse to one delta). Entities keep the
-// order of their first appearance; input updates are never mutated. Both
-// the windowed pusher and replog replay coalesce through the same buffer, so
-// "coalesced push" and "coalesced log replay" are the same operation by
-// construction.
+// order of their first appearance; input updates are never mutated. The
+// windowed pusher coalesces each window through the same buffer.
 func CoalesceUpdates(updates []Update) []Update {
 	if len(updates) <= 1 {
 		return updates

@@ -66,7 +66,7 @@ func TestCoalesceUpdatesLastWriterWins(t *testing.T) {
 	if out[1].Bean != "B" || out[1].State.Get("x").AsInt() != 7 {
 		t.Fatalf("B coalesced wrong: %+v", out[1])
 	}
-	// Input must not be mutated (the log replay path shares the entries).
+	// Input must not be mutated (every propagator sees the same entries).
 	if in[0].State.Get("x").AsInt() != 1 || in[0].State.Len() != 1 {
 		t.Fatalf("input update mutated: %+v", in[0])
 	}

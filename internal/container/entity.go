@@ -55,7 +55,7 @@ func (u Update) WireBytes() int {
 }
 
 // Propagator observes committed updates in chain order. Pusher delivers them
-// to the replicas; UpdateBuffer and the event-log recorder only record them.
+// to the replicas; UpdateBuffer only records them.
 type Propagator interface {
 	Propagate(p *sim.Proc, updates []Update) error
 }

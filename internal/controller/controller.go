@@ -8,8 +8,8 @@
 // extend the replica bundle to the edges while traffic flows. It also
 // reacts to faults: an edge unreachable for several epochs has its
 // synchronous pushes suspended (retirement), and a recovered edge is
-// resynchronized with a fresh state transfer before pushes resume — the
-// fault → detect → re-place → recover story.
+// resynchronized by the same snapshot migration that extends the bundle
+// before pushes resume — the fault → detect → re-place → recover story.
 //
 // The controller knows the application only through its core.Wiring: an
 // extension's cut-over is Wiring.ExtendTo plus the replayed snapshot, in one
@@ -36,7 +36,6 @@ import (
 	"wadeploy/internal/core"
 	"wadeploy/internal/metrics"
 	"wadeploy/internal/planner"
-	"wadeploy/internal/replog"
 	"wadeploy/internal/sim"
 	"wadeploy/internal/trace"
 )
@@ -59,10 +58,6 @@ type Options struct {
 	// before the controller acts (default 2) — the damper that keeps a
 	// transient spike from triggering a migration.
 	ConfirmEpochs int
-
-	// Cooldown is the minimum virtual time between committing to one
-	// extension program and considering the next (default 2m).
-	Cooldown time.Duration
 
 	// SuspendAfter is how many consecutive unreachable epochs an edge
 	// tolerates before its synchronous pushes are suspended (default 3).
@@ -96,9 +91,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ConfirmEpochs <= 0 {
 		o.ConfirmEpochs = 2
-	}
-	if o.Cooldown <= 0 {
-		o.Cooldown = 2 * time.Minute
 	}
 	if o.SuspendAfter <= 0 {
 		o.SuspendAfter = 3
@@ -175,7 +167,6 @@ type Event struct {
 type Migration struct {
 	Server        string
 	Resync        bool // state refresh of an already-wired edge
-	FromLog       bool // resynced by event-log replay instead of a snapshot
 	Start, End    time.Duration
 	SnapshotBytes int // base image shipped
 	CatchUpBytes  int // pre-copy catch-up rounds shipped
@@ -206,13 +197,12 @@ type Controller struct {
 	rng  *rand.Rand
 	tr   *trace.Tracer
 
-	epoch     int
-	confirm   int
-	decided   bool          // extension program active
-	extended  bool          // extension program complete
-	decidedAt time.Duration // cooldown anchor
-	current   core.Policy
-	target    core.Policy
+	epoch    int
+	confirm  int
+	decided  bool // extension program active
+	extended bool // extension program complete
+	current  core.Policy
+	target   core.Policy
 
 	lastRemote int64 // rmi remote-call count at last tick (threshold mode)
 	wideCtr    *metrics.Counter
@@ -222,14 +212,6 @@ type Controller struct {
 	down      map[string]int // consecutive unreachable epochs per edge
 	suspended map[string]bool
 	needSync  map[string]bool // wired edges whose state must be resynced
-
-	// store is the event-log replication backend (nil unless the
-	// deployment armed core.ReplicationOptions.EventLog). When present,
-	// the controller seals one log epoch per tick, tracks the last epoch
-	// each healthy edge acknowledged, and resynchronizes recovered edges
-	// by replaying the coalesced log suffix instead of a snapshot.
-	store    *replog.Store
-	ackEpoch map[string]int // edge -> last acknowledged log epoch
 
 	events []Event
 	migs   []Migration
@@ -274,8 +256,6 @@ func Start(cfg Config) (*Controller, error) {
 		down:      make(map[string]int),
 		suspended: make(map[string]bool),
 		needSync:  make(map[string]bool),
-		store:     cfg.Deployment.Replog,
-		ackEpoch:  make(map[string]int),
 
 		mEpochs:    reg.Counter("controller_epochs_total"),
 		mDecisions: reg.CounterVec("controller_decisions_total", "kind"),
@@ -307,40 +287,9 @@ func (c *Controller) record(p *sim.Proc, ev Event) {
 func (c *Controller) tick(p *sim.Proc) {
 	c.epoch++
 	c.mEpochs.Inc()
-	if c.store != nil {
-		c.store.SealEpoch()
-	}
 	c.watchReachability(p)
-	c.ackReplicas()
 	c.replan(p)
 	c.act(p)
-}
-
-// ackReplicas advances each healthy edge's acknowledged log epoch. An edge
-// acknowledges the epoch sealed one tick ago, not the one just sealed: a
-// push committed right before this tick may still be in flight, but
-// anything sealed a full epoch earlier either arrived (the path was up at
-// both ticks) or the edge was marked down in between and is excluded here.
-// Replay is coalesced last-writer-wins, so the one-epoch lag only makes a
-// resync slightly larger, never wrong.
-func (c *Controller) ackReplicas() {
-	if c.store == nil {
-		return
-	}
-	acked := c.store.Epoch() - 1
-	if acked < 1 {
-		return
-	}
-	w := c.cfg.Wiring
-	for _, edge := range c.cfg.Deployment.Edges {
-		name := edge.Name()
-		if c.down[name] > 0 || c.suspended[name] || c.needSync[name] || !w.DeployedOn(name) {
-			continue
-		}
-		if acked > c.ackEpoch[name] {
-			c.ackEpoch[name] = acked
-		}
-	}
 }
 
 // watchReachability probes main ↔ edge liveness (a free control-plane
@@ -384,12 +333,9 @@ func (c *Controller) watchReachability(p *sim.Proc) {
 
 // replan re-prices the placement on the observed workload and arms the
 // extension program when the predicted win clears the hysteresis bar for
-// ConfirmEpochs consecutive epochs (outside the cooldown window).
+// ConfirmEpochs consecutive epochs.
 func (c *Controller) replan(p *sim.Proc) {
 	if c.decided || c.extended {
-		return
-	}
-	if c.decidedAt > 0 && p.Now()-c.decidedAt < c.opts.Cooldown {
 		return
 	}
 	win, detail, ok := c.predictedWin(p)
@@ -402,7 +348,6 @@ func (c *Controller) replan(p *sim.Proc) {
 		return
 	}
 	c.decided = true
-	c.decidedAt = p.Now()
 	c.confirm = 0
 	c.record(p, Event{Kind: EventExtendDecided, Win: win, Detail: detail})
 }
@@ -484,17 +429,8 @@ func (c *Controller) act(p *sim.Proc) {
 			w.ResumeTargets(name)
 			c.suspended[name] = false
 		}
-		if c.store != nil {
-			// The cut-over applied everything through the log head, which
-			// is at or past the most recent seal.
-			c.ackEpoch[name] = c.store.Epoch()
-		}
-		how := "snapshot"
-		if m.FromLog {
-			how = "log replay"
-		}
 		c.record(p, Event{Kind: EventResynced, Server: name,
-			Detail: fmt.Sprintf("%d bytes, %d updates replayed (%s)", m.SnapshotBytes+m.CatchUpBytes, m.Replayed, how)})
+			Detail: fmt.Sprintf("%d bytes, %d updates replayed (snapshot)", m.SnapshotBytes+m.CatchUpBytes, m.Replayed)})
 		return
 	}
 
@@ -510,9 +446,6 @@ func (c *Controller) act(p *sim.Proc) {
 		if m.Failed {
 			c.record(p, Event{Kind: EventMigrateFailed, Server: name, Detail: m.Err})
 			return
-		}
-		if c.store != nil {
-			c.ackEpoch[name] = c.store.Epoch()
 		}
 		c.record(p, Event{Kind: EventMigrated, Server: name,
 			Detail: fmt.Sprintf("%d bytes, %d catch-up rounds, %d updates replayed", m.SnapshotBytes+m.CatchUpBytes, m.Rounds, m.Replayed)})

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -35,17 +34,9 @@ type rig struct {
 }
 
 func newRig(t *testing.T, seed int64, deferred bool) *rig {
-	return newRigOpts(t, seed, deferred, nil)
-}
-
-// newRigOpts is newRig with the deployment's replication options exposed:
-// the log-replay resync test arms the event log, every other test keeps the
-// paper default (nil).
-func newRigOpts(t *testing.T, seed int64, deferred bool, ropts *core.ReplicationOptions) *rig {
 	t.Helper()
 	env := sim.NewEnv(seed)
 	opts := core.DefaultOptions()
-	opts.Replication = ropts
 	opts.Deferred = deferred
 	d, err := core.NewPaperDeployment(env, opts)
 	if err != nil {
@@ -97,7 +88,6 @@ func (r *rig) startController(t *testing.T, seed int64) *controller.Controller {
 			Epoch:         2 * time.Second,
 			ConfirmEpochs: 2,
 			SuspendAfter:  2,
-			Cooldown:      time.Second,
 			RetryBackoff:  500 * time.Millisecond,
 		},
 	})
@@ -344,86 +334,6 @@ func TestPartitionSuspendResync(t *testing.T) {
 	}
 	if !reflect.DeepEqual(kinds, want) {
 		t.Fatalf("edge1 event sequence %v, want %v", kinds, want)
-	}
-}
-
-// TestPartitionResyncViaLogReplay is TestPartitionSuspendResync with the
-// event-log backend armed: recovery must resync the partitioned edge by
-// replaying the coalesced log suffix from its last acknowledged epoch —
-// FromLog set, no snapshot shipped — and still land exactly on the
-// authoritative state.
-func TestPartitionResyncViaLogReplay(t *testing.T) {
-	seed := int64(5)
-	r := newRigOpts(t, seed, false, &core.ReplicationOptions{EventLog: true})
-	ctrl := r.startController(t, seed)
-	s := &faults.Schedule{Events: []faults.Event{
-		{Kind: faults.LinkDown, A: simnet.NodeEdge1, B: simnet.NodeRouter,
-			At: 5 * time.Second, Duration: 10 * time.Second},
-	}}
-	if err := faults.Arm(r.d.Net, s, seed); err != nil {
-		t.Fatal(err)
-	}
-	r.spawnWriter(t, seed+1000, 800, 20*time.Millisecond)
-	// Replay the writer's RNG to reconstruct which rows the run touches:
-	// log replay ships deltas only (no base image), so rows never written
-	// are legitimately absent from the replica — unlike the snapshot path.
-	written := make(map[int64]bool)
-	wrng := rand.New(rand.NewSource(seed + 1000))
-	for i := 0; i < 800; i++ {
-		written[1+wrng.Int63n(priceRows)] = true
-		wrng.Int63n(100000)
-	}
-	r.settle(t, func(p *sim.Proc) {
-		truth := r.groundTruth(t, p)
-		ro := r.w.Replica(simnet.NodeEdge1, "Price")
-		for pk, want := range truth {
-			id := int64(atoi(t, pk))
-			st, ok := ro.Peek(sqldb.Int(id))
-			if !ok {
-				if written[id] {
-					t.Errorf("pk %s written during the run but missing after log-replay resync", pk)
-				}
-				continue
-			}
-			if !reflect.DeepEqual(st, want) {
-				t.Errorf("pk %s after log-replay resync: replica %v != authoritative %v", pk, st, want)
-			}
-		}
-	})
-	r.env.Close()
-
-	rep := ctrl.Report()
-	var resyncs []controller.Migration
-	for _, m := range rep.Migrations {
-		if m.Server == simnet.NodeEdge1 && m.Resync && !m.Failed {
-			resyncs = append(resyncs, m)
-		}
-	}
-	if len(resyncs) == 0 {
-		t.Fatal("no successful resync migration recorded for edge1")
-	}
-	for _, m := range resyncs {
-		if !m.FromLog {
-			t.Errorf("resync migration used a snapshot, want log replay: %+v", m)
-		}
-		if m.SnapshotBytes != 0 {
-			t.Errorf("log-replay resync shipped a %d-byte snapshot", m.SnapshotBytes)
-		}
-		if m.Replayed == 0 && m.Rounds == 0 {
-			t.Errorf("log-replay resync replayed nothing: %+v", m)
-		}
-	}
-	found := false
-	for _, ev := range rep.Events {
-		if ev.Server == simnet.NodeEdge1 && ev.Kind == controller.EventResynced {
-			found = true
-			if !strings.Contains(ev.Detail, "log replay") {
-				t.Errorf("resync event detail %q, want it to name log replay", ev.Detail)
-			}
-		}
-	}
-	if !found {
-		t.Fatal("no resync event recorded for edge1")
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"wadeploy/internal/container"
-	"wadeploy/internal/replog"
 	"wadeploy/internal/sim"
 	"wadeploy/internal/simnet"
 )
@@ -48,17 +47,6 @@ func (c *Controller) migrate(p *sim.Proc, edge *container.Server, resync bool) M
 	m := Migration{Server: name, Resync: resync, Start: p.Now()}
 
 	beans := w.ReplicaBeans()
-
-	// Resyncs replay the event log when the backend is armed and still
-	// retains the suffix past the edge's last acknowledged epoch — ordered
-	// coalesced deltas instead of a full snapshot. A suffix that has been
-	// compacted away falls through to the snapshot protocol below.
-	if resync && c.store != nil {
-		if mg, ok := c.migrateFromLog(p, edge, m); ok {
-			return mg
-		}
-		c.store.CountFallback()
-	}
 	buf := container.NewUpdateBuffer()
 	for _, bean := range beans {
 		// Prepend: the buffer must record a commit in the same event as the
@@ -157,110 +145,6 @@ func (c *Controller) migrate(p *sim.Proc, edge *container.Server, resync bool) M
 	c.mReplayed.Add(int64(m.Replayed))
 	c.mMigNs.Observe(m.End - m.Start)
 	return m
-}
-
-// migrateFromLog resynchronizes edge by replaying the event log from its
-// last acknowledged epoch. The recorder prepended at wiring time captures
-// every commit in the commit event itself, so the log doubles as the
-// migration's drain buffer — no UpdateBuffer attach/detach is needed.
-//
-//  1. Anchor a cursor per bean at the log head the edge acknowledged.
-//  2. Pre-copy rounds: ship the coalesced suffix past each cursor (paying
-//     real transfer cost over simnet), advance the cursors to the head
-//     captured before the transfer, repeat while commits keep landing.
-//  3. Cut over in one simulation event: collect the residual suffix
-//     (committed during the last transfer; its wire cost rides the resumed
-//     push stream) and apply every round's updates in order through the
-//     edge's updater façade. Replay is last-writer-wins per field with
-//     delete tombstones, so the replica converges to the primary without a
-//     Reset — entries untouched since the partition stay valid.
-//
-// Returns ok=false without side effects when any bean's suffix was
-// compacted away before the migration started (the caller snapshots
-// instead); a suffix compacted mid-flight fails the migration and the next
-// epoch's retry falls back to the snapshot path.
-func (c *Controller) migrateFromLog(p *sim.Proc, edge *container.Server, m Migration) (Migration, bool) {
-	d := c.cfg.Deployment
-	w := c.cfg.Wiring
-	main := d.Main.Name()
-	name := edge.Name()
-	beans := w.ReplicaBeans()
-	acked := c.ackEpoch[name]
-
-	cursors := make(map[string]uint64, len(beans))
-	for _, bean := range beans {
-		l := c.store.Log(bean)
-		from := l.HeadAtEpoch(acked)
-		if _, err := l.Since(from); err != nil {
-			return m, false // compacted: snapshot fallback
-		}
-		cursors[bean] = from
-	}
-	m.FromLog = true
-
-	fail := func(err error) Migration {
-		m.Failed = true
-		m.Err = err.Error()
-		m.End = p.Now()
-		c.migs = append(c.migs, m)
-		c.mMigFails.Inc()
-		return m
-	}
-
-	// Pre-copy rounds: each round ships only what committed while the
-	// previous one was in flight, so rounds shrink geometrically like the
-	// snapshot protocol's — but the first round is the coalesced delta
-	// since the partition, not the whole table image.
-	var replay []container.Update
-	for m.Rounds < c.opts.MaxCatchUpRounds {
-		var batch []container.Update
-		next := make(map[string]uint64, len(beans))
-		for _, bean := range beans {
-			l := c.store.Log(bean)
-			ups, err := l.CoalescedSince(cursors[bean])
-			if err != nil {
-				return fail(fmt.Errorf("log replay %s: %w", bean, err)), true
-			}
-			batch = append(batch, ups...)
-			next[bean] = l.Head()
-		}
-		if len(batch) == 0 {
-			break
-		}
-		m.Rounds++
-		bytes := replog.WireBytes(batch)
-		m.CatchUpBytes += bytes
-		replay = append(replay, batch...)
-		for bean, h := range next {
-			cursors[bean] = h
-		}
-		if err := c.transfer(p, main, name, bytes, &m); err != nil {
-			return fail(fmt.Errorf("log replay round %d: %w", m.Rounds, err)), true
-		}
-	}
-
-	// Cut-over: single event, no sleeps. The residual suffix (committed
-	// during the last transfer) joins the replay; applying the rounds in
-	// order keeps last-writer-wins semantics end to end.
-	for _, bean := range beans {
-		ups, err := c.store.Log(bean).CoalescedSince(cursors[bean])
-		if err != nil {
-			return fail(fmt.Errorf("log replay residual %s: %w", bean, err)), true
-		}
-		replay = append(replay, ups...)
-	}
-	if up := w.Updaters[name]; up != nil && len(replay) > 0 {
-		up.ApplyLocal(replay)
-	}
-	c.store.CountReplay(len(replay))
-	m.Replayed = len(replay)
-	m.End = p.Now()
-	c.migs = append(c.migs, m)
-	c.mMigs.Inc()
-	c.mBytes.Add(int64(m.CatchUpBytes))
-	c.mReplayed.Add(int64(m.Replayed))
-	c.mMigNs.Observe(m.End - m.Start)
-	return m, true
 }
 
 // transfer bulk-ships bytes from -> to, resuming after mid-transfer link

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"wadeploy/internal/container"
-	"wadeploy/internal/replog"
 	"wadeploy/internal/sim"
 )
 
@@ -156,7 +155,7 @@ func AutoWire(d *Deployment, ext *container.ExtendedDescriptor, opts WireOptions
 		case spec.Update == container.AsyncUpdate:
 			topic = ext.Topic
 		case spec.Update == container.LeaseUpdate && window <= 0:
-			window = replog.StalenessBudget(spec.MaxStaleness)
+			window = stalenessWindow(spec.MaxStaleness)
 		}
 		var ps *container.Pusher
 		if topic != "" {
@@ -197,16 +196,6 @@ func AutoWire(d *Deployment, ext *container.ExtendedDescriptor, opts WireOptions
 		}
 	}
 
-	// The event-log recorder observes every commit ahead of the chain
-	// (before any blocking push sleeps on the WAN), so a catch-up replay
-	// sealed mid-commit can never miss an update the replicas saw.
-	if d.Replog != nil {
-		rec := replog.NewRecorder(d.Replog)
-		for _, spec := range specs {
-			d.RW(spec.Bean).PrependPropagator(rec)
-		}
-	}
-
 	if !d.Deferred {
 		for _, edge := range d.Edges {
 			if err := w.ExtendTo(edge); err != nil {
@@ -215,6 +204,13 @@ func AutoWire(d *Deployment, ext *container.ExtendedDescriptor, opts WireOptions
 		}
 	}
 	return w, nil
+}
+
+// stalenessWindow derives the flush window for a lease from its staleness
+// budget: half the budget, leaving the other half for WAN delivery and
+// apply, floored at 1ms so a tiny budget still batches something.
+func stalenessWindow(maxStaleness time.Duration) time.Duration {
+	return max(maxStaleness/2, time.Millisecond)
 }
 
 // Preload warm-deploys every wired replica with its read-write bean's current

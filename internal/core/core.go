@@ -32,7 +32,6 @@ import (
 	"wadeploy/internal/container"
 	"wadeploy/internal/jms"
 	"wadeploy/internal/metrics"
-	"wadeploy/internal/replog"
 	"wadeploy/internal/rmi"
 	"wadeploy/internal/sim"
 	"wadeploy/internal/simnet"
@@ -58,18 +57,12 @@ type Deployment struct {
 	Resilience *ResilienceOptions
 
 	// Replication echoes Options.Replication so AutoWire can rewrite the
-	// propagation path (deltas-by-default, batching, leases) and arm the
-	// event-log backend.
+	// propagation path (deltas-by-default, batching, leases).
 	Replication *ReplicationOptions
 
 	// Deferred echoes Options.Deferred so AutoWire leaves the replica
 	// bundle for Wiring.ExtendTo.
 	Deferred bool
-
-	// Replog is the event-log replication store, non-nil when
-	// Replication.EventLog is set. AutoWire prepends a recorder to every
-	// replicated read-write bean; the controller replays it for catch-up.
-	Replog *replog.Store
 
 	rw map[string]*container.RWEntity
 
@@ -94,9 +87,9 @@ type Options struct {
 	// strict semantics and byte-identical metric output.
 	Resilience *ResilienceOptions
 
-	// Replication, when non-nil, arms the event-log replication backend
-	// and the new propagation defaults (deltas-by-default, batched/
-	// coalesced pushes, bounded-staleness leases). Nil (the default)
+	// Replication, when non-nil, arms the post-paper propagation defaults
+	// (deltas-by-default, batched/coalesced pushes, bounded-staleness
+	// leases). Nil (the default)
 	// keeps the paper's propagation path and byte-identical table output.
 	Replication *ReplicationOptions
 
@@ -170,9 +163,6 @@ func buildDeployment(env *sim.Env, opts Options) (*Deployment, *simnet.Hierarchy
 		rw:          make(map[string]*container.RWEntity),
 		topo:        h,
 		byClient:    make(map[string]*container.Server),
-	}
-	if r := opts.Replication; r != nil && r.EventLog {
-		d.Replog = replog.NewStore(env.Metrics(), 0)
 	}
 	for _, name := range h.ServerNodes() {
 		srv, err := container.NewServer(container.Config{

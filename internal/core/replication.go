@@ -6,8 +6,8 @@ import (
 	"wadeploy/internal/container"
 )
 
-// ReplicationOptions opts a deployment into the event-log replication
-// backend and the post-paper propagation defaults. The zero value of every
+// ReplicationOptions opts a deployment into the post-paper propagation
+// defaults. The zero value of every
 // field keeps the corresponding behavior off; Options.Replication == nil
 // (the paper default) keeps all of it off, so Tables 6-7 / Figures 7-8
 // remain byte-identical — the two-book discipline.
@@ -22,12 +22,6 @@ type ReplicationOptions struct {
 	// message per window, and repeated commits to one entity collapse to
 	// its last-writer delta. Specs with their own BatchWindow keep it.
 	BatchWindow time.Duration
-
-	// EventLog arms the replog store: every propagated commit is
-	// appended to an ordered, epoch-indexed per-bean delta log, and the
-	// controller's migrations/resyncs replay the coalesced suffix from
-	// the last acknowledged epoch instead of shipping state snapshots.
-	EventLog bool
 
 	// Mode, when non-zero, overrides every replica spec's update mode —
 	// the consistency-spectrum experiment's knob for sweeping one

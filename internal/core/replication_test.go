@@ -50,6 +50,20 @@ func TestEffectiveReplicasModeOverride(t *testing.T) {
 	}
 }
 
+// TestStalenessWindow: AutoWire flushes a lease at half its staleness
+// budget, floored at 1ms.
+func TestStalenessWindow(t *testing.T) {
+	if w := stalenessWindow(time.Second); w != 500*time.Millisecond {
+		t.Fatalf("window(1s) = %v, want 500ms", w)
+	}
+	if w := stalenessWindow(3 * time.Second); w != 1500*time.Millisecond {
+		t.Fatalf("window(3s) = %v, want 1.5s", w)
+	}
+	if w := stalenessWindow(0); w != time.Millisecond {
+		t.Fatalf("window(0) = %v, want the 1ms floor", w)
+	}
+}
+
 func TestEffectiveReplicasDeltasByDefault(t *testing.T) {
 	specs := []container.ReplicaSpec{
 		{Bean: "Push", Update: container.AsyncUpdate, Refresh: container.PushRefresh},
@@ -84,40 +98,25 @@ func TestEffectiveReplicasSharedBatchWindow(t *testing.T) {
 	}
 }
 
-func TestPaperDeploymentArmsReplog(t *testing.T) {
-	// Paper default: no replication options, no log store.
-	env := sim.NewEnv(11)
-	d, err := NewPaperDeployment(env, DefaultOptions())
+// TestPaperDeploymentEchoesReplication: the paper default arms no
+// replication options, and a deployment echoes the ones it was given for
+// AutoWire to apply.
+func TestPaperDeploymentEchoesReplication(t *testing.T) {
+	d, err := NewPaperDeployment(sim.NewEnv(11), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Replog != nil || d.Replication != nil {
-		t.Fatal("paper-default deployment armed replication machinery")
+	if d.Replication != nil {
+		t.Fatal("paper-default deployment armed replication options")
 	}
 
 	opts := DefaultOptions()
-	opts.Replication = &ReplicationOptions{EventLog: true}
-	env2 := sim.NewEnv(11)
-	d2, err := NewPaperDeployment(env2, opts)
+	opts.Replication = &ReplicationOptions{DeltasByDefault: true}
+	d2, err := NewPaperDeployment(sim.NewEnv(11), opts)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if d2.Replog == nil {
-		t.Fatal("EventLog did not arm the replog store")
 	}
 	if d2.Replication != opts.Replication {
 		t.Fatal("deployment does not echo its replication options")
-	}
-
-	// EventLog off keeps the store nil even with other knobs set.
-	opts3 := DefaultOptions()
-	opts3.Replication = &ReplicationOptions{DeltasByDefault: true}
-	env3 := sim.NewEnv(11)
-	d3, err := NewPaperDeployment(env3, opts3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d3.Replog != nil {
-		t.Fatal("replog armed without EventLog")
 	}
 }

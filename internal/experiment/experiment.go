@@ -51,7 +51,7 @@ type RunOptions struct {
 
 	// Replication, when non-nil, arms the delta-replication machinery
 	// (deltas-by-default, batched/coalesced pushes, bounded-staleness
-	// leases, the epoch-indexed event log) on the deployment under test.
+	// leases, a swept update mode) on the deployment under test.
 	// Nil keeps the paper's propagation path and byte-identical output.
 	Replication *core.ReplicationOptions
 

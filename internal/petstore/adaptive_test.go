@@ -39,7 +39,6 @@ func startCutOverController(t *testing.T, d *core.Deployment, a *App, seed int64
 		Options: controller.Options{
 			Epoch:         5 * time.Second,
 			ConfirmEpochs: 2,
-			Cooldown:      time.Second,
 		},
 	})
 	if err != nil {

@@ -53,7 +53,7 @@ type Params struct {
 	PushBytes      int // replica-refresh payload per blocking push
 	PushReplyBytes int // push acknowledgement
 
-	// Event-log replication (Options.Replication). Zero values — the
+	// Replication options (Options.Replication). Zero values — the
 	// paper default — leave every prediction untouched.
 	DeltaBytes   int  // wire size of a one-field delta push
 	DeltaDefault bool // deltas-by-default armed

@@ -184,8 +184,9 @@ func (vp *viewProbe) checkUser(id int64) {
 // and a category grown past the listing LIMIT — under sync, async and batched
 // delta propagation, with a WAN partition in the second half. Inside every
 // commit each view the entity feeds equals a fresh execution of its query; at
-// quiescence (after replaying the event log over what the partition dropped)
-// every edge cache entry is the view's value and every view is fresh.
+// quiescence (after replaying the second half's commits, coalesced, over what
+// the partition dropped — the replay a controller resync performs) every edge
+// cache entry is the view's value and every view is fresh.
 func TestQueryViewMaintainedEqualsRequeried(t *testing.T) {
 	modes := []struct {
 		name string
@@ -205,9 +206,7 @@ func TestQueryViewMaintainedEqualsRequeried(t *testing.T) {
 		for _, seed := range []int64{3, 17, 42} {
 			mode, seed := mode, seed
 			t.Run(fmt.Sprintf("%s/seed%d", mode.name, seed), func(t *testing.T) {
-				repl := mode.repl
-				repl.EventLog = true
-				a := deployOn(t, seed, core.AsyncUpdates, simnet.HierarchySpec{}, &repl)
+				a := deployOn(t, seed, core.AsyncUpdates, simnet.HierarchySpec{}, &mode.repl)
 				d := a.d
 				env := d.Env
 				defer env.Close()
@@ -269,22 +268,16 @@ func TestQueryViewMaintainedEqualsRequeried(t *testing.T) {
 				// Phase 1: the live propagation path alone delivered everything.
 				env.Run(calm)
 				checkEdgesHoldViews(t, a, nextItem)
-				heads := map[string]uint64{}
-				for _, bean := range []string{BeanItem, BeanUser} {
-					heads[bean] = d.Replog.Log(bean).Head()
-				}
+				buf := container.NewUpdateBuffer()
+				a.itemRW.PrependPropagator(buf)
+				a.userRW.PrependPropagator(buf)
 
-				// Phase 2: the partition drops pushes to edge1; the event-log
-				// replay (ApplyLocal, coalesced) closes the hole.
+				// Phase 2: the partition drops pushes to edge1; replaying
+				// the buffered commits (ApplyLocal, coalesced) closes the hole.
 				env.RunAll()
-				for _, bean := range []string{BeanItem, BeanUser} {
-					ups, err := d.Replog.Log(bean).CoalescedSince(heads[bean])
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, edge := range d.Edges {
-						a.wiring.Updaters[edge.Name()].ApplyLocal(ups)
-					}
+				ups := container.CoalesceUpdates(buf.Drain())
+				for _, edge := range d.Edges {
+					a.wiring.Updaters[edge.Name()].ApplyLocal(ups)
 				}
 				checkEdgesHoldViews(t, a, nextItem)
 

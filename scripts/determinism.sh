@@ -67,8 +67,8 @@ $GO run ./cmd/wadeploy -quick -edges 2,4,8,16 -partitions 8 -config query-cachin
 diff "$out/topo-p1.txt" "$out/topo-p8.txt"
 
 echo '== engine goldens =='
-# Hierarchies, partitioning, delta replication, batching and the event log
-# are all opt-in, so the paper books never move.
+# Hierarchies, partitioning, delta replication and batching are all opt-in,
+# so the paper books never move.
 $GO test ./internal/experiment -run TestEngineGolden -count=1 -v
 
 echo 'determinism gate: OK'
