@@ -7,7 +7,6 @@ import (
 	"wadeploy/internal/controller"
 	"wadeploy/internal/core"
 	"wadeploy/internal/experiment"
-	"wadeploy/internal/faults"
 )
 
 // adapt runs the online re-placement experiment: the canonical WAN fault
@@ -18,10 +17,6 @@ import (
 // steady-state latency before/after the extension program. Output is
 // byte-identical at any -parallel setting.
 func adapt(app experiment.AppID, cfg core.Policy, epoch time.Duration, opts experiment.RunOptions) error {
-	if opts.Schedule == nil {
-		opts.Schedule = faults.Canonical(opts.Warmup, opts.Duration)
-		opts.Resilience = core.DefaultResilience()
-	}
 	opts.Adaptive = &controller.Options{Epoch: epoch}
 	rep, err := experiment.RunAdapt(app, cfg, opts)
 	if err != nil {

@@ -121,7 +121,7 @@ func run(args []string) error {
 		if opts.Schedule, err = loadSchedule(*faultsFlag, opts); err != nil {
 			return err
 		}
-		opts.Resilience = core.DefaultResilience()
+		opts.Resilience = true
 	}
 	cmds := fs.Args()
 	if len(cmds) == 0 {

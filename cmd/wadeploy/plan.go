@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -61,31 +62,52 @@ func plan(app experiment.AppID, jsonOut, sim bool, observed, observedCfg string,
 }
 
 // loadObservedShares reads a `wadeploy trace -json` export and extracts the
-// observed visit shares (pattern → page → share) of the run matching cfg —
-// the -config flag, defaulting to the export's first run when empty or
-// unmatched is an error.
+// observed visit shares of the run matching cfg (see parseObservedShares).
 func loadObservedShares(path string, app experiment.AppID, cfg string) (map[string]map[string]float64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("-observed: %w", err)
 	}
+	shares, err := parseObservedShares(data, app, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("-observed: %s: %w", path, err)
+	}
+	return shares, nil
+}
+
+// parseObservedShares extracts the observed visit shares (pattern → page →
+// share) of the run matching cfg — the -config flag; a cfg no run carries is
+// an error — from a `wadeploy trace -json` export. The export is
+// outside input: a negative page count, or a pattern whose counts overflow
+// when summed, is rejected rather than turned into shares outside [0, 1].
+func parseObservedShares(data []byte, app experiment.AppID, cfg string) (map[string]map[string]float64, error) {
 	var doc traceFile
 	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, fmt.Errorf("-observed: parse %s: %w", path, err)
+		return nil, fmt.Errorf("parse: %w", err)
 	}
 	if doc.App != "" && doc.App != app {
-		return nil, fmt.Errorf("-observed: %s traces %s, not %s", path, doc.App, app)
+		return nil, fmt.Errorf("traces %s, not %s", doc.App, app)
 	}
 	if len(doc.Runs) == 0 {
-		return nil, fmt.Errorf("-observed: %s has no runs", path)
+		return nil, fmt.Errorf("no runs")
 	}
 	for _, run := range doc.Runs {
 		if run.Config != cfg || run.Profile == nil {
 			continue
 		}
+		totals := make(map[string]int64)
+		for _, pp := range run.Profile.Pages {
+			if pp.Count < 0 {
+				return nil, fmt.Errorf("run %s: page %s/%s has negative count %d", cfg, pp.Pattern, pp.Page, pp.Count)
+			}
+			if totals[pp.Pattern] > math.MaxInt64-pp.Count {
+				return nil, fmt.Errorf("run %s: pattern %s page counts overflow", cfg, pp.Pattern)
+			}
+			totals[pp.Pattern] += pp.Count
+		}
 		shares := run.Profile.VisitShares()
 		if len(shares) == 0 {
-			return nil, fmt.Errorf("-observed: run %s in %s has no page visits", cfg, path)
+			return nil, fmt.Errorf("run %s has no page visits", cfg)
 		}
 		return shares, nil
 	}
@@ -93,7 +115,7 @@ func loadObservedShares(path string, app experiment.AppID, cfg string) (map[stri
 	for _, run := range doc.Runs {
 		have = append(have, run.Config)
 	}
-	return nil, fmt.Errorf("-observed: no run for config %q in %s (have %s)", cfg, path, strings.Join(have, ", "))
+	return nil, fmt.Errorf("no run for config %q (have %s)", cfg, strings.Join(have, ", "))
 }
 
 // simulatedOverall reproduces the planner's objective from a simulated run:

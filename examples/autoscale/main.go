@@ -71,7 +71,7 @@ func run() error {
 	// The descriptor is declared; nothing is deployed on the edges yet.
 	wiring, err := core.AutoWire(d, &container.ExtendedDescriptor{
 		Replicas: []container.ReplicaSpec{
-			{Bean: "Price", Update: container.SyncUpdate, Refresh: container.PushRefresh},
+			{Bean: "Price", Update: container.SyncUpdate},
 		},
 	}, core.WireOptions{
 		PushBytes: pushBytes,
@@ -107,10 +107,7 @@ func run() error {
 		Wiring:     wiring,
 		Threshold:  threshold,
 		Seed:       seed,
-		Options: controller.Options{
-			Epoch:         10 * time.Second,
-			ConfirmEpochs: 2,
-		},
+		Options:    controller.Options{Epoch: 10 * time.Second},
 	})
 	if err != nil {
 		return err

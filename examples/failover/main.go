@@ -43,7 +43,7 @@ func run() error {
 	const seed = 11
 	env := sim.NewEnv(seed)
 	copts := core.DefaultOptions()
-	copts.Resilience = core.DefaultResilience()
+	copts.Resilience = true
 	d, err := core.NewPaperDeployment(env, copts)
 	if err != nil {
 		return err

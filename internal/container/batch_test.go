@@ -11,9 +11,9 @@ import (
 
 func TestExtendedDescriptorValidateReplicationRules(t *testing.T) {
 	good := []*ExtendedDescriptor{
-		{Replicas: []ReplicaSpec{{Bean: "A", Update: LeaseUpdate, Refresh: PushRefresh, MaxStaleness: time.Second}}},
-		{Replicas: []ReplicaSpec{{Bean: "A", Update: LeaseUpdate, Refresh: PushRefresh, BatchWindow: 100 * time.Millisecond}}},
-		{Topic: "t", Replicas: []ReplicaSpec{{Bean: "A", Update: AsyncUpdate, Refresh: PushRefresh, BatchWindow: 100 * time.Millisecond}}},
+		{Replicas: []ReplicaSpec{{Bean: "A", Update: LeaseUpdate, MaxStaleness: time.Second}}},
+		{Replicas: []ReplicaSpec{{Bean: "A", Update: LeaseUpdate, BatchWindow: 100 * time.Millisecond}}},
+		{Topic: "t", Replicas: []ReplicaSpec{{Bean: "A", Update: AsyncUpdate, BatchWindow: 100 * time.Millisecond}}},
 	}
 	for i, d := range good {
 		if err := d.Validate(); err != nil {
@@ -24,13 +24,11 @@ func TestExtendedDescriptorValidateReplicationRules(t *testing.T) {
 		d    *ExtendedDescriptor
 		want string
 	}{
-		{&ExtendedDescriptor{Replicas: []ReplicaSpec{{Bean: "A", Refresh: PushRefresh}}}, "update mode not set"},
-		{&ExtendedDescriptor{Replicas: []ReplicaSpec{{Bean: "A", Update: SyncUpdate}}}, "refresh mode not set"},
-		{&ExtendedDescriptor{Replicas: []ReplicaSpec{{Bean: "A", Update: SyncUpdate, Refresh: PushRefresh, MaxStaleness: -1}}}, "negative max staleness"},
-		{&ExtendedDescriptor{Replicas: []ReplicaSpec{{Bean: "A", Update: SyncUpdate, Refresh: PushRefresh, BatchWindow: -1}}}, "negative batch window"},
-		{&ExtendedDescriptor{Replicas: []ReplicaSpec{{Bean: "A", Update: LeaseUpdate, Refresh: PullRefresh, MaxStaleness: time.Second}}}, "lease update requires push refresh"},
-		{&ExtendedDescriptor{Replicas: []ReplicaSpec{{Bean: "A", Update: LeaseUpdate, Refresh: PushRefresh}}}, "staleness budget"},
-		{&ExtendedDescriptor{Replicas: []ReplicaSpec{{Bean: "A", Update: SyncUpdate, Refresh: PushRefresh, BatchWindow: time.Second}}}, "sync updates are unbatched"},
+		{&ExtendedDescriptor{Replicas: []ReplicaSpec{{Bean: "A"}}}, "update mode not set"},
+		{&ExtendedDescriptor{Replicas: []ReplicaSpec{{Bean: "A", Update: SyncUpdate, MaxStaleness: -1}}}, "negative max staleness"},
+		{&ExtendedDescriptor{Replicas: []ReplicaSpec{{Bean: "A", Update: SyncUpdate, BatchWindow: -1}}}, "negative batch window"},
+		{&ExtendedDescriptor{Replicas: []ReplicaSpec{{Bean: "A", Update: LeaseUpdate}}}, "staleness budget"},
+		{&ExtendedDescriptor{Replicas: []ReplicaSpec{{Bean: "A", Update: SyncUpdate, BatchWindow: time.Second}}}, "sync updates are unbatched"},
 	}
 	for i, c := range bad {
 		err := c.d.Validate()

@@ -296,25 +296,6 @@ func TestUpdateWireBytes(t *testing.T) {
 	}
 }
 
-func TestDescriptorDeltaPushRequiresPushRefresh(t *testing.T) {
-	bad := &ExtendedDescriptor{
-		Replicas: []ReplicaSpec{{
-			Bean: "A", Update: SyncUpdate, Refresh: PullRefresh, DeltaPush: true,
-		}},
-	}
-	if err := bad.Validate(); !errors.Is(err, ErrBadDescriptor) {
-		t.Fatalf("err = %v", err)
-	}
-	good := &ExtendedDescriptor{
-		Replicas: []ReplicaSpec{{
-			Bean: "A", Update: SyncUpdate, Refresh: PushRefresh, DeltaPush: true,
-		}},
-	}
-	if err := good.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestParallelSyncPushOverlapsFanOut(t *testing.T) {
 	// Two edges behind the same 100ms one-way WAN: sequential pushes cost
 	// two push latencies, parallel one.

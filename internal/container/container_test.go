@@ -246,6 +246,7 @@ func TestROEntityHitMissAndPullRefresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ro.SetTTL(time.Second)
 	f.run(t, func(p *sim.Proc) {
 		// Cold miss fetches.
 		st, err := ro.Get(p, sqldb.Str("i1"))
@@ -260,10 +261,10 @@ func TestROEntityHitMissAndPullRefresh(t *testing.T) {
 		if hitCost := p.Now() - before; hitCost >= time.Millisecond {
 			t.Errorf("hit cost %v, want sub-millisecond local read", hitCost)
 		}
-		// Pull invalidation forces a refresh on next read.
-		ro.Invalidate(sqldb.Str("i1"))
+		// An expired entry is pulled again on the next read.
+		p.Sleep(2 * time.Second)
 		if _, err := ro.Get(p, sqldb.Str("i1")); err != nil {
-			t.Errorf("get after invalidate: %v", err)
+			t.Errorf("get after expiry: %v", err)
 		}
 	})
 	if fetches != 2 {
@@ -297,6 +298,8 @@ func TestROEntityWithoutFetchPath(t *testing.T) {
 	})
 }
 
+// TestROEntityPreloadAndInvalidateAll: preloaded entries serve locally, and
+// Reset invalidates every one of them, so the next read refetches.
 func TestROEntityPreloadAndInvalidateAll(t *testing.T) {
 	f := newFixture(t)
 	fetches := 0
@@ -316,9 +319,12 @@ func TestROEntityPreloadAndInvalidateAll(t *testing.T) {
 		if st, _ := ro.Get(p, sqldb.Str("a")); st.Get("v").AsInt() != 1 {
 			t.Error("preload not served")
 		}
-		ro.InvalidateAll()
+		ro.Reset()
 		if st, _ := ro.Get(p, sqldb.Str("a")); st.Get("v").AsInt() != 99 {
-			t.Error("stale entry served after InvalidateAll")
+			t.Error("dropped entry served after Reset")
+		}
+		if ro.Cached() != 1 {
+			t.Errorf("cached after Reset and one read = %d, want 1", ro.Cached())
 		}
 	})
 	if fetches != 1 {
@@ -472,8 +478,8 @@ func TestExtendedDescriptorValidate(t *testing.T) {
 	good := &ExtendedDescriptor{
 		Topic: "updates",
 		Replicas: []ReplicaSpec{
-			{Bean: "ItemRW", Update: AsyncUpdate, Refresh: PushRefresh},
-			{Bean: "UserRW", Update: SyncUpdate, Refresh: PullRefresh},
+			{Bean: "ItemRW", Update: AsyncUpdate},
+			{Bean: "UserRW", Update: SyncUpdate},
 		},
 		CachedQueries: []CachedQuerySpec{
 			{Name: "itemsByProduct", InvalidatedBy: []string{"ItemRW"}},
@@ -483,14 +489,13 @@ func TestExtendedDescriptorValidate(t *testing.T) {
 		t.Fatalf("valid descriptor rejected: %v", err)
 	}
 	bad := []*ExtendedDescriptor{
-		{Replicas: []ReplicaSpec{{Bean: "", Update: SyncUpdate, Refresh: PushRefresh}}},
+		{Replicas: []ReplicaSpec{{Bean: "", Update: SyncUpdate}}},
 		{Replicas: []ReplicaSpec{
-			{Bean: "A", Update: SyncUpdate, Refresh: PushRefresh},
-			{Bean: "A", Update: SyncUpdate, Refresh: PushRefresh},
+			{Bean: "A", Update: SyncUpdate},
+			{Bean: "A", Update: SyncUpdate},
 		}},
-		{Replicas: []ReplicaSpec{{Bean: "A", Refresh: PushRefresh}}},
-		{Replicas: []ReplicaSpec{{Bean: "A", Update: SyncUpdate}}},
-		{Replicas: []ReplicaSpec{{Bean: "A", Update: AsyncUpdate, Refresh: PushRefresh}}}, // no topic
+		{Replicas: []ReplicaSpec{{Bean: "A"}}},
+		{Replicas: []ReplicaSpec{{Bean: "A", Update: AsyncUpdate}}}, // no topic
 		{CachedQueries: []CachedQuerySpec{{Name: ""}}},
 		{CachedQueries: []CachedQuerySpec{{Name: "q"}, {Name: "q"}}},
 	}
@@ -534,9 +539,6 @@ func TestBeanKindStrings(t *testing.T) {
 	}
 	if SyncUpdate.String() != "sync" || AsyncUpdate.String() != "async" {
 		t.Fatal("UpdateMode strings wrong")
-	}
-	if PushRefresh.String() != "push" || PullRefresh.String() != "pull" {
-		t.Fatal("RefreshMode strings wrong")
 	}
 }
 

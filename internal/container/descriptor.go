@@ -57,53 +57,25 @@ func (m UpdateMode) String() string {
 	}
 }
 
-// RefreshMode selects how replicas obtain fresh state after a change.
-type RefreshMode int
-
-// Refresh modes.
-const (
-	// PushRefresh carries the new state in the invalidation message, so
-	// replica reads are always local.
-	PushRefresh RefreshMode = iota + 1
-	// PullRefresh only invalidates; the replica re-fetches from the
-	// updater façade on the next read.
-	PullRefresh
-)
-
-func (m RefreshMode) String() string {
-	switch m {
-	case PushRefresh:
-		return "push"
-	case PullRefresh:
-		return "pull"
-	default:
-		return fmt.Sprintf("RefreshMode(%d)", int(m))
-	}
-}
-
 // ReplicaSpec is the extended-descriptor entry for a read-only replica of an
 // entity bean (Section 5: "the extended deployment descriptor should
-// identify the updater read-write bean and the method of update").
+// identify the updater read-write bean and the method of update"). Every
+// replica is push-refreshed: an update carries the new state, so reads stay
+// local (Section 4.3).
 type ReplicaSpec struct {
 	// Bean is the read-write entity bean to replicate.
 	Bean string
 	// Update is the method of update: sync, async or lease. With
 	// BatchWindow it resolves to the Pusher's (transport, window) pair.
 	Update UpdateMode
-	// Refresh selects push or pull replica refresh.
-	Refresh RefreshMode
 	// MaxStaleness, when positive, bounds how stale a replica read may be:
 	// entries older than this refresh through the fetch path even if no
 	// invalidation arrived (the "application-specific relaxed consistency
 	// parameters" the paper's Section 5 points at, in the spirit of TACT).
 	// It is the safety net for lost asynchronous pushes.
 	MaxStaleness time.Duration
-	// BestEffort applies to sync updates only: unreachable replicas are
-	// skipped instead of failing the write (availability over
-	// consistency during partitions).
-	BestEffort bool
 	// DeltaPush propagates only changed fields (Section 4.3's "transfer
-	// only the changes" optimization). Requires PushRefresh.
+	// only the changes" optimization).
 	DeltaPush bool
 	// BatchWindow, when positive, batches and coalesces pushes per
 	// (destination, window): async publishes collapse into one topic
@@ -164,28 +136,17 @@ func (d *ExtendedDescriptor) Validate() error {
 		seen[r.Bean] = true
 		// A zero-valued mode means the descriptor author forgot the field
 		// entirely — report that as its own error instead of folding it
-		// into "unknown", so the fix ("set Update/Refresh") is obvious.
+		// into "unknown", so the fix ("set Update") is obvious.
 		if r.Update == 0 {
 			return fmt.Errorf("%w: replica %s: update mode not set", ErrBadDescriptor, r.Bean)
-		}
-		if r.Refresh == 0 {
-			return fmt.Errorf("%w: replica %s: refresh mode not set (push or pull)", ErrBadDescriptor, r.Bean)
 		}
 		switch r.Update {
 		case SyncUpdate, AsyncUpdate, LeaseUpdate:
 		default:
 			return fmt.Errorf("%w: replica %s: unknown update mode", ErrBadDescriptor, r.Bean)
 		}
-		switch r.Refresh {
-		case PushRefresh, PullRefresh:
-		default:
-			return fmt.Errorf("%w: replica %s: unknown refresh mode", ErrBadDescriptor, r.Bean)
-		}
 		if r.Update == AsyncUpdate && d.Topic == "" {
 			return fmt.Errorf("%w: replica %s: async update requires a topic", ErrBadDescriptor, r.Bean)
-		}
-		if r.DeltaPush && r.Refresh != PushRefresh {
-			return fmt.Errorf("%w: replica %s: delta push requires push refresh", ErrBadDescriptor, r.Bean)
 		}
 		if r.MaxStaleness < 0 {
 			return fmt.Errorf("%w: replica %s: negative max staleness", ErrBadDescriptor, r.Bean)
@@ -193,13 +154,8 @@ func (d *ExtendedDescriptor) Validate() error {
 		if r.BatchWindow < 0 {
 			return fmt.Errorf("%w: replica %s: negative batch window", ErrBadDescriptor, r.Bean)
 		}
-		if r.Update == LeaseUpdate {
-			if r.Refresh != PushRefresh {
-				return fmt.Errorf("%w: replica %s: lease update requires push refresh", ErrBadDescriptor, r.Bean)
-			}
-			if r.MaxStaleness <= 0 && r.BatchWindow <= 0 {
-				return fmt.Errorf("%w: replica %s: lease update needs a staleness budget (MaxStaleness or BatchWindow)", ErrBadDescriptor, r.Bean)
-			}
+		if r.Update == LeaseUpdate && r.MaxStaleness <= 0 && r.BatchWindow <= 0 {
+			return fmt.Errorf("%w: replica %s: lease update needs a staleness budget (MaxStaleness or BatchWindow)", ErrBadDescriptor, r.Bean)
 		}
 		if r.Update == SyncUpdate && r.BatchWindow > 0 {
 			return fmt.Errorf("%w: replica %s: sync updates are unbatched (use a lease)", ErrBadDescriptor, r.Bean)

@@ -308,8 +308,8 @@ func (b *RWEntity) commit(p *sim.Proc, u Update, state, prev Row) error {
 }
 
 // FetchFunc retrieves an entity's fresh state for a read-only replica on a
-// cold miss or pull refresh — typically one RMI call to a façade co-located
-// with the read-write bean.
+// cold miss, an expired entry or an unowned key — typically one RMI call to a
+// façade co-located with the read-write bean.
 type FetchFunc func(p *sim.Proc, pk sqldb.Value) (Row, error)
 
 // FetchFrom is that usual fetch path: one call from srv of method on the
@@ -335,8 +335,8 @@ func FetchFrom(srv *Server, node, bean, method string, args ...any) FetchFunc {
 
 // ROEntity is a read-only replica of an entity bean deployed on an edge
 // server (the read-mostly pattern, Section 4.3). Reads are served from local
-// memory; freshness is maintained by push updates or pull refresh after
-// invalidation.
+// memory; freshness is maintained by pushed updates, with an optional
+// timeout that refetches entries a lost push left behind.
 type ROEntity struct {
 	srv   *Server
 	name  string
@@ -380,13 +380,12 @@ type ROEntity struct {
 
 type roEntry struct {
 	state    Row
-	stale    bool
 	loadedAt time.Duration
 }
 
 // DeployROEntity deploys a read-only replica of rwBean (named for the reader:
 // updates reach the replica through UpdaterFacade.Register). fetch is used on
-// cold misses and pull refreshes; it may be nil for strictly push-fed
+// cold misses and expired entries; it may be nil for strictly push-fed
 // replicas that tolerate ErrNoSuchEntity on cold reads.
 func DeployROEntity(srv *Server, name, rwBean string, fetch FetchFunc) (*ROEntity, error) {
 	if _, dup := srv.beans[name]; dup {
@@ -489,9 +488,9 @@ func (b *ROEntity) expired(e roEntry) bool {
 	return b.ttl > 0 && b.srv.Env().Now()-e.loadedAt > b.ttl
 }
 
-// Get serves the entity's state: locally when fresh, via fetch on a miss,
-// after a pull invalidation, or after timeout expiry. A hit returns the
-// stored row itself — "from local memory", with no copy.
+// Get serves the entity's state: locally when fresh, via fetch on a miss or
+// after timeout expiry. A hit returns the stored row itself — "from local
+// memory", with no copy.
 func (b *ROEntity) Get(p *sim.Proc, pk sqldb.Value) (Row, error) {
 	if !b.Owns(pk) {
 		// Outside this replica's partition slice: always a remote get,
@@ -509,7 +508,7 @@ func (b *ROEntity) Get(p *sim.Proc, pk sqldb.Value) (Row, error) {
 		return st, nil
 	}
 	e, ok := b.entries[pk]
-	if ok && !e.stale && !b.expired(e) {
+	if ok && !b.expired(e) {
 		b.hits++
 		b.mHits.Inc()
 		b.srv.Compute(p, b.srv.costs.CacheHitCPU)
@@ -557,8 +556,7 @@ func (b *ROEntity) Seed(pk sqldb.Value, row Row) {
 // Preload is Seed from a State, columns sorted by name.
 func (b *ROEntity) Preload(pk sqldb.Value, st State) { b.Seed(pk, st.row()) }
 
-// ApplyUpdate applies a pushed update (push-based refresh: replicas always
-// serve local reads).
+// ApplyUpdate applies a pushed update, so reads stay local.
 func (b *ROEntity) ApplyUpdate(u Update) {
 	if !b.Owns(u.PK) {
 		// A push for an unowned key (source-side filtering off, or a
@@ -597,22 +595,6 @@ func (b *ROEntity) ApplyUpdate(u Update) {
 // before installing a fresh snapshot, so rows deleted while the replica was
 // cut off do not linger past the resync.
 func (b *ROEntity) Reset() { clear(b.entries) }
-
-// Invalidate marks one entity stale (pull-based refresh).
-func (b *ROEntity) Invalidate(pk sqldb.Value) {
-	if e, ok := b.entries[pk]; ok {
-		e.stale = true
-		b.entries[pk] = e
-	}
-}
-
-// InvalidateAll marks the whole replica stale (timeout-style invalidation).
-func (b *ROEntity) InvalidateAll() {
-	for k, e := range b.entries {
-		e.stale = true
-		b.entries[k] = e
-	}
-}
 
 // Applier consumes pushed updates; both ROEntity and query-cache adapters
 // implement it, letting one updater façade feed all edge caches.

@@ -1,6 +1,6 @@
 // Entity partitioning: instead of every edge holding a full replica of a
-// read-only bean, the bean's key space is split into partitions (by hash or
-// by range of the primary key) and each partition is placed independently.
+// read-only bean, the bean's key space is split into partitions by a hash of
+// the primary key and each partition is placed independently.
 // An edge then owns a slice of the key space: owned keys are served and
 // refreshed locally, unowned keys fall through to the remote façade, and
 // update propagation is routed only to the edges that own the key's
@@ -10,7 +10,6 @@ package container
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 
 	"wadeploy/internal/sqldb"
 )
@@ -18,25 +17,15 @@ import (
 // PartitionScheme selects how primary keys map to partitions.
 type PartitionScheme int
 
-// Partitioning schemes.
-const (
-	// HashPartition spreads keys with an FNV-1a hash of the canonical
-	// primary-key string — uniform, placement-oblivious.
-	HashPartition PartitionScheme = iota + 1
-	// RangePartition splits the ordered key space at explicit bounds —
-	// the choice when key prefixes encode locality (e.g. region codes).
-	RangePartition
-)
+// HashPartition, the one scheme, spreads keys with an FNV-1a hash of the
+// canonical primary-key string — uniform, placement-oblivious.
+const HashPartition PartitionScheme = 1
 
 func (s PartitionScheme) String() string {
-	switch s {
-	case HashPartition:
+	if s == HashPartition {
 		return "hash"
-	case RangePartition:
-		return "range"
-	default:
-		return fmt.Sprintf("PartitionScheme(%d)", int(s))
 	}
+	return fmt.Sprintf("PartitionScheme(%d)", int(s))
 }
 
 // PartitionSpec declares how one replicated bean's key space is partitioned.
@@ -44,12 +33,6 @@ func (s PartitionScheme) String() string {
 type PartitionSpec struct {
 	Scheme     PartitionScheme
 	Partitions int
-
-	// Bounds applies to RangePartition only: the sorted, upper-exclusive
-	// bounds separating the partitions. Exactly Partitions-1 entries; a key
-	// belongs to the first partition whose bound is greater than it, or to
-	// the last partition.
-	Bounds []string
 }
 
 // Validate checks internal consistency.
@@ -60,25 +43,7 @@ func (s *PartitionSpec) Validate() error {
 	if s.Partitions < 1 {
 		return fmt.Errorf("%w: partition spec needs >= 1 partitions, got %d", ErrBadDescriptor, s.Partitions)
 	}
-	switch s.Scheme {
-	case HashPartition:
-		if len(s.Bounds) != 0 {
-			return fmt.Errorf("%w: hash partitioning takes no bounds", ErrBadDescriptor)
-		}
-	case RangePartition:
-		if len(s.Bounds) != s.Partitions-1 {
-			return fmt.Errorf("%w: range partitioning over %d partitions needs %d bounds, got %d",
-				ErrBadDescriptor, s.Partitions, s.Partitions-1, len(s.Bounds))
-		}
-		if !sort.StringsAreSorted(s.Bounds) {
-			return fmt.Errorf("%w: range partition bounds must be sorted", ErrBadDescriptor)
-		}
-		for i := 1; i < len(s.Bounds); i++ {
-			if s.Bounds[i] == s.Bounds[i-1] {
-				return fmt.Errorf("%w: duplicate range partition bound %q", ErrBadDescriptor, s.Bounds[i])
-			}
-		}
-	default:
+	if s.Scheme != HashPartition {
 		return fmt.Errorf("%w: unknown partition scheme", ErrBadDescriptor)
 	}
 	return nil
@@ -86,9 +51,8 @@ func (s *PartitionSpec) Validate() error {
 
 // PartitionFor maps a primary key to its partition index in [0, Partitions).
 // The mapping is a pure function of the spec and the key's canonical string
-// (Value.AsString — unquoted, so range bounds read naturally), so every layer
-// (preload, propagation, query caches, the planner) agrees on ownership
-// without coordination.
+// (Value.AsString), so every layer (preload, propagation, query caches, the
+// planner) agrees on ownership without coordination.
 func (s *PartitionSpec) PartitionFor(pk sqldb.Value) int {
 	return s.PartitionForKey(pk.AsString())
 }
@@ -98,22 +62,9 @@ func (s *PartitionSpec) PartitionForKey(key string) int {
 	if s == nil || s.Partitions <= 1 {
 		return 0
 	}
-	switch s.Scheme {
-	case RangePartition:
-		// First bound greater than the key wins; beyond every bound is the
-		// last partition.
-		i := sort.SearchStrings(s.Bounds, key)
-		if i < len(s.Bounds) && s.Bounds[i] == key {
-			// Bounds are upper-exclusive: a key equal to a bound belongs to
-			// the next partition.
-			i++
-		}
-		return i
-	default:
-		h := fnv.New64a()
-		_, _ = h.Write([]byte(key))
-		return int(h.Sum64() % uint64(s.Partitions))
-	}
+	h := fnv.New64a()
+	_, _ = h.Write([]byte(key))
+	return int(h.Sum64() % uint64(s.Partitions))
 }
 
 // OwnedSet marks the owned partitions in a set indexed by partition, the one

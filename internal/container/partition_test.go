@@ -17,12 +17,7 @@ func TestPartitionSpecValidate(t *testing.T) {
 	}{
 		{"nil spec", nil, true},
 		{"hash", &PartitionSpec{Scheme: HashPartition, Partitions: 4}, true},
-		{"range", &PartitionSpec{Scheme: RangePartition, Partitions: 3, Bounds: []string{"g", "p"}}, true},
 		{"zero partitions", &PartitionSpec{Scheme: HashPartition}, false},
-		{"hash with bounds", &PartitionSpec{Scheme: HashPartition, Partitions: 2, Bounds: []string{"m"}}, false},
-		{"range bound count", &PartitionSpec{Scheme: RangePartition, Partitions: 3, Bounds: []string{"m"}}, false},
-		{"range unsorted", &PartitionSpec{Scheme: RangePartition, Partitions: 3, Bounds: []string{"p", "g"}}, false},
-		{"range duplicate", &PartitionSpec{Scheme: RangePartition, Partitions: 3, Bounds: []string{"g", "g"}}, false},
 		{"unknown scheme", &PartitionSpec{Partitions: 2}, false},
 	}
 	for _, tc := range cases {
@@ -58,20 +53,6 @@ func TestHashPartitionDeterministicAndInRange(t *testing.T) {
 	}
 }
 
-func TestRangePartitionBounds(t *testing.T) {
-	spec := &PartitionSpec{Scheme: RangePartition, Partitions: 3, Bounds: []string{"g", "p"}}
-	for key, want := range map[string]int{
-		"a": 0, "f": 0,
-		"g": 1, // bounds are upper-exclusive: a key equal to a bound moves up
-		"m": 1, "o": 1,
-		"p": 2, "z": 2,
-	} {
-		if got := spec.PartitionForKey(key); got != want {
-			t.Errorf("key %q -> partition %d, want %d", key, got, want)
-		}
-	}
-}
-
 func TestPartitionedReplicaOwnership(t *testing.T) {
 	f := newFixture(t)
 	fetches := 0
@@ -82,10 +63,10 @@ func TestPartitionedReplicaOwnership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two range partitions split at "i2"; the edge owns only partition 0
-	// (keys below "i2", i.e. "i1").
-	spec := &PartitionSpec{Scheme: RangePartition, Partitions: 2, Bounds: []string{"i2"}}
-	ro.SetOwnership(spec.Owns([]int{0}))
+	// Two hash partitions: "i1" hashes to partition 1, "i2" to 0, and the
+	// edge owns only partition 1.
+	spec := &PartitionSpec{Scheme: HashPartition, Partitions: 2}
+	ro.SetOwnership(spec.Owns([]int{1}))
 
 	// Preload drops unowned keys.
 	ro.Preload(sqldb.Str("i1"), State{"v": sqldb.Int(1)})
@@ -149,15 +130,16 @@ func TestPartitionScopedServeStale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := &PartitionSpec{Scheme: RangePartition, Partitions: 2, Bounds: []string{"i2"}}
-	ro.SetOwnership(spec.Owns([]int{0}))
+	spec := &PartitionSpec{Scheme: HashPartition, Partitions: 2}
+	ro.SetOwnership(spec.Owns([]int{1})) // "i1" only
+	ro.SetTTL(time.Second)
 	ro.SetServeStale(time.Hour)
 	ro.Preload(sqldb.Str("i1"), State{"v": sqldb.Int(1)})
 
 	f.run(t, func(p *sim.Proc) {
 		central = false
-		// Owned key, invalidated, refresh fails: served stale.
-		ro.Invalidate(sqldb.Str("i1"))
+		// Owned key, expired, refresh fails: served stale.
+		p.Sleep(2 * time.Second)
 		st, err := ro.Get(p, sqldb.Str("i1"))
 		if err != nil || st.Get("v").AsInt() != 1 {
 			t.Errorf("owned stale serve: %v, %v", st, err)
@@ -175,11 +157,11 @@ func TestPartitionScopedServeStale(t *testing.T) {
 
 func TestDescriptorValidatesPartitionSpec(t *testing.T) {
 	d := &ExtendedDescriptor{Replicas: []ReplicaSpec{{
-		Bean: "Item", Update: SyncUpdate, Refresh: PushRefresh,
-		Partition: &PartitionSpec{Scheme: RangePartition, Partitions: 2},
+		Bean: "Item", Update: SyncUpdate,
+		Partition: &PartitionSpec{Scheme: HashPartition},
 	}}}
 	if err := d.Validate(); !errors.Is(err, ErrBadDescriptor) {
-		t.Fatalf("err = %v, want ErrBadDescriptor (bad bounds)", err)
+		t.Fatalf("err = %v, want ErrBadDescriptor (no partitions)", err)
 	}
 	d.Replicas[0].Partition = &PartitionSpec{Scheme: HashPartition, Partitions: 4}
 	if err := d.Validate(); err != nil {

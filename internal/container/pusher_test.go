@@ -267,8 +267,8 @@ func TestPusherFilterAtSource(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) {
 			f := newFixture(t)
 			rw, ro, uf, ps := wirePusher(t, f, row)
-			spec := &PartitionSpec{Scheme: RangePartition, Partitions: 2, Bounds: []string{"i2"}}
-			ps.SetTargetPartitions(edgeUpdater, spec, []int{0})
+			spec := &PartitionSpec{Scheme: HashPartition, Partitions: 2}
+			ps.SetTargetPartitions(edgeUpdater, spec, []int{1}) // "i1" only
 			write := func(pk string, qty int64) time.Duration {
 				var cost time.Duration
 				f.run(t, func(p *sim.Proc) {

@@ -47,7 +47,7 @@ func benchControllerRig(b *testing.B, env *sim.Env, rows int) (*core.Deployment,
 	}
 	w, err := core.AutoWire(d, &container.ExtendedDescriptor{
 		Replicas: []container.ReplicaSpec{
-			{Bean: "Price", Update: container.SyncUpdate, Refresh: container.PushRefresh, BestEffort: true},
+			{Bean: "Price", Update: container.SyncUpdate},
 		},
 	}, core.WireOptions{PushBytes: 256})
 	if err != nil {
@@ -98,7 +98,7 @@ func BenchmarkMigrationThroughput(b *testing.B) {
 			Wiring:     w,
 			Threshold:  1,
 			Seed:       1,
-			Options:    controller.Options{Epoch: 2 * time.Second, ConfirmEpochs: 1},
+			Options:    controller.Options{Epoch: 2 * time.Second},
 		})
 		if err != nil {
 			b.Fatal(err)

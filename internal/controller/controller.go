@@ -45,70 +45,45 @@ import (
 // of the reproducibility contract documented in DESIGN.md §7.
 const ctrlSeedSalt = 0x6374726c // "ctrl"
 
-// Options tunes the controller's epoch clock and decision thresholds.
+// Options tunes the controller's epoch clock.
 type Options struct {
 	// Epoch is the virtual-time observation interval (default 30s).
 	Epoch time.Duration
-
-	// Hysteresis is the minimum predicted fractional win (1 − target/current
-	// session mean) before an extension is considered (default 0.10).
-	Hysteresis float64
-
-	// ConfirmEpochs is how many consecutive epochs the win must persist
-	// before the controller acts (default 2) — the damper that keeps a
-	// transient spike from triggering a migration.
-	ConfirmEpochs int
-
-	// SuspendAfter is how many consecutive unreachable epochs an edge
-	// tolerates before its synchronous pushes are suspended (default 3).
-	SuspendAfter int
-
-	// TransferChunk is the bulk state-transfer chunk size in bytes
-	// (default 64 KiB); each chunk re-validates the path, so smaller chunks
-	// detect mid-transfer link failures sooner.
-	TransferChunk int
-
-	// MaxRetries bounds transfer retry attempts per migration (default 8).
-	MaxRetries int
-
-	// RetryBackoff is the base backoff between transfer retries (default
-	// 2s), doubled per attempt up to 16× and jittered from the controller's
-	// dedicated RNG stream.
-	RetryBackoff time.Duration
-
-	// MaxCatchUpRounds bounds the pre-copy catch-up iterations that ship
-	// updates buffered during a transfer (default 4); whatever still
-	// accumulates after the last round is replayed at cut-over.
-	MaxCatchUpRounds int
 }
 
-func (o Options) withDefaults() Options {
-	if o.Epoch <= 0 {
-		o.Epoch = 30 * time.Second
-	}
-	if o.Hysteresis <= 0 {
-		o.Hysteresis = 0.10
-	}
-	if o.ConfirmEpochs <= 0 {
-		o.ConfirmEpochs = 2
-	}
-	if o.SuspendAfter <= 0 {
-		o.SuspendAfter = 3
-	}
-	if o.TransferChunk <= 0 {
-		o.TransferChunk = 64 << 10
-	}
-	if o.MaxRetries <= 0 {
-		o.MaxRetries = 8
-	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 2 * time.Second
-	}
-	if o.MaxCatchUpRounds <= 0 {
-		o.MaxCatchUpRounds = 4
-	}
-	return o
-}
+// The controller's decision thresholds and migration limits.
+const (
+	// hysteresis is the minimum predicted fractional win (1 − target/current
+	// session mean) before an extension is considered.
+	hysteresis = 0.10
+
+	// confirmEpochs is how many consecutive epochs the win must persist
+	// before the controller acts — the damper that keeps a transient spike
+	// from triggering a migration.
+	confirmEpochs = 2
+
+	// suspendAfter is how many consecutive unreachable epochs an edge
+	// tolerates before its synchronous pushes are suspended.
+	suspendAfter = 3
+
+	// transferChunk is the bulk state-transfer chunk size in bytes; each
+	// chunk re-validates the path, so smaller chunks detect mid-transfer
+	// link failures sooner.
+	transferChunk = 64 << 10
+
+	// maxRetries bounds transfer retry attempts per migration.
+	maxRetries = 8
+
+	// retryBackoff is the base backoff between transfer retries, doubled
+	// per attempt up to 16× and jittered from the controller's dedicated
+	// RNG stream.
+	retryBackoff = 2 * time.Second
+
+	// maxCatchUpRounds bounds the pre-copy catch-up iterations that ship
+	// updates buffered during a transfer; whatever still accumulates after
+	// the last round is replayed at cut-over.
+	maxCatchUpRounds = 4
+)
 
 // Config binds a controller to a deployment.
 type Config struct {
@@ -123,8 +98,8 @@ type Config struct {
 	// the planner search re-runs on the model reweighted by the flight
 	// recorder's observed page mix, and the controller extends when the
 	// wiring's target placement beats the starting one (the remote-façade
-	// tier a deferred deployment serves from) by Hysteresis. When nil the
-	// controller runs in threshold mode on Threshold.
+	// tier a deferred deployment serves from) by the hysteresis bar. When
+	// nil the controller runs in threshold mode on Threshold.
 	Model *planner.Model
 
 	// Threshold, in remote calls per second, is the extension trigger in
@@ -239,7 +214,10 @@ func Start(cfg Config) (*Controller, error) {
 	if cfg.Model == nil && cfg.Threshold <= 0 {
 		return nil, fmt.Errorf("controller: need a planner model or a positive threshold")
 	}
-	opts := cfg.Options.withDefaults()
+	opts := cfg.Options
+	if opts.Epoch <= 0 {
+		opts.Epoch = 30 * time.Second
+	}
 	env := cfg.Deployment.Env
 	reg := env.Metrics()
 	c := &Controller{
@@ -322,7 +300,7 @@ func (c *Controller) watchReachability(p *sim.Proc) {
 			c.record(p, Event{Kind: EventFaultDetected, Server: name,
 				Detail: "main<->edge path lost"})
 		}
-		if c.down[name] == c.opts.SuspendAfter && w.DeployedOn(name) && !c.suspended[name] {
+		if c.down[name] == suspendAfter && w.DeployedOn(name) && !c.suspended[name] {
 			w.SuspendTargets(name)
 			c.suspended[name] = true
 			c.record(p, Event{Kind: EventSuspended, Server: name,
@@ -333,18 +311,18 @@ func (c *Controller) watchReachability(p *sim.Proc) {
 
 // replan re-prices the placement on the observed workload and arms the
 // extension program when the predicted win clears the hysteresis bar for
-// ConfirmEpochs consecutive epochs.
+// confirmEpochs consecutive epochs.
 func (c *Controller) replan(p *sim.Proc) {
 	if c.decided || c.extended {
 		return
 	}
 	win, detail, ok := c.predictedWin(p)
-	if !ok || win < c.opts.Hysteresis {
+	if !ok || win < hysteresis {
 		c.confirm = 0
 		return
 	}
 	c.confirm++
-	if c.confirm < c.opts.ConfirmEpochs {
+	if c.confirm < confirmEpochs {
 		return
 	}
 	c.decided = true

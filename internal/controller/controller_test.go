@@ -38,6 +38,9 @@ func newRig(t *testing.T, seed int64, deferred bool) *rig {
 	env := sim.NewEnv(seed)
 	opts := core.DefaultOptions()
 	opts.Deferred = deferred
+	// Resilient, so pushes are best-effort: a partitioned edge must not
+	// fail writers.
+	opts.Resilience = true
 	d, err := core.NewPaperDeployment(env, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -65,8 +68,7 @@ func newRig(t *testing.T, seed int64, deferred bool) *rig {
 	}
 	w, err := core.AutoWire(d, &container.ExtendedDescriptor{
 		Replicas: []container.ReplicaSpec{
-			// Best-effort pushes: a partitioned edge must not fail writers.
-			{Bean: "Price", Update: container.SyncUpdate, Refresh: container.PushRefresh, BestEffort: true},
+			{Bean: "Price", Update: container.SyncUpdate},
 		},
 	}, core.WireOptions{PushBytes: 256})
 	if err != nil {
@@ -84,12 +86,7 @@ func (r *rig) startController(t *testing.T, seed int64) *controller.Controller {
 		Wiring:     r.w,
 		Threshold:  2, // remote calls per second
 		Seed:       seed,
-		Options: controller.Options{
-			Epoch:         2 * time.Second,
-			ConfirmEpochs: 2,
-			SuspendAfter:  2,
-			RetryBackoff:  500 * time.Millisecond,
-		},
+		Options:    controller.Options{Epoch: 2 * time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)

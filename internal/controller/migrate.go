@@ -26,7 +26,7 @@ import (
 //     transfer surfaces a resumable BulkError: the engine retries with
 //     jittered exponential backoff and re-ships only the lost remainder.
 //  3. Catch-up rounds: drain the buffer, ship the delta, repeat until the
-//     buffer drains empty or MaxCatchUpRounds is hit — each round shrinks
+//     buffer drains empty or maxCatchUpRounds is hit — each round shrinks
 //     because a round only carries what committed while the previous one
 //     was in flight.
 //  4. Cut over in a single simulation event (no sleeps, so no commit can
@@ -91,7 +91,7 @@ func (c *Controller) migrate(p *sim.Proc, edge *container.Server, resync bool) M
 	// Pre-copy catch-up: ship what committed while the previous transfer
 	// was in flight; updates stay queued for the cut-over replay.
 	var replay []container.Update
-	for m.Rounds < c.opts.MaxCatchUpRounds {
+	for m.Rounds < maxCatchUpRounds {
 		batch := buf.Drain()
 		if len(batch) == 0 {
 			break
@@ -155,7 +155,7 @@ func (c *Controller) transfer(p *sim.Proc, from, to string, bytes int, m *Migrat
 	remaining := bytes
 	attempt := 0
 	for remaining > 0 {
-		err := c.cfg.Deployment.Net.TransferBulk(p, from, to, remaining, c.opts.TransferChunk)
+		err := c.cfg.Deployment.Net.TransferBulk(p, from, to, remaining, transferChunk)
 		if err == nil {
 			return nil
 		}
@@ -166,11 +166,11 @@ func (c *Controller) transfer(p *sim.Proc, from, to string, bytes int, m *Migrat
 		attempt++
 		m.Retries++
 		c.mRetries.Inc()
-		if attempt > c.opts.MaxRetries {
+		if attempt > maxRetries {
 			return fmt.Errorf("gave up after %d retries: %w", m.Retries, err)
 		}
-		backoff := c.opts.RetryBackoff << uint(min(attempt-1, 4))
-		jitter := time.Duration(c.rng.Int63n(int64(c.opts.RetryBackoff)))
+		backoff := retryBackoff << uint(min(attempt-1, 4))
+		jitter := time.Duration(c.rng.Int63n(int64(retryBackoff)))
 		p.Sleep(backoff + jitter)
 	}
 	return nil

@@ -21,10 +21,10 @@ type WireOptions struct {
 	// PushBytes is the payload size for update propagation.
 	PushBytes int
 
-	// FetchFor builds the cold-miss/pull-refresh fetch path for a replica
-	// of rwBean deployed on server. Nil (or a nil return) yields push-only
-	// replicas. Typically this wraps one RMI call to a façade co-located
-	// with the read-write bean.
+	// FetchFor builds the fetch path a replica of rwBean deployed on server
+	// takes on a cold miss, an expired entry or an unowned key. Nil (or a
+	// nil return) yields push-only replicas. Typically this wraps one RMI
+	// call to a façade co-located with the read-write bean.
 	FetchFor func(server *container.Server, rwBean string) container.FetchFunc
 
 	// QueryFetchFor builds the pull re-execution path for the edge query
@@ -169,10 +169,10 @@ func AutoWire(d *Deployment, ext *container.ExtendedDescriptor, opts WireOptions
 			if topic != "" {
 				w.topicPushers[window] = ps
 			} else {
-				// Under a resilience policy a partitioned edge must not
-				// fail writers everywhere: skip unreachable targets (the
-				// replica's TTL + serve-stale bound covers the gap).
-				ps.BestEffort = spec.BestEffort || d.Resilience != nil
+				// Under resilience a partitioned edge must not fail writers
+				// everywhere: skip unreachable targets (the replica's TTL +
+				// serve-stale bound covers the gap).
+				ps.BestEffort = d.Resilience
 				w.rmiPushers[spec.Bean] = ps
 			}
 		}
@@ -264,19 +264,13 @@ func (w *Wiring) ExtendTo(server *container.Server) error {
 			// stale a read can be even if pushes are lost.
 			ro.SetTTL(spec.MaxStaleness)
 		}
-		if r := w.d.Resilience; r != nil {
-			if spec.MaxStaleness == 0 && r.ReplicaTTL > 0 {
-				ro.SetTTL(r.ReplicaTTL)
+		if w.d.Resilience {
+			if spec.MaxStaleness == 0 {
+				ro.SetTTL(replicaTTL)
 			}
-			if r.StaleMaxAge > 0 {
-				ro.SetServeStale(r.StaleMaxAge)
-			}
+			ro.SetServeStale(staleMaxAge)
 		}
-		if spec.Refresh == container.PushRefresh {
-			uf.Register(spec.Bean, ro)
-		} else {
-			uf.Register(spec.Bean, pullInvalidator{ro})
-		}
+		uf.Register(spec.Bean, ro)
 		w.applyPartitioning(server.Name(), spec, ro)
 		w.Replicas[server.Name()][spec.Bean] = ro
 	}
@@ -287,13 +281,9 @@ func (w *Wiring) ExtendTo(server *container.Server) error {
 			qfetch = w.opts.QueryFetchFor(server)
 		}
 		qc := container.NewQueryCache(server, UpdaterBean+"Queries", qfetch)
-		if r := w.d.Resilience; r != nil {
-			if r.ReplicaTTL > 0 {
-				qc.SetTTL(r.ReplicaTTL)
-			}
-			if r.StaleMaxAge > 0 {
-				qc.SetServeStale(r.StaleMaxAge)
-			}
+		if w.d.Resilience {
+			qc.SetTTL(replicaTTL)
+			qc.SetServeStale(staleMaxAge)
 		}
 		w.Caches[server.Name()] = qc
 		// One applier per invalidating bean, however many queries list it.
@@ -388,17 +378,6 @@ func affectedFunc(ext *container.ExtendedDescriptor) func(u container.Update) []
 		}
 	}
 	return func(u container.Update) []string { return byBean[u.Bean] }
-}
-
-// pullInvalidator adapts a replica to pull-mode refresh: pushed updates only
-// mark the entity stale instead of installing the new state.
-type pullInvalidator struct {
-	ro *container.ROEntity
-}
-
-// ApplyUpdate implements container.Applier.
-func (pi pullInvalidator) ApplyUpdate(u container.Update) {
-	pi.ro.Invalidate(u.PK)
 }
 
 // RunWarm runs fn as a simulation process and drives the environment until

@@ -40,7 +40,7 @@ func BenchmarkAblationSyncVsAsyncPush(b *testing.B) {
 			if _, err := core.AutoWire(d, &container.ExtendedDescriptor{
 				Topic: "kv-updates",
 				Replicas: []container.ReplicaSpec{
-					{Bean: "KV", Update: mode, Refresh: container.PushRefresh},
+					{Bean: "KV", Update: mode},
 				},
 			}, core.WireOptions{PushBytes: 256}); err != nil {
 				b.Fatal(err)

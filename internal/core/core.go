@@ -54,7 +54,7 @@ type Deployment struct {
 
 	// Resilience echoes Options.Resilience so AutoWire can apply the
 	// staleness-fallback pieces to the replicas it materializes.
-	Resilience *ResilienceOptions
+	Resilience bool
 
 	// Replication echoes Options.Replication so AutoWire can rewrite the
 	// propagation path (deltas-by-default, batching, leases).
@@ -81,11 +81,12 @@ type Options struct {
 	DBCost   sqldb.CostModel
 	Topology simnet.HierarchySpec // the zero value is the paper's Fig. 2 star
 
-	// Resilience, when non-nil, arms the WAN-degradation machinery across
-	// the substrate: RMI retries/breakers, JMS redelivery, and serve-stale
-	// bounds on AutoWired replicas and caches. Nil (the default) keeps
-	// strict semantics and byte-identical metric output.
-	Resilience *ResilienceOptions
+	// Resilience arms the WAN-degradation machinery across the substrate:
+	// RMI retries/breakers, JMS redelivery, best-effort pushes, and
+	// serve-stale bounds on AutoWired replicas and caches (resilience.go).
+	// Off (the default) keeps strict semantics and byte-identical metric
+	// output.
+	Resilience bool
 
 	// Replication, when non-nil, arms the post-paper propagation defaults
 	// (deltas-by-default, batched/coalesced pushes, bounded-staleness
@@ -141,10 +142,10 @@ func buildDeployment(env *sim.Env, opts Options) (*Deployment, *simnet.Hierarchy
 	db := sqldb.New()
 	db.SetCostModel(opts.DBCost)
 	InstrumentDB(env.Metrics(), db)
-	if r := opts.Resilience; r != nil {
-		opts.RMI.Retry = r.Retry
-		opts.RMI.Breaker = r.Breaker
-		opts.JMS.Redelivery = r.Redelivery
+	if opts.Resilience {
+		opts.RMI.Retry = &resilienceRetry
+		opts.RMI.Breaker = &resilienceBreaker
+		opts.JMS.Redelivery = &resilienceRedelivery
 	}
 	rt := rmi.NewRuntime(h.Net, opts.RMI)
 	provider, err := jms.NewProvider(h.Net, simnet.NodeMain, opts.JMS)

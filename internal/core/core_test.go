@@ -217,7 +217,7 @@ func TestAutoWireSyncPush(t *testing.T) {
 	d, rw := wireFixture(t)
 	ext := &container.ExtendedDescriptor{
 		Replicas: []container.ReplicaSpec{
-			{Bean: "ItemRW", Update: container.SyncUpdate, Refresh: container.PushRefresh},
+			{Bean: "ItemRW", Update: container.SyncUpdate},
 		},
 	}
 	w, err := AutoWire(d, ext, WireOptions{PushBytes: 256})
@@ -258,7 +258,7 @@ func TestAutoWireAsyncDoesNotBlock(t *testing.T) {
 	ext := &container.ExtendedDescriptor{
 		Topic: "item-updates",
 		Replicas: []container.ReplicaSpec{
-			{Bean: "ItemRW", Update: container.AsyncUpdate, Refresh: container.PushRefresh},
+			{Bean: "ItemRW", Update: container.AsyncUpdate},
 		},
 	}
 	w, err := AutoWire(d, ext, WireOptions{})
@@ -303,7 +303,7 @@ func TestAutoWireOneTopicPusherPerWindow(t *testing.T) {
 		beans[name] = rw
 	}
 	async := func(bean string, window time.Duration) container.ReplicaSpec {
-		return container.ReplicaSpec{Bean: bean, Update: container.AsyncUpdate, Refresh: container.PushRefresh, BatchWindow: window}
+		return container.ReplicaSpec{Bean: bean, Update: container.AsyncUpdate, BatchWindow: window}
 	}
 	w, err := AutoWire(d, &container.ExtendedDescriptor{
 		Topic: "item-updates",
@@ -340,55 +340,11 @@ func TestAutoWireOneTopicPusherPerWindow(t *testing.T) {
 	}
 }
 
-func TestAutoWirePullRefreshInvalidates(t *testing.T) {
-	d, rw := wireFixture(t)
-	fetches := 0
-	ext := &container.ExtendedDescriptor{
-		Replicas: []container.ReplicaSpec{
-			{Bean: "ItemRW", Update: container.SyncUpdate, Refresh: container.PullRefresh},
-		},
-	}
-	w, err := AutoWire(d, ext, WireOptions{
-		FetchFor: func(server *container.Server, rwBean string) container.FetchFunc {
-			return func(p *sim.Proc, pk sqldb.Value) (container.Row, error) {
-				fetches++
-				return rw.Load(p, pk)
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	edge := d.Edges[0].Name()
-	RunWarm(d.Env, "reader", func(p *sim.Proc) {
-		ro := w.Replica(edge, "ItemRW")
-		// Cold miss.
-		if _, err := ro.Get(p, sqldb.Str("i1")); err != nil {
-			t.Errorf("get: %v", err)
-		}
-		// Write invalidates (pull mode: no state installed).
-		if _, err := rw.UpdateFields(p, sqldb.Str("i1"), container.State{"qty": sqldb.Int(1)}); err != nil {
-			t.Errorf("update: %v", err)
-		}
-		st, err := ro.Get(p, sqldb.Str("i1"))
-		if err != nil {
-			t.Errorf("get: %v", err)
-			return
-		}
-		if st.Get("qty").AsInt() != 1 {
-			t.Errorf("stale read after pull invalidation: %v", st.Get("qty"))
-		}
-	})
-	if fetches != 2 {
-		t.Fatalf("fetches = %d, want 2 (cold + refresh)", fetches)
-	}
-}
-
 func TestAutoWireQueryCaches(t *testing.T) {
 	d, rw := wireFixture(t)
 	ext := &container.ExtendedDescriptor{
 		Replicas: []container.ReplicaSpec{
-			{Bean: "ItemRW", Update: container.SyncUpdate, Refresh: container.PushRefresh},
+			{Bean: "ItemRW", Update: container.SyncUpdate},
 		},
 		CachedQueries: []container.CachedQuerySpec{
 			{Name: "itemsByQty", InvalidatedBy: []string{"ItemRW"}},
@@ -434,7 +390,7 @@ func TestAutoWireErrors(t *testing.T) {
 	d, _ := wireFixture(t)
 	// Unregistered RW bean.
 	_, err := AutoWire(d, &container.ExtendedDescriptor{
-		Replicas: []container.ReplicaSpec{{Bean: "Ghost", Update: container.SyncUpdate, Refresh: container.PushRefresh}},
+		Replicas: []container.ReplicaSpec{{Bean: "Ghost", Update: container.SyncUpdate}},
 	}, WireOptions{})
 	if err == nil {
 		t.Fatal("unregistered bean accepted")

@@ -31,7 +31,7 @@ func deferredFixture(t *testing.T) (*Deployment, *container.RWEntity, *Wiring) {
 	}
 	w, err := AutoWire(d, &container.ExtendedDescriptor{
 		Replicas: []container.ReplicaSpec{
-			{Bean: "ItemRW", Update: container.SyncUpdate, Refresh: container.PushRefresh},
+			{Bean: "ItemRW", Update: container.SyncUpdate},
 		},
 	}, WireOptions{
 		FetchFor: func(server *container.Server, rwBean string) container.FetchFunc {
@@ -119,7 +119,7 @@ func TestAutoWireWithMaxStalenessSetsTTL(t *testing.T) {
 	w, err := AutoWire(d, &container.ExtendedDescriptor{
 		Topic: "t",
 		Replicas: []container.ReplicaSpec{
-			{Bean: "ItemRW", Update: container.AsyncUpdate, Refresh: container.PushRefresh, MaxStaleness: 30 * time.Second},
+			{Bean: "ItemRW", Update: container.AsyncUpdate, MaxStaleness: 30 * time.Second},
 		},
 	}, WireOptions{})
 	if err != nil {

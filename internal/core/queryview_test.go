@@ -25,7 +25,7 @@ func TestQueryViewOneApplierPerBean(t *testing.T) {
 		d, rw := wireFixture(t)
 		ext := &container.ExtendedDescriptor{
 			Replicas: []container.ReplicaSpec{
-				{Bean: "ItemRW", Update: container.SyncUpdate, Refresh: container.PushRefresh},
+				{Bean: "ItemRW", Update: container.SyncUpdate},
 			},
 			CachedQueries: []container.CachedQuerySpec{
 				constView("a", "ItemRW"), constView("b", "ItemRW"), constView("c", "ItemRW"),
@@ -65,7 +65,7 @@ func TestQueryViewOneApplierPerBean(t *testing.T) {
 		d, rw := wireFixture(t)
 		ext := &container.ExtendedDescriptor{
 			Replicas: []container.ReplicaSpec{
-				{Bean: "ItemRW", Update: container.SyncUpdate, Refresh: container.PushRefresh},
+				{Bean: "ItemRW", Update: container.SyncUpdate},
 			},
 			// Pet Store's Product: listed by both queries.
 			CachedQueries: []container.CachedQuerySpec{
@@ -100,7 +100,7 @@ func TestQueryViewMixedDescriptor(t *testing.T) {
 	fetches := 0
 	ext := &container.ExtendedDescriptor{
 		Replicas: []container.ReplicaSpec{
-			{Bean: "ItemRW", Update: container.SyncUpdate, Refresh: container.PushRefresh},
+			{Bean: "ItemRW", Update: container.SyncUpdate},
 		},
 		CachedQueries: []container.CachedQuerySpec{
 			constView("pushed", "ItemRW"),

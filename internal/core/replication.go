@@ -12,7 +12,7 @@ import (
 // (the paper default) keeps all of it off, so Tables 6-7 / Figures 7-8
 // remain byte-identical — the two-book discipline.
 type ReplicationOptions struct {
-	// DeltasByDefault makes every push-refresh replica receive delta
+	// DeltasByDefault makes every replica receive delta
 	// pushes (changed fields only). This is Section 4.3's "transfer only
 	// the changes" optimization promoted from opt-in to default.
 	DeltasByDefault bool
@@ -54,7 +54,7 @@ func (r *ReplicationOptions) effectiveReplicas(specs []container.ReplicaSpec) []
 				s.BatchWindow = 0
 			}
 		}
-		if r.DeltasByDefault && s.Refresh == container.PushRefresh {
+		if r.DeltasByDefault {
 			s.DeltaPush = true
 		}
 		if r.BatchWindow > 0 && s.Update != container.SyncUpdate && s.BatchWindow == 0 {

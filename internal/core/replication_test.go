@@ -10,8 +10,8 @@ import (
 
 func TestEffectiveReplicasNilIsIdentityCopy(t *testing.T) {
 	specs := []container.ReplicaSpec{
-		{Bean: "A", Update: container.SyncUpdate, Refresh: container.PushRefresh},
-		{Bean: "B", Update: container.AsyncUpdate, Refresh: container.PullRefresh},
+		{Bean: "A", Update: container.SyncUpdate},
+		{Bean: "B", Update: container.AsyncUpdate, MaxStaleness: time.Second},
 	}
 	var r *ReplicationOptions
 	out := r.effectiveReplicas(specs)
@@ -27,7 +27,7 @@ func TestEffectiveReplicasNilIsIdentityCopy(t *testing.T) {
 
 func TestEffectiveReplicasModeOverride(t *testing.T) {
 	specs := []container.ReplicaSpec{
-		{Bean: "A", Update: container.SyncUpdate, Refresh: container.PushRefresh},
+		{Bean: "A", Update: container.SyncUpdate},
 	}
 
 	// Lease override carries the experiment's staleness budget.
@@ -66,24 +66,26 @@ func TestStalenessWindow(t *testing.T) {
 
 func TestEffectiveReplicasDeltasByDefault(t *testing.T) {
 	specs := []container.ReplicaSpec{
-		{Bean: "Push", Update: container.AsyncUpdate, Refresh: container.PushRefresh},
-		{Bean: "Pull", Update: container.AsyncUpdate, Refresh: container.PullRefresh},
+		{Bean: "Async", Update: container.AsyncUpdate},
+		{Bean: "Sync", Update: container.SyncUpdate},
 	}
 	r := &ReplicationOptions{DeltasByDefault: true}
 	out := r.effectiveReplicas(specs)
-	if !out[0].DeltaPush {
-		t.Fatal("push-refresh replica not switched to deltas")
+	for _, s := range out {
+		if !s.DeltaPush {
+			t.Fatalf("replica %s not switched to deltas", s.Bean)
+		}
 	}
-	if out[1].DeltaPush {
-		t.Fatal("pull-refresh replica switched to deltas (has no push to slim)")
+	if specs[0].DeltaPush {
+		t.Fatal("descriptor spec mutated by deltas-by-default")
 	}
 }
 
 func TestEffectiveReplicasSharedBatchWindow(t *testing.T) {
 	specs := []container.ReplicaSpec{
-		{Bean: "Async", Update: container.AsyncUpdate, Refresh: container.PushRefresh},
-		{Bean: "Own", Update: container.AsyncUpdate, Refresh: container.PushRefresh, BatchWindow: 50 * time.Millisecond},
-		{Bean: "Sync", Update: container.SyncUpdate, Refresh: container.PushRefresh},
+		{Bean: "Async", Update: container.AsyncUpdate},
+		{Bean: "Own", Update: container.AsyncUpdate, BatchWindow: 50 * time.Millisecond},
+		{Bean: "Sync", Update: container.SyncUpdate},
 	}
 	r := &ReplicationOptions{BatchWindow: 200 * time.Millisecond}
 	out := r.effectiveReplicas(specs)

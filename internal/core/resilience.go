@@ -7,54 +7,32 @@ import (
 	"wadeploy/internal/rmi"
 )
 
-// ResilienceOptions bundles the WAN-degradation policies for a deployment:
-// RMI retries and circuit breaking, JMS redelivery, and bounded-staleness
-// fallbacks for the edge replicas and query caches. A nil *ResilienceOptions
-// on Options leaves every substrate layer in its strict (fail-on-first-error)
-// mode and keeps metric snapshots byte-identical to pre-resilience builds.
-type ResilienceOptions struct {
-	// Retry and Breaker apply to every remote RMI invocation.
-	Retry   *rmi.RetryPolicy
-	Breaker *rmi.BreakerPolicy
+// The WAN-degradation policies Options.Resilience arms across a deployment:
+// 1 s call timeouts with three attempts and a 200 ms..2 s exponential
+// backoff, a 5-failure breaker with a 10 s cooldown, six redelivery attempts
+// 5 s apart, 60 s replica TTLs, and a 30 min serve-stale bound — long enough
+// to ride out the canonical outage's 15-minute partition at full run length.
+// The substrate layers only read them, so every deployment shares one copy.
+var (
+	resilienceRetry = rmi.RetryPolicy{
+		CallTimeout: time.Second,
+		MaxAttempts: 3,
+		Backoff:     200 * time.Millisecond,
+		BackoffMax:  2 * time.Second,
+		Budget:      1 << 30,
+	}
+	resilienceBreaker    = rmi.BreakerPolicy{Threshold: 5, Cooldown: 10 * time.Second}
+	resilienceRedelivery = jms.RedeliveryPolicy{MaxAttempts: 6, Delay: 5 * time.Second}
+)
 
-	// Redelivery applies to JMS topic deliveries (async update propagation).
-	Redelivery *jms.RedeliveryPolicy
-
-	// ReplicaTTL bounds the freshness of edge replicas and query caches
+const (
+	// replicaTTL bounds the freshness of edge replicas and query caches
 	// that the descriptor does not already bound (spec.MaxStaleness wins
 	// when set). Entries older than the TTL are refetched on access, which
-	// is what exposes a WAN outage to the degradation path below.
-	ReplicaTTL time.Duration
+	// is what exposes a WAN outage to the serve-stale fallback below.
+	replicaTTL = time.Minute
 
-	// StaleMaxAge lets a failed refetch fall back to the expired local
+	// staleMaxAge lets a failed refetch fall back to the expired local
 	// copy while it is younger than this bound (serve-stale degradation).
-	StaleMaxAge time.Duration
-}
-
-// DefaultResilience returns the canonical policy set used by the
-// availability experiment: 1 s call timeouts with three attempts and a
-// 200 ms..2 s exponential backoff, a 5-failure breaker with a 10 s cooldown,
-// six redelivery attempts 5 s apart, 60 s replica TTLs, and a 30 min
-// serve-stale bound — long enough to ride out the canonical outage's
-// 15-minute partition at full run length.
-func DefaultResilience() *ResilienceOptions {
-	return &ResilienceOptions{
-		Retry: &rmi.RetryPolicy{
-			CallTimeout: time.Second,
-			MaxAttempts: 3,
-			Backoff:     200 * time.Millisecond,
-			BackoffMax:  2 * time.Second,
-			Budget:      1 << 30,
-		},
-		Breaker: &rmi.BreakerPolicy{
-			Threshold: 5,
-			Cooldown:  10 * time.Second,
-		},
-		Redelivery: &jms.RedeliveryPolicy{
-			MaxAttempts: 6,
-			Delay:       5 * time.Second,
-		},
-		ReplicaTTL:  time.Minute,
-		StaleMaxAge: 30 * time.Minute,
-	}
-}
+	staleMaxAge = 30 * time.Minute
+)

@@ -76,7 +76,7 @@ func testPartitionedReplicas(t *testing.T, mode container.UpdateMode) {
 	if _, err := d.DB.Exec(`CREATE TABLE item (id TEXT PRIMARY KEY, qty INT NOT NULL)`); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.DB.Exec(`INSERT INTO item VALUES ('a1', 10), ('m1', 20)`); err != nil {
+	if _, err := d.DB.Exec(`INSERT INTO item VALUES ('b1', 10), ('m1', 20)`); err != nil {
 		t.Fatal(err)
 	}
 	rw, err := container.DeployRWEntity(d.Main, "ItemRW", "item", "id")
@@ -84,12 +84,12 @@ func testPartitionedReplicas(t *testing.T, mode container.UpdateMode) {
 		t.Fatal(err)
 	}
 	d.RegisterRW(rw)
-	// Two range partitions split at "m": edge000 owns keys below "m",
-	// edge001 the rest.
-	pspec := &container.PartitionSpec{Scheme: container.RangePartition, Partitions: 2, Bounds: []string{"m"}}
+	// Two hash partitions, one per edge: "b1" hashes to partition 0
+	// (edge000), "m1" to partition 1 (edge001).
+	pspec := &container.PartitionSpec{Scheme: container.HashPartition, Partitions: 2}
 	ext := &container.ExtendedDescriptor{
 		Replicas: []container.ReplicaSpec{
-			{Bean: "ItemRW", Update: mode, Refresh: container.PushRefresh, MaxStaleness: time.Second, Partition: pspec},
+			{Bean: "ItemRW", Update: mode, MaxStaleness: time.Second, Partition: pspec},
 		},
 	}
 	edges := []string{d.Edges[0].Name(), d.Edges[1].Name()}
@@ -100,13 +100,13 @@ func testPartitionedReplicas(t *testing.T, mode container.UpdateMode) {
 	ro0 := w.Replica(edges[0], "ItemRW")
 	ro1 := w.Replica(edges[1], "ItemRW")
 	// Ownership is disjoint and OwnsKey reflects it.
-	if !ro0.Owns(sqldb.Str("a1")) || ro0.Owns(sqldb.Str("m1")) {
+	if !ro0.Owns(sqldb.Str("b1")) || ro0.Owns(sqldb.Str("m1")) {
 		t.Fatalf("%s ownership wrong", edges[0])
 	}
-	if ro1.Owns(sqldb.Str("a1")) || !ro1.Owns(sqldb.Str("m1")) {
+	if ro1.Owns(sqldb.Str("b1")) || !ro1.Owns(sqldb.Str("m1")) {
 		t.Fatalf("%s ownership wrong", edges[1])
 	}
-	if !w.OwnsKey(edges[0], "ItemRW", sqldb.Str("a1")) || w.OwnsKey(edges[0], "ItemRW", sqldb.Str("m1")) {
+	if !w.OwnsKey(edges[0], "ItemRW", sqldb.Str("b1")) || w.OwnsKey(edges[0], "ItemRW", sqldb.Str("m1")) {
 		t.Fatal("OwnsKey disagrees with replica ownership")
 	}
 	// Unpartitioned beans always own.
@@ -115,7 +115,7 @@ func testPartitionedReplicas(t *testing.T, mode container.UpdateMode) {
 	}
 	// Preloads land only on the owner.
 	for _, ro := range []*container.ROEntity{ro0, ro1} {
-		ro.Preload(sqldb.Str("a1"), container.State{"qty": sqldb.Int(10)})
+		ro.Preload(sqldb.Str("b1"), container.State{"qty": sqldb.Int(10)})
 		ro.Preload(sqldb.Str("m1"), container.State{"qty": sqldb.Int(20)})
 	}
 	if ro0.Cached() != 1 || ro1.Cached() != 1 {
@@ -124,17 +124,17 @@ func testPartitionedReplicas(t *testing.T, mode container.UpdateMode) {
 	// A write is sent to exactly the owning edge: the other edge's updater
 	// façade never hears of it.
 	RunWarm(d.Env, "writer", func(p *sim.Proc) {
-		if _, err := rw.UpdateFields(p, sqldb.Str("a1"), container.State{"qty": sqldb.Int(3)}); err != nil {
+		if _, err := rw.UpdateFields(p, sqldb.Str("b1"), container.State{"qty": sqldb.Int(3)}); err != nil {
 			t.Errorf("update: %v", err)
 		}
 	})
 	if ro0.Pushes() != 1 || ro1.Pushes() != 0 {
-		t.Fatalf("pushes after write to a1: %s=%d %s=%d, want 1/0", edges[0], ro0.Pushes(), edges[1], ro1.Pushes())
+		t.Fatalf("pushes after write to b1: %s=%d %s=%d, want 1/0", edges[0], ro0.Pushes(), edges[1], ro1.Pushes())
 	}
 	if got0, got1 := w.Updaters[edges[0]].Applied(), w.Updaters[edges[1]].Applied(); got0 != 1 || got1 != 0 {
-		t.Fatalf("updates received after write to a1: %s=%d %s=%d, want 1/0", edges[0], got0, edges[1], got1)
+		t.Fatalf("updates received after write to b1: %s=%d %s=%d, want 1/0", edges[0], got0, edges[1], got1)
 	}
-	if st, ok := ro0.Peek(sqldb.Str("a1")); !ok || st.Get("qty").AsInt() != 3 {
+	if st, ok := ro0.Peek(sqldb.Str("b1")); !ok || st.Get("qty").AsInt() != 3 {
 		t.Fatalf("owner replica state: %v %v", st, ok)
 	}
 }

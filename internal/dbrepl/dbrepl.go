@@ -9,7 +9,10 @@
 // write hook and ships it across the network to each replica, which applies
 // statements in order on its own node (charging the replica node's CPU).
 // Replication is asynchronous: writers never wait for replicas, and replica
-// reads may trail the primary by roughly the one-way network latency.
+// reads may trail the primary by roughly the one-way network latency. A
+// replica cut off from the primary queues what it misses in commit order and
+// receives it once the path returns, so it never drops or reorders a
+// statement.
 package dbrepl
 
 import (
@@ -23,6 +26,17 @@ import (
 	"wadeploy/internal/trace"
 )
 
+// Log shipping models row-based replication of small OLTP statements.
+const (
+	// statementBytes is the wire size of one log record.
+	statementBytes = 512
+	// applyCPU is the replica-side cost of applying one statement, on top
+	// of the statement's own database cost.
+	applyCPU = 100 * time.Microsecond
+	// recheckEvery is how often a replica with a backlog probes its path.
+	recheckEvery = time.Second
+)
+
 // Replica is one edge copy of the database.
 type Replica struct {
 	DB   *sqldb.DB
@@ -30,12 +44,16 @@ type Replica struct {
 
 	applied int64
 	failed  int64
-	dropped int64
 	// lastArrival enforces in-order application.
 	lastArrival time.Duration
 	// lag accounting: ship-to-apply delay.
 	lagMax time.Duration
 	lagSum time.Duration
+
+	// backlog holds, in commit order, every statement committed since the
+	// path to the replica was first found down; it drains once the path
+	// returns, and new statements queue behind it until it is empty.
+	backlog []stmt
 }
 
 // Applied returns the number of statements applied.
@@ -43,9 +61,6 @@ func (r *Replica) Applied() int64 { return r.applied }
 
 // Failed returns the number of statements that errored on apply (divergence).
 func (r *Replica) Failed() int64 { return r.failed }
-
-// Dropped returns the number of statements lost to partitions.
-func (r *Replica) Dropped() int64 { return r.dropped }
 
 // MaxLag returns the largest observed ship-to-apply delay.
 func (r *Replica) MaxLag() time.Duration { return r.lagMax }
@@ -60,109 +75,47 @@ func (r *Replica) MeanLag() time.Duration {
 
 // Primary ships the primary database's write log to replicas.
 type Primary struct {
-	env     *sim.Env
-	net     *simnet.Network
-	node    string
-	db      *sqldb.DB
-	bytes   int
-	applyMS time.Duration
+	env  *sim.Env
+	net  *simnet.Network
+	node string
+	db   *sqldb.DB
 
 	replicas []*Replica
 	shipped  int64
 
-	retryMax   int
-	retryDelay time.Duration
-
-	// Batched shipping: statements committed inside one window share one
-	// WAN message per replica instead of paying a message each.
-	batchWindow time.Duration
-	pending     []stmt
-	batchArmed  bool
-	batches     int64
-
 	mShipped *metrics.Counter
-	mDropped *metrics.Counter
 	mApplied *metrics.Counter
 	mFailed  *metrics.Counter
 	mLag     *metrics.Histogram
-	// mRetries is registered only when retries are configured, so
-	// retry-free runs export byte-identical metric snapshots.
-	mRetries *metrics.Counter
-	// mBatches is registered only when a batch window is configured, for
-	// the same reason.
-	mBatches *metrics.Counter
 }
 
-// stmt is one buffered write-log record awaiting a batched ship.
+// stmt is one committed write-log record on its way to a replica.
 type stmt struct {
 	sql  string
 	args []sqldb.Value
-}
-
-// Options tunes the replication stream.
-type Options struct {
-	// StatementBytes is the wire size of one log record.
-	StatementBytes int
-	// ApplyCPU is the replica-side cost of applying one statement (on top
-	// of the statement's own database cost).
-	ApplyCPU time.Duration
-	// RetryMax, when positive, re-attempts shipping a statement to an
-	// unreachable replica up to RetryMax times (every RetryDelay) before
-	// counting it dropped. Retried statements still apply in ship order
-	// per replica.
-	RetryMax   int
-	RetryDelay time.Duration
-	// BatchWindow, when positive, buffers committed statements and ships
-	// everything from one window as a single WAN message per replica
-	// (applied in commit order on arrival). Writers still never wait;
-	// replica lag grows by at most one window.
-	BatchWindow time.Duration
-}
-
-// DefaultOptions models row-based log shipping of small OLTP statements.
-var DefaultOptions = Options{
-	StatementBytes: 512,
-	ApplyCPU:       100 * time.Microsecond,
+	ctx  trace.Ctx
 }
 
 // NewPrimary hooks primary replication onto db, which must live on node.
 // Further writes to db are streamed to attached replicas.
-func NewPrimary(net *simnet.Network, node string, db *sqldb.DB, opts Options) (*Primary, error) {
+func NewPrimary(net *simnet.Network, node string, db *sqldb.DB) (*Primary, error) {
 	if net.Node(node) == nil {
 		return nil, fmt.Errorf("dbrepl: no such node %s", node)
 	}
-	if opts.StatementBytes <= 0 {
-		opts.StatementBytes = DefaultOptions.StatementBytes
-	}
 	reg := net.Env().Metrics()
 	p := &Primary{
-		env:        net.Env(),
-		net:        net,
-		node:       node,
-		db:         db,
-		bytes:      opts.StatementBytes,
-		applyMS:    opts.ApplyCPU,
-		retryMax:   opts.RetryMax,
-		retryDelay: opts.RetryDelay,
-		mShipped:   reg.Counter("dbrepl_shipped_total"),
-		mDropped:   reg.Counter("dbrepl_dropped_total"),
-		mApplied:   reg.Counter("dbrepl_applied_total"),
-		mFailed:    reg.Counter("dbrepl_failed_total"),
-		mLag:       reg.Histogram("dbrepl_apply_lag_ns"),
-	}
-	if opts.RetryMax > 0 {
-		p.mRetries = reg.Counter("dbrepl_ship_retries_total")
-	}
-	if opts.BatchWindow > 0 {
-		p.batchWindow = opts.BatchWindow
-		p.mBatches = reg.Counter("dbrepl_ship_batches_total")
+		env:      net.Env(),
+		net:      net,
+		node:     node,
+		db:       db,
+		mShipped: reg.Counter("dbrepl_shipped_total"),
+		mApplied: reg.Counter("dbrepl_applied_total"),
+		mFailed:  reg.Counter("dbrepl_failed_total"),
+		mLag:     reg.Histogram("dbrepl_apply_lag_ns"),
 	}
 	db.SetWriteHook(p.ship)
 	return p, nil
 }
-
-// Batches returns the number of batched ship windows flushed.
-func (p *Primary) Batches() int64 { return p.batches }
 
 // Shipped returns the number of statements shipped (per replica fan-out not
 // included: one write shipped to three replicas counts once).
@@ -198,102 +151,36 @@ func (p *Primary) ship(sql string, args []sqldb.Value) {
 	p.shipped++
 	p.mShipped.Inc()
 	argsCopy := append([]sqldb.Value(nil), args...)
-	if p.batchWindow > 0 {
-		p.pending = append(p.pending, stmt{sql: sql, args: argsCopy})
-		if !p.batchArmed {
-			p.batchArmed = true
-			p.env.After(p.batchWindow, p.flushShip)
-		}
-		return
-	}
 	for _, r := range p.replicas {
-		p.shipTo(r, sql, argsCopy, trace.CaptureEnv(p.env), 0)
-	}
-}
-
-// flushShip ships everything buffered in the closing window as one message
-// per replica; the next window arms on its first committed statement.
-func (p *Primary) flushShip() {
-	p.batchArmed = false
-	if len(p.pending) == 0 {
-		return
-	}
-	batch := p.pending
-	p.pending = nil
-	p.batches++
-	p.mBatches.Inc()
-	for _, r := range p.replicas {
-		p.shipBatchTo(r, batch, trace.CaptureEnv(p.env), 0)
-	}
-}
-
-// shipBatchTo attempts delivery of one window's batch to one replica: one
-// network message sized for the whole batch, applied statement by statement
-// in commit order on arrival.
-func (p *Primary) shipBatchTo(r *Replica, batch []stmt, ctx trace.Ctx, attempt int) {
-	delay, err := p.net.Route(p.node, r.node.ID).Delay(p.bytes * len(batch))
-	if err != nil {
-		if attempt < p.retryMax {
-			p.mRetries.Inc()
-			p.env.After(p.retryDelay, func() { p.shipBatchTo(r, batch, ctx, attempt+1) })
-			return
-		}
-		r.dropped += int64(len(batch))
-		p.mDropped.Add(int64(len(batch)))
-		ctx.Drop()
-		return
-	}
-	shippedAt := p.env.Now()
-	arrival := shippedAt + delay
-	if arrival < r.lastArrival {
-		arrival = r.lastArrival
-	}
-	r.lastArrival = arrival
-	cause := trace.CauseService
-	if attempt > 0 {
-		cause = trace.CauseRetry
-	}
-	p.env.At(arrival, func() {
-		p.env.Spawn("dbrepl-apply-batch", func(proc *sim.Proc) {
-			defer trace.Adoptf(proc, ctx, "dbrepl", r.node.ID, cause, "replay batch of ", fmt.Sprint(len(batch)), "")()
-			for _, st := range batch {
-				if p.applyMS > 0 {
-					trace.Use(proc, r.node.CPU, r.node.ID, p.applyMS)
-				}
-				res, err := r.DB.Exec(st.sql, st.args...)
-				if err != nil {
-					r.failed++
-					p.mFailed.Inc()
-					continue
-				}
-				trace.Use(proc, r.node.CPU, r.node.ID, res.Cost)
-				r.applied++
-				p.mApplied.Inc()
-				lag := proc.Now() - shippedAt
-				r.lagSum += lag
-				if lag > r.lagMax {
-					r.lagMax = lag
-				}
-				p.mLag.Observe(lag)
+		st := stmt{sql: sql, args: argsCopy, ctx: trace.CaptureEnv(p.env)}
+		if len(r.backlog) > 0 || !p.shipTo(r, st, trace.CauseService) {
+			r.backlog = append(r.backlog, st)
+			if len(r.backlog) == 1 {
+				p.env.After(recheckEvery, func() { p.drain(r) })
 			}
-		})
-	})
+		}
+	}
 }
 
-// shipTo attempts delivery of one statement to one replica; attempt counts
-// retries already spent.
-func (p *Primary) shipTo(r *Replica, sql string, argsCopy []sqldb.Value, ctx trace.Ctx, attempt int) {
-	delay, err := p.net.Route(p.node, r.node.ID).Delay(p.bytes)
-	if err != nil {
-		if attempt < p.retryMax {
-			p.mRetries.Inc()
-			p.env.After(p.retryDelay, func() { p.shipTo(r, sql, argsCopy, ctx, attempt+1) })
+// drain ships r's backlog in commit order while the path is up, and probes
+// again recheckEvery later if it is still down.
+func (p *Primary) drain(r *Replica) {
+	for i, st := range r.backlog {
+		if !p.shipTo(r, st, trace.CauseRetry) {
+			r.backlog = r.backlog[i:]
+			p.env.After(recheckEvery, func() { p.drain(r) })
 			return
 		}
-		r.dropped++
-		p.mDropped.Inc()
-		ctx.Drop()
-		return
+	}
+	r.backlog = nil
+}
+
+// shipTo sends one statement to one replica and schedules its in-order
+// apply; it reports false, sending nothing, when the path is down.
+func (p *Primary) shipTo(r *Replica, st stmt, cause trace.Cause) bool {
+	delay, err := p.net.Route(p.node, r.node.ID).Delay(statementBytes)
+	if err != nil {
+		return false
 	}
 	shippedAt := p.env.Now()
 	arrival := shippedAt + delay
@@ -301,17 +188,11 @@ func (p *Primary) shipTo(r *Replica, sql string, argsCopy []sqldb.Value, ctx tra
 		arrival = r.lastArrival
 	}
 	r.lastArrival = arrival
-	cause := trace.CauseService
-	if attempt > 0 {
-		cause = trace.CauseRetry
-	}
 	p.env.At(arrival, func() {
 		p.env.Spawn("dbrepl-apply", func(proc *sim.Proc) {
-			defer trace.Adoptf(proc, ctx, "dbrepl", r.node.ID, cause, "replay ", sql[:min(len(sql), 24)], "")()
-			if p.applyMS > 0 {
-				trace.Use(proc, r.node.CPU, r.node.ID, p.applyMS)
-			}
-			res, err := r.DB.Exec(sql, argsCopy...)
+			defer trace.Adoptf(proc, st.ctx, "dbrepl", r.node.ID, cause, "replay ", st.sql[:min(len(st.sql), 24)], "")()
+			trace.Use(proc, r.node.CPU, r.node.ID, applyCPU)
+			res, err := r.DB.Exec(st.sql, st.args...)
 			if err != nil {
 				r.failed++
 				p.mFailed.Inc()
@@ -328,4 +209,5 @@ func (p *Primary) shipTo(r *Replica, sql string, argsCopy []sqldb.Value, ctx tra
 			p.mLag.Observe(lag)
 		})
 	})
+	return true
 }

@@ -41,7 +41,7 @@ func newFixture(t *testing.T) *fixture {
 	if err := initKV(main); err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPrimary(net, "main", main, DefaultOptions)
+	p, err := NewPrimary(net, "main", main)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,21 +136,6 @@ func TestTransactionalWritesShipOnCommitOnly(t *testing.T) {
 	}
 }
 
-func TestPartitionDropsStatements(t *testing.T) {
-	f := newFixture(t)
-	if err := f.net.SetLinkState("main", "edge", false); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.main.Exec(`UPDATE kv SET v = 7 WHERE id = 1`); err != nil {
-		t.Fatal(err)
-	}
-	f.env.RunAll()
-	f.env.Close()
-	if f.replica.Dropped() != 1 || f.replica.Applied() != 0 {
-		t.Fatalf("dropped=%d applied=%d", f.replica.Dropped(), f.replica.Applied())
-	}
-}
-
 func TestSelectsAreNotReplicated(t *testing.T) {
 	f := newFixture(t)
 	if _, err := f.main.Query(`SELECT * FROM kv`); err != nil {
@@ -174,10 +159,10 @@ func TestValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := sqldb.New()
-	if _, err := NewPrimary(net, "ghost", db, DefaultOptions); err == nil {
+	if _, err := NewPrimary(net, "ghost", db); err == nil {
 		t.Fatal("primary on missing node accepted")
 	}
-	p, err := NewPrimary(net, "main", db, Options{})
+	p, err := NewPrimary(net, "main", db)
 	if err != nil {
 		t.Fatal(err)
 	}

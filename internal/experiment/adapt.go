@@ -58,8 +58,7 @@ const adaptBucket = 10 * time.Second
 
 // RunAdapt runs the online re-placement experiment for PetStore: three arms
 // under the same fault schedule (the canonical outage when opts.Schedule is
-// nil) with the resilience machinery enabled (DefaultResilience when
-// opts.Resilience is nil):
+// nil) with the resilience machinery enabled:
 //
 //   - static: the remote-façade deployment, controller off — what the
 //     adaptive run would be stuck with if it never re-placed;
@@ -82,9 +81,7 @@ func RunAdapt(app AppID, cfg core.Policy, opts RunOptions) (*AdaptReport, error)
 	if opts.Schedule == nil {
 		opts.Schedule = faults.Canonical(opts.Warmup, opts.Duration)
 	}
-	if opts.Resilience == nil {
-		opts.Resilience = core.DefaultResilience()
-	}
+	opts.Resilience = true
 	adaptive := opts.Adaptive
 	if adaptive == nil {
 		adaptive = &controller.Options{}

@@ -141,8 +141,7 @@ func (a *availAccum) pages() []PageAvail {
 
 // RunAvailability runs the availability experiment: all five configurations
 // under a WAN fault schedule (the canonical outage when opts.Schedule is
-// nil), with the resilience machinery enabled (DefaultResilience when
-// opts.Resilience is nil), scoring the per-page success rates and response
+// nil), with the resilience machinery enabled, scoring the per-page success rates and response
 // times that the clients on the partitioned edge see inside the schedule's
 // outage window. Runs are deterministic: the same seed yields byte-identical
 // results at any Parallelism.
@@ -150,9 +149,7 @@ func RunAvailability(app AppID, opts RunOptions) ([]*AvailabilityResult, error) 
 	if opts.Schedule == nil {
 		opts.Schedule = faults.Canonical(opts.Warmup, opts.Duration)
 	}
-	if opts.Resilience == nil {
-		opts.Resilience = core.DefaultResilience()
-	}
+	opts.Resilience = true
 	window := opts.Schedule.Window
 	if window == [2]time.Duration{} {
 		window = [2]time.Duration{opts.Warmup, opts.Warmup + opts.Duration}

@@ -136,7 +136,7 @@ func TestTraceParallelByteIdentity(t *testing.T) {
 		opts := traceRunOptions()
 		if faulted {
 			opts.Schedule = faults.Canonical(opts.Warmup, opts.Duration)
-			opts.Resilience = core.DefaultResilience()
+			opts.Resilience = true
 		}
 		opts.Parallelism = 1
 		seq, err := RunTable(PetStore, opts)

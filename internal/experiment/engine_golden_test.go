@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"wadeploy/internal/core"
 	"wadeploy/internal/faults"
 )
 
@@ -75,7 +74,7 @@ func TestEngineGoldenFaulted(t *testing.T) {
 	run := func(par int) string {
 		opts := engineGoldenOptions(par)
 		opts.Schedule = faults.Canonical(opts.Warmup, opts.Duration)
-		opts.Resilience = core.DefaultResilience()
+		opts.Resilience = true
 		results, err := RunTable(PetStore, opts)
 		if err != nil {
 			t.Fatal(err)

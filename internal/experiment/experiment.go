@@ -43,11 +43,11 @@ type RunOptions struct {
 	// fault RNG derives from Seed on a separate stream.
 	Schedule *faults.Schedule
 
-	// Resilience, when non-nil, enables the WAN-degradation machinery
-	// (RMI retries/breakers, JMS redelivery, serve-stale replicas) on the
-	// deployment under test. Nil keeps strict semantics and byte-identical
+	// Resilience enables the WAN-degradation machinery (RMI
+	// retries/breakers, JMS redelivery, serve-stale replicas) on the
+	// deployment under test. Off keeps strict semantics and byte-identical
 	// output.
-	Resilience *core.ResilienceOptions
+	Resilience bool
 
 	// Replication, when non-nil, arms the delta-replication machinery
 	// (deltas-by-default, batched/coalesced pushes, bounded-staleness

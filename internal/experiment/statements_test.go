@@ -40,7 +40,7 @@ func TestStatementInventory(t *testing.T) {
 			// default resilience, the controller on the traced page mix.
 			ad := adaptQuickOptions()
 			ad.Schedule = faults.Canonical(ad.Warmup, ad.Duration)
-			ad.Resilience = core.DefaultResilience()
+			ad.Resilience = true
 			ad.Trace = &trace.Options{SampleEvery: 4}
 			arms = append(arms, arm{core.AsyncUpdates, ad})
 		}

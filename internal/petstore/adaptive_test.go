@@ -36,10 +36,7 @@ func startCutOverController(t *testing.T, d *core.Deployment, a *App, seed int64
 		Wiring:     a.Wiring(),
 		Model:      PlannerModel(),
 		Seed:       seed,
-		Options: controller.Options{
-			Epoch:         5 * time.Second,
-			ConfirmEpochs: 2,
-		},
+		Options:    controller.Options{Epoch: 5 * time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -203,13 +203,7 @@ func Deploy(d *core.Deployment, p core.Policy) (*App, error) {
 // edges instead of crossing the WAN. Each replica starts from an identical
 // schema+seed snapshot; committed writes stream to it in order.
 func (a *App) wireDBReplicas() error {
-	dopts := dbrepl.DefaultOptions
-	if r := a.d.Replication; r != nil && r.BatchWindow > 0 {
-		// Deltas-by-default's batch window applies to the statement stream
-		// too: one shipped WAN message per replica per window.
-		dopts.BatchWindow = r.BatchWindow
-	}
-	primary, err := dbrepl.NewPrimary(a.d.Net, simnet.NodeDB, a.d.DB, dopts)
+	primary, err := dbrepl.NewPrimary(a.d.Net, simnet.NodeDB, a.d.DB)
 	if err != nil {
 		return fmt.Errorf("petstore: %w", err)
 	}
@@ -565,7 +559,7 @@ func (a *App) wireReplicas() error {
 	}
 	ext := &container.ExtendedDescriptor{Topic: UpdateTopic}
 	for _, bean := range layout.Replicated {
-		spec := container.ReplicaSpec{Bean: bean, Update: update, Refresh: container.PushRefresh}
+		spec := container.ReplicaSpec{Bean: bean, Update: update}
 		if bean == BeanItem || bean == BeanInventory {
 			spec.Partition = a.policy.Partition
 		}

@@ -120,9 +120,9 @@ func TestDeployTopoRejectsBadSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := &container.PartitionSpec{Scheme: container.RangePartition, Partitions: 3, Bounds: []string{"z", "a"}}
+	bad := &container.PartitionSpec{Scheme: container.HashPartition}
 	if _, err := DeployTopo(d, core.QueryCaching, TopoOptions{Partition: bad}); !errors.Is(err, core.ErrPolicy) {
-		t.Fatalf("unsorted range bounds: %v, want a policy error", err)
+		t.Fatalf("zero partitions: %v, want a policy error", err)
 	}
 	good := &container.PartitionSpec{Scheme: container.HashPartition, Partitions: 2}
 	a, err := DeployTopo(d, core.QueryCaching, TopoOptions{Partition: good})

@@ -23,7 +23,7 @@ func (a *App) wireReplicas() error {
 	}
 	ext := &container.ExtendedDescriptor{Topic: UpdateTopic}
 	for _, bean := range layout.Replicated {
-		spec := container.ReplicaSpec{Bean: bean, Update: update, Refresh: container.PushRefresh}
+		spec := container.ReplicaSpec{Bean: bean, Update: update}
 		if bean == BeanItem {
 			// Only Items shard; Users stay fully replicated (tiny,
 			// read-mostly, and the edge auth path needs every nickname
