@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all verify build vet test race determinism bench-digests loc sqldb-inventory profile repro repro-quick examples clean
+.PHONY: all verify build vet test race determinism bench-digests loc sqldb-inventory profile allocs repro repro-quick examples clean
 
 all: verify
 
@@ -52,6 +52,14 @@ BENCH ?= PetstoreCentralizedRound
 profile:
 	$(GO) test -run '^$$' -bench '^Benchmark$(BENCH)$$' -benchtime 10x \
 		-cpuprofile=cpu.out -memprofile=mem.out -o wadeploy.test ./internal/experiment
+
+# Exact heap allocations per page, by source line, of one steady-state round
+# of the same benchmarks (BENCH as for profile): every allocation sampled
+# (-memprofilerate=1) into allocs.out, the deploy left out, and pprof's
+# per-line counts divided by the round's pages (scripts/allocs.sh). Kept apart
+# from profile, whose CPU profile that sampling rate would distort.
+allocs:
+	BENCH=$(BENCH) GO=$(GO) sh scripts/allocs.sh
 
 # Full paper-length reproduction: Tables 6-7 and Figures 7-8 at one virtual
 # hour per configuration (about a minute of wall-clock time), plus the

@@ -61,8 +61,7 @@ func run() error {
 	d.RegisterRW(prices)
 	if _, err := container.DeployStateless(d.Main, "PriceFacade", map[string]container.Method{
 		"get": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			pk, _ := inv.Arg(0).(sqldb.Value)
-			return prices.Load(p, pk)
+			return prices.Load(p, inv.Args[0])
 		},
 	}); err != nil {
 		return err

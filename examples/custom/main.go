@@ -59,8 +59,7 @@ func run() error {
 	// design rules allow remote access only through façades).
 	if _, err := container.DeployStateless(d.Main, "ArticleFacade", map[string]container.Method{
 		"fetch": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			pk, _ := inv.Arg(0).(sqldb.Value)
-			return articles.Load(p, pk)
+			return articles.Load(p, inv.Args[0])
 		},
 	}); err != nil {
 		return err

@@ -263,9 +263,9 @@ func (s *Server) HasReplicaDB() bool { return s.replicaDB != nil }
 
 // SQLReplica executes a read-only statement against this server's local
 // database replica: no JDBC round trips, cost charged to this node's CPU.
-func (s *Server) SQLReplica(p *sim.Proc, query string, args ...sqldb.Value) (*sqldb.Result, error) {
+func (s *Server) SQLReplica(p *sim.Proc, query string, args ...sqldb.Value) (sqldb.Result, error) {
 	if s.replicaDB == nil {
-		return nil, fmt.Errorf("container: %s has no replica DB", s.name)
+		return sqldb.Result{}, fmt.Errorf("container: %s has no replica DB", s.name)
 	}
 	s.sqlStatements++
 	s.mReplicaSQL.Inc()
@@ -276,7 +276,7 @@ func (s *Server) SQLReplica(p *sim.Proc, query string, args ...sqldb.Value) (*sq
 	defer endSQL()
 	res, err := s.replicaDB.Exec(query, args...)
 	if err != nil {
-		return nil, err
+		return sqldb.Result{}, err
 	}
 	trace.Use(p, s.node.CPU, s.name, res.Cost)
 	return res, nil
@@ -285,7 +285,7 @@ func (s *Server) SQLReplica(p *sim.Proc, query string, args ...sqldb.Value) (*sq
 // SQL executes one statement against the deployment's database on behalf of
 // this server: JDBC round trips to the DB node (when remote) plus the
 // statement's cost charged to the DB node's CPU.
-func (s *Server) SQL(p *sim.Proc, query string, args ...sqldb.Value) (*sqldb.Result, error) {
+func (s *Server) SQL(p *sim.Proc, query string, args ...sqldb.Value) (sqldb.Result, error) {
 	s.sqlStatements++
 	s.mSQL.Inc()
 	remote := s.dbSrv.ID != s.name
@@ -309,13 +309,13 @@ func (s *Server) SQL(p *sim.Proc, query string, args ...sqldb.Value) (*sqldb.Res
 		}
 		rtt, err := s.dbRoute.RTT()
 		if err != nil {
-			return nil, fmt.Errorf("container: jdbc %s->%s: %w", s.name, s.dbSrv.ID, err)
+			return sqldb.Result{}, fmt.Errorf("container: jdbc %s->%s: %w", s.name, s.dbSrv.ID, err)
 		}
 		p.Sleep(time.Duration(rounds * float64(rtt)))
 	}
 	res, err := s.db.Exec(query, args...)
 	if err != nil {
-		return nil, err
+		return sqldb.Result{}, err
 	}
 	// Charge the statement's service time to the database node's CPU.
 	trace.Use(p, s.dbSrv.CPU, s.dbSrv.ID, res.Cost)

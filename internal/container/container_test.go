@@ -80,7 +80,7 @@ func TestStatelessBeanLocalAndRemote(t *testing.T) {
 	f := newFixture(t)
 	if _, err := DeployStateless(f.main, "Catalog", map[string]Method{
 		"getItem": func(p *sim.Proc, inv *Invocation) (any, error) {
-			return "item:" + inv.StringArg(0), nil
+			return "item:" + inv.Args[0].S, nil
 		},
 	}); err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestStatelessBeanLocalAndRemote(t *testing.T) {
 			return
 		}
 		start := p.Now()
-		v, err := stub.Invoke(p, "getItem", "i1")
+		v, err := stub.Invoke(p, "getItem", sqldb.Str("i1"))
 		if err != nil || v != "item:i1" {
 			t.Errorf("local invoke: %v, %v", v, err)
 		}
@@ -108,7 +108,7 @@ func TestStatelessBeanLocalAndRemote(t *testing.T) {
 			return
 		}
 		start = p.Now()
-		if _, err := estub.Invoke(p, "getItem", "i1"); err != nil {
+		if _, err := estub.Invoke(p, "getItem", sqldb.Str("i1")); err != nil {
 			t.Errorf("remote invoke: %v", err)
 		}
 		remoteCost := p.Now() - start
@@ -149,15 +149,15 @@ func TestStatefulBeanKeepsPerSessionState(t *testing.T) {
 	f.run(t, func(p *sim.Proc) {
 		stub, _ := f.edge.StubFor(p, "edge", "ShoppingCart")
 		for i := 0; i < 3; i++ {
-			if _, err := stub.Invoke(p, "add", "sess-A"); err != nil {
+			if _, err := stub.Invoke(p, "add", sqldb.Str("sess-A")); err != nil {
 				t.Errorf("add: %v", err)
 			}
 		}
-		if _, err := stub.Invoke(p, "add", "sess-B"); err != nil {
+		if _, err := stub.Invoke(p, "add", sqldb.Str("sess-B")); err != nil {
 			t.Errorf("add: %v", err)
 		}
-		va, _ := stub.Invoke(p, "count", "sess-A")
-		vb, _ := stub.Invoke(p, "count", "sess-B")
+		va, _ := stub.Invoke(p, "count", sqldb.Str("sess-A"))
+		vb, _ := stub.Invoke(p, "count", sqldb.Str("sess-B"))
 		if va.(int64) != 3 || vb.(int64) != 1 {
 			t.Errorf("counts = %v, %v; want 3, 1", va, vb)
 		}
@@ -183,7 +183,7 @@ func TestStatefulRequiresSessionKey(t *testing.T) {
 		if _, err := stub.Invoke(p, "m"); err == nil {
 			t.Error("missing session key accepted")
 		}
-		if _, err := stub.Invoke(p, "m", 42); err == nil {
+		if _, err := stub.Invoke(p, "m", sqldb.Int(42)); err == nil {
 			t.Error("non-string session key accepted")
 		}
 	})
@@ -569,7 +569,7 @@ func TestStatefulSessionReplicationFailover(t *testing.T) {
 		// Baseline: un-replicated call on main.
 		mstub, _ := f.main.StubFor(p, "main", "Cart")
 		start := p.Now()
-		if _, err := mstub.Invoke(p, "add", "other"); err != nil {
+		if _, err := mstub.Invoke(p, "add", sqldb.Str("other")); err != nil {
 			t.Errorf("add: %v", err)
 		}
 		plainCost = p.Now() - start
@@ -577,7 +577,7 @@ func TestStatefulSessionReplicationFailover(t *testing.T) {
 		estub, _ := f.edge.StubFor(p, "edge", "Cart")
 		start = p.Now()
 		for i := 0; i < 3; i++ {
-			if _, err := estub.Invoke(p, "add", "sess-A"); err != nil {
+			if _, err := estub.Invoke(p, "add", sqldb.Str("sess-A")); err != nil {
 				t.Errorf("add: %v", err)
 			}
 		}
@@ -586,7 +586,7 @@ func TestStatefulSessionReplicationFailover(t *testing.T) {
 		if !mainCart.Resume("sess-A") {
 			t.Error("session not replicated to buddy")
 		}
-		v, err := mstub.Invoke(p, "count", "sess-A")
+		v, err := mstub.Invoke(p, "count", sqldb.Str("sess-A"))
 		if err != nil || v.(int64) != 3 {
 			t.Errorf("resumed count = %v, %v; want 3", v, err)
 		}
@@ -618,7 +618,7 @@ func TestSessionReplicationAcrossPartitionFailsCall(t *testing.T) {
 	}
 	f.run(t, func(p *sim.Proc) {
 		stub, _ := f.edge.StubFor(p, "edge", "Cart")
-		if _, err := stub.Invoke(p, "add", "s"); err == nil {
+		if _, err := stub.Invoke(p, "add", sqldb.Str("s")); err == nil {
 			t.Error("replicated call across partition succeeded")
 		}
 	})

@@ -80,7 +80,7 @@ func TestQueryCacheServesStaleDuringPartition(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return stub.Invoke(p, "run", key)
+		return stub.Invoke(p, "run", sqldb.Str(key))
 	}
 	if _, err := DeployStateless(f.main, "QueryFacade", map[string]Method{
 		"run": func(p *sim.Proc, inv *Invocation) (any, error) {

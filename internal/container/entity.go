@@ -3,6 +3,7 @@ package container
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -78,6 +79,11 @@ type RWEntity struct {
 	loadSQL     string
 	deleteSQL   string
 	snapshotSQL string
+
+	// inserts and updates hold the INSERT and UPDATE text per column set a
+	// writer has used, so a write finds its text by comparing columns
+	// instead of building and hashing a fresh string.
+	inserts, updates []*colStmt
 
 	writes int64
 
@@ -170,10 +176,11 @@ func (b *RWEntity) Image() ([]Update, error) {
 
 // updatesOf turns the bean's whole table, read by snapshotSQL, into one
 // full-state Update per entity committed at at.
-func (b *RWEntity) updatesOf(res *sqldb.Result, at time.Duration) []Update {
-	out := make([]Update, 0, res.Len())
-	for _, vals := range res.Rows {
-		row := Row{&res.Cols, vals}
+func (b *RWEntity) updatesOf(res sqldb.Result, at time.Duration) []Update {
+	rows := RowsOf(res)
+	out := make([]Update, 0, rows.Len())
+	for i := range rows.Len() {
+		row := rows.At(i)
 		out = append(out, Update{Bean: b.name, PK: row.Get(b.pkCol), State: row, CommittedAt: at})
 	}
 	return out
@@ -204,11 +211,35 @@ func (b *RWEntity) Load(p *sim.Proc, pk sqldb.Value) (Row, error) {
 	return row, nil
 }
 
+// colStmt is a statement's text over one column set, sorted by name. A Row
+// a write over the set builds shares the column list.
+type colStmt struct {
+	cols []string
+	sql  string
+}
+
+// rowFor returns st as a Row (see State.over) over the column list of its
+// set's entry in *stmts, and the entry's text; the set's first use adds the
+// entry, its text built by text.
+func rowFor(stmts *[]*colStmt, st State, text func(cols []string) string) (Row, string) {
+	var buf [16]string
+	cols := st.sorted(buf[:0]) // sorted: deterministic SQL text
+	i := slices.IndexFunc(*stmts, func(s *colStmt) bool { return slices.Equal(s.cols, cols) })
+	if i < 0 {
+		cs := &colStmt{cols: slices.Clone(cols)}
+		cs.sql = text(cs.cols)
+		i, *stmts = len(*stmts), append(*stmts, cs)
+	}
+	cs := (*stmts)[i]
+	return st.over(&cs.cols), cs.sql
+}
+
 // Insert creates a new entity (ejbCreate) and propagates it.
 func (b *RWEntity) Insert(p *sim.Proc, st State) error {
 	b.srv.Compute(p, b.srv.costs.EntityStoreCPU)
-	image := st.row() // sorted columns: deterministic SQL text
-	q := "INSERT INTO " + b.table + " (" + strings.Join(image.columns(), ", ") + ") VALUES (" + strings.TrimPrefix(strings.Repeat(", ?", image.Len()), ", ") + ")"
+	image, q := rowFor(&b.inserts, st, func(cols []string) string {
+		return "INSERT INTO " + b.table + " (" + strings.Join(cols, ", ") + ") VALUES (" + strings.TrimPrefix(strings.Repeat(", ?", len(cols)), ", ") + ")"
+	})
 	if _, err := b.srv.SQL(p, q, image.vals...); err != nil {
 		return fmt.Errorf("entity %s insert: %w", b.name, err)
 	}
@@ -226,8 +257,9 @@ func (b *RWEntity) UpdateFields(p *sim.Proc, pk sqldb.Value, changes State) (Row
 		return Row{}, err
 	}
 	b.srv.Compute(p, b.srv.costs.EntityStoreCPU)
-	delta := changes.row() // sorted columns: deterministic SQL text
-	q := "UPDATE " + b.table + " SET " + strings.Join(delta.columns(), " = ?, ") + " = ? WHERE " + b.pkCol + " = ?"
+	delta, q := rowFor(&b.updates, changes, func(cols []string) string {
+		return "UPDATE " + b.table + " SET " + strings.Join(cols, " = ?, ") + " = ? WHERE " + b.pkCol + " = ?"
+	})
 	// The pk lands in the spare slot past the delta's values.
 	if _, err := b.srv.SQL(p, q, append(delta.vals, pk)...); err != nil {
 		return Row{}, fmt.Errorf("entity %s update: %w", b.name, err)
@@ -314,14 +346,16 @@ type FetchFunc func(p *sim.Proc, pk sqldb.Value) (Row, error)
 
 // FetchFrom is that usual fetch path: one call from srv of method on the
 // façade bean deployed on node, passing args and then the key, which the
-// façade answers with the entity's Row (its read-write bean's Load).
-func FetchFrom(srv *Server, node, bean, method string, args ...any) FetchFunc {
+// façade answers with the entity's Row (its read-write bean's Load). The
+// argument list is built on the fetching process's stack.
+func FetchFrom(srv *Server, node, bean, method string, args ...sqldb.Value) FetchFunc {
 	return func(p *sim.Proc, pk sqldb.Value) (Row, error) {
 		stub, err := srv.StubFor(p, node, bean)
 		if err != nil {
 			return Row{}, err
 		}
-		v, err := stub.Invoke(p, method, append(args[:len(args):len(args)], pk)...)
+		var buf [4]sqldb.Value
+		v, err := stub.Invoke(p, method, append(append(buf[:0], args...), pk)...)
 		if err != nil {
 			return Row{}, err
 		}
@@ -669,13 +703,13 @@ func (u *UpdaterFacade) handle(p *sim.Proc, call *rmi.Call) (any, error) {
 	if call.Method != MethodApply {
 		return nil, fmt.Errorf("container: %s.%s: %w", u.name, call.Method, ErrNoSuchMethod)
 	}
-	updates, ok := call.Arg(0).([]Update)
+	updates, ok := call.Payload.(*[]Update)
 	if !ok {
-		return nil, fmt.Errorf("container: %s.apply: argument must be []Update", u.name)
+		return nil, fmt.Errorf("container: %s.apply: payload must be *[]Update", u.name)
 	}
 	u.srv.Compute(p, u.srv.costs.MethodCPU)
-	u.Apply(p, updates)
-	return len(updates), nil
+	u.Apply(p, *updates)
+	return len(*updates), nil
 }
 
 // UpdateBuffer is a Propagator that records committed updates instead of

@@ -53,7 +53,7 @@ func TestEnvelopeLifetime(t *testing.T) {
 		f := newFixture(t)
 		var kept []*Invocation
 		keep := func(p *sim.Proc, inv *Invocation) (any, error) {
-			if inv.Server != f.main || inv.StringArg(0) != "x" {
+			if inv.Server != f.main || len(inv.Args) != 1 || inv.Args[0] != sqldb.Str("x") {
 				t.Errorf("%s sees %+v", inv.Method, *inv)
 			}
 			kept = append(kept, inv)
@@ -66,7 +66,7 @@ func TestEnvelopeLifetime(t *testing.T) {
 			t.Fatal(err)
 		}
 		f.run(t, func(p *sim.Proc) {
-			for bean, args := range map[string][]any{"Facade": {"x"}, "Cart": {"session", "x"}} {
+			for bean, args := range map[string][]sqldb.Value{"Facade": {sqldb.Str("x")}, "Cart": {sqldb.Str("session"), sqldb.Str("x")}} {
 				stub, _ := f.main.StubFor(p, "main", bean)
 				if _, err := stub.Invoke(p, "m", args...); err != nil {
 					t.Error(err)
@@ -92,14 +92,14 @@ func TestEnvelopeLifetime(t *testing.T) {
 					t.Errorf("envelope %p handed to a nested call while in flight", inv)
 				}
 				inFlight[inv], seen = true, append(seen, inv)
-				depth := inv.Arg(0).(int)
+				depth := inv.Args[0].I
 				if depth < 3 {
 					stub, _ := f.main.StubFor(p, "main", "Facade")
-					if _, err := stub.Invoke(p, "nest", depth+1); err != nil {
+					if _, err := stub.Invoke(p, "nest", sqldb.Int(depth+1)); err != nil {
 						return nil, err
 					}
 				}
-				if inv.Method != "nest" || inv.Arg(0) != depth || inv.Server != f.main {
+				if inv.Method != "nest" || inv.Args[0] != sqldb.Int(depth) || inv.Server != f.main {
 					t.Errorf("depth %d sees %+v after its inner call returned", depth, *inv)
 				}
 				delete(inFlight, inv)
@@ -110,7 +110,7 @@ func TestEnvelopeLifetime(t *testing.T) {
 		}
 		f.run(t, func(p *sim.Proc) {
 			stub, _ := f.edge.StubFor(p, "main", "Facade")
-			if _, err := stub.Invoke(p, "nest", 1); err != nil {
+			if _, err := stub.Invoke(p, "nest", sqldb.Int(1)); err != nil {
 				t.Error(err)
 			}
 		})
@@ -301,5 +301,47 @@ func TestPusherRouteAllocs(t *testing.T) {
 	}
 	if got := f.env.Metrics().Snapshot().Counter("container_sync_pushes_total"); got != 0 {
 		t.Fatalf("%d pushes to targets owning nothing of the commit, want 0", got)
+	}
+}
+
+// TestParkedFetchKeepsItsKey: two processes fetch through one FetchFunc with
+// different keys, the second while the first is parked on the WAN. The façade
+// sees each call's own bean argument and key, and each fetch returns its own
+// entity: an argument list shared between calls, by FetchFrom or by a call
+// envelope aliasing it, would hand the first call the second key.
+func TestParkedFetchKeepsItsKey(t *testing.T) {
+	f := newFixture(t)
+	rw, err := DeployRWEntity(f.main, "Inventory", "inventory", "item_id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]string{} // key -> bean argument
+	if _, err := DeployStateless(f.main, "Facade", map[string]Method{
+		"fetchState": func(p *sim.Proc, inv *Invocation) (any, error) {
+			seen[inv.Args[1].S] = inv.Args[0].S
+			return rw.Load(p, inv.Args[1])
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	fetch := FetchFrom(f.edge, "main", "Facade", "fetchState", sqldb.Str("Inventory"))
+	got := map[string]int64{}
+	for i, key := range []string{"i1", "i2"} {
+		f.env.Spawn(key, func(p *sim.Proc) {
+			p.Sleep(time.Duration(i) * time.Millisecond) // the first is on the wire by now
+			row, err := fetch(p, sqldb.Str(key))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[key] = row.Get("qty").AsInt()
+		})
+	}
+	f.env.RunAll()
+	if seen["i1"] != "Inventory" || seen["i2"] != "Inventory" || len(seen) != 2 {
+		t.Errorf("the façade saw %v, want i1 and i2 each with bean Inventory", seen)
+	}
+	if got["i1"] != 10 || got["i2"] != 5 {
+		t.Errorf("fetched quantities %v, want i1:10 i2:5", got)
 	}
 }

@@ -61,6 +61,7 @@ type Pusher struct {
 
 	buf   coalescer
 	armed bool
+	held  sim.Free[[]Update] // apply-call payloads of the deliveries in flight
 
 	mDelivered *metrics.Counter // messages that reached their destination, in the row's family
 	mSkipped   *metrics.Counter // RMI, window 0
@@ -335,7 +336,9 @@ func (ps *Pusher) deliver(p *sim.Proc, t PushTarget, payload int, batch []Update
 	} else {
 		stub, err := ps.srv.StubFor(p, t.Server, t.Facade)
 		if err == nil {
-			_, err = stub.InvokeSized(p, MethodApply, payload, 64, batch)
+			held := ps.held.Take(batch) // one recycled pointer: the payload boxes nothing
+			_, err = stub.InvokeSized(p, MethodApply, payload, 64, held)
+			ps.held.Put(held)
 		}
 		if err != nil {
 			return fmt.Errorf("sync push to %s/%s: %w", t.Server, t.Facade, err)

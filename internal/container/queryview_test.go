@@ -156,7 +156,7 @@ func rowsOf(db *sqldb.DB, sql string, args ...sqldb.Value) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	return RowsOf(res), nil
+	return RowsOf(res).Slice(), nil
 }
 
 func mustRows(t *testing.T, db *sqldb.DB, sql string, args ...sqldb.Value) []Row {

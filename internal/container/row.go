@@ -20,19 +20,29 @@ func (st State) Clone() State {
 	return out
 }
 
-// row returns the state as a Row, columns sorted by name. The values have
-// room for one more: the primary key an UPDATE's WHERE binds after them.
+// row returns the state as a Row, columns sorted by name.
 func (st State) row() Row {
-	cols := make([]string, 0, len(st))
+	cols := st.sorted(nil)
+	return st.over(&cols)
+}
+
+// sorted appends the state's column names to buf and sorts them.
+func (st State) sorted(buf []string) []string {
 	for c := range st {
-		cols = append(cols, c)
+		buf = append(buf, c)
 	}
-	slices.Sort(cols)
-	vals := make([]sqldb.Value, len(cols), len(cols)+1)
-	for i, c := range cols {
+	slices.Sort(buf)
+	return buf
+}
+
+// over returns the state as a Row over cols, which it keeps. The values have
+// room for one more: the primary key an UPDATE's WHERE binds after them.
+func (st State) over(cols *[]string) Row {
+	vals := make([]sqldb.Value, len(*cols), len(*cols)+1)
+	for i, c := range *cols {
 		vals[i] = st[c]
 	}
-	return Row{&cols, vals}
+	return Row{cols, vals}
 }
 
 // Row is an entity's field values as the container holds and returns them:
@@ -51,23 +61,40 @@ type Row struct {
 // it.
 func RowOf(cols *[]string, vals []sqldb.Value) Row { return Row{cols, vals} }
 
-// RowsOf returns a SELECT result's rows, sharing its slices: a result is a
-// read-only snapshot that sqldb never reuses or changes.
-func RowsOf(res *sqldb.Result) []Row {
-	out := make([]Row, len(res.Rows))
-	for i, vals := range res.Rows {
-		out[i] = Row{&res.Cols, vals}
+// Rows is a SELECT result's rows as a read-only view: the result's row list
+// and the column names of the plan that produced it, shared, no copy. A
+// result is a snapshot sqldb never reuses or changes. The zero Rows is empty.
+type Rows struct {
+	cols *[]string
+	vals [][]sqldb.Value
+}
+
+// RowsOf returns res's rows as a view, without allocating.
+func RowsOf(res sqldb.Result) Rows { return Rows{res.Cols, res.Rows} }
+
+// Len returns the number of rows.
+func (rs Rows) Len() int { return len(rs.vals) }
+
+// At returns row i.
+func (rs Rows) At(i int) Row { return Row{rs.cols, rs.vals[i]} }
+
+// Slice returns the rows as a list a holder can mix with rows of other
+// column lists, sharing their values: one allocation.
+func (rs Rows) Slice() []Row {
+	out := make([]Row, len(rs.vals))
+	for i := range out {
+		out[i] = rs.At(i)
 	}
 	return out
 }
 
 // FirstRow returns a SELECT result's first row, or the zero Row when it has
 // none, without allocating.
-func FirstRow(res *sqldb.Result) Row {
+func FirstRow(res sqldb.Result) Row {
 	if res.Len() == 0 {
 		return Row{}
 	}
-	return Row{&res.Cols, res.Rows[0]}
+	return Row{res.Cols, res.Rows[0]}
 }
 
 // IsZero reports whether r is the zero Row.

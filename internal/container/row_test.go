@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"wadeploy/internal/race"
 	"wadeploy/internal/sim"
 	"wadeploy/internal/sqldb"
 )
@@ -81,16 +82,21 @@ func TestROEntityHitAllocs(t *testing.T) {
 	}
 }
 
-// Load hands back the SELECT's own row: it allocates what the statement does
-// and nothing more.
+// Load hands back the SELECT's own row: it allocates what the statement does,
+// which is nothing — the Result is the caller's value, its one row the stored
+// row's view, and the Row's column names the cached plan's. RowsOf views a
+// many-row result without a copy.
 func TestRWEntityLoadAllocsOnlyItsSelect(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates; alloc guard runs without -race")
+	}
 	f := newFixture(t)
 	rw, err := DeployRWEntity(f.main, "InvRW", "inventory", "item_id")
 	if err != nil {
 		t.Fatal(err)
 	}
 	pk := sqldb.Str("i1")
-	var load, sel float64
+	var load, sel, rows float64
 	f.run(t, func(p *sim.Proc) {
 		load = testing.AllocsPerRun(100, func() {
 			if row, err := rw.Load(p, pk); err != nil || row.Get("qty") != sqldb.Int(10) {
@@ -102,9 +108,19 @@ func TestRWEntityLoadAllocsOnlyItsSelect(t *testing.T) {
 				t.Error(err)
 			}
 		})
+		all, err := f.main.SQL(p, rw.snapshotSQL)
+		if err != nil || all.Len() != 2 {
+			t.Errorf("snapshot read: %d rows (%v)", all.Len(), err)
+			return
+		}
+		rows = testing.AllocsPerRun(100, func() {
+			if v := RowsOf(all); v.Len() != 2 || v.At(1).Get("qty") != sqldb.Int(5) {
+				t.Errorf("rows view: %d rows", v.Len())
+			}
+		})
 	})
-	if load > sel {
-		t.Fatalf("Load allocates %.1f times, its SELECT alone %.1f", load, sel)
+	if load != 0 || sel != 0 || rows != 0 {
+		t.Fatalf("Load allocates %.1f times, its SELECT %.1f, a rows view %.1f; want 0, 0 and 0", load, sel, rows)
 	}
 }
 

@@ -7,33 +7,20 @@ import (
 	"wadeploy/internal/metrics"
 	"wadeploy/internal/rmi"
 	"wadeploy/internal/sim"
+	"wadeploy/internal/sqldb"
 	"wadeploy/internal/trace"
 )
 
 // Invocation is the context passed to a session-bean business method, an
 // envelope its Server recycles once the method returns: a method copies what
-// it keeps (Args and State are the caller's and the instance's own).
+// it keeps (Args is the call envelope's, State the instance's own).
 type Invocation struct {
 	Server  *Server
 	Method  string
-	Args    []any
+	Args    []sqldb.Value // the caller's arguments, typed; a stateful call's without its session key
 	Caller  string
 	Session string // stateful beans: the client session key
 	State   State  // stateful beans: the instance's conversational state
-}
-
-// Arg returns argument i, or nil.
-func (inv *Invocation) Arg(i int) any {
-	if i < 0 || i >= len(inv.Args) {
-		return nil
-	}
-	return inv.Args[i]
-}
-
-// StringArg returns argument i as a string ("" when absent or mistyped).
-func (inv *Invocation) StringArg(i int) string {
-	s, _ := inv.Arg(i).(string)
-	return s
 }
 
 // Method is a session-bean business method. Methods run on the invoking
@@ -82,7 +69,7 @@ func (b *StatelessBean) handle(p *sim.Proc, call *rmi.Call) (any, error) {
 // StatefulBean is a deployed stateful session bean: one conversational-state
 // instance per client session, acting as a server-side extension of the
 // client's runtime (ShoppingCart in Pet Store). Invocations carry the
-// session key as their first argument.
+// session key as their first argument, a string.
 type StatefulBean struct {
 	srv       *Server
 	name      string
@@ -154,12 +141,12 @@ func (b *StatefulBean) handle(p *sim.Proc, call *rmi.Call) (any, error) {
 	if len(call.Args) == 0 {
 		return nil, fmt.Errorf("container: %s.%s: stateful invocation requires a session key", b.name, call.Method)
 	}
-	sessionKey, ok := call.Args[0].(string)
-	if !ok {
+	if call.Args[0].K != sqldb.KindString {
 		return nil, fmt.Errorf("container: %s.%s: session key must be a string", b.name, call.Method)
 	}
+	sessionKey := call.Args[0].S
 	if call.Method == methodApplySession {
-		st, ok := call.Arg(1).(State)
+		st, ok := call.Payload.(State)
 		if !ok {
 			return nil, fmt.Errorf("container: %s: session replication payload must be State", b.name)
 		}
@@ -198,7 +185,7 @@ func (b *StatefulBean) replicate(p *sim.Proc, sessionKey string, st State) error
 	if err != nil {
 		return err
 	}
-	if _, err := stub.InvokeSized(p, methodApplySession, 1024, 64, sessionKey, st.Clone()); err != nil {
+	if _, err := stub.InvokeSized(p, methodApplySession, 1024, 64, st.Clone(), sqldb.Str(sessionKey)); err != nil {
 		return err
 	}
 	b.replicated++

@@ -39,8 +39,7 @@ func benchControllerRig(b *testing.B, env *sim.Env, rows int) (*core.Deployment,
 	d.RegisterRW(rw)
 	if _, err := container.DeployStateless(d.Main, "PriceFacade", map[string]container.Method{
 		"get": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			pk, _ := inv.Arg(0).(sqldb.Value)
-			return rw.Load(p, pk)
+			return rw.Load(p, inv.Args[0])
 		},
 	}); err != nil {
 		b.Fatal(err)

@@ -60,8 +60,7 @@ func newRig(t *testing.T, seed int64, deferred bool) *rig {
 	d.RegisterRW(rw)
 	if _, err := container.DeployStateless(d.Main, "PriceFacade", map[string]container.Method{
 		"get": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			pk, _ := inv.Arg(0).(sqldb.Value)
-			return rw.Load(p, pk)
+			return rw.Load(p, inv.Args[0])
 		},
 	}); err != nil {
 		t.Fatal(err)

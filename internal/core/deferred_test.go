@@ -23,8 +23,7 @@ func deferredFixture(t *testing.T) (*Deployment, *container.RWEntity, *Wiring) {
 	d, rw := itemFixture(t, d)
 	if _, err := container.DeployStateless(d.Main, "Fetch", map[string]container.Method{
 		"fetch": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			pk, _ := inv.Arg(0).(sqldb.Value)
-			return rw.Load(p, pk)
+			return rw.Load(p, inv.Args[0])
 		},
 	}); err != nil {
 		t.Fatal(err)

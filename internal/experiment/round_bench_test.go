@@ -16,14 +16,18 @@ import (
 // (bench/registry.go) as Go benchmarks, so `make profile` profiles a
 // steady-state full-stack round: one iteration deploys the testbed off the
 // clock and times exactly the call that advances the simulation, as a
-// benchmark round does.
+// benchmark round does. A heap profile leaves the deploy out too: sampling
+// is off while it runs, so `make allocs` divides the round's allocations
+// alone by the pages/op reported here.
 
 func benchmarkRound(b *testing.B, app AppID, cfg core.Policy, spec simnet.HierarchySpec, warmup, duration time.Duration) {
 	b.ReportAllocs()
-	pages := 0
+	pages, rate := 0, runtime.MemProfileRate
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
+		runtime.MemProfileRate = 0
 		tb, err := deploy(app, cfg, RunOptions{Seed: 1}, spec, 1)
+		runtime.MemProfileRate = rate
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -38,6 +42,7 @@ func benchmarkRound(b *testing.B, app AppID, cfg core.Policy, spec simnet.Hierar
 		}
 	}
 	b.ReportMetric(float64(pages)/b.Elapsed().Seconds(), "pages/s")
+	b.ReportMetric(float64(pages)/float64(b.N), "pages/op")
 }
 
 func BenchmarkPetstoreCentralizedRound(b *testing.B) {
@@ -62,8 +67,9 @@ func topo128Policy() core.Policy {
 
 // TestPageAllocBudget holds each full-stack workload to its heap-allocation
 // budget per page, counted over the pages of a short round after its
-// warm-up: a call envelope, row slice, argument slice, response or push
-// batch that starts being allocated per page again shows here first.
+// warm-up: a call envelope, row slice, boxed argument, result header,
+// response or push batch that starts being allocated per page again shows
+// here first.
 func TestPageAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates; alloc guard runs without -race")
@@ -75,9 +81,9 @@ func TestPageAllocBudget(t *testing.T) {
 		spec   simnet.HierarchySpec
 		budget float64
 	}{
-		{"petstore-centralized", PetStore, core.Centralized, simnet.HierarchySpec{}, 7.5},
-		{"rubis-async", RUBiS, core.AsyncUpdates, simnet.HierarchySpec{}, 7.0},
-		{"petstore-topo128", PetStore, topo128Policy(), simnet.DefaultHierarchySpec(128), 9.0},
+		{"petstore-centralized", PetStore, core.Centralized, simnet.HierarchySpec{}, 2.4},
+		{"rubis-async", RUBiS, core.AsyncUpdates, simnet.HierarchySpec{}, 4.1},
+		{"petstore-topo128", PetStore, topo128Policy(), simnet.DefaultHierarchySpec(128), 2.9},
 	}
 	const warmup = 2 * time.Minute
 	for _, c := range cases {

@@ -7,6 +7,7 @@ import (
 	"wadeploy/internal/controller"
 	"wadeploy/internal/core"
 	"wadeploy/internal/sim"
+	"wadeploy/internal/sqldb"
 )
 
 // deployDeferred deploys p on demand: the web tier and edge Catalogs up
@@ -61,7 +62,7 @@ func TestAdaptivePreExtensionServesViaCentral(t *testing.T) {
 		t.Error("replica bundle deployed before the controller decided anything")
 	}
 	env.Spawn("probe", func(p *sim.Proc) {
-		page, err := a.getItemVia(p, edge, ItemID(0, 0, 0))
+		page, err := a.getItemVia(p, edge, sqldb.Str(ItemID(0, 0, 0)))
 		if err != nil {
 			t.Errorf("getItemVia: %v", err)
 			return
@@ -103,7 +104,7 @@ func TestAdaptiveControllerCutOver(t *testing.T) {
 		}
 	}
 	env.Spawn("probe", func(p *sim.Proc) {
-		page, err := a.getItemVia(p, d.Edges[0], ItemID(0, 0, 0))
+		page, err := a.getItemVia(p, d.Edges[0], sqldb.Str(ItemID(0, 0, 0)))
 		if err != nil {
 			t.Errorf("getItemVia after cut-over: %v", err)
 			return
@@ -142,7 +143,7 @@ func TestAdaptiveCutOverIsOneEvent(t *testing.T) {
 			stub, err := a.catalogStub(p, edge)
 			if err == nil {
 				var v any
-				v, err = stub.Invoke(p, "getItem", ItemID(0, 0, 0))
+				v, err = stub.Invoke(p, "getItem", sqldb.Str(ItemID(0, 0, 0)))
 				c.page, _ = v.(*ItemPage)
 			}
 			c.err, c.end, c.wan = err, p.Now(), wide.Value()-before

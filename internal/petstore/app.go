@@ -289,12 +289,12 @@ func (a *App) mainCatalogMethods() map[string]container.Method {
 	return map[string]container.Method{
 		// getProductsOf returns the category row and its product rows.
 		"getProductsOf": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			cat := inv.StringArg(0)
-			catRes, err := srv.SQL(p, `SELECT * FROM category WHERE catid = ?`, sqldb.Str(cat))
+			cat := inv.Args[0]
+			catRes, err := srv.SQL(p, `SELECT * FROM category WHERE catid = ?`, cat)
 			if err != nil {
 				return nil, err
 			}
-			prodRes, err := srv.SQL(p, `SELECT * FROM product WHERE catid = ? ORDER BY productid`, sqldb.Str(cat))
+			prodRes, err := srv.SQL(p, `SELECT * FROM product WHERE catid = ? ORDER BY productid`, cat)
 			if err != nil {
 				return nil, err
 			}
@@ -302,12 +302,12 @@ func (a *App) mainCatalogMethods() map[string]container.Method {
 		},
 		// getItemsOf returns the product row and its item rows.
 		"getItemsOf": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			pid := inv.StringArg(0)
-			prodRes, err := srv.SQL(p, `SELECT * FROM product WHERE productid = ?`, sqldb.Str(pid))
+			pid := inv.Args[0]
+			prodRes, err := srv.SQL(p, `SELECT * FROM product WHERE productid = ?`, pid)
 			if err != nil {
 				return nil, err
 			}
-			itemRes, err := srv.SQL(p, `SELECT * FROM item WHERE productid = ? ORDER BY itemid`, sqldb.Str(pid))
+			itemRes, err := srv.SQL(p, `SELECT * FROM item WHERE productid = ? ORDER BY itemid`, pid)
 			if err != nil {
 				return nil, err
 			}
@@ -315,13 +315,12 @@ func (a *App) mainCatalogMethods() map[string]container.Method {
 		},
 		// getItem returns one item plus its inventory quantity.
 		"getItem": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			return a.loadItemDetails(p, inv.StringArg(0))
+			return a.loadItemDetails(p, inv.Args[0])
 		},
 		// search runs the keyword query (never cached, Section 4.4).
 		"search": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			kw := inv.StringArg(0)
-			res, err := srv.SQL(p, `SELECT * FROM product WHERE name LIKE ? OR descn LIKE ? ORDER BY productid LIMIT 25`,
-				sqldb.Str("%"+kw+"%"), sqldb.Str("%"+kw+"%"))
+			like := likeArg(inv.Args[0])
+			res, err := srv.SQL(p, searchSQL, like, like)
 			if err != nil {
 				return nil, err
 			}
@@ -330,8 +329,7 @@ func (a *App) mainCatalogMethods() map[string]container.Method {
 		// fetchState serves read-only replica refreshes (the remote façade
 		// the read-mostly pattern queries on pull/miss).
 		"fetchState": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			bean := inv.StringArg(0)
-			pk, _ := inv.Arg(1).(sqldb.Value)
+			bean, pk := inv.Args[0].AsString(), inv.Args[1]
 			rw := a.d.RW(bean)
 			if rw == nil {
 				return nil, fmt.Errorf("petstore: fetchState: %w: %s", container.ErrNoSuchBean, bean)
@@ -341,13 +339,20 @@ func (a *App) mainCatalogMethods() map[string]container.Method {
 	}
 }
 
+// searchSQL is the keyword query: never cached (Section 4.4), run on main
+// or on an edge's database replica, its one LIKE pattern bound twice.
+const searchSQL = `SELECT * FROM product WHERE name LIKE ? OR descn LIKE ? ORDER BY productid LIMIT 25`
+
+// likeArg is searchSQL's pattern for keyword kw.
+func likeArg(kw sqldb.Value) sqldb.Value { return sqldb.Str("%" + kw.AsString() + "%") }
+
 // loadItemDetails loads an item row plus inventory on the main server.
-func (a *App) loadItemDetails(p *sim.Proc, itemID string) (*ItemPage, error) {
-	item, err := a.itemRW.Load(p, sqldb.Str(itemID))
+func (a *App) loadItemDetails(p *sim.Proc, itemID sqldb.Value) (*ItemPage, error) {
+	item, err := a.itemRW.Load(p, itemID)
 	if err != nil {
 		return nil, err
 	}
-	invSt, err := a.inventoryRW.Load(p, sqldb.Str(itemID))
+	invSt, err := a.inventoryRW.Load(p, itemID)
 	if err != nil {
 		return nil, err
 	}
@@ -360,8 +365,8 @@ func (a *App) customerMethods() map[string]container.Method {
 	return map[string]container.Method{
 		// createCustomer authenticates against the SignOn entity.
 		"createCustomer": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			user, pass := inv.StringArg(0), inv.StringArg(1)
-			st, err := a.signonRW.Load(p, sqldb.Str(user))
+			user, pass := inv.Args[0], inv.Args[1].AsString()
+			st, err := a.signonRW.Load(p, user)
 			if err != nil {
 				return nil, fmt.Errorf("petstore signon: %w", err)
 			}
@@ -372,23 +377,18 @@ func (a *App) customerMethods() map[string]container.Method {
 		},
 		// getProfile loads the Account entity.
 		"getProfile": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			return a.accountRW.Load(p, sqldb.Str(inv.StringArg(0)))
+			return a.accountRW.Load(p, inv.Args[0])
 		},
 		// placeOrder commits the order: Order, OrderStatus and LineItem
 		// creation plus the Inventory write whose propagation cost is the
 		// crux of Sections 4.3–4.5.
 		"placeOrder": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			user := inv.StringArg(0)
-			itemID := inv.StringArg(1)
-			qty, _ := inv.Arg(2).(int)
-			if qty <= 0 {
-				qty = 1
-			}
-			item, err := a.itemRW.Load(p, sqldb.Str(itemID))
+			user, itemID, qty := inv.Args[0], inv.Args[1], inv.Args[2].AsInt()
+			item, err := a.itemRW.Load(p, itemID)
 			if err != nil {
 				return nil, err
 			}
-			if _, err := a.accountRW.Load(p, sqldb.Str(user)); err != nil {
+			if _, err := a.accountRW.Load(p, user); err != nil {
 				return nil, err
 			}
 			a.orderSeq++
@@ -396,7 +396,7 @@ func (a *App) customerMethods() map[string]container.Method {
 			total := item.Get("listprice").AsFloat() * float64(qty)
 			if err := a.orderRW.Insert(p, container.State{
 				"orderid":    sqldb.Int(orderID),
-				"userid":     sqldb.Str(user),
+				"userid":     user,
 				"orderdate":  sqldb.Int(int64(p.Now() / time.Millisecond)),
 				"totalprice": sqldb.Float(total),
 			}); err != nil {
@@ -412,20 +412,20 @@ func (a *App) customerMethods() map[string]container.Method {
 			if err := a.lineItemRW.Insert(p, container.State{
 				"lineid":    sqldb.Int(a.lineSeq),
 				"orderid":   sqldb.Int(orderID),
-				"itemid":    sqldb.Str(itemID),
-				"quantity":  sqldb.Int(int64(qty)),
+				"itemid":    itemID,
+				"quantity":  sqldb.Int(qty),
 				"unitprice": item.Get("listprice"),
 			}); err != nil {
 				return nil, err
 			}
 			// The Inventory write triggers replica propagation: blocking
 			// in the sync configurations, fire-and-forget in async.
-			invSt, err := a.inventoryRW.Load(p, sqldb.Str(itemID))
+			invSt, err := a.inventoryRW.Load(p, itemID)
 			if err != nil {
 				return nil, err
 			}
-			if _, err := a.inventoryRW.UpdateFields(p, sqldb.Str(itemID), container.State{
-				"qty": sqldb.Int(invSt.Get("qty").AsInt() - int64(qty)),
+			if _, err := a.inventoryRW.UpdateFields(p, itemID, container.State{
+				"qty": sqldb.Int(invSt.Get("qty").AsInt() - qty),
 			}); err != nil {
 				return nil, err
 			}
@@ -466,13 +466,13 @@ func (a *App) deployWebTier() error {
 func (a *App) cartMethods(srv *container.Server) map[string]container.Method {
 	return map[string]container.Method{
 		"addItem": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			itemID := inv.StringArg(0)
+			itemID := inv.Args[0]
 			details, err := a.getItemVia(p, srv, itemID)
 			if err != nil {
 				return nil, err
 			}
 			n := inv.State["count"].AsInt()
-			inv.State[fmt.Sprintf("item%d", n)] = sqldb.Str(itemID)
+			inv.State[fmt.Sprintf("item%d", n)] = itemID
 			inv.State[fmt.Sprintf("price%d", n)] = details.Item.Get("listprice")
 			inv.State["count"] = sqldb.Int(n + 1)
 			total := inv.State["total"].AsFloat() + details.Item.Get("listprice").AsFloat()
@@ -515,15 +515,15 @@ func (a *App) useQueryCache(srv *container.Server) bool {
 // getItemVia fetches item details the way the policy dictates: local
 // read-only beans when the server has them, otherwise via the Catalog façade
 // (one RMI call from an edge).
-func (a *App) getItemVia(p *sim.Proc, srv *container.Server, itemID string) (*ItemPage, error) {
+func (a *App) getItemVia(p *sim.Proc, srv *container.Server, itemID sqldb.Value) (*ItemPage, error) {
 	if a.useReplicas(srv) {
 		itemRO := a.wiring.Replica(srv.Name(), BeanItem)
 		invRO := a.wiring.Replica(srv.Name(), BeanInventory)
-		item, err := itemRO.Get(p, sqldb.Str(itemID))
+		item, err := itemRO.Get(p, itemID)
 		if err != nil {
 			return nil, err
 		}
-		qtySt, err := invRO.Get(p, sqldb.Str(itemID))
+		qtySt, err := invRO.Get(p, itemID)
 		if err != nil {
 			return nil, err
 		}
@@ -574,7 +574,7 @@ func (a *App) wireReplicas() error {
 	w, err := core.AutoWire(a.d, ext, core.WireOptions{
 		PushBytes: replicaPushBytes,
 		FetchFor: func(server *container.Server, rwBean string) container.FetchFunc {
-			return container.FetchFrom(server, simnet.NodeMain, BeanCatalog, "fetchState", rwBean)
+			return container.FetchFrom(server, simnet.NodeMain, BeanCatalog, "fetchState", sqldb.Str(rwBean))
 		},
 		// Pet Store uses the pull-based query-cache update mechanism
 		// ("For simplicity", Section 4.4): misses re-execute against the
@@ -591,9 +591,9 @@ func (a *App) wireReplicas() error {
 				}
 				switch name {
 				case QueryProductsByCategory:
-					return stub.Invoke(p, "getProductsOf", param)
+					return stub.Invoke(p, "getProductsOf", sqldb.Str(param))
 				case QueryItemsByProduct:
-					return stub.Invoke(p, "getItemsOf", param)
+					return stub.Invoke(p, "getItemsOf", sqldb.Str(param))
 				default:
 					return nil, fmt.Errorf("petstore: unknown cached query %q", name)
 				}
@@ -629,28 +629,28 @@ func (a *App) deployEdgeCatalogs() error {
 // forwards every read to the central Catalog in one WAN call, and answers
 // from its replicas from the event Wiring.ExtendTo installs them in.
 func (a *App) edgeCatalogMethods(edge *container.Server) map[string]container.Method {
-	delegate := func(p *sim.Proc, method, param string) (any, error) {
+	delegate := func(p *sim.Proc, method string, param sqldb.Value) (any, error) {
 		stub, err := a.centralCatalogStub(p, edge)
 		if err != nil {
 			return nil, err
 		}
 		return stub.Invoke(p, method, param)
 	}
-	cached := func(p *sim.Proc, queryName, method, param string) (any, error) {
+	cached := func(p *sim.Proc, queryName, method string, param sqldb.Value) (any, error) {
 		if a.useQueryCache(edge) && a.ownsQueryParam(edge, param) {
-			return a.wiring.Cache(edge.Name()).Get(p, queryName+":"+param)
+			return a.wiring.Cache(edge.Name()).Get(p, queryName+":"+param.AsString())
 		}
 		return delegate(p, method, param)
 	}
 	return map[string]container.Method{
 		"getProductsOf": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			return cached(p, QueryProductsByCategory, "getProductsOf", inv.StringArg(0))
+			return cached(p, QueryProductsByCategory, "getProductsOf", inv.Args[0])
 		},
 		"getItemsOf": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			return cached(p, QueryItemsByProduct, "getItemsOf", inv.StringArg(0))
+			return cached(p, QueryItemsByProduct, "getItemsOf", inv.Args[0])
 		},
 		"getItem": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			page, err := a.getItemVia(p, edge, inv.StringArg(0))
+			page, err := a.getItemVia(p, edge, inv.Args[0])
 			if err != nil {
 				return nil, err
 			}
@@ -660,16 +660,14 @@ func (a *App) edgeCatalogMethods(edge *container.Server) map[string]container.Me
 		// DB-replication extension gives this edge a local replica.
 		"search": func(p *sim.Proc, inv *container.Invocation) (any, error) {
 			if edge.HasReplicaDB() {
-				kw := inv.StringArg(0)
-				res, err := edge.SQLReplica(p,
-					`SELECT * FROM product WHERE name LIKE ? OR descn LIKE ? ORDER BY productid LIMIT 25`,
-					sqldb.Str("%"+kw+"%"), sqldb.Str("%"+kw+"%"))
+				like := likeArg(inv.Args[0])
+				res, err := edge.SQLReplica(p, searchSQL, like, like)
 				if err != nil {
 					return nil, err
 				}
 				return container.RowsOf(res), nil
 			}
-			return delegate(p, "search", inv.StringArg(0))
+			return delegate(p, "search", inv.Args[0])
 		},
 	}
 }
@@ -678,12 +676,12 @@ func (a *App) edgeCatalogMethods(edge *container.Server) map[string]container.Me
 // values the web tier renders.
 type CategoryPage struct {
 	Category container.Row
-	Products []container.Row
+	Products container.Rows
 }
 
 type ProductPage struct {
 	Product container.Row
-	Items   []container.Row
+	Items   container.Rows
 }
 
 type ItemPage struct {

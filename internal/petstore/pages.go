@@ -5,6 +5,7 @@ import (
 
 	"wadeploy/internal/container"
 	"wadeploy/internal/sim"
+	"wadeploy/internal/sqldb"
 	"wadeploy/internal/trace"
 	"wadeploy/internal/web"
 )
@@ -68,7 +69,7 @@ func (a *App) registerPages(srv *container.Server) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := stub.Invoke(p, "getProductsOf", r.Param("cat")); err != nil {
+		if _, err := stub.Invoke(p, "getProductsOf", sqldb.Str(r.Param("cat"))); err != nil {
 			return nil, err
 		}
 		return a.render(p, srv, PageCategory), nil
@@ -79,14 +80,14 @@ func (a *App) registerPages(srv *container.Server) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := stub.Invoke(p, "getItemsOf", r.Param("product")); err != nil {
+		if _, err := stub.Invoke(p, "getItemsOf", sqldb.Str(r.Param("product"))); err != nil {
 			return nil, err
 		}
 		return a.render(p, srv, PageProduct), nil
 	})
 
 	w.Handle(PageItem, func(p *sim.Proc, r *web.Request) (*web.Response, error) {
-		if _, err := a.getItemVia(p, srv, r.Param("item")); err != nil {
+		if _, err := a.getItemVia(p, srv, sqldb.Str(r.Param("item"))); err != nil {
 			return nil, err
 		}
 		return a.render(p, srv, PageItem), nil
@@ -97,7 +98,7 @@ func (a *App) registerPages(srv *container.Server) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := stub.Invoke(p, "search", r.Param("q")); err != nil {
+		if _, err := stub.Invoke(p, "search", sqldb.Str(r.Param("q"))); err != nil {
 			return nil, err
 		}
 		return a.render(p, srv, PageSearch), nil
@@ -115,14 +116,14 @@ func (a *App) registerPages(srv *container.Server) {
 			return nil, err
 		}
 		user, pass := r.Param("user"), r.Param("password")
-		okv, err := stub.Invoke(p, "createCustomer", user, pass)
+		okv, err := stub.Invoke(p, "createCustomer", sqldb.Str(user), sqldb.Str(pass))
 		if err != nil {
 			return nil, err
 		}
 		if ok, _ := okv.(bool); !ok {
 			return nil, fmt.Errorf("petstore: bad credentials for %s", user)
 		}
-		profile, err := stub.Invoke(p, "getProfile", user)
+		profile, err := stub.Invoke(p, "getProfile", sqldb.Str(user))
 		if err != nil {
 			return nil, err
 		}
@@ -139,7 +140,7 @@ func (a *App) registerPages(srv *container.Server) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := cart.Invoke(p, "addItem", r.Session.ID, r.Param("item")); err != nil {
+		if _, err := cart.Invoke(p, "addItem", sqldb.Str(r.Session.ID), sqldb.Str(r.Param("item"))); err != nil {
 			return nil, err
 		}
 		return a.render(p, srv, PageCart), nil
@@ -153,7 +154,7 @@ func (a *App) registerPages(srv *container.Server) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := cart.Invoke(p, "summary", r.Session.ID); err != nil {
+		if _, err := cart.Invoke(p, "summary", sqldb.Str(r.Session.ID)); err != nil {
 			return nil, err
 		}
 		return a.render(p, srv, PageCheckout), nil
@@ -184,7 +185,7 @@ func (a *App) registerPages(srv *container.Server) {
 		if err != nil {
 			return nil, err
 		}
-		itemV, err := cart.Invoke(p, "firstItem", r.Session.ID)
+		itemV, err := cart.Invoke(p, "firstItem", sqldb.Str(r.Session.ID))
 		if err != nil {
 			return nil, err
 		}
@@ -196,7 +197,7 @@ func (a *App) registerPages(srv *container.Server) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := customer.Invoke(p, "placeOrder", user, itemID, 1); err != nil {
+		if _, err := customer.Invoke(p, "placeOrder", sqldb.Str(user), sqldb.Str(itemID), sqldb.Int(1)); err != nil {
 			return nil, err
 		}
 		return a.render(p, srv, PageCommit), nil
@@ -207,7 +208,7 @@ func (a *App) registerPages(srv *container.Server) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := cart.Invoke(p, "clear", r.Session.ID); err != nil {
+		if _, err := cart.Invoke(p, "clear", sqldb.Str(r.Session.ID)); err != nil {
 			return nil, err
 		}
 		a.carts[srv.Name()].Remove(r.Session.ID)
@@ -224,6 +225,6 @@ func (a *App) fireEvent(p *sim.Proc, srv *container.Server, sess *web.Session) e
 	if err != nil {
 		return err
 	}
-	_, err = ctrl.Invoke(p, "handleEvent", sess.ID)
+	_, err = ctrl.Invoke(p, "handleEvent", sqldb.Str(sess.ID))
 	return err
 }

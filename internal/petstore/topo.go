@@ -28,6 +28,6 @@ func DeployTopo(d *core.Deployment, p core.Policy, topo TopoOptions) (*App, erro
 // edge caches only query results whose key falls in its Item replica's slice
 // — the partition-scoped query cache — and delegates the rest to the central
 // Catalog.
-func (a *App) ownsQueryParam(edge *container.Server, param string) bool {
-	return a.wiring.OwnsKey(edge.Name(), BeanItem, sqldb.Str(param))
+func (a *App) ownsQueryParam(edge *container.Server, param sqldb.Value) bool {
+	return a.wiring.OwnsKey(edge.Name(), BeanItem, param)
 }

@@ -39,7 +39,7 @@ func TestDeployTopoUnpartitionedMatchesDeploy(t *testing.T) {
 	defer a.Deployment().Env.Close()
 	// Every edge owns every query param: caching is unrestricted.
 	for _, edge := range a.Deployment().Edges {
-		if !a.ownsQueryParam(edge, ItemID(0, 0, 0)) {
+		if !a.ownsQueryParam(edge, sqldb.Str(ItemID(0, 0, 0))) {
 			t.Fatalf("%s should own all params without partitioning", edge.Name())
 		}
 	}
@@ -106,7 +106,7 @@ func TestDeployTopoPartitionedOwnership(t *testing.T) {
 	}
 	// Query caching is partition-scoped: the edge owns some catalog query
 	// params and not others.
-	if a.ownsQueryParam(edge0, ownedID) == a.ownsQueryParam(edge0, unownedID) {
+	if a.ownsQueryParam(edge0, sqldb.Str(ownedID)) == a.ownsQueryParam(edge0, sqldb.Str(unownedID)) {
 		t.Error("query-cache scoping should track the partition slice")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"wadeploy/internal/race"
 	"wadeploy/internal/sim"
 	"wadeploy/internal/simnet"
+	"wadeploy/internal/sqldb"
 )
 
 // zeroCall reports whether c is a recycled, zeroed envelope.
@@ -45,7 +46,7 @@ func TestEnvelopeLifetime(t *testing.T) {
 		rt := NewRuntime(twoNodeNet(t, env), DefaultOptions)
 		var kept *Call
 		if _, err := rt.Bind("b", "svc", func(p *sim.Proc, c *Call) (any, error) {
-			if c.Method != "m" || c.Arg(0) != 7 || c.Caller != "a" {
+			if c.Method != "m" || len(c.Args) != 1 || c.Args[0] != sqldb.Int(7) || c.Caller != "a" {
 				t.Errorf("handler sees %+v", *c)
 			}
 			kept = c
@@ -55,7 +56,7 @@ func TestEnvelopeLifetime(t *testing.T) {
 		}
 		env.Spawn("caller", func(p *sim.Proc) {
 			stub, _ := rt.LocalStub("a", "b", "svc")
-			if _, err := stub.Invoke(p, "m", 7); err != nil {
+			if _, err := stub.Invoke(p, "m", sqldb.Int(7)); err != nil {
 				t.Error(err)
 			}
 		})
@@ -75,13 +76,13 @@ func TestEnvelopeLifetime(t *testing.T) {
 				t.Errorf("envelope %p handed to a nested call while in flight", c)
 			}
 			inFlight[c], seen = true, append(seen, c)
-			depth := c.Arg(0).(int)
+			depth := c.Args[0].I
 			if depth < 3 {
-				if _, err := stub.Invoke(p, "nest", depth+1, "inner"); err != nil {
+				if _, err := stub.Invoke(p, "nest", sqldb.Int(depth+1), sqldb.Str("inner")); err != nil {
 					return nil, err
 				}
 			}
-			if c.Method != "nest" || c.Arg(0) != depth || c.Caller != "b" || len(c.Args) != 2 {
+			if c.Method != "nest" || len(c.Args) != 2 || c.Args[0] != sqldb.Int(depth) || c.Caller != "b" {
 				t.Errorf("depth %d sees %+v after its inner call returned", depth, *c)
 			}
 			delete(inFlight, c)
@@ -91,7 +92,7 @@ func TestEnvelopeLifetime(t *testing.T) {
 		}
 		env.Spawn("caller", func(p *sim.Proc) {
 			stub, _ = rt.LocalStub("b", "b", "svc")
-			if _, err := stub.Invoke(p, "nest", 1, "outer"); err != nil {
+			if _, err := stub.Invoke(p, "nest", sqldb.Int(1), sqldb.Str("outer")); err != nil {
 				t.Error(err)
 			}
 		})
@@ -114,7 +115,7 @@ func TestEnvelopeLifetime(t *testing.T) {
 		}
 		env.Spawn("caller", func(p *sim.Proc) {
 			stub, _ := rt.LocalStub("a", "b", "svc")
-			_, _ = stub.Invoke(p, "m", 1)
+			_, _ = stub.Invoke(p, "m", sqldb.Int(1))
 			t.Error("a killed call returned")
 		})
 		env.Run(time.Minute)
@@ -161,8 +162,45 @@ func TestEnvelopeLifetime(t *testing.T) {
 	})
 }
 
-// A warm invocation allocates nothing beyond its arguments, local or remote:
-// the envelope is recycled and the routes are held by the stub.
+// TestParkedCallKeepsItsArguments: two processes call one remote stub
+// through one shared argument slice, the second while the first is parked
+// mid-call, marshalling or on the wire. Each handler, which runs only once
+// the request has arrived, sees the arguments its caller passed: an envelope
+// that aliased the caller's storage would show the first handler the second
+// key.
+func TestParkedCallKeepsItsArguments(t *testing.T) {
+	env := sim.NewEnv(1)
+	rt := NewRuntime(twoNodeNet(t, env), DefaultOptions)
+	seen := map[string]int64{}
+	if _, err := rt.Bind("b", "svc", func(p *sim.Proc, c *Call) (any, error) {
+		seen[c.Args[0].S] = c.Args[1].I
+		return nil, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	stub, err := rt.LocalStub("a", "b", "svc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := make([]sqldb.Value, 2) // one caller-owned buffer both calls pass
+	for i, name := range []string{"first", "second"} {
+		env.Spawn(name, func(p *sim.Proc) {
+			p.Sleep(time.Duration(i) * time.Microsecond) // the first is on the wire by now
+			shared[0], shared[1] = sqldb.Str(name), sqldb.Int(int64(i+1))
+			if _, err := stub.Invoke(p, "m", shared...); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	env.RunAll()
+	if seen["first"] != 1 || seen["second"] != 2 || len(seen) != 2 {
+		t.Fatalf("handlers saw %v, want first:1 second:2", seen)
+	}
+}
+
+// A warm invocation with two scalar arguments allocates nothing, local or
+// remote: the envelope is recycled, the arguments are copied into its room
+// from the caller's stack, and the routes are held by the stub.
 func TestWarmInvokeAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates; alloc guard runs without -race")
@@ -174,13 +212,14 @@ func TestWarmInvokeAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	args := []any{"key"}
 	allocs := map[string]float64{}
 	env.Spawn("caller", func(p *sim.Proc) {
 		for _, target := range []string{"a", "b"} {
 			stub, _ := rt.LocalStub("a", target, "svc")
+			n := int64(0)
 			call := func() {
-				if _, err := stub.Invoke(p, "m", args...); err != nil {
+				n++
+				if _, err := stub.Invoke(p, "m", sqldb.Str("key"), sqldb.Int(n)); err != nil {
 					t.Error(err)
 				}
 			}

@@ -11,7 +11,10 @@
 // removes.
 //
 // A handler's *Call is an envelope the Runtime recycles once the handler
-// returns, so a handler copies what it keeps (Args is the caller's slice).
+// returns, so a handler copies what it keeps. Arguments are typed SQL values
+// that Invoke copies into the envelope's inline room: the caller's variadic
+// array stays on its stack, a call boxes no argument, and a process parked
+// mid-call sees only its own arguments.
 package rmi
 
 import (
@@ -22,6 +25,7 @@ import (
 	"wadeploy/internal/metrics"
 	"wadeploy/internal/sim"
 	"wadeploy/internal/simnet"
+	"wadeploy/internal/sqldb"
 	"wadeploy/internal/trace"
 )
 
@@ -33,19 +37,25 @@ const wideAreaOneWay = simnet.WideAreaOneWay
 // ErrNotBound is returned when a name is not present in a registry.
 var ErrNotBound = errors.New("rmi: name not bound")
 
+// inlineArgs is the argument room an envelope carries: the widest call
+// either application makes. A wider call's arguments spill to the heap.
+const inlineArgs = 5
+
 // Call carries one invocation's method name, arguments and caller node.
 type Call struct {
 	Method string
-	Args   []any
-	Caller string // node ID of the caller
-}
 
-// Arg returns argument i, or nil.
-func (c *Call) Arg(i int) any {
-	if i < 0 || i >= len(c.Args) {
-		return nil
-	}
-	return c.Args[i]
+	// Args is the envelope's own copy of the caller's arguments, held in
+	// its inline room, valid until the handler returns.
+	Args []sqldb.Value
+
+	// Payload is a structured argument beside Args — an update batch, a
+	// replicated session's state — as one pointer-shaped value (a pointer
+	// or a map), so holding it boxes nothing. Nil for most calls.
+	Payload any
+
+	Caller string // node ID of the caller
+	room   [inlineArgs]sqldb.Value
 }
 
 // Handler executes an invocation on the object's node. Handlers run on the
@@ -250,17 +260,19 @@ func (rt *Runtime) LocalStub(callerNode, registryNode, name string) (*Stub, erro
 }
 
 // Invoke calls method with args using the default payload sizes.
-func (s *Stub) Invoke(p *sim.Proc, method string, args ...any) (any, error) {
-	return s.InvokeSized(p, method, s.rt.opts.RequestBytes, s.rt.opts.ReplyBytes, args...)
+func (s *Stub) Invoke(p *sim.Proc, method string, args ...sqldb.Value) (any, error) {
+	return s.InvokeSized(p, method, s.rt.opts.RequestBytes, s.rt.opts.ReplyBytes, nil, args...)
 }
 
-// InvokeSized calls method with explicit request/reply payload sizes.
-// For a co-located object this is a local dispatch; for a remote object it
-// costs marshalling CPU plus Rounds round trips of network time.
-func (s *Stub) InvokeSized(p *sim.Proc, method string, reqBytes, replyBytes int, args ...any) (any, error) {
+// InvokeSized calls method with explicit request/reply payload sizes and a
+// structured payload (see Call.Payload; nil for none). For a co-located
+// object this is a local dispatch; for a remote object it costs marshalling
+// CPU plus Rounds round trips of network time.
+func (s *Stub) InvokeSized(p *sim.Proc, method string, reqBytes, replyBytes int, payload any, args ...sqldb.Value) (any, error) {
 	rt := s.rt
-	call := rt.calls.Take(Call{Method: method, Args: args, Caller: s.caller})
+	call := rt.calls.Take(Call{Method: method, Payload: payload, Caller: s.caller})
 	defer rt.calls.Put(call)
+	call.Args = append(call.room[:0], args...)
 	if !s.Remote() {
 		rt.mLocal.Inc()
 		defer trace.Opf(p, "call", s.caller, "", trace.CauseService, s.obj.Name, ".", method)()

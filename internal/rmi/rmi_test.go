@@ -7,6 +7,7 @@ import (
 
 	"wadeploy/internal/sim"
 	"wadeploy/internal/simnet"
+	"wadeploy/internal/sqldb"
 )
 
 // twoNodeNet builds a-b with 100ms one-way latency and fat pipes so that
@@ -75,7 +76,7 @@ func TestRemoteInvokeCostsRoundsTimesRTT(t *testing.T) {
 			t.Errorf("stub: %v", err)
 			return
 		}
-		v, err := stub.InvokeSized(p, "m", 0, 0)
+		v, err := stub.InvokeSized(p, "m", 0, 0, nil)
 		if err != nil || v != 42 {
 			t.Errorf("invoke: %v, %v", v, err)
 		}
@@ -224,17 +225,17 @@ func TestCallArgs(t *testing.T) {
 		if c.Caller != "a" {
 			t.Errorf("caller = %s", c.Caller)
 		}
-		if c.Arg(5) != nil {
-			t.Error("out-of-range Arg should be nil")
+		if len(c.Args) != 2 || c.Payload != nil {
+			t.Errorf("args = %v, payload = %v", c.Args, c.Payload)
 		}
-		return c.Arg(0).(int) + c.Arg(1).(int), nil
+		return c.Args[0].I + c.Args[1].I, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	env.Spawn("caller", func(p *sim.Proc) {
 		stub, _ := rt.LocalStub("a", "a", "svc")
-		v, err := stub.Invoke(p, "add", 2, 3)
-		if err != nil || v != 5 {
+		v, err := stub.Invoke(p, "add", sqldb.Int(2), sqldb.Int(3))
+		if err != nil || v != int64(5) {
 			t.Errorf("got %v, %v", v, err)
 		}
 	})
@@ -290,12 +291,12 @@ func TestInvokePayloadSizeAffectsDuration(t *testing.T) {
 	env.Spawn("caller", func(p *sim.Proc) {
 		stub, _ := rt.LocalStub("a", "b", "svc")
 		start := p.Now()
-		if _, err := stub.InvokeSized(p, "m", 128, 128); err != nil {
+		if _, err := stub.InvokeSized(p, "m", 128, 128, nil); err != nil {
 			t.Error(err)
 		}
 		small = p.Now() - start
 		start = p.Now()
-		if _, err := stub.InvokeSized(p, "m", 4096, 4096); err != nil {
+		if _, err := stub.InvokeSized(p, "m", 4096, 4096, nil); err != nil {
 			t.Error(err)
 		}
 		large = p.Now() - start

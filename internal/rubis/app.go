@@ -234,7 +234,7 @@ func runQuery(p *sim.Proc, srv *container.Server, q query) ([]container.Row, err
 	if err != nil {
 		return nil, err
 	}
-	return container.RowsOf(res), nil
+	return container.RowsOf(res).Slice(), nil
 }
 
 // runDirect executes q against the database with no simulated cost: used at
@@ -246,7 +246,7 @@ func runDirect(db *sqldb.DB, q query) ([]container.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	return container.RowsOf(res), nil
+	return container.RowsOf(res).Slice(), nil
 }
 
 // authenticate verifies credentials on the main server (the SignOn step that
@@ -279,7 +279,7 @@ func (a *App) deployMainFacades() error {
 			return runQuery(p, main, qAllCategories())
 		},
 		"forRegion": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			return runQuery(p, main, qRegionCategories(asInt64(inv.Arg(0))))
+			return runQuery(p, main, qRegionCategories(inv.Args[0].AsInt()))
 		},
 	}); err != nil {
 		return err
@@ -292,23 +292,22 @@ func (a *App) deployMainFacades() error {
 		return err
 	}
 	if err := deploy(SBSearchByCategory, m(func(p *sim.Proc, inv *container.Invocation) (any, error) {
-		return runQuery(p, main, qItemsByCategory(asInt64(inv.Arg(0))))
+		return runQuery(p, main, qItemsByCategory(inv.Args[0].AsInt()))
 	})); err != nil {
 		return err
 	}
 	if err := deploy(SBSearchByRegion, m(func(p *sim.Proc, inv *container.Invocation) (any, error) {
-		return runQuery(p, main, qItemsByCatRegion(asInt64(inv.Arg(0)), asInt64(inv.Arg(1))))
+		return runQuery(p, main, qItemsByCatRegion(inv.Args[0].AsInt(), inv.Args[1].AsInt()))
 	})); err != nil {
 		return err
 	}
 	if err := deploy(SBViewItem, map[string]container.Method{
 		"get": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			return a.itemRW.Load(p, sqldb.Int(asInt64(inv.Arg(0))))
+			return a.itemRW.Load(p, inv.Args[0])
 		},
 		// fetchState feeds read-only replica refreshes.
 		"fetchState": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			bean := inv.StringArg(0)
-			pk, _ := inv.Arg(1).(sqldb.Value)
+			bean, pk := inv.Args[0].AsString(), inv.Args[1]
 			rw := a.d.RW(bean)
 			if rw == nil {
 				return nil, fmt.Errorf("rubis: fetchState: %w: %s", container.ErrNoSuchBean, bean)
@@ -319,13 +318,13 @@ func (a *App) deployMainFacades() error {
 		return err
 	}
 	if err := deploy(SBViewBidHistory, m(func(p *sim.Proc, inv *container.Invocation) (any, error) {
-		return runQuery(p, main, qBidHistory(asInt64(inv.Arg(0))))
+		return runQuery(p, main, qBidHistory(inv.Args[0].AsInt()))
 	})); err != nil {
 		return err
 	}
 	if err := deploy(SBViewUserInfo, m(func(p *sim.Proc, inv *container.Invocation) (any, error) {
-		uid := asInt64(inv.Arg(0))
-		user, err := a.userRW.Load(p, sqldb.Int(uid))
+		uid := inv.Args[0].AsInt()
+		user, err := a.userRW.Load(p, inv.Args[0])
 		if err != nil {
 			return nil, err
 		}
@@ -340,35 +339,35 @@ func (a *App) deployMainFacades() error {
 	if err := deploy(SBPutBid, map[string]container.Method{
 		// form authenticates and returns the item in one bulk call.
 		"form": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			if _, err := a.authenticate(p, inv.StringArg(0), inv.StringArg(1)); err != nil {
+			if _, err := a.authenticate(p, inv.Args[0].AsString(), inv.Args[1].AsString()); err != nil {
 				return nil, err
 			}
-			return a.itemRW.Load(p, sqldb.Int(asInt64(inv.Arg(2))))
+			return a.itemRW.Load(p, inv.Args[2])
 		},
 	}); err != nil {
 		return err
 	}
 	if err := deploy(SBStoreBid, map[string]container.Method{
 		"store": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			return a.storeBid(p, inv.StringArg(0), inv.StringArg(1), asInt64(inv.Arg(2)), inv.Arg(3).(float64))
+			return a.storeBid(p, inv.Args[0].AsString(), inv.Args[1].AsString(), inv.Args[2].AsInt(), inv.Args[3].AsFloat())
 		},
 	}); err != nil {
 		return err
 	}
 	if err := deploy(SBPutComment, map[string]container.Method{
 		"form": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			if _, err := a.authenticate(p, inv.StringArg(0), inv.StringArg(1)); err != nil {
+			if _, err := a.authenticate(p, inv.Args[0].AsString(), inv.Args[1].AsString()); err != nil {
 				return nil, err
 			}
-			return a.userRW.Load(p, sqldb.Int(asInt64(inv.Arg(2))))
+			return a.userRW.Load(p, inv.Args[2])
 		},
 	}); err != nil {
 		return err
 	}
 	return deploy(SBStoreComment, map[string]container.Method{
 		"store": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			return a.storeComment(p, inv.StringArg(0), inv.StringArg(1),
-				asInt64(inv.Arg(2)), asInt64(inv.Arg(3)), asInt64(inv.Arg(4)))
+			return a.storeComment(p, inv.Args[0].AsString(), inv.Args[1].AsString(),
+				inv.Args[2].AsInt(), inv.Args[3].AsInt(), inv.Args[4].AsInt())
 		},
 	})
 }
@@ -443,17 +442,4 @@ func (a *App) storeComment(p *sim.Proc, nick, pass string, toUser, itemID, ratin
 type UserInfoPage struct {
 	User     container.Row
 	Comments []container.Row
-}
-
-func asInt64(v any) int64 {
-	switch x := v.(type) {
-	case int64:
-		return x
-	case int:
-		return int64(x)
-	case sqldb.Value:
-		return x.AsInt()
-	default:
-		return 0
-	}
 }

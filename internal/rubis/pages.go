@@ -5,6 +5,7 @@ import (
 
 	"wadeploy/internal/container"
 	"wadeploy/internal/sim"
+	"wadeploy/internal/sqldb"
 	"wadeploy/internal/trace"
 	"wadeploy/internal/web"
 )
@@ -85,44 +86,41 @@ func (a *App) registerPages(srv *container.Server) {
 
 	// one wires a page to a single façade call — the design rule the
 	// paper enforces ("only one RMI call from the web layer to the EJB
-	// layer in every servlet web page generation method").
-	one := func(page, bean, method string, argsOf func(r *web.Request) []any) {
+	// layer in every servlet web page generation method") — passing the
+	// request parameters named by strs as strings, then those named by
+	// ints as integers. The argument list is built on the page's stack.
+	one := func(page, bean, method string, strs []string, ints ...string) {
 		w.Handle(page, func(p *sim.Proc, r *web.Request) (*web.Response, error) {
 			stub, err := a.sbStub(p, srv, bean)
 			if err != nil {
 				return nil, err
 			}
-			if _, err := stub.Invoke(p, method, argsOf(r)...); err != nil {
+			var buf [3]sqldb.Value
+			args := buf[:0]
+			for _, k := range strs {
+				args = append(args, sqldb.Str(r.Param(k)))
+			}
+			for _, k := range ints {
+				args = append(args, sqldb.Int(intParam(r, k)))
+			}
+			if _, err := stub.Invoke(p, method, args...); err != nil {
 				return nil, err
 			}
 			return a.render(p, srv, page), nil
 		})
 	}
 
-	one(PageAllCategories, SBBrowseCategories, "getAll",
-		func(r *web.Request) []any { return nil })
-	one(PageAllRegions, SBBrowseRegions, "getAll",
-		func(r *web.Request) []any { return nil })
-	one(PageRegion, SBBrowseCategories, "forRegion",
-		func(r *web.Request) []any { return []any{intParam(r, "region")} })
-	one(PageCategory, SBSearchByCategory, "get",
-		func(r *web.Request) []any { return []any{intParam(r, "cat")} })
-	one(PageCatRegion, SBSearchByRegion, "get",
-		func(r *web.Request) []any { return []any{intParam(r, "cat"), intParam(r, "region")} })
-	one(PageItem, SBViewItem, "get",
-		func(r *web.Request) []any { return []any{intParam(r, "item")} })
-	one(PageBids, SBViewBidHistory, "get",
-		func(r *web.Request) []any { return []any{intParam(r, "item")} })
-	one(PageUserInfo, SBViewUserInfo, "get",
-		func(r *web.Request) []any { return []any{intParam(r, "user")} })
-	one(PagePutBidForm, SBPutBid, "form",
-		func(r *web.Request) []any {
-			return []any{r.Param("nick"), r.Param("password"), intParam(r, "item")}
-		})
-	one(PagePutCommentForm, SBPutComment, "form",
-		func(r *web.Request) []any {
-			return []any{r.Param("nick"), r.Param("password"), intParam(r, "to")}
-		})
+	creds := []string{"nick", "password"}
+	one(PageAllCategories, SBBrowseCategories, "getAll", nil)
+	one(PageAllRegions, SBBrowseRegions, "getAll", nil)
+	one(PageRegion, SBBrowseCategories, "forRegion", nil, "region")
+	one(PageCategory, SBSearchByCategory, "get", nil, "cat")
+	one(PageCatRegion, SBSearchByRegion, "get", nil, "cat", "region")
+	one(PageItem, SBViewItem, "get", nil, "item")
+	one(PageBids, SBViewBidHistory, "get", nil, "item")
+	one(PageUserInfo, SBViewUserInfo, "get", nil, "user")
+	one(PagePutBidForm, SBPutBid, "form", creds, "item")
+	one(PagePutCommentForm, SBPutComment, "form", creds, "to")
 
 	// Write pages always reach the central store façades (read-write
 	// access to shared components lives on the main server).
@@ -132,7 +130,8 @@ func (a *App) registerPages(srv *container.Server) {
 			return nil, err
 		}
 		amount, _ := strconv.ParseFloat(r.Param("bid"), 64)
-		if _, err := stub.Invoke(p, "store", r.Param("nick"), r.Param("password"), intParam(r, "item"), amount); err != nil {
+		if _, err := stub.Invoke(p, "store", sqldb.Str(r.Param("nick")), sqldb.Str(r.Param("password")),
+			sqldb.Int(intParam(r, "item")), sqldb.Float(amount)); err != nil {
 			return nil, err
 		}
 		return a.render(p, srv, PageStoreBid), nil
@@ -142,8 +141,8 @@ func (a *App) registerPages(srv *container.Server) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := stub.Invoke(p, "store", r.Param("nick"), r.Param("password"),
-			intParam(r, "to"), intParam(r, "item"), intParam(r, "rating")); err != nil {
+		if _, err := stub.Invoke(p, "store", sqldb.Str(r.Param("nick")), sqldb.Str(r.Param("password")),
+			sqldb.Int(intParam(r, "to")), sqldb.Int(intParam(r, "item")), sqldb.Int(intParam(r, "rating"))); err != nil {
 			return nil, err
 		}
 		return a.render(p, srv, PageStoreComment), nil

@@ -35,7 +35,7 @@ func (a *App) wireReplicas() error {
 	opts := core.WireOptions{
 		PushBytes: replicaPushBytes,
 		FetchFor: func(server *container.Server, rwBean string) container.FetchFunc {
-			return container.FetchFrom(server, simnet.NodeMain, SBViewItem, "fetchState", rwBean)
+			return container.FetchFrom(server, simnet.NodeMain, SBViewItem, "fetchState", sqldb.Str(rwBean))
 		},
 	}
 	if a.policy.QueryCaches {
@@ -287,7 +287,7 @@ func (a *App) deployEdgeFacades() error {
 		edge := edge
 		itemRO := a.wiring.Replica(edge.Name(), BeanItem)
 		userRO := a.wiring.Replica(edge.Name(), BeanUser)
-		delegate := func(p *sim.Proc, bean, method string, args ...any) (any, error) {
+		delegate := func(p *sim.Proc, bean, method string, args ...sqldb.Value) (any, error) {
 			stub, err := edge.StubFor(p, simnet.NodeMain, bean)
 			if err != nil {
 				return nil, err
@@ -295,7 +295,7 @@ func (a *App) deployEdgeFacades() error {
 			return stub.Invoke(p, method, args...)
 		}
 		cache := func() *container.QueryCache { return a.wiring.Cache(edge.Name()) }
-		cachedOrDelegate := func(p *sim.Proc, key, bean, method string, args ...any) (any, error) {
+		cachedOrDelegate := func(p *sim.Proc, key, bean, method string, args ...sqldb.Value) (any, error) {
 			if a.policy.QueryCaches {
 				return cache().Get(p, key)
 			}
@@ -311,7 +311,7 @@ func (a *App) deployEdgeFacades() error {
 		// SB_ViewItem: read-only Item bean, always local here.
 		if err := deploy(SBViewItem, map[string]container.Method{
 			"get": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-				return itemRO.Get(p, sqldb.Int(asInt64(inv.Arg(0))))
+				return itemRO.Get(p, inv.Args[0])
 			},
 		}); err != nil {
 			return err
@@ -320,16 +320,14 @@ func (a *App) deployEdgeFacades() error {
 		// until the query cache covers them.
 		if err := deploy(SBViewBidHistory, map[string]container.Method{
 			"get": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-				id := asInt64(inv.Arg(0))
-				return cachedOrDelegate(p, keyBidHistory(id), SBViewBidHistory, "get", id)
+				return cachedOrDelegate(p, keyBidHistory(inv.Args[0].AsInt()), SBViewBidHistory, "get", inv.Args[0])
 			},
 		}); err != nil {
 			return err
 		}
 		if err := deploy(SBViewUserInfo, map[string]container.Method{
 			"get": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-				id := asInt64(inv.Arg(0))
-				return cachedOrDelegate(p, keyUserInfo(id), SBViewUserInfo, "get", id)
+				return cachedOrDelegate(p, keyUserInfo(inv.Args[0].AsInt()), SBViewUserInfo, "get", inv.Args[0])
 			},
 		}); err != nil {
 			return err
@@ -354,7 +352,7 @@ func (a *App) deployEdgeFacades() error {
 				return cache().Get(p, keyAllCategories())
 			},
 			"forRegion": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-				return cache().Get(p, keyRegionCategories(asInt64(inv.Arg(0))))
+				return cache().Get(p, keyRegionCategories(inv.Args[0].AsInt()))
 			},
 		}); err != nil {
 			return err
@@ -368,34 +366,34 @@ func (a *App) deployEdgeFacades() error {
 		}
 		if err := deploy(SBSearchByCategory, map[string]container.Method{
 			"get": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-				return cache().Get(p, keyItemsByCategory(asInt64(inv.Arg(0))))
+				return cache().Get(p, keyItemsByCategory(inv.Args[0].AsInt()))
 			},
 		}); err != nil {
 			return err
 		}
 		if err := deploy(SBSearchByRegion, map[string]container.Method{
 			"get": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-				return cache().Get(p, keyItemsByCatRegion(asInt64(inv.Arg(0)), asInt64(inv.Arg(1))))
+				return cache().Get(p, keyItemsByCatRegion(inv.Args[0].AsInt(), inv.Args[1].AsInt()))
 			},
 		}); err != nil {
 			return err
 		}
 		if err := deploy(SBPutBid, map[string]container.Method{
 			"form": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-				if _, err := edgeAuth(p, inv.StringArg(0), inv.StringArg(1)); err != nil {
+				if _, err := edgeAuth(p, inv.Args[0].AsString(), inv.Args[1].AsString()); err != nil {
 					return nil, err
 				}
-				return itemRO.Get(p, sqldb.Int(asInt64(inv.Arg(2))))
+				return itemRO.Get(p, inv.Args[2])
 			},
 		}); err != nil {
 			return err
 		}
 		if err := deploy(SBPutComment, map[string]container.Method{
 			"form": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-				if _, err := edgeAuth(p, inv.StringArg(0), inv.StringArg(1)); err != nil {
+				if _, err := edgeAuth(p, inv.Args[0].AsString(), inv.Args[1].AsString()); err != nil {
 					return nil, err
 				}
-				return userRO.Get(p, sqldb.Int(asInt64(inv.Arg(2))))
+				return userRO.Get(p, inv.Args[2])
 			},
 		}); err != nil {
 			return err

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -116,7 +117,7 @@ func dumpAB(t *testing.T, db *DB) string {
 }
 
 // scribble overwrites every value of a result that owns its rows.
-func scribble(r *Result) {
+func scribble(r Result) {
 	for _, row := range r.Rows {
 		for j := range row {
 			row[j] = Str("scribbled")
@@ -136,11 +137,15 @@ func isStar(sql string) bool {
 // result contract. A SELECT * row is a stored slice whose capacity is its
 // length, so a caller's append copies; any other row is in a slab the result
 // owns, so scribbling on it changes no later execution. No later UPDATE,
-// DELETE, rollback or Restore changes a row already returned. db ends as it
-// started.
-func checkResultIsSnapshot(t *testing.T, db *DB, sql string, args []Value, res *Result) {
+// DELETE, rollback or Restore changes a row already returned, nor the first
+// row held apart from its by-value Result. db ends as it started.
+func checkResultIsSnapshot(t *testing.T, db *DB, sql string, args []Value, res Result) {
 	t.Helper()
 	want := fingerprint(res)
+	var held, heldWant []Value
+	if res.Len() > 0 {
+		held, heldWant = res.Rows[0], slices.Clone(res.Rows[0])
+	}
 	if isStar(sql) {
 		for i, row := range res.Rows {
 			if cap(row) != len(row) {
@@ -164,11 +169,14 @@ func checkResultIsSnapshot(t *testing.T, db *DB, sql string, args []Value, res *
 	if got := fingerprint(res); got != want {
 		t.Fatalf("%s: later writes, a rollback and a Restore changed a returned result:\n%s\nwant\n%s", sql, got, want)
 	}
+	if !slices.Equal(held, heldWant) {
+		t.Fatalf("%s: later writes, a rollback and a Restore changed a held row: %v, want %v", sql, held, heldWant)
+	}
 }
 
 // clobber sets every nullable non-key column of every table to NULL, then
 // deletes every row, through exec.
-func clobber(t *testing.T, db *DB, exec func(string, ...Value) (*Result, error)) {
+func clobber(t *testing.T, db *DB, exec func(string, ...Value) (Result, error)) {
 	t.Helper()
 	for name, tab := range db.tables {
 		var sets []string
@@ -191,15 +199,18 @@ func clobber(t *testing.T, db *DB, exec func(string, ...Value) (*Result, error))
 
 // TestResultRowsAreSnapshots: whatever plan produced it, a result is a
 // read-only snapshot (checkResultIsSnapshot), and a single-table SELECT *
-// hands back the stored value slices themselves.
+// hands back the stored value slices themselves — for one row, as the view
+// the stored row built when its values were installed.
 func TestResultRowsAreSnapshots(t *testing.T) {
 	db := newBenchDB(t)
 	// A stored slice may have spare capacity (UPDATE builds its new values
 	// by append); give row 7's some, which no result may expose.
 	r7 := db.tables["item"].rows[7]
-	r7.vals = append(make([]Value, 0, 2*len(r7.vals)), r7.vals...)
+	r7.set(append(make([]Value, 0, 2*len(r7.vals)), r7.vals...))
 	for _, sql := range []string{
 		`SELECT * FROM item WHERE id = 7`,
+		`SELECT * FROM item WHERE grp = 3 ORDER BY price DESC LIMIT 1`,
+		`SELECT name, price FROM item WHERE id = 7`,
 		`SELECT * FROM item WHERE grp = 3 ORDER BY price DESC LIMIT 9`,
 		`SELECT * FROM item ORDER BY id DESC LIMIT 9`,
 		`SELECT id, name FROM item ORDER BY id LIMIT 9`,
@@ -209,9 +220,12 @@ func TestResultRowsAreSnapshots(t *testing.T) {
 	} {
 		res := mustExec(t, db, sql)
 		if isStar(sql) {
-			stored := db.tables["item"].rows[res.Rows[0][0].AsInt()].vals
-			if &res.Rows[0][0] != &stored[0] {
+			stored := db.tables["item"].rows[res.Rows[0][0].AsInt()]
+			if &res.Rows[0][0] != &stored.vals[0] {
 				t.Errorf("%s: the first row is a copy, not the stored slice", sql)
+			}
+			if res.Len() == 1 && &res.Rows[0] != &stored.view[0] {
+				t.Errorf("%s: a one-row result built its own row list, not the stored row's view", sql)
 			}
 		}
 		checkResultIsSnapshot(t, db, sql, nil, res)

@@ -44,9 +44,13 @@ func (c CostModel) cost(scanned, written, returned int) time.Duration {
 		time.Duration(returned)*c.PerRowReturned
 }
 
-// Result is the outcome of one statement.
+// Result is the outcome of one statement, returned by value: it lives in the
+// caller's frame, and only its rows' storage is ever on the heap.
 type Result struct {
-	Cols     []string  // result column names (SELECT only)
+	// Cols is the result's column names (SELECT only): the cached plan's own
+	// list, so a holder that keeps the pointer keeps no Result. The caller
+	// must not change it.
+	Cols     *[]string
 	Rows     [][]Value // result rows (SELECT only)
 	Affected int       // rows inserted/updated/deleted
 	Scanned  int       // rows examined (virtual: the cost model's view)
@@ -69,7 +73,6 @@ type Result struct {
 	// PlanCached reports whether the statement reused a cached query plan
 	// (SELECT, UPDATE and DELETE only).
 	PlanCached bool
-	one        [1][]Value // Rows' backing array when there is exactly one row
 }
 
 // Len returns the number of result rows.
@@ -82,11 +85,21 @@ type row struct {
 	vals []Value
 	dead bool
 
+	// view is {vals}, full-capped: the Rows of a SELECT * that returns this
+	// row alone. It is built by set, wherever vals is installed, and shared
+	// with vals by a snapshot; nothing writes it after.
+	view [][]Value
+
 	// folded is vals with every TEXT value lower-cased (strings.ToLower),
 	// built by the first folded LIKE that reads the row and dropped wherever
 	// vals is swapped. Only the row struct, which no other database shares,
 	// points at it.
 	folded *[]string
+}
+
+// set installs vals as the row's values.
+func (r *row) set(vals []Value) {
+	r.vals, r.view, r.folded = vals, [][]Value{vals[:len(vals):len(vals)]}, nil
 }
 
 // fold returns the lower-cased copy of the row's TEXT value in column col.
@@ -385,18 +398,18 @@ func (db *DB) SetObserver(fn func(StatementInfo)) {
 
 // Exec parses (with caching) and executes one statement with ? parameters
 // bound to args.
-func (db *DB) Exec(sql string, args ...Value) (*Result, error) {
+func (db *DB) Exec(sql string, args ...Value) (Result, error) {
 	db.mu.Lock()
 	p, err := db.prepareLocked(sql)
 	if err != nil {
 		db.mu.Unlock()
-		return nil, err
+		return Result{}, err
 	}
 	return p.execAndUnlock(args)
 }
 
 // Query is Exec; provided for call-site readability.
-func (db *DB) Query(sql string, args ...Value) (*Result, error) {
+func (db *DB) Query(sql string, args ...Value) (Result, error) {
 	return db.Exec(sql, args...)
 }
 
@@ -420,15 +433,15 @@ func (db *DB) Begin() *Tx { return &Tx{db: db} }
 // Exec executes one statement inside the transaction. Write-hook
 // notifications for transactional statements are deferred to Commit so that
 // rolled-back statements are never replicated.
-func (tx *Tx) Exec(sql string, args ...Value) (*Result, error) {
+func (tx *Tx) Exec(sql string, args ...Value) (Result, error) {
 	if tx.done {
-		return nil, ErrTxDone
+		return Result{}, ErrTxDone
 	}
 	tx.db.mu.Lock()
 	defer tx.db.mu.Unlock()
 	p, err := tx.db.prepareLocked(sql)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	res, err := tx.db.execLocked(p, args, tx)
 	if err == nil && p.write && res.Affected > 0 {
@@ -476,7 +489,7 @@ func (tx *Tx) Rollback() error {
 // execLocked executes a prepared statement and reports it to the observer:
 // the statement's static half (verb, table, planned) was derived when it
 // was prepared, the rest comes from the result. db.mu must be held.
-func (db *DB) execLocked(p *Prepared, args []Value, tx *Tx) (*Result, error) {
+func (db *DB) execLocked(p *Prepared, args []Value, tx *Tx) (Result, error) {
 	res, err := db.dispatchLocked(p.st, args, tx)
 	if err == nil && (db.observer != nil || db.profiling) {
 		info := p.info
@@ -494,7 +507,7 @@ func (db *DB) execLocked(p *Prepared, args []Value, tx *Tx) (*Result, error) {
 }
 
 // dispatchLocked executes a parsed statement. db.mu must be held.
-func (db *DB) dispatchLocked(st Stmt, args []Value, tx *Tx) (*Result, error) {
+func (db *DB) dispatchLocked(st Stmt, args []Value, tx *Tx) (Result, error) {
 	switch s := st.(type) {
 	case *CreateTableStmt:
 		return db.execCreateTable(s)
@@ -509,13 +522,13 @@ func (db *DB) dispatchLocked(st Stmt, args []Value, tx *Tx) (*Result, error) {
 	case *SelectStmt:
 		return db.execSelect(s, args)
 	default:
-		return nil, fmt.Errorf("sqldb: unsupported statement %T", st)
+		return Result{}, fmt.Errorf("sqldb: unsupported statement %T", st)
 	}
 }
 
-func (db *DB) execCreateTable(s *CreateTableStmt) (*Result, error) {
+func (db *DB) execCreateTable(s *CreateTableStmt) (Result, error) {
 	if _, ok := db.tables[s.Name]; ok {
-		return nil, fmt.Errorf("sqldb: table %s already exists", s.Name)
+		return Result{}, fmt.Errorf("sqldb: table %s already exists", s.Name)
 	}
 	t := &table{
 		name:   s.Name,
@@ -525,12 +538,12 @@ func (db *DB) execCreateTable(s *CreateTableStmt) (*Result, error) {
 	}
 	for i, c := range s.Cols {
 		if _, dup := t.colIdx[c.Name]; dup {
-			return nil, fmt.Errorf("sqldb: duplicate column %s.%s", s.Name, c.Name)
+			return Result{}, fmt.Errorf("sqldb: duplicate column %s.%s", s.Name, c.Name)
 		}
 		t.colIdx[c.Name] = i
 		if c.PrimaryKey {
 			if t.pk >= 0 {
-				return nil, fmt.Errorf("sqldb: table %s has multiple primary keys", s.Name)
+				return Result{}, fmt.Errorf("sqldb: table %s has multiple primary keys", s.Name)
 			}
 			t.pk = i
 		}
@@ -540,21 +553,21 @@ func (db *DB) execCreateTable(s *CreateTableStmt) (*Result, error) {
 	}
 	db.tables[s.Name] = t
 	db.epoch++
-	return &Result{Cost: db.cost.cost(0, 0, 0)}, nil
+	return Result{Cost: db.cost.cost(0, 0, 0)}, nil
 }
 
-func (db *DB) execCreateIndex(s *CreateIndexStmt) (*Result, error) {
+func (db *DB) execCreateIndex(s *CreateIndexStmt) (Result, error) {
 	t, ok := db.tables[s.Table]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
+		return Result{}, fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
 	}
 	c, err := t.col(s.Col)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	for _, ix := range t.indexes {
 		if ix.name == s.Name {
-			return nil, fmt.Errorf("sqldb: index %s already exists", s.Name)
+			return Result{}, fmt.Errorf("sqldb: index %s already exists", s.Name)
 		}
 	}
 	ix := newIndex(s.Name, c, s.Unique)
@@ -564,13 +577,13 @@ func (db *DB) execCreateIndex(s *CreateIndexStmt) (*Result, error) {
 		}
 		k := r.vals[c].mapKey()
 		if s.Unique && len(ix.lookup(k)) > 0 && !r.vals[c].IsNull() {
-			return nil, fmt.Errorf("%w: building unique index %s", ErrDuplicateKey, s.Name)
+			return Result{}, fmt.Errorf("%w: building unique index %s", ErrDuplicateKey, s.Name)
 		}
 		ix.add(k, pos)
 	}
 	t.indexes = append(t.indexes, ix)
 	db.epoch++
-	return &Result{Cost: db.cost.cost(t.live, 0, 0)}, nil
+	return Result{Cost: db.cost.cost(t.live, 0, 0)}, nil
 }
 
 // insertPlan is an INSERT's column binding and compiled value expressions.
@@ -636,10 +649,10 @@ func (pl *insertPlan) row(exprs []evalFn) ([]Value, error) {
 	return vals, nil
 }
 
-func (db *DB) execInsert(s *InsertStmt, args []Value, tx *Tx) (*Result, error) {
+func (db *DB) execInsert(s *InsertStmt, args []Value, tx *Tx) (Result, error) {
 	pl, err := db.insertPlanFor(s)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	t := pl.t
 	pl.fr.params = append(pl.fr.params[:0], args...)
@@ -657,10 +670,10 @@ func (db *DB) execInsert(s *InsertStmt, args []Value, tx *Tx) (*Result, error) {
 			for pos := len(t.rows) - 1; pos >= first; pos-- {
 				db.killRow(t, pos)
 			}
-			return nil, err
+			return Result{}, err
 		}
 	}
-	return &Result{Affected: len(pl.rows), Cost: db.cost.cost(0, len(pl.rows), 0)}, nil
+	return Result{Affected: len(pl.rows), Cost: db.cost.cost(0, len(pl.rows), 0)}, nil
 }
 
 // insertRow validates constraints and stores vals in t, logging undo in tx.
@@ -676,7 +689,9 @@ func (db *DB) insertRow(t *table, vals []Value, tx *Tx) error {
 		}
 	}
 	pos := len(t.rows)
-	t.rows = append(t.rows, &row{vals: vals})
+	r := &row{}
+	r.set(vals)
+	t.rows = append(t.rows, r)
 	t.live++
 	for _, ix := range t.indexes {
 		ix.add(vals[ix.col].mapKey(), pos)
@@ -707,7 +722,7 @@ func (db *DB) reviveRow(t *table, pos int, vals []Value) {
 		return
 	}
 	r.dead = false
-	r.vals, r.folded = vals, nil
+	r.set(vals)
 	t.live++
 	for _, ix := range t.indexes {
 		ix.add(vals[ix.col].mapKey(), pos)
@@ -725,17 +740,17 @@ func (t *table) replaceRow(pos int, vals []Value) {
 			ix.add(newK, pos)
 		}
 	}
-	r.vals, r.folded = vals, nil
+	r.set(vals)
 }
 
-func (db *DB) execUpdate(s *UpdateStmt, args []Value, tx *Tx) (*Result, error) {
+func (db *DB) execUpdate(s *UpdateStmt, args []Value, tx *Tx) (Result, error) {
 	pl, hit, err := db.matchPlanFor(&s.plan, s.Table, s.Where, s.Sets)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	probed, scanned, err := pl.match(args)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	t := pl.t
 	// Phase 1: evaluate and validate every row's new values so a failure
@@ -748,15 +763,15 @@ func (db *DB) execUpdate(s *UpdateStmt, args []Value, tx *Tx) (*Result, error) {
 		for j, set := range pl.sets {
 			v, err := set.val(&pl.fr)
 			if err != nil {
-				return nil, err
+				return Result{}, err
 			}
 			def := &t.cols[set.col]
 			cv, err := coerce(v, def.Kind)
 			if err != nil {
-				return nil, fmt.Errorf("update %s.%s: %w", s.Table, s.Sets[j].Col, err)
+				return Result{}, fmt.Errorf("update %s.%s: %w", s.Table, s.Sets[j].Col, err)
 			}
 			if def.NotNull && cv.IsNull() {
-				return nil, fmt.Errorf("%w: %s.%s", ErrNotNull, t.name, def.Name)
+				return Result{}, fmt.Errorf("%w: %s.%s", ErrNotNull, t.name, def.Name)
 			}
 			vals[set.col] = cv
 		}
@@ -776,7 +791,7 @@ func (db *DB) execUpdate(s *UpdateStmt, args []Value, tx *Tx) (*Result, error) {
 				for i := len(pl.oldVals) - 1; i >= 0; i-- {
 					t.replaceRow(pl.pos[i], pl.oldVals[i])
 				}
-				return nil, fmt.Errorf("%w: %s.%s = %v", ErrDuplicateKey, t.name, t.cols[ix.col].Name, vals[ix.col])
+				return Result{}, fmt.Errorf("%w: %s.%s = %v", ErrDuplicateKey, t.name, t.cols[ix.col].Name, vals[ix.col])
 			}
 		}
 		t.replaceRow(pos, vals)
@@ -788,14 +803,14 @@ func (db *DB) execUpdate(s *UpdateStmt, args []Value, tx *Tx) (*Result, error) {
 	return db.matchResult(hit, probed, scanned, len(pl.pos)), nil
 }
 
-func (db *DB) execDelete(s *DeleteStmt, args []Value, tx *Tx) (*Result, error) {
+func (db *DB) execDelete(s *DeleteStmt, args []Value, tx *Tx) (Result, error) {
 	pl, hit, err := db.matchPlanFor(&s.plan, s.Table, s.Where, nil)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	probed, scanned, err := pl.match(args)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	t := pl.t
 	for _, pos := range pl.pos {
@@ -810,8 +825,8 @@ func (db *DB) execDelete(s *DeleteStmt, args []Value, tx *Tx) (*Result, error) {
 
 // matchResult is the Result of an UPDATE or DELETE. The virtual and the
 // actual scan figure coincide: a probed bucket's length, or every live row.
-func (db *DB) matchResult(hit, probed bool, scanned, affected int) *Result {
-	res := &Result{
+func (db *DB) matchResult(hit, probed bool, scanned, affected int) Result {
+	res := Result{
 		Affected:      affected,
 		Scanned:       scanned,
 		IndexUsed:     probed,
@@ -846,14 +861,14 @@ func (db *DB) PrepareStmt(sql string) (*Prepared, error) {
 
 // Exec executes the prepared statement with ? parameters bound to args. It
 // behaves exactly like DB.Exec with the handle's SQL text.
-func (p *Prepared) Exec(args ...Value) (*Result, error) {
+func (p *Prepared) Exec(args ...Value) (Result, error) {
 	p.db.mu.Lock()
 	return p.execAndUnlock(args)
 }
 
 // execAndUnlock executes outside a transaction with db.mu held, releases it
 // and then notifies the write hook.
-func (p *Prepared) execAndUnlock(args []Value) (*Result, error) {
+func (p *Prepared) execAndUnlock(args []Value) (Result, error) {
 	db := p.db
 	res, err := db.execLocked(p, args, nil)
 	hook := db.onWrite

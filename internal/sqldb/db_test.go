@@ -49,8 +49,8 @@ func TestSelectAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Len() != 3 || len(r.Cols) != 4 {
-		t.Fatalf("rows=%d cols=%v", r.Len(), r.Cols)
+	if r.Len() != 3 || len(*r.Cols) != 4 {
+		t.Fatalf("rows=%d cols=%v", r.Len(), *r.Cols)
 	}
 }
 
@@ -378,8 +378,8 @@ func TestResultHelpers(t *testing.T) {
 	if r.Len() != 1 {
 		t.Fatalf("Len = %d", r.Len())
 	}
-	if want := []string{"nick", "rating", "expr"}; !reflect.DeepEqual(r.Cols, want) {
-		t.Fatalf("Cols = %v, want %v", r.Cols, want)
+	if want := []string{"nick", "rating", "expr"}; !reflect.DeepEqual(*r.Cols, want) {
+		t.Fatalf("Cols = %v, want %v", *r.Cols, want)
 	}
 }
 

@@ -30,8 +30,8 @@ func one(t *testing.T, db *DB, sql string, args ...Value) Value {
 	if err != nil {
 		t.Fatalf("%s: %v", sql, err)
 	}
-	if r.Len() != 1 || len(r.Cols) != 1 {
-		t.Fatalf("%s: %dx%d result", sql, r.Len(), len(r.Cols))
+	if r.Len() != 1 || len(*r.Cols) != 1 {
+		t.Fatalf("%s: %dx%d result", sql, r.Len(), len(*r.Cols))
 	}
 	return r.Rows[0][0]
 }

@@ -215,8 +215,12 @@ func FuzzSelect(f *testing.F) {
 
 // fingerprint renders a result's columns, affected count and ordered rows
 // byte-exactly.
-func fingerprint(r *Result) string {
-	out := fmt.Sprintf("%v affected=%d\n", r.Cols, r.Affected)
+func fingerprint(r Result) string {
+	var cols []string
+	if r.Cols != nil {
+		cols = *r.Cols
+	}
+	out := fmt.Sprintf("%v affected=%d\n", cols, r.Affected)
 	for _, row := range r.Rows {
 		for _, v := range row {
 			out += v.String() + "\x00"

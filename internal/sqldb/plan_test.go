@@ -80,7 +80,7 @@ func TestOrderedIndexMaintenance(t *testing.T) {
 	}
 }
 
-func mustExec(t *testing.T, db *DB, sql string, args ...Value) *Result {
+func mustExec(t *testing.T, db *DB, sql string, args ...Value) Result {
 	t.Helper()
 	res, err := db.Exec(sql, args...)
 	if err != nil {
@@ -89,7 +89,7 @@ func mustExec(t *testing.T, db *DB, sql string, args ...Value) *Result {
 	return res
 }
 
-func intColumn(r *Result, col int) []int64 {
+func intColumn(r Result, col int) []int64 {
 	out := make([]int64, 0, len(r.Rows))
 	for _, row := range r.Rows {
 		out = append(out, row[col].AsInt())

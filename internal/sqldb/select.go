@@ -5,12 +5,14 @@ import "slices"
 // A SELECT runs in two passes. Pass 1 collects the accepted rows as position
 // tuples (one position per FROM table) into plan scratch — by nested loops
 // with a probe per level, or by walking an ordered index's buckets in key
-// order — and orders them. Pass 2 builds the result, which never aliases plan
-// scratch and is read-only: a single-table SELECT * hands back the stored
-// value slices themselves, capacity cut to length (two allocations whatever
-// the row count); projections, joins and DISTINCT project into one slab
-// (three). Stored slices are never written in place, so a result is a
-// snapshot that no later write, rollback or Restore changes.
+// order — and orders them. Pass 2 builds the result, which the caller holds
+// by value, never aliases plan scratch and is read-only: a single-table
+// SELECT * hands back the stored value slices themselves, capacity cut to
+// length — no allocation for one row, whose stored view is the row list, and
+// one (the row list) for more; projections, joins and DISTINCT project into
+// one slab (two allocations whatever the row count). Stored slices and views
+// are never written in place, so a result is a snapshot that no later write,
+// rollback or Restore changes.
 
 // selectRun is a selectPlan's execution scratch, reused under db.mu.
 type selectRun struct {
@@ -24,16 +26,16 @@ type selectRun struct {
 	usedIndex       bool
 }
 
-func (db *DB) execSelect(s *SelectStmt, args []Value) (*Result, error) {
+func (db *DB) execSelect(s *SelectStmt, args []Value) (Result, error) {
 	pl, hit, err := db.selectPlanFor(s)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	run := &pl.run
 	run.fr.params = append(run.fr.params[:0], args...)
 	run.pos = run.pos[:0]
 	run.scanned, run.probes, run.usedIndex = 0, 0, false
-	res := &Result{Cols: pl.cols, PlanCached: hit}
+	res := Result{Cols: &pl.cols, PlanCached: hit}
 	if pl.walk != nil {
 		// The virtual scan figure stays t.live — what match-then-sort reports.
 		res.Scanned, res.IndexProbes = pl.tabs[0].live, 1
@@ -43,7 +45,7 @@ func (db *DB) execSelect(s *SelectStmt, args []Value) (*Result, error) {
 		res.Scanned, res.IndexProbes, res.IndexUsed = run.scanned, run.probes, run.usedIndex
 	}
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	res.ScannedActual = run.scanned
 	n := len(pl.tabs)
@@ -51,7 +53,7 @@ func (db *DB) execSelect(s *SelectStmt, args []Value) (*Result, error) {
 	ordered := len(pl.order) > 0 && pl.walk == nil
 	if ordered {
 		if err := pl.sortMatches(m); err != nil {
-			return nil, err
+			return Result{}, err
 		}
 	}
 	// Projection precedes DISTINCT and LIMIT, so a row LIMIT drops still
@@ -59,15 +61,20 @@ func (db *DB) execSelect(s *SelectStmt, args []Value) (*Result, error) {
 	if pl.plainItems && !s.Distinct && s.Limit >= 0 && s.Limit < m {
 		m = s.Limit
 	}
-	if m > 0 {
+	switch {
+	case m == 1 && pl.star:
+		k := 0
+		if ordered {
+			k = run.ord[0]
+		}
+		res.Rows = pl.tabs[0].rows[run.pos[k]].view
+	case m > 0:
 		width := len(pl.cols)
 		var slab []Value
 		if !pl.star {
 			slab = make([]Value, m*width)
 		}
-		if res.Rows = res.one[:1:1]; m > 1 {
-			res.Rows = make([][]Value, m)
-		}
+		res.Rows = make([][]Value, m)
 		for i := range res.Rows {
 			k := i
 			if ordered {
@@ -81,7 +88,7 @@ func (db *DB) execSelect(s *SelectStmt, args []Value) (*Result, error) {
 			pl.bind(k)
 			out := slab[i*width : (i+1)*width : (i+1)*width]
 			if err := pl.project(out); err != nil {
-				return nil, err
+				return Result{}, err
 			}
 			res.Rows[i] = out
 		}

@@ -5,8 +5,9 @@ package sqldb
 // captures the seeded state once so later databases can Restore it — a deep
 // structural copy with no SQL in the loop.
 //
-// Row value slices are shared between the snapshot, every database restored
-// from it and every SELECT * result read from those. That is safe because
+// Row value slices, and each row's one-row view of its slice, are shared
+// between the snapshot, every database restored from it and every SELECT *
+// result read from those. That is safe because
 // the engine never mutates a vals slice in place: UPDATE builds a fresh slice
 // and swaps the pointer, and DELETE/rollback only toggle the dead flag.
 // Column definitions and name maps are immutable after CREATE TABLE and are
@@ -79,7 +80,8 @@ func (db *DB) Restore(s *Snapshot) {
 }
 
 // copyTable deep-copies row and index structure. Immutable parts — name,
-// column definitions, the column-name map and vals slices — are shared.
+// column definitions, the column-name map, vals slices and their views — are
+// shared.
 func copyTable(t *table) *table {
 	nt := &table{
 		name:   t.name,
@@ -94,7 +96,7 @@ func copyTable(t *table) *table {
 		block := make([]row, len(t.rows))
 		nt.rows = make([]*row, len(t.rows))
 		for i, r := range t.rows {
-			block[i] = row{vals: r.vals, dead: r.dead}
+			block[i] = row{vals: r.vals, view: r.view, dead: r.dead}
 			nt.rows[i] = &block[i]
 		}
 	}

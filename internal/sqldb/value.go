@@ -11,11 +11,12 @@
 // scratch an execution reuses; plans run under the database mutex, one
 // execution at a time. A SELECT collects the accepted row positions (an
 // indexed ORDER BY walks the index's key-sorted buckets, never hashing) and
-// orders them. Result rows are read-only snapshots: a single-table SELECT *
-// returns the stored value slices, capacity cut to length (two allocations
-// whatever the row count; one for a single row, which the Result holds
-// without a row slice), any other SELECT one slab (three; two for one row),
-// and stored slices are never written in place. Arguments are copied into
+// orders them. A Result is returned by value and its rows are read-only
+// snapshots: a single-table SELECT * returns the stored value slices,
+// capacity cut to length (one allocation, the row list, whatever the row
+// count; none for a single row, whose view the row built when its values
+// were installed), any other SELECT one slab (two), and stored slices are
+// never written in place. Arguments are copied into
 // plan scratch, never kept, so a caller's variadic arguments stay on its
 // stack; the write hook gets a copy of its own. A col LIKE '%word%' searches a
 // lower-cased copy of the stored value, made once per row version. A Value is

@@ -5,7 +5,7 @@
 # final count, a PR that has to raise it says why in CHANGES.md.
 set -eu
 
-BUDGET=24686
+BUDGET=24754
 
 lines=$(git ls-files '*.go' | grep -v '_test\.go$' | xargs cat | wc -l)
 echo "non-test Go lines: $lines (budget $BUDGET)"
