@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all verify build vet test race determinism bench-digests loc sqldb-inventory profile allocs repro repro-quick examples clean
+.PHONY: all verify build vet test race determinism bench-digests loc inventory profile allocs repro repro-quick examples clean
 
 all: verify
 
@@ -37,11 +37,12 @@ bench-digests:
 loc:
 	sh scripts/loc.sh
 
-# Caller coverage of internal/sqldb from every other package's tests: fails
-# on a function no caller reaches or a total under the floor in
-# scripts/sqldb-inventory.sh.
-sqldb-inventory:
-	sh scripts/sqldb-inventory.sh
+# Caller coverage: of internal/sqldb from every other package's tests, and of
+# every other internal package from the programs' tests (experiment, CLI,
+# bench). Fails on a function nothing reaches that scripts/inventory.sh does
+# not list with its reason, or on a package under its floor there.
+inventory:
+	sh scripts/inventory.sh
 
 # CPU and heap profiles of steady-state full-stack rounds of one of the
 # repository benchmark's three full-stack workloads, deployed off the clock,

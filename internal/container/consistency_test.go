@@ -105,10 +105,11 @@ func TestROEntityPropagationDelayMetrics(t *testing.T) {
 		}
 	})
 	// Async delivery crosses the 100ms one-way WAN.
-	if d := ro.MaxPropagationDelay(); d < 100*time.Millisecond || d > time.Second {
+	delay := f.env.Metrics().FindHistogram("container_replica_staleness_ns")
+	if d := delay.Max(); d < 100*time.Millisecond || d > time.Second {
 		t.Fatalf("max propagation delay = %v, want ~one-way WAN", d)
 	}
-	if ro.MeanPropagationDelay() == 0 {
+	if delay.Mean() == 0 {
 		t.Fatal("mean propagation delay not recorded")
 	}
 }
@@ -183,8 +184,8 @@ func TestPusherBestEffortSkipsPartitionedEdge(t *testing.T) {
 	if skipped := f.env.Metrics().Snapshot().Counter("container_sync_push_skipped_total"); skipped != 1 {
 		t.Fatalf("skipped = %d, want 1", skipped)
 	}
-	if ro.Pushes() != 0 {
-		t.Fatalf("pushes = %d, want 0 (partitioned)", ro.Pushes())
+	if pushes := f.count("container_replica_pushes_total"); pushes != 0 {
+		t.Fatalf("pushes = %d, want 0 (partitioned)", pushes)
 	}
 }
 

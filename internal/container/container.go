@@ -125,8 +125,7 @@ type Server struct {
 	// at local cost.
 	replicaDB *sqldb.DB
 
-	sqlStatements int64
-	invs          sim.Free[Invocation] // envelopes of the business-method calls not in flight
+	invs sim.Free[Invocation] // envelopes of the business-method calls not in flight
 
 	mSQL        *metrics.Counter
 	mReplicaSQL *metrics.Counter
@@ -189,18 +188,6 @@ func (s *Server) Name() string { return s.name }
 // Web returns the server's servlet container.
 func (s *Server) Web() *web.Container { return s.web }
 
-// RMI returns the shared RMI runtime.
-func (s *Server) RMI() *rmi.Runtime { return s.rt }
-
-// JMS returns the deployment's messaging provider (nil when unused).
-func (s *Server) JMS() *jms.Provider { return s.jms }
-
-// DB returns the shared database handle.
-func (s *Server) DB() *sqldb.DB { return s.db }
-
-// Costs returns the server's cost model.
-func (s *Server) Costs() CostModel { return s.costs }
-
 // Env returns the simulation environment.
 func (s *Server) Env() *sim.Env { return s.net.Env() }
 
@@ -212,9 +199,6 @@ func (s *Server) HasBean(name string) bool {
 	_, ok := s.beans[name]
 	return ok
 }
-
-// SQLStatements returns how many SQL statements this server has issued.
-func (s *Server) SQLStatements() int64 { return s.sqlStatements }
 
 // Compute charges d of CPU time on this server, queueing when all slots are
 // busy.
@@ -247,13 +231,6 @@ func (s *Server) StubFor(p *sim.Proc, targetServer, bean string) (*rmi.Stub, err
 	return s.stubs.Get(p, targetServer, bean)
 }
 
-// LookupUncached performs a full JNDI lookup (no stub caching) — the
-// anti-pattern the EJBHomeFactory removes, kept for the centralized
-// baseline and for tests that quantify the difference.
-func (s *Server) LookupUncached(p *sim.Proc, targetServer, bean string) (*rmi.Stub, error) {
-	return s.rt.Lookup(p, s.name, targetServer, bindPrefix+bean)
-}
-
 // AttachReplicaDB gives this server a local database replica for
 // SQLReplica reads (the Section 6 database-replication extension).
 func (s *Server) AttachReplicaDB(db *sqldb.DB) { s.replicaDB = db }
@@ -267,7 +244,6 @@ func (s *Server) SQLReplica(p *sim.Proc, query string, args ...sqldb.Value) (sql
 	if s.replicaDB == nil {
 		return sqldb.Result{}, fmt.Errorf("container: %s has no replica DB", s.name)
 	}
-	s.sqlStatements++
 	s.mReplicaSQL.Inc()
 	endSQL := noopSpan
 	if trace.Active(p) {
@@ -286,7 +262,6 @@ func (s *Server) SQLReplica(p *sim.Proc, query string, args ...sqldb.Value) (sql
 // this server: JDBC round trips to the DB node (when remote) plus the
 // statement's cost charged to the DB node's CPU.
 func (s *Server) SQL(p *sim.Proc, query string, args ...sqldb.Value) (sqldb.Result, error) {
-	s.sqlStatements++
 	s.mSQL.Inc()
 	remote := s.dbSrv.ID != s.name
 	endSQL := noopSpan

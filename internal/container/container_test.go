@@ -69,6 +69,10 @@ func newFixture(t *testing.T) *fixture {
 	return &fixture{env: env, net: net, db: db, rt: rt, jms: provider, main: mk("main"), edge: mk("edge")}
 }
 
+// count reads a counter off the fixture's registry, which every server and
+// bean of the fixture shares.
+func (f *fixture) count(name string) int64 { return f.env.Metrics().CounterValue(name) }
+
 // run spawns fn as a process and drives the simulation to completion.
 func (f *fixture) run(t *testing.T, fn func(p *sim.Proc)) {
 	t.Helper()
@@ -227,8 +231,8 @@ func TestRWEntityCRUDAgainstDB(t *testing.T) {
 			t.Errorf("delete ghost: %v", err)
 		}
 	})
-	if inv.Writes() != 3 {
-		t.Fatalf("writes = %d", inv.Writes())
+	if writes := f.count("container_ejb_store_total"); writes != 3 {
+		t.Fatalf("writes = %d", writes)
 	}
 }
 
@@ -270,8 +274,9 @@ func TestROEntityHitMissAndPullRefresh(t *testing.T) {
 	if fetches != 2 {
 		t.Fatalf("fetches = %d, want 2 (cold miss + pull refresh)", fetches)
 	}
-	if ro.Hits() != 1 || ro.Misses() != 1 {
-		t.Fatalf("hits=%d misses=%d", ro.Hits(), ro.Misses())
+	hits, misses, refreshes := f.count("container_replica_hits_total"), f.count("container_replica_misses_total"), f.count("container_replica_stale_refreshes_total")
+	if hits != 1 || misses != 1 || refreshes != 1 {
+		t.Fatalf("hits=%d misses=%d refreshes=%d", hits, misses, refreshes)
 	}
 }
 
@@ -347,8 +352,8 @@ func TestQueryCache(t *testing.T) {
 		if _, err := qc.Get(p, "productsByCategory:FISH"); err != nil {
 			t.Errorf("get: %v", err)
 		}
-		if qc.Hits() != 1 || qc.Misses() != 1 {
-			t.Errorf("hits=%d misses=%d", qc.Hits(), qc.Misses())
+		if hits, misses := f.count("container_querycache_hits_total"), f.count("container_querycache_misses_total"); hits != 1 || misses != 1 {
+			t.Errorf("hits=%d misses=%d", hits, misses)
 		}
 		// Prefix invalidation hits only matching keys.
 		qc.Put("itemsByProduct:P1", "x")
@@ -372,8 +377,8 @@ func TestQueryCache(t *testing.T) {
 			t.Errorf("pushed value = %v", v)
 		}
 	})
-	if qc.Size() != 3 || qc.Pushed() != 1 {
-		t.Fatalf("size=%d pushed=%d", qc.Size(), qc.Pushed())
+	if pushed := f.count("container_querycache_pushed_total"); qc.Size() != 3 || pushed != 1 {
+		t.Fatalf("size=%d pushed=%d", qc.Size(), pushed)
 	}
 }
 
@@ -427,8 +432,8 @@ func TestQueryInvalidationApplier(t *testing.T) {
 			t.Errorf("view push: %v, %v", v, err)
 		}
 	})
-	if qc.Pushed() != 1 {
-		t.Errorf("pushed = %d, want 1", qc.Pushed())
+	if pushed := f.count("container_querycache_pushed_total"); pushed != 1 {
+		t.Errorf("pushed = %d, want 1", pushed)
 	}
 }
 
@@ -453,8 +458,9 @@ func TestJDBCRoundTripChargedForRemoteDB(t *testing.T) {
 	if remoteCost < 200*time.Millisecond {
 		t.Fatalf("remote JDBC cost %v, want >= WAN RTT", remoteCost)
 	}
-	if f.main.SQLStatements() != 1 || f.edge.SQLStatements() != 1 {
-		t.Fatalf("statement counts: %d, %d", f.main.SQLStatements(), f.edge.SQLStatements())
+	main, edge := f.count(`container_sql_statements_total{server="main"}`), f.count(`container_sql_statements_total{server="edge"}`)
+	if main != 1 || edge != 1 {
+		t.Fatalf("statement counts: %d, %d", main, edge)
 	}
 }
 
@@ -540,113 +546,6 @@ func TestBeanKindStrings(t *testing.T) {
 	if SyncUpdate.String() != "sync" || AsyncUpdate.String() != "async" {
 		t.Fatal("UpdateMode strings wrong")
 	}
-}
-
-func TestStatefulSessionReplicationFailover(t *testing.T) {
-	f := newFixture(t)
-	methods := func() map[string]Method {
-		return map[string]Method{
-			"add": func(p *sim.Proc, inv *Invocation) (any, error) {
-				inv.State["count"] = sqldb.Int(inv.State["count"].AsInt() + 1)
-				return inv.State["count"].AsInt(), nil
-			},
-			"count": func(p *sim.Proc, inv *Invocation) (any, error) {
-				return inv.State["count"].AsInt(), nil
-			},
-		}
-	}
-	edgeCart, err := DeployStateful(f.edge, "Cart", methods())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mainCart, err := DeployStateful(f.main, "Cart", methods())
-	if err != nil {
-		t.Fatal(err)
-	}
-	edgeCart.ReplicateTo("main")
-	var plainCost, replCost time.Duration
-	f.run(t, func(p *sim.Proc) {
-		// Baseline: un-replicated call on main.
-		mstub, _ := f.main.StubFor(p, "main", "Cart")
-		start := p.Now()
-		if _, err := mstub.Invoke(p, "add", sqldb.Str("other")); err != nil {
-			t.Errorf("add: %v", err)
-		}
-		plainCost = p.Now() - start
-		// Replicated calls on edge push state across the WAN.
-		estub, _ := f.edge.StubFor(p, "edge", "Cart")
-		start = p.Now()
-		for i := 0; i < 3; i++ {
-			if _, err := estub.Invoke(p, "add", sqldb.Str("sess-A")); err != nil {
-				t.Errorf("add: %v", err)
-			}
-		}
-		replCost = (p.Now() - start) / 3
-		// Failover: the client re-homes to main and resumes the session.
-		if !mainCart.Resume("sess-A") {
-			t.Error("session not replicated to buddy")
-		}
-		v, err := mstub.Invoke(p, "count", sqldb.Str("sess-A"))
-		if err != nil || v.(int64) != 3 {
-			t.Errorf("resumed count = %v, %v; want 3", v, err)
-		}
-	})
-	if edgeCart.Replicated() != 3 {
-		t.Fatalf("replicated = %d", edgeCart.Replicated())
-	}
-	// WAN session replication makes every mutating call pay a push — the
-	// reason the paper calls it a LAN-scale mechanism.
-	if replCost < plainCost+150*time.Millisecond {
-		t.Fatalf("replicated call %v vs plain %v: WAN push not visible", replCost, plainCost)
-	}
-}
-
-func TestSessionReplicationAcrossPartitionFailsCall(t *testing.T) {
-	f := newFixture(t)
-	cart, err := DeployStateful(f.edge, "Cart", map[string]Method{
-		"add": func(p *sim.Proc, inv *Invocation) (any, error) { return nil, nil },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DeployStateful(f.main, "Cart", map[string]Method{}); err != nil {
-		t.Fatal(err)
-	}
-	cart.ReplicateTo("main")
-	if err := f.net.SetLinkState("main", "edge", false); err != nil {
-		t.Fatal(err)
-	}
-	f.run(t, func(p *sim.Proc) {
-		stub, _ := f.edge.StubFor(p, "edge", "Cart")
-		if _, err := stub.Invoke(p, "add", sqldb.Str("s")); err == nil {
-			t.Error("replicated call across partition succeeded")
-		}
-	})
-}
-
-func TestLookupUncachedPaysEveryTime(t *testing.T) {
-	f := newFixture(t)
-	if _, err := DeployStateless(f.main, "Svc", map[string]Method{
-		"m": func(p *sim.Proc, inv *Invocation) (any, error) { return nil, nil },
-	}); err != nil {
-		t.Fatal(err)
-	}
-	f.run(t, func(p *sim.Proc) {
-		// Two uncached lookups both pay the JNDI round trip.
-		start := p.Now()
-		if _, err := f.edge.LookupUncached(p, "main", "Svc"); err != nil {
-			t.Errorf("lookup: %v", err)
-		}
-		first := p.Now() - start
-		start = p.Now()
-		if _, err := f.edge.LookupUncached(p, "main", "Svc"); err != nil {
-			t.Errorf("lookup: %v", err)
-		}
-		second := p.Now() - start
-		if first < 150*time.Millisecond || second < 150*time.Millisecond {
-			t.Errorf("uncached lookups cost %v/%v, want RTT each", first, second)
-		}
-	})
 }
 
 // TestStubForHitAllocs pins the EJBHomeFactory fast path: once a bean's stub

@@ -57,8 +57,8 @@ func TestROEntityServesStaleDuringPartition(t *testing.T) {
 		} else if st.Get("qty").AsInt() != 10 {
 			t.Errorf("stale read qty = %v", st.Get("qty"))
 		}
-		if ro.StaleServes() != 1 {
-			t.Errorf("stale serves = %d, want 1", ro.StaleServes())
+		if stale := f.count("container_stale_serves_total"); stale != 1 {
+			t.Errorf("stale serves = %d, want 1", stale)
 		}
 		// Past the serve-stale bound, reads fail.
 		p.Sleep(2 * time.Minute)
@@ -108,8 +108,8 @@ func TestQueryCacheServesStaleDuringPartition(t *testing.T) {
 		} else if rows := v.([]string); len(rows) != 2 {
 			t.Errorf("stale read rows = %v", rows)
 		}
-		if qc.StaleServes() != 1 {
-			t.Errorf("stale serves = %d, want 1", qc.StaleServes())
+		if stale := f.count("container_stale_serves_total"); stale != 1 {
+			t.Errorf("stale serves = %d, want 1", stale)
 		}
 		p.Sleep(2 * time.Minute)
 		if _, err := qc.Get(p, "itemsOf:p1"); err == nil {

@@ -85,8 +85,6 @@ type RWEntity struct {
 	// instead of building and hashing a fresh string.
 	inserts, updates []*colStmt
 
-	writes int64
-
 	mLoad  *metrics.Counter
 	mStore *metrics.Counter
 }
@@ -112,9 +110,6 @@ func DeployRWEntity(srv *Server, name, table, pkCol string) (*RWEntity, error) {
 
 // Name returns the bean's deployment name.
 func (b *RWEntity) Name() string { return b.name }
-
-// Writes returns the number of committed write operations.
-func (b *RWEntity) Writes() int64 { return b.writes }
 
 // AddPropagator attaches an update propagator (read-mostly pattern wiring).
 func (b *RWEntity) AddPropagator(pr Propagator) { b.props = append(b.props, pr) }
@@ -243,7 +238,6 @@ func (b *RWEntity) Insert(p *sim.Proc, st State) error {
 	if _, err := b.srv.SQL(p, q, image.vals...); err != nil {
 		return fmt.Errorf("entity %s insert: %w", b.name, err)
 	}
-	b.writes++
 	b.mStore.Inc()
 	return b.commit(p, Update{Bean: b.name, PK: image.Get(b.pkCol), State: image}, image, Row{})
 }
@@ -264,7 +258,6 @@ func (b *RWEntity) UpdateFields(p *sim.Proc, pk sqldb.Value, changes State) (Row
 	if _, err := b.srv.SQL(p, q, append(delta.vals, pk)...); err != nil {
 		return Row{}, fmt.Errorf("entity %s update: %w", b.name, err)
 	}
-	b.writes++
 	b.mStore.Inc()
 	merged := cur.With(delta)
 	u := Update{Bean: b.name, PK: pk, State: merged}
@@ -295,7 +288,6 @@ func (b *RWEntity) Delete(p *sim.Proc, pk sqldb.Value) error {
 	if res.Affected == 0 {
 		return fmt.Errorf("entity %s pk %v: %w", b.name, pk, ErrNoSuchEntity)
 	}
-	b.writes++
 	b.mStore.Inc()
 	return b.commit(p, Update{Bean: b.name, PK: pk, Deleted: true}, last, Row{})
 }
@@ -383,26 +375,17 @@ type ROEntity struct {
 	// copy while it is younger than the bound (graceful degradation when
 	// the central server is unreachable).
 	staleMaxAge time.Duration
-	staleServes int64
 
 	// owns, when set, restricts the replica to its partition slice: only
 	// owned keys are cached and refreshed locally; unowned keys pass
 	// through the fetch path every time without ever entering the cache.
-	owns       func(sqldb.Value) bool
-	remoteGets int64
+	owns func(sqldb.Value) bool
 
-	hits, misses, staleRefreshes, pushes int64
-
-	// Propagation-delay accounting (commit at the read-write bean to
-	// application at this replica) for consistency reporting.
-	delaySamples int64
-	delaySum     time.Duration
-	delayMax     time.Duration
-
-	mHits      *metrics.Counter
-	mMisses    *metrics.Counter
-	mStaleRef  *metrics.Counter
-	mPushes    *metrics.Counter
+	mHits     *metrics.Counter
+	mMisses   *metrics.Counter
+	mStaleRef *metrics.Counter
+	mPushes   *metrics.Counter
+	// mStaleness is the commit-to-apply delay of pushed updates.
 	mStaleness *metrics.Histogram
 	// Registered lazily by SetServeStale so degradation-free runs export
 	// byte-identical metric snapshots.
@@ -441,14 +424,6 @@ func DeployROEntity(srv *Server, name, rwBean string, fetch FetchFunc) (*ROEntit
 	return b, nil
 }
 
-// Name returns the bean's deployment name.
-func (b *ROEntity) Name() string { return b.name }
-
-// Hits, Misses, Pushes report cache behavior for tests and reports.
-func (b *ROEntity) Hits() int64   { return b.hits }
-func (b *ROEntity) Misses() int64 { return b.misses }
-func (b *ROEntity) Pushes() int64 { return b.pushes }
-
 // SetTTL enables timeout invalidation: entries older than ttl refresh via
 // the fetch path on their next read (the vendor-standard read-only bean
 // mode the paper describes, and the fallback that bounds staleness when an
@@ -470,9 +445,6 @@ func (b *ROEntity) SetServeStale(maxAge time.Duration) {
 	}
 }
 
-// StaleServes returns the number of reads served from stale entries.
-func (b *ROEntity) StaleServes() int64 { return b.staleServes }
-
 // SetOwnership restricts the replica to a partition slice: reads for keys
 // outside owns go straight to the fetch path (a remote get) and are never
 // cached, preloads and pushed updates for unowned keys are dropped. nil
@@ -487,21 +459,6 @@ func (b *ROEntity) SetOwnership(owns func(sqldb.Value) bool) {
 // Owns reports whether this replica's partition slice covers pk (always true
 // without partitioning).
 func (b *ROEntity) Owns(pk sqldb.Value) bool { return b.owns == nil || b.owns(pk) }
-
-// RemoteGets returns the number of reads for unowned keys that went to the
-// fetch path.
-func (b *ROEntity) RemoteGets() int64 { return b.remoteGets }
-
-// MaxPropagationDelay returns the largest observed commit-to-apply delay.
-func (b *ROEntity) MaxPropagationDelay() time.Duration { return b.delayMax }
-
-// MeanPropagationDelay returns the mean commit-to-apply delay.
-func (b *ROEntity) MeanPropagationDelay() time.Duration {
-	if b.delaySamples == 0 {
-		return 0
-	}
-	return b.delaySum / time.Duration(b.delaySamples)
-}
 
 // Cached returns the number of locally cached entities.
 func (b *ROEntity) Cached() int { return len(b.entries) }
@@ -533,7 +490,6 @@ func (b *ROEntity) Get(p *sim.Proc, pk sqldb.Value) (Row, error) {
 		if b.fetch == nil {
 			return Row{}, fmt.Errorf("read-only %s pk %v (unowned, no fetch path): %w", b.name, pk, ErrNoSuchEntity)
 		}
-		b.remoteGets++
 		b.mRemoteGets.Inc()
 		st, err := b.fetch(p, pk)
 		if err != nil {
@@ -543,7 +499,6 @@ func (b *ROEntity) Get(p *sim.Proc, pk sqldb.Value) (Row, error) {
 	}
 	e, ok := b.entries[pk]
 	if ok && !b.expired(e) {
-		b.hits++
 		b.mHits.Inc()
 		b.srv.Compute(p, b.srv.costs.CacheHitCPU)
 		return e.state, nil
@@ -552,10 +507,8 @@ func (b *ROEntity) Get(p *sim.Proc, pk sqldb.Value) (Row, error) {
 		return Row{}, fmt.Errorf("read-only %s pk %v (no fetch path): %w", b.name, pk, ErrNoSuchEntity)
 	}
 	if ok {
-		b.staleRefreshes++
 		b.mStaleRef.Inc()
 	} else {
-		b.misses++
 		b.mMisses.Inc()
 	}
 	st, err := b.fetch(p, pk)
@@ -565,7 +518,6 @@ func (b *ROEntity) Get(p *sim.Proc, pk sqldb.Value) (Row, error) {
 		// younger than the staleness bound.
 		if ok && b.staleMaxAge > 0 {
 			if age := p.Now() - e.loadedAt; age <= b.staleMaxAge {
-				b.staleServes++
 				b.mStale.Inc()
 				b.mStaleAge.Observe(age)
 				return e.state, nil
@@ -597,17 +549,10 @@ func (b *ROEntity) ApplyUpdate(u Update) {
 		// broadcast topic): drop it before any accounting.
 		return
 	}
-	b.pushes++
 	b.mPushes.Inc()
 	now := b.srv.Env().Now()
 	if u.CommittedAt > 0 {
-		delay := now - u.CommittedAt
-		b.delaySamples++
-		b.delaySum += delay
-		if delay > b.delayMax {
-			b.delayMax = delay
-		}
-		b.mStaleness.Observe(delay)
+		b.mStaleness.Observe(now - u.CommittedAt)
 	}
 	if u.Deleted {
 		delete(b.entries, u.PK)
@@ -643,7 +588,6 @@ type UpdaterFacade struct {
 	srv      *Server
 	name     string
 	appliers map[string][]Applier
-	applied  int64
 
 	mApplied *metrics.Counter
 }
@@ -669,14 +613,10 @@ func (u *UpdaterFacade) Register(rwBean string, a Applier) {
 	u.appliers[rwBean] = append(u.appliers[rwBean], a)
 }
 
-// Applied returns the number of updates applied.
-func (u *UpdaterFacade) Applied() int64 { return u.applied }
-
 // Apply applies a batch locally (used by MDB delivery on the same server).
 func (u *UpdaterFacade) Apply(p *sim.Proc, updates []Update) {
 	u.srv.Compute(p, u.srv.costs.CacheHitCPU)
 	for _, up := range updates {
-		u.applied++
 		u.mApplied.Inc()
 		for _, a := range u.appliers[up.Bean] {
 			a.ApplyUpdate(up)
@@ -691,7 +631,6 @@ func (u *UpdaterFacade) Apply(p *sim.Proc, updates []Update) {
 // the replay's cost against its own transfer accounting.
 func (u *UpdaterFacade) ApplyLocal(updates []Update) {
 	for _, up := range updates {
-		u.applied++
 		u.mApplied.Inc()
 		for _, a := range u.appliers[up.Bean] {
 			a.ApplyUpdate(up)
@@ -729,19 +668,6 @@ func NewUpdateBuffer() *UpdateBuffer { return &UpdateBuffer{} }
 func (ub *UpdateBuffer) Propagate(_ *sim.Proc, updates []Update) error {
 	ub.updates = append(ub.updates, updates...)
 	return nil
-}
-
-// Len returns the number of buffered updates.
-func (ub *UpdateBuffer) Len() int { return len(ub.updates) }
-
-// WireBytes sums the payload estimate of the buffered updates — what a
-// catch-up round of the migration must ship.
-func (ub *UpdateBuffer) WireBytes() int {
-	total := 0
-	for _, u := range ub.updates {
-		total += u.WireBytes()
-	}
-	return total
 }
 
 // Drain returns the buffered updates in commit order and clears the buffer.

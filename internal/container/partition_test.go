@@ -80,12 +80,12 @@ func TestPartitionedReplicaOwnership(t *testing.T) {
 
 	// Pushed updates for unowned keys are dropped before any accounting.
 	ro.ApplyUpdate(Update{Bean: "RW", PK: sqldb.Str("i2"), State: State{"v": sqldb.Int(3)}.row()})
-	if ro.Pushes() != 0 || ro.Cached() != 1 {
-		t.Fatalf("unowned push applied: pushes=%d cached=%d", ro.Pushes(), ro.Cached())
+	if pushes := f.count("container_replica_pushes_total"); pushes != 0 || ro.Cached() != 1 {
+		t.Fatalf("unowned push applied: pushes=%d cached=%d", pushes, ro.Cached())
 	}
 	ro.ApplyUpdate(Update{Bean: "RW", PK: sqldb.Str("i1"), State: State{"v": sqldb.Int(4)}.row()})
-	if ro.Pushes() != 1 {
-		t.Fatalf("owned push not applied: pushes=%d", ro.Pushes())
+	if pushes := f.count("container_replica_pushes_total"); pushes != 1 {
+		t.Fatalf("owned push not applied: pushes=%d", pushes)
 	}
 
 	f.run(t, func(p *sim.Proc) {
@@ -103,11 +103,11 @@ func TestPartitionedReplicaOwnership(t *testing.T) {
 	if fetches != 2 {
 		t.Fatalf("fetches = %d, want 2 (one per unowned read)", fetches)
 	}
-	if ro.RemoteGets() != 2 {
-		t.Fatalf("remote gets = %d, want 2", ro.RemoteGets())
+	if remote := f.count("container_replica_remote_gets_total"); remote != 2 {
+		t.Fatalf("remote gets = %d, want 2", remote)
 	}
-	if ro.Hits() != 1 || ro.Misses() != 0 {
-		t.Fatalf("hits=%d misses=%d (unowned reads must not touch hit/miss accounting)", ro.Hits(), ro.Misses())
+	if hits, misses := f.count("container_replica_hits_total"), f.count("container_replica_misses_total"); hits != 1 || misses != 0 {
+		t.Fatalf("hits=%d misses=%d (unowned reads must not touch hit/miss accounting)", hits, misses)
 	}
 	if ro.Cached() != 1 {
 		t.Fatalf("cached = %d after unowned reads, want 1", ro.Cached())
@@ -150,8 +150,8 @@ func TestPartitionScopedServeStale(t *testing.T) {
 			t.Error("unowned get succeeded with central site down")
 		}
 	})
-	if ro.StaleServes() != 1 {
-		t.Fatalf("stale serves = %d, want 1", ro.StaleServes())
+	if stale := f.count("container_stale_serves_total"); stale != 1 {
+		t.Fatalf("stale serves = %d, want 1", stale)
 	}
 }
 

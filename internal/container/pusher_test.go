@@ -49,14 +49,15 @@ func newPusher(t testing.TB, srv *Server, topic string, window time.Duration, ms
 // wireRow deploys InvRW on main and a push-fed replica of it on edge, joined
 // by one pusher of the given row: over the edge's updater façade, or over the
 // topic and an update subscriber.
-func wireRow(main, edge *Server, row pushRow, msgBytes int) (rw *RWEntity, ro *ROEntity, uf *UpdaterFacade, ps *Pusher, err error) {
+func wireRow(main, edge *Server, row pushRow, msgBytes int) (rw *RWEntity, ro *ROEntity, ps *Pusher, err error) {
 	if rw, err = DeployRWEntity(main, "InvRW", "inventory", "item_id"); err != nil {
 		return
 	}
 	if ro, err = DeployROEntity(edge, "InvRO", "InvRW", nil); err != nil {
 		return
 	}
-	if uf, err = DeployUpdaterFacade(edge, "Updater"); err != nil {
+	uf, err := DeployUpdaterFacade(edge, "Updater")
+	if err != nil {
 		return
 	}
 	uf.Register("InvRW", ro)
@@ -74,16 +75,16 @@ func wireRow(main, edge *Server, row pushRow, msgBytes int) (rw *RWEntity, ro *R
 
 // wirePusher is wireRow on the test fixture, with delta pushes and both seeded
 // entities preloaded at the replica.
-func wirePusher(t *testing.T, f *fixture, row pushRow) (*RWEntity, *ROEntity, *UpdaterFacade, *Pusher) {
+func wirePusher(t *testing.T, f *fixture, row pushRow) (*RWEntity, *ROEntity, *Pusher) {
 	t.Helper()
-	rw, ro, uf, ps, err := wireRow(f.main, f.edge, row, 1024)
+	rw, ro, ps, err := wireRow(f.main, f.edge, row, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rw.SetDeltaPush(true)
 	ro.Preload(sqldb.Str("i1"), State{"item_id": sqldb.Str("i1"), "qty": sqldb.Int(10)})
 	ro.Preload(sqldb.Str("i2"), State{"item_id": sqldb.Str("i2"), "qty": sqldb.Int(5)})
-	return rw, ro, uf, ps
+	return rw, ro, ps
 }
 
 func peekQty(ro *ROEntity, pk string) int64 {
@@ -99,7 +100,7 @@ func TestPusherRows(t *testing.T) {
 	for _, row := range pushRows {
 		t.Run(row.name, func(t *testing.T) {
 			f := newFixture(t)
-			rw, ro, uf, _ := wirePusher(t, f, row)
+			rw, ro, _ := wirePusher(t, f, row)
 			var fastest, slowest time.Duration
 			var seenAtReturn int64
 			f.run(t, func(p *sim.Proc) {
@@ -156,11 +157,11 @@ func TestPusherRows(t *testing.T) {
 			if got := snap.Counter(row.sent); got != msgs {
 				t.Errorf("%s = %d, want %d", row.sent, got, msgs)
 			}
-			if uf.Applied() != applied || ro.Pushes() != applied {
-				t.Errorf("applied=%d pushes=%d, want %d/%d", uf.Applied(), ro.Pushes(), applied, applied)
+			if got, pushes := snap.Counter("container_updates_applied_total"), snap.Counter("container_replica_pushes_total"); got != applied || pushes != applied {
+				t.Errorf("applied=%d pushes=%d, want %d/%d", got, pushes, applied, applied)
 			}
-			if row.topic != "" && f.jms.Delivered() != msgs {
-				t.Errorf("jms delivered = %d, want %d", f.jms.Delivered(), msgs)
+			if delivered := snap.Counter("jms_delivered_total"); row.topic != "" && delivered != msgs {
+				t.Errorf("jms delivered = %d, want %d", delivered, msgs)
 			}
 			if row.window > 0 {
 				if c, m, fl := snap.Counter("push_batch_commits_total"), snap.Counter("push_batch_coalesced_total"), snap.Counter("push_batch_flushes_total"); c != 6 || m != 4 || fl != 1 {
@@ -241,7 +242,7 @@ func TestPusherSpanLabels(t *testing.T) {
 	}
 	for _, c := range cases {
 		f := newFixture(t)
-		rw, _, _, ps := wirePusher(t, f, c.row)
+		rw, _, ps := wirePusher(t, f, c.row)
 		if c.parallel {
 			// Parallel needs a second destination to fan out to.
 			if _, err := DeployUpdaterFacade(f.main, "Updater"); err != nil {
@@ -266,7 +267,7 @@ func TestPusherFilterAtSource(t *testing.T) {
 	for _, row := range pushRows[:2] {
 		t.Run(row.name, func(t *testing.T) {
 			f := newFixture(t)
-			rw, ro, uf, ps := wirePusher(t, f, row)
+			rw, ro, ps := wirePusher(t, f, row)
 			spec := &PartitionSpec{Scheme: HashPartition, Partitions: 2}
 			ps.SetTargetPartitions(edgeUpdater, spec, []int{1}) // "i1" only
 			write := func(pk string, qty int64) time.Duration {
@@ -287,8 +288,8 @@ func TestPusherFilterAtSource(t *testing.T) {
 				t.Fatalf("%s = %d after an out-of-slice write, want no message", row.sent, got)
 			}
 			write("i1", 7)
-			if uf.Applied() != 1 || ro.Pushes() != 1 {
-				t.Fatalf("applied=%d pushes=%d, want 1/1 (only the owned write leaves main)", uf.Applied(), ro.Pushes())
+			if applied, pushes := f.count("container_updates_applied_total"), f.count("container_replica_pushes_total"); applied != 1 || pushes != 1 {
+				t.Fatalf("applied=%d pushes=%d, want 1/1 (only the owned write leaves main)", applied, pushes)
 			}
 			if peekQty(ro, "i1") != 7 || peekQty(ro, "i2") != 5 {
 				t.Fatalf("replica i1=%d i2=%d, want 7 and the preloaded 5", peekQty(ro, "i1"), peekQty(ro, "i2"))
@@ -296,8 +297,8 @@ func TestPusherFilterAtSource(t *testing.T) {
 			// Clearing the scope restores full propagation.
 			ps.SetTargetPartitions(edgeUpdater, nil, nil)
 			write("i2", 9)
-			if ro.Pushes() != 2 || peekQty(ro, "i2") != 9 {
-				t.Fatalf("pushes=%d i2=%d after filter removal, want 2 and 9", ro.Pushes(), peekQty(ro, "i2"))
+			if pushes := f.count("container_replica_pushes_total"); pushes != 2 || peekQty(ro, "i2") != 9 {
+				t.Fatalf("pushes=%d i2=%d after filter removal, want 2 and 9", pushes, peekQty(ro, "i2"))
 			}
 		})
 	}
@@ -338,7 +339,7 @@ func TestPusherUnbatchedPublishSizesByPayload(t *testing.T) {
 
 func TestPusherSeparateWindows(t *testing.T) {
 	f := newFixture(t)
-	rw, ro, _, _ := wirePusher(t, f, pushRow{window: 50 * time.Millisecond})
+	rw, ro, _ := wirePusher(t, f, pushRow{window: 50 * time.Millisecond})
 	f.run(t, func(p *sim.Proc) {
 		if _, err := rw.UpdateFields(p, sqldb.Str("i1"), State{"qty": sqldb.Int(1)}); err != nil {
 			t.Errorf("update: %v", err)

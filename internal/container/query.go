@@ -27,12 +27,6 @@ type QueryCache struct {
 	fetch QueryFetch
 
 	entries map[string]queryEntry
-	hits    int64
-	misses  int64
-	refresh int64
-	pushed  int64
-	// invalidations counts InvalidatePrefix calls, whatever they matched.
-	invalidations int64
 
 	// ttl, when positive, bounds how long an entry is served without a
 	// refetch; staleMaxAge, when positive, lets a failed refetch fall
@@ -40,7 +34,6 @@ type QueryCache struct {
 	// (graceful degradation during WAN outages).
 	ttl         time.Duration
 	staleMaxAge time.Duration
-	staleServes int64
 
 	mHits    *metrics.Counter
 	mMisses  *metrics.Counter
@@ -74,9 +67,6 @@ func NewQueryCache(srv *Server, name string, fetch QueryFetch) *QueryCache {
 	}
 }
 
-// Name returns the cache's name.
-func (qc *QueryCache) Name() string { return qc.name }
-
 // SetTTL bounds entry freshness: entries older than ttl are refetched on
 // access (0 disables, the default).
 func (qc *QueryCache) SetTTL(ttl time.Duration) { qc.ttl = ttl }
@@ -93,17 +83,6 @@ func (qc *QueryCache) SetServeStale(maxAge time.Duration) {
 	}
 }
 
-// StaleServes returns the number of reads served from stale entries.
-func (qc *QueryCache) StaleServes() int64 { return qc.staleServes }
-
-// Hits, Misses, Pushed report cache behavior.
-func (qc *QueryCache) Hits() int64   { return qc.hits }
-func (qc *QueryCache) Misses() int64 { return qc.misses }
-func (qc *QueryCache) Pushed() int64 { return qc.pushed }
-
-// Invalidations returns the number of prefix invalidations applied.
-func (qc *QueryCache) Invalidations() int64 { return qc.invalidations }
-
 // Size returns the number of cached query results.
 func (qc *QueryCache) Size() int { return len(qc.entries) }
 
@@ -114,7 +93,6 @@ func (qc *QueryCache) Get(p *sim.Proc, key string) (any, error) {
 	e, ok := qc.entries[key]
 	expired := ok && qc.ttl > 0 && now-e.loadedAt >= qc.ttl
 	if ok && !e.stale && !expired {
-		qc.hits++
 		qc.mHits.Inc()
 		endHit := trace.Opf(p, "cache", qc.srv.name, "", trace.CauseService, "hit ", qc.name, "")
 		qc.srv.Compute(p, qc.srv.costs.CacheHitCPU)
@@ -128,10 +106,8 @@ func (qc *QueryCache) Get(p *sim.Proc, key string) (any, error) {
 		return nil, fmt.Errorf("query cache %s: no entry for %q and no fetch path", qc.name, key)
 	}
 	if ok {
-		qc.refresh++
 		qc.mRefresh.Inc()
 	} else {
-		qc.misses++
 		qc.mMisses.Inc()
 	}
 	v, err := qc.fetch(p, key)
@@ -141,7 +117,6 @@ func (qc *QueryCache) Get(p *sim.Proc, key string) (any, error) {
 		// younger than the staleness bound.
 		if ok && qc.staleMaxAge > 0 {
 			if age := p.Now() - e.loadedAt; age <= qc.staleMaxAge {
-				qc.staleServes++
 				qc.mStale.Inc()
 				qc.mStaleAge.Observe(age)
 				return e.result, nil
@@ -162,7 +137,6 @@ func (qc *QueryCache) Put(key string, v any) {
 // (pull mode). Use "<queryName>:" to drop one query's results, or "" to
 // drop everything.
 func (qc *QueryCache) InvalidatePrefix(prefix string) int {
-	qc.invalidations++
 	n := 0
 	for k, e := range qc.entries {
 		if strings.HasPrefix(k, prefix) && !e.stale {
@@ -177,7 +151,6 @@ func (qc *QueryCache) InvalidatePrefix(prefix string) int {
 // ApplyPush installs a fresh result pushed from the main server (push mode:
 // readers are never penalized).
 func (qc *QueryCache) ApplyPush(key string, v any) {
-	qc.pushed++
 	qc.mPushed.Inc()
 	qc.entries[key] = queryEntry{result: v, loadedAt: qc.srv.Env().Now()}
 }

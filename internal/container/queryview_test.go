@@ -140,8 +140,8 @@ func TestQueryViewRefreshedOncePerCommit(t *testing.T) {
 	// keys were put on record for one.
 	qc := NewQueryCache(f.edge, "qc", nil)
 	(&QueryInvalidation{Cache: qc, Views: f.views}).ApplyUpdate(Update{Bean: "InvRW", PK: sqldb.Str("i3")})
-	if qc.Pushed() != 0 {
-		t.Errorf("an unshipped bean's entity installed %d keys", qc.Pushed())
+	if pushed := reg.CounterValue("container_querycache_pushed_total"); pushed != 0 {
+		t.Errorf("an unshipped bean's entity installed %d keys", pushed)
 	}
 	if got := reg.CounterValue("container_queryview_maintained_total"); got != 1 {
 		t.Errorf("maintained = %d, want 1", got)
@@ -192,8 +192,8 @@ func TestQueryViewInstallWhateverRidesTheWire(t *testing.T) {
 	qi.ApplyUpdate(batch[0])
 	// Every quantity the item passed through, and the stock list.
 	keys := []string{"byQty:10", "byQty:7", "byQty:8", "stock:"}
-	if qc.Size() != len(keys) || qc.Pushed() != int64(len(keys)) {
-		t.Fatalf("edge cache holds %d entries after %d pushes, want %d of each", qc.Size(), qc.Pushed(), len(keys))
+	if pushed := f.count("container_querycache_pushed_total"); qc.Size() != len(keys) || pushed != int64(len(keys)) {
+		t.Fatalf("edge cache holds %d entries after %d pushes, want %d of each", qc.Size(), pushed, len(keys))
 	}
 	f.checkFresh(t, "byQty:10", `SELECT item_id FROM inventory WHERE qty = 10`)
 	f.checkFresh(t, "byQty:7", `SELECT item_id FROM inventory WHERE qty = 7`)
@@ -209,8 +209,8 @@ func TestQueryViewInstallWhateverRidesTheWire(t *testing.T) {
 	})
 	// An update of an entity that never committed installs nothing.
 	qi.ApplyUpdate(Update{Bean: "InvRW", PK: sqldb.Str("i2"), State: State{"qty": sqldb.Int(1)}.row(), Delta: true})
-	if qc.Pushed() != int64(len(keys)) {
-		t.Fatalf("pushed = %d after an unknown entity's update, want %d", qc.Pushed(), len(keys))
+	if pushed := f.count("container_querycache_pushed_total"); pushed != int64(len(keys)) {
+		t.Fatalf("pushed = %d after an unknown entity's update, want %d", pushed, len(keys))
 	}
 }
 

@@ -441,9 +441,6 @@ func (c *Controller) act(p *sim.Proc) {
 	c.current = c.target
 }
 
-// Epochs returns the number of completed epochs.
-func (c *Controller) Epochs() int { return c.epoch }
-
 // Report snapshots the adaptation log.
 func (c *Controller) Report() *Report {
 	return &Report{

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"wadeploy/internal/container"
-	"wadeploy/internal/sim"
 )
 
 // The beans AutoWire deploys on every server it extends to, besides the
@@ -321,9 +320,6 @@ func (w *Wiring) ReplicaBeans() []string {
 	return out
 }
 
-// Deployment returns the deployment the wiring extends.
-func (w *Wiring) Deployment() *Deployment { return w.d }
-
 // Provides is the policy the bundle completes once extended to every edge:
 // the replicated web tier its caches serve, plus the patterns the descriptor
 // materializes — entity replicas, query caches, asynchronous update
@@ -378,11 +374,4 @@ func affectedFunc(ext *container.ExtendedDescriptor) func(u container.Update) []
 		}
 	}
 	return func(u container.Update) []string { return byBean[u.Bean] }
-}
-
-// RunWarm runs fn as a simulation process and drives the environment until
-// all scheduled work completes. It is a convenience for examples and tests.
-func RunWarm(env *sim.Env, name string, fn func(p *sim.Proc)) {
-	env.Spawn(name, fn)
-	env.RunAll()
 }

@@ -382,20 +382,3 @@ func (pl *Plan) Validate() error {
 	}
 	return nil
 }
-
-// FacadesOn returns the façade bean names placed on server.
-func (pl *Plan) FacadesOn(server string) []string {
-	var out []string
-	for _, p := range pl.Placements {
-		if !p.Desc.Facade {
-			continue
-		}
-		for _, s := range p.Servers {
-			if s == server {
-				out = append(out, p.Desc.Name)
-				break
-			}
-		}
-	}
-	return out
-}

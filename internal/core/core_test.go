@@ -12,6 +12,13 @@ import (
 	"wadeploy/internal/sqldb"
 )
 
+// runWarm runs fn as a simulation process and drives env until all scheduled
+// work completes.
+func runWarm(env *sim.Env, name string, fn func(p *sim.Proc)) {
+	env.Spawn(name, fn)
+	env.RunAll()
+}
+
 func newDeployment(t *testing.T) *Deployment {
 	t.Helper()
 	env := sim.NewEnv(11)
@@ -32,9 +39,6 @@ func TestPaperDeploymentShape(t *testing.T) {
 	}
 	if len(d.Servers()) != 3 {
 		t.Fatalf("servers = %d", len(d.Servers()))
-	}
-	if d.JMS.Node() != simnet.NodeMain {
-		t.Fatalf("jms node = %s", d.JMS.Node())
 	}
 }
 
@@ -148,10 +152,6 @@ func TestPlanValidateAcceptsFacadeRules(t *testing.T) {
 	if err := plan.Validate(); err != nil {
 		t.Fatalf("valid plan rejected: %v", err)
 	}
-	got := plan.FacadesOn("edge1")
-	if len(got) != 1 || got[0] != "Catalog" {
-		t.Fatalf("FacadesOn = %v", got)
-	}
 }
 
 func TestPlanValidateRejectsViolations(t *testing.T) {
@@ -231,7 +231,7 @@ func TestAutoWireSyncPush(t *testing.T) {
 		t.Fatalf("propagators = %d", rw.Propagators())
 	}
 	var writeCost time.Duration
-	RunWarm(d.Env, "writer", func(p *sim.Proc) {
+	runWarm(d.Env, "writer", func(p *sim.Proc) {
 		start := p.Now()
 		if _, err := rw.UpdateFields(p, sqldb.Str("i1"), container.State{"qty": sqldb.Int(9)}); err != nil {
 			t.Errorf("update: %v", err)
@@ -247,10 +247,22 @@ func TestAutoWireSyncPush(t *testing.T) {
 		if ro == nil {
 			t.Fatalf("no replica on %s", edge.Name())
 		}
-		if ro.Pushes() != 1 {
-			t.Fatalf("%s pushes = %d", edge.Name(), ro.Pushes())
+		if got := peekQty(ro, "i1"); got != 9 {
+			t.Fatalf("%s holds qty %d, want the pushed 9", edge.Name(), got)
 		}
 	}
+	if got := d.Env.Metrics().CounterValue("container_replica_pushes_total"); got != int64(len(d.Edges)) {
+		t.Fatalf("pushes = %d, want one per edge", got)
+	}
+}
+
+// peekQty returns the qty a replica holds for pk, or -1 when it holds none.
+func peekQty(ro *container.ROEntity, pk string) int64 {
+	row, ok := ro.Peek(sqldb.Str(pk))
+	if !ok {
+		return -1
+	}
+	return row.Get("qty").AsInt()
 }
 
 func TestAutoWireAsyncDoesNotBlock(t *testing.T) {
@@ -269,7 +281,7 @@ func TestAutoWireAsyncDoesNotBlock(t *testing.T) {
 		t.Fatalf("subscribers = %d", len(w.Subscribers))
 	}
 	var writeCost time.Duration
-	RunWarm(d.Env, "writer", func(p *sim.Proc) {
+	runWarm(d.Env, "writer", func(p *sim.Proc) {
 		start := p.Now()
 		if _, err := rw.UpdateFields(p, sqldb.Str("i1"), container.State{"qty": sqldb.Int(9)}); err != nil {
 			t.Errorf("update: %v", err)
@@ -281,10 +293,12 @@ func TestAutoWireAsyncDoesNotBlock(t *testing.T) {
 	}
 	// After the env drains, both edge replicas must have the update.
 	for _, edge := range d.Edges {
-		ro := w.Replica(edge.Name(), "ItemRW")
-		if ro.Pushes() != 1 {
-			t.Fatalf("%s pushes = %d", edge.Name(), ro.Pushes())
+		if got := peekQty(w.Replica(edge.Name(), "ItemRW"), "i1"); got != 9 {
+			t.Fatalf("%s holds qty %d, want the pushed 9", edge.Name(), got)
 		}
+	}
+	if got := d.Env.Metrics().CounterValue("container_replica_pushes_total"); got != int64(len(d.Edges)) {
+		t.Fatalf("pushes = %d, want one per edge", got)
 	}
 }
 
@@ -315,23 +329,23 @@ func TestAutoWireOneTopicPusherPerWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	edge := d.Edges[0].Name()
-	RunWarm(d.Env, "writer", func(p *sim.Proc) {
+	runWarm(d.Env, "writer", func(p *sim.Proc) {
 		for _, rw := range beans {
 			if _, err := rw.UpdateFields(p, sqldb.Str("i1"), container.State{"qty": sqldb.Int(9)}); err != nil {
 				t.Errorf("update: %v", err)
 			}
 		}
 		p.Sleep(time.Second) // past the 100 ms window and the WAN, inside the 2 s one
-		if got := w.Replica(edge, "ItemRW").Pushes(); got != 1 {
-			t.Errorf("100 ms bean: %d pushes after 1 s, want 1", got)
+		if got := peekQty(w.Replica(edge, "ItemRW"), "i1"); got != 9 {
+			t.Errorf("100 ms bean: qty %d after 1 s, want the pushed 9", got)
 		}
-		if got := w.Replica(edge, "SlowRW").Pushes(); got != 0 {
-			t.Errorf("2 s bean: %d pushes after 1 s, want 0 (it must not ride the 100 ms window)", got)
+		if got := peekQty(w.Replica(edge, "SlowRW"), "i1"); got != -1 {
+			t.Errorf("2 s bean: qty %d after 1 s, want nothing pushed (it must not ride the 100 ms window)", got)
 		}
 	})
 	for bean := range beans {
-		if got := w.Replica(edge, bean).Pushes(); got != 1 {
-			t.Errorf("%s: %d pushes after the drain, want 1", bean, got)
+		if got := peekQty(w.Replica(edge, bean), "i1"); got != 9 {
+			t.Errorf("%s: qty %d after the drain, want the pushed 9", bean, got)
 		}
 	}
 	// Two windows flushed once each: the two 2 s beans shared a message.
@@ -363,7 +377,7 @@ func TestAutoWireQueryCaches(t *testing.T) {
 	if qc == nil {
 		t.Fatal("no query cache wired")
 	}
-	RunWarm(d.Env, "reader", func(p *sim.Proc) {
+	runWarm(d.Env, "reader", func(p *sim.Proc) {
 		if _, err := qc.Get(p, "itemsByQty:10"); err != nil {
 			t.Errorf("get: %v", err)
 		}
@@ -372,17 +386,19 @@ func TestAutoWireQueryCaches(t *testing.T) {
 			t.Errorf("update: %v", err)
 		}
 	})
-	if qc.Misses() != 1 {
-		t.Fatalf("misses = %d", qc.Misses())
+	// Only the first edge's cache is read, so the registry's counts are its.
+	reg := d.Env.Metrics()
+	if misses := reg.CounterValue("container_querycache_misses_total"); misses != 1 {
+		t.Fatalf("misses = %d", misses)
 	}
 	// The entry must be stale now: another Get refetches.
-	RunWarm(d.Env, "reader2", func(p *sim.Proc) {
+	runWarm(d.Env, "reader2", func(p *sim.Proc) {
 		if _, err := qc.Get(p, "itemsByQty:10"); err != nil {
 			t.Errorf("get: %v", err)
 		}
 	})
-	if qc.Hits() != 0 {
-		t.Fatalf("hits = %d, want 0 (entry invalidated)", qc.Hits())
+	if hits, refreshes := reg.CounterValue("container_querycache_hits_total"), reg.CounterValue("container_querycache_refresh_total"); hits != 0 || refreshes != 1 {
+		t.Fatalf("hits = %d, refreshes = %d, want 0 and 1 (entry invalidated)", hits, refreshes)
 	}
 }
 

@@ -63,7 +63,7 @@ func TestDeferredWiringStartsEmpty(t *testing.T) {
 	}
 	// Writes succeed with zero push fan-out.
 	var writeCost time.Duration
-	RunWarm(d.Env, "writer", func(p *sim.Proc) {
+	runWarm(d.Env, "writer", func(p *sim.Proc) {
 		start := p.Now()
 		if _, err := rw.UpdateFields(p, sqldb.Str("i1"), container.State{"qty": sqldb.Int(1)}); err != nil {
 			t.Errorf("update: %v", err)
@@ -78,7 +78,7 @@ func TestDeferredWiringStartsEmpty(t *testing.T) {
 func TestExtendToAtRuntime(t *testing.T) {
 	d, rw, w := deferredFixture(t)
 	edge := d.Edges[0]
-	RunWarm(d.Env, "runtime", func(p *sim.Proc) {
+	runWarm(d.Env, "runtime", func(p *sim.Proc) {
 		if err := w.ExtendTo(edge); err != nil {
 			t.Fatalf("extend: %v", err)
 		}

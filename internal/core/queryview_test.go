@@ -36,7 +36,7 @@ func TestQueryViewOneApplierPerBean(t *testing.T) {
 			t.Fatal(err)
 		}
 		w.SeedQuery("a:", "seeded")
-		RunWarm(d.Env, "writer", func(p *sim.Proc) {
+		runWarm(d.Env, "writer", func(p *sim.Proc) {
 			if _, err := rw.UpdateFields(p, sqldb.Str("i1"), container.State{"qty": sqldb.Int(5)}); err != nil {
 				t.Errorf("update: %v", err)
 			}
@@ -50,10 +50,10 @@ func TestQueryViewOneApplierPerBean(t *testing.T) {
 		}
 		for _, edge := range d.Edges {
 			qc := w.Cache(edge.Name())
-			if qc.Pushed() != 3 || qc.Size() != 3 {
-				t.Errorf("%s: %d pushes into %d entries, want 3 and 3", edge.Name(), qc.Pushed(), qc.Size())
+			if qc.Size() != 3 {
+				t.Errorf("%s: %d entries, want 3", edge.Name(), qc.Size())
 			}
-			RunWarm(d.Env, "reader", func(p *sim.Proc) {
+			runWarm(d.Env, "reader", func(p *sim.Proc) {
 				if v, err := qc.Get(p, "a:"); err != nil || v != "a" {
 					t.Errorf("%s a: = %v (%v), want the view's refreshed value", edge.Name(), v, err)
 				}
@@ -73,21 +73,43 @@ func TestQueryViewOneApplierPerBean(t *testing.T) {
 				{Name: "itemsByProduct", InvalidatedBy: []string{"InventoryRW", "ItemRW"}},
 			},
 		}
-		w, err := AutoWire(d, ext, WireOptions{})
+		fetches := make(map[string]int)
+		w, err := AutoWire(d, ext, WireOptions{
+			QueryFetchFor: func(server *container.Server) container.QueryFetch {
+				return func(p *sim.Proc, key string) (any, error) {
+					fetches[server.Name()]++
+					return "fresh", nil
+				}
+			},
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if w.QueryViews() != nil {
 			t.Fatal("pull-only descriptor built query views")
 		}
-		RunWarm(d.Env, "writer", func(p *sim.Proc) {
+		keys := []string{"productsByCategory:FISH", "itemsByProduct:P1"}
+		for _, edge := range d.Edges {
+			for _, key := range keys {
+				w.Cache(edge.Name()).Put(key, "cached")
+			}
+		}
+		runWarm(d.Env, "writer", func(p *sim.Proc) {
 			if _, err := rw.UpdateFields(p, sqldb.Str("i1"), container.State{"qty": sqldb.Int(5)}); err != nil {
 				t.Errorf("update: %v", err)
 			}
 		})
+		// One commit marks both queries' entries stale on every edge.
 		for _, edge := range d.Edges {
-			if got := w.Cache(edge.Name()).Invalidations(); got != 2 {
-				t.Errorf("%s: %d prefix invalidations for one commit, want 2 (one per query)", edge.Name(), got)
+			runWarm(d.Env, "reader", func(p *sim.Proc) {
+				for _, key := range keys {
+					if v, err := w.Cache(edge.Name()).Get(p, key); err != nil || v != "fresh" {
+						t.Errorf("%s %s = %v (%v), want the refetched value", edge.Name(), key, v, err)
+					}
+				}
+			})
+			if fetches[edge.Name()] != len(keys) {
+				t.Errorf("%s: %d refetches after one commit, want %d (one per query)", edge.Name(), fetches[edge.Name()], len(keys))
 			}
 		}
 	})
@@ -121,7 +143,7 @@ func TestQueryViewMixedDescriptor(t *testing.T) {
 	w.SeedQuery("pushed:", "old")
 	w.SeedQuery("pulled:", "old")
 	qc := w.Cache(d.Edges[0].Name())
-	RunWarm(d.Env, "writer", func(p *sim.Proc) {
+	runWarm(d.Env, "writer", func(p *sim.Proc) {
 		if _, err := rw.UpdateFields(p, sqldb.Str("i1"), container.State{"qty": sqldb.Int(5)}); err != nil {
 			t.Errorf("update: %v", err)
 		}

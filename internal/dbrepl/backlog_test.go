@@ -24,8 +24,33 @@ func TestShipRetryAppliesAfterHeal(t *testing.T) {
 	})
 	f.env.RunAll()
 	f.env.Close()
-	if f.replica.Applied() != 1 {
-		t.Fatalf("applied=%d, want the statement held until the heal", f.replica.Applied())
+	if _, applied, _ := f.counts(); applied != 1 {
+		t.Fatalf("applied=%d, want the statement held until the heal", applied)
+	}
+}
+
+// TestBacklogLagCountsFromCommit: a statement that waited out a partition in
+// the backlog reports its lag from its commit, not from the drain that
+// finally shipped it, so the lag histogram shows the outage.
+func TestBacklogLagCountsFromCommit(t *testing.T) {
+	const outage = 10 * time.Second
+	f := newFixture(t)
+	if err := f.net.SetLinkState("main", "edge", false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.main.Exec(`UPDATE kv SET v = 7 WHERE id = 1`); err != nil {
+		t.Fatal(err)
+	}
+	f.env.At(outage, func() {
+		if err := f.net.SetLinkState("main", "edge", true); err != nil {
+			t.Error(err)
+		}
+	})
+	f.env.RunAll()
+	f.env.Close()
+	lag := f.env.Metrics().FindHistogram("dbrepl_apply_lag_ns")
+	if lag.Count() != 1 || lag.Max() < outage {
+		t.Fatalf("lag samples=%d max=%v, want 1 sample of at least the %v outage", lag.Count(), lag.Max(), outage)
 	}
 }
 
@@ -82,7 +107,7 @@ func TestPartitionBacklogConvergesInOrder(t *testing.T) {
 		}
 	}
 	// Nothing dropped: every shipped statement applied.
-	if f.replica.Applied() != f.primary.Shipped() || f.replica.Failed() != 0 {
-		t.Fatalf("shipped=%d applied=%d failed=%d", f.primary.Shipped(), f.replica.Applied(), f.replica.Failed())
+	if shipped, applied, failed := f.counts(); applied != shipped || failed != 0 {
+		t.Fatalf("shipped=%d applied=%d failed=%d", shipped, applied, failed)
 	}
 }

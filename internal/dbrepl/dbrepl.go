@@ -42,35 +42,13 @@ type Replica struct {
 	DB   *sqldb.DB
 	node *simnet.Node
 
-	applied int64
-	failed  int64
 	// lastArrival enforces in-order application.
 	lastArrival time.Duration
-	// lag accounting: ship-to-apply delay.
-	lagMax time.Duration
-	lagSum time.Duration
 
 	// backlog holds, in commit order, every statement committed since the
 	// path to the replica was first found down; it drains once the path
 	// returns, and new statements queue behind it until it is empty.
 	backlog []stmt
-}
-
-// Applied returns the number of statements applied.
-func (r *Replica) Applied() int64 { return r.applied }
-
-// Failed returns the number of statements that errored on apply (divergence).
-func (r *Replica) Failed() int64 { return r.failed }
-
-// MaxLag returns the largest observed ship-to-apply delay.
-func (r *Replica) MaxLag() time.Duration { return r.lagMax }
-
-// MeanLag returns the mean ship-to-apply delay.
-func (r *Replica) MeanLag() time.Duration {
-	if r.applied == 0 {
-		return 0
-	}
-	return r.lagSum / time.Duration(r.applied)
 }
 
 // Primary ships the primary database's write log to replicas.
@@ -81,19 +59,21 @@ type Primary struct {
 	db   *sqldb.DB
 
 	replicas []*Replica
-	shipped  int64
 
 	mShipped *metrics.Counter
 	mApplied *metrics.Counter
-	mFailed  *metrics.Counter
-	mLag     *metrics.Histogram
+	mFailed  *metrics.Counter // statements that errored on apply (divergence)
+	// mLag is each applied statement's commit-to-apply delay, backlog
+	// wait included.
+	mLag *metrics.Histogram
 }
 
 // stmt is one committed write-log record on its way to a replica.
 type stmt struct {
-	sql  string
-	args []sqldb.Value
-	ctx  trace.Ctx
+	sql         string
+	args        []sqldb.Value
+	ctx         trace.Ctx
+	committedAt time.Duration
 }
 
 // NewPrimary hooks primary replication onto db, which must live on node.
@@ -116,13 +96,6 @@ func NewPrimary(net *simnet.Network, node string, db *sqldb.DB) (*Primary, error
 	db.SetWriteHook(p.ship)
 	return p, nil
 }
-
-// Shipped returns the number of statements shipped (per replica fan-out not
-// included: one write shipped to three replicas counts once).
-func (p *Primary) Shipped() int64 { return p.shipped }
-
-// Replicas returns the number of attached replicas.
-func (p *Primary) Replicas() int { return len(p.replicas) }
 
 // Attach creates a replica on node whose contents are initialized by init
 // (typically the same schema+seed routine used for the primary, which
@@ -148,11 +121,11 @@ func (p *Primary) Attach(node string, init func(db *sqldb.DB) error) (*Replica, 
 // parameter, so the causal context is read off the environment's currently
 // executing process (the one whose statement committed).
 func (p *Primary) ship(sql string, args []sqldb.Value) {
-	p.shipped++
 	p.mShipped.Inc()
 	argsCopy := append([]sqldb.Value(nil), args...)
+	now := p.env.Now()
 	for _, r := range p.replicas {
-		st := stmt{sql: sql, args: argsCopy, ctx: trace.CaptureEnv(p.env)}
+		st := stmt{sql: sql, args: argsCopy, ctx: trace.CaptureEnv(p.env), committedAt: now}
 		if len(r.backlog) > 0 || !p.shipTo(r, st, trace.CauseService) {
 			r.backlog = append(r.backlog, st)
 			if len(r.backlog) == 1 {
@@ -182,8 +155,7 @@ func (p *Primary) shipTo(r *Replica, st stmt, cause trace.Cause) bool {
 	if err != nil {
 		return false
 	}
-	shippedAt := p.env.Now()
-	arrival := shippedAt + delay
+	arrival := p.env.Now() + delay
 	if arrival < r.lastArrival {
 		arrival = r.lastArrival
 	}
@@ -194,19 +166,12 @@ func (p *Primary) shipTo(r *Replica, st stmt, cause trace.Cause) bool {
 			trace.Use(proc, r.node.CPU, r.node.ID, applyCPU)
 			res, err := r.DB.Exec(st.sql, st.args...)
 			if err != nil {
-				r.failed++
 				p.mFailed.Inc()
 				return
 			}
 			trace.Use(proc, r.node.CPU, r.node.ID, res.Cost)
-			r.applied++
 			p.mApplied.Inc()
-			lag := proc.Now() - shippedAt
-			r.lagSum += lag
-			if lag > r.lagMax {
-				r.lagMax = lag
-			}
-			p.mLag.Observe(lag)
+			p.mLag.Observe(proc.Now() - st.committedAt)
 		})
 	})
 	return true

@@ -52,6 +52,13 @@ func newFixture(t *testing.T) *fixture {
 	return &fixture{env: env, net: net, primary: p, main: main, replica: r}
 }
 
+// counts reads the statements shipped, applied and failed on apply off the
+// environment's registry.
+func (f *fixture) counts() (shipped, applied, failed int64) {
+	reg := f.env.Metrics()
+	return reg.CounterValue("dbrepl_shipped_total"), reg.CounterValue("dbrepl_applied_total"), reg.CounterValue("dbrepl_failed_total")
+}
+
 func TestWritesStreamToReplica(t *testing.T) {
 	f := newFixture(t)
 	f.env.Spawn("writer", func(p *sim.Proc) {
@@ -64,8 +71,8 @@ func TestWritesStreamToReplica(t *testing.T) {
 	})
 	f.env.RunAll()
 	f.env.Close()
-	if f.primary.Shipped() != 5 || f.replica.Applied() != 5 || f.replica.Failed() != 0 {
-		t.Fatalf("shipped=%d applied=%d failed=%d", f.primary.Shipped(), f.replica.Applied(), f.replica.Failed())
+	if shipped, applied, failed := f.counts(); shipped != 5 || applied != 5 || failed != 0 {
+		t.Fatalf("shipped=%d applied=%d failed=%d", shipped, applied, failed)
 	}
 	r, err := f.replica.DB.Query(`SELECT v FROM kv WHERE id = 1`)
 	if err != nil {
@@ -75,10 +82,11 @@ func TestWritesStreamToReplica(t *testing.T) {
 		t.Fatalf("replica v = %v, want 5 (converged)", r.Rows[0][0])
 	}
 	// Async shipping: lag is about one WAN one-way.
-	if lag := f.replica.MeanLag(); lag < 100*time.Millisecond || lag > 300*time.Millisecond {
-		t.Fatalf("mean lag = %v", lag)
+	lag := f.env.Metrics().FindHistogram("dbrepl_apply_lag_ns")
+	if mean := lag.Mean(); mean < 100*time.Millisecond || mean > 300*time.Millisecond {
+		t.Fatalf("mean lag = %v", mean)
 	}
-	if f.replica.MaxLag() < f.replica.MeanLag() {
+	if lag.Max() < lag.Mean() {
 		t.Fatal("max lag below mean")
 	}
 }
@@ -111,8 +119,8 @@ func TestTransactionalWritesShipOnCommitOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.env.RunAll()
-	if f.primary.Shipped() != 0 {
-		t.Fatalf("rolled-back tx shipped %d statements", f.primary.Shipped())
+	if shipped, _, _ := f.counts(); shipped != 0 {
+		t.Fatalf("rolled-back tx shipped %d statements", shipped)
 	}
 	// A committed one ships in order.
 	tx = f.main.Begin()
@@ -127,8 +135,8 @@ func TestTransactionalWritesShipOnCommitOnly(t *testing.T) {
 	}
 	f.env.RunAll()
 	f.env.Close()
-	if f.primary.Shipped() != 2 || f.replica.Applied() != 2 {
-		t.Fatalf("shipped=%d applied=%d", f.primary.Shipped(), f.replica.Applied())
+	if shipped, applied, _ := f.counts(); shipped != 2 || applied != 2 {
+		t.Fatalf("shipped=%d applied=%d", shipped, applied)
 	}
 	r, _ := f.replica.DB.Query(`SELECT v FROM kv WHERE id = 2`)
 	if r.Rows[0][0].AsInt() != 2 {
@@ -147,8 +155,8 @@ func TestSelectsAreNotReplicated(t *testing.T) {
 	}
 	f.env.RunAll()
 	f.env.Close()
-	if f.primary.Shipped() != 0 {
-		t.Fatalf("shipped = %d, want 0", f.primary.Shipped())
+	if shipped, _, _ := f.counts(); shipped != 0 {
+		t.Fatalf("shipped = %d, want 0", shipped)
 	}
 }
 
@@ -179,8 +187,8 @@ func TestValidation(t *testing.T) {
 	if _, err := p.Attach("edge", bad); err == nil {
 		t.Fatal("failing init accepted")
 	}
-	if p.Replicas() != 0 {
-		t.Fatalf("replicas = %d", p.Replicas())
+	if len(p.replicas) != 0 {
+		t.Fatalf("replicas = %d", len(p.replicas))
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // statement text the deployment's database was asked to prepare, over quick
 // runs of every configuration of both applications (the DB-replication
 // extension row included) and the adaptive arm. sqldb implements exactly
-// this grammar (make sqldb-inventory), so a new statement text must show up
+// this grammar (make inventory), so a new statement text must show up
 // here, in review, before the engine grows to serve it. Each line carries
 // the number of runs that prepared the text.
 //

@@ -378,33 +378,6 @@ func Arm(net *simnet.Network, s *Schedule, seed int64) error {
 	return nil
 }
 
-// End returns the virtual time the last event's effect reverts.
-func (s *Schedule) End() time.Duration {
-	var end time.Duration
-	for _, e := range s.Events {
-		if t := e.At + e.Duration; t > end {
-			end = t
-		}
-	}
-	return end
-}
-
-// Links returns the sorted set of links named by the schedule, for display.
-func (s *Schedule) Links() []string {
-	seen := map[string]bool{}
-	for _, e := range s.Events {
-		if e.A != "" {
-			seen[linkKey(e.A, e.B)] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for k := range seen {
-		out = append(out, strings.ReplaceAll(k, "|", "-"))
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Onsets returns the distinct fault start times, ascending — the reference
 // marks adaptation-lag reporting measures controller reactions against.
 func (s *Schedule) Onsets() []time.Duration {

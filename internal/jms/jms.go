@@ -99,9 +99,6 @@ type Provider struct {
 	opts   Options
 	topics map[string]*Topic
 
-	published int64
-	delivered int64
-
 	mPub   *metrics.Counter
 	mDel   *metrics.Counter
 	mLag   *metrics.Histogram
@@ -139,15 +136,6 @@ func NewProvider(net *simnet.Network, node string, opts Options) (*Provider, err
 	return pr, nil
 }
 
-// Node returns the broker's node.
-func (pr *Provider) Node() string { return pr.node }
-
-// Published returns the number of messages published so far.
-func (pr *Provider) Published() int64 { return pr.published }
-
-// Delivered returns the number of messages delivered to subscribers so far.
-func (pr *Provider) Delivered() int64 { return pr.delivered }
-
 // CreateTopic declares a topic; declaring an existing topic is a no-op.
 func (pr *Provider) CreateTopic(name string) *Topic {
 	if t, ok := pr.topics[name]; ok {
@@ -171,14 +159,6 @@ func (pr *Provider) Subscribe(topic, node, name string, fn Subscriber) error {
 	return nil
 }
 
-// Subscribers returns the number of subscriptions on the topic.
-func (pr *Provider) Subscribers(topic string) int {
-	if t, ok := pr.topics[topic]; ok {
-		return len(t.subs)
-	}
-	return 0
-}
-
 // Publish sends body from a publisher running on fromNode to all subscribers
 // of topic. The caller blocks only for the local publish cost (and the hop
 // to the broker if the broker is remote — in the paper's deployment the
@@ -198,7 +178,6 @@ func (pr *Provider) Publish(p *sim.Proc, fromNode, topic string, body any, bytes
 		return fmt.Errorf("jms: publish %s: %w", topic, err)
 	}
 	msg := &Message{Topic: topic, Body: body, Bytes: bytes, PublishedAt: pr.env.Now()}
-	pr.published++
 	pr.mPub.Inc()
 	t.mPub.Inc()
 	for _, sub := range t.subs {
@@ -247,7 +226,6 @@ func (pr *Provider) deliver(t *Topic, sub *subscription, msg *Message, ctx trace
 		pr.env.Spawn("jms:"+sub.name, func(dp *sim.Proc) {
 			defer trace.Adoptf(dp, ctx, "jms", sub.node, cause, "deliver ", sub.name, "")()
 			dp.Sleep(pr.opts.DeliverCPU)
-			pr.delivered++
 			pr.mDel.Inc()
 			t.mDel.Inc()
 			pr.mLag.Observe(dp.Now() - msg.PublishedAt)

@@ -66,11 +66,3 @@ func UserID(u int) string {
 	}
 	return fmt.Sprintf("user%03d", u+1)
 }
-
-// Password returns account u's password.
-func Password(u int) string {
-	if u >= 0 && u < NumAccounts {
-		return passwords[u]
-	}
-	return "pw-" + UserID(u)
-}

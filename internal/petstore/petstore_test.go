@@ -32,6 +32,13 @@ func deployApp(t *testing.T, cfg core.Policy) *App {
 
 // get issues one page request from clientNode and returns the response time.
 // It must be called from within a sim process.
+// runWarm runs fn as a simulation process and drives env until all scheduled
+// work completes.
+func runWarm(env *sim.Env, name string, fn func(p *sim.Proc)) {
+	env.Spawn(name, fn)
+	env.RunAll()
+}
+
 func get(t *testing.T, a *App, p *sim.Proc, client workload.Client, page string, params map[string]string) time.Duration {
 	t.Helper()
 	rt, err := a.RequestFunc()(p, client, workload.Step{Page: page, Params: params})
@@ -52,7 +59,7 @@ func TestDeployAllConfigs(t *testing.T) {
 		if cfg.EntityReplicas && a.Wiring() == nil {
 			t.Errorf("%v: no wiring", cfg)
 		}
-		a.Deployment().Env.Close()
+		a.d.Env.Close()
 	}
 }
 
@@ -168,7 +175,7 @@ func TestBuyerSessionSequence(t *testing.T) {
 func TestCentralizedRemotePenaltyIsTwoRTTs(t *testing.T) {
 	a := deployApp(t, core.Centralized)
 	var local, remote time.Duration
-	core.RunWarm(a.Deployment().Env, "probe", func(p *sim.Proc) {
+	runWarm(a.d.Env, "probe", func(p *sim.Proc) {
 		local = get(t, a, p, localClient, PageMain, nil)
 		remote = get(t, a, p, remoteClient, PageMain, nil)
 	})
@@ -185,7 +192,7 @@ func TestCentralizedRemotePenaltyIsTwoRTTs(t *testing.T) {
 func TestRemoteFacadeServesSessionPagesLocally(t *testing.T) {
 	a := deployApp(t, core.RemoteFacade)
 	var mainPage, category, verify time.Duration
-	core.RunWarm(a.Deployment().Env, "probe", func(p *sim.Proc) {
+	runWarm(a.d.Env, "probe", func(p *sim.Proc) {
 		user := UserID(0)
 		auth := map[string]string{"user": user, "password": "pw-" + user}
 		// Warm the EJBHomeFactory stub caches: the very first call to each
@@ -212,8 +219,8 @@ func TestRemoteFacadeServesSessionPagesLocally(t *testing.T) {
 
 func TestRemoteFacadeOneRMIPerCategoryPage(t *testing.T) {
 	a := deployApp(t, core.RemoteFacade)
-	reg := a.Deployment().Env.Metrics()
-	core.RunWarm(a.Deployment().Env, "probe", func(p *sim.Proc) {
+	reg := a.d.Env.Metrics()
+	runWarm(a.d.Env, "probe", func(p *sim.Proc) {
 		// Warm stub caches first.
 		get(t, a, p, remoteClient, PageCategory, map[string]string{"cat": CategoryID(0)})
 		before := reg.CounterValue("rmi_remote_calls_total")
@@ -226,9 +233,9 @@ func TestRemoteFacadeOneRMIPerCategoryPage(t *testing.T) {
 
 func TestStatefulCachingItemPageLocal(t *testing.T) {
 	a := deployApp(t, core.StatefulCaching)
-	reg := a.Deployment().Env.Metrics()
+	reg := a.d.Env.Metrics()
 	var item time.Duration
-	core.RunWarm(a.Deployment().Env, "probe", func(p *sim.Proc) {
+	runWarm(a.d.Env, "probe", func(p *sim.Proc) {
 		before := reg.CounterValue("rmi_remote_calls_total")
 		item = get(t, a, p, remoteClient, PageItem, map[string]string{"item": ItemID(0, 0, 0)})
 		if got := reg.CounterValue("rmi_remote_calls_total") - before; got != 0 {
@@ -262,7 +269,7 @@ func buyerCommitTime(t *testing.T, cfg core.Policy, client workload.Client) time
 	t.Helper()
 	a := deployApp(t, cfg)
 	var commit time.Duration
-	core.RunWarm(a.Deployment().Env, "buyer", func(p *sim.Proc) {
+	runWarm(a.d.Env, "buyer", func(p *sim.Proc) {
 		user := UserID(1)
 		get(t, a, p, client, PageMain, nil)
 		get(t, a, p, client, PageSignin, nil)
@@ -274,8 +281,8 @@ func buyerCommitTime(t *testing.T, cfg core.Policy, client workload.Client) time
 		commit = get(t, a, p, client, PageCommit, nil)
 		get(t, a, p, client, PageSignout, nil)
 	})
-	if a.Orders() != 1 {
-		t.Fatalf("orders = %d, want 1", a.Orders())
+	if a.orderSeq != 1 {
+		t.Fatalf("orders = %d, want 1", a.orderSeq)
 	}
 	return commit
 }
@@ -283,7 +290,7 @@ func buyerCommitTime(t *testing.T, cfg core.Policy, client workload.Client) time
 func TestBuyerSessionEndToEndUpdatesState(t *testing.T) {
 	a := deployApp(t, core.StatefulCaching)
 	item := ItemID(2, 3, 1)
-	core.RunWarm(a.Deployment().Env, "buyer", func(p *sim.Proc) {
+	runWarm(a.d.Env, "buyer", func(p *sim.Proc) {
 		user := UserID(5)
 		get(t, a, p, remoteClient, PageMain, nil)
 		get(t, a, p, remoteClient, PageSignin, nil)
@@ -295,7 +302,7 @@ func TestBuyerSessionEndToEndUpdatesState(t *testing.T) {
 		get(t, a, p, remoteClient, PageCommit, nil)
 		get(t, a, p, remoteClient, PageSignout, nil)
 	})
-	db := a.Deployment().DB
+	db := a.d.DB
 	orders, err := db.RowCount("orders")
 	if err != nil {
 		t.Fatal(err)
@@ -311,9 +318,9 @@ func TestBuyerSessionEndToEndUpdatesState(t *testing.T) {
 		t.Fatalf("inventory = %v, want decremented", inv.Rows[0][0])
 	}
 	// Zero staleness: both edge replicas already hold the new quantity.
-	for _, edge := range a.Deployment().Edges {
+	for _, edge := range a.d.Edges {
 		ro := a.Wiring().Replica(edge.Name(), BeanInventory)
-		core.RunWarm(a.Deployment().Env, "check", func(p *sim.Proc) {
+		runWarm(a.d.Env, "check", func(p *sim.Proc) {
 			st, err := ro.Get(p, sqldb.Str(item))
 			if err != nil {
 				t.Errorf("%s: %v", edge.Name(), err)
@@ -328,8 +335,8 @@ func TestBuyerSessionEndToEndUpdatesState(t *testing.T) {
 
 func TestQueryCachingCategoryPageLocalAfterWarm(t *testing.T) {
 	a := deployApp(t, core.QueryCaching)
-	reg := a.Deployment().Env.Metrics()
-	core.RunWarm(a.Deployment().Env, "probe", func(p *sim.Proc) {
+	reg := a.d.Env.Metrics()
+	runWarm(a.d.Env, "probe", func(p *sim.Proc) {
 		params := map[string]string{"cat": CategoryID(3)}
 		// First access misses and pays the pull fetch.
 		first := get(t, a, p, remoteClient, PageCategory, params)
@@ -355,7 +362,7 @@ func TestQueryCachingCategoryPageLocalAfterWarm(t *testing.T) {
 
 func TestBadCredentialsFail(t *testing.T) {
 	a := deployApp(t, core.Centralized)
-	core.RunWarm(a.Deployment().Env, "probe", func(p *sim.Proc) {
+	runWarm(a.d.Env, "probe", func(p *sim.Proc) {
 		_, err := a.RequestFunc()(p, localClient, workload.Step{
 			Page:   PageVerifySignin,
 			Params: map[string]string{"user": UserID(0), "password": "wrong"},
@@ -368,7 +375,7 @@ func TestBadCredentialsFail(t *testing.T) {
 
 func TestCommitWithoutSigninFails(t *testing.T) {
 	a := deployApp(t, core.Centralized)
-	core.RunWarm(a.Deployment().Env, "probe", func(p *sim.Proc) {
+	runWarm(a.d.Env, "probe", func(p *sim.Proc) {
 		if _, err := a.RequestFunc()(p, localClient, workload.Step{Page: PageCommit}); err == nil {
 			t.Error("commit without signin accepted")
 		}
@@ -402,22 +409,22 @@ func TestPaperWorkloadRates(t *testing.T) {
 	if locals != 1 {
 		t.Fatalf("local groups = %d, want 1", locals)
 	}
-	a.Deployment().Env.Close()
+	a.d.Env.Close()
 }
 
 func TestPagesRegisteredOnActiveServers(t *testing.T) {
 	allPages := len(BrowserPages) + len(BuyerPages) - 1 // Main shared
 	a := deployApp(t, core.Centralized)
-	if got := a.Deployment().Main.Web().Pages(); got != allPages {
+	if got := a.d.Main.Web().Pages(); got != allPages {
 		t.Fatalf("main pages = %d, want %d", got, allPages)
 	}
-	for _, e := range a.Deployment().Edges {
+	for _, e := range a.d.Edges {
 		if e.Web().Pages() != 0 {
 			t.Fatalf("centralized edge has %d pages", e.Web().Pages())
 		}
 	}
 	a2 := deployApp(t, core.RemoteFacade)
-	for _, s := range a2.Deployment().Servers() {
+	for _, s := range a2.d.Servers() {
 		if s.Web().Pages() != allPages {
 			t.Fatalf("%s pages = %d, want %d", s.Name(), s.Web().Pages(), allPages)
 		}
@@ -428,8 +435,8 @@ var _ = web.DefaultOptions // keep import for potential helpers
 
 func TestDBReplicationMakesSearchLocal(t *testing.T) {
 	a := deployApp(t, core.DBReplication)
-	reg := a.Deployment().Env.Metrics()
-	core.RunWarm(a.Deployment().Env, "probe", func(p *sim.Proc) {
+	reg := a.d.Env.Metrics()
+	runWarm(a.d.Env, "probe", func(p *sim.Proc) {
 		before := reg.CounterValue("rmi_remote_calls_total")
 		searchT := get(t, a, p, remoteClient, PageSearch, map[string]string{"q": "P04"})
 		if got := reg.CounterValue("rmi_remote_calls_total") - before; got != 0 {
@@ -444,15 +451,17 @@ func TestDBReplicationMakesSearchLocal(t *testing.T) {
 			t.Errorf("remote Item = %v", itemT)
 		}
 	})
-	if a.DBPrimary() == nil || a.DBPrimary().Replicas() != 2 {
-		t.Fatal("DB replication not wired")
+	for _, edge := range a.d.Edges {
+		if !edge.HasReplicaDB() {
+			t.Fatalf("DB replication not wired to %s", edge.Name())
+		}
 	}
 }
 
 func TestDBReplicationStreamsOrderWrites(t *testing.T) {
 	a := deployApp(t, core.DBReplication)
 	item := ItemID(4, 4, 2)
-	core.RunWarm(a.Deployment().Env, "buyer", func(p *sim.Proc) {
+	runWarm(a.d.Env, "buyer", func(p *sim.Proc) {
 		user := UserID(9)
 		get(t, a, p, remoteClient, PageMain, nil)
 		get(t, a, p, remoteClient, PageSignin, nil)
@@ -466,12 +475,12 @@ func TestDBReplicationStreamsOrderWrites(t *testing.T) {
 	})
 	// After the env drains, the inserted order rows exist on the edge
 	// replicas too (statement-based replication in commit order).
-	if a.DBPrimary().Shipped() == 0 {
+	if a.d.Env.Metrics().CounterValue("dbrepl_shipped_total") == 0 {
 		t.Fatal("no statements shipped")
 	}
-	for _, edge := range a.Deployment().Edges {
+	for _, edge := range a.d.Edges {
 		n := int64(0)
-		core.RunWarm(a.Deployment().Env, "check", func(p *sim.Proc) {
+		runWarm(a.d.Env, "check", func(p *sim.Proc) {
 			res, err := edge.SQLReplica(p, `SELECT orderid FROM orders`)
 			if err != nil {
 				t.Fatalf("%s: %v", edge.Name(), err)
@@ -487,7 +496,7 @@ func TestDBReplicationStreamsOrderWrites(t *testing.T) {
 func TestAsyncUpdatesEventuallyConsistentReplicas(t *testing.T) {
 	a := deployApp(t, core.AsyncUpdates)
 	item := ItemID(6, 2, 0)
-	core.RunWarm(a.Deployment().Env, "buyer", func(p *sim.Proc) {
+	runWarm(a.d.Env, "buyer", func(p *sim.Proc) {
 		user := UserID(11)
 		get(t, a, p, remoteClient, PageMain, nil)
 		get(t, a, p, remoteClient, PageSignin, nil)
@@ -501,9 +510,9 @@ func TestAsyncUpdatesEventuallyConsistentReplicas(t *testing.T) {
 	})
 	// RunWarm drained the environment: the asynchronously pushed inventory
 	// update has reached both edge replicas.
-	for _, edge := range a.Deployment().Edges {
+	for _, edge := range a.d.Edges {
 		ro := a.Wiring().Replica(edge.Name(), BeanInventory)
-		core.RunWarm(a.Deployment().Env, "check", func(p *sim.Proc) {
+		runWarm(a.d.Env, "check", func(p *sim.Proc) {
 			st, err := ro.Get(p, sqldb.Str(item))
 			if err != nil {
 				t.Errorf("%s: %v", edge.Name(), err)
@@ -513,11 +522,12 @@ func TestAsyncUpdatesEventuallyConsistentReplicas(t *testing.T) {
 				t.Errorf("%s replica qty = %v, want converged %d", edge.Name(), st.Get("qty"), InitialInventoryQty-1)
 			}
 		})
-		if ro.MeanPropagationDelay() < 50*time.Millisecond {
-			t.Errorf("%s propagation delay = %v, want WAN-scale (async)", edge.Name(), ro.MeanPropagationDelay())
-		}
 	}
-	if a.Deployment().JMS.Published() == 0 {
+	reg := a.d.Env.Metrics()
+	if d := reg.FindHistogram("container_replica_staleness_ns").Min(); d < 50*time.Millisecond {
+		t.Errorf("propagation delay %v, want WAN-scale (async) at every edge", d)
+	}
+	if reg.CounterValue("jms_published_total") == 0 {
 		t.Fatal("no JMS traffic in async configuration")
 	}
 }

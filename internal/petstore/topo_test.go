@@ -36,9 +36,9 @@ func partitioned(p core.Policy, n int) core.Policy {
 
 func TestDeployTopoUnpartitionedMatchesDeploy(t *testing.T) {
 	a, _ := deployTopoApp(t, 4, core.QueryCaching)
-	defer a.Deployment().Env.Close()
+	defer a.d.Env.Close()
 	// Every edge owns every query param: caching is unrestricted.
-	for _, edge := range a.Deployment().Edges {
+	for _, edge := range a.d.Edges {
 		if !a.ownsQueryParam(edge, sqldb.Str(ItemID(0, 0, 0))) {
 			t.Fatalf("%s should own all params without partitioning", edge.Name())
 		}
@@ -52,9 +52,9 @@ func TestDeployTopoUnpartitionedMatchesDeploy(t *testing.T) {
 func TestDeployTopoPartitionedOwnership(t *testing.T) {
 	const edges = 4
 	a, h := deployTopoApp(t, edges, partitioned(core.QueryCaching, edges))
-	defer a.Deployment().Env.Close()
+	defer a.d.Env.Close()
 
-	d := a.Deployment()
+	d := a.d
 	w := a.Wiring()
 	if w == nil {
 		t.Fatal("no wiring")
@@ -91,7 +91,9 @@ func TestDeployTopoPartitionedOwnership(t *testing.T) {
 		t.Fatal("could not find both an owned and an unowned item for edge000")
 	}
 	client := workload.Client{Node: h.ClientNode(edge0.Name()), ID: "c-e0"}
-	core.RunWarm(d.Env, "probe", func(p *sim.Proc) {
+	remoteGets := func() int64 { return d.Env.Metrics().CounterValue("container_replica_remote_gets_total") }
+	before := remoteGets()
+	runWarm(d.Env, "probe", func(p *sim.Proc) {
 		for _, id := range []string{ownedID, unownedID} {
 			if _, err := a.RequestFunc()(p, client, workload.Step{
 				Page: PageItem, Params: map[string]string{"item": id},
@@ -100,8 +102,7 @@ func TestDeployTopoPartitionedOwnership(t *testing.T) {
 			}
 		}
 	})
-	itemRO := w.Replica(edge0.Name(), BeanItem)
-	if itemRO.RemoteGets() == 0 {
+	if remoteGets() == before {
 		t.Error("unowned item read should count a remote get")
 	}
 	// Query caching is partition-scoped: the edge owns some catalog query
@@ -129,7 +130,7 @@ func TestDeployTopoRejectsBadSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Policy().Partition != good {
+	if a.policy.Partition != good {
 		t.Fatal("DeployTopo dropped the partition spec")
 	}
 }
@@ -154,7 +155,7 @@ func TestTopoWorkloadSpread(t *testing.T) {
 			if g.Local {
 				t.Fatalf("edges=%d: remote group %s marked local", edges, g.Name)
 			}
-			wantNode := h.ClientNode(a.Deployment().Edges[i].Name())
+			wantNode := h.ClientNode(a.d.Edges[i].Name())
 			if g.ClientNode != wantNode {
 				t.Fatalf("edges=%d: group %s on %s, want %s", edges, g.Name, g.ClientNode, wantNode)
 			}
@@ -164,6 +165,6 @@ func TestTopoWorkloadSpread(t *testing.T) {
 		if totB != 128 || totW != 32 {
 			t.Fatalf("edges=%d: remote totals %d browsers / %d writers, want 128/32", edges, totB, totW)
 		}
-		a.Deployment().Env.Close()
+		a.d.Env.Close()
 	}
 }

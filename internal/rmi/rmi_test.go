@@ -142,8 +142,8 @@ func TestStubCacheAvoidsSecondLookup(t *testing.T) {
 		}
 	})
 	env.RunAll()
-	if cache.Size() != 1 {
-		t.Fatalf("cache size = %d", cache.Size())
+	if len(cache.stubs) != 1 {
+		t.Fatalf("cache size = %d", len(cache.stubs))
 	}
 	if l := counter(t, env, "rmi_lookups_total"); l != 1 {
 		t.Fatalf("lookups = %d, want 1", l)
@@ -175,19 +175,6 @@ func TestBindValidation(t *testing.T) {
 	}
 	if _, err := rt.Bind("a", "svc", func(p *sim.Proc, c *Call) (any, error) { return nil, nil }); err == nil {
 		t.Fatal("duplicate bind accepted")
-	}
-}
-
-func TestUnbind(t *testing.T) {
-	env := sim.NewEnv(1)
-	net := twoNodeNet(t, env)
-	rt := NewRuntime(net, DefaultOptions)
-	if _, err := rt.Bind("a", "svc", func(p *sim.Proc, c *Call) (any, error) { return nil, nil }); err != nil {
-		t.Fatal(err)
-	}
-	rt.Unbind("a", "svc")
-	if _, err := rt.LocalStub("a", "a", "svc"); !errors.Is(err, ErrNotBound) {
-		t.Fatalf("err = %v", err)
 	}
 }
 
@@ -265,8 +252,8 @@ func TestRoundsFloorIsOne(t *testing.T) {
 	env := sim.NewEnv(1)
 	net := twoNodeNet(t, env)
 	rt := NewRuntime(net, Options{Rounds: 0.2})
-	if rt.Options().Rounds != 1 {
-		t.Fatalf("rounds = %v, want clamped to 1", rt.Options().Rounds)
+	if rt.opts.Rounds != 1 {
+		t.Fatalf("rounds = %v, want clamped to 1", rt.opts.Rounds)
 	}
 }
 

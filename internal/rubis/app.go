@@ -190,9 +190,6 @@ func Deploy(d *core.Deployment, p core.Policy) (*App, error) {
 	return a, nil
 }
 
-// Deployment returns the underlying deployment.
-func (a *App) Deployment() *core.Deployment { return a.d }
-
 // Wiring exposes the auto-wired replicas and caches.
 func (a *App) Wiring() *core.Wiring { return a.wiring }
 

@@ -50,11 +50,11 @@ func TestDeltaModeKeepsQueryCachesFresh(t *testing.T) {
 		repl := repl
 		t.Run(name, func(t *testing.T) {
 			a := deployOn(t, 9, core.AsyncUpdates, simnet.HierarchySpec{}, repl)
-			env := a.Deployment().Env
+			env := a.d.Env
 			defer env.Close()
 			const item, seller = int64(33), int64(33)
 			_, store, _, cstore := bidderParams(7, item)
-			core.RunWarm(env, "bidder", func(p *sim.Proc) {
+			runWarm(env, "bidder", func(p *sim.Proc) {
 				get(t, a, p, remoteClient, PageStoreBid, store)
 				get(t, a, p, remoteClient, PageStoreComment, cstore)
 			})
@@ -68,7 +68,7 @@ func TestDeltaModeKeepsQueryCachesFresh(t *testing.T) {
 				if qc.Size() != preloadedQueryKeys {
 					t.Errorf("%s cache holds %d keys, want the %d preloaded ones", edge.Name(), qc.Size(), preloadedQueryKeys)
 				}
-				core.RunWarm(env, "check", func(p *sim.Proc) {
+				runWarm(env, "check", func(p *sim.Proc) {
 					v, err := qc.Get(p, keyItemsByCategory(cat))
 					if err != nil {
 						t.Errorf("%s: %v", edge.Name(), err)
@@ -377,16 +377,14 @@ func TestQueryViewRefreshCostIndependentOfEdges(t *testing.T) {
 		env := a.d.Env
 		defer env.Close()
 		reg := env.Metrics()
-		before := reg.CounterValue("sqldb_statements_total")
-		core.RunWarm(env, "bidder", func(p *sim.Proc) {
+		before, installs := reg.CounterValue("sqldb_statements_total"), reg.CounterValue("container_querycache_pushed_total")
+		runWarm(env, "bidder", func(p *sim.Proc) {
 			if _, err := a.storeBid(p, Nickname(7), Password(7), 33, 999.50); err != nil {
 				t.Errorf("storeBid: %v", err)
 			}
 		})
-		for _, edge := range a.d.Edges {
-			if got := a.wiring.Cache(edge.Name()).Pushed(); got != 3 {
-				t.Errorf("%d edges: %s took %d installs, want 3", len(a.d.Edges), edge.Name(), got)
-			}
+		if got, want := reg.CounterValue("container_querycache_pushed_total")-installs, int64(3*len(a.d.Edges)); got != want {
+			t.Errorf("%d edges took %d installs, want 3 each", len(a.d.Edges), got)
 		}
 		return reg.CounterValue("sqldb_statements_total") - before, reg.CounterValue("container_queryview_requeries_total")
 	}

@@ -19,6 +19,13 @@ func deployApp(t *testing.T, cfg core.Policy) *App {
 	return deployOn(t, 9, cfg, simnet.HierarchySpec{}, nil)
 }
 
+// runWarm runs fn as a simulation process and drives env until all scheduled
+// work completes.
+func runWarm(env *sim.Env, name string, fn func(p *sim.Proc)) {
+	env.Spawn(name, fn)
+	env.RunAll()
+}
+
 func get(t *testing.T, a *App, p *sim.Proc, client workload.Client, page string, params map[string]string) time.Duration {
 	t.Helper()
 	rt, err := a.RequestFunc()(p, client, workload.Step{Page: page, Params: params})
@@ -51,7 +58,7 @@ func TestDeployAllConfigs(t *testing.T) {
 		if cfg.EntityReplicas && a.Wiring() == nil {
 			t.Errorf("%v: no wiring", cfg)
 		}
-		a.Deployment().Env.Close()
+		a.d.Env.Close()
 	}
 }
 
@@ -129,7 +136,7 @@ func TestBidderSessionSequence(t *testing.T) {
 func TestCentralizedShapes(t *testing.T) {
 	a := deployApp(t, core.Centralized)
 	var localMain, remoteMain, localItem time.Duration
-	core.RunWarm(a.Deployment().Env, "probe", func(p *sim.Proc) {
+	runWarm(a.d.Env, "probe", func(p *sim.Proc) {
 		localMain = get(t, a, p, localClient, PageMain, nil)
 		remoteMain = get(t, a, p, remoteClient, PageMain, nil)
 		localItem = get(t, a, p, localClient, PageItem, map[string]string{"item": "5"})
@@ -148,8 +155,8 @@ func TestCentralizedShapes(t *testing.T) {
 
 func TestRemoteFacadeStaticPagesLocal(t *testing.T) {
 	a := deployApp(t, core.RemoteFacade)
-	reg := a.Deployment().Env.Metrics()
-	core.RunWarm(a.Deployment().Env, "probe", func(p *sim.Proc) {
+	reg := a.d.Env.Metrics()
+	runWarm(a.d.Env, "probe", func(p *sim.Proc) {
 		// Static pages never touch the EJB tier.
 		before := reg.CounterValue("rmi_remote_calls_total")
 		mainT := get(t, a, p, remoteClient, PageMain, nil)
@@ -176,8 +183,8 @@ func TestRemoteFacadeStaticPagesLocal(t *testing.T) {
 
 func TestStatefulCachingItemLocalBidsRemote(t *testing.T) {
 	a := deployApp(t, core.StatefulCaching)
-	reg := a.Deployment().Env.Metrics()
-	core.RunWarm(a.Deployment().Env, "probe", func(p *sim.Proc) {
+	reg := a.d.Env.Metrics()
+	runWarm(a.d.Env, "probe", func(p *sim.Proc) {
 		before := reg.CounterValue("rmi_remote_calls_total")
 		itemT := get(t, a, p, remoteClient, PageItem, map[string]string{"item": "7"})
 		if got := reg.CounterValue("rmi_remote_calls_total") - before; got != 0 {
@@ -201,8 +208,8 @@ func TestStatefulCachingItemLocalBidsRemote(t *testing.T) {
 
 func TestQueryCachingAllBrowserPagesLocal(t *testing.T) {
 	a := deployApp(t, core.QueryCaching)
-	reg := a.Deployment().Env.Metrics()
-	core.RunWarm(a.Deployment().Env, "probe", func(p *sim.Proc) {
+	reg := a.d.Env.Metrics()
+	runWarm(a.d.Env, "probe", func(p *sim.Proc) {
 		before := reg.CounterValue("rmi_remote_calls_total")
 		pages := []struct {
 			page   string
@@ -243,7 +250,7 @@ func TestStoreBidBlocksUnderSyncNotAsync(t *testing.T) {
 	storeTime := func(cfg core.Policy) time.Duration {
 		a := deployApp(t, cfg)
 		var st time.Duration
-		core.RunWarm(a.Deployment().Env, "probe", func(p *sim.Proc) {
+		runWarm(a.d.Env, "probe", func(p *sim.Proc) {
 			form, store, _, _ := bidderParams(2, 30)
 			get(t, a, p, localClient, PagePutBidForm, form) // warm stubs
 			st = get(t, a, p, localClient, PageStoreBid, store)
@@ -268,7 +275,7 @@ func TestBidderFlowUpdatesStateAndCaches(t *testing.T) {
 	a := deployApp(t, core.QueryCaching)
 	item := int64(33)
 	form, store, cform, cstore := bidderParams(7, item)
-	core.RunWarm(a.Deployment().Env, "bidder", func(p *sim.Proc) {
+	runWarm(a.d.Env, "bidder", func(p *sim.Proc) {
 		get(t, a, p, remoteClient, PageMain, nil)
 		get(t, a, p, remoteClient, PagePutBidAuth, nil)
 		get(t, a, p, remoteClient, PagePutBidForm, form)
@@ -280,7 +287,7 @@ func TestBidderFlowUpdatesStateAndCaches(t *testing.T) {
 	if a.Bids() != 1 || a.Comments() != 1 {
 		t.Fatalf("bids=%d comments=%d", a.Bids(), a.Comments())
 	}
-	db := a.Deployment().DB
+	db := a.d.DB
 	res, err := db.Query(`SELECT nb_of_bids, max_bid FROM items WHERE id = ?`, sqldb.Int(item))
 	if err != nil {
 		t.Fatal(err)
@@ -292,10 +299,10 @@ func TestBidderFlowUpdatesStateAndCaches(t *testing.T) {
 		t.Fatalf("max_bid = %v", res.Rows[0][1])
 	}
 	// Zero staleness: edge replicas and bid-history caches are fresh.
-	for _, edge := range a.Deployment().Edges {
+	for _, edge := range a.d.Edges {
 		ro := a.Wiring().Replica(edge.Name(), BeanItem)
 		qc := a.Wiring().Cache(edge.Name())
-		core.RunWarm(a.Deployment().Env, "check", func(p *sim.Proc) {
+		runWarm(a.d.Env, "check", func(p *sim.Proc) {
 			st, err := ro.Get(p, sqldb.Int(item))
 			if err != nil {
 				t.Errorf("replica: %v", err)
@@ -323,7 +330,7 @@ func TestBidderFlowUpdatesStateAndCaches(t *testing.T) {
 
 func TestBadCredentialsRejected(t *testing.T) {
 	a := deployApp(t, core.Centralized)
-	core.RunWarm(a.Deployment().Env, "probe", func(p *sim.Proc) {
+	runWarm(a.d.Env, "probe", func(p *sim.Proc) {
 		_, err := a.RequestFunc()(p, localClient, workload.Step{
 			Page:   PagePutBidForm,
 			Params: map[string]string{"nick": Nickname(0), "password": "nope", "item": "1"},
@@ -347,13 +354,13 @@ func TestPaperWorkloadShape(t *testing.T) {
 	if total != 30 {
 		t.Fatalf("combined = %v req/s", total)
 	}
-	a.Deployment().Env.Close()
+	a.d.Env.Close()
 }
 
 func TestPagesRegistered(t *testing.T) {
 	a := deployApp(t, core.RemoteFacade)
 	want := len(BrowserPages) + len(BidderPages) - 1 // Main shared
-	for _, s := range a.Deployment().Servers() {
+	for _, s := range a.d.Servers() {
 		if got := s.Web().Pages(); got != want {
 			t.Fatalf("%s pages = %d, want %d", s.Name(), got, want)
 		}

@@ -84,10 +84,6 @@ func NewShards(seed int64, n int, window time.Duration) *Shards {
 // resources) goes directly through it; only cross-lane traffic must use Send.
 func (s *Shards) Env(i int) *Env { return s.envs[i] }
 
-// Now returns the common virtual time. Between Run calls all lanes agree on
-// the clock (they are advanced to the same round end).
-func (s *Shards) Now() time.Duration { return s.envs[0].Now() }
-
 // Dispatched returns the total events executed across all lanes.
 func (s *Shards) Dispatched() uint64 {
 	var total uint64

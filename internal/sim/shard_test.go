@@ -7,6 +7,13 @@ import (
 	"time"
 )
 
+// TaskFunc adapts a plain function to the Task interface, for tests whose
+// tasks carry no state.
+type TaskFunc func(e *Env)
+
+// Fire implements Task.
+func (f TaskFunc) Fire(e *Env) { f(e) }
+
 // pingTask bounces between two lanes through Shards.Send, recording each hop
 // in the log of the lane it fires on (lane to): a lane's log is appended to
 // only from that lane's own events, so lanes running on different workers
@@ -67,7 +74,7 @@ func runPingMesh(workers int) string {
 			out += "  " + line + "\n"
 		}
 	}
-	out += fmt.Sprintf("total dispatched %d, now %v, clamped %d\n", s.Dispatched(), s.Now(), s.Clamped())
+	out += fmt.Sprintf("total dispatched %d, now %v, clamped %d\n", s.Dispatched(), s.envs[0].Now(), s.Clamped())
 	s.Close()
 	return out
 }

@@ -260,17 +260,8 @@ func (p *Proc) SetTraceCtx(v any) { p.traceCtx = v }
 // the zero-cost fast-path check instrumentation relies on).
 func (p *Proc) TraceCtx() any { return p.traceCtx }
 
-// Env returns the environment the process belongs to.
-func (p *Proc) Env() *Env { return p.env }
-
-// Name returns the name given at Spawn time.
-func (p *Proc) Name() string { return p.name }
-
 // Now is shorthand for p.Env().Now().
 func (p *Proc) Now() time.Duration { return p.env.now }
-
-// Rand is shorthand for p.Env().Rand().
-func (p *Proc) Rand() *rand.Rand { return p.env.rng }
 
 // Spawn starts a new process running fn at the current virtual time. The
 // process begins execution when the scheduler reaches its start event during
@@ -537,12 +528,6 @@ func NewResource(e *Env, cap int) *Resource {
 	}
 	return &Resource{env: e, cap: cap}
 }
-
-// Cap returns the slot count.
-func (r *Resource) Cap() int { return r.cap }
-
-// InUse returns the number of currently held slots.
-func (r *Resource) InUse() int { return r.inUse }
 
 func (r *Resource) account() {
 	now := r.env.now

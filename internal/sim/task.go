@@ -29,12 +29,3 @@ func (e *Env) AtTask(at time.Duration, t Task) { e.schedule(event{at: at, task: 
 
 // AfterTask schedules t to fire d from now.
 func (e *Env) AfterTask(d time.Duration, t Task) { e.AtTask(e.now+d, t) }
-
-// TaskFunc adapts a plain function to the Task interface for tasks without
-// state. Note that storing a closure here reintroduces the closure
-// allocation the task path exists to avoid; hot paths should implement Fire
-// on a struct instead.
-type TaskFunc func(e *Env)
-
-// Fire implements Task.
-func (f TaskFunc) Fire(e *Env) { f(e) }

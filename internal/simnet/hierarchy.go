@@ -274,10 +274,6 @@ func (h *Hierarchy) ServerNodes() []string {
 // ClientNode returns the client-group node collocated with server, or "".
 func (h *Hierarchy) ClientNode(server string) string { return h.clientOf[server] }
 
-// Parent returns a node's parent in the tree (edge -> primary hub,
-// hub -> main), or "" for main and unknown nodes.
-func (h *Hierarchy) Parent(node string) string { return h.parent[node] }
-
 // BackupHub returns the hub an edge's redundant uplink reaches, or "" when
 // the spec has no redundant uplinks.
 func (h *Hierarchy) BackupHub(edge string) string { return h.backup[edge] }

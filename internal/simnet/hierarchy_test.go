@@ -27,7 +27,7 @@ func TestHierarchyShape(t *testing.T) {
 		}
 		// main + db + clients-main + hubs + edges + per-edge clients.
 		wantNodes := 3 + wantHubs + 2*edges
-		if got := h.Net.Nodes(); got != wantNodes {
+		if got := len(h.Net.nodes); got != wantNodes {
 			t.Fatalf("edges=%d: got %d nodes, want %d", edges, got, wantNodes)
 		}
 		// Every edge reaches main through its hub: backbone + metro one-way.
@@ -190,7 +190,7 @@ func TestZeroSpecIsPaperStar(t *testing.T) {
 	}
 	wantNodes := []string{NodeRouter, NodeMain, NodeEdge1, NodeEdge2, NodeDB,
 		NodeClientsMain, NodeClientsEdge1, NodeClientsEdge2}
-	if got := h.Net.Nodes(); got != len(wantNodes) {
+	if got := len(h.Net.nodes); got != len(wantNodes) {
 		t.Fatalf("nodes = %d, want %d", got, len(wantNodes))
 	}
 	for _, id := range wantNodes {

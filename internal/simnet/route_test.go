@@ -264,7 +264,7 @@ func TestHeldRouteAllocs(t *testing.T) {
 	}); avg != 0 {
 		t.Fatalf("Delay over a held route allocates %.2f per call; want 0", avg)
 	}
-	hub := h.Parent(h.EdgeNames[3])
+	hub := h.parent[h.EdgeNames[3]]
 	mult := 1.0
 	if avg := testing.AllocsPerRun(100, func() {
 		mult = 3 - mult // alternate 1x and 2x: the route resolves every time

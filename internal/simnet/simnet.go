@@ -173,9 +173,6 @@ func (n *Network) findLink(a, b string) *Link {
 // HasLink reports whether a link between a and b exists (in either order).
 func (n *Network) HasLink(a, b string) bool { return n.findLink(a, b) != nil }
 
-// Nodes returns the number of nodes.
-func (n *Network) Nodes() int { return len(n.nodes) }
-
 // AddLink connects a and b with the given one-way latency and bandwidth
 // (bytes per second). Both endpoints must exist.
 func (n *Network) AddLink(a, b string, latency time.Duration, bps float64) (*Link, error) {
@@ -510,17 +507,6 @@ func (r *Route) Transfer(p *sim.Proc, bytes int) error {
 		p.Sleep(d)
 	}
 	return err
-}
-
-// Send delivers a message asynchronously: fn runs on the scheduler at the
-// delivery time. It returns the delivery delay. Use it for one-way messages
-// such as JMS publications.
-func (r *Route) Send(bytes int, fn func()) (time.Duration, error) {
-	d, err := r.Delay(bytes)
-	if err == nil {
-		r.net.env.After(d, fn)
-	}
-	return d, err
 }
 
 // WideArea is Route(a, b).WideArea().

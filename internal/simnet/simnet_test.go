@@ -177,19 +177,6 @@ func TestOppositeDirectionsDoNotContend(t *testing.T) {
 	}
 }
 
-func TestSendSchedulesDelivery(t *testing.T) {
-	env := sim.NewEnv(1)
-	n := buildTriangle(t, env)
-	delivered := time.Duration(-1)
-	if _, err := n.Route("a", "b").Send(0, func() { delivered = env.Now() }); err != nil {
-		t.Fatal(err)
-	}
-	env.RunAll()
-	if delivered != 10*time.Millisecond {
-		t.Fatalf("delivered at %v, want 10ms", delivered)
-	}
-}
-
 func TestDuplicateNodeRejected(t *testing.T) {
 	env := sim.NewEnv(1)
 	n := New(env)

@@ -3,7 +3,7 @@
 // INSERT, UPDATE, DELETE and SELECT [DISTINCT] with WHERE, inner joins,
 // ORDER BY, LIMIT and LIKE, plus transactions with rollback and hash
 // indexes. A feature exists here iff a caller outside the package reaches it
-// (make sqldb-inventory checks); everything else fails Parse.
+// (make inventory checks); everything else fails Parse.
 //
 // A statement is parsed once per text and planned once per schema epoch. The
 // plan holds every expression of the statement compiled to a closure over

@@ -226,9 +226,6 @@ type Ctx struct {
 	parent SpanID
 }
 
-// Ok reports whether the context carries a live trace.
-func (c Ctx) Ok() bool { return c.t != nil }
-
 // Capture snapshots p's tracing position for an async continuation. The
 // trace stays open until every captured context is adopted-and-closed or
 // dropped, so async tails (a JMS redelivery, a dbrepl replay) are recorded

@@ -48,9 +48,6 @@ func (s *Session) Set(key string, v any) { s.attrs[key] = v }
 // Delete removes a session attribute.
 func (s *Session) Delete(key string) { delete(s.attrs, key) }
 
-// Len returns the number of attributes.
-func (s *Session) Len() int { return len(s.attrs) }
-
 // Request is one page request arriving at a servlet.
 type Request struct {
 	Page       string
@@ -109,8 +106,6 @@ type Container struct {
 	reqs     sim.Free[Request]
 	dflt     Response // what a nil response means
 
-	served int64
-
 	mReqs     *metrics.Counter
 	mErrors   *metrics.Counter
 	mSessions *metrics.Counter
@@ -145,12 +140,6 @@ func (c *Container) NewSession(id string) *Session {
 	return NewSession(id, c.node.ID)
 }
 
-// Node returns the container's node ID.
-func (c *Container) Node() string { return c.node.ID }
-
-// Served returns the number of requests this container has handled.
-func (c *Container) Served() int64 { return c.served }
-
 // Handle registers a servlet for a page name, replacing any previous one.
 func (c *Container) Handle(page string, h Handler) {
 	c.servlets[page] = h
@@ -166,7 +155,6 @@ func (c *Container) serve(p *sim.Proc, req *Request) (*Response, error) {
 	if !ok {
 		return nil, fmt.Errorf("web: %s on %s: %w", req.Page, c.node.ID, ErrNoSuchPage)
 	}
-	c.served++
 	c.mReqs.Inc()
 	c.pageVec.With(req.Page).Inc()
 	trace.Use(p, c.node.CPU, c.node.ID, c.opts.DispatchCPU)

@@ -118,9 +118,6 @@ func (st *Stats) Errors() int {
 	return total
 }
 
-// ErrorsFor returns failures for one page.
-func (st *Stats) ErrorsFor(page string) int { return st.errors[page] }
-
 // Series returns the summary for a key, or nil.
 func (st *Stats) Series(key SeriesKey) *Summary { return st.series[key] }
 

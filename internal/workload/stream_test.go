@@ -138,10 +138,10 @@ func TestStreamErrorsRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.ErrorsFor("Detail") == 0 {
+	if res.Stats.errors["Detail"] == 0 {
 		t.Error("expected Detail errors from the unlucky id")
 	}
-	if res.Stats.ErrorsFor("Main") != 0 {
+	if res.Stats.errors["Main"] != 0 {
 		t.Error("Main should never fail")
 	}
 }

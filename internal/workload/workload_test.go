@@ -121,7 +121,7 @@ func TestStatsWarmupDiscard(t *testing.T) {
 	}
 	st.RecordError(30*time.Second, "Main")
 	st.RecordError(90*time.Second, "Main")
-	if st.Errors() != 1 || st.ErrorsFor("Main") != 1 {
+	if st.Errors() != 1 || st.errors["Main"] != 1 {
 		t.Fatalf("errors = %d", st.Errors())
 	}
 }
