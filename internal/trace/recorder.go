@@ -11,17 +11,16 @@ type Recorder struct {
 	ring    []*Trace
 	next    int
 	count   int
-	evicted uint64
-
-	dropped *metrics.Counter // set by the owning tracer; may be nil in tests
+	dropped *metrics.Counter // trace_dropped_total of the owning tracer
 }
 
-// NewRecorder creates a recorder holding at most cap traces.
-func NewRecorder(capacity int) *Recorder {
+// newRecorder creates a recorder holding at most capacity traces that counts
+// each eviction in dropped.
+func newRecorder(capacity int, dropped *metrics.Counter) *Recorder {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Recorder{ring: make([]*Trace, capacity)}
+	return &Recorder{ring: make([]*Trace, capacity), dropped: dropped}
 }
 
 // Push records a finished trace, evicting the oldest if the ring is full.
@@ -31,10 +30,7 @@ func NewRecorder(capacity int) *Recorder {
 func (r *Recorder) Push(t *Trace) *Trace {
 	old := r.ring[r.next]
 	if old != nil {
-		r.evicted++
-		if r.dropped != nil {
-			r.dropped.Inc()
-		}
+		r.dropped.Inc()
 	} else {
 		r.count++
 	}
@@ -45,9 +41,6 @@ func (r *Recorder) Push(t *Trace) *Trace {
 
 // Len returns the number of traces currently held.
 func (r *Recorder) Len() int { return r.count }
-
-// Evicted returns how many traces have been overwritten since creation.
-func (r *Recorder) Evicted() uint64 { return r.evicted }
 
 // Traces returns the held traces, oldest first.
 func (r *Recorder) Traces() []*Trace {

@@ -79,7 +79,6 @@ type Tracer struct {
 	free        *Trace // last ring-evicted sync trace, recycled by PageSync
 
 	mSampled *metrics.Counter
-	mDropped *metrics.Counter
 	mSpans   *metrics.CounterVec
 }
 
@@ -95,18 +94,15 @@ func New(env *sim.Env, opts Options) *Tracer {
 		opts.MaxSpans = 512
 	}
 	reg := env.Metrics()
-	tr := &Tracer{
+	return &Tracer{
 		sampleEvery: opts.SampleEvery,
 		maxSpans:    opts.MaxSpans,
-		rec:         NewRecorder(opts.MaxTraces),
+		rec:         newRecorder(opts.MaxTraces, reg.Counter("trace_dropped_total")),
 		agg:         NewAggregator(),
 		onFinish:    opts.OnFinish,
 		mSampled:    reg.Counter("trace_sampled_total"),
-		mDropped:    reg.Counter("trace_dropped_total"),
 		mSpans:      reg.CounterVec("trace_spans_total", "node"),
 	}
-	tr.rec.dropped = tr.mDropped
-	return tr
 }
 
 // Install attaches the tracer to env so FromEnv finds it.

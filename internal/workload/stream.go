@@ -322,11 +322,12 @@ func RunStream(cfg StreamConfig) (*StreamResult, error) {
 	}
 	if tracers != nil {
 		res.Blame = trace.NewAggregator()
-		for _, tr := range tracers {
+		for i, tr := range tracers {
+			dropped := uint64(lanes.Env(i).Metrics().CounterValue("trace_dropped_total"))
 			res.Blame.Merge(tr.Aggregator())
 			res.Traces = append(res.Traces, tr.Recorder().Traces()...)
-			res.TraceSampled += uint64(tr.Recorder().Len()) + uint64(tr.Recorder().Evicted())
-			res.TraceDropped += uint64(tr.Recorder().Evicted())
+			res.TraceSampled += uint64(tr.Recorder().Len()) + dropped
+			res.TraceDropped += dropped
 		}
 		// Per-lane rings evict independently; order the merged survivors by
 		// root start time (then ID) so the view is stable for any Workers.
