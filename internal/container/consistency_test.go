@@ -27,9 +27,6 @@ func TestROEntityTTLInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ro.SetTTL(10 * time.Second)
-	if ro.TTL() != 10*time.Second {
-		t.Fatalf("ttl = %v", ro.TTL())
-	}
 	f.run(t, func(p *sim.Proc) {
 		if _, err := ro.Get(p, sqldb.Str("i1")); err != nil { // cold miss
 			t.Fatalf("get: %v", err)

@@ -186,9 +186,6 @@ func (b *RWEntity) updatesOf(res sqldb.Result, at time.Duration) []Update {
 // requires push-refresh replicas, which merge deltas into their copies).
 func (b *RWEntity) SetDeltaPush(on bool) { b.deltaPush = on }
 
-// Propagators returns the number of attached propagators.
-func (b *RWEntity) Propagators() int { return len(b.props) }
-
 // Load reads the entity's state by primary key (ejbFindByPrimaryKey +
 // ejbLoad; the paper's baseline removes the redundant extra database call,
 // so this is a single SELECT). The row is the SELECT's own: no copy.
@@ -429,9 +426,6 @@ func DeployROEntity(srv *Server, name, rwBean string, fetch FetchFunc) (*ROEntit
 // mode the paper describes, and the fallback that bounds staleness when an
 // asynchronous push is lost). ttl <= 0 disables the timeout.
 func (b *ROEntity) SetTTL(ttl time.Duration) { b.ttl = ttl }
-
-// TTL returns the timeout-invalidation interval (0 when disabled).
-func (b *ROEntity) TTL() time.Duration { return b.ttl }
 
 // SetServeStale enables graceful degradation: when a refresh fails (the
 // central server is unreachable) and a local copy younger than maxAge

@@ -296,9 +296,6 @@ func (v *QueryViews) Result(key string) (any, bool) {
 	return r, ok
 }
 
-// Len returns the number of materialised keys.
-func (v *QueryViews) Len() int { return len(v.results) }
-
 // committed refreshes every key the commit affects. shipped says whether the
 // bean's updates travel to the edges at all: only then are the entity's keys
 // put on record for install.

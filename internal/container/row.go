@@ -78,14 +78,22 @@ func (rs Rows) Len() int { return len(rs.vals) }
 // At returns row i.
 func (rs Rows) At(i int) Row { return Row{rs.cols, rs.vals[i]} }
 
-// Slice returns the rows as a list a holder can mix with rows of other
-// column lists, sharing their values: one allocation.
-func (rs Rows) Slice() []Row {
-	out := make([]Row, len(rs.vals))
-	for i := range out {
-		out[i] = rs.At(i)
-	}
-	return out
+// Insert returns a new view: rs's rows with r inserted as row i, all over
+// r's column list, which must name rs's columns in order. rs does not
+// change and shares its values: one allocation.
+func (rs Rows) Insert(i int, r Row) Rows {
+	vals := make([][]sqldb.Value, 0, len(rs.vals)+1)
+	vals = append(append(append(vals, rs.vals[:i]...), r.vals), rs.vals[i:]...)
+	return Rows{r.cols, vals}
+}
+
+// Replace returns a new view: rs's rows with r as row i, all over r's
+// column list, which must name rs's columns in order. rs does not change
+// and shares its values: one allocation.
+func (rs Rows) Replace(i int, r Row) Rows {
+	vals := slices.Clone(rs.vals)
+	vals[i] = r.vals
+	return Rows{r.cols, vals}
 }
 
 // FirstRow returns a SELECT result's first row, or the zero Row when it has

@@ -227,9 +227,6 @@ func TestAutoWireSyncPush(t *testing.T) {
 	if len(w.Updaters) != 2 || len(w.Replicas) != 2 {
 		t.Fatalf("wiring = %+v", w)
 	}
-	if rw.Propagators() != 1 {
-		t.Fatalf("propagators = %d", rw.Propagators())
-	}
 	var writeCost time.Duration
 	runWarm(d.Env, "writer", func(p *sim.Proc) {
 		start := p.Now()

@@ -58,9 +58,6 @@ func TestDeferredWiringStartsEmpty(t *testing.T) {
 	if w.DeployedOn(d.Edges[0].Name()) || w.DeployedOn(d.Edges[1].Name()) {
 		t.Fatal("deferred wiring deployed replicas eagerly")
 	}
-	if rw.Propagators() != 1 {
-		t.Fatalf("propagators = %d", rw.Propagators())
-	}
 	// Writes succeed with zero push fan-out.
 	var writeCost time.Duration
 	runWarm(d.Env, "writer", func(p *sim.Proc) {
@@ -72,6 +69,9 @@ func TestDeferredWiringStartsEmpty(t *testing.T) {
 	})
 	if writeCost >= 100*time.Millisecond {
 		t.Fatalf("write with no replicas cost %v, want local", writeCost)
+	}
+	if got := d.Env.Metrics().CounterValue("container_replica_pushes_total"); got != 0 {
+		t.Fatalf("pushes = %d before any extension, want 0", got)
 	}
 }
 
@@ -106,28 +106,45 @@ func TestExtendToAtRuntime(t *testing.T) {
 			t.Fatalf("replica qty = %v after extension, want pushed 5", st.Get("qty"))
 		}
 	})
+	// The bean's one pusher reached the one extended edge once.
+	if got := d.Env.Metrics().CounterValue("container_replica_pushes_total"); got != 1 {
+		t.Fatalf("pushes = %d, want 1", got)
+	}
 	// The other edge remains unwired: pushes target only edge1.
 	if w.DeployedOn(d.Edges[1].Name()) {
 		t.Fatal("unrequested edge got wired")
 	}
 }
 
+// TestAutoWireWithMaxStalenessSetsTTL: a descriptor's MaxStaleness is the
+// replicas' timeout: an entry is served locally until it is older than 30 s,
+// then refreshed through the fetch path.
 func TestAutoWireWithMaxStalenessSetsTTL(t *testing.T) {
 	d, rw := wireFixture(t)
-	_ = rw
+	defer d.Env.Close()
 	w, err := AutoWire(d, &container.ExtendedDescriptor{
 		Topic: "t",
 		Replicas: []container.ReplicaSpec{
 			{Bean: "ItemRW", Update: container.AsyncUpdate, MaxStaleness: 30 * time.Second},
 		},
-	}, WireOptions{})
+	}, WireOptions{FetchFor: func(*container.Server, string) container.FetchFunc { return rw.Load }})
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := d.Env.Metrics()
 	for _, e := range d.Edges {
-		if ttl := w.Replica(e.Name(), "ItemRW").TTL(); ttl != 30*time.Second {
-			t.Fatalf("%s TTL = %v", e.Name(), ttl)
-		}
+		ro := w.Replica(e.Name(), "ItemRW")
+		runWarm(d.Env, "reader", func(p *sim.Proc) {
+			for _, wait := range []time.Duration{0, 29 * time.Second, 2 * time.Second} {
+				p.Sleep(wait)
+				if _, err := ro.Get(p, sqldb.Str("i1")); err != nil {
+					t.Errorf("%s get: %v", e.Name(), err)
+				}
+			}
+		})
 	}
-	d.Env.Close()
+	hits, stale := reg.CounterValue("container_replica_hits_total"), reg.CounterValue("container_replica_stale_refreshes_total")
+	if n := int64(len(d.Edges)); hits != n || stale != n {
+		t.Fatalf("%d hits and %d timeout refreshes on %d edges, want one of each per edge", hits, stale, n)
+	}
 }

@@ -68,8 +68,8 @@ func topo128Policy() core.Policy {
 // TestPageAllocBudget holds each full-stack workload to its heap-allocation
 // budget per page, counted over the pages of a short round after its
 // warm-up: a call envelope, row slice, boxed argument, result header,
-// response or push batch that starts being allocated per page again shows
-// here first.
+// response, push batch, cache key, query argument list or JMS delivery
+// closure that starts being allocated per page again shows here first.
 func TestPageAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates; alloc guard runs without -race")
@@ -81,9 +81,9 @@ func TestPageAllocBudget(t *testing.T) {
 		spec   simnet.HierarchySpec
 		budget float64
 	}{
-		{"petstore-centralized", PetStore, core.Centralized, simnet.HierarchySpec{}, 2.4},
-		{"rubis-async", RUBiS, core.AsyncUpdates, simnet.HierarchySpec{}, 4.1},
-		{"petstore-topo128", PetStore, topo128Policy(), simnet.DefaultHierarchySpec(128), 2.9},
+		{"petstore-centralized", PetStore, core.Centralized, simnet.HierarchySpec{}, 2.2},
+		{"rubis-async", RUBiS, core.AsyncUpdates, simnet.HierarchySpec{}, 2.4},
+		{"petstore-topo128", PetStore, topo128Policy(), simnet.DefaultHierarchySpec(128), 2.7},
 	}
 	const warmup = 2 * time.Minute
 	for _, c := range cases {

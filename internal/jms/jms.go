@@ -7,6 +7,14 @@
 // caches. The writer never blocks on WAN delivery — Publish charges only the
 // local publish cost and returns, while deliveries run asynchronously with
 // per-subscription FIFO ordering.
+//
+// Each (message, subscription) pair travels as a delivery record: Publish
+// fills one in, the record is the arrival event (and, under a redelivery
+// policy, each re-attempt's event), and the MDB process it starts takes its
+// fields and hands it back to the Provider's free list on its first step. A
+// dropped or dead-lettered delivery hands its record back at once. Records
+// are made only when the list is empty, so a steady publish allocates its
+// Message and one process per delivery.
 package jms
 
 import (
@@ -76,6 +84,7 @@ var DefaultOptions = Options{
 type subscription struct {
 	node  string
 	name  string
+	proc  string // the delivery process's name, "jms:" + name
 	fn    Subscriber
 	route *simnet.Route // broker -> subscriber
 	// lastArrival enforces per-subscription FIFO delivery.
@@ -109,6 +118,8 @@ type Provider struct {
 	// redelivery-free runs export byte-identical metric snapshots.
 	mRedeliver  *metrics.Counter
 	mDeadLetter *metrics.Counter
+
+	dels sim.Free[delivery] // records of no delivery in flight (Reuse/Keep)
 }
 
 // NewProvider creates a broker on node.
@@ -155,7 +166,7 @@ func (pr *Provider) Subscribe(topic, node, name string, fn Subscriber) error {
 	if pr.net.Node(node) == nil {
 		return fmt.Errorf("jms: subscribe %s: no such node %s", topic, node)
 	}
-	t.subs = append(t.subs, &subscription{node: node, name: name, fn: fn, route: pr.net.Route(pr.node, node)})
+	t.subs = append(t.subs, &subscription{node: node, name: name, proc: "jms:" + name, fn: fn, route: pr.net.Route(pr.node, node)})
 	return nil
 }
 
@@ -181,34 +192,63 @@ func (pr *Provider) Publish(p *sim.Proc, fromNode, topic string, body any, bytes
 	pr.mPub.Inc()
 	t.mPub.Inc()
 	for _, sub := range t.subs {
+		d := pr.dels.Reuse()
+		if d == nil {
+			d = &delivery{pr: pr}
+			d.run = d.start
+		}
 		// Each subscription gets its own captured context, so a traced
 		// publish stays open until every delivery (or redelivery chain)
 		// lands, is dropped, or dead-letters.
-		pr.deliver(t, sub, msg, trace.Capture(p), 1)
+		d.t, d.sub, d.msg, d.ctx = t, sub, msg, trace.Capture(p)
+		d.try(1)
 	}
 	return nil
 }
 
-// deliver schedules one delivery attempt of msg to sub. A failed attempt is
-// dropped (at-most-once, the historical behavior) unless a redelivery policy
-// is configured, in which case it is re-attempted up to the policy's cap and
+// delivery is one message on its way to one subscription. It is the event
+// of its arrival, or of its next attempt when retry is set, and run, bound
+// when the record is made, is the body of the process the arrival starts.
+type delivery struct {
+	pr      *Provider
+	t       *Topic
+	sub     *subscription
+	msg     *Message
+	ctx     trace.Ctx
+	attempt int
+	retry   bool
+	run     func(*sim.Proc)
+}
+
+// release clears d's delivery and gives it back to the Provider.
+func (d *delivery) release() {
+	*d = delivery{pr: d.pr, run: d.run}
+	d.pr.dels.Keep(d)
+}
+
+// try schedules the given attempt of d. A failed attempt is dropped
+// (at-most-once, the historical behavior) unless a redelivery policy is
+// configured, in which case it is re-attempted up to the policy's cap and
 // then counted as a dead letter.
-func (pr *Provider) deliver(t *Topic, sub *subscription, msg *Message, ctx trace.Ctx, attempt int) {
-	delay, err := sub.route.Delay(msg.Bytes)
+func (d *delivery) try(attempt int) {
+	pr, sub := d.pr, d.sub
+	d.attempt = attempt
+	delay, err := sub.route.Delay(d.msg.Bytes)
 	if err != nil {
 		rd := pr.opts.Redelivery
-		if rd == nil {
-			// Partitioned subscriber: drop (at-most-once across failures).
-			ctx.Drop()
+		if rd != nil && attempt < rd.MaxAttempts {
+			pr.mRedeliver.Inc()
+			d.retry = true
+			pr.env.AfterTask(rd.Delay, d)
 			return
 		}
-		if attempt < rd.MaxAttempts {
-			pr.mRedeliver.Inc()
-			pr.env.After(rd.Delay, func() { pr.deliver(t, sub, msg, ctx, attempt+1) })
-		} else {
+		// Partitioned subscriber with no attempt left: drop
+		// (at-most-once across failures) or dead-letter.
+		if rd != nil {
 			pr.mDeadLetter.Inc()
-			ctx.Drop()
 		}
+		d.ctx.Drop()
+		d.release()
 		return
 	}
 	arrival := pr.env.Now() + delay
@@ -216,20 +256,34 @@ func (pr *Provider) deliver(t *Topic, sub *subscription, msg *Message, ctx trace
 		arrival = sub.lastArrival // FIFO per subscription
 	}
 	sub.lastArrival = arrival
+	d.retry = false
+	pr.env.AtTask(arrival, d)
+}
+
+// Fire re-attempts a failed delivery or, on arrival, starts the MDB process.
+func (d *delivery) Fire(e *sim.Env) {
+	if d.retry {
+		d.try(d.attempt + 1)
+		return
+	}
+	e.Spawn(d.sub.proc, d.run)
+}
+
+// start is the MDB process: it takes the delivery off d, releases d, and
+// runs the subscriber.
+func (d *delivery) start(dp *sim.Proc) {
+	pr, t, sub, msg, ctx := d.pr, d.t, d.sub, d.msg, d.ctx
 	// Redelivered messages carry the retry cause so the delivery tail shows
 	// up as retry/backoff time in the blame decomposition.
 	cause := trace.CauseService
-	if attempt > 1 {
+	if d.attempt > 1 {
 		cause = trace.CauseRetry
 	}
-	pr.env.At(arrival, func() {
-		pr.env.Spawn("jms:"+sub.name, func(dp *sim.Proc) {
-			defer trace.Adoptf(dp, ctx, "jms", sub.node, cause, "deliver ", sub.name, "")()
-			dp.Sleep(pr.opts.DeliverCPU)
-			pr.mDel.Inc()
-			t.mDel.Inc()
-			pr.mLag.Observe(dp.Now() - msg.PublishedAt)
-			sub.fn(dp, msg)
-		})
-	})
+	d.release()
+	defer trace.Adoptf(dp, ctx, "jms", sub.node, cause, "deliver ", sub.name, "")()
+	dp.Sleep(pr.opts.DeliverCPU)
+	pr.mDel.Inc()
+	t.mDel.Inc()
+	pr.mLag.Observe(dp.Now() - msg.PublishedAt)
+	sub.fn(dp, msg)
 }

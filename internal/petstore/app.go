@@ -457,8 +457,9 @@ func (a *App) cartMethods(srv *container.Server) map[string]container.Method {
 				return nil, err
 			}
 			n := inv.State["count"].AsInt()
-			inv.State[fmt.Sprintf("item%d", n)] = itemID
-			inv.State[fmt.Sprintf("price%d", n)] = details.Item.Get("listprice")
+			itemKey, priceKey := cartLineKeys(n)
+			inv.State[itemKey] = itemID
+			inv.State[priceKey] = details.Item.Get("listprice")
 			inv.State["count"] = sqldb.Int(n + 1)
 			total := inv.State["total"].AsFloat() + details.Item.Get("listprice").AsFloat()
 			inv.State["total"] = sqldb.Float(total)

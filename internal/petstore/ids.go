@@ -14,6 +14,10 @@ var (
 	userIDs     [NumAccounts]string
 	passwords   [NumAccounts]string
 	searchQs    [ProductsPerCategory]string
+	// A cart line's state keys, "item0"/"price0" on: a buyer session
+	// adds one line before its cart is cleared.
+	cartItemKeys  [8]string
+	cartPriceKeys [8]string
 )
 
 func init() {
@@ -33,6 +37,17 @@ func init() {
 	for q := range searchQs {
 		searchQs[q] = fmt.Sprintf("P%02d", q+1)
 	}
+	for n := range cartItemKeys {
+		cartItemKeys[n], cartPriceKeys[n] = fmt.Sprintf("item%d", n), fmt.Sprintf("price%d", n)
+	}
+}
+
+// cartLineKeys returns the state keys of cart line n (zero-based).
+func cartLineKeys(n int64) (item, price string) {
+	if n >= 0 && n < int64(len(cartItemKeys)) {
+		return cartItemKeys[n], cartPriceKeys[n]
+	}
+	return fmt.Sprintf("item%d", n), fmt.Sprintf("price%d", n)
 }
 
 // CategoryID returns the id of category i (zero-based): "C01".."C10".

@@ -226,24 +226,18 @@ func (a *App) sbStub(p *sim.Proc, srv *container.Server, bean string) (*rmi.Stub
 }
 
 // runQuery executes q with full cost accounting on srv.
-func runQuery(p *sim.Proc, srv *container.Server, q query) ([]container.Row, error) {
-	res, err := srv.SQL(p, q.sql, q.args...)
-	if err != nil {
-		return nil, err
-	}
-	return container.RowsOf(res).Slice(), nil
+func runQuery(p *sim.Proc, srv *container.Server, q query) (container.Rows, error) {
+	res, err := srv.SQL(p, q.sql, q.args()...)
+	return container.RowsOf(res), err
 }
 
 // runDirect executes q against the database with no simulated cost: used at
 // deploy time (preloading) and inside push recomputation, where the real
 // system computes results on the main server and ships them in the bulk
 // push message.
-func runDirect(db *sqldb.DB, q query) ([]container.Row, error) {
-	res, err := db.Exec(q.sql, q.args...)
-	if err != nil {
-		return nil, err
-	}
-	return container.RowsOf(res).Slice(), nil
+func runDirect(db *sqldb.DB, q query) (container.Rows, error) {
+	res, err := db.Exec(q.sql, q.args()...)
+	return container.RowsOf(res), err
 }
 
 // authenticate verifies credentials on the main server (the SignOn step that
@@ -253,10 +247,10 @@ func (a *App) authenticate(p *sim.Proc, nick, pass string) (container.Row, error
 	if err != nil {
 		return container.Row{}, err
 	}
-	if len(rows) == 0 || rows[0].Get("password").AsString() != pass {
+	if rows.Len() == 0 || rows.At(0).Get("password").AsString() != pass {
 		return container.Row{}, fmt.Errorf("rubis: bad credentials for %s", nick)
 	}
-	return rows[0], nil
+	return rows.At(0), nil
 }
 
 // deployMainFacades installs the central session façades.
@@ -438,5 +432,5 @@ func (a *App) storeComment(p *sim.Proc, nick, pass string, toUser, itemID, ratin
 // UserInfoPage is the User Info façade result.
 type UserInfoPage struct {
 	User     container.Row
-	Comments []container.Row
+	Comments container.Rows
 }

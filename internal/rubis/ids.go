@@ -16,9 +16,14 @@ var (
 	bidStrs   [500]string          // "5.00".."504.00"
 	nicknames [NumUsers]string
 	userPws   [NumUsers]string
-	// itemsByCatRegion cache keys: built on every CategoryRegion page and
-	// every Item commit.
-	catRegionKeys [NumCategories][NumRegions]string
+	// Query-cache keys by id (queries.go): one is built on every cached
+	// read and every view refresh.
+	regionCatKeys  [NumRegions]string
+	itemsByCatKeys [NumCategories]string
+	catRegionKeys  [NumCategories][NumRegions]string
+	bidHistoryKeys [NumItems]string
+	userInfoKeys   [NumUsers]string
+	userByNickKeys [NumUsers]string // by zero-based user
 )
 
 func init() {
@@ -34,6 +39,18 @@ func init() {
 	for u := range nicknames {
 		nicknames[u] = fmt.Sprintf("bidder%03d", u+1)
 		userPws[u] = "pw-" + nicknames[u]
+	}
+	fill := func(keys []string, prefix string) {
+		for i := range keys {
+			keys[i] = prefix + ":" + smallInts[i+1]
+		}
+	}
+	fill(regionCatKeys[:], QueryRegionCategories)
+	fill(itemsByCatKeys[:], QueryItemsByCategory)
+	fill(bidHistoryKeys[:], QueryBidHistory)
+	fill(userInfoKeys[:], QueryUserInfo)
+	for u := range userByNickKeys {
+		userByNickKeys[u] = QueryUserByNick + ":" + nicknames[u]
 	}
 	for c := range catRegionKeys {
 		for r := range catRegionKeys[c] {

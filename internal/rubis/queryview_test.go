@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"testing"
 	"time"
 
@@ -59,7 +60,7 @@ func TestDeltaModeKeepsQueryCachesFresh(t *testing.T) {
 				get(t, a, p, remoteClient, PageStoreComment, cstore)
 			})
 			wantUser, err := runDirect(a.d.DB, qUser(seller))
-			if err != nil || len(wantUser) != 1 || wantUser[0].Len() != 7 {
+			if err != nil || wantUser.Len() != 1 || wantUser.At(0).Len() != 7 {
 				t.Fatalf("seller row = %v (%v)", wantUser, err)
 			}
 			cat := (item-1)%NumCategories + 1
@@ -75,8 +76,8 @@ func TestDeltaModeKeepsQueryCachesFresh(t *testing.T) {
 						return
 					}
 					var row container.Row
-					for _, r := range v.([]container.Row) {
-						if r.Get("id").AsInt() == item {
+					for rows, i := v.(container.Rows), 0; i < rows.Len(); i++ {
+						if r := rows.At(i); r.Get("id").AsInt() == item {
 							row = r
 						}
 					}
@@ -88,8 +89,8 @@ func TestDeltaModeKeepsQueryCachesFresh(t *testing.T) {
 						t.Errorf("%s: %v", edge.Name(), err)
 						return
 					}
-					if page := v.(*UserInfoPage); !reflect.DeepEqual(page.User, wantUser[0]) {
-						t.Errorf("%s userInfo.User = %v, want all seven columns %v", edge.Name(), page.User, wantUser[0])
+					if page := v.(*UserInfoPage); !reflect.DeepEqual(page.User, wantUser.At(0)) {
+						t.Errorf("%s userInfo.User = %v, want all seven columns %v", edge.Name(), page.User, wantUser.At(0))
 					}
 					v, err = qc.Get(p, keyUserByNick(Nickname(int(seller-1))))
 					if err != nil || !reflect.DeepEqual(v, wantUser) {
@@ -133,11 +134,11 @@ func (vp *viewProbe) Propagate(_ *sim.Proc, updates []container.Update) error {
 	return nil
 }
 
-func (vp *viewProbe) fresh(q query) []container.Row { return freshRows(vp.t, vp.a, q) }
+func (vp *viewProbe) fresh(q query) container.Rows { return freshRows(vp.t, vp.a, q) }
 
 // freshRows executes q against the database at no simulated cost. It may run
 // on a process goroutine, so a failure is an Error, not a Fatal.
-func freshRows(t *testing.T, a *App, q query) []container.Row {
+func freshRows(t *testing.T, a *App, q query) container.Rows {
 	t.Helper()
 	rows, err := runDirect(a.d.DB, q)
 	if err != nil {
@@ -156,12 +157,12 @@ func (vp *viewProbe) check(key string, want any) {
 }
 
 func (vp *viewProbe) checkItem(id int64) {
-	st := vp.fresh(query{sql: `SELECT category, region FROM items WHERE id = ?`, args: []sqldb.Value{sqldb.Int(id)}})
-	if len(st) != 1 {
-		vp.t.Errorf("item %d: %d rows", id, len(st))
+	st := vp.fresh(newQuery(`SELECT category, region FROM items WHERE id = ?`, sqldb.Int(id)))
+	if st.Len() != 1 {
+		vp.t.Errorf("item %d: %d rows", id, st.Len())
 		return
 	}
-	cat, region := st[0].Get("category").AsInt(), st[0].Get("region").AsInt()
+	cat, region := st.At(0).Get("category").AsInt(), st.At(0).Get("region").AsInt()
 	vp.check(keyBidHistory(id), vp.fresh(qBidHistory(id)))
 	vp.check(keyItemsByCategory(cat), vp.fresh(qItemsByCategory(cat)))
 	vp.check(keyItemsByCatRegion(cat, region), vp.fresh(qItemsByCatRegion(cat, region)))
@@ -170,12 +171,12 @@ func (vp *viewProbe) checkItem(id int64) {
 
 func (vp *viewProbe) checkUser(id int64) {
 	rows := vp.fresh(qUser(id))
-	if len(rows) != 1 {
-		vp.t.Errorf("user %d: %d rows", id, len(rows))
+	if rows.Len() != 1 {
+		vp.t.Errorf("user %d: %d rows", id, rows.Len())
 		return
 	}
-	vp.check(keyUserInfo(id), &UserInfoPage{User: rows[0], Comments: vp.fresh(qUserComments(id))})
-	vp.check(keyUserByNick(rows[0].Get("nickname").AsString()), rows)
+	vp.check(keyUserInfo(id), &UserInfoPage{User: rows.At(0), Comments: vp.fresh(qUserComments(id))})
+	vp.check(keyUserByNick(rows.At(0).Get("nickname").AsString()), rows)
 }
 
 // TestQueryViewMaintainedEqualsRequeried is the view ≡ query invariant as a
@@ -311,7 +312,7 @@ func newItem(id, cat, region, endDate int64) container.State {
 func checkEdgesHoldViews(t *testing.T, a *App, lastItem int64) {
 	t.Helper()
 	views := a.wiring.QueryViews()
-	fresh := func(q query) []container.Row { return freshRows(t, a, q) }
+	fresh := func(q query) container.Rows { return freshRows(t, a, q) }
 	want := map[string]any{}
 	for r := int64(1); r <= NumRegions; r++ {
 		want[keyRegionCategories(r)] = fresh(qRegionCategories(r))
@@ -325,17 +326,15 @@ func checkEdgesHoldViews(t *testing.T, a *App, lastItem int64) {
 	for i := int64(1); i <= lastItem; i++ {
 		want[keyBidHistory(i)] = fresh(qBidHistory(i))
 	}
-	for _, u := range fresh(query{sql: `SELECT * FROM users`}) {
+	for users, i := fresh(newQuery(`SELECT * FROM users`)), 0; i < users.Len(); i++ {
+		u := users.At(i)
 		id := u.Get("id").AsInt()
 		want[keyUserInfo(id)] = &UserInfoPage{User: u, Comments: fresh(qUserComments(id))}
-		want[keyUserByNick(u.Get("nickname").AsString())] = []container.Row{u}
-	}
-	if views.Len() != len(want) {
-		t.Errorf("%d views, want %d", views.Len(), len(want))
+		want[keyUserByNick(u.Get("nickname").AsString())] = container.Rows{}.Insert(0, u)
 	}
 	stale := 0
 	for key, w := range want {
-		if got, _ := views.Result(key); !reflect.DeepEqual(got, w) {
+		if got, ok := views.Result(key); !ok || !reflect.DeepEqual(got, w) {
 			if stale++; stale <= 3 {
 				t.Errorf("%s: view differs from a fresh execution\n view  %v\n fresh %v", key, got, w)
 			}
@@ -421,12 +420,12 @@ func TestQueryViewMaintainedItemCommitAllocs(t *testing.T) {
 	a := deployApp(t, core.QueryCaching)
 	defer a.d.Env.Close()
 	const item = int64(33)
-	prev, err := runDirect(a.d.DB, query{sql: `SELECT * FROM items WHERE id = ?`, args: []sqldb.Value{sqldb.Int(item)}})
-	if err != nil || len(prev) != 1 {
+	prev, err := runDirect(a.d.DB, newQuery(`SELECT * FROM items WHERE id = ?`, sqldb.Int(item)))
+	if err != nil || prev.Len() != 1 {
 		t.Fatalf("item row = %v (%v)", prev, err)
 	}
-	state := prev[0].With(container.RowOf(&[]string{"nb_of_bids", "max_bid"}, []sqldb.Value{sqldb.Int(4), sqldb.Float(999.50)}))
-	c := container.Commit{Bean: BeanItem, PK: sqldb.Int(item), State: state, Prev: prev[0]}
+	state := prev.At(0).With(container.RowOf(&[]string{"nb_of_bids", "max_bid"}, []sqldb.Value{sqldb.Int(4), sqldb.Float(999.50)}))
+	c := container.Commit{Bean: BeanItem, PK: sqldb.Int(item), State: state, Prev: prev.At(0)}
 	views := a.wiring.QueryViews()
 	for _, q := range a.cachedQueries() {
 		if q.Name != QueryItemsByCategory && q.Name != QueryItemsByCatRegion {
@@ -445,12 +444,12 @@ func TestQueryViewMaintainedItemCommitAllocs(t *testing.T) {
 		if allocs > 6 {
 			t.Errorf("%s: maintaining a bid allocates %.0f times, want at most 6", q.Name, allocs)
 		}
-		rows := next.([]container.Row)
-		if len(rows) != len(before.([]container.Row)) {
-			t.Fatalf("%s: page went from %d to %d rows", q.Name, len(before.([]container.Row)), len(rows))
+		rows, was := next.(container.Rows), before.(container.Rows)
+		if rows.Len() != was.Len() {
+			t.Fatalf("%s: page went from %d to %d rows", q.Name, was.Len(), rows.Len())
 		}
-		for i, row := range rows {
-			if was := before.([]container.Row)[i]; row.Get("id").AsInt() != item {
+		for i := range rows.Len() {
+			if row, was := rows.At(i), was.At(i); row.Get("id").AsInt() != item {
 				if !reflect.DeepEqual(row, was) {
 					t.Errorf("%s row %d changed: %v -> %v", q.Name, i, was, row)
 				}
@@ -458,5 +457,49 @@ func TestQueryViewMaintainedItemCommitAllocs(t *testing.T) {
 				t.Errorf("%s: row %v from %v: want a fresh row and the previous page untouched", q.Name, row, was)
 			}
 		}
+	}
+}
+
+// TestInternedQueryKeys: every interned cache key equals the key formatted
+// from its id over the table's full range, the ids just outside a table
+// still format, and an interned key costs no allocation.
+func TestInternedQueryKeys(t *testing.T) {
+	for _, k := range []struct {
+		prefix string
+		ids    int64
+		key    func(int64) string
+	}{
+		{QueryRegionCategories, NumRegions, keyRegionCategories},
+		{QueryItemsByCategory, NumCategories, keyItemsByCategory},
+		{QueryBidHistory, NumItems, keyBidHistory},
+		{QueryUserInfo, NumUsers, keyUserInfo},
+	} {
+		for id := int64(-1); id <= k.ids+1; id++ {
+			if got, want := k.key(id), k.prefix+":"+strconv.FormatInt(id, 10); got != want {
+				t.Errorf("key of %d = %q, want %q", id, got, want)
+			}
+		}
+	}
+	for u := -1; u <= NumUsers; u++ {
+		if got, want := keyUserByNick(Nickname(u)), QueryUserByNick+":"+Nickname(u); got != want {
+			t.Errorf("key of user %d = %q, want %q", u, got, want)
+		}
+	}
+	for _, nick := range []string{"", "bidder", "bidder1", "bidder+01", "bidder0001", "Bidder001", "bidder001 "} {
+		if got, want := keyUserByNick(nick), QueryUserByNick+":"+nick; got != want {
+			t.Errorf("key of nickname %q = %q, want %q", nick, got, want)
+		}
+	}
+	var sink string
+	allocs := testing.AllocsPerRun(100, func() {
+		sink = keyRegionCategories(NumRegions)
+		sink = keyItemsByCategory(1)
+		sink = keyBidHistory(NumItems)
+		sink = keyUserInfo(7)
+		sink = keyUserByNick(Nickname(NumUsers - 1))
+	})
+	_ = sink
+	if allocs != 0 {
+		t.Errorf("five interned keys allocate %.0f times, want 0", allocs)
 	}
 }

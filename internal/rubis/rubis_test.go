@@ -316,13 +316,13 @@ func TestBidderFlowUpdatesStateAndCaches(t *testing.T) {
 				t.Errorf("cache: %v", err)
 				return
 			}
-			rows, ok := v.([]container.Row)
-			if !ok || len(rows) != SeedBidsPerItem+1 {
-				t.Errorf("%s bid history cache has %d rows, want %d", edge.Name(), len(rows), SeedBidsPerItem+1)
+			rows, ok := v.(container.Rows)
+			if !ok || rows.Len() != SeedBidsPerItem+1 {
+				t.Errorf("%s bid history cache has %d rows, want %d", edge.Name(), rows.Len(), SeedBidsPerItem+1)
 				return
 			}
-			if rows[0].Get("bid").AsFloat() != 999.50 {
-				t.Errorf("%s cached top bid = %v, want pushed recomputation", edge.Name(), rows[0].Get("bid"))
+			if rows.At(0).Get("bid").AsFloat() != 999.50 {
+				t.Errorf("%s cached top bid = %v, want pushed recomputation", edge.Name(), rows.At(0).Get("bid"))
 			}
 		})
 	}

@@ -2,7 +2,6 @@ package rubis
 
 import (
 	"fmt"
-	"slices"
 
 	"wadeploy/internal/container"
 	"wadeploy/internal/core"
@@ -108,8 +107,10 @@ func (a *App) cachedQueries() []container.CachedQuerySpec {
 				if c.Bean == BeanItem {
 					return prev, true // the Bid insert refreshed it; this commit ships it
 				}
-				next, ok := a.maintainHistory(prev.([]container.Row), c, "user_id", "bid", &bidHistoryCols)
-				return next, ok
+				if next, ok := a.maintainHistory(prev.(container.Rows), c, "user_id", "bid", &bidHistoryCols); ok {
+					return next, true
+				}
+				return nil, false
 			},
 		}},
 		{Name: QueryUserInfo, InvalidatedBy: []string{BeanComment, BeanUser}, View: &container.QueryView{
@@ -122,10 +123,10 @@ func (a *App) cachedQueries() []container.CachedQuerySpec {
 					if err != nil {
 						return nil, err
 					}
-					if len(users) == 0 {
+					if users.Len() == 0 {
 						return nil, fmt.Errorf("rubis: comment for user %d: %w", id, container.ErrNoSuchEntity)
 					}
-					user = users[0]
+					user = users.At(0)
 				}
 				comments, err := runDirect(db, qUserComments(id))
 				if err != nil {
@@ -152,7 +153,7 @@ func (a *App) cachedQueries() []container.CachedQuerySpec {
 			}),
 			// The nickname is unique, so the result is the committed row.
 			Maintain: func(_ any, c container.Commit) (any, bool) {
-				return []container.Row{c.State}, true
+				return container.Rows{}.Insert(0, c.State), true
 			},
 		}},
 	}
@@ -166,13 +167,13 @@ func (a *App) cachedQueries() []container.CachedQuerySpec {
 // author's userInfo view instead of the join, the other columns from the
 // inserted row, and the new row goes behind every row that does not sort
 // below it, where the stable sort puts the latest insert.
-func (a *App) maintainHistory(rows []container.Row, c container.Commit, author, by string, cols *[]string) ([]container.Row, bool) {
+func (a *App) maintainHistory(rows container.Rows, c container.Commit, author, by string, cols *[]string) (container.Rows, bool) {
 	if !c.Prev.IsZero() || c.Deleted {
-		return nil, false
+		return container.Rows{}, false
 	}
 	v, ok := a.wiring.QueryViews().Result(keyUserInfo(c.State.Get(author).AsInt()))
 	if !ok {
-		return nil, false
+		return container.Rows{}, false
 	}
 	vals := make([]sqldb.Value, len(*cols))
 	for i, col := range *cols {
@@ -181,21 +182,18 @@ func (a *App) maintainHistory(rows []container.Row, c container.Commit, author, 
 		}
 	}
 	row := container.RowOf(cols, vals)
-	at := len(rows)
-	for i, r := range rows {
-		if sqldb.Compare(r.Get(by), row.Get(by)) < 0 {
+	at := rows.Len()
+	for i := range rows.Len() {
+		if sqldb.Compare(rows.At(i).Get(by), row.Get(by)) < 0 {
 			at = i
 			break
 		}
 	}
-	next := make([]container.Row, 0, len(rows)+1)
-	next = append(next, rows[:at]...)
-	next = append(next, row)
-	return append(next, rows[at:]...), true
+	return rows.Insert(at, row), true
 }
 
-// The columns the listings project, in order: what a maintained row carries,
-// so it equals the row a fresh execution returns.
+// The columns the listings project, in order: the column list every row of a
+// maintained listing shares, so it equals a fresh execution's result.
 var (
 	bidHistoryCols = []string{"nickname", "bid", "qty", "bid_date"}
 	commentCols    = []string{"rating", "comment_date", "comment", "nickname"}
@@ -208,21 +206,19 @@ var (
 // the page is the previous one with that row replaced. Inserts, moves and
 // items beyond the LIMIT re-execute the query.
 func maintainItemList(prev any, c container.Commit) (any, bool) {
-	rows, ok := prev.([]container.Row)
+	rows, ok := prev.(container.Rows)
 	if !ok || c.Touches("category", "region", "end_date") {
 		return nil, false
 	}
-	for i, row := range rows {
-		if sqldb.Compare(row.Get("id"), c.PK) != 0 {
+	for i := range rows.Len() {
+		if sqldb.Compare(rows.At(i).Get("id"), c.PK) != 0 {
 			continue
 		}
 		vals := make([]sqldb.Value, len(itemListCols))
 		for j, col := range itemListCols {
 			vals[j] = c.State.Get(col)
 		}
-		next := slices.Clone(rows)
-		next[i] = container.RowOf(&itemListCols, vals)
-		return next, true
+		return rows.Replace(i, container.RowOf(&itemListCols, vals)), true
 	}
 	return nil, false
 }
@@ -256,7 +252,7 @@ func (a *App) preload() error {
 	for i := int64(1); i <= NumItems; i++ {
 		entries = append(entries, entry{keyBidHistory(i), qBidHistory(i)})
 	}
-	userRows, err := runDirect(a.d.DB, query{sql: `SELECT * FROM users`})
+	userRows, err := runDirect(a.d.DB, newQuery(`SELECT * FROM users`))
 	if err != nil {
 		return fmt.Errorf("rubis preload users: %w", err)
 	}
@@ -267,14 +263,15 @@ func (a *App) preload() error {
 		}
 		a.wiring.SeedQuery(e.key, rows)
 	}
-	for _, u := range userRows {
+	for i := range userRows.Len() {
+		u := userRows.At(i)
 		id := u.Get("id").AsInt()
 		comments, err := runDirect(a.d.DB, qUserComments(id))
 		if err != nil {
 			return fmt.Errorf("rubis preload user info: %w", err)
 		}
 		a.wiring.SeedQuery(keyUserInfo(id), &UserInfoPage{User: u, Comments: comments})
-		a.wiring.SeedQuery(keyUserByNick(u.Get("nickname").AsString()), []container.Row{u})
+		a.wiring.SeedQuery(keyUserByNick(u.Get("nickname").AsString()), container.Rows{}.Insert(0, u))
 	}
 	return nil
 }
@@ -341,11 +338,11 @@ func (a *App) deployEdgeFacades() error {
 			if err != nil {
 				return container.Row{}, err
 			}
-			rows, _ := v.([]container.Row)
-			if len(rows) == 0 || rows[0].Get("password").AsString() != pass {
+			rows, _ := v.(container.Rows)
+			if rows.Len() == 0 || rows.At(0).Get("password").AsString() != pass {
 				return container.Row{}, fmt.Errorf("rubis: bad credentials for %s", nick)
 			}
-			return rows[0], nil
+			return rows.At(0), nil
 		}
 		if err := deploy(SBBrowseCategories, map[string]container.Method{
 			"getAll": func(p *sim.Proc, inv *container.Invocation) (any, error) {

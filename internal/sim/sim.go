@@ -580,14 +580,13 @@ func (r *Resource) Use(p *Proc, service time.Duration) {
 	r.Release()
 }
 
-// Free is a free list of per-call envelopes, owned by an object of one Env.
+// Free is a free list of per-call envelopes or records, owned by an object
+// of one Env.
 type Free[T any] struct{ free []*T }
 
 // Take returns a *T holding v, a recycled one when there is one.
 func (f *Free[T]) Take(v T) (p *T) {
-	if n := len(f.free); n > 0 {
-		f.free, p = f.free[:n-1], f.free[n-1]
-	} else {
+	if p = f.Reuse(); p == nil {
 		p = new(T)
 	}
 	*p = v
@@ -597,5 +596,19 @@ func (f *Free[T]) Take(v T) (p *T) {
 // Put zeroes v and keeps it for a later Take.
 func (f *Free[T]) Put(v *T) {
 	*v = *new(T)
-	f.free = append(f.free, v)
+	f.Keep(v)
 }
+
+// Reuse returns a *T Keep gave back, as Keep left it, or nil when there is
+// none. A list is used through Take and Put or through Reuse and Keep.
+func (f *Free[T]) Reuse() (p *T) {
+	if n := len(f.free); n > 0 {
+		f.free, p = f.free[:n-1], f.free[n-1]
+	}
+	return p
+}
+
+// Keep keeps v for a later Reuse without zeroing it: for a record holding
+// what was bound when it was made (a method value on itself), which Put
+// would lose. The caller clears what v must not keep alive.
+func (f *Free[T]) Keep(v *T) { f.free = append(f.free, v) }

@@ -26,19 +26,19 @@ GO="${GO:-go}"
 # other package the programs'.
 FLOORS='
 sqldb       75.5
-container   75.2
+container   75.6
 controller  74.8
 core        90.6
 dbrepl      64.4
 experiment  92.2
 faults      80.6
-jms         86.1
+jms         91.2
 metrics     84.0
 petstore    83.9
 planner     86.8
 rmi         90.9
-rubis       81.7
-sim         89.2
+rubis       81.8
+sim         89.3
 simnet      85.6
 trace       91.4
 web         89.2
@@ -59,17 +59,14 @@ sqldb/db.go:reviveRow                       transaction undo of a DELETE; caller
 sqldb/value.go:String                       Kind.String, only in the type-error message of coerce; Value.String on the next lines is reached
 container/batch.go:CoalesceUpdates          the batch form of the coalescer of the windowed pusher: container and rubis tests replay a drain buffer through it
 container/descriptor.go:String              UpdateMode.String: names the mode in the per-mode core benchmarks and in test failures
-container/entity.go:Propagators             core wiring tests check a wired or deferred bean carries its one pusher
 container/entity.go:Delete                  ejbRemove, the only caller of the sqldb DELETE path (tombstones, reviveRow), so its removal is a change of its own; container tests
 container/entity.go:UpdateIfVersion         the paper section 4.5 version-number pattern (DESIGN.md); container tests
-container/entity.go:TTL                     wiring tests check a descriptor MaxStaleness became the replica timeout
 container/entity.go:Peek                    the content read tests assert replicas with: no fetch, no accounting, no cost
 container/entity.go:ApplyLocal              migration catch-up under concurrent writes, reached by controller and rubis tests
 container/entity.go:Propagate               UpdateBuffer, the migration drain buffer, records a write only under concurrent writes: controller tests
 container/pusher.go:RemoveTarget            Wiring.SuspendTargets on an edge with RMI pushes: controller tests; no program suspends one
 container/query.go:Size                     the content read tests assert query caches with
 container/query.go:InvalidatePrefix         the paper section 4.4 pull invalidation: no benchmark page writes Product or Category
-container/query.go:Len                      QueryViews.Len: tests check the views hold one value per key
 container/row.go:Clone                      the copy UpdateIfVersion makes of the changes it is handed
 container/session.go:Instances              the content read container tests assert the sessions of a stateful bean with
 dbrepl/dbrepl.go:drain                      backlog replay once the path of a cut-off replica heals: dbrepl tests; no program cuts a replication path
