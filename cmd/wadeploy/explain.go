@@ -3,10 +3,9 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"os"
+	"io"
 	"time"
 
-	"wadeploy/internal/core"
 	"wadeploy/internal/experiment"
 	"wadeploy/internal/petstore"
 	"wadeploy/internal/rubis"
@@ -74,18 +73,24 @@ func writeSpans(enc *json.Encoder, t *trace.Trace) error {
 	return nil
 }
 
-// explain deploys the app under cfg and prints the causal span tree of every
-// page in a representative remote-client session — where each page's
+// explain deploys -app under -config and prints the causal span tree of
+// every page in a representative remote-client session — where each page's
 // milliseconds go (TCP, RMI, SQL, rendering, pushes), on which node, and
-// why (service, WAN wait, queueing, retry). With asJSON it emits the spans
+// why (service, WAN wait, queueing, retry). With -json it emits the spans
 // machine-readably instead: one JSON object per line.
-func explain(appID experiment.AppID, cfg core.Policy, seed int64, asJSON bool) error {
+func explain(w io.Writer, f *flags, _ []*experiment.Result) error {
+	appID, cfg, asJSON := f.app, f.cfg, f.json
 	var finished []*trace.Trace
-	tb, err := experiment.Deploy(appID, cfg, experiment.RunOptions{Seed: seed, Trace: &trace.Options{
-		SampleEvery: 1,
-		MaxTraces:   64,
-		OnFinish:    func(t *trace.Trace) { finished = append(finished, t) },
-	}})
+	tb, err := experiment.Deploy(experiment.Spec{
+		App:    appID,
+		Policy: cfg,
+		Trace: &trace.Options{
+			SampleEvery: 1,
+			MaxTraces:   64,
+			OnFinish:    func(t *trace.Trace) { finished = append(finished, t) },
+		},
+		RunOptions: experiment.RunOptions{Seed: f.run.Seed},
+	})
 	if err != nil {
 		return err
 	}
@@ -125,7 +130,7 @@ func explain(appID experiment.AppID, cfg core.Policy, seed int64, asJSON bool) e
 
 	client := workload.Client{Node: remote.ClientNode, ID: "explain-client"}
 	if !asJSON {
-		fmt.Printf("Per-page causal traces: %s / %s (remote client %s; stub caches warm)\n\n",
+		fmt.Fprintf(w, "Per-page causal traces: %s / %s (remote client %s; stub caches warm)\n\n",
 			appID, cfg.Title(), client.Node)
 	}
 	key := trace.ClientKey(client.ID)
@@ -164,7 +169,7 @@ func explain(appID experiment.AppID, cfg core.Policy, seed int64, asJSON bool) e
 	for _, t := range finished {
 		byID[t.ID] = t
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(w)
 	for i, step := range steps {
 		t := byID[ids[i]]
 		if t == nil {
@@ -176,7 +181,7 @@ func explain(appID experiment.AppID, cfg core.Policy, seed int64, asJSON bool) e
 			}
 			continue
 		}
-		fmt.Printf("%s — %v\n%s\n", step.Page, rts[i].Round(100*time.Microsecond), trace.Format(t))
+		fmt.Fprintf(w, "%s — %v\n%s\n", step.Page, rts[i].Round(100*time.Microsecond), trace.Format(t))
 	}
 	return nil
 }

@@ -2,14 +2,17 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"wadeploy/internal/experiment"
 	"wadeploy/internal/faults"
 )
 
@@ -50,7 +53,13 @@ func stdout(t *testing.T, args []string) []byte {
 // testdata/<name>.golden; `go test ./cmd/wadeploy -update` rewrites the file.
 func golden(t *testing.T, name string, args ...string) {
 	t.Helper()
-	got := stdout(t, args)
+	matchGolden(t, name, stdout(t, args), "wadeploy "+strings.Join(args, " "))
+}
+
+// matchGolden checks got, what `what` produced, against
+// testdata/<name>.golden.
+func matchGolden(t *testing.T, name string, got []byte, what string) {
+	t.Helper()
 	path := filepath.Join("testdata", name+".golden")
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -78,8 +87,7 @@ func golden(t *testing.T, name string, args ...string) {
 			w = wl[i]
 		}
 		if g != w {
-			t.Fatalf("wadeploy %s: stdout differs from %s at line %d\n got: %q\nwant: %q",
-				strings.Join(args, " "), path, i+1, g, w)
+			t.Fatalf("%s: output differs from %s at line %d\n got: %q\nwant: %q", what, path, i+1, g, w)
 		}
 	}
 }
@@ -91,6 +99,18 @@ func TestRunInventory(t *testing.T) {
 func TestRunTable6Tiny(t *testing.T) {
 	golden(t, "table6", tiny("table6")...)
 	golden(t, "fig7", tiny("fig7")...)
+}
+
+// TestRunCSV pins the -csv FILE export of table6 byte for byte.
+func TestRunCSV(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "table6.csv")
+	args := tiny("-csv", path, "table6")
+	stdout(t, args)
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	matchGolden(t, "table6-csv", got, "wadeploy "+strings.Join(args, " "))
 }
 
 // TestRunTableParallel exercises the -parallel flag across the sequential
@@ -173,6 +193,40 @@ func TestRunTableWithFaults(t *testing.T) {
 	golden(t, "table6-faults", tiny("-faults", "canonical", "table6")...)
 }
 
+// TestUsageNamesEveryCommand: the package doc's usage line is the command
+// table's, every name in it dispatches, and the unknown-command error names
+// each one.
+func TestUsageNamesEveryCommand(t *testing.T) {
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const prefix = "//\twadeploy [flags] "
+	var doc string
+	for _, line := range strings.Split(string(src), "\n") {
+		if strings.HasPrefix(line, prefix) {
+			doc = strings.TrimPrefix(line, prefix)
+		}
+	}
+	if doc != usage() {
+		t.Errorf("package doc usage line %q, command table %q", doc, usage())
+	}
+	err = run([]string{"frobnicate"})
+	if err == nil {
+		t.Fatal("unknown command accepted")
+	}
+	_, want, _ := strings.Cut(err.Error(), "(want ")
+	listed := strings.Split(strings.TrimSuffix(want, ")"), "|")
+	for _, name := range strings.Split(doc, "|") {
+		if lookup(name) == nil {
+			t.Errorf("%s is in the usage line but does not dispatch", name)
+		}
+		if !slices.Contains(listed, name) {
+			t.Errorf("unknown-command error %q does not name %s", err, name)
+		}
+	}
+}
+
 func TestRunErrors(t *testing.T) {
 	cases := [][]string{
 		{"frobnicate"},
@@ -199,4 +253,84 @@ func TestRunTraceTiny(t *testing.T) {
 
 func TestRunScaleTraced(t *testing.T) {
 	golden(t, "scale-traced", tiny("-sessions", "2000", "-shards", "2", "-trace", "-sample", "8", "scale")...)
+}
+
+// TestParallelRunTableDeterminism is the determinism gate over every
+// subcommand that runs experiments: its spec list, run sequentially and
+// eight-wide, prints byte-identical output and snapshots byte-identical
+// metrics, because each run owns its environment and seed and RunAll orders
+// the results by spec, not by completion. Tracing, which draws no randomness
+// and adds no delays, leaves Table 6 as the untraced runs print it, clean
+// and under the canonical fault schedule.
+func TestParallelRunTableDeterminism(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+	}{
+		{"table6", []string{"table6"}},
+		{"table6-faults", []string{"-faults", "canonical", "table6"}},
+		{"table7", []string{"-ext", "-p95", "-diag", "table7"}},
+		{"fig7", []string{"fig7"}},
+		{"fig8", []string{"-diag", "fig8"}},
+		{"metrics", []string{"-app", "rubis", "-ext", "metrics"}},
+		{"faults", []string{"-diag", "faults"}},
+		{"adapt", []string{"-epoch", "5s", "adapt"}},
+		{"consistency", []string{"-diag", "consistency"}},
+		{"consistency-rubis", []string{"-app", "rubis", "consistency"}},
+		{"plan", []string{"-sim", "plan"}},
+		{"trace", []string{"-sample", "4", "trace"}},
+		{"trace-faults", []string{"-sample", "4", "-faults", "canonical", "-config", "query-caching", "trace"}},
+		{"sweep-latency", []string{"-app", "rubis", "sweep-latency"}},
+		{"sweep-load", []string{"-config", "centralized", "sweep-load"}},
+		{"topo", []string{"-app", "rubis", "-edges", "2,3,5", "-partitions", "4", "topo"}},
+		{"all", []string{"-p95", "all"}},
+	}
+	covered := make(map[string]bool)
+	tables := make(map[string]string)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var outs [2]string
+			for i, parallel := range []string{"1", "8"} {
+				f, cmds, err := parseFlags(append([]string{"-warmup", "10s", "-duration", "1m", "-parallel", parallel}, c.args...))
+				if err != nil {
+					t.Fatal(err)
+				}
+				cmd := lookup(cmds[0])
+				covered[cmd.name] = true
+				specs, err := cmd.specs(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rs, err := experiment.RunAll(specs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var b bytes.Buffer
+				if err := cmd.print(&b, f, rs); err != nil {
+					t.Fatal(err)
+				}
+				enc := json.NewEncoder(&b)
+				for _, r := range rs {
+					if err := enc.Encode(r.Metrics); err != nil {
+						t.Fatal(err)
+					}
+				}
+				outs[i] = b.String()
+				tables[c.name] = experiment.FormatTable(rs)
+			}
+			if outs[0] != outs[1] {
+				t.Errorf("wadeploy %s differs between -parallel 1 and 8", strings.Join(c.args, " "))
+			}
+		})
+	}
+	for _, c := range commands {
+		if c.specs != nil && !covered[c.name] {
+			t.Errorf("%s runs experiments but has no case here", c.name)
+		}
+	}
+	for _, pair := range [][2]string{{"trace", "table6"}, {"trace-faults", "table6-faults"}} {
+		if tables[pair[0]] != tables[pair[1]] {
+			t.Errorf("%s changed Table 6:\n%s\nuntraced:\n%s", pair[0], tables[pair[0]], tables[pair[1]])
+		}
+	}
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strings"
@@ -23,19 +24,19 @@ func plannerModel(app experiment.AppID) *planner.Model {
 }
 
 // plan runs the deployment advisor for one application: an exhaustive search
-// of the pattern space with the analytic cost model. With sim it also runs
-// the five paper configurations in the simulator and prints the predicted
-// vs. simulated error per configuration. With observed (a `wadeploy trace
-// -json` export) the model is reweighted by the page mix the flight recorder
+// of the pattern space with the analytic cost model. With -sim it also
+// prints the predicted vs. simulated error of each of the five paper
+// configurations' runs. With -observed (a `wadeploy trace -json` export) the
+// model is reweighted by the page mix the flight recorder
 // actually measured before searching — the same code path the online
 // re-placement controller runs every epoch. The search itself is closed-form
 // and deterministic, so output is byte-identical across -parallel settings.
-func plan(app experiment.AppID, jsonOut, sim bool, observed, observedCfg string, opts experiment.RunOptions) error {
-	m := plannerModel(app)
+func plan(w io.Writer, f *flags, results []*experiment.Result) error {
+	m := plannerModel(f.app)
 	var shares map[string]map[string]float64
-	if observed != "" {
+	if f.observed != "" {
 		var err error
-		if shares, err = loadObservedShares(observed, app, observedCfg); err != nil {
+		if shares, err = loadObservedShares(f.observed, f.app, f.cfg.String()); err != nil {
 			return err
 		}
 	}
@@ -44,20 +45,16 @@ func plan(app experiment.AppID, jsonOut, sim bool, observed, observedCfg string,
 		return err
 	}
 	var sims map[string]time.Duration
-	if sim {
-		results, err := experiment.RunTable(app, opts)
-		if err != nil {
-			return err
-		}
+	if f.sim {
 		sims = make(map[string]time.Duration, len(results))
 		for _, r := range results {
-			sims[r.Config.String()] = simulatedOverall(m, r)
+			sims[r.Spec.Policy.String()] = simulatedOverall(m, r)
 		}
 	}
-	if jsonOut {
-		return planner.WriteJSON(os.Stdout, res, sims)
+	if f.json {
+		return planner.WriteJSON(w, res, sims)
 	}
-	fmt.Print(planner.FormatResult(res, sims))
+	fmt.Fprint(w, planner.FormatResult(res, sims))
 	return nil
 }
 

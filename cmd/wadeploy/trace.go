@@ -3,7 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"os"
+	"io"
 
 	"wadeploy/internal/experiment"
 	"wadeploy/internal/trace"
@@ -30,60 +30,47 @@ type traceRun struct {
 	Profile *trace.Profile `json:"profile"`
 }
 
-// traceReport runs every configuration with the causal tracer armed and
-// prints the critical-path blame tables (text) or the aggregated profile
-// document (-json). detail selects which configuration gets the per-page
-// table and example span trees.
-func traceReport(app experiment.AppID, opts experiment.RunOptions, detail string, asJSON, ext bool, sample uint64) error {
-	if sample < 1 {
-		sample = 1
-	}
-	opts.Trace = &trace.Options{SampleEvery: sample}
-	var results []*experiment.Result
-	var err error
-	if ext {
-		results, err = experiment.RunTableWithExtensions(app, opts)
-	} else {
-		results, err = experiment.RunTable(app, opts)
-	}
-	if err != nil {
-		return err
-	}
-	if asJSON {
-		doc := traceFile{App: app, Seed: opts.Seed, SampleEvery: sample}
+// traceReport prints the critical-path blame tables (text) or the aggregated
+// profile document (-json) of every configuration's traced run. -config
+// selects which configuration gets the per-page table and example span
+// trees.
+func traceReport(w io.Writer, f *flags, results []*experiment.Result) error {
+	sample := max(f.sample, 1)
+	if f.json {
+		doc := traceFile{App: f.app, Seed: f.run.Seed, SampleEvery: sample}
 		for _, r := range results {
 			if r.Trace == nil {
 				continue
 			}
 			doc.Runs = append(doc.Runs, traceRun{
-				Config:  r.Config.String(),
+				Config:  r.Spec.Policy.String(),
 				Sampled: r.Trace.Sampled,
 				Dropped: r.Trace.Dropped,
-				Profile: r.Trace.Profile(),
+				Profile: r.Trace.Blame.Profile(),
 			})
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(doc)
 	}
-	fmt.Printf("Causal tracing: %s, 1 in %d page views sampled.\n", app, sample)
-	fmt.Print(experiment.FormatBlame(results))
+	fmt.Fprintf(w, "Causal tracing: %s, 1 in %d page views sampled.\n", f.app, sample)
+	fmt.Fprint(w, experiment.FormatBlame(results))
 	for _, r := range results {
-		if r.Config.String() != detail || r.Trace == nil {
+		if r.Spec.Policy != f.cfg || r.Trace == nil {
 			continue
 		}
-		fmt.Println()
-		fmt.Print(experiment.FormatBlamePages(r))
+		fmt.Fprintln(w)
+		fmt.Fprint(w, experiment.FormatBlamePages(r))
 		if len(r.Trace.Traces) == 0 {
 			continue
 		}
-		fmt.Printf("\nExample span trees (flight recorder holds %d of %d sampled):\n",
+		fmt.Fprintf(w, "\nExample span trees (flight recorder holds %d of %d sampled):\n",
 			len(r.Trace.Traces), r.Trace.Sampled)
 		for i, t := range r.Trace.Traces {
 			if i >= maxExampleTrees {
 				break
 			}
-			fmt.Print(trace.Format(t))
+			fmt.Fprint(w, trace.Format(t))
 		}
 	}
 	return nil

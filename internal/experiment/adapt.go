@@ -1,166 +1,80 @@
 package experiment
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
 	"wadeploy/internal/controller"
 	"wadeploy/internal/core"
 	"wadeploy/internal/faults"
-	"wadeploy/internal/simnet"
 	"wadeploy/internal/trace"
-	"wadeploy/internal/workload"
 )
 
-// AdaptArm is one arm of the adaptation experiment: a full run plus the
-// time-bucketed view of what the partitioned edge's clients experienced.
-type AdaptArm struct {
-	// Label names the arm: "static", "resilient", "adaptive".
-	Label string
-	// Config is the deployed policy; the adaptive arm deploys it deferred
-	// and extends toward it.
-	Config core.Policy
-	// Controller reports whether the re-placement controller ran.
-	Controller bool
-	// Full is the run result; Full.Adapt is non-nil on the adaptive arm.
-	Full *Result
-	// Obs is the per-arm request accumulator on the partitioned edge's
-	// client node (10s buckets over the whole run, warm-up included).
-	Obs *workload.WindowObserver
-}
-
-// AdaptReport is the adaptation experiment's outcome: the canonical fault
-// schedule replayed against a static remote-façade deployment, the PR 5
-// static-resilience deployment, and the controller-driven adaptive
-// deployment, all under identical seeds and workloads.
-type AdaptReport struct {
-	App       AppID
-	Schedule  *faults.Schedule
-	Window    [2]time.Duration // scored outage window
-	Node      string           // scored client node
-	Warmup    time.Duration
-	Horizon   time.Duration // run end (warm-up + measured duration)
-	Static    *AdaptArm
-	Resilient *AdaptArm
-	Adaptive  *AdaptArm
-}
-
-// Arms returns the three arms in presentation order.
-func (r *AdaptReport) Arms() []*AdaptArm {
-	return []*AdaptArm{r.Static, r.Resilient, r.Adaptive}
-}
-
-// adaptBucket is the WindowObserver bucket width: fine enough to separate
-// the pre-migration, steady-state and outage phases of a quick run.
-const adaptBucket = 10 * time.Second
-
-// RunAdapt runs the online re-placement experiment for PetStore: three arms
-// under the same fault schedule (the canonical outage when opts.Schedule is
-// nil) with the resilience machinery enabled:
+// AdaptArms returns the online re-placement experiment's three arms under
+// base's fault schedule (the canonical outage when it has none), each a run
+// with the resilience machinery armed:
 //
 //   - static: the remote-façade deployment, controller off — what the
 //     adaptive run would be stuck with if it never re-placed;
-//   - resilient: the async-updates deployment, controller off — the PR 5
-//     static-resilience baseline the availability comparison is against;
-//   - adaptive: starts at remote façade with the controller on; the
-//     controller observes the traced page mix, extends the replica bundle
-//     to the edges by live migration, suspends pushes across the partition
-//     and resynchronizes the stale edge after it heals.
-//
-// cfg is the adaptive arm's extension target (and the resilient arm's
-// policy); the adaptive arm deploys it deferred, which needs a replica bundle
-// to extend. opts.Adaptive tunes the adaptive arm's controller and applies to
-// no other arm. Runs are deterministic: the same seed yields byte-identical
-// reports at any Parallelism.
-func RunAdapt(app AppID, cfg core.Policy, opts RunOptions) (*AdaptReport, error) {
-	if app != PetStore {
-		return nil, fmt.Errorf("experiment: adapt is PetStore-only")
+//   - resilient: base.Policy, controller off — the static-resilience
+//     baseline the availability comparison is against;
+//   - adaptive: base.Policy deployed deferred with the controller on
+//     (base.Adaptive's options); the controller observes the traced page mix,
+//     extends the replica bundle to the edges by live migration, suspends
+//     pushes across the partition and resynchronizes the stale edge after it
+//     heals. A policy with no replica bundle leaves it nothing to extend, and
+//     the run fails naming the policy.
+func AdaptArms(base Spec) []Spec {
+	if base.Schedule == nil {
+		base.Schedule = faults.Canonical(base.Warmup, base.Duration)
 	}
-	if opts.Schedule == nil {
-		opts.Schedule = faults.Canonical(opts.Warmup, opts.Duration)
-	}
-	opts.Resilience = true
-	adaptive := opts.Adaptive
+	base.Resilience = true
+	adaptive := base.Adaptive
 	if adaptive == nil {
 		adaptive = &controller.Options{}
 	}
-	window := opts.Schedule.Window
-	if window == [2]time.Duration{} {
-		window = [2]time.Duration{opts.Warmup, opts.Warmup + opts.Duration}
+	base.Adaptive = nil
+	static, resilient, ad := base, base, base
+	static.Label, static.Policy = "static", core.RemoteFacade
+	resilient.Label = "resilient"
+	ad.Label, ad.Adaptive = "adaptive", adaptive
+	if ad.Trace == nil {
+		// The controller re-plans on the flight recorder's observed page
+		// mix; tracing adds no delays and draws no randomness.
+		ad.Trace = &trace.Options{SampleEvery: 4}
 	}
-	node := simnet.NodeClientsEdge1
-
-	rep := &AdaptReport{
-		App:      app,
-		Schedule: opts.Schedule,
-		Window:   window,
-		Node:     node,
-		Warmup:   opts.Warmup,
-		Horizon:  opts.Warmup + opts.Duration,
-	}
-	arms := []*AdaptArm{
-		{Label: "static", Config: core.RemoteFacade},
-		{Label: "resilient", Config: cfg},
-		{Label: "adaptive", Config: cfg, Controller: true},
-	}
-	err := forEachParallel(opts.Parallelism, len(arms), func(i int) error {
-		arm := arms[i]
-		obs := workload.NewWindowObserver(node, adaptBucket)
-		ropts := opts
-		ropts.Observer = obs.Observe
-		ropts.Adaptive = nil
-		if arm.Controller {
-			ropts.Adaptive = adaptive
-			if ropts.Trace == nil {
-				// The controller re-plans on the flight recorder's observed
-				// page mix; tracing adds no delays and draws no randomness.
-				ropts.Trace = &trace.Options{SampleEvery: 4}
-			}
-		}
-		full, err := Run(app, arm.Config, ropts)
-		if err != nil {
-			return err
-		}
-		arm.Full = full
-		arm.Obs = obs
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep.Static, rep.Resilient, rep.Adaptive = arms[0], arms[1], arms[2]
-	return rep, nil
+	return []Spec{static, resilient, ad}
 }
 
-// AdaptLag is the controller's reaction to one fault onset.
-type AdaptLag struct {
-	Onset     time.Duration
-	Detected  time.Duration // first fault-detected event at/after the onset (0 = none)
-	Recovered time.Duration // first resync completing after the onset (0 = none)
+// adaptLag is the controller's reaction to one fault onset.
+type adaptLag struct {
+	onset     time.Duration
+	detected  time.Duration // first fault-detected event at/after the onset (0 = none)
+	recovered time.Duration // first resync completing after the onset (0 = none)
 }
 
-// Lags measures the adaptation lag against every fault onset of the
+// lags measures the adaptive run r's lag against every fault onset of its
 // schedule: how long after each onset the controller first observed a lost
 // path, and when the post-fault resynchronization completed.
-func (r *AdaptReport) Lags() []AdaptLag {
-	var out []AdaptLag
-	ad := r.Adaptive.Full.Adapt
-	if ad == nil {
+func lags(r *Result) []adaptLag {
+	var out []adaptLag
+	if r.Adapt == nil {
 		return out
 	}
-	for _, onset := range r.Schedule.Onsets() {
-		lag := AdaptLag{Onset: onset}
-		for _, ev := range ad.Events {
+	for _, onset := range r.Spec.Schedule.Onsets() {
+		lag := adaptLag{onset: onset}
+		for _, ev := range r.Adapt.Events {
 			if ev.At < onset {
 				continue
 			}
-			if lag.Detected == 0 && ev.Kind == controller.EventFaultDetected {
-				lag.Detected = ev.At
+			if lag.detected == 0 && ev.Kind == controller.EventFaultDetected {
+				lag.detected = ev.At
 			}
-			if lag.Recovered == 0 && ev.Kind == controller.EventResynced {
-				lag.Recovered = ev.At
+			if lag.recovered == 0 && ev.Kind == controller.EventResynced {
+				lag.recovered = ev.At
 			}
 		}
 		out = append(out, lag)
@@ -168,16 +82,15 @@ func (r *AdaptReport) Lags() []AdaptLag {
 	return out
 }
 
-// MigrationSpan returns the virtual-time span of the adaptive arm's
+// migrationSpan returns the virtual-time span of the adaptive run r's
 // extension program: the start of the first migration and the end of the
 // last extension migration (resyncs excluded). ok is false if the
 // controller never migrated.
-func (r *AdaptReport) MigrationSpan() (first, last time.Duration, ok bool) {
-	ad := r.Adaptive.Full.Adapt
-	if ad == nil {
+func migrationSpan(r *Result) (first, last time.Duration, ok bool) {
+	if r.Adapt == nil {
 		return 0, 0, false
 	}
-	for _, m := range ad.Migrations {
+	for _, m := range r.Adapt.Migrations {
 		if m.Resync || m.Failed {
 			continue
 		}
@@ -192,59 +105,44 @@ func (r *AdaptReport) MigrationSpan() (first, last time.Duration, ok bool) {
 	return first, last, ok
 }
 
-// PostWindow returns the longest fault-free stretch of virtual time after
-// the adaptive arm's extension program completed — the window the
+// postWindow returns the longest fault-free stretch of virtual time after
+// the adaptive run r's extension program completed — the window the
 // steady-state post-migration latency comparison scores. ok is false when
 // the controller never migrated or no fault-free time remained.
-func (r *AdaptReport) PostWindow() (from, to time.Duration, ok bool) {
-	_, last, migrated := r.MigrationSpan()
-	if !migrated || last >= r.Horizon {
+func postWindow(r *Result) (from, to time.Duration, ok bool) {
+	_, last, migrated := migrationSpan(r)
+	horizon := r.Spec.Warmup + r.Spec.Duration
+	if !migrated || last >= horizon {
 		return 0, 0, false
 	}
-	// Merge the schedule's fault-covered intervals, then walk the gaps
-	// after the last migration and keep the widest.
-	type iv struct{ a, b time.Duration }
-	var ivs []iv
-	for _, e := range r.Schedule.Events {
-		ivs = append(ivs, iv{e.At, e.At + e.Duration})
-	}
-	sort.Slice(ivs, func(i, j int) bool { return ivs[i].a < ivs[j].a })
-	var merged []iv
-	for _, v := range ivs {
-		if n := len(merged); n > 0 && v.a <= merged[n-1].b {
-			if v.b > merged[n-1].b {
-				merged[n-1].b = v.b
-			}
-			continue
-		}
-		merged = append(merged, v)
-	}
+	// Walk the schedule's fault-covered intervals in start order and keep
+	// the widest gap after the last migration.
+	events := slices.Clone(r.Spec.Schedule.Events)
+	slices.SortFunc(events, func(a, b faults.Event) int { return cmp.Compare(a.At, b.At) })
 	cursor := last
-	for _, v := range merged {
-		if v.b <= cursor {
-			continue
+	for _, e := range events {
+		if e.At > cursor && e.At-cursor > to-from {
+			from, to = cursor, e.At
 		}
-		if v.a > cursor && v.a-cursor > to-from {
-			from, to = cursor, v.a
-		}
-		cursor = v.b
+		cursor = max(cursor, e.At+e.Duration)
 	}
-	if cursor < r.Horizon && r.Horizon-cursor > to-from {
-		from, to = cursor, r.Horizon
+	if cursor < horizon && horizon-cursor > to-from {
+		from, to = cursor, horizon
 	}
 	return from, to, to > from
 }
 
-// FormatAdapt renders the adaptation report: the controller's decision
+// FormatAdapt renders the runs of AdaptArms: the controller's decision
 // timeline, the adaptation lag against each fault onset, availability on
-// the partitioned edge during the outage window across the three arms, and
-// the steady-state latency before and after the extension program.
-func FormatAdapt(r *AdaptReport) string {
+// the partitioned edge during the outage window across the arms, and the
+// steady-state latency before and after the extension program.
+func FormatAdapt(arms []*Result) string {
 	var b strings.Builder
-	ad := r.Adaptive.Full.Adapt
+	r := arms[len(arms)-1] // the adaptive arm
+	ad := r.Adapt
 
 	fmt.Fprintf(&b, "Online re-placement under schedule %q (target %s).\n\n",
-		r.Schedule.Name, r.Resilient.Config.Title())
+		r.Spec.Schedule.Name, r.Spec.Policy.Title())
 
 	fmt.Fprintln(&b, "Controller timeline:")
 	if ad == nil || len(ad.Events) == 0 {
@@ -268,38 +166,39 @@ func FormatAdapt(r *AdaptReport) string {
 	}
 
 	fmt.Fprintln(&b, "\nAdaptation lag (virtual time after each fault onset):")
-	for _, lag := range r.Lags() {
+	for _, lag := range lags(r) {
 		det, rec := "-", "-"
-		if lag.Detected > 0 {
-			det = fmt.Sprint((lag.Detected - lag.Onset).Round(time.Second))
+		if lag.detected > 0 {
+			det = fmt.Sprint((lag.detected - lag.onset).Round(time.Second))
 		}
-		if lag.Recovered > 0 {
-			rec = fmt.Sprint((lag.Recovered - lag.Onset).Round(time.Second))
+		if lag.recovered > 0 {
+			rec = fmt.Sprint((lag.recovered - lag.onset).Round(time.Second))
 		}
 		fmt.Fprintf(&b, "  onset %8s: detected +%s, resynced +%s\n",
-			lag.Onset.Round(time.Second), det, rec)
+			lag.onset.Round(time.Second), det, rec)
 	}
 
+	window := r.Spec.window()
 	fmt.Fprintf(&b, "\nAvailability on %s during the outage window [%v, %v]:\n",
-		r.Node, r.Window[0].Round(time.Second), r.Window[1].Round(time.Second))
-	for _, arm := range r.Arms() {
-		w := arm.Obs.Range(r.Window[0], r.Window[1])
+		scoredNode, window[0].Round(time.Second), window[1].Round(time.Second))
+	for _, arm := range arms {
+		w := arm.Observed.Buckets.Range(window[0], window[1])
 		fmt.Fprintf(&b, "  %-10s (%-22s) %6.1f%%  ok=%-6d fail=%-6d mean-ok=%s\n",
-			arm.Label, arm.Config.Title(), 100*w.Availability(), w.OK, w.Fail, ms(w.Mean())+"ms")
+			arm.Spec.Label, arm.Spec.Policy.Title(), 100*w.Availability(), w.OK, w.Fail, ms(w.Mean())+"ms")
 	}
 
 	// Steady-state latency: the same two stretches scored for every arm —
 	// before the adaptive arm's first migration, and the longest
 	// fault-free window after its extension program completed.
-	first, _, migrated := r.MigrationSpan()
-	postFrom, postTo, havePost := r.PostWindow()
+	first, _, migrated := migrationSpan(r)
+	postFrom, postTo, havePost := postWindow(r)
 	if migrated && havePost {
 		fmt.Fprintf(&b, "\nSteady-state mean latency on %s (pre: [0, %v) before extension; post: fault-free [%v, %v) after it):\n",
-			r.Node, first.Round(time.Second), postFrom.Round(time.Second), postTo.Round(time.Second))
-		for _, arm := range r.Arms() {
-			pre := arm.Obs.Range(0, first)
-			post := arm.Obs.Range(postFrom, postTo)
-			fmt.Fprintf(&b, "  %-10s pre=%sms post=%sms\n", arm.Label, ms(pre.Mean()), ms(post.Mean()))
+			scoredNode, first.Round(time.Second), postFrom.Round(time.Second), postTo.Round(time.Second))
+		for _, arm := range arms {
+			pre := arm.Observed.Buckets.Range(0, first)
+			post := arm.Observed.Buckets.Range(postFrom, postTo)
+			fmt.Fprintf(&b, "  %-10s pre=%sms post=%sms\n", arm.Spec.Label, ms(pre.Mean()), ms(post.Mean()))
 		}
 	} else {
 		fmt.Fprintln(&b, "\n(controller never migrated; no steady-state comparison)")

@@ -9,16 +9,16 @@ import (
 	"wadeploy/internal/core"
 )
 
-// adaptQuickOptions is a short canonical-schedule run: long enough for the
+// adaptQuickSpec is a short canonical-schedule run: long enough for the
 // controller to extend during warm-up and for the migrated caches to warm
 // before the partition hits (an extension seconds before the outage would
 // ride into it with cold query caches), short enough for CI.
-func adaptQuickOptions() RunOptions {
-	return RunOptions{
-		Seed:     1,
-		Warmup:   time.Minute,
-		Duration: 4 * time.Minute,
-		Adaptive: &controller.Options{Epoch: 10 * time.Second},
+func adaptQuickSpec() Spec {
+	return Spec{
+		App:        PetStore,
+		Policy:     core.AsyncUpdates,
+		Adaptive:   &controller.Options{Epoch: 10 * time.Second},
+		RunOptions: RunOptions{Seed: 1, Warmup: time.Minute, Duration: 4 * time.Minute},
 	}
 }
 
@@ -27,32 +27,34 @@ func adaptQuickOptions() RunOptions {
 // partition, and the adaptive arm's availability through the outage window
 // is no worse than the static-resilience baseline.
 func TestRunAdaptQuick(t *testing.T) {
-	rep, err := RunAdapt(PetStore, core.AsyncUpdates, adaptQuickOptions())
+	arms, err := RunAll(AdaptArms(adaptQuickSpec()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ad := rep.Adaptive.Full.Adapt
+	static, resilient, adaptive := arms[0], arms[1], arms[2]
+	ad := adaptive.Adapt
 	if ad == nil {
 		t.Fatal("adaptive arm has no controller report")
 	}
 	if !ad.Extended {
 		t.Fatalf("controller never completed the extension program; events: %+v", ad.Events)
 	}
-	if _, _, ok := rep.MigrationSpan(); !ok {
+	if _, _, ok := migrationSpan(adaptive); !ok {
 		t.Error("no successful extension migrations recorded")
 	}
-	lags := rep.Lags()
-	if len(lags) == 0 {
+	ls := lags(adaptive)
+	if len(ls) == 0 {
 		t.Fatal("no fault onsets to measure adaptation lag against")
 	}
-	if lags[0].Detected == 0 {
+	if ls[0].detected == 0 {
 		t.Error("the canonical partition was never detected")
-	} else if got := lags[0].Detected - lags[0].Onset; got > 2*adaptQuickOptions().Adaptive.Epoch {
+	} else if got := ls[0].detected - ls[0].onset; got > 2*adaptQuickSpec().Adaptive.Epoch {
 		t.Errorf("partition detected %v after onset, want within two epochs", got)
 	}
-	aw := rep.Adaptive.Obs.Range(rep.Window[0], rep.Window[1])
-	rw := rep.Resilient.Obs.Range(rep.Window[0], rep.Window[1])
-	sw := rep.Static.Obs.Range(rep.Window[0], rep.Window[1])
+	window := adaptive.Spec.window()
+	aw := adaptive.Observed.Buckets.Range(window[0], window[1])
+	rw := resilient.Observed.Buckets.Range(window[0], window[1])
+	sw := static.Observed.Buckets.Range(window[0], window[1])
 	// At CI scale the adaptive arm's caches have only ~90s of traffic to
 	// cover the key space before the partition (the resilient arm's are warm
 	// from t=0), which costs a fraction of a point of availability; at
@@ -67,7 +69,7 @@ func TestRunAdaptQuick(t *testing.T) {
 		t.Errorf("adaptive availability %.3f not above the static remote façade %.3f",
 			aw.Availability(), sw.Availability())
 	}
-	out := FormatAdapt(rep)
+	out := FormatAdapt(arms)
 	for _, want := range []string{"Controller timeline:", "extend-decided", "Adaptation lag", "Availability"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("formatted report missing %q:\n%s", want, out)
@@ -75,35 +77,15 @@ func TestRunAdaptQuick(t *testing.T) {
 	}
 }
 
-// TestRunAdaptDeterministicAcrossParallelism is the determinism gate in
-// miniature: the full formatted adaptation report — controller timeline,
-// migration byte counts, availability and latency numbers — must be
-// byte-identical whether the arms run sequentially or concurrently.
-func TestRunAdaptDeterministicAcrossParallelism(t *testing.T) {
-	run := func(parallel int) string {
-		opts := adaptQuickOptions()
-		opts.Parallelism = parallel
-		rep, err := RunAdapt(PetStore, core.AsyncUpdates, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return FormatAdapt(rep)
-	}
-	seq := run(1)
-	par := run(3)
-	if seq != par {
-		t.Fatalf("adaptation report differs between -parallel 1 and 3:\n--- parallel 1\n%s\n--- parallel 3\n%s", seq, par)
-	}
-}
-
 // TestRunAdaptNeedsReplicaBundle: the adaptive arm deploys its target
 // deferred, and a target with no replica bundle leaves the controller
 // nothing to extend, so the run fails naming the policy.
 func TestRunAdaptNeedsReplicaBundle(t *testing.T) {
-	opts := adaptQuickOptions()
-	opts.Warmup, opts.Duration = time.Second, 10*time.Second
-	_, err := RunAdapt(PetStore, core.RemoteFacade, opts)
+	s := adaptQuickSpec()
+	s.Policy = core.RemoteFacade
+	s.Warmup, s.Duration = time.Second, 10*time.Second
+	_, err := Run(s)
 	if err == nil || !strings.Contains(err.Error(), core.RemoteFacade.String()) {
-		t.Fatalf("RunAdapt(remote-facade) = %v, want an error naming the policy", err)
+		t.Fatalf("Run(adaptive remote-facade) = %v, want an error naming the policy", err)
 	}
 }

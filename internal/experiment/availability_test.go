@@ -1,29 +1,29 @@
 package experiment
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
 
 	"wadeploy/internal/core"
-	"wadeploy/internal/metrics"
+	"wadeploy/internal/faults"
+	"wadeploy/internal/petstore"
 )
 
-// availQuickOptions is the availability-test run: short enough for CI, with
+// availQuickSpec is the availability-test run: short enough for CI, with
 // enough pre-outage traffic (5 virtual minutes) that the edge caches have
 // seen the whole key space before the WAN link drops. The canonical outage
 // window is [Warmup+Duration/4, Warmup+Duration/2] = [5m, 7m].
-func availQuickOptions() RunOptions {
+func availQuickSpec() Spec {
 	opts := QuickRunOptions()
 	opts.Warmup = 3 * time.Minute
 	opts.Duration = 8 * time.Minute
-	return opts
+	return Spec{App: PetStore, Schedule: faults.Canonical(opts.Warmup, opts.Duration), Resilience: true, RunOptions: opts}
 }
 
-func availResults(t *testing.T) []*AvailabilityResult {
+func availResults(t *testing.T) []*Result {
 	t.Helper()
-	results, err := RunAvailability(PetStore, availQuickOptions())
+	results, err := RunAll(Table(availQuickSpec(), false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,29 +40,28 @@ func availResults(t *testing.T) []*AvailabilityResult {
 // that each resilience mechanism actually fired.
 func TestAvailabilityInvariants(t *testing.T) {
 	results := availResults(t)
-	byConfig := make(map[core.Policy]*AvailabilityResult)
-	for _, r := range results {
-		byConfig[r.Config] = r
+	split := func(cfg core.Policy) (browse, write PageAvail) {
+		return byConfig(results, cfg).Observed.split(petstore.PatternBrowser)
 	}
 
-	cent := byConfig[core.Centralized]
-	if cent.BrowseOK+cent.BrowseFail == 0 {
+	cent, _ := split(core.Centralized)
+	if cent.OK+cent.Fail == 0 {
 		t.Fatal("centralized saw no browse traffic in the window")
 	}
-	if rate := cent.BrowseSuccessRate(); rate > 0.05 {
+	if rate := cent.SuccessRate(); rate > 0.05 {
 		t.Errorf("centralized browse success = %.1f%%, want ~0%% (clients cut off from main)", 100*rate)
 	}
 	for _, cfg := range []core.Policy{core.QueryCaching, core.AsyncUpdates} {
-		r := byConfig[cfg]
-		if r.BrowseOK+r.BrowseFail == 0 {
+		browse, write := split(cfg)
+		if browse.OK+browse.Fail == 0 {
 			t.Fatalf("%s saw no browse traffic in the window", cfg)
 		}
-		if rate := r.BrowseSuccessRate(); rate < 0.95 {
+		if rate := browse.SuccessRate(); rate < 0.95 {
 			t.Errorf("%s browse success = %.1f%%, want >= 95%% (edge caches carry the outage)", cfg, 100*rate)
 		}
 		// Commit-path pages must fail (no WAN path to the shared state) —
 		// degradation is expected, not silent success.
-		if r.WriteFail == 0 {
+		if write.Fail == 0 {
 			t.Errorf("%s write failures = 0, want > 0 during the partition", cfg)
 		}
 	}
@@ -81,56 +80,13 @@ func TestAvailabilityInvariants(t *testing.T) {
 	}
 	for _, r := range results {
 		for _, name := range families {
-			totals[name] += r.Full.Metrics.Counter(name)
+			totals[name] += r.Metrics.Counter(name)
 		}
 	}
 	for _, name := range families {
 		if totals[name] == 0 {
 			t.Errorf("metric family %s never fired across the availability runs", name)
 		}
-	}
-}
-
-// TestAvailabilityDeterministic pins byte-identical replay: the same seed
-// yields the same availability table (and full metric snapshots) regardless
-// of worker parallelism.
-func TestAvailabilityDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	run := func(parallel int) []byte {
-		opts := availQuickOptions()
-		opts.Parallelism = parallel
-		results, err := RunAvailability(PetStore, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Result.SessionMeans is not JSON-marshalable (map[bool]...), so
-		// compare the availability rows plus the full metric snapshots.
-		type row struct {
-			Config  string
-			Rest    *AvailabilityResult
-			Metrics *metrics.Snapshot
-		}
-		rows := make([]row, len(results))
-		for i, r := range results {
-			full := r.Full
-			r.Full = nil
-			rows[i] = row{Config: r.Config.String(), Rest: r, Metrics: full.Metrics}
-		}
-		b, err := json.Marshal(rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	seq := run(1)
-	par := run(8)
-	if string(seq) != string(par) {
-		t.Fatal("availability results differ between -parallel 1 and -parallel 8")
-	}
-	if string(seq) != string(run(1)) {
-		t.Fatal("availability results differ between repeated same-seed runs")
 	}
 }
 

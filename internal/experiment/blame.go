@@ -73,6 +73,13 @@ func topLink(links map[string]time.Duration) string {
 	return best
 }
 
+// shareColumns renders the service, WAN, queueing and retry shares of total
+// as four percentage columns.
+func shareColumns(by [4]time.Duration, total time.Duration) string {
+	return fmt.Sprintf("%5s %5s %5s %5s", pct(by[trace.CauseService], total), pct(by[trace.CauseWAN], total),
+		pct(by[trace.CauseQueue], total), pct(by[trace.CauseRetry], total))
+}
+
 // pct renders part as an integer percentage of whole.
 func pct(part, whole time.Duration) string {
 	if whole <= 0 {
@@ -90,7 +97,7 @@ func FormatBlame(results []*Result) string {
 	}
 	var b strings.Builder
 	title := "Critical-path blame per sampled page view: Pet Store configurations."
-	if results[0].App == RUBiS {
+	if results[0].Spec.App == RUBiS {
 		title = "Critical-path blame per sampled page view: RUBiS configurations."
 	}
 	fmt.Fprintln(&b, title)
@@ -101,23 +108,14 @@ func FormatBlame(results []*Result) string {
 		if r.Trace == nil {
 			continue
 		}
-		name := r.Config.Title()
+		name := r.Spec.Policy.Title()
 		for _, row := range blameRows(r.Trace) {
-			loc := "Remote"
-			if row.local {
-				loc = "Local"
-			}
 			var mean time.Duration
 			if row.views > 0 {
 				mean = row.total / time.Duration(row.views)
 			}
-			fmt.Fprintf(&b, "%-22s %-6s %-8s %7d %6s %5s %5s %5s %5s  %s\n",
-				name, loc, row.pattern, row.views, ms(mean),
-				pct(row.byCause[trace.CauseService], row.total),
-				pct(row.byCause[trace.CauseWAN], row.total),
-				pct(row.byCause[trace.CauseQueue], row.total),
-				pct(row.byCause[trace.CauseRetry], row.total),
-				topLink(row.links))
+			fmt.Fprintf(&b, "%-22s %-6s %-8s %7d %6s %s  %s\n", name, locality(row.local), row.pattern,
+				row.views, ms(mean), shareColumns(row.byCause, row.total), topLink(row.links))
 			name = ""
 		}
 	}
@@ -130,27 +128,18 @@ func FormatBlamePages(r *Result) string {
 		return "(no trace data)\n"
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "Per-page critical-path blame: %s/%s.\n", r.App, r.Config.Title())
+	fmt.Fprintf(&b, "Per-page critical-path blame: %s/%s.\n", r.Spec.App, r.Spec.Policy.Title())
 	fmt.Fprintf(&b, "%-8s %-14s %-6s %7s %6s %5s %5s %5s %5s %8s  %s\n",
 		"Pattern", "Page", "Client", "views", "ms", "svc%", "wan%", "que%", "rty%", "async", "top link")
 	fmt.Fprintln(&b, strings.Repeat("-", 104))
 	for _, e := range r.Trace.Blame.Pages() {
-		loc := "Remote"
-		if e.Key.Local {
-			loc = "Local"
-		}
 		var mean, asyncMean time.Duration
 		if e.Agg.Count > 0 {
 			mean = e.Agg.Total / time.Duration(e.Agg.Count)
 			asyncMean = e.Agg.Async / time.Duration(e.Agg.Count)
 		}
-		fmt.Fprintf(&b, "%-8s %-14s %-6s %7d %6s %5s %5s %5s %5s %8s  %s\n",
-			e.Key.Pattern, e.Key.Page, loc, e.Agg.Count, ms(mean),
-			pct(e.Agg.ByCause[trace.CauseService], e.Agg.Total),
-			pct(e.Agg.ByCause[trace.CauseWAN], e.Agg.Total),
-			pct(e.Agg.ByCause[trace.CauseQueue], e.Agg.Total),
-			pct(e.Agg.ByCause[trace.CauseRetry], e.Agg.Total),
-			ms(asyncMean)+"ms", topLink(e.Agg.Links))
+		fmt.Fprintf(&b, "%-8s %-14s %-6s %7d %6s %s %8s  %s\n", e.Key.Pattern, e.Key.Page, locality(e.Key.Local),
+			e.Agg.Count, ms(mean), shareColumns(e.Agg.ByCause, e.Agg.Total), ms(asyncMean)+"ms", topLink(e.Agg.Links))
 	}
 	return b.String()
 }

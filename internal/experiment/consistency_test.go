@@ -17,65 +17,43 @@ func consQuickOptions(parallelism int) RunOptions {
 	}
 }
 
-// TestConsistencyDeterminism: every arm owns its environment and seed, so
-// the formatted spectrum table must be byte-identical whether the arms run
-// sequentially or eight-wide. This is the same two-book determinism
-// discipline the paper tables are held to.
-func TestConsistencyDeterminism(t *testing.T) {
-	seq, err := RunConsistency(PetStore, consQuickOptions(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunConsistency(PetStore, consQuickOptions(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := FormatConsistency(seq), FormatConsistency(par)
-	if a != b {
-		t.Fatalf("spectrum not deterministic across parallelism:\n-- sequential --\n%s\n-- parallel --\n%s", a, b)
-	}
-}
-
 // TestConsistencySpectrumInvariants pins the spectrum's shape on the
 // PetStore commit page: leases trade staleness for write latency, batching
 // trades staleness for WAN messages.
 func TestConsistencySpectrumInvariants(t *testing.T) {
-	results, err := RunConsistency(PetStore, consQuickOptions(8))
+	arms := ConsistencyArms(Spec{App: PetStore, RunOptions: consQuickOptions(8)})
+	results, err := RunAll(arms)
 	if err != nil {
 		t.Fatal(err)
 	}
-	arms := ConsistencyArms()
-	if len(results) != len(arms) {
-		t.Fatalf("got %d results for %d arms", len(results), len(arms))
-	}
-	byArm := make(map[string]*ConsistencyResult, len(results))
+	byArm := make(map[string]spectrumPoint, len(results))
 	for i, r := range results {
-		if r.Arm.Name != arms[i].Name {
-			t.Fatalf("result %d is arm %q, want %q (order must match ConsistencyArms)", i, r.Arm.Name, arms[i].Name)
+		if r.Spec != arms[i] {
+			t.Fatalf("result %d ran %q, want %q (order must match ConsistencyArms)", i, r.Spec.Label, arms[i].Label)
 		}
-		byArm[r.Arm.Name] = r
+		byArm[r.Spec.Label] = spectrum(r)
 	}
 
 	sync, lease, batched, async := byArm["sync"], byArm["lease-1s"], byArm["async-batched-250ms"], byArm["async"]
-	if sync.Commits == 0 || async.Commits == 0 {
+	if sync.commits == 0 || async.commits == 0 {
 		t.Fatal("no commits observed; the write page did not run")
 	}
 	// Leases decouple the writer from the WAN round-trip.
-	if lease.WriteRemote >= sync.WriteRemote {
-		t.Errorf("lease remote write %v not below sync %v", lease.WriteRemote, sync.WriteRemote)
+	if lease.writeRemote >= sync.writeRemote {
+		t.Errorf("lease remote write %v not below sync %v", lease.writeRemote, sync.writeRemote)
 	}
 	// The lease arms are the ones paying measured staleness for it.
-	if lease.StaleSamples == 0 {
+	if lease.staleSamples == 0 {
 		t.Error("lease arm observed no staleness samples")
 	}
-	if s250, s5 := byArm["lease-250ms"], byArm["lease-5s"]; s250.StaleSamples > 0 && s5.StaleSamples > 0 &&
-		s5.StaleMean <= s250.StaleMean {
-		t.Errorf("staleness did not grow with the budget: 5s arm %v <= 250ms arm %v", s5.StaleMean, s250.StaleMean)
+	if s250, s5 := byArm["lease-250ms"], byArm["lease-5s"]; s250.staleSamples > 0 && s5.staleSamples > 0 &&
+		s5.staleMean <= s250.staleMean {
+		t.Errorf("staleness did not grow with the budget: 5s arm %v <= 250ms arm %v", s5.staleMean, s250.staleMean)
 	}
 	// Batching coalesces pushes: strictly fewer WAN messages per commit
 	// than the unbatched async baseline.
-	if batched.MsgsPerCommit() >= async.MsgsPerCommit() {
+	if batched.msgsPerCommit() >= async.msgsPerCommit() {
 		t.Errorf("batched arm %.3f msgs/commit not below async %.3f",
-			batched.MsgsPerCommit(), async.MsgsPerCommit())
+			batched.msgsPerCommit(), async.msgsPerCommit())
 	}
 }

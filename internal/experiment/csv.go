@@ -25,40 +25,12 @@ func WriteCSV(w io.Writer, results []*Result) error {
 	for _, r := range results {
 		for _, c := range r.Cells {
 			row := []string{
-				string(r.App), r.Config.String(), c.Pattern, c.Page,
+				string(r.Spec.App), r.Spec.Policy.String(), c.Pattern, c.Page,
 				msf(c.Local), msf(c.Remote), msf(c.LocalP95), msf(c.RemoteP95),
 			}
 			if err := cw.Write(row); err != nil {
 				return err
 			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteFigureCSV emits the Figure 7/8 bars: one row per (configuration,
-// pattern, locality) session mean.
-func WriteFigureCSV(w io.Writer, results []*Result) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"app", "config", "pattern", "locality", "session_mean_ms"}); err != nil {
-		return err
-	}
-	for _, bar := range Figure(results) {
-		loc := "remote"
-		if bar.Local {
-			loc = "local"
-		}
-		app := ""
-		if len(results) > 0 {
-			app = string(results[0].App)
-		}
-		row := []string{
-			app, bar.Config.String(), bar.Pattern, loc,
-			strconv.FormatFloat(float64(bar.Mean)/float64(time.Millisecond), 'f', 1, 64),
-		}
-		if err := cw.Write(row); err != nil {
-			return err
 		}
 	}
 	cw.Flush()

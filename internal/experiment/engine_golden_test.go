@@ -73,9 +73,8 @@ func TestEngineGoldenTables(t *testing.T) {
 func TestEngineGoldenFaulted(t *testing.T) {
 	run := func(par int) string {
 		opts := engineGoldenOptions(par)
-		opts.Schedule = faults.Canonical(opts.Warmup, opts.Duration)
-		opts.Resilience = true
-		results, err := RunTable(PetStore, opts)
+		s := Spec{App: PetStore, Schedule: faults.Canonical(opts.Warmup, opts.Duration), Resilience: true, RunOptions: opts}
+		results, err := RunAll(Table(s, false))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,8 +1,9 @@
 // Package experiment regenerates the paper's evaluation: Tables 6 and 7
 // (per-page average response times for five configurations of Java Pet Store
 // and RUBiS, split by client locality) and Figures 7 and 8 (per-session
-// average response times). Runs are deterministic given a seed: the same
-// seed produces byte-identical tables.
+// average response times). An experiment is a Spec; Run executes one and
+// RunAll a list. Runs are deterministic given a seed: the same seed produces
+// byte-identical tables.
 package experiment
 
 import (
@@ -31,16 +32,40 @@ const (
 	RUBiS    AppID = "rubis"
 )
 
-// RunOptions controls one experiment run.
+// RunOptions are the measurement settings of a run: its seed and window, and
+// how many runs RunAll may execute at once.
 type RunOptions struct {
 	Seed     int64
 	Warmup   time.Duration
 	Duration time.Duration
 
+	// Parallelism bounds how many independent runs RunAll may execute
+	// concurrently: 0 (the default) means one worker per CPU (GOMAXPROCS),
+	// 1 forces the sequential path, and values above the number of runs are
+	// clamped. Every run owns its environment, seed and database, so any
+	// setting produces byte-identical results.
+	Parallelism int
+}
+
+// Spec is one experiment: an application deployed under a policy on a
+// topology, driven at a load for the measurement window, with what is armed
+// beside the workload. Specs are comparable values; a table, a sweep or a
+// set of arms is a []Spec that varies one field, run by RunAll.
+type Spec struct {
+	App    AppID
+	Policy core.Policy
+	// Topology is the simulated network; the zero spec is the paper's star.
+	Topology simnet.HierarchySpec
+	// Load scales the paper's 30 req/s client population; 0 is the paper's.
+	Load float64
+	// Label names an arm of a set of runs ("sync", "adaptive").
+	Label string
+
 	// Schedule, when non-nil, arms a scripted fault schedule on the run's
 	// network (link flaps, partitions, latency/loss degradation, node
 	// crashes) before the workload starts. Replay is deterministic: the
-	// fault RNG derives from Seed on a separate stream.
+	// fault RNG derives from Seed on a separate stream. Result.Observed
+	// carries what the partitioned edge's clients saw.
 	Schedule *faults.Schedule
 
 	// Resilience enables the WAN-degradation machinery (RMI
@@ -54,17 +79,6 @@ type RunOptions struct {
 	// leases, a swept update mode) on the deployment under test.
 	// Nil keeps the paper's propagation path and byte-identical output.
 	Replication *core.ReplicationOptions
-
-	// Observer, when non-nil, sees every completed request (warm-up and
-	// failures included) — the hook behind availability scoring.
-	Observer workload.Observer
-
-	// Parallelism bounds how many independent runs a table or sweep may
-	// execute concurrently: 0 (the default) means one worker per CPU
-	// (GOMAXPROCS), 1 forces the sequential path, and values above the
-	// number of runs are clamped. Every run owns its environment, seed and
-	// database, so any setting produces byte-identical tables.
-	Parallelism int
 
 	// MetricsTick, when positive, samples every counter and gauge into its
 	// time series on this virtual-time interval. Sampling is armed as a raw
@@ -85,6 +99,8 @@ type RunOptions struct {
 	// with these options, extending toward the policy's patterns.
 	// Result.Adapt carries the adaptation report.
 	Adaptive *controller.Options
+
+	RunOptions
 }
 
 // DefaultRunOptions mirrors the paper's methodology (each test ran for about
@@ -112,11 +128,10 @@ type PageCell struct {
 	RemoteP95 time.Duration
 }
 
-// Result is one configuration's measured row of Table 6/7 plus diagnostics.
+// Result is one Spec's measured row of Table 6/7 plus diagnostics.
 type Result struct {
-	App    AppID
-	Config core.Policy
-	Cells  []PageCell
+	Spec  Spec
+	Cells []PageCell
 
 	// Session means by (pattern, locality): the Figure 7/8 bars.
 	SessionMeans map[string]map[bool]time.Duration
@@ -125,22 +140,30 @@ type Result struct {
 	Errors  int
 
 	// Diagnostics.
-	RemoteCalls  int64 // wide-area + local RMI invocations classified remote
-	MainCPUUtil  float64
-	EdgeCPUUtil  float64
-	JMSPublished int64
-	JMSDelivered int64
+	MainCPUUtil float64
+	EdgeCPUUtil float64
+
+	// Hubs and ReplicaEntries are what only the testbed knows: the
+	// topology's hub count, and the entity state cached across every edge
+	// replica at the end of the run (the footprint partitioning shrinks).
+	Hubs           int
+	ReplicaEntries int64
 
 	// Metrics is the run's full registry snapshot, taken after the workload
-	// finishes (deterministic: same seed, same snapshot).
+	// finishes (deterministic: same seed, same snapshot). It is the one book
+	// of the run's counts.
 	Metrics *metrics.Snapshot
 
-	// Trace carries the causal-tracing outputs when RunOptions.Trace was set.
+	// Trace carries the causal-tracing outputs when Spec.Trace was set.
 	Trace *TraceReport
 
 	// Adapt is the online re-placement controller's report when
-	// RunOptions.Adaptive was set.
+	// Spec.Adaptive was set.
 	Adapt *controller.Report
+
+	// Observed is what the scored client node saw when Spec.Schedule was
+	// set.
+	Observed *Observed
 }
 
 // TraceReport is one run's tracing harvest: the blame aggregates over every
@@ -152,74 +175,18 @@ type TraceReport struct {
 	Dropped int64 // flight-recorder evictions
 }
 
-// Profile renders the report's aggregates in the JSON export shape.
-func (tr *TraceReport) Profile() *trace.Profile { return tr.Blame.Profile() }
-
-// Cell returns the cell for (pattern, page), or nil.
-func (r *Result) Cell(pattern, page string) *PageCell {
-	for i := range r.Cells {
-		if r.Cells[i].Pattern == pattern && r.Cells[i].Page == page {
-			return &r.Cells[i]
-		}
-	}
-	return nil
-}
-
 // Mean returns the (local or remote) mean for (pattern, page); 0 if absent.
 func (r *Result) Mean(pattern, page string, local bool) time.Duration {
-	c := r.Cell(pattern, page)
-	if c == nil {
-		return 0
+	for _, c := range r.Cells {
+		if c.Pattern != pattern || c.Page != page {
+			continue
+		}
+		if local {
+			return c.Local
+		}
+		return c.Remote
 	}
-	if local {
-		return c.Local
-	}
-	return c.Remote
-}
-
-// PetStoreColumns is the paper's Table 6 column order.
-var PetStoreColumns = []struct {
-	Pattern string
-	Page    string
-}{
-	{petstore.PatternBrowser, petstore.PageMain},
-	{petstore.PatternBrowser, petstore.PageCategory},
-	{petstore.PatternBrowser, petstore.PageProduct},
-	{petstore.PatternBrowser, petstore.PageItem},
-	{petstore.PatternBrowser, petstore.PageSearch},
-	{petstore.PatternBuyer, petstore.PageMain},
-	{petstore.PatternBuyer, petstore.PageSignin},
-	{petstore.PatternBuyer, petstore.PageVerifySignin},
-	{petstore.PatternBuyer, petstore.PageCart},
-	{petstore.PatternBuyer, petstore.PageCheckout},
-	{petstore.PatternBuyer, petstore.PagePlaceOrder},
-	{petstore.PatternBuyer, petstore.PageBilling},
-	{petstore.PatternBuyer, petstore.PageCommit},
-	{petstore.PatternBuyer, petstore.PageSignout},
-}
-
-// RUBiSColumns is the paper's Table 7 column order.
-var RUBiSColumns = []struct {
-	Pattern string
-	Page    string
-}{
-	{rubis.PatternBrowser, rubis.PageMain},
-	{rubis.PatternBrowser, rubis.PageBrowse},
-	{rubis.PatternBrowser, rubis.PageAllCategories},
-	{rubis.PatternBrowser, rubis.PageAllRegions},
-	{rubis.PatternBrowser, rubis.PageRegion},
-	{rubis.PatternBrowser, rubis.PageCategory},
-	{rubis.PatternBrowser, rubis.PageCatRegion},
-	{rubis.PatternBrowser, rubis.PageItem},
-	{rubis.PatternBrowser, rubis.PageBids},
-	{rubis.PatternBrowser, rubis.PageUserInfo},
-	{rubis.PatternBidder, rubis.PageMain},
-	{rubis.PatternBidder, rubis.PagePutBidAuth},
-	{rubis.PatternBidder, rubis.PagePutBidForm},
-	{rubis.PatternBidder, rubis.PageStoreBid},
-	{rubis.PatternBidder, rubis.PagePutCommentAuth},
-	{rubis.PatternBidder, rubis.PagePutCommentForm},
-	{rubis.PatternBidder, rubis.PageStoreComment},
+	return 0
 }
 
 // application is a deployed app as the runner sees it; *petstore.App and
@@ -236,7 +203,27 @@ type appDef struct {
 	deploy   func(*core.Deployment, core.Policy) (application, error) // the app's Deploy
 	model    func() *planner.Model                                    // what the controller re-plans with
 	patterns []string                                                 // usage patterns: browser, then writer
-	columns  []struct{ Pattern, Page string }
+	columns  []column                                                 // the table's columns, in the paper's order
+}
+
+// column is one (pattern, page) column of Table 6/7.
+type column struct{ Pattern, Page string }
+
+// columns lays out a table the way the paper does: the browser session's
+// pages in the order of their weights table, then the writer session's
+// fixed sequence.
+func columns(browser string, browse []struct {
+	Page   string
+	Weight int
+}, writer string, write []string) []column {
+	var cols []column
+	for _, p := range browse {
+		cols = append(cols, column{browser, p.Page})
+	}
+	for _, p := range write {
+		cols = append(cols, column{writer, p})
+	}
+	return cols
 }
 
 var apps = map[AppID]*appDef{
@@ -247,7 +234,7 @@ var apps = map[AppID]*appDef{
 		},
 		model:    petstore.PlannerModel,
 		patterns: []string{petstore.PatternBrowser, petstore.PatternBuyer},
-		columns:  PetStoreColumns,
+		columns:  columns(petstore.PatternBrowser, petstore.BrowserPages, petstore.PatternBuyer, petstore.BuyerPages),
 	},
 	RUBiS: {
 		options: rubis.DeployOptions,
@@ -256,132 +243,183 @@ var apps = map[AppID]*appDef{
 		},
 		model:    rubis.PlannerModel,
 		patterns: []string{rubis.PatternBrowser, rubis.PatternBidder},
-		columns:  RUBiSColumns,
+		columns:  columns(rubis.PatternBrowser, rubis.BrowserPages, rubis.PatternBidder, rubis.BidderPages),
 	},
 }
 
 // Testbed is one application deployed on its simulated network and not yet
-// driven: what every run, sweep point and `wadeploy explain` starts from.
+// driven: what every run and `wadeploy explain` starts from.
 type Testbed struct {
 	Env *sim.Env
 	// Groups is the client population: the local group, then one remote
 	// group per edge.
 	Groups []workload.Group
 
-	app  AppID
-	cfg  core.Policy
+	spec Spec
 	d    *core.Deployment
 	h    *simnet.Hierarchy
 	inst application
 	ctrl *controller.Controller
 }
 
-// Deploy builds the paper's testbed with app deployed under cfg and the
-// Section 3.3 client groups defined, honouring the deployment-side options
-// (Seed, Trace, Resilience, Replication and Adaptive).
-func Deploy(app AppID, cfg core.Policy, opts RunOptions) (*Testbed, error) {
-	return deploy(app, cfg, opts, simnet.HierarchySpec{}, 1)
+// validate rejects a spec no run can start from, before any run starts.
+func (s Spec) validate() error {
+	if apps[s.App] == nil {
+		return fmt.Errorf("experiment: unknown app %q", s.App)
+	}
+	if s.Load < 0 || s.Topology.Edges < 0 {
+		return fmt.Errorf("experiment: negative load %v or edge count %d", s.Load, s.Topology.Edges)
+	}
+	if err := s.Policy.Validate(); err != nil {
+		return fmt.Errorf("experiment: %w", err)
+	}
+	return nil
 }
 
-// deploy is the one set-up path: environment, tracer, topology (the zero spec
-// is the paper's star), substrate, application, the re-placement controller
-// of an adaptive run, and the client groups at scale times the paper's
-// population.
-func deploy(app AppID, cfg core.Policy, opts RunOptions, spec simnet.HierarchySpec, scale float64) (*Testbed, error) {
-	def := apps[app]
-	if def == nil {
-		return nil, fmt.Errorf("experiment: unknown app %q", app)
+// window is the scored interval of a faulted run: the schedule's outage
+// window, or the whole measured duration when it declares none.
+func (s Spec) window() [2]time.Duration {
+	if w := s.Schedule.Window; w != [2]time.Duration{} {
+		return w
 	}
-	env := sim.NewEnv(opts.Seed)
-	if opts.Trace != nil {
-		trace.New(env, *opts.Trace).Install(env)
+	return [2]time.Duration{s.Warmup, s.Warmup + s.Duration}
+}
+
+// Deploy builds the spec's testbed: environment, tracer, topology,
+// substrate, application, the re-placement controller of an adaptive run,
+// and the client groups at the spec's load.
+func Deploy(s Spec) (*Testbed, error) {
+	if err := s.validate(); err != nil {
+		return nil, err
+	}
+	def := apps[s.App]
+	env := sim.NewEnv(s.Seed)
+	if s.Trace != nil {
+		trace.New(env, *s.Trace).Install(env)
 	}
 	copts := def.options()
-	copts.Resilience = opts.Resilience
-	copts.Replication = opts.Replication
-	copts.Deferred = opts.Adaptive != nil
-	d, h, err := core.NewHierarchicalDeployment(env, copts, spec)
+	copts.Resilience = s.Resilience
+	copts.Replication = s.Replication
+	copts.Deferred = s.Adaptive != nil
+	d, h, err := core.NewHierarchicalDeployment(env, copts, s.Topology)
 	if err != nil {
 		return nil, err
 	}
-	inst, err := def.deploy(d, cfg)
+	inst, err := def.deploy(d, s.Policy)
 	if err != nil {
 		return nil, err
 	}
 	var ctrl *controller.Controller
-	if opts.Adaptive != nil {
+	if s.Adaptive != nil {
 		ctrl, err = controller.Start(controller.Config{
 			Deployment: d,
 			Wiring:     inst.Wiring(),
 			Model:      def.model(),
-			Seed:       opts.Seed,
-			Options:    *opts.Adaptive,
+			Seed:       s.Seed,
+			Options:    *s.Adaptive,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("experiment: deferred %s: %w", cfg, err)
+			return nil, fmt.Errorf("experiment: deferred %s: %w", s.Policy, err)
 		}
 	}
-	return &Testbed{
-		Env: env, Groups: inst.Workload(scale),
-		app: app, cfg: cfg, d: d, h: h, inst: inst, ctrl: ctrl,
-	}, nil
-}
-
-// Run executes one (application, policy) experiment on the paper's testbed.
-func Run(app AppID, cfg core.Policy, opts RunOptions) (*Result, error) {
-	r, _, err := run(app, cfg, opts, simnet.HierarchySpec{}, 1)
-	return r, err
-}
-
-// run is the one experiment body behind Run and every sweep: deploy, then
-// drive. The testbed is returned for callers that read more than the row.
-func run(app AppID, cfg core.Policy, opts RunOptions, spec simnet.HierarchySpec, scale float64) (*Result, *Testbed, error) {
-	tb, err := deploy(app, cfg, opts, spec, scale)
-	if err != nil {
-		return nil, nil, err
+	load := s.Load
+	if load == 0 {
+		load = 1
 	}
-	r, err := tb.drive(opts)
-	return r, tb, err
+	return &Testbed{Env: env, Groups: inst.Workload(load), spec: s, d: d, h: h, inst: inst, ctrl: ctrl}, nil
 }
 
-// drive runs the testbed's client groups for opts.Warmup+opts.Duration and
-// collects the table row.
-func (tb *Testbed) drive(opts RunOptions) (*Result, error) {
-	d := tb.d
-	if opts.Schedule != nil {
-		if err := faults.Arm(d.Net, opts.Schedule, opts.Seed); err != nil {
+// Run executes one experiment: one deploy, one measurement window, one
+// harvest.
+func Run(s Spec) (*Result, error) {
+	tb, err := Deploy(s)
+	if err != nil {
+		return nil, err
+	}
+	return tb.drive()
+}
+
+// RunAll runs every spec, at most specs[0].Parallelism at a time, and
+// returns the results in spec order. Every run owns its environment and
+// seed, so the results are byte-identical at any parallelism. Every spec is
+// validated before the first run starts.
+func RunAll(specs []Spec) ([]*Result, error) {
+	if len(specs) == 0 {
+		return nil, nil
+	}
+	for _, s := range specs {
+		if err := s.validate(); err != nil {
+			return nil, err
+		}
+	}
+	out := make([]*Result, len(specs))
+	err := forEachParallel(specs[0].Parallelism, len(specs), func(i int) (err error) {
+		out[i], err = Run(specs[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// Table returns the specs of a table run, one per configuration of the
+// paper (core.Configs) on base, plus with ext the extension configurations
+// the application has (DB replication, Pet Store only).
+func Table(base Spec, ext bool) []Spec {
+	configs := core.Configs
+	if ext && base.App == PetStore {
+		configs = append(configs[:len(configs):len(configs)], core.ExtensionConfigs...)
+	}
+	specs := make([]Spec, len(configs))
+	for i, cfg := range configs {
+		specs[i] = base
+		specs[i].Policy = cfg
+	}
+	return specs
+}
+
+// RunTable runs all five configurations for an application: the full
+// Table 6 (PetStore) or Table 7 (RUBiS).
+func RunTable(app AppID, opts RunOptions) ([]*Result, error) {
+	return RunAll(Table(Spec{App: app, RunOptions: opts}, false))
+}
+
+// drive runs the testbed's client groups for Warmup+Duration and collects
+// the table row.
+func (tb *Testbed) drive() (*Result, error) {
+	d, s := tb.d, tb.spec
+	var obs *observer
+	if s.Schedule != nil {
+		if err := faults.Arm(d.Net, s.Schedule, s.Seed); err != nil {
 			return nil, fmt.Errorf("experiment: %w", err)
 		}
+		obs = newObserver(s.window())
 	}
 	reg := d.Env.Metrics()
-	if opts.MetricsTick > 0 {
+	if s.MetricsTick > 0 {
 		var tick func()
 		tick = func() {
 			reg.Sample()
-			d.Env.After(opts.MetricsTick, tick)
+			d.Env.After(s.MetricsTick, tick)
 		}
-		d.Env.After(opts.MetricsTick, tick)
+		d.Env.After(s.MetricsTick, tick)
 	}
-	stats, err := workload.Run(workload.Config{
-		Env:      d.Env,
-		Groups:   tb.Groups,
-		Warmup:   opts.Warmup,
-		Duration: opts.Duration,
-		Observer: opts.Observer,
-	})
+	cfg := workload.Config{Env: d.Env, Groups: tb.Groups, Warmup: s.Warmup, Duration: s.Duration}
+	if obs != nil {
+		cfg.Observer = obs.observe
+	}
+	stats, err := workload.Run(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("experiment: %s/%s: %w", tb.app, tb.cfg, err)
+		return nil, fmt.Errorf("experiment: %s/%s: %w", s.App, s.Policy, err)
 	}
-	def := apps[tb.app]
+	def := apps[s.App]
 	res := &Result{
-		App:          tb.app,
-		Config:       tb.cfg,
+		Spec:         s,
 		SessionMeans: make(map[string]map[bool]time.Duration, len(def.patterns)),
 		Samples:      stats.TotalSamples(),
 		Errors:       stats.Errors(),
-		RemoteCalls:  reg.CounterValue("rmi_remote_calls_total"),
-		JMSPublished: reg.CounterValue("jms_published_total"),
-		JMSDelivered: reg.CounterValue("jms_delivered_total"),
+		Hubs:         len(tb.h.HubNames),
 	}
 	for _, c := range def.columns {
 		cell := PageCell{
@@ -419,70 +457,19 @@ func (tb *Testbed) drive(opts RunOptions) (*Result, error) {
 		edgeNode := d.Net.Node(d.Edges[0].Name())
 		res.EdgeCPUUtil = edgeNode.CPU.Utilization()
 	}
+	if wiring := tb.inst.Wiring(); wiring != nil {
+		for _, e := range d.Edges {
+			for _, ro := range wiring.Replicas[e.Name()] {
+				res.ReplicaEntries += int64(ro.Cached())
+			}
+		}
+	}
 	res.Metrics = reg.Snapshot()
 	if tb.ctrl != nil {
 		res.Adapt = tb.ctrl.Report()
 	}
+	if obs != nil {
+		res.Observed = obs.result()
+	}
 	return res, nil
-}
-
-// RunTable runs all five configurations for an application: the full
-// Table 6 (PetStore) or Table 7 (RUBiS).
-func RunTable(app AppID, opts RunOptions) ([]*Result, error) {
-	return runConfigs(app, opts, core.Configs)
-}
-
-// RunTableWithExtensions appends the extension configurations (currently
-// DB replication, Pet Store only) to the paper's five rows.
-func RunTableWithExtensions(app AppID, opts RunOptions) ([]*Result, error) {
-	configs := append([]core.Policy(nil), core.Configs...)
-	if app == PetStore {
-		configs = append(configs, core.ExtensionConfigs...)
-	}
-	return runConfigs(app, opts, configs)
-}
-
-func runConfigs(app AppID, opts RunOptions, configs []core.Policy) ([]*Result, error) {
-	out := make([]*Result, len(configs))
-	err := forEachParallel(opts.Parallelism, len(configs), func(i int) error {
-		r, err := Run(app, configs[i], opts)
-		if err != nil {
-			return err
-		}
-		out[i] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// FigureBar is one bar of Figure 7/8.
-type FigureBar struct {
-	Config  core.Policy
-	Pattern string
-	Local   bool
-	Mean    time.Duration
-}
-
-// Figure derives the Figure 7/8 bars from a table run.
-func Figure(results []*Result) []FigureBar {
-	var bars []FigureBar
-	if len(results) == 0 {
-		return bars
-	}
-	for _, local := range []bool{true, false} {
-		for _, pat := range apps[results[0].App].patterns {
-			for _, r := range results {
-				bars = append(bars, FigureBar{
-					Config:  r.Config,
-					Pattern: pat,
-					Local:   local,
-					Mean:    r.SessionMeans[pat][local],
-				})
-			}
-		}
-	}
-	return bars
 }

@@ -14,20 +14,21 @@ func linkDown(a, b string, at, d time.Duration) *faults.Schedule {
 	return &faults.Schedule{Events: []faults.Event{{Kind: faults.LinkDown, A: a, B: b, At: at, Duration: d}}}
 }
 
-// faultOpts injects a one-minute WAN outage on edge1 mid-measurement.
-func faultOpts() RunOptions {
-	return RunOptions{
-		Seed:     1,
-		Warmup:   20 * time.Second,
-		Duration: 3 * time.Minute,
-		Schedule: linkDown(simnet.NodeEdge1, simnet.NodeRouter, 80*time.Second, time.Minute),
+// faulted injects a one-minute WAN outage on edge1 mid-measurement of
+// app under cfg.
+func faulted(app AppID, cfg core.Policy) Spec {
+	return Spec{
+		App:        app,
+		Policy:     cfg,
+		Schedule:   linkDown(simnet.NodeEdge1, simnet.NodeRouter, 80*time.Second, time.Minute),
+		RunOptions: RunOptions{Seed: 1, Warmup: 20 * time.Second, Duration: 3 * time.Minute},
 	}
 }
 
 // In the centralized configuration a WAN outage makes edge1's clients lose
 // everything: they cannot even reach the service.
 func TestFaultCentralizedLosesRemoteClients(t *testing.T) {
-	r, err := Run(RUBiS, core.Centralized, faultOpts())
+	r, err := Run(faulted(RUBiS, core.Centralized))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +44,11 @@ func TestFaultCentralizedLosesRemoteClients(t *testing.T) {
 // In the query-caching configuration the same outage only hurts writes: the
 // availability benefit of edge deployment from the paper's introduction.
 func TestFaultQueryCachingKeepsBrowsersServed(t *testing.T) {
-	centralized, err := Run(RUBiS, core.Centralized, faultOpts())
+	centralized, err := Run(faulted(RUBiS, core.Centralized))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, err := Run(RUBiS, core.QueryCaching, faultOpts())
+	cached, err := Run(faulted(RUBiS, core.QueryCaching))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,9 +68,8 @@ func TestFaultQueryCachingKeepsBrowsersServed(t *testing.T) {
 }
 
 func TestFaultUnknownLinkRejected(t *testing.T) {
-	opts := QuickRunOptions()
-	opts.Schedule = linkDown("nowhere", "else", time.Second, time.Second)
-	if _, err := Run(PetStore, core.Centralized, opts); err == nil {
+	s := Spec{App: PetStore, Schedule: linkDown("nowhere", "else", time.Second, time.Second), RunOptions: QuickRunOptions()}
+	if _, err := Run(s); err == nil {
 		t.Fatal("fault on unknown link accepted")
 	}
 }

@@ -46,7 +46,7 @@ func buyerSteps() []workload.Step {
 func runSession(t *testing.T, cfg core.Policy, warm, measured []workload.Step,
 	perStep func(reg *metrics.Registry, page string, run func())) *metrics.Registry {
 	t.Helper()
-	tb, err := Deploy(PetStore, cfg, RunOptions{Seed: 1})
+	tb, err := Deploy(Spec{App: PetStore, Policy: cfg, RunOptions: RunOptions{Seed: 1}})
 	if err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
@@ -163,7 +163,11 @@ func TestInvariantAsyncUpdatesNoBlockingPushes(t *testing.T) {
 // keys.
 func TestInvariantQueryViewsRefreshOncePerCommit(t *testing.T) {
 	for _, cfg := range []core.Policy{core.QueryCaching, core.AsyncUpdates} {
-		res, tb, err := run(RUBiS, cfg, RunOptions{Seed: 1, Duration: time.Minute}, simnet.HierarchySpec{}, 1)
+		tb, err := Deploy(Spec{App: RUBiS, Policy: cfg, RunOptions: RunOptions{Seed: 1, Duration: time.Minute}})
+		if err != nil {
+			t.Fatalf("%v: %v", cfg, err)
+		}
+		res, err := tb.drive()
 		if err != nil {
 			t.Fatalf("%v: %v", cfg, err)
 		}

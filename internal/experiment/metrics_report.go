@@ -2,7 +2,8 @@ package experiment
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 	"time"
 )
@@ -17,76 +18,53 @@ func FormatMetricsComparison(results []*Result) string {
 	if len(results) == 0 {
 		return "(no results)\n"
 	}
-	type row struct {
-		name   string
-		values map[int]string // result index -> cell
-	}
-	rows := make(map[string]*row)
-	get := func(name string) *row {
-		r, ok := rows[name]
-		if !ok {
-			r = &row{name: name, values: make(map[int]string)}
-			rows[name] = r
+	// One row per unlabeled instrument, one cell per result ("-" where the
+	// run has no such instrument).
+	rows := make(map[string][]string)
+	set := func(name string, i int, v string) {
+		if strings.ContainsRune(name, '{') {
+			return
 		}
-		return r
+		if rows[name] == nil {
+			rows[name] = slices.Repeat([]string{"-"}, len(results))
+		}
+		rows[name][i] = v
 	}
 	for i, res := range results {
 		if res.Metrics == nil {
 			continue
 		}
 		for _, c := range res.Metrics.Counters {
-			if strings.ContainsRune(c.Name, '{') {
-				continue
-			}
-			get(c.Name).values[i] = fmt.Sprintf("%d", c.Value)
+			set(c.Name, i, fmt.Sprintf("%d", c.Value))
 		}
 		for _, g := range res.Metrics.Gauges {
-			if strings.ContainsRune(g.Name, '{') {
-				continue
-			}
-			get(g.Name).values[i] = fmt.Sprintf("%d", g.Value)
+			set(g.Name, i, fmt.Sprintf("%d", g.Value))
 		}
 		for _, h := range res.Metrics.Histograms {
-			if strings.ContainsRune(h.Name, '{') || h.Count == 0 {
-				continue
+			if h.Count > 0 {
+				set(h.Name+" (mean ms)", i, ms(time.Duration(h.SumNs/h.Count)))
 			}
-			mean := time.Duration(h.SumNs / h.Count)
-			get(h.Name + " (mean ms)").values[i] = ms(mean)
 		}
 	}
-	names := make([]string, 0, len(rows))
-	for n := range rows {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-
+	names := slices.Sorted(maps.Keys(rows))
 	nameWidth := len("Metric")
 	for _, n := range names {
-		if len(n) > nameWidth {
-			nameWidth = len(n)
-		}
+		nameWidth = max(nameWidth, len(n))
 	}
 	colWidth := 12
 	for _, res := range results {
-		if n := len(res.Config.String()); n > colWidth {
-			colWidth = n
-		}
+		colWidth = max(colWidth, len(res.Spec.Policy.String()))
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-*s", nameWidth, "Metric")
 	for _, res := range results {
-		fmt.Fprintf(&b, " %*s", colWidth, res.Config.String())
+		fmt.Fprintf(&b, " %*s", colWidth, res.Spec.Policy.String())
 	}
 	fmt.Fprintln(&b)
 	fmt.Fprintln(&b, strings.Repeat("-", nameWidth+(colWidth+1)*len(results)))
 	for _, n := range names {
-		r := rows[n]
 		fmt.Fprintf(&b, "%-*s", nameWidth, n)
-		for i := range results {
-			v, ok := r.values[i]
-			if !ok {
-				v = "-"
-			}
+		for _, v := range rows[n] {
 			fmt.Fprintf(&b, " %*s", colWidth, v)
 		}
 		fmt.Fprintln(&b)

@@ -13,14 +13,14 @@ import (
 // registry snapshot, including the sampled time series — the property the
 // -metrics-out flag relies on.
 func TestMetricsSnapshotDeterminism(t *testing.T) {
-	opts := RunOptions{
-		Seed:        7,
-		Warmup:      10 * time.Second,
-		Duration:    time.Minute,
+	s := Spec{
+		App:         PetStore,
+		Policy:      core.QueryCaching,
 		MetricsTick: 15 * time.Second,
+		RunOptions:  RunOptions{Seed: 7, Warmup: 10 * time.Second, Duration: time.Minute},
 	}
 	run := func() []byte {
-		r, err := Run(PetStore, core.QueryCaching, opts)
+		r, err := Run(s)
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}
@@ -42,8 +42,8 @@ func TestMetricsSnapshotDeterminism(t *testing.T) {
 // TestMetricsTickSampling: with a tick configured, counters carry series
 // points; without one, no series memory is spent.
 func TestMetricsTickSampling(t *testing.T) {
-	opts := RunOptions{Seed: 1, Warmup: 10 * time.Second, Duration: time.Minute}
-	plain, err := Run(PetStore, core.Centralized, opts)
+	s := Spec{App: PetStore, Policy: core.Centralized, RunOptions: RunOptions{Seed: 1, Warmup: 10 * time.Second, Duration: time.Minute}}
+	plain, err := Run(s)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -52,8 +52,8 @@ func TestMetricsTickSampling(t *testing.T) {
 			t.Fatalf("counter %s has %d series points without MetricsTick", c.Name, len(c.Series))
 		}
 	}
-	opts.MetricsTick = 20 * time.Second
-	ticked, err := Run(PetStore, core.Centralized, opts)
+	s.MetricsTick = 20 * time.Second
+	ticked, err := Run(s)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

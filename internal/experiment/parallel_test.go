@@ -8,64 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"wadeploy/internal/core"
 )
-
-// parallelTestOptions is short enough for CI but long enough that all five
-// configurations produce non-trivial statistics.
-func parallelTestOptions(parallelism int) RunOptions {
-	return RunOptions{
-		Seed:        7,
-		Warmup:      10 * time.Second,
-		Duration:    time.Minute,
-		Parallelism: parallelism,
-	}
-}
-
-// TestParallelRunTableDeterminism is the regression guard for the parallel
-// scheduler: the rendered tables and figures of a parallel table run must be
-// byte-identical to the sequential run, because each run owns its own
-// environment and seed and results are ordered by input slot, not by
-// completion order.
-func TestParallelRunTableDeterminism(t *testing.T) {
-	render := func(results []*Result) string {
-		return FormatTable(results) + FormatTableP95(results) +
-			FormatFigure(results) + FormatDiagnostics(results)
-	}
-	seq, err := RunTable(PetStore, parallelTestOptions(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := render(seq)
-	// Wider than any plausible GOMAXPROCS effect: 4 workers interleave even
-	// on a single-CPU runner, and the race detector patrols the overlap.
-	for _, par := range []int{0, 4} {
-		got, err := RunTable(PetStore, parallelTestOptions(par))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r := render(got); r != want {
-			t.Errorf("parallelism %d rendered different tables than sequential run:\n--- sequential ---\n%s\n--- parallel ---\n%s", par, want, r)
-		}
-	}
-}
-
-// TestParallelSweepDeterminism pins the same property for the sweep paths.
-func TestParallelSweepDeterminism(t *testing.T) {
-	lats := []time.Duration{50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond}
-	seq, err := LatencySweep(RUBiS, core.AsyncUpdates, lats, parallelTestOptions(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := LatencySweep(RUBiS, core.AsyncUpdates, lats, parallelTestOptions(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := FormatSweep("wan-ms", par), FormatSweep("wan-ms", seq); got != want {
-		t.Errorf("parallel latency sweep differs:\n%s\nvs sequential:\n%s", got, want)
-	}
-}
 
 func TestClampParallelism(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)

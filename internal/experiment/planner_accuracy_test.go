@@ -116,7 +116,7 @@ func TestPlannerRecommendsAsyncUpdates(t *testing.T) {
 		bestSim, bestCfg := time.Duration(math.MaxInt64), core.Centralized
 		for _, r := range sims[app] {
 			if ov := simOverall(m, r); ov < bestSim {
-				bestSim, bestCfg = ov, r.Config
+				bestSim, bestCfg = ov, r.Spec.Policy
 			}
 		}
 		if bestCfg != core.AsyncUpdates {

@@ -24,6 +24,14 @@ var shortPage = map[string]string{
 	"StoreComment": "StComm",
 }
 
+// locality names a client group's locality as the tables do.
+func locality(local bool) string {
+	if local {
+		return "Local"
+	}
+	return "Remote"
+}
+
 func short(page string) string {
 	if s, ok := shortPage[page]; ok {
 		return s
@@ -34,71 +42,32 @@ func short(page string) string {
 // FormatTable renders a full table run (Table 6 or Table 7): one
 // Local/Remote row pair per configuration, one column per page.
 func FormatTable(results []*Result) string {
-	if len(results) == 0 {
-		return "(no results)\n"
-	}
-	var b strings.Builder
-	app := results[0].App
 	title := "Table 6. Average response times (ms) for five Pet Store configurations."
-	if app == RUBiS {
+	if len(results) > 0 && results[0].Spec.App == RUBiS {
 		title = "Table 7. Average response times (ms) for five RUBiS configurations."
 	}
-	fmt.Fprintln(&b, title)
-
-	cols := results[0].Cells
-	// Header rows: pattern spans and page abbreviations.
-	fmt.Fprintf(&b, "%-22s %-6s", "Configuration", "Client")
-	prevPattern := ""
-	for _, c := range cols {
-		label := short(c.Page)
-		if c.Pattern != prevPattern {
-			label = short(c.Page)
-			prevPattern = c.Pattern
-		}
-		fmt.Fprintf(&b, " %6s", label)
-	}
-	fmt.Fprintln(&b)
-	fmt.Fprintf(&b, "%-22s %-6s", "", "")
-	prevPattern = ""
-	for _, c := range cols {
-		label := ""
-		if c.Pattern != prevPattern {
-			label = c.Pattern
-			prevPattern = c.Pattern
-		}
-		fmt.Fprintf(&b, " %6s", label)
-	}
-	fmt.Fprintln(&b)
-	fmt.Fprintln(&b, strings.Repeat("-", 30+7*len(cols)))
-
-	for _, r := range results {
-		fmt.Fprintf(&b, "%-22s %-6s", r.Config.Title(), "Local")
-		for _, c := range r.Cells {
-			fmt.Fprintf(&b, " %6s", ms(c.Local))
-		}
-		fmt.Fprintln(&b)
-		fmt.Fprintf(&b, "%-22s %-6s", "", "Remote")
-		for _, c := range r.Cells {
-			fmt.Fprintf(&b, " %6s", ms(c.Remote))
-		}
-		fmt.Fprintln(&b)
-	}
-	return b.String()
+	return formatCells(title, results, true, func(c PageCell) (time.Duration, time.Duration) { return c.Local, c.Remote })
 }
 
 // FormatTableP95 renders the same table layout with 95th-percentile values
 // instead of means: the tail-latency view the paper does not print but a
 // deployer would want.
 func FormatTableP95(results []*Result) string {
+	title := "Pet Store 95th-percentile response times (ms), five configurations."
+	if len(results) > 0 && results[0].Spec.App == RUBiS {
+		title = "RUBiS 95th-percentile response times (ms), five configurations."
+	}
+	return formatCells(title, results, false, func(c PageCell) (time.Duration, time.Duration) { return c.LocalP95, c.RemoteP95 })
+}
+
+// formatCells renders the table layout under title: a page header row, with
+// patternRow a row naming each pattern over its first page, then the local
+// and remote values of each configuration's cells.
+func formatCells(title string, results []*Result, patternRow bool, value func(PageCell) (local, remote time.Duration)) string {
 	if len(results) == 0 {
 		return "(no results)\n"
 	}
 	var b strings.Builder
-	app := results[0].App
-	title := "Pet Store 95th-percentile response times (ms), five configurations."
-	if app == RUBiS {
-		title = "RUBiS 95th-percentile response times (ms), five configurations."
-	}
 	fmt.Fprintln(&b, title)
 	cols := results[0].Cells
 	fmt.Fprintf(&b, "%-22s %-6s", "Configuration", "Client")
@@ -106,18 +75,29 @@ func FormatTableP95(results []*Result) string {
 		fmt.Fprintf(&b, " %6s", short(c.Page))
 	}
 	fmt.Fprintln(&b)
+	if patternRow {
+		fmt.Fprintf(&b, "%-22s %-6s", "", "")
+		prevPattern := ""
+		for _, c := range cols {
+			label := ""
+			if c.Pattern != prevPattern {
+				label = c.Pattern
+				prevPattern = c.Pattern
+			}
+			fmt.Fprintf(&b, " %6s", label)
+		}
+		fmt.Fprintln(&b)
+	}
 	fmt.Fprintln(&b, strings.Repeat("-", 30+7*len(cols)))
 	for _, r := range results {
-		fmt.Fprintf(&b, "%-22s %-6s", r.Config.Title(), "Local")
+		local, remote := fmt.Sprintf("%-22s %-6s", r.Spec.Policy.Title(), "Local"), fmt.Sprintf("%-22s %-6s", "", "Remote")
 		for _, c := range r.Cells {
-			fmt.Fprintf(&b, " %6s", ms(c.LocalP95))
+			l, rm := value(c)
+			local += fmt.Sprintf(" %6s", ms(l))
+			remote += fmt.Sprintf(" %6s", ms(rm))
 		}
-		fmt.Fprintln(&b)
-		fmt.Fprintf(&b, "%-22s %-6s", "", "Remote")
-		for _, c := range r.Cells {
-			fmt.Fprintf(&b, " %6s", ms(c.RemoteP95))
-		}
-		fmt.Fprintln(&b)
+		fmt.Fprintln(&b, local)
+		fmt.Fprintln(&b, remote)
 	}
 	return b.String()
 }
@@ -129,37 +109,33 @@ func FormatFigure(results []*Result) string {
 		return "(no results)\n"
 	}
 	var b strings.Builder
-	app := results[0].App
+	app := results[0].Spec.App
 	title := "Figure 7. Java Pet Store session average response times."
 	if app == RUBiS {
 		title = "Figure 8. RUBiS session average response times."
 	}
 	fmt.Fprintln(&b, title)
 
-	bars := Figure(results)
+	patterns := apps[app].patterns
 	var maxMean time.Duration
-	for _, bar := range bars {
-		if bar.Mean > maxMean {
-			maxMean = bar.Mean
+	for _, r := range results {
+		for _, pat := range patterns {
+			maxMean = max(maxMean, r.SessionMeans[pat][true], r.SessionMeans[pat][false])
 		}
 	}
 	if maxMean == 0 {
 		maxMean = time.Millisecond
 	}
 	const width = 48
-	group := ""
-	for _, bar := range bars {
-		loc := "Remote"
-		if bar.Local {
-			loc = "Local"
+	for _, local := range []bool{true, false} {
+		for _, pat := range patterns {
+			fmt.Fprintf(&b, "\n%s %s\n", locality(local), pat)
+			for _, r := range results {
+				mean := r.SessionMeans[pat][local]
+				n := int(int64(width) * int64(mean) / int64(maxMean))
+				fmt.Fprintf(&b, "  %-22s %6s ms |%s\n", r.Spec.Policy.Title(), ms(mean), strings.Repeat("#", n))
+			}
 		}
-		g := fmt.Sprintf("%s %s", loc, bar.Pattern)
-		if g != group {
-			group = g
-			fmt.Fprintf(&b, "\n%s\n", g)
-		}
-		n := int(int64(width) * int64(bar.Mean) / int64(maxMean))
-		fmt.Fprintf(&b, "  %-22s %6s ms |%s\n", bar.Config.Title(), ms(bar.Mean), strings.Repeat("#", n))
 	}
 	return b.String()
 }
@@ -170,9 +146,10 @@ func FormatDiagnostics(results []*Result) string {
 	fmt.Fprintf(&b, "%-22s %9s %7s %9s %8s %8s %8s %8s\n",
 		"Configuration", "samples", "errors", "rmiCalls", "mainCPU", "edgeCPU", "jmsPub", "jmsDel")
 	for _, r := range results {
+		m := r.Metrics
 		fmt.Fprintf(&b, "%-22s %9d %7d %9d %7.1f%% %7.1f%% %8d %8d\n",
-			r.Config.Title(), r.Samples, r.Errors, r.RemoteCalls,
-			100*r.MainCPUUtil, 100*r.EdgeCPUUtil, r.JMSPublished, r.JMSDelivered)
+			r.Spec.Policy.Title(), r.Samples, r.Errors, m.Counter("rmi_remote_calls_total"),
+			100*r.MainCPUUtil, 100*r.EdgeCPUUtil, m.Counter("jms_published_total"), m.Counter("jms_delivered_total"))
 	}
 	return b.String()
 }

@@ -19,8 +19,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files under testda
 func goldenResults() []*Result {
 	mk := func(cfg core.Policy, localMS, remoteMS int) *Result {
 		r := &Result{
-			App:    PetStore,
-			Config: cfg,
+			Spec: Spec{App: PetStore, Policy: cfg},
 			SessionMeans: map[string]map[bool]time.Duration{
 				petstore.PatternBrowser: {
 					true:  time.Duration(localMS) * time.Millisecond,
@@ -31,13 +30,10 @@ func goldenResults() []*Result {
 					false: time.Duration(remoteMS+5) * time.Millisecond,
 				},
 			},
-			Samples:      1000,
-			Errors:       0,
-			RemoteCalls:  int64(remoteMS) * 10,
-			MainCPUUtil:  0.421,
-			EdgeCPUUtil:  0.137,
-			JMSPublished: 12,
-			JMSDelivered: 24,
+			Samples:     1000,
+			Errors:      0,
+			MainCPUUtil: 0.421,
+			EdgeCPUUtil: 0.137,
 		}
 		for _, page := range []string{"Main", "Category"} {
 			r.Cells = append(r.Cells, PageCell{
@@ -108,7 +104,13 @@ func TestFormatFigureGolden(t *testing.T) {
 }
 
 func TestFormatDiagnosticsGolden(t *testing.T) {
-	checkGolden(t, "format_diagnostics", FormatDiagnostics(goldenResults()))
+	results := goldenResults()
+	for _, r := range results {
+		r.Metrics.Counters = append(r.Metrics.Counters,
+			metrics.CounterSnapshot{Name: "jms_published_total", Value: 12},
+			metrics.CounterSnapshot{Name: "jms_delivered_total", Value: 24})
+	}
+	checkGolden(t, "format_diagnostics", FormatDiagnostics(results))
 }
 
 func TestFormatMetricsComparisonGolden(t *testing.T) {

@@ -26,7 +26,7 @@ func benchmarkRound(b *testing.B, app AppID, cfg core.Policy, spec simnet.Hierar
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		runtime.MemProfileRate = 0
-		tb, err := deploy(app, cfg, RunOptions{Seed: 1}, spec, 1)
+		tb, err := Deploy(Spec{App: app, Policy: cfg, Topology: spec, RunOptions: RunOptions{Seed: 1}})
 		runtime.MemProfileRate = rate
 		if err != nil {
 			b.Fatal(err)
@@ -87,7 +87,7 @@ func TestPageAllocBudget(t *testing.T) {
 	}
 	const warmup = 2 * time.Minute
 	for _, c := range cases {
-		tb, err := deploy(c.app, c.cfg, RunOptions{Seed: 1}, c.spec, 1)
+		tb, err := Deploy(Spec{App: c.app, Policy: c.cfg, Topology: c.spec, RunOptions: RunOptions{Seed: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}

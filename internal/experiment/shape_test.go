@@ -35,7 +35,7 @@ func tables(t *testing.T) ([]*Result, []*Result) {
 
 func byConfig(results []*Result, cfg core.Policy) *Result {
 	for _, r := range results {
-		if r.Config == cfg {
+		if r.Spec.Policy == cfg {
 			return r
 		}
 	}
@@ -47,14 +47,14 @@ func TestRunsProduceAllCellsWithoutErrors(t *testing.T) {
 	for _, set := range [][]*Result{ps, rb} {
 		for _, r := range set {
 			if r.Errors != 0 {
-				t.Errorf("%s/%s: %d request errors", r.App, r.Config, r.Errors)
+				t.Errorf("%s/%s: %d request errors", r.Spec.App, r.Spec.Policy, r.Errors)
 			}
 			if r.Samples < 1000 {
-				t.Errorf("%s/%s: only %d samples", r.App, r.Config, r.Samples)
+				t.Errorf("%s/%s: only %d samples", r.Spec.App, r.Spec.Policy, r.Samples)
 			}
 			for _, c := range r.Cells {
 				if c.Local == 0 || c.Remote == 0 {
-					t.Errorf("%s/%s: empty cell %s/%s", r.App, r.Config, c.Pattern, c.Page)
+					t.Errorf("%s/%s: empty cell %s/%s", r.Spec.App, r.Spec.Policy, c.Pattern, c.Page)
 				}
 			}
 		}
@@ -69,7 +69,7 @@ func TestShapeCentralizedRemotePenalty(t *testing.T) {
 		for _, c := range r.Cells {
 			delta := c.Remote - c.Local
 			if delta < 350*time.Millisecond || delta > 480*time.Millisecond {
-				t.Errorf("%s %s/%s: remote-local = %v, want ~400ms", r.App, c.Pattern, c.Page, delta)
+				t.Errorf("%s %s/%s: remote-local = %v, want ~400ms", r.Spec.App, c.Pattern, c.Page, delta)
 			}
 		}
 	}
@@ -201,12 +201,12 @@ func TestShapeAsyncUpdates(t *testing.T) {
 	} {
 		best := byConfig(tc.results, core.AsyncUpdates).SessionMeans[tc.pattern][false]
 		for _, r := range tc.results {
-			if r.Config == core.AsyncUpdates {
+			if r.Spec.Policy == core.AsyncUpdates {
 				continue
 			}
 			if other := r.SessionMeans[tc.pattern][false]; best > other+20*time.Millisecond {
 				t.Errorf("%s remote %s: async %v worse than %s %v",
-					r.App, tc.pattern, best, r.Config, other)
+					r.Spec.App, tc.pattern, best, r.Spec.Policy, other)
 			}
 		}
 	}
@@ -216,24 +216,24 @@ func TestShapeAsyncUpdates(t *testing.T) {
 func TestAsyncConfigUsesJMS(t *testing.T) {
 	ps, rb := tables(t)
 	for _, set := range [][]*Result{ps, rb} {
-		au := byConfig(set, core.AsyncUpdates)
-		if au.JMSPublished == 0 || au.JMSDelivered == 0 {
-			t.Errorf("%s async: jms pub=%d del=%d, want traffic", au.App, au.JMSPublished, au.JMSDelivered)
+		au := byConfig(set, core.AsyncUpdates).Metrics
+		pub, del := au.Counter("jms_published_total"), au.Counter("jms_delivered_total")
+		if pub == 0 || del == 0 {
+			t.Errorf("%s async: jms pub=%d del=%d, want traffic", set[0].Spec.App, pub, del)
 		}
-		qc := byConfig(set, core.QueryCaching)
-		if qc.JMSPublished != 0 {
-			t.Errorf("%s sync config published %d JMS messages", qc.App, qc.JMSPublished)
+		if pub := byConfig(set, core.QueryCaching).Metrics.Counter("jms_published_total"); pub != 0 {
+			t.Errorf("%s sync config published %d JMS messages", set[0].Spec.App, pub)
 		}
 	}
 }
 
 func TestDeterministicTables(t *testing.T) {
 	opts := RunOptions{Seed: 7, Warmup: 10 * time.Second, Duration: 60 * time.Second}
-	r1, err := Run(PetStore, core.RemoteFacade, opts)
+	r1, err := Run(Spec{App: PetStore, Policy: core.RemoteFacade, RunOptions: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(PetStore, core.RemoteFacade, opts)
+	r2, err := Run(Spec{App: PetStore, Policy: core.RemoteFacade, RunOptions: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestFormatting(t *testing.T) {
 }
 
 func TestRunUnknownApp(t *testing.T) {
-	if _, err := Run("nope", core.Centralized, QuickRunOptions()); err == nil {
+	if _, err := Run(Spec{App: "nope", RunOptions: QuickRunOptions()}); err == nil {
 		t.Fatal("unknown app accepted")
 	}
 }
@@ -275,7 +275,7 @@ func TestServersNotOverloaded(t *testing.T) {
 	for _, set := range [][]*Result{ps, rb} {
 		for _, r := range set {
 			if r.MainCPUUtil > 0.45 {
-				t.Errorf("%s/%s: main CPU %.0f%%, want < 45%%", r.App, r.Config, 100*r.MainCPUUtil)
+				t.Errorf("%s/%s: main CPU %.0f%%, want < 45%%", r.Spec.App, r.Spec.Policy, 100*r.MainCPUUtil)
 			}
 		}
 	}
@@ -284,7 +284,7 @@ func TestServersNotOverloaded(t *testing.T) {
 // Extension (Section 6): edge database replicas absorb the keyword Search —
 // the one read that application partitioning leaves remote.
 func TestShapeDBReplicationExtension(t *testing.T) {
-	r, err := Run(PetStore, core.DBReplication, QuickRunOptions())
+	r, err := Run(Spec{App: PetStore, Policy: core.DBReplication, RunOptions: QuickRunOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,11 +5,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-
-	"wadeploy/internal/core"
-	"wadeploy/internal/faults"
-	"wadeploy/internal/simnet"
-	"wadeploy/internal/trace"
 )
 
 // TestStatementInventory pins the SQL the applications issue: every distinct
@@ -22,33 +17,22 @@ import (
 //
 // Regenerate: go test ./internal/experiment -run TestStatementInventory -update
 func TestStatementInventory(t *testing.T) {
-	type arm struct {
-		cfg  core.Policy
-		opts RunOptions
-	}
 	var out strings.Builder
 	for _, app := range []AppID{PetStore, RUBiS} {
-		var arms []arm
-		for _, cfg := range core.Configs {
-			arms = append(arms, arm{cfg, QuickRunOptions()})
-		}
+		arms := Table(Spec{App: app, RunOptions: QuickRunOptions()}, true)
 		if app == PetStore {
-			for _, cfg := range core.ExtensionConfigs {
-				arms = append(arms, arm{cfg, QuickRunOptions()})
-			}
-			// The adaptive arm as RunAdapt builds it: canonical outage,
-			// default resilience, the controller on the traced page mix.
-			ad := adaptQuickOptions()
-			ad.Schedule = faults.Canonical(ad.Warmup, ad.Duration)
-			ad.Resilience = true
-			ad.Trace = &trace.Options{SampleEvery: 4}
-			arms = append(arms, arm{core.AsyncUpdates, ad})
+			// The adaptive arm: canonical outage, default resilience, the
+			// controller on the traced page mix.
+			arms = append(arms, AdaptArms(adaptQuickSpec())[2])
 		}
 		runs := make(map[string]int)
 		for _, a := range arms {
-			_, tb, err := run(app, a.cfg, a.opts, simnet.HierarchySpec{}, 1)
+			tb, err := Deploy(a)
+			if err == nil {
+				_, err = tb.drive()
+			}
 			if err != nil {
-				t.Fatalf("%s/%s: %v", app, a.cfg, err)
+				t.Fatalf("%s/%s: %v", app, a.Policy, err)
 			}
 			for _, sql := range tb.d.DB.PreparedTexts() {
 				runs[strings.Join(strings.Fields(sql), " ")]++

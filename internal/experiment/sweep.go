@@ -5,93 +5,71 @@ import (
 	"strings"
 	"time"
 
-	"wadeploy/internal/core"
-	"wadeploy/internal/simnet"
+	"wadeploy/internal/metrics"
 )
 
-// SweepPoint is one measurement of a sensitivity sweep.
-type SweepPoint struct {
-	X             float64 // the swept parameter (WAN one-way ms, or offered load req/s)
-	LocalBrowser  time.Duration
-	RemoteBrowser time.Duration
-	LocalWriter   time.Duration
-	RemoteWriter  time.Duration
+// sessionMeans returns a run's browser and writer session means: local
+// browse, remote browse, local write, remote write.
+func sessionMeans(r *Result) [4]time.Duration {
+	patterns := apps[r.Spec.App].patterns
+	browser, writer := r.SessionMeans[patterns[0]], r.SessionMeans[patterns[1]]
+	return [4]time.Duration{browser[true], browser[false], writer[true], writer[false]}
 }
 
-// point converts a run's session means into a sweep point.
-func point(r *Result, x float64) SweepPoint {
-	browser, writer := apps[r.App].patterns[0], apps[r.App].patterns[1]
-	return SweepPoint{
-		X:             x,
-		LocalBrowser:  r.SessionMeans[browser][true],
-		RemoteBrowser: r.SessionMeans[browser][false],
-		LocalWriter:   r.SessionMeans[writer][true],
-		RemoteWriter:  r.SessionMeans[writer][false],
-	}
-}
-
-// LatencySweep measures session response times as the WAN one-way latency
-// varies — how each configuration's benefit scales with network distance
-// (not a paper experiment; a sensitivity study over its fixed 100 ms point).
-func LatencySweep(app AppID, cfg core.Policy, oneWays []time.Duration, opts RunOptions) ([]SweepPoint, error) {
-	// Validate every point before launching workers so bad input fails the
-	// same way regardless of parallelism.
-	for _, wan := range oneWays {
-		if wan <= 0 {
-			return nil, fmt.Errorf("experiment: non-positive WAN latency %v", wan)
-		}
-	}
-	out := make([]SweepPoint, len(oneWays))
-	err := forEachParallel(opts.Parallelism, len(oneWays), func(i int) error {
-		wan := oneWays[i]
-		// Any server-to-server path crosses both router legs.
-		leg := simnet.LinkClass{OneWay: wan / 2}
-		r, _, err := run(app, cfg, opts, simnet.HierarchySpec{Backbone: leg, Metro: leg}, 1)
-		if err != nil {
-			return fmt.Errorf("latency sweep %v: %w", wan, err)
-		}
-		out[i] = point(r, float64(wan)/float64(time.Millisecond))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// LoadSweep measures session response times as the offered load scales
-// around the paper's 30 req/s operating point, exposing where CPU queueing
-// begins to dominate.
-func LoadSweep(app AppID, cfg core.Policy, scales []float64, opts RunOptions) ([]SweepPoint, error) {
-	for _, s := range scales {
-		if s <= 0 {
-			return nil, fmt.Errorf("experiment: non-positive load scale %v", s)
-		}
-	}
-	out := make([]SweepPoint, len(scales))
-	err := forEachParallel(opts.Parallelism, len(scales), func(i int) error {
-		s := scales[i]
-		r, _, err := run(app, cfg, opts, simnet.HierarchySpec{}, s)
-		if err != nil {
-			return fmt.Errorf("load sweep %v: %w", s, err)
-		}
-		out[i] = point(r, 30*s)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// FormatSweep renders sweep points as an aligned table.
-func FormatSweep(xLabel string, points []SweepPoint) string {
+// FormatSweep renders a sweep as an aligned table: x of each run's spec (the
+// swept parameter, e.g. WAN one-way ms or offered req/s) against its session
+// means.
+func FormatSweep(xLabel string, x func(Spec) float64, results []*Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-14s %12s %12s %12s %12s\n",
 		xLabel, "loc-browse", "rem-browse", "loc-write", "rem-write")
-	for _, pt := range points {
-		fmt.Fprintf(&b, "%-14.1f %12s %12s %12s %12s\n", pt.X,
-			ms(pt.LocalBrowser), ms(pt.RemoteBrowser), ms(pt.LocalWriter), ms(pt.RemoteWriter))
+	for _, r := range results {
+		m := sessionMeans(r)
+		fmt.Fprintf(&b, "%-14.1f %12s %12s %12s %12s\n", x(r.Spec), ms(m[0]), ms(m[1]), ms(m[2]), ms(m[3]))
+	}
+	return b.String()
+}
+
+// wanBytes sums the per-link byte counters over links with a hub endpoint —
+// in a hierarchy every backbone (main<->hub) and metro (hub<->edge) link, and
+// nothing else, touches a hub.
+func wanBytes(s *metrics.Snapshot) int64 {
+	const prefix = `simnet_link_bytes_total{link="`
+	var total int64
+	for _, c := range s.Counters {
+		if !strings.HasPrefix(c.Name, prefix) {
+			continue
+		}
+		link := strings.TrimSuffix(strings.TrimPrefix(c.Name, prefix), `"}`)
+		if strings.Contains(link, "hub") {
+			total += c.Value
+		}
+	}
+	return total
+}
+
+// FormatTopo renders a topology sweep (runs of one policy over hierarchies
+// of growing edge count) as an aligned table: per-pattern session latency,
+// WAN traffic over hub links, messages, replica footprint and pushes per
+// edge count.
+func FormatTopo(results []*Result) string {
+	if len(results) == 0 {
+		return "(no results)\n"
+	}
+	var b strings.Builder
+	part := "full replication"
+	if p := results[0].Spec.Policy.Partition; p != nil {
+		part = fmt.Sprintf("%d hash partitions", p.Partitions)
+	}
+	fmt.Fprintf(&b, "topology scaling: %s, %s\n", results[0].Spec.App, part)
+	fmt.Fprintf(&b, "%-6s %-5s %12s %12s %12s %12s %10s %10s %10s %8s %8s\n",
+		"edges", "hubs", "loc-browse", "rem-browse", "loc-write", "rem-write", "wan-MB", "msgs", "replicas", "pushes", "errors")
+	for _, r := range results {
+		m := sessionMeans(r)
+		fmt.Fprintf(&b, "%-6d %-5d %12s %12s %12s %12s %10.2f %10d %10d %8d %8d\n",
+			r.Spec.Topology.Edges, r.Hubs, ms(m[0]), ms(m[1]), ms(m[2]), ms(m[3]),
+			float64(wanBytes(r.Metrics))/(1024*1024), r.Metrics.Counter("simnet_messages_total"),
+			r.ReplicaEntries, r.Metrics.Counter("container_replica_pushes_total"), r.Errors)
 	}
 	return b.String()
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"wadeploy/internal/core"
+	"wadeploy/internal/petstore"
 	"wadeploy/internal/simnet"
 )
 
@@ -13,24 +14,51 @@ func sweepOpts() RunOptions {
 	return RunOptions{Seed: 1, Warmup: 10 * time.Second, Duration: 90 * time.Second}
 }
 
-func TestLatencySweepCentralizedScalesWithWAN(t *testing.T) {
-	lats := []time.Duration{25 * time.Millisecond, 100 * time.Millisecond, 250 * time.Millisecond}
-	pts, err := LatencySweep(PetStore, core.Centralized, lats, sweepOpts())
+// latencySweep runs app under cfg once per WAN one-way latency: any
+// server-to-server path crosses both router legs of the star.
+func latencySweep(t *testing.T, app AppID, cfg core.Policy, oneWays ...time.Duration) [][4]time.Duration {
+	t.Helper()
+	specs := make([]Spec, len(oneWays))
+	for i, wan := range oneWays {
+		leg := simnet.LinkClass{OneWay: wan / 2}
+		specs[i] = Spec{App: app, Policy: cfg, Topology: simnet.HierarchySpec{Backbone: leg, Metro: leg}, RunOptions: sweepOpts()}
+	}
+	return sweep(t, specs)
+}
+
+// sweep runs specs and returns each run's session means.
+func sweep(t *testing.T, specs []Spec) [][4]time.Duration {
+	t.Helper()
+	results, err := RunAll(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 3 {
-		t.Fatalf("points = %d", len(pts))
+	out := make([][4]time.Duration, len(results))
+	for i, r := range results {
+		out[i] = sessionMeans(r)
 	}
+	return out
+}
+
+// The indexes of sessionMeans.
+const (
+	localBrowse = iota
+	remoteBrowse
+	localWrite
+	remoteWrite
+)
+
+func TestLatencySweepCentralizedScalesWithWAN(t *testing.T) {
+	pts := latencySweep(t, PetStore, core.Centralized, 25*time.Millisecond, 100*time.Millisecond, 250*time.Millisecond)
 	// Remote browser pays ~4x the one-way latency (2 round trips) per page:
 	// strictly increasing, roughly linear.
 	for i := 1; i < len(pts); i++ {
-		if pts[i].RemoteBrowser <= pts[i-1].RemoteBrowser {
+		if pts[i][remoteBrowse] <= pts[i-1][remoteBrowse] {
 			t.Fatalf("remote browser not increasing: %v", pts)
 		}
 	}
 	// Local browser is latency-insensitive.
-	spread := pts[2].LocalBrowser - pts[0].LocalBrowser
+	spread := pts[2][localBrowse] - pts[0][localBrowse]
 	if spread < 0 {
 		spread = -spread
 	}
@@ -39,8 +67,8 @@ func TestLatencySweepCentralizedScalesWithWAN(t *testing.T) {
 	}
 	// The 250ms point should cost roughly 2x the WAN delta of the 100ms
 	// point for remote clients (4 one-way crossings per page).
-	d100 := pts[1].RemoteBrowser - pts[1].LocalBrowser
-	d250 := pts[2].RemoteBrowser - pts[2].LocalBrowser
+	d100 := pts[1][remoteBrowse] - pts[1][localBrowse]
+	d250 := pts[2][remoteBrowse] - pts[2][localBrowse]
 	ratio := float64(d250) / float64(d100)
 	if ratio < 2.2 || ratio > 2.8 {
 		t.Fatalf("delta ratio = %v, want ~2.5 (linear in latency)", ratio)
@@ -48,83 +76,70 @@ func TestLatencySweepCentralizedScalesWithWAN(t *testing.T) {
 }
 
 func TestLatencySweepFinalConfigInsulatesBrowsers(t *testing.T) {
-	lats := []time.Duration{50 * time.Millisecond, 300 * time.Millisecond}
-	pts, err := LatencySweep(RUBiS, core.AsyncUpdates, lats, sweepOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := latencySweep(t, RUBiS, core.AsyncUpdates, 50*time.Millisecond, 300*time.Millisecond)
 	// Remote browsers stay near-local even when the WAN gets 6x slower.
-	for _, pt := range pts {
-		if pt.RemoteBrowser > pt.LocalBrowser+40*time.Millisecond {
-			t.Fatalf("remote browser %v not insulated at %.0fms WAN", pt.RemoteBrowser, pt.X)
+	for i, pt := range pts {
+		if pt[remoteBrowse] > pt[localBrowse]+40*time.Millisecond {
+			t.Fatalf("remote browser %v not insulated at point %d", pt[remoteBrowse], i)
 		}
 	}
 	// Writers still cross the WAN once, so they do feel the latency.
-	if pts[1].RemoteWriter <= pts[0].RemoteWriter {
+	if pts[1][remoteWrite] <= pts[0][remoteWrite] {
 		t.Fatalf("remote writer insensitive to WAN latency: %v", pts)
 	}
 }
 
 func TestLoadSweepQueueingGrowsWithLoad(t *testing.T) {
-	pts, err := LoadSweep(PetStore, core.Centralized, []float64{0.5, 1, 3}, sweepOpts())
-	if err != nil {
-		t.Fatal(err)
+	var specs []Spec
+	for _, load := range []float64{0.5, 1, 3} {
+		specs = append(specs, Spec{App: PetStore, Policy: core.Centralized, Load: load, RunOptions: sweepOpts()})
 	}
-	if len(pts) != 3 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	if pts[0].X != 15 || pts[1].X != 30 || pts[2].X != 90 {
-		t.Fatalf("x values = %v", pts)
-	}
+	pts := sweep(t, specs)
 	// Response times are monotone nondecreasing in load (CPU queueing),
 	// and 3x load on a single server must cost measurably more.
-	if pts[2].LocalBrowser <= pts[0].LocalBrowser {
+	if pts[2][localBrowse] <= pts[0][localBrowse] {
 		t.Fatalf("no queueing effect: %v", pts)
 	}
 }
 
 // TestSweepsRunTheOneBody: a sweep point at the paper's operating value is
-// the paper run — the 100 ms latency point and the scale-1 load point go
-// through the same body as Run and measure the same session means.
+// the paper run — the 100 ms latency point and the scale-1 load point
+// measure the same session means as the zero spec's star at its load.
 func TestSweepsRunTheOneBody(t *testing.T) {
-	base, err := Run(RUBiS, core.QueryCaching, sweepOpts())
-	if err != nil {
-		t.Fatal(err)
+	base := Spec{App: RUBiS, Policy: core.QueryCaching, RunOptions: sweepOpts()}
+	load := base
+	load.Load = 1
+	want := sweep(t, []Spec{base, load})
+	if want[0] != want[1] {
+		t.Errorf("load sweep at the paper's point measured %v, the paper's run %v", want[1], want[0])
 	}
-	lat, err := LatencySweep(RUBiS, core.QueryCaching, []time.Duration{simnet.WANOneWay}, sweepOpts())
-	if err != nil {
-		t.Fatal(err)
+	if got := latencySweep(t, RUBiS, core.QueryCaching, simnet.WANOneWay)[0]; got != want[0] {
+		t.Errorf("latency sweep at the paper's point measured %v, the paper's run %v", got, want[0])
 	}
-	load, err := LoadSweep(RUBiS, core.QueryCaching, []float64{1}, sweepOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := point(base, 0)
-	for name, got := range map[string]SweepPoint{"latency": lat[0], "load": load[0]} {
-		got.X = 0
-		if got != want {
-			t.Errorf("%s sweep at the paper's point measured %+v, Run measured %+v", name, got, want)
+}
+
+// TestSweepValidation: RunAll rejects a spec no run can start from before
+// any run starts.
+func TestSweepValidation(t *testing.T) {
+	good := Spec{App: PetStore, RunOptions: sweepOpts()}
+	for name, bad := range map[string]Spec{
+		"negative load":       {App: PetStore, Load: -1},
+		"negative edge count": {App: PetStore, Topology: simnet.HierarchySpec{Edges: -1}},
+		"unknown app":         {App: "nope"},
+	} {
+		if _, err := RunAll([]Spec{good, bad}); err == nil {
+			t.Errorf("%s accepted", name)
 		}
 	}
 }
 
-func TestSweepValidation(t *testing.T) {
-	if _, err := LatencySweep(PetStore, core.Centralized, []time.Duration{0}, sweepOpts()); err == nil {
-		t.Fatal("zero latency accepted")
-	}
-	if _, err := LoadSweep(PetStore, core.Centralized, []float64{-1}, sweepOpts()); err == nil {
-		t.Fatal("negative scale accepted")
-	}
-	if _, err := LoadSweep("nope", core.Centralized, []float64{1}, sweepOpts()); err == nil {
-		t.Fatal("unknown app accepted")
-	}
-}
-
 func TestFormatSweep(t *testing.T) {
-	pts := []SweepPoint{{X: 100, LocalBrowser: time.Millisecond, RemoteBrowser: 2 * time.Millisecond}}
-	s := FormatSweep("wan-ms", pts)
-	if len(s) == 0 {
-		t.Fatal("empty sweep format")
+	r := &Result{Spec: Spec{App: PetStore, Load: 2}, SessionMeans: map[string]map[bool]time.Duration{
+		petstore.PatternBrowser: {true: time.Millisecond, false: 2 * time.Millisecond},
+	}}
+	s := FormatSweep("offered-req-s", func(s Spec) float64 { return 30 * s.Load }, []*Result{r})
+	if want := "60.0                      1            2            0            0\n"; !strings.HasSuffix(s, want) {
+		t.Fatalf("sweep format:\n%s\nwant a row %q", s, want)
 	}
 }
 
@@ -144,14 +159,5 @@ func TestWriteCSV(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "petstore,centralized,Browser,Main") {
 		t.Fatal("missing expected row")
-	}
-	var fig strings.Builder
-	if err := WriteFigureCSV(&fig, ps); err != nil {
-		t.Fatal(err)
-	}
-	// Header + 2 localities x 2 patterns x 5 configs.
-	figLines := strings.Split(strings.TrimSpace(fig.String()), "\n")
-	if len(figLines) != 1+20 {
-		t.Fatalf("figure csv lines = %d", len(figLines))
 	}
 }

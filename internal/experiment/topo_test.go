@@ -6,104 +6,77 @@ import (
 	"testing"
 	"time"
 
+	"wadeploy/internal/container"
 	"wadeploy/internal/core"
+	"wadeploy/internal/simnet"
 )
 
-// shortTopoOpts keeps topo-sweep tests fast: a few simulated minutes.
-func shortTopoOpts() TopoSweepOptions {
-	return TopoSweepOptions{
-		RunOptions: RunOptions{Seed: 1, Warmup: 30 * time.Second, Duration: 2 * time.Minute},
-		Config:     core.QueryCaching,
+// topoSweep runs app under query caching with the hot entities hashed into
+// partitions (0: full replication) once per edge count, a few simulated
+// minutes each.
+func topoSweep(t *testing.T, app AppID, partitions int, edges ...int) []*Result {
+	t.Helper()
+	cfg := core.QueryCaching
+	if partitions > 0 {
+		cfg.Partition = &container.PartitionSpec{Scheme: container.HashPartition, Partitions: partitions}
 	}
-}
-
-func TestTopoSweepScalesEdges(t *testing.T) {
-	opts := shortTopoOpts()
-	opts.Partitions = 8
-	pts, err := TopoSweep(PetStore, []int{2, 4}, opts)
+	specs := make([]Spec, len(edges))
+	for i, n := range edges {
+		specs[i] = Spec{App: app, Policy: cfg, Topology: simnet.HierarchySpec{Edges: n},
+			RunOptions: RunOptions{Seed: 1, Warmup: 30 * time.Second, Duration: 2 * time.Minute}}
+	}
+	results, err := RunAll(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 2 || pts[0].Edges != 2 || pts[1].Edges != 4 {
-		t.Fatalf("points = %+v", pts)
+	return results
+}
+
+func TestTopoSweepScalesEdges(t *testing.T) {
+	results := topoSweep(t, PetStore, 8, 2, 4)
+	for _, r := range results {
+		n := r.Spec.Topology.Edges
+		if r.Samples == 0 {
+			t.Errorf("%d edges: no samples", n)
+		}
+		if r.Errors != 0 {
+			t.Errorf("%d edges: %d errors", n, r.Errors)
+		}
+		if m := sessionMeans(r); m[remoteBrowse] == 0 || m[localBrowse] == 0 {
+			t.Errorf("%d edges: zero session means %v", n, m)
+		}
+		if wanBytes(r.Metrics) == 0 {
+			t.Errorf("%d edges: no WAN traffic measured", n)
+		}
+		if r.Hubs != 1 {
+			t.Errorf("%d edges: hubs = %d, want 1 (default derivation)", n, r.Hubs)
+		}
 	}
-	for _, pt := range pts {
-		if pt.Samples == 0 {
-			t.Errorf("%d edges: no samples", pt.Edges)
-		}
-		if pt.Errors != 0 {
-			t.Errorf("%d edges: %d errors", pt.Edges, pt.Errors)
-		}
-		if pt.RemoteBrowser == 0 || pt.LocalBrowser == 0 {
-			t.Errorf("%d edges: zero session means %+v", pt.Edges, pt)
-		}
-		if pt.WANBytes == 0 {
-			t.Errorf("%d edges: no WAN traffic measured", pt.Edges)
-		}
-		if pt.Hubs != 1 {
-			t.Errorf("%d edges: hubs = %d, want 1 (default derivation)", pt.Edges, pt.Hubs)
-		}
-	}
-	out := FormatTopo(PetStore, pts)
+	out := FormatTopo(results)
 	if !strings.Contains(out, "8 hash partitions") || !strings.Contains(out, "wan-MB") {
 		t.Errorf("format output:\n%s", out)
 	}
 }
 
-// TestTopoSweepDeterministicAcrossParallelism pins the ISSUE acceptance
-// criterion: the sweep's formatted output is byte-identical at any
-// parallelism.
-func TestTopoSweepDeterministicAcrossParallelism(t *testing.T) {
-	edgeCounts := []int{2, 3, 5}
-	run := func(parallelism int) string {
-		opts := shortTopoOpts()
-		opts.Parallelism = parallelism
-		opts.Partitions = 4
-		pts, err := TopoSweep(RUBiS, edgeCounts, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return FormatTopo(RUBiS, pts)
-	}
-	seq := run(1)
-	par := run(8)
-	if seq != par {
-		t.Fatalf("topo sweep differs across parallelism:\n--- sequential ---\n%s\n--- parallel ---\n%s", seq, par)
-	}
-}
-
-// TestTopoSweepPartitioningShrinksFootprint is the tentpole's economic
+// TestTopoSweepPartitioningShrinksFootprint is the topology sweep's economic
 // claim: with the same topology and workload, sharding the hot entities
 // leaves each edge holding a slice (smaller total replica footprint) and
 // pushes each write to its owners only (fewer push deliveries) — the trade
 // being remote gets for unowned reads.
 func TestTopoSweepPartitioningShrinksFootprint(t *testing.T) {
-	run := func(partitions int) TopoPoint {
-		opts := shortTopoOpts()
-		opts.Partitions = partitions
-		pts, err := TopoSweep(PetStore, []int{4}, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pts[0]
-	}
-	full := run(0)
-	sharded := run(8)
+	full, sharded := topoSweep(t, PetStore, 0, 4)[0], topoSweep(t, PetStore, 8, 4)[0]
 	if sharded.ReplicaEntries >= full.ReplicaEntries {
 		t.Errorf("partitioned footprint %d >= full-replication %d", sharded.ReplicaEntries, full.ReplicaEntries)
 	}
-	if sharded.Pushes >= full.Pushes {
-		t.Errorf("partitioned pushes %d >= full-replication %d", sharded.Pushes, full.Pushes)
+	pushes := func(r *Result) int64 { return r.Metrics.Counter("container_replica_pushes_total") }
+	if pushes(sharded) >= pushes(full) {
+		t.Errorf("partitioned pushes %d >= full-replication %d", pushes(sharded), pushes(full))
 	}
 }
 
 func TestTopoSweepValidation(t *testing.T) {
-	if _, err := TopoSweep(PetStore, []int{0}, shortTopoOpts()); err == nil {
-		t.Error("zero edge count accepted")
-	}
-	bad := shortTopoOpts()
-	bad.Config = core.Policy{QueryCaches: true}
-	if _, err := TopoSweep(PetStore, []int{2}, bad); !errors.Is(err, core.ErrPolicy) {
+	bad := Spec{App: PetStore, Policy: core.Policy{QueryCaches: true}, Topology: simnet.HierarchySpec{Edges: 2}}
+	if _, err := RunAll([]Spec{bad}); !errors.Is(err, core.ErrPolicy) {
 		t.Errorf("caches without an edge web tier: %v, want a policy error", err)
 	}
 }

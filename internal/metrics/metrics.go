@@ -279,7 +279,7 @@ func (r *Registry) FindHistogram(name string) *Histogram {
 }
 
 // Sample appends one virtual-time point to the series of every counter and
-// gauge. It is driven by an explicit tick (experiment.RunOptions.MetricsTick)
+// gauge. It is driven by an explicit tick (experiment.Spec.MetricsTick)
 // so unsampled runs never grow series memory.
 func (r *Registry) Sample() {
 	t := r.now()

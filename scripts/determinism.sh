@@ -4,7 +4,7 @@
 # `make determinism`; it also works locally from the repo root.
 #
 # Each block runs one command twice (-parallel 1 vs -parallel 8) and diffs
-# the output. Snapshots (*-p1.txt, *-w1.txt, metrics-p1.json) go to $OUT,
+# the output. Snapshots (*-p1.txt, *-w1.txt, *-p1.json) go to $OUT,
 # which CI sets and uploads; without OUT they go to a temporary directory
 # that is removed on success and named on failure.
 set -eu
@@ -24,6 +24,27 @@ $GO run ./cmd/wadeploy -quick -faults canonical -parallel 1 -metrics-out "$out/m
 $GO run ./cmd/wadeploy -quick -faults canonical -parallel 8 -metrics-out "$out/metrics-p8.json" table6 > "$out/table6-p8.txt"
 diff "$out/table6-p1.txt" "$out/table6-p8.txt"
 diff "$out/metrics-p1.json" "$out/metrics-p8.json"
+
+echo '== availability table across parallelism =='
+# Every configuration under the canonical outage is its own seeded run; the
+# scored edge's per-page success rates must not depend on scheduling.
+$GO run ./cmd/wadeploy -quick -diag -parallel 1 faults > "$out/faults-p1.txt"
+$GO run ./cmd/wadeploy -quick -diag -parallel 8 faults > "$out/faults-p8.txt"
+diff "$out/faults-p1.txt" "$out/faults-p8.txt"
+
+echo '== sensitivity sweeps across point parallelism =='
+$GO run ./cmd/wadeploy -quick -app rubis -parallel 1 sweep-latency > "$out/sweep-latency-p1.txt"
+$GO run ./cmd/wadeploy -quick -app rubis -parallel 8 sweep-latency > "$out/sweep-latency-p8.txt"
+diff "$out/sweep-latency-p1.txt" "$out/sweep-latency-p8.txt"
+$GO run ./cmd/wadeploy -quick -config centralized -parallel 1 sweep-load > "$out/sweep-load-p1.txt"
+$GO run ./cmd/wadeploy -quick -config centralized -parallel 8 sweep-load > "$out/sweep-load-p8.txt"
+diff "$out/sweep-load-p1.txt" "$out/sweep-load-p8.txt"
+
+echo '== per-configuration metrics across parallelism =='
+$GO run ./cmd/wadeploy -quick -app rubis -ext -parallel 1 -metrics-out "$out/metrics-rubis-p1.json" metrics > "$out/metrics-p1.txt"
+$GO run ./cmd/wadeploy -quick -app rubis -ext -parallel 8 -metrics-out "$out/metrics-rubis-p8.json" metrics > "$out/metrics-p8.txt"
+diff "$out/metrics-p1.txt" "$out/metrics-p8.txt"
+diff "$out/metrics-rubis-p1.json" "$out/metrics-rubis-p8.json"
 
 echo '== streaming workload engine across worker counts =='
 # Results depend on the shard count, never the worker count.

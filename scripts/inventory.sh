@@ -30,7 +30,7 @@ container   75.6
 controller  74.8
 core        90.6
 dbrepl      64.4
-experiment  92.2
+experiment  94.1
 faults      80.6
 jms         91.2
 metrics     84.0
