@@ -270,7 +270,6 @@ func parseFlags(args []string) (*flags, []string, error) {
 		if f.run.Schedule, err = loadSchedule(*faultsFlag, opts); err != nil {
 			return nil, nil, err
 		}
-		f.run.Resilience = true
 	}
 	if f.app, err = parseApp(*appFlag); err != nil {
 		return nil, nil, err
@@ -364,14 +363,13 @@ func printMetrics(w io.Writer, f *flags, rs []*experiment.Result) error {
 }
 
 // faultSpecs is the availability experiment: every paper configuration
-// under the fault schedule (the canonical outage without -faults), with the
-// resilience machinery armed.
+// under the fault schedule (the canonical outage without -faults), which
+// arms the resilience machinery.
 func faultSpecs(f *flags) ([]experiment.Spec, error) {
 	s := f.spec(f.app)
 	if s.Schedule == nil {
 		s.Schedule = faults.Canonical(s.Warmup, s.Duration)
 	}
-	s.Resilience = true
 	return experiment.Table(s, false), nil
 }
 

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"io"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"wadeploy/internal/core"
 	"wadeploy/internal/experiment"
 	"wadeploy/internal/faults"
 )
@@ -169,6 +171,32 @@ func TestRunConsistency(t *testing.T) {
 
 func TestRunFaultsTiny(t *testing.T) {
 	golden(t, "faults", tiny("-faults", "canonical", "faults")...)
+}
+
+// TestRunFaultsRUBiS pins RUBiS's availability table over a window that
+// outlasts the resilience machinery's one-minute replica TTL: the edges'
+// push-fed query caches, which cannot refetch, keep serving every browse
+// page through the outage.
+func TestRunFaultsRUBiS(t *testing.T) {
+	golden(t, "faults-rubis", "-warmup", "5s", "-duration", "4m", "-app", "rubis", "-faults", "canonical", "faults")
+}
+
+// TestRunAdaptRefusesPolicy: an adaptive run needs a replica bundle to extend
+// and an application that can extend one, so the remote-façade target (no
+// bundle) and RUBiS (no live extension path) fail with a policy error naming
+// the policy.
+func TestRunAdaptRefusesPolicy(t *testing.T) {
+	for _, c := range []struct {
+		args   []string
+		policy core.Policy
+	}{
+		{tiny("-app", "rubis", "adapt"), core.AsyncUpdates},
+		{tiny("-config", "remote-facade", "adapt"), core.RemoteFacade},
+	} {
+		if err := run(c.args); !errors.Is(err, core.ErrPolicy) || !strings.Contains(err.Error(), c.policy.String()) {
+			t.Errorf("wadeploy %s: %v, want a policy error naming %s", strings.Join(c.args, " "), err, c.policy)
+		}
+	}
 }
 
 // TestRunFaultsFile: a schedule file written by MarshalJSON runs exactly as

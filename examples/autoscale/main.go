@@ -1,10 +1,11 @@
 // Autoscale: the paper's long-term goal (Section 6) — dynamic demand-driven
-// deployment of components. The app starts with NO edge replicas (deferred
-// wiring); remote clients' reads cross the WAN to the main server. The
-// online re-placement controller watches the wide-area call rate against the
-// deployment advisor's break-even threshold and live-migrates the replica
-// bundle to the edge servers at runtime — snapshot, catch-up, drain-buffer
-// replay, cut-over — and remote read latency collapses mid-run.
+// deployment of components. The app starts with NO edge replicas (its
+// replica bundle wired onto no server); remote clients' reads cross the WAN
+// to the main server. The online re-placement controller re-prices the
+// placement each epoch with the deployment advisor's cost model of the app
+// and live-migrates the replica bundle to the edge servers at runtime —
+// snapshot, catch-up, drain-buffer replay, cut-over — and remote read
+// latency collapses mid-run.
 package main
 
 import (
@@ -22,7 +23,7 @@ import (
 )
 
 // pushBytes is the replica-refresh payload for the Price bundle; the
-// controller threshold below is derived from the same value.
+// advisor's model below charges the same size per push.
 const pushBytes = 256
 
 // seed keys the run: the workload, the simulation and the controller's
@@ -38,11 +39,7 @@ func main() {
 
 func run() error {
 	env := sim.NewEnv(seed)
-	// A deferred deployment: the replica bundle is declared below but
-	// deployed only when the controller extends it to an edge.
-	opts := core.DefaultOptions()
-	opts.Deferred = true
-	d, err := core.NewPaperDeployment(env, opts)
+	d, err := core.NewPaperDeployment(env, core.DefaultOptions())
 	if err != nil {
 		return err
 	}
@@ -67,7 +64,8 @@ func run() error {
 		return err
 	}
 
-	// The descriptor is declared; nothing is deployed on the edges yet.
+	// The descriptor is declared and wired onto no server: nothing is
+	// deployed on the edges until the controller extends the bundle.
 	wiring, err := core.AutoWire(d, &container.ExtendedDescriptor{
 		Replicas: []container.ReplicaSpec{
 			{Bean: "Price", Update: container.SyncUpdate},
@@ -82,29 +80,35 @@ func run() error {
 		return err
 	}
 
-	// The extension trigger comes from the deployment advisor's cost model
-	// rather than a hard-coded rate: replicas save (wide-area call − local
-	// hit) per read but cost one blocking push per write, so the break-even
-	// read rate scales with the write rate we provision for. Price updates
-	// are rare in this scenario; provisioning for two per second puts the
-	// threshold near two wide-area reads per second, with a floor so an
-	// all-read workload still needs sustained traffic to trigger.
-	params := (&planner.Model{Options: core.DefaultOptions(), PushBytes: pushBytes}).Params()
-	const provisionedWrites = 2.0 // price updates per second
-	threshold := planner.ExtensionThreshold(params, provisionedWrites)
-	if threshold < 0.5 {
-		threshold = 0.5
+	// The re-placement controller re-plans each epoch on the advisor's model
+	// of this app — one entity, its façade pinned to main, one page that
+	// reads a price from the edge's replica when there is one and through
+	// the façade otherwise, read by a client on an edge — and once the
+	// replicated placement's predicted win clears the hysteresis bar for two
+	// consecutive epochs, live-migrates the replica bundle edge by edge.
+	model := &planner.Model{
+		Layout: &planner.Layout{
+			App: "price",
+			Components: []planner.Component{
+				planner.Entity("Price", "price", "id", container.BMP),
+				planner.Facade("PriceFacade", container.StatelessSession, planner.EdgeNever),
+			},
+			Replicated: []string{"Price"},
+		},
+		Options:   core.DefaultOptions(),
+		PushBytes: pushBytes,
+		Patterns:  []planner.Pattern{{Name: "Reader", Visits: map[string]float64{"price": 1}}},
+		Classes:   []planner.Class{{Pattern: "Reader", Clients: 1}},
+		Pages: []planner.Page{{Name: "price", Body: planner.If{
+			Cond: planner.EdgeHit,
+			Then: planner.Hit{},
+			Else: planner.Call{Bean: "PriceFacade", Body: planner.Load{}},
+		}}},
 	}
-	fmt.Printf("advisor: extension threshold %.1f wide-area calls/s (provisioned for %.1f writes/s)\n",
-		threshold, provisionedWrites)
-
-	// The re-placement controller in threshold mode: observe the remote-call
-	// rate each epoch, and once it clears the advisor's break-even rate for
-	// two consecutive epochs, live-migrate the replica bundle edge by edge.
 	ctrl, err := controller.Start(controller.Config{
 		Deployment: d,
 		Wiring:     wiring,
-		Threshold:  threshold,
+		Model:      model,
 		Seed:       seed,
 		Options:    controller.Options{Epoch: 10 * time.Second},
 	})

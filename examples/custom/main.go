@@ -76,7 +76,7 @@ func run() error {
 		FetchFor: func(server *container.Server, rwBean string) container.FetchFunc {
 			return container.FetchFrom(server, d.Main.Name(), "ArticleFacade", "fetch")
 		},
-	})
+	}, d.Edges...)
 	if err != nil {
 		return err
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"wadeploy/internal/container"
 	"wadeploy/internal/controller"
 	"wadeploy/internal/core"
 	"wadeploy/internal/sim"
@@ -13,60 +12,19 @@ import (
 	"wadeploy/internal/sqldb"
 )
 
-// benchControllerRig builds the minimal deployment the controller benchmarks
-// drive: one replicated read-write bean with rows seeded, a remote façade on
-// main, and a deferred wiring the controller can extend.
-func benchControllerRig(b *testing.B, env *sim.Env, rows int) (*core.Deployment, *core.Wiring) {
-	b.Helper()
-	opts := core.DefaultOptions()
-	opts.Deferred = true
-	d, err := core.NewPaperDeployment(env, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := d.DB.Exec(`CREATE TABLE price (id INT PRIMARY KEY, cents INT NOT NULL)`); err != nil {
-		b.Fatal(err)
-	}
-	for i := 1; i <= rows; i++ {
-		if _, err := d.DB.Exec(`INSERT INTO price VALUES (?, ?)`, sqldb.Int(int64(i)), sqldb.Int(int64(100*i))); err != nil {
-			b.Fatal(err)
-		}
-	}
-	rw, err := container.DeployRWEntity(d.Main, "Price", "price", "id")
-	if err != nil {
-		b.Fatal(err)
-	}
-	d.RegisterRW(rw)
-	if _, err := container.DeployStateless(d.Main, "PriceFacade", map[string]container.Method{
-		"get": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			return rw.Load(p, inv.Args[0])
-		},
-	}); err != nil {
-		b.Fatal(err)
-	}
-	w, err := core.AutoWire(d, &container.ExtendedDescriptor{
-		Replicas: []container.ReplicaSpec{
-			{Bean: "Price", Update: container.SyncUpdate},
-		},
-	}, core.WireOptions{PushBytes: 256})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return d, w
-}
-
 // BenchmarkControllerTick prices one idle controller epoch — the per-epoch
 // observe/re-plan overhead a deployment pays for running the re-placement
 // control loop when nothing is worth doing.
 func BenchmarkControllerTick(b *testing.B) {
 	env := sim.NewEnv(1)
 	defer env.Close()
-	d, w := benchControllerRig(b, env, 50)
-	// An unreachable threshold keeps every epoch on the observe path.
+	d, w, _ := priceRig(b, env, core.DefaultOptions(), 50, false)
+	// A reader on main gains nothing from replicas: every epoch observes and
+	// re-plans, and none acts.
 	_, err := controller.Start(controller.Config{
 		Deployment: d,
 		Wiring:     w,
-		Threshold:  1e12,
+		Model:      priceModel(false),
 		Seed:       1,
 		Options:    controller.Options{Epoch: time.Second},
 	})
@@ -80,7 +38,7 @@ func BenchmarkControllerTick(b *testing.B) {
 	}
 }
 
-// BenchmarkMigrationThroughput drives a full threshold-triggered extension —
+// BenchmarkMigrationThroughput drives a full model-triggered extension —
 // snapshot, bulk transfer, catch-up, cut-over — to both edges and reports
 // the migrated volume and the virtual time one migration occupies.
 func BenchmarkMigrationThroughput(b *testing.B) {
@@ -91,11 +49,11 @@ func BenchmarkMigrationThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		env := sim.NewEnv(1)
-		d, w := benchControllerRig(b, env, rows)
+		d, w, _ := priceRig(b, env, core.DefaultOptions(), rows, false)
 		ctrl, err := controller.Start(controller.Config{
 			Deployment: d,
 			Wiring:     w,
-			Threshold:  1,
+			Model:      priceModel(true),
 			Seed:       1,
 			Options:    controller.Options{Epoch: 2 * time.Second},
 		})

@@ -11,11 +11,12 @@
 // resynchronized by the same snapshot migration that extends the bundle
 // before pushes resume — the fault → detect → re-place → recover story.
 //
-// The controller knows the application only through its core.Wiring: an
-// extension's cut-over is Wiring.ExtendTo plus the replayed snapshot, in one
-// simulation event, and the application's edge façades pick the replicas up
-// because they consult the wiring on every call. The policy a run reached
-// is recorded once, in Report.FinalConfig.
+// The controller knows the application only through its core.Wiring, wired
+// onto the servers the bundle starts on (none, for a run it extends), and the
+// planner.Model it re-plans with: an extension's cut-over is Wiring.ExtendTo
+// plus the replayed snapshot, in one simulation event, and the application's
+// edge façades pick the replicas up because they consult the wiring on every
+// call. The policy a run reached is recorded once, in Report.FinalConfig.
 //
 // Determinism contract: every decision derives from the virtual clock
 // (epoch ticks are p.Sleep on the env), from deterministic observations
@@ -88,24 +89,17 @@ const (
 // Config binds a controller to a deployment.
 type Config struct {
 	// Deployment and Wiring identify the system under control. The wiring
-	// must exist (typically on a core.Options.Deferred deployment, so the
-	// controller owns all extension decisions), but may already cover some
-	// servers.
+	// must exist and may already cover some servers; one wired onto no
+	// server leaves the controller every extension decision.
 	Deployment *core.Deployment
 	Wiring     *core.Wiring
 
-	// Model, when non-nil, enables observed-model re-planning: each epoch
-	// the planner search re-runs on the model reweighted by the flight
-	// recorder's observed page mix, and the controller extends when the
-	// wiring's target placement beats the starting one (the remote-façade
-	// tier a deferred deployment serves from) by the hysteresis bar. When
-	// nil the controller runs in threshold mode on Threshold.
+	// Model is what the controller re-plans with: each epoch the planner
+	// search re-runs on the model reweighted by the flight recorder's
+	// observed page mix, and the controller extends when the wiring's target
+	// placement beats the starting one (the remote-façade tier an unwired
+	// edge serves from) by the hysteresis bar.
 	Model *planner.Model
-
-	// Threshold, in remote calls per second, is the extension trigger in
-	// threshold mode (Model nil) — the planner.ExtensionThreshold rate at
-	// which paying for replicas and their update pushes becomes worthwhile.
-	Threshold float64
 
 	// Seed is the run's seed; the controller derives its private RNG
 	// stream from it (seed XOR ctrlSeedSalt).
@@ -179,10 +173,8 @@ type Controller struct {
 	current  core.Policy
 	target   core.Policy
 
-	lastRemote int64 // rmi remote-call count at last tick (threshold mode)
-	wideCtr    *metrics.Counter
-	remoteCtr  *metrics.Counter
-	lastWide   int64 // wide-area call count at last tick (activity signal)
+	wideCtr  *metrics.Counter
+	lastWide int64 // wide-area call count at last tick (activity signal)
 
 	down      map[string]int // consecutive unreachable epochs per edge
 	suspended map[string]bool
@@ -211,8 +203,8 @@ func Start(cfg Config) (*Controller, error) {
 	if cfg.Wiring == nil {
 		return nil, fmt.Errorf("controller: nil wiring")
 	}
-	if cfg.Model == nil && cfg.Threshold <= 0 {
-		return nil, fmt.Errorf("controller: need a planner model or a positive threshold")
+	if cfg.Model == nil {
+		return nil, fmt.Errorf("controller: nil planner model")
 	}
 	opts := cfg.Options
 	if opts.Epoch <= 0 {
@@ -230,7 +222,6 @@ func Start(cfg Config) (*Controller, error) {
 		current:   core.RemoteFacade,
 		target:    cfg.Wiring.Provides(),
 		wideCtr:   reg.Counter("rmi_wide_area_calls_total"),
-		remoteCtr: reg.Counter("rmi_remote_calls_total"),
 		down:      make(map[string]int),
 		suspended: make(map[string]bool),
 		needSync:  make(map[string]bool),
@@ -330,27 +321,13 @@ func (c *Controller) replan(p *sim.Proc) {
 	c.record(p, Event{Kind: EventExtendDecided, Win: win, Detail: detail})
 }
 
-// predictedWin computes the extension trigger signal: in model mode the
-// fractional session-mean win of the wiring's target placement over the
-// current one, priced on the observed page mix; in threshold mode the
-// remote-call rate against the provisioned break-even threshold.
+// predictedWin computes the extension trigger signal: the fractional
+// session-mean win of the wiring's target placement over the current one,
+// priced on the observed page mix.
 func (c *Controller) predictedWin(p *sim.Proc) (win float64, detail string, ok bool) {
 	wide := c.wideCtr.Value()
 	wideDelta := wide - c.lastWide
 	c.lastWide = wide
-
-	if c.cfg.Model == nil {
-		remote := c.remoteCtr.Value()
-		delta := remote - c.lastRemote
-		c.lastRemote = remote
-		rate := float64(delta) / c.opts.Epoch.Seconds()
-		if rate < c.cfg.Threshold {
-			return 0, "", false
-		}
-		// Normalized overshoot stands in for the fractional win.
-		win = rate/c.cfg.Threshold - 1
-		return win, fmt.Sprintf("remote rate %.1f/s over threshold %.1f/s", rate, c.cfg.Threshold), true
-	}
 
 	var shares map[string]map[string]float64
 	observed := "modeled mix"

@@ -11,6 +11,7 @@ import (
 	"wadeploy/internal/controller"
 	"wadeploy/internal/core"
 	"wadeploy/internal/faults"
+	"wadeploy/internal/planner"
 	"wadeploy/internal/sim"
 	"wadeploy/internal/simnet"
 	"wadeploy/internal/sqldb"
@@ -22,8 +23,9 @@ import (
 const priceRows = 200
 
 // rig is a minimal deployment under controller control: one replicated
-// read-write bean (Price) with a remote façade on main, wired deferred
-// (controller owns the extension) or live (replicas observe every commit).
+// read-write bean (Price) with a remote façade on main, its replica bundle
+// wired onto no server (the controller owns the extension) or onto every edge
+// (replicas observe every commit).
 type rig struct {
 	env *sim.Env
 	d   *core.Deployment
@@ -33,29 +35,37 @@ type rig struct {
 	writerDone time.Duration // virtual time the write sequence completed
 }
 
-func newRig(t *testing.T, seed int64, deferred bool) *rig {
+func newRig(t *testing.T, seed int64, wired bool) *rig {
 	t.Helper()
 	env := sim.NewEnv(seed)
 	opts := core.DefaultOptions()
-	opts.Deferred = deferred
 	// Resilient, so pushes are best-effort: a partitioned edge must not
 	// fail writers.
 	opts.Resilience = true
+	d, w, rw := priceRig(t, env, opts, priceRows, wired)
+	return &rig{env: env, d: d, w: w, rw: rw}
+}
+
+// priceRig deploys the Price bean on env with rows seeded and its remote
+// façade on main, and wires its replica bundle onto every edge, or with wired
+// false onto none.
+func priceRig(tb testing.TB, env *sim.Env, opts core.Options, rows int, wired bool) (*core.Deployment, *core.Wiring, *container.RWEntity) {
+	tb.Helper()
 	d, err := core.NewPaperDeployment(env, opts)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if _, err := d.DB.Exec(`CREATE TABLE price (id INT PRIMARY KEY, cents INT NOT NULL)`); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	for i := 1; i <= priceRows; i++ {
+	for i := 1; i <= rows; i++ {
 		if _, err := d.DB.Exec(`INSERT INTO price VALUES (?, ?)`, sqldb.Int(int64(i)), sqldb.Int(int64(100*i))); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	rw, err := container.DeployRWEntity(d.Main, "Price", "price", "id")
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	d.RegisterRW(rw)
 	if _, err := container.DeployStateless(d.Main, "PriceFacade", map[string]container.Method{
@@ -63,27 +73,57 @@ func newRig(t *testing.T, seed int64, deferred bool) *rig {
 			return rw.Load(p, inv.Args[0])
 		},
 	}); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
+	}
+	var on []*container.Server
+	if wired {
+		on = d.Edges
 	}
 	w, err := core.AutoWire(d, &container.ExtendedDescriptor{
 		Replicas: []container.ReplicaSpec{
 			{Bean: "Price", Update: container.SyncUpdate},
 		},
-	}, core.WireOptions{PushBytes: 256})
+	}, core.WireOptions{PushBytes: 256}, on...)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	return &rig{env: env, d: d, w: w, rw: rw}
+	return d, w, rw
 }
 
-// startController runs the rig's controller in threshold mode with a fast
+// priceModel is the Price rig as the planner sees it: one entity, its façade
+// pinned to main, and one page that reads a price from the edge's replica
+// when there is one and through the façade otherwise. Replicas pay for a
+// reader on an edge; a reader on main gains nothing from them.
+func priceModel(remote bool) *planner.Model {
+	return &planner.Model{
+		Layout: &planner.Layout{
+			App: "price",
+			Components: []planner.Component{
+				planner.Entity("Price", "price", "id", container.BMP),
+				planner.Facade("PriceFacade", container.StatelessSession, planner.EdgeNever),
+			},
+			Replicated: []string{"Price"},
+		},
+		Options:   core.DefaultOptions(),
+		PushBytes: 256,
+		Patterns:  []planner.Pattern{{Name: "Reader", Visits: map[string]float64{"price": 1}}},
+		Classes:   []planner.Class{{Pattern: "Reader", Local: !remote, Clients: 1}},
+		Pages: []planner.Page{{Name: "price", Body: planner.If{
+			Cond: planner.EdgeHit,
+			Then: planner.Hit{},
+			Else: planner.Call{Bean: "PriceFacade", Body: planner.Load{}},
+		}}},
+	}
+}
+
+// startController runs the rig's controller on the Price model with a fast
 // epoch clock so extension decisions land within seconds of virtual time.
 func (r *rig) startController(t *testing.T, seed int64) *controller.Controller {
 	t.Helper()
 	c, err := controller.Start(controller.Config{
 		Deployment: r.d,
 		Wiring:     r.w,
-		Threshold:  2, // remote calls per second
+		Model:      priceModel(true),
 		Seed:       seed,
 		Options:    controller.Options{Epoch: 2 * time.Second},
 	})
@@ -128,9 +168,9 @@ func (r *rig) settle(t *testing.T, check func(p *sim.Proc)) {
 	r.env.Run(horizon + time.Second)
 }
 
-// spawnReader generates steady wide-area read traffic from edge1 so the
-// threshold-mode controller sees a remote-call rate worth extending for.
-// Reads tolerate errors (fault tests cut the path mid-run).
+// spawnReader generates steady wide-area read traffic from edge1, which
+// writes overlap the migration with. Reads tolerate errors (fault tests cut
+// the path mid-run).
 func (r *rig) spawnReader(until time.Duration) {
 	edge := r.d.Edges[0]
 	r.env.Spawn("reader", func(p *sim.Proc) {
@@ -167,10 +207,10 @@ func TestMigratedReplicaMatchesNeverMigrated(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			const writes = 600
-			final := func(deferred bool) (states map[string]map[string]container.Row, replayed int) {
-				r := newRig(t, seed, deferred)
+			final := func(wired bool) (states map[string]map[string]container.Row, replayed int) {
+				r := newRig(t, seed, wired)
 				var ctrl *controller.Controller
-				if deferred {
+				if !wired {
 					ctrl = r.startController(t, seed)
 					r.spawnReader(30 * time.Second)
 				}
@@ -182,7 +222,7 @@ func TestMigratedReplicaMatchesNeverMigrated(t *testing.T) {
 					for _, edge := range r.d.Edges {
 						name := edge.Name()
 						if !r.w.DeployedOn(name) {
-							t.Errorf("edge %s not wired at end of run (deferred=%v)", name, deferred)
+							t.Errorf("edge %s not wired at end of run (wired=%v)", name, wired)
 							continue
 						}
 						ro := r.w.Replica(name, "Price")
@@ -194,8 +234,8 @@ func TestMigratedReplicaMatchesNeverMigrated(t *testing.T) {
 							}
 							got[pk] = st
 							if !reflect.DeepEqual(st, want) {
-								t.Errorf("deferred=%v edge %s pk %s: replica %v != authoritative %v",
-									deferred, name, pk, st, want)
+								t.Errorf("wired=%v edge %s pk %s: replica %v != authoritative %v",
+									wired, name, pk, st, want)
 							}
 						}
 						states[name] = got
@@ -210,8 +250,8 @@ func TestMigratedReplicaMatchesNeverMigrated(t *testing.T) {
 				return states, replayed
 			}
 
-			live, _ := final(false)
-			migrated, replayed := final(true)
+			live, _ := final(true)
+			migrated, replayed := final(false)
 			if replayed == 0 {
 				t.Fatal("no catch-up rounds or drain-buffer replays: migration did not overlap writes, property untested")
 			}
@@ -248,7 +288,7 @@ func atoi(t *testing.T, s string) int64 {
 func TestControllerDeterminism(t *testing.T) {
 	run := func() *controller.Report {
 		seed := int64(11)
-		r := newRig(t, seed, true)
+		r := newRig(t, seed, false)
 		ctrl := r.startController(t, seed)
 		s := &faults.Schedule{Events: []faults.Event{
 			{Kind: faults.LinkFlap, A: simnet.NodeEdge1, B: simnet.NodeRouter,
@@ -286,7 +326,7 @@ func TestControllerDeterminism(t *testing.T) {
 // during the outage.
 func TestPartitionSuspendResync(t *testing.T) {
 	seed := int64(5)
-	r := newRig(t, seed, false) // wired at deploy: the controller only reacts to faults
+	r := newRig(t, seed, true) // wired at deploy: the controller only reacts to faults
 	ctrl := r.startController(t, seed)
 	s := &faults.Schedule{Events: []faults.Event{
 		{Kind: faults.LinkDown, A: simnet.NodeEdge1, B: simnet.NodeRouter,
@@ -338,12 +378,12 @@ func TestStartValidation(t *testing.T) {
 	if _, err := controller.Start(controller.Config{}); err == nil {
 		t.Error("nil deployment accepted")
 	}
-	r := newRig(t, 1, true)
+	r := newRig(t, 1, false)
 	defer r.env.Close()
 	if _, err := controller.Start(controller.Config{Deployment: r.d}); err == nil {
 		t.Error("nil wiring accepted")
 	}
 	if _, err := controller.Start(controller.Config{Deployment: r.d, Wiring: r.w}); err == nil {
-		t.Error("neither model nor threshold accepted")
+		t.Error("nil model accepted")
 	}
 }

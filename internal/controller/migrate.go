@@ -3,6 +3,7 @@ package controller
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"wadeploy/internal/container"
@@ -71,6 +72,12 @@ func (c *Controller) migrate(p *sim.Proc, edge *container.Server, resync bool) M
 		return m
 	}
 
+	// owned keeps the updates to keys the edge's replicas own: a
+	// partitioned edge is shipped its own slice of the table, no more.
+	owned := func(us []container.Update) []container.Update {
+		return slices.DeleteFunc(us, func(u container.Update) bool { return !w.OwnsKey(name, u.Bean, u.PK) })
+	}
+
 	// Snapshot the source state, in bean then table order (deterministic).
 	snaps := make(map[string][]container.Update, len(beans))
 	for _, bean := range beans {
@@ -78,6 +85,7 @@ func (c *Controller) migrate(p *sim.Proc, edge *container.Server, resync bool) M
 		if err != nil {
 			return fail(fmt.Errorf("snapshot %s: %w", bean, err))
 		}
+		rows = owned(rows)
 		snaps[bean] = rows
 		for _, u := range rows {
 			m.SnapshotBytes += u.WireBytes()
@@ -92,7 +100,7 @@ func (c *Controller) migrate(p *sim.Proc, edge *container.Server, resync bool) M
 	// was in flight; updates stay queued for the cut-over replay.
 	var replay []container.Update
 	for m.Rounds < maxCatchUpRounds {
-		batch := buf.Drain()
+		batch := owned(buf.Drain())
 		if len(batch) == 0 {
 			break
 		}
@@ -131,7 +139,7 @@ func (c *Controller) migrate(p *sim.Proc, edge *container.Server, resync bool) M
 			ro.Seed(u.PK, u.State)
 		}
 	}
-	residual := buf.Drain()
+	residual := owned(buf.Drain())
 	detach()
 	replay = append(replay, residual...)
 	if up := w.Updaters[name]; up != nil && len(replay) > 0 {

@@ -94,13 +94,15 @@ func (w *Wiring) target(server string) container.PushTarget {
 }
 
 // AutoWire implements the paper's pattern-implementation automation
-// (Section 5): given an extended deployment descriptor it deploys, on every
-// edge server, the read-only replicas and query caches the descriptor
+// (Section 5): given an extended deployment descriptor it attaches the
+// matching pushers to the registered read-write beans and deploys, on each
+// server in on, the read-only replicas and query caches the descriptor
 // declares, an updater façade that applies pushed updates in one bulk call,
-// and — for async replicas — the JMS topic and message-driven subscriber;
-// it then attaches the matching pushers to the registered read-write beans.
-// Application deployers only write the descriptor.
-func AutoWire(d *Deployment, ext *container.ExtendedDescriptor, opts WireOptions) (*Wiring, error) {
+// and — for async replicas — the JMS topic and message-driven subscriber.
+// A static deployment passes every edge; one the re-placement controller
+// extends passes none and leaves each server to Wiring.ExtendTo. Application
+// deployers only write the descriptor.
+func AutoWire(d *Deployment, ext *container.ExtendedDescriptor, opts WireOptions, on ...*container.Server) (*Wiring, error) {
 	if err := ext.Validate(); err != nil {
 		return nil, fmt.Errorf("core: autowire: %w", err)
 	}
@@ -141,9 +143,9 @@ func AutoWire(d *Deployment, ext *container.ExtendedDescriptor, opts WireOptions
 
 	// Resolve each spec's method of update to its pusher's (transport,
 	// window) pair and attach the pusher to the read-write bean. RMI targets
-	// accrue as servers are wired, so deferred wiring starts with empty
-	// fan-out; creating a topic pusher declares the topic before any edge
-	// subscriber attaches to it.
+	// accrue as servers are wired, so a wiring on no server starts with
+	// empty fan-out; creating a topic pusher declares the topic before any
+	// edge subscriber attaches to it.
 	for _, spec := range specs {
 		rw := d.RW(spec.Bean)
 		if spec.DeltaPush {
@@ -195,11 +197,9 @@ func AutoWire(d *Deployment, ext *container.ExtendedDescriptor, opts WireOptions
 		}
 	}
 
-	if !d.Deferred {
-		for _, edge := range d.Edges {
-			if err := w.ExtendTo(edge); err != nil {
-				return nil, err
-			}
+	for _, srv := range on {
+		if err := w.ExtendTo(srv); err != nil {
+			return nil, err
 		}
 	}
 	return w, nil
@@ -215,8 +215,12 @@ func stalenessWindow(maxStaleness time.Duration) time.Duration {
 // Preload warm-deploys every wired replica with its read-write bean's current
 // table contents, modeling replicas shipped with a data snapshot
 // (measurement runs start after warm-up either way). Each entity's row is
-// shared by every edge holding it.
+// shared by every edge holding it. A wiring on no server has nothing to warm
+// and reads nothing.
 func (w *Wiring) Preload() error {
+	if len(w.Updaters) == 0 {
+		return nil
+	}
 	for _, spec := range w.specs {
 		image, err := w.d.RW(spec.Bean).Image()
 		if err != nil {
@@ -280,7 +284,10 @@ func (w *Wiring) ExtendTo(server *container.Server) error {
 			qfetch = w.opts.QueryFetchFor(server)
 		}
 		qc := container.NewQueryCache(server, UpdaterBean+"Queries", qfetch)
-		if w.d.Resilience {
+		if w.d.Resilience && qfetch != nil {
+			// Only a cache that can refetch has entries to expire and a
+			// refetch to fall back from: a push-only cache keeps serving
+			// its last pushed result.
 			qc.SetTTL(replicaTTL)
 			qc.SetServeStale(staleMaxAge)
 		}

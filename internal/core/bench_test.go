@@ -42,7 +42,7 @@ func BenchmarkAblationSyncVsAsyncPush(b *testing.B) {
 				Replicas: []container.ReplicaSpec{
 					{Bean: "KV", Update: mode},
 				},
-			}, core.WireOptions{PushBytes: 256}); err != nil {
+			}, core.WireOptions{PushBytes: 256}, d.Edges...); err != nil {
 				b.Fatal(err)
 			}
 			var mean time.Duration

@@ -20,9 +20,10 @@
 // (only façades may be invoked remotely; everything else is local-only) and
 // AutoWire, which materializes replicas, updater façades, topics and MDB
 // subscribers from an extended deployment descriptor so applications do not
-// hand-implement the update machinery. A deployment built with
-// Options.Deferred starts without that bundle, and Wiring.ExtendTo installs
-// it one server at a time while traffic flows.
+// hand-implement the update machinery. AutoWire installs the bundle on the
+// servers its caller names — every edge for a static deployment, none for
+// one the re-placement controller extends — and Wiring.ExtendTo installs it
+// on one more server at a time while traffic flows.
 package core
 
 import (
@@ -60,10 +61,6 @@ type Deployment struct {
 	// propagation path (deltas-by-default, batching, leases).
 	Replication *ReplicationOptions
 
-	// Deferred echoes Options.Deferred so AutoWire leaves the replica
-	// bundle for Wiring.ExtendTo.
-	Deferred bool
-
 	rw map[string]*container.RWEntity
 
 	topo *simnet.Hierarchy
@@ -73,7 +70,6 @@ type Deployment struct {
 
 // Options configures a deployment.
 type Options struct {
-	Seed     int64
 	RMI      rmi.Options
 	JMS      jms.Options
 	Web      web.Options
@@ -93,20 +89,11 @@ type Options struct {
 	// leases). Nil (the default)
 	// keeps the paper's propagation path and byte-identical table output.
 	Replication *ReplicationOptions
-
-	// Deferred starts the deployment without its replica bundle: AutoWire
-	// attaches the pushers (with no targets) but materializes no replicas,
-	// caches or subscribers until Wiring.ExtendTo reaches a server — the
-	// paper's on-demand (re)deployment ("stateful component instantiation
-	// and (re)deployment can be done on-demand at run-time", Section 6),
-	// which the re-placement controller drives.
-	Deferred bool
 }
 
 // DefaultOptions returns the substrate defaults.
 func DefaultOptions() Options {
 	return Options{
-		Seed:   1,
 		RMI:    rmi.DefaultOptions,
 		JMS:    jms.DefaultOptions,
 		Web:    web.DefaultOptions,
@@ -160,7 +147,6 @@ func buildDeployment(env *sim.Env, opts Options) (*Deployment, *simnet.Hierarchy
 		JMS:         provider,
 		Resilience:  opts.Resilience,
 		Replication: opts.Replication,
-		Deferred:    opts.Deferred,
 		rw:          make(map[string]*container.RWEntity),
 		topo:        h,
 		byClient:    make(map[string]*container.Server),

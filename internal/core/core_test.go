@@ -220,7 +220,7 @@ func TestAutoWireSyncPush(t *testing.T) {
 			{Bean: "ItemRW", Update: container.SyncUpdate},
 		},
 	}
-	w, err := AutoWire(d, ext, WireOptions{PushBytes: 256})
+	w, err := AutoWire(d, ext, WireOptions{PushBytes: 256}, d.Edges...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestAutoWireAsyncDoesNotBlock(t *testing.T) {
 			{Bean: "ItemRW", Update: container.AsyncUpdate},
 		},
 	}
-	w, err := AutoWire(d, ext, WireOptions{})
+	w, err := AutoWire(d, ext, WireOptions{}, d.Edges...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestAutoWireOneTopicPusherPerWindow(t *testing.T) {
 		Replicas: []container.ReplicaSpec{
 			async("ItemRW", 100*time.Millisecond), async("SlowRW", 2*time.Second), async("AlsoSlowRW", 2*time.Second),
 		},
-	}, WireOptions{})
+	}, WireOptions{}, d.Edges...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +365,7 @@ func TestAutoWireQueryCaches(t *testing.T) {
 		QueryFetchFor: func(server *container.Server) container.QueryFetch {
 			return func(p *sim.Proc, key string) (any, error) { return "fresh:" + key, nil }
 		},
-	})
+	}, d.Edges...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,14 +404,14 @@ func TestAutoWireErrors(t *testing.T) {
 	// Unregistered RW bean.
 	_, err := AutoWire(d, &container.ExtendedDescriptor{
 		Replicas: []container.ReplicaSpec{{Bean: "Ghost", Update: container.SyncUpdate}},
-	}, WireOptions{})
+	}, WireOptions{}, d.Edges...)
 	if err == nil {
 		t.Fatal("unregistered bean accepted")
 	}
 	// Invalid descriptor.
 	_, err = AutoWire(d, &container.ExtendedDescriptor{
 		Replicas: []container.ReplicaSpec{{Bean: "ItemRW"}},
-	}, WireOptions{})
+	}, WireOptions{}, d.Edges...)
 	if !errors.Is(err, container.ErrBadDescriptor) {
 		t.Fatalf("err = %v", err)
 	}

@@ -31,7 +31,7 @@ func TestQueryViewOneApplierPerBean(t *testing.T) {
 				constView("a", "ItemRW"), constView("b", "ItemRW"), constView("c", "ItemRW"),
 			},
 		}
-		w, err := AutoWire(d, ext, WireOptions{})
+		w, err := AutoWire(d, ext, WireOptions{}, d.Edges...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func TestQueryViewOneApplierPerBean(t *testing.T) {
 					return "fresh", nil
 				}
 			},
-		})
+		}, d.Edges...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func TestQueryViewMixedDescriptor(t *testing.T) {
 				return "fetched", nil
 			}
 		},
-	})
+	}, d.Edges...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +160,49 @@ func TestQueryViewNeedsRegisteredBean(t *testing.T) {
 	d, _ := wireFixture(t)
 	_, err := AutoWire(d, &container.ExtendedDescriptor{
 		CachedQueries: []container.CachedQuerySpec{constView("q", "Ghost")},
-	}, WireOptions{})
+	}, WireOptions{}, d.Edges...)
 	if err == nil {
 		t.Fatal("view invalidated by an unregistered bean accepted")
+	}
+}
+
+// TestResilientPushOnlyCacheKeepsEntries: under resilience a push-fed cache,
+// which has no fetch path, serves its last pushed result however old it is,
+// while a cache that can refetch still refreshes an entry past the replica
+// TTL.
+func TestResilientPushOnlyCacheKeepsEntries(t *testing.T) {
+	for _, pull := range []bool{false, true} {
+		opts := DefaultOptions()
+		opts.Resilience = true
+		d, err := NewPaperDeployment(sim.NewEnv(11), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, _ = itemFixture(t, d)
+		var wopts WireOptions
+		if pull {
+			wopts.QueryFetchFor = func(*container.Server) container.QueryFetch {
+				return func(*sim.Proc, string) (any, error) { return "refetched", nil }
+			}
+		}
+		w, err := AutoWire(d, &container.ExtendedDescriptor{
+			Replicas:      []container.ReplicaSpec{{Bean: "ItemRW", Update: container.SyncUpdate}},
+			CachedQueries: []container.CachedQuerySpec{constView("a", "ItemRW")},
+		}, wopts, d.Edges...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.SeedQuery("a:", "seeded")
+		want := "seeded"
+		if pull {
+			want = "refetched"
+		}
+		runWarm(d.Env, "reader", func(p *sim.Proc) {
+			p.Sleep(2 * replicaTTL)
+			if v, err := w.Cache(d.Edges[0].Name()).Get(p, "a:"); err != nil || v != want {
+				t.Errorf("pull=%v: Get after %v = %v (%v), want %v", pull, 2*replicaTTL, v, err, want)
+			}
+		})
+		d.Env.Close()
 	}
 }

@@ -3,6 +3,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"wadeploy/internal/container"
@@ -53,12 +54,18 @@ func (w *Wiring) applyPartitioning(server string, spec container.ReplicaSpec, ro
 }
 
 // OwnsKey reports whether the replica of bean on server owns pk — the hook
-// query caches use to scope cached results to the local partition slice.
-// True when the bean is unpartitioned or the server is not wired.
+// query caches use to scope cached results to the local partition slice, and
+// a migration to ship an edge only the keys it will own. An unwired server
+// answers from the partition assignment; an unpartitioned bean owns every
+// key.
 func (w *Wiring) OwnsKey(server, bean string, pk sqldb.Value) bool {
-	ro := w.Replica(server, bean)
-	if ro == nil {
-		return true
+	if ro := w.Replica(server, bean); ro != nil {
+		return ro.Owns(pk)
 	}
-	return ro.Owns(pk)
+	for _, spec := range w.specs {
+		if spec.Bean == bean && spec.Partition != nil {
+			return slices.Contains(w.owned[bean][server], spec.Partition.PartitionFor(pk))
+		}
+	}
+	return true
 }

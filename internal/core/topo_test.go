@@ -90,7 +90,7 @@ func testPartitionedReplicas(t *testing.T, mode container.UpdateMode) {
 		},
 	}
 	edges := []string{d.Edges[0].Name(), d.Edges[1].Name()}
-	w, err := AutoWire(d, ext, WireOptions{PushBytes: 256})
+	w, err := AutoWire(d, ext, WireOptions{PushBytes: 256}, d.Edges...)
 	if err != nil {
 		t.Fatal(err)
 	}

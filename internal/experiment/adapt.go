@@ -14,24 +14,24 @@ import (
 )
 
 // AdaptArms returns the online re-placement experiment's three arms under
-// base's fault schedule (the canonical outage when it has none), each a run
-// with the resilience machinery armed:
+// base's fault schedule (the canonical outage when it has none), which arms
+// the resilience machinery on each:
 //
 //   - static: the remote-façade deployment, controller off — what the
 //     adaptive run would be stuck with if it never re-placed;
 //   - resilient: base.Policy, controller off — the static-resilience
 //     baseline the availability comparison is against;
-//   - adaptive: base.Policy deployed deferred with the controller on
-//     (base.Adaptive's options); the controller observes the traced page mix,
-//     extends the replica bundle to the edges by live migration, suspends
-//     pushes across the partition and resynchronizes the stale edge after it
-//     heals. A policy with no replica bundle leaves it nothing to extend, and
-//     the run fails naming the policy.
+//   - adaptive: the remote-façade deployment with base.Policy's replica
+//     bundle wired onto no server and the controller on (base.Adaptive's
+//     options); the controller observes the traced page mix, extends the
+//     bundle to the edges by live migration, suspends pushes across the
+//     partition and resynchronizes the stale edge after it heals. A policy
+//     with no replica bundle leaves it nothing to extend, and the run fails
+//     naming the policy.
 func AdaptArms(base Spec) []Spec {
 	if base.Schedule == nil {
 		base.Schedule = faults.Canonical(base.Warmup, base.Duration)
 	}
-	base.Resilience = true
 	adaptive := base.Adaptive
 	if adaptive == nil {
 		adaptive = &controller.Options{}

@@ -18,7 +18,7 @@ func availQuickSpec() Spec {
 	opts := QuickRunOptions()
 	opts.Warmup = 3 * time.Minute
 	opts.Duration = 8 * time.Minute
-	return Spec{App: PetStore, Schedule: faults.Canonical(opts.Warmup, opts.Duration), Resilience: true, RunOptions: opts}
+	return Spec{App: PetStore, Schedule: faults.Canonical(opts.Warmup, opts.Duration), RunOptions: opts}
 }
 
 func availResults(t *testing.T) []*Result {

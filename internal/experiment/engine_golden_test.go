@@ -73,7 +73,7 @@ func TestEngineGoldenTables(t *testing.T) {
 func TestEngineGoldenFaulted(t *testing.T) {
 	run := func(par int) string {
 		opts := engineGoldenOptions(par)
-		s := Spec{App: PetStore, Schedule: faults.Canonical(opts.Warmup, opts.Duration), Resilience: true, RunOptions: opts}
+		s := Spec{App: PetStore, Schedule: faults.Canonical(opts.Warmup, opts.Duration), RunOptions: opts}
 		results, err := RunAll(Table(s, false))
 		if err != nil {
 			t.Fatal(err)

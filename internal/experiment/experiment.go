@@ -63,16 +63,12 @@ type Spec struct {
 
 	// Schedule, when non-nil, arms a scripted fault schedule on the run's
 	// network (link flaps, partitions, latency/loss degradation, node
-	// crashes) before the workload starts. Replay is deterministic: the
-	// fault RNG derives from Seed on a separate stream. Result.Observed
-	// carries what the partitioned edge's clients saw.
+	// crashes) before the workload starts, and the WAN-degradation machinery
+	// (core.Options.Resilience: RMI retries/breakers, JMS redelivery,
+	// serve-stale replicas) on the deployment under test. Replay is
+	// deterministic: the fault RNG derives from Seed on a separate stream.
+	// Result.Observed carries what the partitioned edge's clients saw.
 	Schedule *faults.Schedule
-
-	// Resilience enables the WAN-degradation machinery (RMI
-	// retries/breakers, JMS redelivery, serve-stale replicas) on the
-	// deployment under test. Off keeps strict semantics and byte-identical
-	// output.
-	Resilience bool
 
 	// Replication, when non-nil, arms the delta-replication machinery
 	// (deltas-by-default, batched/coalesced pushes, bounded-staleness
@@ -94,10 +90,11 @@ type Spec struct {
 	// figure byte-identical.
 	Trace *trace.Options
 
-	// Adaptive, when non-nil, deploys the policy deferred
-	// (core.Options.Deferred) and starts the online re-placement controller
-	// with these options, extending toward the policy's patterns.
-	// Result.Adapt carries the adaptation report.
+	// Adaptive, when non-nil, deploys the remote-façade configuration with
+	// the policy's replica bundle wired onto no server, and starts the online
+	// re-placement controller with these options, extending the bundle edge
+	// by edge. Only Pet Store has that path. Result.Adapt carries the
+	// adaptation report.
 	Adaptive *controller.Options
 
 	RunOptions
@@ -201,6 +198,7 @@ type application interface {
 type appDef struct {
 	options  func() core.Options                                      // substrate calibration
 	deploy   func(*core.Deployment, core.Policy) (application, error) // the app's Deploy
+	adapt    func(*core.Deployment, core.Policy) (application, error) // an adaptive run's start, or nil
 	model    func() *planner.Model                                    // what the controller re-plans with
 	patterns []string                                                 // usage patterns: browser, then writer
 	columns  []column                                                 // the table's columns, in the paper's order
@@ -231,6 +229,16 @@ var apps = map[AppID]*appDef{
 		options: core.DefaultOptions,
 		deploy: func(d *core.Deployment, p core.Policy) (application, error) {
 			return petstore.Deploy(d, p)
+		},
+		adapt: func(d *core.Deployment, p core.Policy) (application, error) {
+			start := core.RemoteFacade
+			start.DBReplicas = p.DBReplicas // edge database replicas do not migrate
+			a, err := petstore.Deploy(d, start)
+			if err != nil {
+				return nil, err
+			}
+			_, err = a.Wire(p)
+			return a, err
 		},
 		model:    petstore.PlannerModel,
 		patterns: []string{petstore.PatternBrowser, petstore.PatternBuyer},
@@ -273,6 +281,9 @@ func (s Spec) validate() error {
 	if err := s.Policy.Validate(); err != nil {
 		return fmt.Errorf("experiment: %w", err)
 	}
+	if s.Adaptive != nil && apps[s.App].adapt == nil {
+		return fmt.Errorf("experiment: %w", s.Policy.Unsupported(fmt.Sprintf("%s has no live extension path", s.App)))
+	}
 	return nil
 }
 
@@ -298,14 +309,17 @@ func Deploy(s Spec) (*Testbed, error) {
 		trace.New(env, *s.Trace).Install(env)
 	}
 	copts := def.options()
-	copts.Resilience = s.Resilience
+	copts.Resilience = s.Schedule != nil
 	copts.Replication = s.Replication
-	copts.Deferred = s.Adaptive != nil
 	d, h, err := core.NewHierarchicalDeployment(env, copts, s.Topology)
 	if err != nil {
 		return nil, err
 	}
-	inst, err := def.deploy(d, s.Policy)
+	deploy := def.deploy
+	if s.Adaptive != nil {
+		deploy = def.adapt
+	}
+	inst, err := deploy(d, s.Policy)
 	if err != nil {
 		return nil, err
 	}
@@ -319,7 +333,7 @@ func Deploy(s Spec) (*Testbed, error) {
 			Options:    *s.Adaptive,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("experiment: deferred %s: %w", s.Policy, err)
+			return nil, fmt.Errorf("experiment: adaptive %s: %w", s.Policy, err)
 		}
 	}
 	load := s.Load

@@ -4,18 +4,21 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"wadeploy/internal/container"
+	"wadeploy/internal/controller"
 	"wadeploy/internal/core"
 	"wadeploy/internal/petstore"
 	"wadeploy/internal/planner"
 	"wadeploy/internal/rubis"
 	"wadeploy/internal/sim"
 	"wadeploy/internal/simnet"
+	"wadeploy/internal/workload"
 )
 
 // accuracyBand is the relative error the analytic model must stay within
@@ -162,60 +165,52 @@ func TestPlannerLadderClimbsAllFourPatterns(t *testing.T) {
 	}
 }
 
+// planTopologies are the networks a deployment is held to its plan on: the
+// paper's star and a 4-edge/2-hub hierarchy.
+var planTopologies = map[string]simnet.HierarchySpec{
+	"star":      {},
+	"hierarchy": {Edges: 4, Hubs: 2},
+}
+
+// installs checks that every server of d holds exactly the beans pl places
+// on it.
+func installs(t *testing.T, what string, d *core.Deployment, pl *core.Plan) {
+	t.Helper()
+	for _, srv := range d.Servers() {
+		var want []string
+		for _, pm := range pl.Placements {
+			if slices.Contains(pm.Servers, srv.Name()) {
+				want = append(want, pm.Desc.Name)
+			}
+		}
+		for _, name := range want {
+			if !srv.HasBean(name) {
+				t.Errorf("%s: %s lacks %s", what, srv.Name(), name)
+			}
+		}
+		if srv.Beans() != len(want) {
+			t.Errorf("%s: %s holds %d beans, the plan places %v", what, srv.Name(), srv.Beans(), want)
+		}
+	}
+}
+
 // TestDeployedMatchesPlanned pins each application's one Deploy against the
 // plan the planner synthesizes from the same component list: for both apps,
 // every valid pattern set (plus DB replication for Pet Store), on the star
 // and on a 4-edge/2-hub hierarchy, fully replicated and with 4 hash
 // partitions, Deploy either installs on every server exactly the beans
-// PlanFor places there, or refuses the combination by name. A deferred
-// deployment installs the remote-façade plan plus Pet Store's edge
-// catalogs; RUBiS has no deferred path.
+// PlanFor places there, or refuses the combination by name.
 func TestDeployedMatchesPlanned(t *testing.T) {
 	// Query caches without entity replicas have no deploy path in either
 	// app: Pet Store's caches are invalidated by the replicas' pushes, and
 	// RUBiS's edge forms read the replicas.
 	refused := map[string]bool{"web+queries": true, "web+queries+async": true}
-	topologies := map[string]simnet.HierarchySpec{
-		"star":      {},
-		"hierarchy": {Edges: 4, Hubs: 2},
-	}
-	deployOn := func(app AppID, spec simnet.HierarchySpec, p core.Policy, deferred bool) (*core.Deployment, error) {
-		opts := apps[app].options()
-		opts.Topology = spec
-		opts.Deferred = deferred
-		d, err := core.NewPaperDeployment(sim.NewEnv(1), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = apps[app].deploy(d, p)
-		return d, err
-	}
-	// installs checks that every server holds exactly the beans pl places
-	// on it.
-	installs := func(what string, d *core.Deployment, pl *core.Plan) {
-		for _, srv := range d.Servers() {
-			var want []string
-			for _, pm := range pl.Placements {
-				if slices.Contains(pm.Servers, srv.Name()) {
-					want = append(want, pm.Desc.Name)
-				}
-			}
-			for _, name := range want {
-				if !srv.HasBean(name) {
-					t.Errorf("%s: %s lacks %s", what, srv.Name(), name)
-				}
-			}
-			if srv.Beans() != len(want) {
-				t.Errorf("%s: %s holds %d beans, the plan places %v", what, srv.Name(), srv.Beans(), want)
-			}
-		}
-	}
 	for app, m := range plannerModels() {
 		policies := core.PatternSets()
 		if app == PetStore {
 			policies = append(policies, core.DBReplication)
 		}
-		for topo, spec := range topologies {
+		for topo, spec := range planTopologies {
 			m.Options.Topology = spec
 			for _, partitions := range []int{0, 4} {
 				for _, p := range policies {
@@ -223,7 +218,13 @@ func TestDeployedMatchesPlanned(t *testing.T) {
 						p.Partition = &container.PartitionSpec{Scheme: container.HashPartition, Partitions: partitions}
 					}
 					what := fmt.Sprintf("%s/%s/%s/%d partitions", app, p.Patterns(), topo, partitions)
-					d, err := deployOn(app, spec, p, false)
+					opts := apps[app].options()
+					opts.Topology = spec
+					d, err := core.NewPaperDeployment(sim.NewEnv(1), opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					_, err = apps[app].deploy(d, p)
 					if refused[p.Patterns()] {
 						if !errors.Is(err, core.ErrPolicy) || !strings.Contains(err.Error(), p.String()) {
 							t.Errorf("%s: deployed (%v), want a policy error naming it", what, err)
@@ -238,26 +239,161 @@ func TestDeployedMatchesPlanned(t *testing.T) {
 					if err := pl.Validate(); err != nil {
 						t.Errorf("%s: plan: %v", what, err)
 					}
-					installs(what, d, pl)
+					installs(t, what, d, pl)
 				}
 			}
 		}
 	}
+}
 
-	d, err := deployOn(PetStore, simnet.HierarchySpec{}, core.AsyncUpdates, true)
+// TestAdaptedMatchesPlanned is TestDeployedMatchesPlanned for a live
+// extension, on Pet Store: for every pattern set with entity replicas, on the
+// star and the 4-edge/2-hub hierarchy, fully replicated and with 4 hash
+// partitions, an adaptive run — the remote-façade deployment, the policy's
+// bundle wired onto no server, the controller on — driven by the Pet Store
+// workload while the controller extends, then run to quiescence, ends with
+// the bundle on every edge, every server holding exactly the beans PlanFor
+// places there, and every replica equal to the read-write state on the keys
+// it owns and holding no other.
+func TestAdaptedMatchesPlanned(t *testing.T) {
+	// A buyer commits every 72 s, and with 20 s epochs the controller
+	// migrates one edge every 20 s from 40 s on: orders commit while edges
+	// are cut over.
+	const stop, quiet = 150 * time.Second, 4 * time.Minute
+	m := plannerModels()[PetStore]
+	for topo, spec := range planTopologies {
+		m.Options.Topology = spec
+		for _, partitions := range []int{0, 4} {
+			for _, p := range core.PatternSets() {
+				if !p.EntityReplicas {
+					continue
+				}
+				if partitions > 0 {
+					p.Partition = &container.PartitionSpec{Scheme: container.HashPartition, Partitions: partitions}
+				}
+				what := fmt.Sprintf("%s/%s/%d partitions", p.Patterns(), topo, partitions)
+				tb, err := Deploy(Spec{App: PetStore, Policy: p, Topology: spec,
+					Adaptive: &controller.Options{Epoch: 20 * time.Second}, RunOptions: RunOptions{Seed: 1}})
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				commits := driveUntil(t, tb.Env, tb.Groups, stop)
+				tb.Env.Run(quiet)
+				if *commits == 0 {
+					t.Errorf("%s: the workload committed no orders", what)
+				}
+				rep := tb.ctrl.Report()
+				if !rep.Extended {
+					t.Errorf("%s: the controller did not extend to every edge: %+v", what, rep.Events)
+				}
+				installs(t, what, tb.d, m.PlanFor(p))
+				w := tb.inst.Wiring()
+				for _, bean := range w.ReplicaBeans() {
+					image, err := tb.d.RW(bean).Image()
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, edge := range tb.d.EdgeNames() {
+						ro := w.Replica(edge, bean)
+						if ro == nil {
+							continue // reported by installs
+						}
+						for _, u := range image {
+							got, ok := ro.Peek(u.PK)
+							switch owned := w.OwnsKey(edge, bean, u.PK); {
+							case owned && (!ok || !reflect.DeepEqual(got, u.State)):
+								t.Errorf("%s: %s %s %v: replica %v (held %v), read-write %v", what, edge, bean, u.PK, got, ok, u.State)
+							case !owned && ok:
+								t.Errorf("%s: %s %s holds %v outside its partitions", what, edge, bean, u.PK)
+							}
+						}
+					}
+				}
+				tb.Env.Close()
+			}
+		}
+	}
+}
+
+// TestMigrationShipsOwnedKeys: a live migration ships a partitioned edge its
+// own slice of each replicated table and charges only those bytes, so each
+// edge's snapshot is what its replicas own, and together the edges are sent
+// each partitioned row once.
+func TestMigrationShipsOwnedKeys(t *testing.T) {
+	p := core.AsyncUpdates
+	p.Partition = &container.PartitionSpec{Scheme: container.HashPartition, Partitions: 8}
+	tb, err := Deploy(Spec{App: PetStore, Policy: p,
+		Adaptive: &controller.Options{Epoch: 5 * time.Second}, RunOptions: RunOptions{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := plannerModels()[PetStore].PlanFor(core.RemoteFacade)
-	for i, pm := range pl.Placements {
-		if pm.Desc.Name == petstore.BeanCatalog {
-			// The edge catalogs, which forward to main until the
-			// controller cuts their edge over.
-			pl.Placements[i].Servers = append([]string{d.Main.Name()}, d.EdgeNames()...)
+	tb.Env.Run(time.Minute)
+	defer tb.Env.Close()
+	w := tb.inst.Wiring()
+	owned := make(map[string]int)
+	whole := 0
+	for _, bean := range w.ReplicaBeans() {
+		image, err := tb.d.RW(bean).Image()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, u := range image {
+			whole += u.WireBytes()
+			for _, edge := range tb.d.EdgeNames() {
+				if w.OwnsKey(edge, bean, u.PK) {
+					owned[edge] += u.WireBytes()
+				}
+			}
 		}
 	}
-	installs("petstore deferred", d, pl)
-	if _, err := deployOn(RUBiS, simnet.HierarchySpec{}, core.AsyncUpdates, true); !errors.Is(err, core.ErrPolicy) {
-		t.Errorf("rubis deferred: %v, want a policy error", err)
+	migs := tb.ctrl.Report().Migrations
+	if len(migs) != len(tb.d.Edges) {
+		t.Fatalf("%d migrations, want one per edge: %+v", len(migs), migs)
 	}
+	for _, m := range migs {
+		if m.SnapshotBytes != owned[m.Server] || m.SnapshotBytes >= whole {
+			t.Errorf("%s: shipped %d snapshot bytes, owns %d of the tables' %d", m.Server, m.SnapshotBytes, owned[m.Server], whole)
+		}
+	}
+}
+
+// driveUntil runs every client of groups, as workload.Run does — each starts
+// at a random offset, draws its sessions from its pattern's generator and
+// starts a request per think time — but only until stop, and leaves the environment open so the run can
+// quiesce. It returns the count of Commit pages served, read once the run is
+// over.
+func driveUntil(t *testing.T, env *sim.Env, groups []workload.Group, stop time.Duration) *int {
+	t.Helper()
+	commits := new(int)
+	for _, g := range groups {
+		for i := 0; i < g.Browsers+g.Writers; i++ {
+			gen := g.BrowserGen
+			if i >= g.Browsers {
+				gen = g.WriterGen
+			}
+			client := workload.Client{Node: g.ClientNode, ID: fmt.Sprintf("%s-%d", g.Name, i)}
+			rng := env.Rand()
+			env.Spawn(client.ID, func(p *sim.Proc) {
+				var st workload.StreamState
+				p.Sleep(time.Duration(rng.Int63n(int64(g.Delay))))
+				for p.Now() < stop {
+					var step workload.Step
+					if !gen(rng, &st, &step) {
+						st = workload.StreamState{}
+						continue
+					}
+					st.Pos++
+					if _, err := g.Request(p, client, step); err != nil {
+						t.Errorf("%s %s: %v", client.ID, step.Page, err)
+						return
+					}
+					if step.Page == petstore.PageCommit {
+						*commits++
+					}
+					p.Sleep(g.Delay)
+				}
+			})
+		}
+	}
+	return commits
 }

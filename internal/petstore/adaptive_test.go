@@ -1,6 +1,8 @@
 package petstore
 
 import (
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,19 +12,21 @@ import (
 	"wadeploy/internal/sqldb"
 )
 
-// deployDeferred deploys p on demand: the web tier and edge Catalogs up
-// front, the replica bundle left for a controller.
-func deployDeferred(t *testing.T, seed int64, p core.Policy) (*sim.Env, *core.Deployment, *App) {
+// deployAdaptive deploys an adaptive run toward p: the remote-façade
+// configuration plus p's replica bundle wired onto no server, which leaves
+// the edge Catalogs forwarding to main until a controller extends the bundle.
+func deployAdaptive(t *testing.T, seed int64, p core.Policy) (*sim.Env, *core.Deployment, *App) {
 	t.Helper()
 	env := sim.NewEnv(seed)
-	opts := core.DefaultOptions()
-	opts.Deferred = true
-	d, err := core.NewPaperDeployment(env, opts)
+	d, err := core.NewPaperDeployment(env, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Deploy(d, p)
+	a, err := Deploy(d, core.RemoteFacade)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Wire(p); err != nil {
 		t.Fatal(err)
 	}
 	return env, d, a
@@ -46,11 +50,11 @@ func startCutOverController(t *testing.T, d *core.Deployment, a *App, seed int64
 }
 
 // TestAdaptivePreExtensionServesViaCentral: before the controller extends
-// anything, a deferred deployment behaves exactly like the remote-façade
+// anything, an adaptive run behaves exactly like the remote-façade
 // configuration — edge catalogs delegate every call to main, no replicas or
 // caches are consulted.
 func TestAdaptivePreExtensionServesViaCentral(t *testing.T) {
-	env, d, a := deployDeferred(t, 1, core.AsyncUpdates)
+	env, d, a := deployAdaptive(t, 1, core.AsyncUpdates)
 	edge := d.Edges[0]
 	if a.useReplicas(edge) {
 		t.Error("replicas in use before any extension")
@@ -76,12 +80,12 @@ func TestAdaptivePreExtensionServesViaCentral(t *testing.T) {
 }
 
 // TestAdaptiveControllerCutOver runs the real control loop against an idle
-// deferred deployment: the planner model alone predicts the win, the
+// adaptive run: the planner model alone predicts the win, the
 // controller live-migrates the bundle to both edges, the edge catalogs read
 // the replicas from the cut-over on, and the report records the target as
 // the policy the run reached.
 func TestAdaptiveControllerCutOver(t *testing.T) {
-	env, d, a := deployDeferred(t, 2, core.AsyncUpdates)
+	env, d, a := deployAdaptive(t, 2, core.AsyncUpdates)
 	ctrl := startCutOverController(t, d, a, 2)
 	env.Run(2 * time.Minute)
 
@@ -124,7 +128,7 @@ func TestAdaptiveControllerCutOver(t *testing.T) {
 // after it crosses zero times, and the call in flight across the cut-over
 // completes on the central path it entered.
 func TestAdaptiveCutOverIsOneEvent(t *testing.T) {
-	env, d, a := deployDeferred(t, 2, core.AsyncUpdates)
+	env, d, a := deployAdaptive(t, 2, core.AsyncUpdates)
 	ctrl := startCutOverController(t, d, a, 2)
 	edge := d.Edges[0]
 	wide := env.Metrics().Counter("rmi_wide_area_calls_total")
@@ -187,5 +191,17 @@ func TestAdaptiveCutOverIsOneEvent(t *testing.T) {
 	}
 	if before == 0 || after == 0 || straddled != 1 {
 		t.Errorf("calls before/after/across the cut-over = %d/%d/%d, want some/some/1", before, after, straddled)
+	}
+}
+
+// TestWireNeedsEntityReplicas: a policy without entity replicas has no
+// replica bundle, and Wire refuses it naming the policy.
+func TestWireNeedsEntityReplicas(t *testing.T) {
+	env, _, a := deployAdaptive(t, 1, core.StatefulCaching)
+	defer env.Close()
+	for _, p := range []core.Policy{core.Centralized, core.RemoteFacade} {
+		if _, err := a.Wire(p); !errors.Is(err, core.ErrPolicy) || !strings.Contains(err.Error(), p.String()) {
+			t.Errorf("Wire(%s) = %v, want a policy error naming it", p, err)
+		}
 	}
 }

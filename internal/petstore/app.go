@@ -135,13 +135,9 @@ func DefaultPageCosts() PageCosts {
 // Deploy installs Pet Store into d under policy p: the schema and data, the
 // entity beans and façades on the main server, web components and stateful
 // session beans on every active server, and — depending on p — the
-// read-only replicas (Item and Inventory sharded per p.Partition), query
-// caches and update propagation (via the extended-descriptor AutoWire
-// machinery) and edge database replicas. On a deferred deployment
-// (core.Options.Deferred) the replica bundle is wired but not materialized,
-// so the edge Catalogs' entity and query reads cross the WAN until a
-// controller live-migrates the bundle onto their edge. A static deployment is checked
-// against the plan the planner synthesizes for p from the component list.
+// replica bundle Wire installs on every edge and edge database replicas. The
+// deployment is checked against the plan the planner synthesizes for p from
+// the component list.
 func Deploy(d *core.Deployment, p core.Policy) (*App, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("petstore: %w", err)
@@ -172,10 +168,7 @@ func Deploy(d *core.Deployment, p core.Policy) (*App, error) {
 		return nil, err
 	}
 	if p.EntityReplicas {
-		if err := a.wireReplicas(); err != nil {
-			return nil, err
-		}
-		if err := a.deployEdgeCatalogs(); err != nil {
+		if _, err := a.Wire(p, d.Edges...); err != nil {
 			return nil, err
 		}
 	}
@@ -184,13 +177,8 @@ func Deploy(d *core.Deployment, p core.Policy) (*App, error) {
 			return nil, err
 		}
 	}
-	if !d.Deferred {
-		// A deferred deployment intentionally starts below its policy
-		// (replicas arrive by migration), so the plan applies only once the
-		// controller finishes extending.
-		if err := layout.Plan(p, d.Main.Name(), d.EdgeNames()).Validate(); err != nil {
-			return nil, fmt.Errorf("petstore: %w", err)
-		}
+	if err := layout.Plan(p, d.Main.Name(), d.EdgeNames()).Validate(); err != nil {
+		return nil, fmt.Errorf("petstore: %w", err)
 	}
 	return a, nil
 }
@@ -485,7 +473,7 @@ func (a *App) cartMethods(srv *container.Server) map[string]container.Method {
 
 // useReplicas reports whether srv should answer catalog reads from its
 // read-only replicas. Checking the live wiring rather than the deployed
-// policy is what lets a deferred run change answer mid-flight: the moment a
+// policy is what lets an adaptive run change answer mid-flight: the moment a
 // migration cuts an edge over, its handlers start hitting the replicas. (A
 // wired edge always holds replicas: Deploy refuses query caches without
 // them.)
@@ -533,25 +521,33 @@ func (a *App) getItemVia(p *sim.Proc, srv *container.Server, itemID sqldb.Value)
 	return page, nil
 }
 
-// wireReplicas applies the extended deployment descriptor for the policy:
-// read-only replicas of the component list's replicated beans with push
-// refresh (Item and Inventory, which share the itemid key space, sharded per
-// the policy's partition spec), the two catalog query caches when the policy
-// has them, and sync vs async propagation.
-func (a *App) wireReplicas() error {
+// Wire installs p's replica bundle on exactly the servers on, warm with the
+// tables' current contents, and a replica-backed Catalog on every edge. The
+// bundle is p's extended deployment descriptor: read-only replicas of the
+// component list's replicated beans with push refresh (Item and Inventory,
+// which share the itemid key space, sharded per p's partition spec), the two
+// catalog query caches when p has them, and sync vs async propagation. Deploy
+// wires every edge. An adaptive run deploys the remote-façade configuration,
+// wires its target onto no server and hands the wiring to the re-placement
+// controller: each edge Catalog forwards its reads to main until a migration
+// cuts its edge over.
+func (a *App) Wire(p core.Policy, on ...*container.Server) (*core.Wiring, error) {
+	if !p.EntityReplicas {
+		return nil, fmt.Errorf("petstore: %w", p.Unsupported("it has no entity replicas to wire"))
+	}
 	update := container.SyncUpdate
-	if a.policy.AsyncUpdates {
+	if p.AsyncUpdates {
 		update = container.AsyncUpdate
 	}
 	ext := &container.ExtendedDescriptor{Topic: UpdateTopic}
 	for _, bean := range layout.Replicated {
 		spec := container.ReplicaSpec{Bean: bean, Update: update}
 		if bean == BeanItem || bean == BeanInventory {
-			spec.Partition = a.policy.Partition
+			spec.Partition = p.Partition
 		}
 		ext.Replicas = append(ext.Replicas, spec)
 	}
-	if a.policy.QueryCaches {
+	if p.QueryCaches {
 		ext.CachedQueries = []container.CachedQuerySpec{
 			{Name: QueryProductsByCategory, InvalidatedBy: []string{BeanProduct, BeanCategory}},
 			{Name: QueryItemsByProduct, InvalidatedBy: []string{BeanItem, BeanProduct}},
@@ -585,17 +581,18 @@ func (a *App) wireReplicas() error {
 				}
 			}
 		},
-	})
+	}, on...)
 	if err != nil {
-		return fmt.Errorf("petstore: %w", err)
+		return nil, fmt.Errorf("petstore: %w", err)
 	}
 	a.wiring = w
-	if a.d.Deferred {
-		// Replicas do not exist yet; each one receives its snapshot when
-		// the controller migrates it in.
-		return nil
+	if err := w.Preload(); err != nil {
+		return nil, err
 	}
-	return w.Preload()
+	if err := a.deployEdgeCatalogs(); err != nil {
+		return nil, err
+	}
+	return w, nil
 }
 
 // deployEdgeCatalogs installs the replica-backed edge Catalog façade
@@ -611,8 +608,7 @@ func (a *App) deployEdgeCatalogs() error {
 
 // edgeCatalogMethods builds the replica-backed edge Catalog implementation
 // for one edge server. Each call checks the live wiring, so an edge whose
-// bundle has not arrived yet (a deferred deployment before its cut-over)
-// forwards every read to the central Catalog in one WAN call, and answers
+// bundle has not arrived yet (an adaptive run before its cut-over) forwards every read to the central Catalog in one WAN call, and answers
 // from its replicas from the event Wiring.ExtendTo installs them in.
 func (a *App) edgeCatalogMethods(edge *container.Server) map[string]container.Method {
 	delegate := func(p *sim.Proc, method string, param sqldb.Value) (any, error) {

@@ -139,9 +139,6 @@ func NewEvaluator(m *Model) *Evaluator {
 	return &Evaluator{m: m, p: m.Params()}
 }
 
-// Params returns the derived calibration constants.
-func (ev *Evaluator) Params() Params { return ev.p }
-
 // xfer is an uncontended one-way transfer: path latency plus one
 // serialization at the bottleneck bandwidth (the simulated network is
 // cut-through with equal link rates).
@@ -352,29 +349,4 @@ func (ev *Evaluator) Overall(c core.Policy) time.Duration {
 		return 0
 	}
 	return time.Duration(sum / float64(clients))
-}
-
-// ExtensionThreshold converts the model into an autoscaler trigger: the
-// wide-area read rate (calls/s) above which extending replicas to the edges
-// pays off. Replicas save (remote façade call − local cache hit) per read
-// but cost one blocking push per write; the break-even read rate is where
-// the saving matches the push bill. A zero write rate means replication
-// pays at any read rate; callers should still apply a small floor to avoid
-// reacting to noise.
-func ExtensionThreshold(p Params, writesPerSecond float64) float64 {
-	remote := p.MarshalCPU
-	remote += xfer(p.WANOneWay, p.ReqBytes, p.WANBps)
-	remote += p.MethodCPU
-	remote += xfer(p.WANOneWay, p.ReplyBytes, p.WANBps)
-	remote += time.Duration((p.Rounds - 1) * float64(2*p.WANOneWay))
-	saved := remote - p.CacheHitCPU
-	if saved <= 0 {
-		return 0
-	}
-	pushPerEdge := p.MarshalCPU +
-		xfer(p.WANOneWay, p.PushBytes, p.WANBps) +
-		p.MethodCPU + p.CacheHitCPU +
-		xfer(p.WANOneWay, p.PushReplyBytes, p.WANBps) +
-		time.Duration((p.Rounds-1)*float64(2*p.WANOneWay))
-	return writesPerSecond * float64(pushPerEdge) / float64(saved)
 }

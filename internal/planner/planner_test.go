@@ -223,21 +223,6 @@ func TestPlanForSynthesizesWiringComponents(t *testing.T) {
 	}
 }
 
-func TestExtensionThresholdPositive(t *testing.T) {
-	m := testModel()
-	ev := planner.NewEvaluator(m)
-	thr := planner.ExtensionThreshold(ev.Params(), 0.5)
-	if thr <= 0 {
-		t.Fatalf("threshold %v, want > 0", thr)
-	}
-	// Doubling the write rate doubles the propagation bill and so the
-	// read rate needed to justify an extension.
-	thr2 := planner.ExtensionThreshold(ev.Params(), 1.0)
-	if thr2 <= thr {
-		t.Errorf("threshold not increasing in write rate: %v -> %v", thr, thr2)
-	}
-}
-
 func TestWithObservedVisits(t *testing.T) {
 	m := &planner.Model{Patterns: []planner.Pattern{
 		{Name: "Browser", Visits: map[string]float64{"Main": 2, "Product": 6}},

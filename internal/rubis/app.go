@@ -143,14 +143,12 @@ func DeployOptions() core.Options {
 // authentication needs every nickname everywhere), the edge façades, the
 // push-refreshed query caches and update propagation. The deployment is
 // checked against the plan the planner synthesizes for p from the component
-// list. RUBiS has no deferred (core.Options.Deferred) or DB-replica path.
+// list. RUBiS has no live-extension (petstore's Wire) or DB-replica path.
 func Deploy(d *core.Deployment, p core.Policy) (*App, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("rubis: %w", err)
 	}
 	switch {
-	case d.Deferred:
-		return nil, fmt.Errorf("rubis: %w", p.Unsupported("RUBiS has no on-demand deployment path"))
 	case p.DBReplicas:
 		return nil, fmt.Errorf("rubis: %w", p.Unsupported("RUBiS has no edge database replicas"))
 	case p.QueryCaches && !p.EntityReplicas:

@@ -40,7 +40,7 @@ func (a *App) wireReplicas() error {
 	if a.policy.QueryCaches {
 		ext.CachedQueries = a.cachedQueries()
 	}
-	w, err := core.AutoWire(a.d, ext, opts)
+	w, err := core.AutoWire(a.d, ext, opts, a.d.Edges...)
 	if err != nil {
 		return fmt.Errorf("rubis: %w", err)
 	}

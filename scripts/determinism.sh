@@ -31,6 +31,11 @@ echo '== availability table across parallelism =='
 $GO run ./cmd/wadeploy -quick -diag -parallel 1 faults > "$out/faults-p1.txt"
 $GO run ./cmd/wadeploy -quick -diag -parallel 8 faults > "$out/faults-p8.txt"
 diff "$out/faults-p1.txt" "$out/faults-p8.txt"
+# RUBiS's edges serve browse pages from push-fed query caches through the
+# outage.
+$GO run ./cmd/wadeploy -quick -app rubis -faults canonical -parallel 1 faults > "$out/faults-rubis-p1.txt"
+$GO run ./cmd/wadeploy -quick -app rubis -faults canonical -parallel 8 faults > "$out/faults-rubis-p8.txt"
+diff "$out/faults-rubis-p1.txt" "$out/faults-rubis-p8.txt"
 
 echo '== sensitivity sweeps across point parallelism =='
 $GO run ./cmd/wadeploy -quick -app rubis -parallel 1 sweep-latency > "$out/sweep-latency-p1.txt"

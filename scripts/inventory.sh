@@ -26,16 +26,16 @@ GO="${GO:-go}"
 # other package the programs'.
 FLOORS='
 sqldb       75.5
-container   75.6
-controller  74.8
-core        90.6
+container   76.7
+controller  81.5
+core        91.2
 dbrepl      64.4
-experiment  94.1
+experiment  94.2
 faults      80.6
 jms         91.2
 metrics     84.0
 petstore    83.9
-planner     86.8
+planner     91.8
 rmi         90.9
 rubis       81.8
 sim         89.3
@@ -61,9 +61,6 @@ container/batch.go:CoalesceUpdates          the batch form of the coalescer of t
 container/descriptor.go:String              UpdateMode.String: names the mode in the per-mode core benchmarks and in test failures
 container/entity.go:Delete                  ejbRemove, the only caller of the sqldb DELETE path (tombstones, reviveRow), so its removal is a change of its own; container tests
 container/entity.go:UpdateIfVersion         the paper section 4.5 version-number pattern (DESIGN.md); container tests
-container/entity.go:Peek                    the content read tests assert replicas with: no fetch, no accounting, no cost
-container/entity.go:ApplyLocal              migration catch-up under concurrent writes, reached by controller and rubis tests
-container/entity.go:Propagate               UpdateBuffer, the migration drain buffer, records a write only under concurrent writes: controller tests
 container/pusher.go:RemoveTarget            Wiring.SuspendTargets on an edge with RMI pushes: controller tests; no program suspends one
 container/query.go:Size                     the content read tests assert query caches with
 container/query.go:InvalidatePrefix         the paper section 4.4 pull invalidation: no benchmark page writes Product or Category
@@ -75,9 +72,7 @@ faults/subtree.go:SubtreePartition          hub-subtree outage schedule for the 
 metrics/histogram.go:BucketRange            the bucket bounds metrics and workload tests check quantiles against
 metrics/metrics.go:GaugeValue               the registry read tests use for gauges (simnet link state)
 metrics/metrics.go:FindHistogram            the registry read tests use for histograms (lag, staleness)
-planner/cost.go:Params                      examples/autoscale (make examples); planner tests
 planner/cost.go:cost                        CPUTime.cost: model vocabulary no application model uses; the random-model validation draws it
-planner/cost.go:ExtensionThreshold          examples/autoscale (make examples); planner tests
 planner/planner.go:HasQueryCaches           model vocabulary, as above
 rubis/queries.go:qUser                      the re-query of the UserInfo view after a user commit: no benchmark page writes a user; rubis tests
 sim/shard.go:Send                           cross-lane sends the planned sharded lanes build on (ROADMAP.md); sim tests
