@@ -63,7 +63,8 @@ func RowOf(cols *[]string, vals []sqldb.Value) Row { return Row{cols, vals} }
 
 // Rows is a SELECT result's rows as a read-only view: the result's row list
 // and the column names of the plan that produced it, shared, no copy. A
-// result is a snapshot sqldb never reuses or changes. The zero Rows is empty.
+// result is a snapshot sqldb never changes; a SELECT *'s row list may be
+// shared with its later results. The zero Rows is empty.
 type Rows struct {
 	cols *[]string
 	vals [][]sqldb.Value

@@ -81,9 +81,9 @@ func TestPageAllocBudget(t *testing.T) {
 		spec   simnet.HierarchySpec
 		budget float64
 	}{
-		{"petstore-centralized", PetStore, core.Centralized, simnet.HierarchySpec{}, 2.2},
+		{"petstore-centralized", PetStore, core.Centralized, simnet.HierarchySpec{}, 1.7},
 		{"rubis-async", RUBiS, core.AsyncUpdates, simnet.HierarchySpec{}, 2.4},
-		{"petstore-topo128", PetStore, topo128Policy(), simnet.DefaultHierarchySpec(128), 2.7},
+		{"petstore-topo128", PetStore, topo128Policy(), simnet.DefaultHierarchySpec(128), 2.3},
 	}
 	const warmup = 2 * time.Minute
 	for _, c := range cases {

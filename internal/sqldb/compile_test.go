@@ -138,7 +138,9 @@ func isStar(sql string) bool {
 // length, so a caller's append copies; any other row is in a slab the result
 // owns, so scribbling on it changes no later execution. No later UPDATE,
 // DELETE, rollback or Restore changes a row already returned, nor the first
-// row held apart from its by-value Result. db ends as it started.
+// row held apart from its by-value Result. After the rollback and after the
+// Restore, sql returns what a fresh execution does (checkFresh), whatever db
+// memoised before. db ends as it started.
 func checkResultIsSnapshot(t *testing.T, db *DB, sql string, args []Value, res Result) {
 	t.Helper()
 	want := fingerprint(res)
@@ -164,8 +166,10 @@ func checkResultIsSnapshot(t *testing.T, db *DB, sql string, args []Value, res R
 	if err := tx.Rollback(); err != nil {
 		t.Fatal(err)
 	}
+	checkFresh(t, db, DefaultCostModel, sql, args...)
 	clobber(t, db, db.Exec)
 	db.Restore(snap)
+	checkFresh(t, db, DefaultCostModel, sql, args...)
 	if got := fingerprint(res); got != want {
 		t.Fatalf("%s: later writes, a rollback and a Restore changed a returned result:\n%s\nwant\n%s", sql, got, want)
 	}

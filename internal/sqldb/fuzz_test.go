@@ -198,6 +198,13 @@ func FuzzSelect(f *testing.F) {
 			t.Fatalf("seed %d: %s %v\nindexed:   %s\nreference: %s", seed, text, args, fingerprint(got), fingerprint(want))
 		}
 		if isSelect {
+			// A repeat, a memo hit for a SELECT * that scanned, returns the
+			// first run's Result exactly, through the cached plan.
+			again, err := indexed.Exec(text, args...)
+			if err != nil || resultKey(again) != resultKey(got) || !again.PlanCached {
+				t.Fatalf("seed %d: %s %v\nrepeat: %s (plan cached %v, err %v)\nfirst:  %s",
+					seed, text, args, resultKey(again), again.PlanCached, err, resultKey(got))
+			}
 			// The rows are a snapshot: no later write, rollback or Restore
 			// changes them, and the tables below are compared after all that.
 			checkResultIsSnapshot(t, indexed, text, args, got)

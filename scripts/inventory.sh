@@ -25,7 +25,7 @@ GO="${GO:-go}"
 # Package, floor (% of statements). sqldb is its callers' coverage, every
 # other package the programs'.
 FLOORS='
-sqldb       75.5
+sqldb       76.3
 container   76.7
 controller  81.5
 core        91.2
