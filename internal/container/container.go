@@ -209,6 +209,23 @@ func (s *Server) Compute(p *sim.Proc, d time.Duration) {
 	trace.Use(p, s.node.CPU, s.name, d)
 }
 
+// PageCost is the application-side cost of rendering one page, split into
+// CPU (charged to the server, creating contention) and latency (JSP
+// pipeline, logging, connection handling — time that does not occupy a CPU
+// slot), and the page it renders, shared read-only by its requests.
+type PageCost struct {
+	CPU, Lat time.Duration
+	Page     *web.Response
+}
+
+// Render charges c, the cost of page, on this server and returns its page.
+func (s *Server) Render(p *sim.Proc, page string, c PageCost) *web.Response {
+	defer trace.Op(p, "render", page, s.name, "", trace.CauseService)()
+	s.Compute(p, c.CPU)
+	p.Sleep(c.Lat)
+	return c.Page
+}
+
 // bindPrefix is the JNDI context beans are bound under; the stub cache adds
 // it on a miss only, so a cached bean call builds no name.
 const bindPrefix = "ejb/"

@@ -505,6 +505,28 @@ func TestExtendedDescriptorValidate(t *testing.T) {
 		{CachedQueries: []CachedQuerySpec{{Name: ""}}},
 		{CachedQueries: []CachedQuerySpec{{Name: "q"}, {Name: "q"}}},
 	}
+	// Edge façades, each case one fault on top of good: an empty bean name,
+	// a duplicate façade, a FromCache on a query the descriptor does not
+	// cache, a FromReplicas on a bean with no replica.
+	key := func([]sqldb.Value) string { return "itemsByProduct:" }
+	read := func(*sim.Proc, *EdgeMethod, []sqldb.Value) (any, error) { return nil, nil }
+	facade := FromCache("get", "itemsByProduct", key)
+	for _, facades := range [][]EdgeFacadeSpec{
+		{{Bean: "", Methods: []EdgeMethodSpec{facade}}},
+		{{Bean: "SB", Methods: []EdgeMethodSpec{facade}}, {Bean: "SB", Methods: []EdgeMethodSpec{Delegate("put")}}},
+		{{Bean: "SB", Methods: []EdgeMethodSpec{FromCache("get", "itemsByCategory", key)}}},
+		{{Bean: "SB", Methods: []EdgeMethodSpec{FromReplicas("get", read, "ItemRW", "BidRW")}}},
+	} {
+		d := *good
+		d.EdgeFacades = facades
+		bad = append(bad, &d)
+	}
+	good.EdgeFacades = []EdgeFacadeSpec{{Bean: "SB", Methods: []EdgeMethodSpec{
+		facade.OwnedBy("ItemRW"), FromReplicas("item", read, "ItemRW", "UserRW"), Local("local", read), Delegate("put"),
+	}}}
+	if err := good.Validate(); err != nil {
+		t.Fatalf("valid edge façade rejected: %v", err)
+	}
 	for i, d := range bad {
 		if err := d.Validate(); !errors.Is(err, ErrBadDescriptor) {
 			t.Errorf("bad[%d]: err = %v, want ErrBadDescriptor", i, err)

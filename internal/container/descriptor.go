@@ -3,6 +3,7 @@ package container
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -107,10 +108,11 @@ type CachedQuerySpec struct {
 }
 
 // ExtendedDescriptor is the paper's proposed deployment-descriptor
-// extension: it declaratively requests read-only replicas and query caches
-// so the container infrastructure can wire the update machinery itself
-// instead of the application programmer (pattern implementation
-// automation, Section 5). core.AutoWire consumes it.
+// extension: it declaratively requests read-only replicas, query caches and
+// the edge façades served from them, so the container infrastructure wires
+// the update machinery and the façades' pattern branches itself instead of
+// the application programmer (pattern implementation automation, Section
+// 5). core.AutoWire consumes it.
 type ExtendedDescriptor struct {
 	// Replicas to materialize on each edge server.
 	Replicas []ReplicaSpec
@@ -118,6 +120,8 @@ type ExtendedDescriptor struct {
 	CachedQueries []CachedQuerySpec
 	// Topic names the JMS topic for async update propagation.
 	Topic string
+	// EdgeFacades to deploy on every edge, each method served by its kind.
+	EdgeFacades []EdgeFacadeSpec
 }
 
 // ErrBadDescriptor reports an invalid extended descriptor.
@@ -176,14 +180,16 @@ func (d *ExtendedDescriptor) Validate() error {
 		if q.View != nil && (q.View.Key == nil || q.View.Query == nil) {
 			return fmt.Errorf("%w: cached query %s: a view needs Key and Query", ErrBadDescriptor, q.Name)
 		}
-		for _, b := range q.InvalidatedBy {
-			if !seen[b] {
-				// Queries may be invalidated by beans without replicas;
-				// only empty names are invalid.
-				if b == "" {
-					return fmt.Errorf("%w: cached query %s: empty invalidator", ErrBadDescriptor, q.Name)
-				}
-			}
+		// Queries may be invalidated by beans without replicas; only empty
+		// names are invalid.
+		if slices.Contains(q.InvalidatedBy, "") {
+			return fmt.Errorf("%w: cached query %s: empty invalidator", ErrBadDescriptor, q.Name)
+		}
+	}
+	fseen := make(map[string]bool, len(d.EdgeFacades))
+	for _, f := range d.EdgeFacades {
+		if err := f.validate(seen, qseen, fseen); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -44,6 +44,8 @@ type Wiring struct {
 	ext   *container.ExtendedDescriptor
 	specs []container.ReplicaSpec // effective specs (replication overrides applied)
 	opts  WireOptions
+	// methods are the declared edge façades' methods on each edge.
+	methods map[string][]*container.EdgeMethod
 	// owned is each partitioned bean's assignment: its partitions
 	// round-robin over the deployment's edges.
 	owned map[string]PartitionAssignment
@@ -63,8 +65,16 @@ func (w *Wiring) Replica(server, rwBean string) *container.ROEntity {
 	return nil
 }
 
-// Cache returns the query cache on server, or nil.
-func (w *Wiring) Cache(server string) *container.QueryCache { return w.Caches[server] }
+// EdgeMethod returns method of the declared edge façade bean on server, or
+// nil.
+func (w *Wiring) EdgeMethod(server, bean, method string) *container.EdgeMethod {
+	for _, m := range w.methods[server] {
+		if m.Bean == bean && m.Name == method {
+			return m
+		}
+	}
+	return nil
+}
 
 // QueryViews returns the main server's materialised results of the
 // push-refreshed cached queries, or nil when the descriptor declares none.
@@ -99,9 +109,10 @@ func (w *Wiring) target(server string) container.PushTarget {
 // server in on, the read-only replicas and query caches the descriptor
 // declares, an updater façade that applies pushed updates in one bulk call,
 // and — for async replicas — the JMS topic and message-driven subscriber.
-// A static deployment passes every edge; one the re-placement controller
-// extends passes none and leaves each server to Wiring.ExtendTo. Application
-// deployers only write the descriptor.
+// It deploys the declared edge façades on every edge, each delegating to
+// main until its edge is wired. A static deployment passes every edge; one
+// the re-placement controller extends passes none and leaves each server to
+// Wiring.ExtendTo. Application deployers only write the descriptor.
 func AutoWire(d *Deployment, ext *container.ExtendedDescriptor, opts WireOptions, on ...*container.Server) (*Wiring, error) {
 	if err := ext.Validate(); err != nil {
 		return nil, fmt.Errorf("core: autowire: %w", err)
@@ -126,6 +137,7 @@ func AutoWire(d *Deployment, ext *container.ExtendedDescriptor, opts WireOptions
 		Updaters:     make(map[string]*container.UpdaterFacade),
 		Caches:       make(map[string]*container.QueryCache),
 		Subscribers:  make(map[string]*container.MDBean),
+		methods:      make(map[string][]*container.EdgeMethod),
 		d:            d,
 		ext:          ext,
 		specs:        specs,
@@ -197,6 +209,16 @@ func AutoWire(d *Deployment, ext *container.ExtendedDescriptor, opts WireOptions
 		}
 	}
 
+	for _, edge := range d.Edges {
+		for i := range ext.EdgeFacades {
+			ms, err := container.DeployEdgeFacade(edge, d.Main.Name(), &ext.EdgeFacades[i])
+			if err != nil {
+				return nil, fmt.Errorf("core: autowire: %w", err)
+			}
+			w.methods[edge.Name()] = append(w.methods[edge.Name()], ms...)
+		}
+	}
+
 	for _, srv := range on {
 		if err := w.ExtendTo(srv); err != nil {
 			return nil, err
@@ -239,9 +261,10 @@ func (w *Wiring) Preload() error {
 
 // ExtendTo materializes the descriptor's replica bundle on one more server:
 // updater façade, read-only replicas (with TTL staleness bounds), query
-// caches, async subscribers, and sync-propagation targets. It is safe to
-// call at runtime while traffic flows — the demand-driven redeployment path.
-// Extending a server that is already wired is a no-op.
+// caches, async subscribers, and sync-propagation targets, and binds the
+// server's edge façades to its replicas and cache in the same event. It is
+// safe to call at runtime while traffic flows — the demand-driven
+// redeployment path. Extending a server that is already wired is a no-op.
 func (w *Wiring) ExtendTo(server *container.Server) error {
 	if w.DeployedOn(server.Name()) {
 		return nil
@@ -313,6 +336,9 @@ func (w *Wiring) ExtendTo(server *container.Server) error {
 		w.Subscribers[server.Name()] = sub
 	}
 
+	for _, m := range w.methods[server.Name()] {
+		m.Bind(w.Replicas[server.Name()], w.Caches[server.Name()])
+	}
 	w.ResumeTargets(server.Name())
 	return nil
 }

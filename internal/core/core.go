@@ -300,6 +300,28 @@ func (d *Deployment) ServerFor(clientNode string, p Policy) *container.Server {
 // ("" when the server has no local client group).
 func (d *Deployment) ClientNodeOf(server string) string { return d.topo.ClientNode(server) }
 
+// FacadeStub resolves the façade bean srv calls: its own when one is
+// deployed there, otherwise main's (EJBHomeFactory caching either way).
+func (d *Deployment) FacadeStub(p *sim.Proc, srv *container.Server, bean string) (*rmi.Stub, error) {
+	target := d.Main.Name()
+	if srv.HasBean(bean) {
+		target = srv.Name()
+	}
+	return srv.StubFor(p, target, bean)
+}
+
+// FetchState is the façade method a replica's fetch path calls
+// (container.FetchFrom): it loads one entity of a registered read-write bean,
+// named by the first argument, at the key in the second.
+func (d *Deployment) FetchState(p *sim.Proc, inv *container.Invocation) (any, error) {
+	bean := inv.Args[0].AsString()
+	rw := d.RW(bean)
+	if rw == nil {
+		return nil, fmt.Errorf("core: fetchState: %w: %s", container.ErrNoSuchBean, bean)
+	}
+	return rw.Load(p, inv.Args[1])
+}
+
 // RegisterRW records a deployed read-write entity bean so AutoWire can
 // attach propagation to it.
 func (d *Deployment) RegisterRW(b *container.RWEntity) {

@@ -370,7 +370,7 @@ func TestAutoWireQueryCaches(t *testing.T) {
 		t.Fatal(err)
 	}
 	edge := d.Edges[0].Name()
-	qc := w.Cache(edge)
+	qc := w.Caches[edge]
 	if qc == nil {
 		t.Fatal("no query cache wired")
 	}

@@ -49,7 +49,7 @@ func TestQueryViewOneApplierPerBean(t *testing.T) {
 			t.Errorf("pushed = %d, want %d (affected keys × edges)", got, want)
 		}
 		for _, edge := range d.Edges {
-			qc := w.Cache(edge.Name())
+			qc := w.Caches[edge.Name()]
 			if qc.Size() != 3 {
 				t.Errorf("%s: %d entries, want 3", edge.Name(), qc.Size())
 			}
@@ -91,7 +91,7 @@ func TestQueryViewOneApplierPerBean(t *testing.T) {
 		keys := []string{"productsByCategory:FISH", "itemsByProduct:P1"}
 		for _, edge := range d.Edges {
 			for _, key := range keys {
-				w.Cache(edge.Name()).Put(key, "cached")
+				w.Caches[edge.Name()].Put(key, "cached")
 			}
 		}
 		runWarm(d.Env, "writer", func(p *sim.Proc) {
@@ -103,7 +103,7 @@ func TestQueryViewOneApplierPerBean(t *testing.T) {
 		for _, edge := range d.Edges {
 			runWarm(d.Env, "reader", func(p *sim.Proc) {
 				for _, key := range keys {
-					if v, err := w.Cache(edge.Name()).Get(p, key); err != nil || v != "fresh" {
+					if v, err := w.Caches[edge.Name()].Get(p, key); err != nil || v != "fresh" {
 						t.Errorf("%s %s = %v (%v), want the refetched value", edge.Name(), key, v, err)
 					}
 				}
@@ -142,7 +142,7 @@ func TestQueryViewMixedDescriptor(t *testing.T) {
 	}
 	w.SeedQuery("pushed:", "old")
 	w.SeedQuery("pulled:", "old")
-	qc := w.Cache(d.Edges[0].Name())
+	qc := w.Caches[d.Edges[0].Name()]
 	runWarm(d.Env, "writer", func(p *sim.Proc) {
 		if _, err := rw.UpdateFields(p, sqldb.Str("i1"), container.State{"qty": sqldb.Int(5)}); err != nil {
 			t.Errorf("update: %v", err)
@@ -199,7 +199,7 @@ func TestResilientPushOnlyCacheKeepsEntries(t *testing.T) {
 		}
 		runWarm(d.Env, "reader", func(p *sim.Proc) {
 			p.Sleep(2 * replicaTTL)
-			if v, err := w.Cache(d.Edges[0].Name()).Get(p, "a:"); err != nil || v != want {
+			if v, err := w.Caches[d.Edges[0].Name()].Get(p, "a:"); err != nil || v != want {
 				t.Errorf("pull=%v: Get after %v = %v (%v), want %v", pull, 2*replicaTTL, v, err, want)
 			}
 		})

@@ -40,7 +40,9 @@ func (a PartitionAssignment) Owned(server string) []int {
 // pushed over RMI, the server's push target with the bean's partition slice.
 // No-op for unpartitioned beans (full replication). A topic message is shared
 // across edges, so async pushes stay unfiltered at the source and the
-// replica's ownership check drops unowned keys on arrival.
+// replica's ownership check drops unowned keys on arrival. So do the pushes
+// of a bean a cached query hears of: an edge's query cache holds results
+// over the whole key space, and a push it missed would leave them stale.
 func (w *Wiring) applyPartitioning(server string, spec container.ReplicaSpec, ro *container.ROEntity) {
 	asg, ok := w.owned[spec.Bean]
 	if !ok {
@@ -48,7 +50,10 @@ func (w *Wiring) applyPartitioning(server string, spec container.ReplicaSpec, ro
 	}
 	owned := asg.Owned(server)
 	ro.SetOwnership(spec.Partition.Owns(owned))
-	if ps, ok := w.rmiPushers[spec.Bean]; ok {
+	heard := slices.ContainsFunc(w.ext.CachedQueries, func(q container.CachedQuerySpec) bool {
+		return slices.Contains(q.InvalidatedBy, spec.Bean)
+	})
+	if ps, ok := w.rmiPushers[spec.Bean]; ok && !heard {
 		ps.SetTargetPartitions(w.target(server), spec.Partition, owned)
 	}
 }

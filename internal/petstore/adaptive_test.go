@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"wadeploy/internal/container"
 	"wadeploy/internal/controller"
 	"wadeploy/internal/core"
 	"wadeploy/internal/sim"
@@ -32,6 +33,18 @@ func deployAdaptive(t *testing.T, seed int64, p core.Policy) (*sim.Env, *core.De
 	return env, d, a
 }
 
+// siteOf is srv's web site: its servlets' and cart's view of the Catalog.
+func siteOf(t *testing.T, a *App, srv *container.Server) *site {
+	t.Helper()
+	for _, s := range a.sites {
+		if s.srv == srv {
+			return s
+		}
+	}
+	t.Fatalf("no web site on %s", srv.Name())
+	return nil
+}
+
 // startCutOverController runs the real control loop on the planner model
 // with a fast epoch clock, so an idle deployment extends within a minute.
 func startCutOverController(t *testing.T, d *core.Deployment, a *App, seed int64) *controller.Controller {
@@ -56,23 +69,30 @@ func startCutOverController(t *testing.T, d *core.Deployment, a *App, seed int64
 func TestAdaptivePreExtensionServesViaCentral(t *testing.T) {
 	env, d, a := deployAdaptive(t, 1, core.AsyncUpdates)
 	edge := d.Edges[0]
-	if a.useReplicas(edge) {
+	w := a.Wiring()
+	getItem := siteOf(t, a, edge).getItem
+	if getItem == nil || getItem.Wired() || getItem.Replicas != nil {
 		t.Error("replicas in use before any extension")
 	}
-	if a.useQueryCache(edge) {
+	if m := w.EdgeMethod(edge.Name(), BeanCatalog, "getProductsOf"); m == nil || m.Cache != nil || w.Caches[edge.Name()] != nil {
 		t.Error("query cache in use before any extension")
 	}
-	if a.Wiring().DeployedOn(edge.Name()) {
+	if w.DeployedOn(edge.Name()) {
 		t.Error("replica bundle deployed before the controller decided anything")
 	}
+	wide := env.Metrics().Counter("rmi_wide_area_calls_total")
 	env.Spawn("probe", func(p *sim.Proc) {
-		page, err := a.getItemVia(p, edge, sqldb.Str(ItemID(0, 0, 0)))
+		before := wide.Value()
+		page, err := a.getItemVia(p, siteOf(t, a, edge), sqldb.Str(ItemID(0, 0, 0)))
 		if err != nil {
 			t.Errorf("getItemVia: %v", err)
 			return
 		}
 		if page.Item.IsZero() {
 			t.Error("nil item")
+		}
+		if n := wide.Value() - before; n != 1 {
+			t.Errorf("getItemVia before any extension made %d wide-area calls, want 1 (to main)", n)
 		}
 	})
 	env.RunAll()
@@ -96,19 +116,23 @@ func TestAdaptiveControllerCutOver(t *testing.T) {
 	if rep.FinalConfig != core.AsyncUpdates {
 		t.Errorf("final config %v, want %v", rep.FinalConfig, core.AsyncUpdates)
 	}
+	w := a.Wiring()
 	for _, edge := range d.Edges {
-		if !a.Wiring().DeployedOn(edge.Name()) {
+		if !w.DeployedOn(edge.Name()) {
 			t.Errorf("replica bundle missing on %s", edge.Name())
 		}
-		if !a.useReplicas(edge) {
+		if m := siteOf(t, a, edge).getItem; m == nil || !m.Wired() ||
+			m.Replicas[0] != w.Replica(edge.Name(), BeanItem) || m.Replicas[1] != w.Replica(edge.Name(), BeanInventory) {
 			t.Errorf("edge %s still not reading from replicas after cut-over", edge.Name())
 		}
-		if !a.useQueryCache(edge) {
+		if m := w.EdgeMethod(edge.Name(), BeanCatalog, "getProductsOf"); w.Caches[edge.Name()] == nil || m == nil || m.Cache != w.Caches[edge.Name()] {
 			t.Errorf("edge %s has no live query cache after cut-over", edge.Name())
 		}
 	}
+	wide := env.Metrics().Counter("rmi_wide_area_calls_total")
 	env.Spawn("probe", func(p *sim.Proc) {
-		page, err := a.getItemVia(p, d.Edges[0], sqldb.Str(ItemID(0, 0, 0)))
+		before := wide.Value()
+		page, err := a.getItemVia(p, siteOf(t, a, d.Edges[0]), sqldb.Str(ItemID(0, 0, 0)))
 		if err != nil {
 			t.Errorf("getItemVia after cut-over: %v", err)
 			return
@@ -116,16 +140,21 @@ func TestAdaptiveControllerCutOver(t *testing.T) {
 		if page.Item.IsZero() {
 			t.Error("nil item after cut-over")
 		}
+		if n := wide.Value() - before; n != 0 {
+			t.Errorf("getItemVia after cut-over made %d wide-area calls, want 0", n)
+		}
 	})
 	env.Run(2*time.Minute + 10*time.Second)
 	env.Close()
 }
 
 // TestAdaptiveCutOverIsOneEvent pins the one cut-over: a client on edge1
-// calls getItem on its local Catalog back to back while the controller
-// migrates the bundle in. Every call that starts before edge1's migrated
-// event crosses the WAN exactly once (to the central Catalog), every call
-// after it crosses zero times, and the call in flight across the cut-over
+// calls its local Catalog back to back, getItem and then getProductsOf over
+// two categories, while the controller migrates the bundle in. Every call
+// that starts before edge1's migrated event crosses the WAN exactly once (to
+// the central Catalog). After it getItem crosses zero times, and
+// getProductsOf crosses once only on its first miss per category, which the
+// edge's query cache then serves. The call in flight across the cut-over
 // completes on the central path it entered.
 func TestAdaptiveCutOverIsOneEvent(t *testing.T) {
 	env, d, a := deployAdaptive(t, 2, core.AsyncUpdates)
@@ -134,24 +163,35 @@ func TestAdaptiveCutOverIsOneEvent(t *testing.T) {
 	wide := env.Metrics().Counter("rmi_wide_area_calls_total")
 
 	type call struct {
-		start, end time.Duration
-		wan        int64
-		err        error
-		page       *ItemPage
+		method, key string
+		start, end  time.Duration
+		wan         int64
+		err         error
+		ok          bool
 	}
 	var calls []call
 	env.Spawn("edge-client", func(p *sim.Proc) {
-		for p.Now() < 30*time.Second {
-			c := call{start: p.Now()}
-			before := wide.Value()
-			stub, err := a.catalogStub(p, edge)
-			if err == nil {
-				var v any
-				v, err = stub.Invoke(p, "getItem", sqldb.Str(ItemID(0, 0, 0)))
-				c.page, _ = v.(*ItemPage)
+		for i := 0; p.Now() < 30*time.Second; i++ {
+			for _, c := range []call{
+				{method: "getItem", key: ItemID(0, 0, 0)},
+				{method: "getProductsOf", key: CategoryID(i % 2)},
+			} {
+				c.start = p.Now()
+				before := wide.Value()
+				stub, err := a.d.FacadeStub(p, edge, BeanCatalog)
+				if err == nil {
+					var v any
+					v, err = stub.Invoke(p, c.method, sqldb.Str(c.key))
+					switch page := v.(type) {
+					case *ItemPage:
+						c.ok = !page.Item.IsZero()
+					case *CategoryPage:
+						c.ok = !page.Category.IsZero() && page.Products.Len() > 0
+					}
+				}
+				c.err, c.end, c.wan = err, p.Now(), wide.Value()-before
+				calls = append(calls, c)
 			}
-			c.err, c.end, c.wan = err, p.Now(), wide.Value()-before
-			calls = append(calls, c)
 		}
 	})
 	env.Run(30 * time.Second)
@@ -169,28 +209,34 @@ func TestAdaptiveCutOverIsOneEvent(t *testing.T) {
 		t.Fatalf("edge %s never migrated: %+v", edge.Name(), ctrl.Report().Events)
 	}
 	var before, after, straddled int
+	missed := make(map[string]bool) // categories whose first miss after the cut-over was seen
 	for _, c := range calls {
-		if c.err != nil || c.page == nil || c.page.Item.IsZero() {
-			t.Fatalf("getItem at %v: page %v, err %v", c.start, c.page, c.err)
+		if c.err != nil || !c.ok {
+			t.Fatalf("%s(%s) at %v: ok %v, err %v", c.method, c.key, c.start, c.ok, c.err)
 		}
 		switch {
 		case c.start < at:
 			before++
 			if c.wan != 1 {
-				t.Errorf("getItem at %v (before the cut-over at %v) made %d wide-area calls, want 1", c.start, at, c.wan)
+				t.Errorf("%s at %v (before the cut-over at %v) made %d wide-area calls, want 1", c.method, c.start, at, c.wan)
 			}
 			if c.end > at {
 				straddled++
 			}
 		case c.start > at:
 			after++
-			if c.wan != 0 {
-				t.Errorf("getItem at %v (after the cut-over at %v) made %d wide-area calls, want 0", c.start, at, c.wan)
+			want := int64(0)
+			if c.method == "getProductsOf" && !missed[c.key] {
+				missed[c.key], want = true, 1
+			}
+			if c.wan != want {
+				t.Errorf("%s(%s) at %v (after the cut-over at %v) made %d wide-area calls, want %d", c.method, c.key, c.start, at, c.wan, want)
 			}
 		}
 	}
-	if before == 0 || after == 0 || straddled != 1 {
-		t.Errorf("calls before/after/across the cut-over = %d/%d/%d, want some/some/1", before, after, straddled)
+	if before == 0 || after == 0 || straddled != 1 || len(missed) != 2 {
+		t.Errorf("calls before/after/across the cut-over = %d/%d/%d, categories missed after = %d, want some/some/1, 2",
+			before, after, straddled, len(missed))
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"wadeploy/internal/core"
 	"wadeploy/internal/dbrepl"
 	"wadeploy/internal/planner"
-	"wadeploy/internal/rmi"
 	"wadeploy/internal/sim"
 	"wadeploy/internal/simnet"
 	"wadeploy/internal/sqldb"
@@ -52,7 +51,7 @@ const UpdateTopic = "petstore-updates"
 var layout = &planner.Layout{
 	App: "petstore",
 	Components: []planner.Component{
-		planner.Facade(BeanCatalog, container.StatelessSession, planner.EdgeWithAnyCache),
+		planner.Facade(BeanCatalog, container.StatelessSession, planner.EdgeWithAnyCache, edgeCatalog...),
 		planner.Facade(BeanCustomer, container.StatelessSession, planner.EdgeNever),
 		planner.Facade(BeanCart, container.StatefulSession, planner.EdgeWithWeb),
 		planner.Facade(BeanController, container.StatefulSession, planner.EdgeWithWeb),
@@ -67,15 +66,49 @@ var layout = &planner.Layout{
 		planner.Entity(BeanLineItem, "lineitem", "lineid", container.BMP),
 	},
 	Replicated: []string{BeanCategory, BeanProduct, BeanItem, BeanInventory},
+	Sharded:    []string{BeanItem, BeanInventory}, // one itemid key space
+}
+
+// edgeCatalog declares the edge Catalog (Fig. 4/5 wiring): the two catalog
+// queries from the edge's query cache, scoped to its Item slice; an item
+// from the Item and Inventory replicas; the keyword search, never cached
+// (Section 4.4), on the edge's database replica when it has one.
+var edgeCatalog = []container.EdgeMethodSpec{
+	container.FromCache("getProductsOf", QueryProductsByCategory, catalogKey(QueryProductsByCategory)).OwnedBy(BeanItem),
+	container.FromCache("getItemsOf", QueryItemsByProduct, catalogKey(QueryItemsByProduct)).OwnedBy(BeanItem),
+	container.FromReplicas("getItem", func(p *sim.Proc, m *container.EdgeMethod, args []sqldb.Value) (any, error) {
+		page, err := itemFromReplicas(p, m.Replicas, args[0])
+		if err != nil {
+			return nil, err
+		}
+		return page, nil
+	}, BeanItem, BeanInventory),
+	container.Local("search", func(p *sim.Proc, m *container.EdgeMethod, args []sqldb.Value) (any, error) {
+		if !m.Server.HasReplicaDB() {
+			return m.Delegate(p, args...)
+		}
+		like := likeArg(args[0])
+		res, err := m.Server.SQLReplica(p, searchSQL, like, like)
+		if err != nil {
+			return nil, err
+		}
+		return container.RowsOf(res), nil
+	}),
+}
+
+// catalogKey keys a catalog query's cached result by the call's parameter.
+func catalogKey(query string) func(args []sqldb.Value) string {
+	return func(args []sqldb.Value) string { return query + ":" + args[0].AsString() }
 }
 
 // App is one deployed Pet Store instance under a specific policy.
 type App struct {
-	d      *core.Deployment
-	policy core.Policy
+	d *core.Deployment
+	// serverFor routes a client group's requests the way Deploy placed the
+	// web tier.
+	serverFor func(clientNode string) *container.Server
+	sites     []*site // one per web server
 
-	categoryRW  *container.RWEntity
-	productRW   *container.RWEntity
 	itemRW      *container.RWEntity
 	inventoryRW *container.RWEntity
 	signonRW    *container.RWEntity
@@ -96,18 +129,8 @@ type App struct {
 	costs PageCosts
 }
 
-// PageCost is the application-side cost of rendering one page, split into
-// CPU (charged to the server, creating contention) and latency (JSP
-// pipeline, logging, connection handling — time that does not occupy a CPU
-// slot), and the page it renders.
-type PageCost struct {
-	CPU  time.Duration
-	Lat  time.Duration
-	Page *web.Response // the rendered page, shared read-only by its requests
-}
-
 // PageCosts maps page name to its render cost.
-type PageCosts map[string]PageCost
+type PageCosts map[string]container.PageCost
 
 // DefaultPageCosts is calibrated so the centralized configuration's local
 // response times land near Table 6's first row. Pet Store is deliberately a
@@ -152,19 +175,22 @@ func Deploy(d *core.Deployment, p core.Policy) (*App, error) {
 	}
 	a := &App{
 		d:           d,
-		policy:      p,
+		serverFor:   func(node string) *container.Server { return d.ServerFor(node, p) },
 		carts:       make(map[string]*container.StatefulBean),
 		controllers: make(map[string]*container.StatefulBean),
 		sessions:    make(map[[2]string]*web.Session),
 		costs:       DefaultPageCosts(),
 	}
-	if err := a.deployEntities(); err != nil {
-		return nil, err
+	if err := layout.DeployEntities(d); err != nil {
+		return nil, fmt.Errorf("petstore: %w", err)
 	}
+	a.itemRW, a.inventoryRW = d.RW(BeanItem), d.RW(BeanInventory)
+	a.signonRW, a.accountRW = d.RW(BeanSignOn), d.RW(BeanAccount)
+	a.orderRW, a.statusRW, a.lineItemRW = d.RW(BeanOrder), d.RW(BeanOrderStatus), d.RW(BeanLineItem)
 	if err := a.deployMainFacades(); err != nil {
 		return nil, err
 	}
-	if err := a.deployWebTier(); err != nil {
+	if err := a.deployWebTier(p); err != nil {
 		return nil, err
 	}
 	if p.EntityReplicas {
@@ -206,42 +232,6 @@ func (a *App) wireDBReplicas() error {
 // Wiring exposes the auto-wired replicas and caches (nil without entity
 // replicas).
 func (a *App) Wiring() *core.Wiring { return a.wiring }
-
-// deployEntities deploys the component list's entity beans on the main
-// server.
-func (a *App) deployEntities() error {
-	for _, c := range layout.Components {
-		if c.Desc.Kind != container.Entity {
-			continue
-		}
-		b, err := container.DeployRWEntity(a.d.Main, c.Desc.Name, c.Desc.Table, c.Desc.PKColumn)
-		if err != nil {
-			return fmt.Errorf("petstore: %w", err)
-		}
-		a.d.RegisterRW(b)
-	}
-	a.categoryRW, a.productRW = a.d.RW(BeanCategory), a.d.RW(BeanProduct)
-	a.itemRW, a.inventoryRW = a.d.RW(BeanItem), a.d.RW(BeanInventory)
-	a.signonRW, a.accountRW = a.d.RW(BeanSignOn), a.d.RW(BeanAccount)
-	a.orderRW, a.statusRW, a.lineItemRW = a.d.RW(BeanOrder), a.d.RW(BeanOrderStatus), a.d.RW(BeanLineItem)
-	return nil
-}
-
-// catalogStub resolves the Catalog façade a server should talk to: its own
-// when one is deployed locally, otherwise the central one (EJBHomeFactory
-// caching applies either way).
-func (a *App) catalogStub(p *sim.Proc, srv *container.Server) (*rmi.Stub, error) {
-	target := simnet.NodeMain
-	if srv.HasBean(BeanCatalog) {
-		target = srv.Name()
-	}
-	return srv.StubFor(p, target, BeanCatalog)
-}
-
-// centralCatalogStub always targets the main server's Catalog.
-func (a *App) centralCatalogStub(p *sim.Proc, srv *container.Server) (*rmi.Stub, error) {
-	return srv.StubFor(p, simnet.NodeMain, BeanCatalog)
-}
 
 // deployMainFacades deploys the Catalog and Customer session façades on the
 // main server.
@@ -301,14 +291,7 @@ func (a *App) mainCatalogMethods() map[string]container.Method {
 		},
 		// fetchState serves read-only replica refreshes (the remote façade
 		// the read-mostly pattern queries on pull/miss).
-		"fetchState": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			bean, pk := inv.Args[0].AsString(), inv.Args[1]
-			rw := a.d.RW(bean)
-			if rw == nil {
-				return nil, fmt.Errorf("petstore: fetchState: %w: %s", container.ErrNoSuchBean, bean)
-			}
-			return rw.Load(p, pk)
-		},
+		"fetchState": a.d.FetchState,
 	}
 }
 
@@ -407,11 +390,21 @@ func (a *App) customerMethods() map[string]container.Method {
 	}
 }
 
+// site is one web server as its servlets and cart see it.
+type site struct {
+	srv *container.Server
+	// getItem is the server's edge Catalog's, once Wire deploys one; nil
+	// on main.
+	getItem *container.EdgeMethod
+}
+
 // deployWebTier installs the stateful session beans and servlets on every
-// active server.
-func (a *App) deployWebTier() error {
-	for _, srv := range a.d.WebServers(a.policy) {
-		cart, err := container.DeployStateful(srv, BeanCart, a.cartMethods(srv))
+// server p places the web tier on.
+func (a *App) deployWebTier(p core.Policy) error {
+	for _, srv := range a.d.WebServers(p) {
+		s := &site{srv: srv}
+		a.sites = append(a.sites, s)
+		cart, err := container.DeployStateful(srv, BeanCart, a.cartMethods(s))
 		if err != nil {
 			return fmt.Errorf("petstore: %w", err)
 		}
@@ -427,7 +420,7 @@ func (a *App) deployWebTier() error {
 			return fmt.Errorf("petstore: %w", err)
 		}
 		a.controllers[srv.Name()] = ctrl
-		a.registerPages(srv)
+		a.registerPages(s)
 	}
 	return nil
 }
@@ -436,11 +429,11 @@ func (a *App) deployWebTier() error {
 // stores its lines in conversational state; addItem resolves item details
 // through the server's Catalog path (which is where the policy bites: RMI
 // without entity replicas, local read-only beans with them).
-func (a *App) cartMethods(srv *container.Server) map[string]container.Method {
+func (a *App) cartMethods(s *site) map[string]container.Method {
 	return map[string]container.Method{
 		"addItem": func(p *sim.Proc, inv *container.Invocation) (any, error) {
 			itemID := inv.Args[0]
-			details, err := a.getItemVia(p, srv, itemID)
+			details, err := a.getItemVia(p, s, itemID)
 			if err != nil {
 				return nil, err
 			}
@@ -471,42 +464,15 @@ func (a *App) cartMethods(srv *container.Server) map[string]container.Method {
 	}
 }
 
-// useReplicas reports whether srv should answer catalog reads from its
-// read-only replicas. Checking the live wiring rather than the deployed
-// policy is what lets an adaptive run change answer mid-flight: the moment a
-// migration cuts an edge over, its handlers start hitting the replicas. (A
-// wired edge always holds replicas: Deploy refuses query caches without
-// them.)
-func (a *App) useReplicas(srv *container.Server) bool {
-	return srv.Name() != simnet.NodeMain && a.wiring != nil && a.wiring.DeployedOn(srv.Name())
-}
-
-// useQueryCache mirrors useReplicas for the query-cache tier.
-func (a *App) useQueryCache(srv *container.Server) bool {
-	return a.wiring != nil && a.wiring.Cache(srv.Name()) != nil
-}
-
-// getItemVia fetches item details the way the policy dictates: local
-// read-only beans when the server has them, otherwise via the Catalog façade
-// (one RMI call from an edge).
-func (a *App) getItemVia(p *sim.Proc, srv *container.Server, itemID sqldb.Value) (*ItemPage, error) {
-	if a.useReplicas(srv) {
-		itemRO := a.wiring.Replica(srv.Name(), BeanItem)
-		invRO := a.wiring.Replica(srv.Name(), BeanInventory)
-		item, err := itemRO.Get(p, itemID)
-		if err != nil {
-			return nil, err
-		}
-		qtySt, err := invRO.Get(p, itemID)
-		if err != nil {
-			return nil, err
-		}
-		return &ItemPage{Item: item, Qty: qtySt.Get("qty").AsInt()}, nil
+// getItemVia fetches item details the way the server's wiring dictates: from
+// the replicas its edge Catalog's getItem is bound to, otherwise from the
+// central Catalog (one RMI call from an edge), where that getItem would
+// forward it.
+func (a *App) getItemVia(p *sim.Proc, s *site, itemID sqldb.Value) (*ItemPage, error) {
+	if m := s.getItem; m != nil && m.Wired() {
+		return itemFromReplicas(p, m.Replicas, itemID)
 	}
-	// The fallback targets the central Catalog, not catalogStub: the edge
-	// Catalog's own getItem lands here before its edge is cut over, and
-	// resolving the local Catalog again would recurse forever.
-	stub, err := a.centralCatalogStub(p, srv)
+	stub, err := s.srv.StubFor(p, simnet.NodeMain, BeanCatalog)
 	if err != nil {
 		return nil, err
 	}
@@ -521,32 +487,35 @@ func (a *App) getItemVia(p *sim.Proc, srv *container.Server, itemID sqldb.Value)
 	return page, nil
 }
 
+// itemFromReplicas reads an item and its inventory from an edge's Item and
+// Inventory replicas, in that order.
+func itemFromReplicas(p *sim.Proc, replicas []*container.ROEntity, itemID sqldb.Value) (*ItemPage, error) {
+	item, err := replicas[0].Get(p, itemID)
+	if err != nil {
+		return nil, err
+	}
+	qtySt, err := replicas[1].Get(p, itemID)
+	if err != nil {
+		return nil, err
+	}
+	return &ItemPage{Item: item, Qty: qtySt.Get("qty").AsInt()}, nil
+}
+
 // Wire installs p's replica bundle on exactly the servers on, warm with the
-// tables' current contents, and a replica-backed Catalog on every edge. The
+// tables' current contents, and the declared edge Catalog on every edge. The
 // bundle is p's extended deployment descriptor: read-only replicas of the
 // component list's replicated beans with push refresh (Item and Inventory,
 // which share the itemid key space, sharded per p's partition spec), the two
-// catalog query caches when p has them, and sync vs async propagation. Deploy
-// wires every edge. An adaptive run deploys the remote-façade configuration,
-// wires its target onto no server and hands the wiring to the re-placement
-// controller: each edge Catalog forwards its reads to main until a migration
-// cuts its edge over.
+// catalog query caches when p has them, sync vs async propagation and the
+// edge façades p places. Deploy wires every edge. An adaptive run deploys the
+// remote-façade configuration, wires its target onto no server and hands the
+// wiring to the re-placement controller: each edge Catalog forwards its reads
+// to main until a migration cuts its edge over.
 func (a *App) Wire(p core.Policy, on ...*container.Server) (*core.Wiring, error) {
 	if !p.EntityReplicas {
 		return nil, fmt.Errorf("petstore: %w", p.Unsupported("it has no entity replicas to wire"))
 	}
-	update := container.SyncUpdate
-	if p.AsyncUpdates {
-		update = container.AsyncUpdate
-	}
-	ext := &container.ExtendedDescriptor{Topic: UpdateTopic}
-	for _, bean := range layout.Replicated {
-		spec := container.ReplicaSpec{Bean: bean, Update: update}
-		if bean == BeanItem || bean == BeanInventory {
-			spec.Partition = p.Partition
-		}
-		ext.Replicas = append(ext.Replicas, spec)
-	}
+	ext := layout.Descriptor(p, UpdateTopic)
 	if p.QueryCaches {
 		ext.CachedQueries = []container.CachedQuerySpec{
 			{Name: QueryProductsByCategory, InvalidatedBy: []string{BeanProduct, BeanCategory}},
@@ -559,26 +528,21 @@ func (a *App) Wire(p core.Policy, on ...*container.Server) (*core.Wiring, error)
 			return container.FetchFrom(server, simnet.NodeMain, BeanCatalog, "fetchState", sqldb.Str(rwBean))
 		},
 		// Pet Store uses the pull-based query-cache update mechanism
-		// ("For simplicity", Section 4.4): misses re-execute against the
-		// central Catalog in one RMI call.
+		// ("For simplicity", Section 4.4): a miss re-executes the Catalog
+		// method that caches the query, on main, in one RMI call.
 		QueryFetchFor: func(server *container.Server) container.QueryFetch {
 			return func(p *sim.Proc, key string) (any, error) {
-				stub, err := a.centralCatalogStub(p, server)
+				stub, err := server.StubFor(p, simnet.NodeMain, BeanCatalog)
 				if err != nil {
 					return nil, err
 				}
-				name, param, ok := strings.Cut(key, ":")
-				if !ok {
-					return nil, fmt.Errorf("petstore: malformed query key %q", key)
+				query, param, _ := strings.Cut(key, ":")
+				for _, m := range edgeCatalog {
+					if m.Query == query {
+						return stub.Invoke(p, m.Name, sqldb.Str(param))
+					}
 				}
-				switch name {
-				case QueryProductsByCategory:
-					return stub.Invoke(p, "getProductsOf", sqldb.Str(param))
-				case QueryItemsByProduct:
-					return stub.Invoke(p, "getItemsOf", sqldb.Str(param))
-				default:
-					return nil, fmt.Errorf("petstore: unknown cached query %q", name)
-				}
+				return nil, fmt.Errorf("petstore: no Catalog method caches %q", query)
 			}
 		},
 	}, on...)
@@ -586,72 +550,13 @@ func (a *App) Wire(p core.Policy, on ...*container.Server) (*core.Wiring, error)
 		return nil, fmt.Errorf("petstore: %w", err)
 	}
 	a.wiring = w
+	for _, s := range a.sites {
+		s.getItem = w.EdgeMethod(s.srv.Name(), BeanCatalog, "getItem")
+	}
 	if err := w.Preload(); err != nil {
 		return nil, err
 	}
-	if err := a.deployEdgeCatalogs(); err != nil {
-		return nil, err
-	}
 	return w, nil
-}
-
-// deployEdgeCatalogs installs the replica-backed edge Catalog façade
-// (Fig. 4/5 wiring) on every edge.
-func (a *App) deployEdgeCatalogs() error {
-	for _, edge := range a.d.Edges {
-		if _, err := container.DeployStateless(edge, BeanCatalog, a.edgeCatalogMethods(edge)); err != nil {
-			return fmt.Errorf("petstore: %w", err)
-		}
-	}
-	return nil
-}
-
-// edgeCatalogMethods builds the replica-backed edge Catalog implementation
-// for one edge server. Each call checks the live wiring, so an edge whose
-// bundle has not arrived yet (an adaptive run before its cut-over) forwards every read to the central Catalog in one WAN call, and answers
-// from its replicas from the event Wiring.ExtendTo installs them in.
-func (a *App) edgeCatalogMethods(edge *container.Server) map[string]container.Method {
-	delegate := func(p *sim.Proc, method string, param sqldb.Value) (any, error) {
-		stub, err := a.centralCatalogStub(p, edge)
-		if err != nil {
-			return nil, err
-		}
-		return stub.Invoke(p, method, param)
-	}
-	cached := func(p *sim.Proc, queryName, method string, param sqldb.Value) (any, error) {
-		if a.useQueryCache(edge) && a.ownsQueryParam(edge, param) {
-			return a.wiring.Cache(edge.Name()).Get(p, queryName+":"+param.AsString())
-		}
-		return delegate(p, method, param)
-	}
-	return map[string]container.Method{
-		"getProductsOf": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			return cached(p, QueryProductsByCategory, "getProductsOf", inv.Args[0])
-		},
-		"getItemsOf": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			return cached(p, QueryItemsByProduct, "getItemsOf", inv.Args[0])
-		},
-		"getItem": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			page, err := a.getItemVia(p, edge, inv.Args[0])
-			if err != nil {
-				return nil, err
-			}
-			return page, nil
-		},
-		// Aggregate keyword queries execute centrally — unless the
-		// DB-replication extension gives this edge a local replica.
-		"search": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			if edge.HasReplicaDB() {
-				like := likeArg(inv.Args[0])
-				res, err := edge.SQLReplica(p, searchSQL, like, like)
-				if err != nil {
-					return nil, err
-				}
-				return container.RowsOf(res), nil
-			}
-			return delegate(p, "search", inv.Args[0])
-		},
-	}
 }
 
 // CategoryPage, ProductPage, ItemPage and CartSummary are the façade return
@@ -691,7 +596,7 @@ func (a *App) sessionFor(clientID string, srv *container.Server) *web.Session {
 // is routed to the client group's server under the policy.
 func (a *App) RequestFunc() workload.RequestFunc {
 	return func(p *sim.Proc, client workload.Client, step workload.Step) (time.Duration, error) {
-		srv := a.d.ServerFor(client.Node, a.policy)
+		srv := a.serverFor(client.Node)
 		sess := a.sessionFor(client.ID, srv)
 		_, rt, err := srv.Web().Get(p, client.Node, step.Page, step.Params, sess)
 		return rt, err

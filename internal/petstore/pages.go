@@ -6,7 +6,6 @@ import (
 	"wadeploy/internal/container"
 	"wadeploy/internal/sim"
 	"wadeploy/internal/sqldb"
-	"wadeploy/internal/trace"
 	"wadeploy/internal/web"
 )
 
@@ -46,62 +45,43 @@ var BuyerPages = []string{
 	PagePlaceOrder, PageBilling, PageCommit, PageSignout,
 }
 
-// render charges the page's application-side cost on srv and returns the
-// page's response.
+// render charges the page's render cost on srv and returns its response.
 func (a *App) render(p *sim.Proc, srv *container.Server, page string) *web.Response {
-	defer trace.Op(p, "render", page, srv.Name(), "", trace.CauseService)()
-	c := a.costs[page]
-	srv.Compute(p, c.CPU)
-	p.Sleep(c.Lat)
-	return c.Page
+	return srv.Render(p, page, a.costs[page])
 }
 
-// registerPages installs all servlets on srv's web container.
-func (a *App) registerPages(srv *container.Server) {
+// registerPages installs all servlets on the site's web container.
+func (a *App) registerPages(s *site) {
+	srv := s.srv
 	w := srv.Web()
 
 	w.Handle(PageMain, func(p *sim.Proc, r *web.Request) (*web.Response, error) {
 		return a.render(p, srv, PageMain), nil
 	})
 
-	w.Handle(PageCategory, func(p *sim.Proc, r *web.Request) (*web.Response, error) {
-		stub, err := a.catalogStub(p, srv)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := stub.Invoke(p, "getProductsOf", sqldb.Str(r.Param("cat"))); err != nil {
-			return nil, err
-		}
-		return a.render(p, srv, PageCategory), nil
-	})
-
-	w.Handle(PageProduct, func(p *sim.Proc, r *web.Request) (*web.Response, error) {
-		stub, err := a.catalogStub(p, srv)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := stub.Invoke(p, "getItemsOf", sqldb.Str(r.Param("product"))); err != nil {
-			return nil, err
-		}
-		return a.render(p, srv, PageProduct), nil
-	})
+	// catalog wires a page to one call of the Catalog srv resolves, with
+	// the request parameter named param.
+	catalog := func(page, method, param string) {
+		w.Handle(page, func(p *sim.Proc, r *web.Request) (*web.Response, error) {
+			stub, err := a.d.FacadeStub(p, srv, BeanCatalog)
+			if err == nil {
+				_, err = stub.Invoke(p, method, sqldb.Str(r.Param(param)))
+			}
+			if err != nil {
+				return nil, err
+			}
+			return a.render(p, srv, page), nil
+		})
+	}
+	catalog(PageCategory, "getProductsOf", "cat")
+	catalog(PageProduct, "getItemsOf", "product")
+	catalog(PageSearch, "search", "q")
 
 	w.Handle(PageItem, func(p *sim.Proc, r *web.Request) (*web.Response, error) {
-		if _, err := a.getItemVia(p, srv, sqldb.Str(r.Param("item"))); err != nil {
+		if _, err := a.getItemVia(p, s, sqldb.Str(r.Param("item"))); err != nil {
 			return nil, err
 		}
 		return a.render(p, srv, PageItem), nil
-	})
-
-	w.Handle(PageSearch, func(p *sim.Proc, r *web.Request) (*web.Response, error) {
-		stub, err := a.catalogStub(p, srv)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := stub.Invoke(p, "search", sqldb.Str(r.Param("q"))); err != nil {
-			return nil, err
-		}
-		return a.render(p, srv, PageSearch), nil
 	})
 
 	w.Handle(PageSignin, func(p *sim.Proc, r *web.Request) (*web.Response, error) {

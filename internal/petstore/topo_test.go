@@ -39,7 +39,7 @@ func TestDeployTopoUnpartitionedMatchesDeploy(t *testing.T) {
 	defer a.d.Env.Close()
 	// Every edge owns every query param: caching is unrestricted.
 	for _, edge := range a.d.Edges {
-		if !a.ownsQueryParam(edge, sqldb.Str(ItemID(0, 0, 0))) {
+		if !a.Wiring().OwnsKey(edge.Name(), BeanItem, sqldb.Str(ItemID(0, 0, 0))) {
 			t.Fatalf("%s should own all params without partitioning", edge.Name())
 		}
 	}
@@ -107,7 +107,31 @@ func TestDeployTopoPartitionedOwnership(t *testing.T) {
 	}
 	// Query caching is partition-scoped: the edge owns some catalog query
 	// params and not others.
-	if a.ownsQueryParam(edge0, sqldb.Str(ownedID)) == a.ownsQueryParam(edge0, sqldb.Str(unownedID)) {
+	// The edge Catalog caches only keys its slice owns: an owned key crosses
+	// the WAN on its first miss only, an unowned one on every call.
+	wide := d.Env.Metrics().Counter("rmi_wide_area_calls_total")
+	runWarm(d.Env, "catalog", func(p *sim.Proc) {
+		stub, err := d.FacadeStub(p, edge0, BeanCatalog)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for i, id := range []string{ownedID, ownedID, unownedID, unownedID} {
+			before := wide.Value()
+			if _, err := stub.Invoke(p, "getProductsOf", sqldb.Str(id)); err != nil {
+				t.Error(err)
+				return
+			}
+			want := int64(1)
+			if i == 1 {
+				want = 0
+			}
+			if got := wide.Value() - before; got != want {
+				t.Errorf("getProductsOf(%s) call %d made %d wide-area calls, want %d", id, i, got, want)
+			}
+		}
+	})
+	if a.Wiring().OwnsKey(edge0.Name(), BeanItem, sqldb.Str(ownedID)) == a.Wiring().OwnsKey(edge0.Name(), BeanItem, sqldb.Str(unownedID)) {
 		t.Error("query-cache scoping should track the partition slice")
 	}
 }
@@ -130,7 +154,10 @@ func TestDeployTopoRejectsBadSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.policy.Partition != good {
+	// Two partitions over two edges: each edge's Item replica owns a key
+	// the other does not.
+	w, key := a.Wiring(), sqldb.Str(ItemID(0, 0, 0))
+	if w.Replica(d.Edges[0].Name(), BeanItem).Owns(key) == w.Replica(d.Edges[1].Name(), BeanItem).Owns(key) {
 		t.Fatal("DeployTopo dropped the partition spec")
 	}
 }

@@ -16,6 +16,7 @@
 package planner
 
 import (
+	"slices"
 	"time"
 
 	"wadeploy/internal/container"
@@ -91,12 +92,15 @@ func (r EdgeRule) active(c core.Policy) bool {
 type Component struct {
 	Desc container.Descriptor
 	Rule EdgeRule
+	// Edge declares how a façade's edge deployment serves each method; see
+	// Layout.EdgeFacades.
+	Edge []container.EdgeMethodSpec
 }
 
 // Facade is a remotely invocable session or message-driven bean placed on
-// the edges by rule.
-func Facade(name string, kind container.BeanKind, rule EdgeRule) Component {
-	return Component{Desc: container.Descriptor{Name: name, Kind: kind, Facade: true}, Rule: rule}
+// the edges by rule, where it serves the methods edge declares.
+func Facade(name string, kind container.BeanKind, rule EdgeRule, edge ...container.EdgeMethodSpec) Component {
+	return Component{Desc: container.Descriptor{Name: name, Kind: kind, Facade: true}, Rule: rule, Edge: edge}
 }
 
 // Entity is a local-only entity bean over table, pinned to the main server.
@@ -146,8 +150,66 @@ type Layout struct {
 	Components []Component
 
 	// Replicated lists the read-write entity beans that get read-only
-	// edge replicas ("<name>RO") when EntityReplicas is enabled.
+	// edge replicas ("<name>RO") when EntityReplicas is enabled; the
+	// replicas of those in Sharded hold a policy's partition slice.
 	Replicated []string
+	Sharded    []string
+}
+
+// DeployEntities deploys the layout's entity beans on d's main server and
+// registers each with d.
+func (l *Layout) DeployEntities(d *core.Deployment) error {
+	for _, c := range l.Components {
+		if c.Desc.Kind != container.Entity {
+			continue
+		}
+		b, err := container.DeployRWEntity(d.Main, c.Desc.Name, c.Desc.Table, c.Desc.PKColumn)
+		if err != nil {
+			return err
+		}
+		d.RegisterRW(b)
+	}
+	return nil
+}
+
+// Descriptor is p's extended deployment descriptor, less its cached
+// queries: the replicated beans pushed synchronously or, with asynchronous
+// updates, over topic, the sharded ones partitioned per p, and the edge
+// façades p places.
+func (l *Layout) Descriptor(p core.Policy, topic string) *container.ExtendedDescriptor {
+	update := container.SyncUpdate
+	if p.AsyncUpdates {
+		update = container.AsyncUpdate
+	}
+	ext := &container.ExtendedDescriptor{Topic: topic, EdgeFacades: l.EdgeFacades(p)}
+	for _, bean := range l.Replicated {
+		spec := container.ReplicaSpec{Bean: bean, Update: update}
+		if slices.Contains(l.Sharded, bean) {
+			spec.Partition = p.Partition
+		}
+		ext.Replicas = append(ext.Replicas, spec)
+	}
+	return ext
+}
+
+// EdgeFacades declares the edge façades p places: every component with
+// edge methods whose rule puts it on the edges under p. Without query caches
+// no edge holds a cache, so a FromCache method is declared Delegate.
+func (l *Layout) EdgeFacades(p core.Policy) []container.EdgeFacadeSpec {
+	var out []container.EdgeFacadeSpec
+	for _, c := range l.Components {
+		if len(c.Edge) == 0 || !c.Rule.active(p) {
+			continue
+		}
+		f := container.EdgeFacadeSpec{Bean: c.Desc.Name, Methods: slices.Clone(c.Edge)}
+		for i, m := range f.Methods {
+			if m.Query != "" && !p.QueryCaches {
+				f.Methods[i] = container.Delegate(m.Name)
+			}
+		}
+		out = append(out, f)
+	}
+	return out
 }
 
 // Model is everything the planner needs to know about one application.

@@ -7,9 +7,7 @@ import (
 	"wadeploy/internal/container"
 	"wadeploy/internal/core"
 	"wadeploy/internal/planner"
-	"wadeploy/internal/rmi"
 	"wadeploy/internal/sim"
-	"wadeploy/internal/simnet"
 	"wadeploy/internal/sqldb"
 	"wadeploy/internal/web"
 )
@@ -44,22 +42,39 @@ const (
 const UpdateTopic = "rubis-updates"
 
 // layout is RUBiS's one component list: the session façades of the Session
-// Façade configuration with their placement rules, the entity beans, and the
-// Item and User beans the read-mostly pattern replicates. Deploy installs the
-// entities and replicas from it and validates the plan it synthesizes;
-// PlannerModel prices it.
+// Façade configuration with their placement rules and edge declarations, the
+// entity beans, and the Item and User beans the read-mostly pattern
+// replicates. Deploy installs the entities and replicas from it and validates
+// the plan it synthesizes; PlannerModel prices it. On the edges SB_ViewItem
+// reads the Item replica, the browse, search and history façades read the
+// query cache, and the bid and comment forms authenticate against the cached
+// nickname lookup and read the Item or User replica.
 var layout = &planner.Layout{
 	App: "rubis",
 	Components: []planner.Component{
-		planner.Facade(SBBrowseCategories, container.StatelessSession, planner.EdgeWithQueryCaches),
-		planner.Facade(SBBrowseRegions, container.StatelessSession, planner.EdgeWithQueryCaches),
-		planner.Facade(SBSearchByCategory, container.StatelessSession, planner.EdgeWithQueryCaches),
-		planner.Facade(SBSearchByRegion, container.StatelessSession, planner.EdgeWithQueryCaches),
-		planner.Facade(SBViewItem, container.StatelessSession, planner.EdgeWithEntityReplicas),
-		planner.Facade(SBViewBidHistory, container.StatelessSession, planner.EdgeWithEntityReplicas),
-		planner.Facade(SBViewUserInfo, container.StatelessSession, planner.EdgeWithEntityReplicas),
-		planner.Facade(SBPutBid, container.StatelessSession, planner.EdgeWithQueryCaches),
-		planner.Facade(SBPutComment, container.StatelessSession, planner.EdgeWithQueryCaches),
+		planner.Facade(SBBrowseCategories, container.StatelessSession, planner.EdgeWithQueryCaches,
+			container.FromCache("getAll", QueryAllCategories, func([]sqldb.Value) string { return keyAllCategories() }),
+			container.FromCache("forRegion", QueryRegionCategories, idKeyOf(keyRegionCategories))),
+		planner.Facade(SBBrowseRegions, container.StatelessSession, planner.EdgeWithQueryCaches,
+			container.FromCache("getAll", QueryAllRegions, func([]sqldb.Value) string { return keyAllRegions() })),
+		planner.Facade(SBSearchByCategory, container.StatelessSession, planner.EdgeWithQueryCaches,
+			container.FromCache("get", QueryItemsByCategory, idKeyOf(keyItemsByCategory))),
+		planner.Facade(SBSearchByRegion, container.StatelessSession, planner.EdgeWithQueryCaches,
+			container.FromCache("get", QueryItemsByCatRegion, func(args []sqldb.Value) string {
+				return keyItemsByCatRegion(args[0].AsInt(), args[1].AsInt())
+			})),
+		planner.Facade(SBViewItem, container.StatelessSession, planner.EdgeWithEntityReplicas,
+			container.FromReplicas("get", func(p *sim.Proc, m *container.EdgeMethod, args []sqldb.Value) (any, error) {
+				return m.Replicas[0].Get(p, args[0])
+			}, BeanItem)),
+		planner.Facade(SBViewBidHistory, container.StatelessSession, planner.EdgeWithEntityReplicas,
+			container.FromCache("get", QueryBidHistory, idKeyOf(keyBidHistory))),
+		planner.Facade(SBViewUserInfo, container.StatelessSession, planner.EdgeWithEntityReplicas,
+			container.FromCache("get", QueryUserInfo, idKeyOf(keyUserInfo))),
+		planner.Facade(SBPutBid, container.StatelessSession, planner.EdgeWithQueryCaches,
+			container.FromReplicas("form", edgeForm, BeanItem)),
+		planner.Facade(SBPutComment, container.StatelessSession, planner.EdgeWithQueryCaches,
+			container.FromReplicas("form", edgeForm, BeanUser)),
 		planner.Facade(SBStoreBid, container.StatelessSession, planner.EdgeNever),
 		planner.Facade(SBStoreComment, container.StatelessSession, planner.EdgeNever),
 		planner.Entity(BeanItem, "items", "id", container.CMP),
@@ -70,19 +85,42 @@ var layout = &planner.Layout{
 		planner.Entity(BeanRegion, "regions", "id", container.CMP),
 	},
 	Replicated: []string{BeanItem, BeanUser},
+	// Users stay fully replicated: tiny, read-mostly, and the edge auth
+	// path needs every nickname everywhere.
+	Sharded: []string{BeanItem},
+}
+
+// idKeyOf keys a cached query by the call's first argument, an id.
+func idKeyOf(key func(id int64) string) func(args []sqldb.Value) string {
+	return func(args []sqldb.Value) string { return key(args[0].AsInt()) }
+}
+
+// edgeForm serves a bid or comment form on an edge: it authenticates
+// (nickname, password) against the cached nickname lookup and returns the
+// third argument's entity from the form's replica.
+func edgeForm(p *sim.Proc, m *container.EdgeMethod, args []sqldb.Value) (any, error) {
+	v, err := m.Cache.Get(p, keyUserByNick(args[0].AsString()))
+	if err != nil {
+		return nil, err
+	}
+	rows, _ := v.(container.Rows)
+	if rows.Len() == 0 || rows.At(0).Get("password").AsString() != args[1].AsString() {
+		return nil, fmt.Errorf("rubis: bad credentials for %s", args[0].AsString())
+	}
+	return m.Replicas[0].Get(p, args[2])
 }
 
 // App is one deployed RUBiS instance under a specific policy.
 type App struct {
-	d      *core.Deployment
-	policy core.Policy
+	d *core.Deployment
+	// serverFor routes a client group's requests the way Deploy placed the
+	// web tier.
+	serverFor func(clientNode string) *container.Server
 
-	itemRW     *container.RWEntity
-	userRW     *container.RWEntity
-	bidRW      *container.RWEntity
-	commentRW  *container.RWEntity
-	categoryRW *container.RWEntity
-	regionRW   *container.RWEntity
+	itemRW    *container.RWEntity
+	userRW    *container.RWEntity
+	bidRW     *container.RWEntity
+	commentRW *container.RWEntity
 
 	wiring *core.Wiring
 
@@ -92,16 +130,8 @@ type App struct {
 	costs PageCosts
 }
 
-// PageCost splits a page's render cost into CPU and non-CPU latency, and
-// holds the page it renders.
-type PageCost struct {
-	CPU  time.Duration
-	Lat  time.Duration
-	Page *web.Response // the rendered page, shared read-only by its requests
-}
-
 // PageCosts maps page name to render cost.
-type PageCosts map[string]PageCost
+type PageCosts map[string]container.PageCost
 
 // DefaultPageCosts is calibrated against Table 7's centralized row: RUBiS is
 // a deliberately lightweight, benchmark-grade application.
@@ -138,12 +168,10 @@ func DeployOptions() core.Options {
 
 // Deploy installs RUBiS into d under policy p: the schema and data, the
 // entity beans and session façades on the main server, the servlets on every
-// active server, and — depending on p — the read-only Item and User replicas
-// (Items sharded per p.Partition; Users stay full, because edge
-// authentication needs every nickname everywhere), the edge façades, the
-// push-refreshed query caches and update propagation. The deployment is
-// checked against the plan the planner synthesizes for p from the component
-// list. RUBiS has no live-extension (petstore's Wire) or DB-replica path.
+// active server, and — depending on p — the replica bundle Wire installs on
+// every edge, whose edge façades are declared in the component list. The
+// deployment is checked against the plan the planner synthesizes for p from
+// the component list. RUBiS has no adaptive run and no DB-replica path.
 func Deploy(d *core.Deployment, p core.Policy) (*App, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("rubis: %w", err)
@@ -160,25 +188,23 @@ func Deploy(d *core.Deployment, p core.Policy) (*App, error) {
 	}
 	a := &App{
 		d:          d,
-		policy:     p,
+		serverFor:  func(node string) *container.Server { return d.ServerFor(node, p) },
 		bidSeq:     int64(NumItems * SeedBidsPerItem),
 		commentSeq: int64(SeedComments),
 		costs:      DefaultPageCosts(),
 	}
-	if err := a.deployEntities(); err != nil {
-		return nil, err
+	if err := layout.DeployEntities(d); err != nil {
+		return nil, fmt.Errorf("rubis: %w", err)
 	}
+	a.itemRW, a.userRW, a.bidRW, a.commentRW = d.RW(BeanItem), d.RW(BeanUser), d.RW(BeanBid), d.RW(BeanComment)
 	if err := a.deployMainFacades(); err != nil {
 		return nil, err
 	}
-	for _, srv := range a.d.WebServers(a.policy) {
+	for _, srv := range a.d.WebServers(p) {
 		a.registerPages(srv)
 	}
 	if p.EntityReplicas {
-		if err := a.wireReplicas(); err != nil {
-			return nil, err
-		}
-		if err := a.deployEdgeFacades(); err != nil {
+		if _, err := a.Wire(p, d.Edges...); err != nil {
 			return nil, err
 		}
 	}
@@ -194,34 +220,6 @@ func (a *App) Wiring() *core.Wiring { return a.wiring }
 // Bids and Comments report committed write counts.
 func (a *App) Bids() int64     { return a.bidSeq - int64(NumItems*SeedBidsPerItem) }
 func (a *App) Comments() int64 { return a.commentSeq - int64(SeedComments) }
-
-// deployEntities deploys the component list's entity beans on the main
-// server.
-func (a *App) deployEntities() error {
-	for _, c := range layout.Components {
-		if c.Desc.Kind != container.Entity {
-			continue
-		}
-		b, err := container.DeployRWEntity(a.d.Main, c.Desc.Name, c.Desc.Table, c.Desc.PKColumn)
-		if err != nil {
-			return fmt.Errorf("rubis: %w", err)
-		}
-		a.d.RegisterRW(b)
-	}
-	a.itemRW, a.userRW, a.bidRW = a.d.RW(BeanItem), a.d.RW(BeanUser), a.d.RW(BeanBid)
-	a.commentRW, a.categoryRW, a.regionRW = a.d.RW(BeanComment), a.d.RW(BeanCategory), a.d.RW(BeanRegion)
-	return nil
-}
-
-// sbStub resolves a session-façade stub: the local deployment when the
-// server has one, otherwise the central façade on main.
-func (a *App) sbStub(p *sim.Proc, srv *container.Server, bean string) (*rmi.Stub, error) {
-	target := simnet.NodeMain
-	if srv.HasBean(bean) {
-		target = srv.Name()
-	}
-	return srv.StubFor(p, target, bean)
-}
 
 // runQuery executes q with full cost accounting on srv.
 func runQuery(p *sim.Proc, srv *container.Server, q query) (container.Rows, error) {
@@ -254,111 +252,88 @@ func (a *App) authenticate(p *sim.Proc, nick, pass string) (container.Row, error
 // deployMainFacades installs the central session façades.
 func (a *App) deployMainFacades() error {
 	main := a.d.Main
-	deploy := func(name string, methods map[string]container.Method) error {
-		if _, err := container.DeployStateless(main, name, methods); err != nil {
-			return fmt.Errorf("rubis: %w", err)
-		}
-		return nil
-	}
 	m := func(fn func(p *sim.Proc, inv *container.Invocation) (any, error)) map[string]container.Method {
 		return map[string]container.Method{"get": fn}
 	}
-	if err := deploy(SBBrowseCategories, map[string]container.Method{
-		"getAll": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			return runQuery(p, main, qAllCategories())
-		},
-		"forRegion": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			return runQuery(p, main, qRegionCategories(inv.Args[0].AsInt()))
-		},
-	}); err != nil {
-		return err
-	}
-	if err := deploy(SBBrowseRegions, map[string]container.Method{
-		"getAll": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			return runQuery(p, main, qAllRegions())
-		},
-	}); err != nil {
-		return err
-	}
-	if err := deploy(SBSearchByCategory, m(func(p *sim.Proc, inv *container.Invocation) (any, error) {
-		return runQuery(p, main, qItemsByCategory(inv.Args[0].AsInt()))
-	})); err != nil {
-		return err
-	}
-	if err := deploy(SBSearchByRegion, m(func(p *sim.Proc, inv *container.Invocation) (any, error) {
-		return runQuery(p, main, qItemsByCatRegion(inv.Args[0].AsInt(), inv.Args[1].AsInt()))
-	})); err != nil {
-		return err
-	}
-	if err := deploy(SBViewItem, map[string]container.Method{
-		"get": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			return a.itemRW.Load(p, inv.Args[0])
-		},
-		// fetchState feeds read-only replica refreshes.
-		"fetchState": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			bean, pk := inv.Args[0].AsString(), inv.Args[1]
-			rw := a.d.RW(bean)
-			if rw == nil {
-				return nil, fmt.Errorf("rubis: fetchState: %w: %s", container.ErrNoSuchBean, bean)
-			}
-			return rw.Load(p, pk)
-		},
-	}); err != nil {
-		return err
-	}
-	if err := deploy(SBViewBidHistory, m(func(p *sim.Proc, inv *container.Invocation) (any, error) {
-		return runQuery(p, main, qBidHistory(inv.Args[0].AsInt()))
-	})); err != nil {
-		return err
-	}
-	if err := deploy(SBViewUserInfo, m(func(p *sim.Proc, inv *container.Invocation) (any, error) {
-		uid := inv.Args[0].AsInt()
-		user, err := a.userRW.Load(p, inv.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		comments, err := runQuery(p, main, qUserComments(uid))
-		if err != nil {
-			return nil, err
-		}
-		return &UserInfoPage{User: user, Comments: comments}, nil
-	})); err != nil {
-		return err
-	}
-	if err := deploy(SBPutBid, map[string]container.Method{
-		// form authenticates and returns the item in one bulk call.
-		"form": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			if _, err := a.authenticate(p, inv.Args[0].AsString(), inv.Args[1].AsString()); err != nil {
+	for _, f := range []struct {
+		name    string
+		methods map[string]container.Method
+	}{
+		{SBBrowseCategories, map[string]container.Method{
+			"getAll": func(p *sim.Proc, inv *container.Invocation) (any, error) {
+				return runQuery(p, main, qAllCategories())
+			},
+			"forRegion": func(p *sim.Proc, inv *container.Invocation) (any, error) {
+				return runQuery(p, main, qRegionCategories(inv.Args[0].AsInt()))
+			},
+		}},
+		{SBBrowseRegions, map[string]container.Method{
+			"getAll": func(p *sim.Proc, inv *container.Invocation) (any, error) {
+				return runQuery(p, main, qAllRegions())
+			},
+		}},
+		{SBSearchByCategory, m(func(p *sim.Proc, inv *container.Invocation) (any, error) {
+			return runQuery(p, main, qItemsByCategory(inv.Args[0].AsInt()))
+		})},
+		{SBSearchByRegion, m(func(p *sim.Proc, inv *container.Invocation) (any, error) {
+			return runQuery(p, main, qItemsByCatRegion(inv.Args[0].AsInt(), inv.Args[1].AsInt()))
+		})},
+		{SBViewItem, map[string]container.Method{
+			"get": func(p *sim.Proc, inv *container.Invocation) (any, error) {
+				return a.itemRW.Load(p, inv.Args[0])
+			},
+			// fetchState feeds read-only replica refreshes.
+			"fetchState": a.d.FetchState,
+		}},
+		{SBViewBidHistory, m(func(p *sim.Proc, inv *container.Invocation) (any, error) {
+			return runQuery(p, main, qBidHistory(inv.Args[0].AsInt()))
+		})},
+		{SBViewUserInfo, m(func(p *sim.Proc, inv *container.Invocation) (any, error) {
+			uid := inv.Args[0].AsInt()
+			user, err := a.userRW.Load(p, inv.Args[0])
+			if err != nil {
 				return nil, err
 			}
-			return a.itemRW.Load(p, inv.Args[2])
-		},
-	}); err != nil {
-		return err
-	}
-	if err := deploy(SBStoreBid, map[string]container.Method{
-		"store": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			return a.storeBid(p, inv.Args[0].AsString(), inv.Args[1].AsString(), inv.Args[2].AsInt(), inv.Args[3].AsFloat())
-		},
-	}); err != nil {
-		return err
-	}
-	if err := deploy(SBPutComment, map[string]container.Method{
-		"form": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			if _, err := a.authenticate(p, inv.Args[0].AsString(), inv.Args[1].AsString()); err != nil {
+			comments, err := runQuery(p, main, qUserComments(uid))
+			if err != nil {
 				return nil, err
 			}
-			return a.userRW.Load(p, inv.Args[2])
-		},
-	}); err != nil {
-		return err
+			return &UserInfoPage{User: user, Comments: comments}, nil
+		})},
+		{SBPutBid, map[string]container.Method{
+			// form authenticates and returns the item in one bulk call.
+			"form": func(p *sim.Proc, inv *container.Invocation) (any, error) {
+				if _, err := a.authenticate(p, inv.Args[0].AsString(), inv.Args[1].AsString()); err != nil {
+					return nil, err
+				}
+				return a.itemRW.Load(p, inv.Args[2])
+			},
+		}},
+		{SBStoreBid, map[string]container.Method{
+			"store": func(p *sim.Proc, inv *container.Invocation) (any, error) {
+				return a.storeBid(p, inv.Args[0].AsString(), inv.Args[1].AsString(), inv.Args[2].AsInt(), inv.Args[3].AsFloat())
+			},
+		}},
+		{SBPutComment, map[string]container.Method{
+			"form": func(p *sim.Proc, inv *container.Invocation) (any, error) {
+				if _, err := a.authenticate(p, inv.Args[0].AsString(), inv.Args[1].AsString()); err != nil {
+					return nil, err
+				}
+				return a.userRW.Load(p, inv.Args[2])
+			},
+		}},
+		{SBStoreComment, map[string]container.Method{
+			"store": func(p *sim.Proc, inv *container.Invocation) (any, error) {
+				return a.storeComment(p, inv.Args[0].AsString(), inv.Args[1].AsString(),
+					inv.Args[2].AsInt(), inv.Args[3].AsInt(), inv.Args[4].AsInt())
+			},
+		}},
+	} {
+		if _, err := container.DeployStateless(main, f.name, f.methods); err != nil {
+			return fmt.Errorf("rubis: %w", err)
+		}
 	}
-	return deploy(SBStoreComment, map[string]container.Method{
-		"store": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			return a.storeComment(p, inv.Args[0].AsString(), inv.Args[1].AsString(),
-				inv.Args[2].AsInt(), inv.Args[3].AsInt(), inv.Args[4].AsInt())
-		},
-	})
+	return nil
 }
 
 // storeBid authenticates, records the bid, and updates the item's bid

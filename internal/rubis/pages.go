@@ -6,7 +6,6 @@ import (
 	"wadeploy/internal/container"
 	"wadeploy/internal/sim"
 	"wadeploy/internal/sqldb"
-	"wadeploy/internal/trace"
 	"wadeploy/internal/web"
 )
 
@@ -57,11 +56,7 @@ var BidderPages = []string{
 
 // render charges the page's render cost on srv and returns its response.
 func (a *App) render(p *sim.Proc, srv *container.Server, page string) *web.Response {
-	defer trace.Op(p, "render", page, srv.Name(), "", trace.CauseService)()
-	c := a.costs[page]
-	srv.Compute(p, c.CPU)
-	p.Sleep(c.Lat)
-	return c.Page
+	return srv.Render(p, page, a.costs[page])
 }
 
 func intParam(r *web.Request, key string) int64 {
@@ -91,7 +86,7 @@ func (a *App) registerPages(srv *container.Server) {
 	// ints as integers. The argument list is built on the page's stack.
 	one := func(page, bean, method string, strs []string, ints ...string) {
 		w.Handle(page, func(p *sim.Proc, r *web.Request) (*web.Response, error) {
-			stub, err := a.sbStub(p, srv, bean)
+			stub, err := a.d.FacadeStub(p, srv, bean)
 			if err != nil {
 				return nil, err
 			}

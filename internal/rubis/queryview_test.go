@@ -65,7 +65,7 @@ func TestDeltaModeKeepsQueryCachesFresh(t *testing.T) {
 			}
 			cat := (item-1)%NumCategories + 1
 			for _, edge := range a.d.Edges {
-				qc := a.wiring.Cache(edge.Name())
+				qc := a.wiring.Caches[edge.Name()]
 				if qc.Size() != preloadedQueryKeys {
 					t.Errorf("%s cache holds %d keys, want the %d preloaded ones", edge.Name(), qc.Size(), preloadedQueryKeys)
 				}
@@ -341,7 +341,7 @@ func checkEdgesHoldViews(t *testing.T, a *App, lastItem int64) {
 		}
 	}
 	for _, edge := range a.d.Edges {
-		qc := a.wiring.Cache(edge.Name())
+		qc := a.wiring.Caches[edge.Name()]
 		if size := qc.Size(); size != len(want)+2 {
 			t.Errorf("%s cache holds %d keys, want %d", edge.Name(), size, len(want)+2)
 		}

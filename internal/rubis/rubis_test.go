@@ -301,7 +301,7 @@ func TestBidderFlowUpdatesStateAndCaches(t *testing.T) {
 	// Zero staleness: edge replicas and bid-history caches are fresh.
 	for _, edge := range a.d.Edges {
 		ro := a.Wiring().Replica(edge.Name(), BeanItem)
-		qc := a.Wiring().Cache(edge.Name())
+		qc := a.Wiring().Caches[edge.Name()]
 		runWarm(a.d.Env, "check", func(p *sim.Proc) {
 			st, err := ro.Get(p, sqldb.Int(item))
 			if err != nil {

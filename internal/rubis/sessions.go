@@ -36,7 +36,7 @@ var browserWeightTotal = func() int {
 // RequestFunc adapts the app to the workload driver.
 func (a *App) RequestFunc() workload.RequestFunc {
 	return func(p *sim.Proc, client workload.Client, step workload.Step) (time.Duration, error) {
-		srv := a.d.ServerFor(client.Node, a.policy)
+		srv := a.serverFor(client.Node)
 		_, rt, err := srv.Web().Get(p, client.Node, step.Page, step.Params, nil)
 		return rt, err
 	}

@@ -5,47 +5,42 @@ import (
 
 	"wadeploy/internal/container"
 	"wadeploy/internal/core"
-	"wadeploy/internal/sim"
 	"wadeploy/internal/simnet"
 	"wadeploy/internal/sqldb"
 )
 
-// wireReplicas applies the extended deployment descriptor: read-only BMP
-// versions of the component list's replicated beans with push refresh
-// (Section 4.3), all session queries cached with push-based recomputation
-// when the policy has query caches (Section 4.4), and sync vs async
-// propagation.
-func (a *App) wireReplicas() error {
-	update := container.SyncUpdate
-	if a.policy.AsyncUpdates {
-		update = container.AsyncUpdate
+// Wire installs p's replica bundle on exactly the servers on, warm with the
+// tables' current contents, and the edge façades p places on every edge. The
+// bundle is p's extended deployment descriptor: read-only BMP versions of the
+// component list's replicated beans with push refresh (Section 4.3), all
+// session queries cached with push-based recomputation when p has query
+// caches (Section 4.4), sync vs async propagation and the edge façades.
+// Deploy wires every edge.
+func (a *App) Wire(p core.Policy, on ...*container.Server) (*core.Wiring, error) {
+	if !p.EntityReplicas {
+		return nil, fmt.Errorf("rubis: %w", p.Unsupported("it has no entity replicas to wire"))
 	}
-	ext := &container.ExtendedDescriptor{Topic: UpdateTopic}
-	for _, bean := range layout.Replicated {
-		spec := container.ReplicaSpec{Bean: bean, Update: update}
-		if bean == BeanItem {
-			// Only Items shard; Users stay fully replicated (tiny,
-			// read-mostly, and the edge auth path needs every nickname
-			// everywhere).
-			spec.Partition = a.policy.Partition
-		}
-		ext.Replicas = append(ext.Replicas, spec)
+	ext := layout.Descriptor(p, UpdateTopic)
+	if p.QueryCaches {
+		ext.CachedQueries = a.cachedQueries()
 	}
-	opts := core.WireOptions{
+	w, err := core.AutoWire(a.d, ext, core.WireOptions{
 		PushBytes: replicaPushBytes,
 		FetchFor: func(server *container.Server, rwBean string) container.FetchFunc {
 			return container.FetchFrom(server, simnet.NodeMain, SBViewItem, "fetchState", sqldb.Str(rwBean))
 		},
-	}
-	if a.policy.QueryCaches {
-		ext.CachedQueries = a.cachedQueries()
-	}
-	w, err := core.AutoWire(a.d, ext, opts, a.d.Edges...)
+	}, on...)
 	if err != nil {
-		return fmt.Errorf("rubis: %w", err)
+		return nil, fmt.Errorf("rubis: %w", err)
 	}
 	a.wiring = w
-	return a.preload()
+	if err := w.Preload(); err != nil {
+		return nil, fmt.Errorf("rubis: %w", err)
+	}
+	if p.QueryCaches {
+		return w, a.seedQueries()
+	}
+	return w, nil
 }
 
 // cachedQueries declares the session queries the edges cache. RUBiS uses the
@@ -223,15 +218,9 @@ func maintainItemList(prev any, c container.Commit) (any, bool) {
 	return nil, false
 }
 
-// preload warm-deploys the read-only beans (and, with query caches, the
-// edge query caches) with current database contents.
-func (a *App) preload() error {
-	if err := a.wiring.Preload(); err != nil {
-		return fmt.Errorf("rubis: %w", err)
-	}
-	if !a.policy.QueryCaches {
-		return nil
-	}
+// seedQueries warm-deploys the edge query caches and the main server's views
+// with current database contents.
+func (a *App) seedQueries() error {
 	type entry struct {
 		key string
 		q   query
@@ -272,129 +261,6 @@ func (a *App) preload() error {
 		}
 		a.wiring.SeedQuery(keyUserInfo(id), &UserInfoPage{User: u, Comments: comments})
 		a.wiring.SeedQuery(keyUserByNick(u.Get("nickname").AsString()), container.Rows{}.Insert(0, u))
-	}
-	return nil
-}
-
-// deployEdgeFacades installs the edge session façades: SB_ViewItem backed by
-// the read-only beans, plus cache-backed browse, search, history and form
-// façades when the policy has query caches.
-func (a *App) deployEdgeFacades() error {
-	for _, edge := range a.d.Edges {
-		edge := edge
-		itemRO := a.wiring.Replica(edge.Name(), BeanItem)
-		userRO := a.wiring.Replica(edge.Name(), BeanUser)
-		delegate := func(p *sim.Proc, bean, method string, args ...sqldb.Value) (any, error) {
-			stub, err := edge.StubFor(p, simnet.NodeMain, bean)
-			if err != nil {
-				return nil, err
-			}
-			return stub.Invoke(p, method, args...)
-		}
-		cache := func() *container.QueryCache { return a.wiring.Cache(edge.Name()) }
-		cachedOrDelegate := func(p *sim.Proc, key, bean, method string, args ...sqldb.Value) (any, error) {
-			if a.policy.QueryCaches {
-				return cache().Get(p, key)
-			}
-			return delegate(p, bean, method, args...)
-		}
-		deploy := func(name string, methods map[string]container.Method) error {
-			if _, err := container.DeployStateless(edge, name, methods); err != nil {
-				return fmt.Errorf("rubis: %w", err)
-			}
-			return nil
-		}
-
-		// SB_ViewItem: read-only Item bean, always local here.
-		if err := deploy(SBViewItem, map[string]container.Method{
-			"get": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-				return itemRO.Get(p, inv.Args[0])
-			},
-		}); err != nil {
-			return err
-		}
-		// SB_ViewBidHistory / SB_ViewUserInfo: aggregate queries — remote
-		// until the query cache covers them.
-		if err := deploy(SBViewBidHistory, map[string]container.Method{
-			"get": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-				return cachedOrDelegate(p, keyBidHistory(inv.Args[0].AsInt()), SBViewBidHistory, "get", inv.Args[0])
-			},
-		}); err != nil {
-			return err
-		}
-		if err := deploy(SBViewUserInfo, map[string]container.Method{
-			"get": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-				return cachedOrDelegate(p, keyUserInfo(inv.Args[0].AsInt()), SBViewUserInfo, "get", inv.Args[0])
-			},
-		}); err != nil {
-			return err
-		}
-		if !a.policy.QueryCaches {
-			continue
-		}
-		// With query caches, every read-only façade runs at the edge.
-		edgeAuth := func(p *sim.Proc, nick, pass string) (container.Row, error) {
-			v, err := cache().Get(p, keyUserByNick(nick))
-			if err != nil {
-				return container.Row{}, err
-			}
-			rows, _ := v.(container.Rows)
-			if rows.Len() == 0 || rows.At(0).Get("password").AsString() != pass {
-				return container.Row{}, fmt.Errorf("rubis: bad credentials for %s", nick)
-			}
-			return rows.At(0), nil
-		}
-		if err := deploy(SBBrowseCategories, map[string]container.Method{
-			"getAll": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-				return cache().Get(p, keyAllCategories())
-			},
-			"forRegion": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-				return cache().Get(p, keyRegionCategories(inv.Args[0].AsInt()))
-			},
-		}); err != nil {
-			return err
-		}
-		if err := deploy(SBBrowseRegions, map[string]container.Method{
-			"getAll": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-				return cache().Get(p, keyAllRegions())
-			},
-		}); err != nil {
-			return err
-		}
-		if err := deploy(SBSearchByCategory, map[string]container.Method{
-			"get": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-				return cache().Get(p, keyItemsByCategory(inv.Args[0].AsInt()))
-			},
-		}); err != nil {
-			return err
-		}
-		if err := deploy(SBSearchByRegion, map[string]container.Method{
-			"get": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-				return cache().Get(p, keyItemsByCatRegion(inv.Args[0].AsInt(), inv.Args[1].AsInt()))
-			},
-		}); err != nil {
-			return err
-		}
-		if err := deploy(SBPutBid, map[string]container.Method{
-			"form": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-				if _, err := edgeAuth(p, inv.Args[0].AsString(), inv.Args[1].AsString()); err != nil {
-					return nil, err
-				}
-				return itemRO.Get(p, inv.Args[2])
-			},
-		}); err != nil {
-			return err
-		}
-		if err := deploy(SBPutComment, map[string]container.Method{
-			"form": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-				if _, err := edgeAuth(p, inv.Args[0].AsString(), inv.Args[1].AsString()); err != nil {
-					return nil, err
-				}
-				return userRO.Get(p, inv.Args[2])
-			},
-		}); err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -26,7 +26,7 @@ GO="${GO:-go}"
 # other package the programs'.
 FLOORS='
 sqldb       76.3
-container   76.7
+container   77.2
 controller  81.5
 core        91.2
 dbrepl      64.4
@@ -35,9 +35,9 @@ faults      80.6
 jms         91.2
 metrics     84.0
 petstore    83.9
-planner     91.8
+planner     92.1
 rmi         90.9
-rubis       81.8
+rubis       83.1
 sim         89.3
 simnet      85.6
 trace       91.4
