@@ -37,10 +37,10 @@ bench-digests:
 loc:
 	sh scripts/loc.sh
 
-# Caller coverage: of internal/sqldb from every other package's tests, and of
-# every other internal package from the programs' tests (experiment, CLI,
-# bench). Fails on a function nothing reaches that scripts/inventory.sh does
-# not list with its reason, or on a package under its floor there.
+# Caller coverage of every internal package from the programs' tests
+# (experiment, CLI, bench). Fails on a function nothing reaches that
+# scripts/inventory.sh does not list with its reason, or on a package under
+# its floor there.
 inventory:
 	sh scripts/inventory.sh
 

@@ -90,7 +90,7 @@ func run() error {
 		Layout: &planner.Layout{
 			App: "price",
 			Components: []planner.Component{
-				planner.Entity("Price", "price", "id", container.BMP),
+				planner.Entity("Price", "price", "id"),
 				planner.Facade("PriceFacade", container.StatelessSession, planner.EdgeNever),
 			},
 			Replicated: []string{"Price"},

@@ -4,12 +4,12 @@ import "wadeploy/internal/sqldb"
 
 // mergeUpdate folds a later commit onto an accumulated one for the same
 // entity, last-writer-wins per field, and reports whether acc's row is now
-// the accumulator's own copy. Deletes, full-state pushes and writes after a
-// delete replace the accumulator wholesale, sharing u's row. A delta folds
-// into acc's row: in place when owned says the accumulator already holds a
-// copy nobody else has seen, else into the one copy With makes.
+// the accumulator's own copy. A full-state push replaces the accumulator
+// wholesale, sharing u's row. A delta folds into acc's row: in place when
+// owned says the accumulator already holds a copy nobody else has seen, else
+// into the one copy With makes.
 func mergeUpdate(acc *Update, u Update, owned bool) bool {
-	if u.Deleted || !u.Delta || acc.Deleted {
+	if !u.Delta {
 		*acc = u
 		return false
 	}

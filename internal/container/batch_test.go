@@ -69,22 +69,3 @@ func TestCoalesceUpdatesLastWriterWins(t *testing.T) {
 		t.Fatalf("input update mutated: %+v", in[0])
 	}
 }
-
-func TestCoalesceUpdatesDeleteAndReinsert(t *testing.T) {
-	in := []Update{
-		{Bean: "A", PK: sqldb.Str("1"), Delta: true, State: State{"x": sqldb.Int(1)}.row()},
-		{Bean: "A", PK: sqldb.Str("1"), Deleted: true},
-		{Bean: "A", PK: sqldb.Str("2"), Deleted: true},
-		{Bean: "A", PK: sqldb.Str("2"), State: State{"x": sqldb.Int(5)}.row()},
-	}
-	out := CoalesceUpdates(in)
-	if len(out) != 2 {
-		t.Fatalf("coalesced to %d updates, want 2", len(out))
-	}
-	if !out[0].Deleted {
-		t.Fatalf("pk 1 should coalesce to a tombstone: %+v", out[0])
-	}
-	if out[1].Deleted || out[1].Delta || out[1].State.Get("x").AsInt() != 5 {
-		t.Fatalf("pk 2 should coalesce to the re-inserted full state: %+v", out[1])
-	}
-}

@@ -63,16 +63,6 @@ func (k BeanKind) String() string {
 	}
 }
 
-// Persistence selects entity-bean persistence management.
-type Persistence int
-
-// Persistence modes: bean-managed (hand-written SQL) or container-managed
-// (SQL rendered from the abstract schema).
-const (
-	BMP Persistence = iota + 1
-	CMP
-)
-
 // CostModel is the container-side CPU cost model.
 type CostModel struct {
 	// MethodCPU is charged per business-method invocation: transaction

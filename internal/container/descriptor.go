@@ -13,9 +13,8 @@ type Descriptor struct {
 	Kind BeanKind
 
 	// Entity beans only.
-	Table       string
-	PKColumn    string
-	Persistence Persistence
+	Table    string
+	PKColumn string
 
 	// LocalOnly marks the bean as exposing only a local interface (EJB 2.0
 	// local interfaces). The paper's design-rule enforcement (Section 5)

@@ -26,10 +26,9 @@ var ErrStaleVersion = errors.New("container: stale version")
 // Update describes one committed write to a read-write entity, propagated to
 // read-only replicas and query caches.
 type Update struct {
-	Bean    string      // read-write bean name
-	PK      sqldb.Value // primary key of the affected entity
-	State   Row         // full post-write state (changed fields only when Delta)
-	Deleted bool
+	Bean  string      // read-write bean name
+	PK    sqldb.Value // primary key of the affected entity
+	State Row         // full post-write state (changed fields only when Delta)
 
 	// Delta marks State as containing only the fields the write changed
 	// (the paper's Section 4.3 optimization: "transferring only the
@@ -46,9 +45,6 @@ type Update struct {
 // WireBytes estimates the update's payload size on the wire: deltas cost a
 // small header plus a per-field charge, full-state pushes a fixed record.
 func (u Update) WireBytes() int {
-	if u.Deleted {
-		return 96
-	}
 	if u.Delta {
 		return 64 + 96*u.State.Len()
 	}
@@ -77,7 +73,6 @@ type RWEntity struct {
 	// the hot paths hand the database a stable string (which its prepared-
 	// statement cache keys on) without per-call concatenation.
 	loadSQL     string
-	deleteSQL   string
 	snapshotSQL string
 
 	// inserts and updates hold the INSERT and UPDATE text per column set a
@@ -99,7 +94,6 @@ func DeployRWEntity(srv *Server, name, table, pkCol string) (*RWEntity, error) {
 	b := &RWEntity{
 		srv: srv, name: name, table: table, pkCol: pkCol,
 		loadSQL:     "SELECT * FROM " + table + " WHERE " + pkCol + " = ?",
-		deleteSQL:   "DELETE FROM " + table + " WHERE " + pkCol + " = ?",
 		snapshotSQL: "SELECT * FROM " + table,
 		mLoad:       reg.Counter("container_ejb_load_total"),
 		mStore:      reg.Counter("container_ejb_store_total"),
@@ -267,28 +261,6 @@ func (b *RWEntity) UpdateFields(p *sim.Proc, pk sqldb.Value, changes State) (Row
 	return merged, nil
 }
 
-// Delete removes the entity (ejbRemove) and propagates the deletion.
-func (b *RWEntity) Delete(p *sim.Proc, pk sqldb.Value) error {
-	var last Row
-	if b.views != nil {
-		// The views find the queries the entity leaves from the state it had.
-		var err error
-		if last, err = b.Load(p, pk); err != nil {
-			return err
-		}
-	}
-	b.srv.Compute(p, b.srv.costs.EntityStoreCPU)
-	res, err := b.srv.SQL(p, b.deleteSQL, pk)
-	if err != nil {
-		return fmt.Errorf("entity %s delete: %w", b.name, err)
-	}
-	if res.Affected == 0 {
-		return fmt.Errorf("entity %s pk %v: %w", b.name, pk, ErrNoSuchEntity)
-	}
-	b.mStore.Inc()
-	return b.commit(p, Update{Bean: b.name, PK: pk, Deleted: true}, last, Row{})
-}
-
 // UpdateIfVersion is the optimistic variant of UpdateFields: it applies
 // changes only if the entity's versionCol still equals expected, bumping the
 // version by one. A mismatch returns ErrStaleVersion and leaves the entity
@@ -315,7 +287,7 @@ func (b *RWEntity) UpdateIfVersion(p *sim.Proc, pk sqldb.Value, versionCol strin
 func (b *RWEntity) commit(p *sim.Proc, u Update, state, prev Row) error {
 	u.CommittedAt = p.Now()
 	if b.views != nil {
-		c := Commit{Bean: b.name, PK: u.PK, State: state, Prev: prev, Deleted: u.Deleted}
+		c := Commit{Bean: b.name, PK: u.PK, State: state, Prev: prev}
 		if err := b.views.committed(c, len(b.props) > 0); err != nil {
 			return fmt.Errorf("entity %s commit: %w", b.name, err)
 		}
@@ -548,10 +520,6 @@ func (b *ROEntity) ApplyUpdate(u Update) {
 	if u.CommittedAt > 0 {
 		b.mStaleness.Observe(now - u.CommittedAt)
 	}
-	if u.Deleted {
-		delete(b.entries, u.PK)
-		return
-	}
 	if u.Delta {
 		e, ok := b.entries[u.PK]
 		if !ok {
@@ -564,9 +532,8 @@ func (b *ROEntity) ApplyUpdate(u Update) {
 	b.entries[u.PK] = roEntry{state: u.State, loadedAt: now}
 }
 
-// Reset drops every cached entry. A resync migration clears the replica
-// before installing a fresh snapshot, so rows deleted while the replica was
-// cut off do not linger past the resync.
+// Reset drops every cached entry: a resync migration clears the replica
+// before installing a fresh snapshot.
 func (b *ROEntity) Reset() { clear(b.entries) }
 
 // Applier consumes pushed updates; both ROEntity and query-cache adapters

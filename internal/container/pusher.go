@@ -174,12 +174,12 @@ func (ps *Pusher) SetTargetPartitions(t PushTarget, spec *PartitionSpec, owned [
 	}
 }
 
-// batchBytes sizes a message: deltas and deletes ride their WireBytes
-// estimate, full-state updates the configured record size.
+// batchBytes sizes a message: deltas ride their WireBytes estimate,
+// full-state updates the configured record size.
 func (ps *Pusher) batchBytes(updates []Update) int {
 	total := 0
 	for _, u := range updates {
-		if u.Delta || u.Deleted {
+		if u.Delta {
 			total += u.WireBytes()
 		} else {
 			total += ps.bytes

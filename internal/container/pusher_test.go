@@ -305,11 +305,10 @@ func TestPusherFilterAtSource(t *testing.T) {
 }
 
 // One sizing rule on every row: an unbatched publish, like every other
-// message, prices a delta and a delete at their WireBytes estimate and only a
-// full-state update at the configured record size.
+// message, prices a delta at its WireBytes estimate and only a full-state
+// update at the configured record size.
 func TestPusherUnbatchedPublishSizesByPayload(t *testing.T) {
 	delta := Update{Bean: "InvRW", PK: sqldb.Str("i1"), Delta: true, State: State{"qty": sqldb.Int(1)}.row()}
-	del := Update{Bean: "InvRW", PK: sqldb.Str("i1"), Deleted: true}
 	cases := []struct {
 		name string
 		u    Update
@@ -317,7 +316,6 @@ func TestPusherUnbatchedPublishSizesByPayload(t *testing.T) {
 	}{
 		{"full", Update{Bean: "InvRW", PK: sqldb.Str("i1"), State: State{"qty": sqldb.Int(1)}.row()}, 512},
 		{"delta", delta, delta.WireBytes()},
-		{"delete", del, del.WireBytes()},
 	}
 	for _, c := range cases {
 		f := newFixture(t)

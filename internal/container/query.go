@@ -183,15 +183,14 @@ func (qi *QueryInvalidation) ApplyUpdate(u Update) {
 // point: the entity's full state after and before the write, whatever the
 // propagators then put on the wire (full state, delta, coalesced batch).
 type Commit struct {
-	Bean    string
-	PK      sqldb.Value
-	State   Row // full post-write state; for a delete, the state the entity had
-	Prev    Row // pre-write state of an update; zero for an insert or a delete
-	Deleted bool
+	Bean  string
+	PK    sqldb.Value
+	State Row // full post-write state
+	Prev  Row // pre-write state of an update; zero for an insert
 }
 
 // Touches reports whether the commit changed any of cols: always for an
-// insert or a delete, for an update when a value differs across the write.
+// insert, for an update when a value differs across the write.
 func (c Commit) Touches(cols ...string) bool {
 	if c.Prev.IsZero() {
 		return true
@@ -217,9 +216,9 @@ type QueryView struct {
 	// swapped) to refresh the key it left.
 	Query func(c Commit) (any, error)
 	// Maintain, when non-nil, derives the result after an insert or update
-	// from the one before it without SQL; ok = false falls back to Query,
-	// as every delete does. It must return a new value and leave prev
-	// untouched: edge caches hold prev by reference.
+	// from the one before it without SQL; ok = false falls back to Query.
+	// It must return a new value and leave prev untouched: edge caches hold
+	// prev by reference.
 	Maintain func(prev any, c Commit) (next any, ok bool)
 }
 
@@ -306,7 +305,7 @@ func (v *QueryViews) committed(c Commit, shipped bool) error {
 	for _, q := range v.byBean[c.Bean] {
 		key := q.Key(c)
 		if key != "" {
-			if err := v.refresh(q, key, c, !c.Deleted); err != nil {
+			if err := v.refresh(q, key, c, true); err != nil {
 				return err
 			}
 			keys = addKey(keys, key)

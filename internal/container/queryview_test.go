@@ -124,17 +124,6 @@ func TestQueryViewRefreshedOncePerCommit(t *testing.T) {
 		}
 		f.checkFresh(t, "byQty:7", qtySQL, sqldb.Int(7))
 		f.checkFresh(t, "stock:", stockSQL)
-
-		// Delete: keyed by the state the entity had, never maintained.
-		if err := f.rw.Delete(p, sqldb.Str("i1")); err != nil {
-			t.Errorf("delete: %v", err)
-			return
-		}
-		if f.queries["byQty:7"] != 3 || f.queries["stock:"] != 2 || f.maintain != 2 {
-			t.Errorf("delete ran queries %v, %d maintainers", f.queries, f.maintain)
-		}
-		f.checkFresh(t, "byQty:7", qtySQL, sqldb.Int(7))
-		f.checkFresh(t, "stock:", stockSQL)
 	})
 	// The bean has no propagator: nothing it commits reaches an edge, so no
 	// keys were put on record for one.
@@ -146,8 +135,8 @@ func TestQueryViewRefreshedOncePerCommit(t *testing.T) {
 	if got := reg.CounterValue("container_queryview_maintained_total"); got != 1 {
 		t.Errorf("maintained = %d, want 1", got)
 	}
-	if got := reg.CounterValue("container_queryview_requeries_total"); got != 6 {
-		t.Errorf("requeries = %d, want 6", got)
+	if got := reg.CounterValue("container_queryview_requeries_total"); got != 4 {
+		t.Errorf("requeries = %d, want 4", got)
 	}
 }
 

@@ -14,9 +14,9 @@
 // The controller knows the application only through its core.Wiring, wired
 // onto the servers the bundle starts on (none, for a run it extends), and the
 // planner.Model it re-plans with: an extension's cut-over is Wiring.ExtendTo
-// plus the replayed snapshot, in one simulation event, and the application's
-// edge façades pick the replicas up because they consult the wiring on every
-// call. The policy a run reached is recorded once, in Report.FinalConfig.
+// plus the replayed snapshot, in one simulation event, which binds the
+// application's edge façades to the new replicas and caches. The policy a
+// run reached is recorded once, in Report.FinalConfig.
 //
 // Determinism contract: every decision derives from the virtual clock
 // (epoch ticks are p.Sleep on the env), from deterministic observations

@@ -99,7 +99,7 @@ func priceModel(remote bool) *planner.Model {
 		Layout: &planner.Layout{
 			App: "price",
 			Components: []planner.Component{
-				planner.Entity("Price", "price", "id", container.BMP),
+				planner.Entity("Price", "price", "id"),
 				planner.Facade("PriceFacade", container.StatelessSession, planner.EdgeNever),
 			},
 			Replicated: []string{"Price"},

@@ -178,7 +178,7 @@ func buildDeployment(env *sim.Env, opts Options) (*Deployment, *simnet.Hierarchy
 // InstrumentDB attaches a statement observer to db that mirrors every
 // executed statement into reg: totals by verb and table, row-volume
 // counters, and index-vs-full-scan counts for the access-path statements
-// (select/update/delete). The observer runs under the database lock, so it
+// (select/update). The observer runs under the database lock, so it
 // only increments pre-registered counters.
 func InstrumentDB(reg *metrics.Registry, db *sqldb.DB) {
 	total := reg.Counter("sqldb_statements_total")
@@ -232,7 +232,7 @@ func InstrumentDB(reg *metrics.Registry, db *sqldb.DB) {
 			c.actualByTable.Add(int64(st.ScannedActual))
 			c.probesByTable.Add(int64(st.IndexProbes))
 		}
-		// Planned marks the access-path verbs: select, update and delete.
+		// Planned marks the access-path verbs: select and update.
 		if !st.Planned {
 			return
 		}

@@ -74,7 +74,7 @@ func TestWritesStreamToReplica(t *testing.T) {
 	if shipped, applied, failed := f.counts(); shipped != 5 || applied != 5 || failed != 0 {
 		t.Fatalf("shipped=%d applied=%d failed=%d", shipped, applied, failed)
 	}
-	r, err := f.replica.DB.Query(`SELECT v FROM kv WHERE id = 1`)
+	r, err := f.replica.DB.Exec(`SELECT v FROM kv WHERE id = 1`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,29 +108,21 @@ func TestWriterNeverBlocksOnReplication(t *testing.T) {
 	}
 }
 
-func TestTransactionalWritesShipOnCommitOnly(t *testing.T) {
+func TestFailedWritesAreNotReplicated(t *testing.T) {
 	f := newFixture(t)
-	// A rolled-back transaction ships nothing.
-	tx := f.main.Begin()
-	if _, err := tx.Exec(`UPDATE kv SET v = 99 WHERE id = 2`); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Rollback(); err != nil {
-		t.Fatal(err)
+	// A multi-row insert that fails part-way rolls back and ships nothing.
+	if _, err := f.main.Exec(`INSERT INTO kv VALUES (3, 0), (1, 0)`); err == nil {
+		t.Fatal("duplicate key accepted")
 	}
 	f.env.RunAll()
 	if shipped, _, _ := f.counts(); shipped != 0 {
-		t.Fatalf("rolled-back tx shipped %d statements", shipped)
+		t.Fatalf("failed insert shipped %d statements", shipped)
 	}
-	// A committed one ships in order.
-	tx = f.main.Begin()
-	if _, err := tx.Exec(`UPDATE kv SET v = 1 WHERE id = 2`); err != nil {
+	// Writes that succeed ship in order.
+	if _, err := f.main.Exec(`UPDATE kv SET v = 1 WHERE id = 2`); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tx.Exec(`UPDATE kv SET v = v + 1 WHERE id = 2`); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
+	if _, err := f.main.Exec(`UPDATE kv SET v = 2 WHERE id = 2`); err != nil {
 		t.Fatal(err)
 	}
 	f.env.RunAll()
@@ -138,15 +130,18 @@ func TestTransactionalWritesShipOnCommitOnly(t *testing.T) {
 	if shipped, applied, _ := f.counts(); shipped != 2 || applied != 2 {
 		t.Fatalf("shipped=%d applied=%d", shipped, applied)
 	}
-	r, _ := f.replica.DB.Query(`SELECT v FROM kv WHERE id = 2`)
+	r, _ := f.replica.DB.Exec(`SELECT v FROM kv WHERE id = 2`)
 	if r.Rows[0][0].AsInt() != 2 {
 		t.Fatalf("replica v = %v, want 2 (ordered apply)", r.Rows[0][0])
+	}
+	if r, _ := f.replica.DB.Exec(`SELECT * FROM kv WHERE id = 3`); r.Len() != 0 {
+		t.Fatal("replica holds the failed insert's first row")
 	}
 }
 
 func TestSelectsAreNotReplicated(t *testing.T) {
 	f := newFixture(t)
-	if _, err := f.main.Query(`SELECT * FROM kv`); err != nil {
+	if _, err := f.main.Exec(`SELECT * FROM kv`); err != nil {
 		t.Fatal(err)
 	}
 	// Zero-row writes are not shipped either.

@@ -55,15 +55,15 @@ var layout = &planner.Layout{
 		planner.Facade(BeanCustomer, container.StatelessSession, planner.EdgeNever),
 		planner.Facade(BeanCart, container.StatefulSession, planner.EdgeWithWeb),
 		planner.Facade(BeanController, container.StatefulSession, planner.EdgeWithWeb),
-		planner.Entity(BeanCategory, "category", "catid", container.BMP),
-		planner.Entity(BeanProduct, "product", "productid", container.BMP),
-		planner.Entity(BeanItem, "item", "itemid", container.BMP),
-		planner.Entity(BeanInventory, "inventory", "itemid", container.BMP),
-		planner.Entity(BeanSignOn, "signon", "username", container.BMP),
-		planner.Entity(BeanAccount, "account", "userid", container.BMP),
-		planner.Entity(BeanOrder, "orders", "orderid", container.BMP),
-		planner.Entity(BeanOrderStatus, "orderstatus", "orderid", container.BMP),
-		planner.Entity(BeanLineItem, "lineitem", "lineid", container.BMP),
+		planner.Entity(BeanCategory, "category", "catid"),
+		planner.Entity(BeanProduct, "product", "productid"),
+		planner.Entity(BeanItem, "item", "itemid"),
+		planner.Entity(BeanInventory, "inventory", "itemid"),
+		planner.Entity(BeanSignOn, "signon", "username"),
+		planner.Entity(BeanAccount, "account", "userid"),
+		planner.Entity(BeanOrder, "orders", "orderid"),
+		planner.Entity(BeanOrderStatus, "orderstatus", "orderid"),
+		planner.Entity(BeanLineItem, "lineitem", "lineid"),
 	},
 	Replicated: []string{BeanCategory, BeanProduct, BeanItem, BeanInventory},
 	Sharded:    []string{BeanItem, BeanInventory}, // one itemid key space

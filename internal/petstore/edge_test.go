@@ -102,7 +102,7 @@ func checkEdgeFacades(t *testing.T, p core.Policy) {
 	}
 	env.RunAll()
 	// Besides the draws, getItem is probed on every item the orders wrote.
-	res, err := d.DB.Query(`SELECT itemid FROM inventory WHERE qty < ?`, sqldb.Int(InitialInventoryQty))
+	res, err := d.DB.Exec(`SELECT itemid FROM inventory WHERE qty < ?`, sqldb.Int(InitialInventoryQty))
 	if err != nil || res.Len() == 0 {
 		t.Fatalf("the run wrote %d inventory rows (%v), want some", res.Len(), err)
 	}

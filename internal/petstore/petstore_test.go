@@ -78,12 +78,12 @@ func TestSchemaSeedSizes(t *testing.T) {
 		"orders":    0,
 	}
 	for table, want := range checks {
-		n, err := db.RowCount(table)
+		res, err := db.Exec(`SELECT * FROM ` + table)
 		if err != nil {
 			t.Fatalf("%s: %v", table, err)
 		}
-		if n != want {
-			t.Errorf("%s rows = %d, want %d", table, n, want)
+		if res.Len() != want {
+			t.Errorf("%s rows = %d, want %d", table, res.Len(), want)
 		}
 	}
 }
@@ -303,14 +303,14 @@ func TestBuyerSessionEndToEndUpdatesState(t *testing.T) {
 		get(t, a, p, remoteClient, PageSignout, nil)
 	})
 	db := a.d.DB
-	orders, err := db.RowCount("orders")
+	orders, err := db.Exec(`SELECT * FROM orders`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if orders != 1 {
-		t.Fatalf("orders = %d", orders)
+	if orders.Len() != 1 {
+		t.Fatalf("orders = %d", orders.Len())
 	}
-	inv, err := db.Query(`SELECT qty FROM inventory WHERE itemid = ?`, sqldb.Str(item))
+	inv, err := db.Exec(`SELECT qty FROM inventory WHERE itemid = ?`, sqldb.Str(item))
 	if err != nil {
 		t.Fatal(err)
 	}

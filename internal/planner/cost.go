@@ -29,7 +29,6 @@ type Params struct {
 	MarshalCPU    time.Duration
 
 	// HTTP.
-	KeepAlive      bool
 	HandshakeBytes int // TCP SYN/SYN-ACK segment size
 	WebReqBytes    int
 	PageBytes      int // default response size
@@ -98,7 +97,6 @@ func (m *Model) Params() Params {
 		LocalDispatch: opts.RMI.LocalDispatch,
 		MarshalCPU:    opts.RMI.MarshalCPU,
 
-		KeepAlive:      opts.Web.KeepAlive,
 		HandshakeBytes: handshakeSegment,
 		WebReqBytes:    opts.Web.RequestBytes,
 		PageBytes:      opts.Web.DefaultPageBytes,
@@ -260,8 +258,6 @@ func (u Update) cost(ev *Evaluator, ctx Ctx) time.Duration {
 
 func (Hit) cost(ev *Evaluator, _ Ctx) time.Duration { return ev.p.CacheHitCPU }
 
-func (c CPUTime) cost(*Evaluator, Ctx) time.Duration { return time.Duration(c) }
-
 func (i If) cost(ev *Evaluator, ctx Ctx) time.Duration {
 	if i.Cond(ctx) {
 		if i.Then != nil {
@@ -291,10 +287,7 @@ func (ev *Evaluator) PageCost(c core.Policy, page *Page, local bool) time.Durati
 		bps = p.WANBps
 	}
 
-	var d time.Duration
-	if !p.KeepAlive {
-		d += 2 * xfer(lat, p.HandshakeBytes, bps)
-	}
+	d := 2 * xfer(lat, p.HandshakeBytes, bps)
 	d += xfer(lat, p.WebReqBytes, bps)
 	d += p.DispatchCPU
 	if page.Body != nil {

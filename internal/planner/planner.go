@@ -104,10 +104,9 @@ func Facade(name string, kind container.BeanKind, rule EdgeRule, edge ...contain
 }
 
 // Entity is a local-only entity bean over table, pinned to the main server.
-func Entity(name, table, pk string, persistence container.Persistence) Component {
+func Entity(name, table, pk string) Component {
 	return Component{Desc: container.Descriptor{
-		Name: name, Kind: container.Entity, Table: table, PKColumn: pk,
-		Persistence: persistence, LocalOnly: true,
+		Name: name, Kind: container.Entity, Table: table, PKColumn: pk, LocalOnly: true,
 	}}
 }
 
@@ -306,9 +305,6 @@ func AtEdge(ctx Ctx) bool { return ctx.AtEdge }
 // HasEntityReplicas is true when entity-bean replicas are deployed.
 func HasEntityReplicas(ctx Ctx) bool { return ctx.C.EntityReplicas }
 
-// HasQueryCaches is true when query caches are deployed.
-func HasQueryCaches(ctx Ctx) bool { return ctx.C.QueryCaches }
-
 // HasAnyCache is true when either cache kind is deployed.
 func HasAnyCache(ctx Ctx) bool { return ctx.C.EntityReplicas || ctx.C.QueryCaches }
 
@@ -363,9 +359,6 @@ type Update struct {
 
 // Hit is a read served from a read-only bean replica or query cache.
 type Hit struct{}
-
-// CPUTime is a raw service-time burst at the current site.
-type CPUTime time.Duration
 
 // If selects between two subtrees on a policy/site predicate. Else may
 // be nil.

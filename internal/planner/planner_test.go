@@ -39,7 +39,7 @@ func testModel() *planner.Model {
 				{
 					Desc: container.Descriptor{
 						Name: "Thing", Kind: container.Entity, Table: "things", PKColumn: "id",
-						Persistence: container.BMP, LocalOnly: true,
+						LocalOnly: true,
 					},
 				},
 			},

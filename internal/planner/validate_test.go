@@ -32,8 +32,7 @@ func randomModel(rng *rand.Rand) *planner.Model {
 				Desc: container.Descriptor{
 					Name: name, Kind: container.Entity,
 					Table: "t" + name, PKColumn: "id",
-					Persistence: container.Persistence(1 + rng.Intn(2)),
-					LocalOnly:   true,
+					LocalOnly: true,
 				},
 			})
 			continue
@@ -56,15 +55,15 @@ func randomModel(rng *rand.Rand) *planner.Model {
 	}
 
 	conds := []planner.Cond{
-		planner.AtEdge, planner.HasEntityReplicas, planner.HasQueryCaches,
-		planner.HasAnyCache, planner.EdgeHit, planner.EdgeCached,
+		planner.AtEdge, planner.HasEntityReplicas, planner.HasAnyCache,
+		planner.EdgeHit, planner.EdgeCached,
 	}
 	var randOp func(depth int) planner.Op
 	randOp = func(depth int) planner.Op {
 		if depth <= 0 {
 			return planner.Hit{}
 		}
-		switch rng.Intn(8) {
+		switch rng.Intn(7) {
 		case 0:
 			n := 1 + rng.Intn(3)
 			seq := make(planner.Seq, n)
@@ -86,10 +85,8 @@ func randomModel(rng *rand.Rand) *planner.Model {
 			return planner.Insert{Push: conds[rng.Intn(len(conds))]}
 		case 5:
 			return planner.Update{Push: conds[rng.Intn(len(conds))]}
-		case 6:
-			return planner.If{Cond: conds[rng.Intn(len(conds))], Then: randOp(depth - 1), Else: randOp(depth - 1)}
 		default:
-			return planner.CPUTime(time.Duration(rng.Intn(int(5 * time.Millisecond))))
+			return planner.If{Cond: conds[rng.Intn(len(conds))], Then: randOp(depth - 1), Else: randOp(depth - 1)}
 		}
 	}
 

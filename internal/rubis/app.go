@@ -77,12 +77,12 @@ var layout = &planner.Layout{
 			container.FromReplicas("form", edgeForm, BeanUser)),
 		planner.Facade(SBStoreBid, container.StatelessSession, planner.EdgeNever),
 		planner.Facade(SBStoreComment, container.StatelessSession, planner.EdgeNever),
-		planner.Entity(BeanItem, "items", "id", container.CMP),
-		planner.Entity(BeanUser, "users", "id", container.CMP),
-		planner.Entity(BeanBid, "bids", "id", container.CMP),
-		planner.Entity(BeanComment, "comments", "id", container.CMP),
-		planner.Entity(BeanCategory, "categories", "id", container.CMP),
-		planner.Entity(BeanRegion, "regions", "id", container.CMP),
+		planner.Entity(BeanItem, "items", "id"),
+		planner.Entity(BeanUser, "users", "id"),
+		planner.Entity(BeanBid, "bids", "id"),
+		planner.Entity(BeanComment, "comments", "id"),
+		planner.Entity(BeanCategory, "categories", "id"),
+		planner.Entity(BeanRegion, "regions", "id"),
 	},
 	Replicated: []string{BeanItem, BeanUser},
 	// Users stay fully replicated: tiny, read-mostly, and the edge auth

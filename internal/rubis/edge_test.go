@@ -125,7 +125,7 @@ func checkEdgeFacades(t *testing.T, p core.Policy) {
 		{`SELECT item_id FROM bids WHERE id > ?`, NumItems * SeedBidsPerItem, [][2]string{{SBViewItem, "get"}, {SBViewBidHistory, "get"}}},
 		{`SELECT to_user FROM comments WHERE id > ?`, SeedComments, [][2]string{{SBViewUserInfo, "get"}}},
 	} {
-		res, err := d.DB.Query(w.sql, sqldb.Int(int64(w.seeded)))
+		res, err := d.DB.Exec(w.sql, sqldb.Int(int64(w.seeded)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -163,7 +163,7 @@ func (a *App) cachedQueries() []container.CachedQuerySpec {
 // inserted row, and the new row goes behind every row that does not sort
 // below it, where the stable sort puts the latest insert.
 func (a *App) maintainHistory(rows container.Rows, c container.Commit, author, by string, cols *[]string) (container.Rows, bool) {
-	if !c.Prev.IsZero() || c.Deleted {
+	if !c.Prev.IsZero() {
 		return container.Rows{}, false
 	}
 	v, ok := a.wiring.QueryViews().Result(keyUserInfo(c.State.Get(author).AsInt()))

@@ -53,16 +53,7 @@ type UpdateStmt struct {
 	// and is only executed under that DB's mutex; the plan revalidates
 	// against db+epoch on use. Everything else in the AST is immutable after
 	// Parse.
-	plan *matchPlan
-}
-
-// DeleteStmt is DELETE FROM table [WHERE ...].
-type DeleteStmt struct {
-	Table string
-	Where Expr
-
-	// plan caches the access path and the compiled WHERE (see UpdateStmt.plan).
-	plan *matchPlan
+	plan *updatePlan
 }
 
 // TableRef names a table with an optional alias in a FROM clause.
@@ -112,7 +103,6 @@ func (*CreateTableStmt) stmt() {}
 func (*CreateIndexStmt) stmt() {}
 func (*InsertStmt) stmt()      {}
 func (*UpdateStmt) stmt()      {}
-func (*DeleteStmt) stmt()      {}
 func (*SelectStmt) stmt()      {}
 
 // Expr is any SQL expression.
@@ -135,7 +125,7 @@ type ColumnRef struct {
 }
 
 // BinaryExpr applies an operator to two operands. Op is one of:
-// = <> < <= > >= AND OR + - * / LIKE.
+// = <> < <= > >= AND OR LIKE.
 type BinaryExpr struct {
 	Op          string
 	Left, Right Expr

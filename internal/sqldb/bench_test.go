@@ -206,7 +206,7 @@ func TestOrderedLimitAllocGuard(t *testing.T) {
 		// evaluated key.
 		allocGuard(t, db, 2, rows, `SELECT id FROM item ORDER BY id LIMIT `+limit)
 		allocGuard(t, db, 1, rows, `SELECT * FROM item WHERE price < ? ORDER BY name DESC, grp LIMIT `+limit, Float(400))
-		allocGuard(t, db, 2, rows, `SELECT id, price * 2 FROM item ORDER BY 0 - price, id LIMIT `+limit)
+		allocGuard(t, db, 2, rows, `SELECT id, price > 2 FROM item ORDER BY price > 50, id LIMIT `+limit)
 	}
 }
 

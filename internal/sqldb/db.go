@@ -16,7 +16,6 @@ var (
 	ErrNoSuchColumn = errors.New("sqldb: no such column")
 	ErrDuplicateKey = errors.New("sqldb: duplicate key")
 	ErrNotNull      = errors.New("sqldb: NOT NULL constraint violated")
-	ErrTxDone       = errors.New("sqldb: transaction already finished")
 )
 
 // CostModel converts executor work counters into a virtual service time so
@@ -24,7 +23,7 @@ var (
 type CostModel struct {
 	PerStatement   time.Duration // fixed parse/plan/dispatch overhead
 	PerRowScanned  time.Duration // per row examined
-	PerRowWritten  time.Duration // per row inserted/updated/deleted
+	PerRowWritten  time.Duration // per row inserted/updated
 	PerRowReturned time.Duration // per row in the result set
 }
 
@@ -58,12 +57,12 @@ type Result struct {
 	// bare, and drops it on its first run after a write to the table.
 	Rows [][]Value
 
-	Affected int // rows inserted/updated/deleted
+	Affected int // rows inserted/updated
 	Scanned  int // rows examined (virtual: the cost model's view)
 	Cost     time.Duration
 
-	// IndexUsed reports whether a hash index narrowed the scan (SELECT,
-	// UPDATE and DELETE; always false for other statements).
+	// IndexUsed reports whether a hash index narrowed the scan (SELECT and
+	// UPDATE; always false for other statements).
 	IndexUsed bool
 
 	// ScannedActual counts the rows the chosen physical plan really
@@ -77,19 +76,18 @@ type Result struct {
 	IndexProbes int
 
 	// PlanCached reports whether the statement reused a cached query plan
-	// (SELECT, UPDATE and DELETE only).
+	// (SELECT and UPDATE only).
 	PlanCached bool
 }
 
 // Len returns the number of result rows.
 func (r *Result) Len() int { return len(r.Rows) }
 
-// row is one stored tuple; dead rows are tombstones left by DELETE. vals is
-// never written in place: UPDATE and undo swap in another slice, which is why
-// a snapshot and a SELECT * result may share it.
+// row is one stored tuple. vals is never written in place: UPDATE and its
+// undo swap in another slice, which is why a snapshot and a SELECT * result
+// may share it.
 type row struct {
 	vals []Value
-	dead bool
 
 	// view is {vals}, full-capped: the Rows of a SELECT * that returns this
 	// row alone. It is built by set, wherever vals is installed, and shared
@@ -123,7 +121,7 @@ func (r *row) fold(col int) string {
 	return (*r.folded)[col]
 }
 
-// bucket is one key of an index and the live row positions holding it.
+// bucket is one key of an index and the row positions holding it.
 type bucket struct {
 	k   key
 	pos []int // ascending, never empty
@@ -134,7 +132,7 @@ type bucket struct {
 // invariants hold at all times:
 //
 //   - sorted holds exactly the buckets of m, ordered by compareKey;
-//   - every bucket holds its live row positions in ascending order.
+//   - every bucket holds its row positions in ascending order.
 //
 // The second invariant makes every access path — full scan, hash probe,
 // ordered walk within one key — enumerate candidates in the same
@@ -152,7 +150,7 @@ func newIndex(name string, col int, unique bool) *index {
 	return &index{name: name, col: col, unique: unique, m: make(map[key]*bucket)}
 }
 
-// lookup returns the live row positions holding k, ascending.
+// lookup returns the row positions holding k, ascending.
 func (ix *index) lookup(k key) []int {
 	if b := ix.m[k]; b != nil {
 		return b.pos
@@ -209,19 +207,19 @@ func (ix *index) search(k key) int {
 	return i
 }
 
-// table is the physical storage for one table.
+// table is the physical storage for one table: rows are appended and
+// replaced, never removed, except that a failed INSERT drops its own.
 type table struct {
 	name    string
 	cols    []ColumnDef
 	colIdx  map[string]int
 	pk      int // primary key column index, or -1
 	rows    []*row
-	live    int
 	indexes []*index
 
-	// version counts row writes: every insert, kill, revival and
-	// replacement, undo included. A memoised SELECT * result stays valid
-	// while the version is the one it was read at.
+	// version counts row writes: every insert, replacement and truncation,
+	// undo included. A memoised SELECT * result stays valid while the
+	// version is the one it was read at.
 	version uint64
 }
 
@@ -243,12 +241,8 @@ func (t *table) indexOn(c int) *index {
 	return nil
 }
 
-// DB is an embedded relational database. Individual statements are atomic
-// and safe for concurrent use; multi-statement transactions provide
-// atomicity (rollback) via undo logging but rely on the caller for
-// cross-transaction isolation — in the simulation the container layer
-// serializes conflicting transactions, mirroring the paper's setup in which
-// the database is never the bottleneck.
+// DB is an embedded relational database. Statements are atomic and safe for
+// concurrent use.
 type DB struct {
 	mu       sync.Mutex
 	tables   map[string]*table
@@ -267,7 +261,7 @@ type DB struct {
 	profile   []StatementInfo
 
 	// onWrite, when set, observes every successful mutating statement
-	// (INSERT/UPDATE/DELETE with at least one affected row) with its SQL
+	// (INSERT/UPDATE with at least one affected row) with its SQL
 	// text and bound arguments — the hook statement-based replication
 	// (dbrepl) ships its log from.
 	onWrite func(sql string, args []Value)
@@ -285,10 +279,10 @@ type StatementInfo struct {
 	// database's identities.
 	Stmt *StmtID
 
-	Verb      string // select, insert, update, delete, create-table, create-index
+	Verb      string // select, insert, update, create-table, create-index
 	Table     string // target table (first FROM table for joins)
 	Scanned   int    // rows examined (virtual: the cost model's view)
-	Written   int    // rows inserted/updated/deleted
+	Written   int    // rows inserted/updated
 	Returned  int    // result rows
 	IndexUsed bool   // a hash index narrowed the scan
 
@@ -334,17 +328,6 @@ func (db *DB) PreparedTexts() []string {
 	return texts
 }
 
-// RowCount returns the number of live rows in the named table.
-func (db *DB) RowCount(tableName string) (int, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	t, ok := db.tables[tableName]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNoSuchTable, tableName)
-	}
-	return t.live, nil
-}
-
 // prepareLocked parses sql through the prepared-statement cache. db.mu must
 // be held.
 func (db *DB) prepareLocked(sql string) (*Prepared, error) {
@@ -363,8 +346,6 @@ func (db *DB) prepareLocked(sql string) (*Prepared, error) {
 		p.info, p.write = StatementInfo{Verb: "insert", Table: s.Table}, true
 	case *UpdateStmt:
 		p.info, p.write = StatementInfo{Verb: "update", Table: s.Table, Planned: true}, true
-	case *DeleteStmt:
-		p.info, p.write = StatementInfo{Verb: "delete", Table: s.Table, Planned: true}, true
 	case *CreateTableStmt:
 		p.info = StatementInfo{Verb: "create-table", Table: s.Name}
 	case *CreateIndexStmt:
@@ -402,8 +383,8 @@ func (db *DB) SetWriteHook(fn func(sql string, args []Value)) {
 	db.onWrite = fn
 }
 
-// SetObserver registers fn to observe every successfully executed statement
-// (including transactional ones at execution time). Pass nil to disable.
+// SetObserver registers fn to observe every successfully executed statement.
+// Pass nil to disable.
 // The observer runs synchronously under the database lock and must not call
 // back into the same DB.
 func (db *DB) SetObserver(fn func(StatementInfo)) {
@@ -424,89 +405,11 @@ func (db *DB) Exec(sql string, args ...Value) (Result, error) {
 	return p.execAndUnlock(args)
 }
 
-// Query is Exec; provided for call-site readability.
-func (db *DB) Query(sql string, args ...Value) (Result, error) {
-	return db.Exec(sql, args...)
-}
-
-// Tx is a multi-statement transaction providing rollback via undo logging.
-type Tx struct {
-	db     *DB
-	undo   []func()
-	writes []txWrite
-	done   bool
-}
-
-// txWrite is a committed write statement recorded for the replication hook.
-type txWrite struct {
-	sql  string
-	args []Value
-}
-
-// Begin starts a transaction.
-func (db *DB) Begin() *Tx { return &Tx{db: db} }
-
-// Exec executes one statement inside the transaction. Write-hook
-// notifications for transactional statements are deferred to Commit so that
-// rolled-back statements are never replicated.
-func (tx *Tx) Exec(sql string, args ...Value) (Result, error) {
-	if tx.done {
-		return Result{}, ErrTxDone
-	}
-	tx.db.mu.Lock()
-	defer tx.db.mu.Unlock()
-	p, err := tx.db.prepareLocked(sql)
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := tx.db.execLocked(p, args, tx)
-	if err == nil && p.write && res.Affected > 0 {
-		tx.writes = append(tx.writes, txWrite{sql: sql, args: append([]Value(nil), args...)})
-	}
-	return res, err
-}
-
-// Commit finishes the transaction, keeping its effects and notifying the
-// write hook of every recorded statement in order.
-func (tx *Tx) Commit() error {
-	if tx.done {
-		return ErrTxDone
-	}
-	tx.done = true
-	tx.undo = nil
-	tx.db.mu.Lock()
-	hook := tx.db.onWrite
-	tx.db.mu.Unlock()
-	if hook != nil {
-		for _, w := range tx.writes {
-			hook(w.sql, w.args)
-		}
-	}
-	tx.writes = nil
-	return nil
-}
-
-// Rollback undoes every statement executed in the transaction.
-func (tx *Tx) Rollback() error {
-	if tx.done {
-		return ErrTxDone
-	}
-	tx.done = true
-	tx.writes = nil
-	tx.db.mu.Lock()
-	defer tx.db.mu.Unlock()
-	for i := len(tx.undo) - 1; i >= 0; i-- {
-		tx.undo[i]()
-	}
-	tx.undo = nil
-	return nil
-}
-
 // execLocked executes a prepared statement and reports it to the observer:
 // the statement's static half (verb, table, planned) was derived when it
 // was prepared, the rest comes from the result. db.mu must be held.
-func (db *DB) execLocked(p *Prepared, args []Value, tx *Tx) (Result, error) {
-	res, err := db.dispatchLocked(p.st, args, tx)
+func (db *DB) execLocked(p *Prepared, args []Value) (Result, error) {
+	res, err := db.dispatchLocked(p.st, args)
 	if err == nil && (db.observer != nil || db.profiling) {
 		info := p.info
 		info.Scanned, info.Written, info.Returned = res.Scanned, res.Affected, len(res.Rows)
@@ -523,18 +426,16 @@ func (db *DB) execLocked(p *Prepared, args []Value, tx *Tx) (Result, error) {
 }
 
 // dispatchLocked executes a parsed statement. db.mu must be held.
-func (db *DB) dispatchLocked(st Stmt, args []Value, tx *Tx) (Result, error) {
+func (db *DB) dispatchLocked(st Stmt, args []Value) (Result, error) {
 	switch s := st.(type) {
 	case *CreateTableStmt:
 		return db.execCreateTable(s)
 	case *CreateIndexStmt:
 		return db.execCreateIndex(s)
 	case *InsertStmt:
-		return db.execInsert(s, args, tx)
+		return db.execInsert(s, args)
 	case *UpdateStmt:
-		return db.execUpdate(s, args, tx)
-	case *DeleteStmt:
-		return db.execDelete(s, args, tx)
+		return db.execUpdate(s, args)
 	case *SelectStmt:
 		return db.execSelect(s, args)
 	default:
@@ -588,9 +489,6 @@ func (db *DB) execCreateIndex(s *CreateIndexStmt) (Result, error) {
 	}
 	ix := newIndex(s.Name, c, s.Unique)
 	for pos, r := range t.rows {
-		if r.dead {
-			continue
-		}
 		k := r.vals[c].mapKey()
 		if s.Unique && len(ix.lookup(k)) > 0 && !r.vals[c].IsNull() {
 			return Result{}, fmt.Errorf("%w: building unique index %s", ErrDuplicateKey, s.Name)
@@ -599,7 +497,7 @@ func (db *DB) execCreateIndex(s *CreateIndexStmt) (Result, error) {
 	}
 	t.indexes = append(t.indexes, ix)
 	db.epoch++
-	return Result{Cost: db.cost.cost(t.live, 0, 0)}, nil
+	return Result{Cost: db.cost.cost(len(t.rows), 0, 0)}, nil
 }
 
 // insertPlan is an INSERT's column binding and compiled value expressions.
@@ -665,7 +563,7 @@ func (pl *insertPlan) row(exprs []evalFn) ([]Value, error) {
 	return vals, nil
 }
 
-func (db *DB) execInsert(s *InsertStmt, args []Value, tx *Tx) (Result, error) {
+func (db *DB) execInsert(s *InsertStmt, args []Value) (Result, error) {
 	pl, err := db.insertPlanFor(s)
 	if err != nil {
 		return Result{}, err
@@ -676,24 +574,20 @@ func (db *DB) execInsert(s *InsertStmt, args []Value, tx *Tx) (Result, error) {
 	for _, exprs := range pl.rows {
 		vals, err := pl.row(exprs)
 		if err == nil {
-			err = db.insertRow(t, vals, tx)
+			err = t.insertRow(vals)
 		}
 		if err != nil {
 			// A failure part-way through a multi-row insert rolls the
-			// statement back (statements are atomic even in autocommit).
-			// The rows also sit in the enclosing transaction's undo log (as
-			// kills), which is harmless: killing a dead row is a no-op.
-			for pos := len(t.rows) - 1; pos >= first; pos-- {
-				db.killRow(t, pos)
-			}
+			// statement back: statements are atomic.
+			t.truncate(first)
 			return Result{}, err
 		}
 	}
 	return Result{Affected: len(pl.rows), Cost: db.cost.cost(0, len(pl.rows), 0)}, nil
 }
 
-// insertRow validates constraints and stores vals in t, logging undo in tx.
-func (db *DB) insertRow(t *table, vals []Value, tx *Tx) error {
+// insertRow validates constraints and appends vals to t.
+func (t *table) insertRow(vals []Value) error {
 	for i, c := range t.cols {
 		if c.NotNull && vals[i].IsNull() {
 			return fmt.Errorf("%w: %s.%s", ErrNotNull, t.name, c.Name)
@@ -708,44 +602,24 @@ func (db *DB) insertRow(t *table, vals []Value, tx *Tx) error {
 	r := &row{}
 	r.set(vals)
 	t.rows = append(t.rows, r)
-	t.live++
 	t.version++
 	for _, ix := range t.indexes {
 		ix.add(vals[ix.col].mapKey(), pos)
-	}
-	if tx != nil {
-		tx.undo = append(tx.undo, func() { db.killRow(t, pos) })
 	}
 	return nil
 }
 
-// killRow tombstones the row at pos and removes it from all indexes.
-func (db *DB) killRow(t *table, pos int) {
-	r := t.rows[pos]
-	if r.dead {
-		return
+// truncate drops the rows from position n on, last first, with their index
+// entries: the undo of a multi-row INSERT that failed part-way.
+func (t *table) truncate(n int) {
+	for pos := len(t.rows) - 1; pos >= n; pos-- {
+		for _, ix := range t.indexes {
+			ix.remove(t.rows[pos].vals[ix.col].mapKey(), pos)
+		}
+		t.rows[pos] = nil
+		t.version++
 	}
-	r.dead = true
-	t.live--
-	t.version++
-	for _, ix := range t.indexes {
-		ix.remove(r.vals[ix.col].mapKey(), pos)
-	}
-}
-
-// reviveRow resurrects a tombstoned row with the given values.
-func (db *DB) reviveRow(t *table, pos int, vals []Value) {
-	r := t.rows[pos]
-	if !r.dead {
-		return
-	}
-	r.dead = false
-	r.set(vals)
-	t.live++
-	t.version++
-	for _, ix := range t.indexes {
-		ix.add(vals[ix.col].mapKey(), pos)
-	}
+	t.rows = t.rows[:n]
 }
 
 // replaceRow swaps in a new value slice for the row at pos, moving its index
@@ -763,8 +637,8 @@ func (t *table) replaceRow(pos int, vals []Value) {
 	t.version++
 }
 
-func (db *DB) execUpdate(s *UpdateStmt, args []Value, tx *Tx) (Result, error) {
-	pl, hit, err := db.matchPlanFor(&s.plan, s.Table, s.Where, s.Sets)
+func (db *DB) execUpdate(s *UpdateStmt, args []Value) (Result, error) {
+	pl, hit, err := db.updatePlanFor(s)
 	if err != nil {
 		return Result{}, err
 	}
@@ -816,48 +690,21 @@ func (db *DB) execUpdate(s *UpdateStmt, args []Value, tx *Tx) (Result, error) {
 		}
 		t.replaceRow(pos, vals)
 		pl.oldVals = append(pl.oldVals, old)
-		if tx != nil {
-			tx.undo = append(tx.undo, func() { t.replaceRow(pos, old) })
-		}
 	}
-	return db.matchResult(hit, probed, scanned, len(pl.pos)), nil
-}
-
-func (db *DB) execDelete(s *DeleteStmt, args []Value, tx *Tx) (Result, error) {
-	pl, hit, err := db.matchPlanFor(&s.plan, s.Table, s.Where, nil)
-	if err != nil {
-		return Result{}, err
-	}
-	probed, scanned, err := pl.match(args)
-	if err != nil {
-		return Result{}, err
-	}
-	t := pl.t
-	for _, pos := range pl.pos {
-		old := t.rows[pos].vals
-		db.killRow(t, pos)
-		if tx != nil {
-			tx.undo = append(tx.undo, func() { db.reviveRow(t, pos, old) })
-		}
-	}
-	return db.matchResult(hit, probed, scanned, len(pl.pos)), nil
-}
-
-// matchResult is the Result of an UPDATE or DELETE. The virtual and the
-// actual scan figure coincide: a probed bucket's length, or every live row.
-func (db *DB) matchResult(hit, probed bool, scanned, affected int) Result {
+	// The virtual and the actual scan figure coincide: a probed bucket's
+	// length, or every row.
 	res := Result{
-		Affected:      affected,
+		Affected:      len(pl.pos),
 		Scanned:       scanned,
 		IndexUsed:     probed,
 		ScannedActual: scanned,
 		PlanCached:    hit,
-		Cost:          db.cost.cost(scanned, affected, 0),
+		Cost:          db.cost.cost(scanned, len(pl.pos), 0),
 	}
 	if probed {
 		res.IndexProbes = 1
 	}
-	return res
+	return res, nil
 }
 
 // Prepared is a parsed statement bound to its database: a handle whose Exec
@@ -886,11 +733,11 @@ func (p *Prepared) Exec(args ...Value) (Result, error) {
 	return p.execAndUnlock(args)
 }
 
-// execAndUnlock executes outside a transaction with db.mu held, releases it
-// and then notifies the write hook.
+// execAndUnlock executes with db.mu held, releases it and then notifies the
+// write hook.
 func (p *Prepared) execAndUnlock(args []Value) (Result, error) {
 	db := p.db
-	res, err := db.execLocked(p, args, nil)
+	res, err := db.execLocked(p, args)
 	hook := db.onWrite
 	db.mu.Unlock()
 	if err == nil && hook != nil && p.write && res.Affected > 0 {

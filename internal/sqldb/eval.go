@@ -142,15 +142,6 @@ func (sc scope) compileBinary(x *BinaryExpr) evalFn {
 			}
 			return Bool(likeMatch(lv.AsString(), pat.text)), nil
 		}
-	case "+", "-", "*", "/":
-		op := x.Op[0]
-		return func(fr *frame) (Value, error) {
-			lv, rv, ok, err := operands(l, r, fr)
-			if !ok {
-				return Value{}, err
-			}
-			return arith(op, lv, rv)
-		}
 	}
 	if truth, ok := cmpTruth[x.Op]; ok {
 		return func(fr *frame) (Value, error) {
@@ -174,44 +165,6 @@ func operands(l, r evalFn, fr *frame) (lv, rv Value, ok bool, err error) {
 		}
 	}
 	return lv, rv, ok, err
-}
-
-// arith applies + - * / to two non-NULL values; + concatenates when either
-// side is a string, and division by zero is NULL.
-func arith(op byte, l, r Value) (Value, error) {
-	if op == '+' && (l.K == KindString || r.K == KindString) {
-		return Str(l.AsString() + r.AsString()), nil
-	}
-	if !l.numeric() || !r.numeric() {
-		return Value{}, fmt.Errorf("sqldb: arithmetic on non-numeric values %v %c %v", l, op, r)
-	}
-	if l.K == KindInt && r.K == KindInt {
-		switch op {
-		case '+':
-			return Int(l.I + r.I), nil
-		case '-':
-			return Int(l.I - r.I), nil
-		case '*':
-			return Int(l.I * r.I), nil
-		}
-		if r.I == 0 {
-			return Null(), nil
-		}
-		return Int(l.I / r.I), nil
-	}
-	lf, rf := l.AsFloat(), r.AsFloat()
-	switch op {
-	case '+':
-		return Float(lf + rf), nil
-	case '-':
-		return Float(lf - rf), nil
-	case '*':
-		return Float(lf * rf), nil
-	}
-	if rf == 0 {
-		return Null(), nil
-	}
-	return Float(lf / rf), nil
 }
 
 // likePattern is one analysed LIKE pattern. An ASCII pattern of the form

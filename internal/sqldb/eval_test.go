@@ -26,7 +26,7 @@ func evalDB(t *testing.T) *DB {
 // one runs a single-row, single-column query.
 func one(t *testing.T, db *DB, sql string, args ...Value) Value {
 	t.Helper()
-	r, err := db.Query(sql, args...)
+	r, err := db.Exec(sql, args...)
 	if err != nil {
 		t.Fatalf("%s: %v", sql, err)
 	}
@@ -36,39 +36,14 @@ func one(t *testing.T, db *DB, sql string, args ...Value) Value {
 	return r.Rows[0][0]
 }
 
-func TestArithmeticEvaluation(t *testing.T) {
-	db := evalDB(t)
-	cases := []struct {
-		sql  string
-		want Value
-	}{
-		{`SELECT i + 5 FROM v WHERE id = 1`, Int(15)},
-		{`SELECT i - 3 FROM v WHERE id = 1`, Int(7)},
-		{`SELECT i * 2 FROM v WHERE id = 1`, Int(20)},
-		{`SELECT i / 4 FROM v WHERE id = 1`, Int(2)}, // integer division
-		{`SELECT i + f FROM v WHERE id = 1`, Float(12.5)},
-		{`SELECT f * 2 FROM v WHERE id = 1`, Float(5)},
-		{`SELECT f - 0.5 FROM v WHERE id = 1`, Float(2)},
-		{`SELECT f / 2.5 FROM v WHERE id = 1`, Float(1)},
-		{`SELECT 0 - i FROM v WHERE id = 1`, Int(-10)},
-		{`SELECT (i + 2) * f FROM v WHERE id = 1`, Float(30)},
-	}
-	for _, c := range cases {
-		got := one(t, db, c.sql)
-		if Compare(got, c.want) != 0 || got.K != c.want.K {
-			t.Errorf("%s = %#v, want %#v", c.sql, got, c.want)
-		}
-	}
-}
-
 func TestNullPropagatesThroughExpressions(t *testing.T) {
 	db := evalDB(t)
 	for _, sql := range []string{
-		`SELECT i + 1 FROM v WHERE id = 2`,
-		`SELECT i * f FROM v WHERE id = 2`,
+		`SELECT i = f FROM v WHERE id = 2`,
 		`SELECT i >= 1 FROM v WHERE id = 2`,
 		`SELECT s LIKE 'a%' FROM v WHERE id = 2`,
-		`SELECT s + 'x' FROM v WHERE id = 2`,
+		`SELECT 'x' <> s FROM v WHERE id = 2`,
+		`SELECT (i < 1) = (f > 1) FROM v WHERE id = 2`,
 	} {
 		if got := one(t, db, sql); !got.IsNull() {
 			t.Errorf("%s = %v, want NULL", sql, got)
@@ -102,7 +77,7 @@ func TestNotInAndNotBetween(t *testing.T) {
 
 func TestAggregateExpressionArithmetic(t *testing.T) {
 	wantSyntaxErrorAt(t, `SELECT SUM(i) + COUNT(*) FROM v`, "SUM")
-	wantSyntaxErrorAt(t, `SELECT 1 + COUNT(i) FROM v`, "COUNT")
+	wantSyntaxErrorAt(t, `SELECT 1, COUNT(i) FROM v`, "COUNT")
 	wantSyntaxErrorAt(t, `SELECT i FROM v ORDER BY MAX(i)`, "MAX")
 }
 
@@ -116,7 +91,7 @@ func TestAggregateErrors(t *testing.T) {
 		`SELECT SUM(i) FROM v ORDER BY ghost`, // unknown output column
 	}
 	for _, sql := range bad {
-		if _, err := db.Query(sql); err == nil {
+		if _, err := db.Exec(sql); err == nil {
 			t.Errorf("%s accepted", sql)
 		}
 	}
@@ -139,13 +114,16 @@ func TestScalarFuncErrors(t *testing.T) {
 	}
 }
 
+// TestArithmeticOnNonNumericFails: no operand kind admits arithmetic, as no
+// program statement uses it; every operator is a positioned syntax error.
 func TestArithmeticOnNonNumericFails(t *testing.T) {
 	db := evalDB(t)
-	if _, err := db.Query(`SELECT (i > 0) * 2 FROM v WHERE id = 1`); err == nil {
-		t.Fatal("bool arithmetic accepted")
-	}
-	if _, err := db.Query(`SELECT s - 1 FROM v WHERE id = 1`); err == nil {
-		t.Fatal("string subtraction accepted")
+	for _, op := range []string{"+", "-", "*", "/"} {
+		sql := `SELECT i ` + op + ` 2 FROM v WHERE id = 1`
+		wantSyntaxErrorAt(t, sql, op+" 2")
+		if _, err := db.Exec(sql); err == nil {
+			t.Errorf("%s executed", sql)
+		}
 	}
 }
 
@@ -203,26 +181,23 @@ func TestSyntaxErrorMessage(t *testing.T) {
 
 func TestTablesAndCostModelAccessors(t *testing.T) {
 	db := evalDB(t)
-	if n, err := db.RowCount("v"); err != nil || n != 2 {
-		t.Fatalf("RowCount v = %d, %v", n, err)
-	}
 	// A heavier cost model increases reported statement cost.
-	cheap, err := db.Query(`SELECT * FROM v`)
-	if err != nil {
-		t.Fatal(err)
+	cheap, err := db.Exec(`SELECT * FROM v`)
+	if err != nil || cheap.Len() != 2 {
+		t.Fatalf("SELECT * FROM v: %d rows, %v", cheap.Len(), err)
 	}
 	expensive := DefaultCostModel
 	expensive.PerStatement *= 10
 	db.SetCostModel(expensive)
-	costly, err := db.Query(`SELECT * FROM v`)
+	costly, err := db.Exec(`SELECT * FROM v`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if costly.Cost <= cheap.Cost {
 		t.Fatalf("cost model ignored: %v <= %v", costly.Cost, cheap.Cost)
 	}
-	if _, err := db.RowCount("ghost"); !errors.Is(err, ErrNoSuchTable) {
-		t.Fatalf("RowCount ghost: %v", err)
+	if _, err := db.Exec(`SELECT * FROM ghost`); !errors.Is(err, ErrNoSuchTable) {
+		t.Fatalf("SELECT * FROM ghost: %v", err)
 	}
 }
 
@@ -242,7 +217,7 @@ func TestGroupByWithPlaceholderFilter(t *testing.T) {
 	}
 	wantSyntaxErrorAt(t, `SELECT cat FROM o WHERE amt < ? GROUP BY cat ORDER BY cat DESC`, "GROUP")
 	// The placeholder filter and the ordering stand without the grouping.
-	res, err := db.Query(`SELECT cat, amt FROM o WHERE amt < ? ORDER BY cat DESC, amt`, Int(50))
+	res, err := db.Exec(`SELECT cat, amt FROM o WHERE amt < ? ORDER BY cat DESC, amt`, Int(50))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +243,7 @@ func TestThreeWayJoin(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := db.Query(`SELECT a.name, c.v
+	res, err := db.Exec(`SELECT a.name, c.v
 		FROM a JOIN b ON b.aid = a.id JOIN c ON c.bid = b.id
 		ORDER BY c.v DESC`)
 	if err != nil {

@@ -36,7 +36,7 @@ type token struct {
 var keywords = map[string]bool{
 	"SELECT": true, "FROM": true, "WHERE": true, "INSERT": true,
 	"INTO": true, "VALUES": true, "UPDATE": true, "SET": true,
-	"DELETE": true, "CREATE": true, "TABLE": true, "INDEX": true,
+	"CREATE": true, "TABLE": true, "INDEX": true,
 	"ON": true, "PRIMARY": true, "KEY": true, "NOT": true, "NULL": true,
 	"AND": true, "OR": true, "ORDER": true, "BY": true, "ASC": true,
 	"DESC": true, "LIMIT": true, "JOIN": true, "DISTINCT": true, "LIKE": true,
@@ -44,7 +44,7 @@ var keywords = map[string]bool{
 
 	"GROUP": true, "HAVING": true, "OFFSET": true, "IN": true, "IS": true,
 	"BETWEEN": true, "COUNT": true, "SUM": true, "AVG": true, "MIN": true,
-	"MAX": true, "DROP": true, "BEGIN": true, "COMMIT": true, "ROLLBACK": true,
+	"MAX": true, "DROP": true, "DELETE": true, "BEGIN": true, "COMMIT": true, "ROLLBACK": true,
 	"AS": true, "INNER": true, "TRUE": true, "FALSE": true,
 }
 

@@ -14,7 +14,7 @@ type parser struct {
 	depth   int // open parentheses around the expression being parsed
 }
 
-// maxNesting bounds parenthesis depth: each level costs six stack frames, and
+// maxNesting bounds parenthesis depth: each level costs four stack frames, and
 // statement text is untrusted input.
 const maxNesting = 100
 
@@ -95,8 +95,6 @@ func (p *parser) statement() (Stmt, error) {
 		return p.insertStmt()
 	case "UPDATE":
 		return p.updateStmt()
-	case "DELETE":
-		return p.deleteStmt()
 	case "CREATE":
 		return p.createStmt()
 	default:
@@ -317,28 +315,6 @@ func (p *parser) updateStmt() (Stmt, error) {
 	return st, nil
 }
 
-func (p *parser) deleteStmt() (Stmt, error) {
-	if err := p.expectKeyword("DELETE"); err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("FROM"); err != nil {
-		return nil, err
-	}
-	table, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	st := &DeleteStmt{Table: strings.ToLower(table)}
-	if p.acceptKeyword("WHERE") {
-		w, err := p.expression()
-		if err != nil {
-			return nil, err
-		}
-		st.Where = w
-	}
-	return st, nil
-}
-
 func (p *parser) selectStmt() (Stmt, error) {
 	if err := p.expectKeyword("SELECT"); err != nil {
 		return nil, err
@@ -439,9 +415,7 @@ func (p *parser) tableRef() (TableRef, error) {
 // Expression grammar, lowest precedence first:
 // expr     = andExpr (OR andExpr)*
 // andExpr  = cmpExpr (AND cmpExpr)*
-// cmpExpr  = addExpr [(=|<>|<|<=|>|>=|LIKE) addExpr]
-// addExpr  = mulExpr ((+|-) mulExpr)*
-// mulExpr  = primary ((*|/) primary)*
+// cmpExpr  = primary [(=|<>|<|<=|>|>=|LIKE) primary]
 // primary  = literal | placeholder | columnRef | (expr)
 
 func (p *parser) expression() (Expr, error) {
@@ -475,7 +449,7 @@ func (p *parser) andExpr() (Expr, error) {
 }
 
 func (p *parser) cmpExpr() (Expr, error) {
-	left, err := p.addExpr()
+	left, err := p.primary()
 	if err != nil {
 		return nil, err
 	}
@@ -491,51 +465,11 @@ func (p *parser) cmpExpr() (Expr, error) {
 		return left, nil
 	}
 	p.next()
-	right, err := p.addExpr()
+	right, err := p.primary()
 	if err != nil {
 		return nil, err
 	}
 	return &BinaryExpr{Op: t.text, Left: left, Right: right}, nil
-}
-
-func (p *parser) addExpr() (Expr, error) {
-	left, err := p.mulExpr()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t := p.peek()
-		if t.kind == tokSymbol && (t.text == "+" || t.text == "-") {
-			p.next()
-			right, err := p.mulExpr()
-			if err != nil {
-				return nil, err
-			}
-			left = &BinaryExpr{Op: t.text, Left: left, Right: right}
-			continue
-		}
-		return left, nil
-	}
-}
-
-func (p *parser) mulExpr() (Expr, error) {
-	left, err := p.primary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t := p.peek()
-		if t.kind == tokSymbol && (t.text == "*" || t.text == "/") {
-			p.next()
-			right, err := p.primary()
-			if err != nil {
-				return nil, err
-			}
-			left = &BinaryExpr{Op: t.text, Left: left, Right: right}
-			continue
-		}
-		return left, nil
-	}
 }
 
 func (p *parser) primary() (Expr, error) {

@@ -62,9 +62,9 @@ type setOp struct {
 	val evalFn
 }
 
-// matchPlan is the plan of an UPDATE or DELETE: the access decision for row
+// updatePlan is the plan of an UPDATE: the access decision for row
 // matching, the compiled WHERE and SET clauses, and the execution scratch.
-type matchPlan struct {
+type updatePlan struct {
 	planStamp
 	t     *table
 	cands []probeCand
@@ -73,8 +73,8 @@ type matchPlan struct {
 
 	fr      frame
 	pos     []int     // matched row positions
-	newVals [][]Value // UPDATE: the new row per matched position
-	oldVals [][]Value // UPDATE: the replaced row per applied position
+	newVals [][]Value // the new row per matched position
+	oldVals [][]Value // the replaced row per applied position
 }
 
 // level is one FROM table of a SELECT: its probe candidates, matched against
@@ -172,7 +172,7 @@ func eqCands(pred Expr, side func(l, r Expr) (probeCand, bool)) []probeCand {
 	return cands
 }
 
-// matchEqSide mirrors the legacy shape test for UPDATE/DELETE: a column of
+// matchEqSide mirrors the legacy shape test for UPDATE: a column of
 // t against a literal or placeholder.
 func matchEqSide(t *table, l, r Expr) (probeCand, bool) {
 	ref, ok := l.(*ColumnRef)
@@ -215,31 +215,31 @@ func selectEqSide(t *table, name string, l, r Expr, bound scope) (probeCand, boo
 	return probeCand{ix: t.indexOn(col), val: bound.compile(r)}, true
 }
 
-// matchPlanFor returns the UPDATE or DELETE's cached plan when it is still
-// valid for db's current schema, rebuilding it otherwise. A plan that fails
-// to build is never cached, so every execution reports the error.
-func (db *DB) matchPlanFor(slot **matchPlan, name string, where Expr, sets []Assign) (*matchPlan, bool, error) {
-	if pl := *slot; pl != nil && pl.planStamp == db.stamp() {
+// updatePlanFor returns the UPDATE's cached plan when it is still valid for
+// db's current schema, rebuilding it otherwise. A plan that fails to build is
+// never cached, so every execution reports the error.
+func (db *DB) updatePlanFor(s *UpdateStmt) (*updatePlan, bool, error) {
+	if pl := s.plan; pl != nil && pl.planStamp == db.stamp() {
 		return pl, true, nil
 	}
-	t, ok := db.tables[name]
+	t, ok := db.tables[s.Table]
 	if !ok {
-		return nil, false, fmt.Errorf("%w: %s", ErrNoSuchTable, name)
+		return nil, false, fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
 	}
-	sc := scope{tabs: []*table{t}, names: []string{name}}
-	pl := &matchPlan{planStamp: db.stamp(), t: t, fr: frame{rows: make([]*row, 1)}}
-	for _, a := range sets {
+	sc := scope{tabs: []*table{t}, names: []string{s.Table}}
+	pl := &updatePlan{planStamp: db.stamp(), t: t, fr: frame{rows: make([]*row, 1)}}
+	for _, a := range s.Sets {
 		c, err := t.col(a.Col)
 		if err != nil {
 			return nil, false, err
 		}
 		pl.sets = append(pl.sets, setOp{col: c, val: sc.compile(a.Expr)})
 	}
-	if where != nil {
-		pl.where = sc.compile(where)
-		pl.cands = eqCands(where, func(l, r Expr) (probeCand, bool) { return matchEqSide(t, l, r) })
+	if s.Where != nil {
+		pl.where = sc.compile(s.Where)
+		pl.cands = eqCands(s.Where, func(l, r Expr) (probeCand, bool) { return matchEqSide(t, l, r) })
 	}
-	*slot = pl
+	s.plan = pl
 	return pl, false, nil
 }
 
@@ -335,7 +335,7 @@ func (sc scope) plainColumn(e Expr) (slot, col int, ok bool) {
 
 // orderedWalkFor decides whether the result can be produced by walking an
 // ordered index instead of match-then-sort. The legacy candidate list must
-// be empty so the virtual scan figure is t.live on every execution.
+// be empty so the virtual scan figure is the row count on every execution.
 func orderedWalkFor(s *SelectStmt, pl *selectPlan) *orderedWalk {
 	if s.Distinct || len(pl.order) != 1 || !pl.plainOrder || len(pl.levels[0].cands) != 0 {
 		return nil
@@ -347,11 +347,11 @@ func orderedWalkFor(s *SelectStmt, pl *selectPlan) *orderedWalk {
 	return &orderedWalk{ix: ix, desc: pl.order[0].desc}
 }
 
-// match finds the rows an UPDATE or DELETE touches, in ascending position
-// order, into pl.pos. It reports whether an index narrowed the scan and the
-// number of rows visited — the virtual and the actual figure coincide: a
-// probed bucket's length, or every live row.
-func (pl *matchPlan) match(args []Value) (probed bool, scanned int, err error) {
+// match finds the rows an UPDATE touches, in ascending position order, into
+// pl.pos. It reports whether an index narrowed the scan and the number of
+// rows visited — the virtual and the actual figure coincide: a probed
+// bucket's length, or every row.
+func (pl *updatePlan) match(args []Value) (probed bool, scanned int, err error) {
 	t := pl.t
 	pl.fr.params = append(pl.fr.params[:0], args...)
 	pl.pos = pl.pos[:0]
@@ -376,12 +376,9 @@ func (pl *matchPlan) match(args []Value) (probed bool, scanned int, err error) {
 		return true, len(bucket), nil
 	}
 	for pos, r := range t.rows {
-		if r.dead {
-			continue
-		}
 		if err := visit(pos, r); err != nil {
 			return false, 0, err
 		}
 	}
-	return false, t.live, nil
+	return false, len(t.rows), nil
 }

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"errors"
 	"testing"
 )
 
@@ -47,36 +48,29 @@ func TestOrderedIndexMaintenance(t *testing.T) {
 	mustExec(t, db, `INSERT INTO t VALUES (5, 'm'), (1, 'z'), (9, 'a'), (3, 'm'), (7, 'a')`)
 	checkAllIndexes(t, db)
 
-	// Deleting empties one bucket and shrinks another.
-	mustExec(t, db, `DELETE FROM t WHERE id = 1`)
-	mustExec(t, db, `DELETE FROM t WHERE v = 'a'`)
-	checkAllIndexes(t, db)
-
-	// Updating an indexed column moves the row between buckets.
+	// Updating an indexed column moves the row between buckets: one empties,
+	// one shrinks, one is new.
+	mustExec(t, db, `UPDATE t SET v = 'n' WHERE id = 1`)
+	mustExec(t, db, `UPDATE t SET v = 'b' WHERE id = 9`)
 	mustExec(t, db, `UPDATE t SET v = 'q' WHERE id = 5`)
 	checkAllIndexes(t, db)
 
-	// Rolled-back work must leave the ordered structure intact.
-	tx := db.Begin()
-	if _, err := tx.Exec(`INSERT INTO t VALUES (2, 'b'), (8, 'y')`); err != nil {
-		t.Fatal(err)
+	// Statements that fail part-way must leave the ordered structure intact:
+	// an INSERT whose third row repeats a key, an UPDATE whose second row
+	// takes the key its first took.
+	if _, err := db.Exec(`INSERT INTO t VALUES (2, 'b'), (8, 'y'), (3, 'c')`); !errors.Is(err, ErrDuplicateKey) {
+		t.Fatalf("insert: %v", err)
 	}
-	if _, err := tx.Exec(`UPDATE t SET v = 'k' WHERE id = 3`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tx.Exec(`DELETE FROM t WHERE id = 5`); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Rollback(); err != nil {
-		t.Fatal(err)
+	if _, err := db.Exec(`UPDATE t SET id = 4 WHERE v = 'b' OR v = 'a'`); !errors.Is(err, ErrDuplicateKey) {
+		t.Fatalf("update: %v", err)
 	}
 	checkAllIndexes(t, db)
-	r, err := db.Query(`SELECT id FROM t ORDER BY id`)
+	r, err := db.Exec(`SELECT id FROM t ORDER BY v`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := intColumn(r, 0); !equalInts(got, []int64{3, 5}) {
-		t.Fatalf("after rollback: %v", got)
+	if got := intColumn(r, 0); !equalInts(got, []int64{7, 9, 3, 1, 5}) {
+		t.Fatalf("after the failed statements: %v", got)
 	}
 }
 
@@ -121,7 +115,7 @@ func TestRangeBoundsStrictness(t *testing.T) {
 		{`SELECT id FROM items WHERE 2 < id`, []int64{3, 4}},
 		{`SELECT id FROM items WHERE id > 1 AND id <= 3`, []int64{2, 3}},
 	} {
-		r, err := db.Query(tc.sql)
+		r, err := db.Exec(tc.sql)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.sql, err)
 		}
@@ -142,7 +136,7 @@ func TestLikePrefixOnIndexedColumn(t *testing.T) {
 	// LIKE is case-insensitive and always a filter over the full scan, index
 	// or not: either spelling of the prefix finds the row and visits all three.
 	for _, pattern := range []string{"a%", "A%"} {
-		r, err := db.Query(`SELECT nick FROM users WHERE nick LIKE ?`, Str(pattern))
+		r, err := db.Exec(`SELECT nick FROM users WHERE nick LIKE ?`, Str(pattern))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +155,7 @@ func TestNonASCIIIndexOrdersAndProbes(t *testing.T) {
 	mustExec(t, db, `CREATE INDEX idx_users_nick ON users (nick)`)
 	checkAllIndexes(t, db)
 	// Equality probes the index on the exact bytes.
-	r, err := db.Query(`SELECT id FROM users WHERE nick = ?`, Str("ärn"))
+	r, err := db.Exec(`SELECT id FROM users WHERE nick = ?`, Str("ärn"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +163,7 @@ func TestNonASCIIIndexOrdersAndProbes(t *testing.T) {
 		t.Fatalf("probe: rows=%v indexed=%v actual=%d", got, r.IndexUsed, r.ScannedActual)
 	}
 	// The ordered walk yields byte order, the order the sort produces.
-	walked, err := db.Query(`SELECT id FROM users ORDER BY nick LIMIT 6`)
+	walked, err := db.Exec(`SELECT id FROM users ORDER BY nick LIMIT 6`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,18 +171,18 @@ func TestNonASCIIIndexOrdersAndProbes(t *testing.T) {
 		t.Fatalf("walk order: %v", got)
 	}
 	// LIKE folds case across the non-ASCII keys, by full scan.
-	r, err = db.Query(`SELECT id FROM users WHERE nick LIKE ? ORDER BY id`, Str("ÄR%"))
+	r, err = db.Exec(`SELECT id FROM users WHERE nick LIKE ? ORDER BY id`, Str("ÄR%"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := intColumn(r, 0); !equalInts(got, []int64{4, 5}) || r.ScannedActual != 6 {
 		t.Fatalf("like: rows=%v actual=%d", got, r.ScannedActual)
 	}
-	// Deleting and updating the keys keeps the ordered structure intact.
-	mustExec(t, db, `DELETE FROM users WHERE id = 4`)
+	// Moving the keys keeps the ordered structure intact.
+	mustExec(t, db, `UPDATE users SET nick = 'al' WHERE id = 4`)
 	mustExec(t, db, `UPDATE users SET nick = 'éva' WHERE id = 5`)
 	checkAllIndexes(t, db)
-	walked, err = db.Query(`SELECT id FROM users ORDER BY nick DESC LIMIT 2`)
+	walked, err = db.Exec(`SELECT id FROM users ORDER BY nick DESC LIMIT 2`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +193,7 @@ func TestNonASCIIIndexOrdersAndProbes(t *testing.T) {
 
 func TestOrderedWalkLimit(t *testing.T) {
 	db := newTestDB(t)
-	r, err := db.Query(`SELECT id FROM items ORDER BY id LIMIT 2`)
+	r, err := db.Exec(`SELECT id FROM items ORDER BY id LIMIT 2`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +210,7 @@ func TestOrderedWalkLimit(t *testing.T) {
 
 func TestOrderedWalkDesc(t *testing.T) {
 	db := newTestDB(t)
-	r, err := db.Query(`SELECT id FROM items ORDER BY id DESC LIMIT 1`)
+	r, err := db.Exec(`SELECT id FROM items ORDER BY id DESC LIMIT 1`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +226,7 @@ func TestOrderedWalkOffset(t *testing.T) {
 	db := newTestDB(t)
 	wantSyntaxErrorAt(t, `SELECT id FROM items ORDER BY id LIMIT 1 OFFSET 2`, "OFFSET")
 	// Without an offset the walk stops at the first accepted row.
-	r, err := db.Query(`SELECT id FROM items WHERE id > 2 ORDER BY id LIMIT 1`)
+	r, err := db.Exec(`SELECT id FROM items WHERE id > 2 ORDER BY id LIMIT 1`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +240,7 @@ func TestOrderedWalkOffset(t *testing.T) {
 
 func TestOrderedWalkLimitZero(t *testing.T) {
 	db := newTestDB(t)
-	r, err := db.Query(`SELECT id FROM items ORDER BY id LIMIT 0`)
+	r, err := db.Exec(`SELECT id FROM items ORDER BY id LIMIT 0`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +253,7 @@ func TestOrderedWalkTiesKeepPositionOrder(t *testing.T) {
 	db := newTestDB(t)
 	// category has duplicates; a full walk (no LIMIT) must
 	// reproduce the stable sort's insertion order within equal keys.
-	r, err := db.Query(`SELECT name FROM items ORDER BY category`)
+	r, err := db.Exec(`SELECT name FROM items ORDER BY category`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +272,7 @@ func TestOrderedWalkWithWhereFilter(t *testing.T) {
 	db := newTestDB(t)
 	// WHERE on a non-eq predicate keeps the legacy plan full-scanning, so
 	// the ordered walk still applies and filters inline.
-	r, err := db.Query(`SELECT id FROM items WHERE price < ? ORDER BY id DESC LIMIT 2`, Float(100))
+	r, err := db.Exec(`SELECT id FROM items WHERE price < ? ORDER BY id DESC LIMIT 2`, Float(100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,14 +284,14 @@ func TestOrderedWalkWithWhereFilter(t *testing.T) {
 func TestPlanCacheHitAndDDLInvalidation(t *testing.T) {
 	db := newTestDB(t)
 	q := `SELECT name FROM items WHERE category = ?`
-	r1, err := db.Query(q, Str("home"))
+	r1, err := db.Exec(q, Str("home"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.PlanCached {
 		t.Fatal("first execution must build the plan")
 	}
-	r2, err := db.Query(q, Str("sports"))
+	r2, err := db.Exec(q, Str("sports"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,14 +300,14 @@ func TestPlanCacheHitAndDDLInvalidation(t *testing.T) {
 	}
 	// Any schema change invalidates cached plans.
 	mustExec(t, db, `CREATE INDEX idx_items_name ON items (name)`)
-	r3, err := db.Query(q, Str("home"))
+	r3, err := db.Exec(q, Str("home"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r3.PlanCached {
 		t.Fatal("DDL must invalidate the cached plan")
 	}
-	r4, err := db.Query(q, Str("home"))
+	r4, err := db.Exec(q, Str("home"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +316,7 @@ func TestPlanCacheHitAndDDLInvalidation(t *testing.T) {
 	}
 }
 
-func TestUpdateDeletePlansCached(t *testing.T) {
+func TestUpdatePlansCached(t *testing.T) {
 	db := newTestDB(t)
 	r1 := mustExec(t, db, `UPDATE items SET qty = ? WHERE id = ?`, Int(5), Int(1))
 	if r1.PlanCached || r1.Scanned != 1 {
@@ -332,13 +326,13 @@ func TestUpdateDeletePlansCached(t *testing.T) {
 	if !r2.PlanCached {
 		t.Fatal("second update must hit the plan cache")
 	}
-	d1 := mustExec(t, db, `DELETE FROM bids WHERE item_id = ?`, Int(3))
-	if d1.PlanCached {
-		t.Fatal("first delete must build the plan")
+	b1 := mustExec(t, db, `UPDATE bids SET item_id = ? WHERE item_id = ?`, Int(4), Int(3))
+	if b1.PlanCached || !b1.IndexUsed || b1.Affected != 1 {
+		t.Fatalf("first update of an indexed key: cached=%v indexed=%v affected=%d", b1.PlanCached, b1.IndexUsed, b1.Affected)
 	}
-	d2 := mustExec(t, db, `DELETE FROM bids WHERE item_id = ?`, Int(1))
-	if !d2.PlanCached || !d2.IndexUsed {
-		t.Fatalf("second delete: cached=%v indexed=%v", d2.PlanCached, d2.IndexUsed)
+	b2 := mustExec(t, db, `UPDATE bids SET item_id = ? WHERE item_id = ?`, Int(4), Int(1))
+	if !b2.PlanCached || !b2.IndexUsed || b2.Affected != 2 {
+		t.Fatalf("second update of an indexed key: cached=%v indexed=%v affected=%d", b2.PlanCached, b2.IndexUsed, b2.Affected)
 	}
 	checkAllIndexes(t, db)
 }
@@ -384,7 +378,7 @@ func TestPreparedHandle(t *testing.T) {
 
 func TestJoinCountsAndProbes(t *testing.T) {
 	db := newTestDB(t)
-	r, err := db.Query(
+	r, err := db.Exec(
 		`SELECT items.name, bids.amount FROM items JOIN bids ON bids.item_id = items.id WHERE items.id = ?`,
 		Int(1))
 	if err != nil {

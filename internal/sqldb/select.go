@@ -11,8 +11,8 @@ import "slices"
 // length — no allocation for one row, whose stored view is the row list, and
 // one (the row list) for more; projections, joins and DISTINCT project into
 // one slab (two allocations whatever the row count). Stored slices and views
-// are never written in place, so a result is a snapshot that no later write,
-// rollback or Restore changes.
+// are never written in place, so a result is a snapshot that no later write
+// or Restore changes.
 //
 // A SELECT * plan that has once done more than a point lookup memoises its
 // Result by bound arguments for one table version: a hit is the Result a
@@ -85,8 +85,9 @@ func (db *DB) runSelect(pl *selectPlan, hit bool, s *SelectStmt, args []Value) (
 	res := Result{Cols: &pl.cols, PlanCached: hit}
 	var err error
 	if pl.walk != nil {
-		// The virtual scan figure stays t.live — what match-then-sort reports.
-		res.Scanned, res.IndexProbes = pl.tabs[0].live, 1
+		// The virtual scan figure stays the row count — what match-then-sort
+		// reports.
+		res.Scanned, res.IndexProbes = len(pl.tabs[0].rows), 1
 		err = pl.walkIndex(s.Limit)
 	} else {
 		err = pl.match(0)
@@ -187,9 +188,6 @@ func (pl *selectPlan) match(i int) error {
 }
 
 func (pl *selectPlan) step(i, pos int, r *row) error {
-	if r.dead {
-		return nil
-	}
 	run := &pl.run
 	run.scanned++
 	run.fr.rows[i], run.cur[i] = r, pos

@@ -7,9 +7,8 @@ package sqldb
 //
 // Row value slices, and each row's one-row view of its slice, are shared
 // between the snapshot, every database restored from it and every SELECT *
-// result read from those. That is safe because
-// the engine never mutates a vals slice in place: UPDATE builds a fresh slice
-// and swaps the pointer, and DELETE/rollback only toggle the dead flag.
+// result read from those. That is safe because the engine never mutates a
+// vals slice in place: UPDATE builds a fresh slice and swaps the pointer.
 // Column definitions and name maps are immutable after CREATE TABLE and are
 // shared too. A row's folded copy is not carried: each database builds its
 // own, under its own mutex.
@@ -88,7 +87,6 @@ func copyTable(t *table) *table {
 		cols:   t.cols,
 		colIdx: t.colIdx,
 		pk:     t.pk,
-		live:   t.live,
 	}
 	if len(t.rows) > 0 {
 		// Block-allocate the row structs: one allocation instead of one per
@@ -96,7 +94,7 @@ func copyTable(t *table) *table {
 		block := make([]row, len(t.rows))
 		nt.rows = make([]*row, len(t.rows))
 		for i, r := range t.rows {
-			block[i] = row{vals: r.vals, view: r.view, dead: r.dead}
+			block[i] = row{vals: r.vals, view: r.view}
 			nt.rows[i] = &block[i]
 		}
 	}

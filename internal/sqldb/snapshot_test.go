@@ -10,13 +10,18 @@ func seedSnapshotDB(t *testing.T) *DB {
 	mustExec(t, db, `CREATE TABLE kv (id INT PRIMARY KEY, v TEXT, n INT)`)
 	mustExec(t, db, `CREATE INDEX idx_kv_v ON kv (v)`)
 	mustExec(t, db, `INSERT INTO kv VALUES (1, 'a', 10), (2, 'b', 20), (3, 'a', 30)`)
-	mustExec(t, db, `DELETE FROM kv WHERE id = 2`)
+	// A failed two-row insert leaves its first row's index entries behind
+	// unless it removes them; a snapshot would carry them.
+	if _, err := db.Exec(`INSERT INTO kv VALUES (4, 'a', 40), (2, 'x', 0)`); err == nil {
+		t.Fatal("duplicate key accepted")
+	}
+	mustExec(t, db, `UPDATE kv SET v = 'c' WHERE id = 2`)
 	return db
 }
 
 func queryAll(t *testing.T, db *DB) string {
 	t.Helper()
-	r, err := db.Query(`SELECT id, v, n FROM kv ORDER BY id`)
+	r, err := db.Exec(`SELECT id, v, n FROM kv ORDER BY id`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +47,7 @@ func TestSnapshotRestoreReproducesState(t *testing.T) {
 	checkAllIndexes(t, dst)
 
 	// Index probes must work against the copied ordered structure.
-	r, err := dst.Query(`SELECT id FROM kv WHERE v = ?`, Str("a"))
+	r, err := dst.Exec(`SELECT id FROM kv WHERE v = ?`, Str("a"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +64,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	a := New()
 	a.Restore(snap)
 	mustExec(t, a, `UPDATE kv SET v = 'zzz', n = 99 WHERE id = 1`)
-	mustExec(t, a, `DELETE FROM kv WHERE id = 3`)
+	mustExec(t, a, `UPDATE kv SET v = 'b' WHERE id = 3`)
 	mustExec(t, a, `INSERT INTO kv VALUES (7, 'q', 70)`)
 
 	// Neither the source nor a second restore may see a's writes.
@@ -118,10 +123,10 @@ func TestRestoreInvalidatesCachedPlans(t *testing.T) {
 	db := seedSnapshotDB(t)
 	snap := db.Snapshot()
 	q := `SELECT v FROM kv WHERE id = ?`
-	if _, err := db.Query(q, Int(1)); err != nil {
+	if _, err := db.Exec(q, Int(1)); err != nil {
 		t.Fatal(err)
 	}
-	r, err := db.Query(q, Int(3))
+	r, err := db.Exec(q, Int(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +134,7 @@ func TestRestoreInvalidatesCachedPlans(t *testing.T) {
 		t.Fatal("expected a plan-cache hit before restore")
 	}
 	db.Restore(snap)
-	r2, err := db.Query(q, Int(1))
+	r2, err := db.Exec(q, Int(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +171,7 @@ func TestConcurrentRestoresShareSnapshot(t *testing.T) {
 				db.Exec(`UPDATE kv SET n = ? WHERE id = 1`, Int(int64(i)))
 				db.Exec(`INSERT INTO kv VALUES (?, 'x', 0)`, Int(int64(100+i)))
 			}
-			r, err := db.Query(`SELECT id FROM kv WHERE v = ?`, Str("a"))
+			r, err := db.Exec(`SELECT id FROM kv WHERE v = ?`, Str("a"))
 			if err != nil || r.Len() == 0 {
 				done <- "probe failed"
 				return

@@ -1,9 +1,9 @@
 // Package sqldb implements a small embedded relational database with the SQL
 // subset the two applications issue: CREATE TABLE, CREATE [UNIQUE] INDEX,
-// INSERT, UPDATE, DELETE and SELECT [DISTINCT] with WHERE, inner joins,
-// ORDER BY, LIMIT and LIKE, plus transactions with rollback and hash
-// indexes. A feature exists here iff a caller outside the package reaches it
-// (make inventory checks); everything else fails Parse.
+// INSERT, UPDATE and SELECT [DISTINCT] with WHERE, inner joins, ORDER BY,
+// LIMIT and LIKE, over hash indexes; each statement is atomic. A feature
+// exists here iff a program reaches it (make inventory checks); everything
+// else fails Parse.
 //
 // A statement is parsed once per text and planned once per schema epoch. The
 // plan holds every expression of the statement compiled to a closure over
@@ -25,7 +25,7 @@
 // predicate's 0/1, and a string.
 //
 // It substitutes for the Oracle/MySQL servers of the paper's testbed: the
-// entity beans' persistence (BMP and CMP finders) and the applications'
+// entity beans' loads, stores and finders and the applications'
 // listing queries execute against it. A pluggable cost model reports a
 // virtual service time per statement so the discrete-event simulation can
 // charge database work to the DB node's CPU.

@@ -79,10 +79,6 @@ type Options struct {
 	// Response.Bytes zero.
 	DefaultPageBytes int
 
-	// KeepAlive controls whether a TCP handshake round trip precedes
-	// every request. The paper did not use keep-alive connections.
-	KeepAlive bool
-
 	// DispatchCPU is the container-side cost of HTTP parsing and servlet
 	// dispatch, charged against the server's CPU.
 	DispatchCPU time.Duration
@@ -92,7 +88,6 @@ type Options struct {
 var DefaultOptions = Options{
 	RequestBytes:     512,
 	DefaultPageBytes: 8 * 1024,
-	KeepAlive:        false,
 	DispatchCPU:      2 * time.Millisecond,
 }
 
@@ -187,7 +182,7 @@ func (c *Container) conn(clientNode string) *conn {
 }
 
 // Get performs one HTTP page request from clientNode against the container:
-// TCP handshake (unless keep-alive), request transfer, servlet execution,
+// TCP handshake, request transfer, servlet execution,
 // response transfer. It returns the response and the total elapsed time.
 func (c *Container) Get(p *sim.Proc, clientNode, page string, params map[string]string, sess *Session) (*Response, time.Duration, error) {
 	start := p.Now()
@@ -201,17 +196,16 @@ func (c *Container) Get(p *sim.Proc, clientNode, page string, params map[string]
 		netCause = trace.CauseWAN
 	}
 	defer trace.Opf(p, "http", server, clientNode, netCause, page, " @ ", server)()
-	if !c.opts.KeepAlive {
-		endTCP := trace.Opf(p, "tcp", server, clientNode, netCause, "handshake ", clientNode, " -> "+server)
-		// TCP three-way handshake: one round trip before data flows.
-		err := cn.up.Transfer(p, 64)
-		if err == nil {
-			err = cn.down.Transfer(p, 64)
-		}
-		endTCP()
-		if err != nil {
-			return nil, 0, fmt.Errorf("web: connect %s->%s: %w", clientNode, server, err)
-		}
+	endTCP := trace.Opf(p, "tcp", server, clientNode, netCause, "handshake ", clientNode, " -> "+server)
+	// TCP three-way handshake: one round trip before data flows, as no
+	// connection is kept alive.
+	err := cn.up.Transfer(p, 64)
+	if err == nil {
+		err = cn.down.Transfer(p, 64)
+	}
+	endTCP()
+	if err != nil {
+		return nil, 0, fmt.Errorf("web: connect %s->%s: %w", clientNode, server, err)
 	}
 	if err := cn.up.Transfer(p, c.opts.RequestBytes); err != nil {
 		return nil, 0, fmt.Errorf("web: request %s: %w", page, err)

@@ -51,34 +51,10 @@ func TestGetCostsTwoRoundTripsWithoutKeepAlive(t *testing.T) {
 	}
 }
 
-func TestKeepAliveSkipsHandshake(t *testing.T) {
-	env := sim.NewEnv(1)
-	net := testNet(t, env)
-	opts := DefaultOptions
-	opts.DispatchCPU = 0
-	opts.KeepAlive = true
-	c, _ := NewContainer(net, "server", opts)
-	c.Handle("main", func(p *sim.Proc, r *Request) (*Response, error) {
-		return &Response{Bytes: 1}, nil
-	})
-	var elapsed time.Duration
-	env.Spawn("client", func(p *sim.Proc) {
-		_, d, err := c.Get(p, "client", "main", nil, nil)
-		if err != nil {
-			t.Errorf("get: %v", err)
-		}
-		elapsed = d
-	})
-	env.RunAll()
-	if elapsed != 200*time.Millisecond {
-		t.Fatalf("elapsed = %v, want 200ms with keep-alive", elapsed)
-	}
-}
-
 func TestDispatchCPUCharged(t *testing.T) {
 	env := sim.NewEnv(1)
 	net := testNet(t, env)
-	opts := Options{DispatchCPU: 5 * time.Millisecond, KeepAlive: true, RequestBytes: 1, DefaultPageBytes: 1}
+	opts := Options{DispatchCPU: 5 * time.Millisecond, RequestBytes: 1, DefaultPageBytes: 1}
 	c, _ := NewContainer(net, "server", opts)
 	c.Handle("main", func(p *sim.Proc, r *Request) (*Response, error) { return nil, nil })
 	var elapsed time.Duration
@@ -90,8 +66,8 @@ func TestDispatchCPUCharged(t *testing.T) {
 		elapsed = d
 	})
 	env.RunAll()
-	if elapsed != 205*time.Millisecond {
-		t.Fatalf("elapsed = %v, want 205ms (RTT + dispatch)", elapsed)
+	if elapsed != 405*time.Millisecond {
+		t.Fatalf("elapsed = %v, want 405ms (handshake RTT + request RTT + dispatch)", elapsed)
 	}
 	if served := env.Metrics().CounterValue(`web_requests_total{server="server"}`); served != 1 {
 		t.Fatalf("served = %d", served)
@@ -110,7 +86,7 @@ func TestConcurrentRequestsQueueOnCPU(t *testing.T) {
 	if _, err := net.AddLink("client", "server", 0, 1e12); err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{DispatchCPU: 10 * time.Millisecond, KeepAlive: true, RequestBytes: 1, DefaultPageBytes: 1}
+	opts := Options{DispatchCPU: 10 * time.Millisecond, RequestBytes: 1, DefaultPageBytes: 1}
 	c, _ := NewContainer(net, "server", opts)
 	c.Handle("main", func(p *sim.Proc, r *Request) (*Response, error) { return nil, nil })
 	done := 0
