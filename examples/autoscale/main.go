@@ -58,7 +58,8 @@ func run() error {
 	d.RegisterRW(prices)
 	if _, err := container.DeployStateless(d.Main, "PriceFacade", map[string]container.Method{
 		"get": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			return prices.Load(p, inv.Args[0])
+			row, err := prices.Load(p, inv.Args[0])
+			return container.Reply(inv, row, err)
 		},
 	}); err != nil {
 		return err

@@ -59,7 +59,8 @@ func run() error {
 	// design rules allow remote access only through façades).
 	if _, err := container.DeployStateless(d.Main, "ArticleFacade", map[string]container.Method{
 		"fetch": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			return articles.Load(p, inv.Args[0])
+			row, err := articles.Load(p, inv.Args[0])
+			return container.Reply(inv, row, err)
 		},
 	}); err != nil {
 		return err

@@ -498,7 +498,7 @@ func TestExtendedDescriptorValidate(t *testing.T) {
 	// a duplicate façade, a FromCache on a query the descriptor does not
 	// cache, a FromReplicas on a bean with no replica.
 	key := func([]sqldb.Value) string { return "itemsByProduct:" }
-	read := func(*sim.Proc, *EdgeMethod, []sqldb.Value) (any, error) { return nil, nil }
+	read := func(*sim.Proc, *EdgeMethod, *Invocation) (any, error) { return nil, nil }
 	facade := FromCache("get", "itemsByProduct", key)
 	for _, facades := range [][]EdgeFacadeSpec{
 		{{Bean: "", Methods: []EdgeMethodSpec{facade}}},

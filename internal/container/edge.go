@@ -27,8 +27,9 @@ type EdgeMethodSpec struct {
 	Beans   []string
 }
 
-// EdgeHandler serves a FromReplicas or Local method from its bound handles.
-type EdgeHandler func(p *sim.Proc, m *EdgeMethod, args []sqldb.Value) (any, error)
+// EdgeHandler serves a FromReplicas or Local method from its bound handles,
+// answering inv through Reply as main's method does.
+type EdgeHandler func(p *sim.Proc, m *EdgeMethod, inv *Invocation) (any, error)
 
 // Delegate declares a method that always calls main.
 func Delegate(name string) EdgeMethodSpec { return EdgeMethodSpec{Name: name} }
@@ -121,21 +122,25 @@ func (m *EdgeMethod) Bind(replicas map[string]*ROEntity, cache *QueryCache) {
 // Wired reports whether m's edge is wired.
 func (m *EdgeMethod) Wired() bool { return m.wired }
 
+// serve answers inv. A cache hit answers the cached object, never the
+// caller's record, and a cache fill passes no record: the cache keeps what
+// the fill returns.
 func (m *EdgeMethod) serve(p *sim.Proc, inv *Invocation) (any, error) {
 	switch {
 	case m.Handler != nil && (m.wired || len(m.Beans) == 0):
-		return m.Handler(p, m, inv.Args)
+		return m.Handler(p, m, inv)
 	case m.Query != "" && m.Cache != nil && (m.owner == nil || m.owner.Owns(inv.Args[0])):
 		return m.Cache.Get(p, m.Key(inv.Args))
 	}
-	return m.Delegate(p, inv.Args...)
+	return m.Delegate(p, inv)
 }
 
-// Delegate calls main's method of the same name: one WAN call.
-func (m *EdgeMethod) Delegate(p *sim.Proc, args ...sqldb.Value) (any, error) {
+// Delegate calls main's method of the same name with inv's arguments and
+// reply record, which main's answer fills: one WAN call.
+func (m *EdgeMethod) Delegate(p *sim.Proc, inv *Invocation) (any, error) {
 	stub, err := m.Server.StubFor(p, m.main, m.Bean)
 	if err != nil {
 		return nil, err
 	}
-	return stub.Invoke(p, m.Name, args...)
+	return stub.InvokeInto(p, inv.Out, m.Name, inv.Args...)
 }

@@ -307,24 +307,23 @@ type FetchFunc func(p *sim.Proc, pk sqldb.Value) (Row, error)
 
 // FetchFrom is that usual fetch path: one call from srv of method on the
 // façade bean deployed on node, passing args and then the key, which the
-// façade answers with the entity's Row (its read-write bean's Load). The
-// argument list is built on the fetching process's stack.
+// façade answers with the entity's Row (its read-write bean's Load) through
+// Reply. The argument list is built on the fetching process's stack, the
+// reply in a record the path recycles once it has read it. FetchFrom is not
+// inlined so that its closure compiles here, where the escape analysis of
+// Invoke[Row] keeps that list on the stack; inlined into a package that
+// instantiates no Row-shaped Invoke, the list escapes.
+//
+//go:noinline
 func FetchFrom(srv *Server, node, bean, method string, args ...sqldb.Value) FetchFunc {
+	var rows sim.Free[Row]
 	return func(p *sim.Proc, pk sqldb.Value) (Row, error) {
 		stub, err := srv.StubFor(p, node, bean)
 		if err != nil {
 			return Row{}, err
 		}
 		var buf [4]sqldb.Value
-		v, err := stub.Invoke(p, method, append(append(buf[:0], args...), pk)...)
-		if err != nil {
-			return Row{}, err
-		}
-		row, ok := v.(Row)
-		if !ok {
-			return Row{}, fmt.Errorf("container: %s.%s returned %T", bean, method, v)
-		}
-		return row, nil
+		return Invoke(p, stub, &rows, method, append(append(buf[:0], args...), pk)...)
 	}
 }
 

@@ -319,7 +319,8 @@ func TestParkedFetchKeepsItsKey(t *testing.T) {
 	if _, err := DeployStateless(f.main, "Facade", map[string]Method{
 		"fetchState": func(p *sim.Proc, inv *Invocation) (any, error) {
 			seen[inv.Args[1].S] = inv.Args[0].S
-			return rw.Load(p, inv.Args[1])
+			row, err := rw.Load(p, inv.Args[1])
+			return Reply(inv, row, err)
 		},
 	}); err != nil {
 		t.Fatal(err)

@@ -337,7 +337,7 @@ func (ps *Pusher) deliver(p *sim.Proc, t PushTarget, payload int, batch []Update
 		stub, err := ps.srv.StubFor(p, t.Server, t.Facade)
 		if err == nil {
 			held := ps.held.Take(batch) // one recycled pointer: the payload boxes nothing
-			_, err = stub.InvokeSized(p, MethodApply, payload, 64, held)
+			_, err = stub.InvokeSized(p, MethodApply, payload, 64, held, nil)
 			ps.held.Put(held)
 		}
 		if err != nil {

@@ -12,7 +12,8 @@ import (
 
 // Invocation is the context passed to a session-bean business method, an
 // envelope its Server recycles once the method returns: a method copies what
-// it keeps (Args is the call envelope's, State the instance's own).
+// it keeps (Args is the call envelope's, State the instance's own) and keeps
+// no reply it answered in Out, the caller's.
 type Invocation struct {
 	Server  *Server
 	Method  string
@@ -20,11 +21,47 @@ type Invocation struct {
 	Caller  string
 	Session string // stateful beans: the client session key
 	State   State  // stateful beans: the instance's conversational state
+	Out     any    // the caller's reply record (rmi.Call.Out), which Reply fills
 }
 
 // Method is a session-bean business method. Methods run on the invoking
-// process; container overhead (MethodCPU) is charged before entry.
+// process; container overhead (MethodCPU) is charged before entry. A method
+// that answers a value answers it through Reply.
 type Method func(p *sim.Proc, inv *Invocation) (any, error)
+
+// Reply answers inv with v, or with err when it is not nil: in the caller's
+// record when that is a *T, in a new *T otherwise (no record, or a caller that
+// keeps the reply). Either way the answer is a pointer, so it boxes nothing.
+func Reply[T any](inv *Invocation, v T, err error) (any, error) {
+	if err != nil {
+		return nil, err
+	}
+	out, ok := inv.Out.(*T)
+	if !ok {
+		out = new(T)
+	}
+	*out = v
+	return out, nil
+}
+
+// Invoke calls method on stub with a reply record from free and returns the
+// *T reply by value once it has read it, recycling the record. The reply is
+// the record itself or an object the callee shares, such as a cached result;
+// the copy leaves both alone.
+func Invoke[T any](p *sim.Proc, stub *rmi.Stub, free *sim.Free[T], method string, args ...sqldb.Value) (T, error) {
+	var zero T
+	out := free.Take(zero)
+	defer free.Put(out)
+	v, err := stub.InvokeInto(p, out, method, args...)
+	if err != nil {
+		return zero, err
+	}
+	r, ok := v.(*T)
+	if !ok {
+		return zero, fmt.Errorf("container: %s returned %T", method, v)
+	}
+	return *r, nil
+}
 
 // StatelessBean is a deployed stateless session bean: a façade component
 // holding no conversational state (it may hold soft state such as query
@@ -57,7 +94,7 @@ func (b *StatelessBean) handle(p *sim.Proc, call *rmi.Call) (any, error) {
 	}
 	b.mCalls.Inc()
 	b.srv.Compute(p, b.srv.costs.MethodCPU)
-	inv := b.srv.invs.Take(Invocation{Server: b.srv, Method: call.Method, Args: call.Args, Caller: call.Caller})
+	inv := b.srv.invs.Take(Invocation{Server: b.srv, Method: call.Method, Args: call.Args, Caller: call.Caller, Out: call.Out})
 	defer b.srv.invs.Put(inv)
 	return m(p, inv)
 }
@@ -120,7 +157,7 @@ func (b *StatefulBean) handle(p *sim.Proc, call *rmi.Call) (any, error) {
 	b.mCalls.Inc()
 	b.srv.Compute(p, b.srv.costs.MethodCPU)
 	inv := b.srv.invs.Take(Invocation{Server: b.srv, Method: call.Method, Args: call.Args[1:], Caller: call.Caller,
-		Session: sessionKey, State: st})
+		Session: sessionKey, State: st, Out: call.Out})
 	defer b.srv.invs.Put(inv)
 	return m(p, inv)
 }

@@ -312,14 +312,16 @@ func (d *Deployment) FacadeStub(p *sim.Proc, srv *container.Server, bean string)
 
 // FetchState is the façade method a replica's fetch path calls
 // (container.FetchFrom): it loads one entity of a registered read-write bean,
-// named by the first argument, at the key in the second.
+// named by the first argument, at the key in the second, into the caller's
+// Row record.
 func (d *Deployment) FetchState(p *sim.Proc, inv *container.Invocation) (any, error) {
 	bean := inv.Args[0].AsString()
 	rw := d.RW(bean)
 	if rw == nil {
 		return nil, fmt.Errorf("core: fetchState: %w: %s", container.ErrNoSuchBean, bean)
 	}
-	return rw.Load(p, inv.Args[1])
+	row, err := rw.Load(p, inv.Args[1])
+	return container.Reply(inv, row, err)
 }
 
 // RegisterRW records a deployed read-write entity bean so AutoWire can

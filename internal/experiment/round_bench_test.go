@@ -67,9 +67,10 @@ func topo128Policy() core.Policy {
 
 // TestPageAllocBudget holds each full-stack workload to its heap-allocation
 // budget per page, counted over the pages of a short round after its
-// warm-up: a call envelope, row slice, boxed argument, result header,
-// response, push batch, cache key, query argument list or JMS delivery
-// closure that starts being allocated per page again shows here first.
+// warm-up: a call envelope, row slice, boxed argument or reply, result
+// header, response, push batch, cache key, query argument list or JMS
+// delivery closure that starts being allocated per page again shows here
+// first.
 func TestPageAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates; alloc guard runs without -race")
@@ -81,9 +82,9 @@ func TestPageAllocBudget(t *testing.T) {
 		spec   simnet.HierarchySpec
 		budget float64
 	}{
-		{"petstore-centralized", PetStore, core.Centralized, simnet.HierarchySpec{}, 1.7},
-		{"rubis-async", RUBiS, core.AsyncUpdates, simnet.HierarchySpec{}, 2.4},
-		{"petstore-topo128", PetStore, topo128Policy(), simnet.DefaultHierarchySpec(128), 2.3},
+		{"petstore-centralized", PetStore, core.Centralized, simnet.HierarchySpec{}, 0.9},
+		{"rubis-async", RUBiS, core.AsyncUpdates, simnet.HierarchySpec{}, 1.8},
+		{"petstore-topo128", PetStore, topo128Policy(), simnet.DefaultHierarchySpec(128), 1.0},
 	}
 	const warmup = 2 * time.Minute
 	for _, c := range cases {

@@ -76,23 +76,17 @@ var layout = &planner.Layout{
 var edgeCatalog = []container.EdgeMethodSpec{
 	container.FromCache("getProductsOf", QueryProductsByCategory, catalogKey(QueryProductsByCategory)).OwnedBy(BeanItem),
 	container.FromCache("getItemsOf", QueryItemsByProduct, catalogKey(QueryItemsByProduct)).OwnedBy(BeanItem),
-	container.FromReplicas("getItem", func(p *sim.Proc, m *container.EdgeMethod, args []sqldb.Value) (any, error) {
-		page, err := itemFromReplicas(p, m.Replicas, args[0])
-		if err != nil {
-			return nil, err
-		}
-		return page, nil
+	container.FromReplicas("getItem", func(p *sim.Proc, m *container.EdgeMethod, inv *container.Invocation) (any, error) {
+		page, err := itemFromReplicas(p, m.Replicas, inv.Args[0])
+		return container.Reply(inv, page, err)
 	}, BeanItem, BeanInventory),
-	container.Local("search", func(p *sim.Proc, m *container.EdgeMethod, args []sqldb.Value) (any, error) {
+	container.Local("search", func(p *sim.Proc, m *container.EdgeMethod, inv *container.Invocation) (any, error) {
 		if !m.Server.HasReplicaDB() {
-			return m.Delegate(p, args...)
+			return m.Delegate(p, inv)
 		}
-		like := likeArg(args[0])
+		like := likeArg(inv.Args[0])
 		res, err := m.Server.SQLReplica(p, searchSQL, like, like)
-		if err != nil {
-			return nil, err
-		}
-		return container.RowsOf(res), nil
+		return container.Reply(inv, container.RowsOf(res), err)
 	}),
 }
 
@@ -125,6 +119,16 @@ type App struct {
 	sessions map[[2]string]*web.Session // by {client ID, server}
 	orderSeq int64
 	lineSeq  int64
+
+	// The reply records of the calls in flight, by type (container.Invoke).
+	categories sim.Free[CategoryPage]
+	products   sim.Free[ProductPage]
+	items      sim.Free[ItemPage]
+	rows       sim.Free[container.Rows]
+	counts     sim.Free[int64]
+	summaries  sim.Free[CartSummary]
+	strs       sim.Free[string]
+	oks        sim.Free[bool]
 
 	costs PageCosts
 }
@@ -258,10 +262,7 @@ func (a *App) mainCatalogMethods() map[string]container.Method {
 				return nil, err
 			}
 			prodRes, err := srv.SQL(p, `SELECT * FROM product WHERE catid = ? ORDER BY productid`, cat)
-			if err != nil {
-				return nil, err
-			}
-			return &CategoryPage{Category: container.FirstRow(catRes), Products: container.RowsOf(prodRes)}, nil
+			return container.Reply(inv, CategoryPage{Category: container.FirstRow(catRes), Products: container.RowsOf(prodRes)}, err)
 		},
 		// getItemsOf returns the product row and its item rows.
 		"getItemsOf": func(p *sim.Proc, inv *container.Invocation) (any, error) {
@@ -271,23 +272,22 @@ func (a *App) mainCatalogMethods() map[string]container.Method {
 				return nil, err
 			}
 			itemRes, err := srv.SQL(p, `SELECT * FROM item WHERE productid = ? ORDER BY itemid`, pid)
-			if err != nil {
-				return nil, err
-			}
-			return &ProductPage{Product: container.FirstRow(prodRes), Items: container.RowsOf(itemRes)}, nil
+			return container.Reply(inv, ProductPage{Product: container.FirstRow(prodRes), Items: container.RowsOf(itemRes)}, err)
 		},
 		// getItem returns one item plus its inventory quantity.
 		"getItem": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			return a.loadItemDetails(p, inv.Args[0])
+			item, err := a.itemRW.Load(p, inv.Args[0])
+			if err != nil {
+				return nil, err
+			}
+			invSt, err := a.inventoryRW.Load(p, inv.Args[0])
+			return container.Reply(inv, ItemPage{Item: item, Qty: invSt.Get("qty").AsInt()}, err)
 		},
 		// search runs the keyword query (never cached, Section 4.4).
 		"search": func(p *sim.Proc, inv *container.Invocation) (any, error) {
 			like := likeArg(inv.Args[0])
 			res, err := srv.SQL(p, searchSQL, like, like)
-			if err != nil {
-				return nil, err
-			}
-			return container.RowsOf(res), nil
+			return container.Reply(inv, container.RowsOf(res), err)
 		},
 		// fetchState serves read-only replica refreshes (the remote façade
 		// the read-mostly pattern queries on pull/miss).
@@ -302,19 +302,6 @@ const searchSQL = `SELECT * FROM product WHERE name LIKE ? OR descn LIKE ? ORDER
 // likeArg is searchSQL's pattern for keyword kw.
 func likeArg(kw sqldb.Value) sqldb.Value { return sqldb.Str("%" + kw.AsString() + "%") }
 
-// loadItemDetails loads an item row plus inventory on the main server.
-func (a *App) loadItemDetails(p *sim.Proc, itemID sqldb.Value) (*ItemPage, error) {
-	item, err := a.itemRW.Load(p, itemID)
-	if err != nil {
-		return nil, err
-	}
-	invSt, err := a.inventoryRW.Load(p, itemID)
-	if err != nil {
-		return nil, err
-	}
-	return &ItemPage{Item: item, Qty: invSt.Get("qty").AsInt()}, nil
-}
-
 // customerMethods implements the Customer façade ("serves as a façade to
 // Order and Account", Table 1).
 func (a *App) customerMethods() map[string]container.Method {
@@ -326,14 +313,12 @@ func (a *App) customerMethods() map[string]container.Method {
 			if err != nil {
 				return nil, fmt.Errorf("petstore signon: %w", err)
 			}
-			if st.Get("password").AsString() != pass {
-				return false, nil
-			}
-			return true, nil
+			return container.Reply(inv, st.Get("password").AsString() == pass, nil)
 		},
 		// getProfile loads the Account entity.
 		"getProfile": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			return a.accountRW.Load(p, inv.Args[0])
+			profile, err := a.accountRW.Load(p, inv.Args[0])
+			return container.Reply(inv, profile, err)
 		},
 		// placeOrder commits the order: Order, OrderStatus and LineItem
 		// creation plus the Inventory write whose propagation cost is the
@@ -380,12 +365,10 @@ func (a *App) customerMethods() map[string]container.Method {
 			if err != nil {
 				return nil, err
 			}
-			if _, err := a.inventoryRW.UpdateFields(p, itemID, container.State{
+			_, err = a.inventoryRW.UpdateFields(p, itemID, container.State{
 				"qty": sqldb.Int(invSt.Get("qty").AsInt() - qty),
-			}); err != nil {
-				return nil, err
-			}
-			return orderID, nil
+			})
+			return container.Reply(inv, orderID, err)
 		},
 	}
 }
@@ -444,16 +427,16 @@ func (a *App) cartMethods(s *site) map[string]container.Method {
 			inv.State["count"] = sqldb.Int(n + 1)
 			total := inv.State["total"].AsFloat() + details.Item.Get("listprice").AsFloat()
 			inv.State["total"] = sqldb.Float(total)
-			return n + 1, nil
+			return container.Reply(inv, n+1, nil)
 		},
 		"summary": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			return CartSummary{
+			return container.Reply(inv, CartSummary{
 				Count: inv.State["count"].AsInt(),
 				Total: inv.State["total"].AsFloat(),
-			}, nil
+			}, nil)
 		},
 		"firstItem": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			return inv.State["item0"].AsString(), nil
+			return container.Reply(inv, inv.State["item0"].AsString(), nil)
 		},
 		"clear": func(p *sim.Proc, inv *container.Invocation) (any, error) {
 			for k := range inv.State {
@@ -468,37 +451,26 @@ func (a *App) cartMethods(s *site) map[string]container.Method {
 // the replicas its edge Catalog's getItem is bound to, otherwise from the
 // central Catalog (one RMI call from an edge), where that getItem would
 // forward it.
-func (a *App) getItemVia(p *sim.Proc, s *site, itemID sqldb.Value) (*ItemPage, error) {
+func (a *App) getItemVia(p *sim.Proc, s *site, itemID sqldb.Value) (ItemPage, error) {
 	if m := s.getItem; m != nil && m.Wired() {
 		return itemFromReplicas(p, m.Replicas, itemID)
 	}
 	stub, err := s.srv.StubFor(p, simnet.NodeMain, BeanCatalog)
 	if err != nil {
-		return nil, err
+		return ItemPage{}, err
 	}
-	v, err := stub.Invoke(p, "getItem", itemID)
-	if err != nil {
-		return nil, err
-	}
-	page, ok := v.(*ItemPage)
-	if !ok {
-		return nil, fmt.Errorf("petstore: getItem returned %T", v)
-	}
-	return page, nil
+	return container.Invoke(p, stub, &a.items, "getItem", itemID)
 }
 
 // itemFromReplicas reads an item and its inventory from an edge's Item and
 // Inventory replicas, in that order.
-func itemFromReplicas(p *sim.Proc, replicas []*container.ROEntity, itemID sqldb.Value) (*ItemPage, error) {
+func itemFromReplicas(p *sim.Proc, replicas []*container.ROEntity, itemID sqldb.Value) (ItemPage, error) {
 	item, err := replicas[0].Get(p, itemID)
 	if err != nil {
-		return nil, err
+		return ItemPage{}, err
 	}
 	qtySt, err := replicas[1].Get(p, itemID)
-	if err != nil {
-		return nil, err
-	}
-	return &ItemPage{Item: item, Qty: qtySt.Get("qty").AsInt()}, nil
+	return ItemPage{Item: item, Qty: qtySt.Get("qty").AsInt()}, err
 }
 
 // Wire installs p's replica bundle on exactly the servers on, warm with the

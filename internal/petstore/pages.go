@@ -59,23 +59,9 @@ func (a *App) registerPages(s *site) {
 		return a.render(p, srv, PageMain), nil
 	})
 
-	// catalog wires a page to one call of the Catalog srv resolves, with
-	// the request parameter named param.
-	catalog := func(page, method, param string) {
-		w.Handle(page, func(p *sim.Proc, r *web.Request) (*web.Response, error) {
-			stub, err := a.d.FacadeStub(p, srv, BeanCatalog)
-			if err == nil {
-				_, err = stub.Invoke(p, method, sqldb.Str(r.Param(param)))
-			}
-			if err != nil {
-				return nil, err
-			}
-			return a.render(p, srv, page), nil
-		})
-	}
-	catalog(PageCategory, "getProductsOf", "cat")
-	catalog(PageProduct, "getItemsOf", "product")
-	catalog(PageSearch, "search", "q")
+	catalog(a, srv, &a.categories, PageCategory, "getProductsOf", "cat")
+	catalog(a, srv, &a.products, PageProduct, "getItemsOf", "product")
+	catalog(a, srv, &a.rows, PageSearch, "search", "q")
 
 	w.Handle(PageItem, func(p *sim.Proc, r *web.Request) (*web.Response, error) {
 		if _, err := a.getItemVia(p, s, sqldb.Str(r.Param("item"))); err != nil {
@@ -96,13 +82,14 @@ func (a *App) registerPages(s *site) {
 			return nil, err
 		}
 		user, pass := r.Param("user"), r.Param("password")
-		okv, err := stub.Invoke(p, "createCustomer", sqldb.Str(user), sqldb.Str(pass))
+		ok, err := container.Invoke(p, stub, &a.oks, "createCustomer", sqldb.Str(user), sqldb.Str(pass))
 		if err != nil {
 			return nil, err
 		}
-		if ok, _ := okv.(bool); !ok {
+		if !ok {
 			return nil, fmt.Errorf("petstore: bad credentials for %s", user)
 		}
+		// The session keeps the profile, so the call passes no record.
 		profile, err := stub.Invoke(p, "getProfile", sqldb.Str(user))
 		if err != nil {
 			return nil, err
@@ -120,7 +107,7 @@ func (a *App) registerPages(s *site) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := cart.Invoke(p, "addItem", sqldb.Str(r.Session.ID), sqldb.Str(r.Param("item"))); err != nil {
+		if _, err := container.Invoke(p, cart, &a.counts, "addItem", sqldb.Str(r.Session.ID), sqldb.Str(r.Param("item"))); err != nil {
 			return nil, err
 		}
 		return a.render(p, srv, PageCart), nil
@@ -134,7 +121,7 @@ func (a *App) registerPages(s *site) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := cart.Invoke(p, "summary", sqldb.Str(r.Session.ID)); err != nil {
+		if _, err := container.Invoke(p, cart, &a.summaries, "summary", sqldb.Str(r.Session.ID)); err != nil {
 			return nil, err
 		}
 		return a.render(p, srv, PageCheckout), nil
@@ -165,11 +152,10 @@ func (a *App) registerPages(s *site) {
 		if err != nil {
 			return nil, err
 		}
-		itemV, err := cart.Invoke(p, "firstItem", sqldb.Str(r.Session.ID))
+		itemID, err := container.Invoke(p, cart, &a.strs, "firstItem", sqldb.Str(r.Session.ID))
 		if err != nil {
 			return nil, err
 		}
-		itemID, _ := itemV.(string)
 		if itemID == "" {
 			return nil, fmt.Errorf("petstore: commit with empty cart")
 		}
@@ -177,7 +163,7 @@ func (a *App) registerPages(s *site) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := customer.Invoke(p, "placeOrder", sqldb.Str(user), sqldb.Str(itemID), sqldb.Int(1)); err != nil {
+		if _, err := container.Invoke(p, customer, &a.counts, "placeOrder", sqldb.Str(user), sqldb.Str(itemID), sqldb.Int(1)); err != nil {
 			return nil, err
 		}
 		return a.render(p, srv, PageCommit), nil
@@ -195,6 +181,21 @@ func (a *App) registerPages(s *site) {
 		r.Session.Delete("user")
 		r.Session.Delete("profile")
 		return a.render(p, srv, PageSignout), nil
+	})
+}
+
+// catalog wires page on srv to one call of the Catalog srv resolves, with the
+// request parameter named param, answered in a record from free.
+func catalog[T any](a *App, srv *container.Server, free *sim.Free[T], page, method, param string) {
+	srv.Web().Handle(page, func(p *sim.Proc, r *web.Request) (*web.Response, error) {
+		stub, err := a.d.FacadeStub(p, srv, BeanCatalog)
+		if err == nil {
+			_, err = container.Invoke(p, stub, free, method, sqldb.Str(r.Param(param)))
+		}
+		if err != nil {
+			return nil, err
+		}
+		return a.render(p, srv, page), nil
 	})
 }
 

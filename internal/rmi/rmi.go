@@ -14,7 +14,9 @@
 // returns, so a handler copies what it keeps. Arguments are typed SQL values
 // that Invoke copies into the envelope's inline room: the caller's variadic
 // array stays on its stack, a call boxes no argument, and a process parked
-// mid-call sees only its own arguments.
+// mid-call sees only its own arguments. A reply can travel the same way: the
+// caller passes a record it owns (Call.Out), the handler builds the reply
+// there and returns the record's pointer, which boxes nothing.
 package rmi
 
 import (
@@ -53,6 +55,11 @@ type Call struct {
 	// batch — as one pointer-shaped value, so holding it boxes nothing. Nil
 	// for most calls.
 	Payload any
+
+	// Out is the caller's reply record, a pointer, or nil for none. A handler
+	// may build its reply there and return Out, but keeps it nowhere: the
+	// caller recycles it once it has read the reply.
+	Out any
 
 	Caller string // node ID of the caller
 	room   [inlineArgs]sqldb.Value
@@ -240,18 +247,25 @@ func (rt *Runtime) LocalStub(callerNode, registryNode, name string) (*Stub, erro
 	return &Stub{rt: rt, obj: obj, caller: callerNode}, nil
 }
 
-// Invoke calls method with args using the default payload sizes.
+// Invoke calls method with args using the default payload sizes and no
+// reply record: the reply is the handler's to allocate, the caller's to keep.
 func (s *Stub) Invoke(p *sim.Proc, method string, args ...sqldb.Value) (any, error) {
-	return s.InvokeSized(p, method, s.rt.opts.RequestBytes, s.rt.opts.ReplyBytes, nil, args...)
+	return s.InvokeInto(p, nil, method, args...)
 }
 
-// InvokeSized calls method with explicit request/reply payload sizes and a
-// structured payload (see Call.Payload; nil for none). For a co-located
-// object this is a local dispatch; for a remote object it costs marshalling
-// CPU plus Rounds round trips of network time.
-func (s *Stub) InvokeSized(p *sim.Proc, method string, reqBytes, replyBytes int, payload any, args ...sqldb.Value) (any, error) {
+// InvokeInto is Invoke with the caller's reply record (see Call.Out).
+func (s *Stub) InvokeInto(p *sim.Proc, reply any, method string, args ...sqldb.Value) (any, error) {
+	return s.InvokeSized(p, method, s.rt.opts.RequestBytes, s.rt.opts.ReplyBytes, nil, reply, args...)
+}
+
+// InvokeSized calls method with explicit request/reply payload sizes, a
+// structured payload (see Call.Payload) and a reply record (see Call.Out),
+// each nil for none. For a co-located object this is a local dispatch; for a
+// remote object it costs marshalling CPU plus Rounds round trips of network
+// time.
+func (s *Stub) InvokeSized(p *sim.Proc, method string, reqBytes, replyBytes int, payload, reply any, args ...sqldb.Value) (any, error) {
 	rt := s.rt
-	call := rt.calls.Take(Call{Method: method, Payload: payload, Caller: s.caller})
+	call := rt.calls.Take(Call{Method: method, Payload: payload, Out: reply, Caller: s.caller})
 	defer rt.calls.Put(call)
 	call.Args = append(call.room[:0], args...)
 	if !s.Remote() {

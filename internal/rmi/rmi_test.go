@@ -76,7 +76,7 @@ func TestRemoteInvokeCostsRoundsTimesRTT(t *testing.T) {
 			t.Errorf("stub: %v", err)
 			return
 		}
-		v, err := stub.InvokeSized(p, "m", 0, 0, nil)
+		v, err := stub.InvokeSized(p, "m", 0, 0, nil, nil)
 		if err != nil || v != 42 {
 			t.Errorf("invoke: %v, %v", v, err)
 		}
@@ -278,12 +278,12 @@ func TestInvokePayloadSizeAffectsDuration(t *testing.T) {
 	env.Spawn("caller", func(p *sim.Proc) {
 		stub, _ := rt.LocalStub("a", "b", "svc")
 		start := p.Now()
-		if _, err := stub.InvokeSized(p, "m", 128, 128, nil); err != nil {
+		if _, err := stub.InvokeSized(p, "m", 128, 128, nil, nil); err != nil {
 			t.Error(err)
 		}
 		small = p.Now() - start
 		start = p.Now()
-		if _, err := stub.InvokeSized(p, "m", 4096, 4096, nil); err != nil {
+		if _, err := stub.InvokeSized(p, "m", 4096, 4096, nil, nil); err != nil {
 			t.Error(err)
 		}
 		large = p.Now() - start

@@ -64,8 +64,9 @@ var layout = &planner.Layout{
 				return keyItemsByCatRegion(args[0].AsInt(), args[1].AsInt())
 			})),
 		planner.Facade(SBViewItem, container.StatelessSession, planner.EdgeWithEntityReplicas,
-			container.FromReplicas("get", func(p *sim.Proc, m *container.EdgeMethod, args []sqldb.Value) (any, error) {
-				return m.Replicas[0].Get(p, args[0])
+			container.FromReplicas("get", func(p *sim.Proc, m *container.EdgeMethod, inv *container.Invocation) (any, error) {
+				row, err := m.Replicas[0].Get(p, inv.Args[0])
+				return container.Reply(inv, row, err)
 			}, BeanItem)),
 		planner.Facade(SBViewBidHistory, container.StatelessSession, planner.EdgeWithEntityReplicas,
 			container.FromCache("get", QueryBidHistory, idKeyOf(keyBidHistory))),
@@ -96,18 +97,20 @@ func idKeyOf(key func(id int64) string) func(args []sqldb.Value) string {
 }
 
 // edgeForm serves a bid or comment form on an edge: it authenticates
-// (nickname, password) against the cached nickname lookup and returns the
+// (nickname, password) against the cached nickname lookup and answers the
 // third argument's entity from the form's replica.
-func edgeForm(p *sim.Proc, m *container.EdgeMethod, args []sqldb.Value) (any, error) {
+func edgeForm(p *sim.Proc, m *container.EdgeMethod, inv *container.Invocation) (any, error) {
+	args := inv.Args
 	v, err := m.Cache.Get(p, keyUserByNick(args[0].AsString()))
 	if err != nil {
 		return nil, err
 	}
-	rows, _ := v.(container.Rows)
-	if rows.Len() == 0 || rows.At(0).Get("password").AsString() != args[1].AsString() {
+	rows, _ := v.(*container.Rows)
+	if rows == nil || rows.Len() == 0 || rows.At(0).Get("password").AsString() != args[1].AsString() {
 		return nil, fmt.Errorf("rubis: bad credentials for %s", args[0].AsString())
 	}
-	return m.Replicas[0].Get(p, args[2])
+	row, err := m.Replicas[0].Get(p, args[2])
+	return container.Reply(inv, row, err)
 }
 
 // App is one deployed RUBiS instance under a specific policy.
@@ -126,6 +129,12 @@ type App struct {
 
 	bidSeq     int64
 	commentSeq int64
+
+	// The reply records of the calls in flight, by type (container.Invoke).
+	rows  sim.Free[container.Rows]
+	row   sim.Free[container.Row]
+	infos sim.Free[UserInfoPage]
+	seqs  sim.Free[int64]
 
 	costs PageCosts
 }
@@ -255,38 +264,44 @@ func (a *App) deployMainFacades() error {
 	m := func(fn func(p *sim.Proc, inv *container.Invocation) (any, error)) map[string]container.Method {
 		return map[string]container.Method{"get": fn}
 	}
+	// answerRows answers inv with q's rows.
+	answerRows := func(p *sim.Proc, inv *container.Invocation, q query) (any, error) {
+		res, err := runQuery(p, main, q)
+		return container.Reply(inv, res, err)
+	}
 	for _, f := range []struct {
 		name    string
 		methods map[string]container.Method
 	}{
 		{SBBrowseCategories, map[string]container.Method{
 			"getAll": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-				return runQuery(p, main, qAllCategories())
+				return answerRows(p, inv, qAllCategories())
 			},
 			"forRegion": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-				return runQuery(p, main, qRegionCategories(inv.Args[0].AsInt()))
+				return answerRows(p, inv, qRegionCategories(inv.Args[0].AsInt()))
 			},
 		}},
 		{SBBrowseRegions, map[string]container.Method{
 			"getAll": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-				return runQuery(p, main, qAllRegions())
+				return answerRows(p, inv, qAllRegions())
 			},
 		}},
 		{SBSearchByCategory, m(func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			return runQuery(p, main, qItemsByCategory(inv.Args[0].AsInt()))
+			return answerRows(p, inv, qItemsByCategory(inv.Args[0].AsInt()))
 		})},
 		{SBSearchByRegion, m(func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			return runQuery(p, main, qItemsByCatRegion(inv.Args[0].AsInt(), inv.Args[1].AsInt()))
+			return answerRows(p, inv, qItemsByCatRegion(inv.Args[0].AsInt(), inv.Args[1].AsInt()))
 		})},
 		{SBViewItem, map[string]container.Method{
 			"get": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-				return a.itemRW.Load(p, inv.Args[0])
+				row, err := a.itemRW.Load(p, inv.Args[0])
+				return container.Reply(inv, row, err)
 			},
 			// fetchState feeds read-only replica refreshes.
 			"fetchState": a.d.FetchState,
 		}},
 		{SBViewBidHistory, m(func(p *sim.Proc, inv *container.Invocation) (any, error) {
-			return runQuery(p, main, qBidHistory(inv.Args[0].AsInt()))
+			return answerRows(p, inv, qBidHistory(inv.Args[0].AsInt()))
 		})},
 		{SBViewUserInfo, m(func(p *sim.Proc, inv *container.Invocation) (any, error) {
 			uid := inv.Args[0].AsInt()
@@ -295,10 +310,7 @@ func (a *App) deployMainFacades() error {
 				return nil, err
 			}
 			comments, err := runQuery(p, main, qUserComments(uid))
-			if err != nil {
-				return nil, err
-			}
-			return &UserInfoPage{User: user, Comments: comments}, nil
+			return container.Reply(inv, UserInfoPage{User: user, Comments: comments}, err)
 		})},
 		{SBPutBid, map[string]container.Method{
 			// form authenticates and returns the item in one bulk call.
@@ -306,12 +318,14 @@ func (a *App) deployMainFacades() error {
 				if _, err := a.authenticate(p, inv.Args[0].AsString(), inv.Args[1].AsString()); err != nil {
 					return nil, err
 				}
-				return a.itemRW.Load(p, inv.Args[2])
+				row, err := a.itemRW.Load(p, inv.Args[2])
+				return container.Reply(inv, row, err)
 			},
 		}},
 		{SBStoreBid, map[string]container.Method{
 			"store": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-				return a.storeBid(p, inv.Args[0].AsString(), inv.Args[1].AsString(), inv.Args[2].AsInt(), inv.Args[3].AsFloat())
+				seq, err := a.storeBid(p, inv.Args[0].AsString(), inv.Args[1].AsString(), inv.Args[2].AsInt(), inv.Args[3].AsFloat())
+				return container.Reply(inv, seq, err)
 			},
 		}},
 		{SBPutComment, map[string]container.Method{
@@ -319,13 +333,15 @@ func (a *App) deployMainFacades() error {
 				if _, err := a.authenticate(p, inv.Args[0].AsString(), inv.Args[1].AsString()); err != nil {
 					return nil, err
 				}
-				return a.userRW.Load(p, inv.Args[2])
+				row, err := a.userRW.Load(p, inv.Args[2])
+				return container.Reply(inv, row, err)
 			},
 		}},
 		{SBStoreComment, map[string]container.Method{
 			"store": func(p *sim.Proc, inv *container.Invocation) (any, error) {
-				return a.storeComment(p, inv.Args[0].AsString(), inv.Args[1].AsString(),
+				seq, err := a.storeComment(p, inv.Args[0].AsString(), inv.Args[1].AsString(),
 					inv.Args[2].AsInt(), inv.Args[3].AsInt(), inv.Args[4].AsInt())
+				return container.Reply(inv, seq, err)
 			},
 		}},
 	} {
@@ -338,14 +354,14 @@ func (a *App) deployMainFacades() error {
 
 // storeBid authenticates, records the bid, and updates the item's bid
 // summary — the write whose propagation the read-mostly pattern pays for.
-func (a *App) storeBid(p *sim.Proc, nick, pass string, itemID int64, amount float64) (any, error) {
+func (a *App) storeBid(p *sim.Proc, nick, pass string, itemID int64, amount float64) (int64, error) {
 	user, err := a.authenticate(p, nick, pass)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	item, err := a.itemRW.Load(p, sqldb.Int(itemID))
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	a.bidSeq++
 	if err := a.bidRW.Insert(p, container.State{
@@ -356,7 +372,7 @@ func (a *App) storeBid(p *sim.Proc, nick, pass string, itemID int64, amount floa
 		"bid":      sqldb.Float(amount),
 		"bid_date": sqldb.Int(int64(p.Now() / time.Millisecond)),
 	}); err != nil {
-		return nil, err
+		return 0, err
 	}
 	maxBid := item.Get("max_bid").AsFloat()
 	if amount > maxBid {
@@ -366,21 +382,21 @@ func (a *App) storeBid(p *sim.Proc, nick, pass string, itemID int64, amount floa
 		"nb_of_bids": sqldb.Int(item.Get("nb_of_bids").AsInt() + 1),
 		"max_bid":    sqldb.Float(maxBid),
 	}); err != nil {
-		return nil, err
+		return 0, err
 	}
 	return a.bidSeq, nil
 }
 
 // storeComment authenticates, records the comment, and updates the target
 // user's rating.
-func (a *App) storeComment(p *sim.Proc, nick, pass string, toUser, itemID, rating int64) (any, error) {
+func (a *App) storeComment(p *sim.Proc, nick, pass string, toUser, itemID, rating int64) (int64, error) {
 	from, err := a.authenticate(p, nick, pass)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	target, err := a.userRW.Load(p, sqldb.Int(toUser))
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	a.commentSeq++
 	if err := a.commentRW.Insert(p, container.State{
@@ -392,12 +408,12 @@ func (a *App) storeComment(p *sim.Proc, nick, pass string, toUser, itemID, ratin
 		"comment_date": sqldb.Int(int64(p.Now() / time.Millisecond)),
 		"comment":      sqldb.Str("posted comment"),
 	}); err != nil {
-		return nil, err
+		return 0, err
 	}
 	if _, err := a.userRW.UpdateFields(p, sqldb.Int(toUser), container.State{
 		"rating": sqldb.Int(target.Get("rating").AsInt() + rating),
 	}); err != nil {
-		return nil, err
+		return 0, err
 	}
 	return a.commentSeq, nil
 }

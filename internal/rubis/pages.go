@@ -79,43 +79,17 @@ func (a *App) registerPages(srv *container.Server) {
 	static(PagePutBidAuth)
 	static(PagePutCommentAuth)
 
-	// one wires a page to a single façade call — the design rule the
-	// paper enforces ("only one RMI call from the web layer to the EJB
-	// layer in every servlet web page generation method") — passing the
-	// request parameters named by strs as strings, then those named by
-	// ints as integers. The argument list is built on the page's stack.
-	one := func(page, bean, method string, strs []string, ints ...string) {
-		w.Handle(page, func(p *sim.Proc, r *web.Request) (*web.Response, error) {
-			stub, err := a.d.FacadeStub(p, srv, bean)
-			if err != nil {
-				return nil, err
-			}
-			var buf [3]sqldb.Value
-			args := buf[:0]
-			for _, k := range strs {
-				args = append(args, sqldb.Str(r.Param(k)))
-			}
-			for _, k := range ints {
-				args = append(args, sqldb.Int(intParam(r, k)))
-			}
-			if _, err := stub.Invoke(p, method, args...); err != nil {
-				return nil, err
-			}
-			return a.render(p, srv, page), nil
-		})
-	}
-
 	creds := []string{"nick", "password"}
-	one(PageAllCategories, SBBrowseCategories, "getAll", nil)
-	one(PageAllRegions, SBBrowseRegions, "getAll", nil)
-	one(PageRegion, SBBrowseCategories, "forRegion", nil, "region")
-	one(PageCategory, SBSearchByCategory, "get", nil, "cat")
-	one(PageCatRegion, SBSearchByRegion, "get", nil, "cat", "region")
-	one(PageItem, SBViewItem, "get", nil, "item")
-	one(PageBids, SBViewBidHistory, "get", nil, "item")
-	one(PageUserInfo, SBViewUserInfo, "get", nil, "user")
-	one(PagePutBidForm, SBPutBid, "form", creds, "item")
-	one(PagePutCommentForm, SBPutComment, "form", creds, "to")
+	one(a, srv, &a.rows, PageAllCategories, SBBrowseCategories, "getAll", nil)
+	one(a, srv, &a.rows, PageAllRegions, SBBrowseRegions, "getAll", nil)
+	one(a, srv, &a.rows, PageRegion, SBBrowseCategories, "forRegion", nil, "region")
+	one(a, srv, &a.rows, PageCategory, SBSearchByCategory, "get", nil, "cat")
+	one(a, srv, &a.rows, PageCatRegion, SBSearchByRegion, "get", nil, "cat", "region")
+	one(a, srv, &a.row, PageItem, SBViewItem, "get", nil, "item")
+	one(a, srv, &a.rows, PageBids, SBViewBidHistory, "get", nil, "item")
+	one(a, srv, &a.infos, PageUserInfo, SBViewUserInfo, "get", nil, "user")
+	one(a, srv, &a.row, PagePutBidForm, SBPutBid, "form", creds, "item")
+	one(a, srv, &a.row, PagePutCommentForm, SBPutComment, "form", creds, "to")
 
 	// Write pages always reach the central store façades (read-write
 	// access to shared components lives on the main server).
@@ -125,7 +99,7 @@ func (a *App) registerPages(srv *container.Server) {
 			return nil, err
 		}
 		amount, _ := strconv.ParseFloat(r.Param("bid"), 64)
-		if _, err := stub.Invoke(p, "store", sqldb.Str(r.Param("nick")), sqldb.Str(r.Param("password")),
+		if _, err := container.Invoke(p, stub, &a.seqs, "store", sqldb.Str(r.Param("nick")), sqldb.Str(r.Param("password")),
 			sqldb.Int(intParam(r, "item")), sqldb.Float(amount)); err != nil {
 			return nil, err
 		}
@@ -136,10 +110,36 @@ func (a *App) registerPages(srv *container.Server) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := stub.Invoke(p, "store", sqldb.Str(r.Param("nick")), sqldb.Str(r.Param("password")),
+		if _, err := container.Invoke(p, stub, &a.seqs, "store", sqldb.Str(r.Param("nick")), sqldb.Str(r.Param("password")),
 			sqldb.Int(intParam(r, "to")), sqldb.Int(intParam(r, "item")), sqldb.Int(intParam(r, "rating"))); err != nil {
 			return nil, err
 		}
 		return a.render(p, srv, PageStoreComment), nil
+	})
+}
+
+// one wires a page on srv to a single façade call — the design rule the paper
+// enforces ("only one RMI call from the web layer to the EJB layer in every
+// servlet web page generation method") — passing the request parameters named
+// by strs as strings, then those named by ints as integers, and answered in a
+// record from free. The argument list is built on the page's stack.
+func one[T any](a *App, srv *container.Server, free *sim.Free[T], page, bean, method string, strs []string, ints ...string) {
+	srv.Web().Handle(page, func(p *sim.Proc, r *web.Request) (*web.Response, error) {
+		stub, err := a.d.FacadeStub(p, srv, bean)
+		if err != nil {
+			return nil, err
+		}
+		var buf [3]sqldb.Value
+		args := buf[:0]
+		for _, k := range strs {
+			args = append(args, sqldb.Str(r.Param(k)))
+		}
+		for _, k := range ints {
+			args = append(args, sqldb.Int(intParam(r, k)))
+		}
+		if _, err := container.Invoke(p, stub, free, method, args...); err != nil {
+			return nil, err
+		}
+		return a.render(p, srv, page), nil
 	})
 }

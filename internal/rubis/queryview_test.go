@@ -76,7 +76,7 @@ func TestDeltaModeKeepsQueryCachesFresh(t *testing.T) {
 						return
 					}
 					var row container.Row
-					for rows, i := v.(container.Rows), 0; i < rows.Len(); i++ {
+					for rows, i := v.(*container.Rows), 0; i < rows.Len(); i++ {
 						if r := rows.At(i); r.Get("id").AsInt() == item {
 							row = r
 						}
@@ -93,7 +93,7 @@ func TestDeltaModeKeepsQueryCachesFresh(t *testing.T) {
 						t.Errorf("%s userInfo.User = %v, want all seven columns %v", edge.Name(), page.User, wantUser.At(0))
 					}
 					v, err = qc.Get(p, keyUserByNick(Nickname(int(seller-1))))
-					if err != nil || !reflect.DeepEqual(v, wantUser) {
+					if err != nil || !reflect.DeepEqual(v, &wantUser) {
 						t.Errorf("%s userByNick = %v (%v), want %v", edge.Name(), v, err, wantUser)
 					}
 				})
@@ -134,17 +134,18 @@ func (vp *viewProbe) Propagate(_ *sim.Proc, updates []container.Update) error {
 	return nil
 }
 
-func (vp *viewProbe) fresh(q query) container.Rows { return freshRows(vp.t, vp.a, q) }
+func (vp *viewProbe) fresh(q query) *container.Rows { return freshRows(vp.t, vp.a, q) }
 
-// freshRows executes q against the database at no simulated cost. It may run
-// on a process goroutine, so a failure is an Error, not a Fatal.
-func freshRows(t *testing.T, a *App, q query) container.Rows {
+// freshRows executes q against the database at no simulated cost, as the
+// *container.Rows a view holds. It may run on a process goroutine, so a
+// failure is an Error, not a Fatal.
+func freshRows(t *testing.T, a *App, q query) *container.Rows {
 	t.Helper()
 	rows, err := runDirect(a.d.DB, q)
 	if err != nil {
 		t.Errorf("fresh query: %v", err)
 	}
-	return rows
+	return &rows
 }
 
 func (vp *viewProbe) check(key string, want any) {
@@ -175,7 +176,7 @@ func (vp *viewProbe) checkUser(id int64) {
 		vp.t.Errorf("user %d: %d rows", id, rows.Len())
 		return
 	}
-	vp.check(keyUserInfo(id), &UserInfoPage{User: rows.At(0), Comments: vp.fresh(qUserComments(id))})
+	vp.check(keyUserInfo(id), &UserInfoPage{User: rows.At(0), Comments: *vp.fresh(qUserComments(id))})
 	vp.check(keyUserByNick(rows.At(0).Get("nickname").AsString()), rows)
 }
 
@@ -312,7 +313,7 @@ func newItem(id, cat, region, endDate int64) container.State {
 func checkEdgesHoldViews(t *testing.T, a *App, lastItem int64) {
 	t.Helper()
 	views := a.wiring.QueryViews()
-	fresh := func(q query) container.Rows { return freshRows(t, a, q) }
+	fresh := func(q query) *container.Rows { return freshRows(t, a, q) }
 	want := map[string]any{}
 	for r := int64(1); r <= NumRegions; r++ {
 		want[keyRegionCategories(r)] = fresh(qRegionCategories(r))
@@ -329,8 +330,8 @@ func checkEdgesHoldViews(t *testing.T, a *App, lastItem int64) {
 	for users, i := fresh(newQuery(`SELECT * FROM users`)), 0; i < users.Len(); i++ {
 		u := users.At(i)
 		id := u.Get("id").AsInt()
-		want[keyUserInfo(id)] = &UserInfoPage{User: u, Comments: fresh(qUserComments(id))}
-		want[keyUserByNick(u.Get("nickname").AsString())] = container.Rows{}.Insert(0, u)
+		want[keyUserInfo(id)] = &UserInfoPage{User: u, Comments: *fresh(qUserComments(id))}
+		want[keyUserByNick(u.Get("nickname").AsString())] = oneRow(u)
 	}
 	stale := 0
 	for key, w := range want {
@@ -444,7 +445,7 @@ func TestQueryViewMaintainedItemCommitAllocs(t *testing.T) {
 		if allocs > 6 {
 			t.Errorf("%s: maintaining a bid allocates %.0f times, want at most 6", q.Name, allocs)
 		}
-		rows, was := next.(container.Rows), before.(container.Rows)
+		rows, was := next.(*container.Rows), before.(*container.Rows)
 		if rows.Len() != was.Len() {
 			t.Fatalf("%s: page went from %d to %d rows", q.Name, was.Len(), rows.Len())
 		}

@@ -316,8 +316,12 @@ func TestBidderFlowUpdatesStateAndCaches(t *testing.T) {
 				t.Errorf("cache: %v", err)
 				return
 			}
-			rows, ok := v.(container.Rows)
-			if !ok || rows.Len() != SeedBidsPerItem+1 {
+			rows, ok := v.(*container.Rows)
+			if !ok {
+				t.Errorf("%s bid history cache holds %T", edge.Name(), v)
+				return
+			}
+			if rows.Len() != SeedBidsPerItem+1 {
 				t.Errorf("%s bid history cache has %d rows, want %d", edge.Name(), rows.Len(), SeedBidsPerItem+1)
 				return
 			}

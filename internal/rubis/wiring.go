@@ -43,7 +43,8 @@ func (a *App) Wire(p core.Policy, on ...*container.Server) (*core.Wiring, error)
 	return w, nil
 }
 
-// cachedQueries declares the session queries the edges cache. RUBiS uses the
+// cachedQueries declares the session queries the edges cache, each result as
+// the *container.Rows or *UserInfoPage main's façade answers. RUBiS uses the
 // push-based query update mechanism: every query a write can change has a
 // view, so the main server (co-located with the database) computes the
 // fresh result once per commit and the bulk push installs it — edge readers
@@ -54,7 +55,10 @@ func (a *App) cachedQueries() []container.CachedQuerySpec {
 	db := a.d.DB
 	// rows adapts a query builder to a view's Query.
 	rows := func(q func(c container.Commit) query) func(c container.Commit) (any, error) {
-		return func(c container.Commit) (any, error) { return runDirect(db, q(c)) }
+		return func(c container.Commit) (any, error) {
+			res, err := runDirect(db, q(c))
+			return &res, err
+		}
 	}
 	cat := func(c container.Commit) int64 { return c.State.Get("category").AsInt() }
 	region := func(c container.Commit) int64 { return c.State.Get("region").AsInt() }
@@ -102,8 +106,8 @@ func (a *App) cachedQueries() []container.CachedQuerySpec {
 				if c.Bean == BeanItem {
 					return prev, true // the Bid insert refreshed it; this commit ships it
 				}
-				if next, ok := a.maintainHistory(prev.(container.Rows), c, "user_id", "bid", &bidHistoryCols); ok {
-					return next, true
+				if next, ok := a.maintainHistory(*prev.(*container.Rows), c, "user_id", "bid", &bidHistoryCols); ok {
+					return &next, true
 				}
 				return nil, false
 			},
@@ -148,7 +152,7 @@ func (a *App) cachedQueries() []container.CachedQuerySpec {
 			}),
 			// The nickname is unique, so the result is the committed row.
 			Maintain: func(_ any, c container.Commit) (any, bool) {
-				return container.Rows{}.Insert(0, c.State), true
+				return oneRow(c.State), true
 			},
 		}},
 	}
@@ -201,7 +205,7 @@ var (
 // the page is the previous one with that row replaced. Inserts, moves and
 // items beyond the LIMIT re-execute the query.
 func maintainItemList(prev any, c container.Commit) (any, bool) {
-	rows, ok := prev.(container.Rows)
+	rows, ok := prev.(*container.Rows)
 	if !ok || c.Touches("category", "region", "end_date") {
 		return nil, false
 	}
@@ -213,9 +217,16 @@ func maintainItemList(prev any, c container.Commit) (any, bool) {
 		for j, col := range itemListCols {
 			vals[j] = c.State.Get(col)
 		}
-		return rows.Replace(i, container.RowOf(&itemListCols, vals)), true
+		next := rows.Replace(i, container.RowOf(&itemListCols, vals))
+		return &next, true
 	}
 	return nil, false
+}
+
+// oneRow returns a one-row result holding r.
+func oneRow(r container.Row) *container.Rows {
+	rows := container.Rows{}.Insert(0, r)
+	return &rows
 }
 
 // seedQueries warm-deploys the edge query caches and the main server's views
@@ -250,7 +261,7 @@ func (a *App) seedQueries() error {
 		if err != nil {
 			return fmt.Errorf("rubis preload %s: %w", e.key, err)
 		}
-		a.wiring.SeedQuery(e.key, rows)
+		a.wiring.SeedQuery(e.key, &rows)
 	}
 	for i := range userRows.Len() {
 		u := userRows.At(i)
@@ -260,7 +271,7 @@ func (a *App) seedQueries() error {
 			return fmt.Errorf("rubis preload user info: %w", err)
 		}
 		a.wiring.SeedQuery(keyUserInfo(id), &UserInfoPage{User: u, Comments: comments})
-		a.wiring.SeedQuery(keyUserByNick(u.Get("nickname").AsString()), container.Rows{}.Insert(0, u))
+		a.wiring.SeedQuery(keyUserByNick(u.Get("nickname").AsString()), oneRow(u))
 	}
 	return nil
 }
