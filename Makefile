@@ -2,18 +2,22 @@
 
 GO ?= go
 
-.PHONY: all verify build vet test race determinism bench-digests loc inventory profile allocs repro repro-quick examples clean
+.PHONY: all verify build vet fmt test race determinism bench-digests loc inventory profile allocs repro repro-quick examples clean
 
 all: verify
 
-# Tier-1 verification: compile, static checks, full test suite.
-verify: build vet test
+# Tier-1 verification: compile, static checks, formatting, full test suite.
+verify: build vet fmt test
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Every Go file as gofmt writes it.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) test ./...

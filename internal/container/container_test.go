@@ -496,7 +496,8 @@ func TestExtendedDescriptorValidate(t *testing.T) {
 	}
 	// Edge façades, each case one fault on top of good: an empty bean name,
 	// a duplicate façade, a FromCache on a query the descriptor does not
-	// cache, a FromReplicas on a bean with no replica.
+	// cache, a FromReplicas on a bean with no replica, a handler that reads a
+	// query the descriptor does not cache.
 	key := func([]sqldb.Value) string { return "itemsByProduct:" }
 	read := func(*sim.Proc, *EdgeMethod, *Invocation) (any, error) { return nil, nil }
 	facade := FromCache("get", "itemsByProduct", key)
@@ -505,6 +506,7 @@ func TestExtendedDescriptorValidate(t *testing.T) {
 		{{Bean: "SB", Methods: []EdgeMethodSpec{facade}}, {Bean: "SB", Methods: []EdgeMethodSpec{Delegate("put")}}},
 		{{Bean: "SB", Methods: []EdgeMethodSpec{FromCache("get", "itemsByCategory", key)}}},
 		{{Bean: "SB", Methods: []EdgeMethodSpec{FromReplicas("get", read, "ItemRW", "BidRW")}}},
+		{{Bean: "SB", Methods: []EdgeMethodSpec{FromReplicas("get", read, "ItemRW").Reads("itemsByCategory", key)}}},
 	} {
 		d := *good
 		d.EdgeFacades = facades
@@ -512,6 +514,7 @@ func TestExtendedDescriptorValidate(t *testing.T) {
 	}
 	good.EdgeFacades = []EdgeFacadeSpec{{Bean: "SB", Methods: []EdgeMethodSpec{
 		facade.OwnedBy("ItemRW"), FromReplicas("item", read, "ItemRW", "UserRW"), Local("local", read), Delegate("put"),
+		FromReplicas("form", read, "UserRW").Reads("itemsByProduct", key),
 	}}}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid edge façade rejected: %v", err)

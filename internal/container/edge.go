@@ -17,7 +17,8 @@ type EdgeMethodSpec struct {
 	Name string
 	// FromCache: the cached query, the key a call names in it, and the
 	// replicated bean, if any, whose partition slice must own the first
-	// argument for the edge to serve the call.
+	// argument for the edge to serve the call. A handler that reads a cached
+	// query declares it the same way (Reads).
 	Query string
 	Key   func(args []sqldb.Value) string
 	Owner string
@@ -46,6 +47,13 @@ func FromReplicas(name string, h EdgeHandler, beans ...string) EdgeMethodSpec {
 
 // Local declares a method h serves on the edge.
 func Local(name string, h EdgeHandler) EdgeMethodSpec { return FromReplicas(name, h) }
+
+// Reads declares that m's handler reads the cache of query at key, which it
+// looks up through m.Key.
+func (m EdgeMethodSpec) Reads(query string, key func(args []sqldb.Value) string) EdgeMethodSpec {
+	m.Query, m.Key = query, key
+	return m
+}
 
 // OwnedBy scopes a FromCache method to the edge's partition slice of bean.
 func (m EdgeMethodSpec) OwnedBy(bean string) EdgeMethodSpec {

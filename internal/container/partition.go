@@ -21,13 +21,6 @@ type PartitionScheme int
 // canonical primary-key string — uniform, placement-oblivious.
 const HashPartition PartitionScheme = 1
 
-func (s PartitionScheme) String() string {
-	if s == HashPartition {
-		return "hash"
-	}
-	return fmt.Sprintf("PartitionScheme(%d)", int(s))
-}
-
 // PartitionSpec declares how one replicated bean's key space is partitioned.
 // The zero value (no spec) means full replication, the paper's mode.
 type PartitionSpec struct {

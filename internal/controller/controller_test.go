@@ -108,10 +108,9 @@ func priceModel(remote bool) *planner.Model {
 		PushBytes: 256,
 		Patterns:  []planner.Pattern{{Name: "Reader", Visits: map[string]float64{"price": 1}}},
 		Classes:   []planner.Class{{Pattern: "Reader", Local: !remote, Clients: 1}},
-		Pages: []planner.Page{{Name: "price", Body: planner.If{
-			Cond: planner.EdgeHit,
-			Then: planner.Hit{},
-			Else: planner.Call{Bean: "PriceFacade", Body: planner.Load{}},
+		Pages: []planner.Page{{Name: "price", Body: planner.Read{
+			Beans: []string{"Price"},
+			Else:  planner.Call{Bean: "PriceFacade", Method: "get", Body: planner.Load{}},
 		}}},
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -115,6 +116,8 @@ func TestPolicyValid(t *testing.T) {
 		{QueryCaches: true},
 		{AsyncUpdates: true},
 		{ReplicateWeb: true, AsyncUpdates: true},
+		{ReplicateWeb: true, QueryCaches: true},
+		{ReplicateWeb: true, QueryCaches: true, AsyncUpdates: true},
 		{EntityReplicas: true, QueryCaches: true, AsyncUpdates: true},
 	} {
 		if p.Valid() || p.Validate() == nil {
@@ -127,8 +130,12 @@ func TestPolicyValid(t *testing.T) {
 		t.Errorf("zero-partition spec: %v", err)
 	}
 	sets := PatternSets()
-	if len(sets) != 8 {
-		t.Fatalf("%d pattern sets, want 8", len(sets))
+	want := []Policy{
+		Centralized, RemoteFacade, StatefulCaching,
+		{ReplicateWeb: true, EntityReplicas: true, AsyncUpdates: true}, QueryCaching, AsyncUpdates,
+	}
+	if !slices.Equal(sets, want) {
+		t.Fatalf("pattern sets %v, want %v", sets, want)
 	}
 	for i, p := range sets {
 		if !p.Valid() {

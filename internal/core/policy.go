@@ -25,12 +25,12 @@ type Policy struct {
 	// (stateful component caching, Section 4.3). Requires ReplicateWeb.
 	EntityReplicas bool
 
-	// QueryCaches deploys query caches on the edges (Section 4.4).
-	// Requires ReplicateWeb.
+	// QueryCaches deploys query caches on the edges (Section 4.4). Requires
+	// EntityReplicas, whose update pushes keep the caches fresh.
 	QueryCaches bool
 
 	// AsyncUpdates propagates writes to edge caches through JMS instead of
-	// blocking wide-area pushes (Section 4.5). Requires a cache to update.
+	// blocking wide-area pushes (Section 4.5). Requires EntityReplicas.
 	AsyncUpdates bool
 
 	// DBReplicas streams committed statements to a database replica on
@@ -139,15 +139,15 @@ func (p Policy) Patterns() string {
 	return "none"
 }
 
-// Valid reports whether p respects the pattern dependencies: caches need an
-// edge web tier to serve from, and asynchronous updates need a cache to
-// update.
+// Valid reports whether p respects the pattern dependencies, each pattern
+// built on the one before it: entity replicas need an edge web tier to serve
+// from, query caches are kept fresh by the entity replicas' update pushes,
+// and asynchronous updates carry those pushes.
 func (p Policy) Valid() bool {
-	caches := p.EntityReplicas || p.QueryCaches
 	switch {
-	case caches && !p.ReplicateWeb:
+	case p.EntityReplicas && !p.ReplicateWeb:
 		return false
-	case p.AsyncUpdates && !caches:
+	case (p.QueryCaches || p.AsyncUpdates) && !p.EntityReplicas:
 		return false
 	}
 	return true
@@ -161,7 +161,7 @@ var ErrPolicy = errors.New("core: policy cannot be deployed")
 // otherwise an ErrPolicy naming p.
 func (p Policy) Validate() error {
 	if !p.Valid() {
-		return p.Unsupported("it breaks a pattern dependency (caches need edge web components, async updates a cache)")
+		return p.Unsupported("it breaks a pattern dependency (entity replicas need edge web components, query caches and async updates need entity replicas)")
 	}
 	if err := p.Partition.Validate(); err != nil {
 		return fmt.Errorf("%w: %s: %w", ErrPolicy, p.describe(), err)
@@ -178,14 +178,15 @@ func (p Policy) Unsupported(why string) error {
 func (p Policy) describe() string {
 	desc := p.String()
 	if s := p.Partition; s != nil {
-		desc += fmt.Sprintf(", %d %s partitions", s.Partitions, s.Scheme)
+		desc += fmt.Sprintf(", %d partitions", s.Partitions)
 	}
 	return desc
 }
 
-// PatternSets enumerates the valid pattern combinations (eight for the four
-// patterns), ordered by pattern count and then by Patterns, so search output
-// is deterministic.
+// PatternSets enumerates the valid pattern combinations, ordered by pattern
+// count and then by Patterns, so search output is deterministic. The
+// dependencies leave six of the four patterns' sixteen: centralized, web,
+// web+entities, and web+entities with query caches, async updates or both.
 func PatternSets() []Policy {
 	var out []Policy
 	for bits := 0; bits < 16; bits++ {

@@ -51,7 +51,7 @@ const UpdateTopic = "petstore-updates"
 var layout = &planner.Layout{
 	App: "petstore",
 	Components: []planner.Component{
-		planner.Facade(BeanCatalog, container.StatelessSession, planner.EdgeWithAnyCache, edgeCatalog...),
+		planner.Facade(BeanCatalog, container.StatelessSession, planner.EdgeWithEntityReplicas, edgeCatalog...),
 		planner.Facade(BeanCustomer, container.StatelessSession, planner.EdgeNever),
 		planner.Facade(BeanCart, container.StatefulSession, planner.EdgeWithWeb),
 		planner.Facade(BeanController, container.StatefulSession, planner.EdgeWithWeb),
@@ -168,11 +168,6 @@ func DefaultPageCosts() PageCosts {
 func Deploy(d *core.Deployment, p core.Policy) (*App, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("petstore: %w", err)
-	}
-	if p.QueryCaches && !p.EntityReplicas {
-		// The pull-refreshed caches hear of Category/Product/Item writes
-		// only through the replicas' update pushes.
-		return nil, fmt.Errorf("petstore: %w", p.Unsupported("query caches need the entity replicas' update pushes to invalidate them"))
 	}
 	if err := InitSchema(d.DB); err != nil {
 		return nil, err

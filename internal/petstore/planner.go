@@ -16,9 +16,11 @@ const replicaPushBytes = 1024
 const visitSamples = 8192
 
 // PlannerModel describes Pet Store to the deployment advisor: the component
-// list Deploy installs from, the page cost profiles behind
-// Tables 2–3 (each page's stub calls, SQL shapes, rendering cost and
-// response size), and the paper's 80/20 two-remote-group client mix.
+// list Deploy installs from, the page cost profiles behind Tables 2–3 (each
+// page's stub calls with their main-side SQL shapes, rendering cost and
+// response size), and the paper's 80/20 two-remote-group client mix. What a
+// call costs from an edge is read from the edge Catalog the component list
+// declares.
 func PlannerModel() *planner.Model {
 	costs := DefaultPageCosts()
 
@@ -34,43 +36,13 @@ func PlannerModel() *planner.Model {
 		planner.SQL{Scan: ItemsPerProduct, Out: ItemsPerProduct},
 	}
 	searchSQL := planner.SQL{Scan: NumProducts, Out: NumCategories}
-	loads := planner.Seq{planner.Load{}, planner.Load{}} // Item + Inventory
-
-	// cachedOrDelegate is an edge Catalog finder: served from the query
-	// cache when one exists, otherwise delegated over the WAN to the main
-	// Catalog; on the main server it runs its SQL directly.
-	cachedOrDelegate := func(direct planner.Op) planner.Op {
-		return planner.If{
-			Cond: planner.EdgeCached,
-			Then: planner.Hit{},
-			Else: planner.If{
-				Cond: planner.AtEdge,
-				Then: planner.Call{Body: direct},
-				Else: direct,
-			},
-		}
-	}
-
-	// getItem inside the Catalog: read-only beans when the edge has them,
-	// a WAN delegate from an edge Catalog without them, entity loads on
-	// main.
-	getItemBody := planner.If{
-		Cond: planner.EdgeHit,
-		Then: planner.Seq{planner.Hit{}, planner.Hit{}},
-		Else: planner.If{
-			Cond: planner.AtEdge,
-			Then: planner.Call{Body: loads},
-			Else: loads,
-		},
-	}
 
 	// getItemVia from the web tier (Item page, Cart.addItem): straight to
-	// the read-only beans above StatefulCaching, through the Catalog path
-	// otherwise.
-	getItemVia := planner.If{
-		Cond: planner.EdgeHit,
-		Then: planner.Seq{planner.Hit{}, planner.Hit{}},
-		Else: planner.Call{Bean: BeanCatalog, Body: getItemBody},
+	// the edge's Item and Inventory replicas when it has them, otherwise
+	// the Catalog's getItem, two entity loads.
+	getItemVia := planner.Read{
+		Beans: []string{BeanItem, BeanInventory},
+		Else:  planner.Call{Bean: BeanCatalog, Method: "getItem", Body: planner.Seq{planner.Load{}, planner.Load{}}},
 	}
 
 	// placeOrder (Customer): Order/OrderStatus/LineItem creation plus the
@@ -78,9 +50,9 @@ func PlannerModel() *planner.Model {
 	placeOrder := planner.Seq{
 		planner.Load{}, // Item
 		planner.Load{}, // Account
-		planner.Insert{}, planner.Insert{}, planner.Insert{},
+		planner.Insert{Bean: BeanOrder}, planner.Insert{Bean: BeanOrderStatus}, planner.Insert{Bean: BeanLineItem},
 		planner.Load{}, // Inventory
-		planner.Update{Push: planner.HasEntityReplicas},
+		planner.Update{Bean: BeanInventory},
 	}
 
 	page := func(name string, body planner.Op) planner.Page {
@@ -106,35 +78,31 @@ func PlannerModel() *planner.Model {
 		},
 		Pages: []planner.Page{
 			page(PageMain, nil),
-			page(PageCategory, planner.Call{Bean: BeanCatalog, Body: cachedOrDelegate(productsOf)}),
-			page(PageProduct, planner.Call{Bean: BeanCatalog, Body: cachedOrDelegate(itemsOf)}),
+			page(PageCategory, planner.Call{Bean: BeanCatalog, Method: "getProductsOf", Body: productsOf}),
+			page(PageProduct, planner.Call{Bean: BeanCatalog, Method: "getItemsOf", Body: itemsOf}),
 			page(PageItem, getItemVia),
-			page(PageSearch, planner.Call{Bean: BeanCatalog, Body: planner.If{
-				Cond: planner.AtEdge,
-				Then: planner.Call{Body: searchSQL},
-				Else: searchSQL,
-			}}),
+			page(PageSearch, planner.Call{Bean: BeanCatalog, Method: "search", Body: searchSQL}),
 			page(PageSignin, nil),
 			page(PageVerifySignin, planner.Seq{
-				planner.Call{Bean: BeanCustomer, Body: planner.Load{}}, // createCustomer: SignOn
-				planner.Call{Bean: BeanCustomer, Body: planner.Load{}}, // getProfile: Account
+				planner.Call{Bean: BeanCustomer, Method: "createCustomer", Body: planner.Load{}}, // SignOn
+				planner.Call{Bean: BeanCustomer, Method: "getProfile", Body: planner.Load{}},     // Account
 			}),
 			page(PageCart, planner.Seq{
-				planner.Call{Bean: BeanController},
-				planner.Call{Bean: BeanCart, Body: getItemVia},
+				planner.Call{Bean: BeanController, Method: "handleEvent"},
+				planner.Call{Bean: BeanCart, Method: "addItem", Body: getItemVia},
 			}),
 			page(PageCheckout, planner.Seq{
-				planner.Call{Bean: BeanController},
-				planner.Call{Bean: BeanCart},
+				planner.Call{Bean: BeanController, Method: "handleEvent"},
+				planner.Call{Bean: BeanCart, Method: "summary"},
 			}),
 			page(PagePlaceOrder, nil),
 			page(PageBilling, nil),
 			page(PageCommit, planner.Seq{
-				planner.Call{Bean: BeanController},
-				planner.Call{Bean: BeanCart},
-				planner.Call{Bean: BeanCustomer, Body: placeOrder},
+				planner.Call{Bean: BeanController, Method: "handleEvent"},
+				planner.Call{Bean: BeanCart, Method: "firstItem"},
+				planner.Call{Bean: BeanCustomer, Method: "placeOrder", Body: placeOrder},
 			}),
-			page(PageSignout, planner.Call{Bean: BeanCart}),
+			page(PageSignout, planner.Call{Bean: BeanCart, Method: "clear"}),
 		},
 	}
 }

@@ -1,8 +1,10 @@
 package planner
 
 import (
+	"fmt"
 	"time"
 
+	"wadeploy/internal/container"
 	"wadeploy/internal/core"
 )
 
@@ -128,13 +130,79 @@ func (m *Model) Params() Params {
 
 // Evaluator computes predicted response times for one model.
 type Evaluator struct {
-	m *Model
-	p Params
+	m      *Model
+	p      Params
+	placed map[core.Policy]*placed
+	err    error // the first call from an edge to an undeclared method
 }
 
 // NewEvaluator builds an evaluator over the model's derived parameters.
 func NewEvaluator(m *Model) *Evaluator {
-	return &Evaluator{m: m, p: m.Params()}
+	return &Evaluator{m: m, p: m.Params(), placed: make(map[core.Policy]*placed)}
+}
+
+// placed is a policy resolved against the layout: the beans it puts on the
+// edges, each with the cache hits per call of every edge method it declares
+// (wan for a WAN call; none for a bean that declares none), and the beans
+// the edges replicate.
+type placed struct {
+	c        core.Policy
+	atEdge   map[string]map[string]int
+	replicas map[string]bool
+}
+
+// wan marks a declared edge method that costs a WAN call of main's method.
+const wan = -1
+
+// edgeHits prices one declared edge method: a FromCache method is one hit; a
+// FromReplicas method one per bean, plus one for a query its handler reads;
+// a Delegate method, and a Local one since the planner prices no edge
+// database, a WAN call of main's method.
+func edgeHits(m container.EdgeMethodSpec) int {
+	switch {
+	case m.Handler == nil && m.Query != "":
+		return 1
+	case m.Handler != nil && len(m.Beans) > 0:
+		if m.Query != "" {
+			return len(m.Beans) + 1
+		}
+		return len(m.Beans)
+	}
+	return wan
+}
+
+// place resolves c against the model's layout, once per policy.
+func (ev *Evaluator) place(c core.Policy) *placed {
+	if pl := ev.placed[c]; pl != nil {
+		return pl
+	}
+	pl := &placed{c: c, atEdge: make(map[string]map[string]int), replicas: make(map[string]bool)}
+	for _, comp := range ev.m.Components {
+		if comp.Rule.active(c) {
+			pl.atEdge[comp.Desc.Name] = nil
+		}
+	}
+	for _, f := range ev.m.EdgeFacades(c) {
+		hits := make(map[string]int, len(f.Methods))
+		for _, m := range f.Methods {
+			hits[m.Name] = edgeHits(m)
+		}
+		pl.atEdge[f.Bean] = hits
+	}
+	if c.EntityReplicas {
+		for _, b := range ev.m.Replicated {
+			pl.replicas[b] = true
+		}
+	}
+	ev.placed[c] = pl
+	return pl
+}
+
+// site is where an op runs: on the main server or on an edge, under a
+// resolved policy.
+type site struct {
+	*placed
+	edge bool
 }
 
 // xfer is an uncontended one-way transfer: path latency plus one
@@ -145,20 +213,15 @@ func xfer(lat time.Duration, bytes int, bps float64) time.Duration {
 }
 
 // remoteCall is a wide-area RMI between two application servers: marshal
-// CPU, request and reply transfers, and the protocol's extra round trips
-// (rounds − 1 beyond the request/response pair).
-func (ev *Evaluator) remoteCall(req, reply int, body time.Duration) time.Duration {
+// CPU, request and reply transfers at the RMI default sizes, and the
+// protocol's extra round trips (rounds − 1 beyond the request/response
+// pair).
+func (ev *Evaluator) remoteCall(body time.Duration) time.Duration {
 	p := ev.p
-	if req == 0 {
-		req = p.ReqBytes
-	}
-	if reply == 0 {
-		reply = p.ReplyBytes
-	}
 	d := p.MarshalCPU
-	d += xfer(p.WANOneWay, req, p.WANBps)
+	d += xfer(p.WANOneWay, p.ReqBytes, p.WANBps)
 	d += p.MethodCPU + body
-	d += xfer(p.WANOneWay, reply, p.WANBps)
+	d += xfer(p.WANOneWay, p.ReplyBytes, p.WANBps)
 	d += time.Duration((p.Rounds - 1) * float64(2*p.WANOneWay))
 	return d
 }
@@ -211,64 +274,81 @@ func (ev *Evaluator) pushCost(c core.Policy) time.Duration {
 
 // Op evaluation.
 
-func (s Seq) cost(ev *Evaluator, ctx Ctx) time.Duration {
+// costAt prices op at a site; a nil op costs nothing.
+func costAt(op Op, ev *Evaluator, at site) time.Duration {
+	if op == nil {
+		return 0
+	}
+	return op.cost(ev, at)
+}
+
+func (s Seq) cost(ev *Evaluator, at site) time.Duration {
 	var d time.Duration
 	for _, op := range s {
-		if op != nil {
-			d += op.cost(ev, ctx)
-		}
+		d += costAt(op, ev, at)
 	}
 	return d
 }
 
-func (c Call) cost(ev *Evaluator, ctx Ctx) time.Duration {
-	atCallee := ctx.AtEdge && c.Bean != "" && ev.m.beanAtEdge(c.Bean, ctx.C)
-	body := time.Duration(0)
-	if c.Body != nil {
-		body = c.Body.cost(ev, Ctx{C: ctx.C, AtEdge: atCallee})
+func (c Call) cost(ev *Evaluator, at site) time.Duration {
+	main := site{placed: at.placed}
+	if !at.edge {
+		return ev.localCall(costAt(c.Body, ev, at))
 	}
-	if !ctx.AtEdge || atCallee {
-		return ev.localCall(body)
+	methods, onEdge := at.atEdge[c.Bean]
+	switch {
+	case !onEdge:
+		return ev.remoteCall(costAt(c.Body, ev, main))
+	case methods == nil:
+		return ev.localCall(costAt(c.Body, ev, at))
 	}
-	return ev.remoteCall(c.Req, c.Reply, body)
+	hits, ok := methods[c.Method]
+	switch {
+	case !ok:
+		if ev.err == nil {
+			ev.err = fmt.Errorf("planner: %s: the edge façade %s does not declare %s.%s",
+				at.c.Patterns(), c.Bean, c.Bean, c.Method)
+		}
+		return 0
+	case hits == wan:
+		return ev.localCall(ev.remoteCall(costAt(c.Body, ev, main)))
+	}
+	return ev.localCall(time.Duration(hits) * ev.p.CacheHitCPU)
 }
 
-func (s SQL) cost(ev *Evaluator, _ Ctx) time.Duration {
+func (r Read) cost(ev *Evaluator, at site) time.Duration {
+	if !at.edge {
+		return r.Else.cost(ev, at)
+	}
+	for _, b := range r.Beans {
+		if !at.replicas[b] {
+			return r.Else.cost(ev, at)
+		}
+	}
+	return time.Duration(len(r.Beans)) * ev.p.CacheHitCPU
+}
+
+func (s SQL) cost(ev *Evaluator, _ site) time.Duration {
 	return ev.sqlCost(s.Scan, s.Write, s.Out)
 }
 
-func (Load) cost(ev *Evaluator, _ Ctx) time.Duration { return ev.loadCost() }
+func (Load) cost(ev *Evaluator, _ site) time.Duration { return ev.loadCost() }
 
-func (i Insert) cost(ev *Evaluator, ctx Ctx) time.Duration {
+func (i Insert) cost(ev *Evaluator, at site) time.Duration {
 	d := ev.p.EntityStoreCPU + ev.sqlCost(0, 1, 0)
-	if i.Push != nil && i.Push(ctx) {
-		d += ev.pushCost(ctx.C)
+	if at.replicas[i.Bean] {
+		d += ev.pushCost(at.c)
 	}
 	return d
 }
 
-func (u Update) cost(ev *Evaluator, ctx Ctx) time.Duration {
+func (u Update) cost(ev *Evaluator, at site) time.Duration {
 	d := ev.loadCost() // the container re-loads fields before storing
 	d += ev.p.EntityStoreCPU + ev.sqlCost(1, 1, 0)
-	if u.Push != nil && u.Push(ctx) {
-		d += ev.pushCost(ctx.C)
+	if at.replicas[u.Bean] {
+		d += ev.pushCost(at.c)
 	}
 	return d
-}
-
-func (Hit) cost(ev *Evaluator, _ Ctx) time.Duration { return ev.p.CacheHitCPU }
-
-func (i If) cost(ev *Evaluator, ctx Ctx) time.Duration {
-	if i.Cond(ctx) {
-		if i.Then != nil {
-			return i.Then.cost(ev, ctx)
-		}
-		return 0
-	}
-	if i.Else != nil {
-		return i.Else.cost(ev, ctx)
-	}
-	return 0
 }
 
 // PageCost predicts the response time of one page for a client of the given
@@ -290,9 +370,7 @@ func (ev *Evaluator) PageCost(c core.Policy, page *Page, local bool) time.Durati
 	d := 2 * xfer(lat, p.HandshakeBytes, bps)
 	d += xfer(lat, p.WebReqBytes, bps)
 	d += p.DispatchCPU
-	if page.Body != nil {
-		d += page.Body.cost(ev, Ctx{C: c, AtEdge: atEdge})
-	}
+	d += costAt(page.Body, ev, site{placed: ev.place(c), edge: atEdge})
 	d += page.RenderCPU + page.RenderLat
 	bytes := page.Bytes
 	if bytes == 0 {

@@ -12,7 +12,11 @@
 //
 //	rounds × RTT + payload/bandwidth + service time
 //
-// and searches them for the cheapest placement.
+// and searches them for the cheapest placement. A page profile states only
+// what its calls do on the main server; what a call costs from an edge comes
+// from the edge façades the layout declares for the policy
+// (Layout.EdgeFacades), and a write pushes when the policy replicates its
+// bean.
 package planner
 
 import (
@@ -70,7 +74,6 @@ const (
 	EdgeWithWeb                            // replicated with the web tier
 	EdgeWithEntityReplicas                 // needs entity-bean replicas
 	EdgeWithQueryCaches                    // needs query caches
-	EdgeWithAnyCache                       // needs either cache kind
 )
 
 // active reports whether the rule puts the component on the edges under c.
@@ -82,8 +85,6 @@ func (r EdgeRule) active(c core.Policy) bool {
 		return c.ReplicateWeb && c.EntityReplicas
 	case EdgeWithQueryCaches:
 		return c.ReplicateWeb && c.QueryCaches
-	case EdgeWithAnyCache:
-		return c.ReplicateWeb && (c.EntityReplicas || c.QueryCaches)
 	}
 	return false
 }
@@ -193,7 +194,8 @@ func (l *Layout) Descriptor(p core.Policy, topic string) *container.ExtendedDesc
 
 // EdgeFacades declares the edge façades p places: every component with
 // edge methods whose rule puts it on the edges under p. Without query caches
-// no edge holds a cache, so a FromCache method is declared Delegate.
+// no edge holds a cache, so a method that reads a cached query is declared
+// Delegate.
 func (l *Layout) EdgeFacades(p core.Policy) []container.EdgeFacadeSpec {
 	var out []container.EdgeFacadeSpec
 	for _, c := range l.Components {
@@ -220,16 +222,6 @@ type Model struct {
 	Patterns []Pattern
 	Classes  []Class
 	Pages    []Page
-}
-
-// component looks a bean up by name, or returns nil.
-func (l *Layout) component(name string) *Component {
-	for i := range l.Components {
-		if l.Components[i].Desc.Name == name {
-			return &l.Components[i]
-		}
-	}
-	return nil
 }
 
 // WithObservedVisits returns a copy of m whose per-pattern page-visit
@@ -281,56 +273,32 @@ func (m *Model) pattern(name string) *Pattern {
 	return nil
 }
 
-// beanAtEdge reports whether a bean is deployed on the edge servers under c.
-func (m *Model) beanAtEdge(name string, c core.Policy) bool {
-	if comp := m.component(name); comp != nil {
-		return comp.Rule.active(c)
-	}
-	return false
-}
-
-// Ctx is the evaluation context of an op: the policy under evaluation and
-// whether the op runs on an edge server (false: the main server).
-type Ctx struct {
-	C      core.Policy
-	AtEdge bool
-}
-
-// Cond is a policy/site predicate used by conditional ops.
-type Cond func(ctx Ctx) bool
-
-// AtEdge is true when the op runs on an edge server.
-func AtEdge(ctx Ctx) bool { return ctx.AtEdge }
-
-// HasEntityReplicas is true when entity-bean replicas are deployed.
-func HasEntityReplicas(ctx Ctx) bool { return ctx.C.EntityReplicas }
-
-// HasAnyCache is true when either cache kind is deployed.
-func HasAnyCache(ctx Ctx) bool { return ctx.C.EntityReplicas || ctx.C.QueryCaches }
-
-// EdgeHit is true when the op runs on an edge that holds entity replicas —
-// the condition under which a read is served from a local read-only bean.
-func EdgeHit(ctx Ctx) bool { return ctx.AtEdge && ctx.C.EntityReplicas }
-
-// EdgeCached is true when the op runs on an edge that holds query caches.
-func EdgeCached(ctx Ctx) bool { return ctx.AtEdge && ctx.C.QueryCaches }
-
 // Op is one node of a page's cost profile. Evaluation is defined in cost.go.
 type Op interface {
-	cost(ev *Evaluator, ctx Ctx) time.Duration
+	cost(ev *Evaluator, at site) time.Duration
 }
 
 // Seq evaluates its children in order.
 type Seq []Op
 
-// Call is a business-method invocation on a bean. The callee site is
-// resolved from the component's EdgeRule: the call is local when the bean is
-// co-located with the caller, a wide-area RMI otherwise. Bean "" pins the
-// callee to the main server (an explicit StubFor(main) in the handler).
+// Call is an invocation of a bean's business method. Body is the method's
+// work on the main server. From main the call is local. From an edge it is a
+// wide-area RMI of Body unless the policy places the bean on the edges; an
+// edge façade then serves the method as Layout.EdgeFacades declares it, and
+// a bean that declares no edge methods runs Body on the edge. Bean ""
+// pins the callee to the main server (an explicit StubFor(main) in the
+// handler).
 type Call struct {
-	Bean       string
-	Req, Reply int // payload sizes; 0 selects the RMI defaults
-	Body       Op  // work performed by the method, at the callee's site
+	Bean   string
+	Method string
+	Body   Op
+}
+
+// Read is a caller reading Beans straight from its edge's replicas: one hit
+// per bean on an edge that replicates them all, Else otherwise.
+type Read struct {
+	Beans []string
+	Else  Call
 }
 
 // SQL is one statement executed over JDBC against the database node.
@@ -344,25 +312,15 @@ type SQL struct {
 // SELECT (scan 1, return 1).
 type Load struct{}
 
-// Insert is an entity-bean create: ejbStore plus an INSERT, plus cache
-// propagation when Push holds for the policy.
+// Insert is a create of Bean: ejbStore plus an INSERT, plus the push to the
+// edges when the policy replicates Bean.
 type Insert struct {
-	Push Cond
+	Bean string
 }
 
-// Update is an entity-bean field update: the container loads the bean, then
-// stores it (ejbLoad + SELECT + ejbStore + UPDATE), plus cache propagation
-// when Push holds for the policy.
+// Update is a field update of Bean: the container loads the bean, then
+// stores it (ejbLoad + SELECT + ejbStore + UPDATE), plus the push to the
+// edges when the policy replicates Bean.
 type Update struct {
-	Push Cond
-}
-
-// Hit is a read served from a read-only bean replica or query cache.
-type Hit struct{}
-
-// If selects between two subtrees on a policy/site predicate. Else may
-// be nil.
-type If struct {
-	Cond       Cond
-	Then, Else Op
+	Bean string
 }

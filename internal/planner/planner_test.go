@@ -2,46 +2,35 @@ package planner_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"wadeploy/internal/container"
 	"wadeploy/internal/core"
 	"wadeploy/internal/planner"
+	"wadeploy/internal/sim"
 	"wadeploy/internal/simnet"
+	"wadeploy/internal/sqldb"
 )
 
-// testModel is a deliberately tiny application — one cached façade over one
-// replicated entity, a read page and a write page — small enough that the
-// exact planner output can be pinned by the golden tests.
+// testModel is a deliberately tiny application — one façade serving reads
+// from the edge replica of one entity, a read page and a write page — small
+// enough that the exact planner output can be pinned by the golden tests.
 func testModel() *planner.Model {
-	read := planner.Call{Bean: "Facade", Body: planner.If{
-		Cond: planner.EdgeHit,
-		Then: planner.Hit{},
-		Else: planner.If{
-			Cond: planner.AtEdge,
-			Then: planner.Call{Body: planner.Load{}},
-			Else: planner.Load{},
-		},
-	}}
-	write := planner.Call{Bean: "", Body: planner.Seq{
+	serve := func(*sim.Proc, *container.EdgeMethod, *container.Invocation) (any, error) { return nil, nil }
+	read := planner.Call{Bean: "Facade", Method: "get", Body: planner.Load{}}
+	write := planner.Call{Method: "save", Body: planner.Seq{
 		planner.Load{},
-		planner.Update{Push: planner.HasAnyCache},
+		planner.Update{Bean: "Thing"},
 	}}
 	return &planner.Model{
 		Layout: &planner.Layout{
 			App: "demo",
 			Components: []planner.Component{
-				{
-					Desc: container.Descriptor{Name: "Facade", Kind: container.StatelessSession, Facade: true},
-					Rule: planner.EdgeWithAnyCache,
-				},
-				{
-					Desc: container.Descriptor{
-						Name: "Thing", Kind: container.Entity, Table: "things", PKColumn: "id",
-						LocalOnly: true,
-					},
-				},
+				planner.Facade("Facade", container.StatelessSession, planner.EdgeWithEntityReplicas,
+					container.FromReplicas("get", serve, "Thing")),
+				planner.Entity("Thing", "things", "id"),
 			},
 			Replicated: []string{"Thing"},
 		},
@@ -123,6 +112,8 @@ func TestCandidateDependenciesRejected(t *testing.T) {
 		{QueryCaches: true},
 		{AsyncUpdates: true},
 		{ReplicateWeb: true, AsyncUpdates: true},
+		{ReplicateWeb: true, QueryCaches: true},
+		{ReplicateWeb: true, QueryCaches: true, AsyncUpdates: true},
 	} {
 		if ranked[c] {
 			t.Errorf("%s breaks a pattern dependency but was ranked", c.Patterns())
@@ -142,8 +133,8 @@ func TestSearchRanksCacheConfigsAboveCentralized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Ranked) != 8 {
-		t.Fatalf("ranked %d candidates, want 8", len(res.Ranked))
+	if len(res.Ranked) != 6 {
+		t.Fatalf("ranked %d candidates, want 6", len(res.Ranked))
 	}
 	for i := 1; i < len(res.Ranked); i++ {
 		if res.Ranked[i].Overall < res.Ranked[i-1].Overall {
@@ -166,6 +157,49 @@ func TestSearchRanksCacheConfigsAboveCentralized(t *testing.T) {
 	}
 	if res.Base != centralized.Overall {
 		t.Errorf("Base %v != centralized overall %v", res.Base, centralized.Overall)
+	}
+}
+
+// TestSearchRejectsUndeclaredEdgeMethod: a façade that declares its edge
+// methods prices only those; a call from an edge to any other is an error
+// naming it, not a guess.
+func TestSearchRejectsUndeclaredEdgeMethod(t *testing.T) {
+	m := testModel()
+	m.Pages[0].Body = planner.Call{Bean: "Facade", Method: "list", Body: planner.Load{}}
+	if _, err := planner.Search(m); err == nil || !strings.Contains(err.Error(), "Facade.list") {
+		t.Fatalf("Search = %v, want an error naming Facade.list", err)
+	}
+}
+
+// TestEdgeMethodsPricedByKind: an edge call costs what its declared method
+// serves it from — a FromCache method one hit, a FromReplicas method a hit
+// per bean plus one for a query its handler reads, a Delegate or Local
+// method a WAN call of main's body — and without query caches a cached
+// method delegates.
+func TestEdgeMethodsPricedByKind(t *testing.T) {
+	serve := func(*sim.Proc, *container.EdgeMethod, *container.Invocation) (any, error) { return nil, nil }
+	key := func([]sqldb.Value) string { return "q:" }
+	m := testModel()
+	m.Components[0] = planner.Facade("Facade", container.StatelessSession, planner.EdgeWithEntityReplicas,
+		container.FromCache("cached", "q", key),
+		container.FromReplicas("replica", serve, "Thing"),
+		container.FromReplicas("form", serve, "Thing").Reads("q", key),
+		container.Delegate("delegate"),
+		container.Local("local", serve))
+	ev := planner.NewEvaluator(m)
+	cost := func(p core.Policy, method string) time.Duration {
+		page := planner.Page{Name: method, Body: planner.Call{Bean: "Facade", Method: method, Body: planner.SQL{Scan: 100, Out: 10}}}
+		return ev.PageCost(p, &page, false)
+	}
+	q := core.QueryCaching
+	if hit := m.Options.Costs.CacheHitCPU; cost(q, "cached") != cost(q, "replica") || cost(q, "form") != cost(q, "replica")+hit {
+		t.Errorf("cached %v, replica %v, form %v: want one hit, one hit, two hits", cost(q, "cached"), cost(q, "replica"), cost(q, "form"))
+	}
+	if cost(q, "local") != cost(q, "delegate") || cost(q, "delegate") <= cost(q, "cached")+m.Params().WANOneWay {
+		t.Errorf("delegate %v, local %v: want the same WAN call, above a hit %v", cost(q, "delegate"), cost(q, "local"), cost(q, "cached"))
+	}
+	if s := core.StatefulCaching; cost(s, "cached") != cost(s, "delegate") {
+		t.Errorf("without query caches a cached method costs %v, want a delegate's %v", cost(s, "cached"), cost(s, "delegate"))
 	}
 }
 

@@ -73,8 +73,9 @@ func (r *Result) Greedy() core.Policy {
 }
 
 // Search evaluates every valid pattern set exhaustively (the pattern space is
-// eight points — exhaustive is exact and cheap) and runs the greedy ladder
-// climb for comparison and for the report's narrative.
+// six points — exhaustive is exact and cheap) and runs the greedy ladder
+// climb for comparison and for the report's narrative. A page that calls,
+// from an edge, a method its edge façade does not declare is an error.
 func Search(m *Model) (*Result, error) {
 	if len(m.Pages) == 0 || len(m.Classes) == 0 {
 		return nil, fmt.Errorf("planner: model %s has no pages or classes", m.App)
@@ -90,6 +91,9 @@ func Search(m *Model) (*Result, error) {
 				Clients: cl.Clients,
 				Mean:    ev.SessionMean(c, cl.Pattern, cl.Local),
 			})
+		}
+		if ev.err != nil {
+			return nil, ev.err
 		}
 		if err := r.Plan.Validate(); err != nil {
 			return nil, fmt.Errorf("planner: synthesized plan for %s: %w", c.Patterns(), err)
@@ -166,8 +170,6 @@ func (l *Layout) Plan(p core.Policy, main string, edges []string) *core.Plan {
 				Name: ro + "RO", Kind: container.Entity, LocalOnly: true,
 			}, edges)
 		}
-	}
-	if p.EntityReplicas || p.QueryCaches {
 		add(container.Descriptor{
 			Name: core.UpdaterBean, Kind: container.StatelessSession, Facade: true,
 		}, edges)

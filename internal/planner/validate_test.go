@@ -9,12 +9,15 @@ import (
 	"wadeploy/internal/container"
 	"wadeploy/internal/core"
 	"wadeploy/internal/planner"
+	"wadeploy/internal/sim"
+	"wadeploy/internal/sqldb"
 )
 
 // randomModel builds a random but well-formed application model: a random
-// component inventory with random placement rules, a random subset of
-// entities replicated, and random pages whose op trees reference random
-// beans (or pin to main with Bean "").
+// component inventory with random placement rules and random declared edge
+// methods, a random subset of entities replicated, and random pages whose op
+// trees call random methods of random beans (or pin to main with Bean ""),
+// read random replicas and write random entities.
 func randomModel(rng *rand.Rand) *planner.Model {
 	m := &planner.Model{
 		Layout:    &planner.Layout{App: fmt.Sprintf("rand%04d", rng.Intn(10000))},
@@ -22,46 +25,80 @@ func randomModel(rng *rand.Rand) *planner.Model {
 		PushBytes: 64 << rng.Intn(8),
 	}
 
+	serve := func(*sim.Proc, *container.EdgeMethod, *container.Invocation) (any, error) { return nil, nil }
+	key := func([]sqldb.Value) string { return "q:" }
 	var facades, entities []string
+	methods := make(map[string][]string) // declared edge methods by façade
+	randBeans := func() []string {
+		var out []string
+		for _, e := range entities {
+			if rng.Intn(2) == 0 {
+				out = append(out, e)
+			}
+		}
+		return out
+	}
 	nComp := 1 + rng.Intn(12)
 	for i := 0; i < nComp; i++ {
 		name := fmt.Sprintf("comp%02d", i)
 		if rng.Intn(3) == 0 {
 			entities = append(entities, name)
-			m.Components = append(m.Components, planner.Component{
-				Desc: container.Descriptor{
-					Name: name, Kind: container.Entity,
-					Table: "t" + name, PKColumn: "id",
-					LocalOnly: true,
-				},
-			})
+			m.Components = append(m.Components, planner.Entity(name, "t"+name, "id"))
 			continue
 		}
 		kinds := []container.BeanKind{container.StatelessSession, container.StatefulSession, container.MessageDriven}
 		rules := []planner.EdgeRule{
-			planner.EdgeNever, planner.EdgeWithWeb, planner.EdgeWithEntityReplicas,
-			planner.EdgeWithQueryCaches, planner.EdgeWithAnyCache,
+			planner.EdgeNever, planner.EdgeWithWeb, planner.EdgeWithEntityReplicas, planner.EdgeWithQueryCaches,
+		}
+		var edge []container.EdgeMethodSpec
+		for j := rng.Intn(4); j > 0; j-- {
+			method := fmt.Sprintf("m%d", j)
+			methods[name] = append(methods[name], method)
+			switch rng.Intn(5) {
+			case 0:
+				edge = append(edge, container.Delegate(method))
+			case 1:
+				edge = append(edge, container.FromCache(method, "q", key))
+			case 2:
+				edge = append(edge, container.Local(method, serve))
+			default:
+				spec := container.FromReplicas(method, serve, randBeans()...)
+				if rng.Intn(2) == 0 {
+					spec = spec.Reads("q", key)
+				}
+				edge = append(edge, spec)
+			}
 		}
 		facades = append(facades, name)
-		m.Components = append(m.Components, planner.Component{
-			Desc: container.Descriptor{Name: name, Kind: kinds[rng.Intn(len(kinds))], Facade: true},
-			Rule: rules[rng.Intn(len(rules))],
-		})
+		m.Components = append(m.Components,
+			planner.Facade(name, kinds[rng.Intn(len(kinds))], rules[rng.Intn(len(rules))], edge...))
 	}
 	for _, e := range entities {
 		if rng.Intn(2) == 0 {
 			m.Replicated = append(m.Replicated, e)
 		}
 	}
-
-	conds := []planner.Cond{
-		planner.AtEdge, planner.HasEntityReplicas, planner.HasAnyCache,
-		planner.EdgeHit, planner.EdgeCached,
+	randEntity := func() string {
+		if len(entities) == 0 {
+			return ""
+		}
+		return entities[rng.Intn(len(entities))]
 	}
+
 	var randOp func(depth int) planner.Op
+	randCall := func(depth int) planner.Call {
+		c := planner.Call{Method: fmt.Sprintf("m%d", 1+rng.Intn(3)), Body: randOp(depth - 1)}
+		if len(facades) > 0 && rng.Intn(3) > 0 {
+			c.Bean = facades[rng.Intn(len(facades))]
+			if declared := methods[c.Bean]; len(declared) > 0 {
+				c.Method = declared[rng.Intn(len(declared))]
+			}
+		}
+		return c
+	}
 	randOp = func(depth int) planner.Op {
 		if depth <= 0 {
-			return planner.Hit{}
+			return planner.Load{}
 		}
 		switch rng.Intn(7) {
 		case 0:
@@ -72,21 +109,17 @@ func randomModel(rng *rand.Rand) *planner.Model {
 			}
 			return seq
 		case 1:
-			bean := ""
-			if len(facades) > 0 && rng.Intn(3) > 0 {
-				bean = facades[rng.Intn(len(facades))]
-			}
-			return planner.Call{Bean: bean, Req: rng.Intn(4096), Reply: rng.Intn(8192), Body: randOp(depth - 1)}
+			return randCall(depth)
 		case 2:
 			return planner.SQL{Scan: rng.Intn(100), Write: rng.Intn(5), Out: rng.Intn(50)}
 		case 3:
 			return planner.Load{}
 		case 4:
-			return planner.Insert{Push: conds[rng.Intn(len(conds))]}
+			return planner.Insert{Bean: randEntity()}
 		case 5:
-			return planner.Update{Push: conds[rng.Intn(len(conds))]}
+			return planner.Update{Bean: randEntity()}
 		default:
-			return planner.If{Cond: conds[rng.Intn(len(conds))], Then: randOp(depth - 1), Else: randOp(depth - 1)}
+			return planner.Read{Beans: randBeans(), Else: randCall(depth)}
 		}
 	}
 

@@ -73,9 +73,9 @@ var layout = &planner.Layout{
 		planner.Facade(SBViewUserInfo, container.StatelessSession, planner.EdgeWithEntityReplicas,
 			container.FromCache("get", QueryUserInfo, idKeyOf(keyUserInfo))),
 		planner.Facade(SBPutBid, container.StatelessSession, planner.EdgeWithQueryCaches,
-			container.FromReplicas("form", edgeForm, BeanItem)),
+			container.FromReplicas("form", edgeForm, BeanItem).Reads(QueryUserByNick, nickKey)),
 		planner.Facade(SBPutComment, container.StatelessSession, planner.EdgeWithQueryCaches,
-			container.FromReplicas("form", edgeForm, BeanUser)),
+			container.FromReplicas("form", edgeForm, BeanUser).Reads(QueryUserByNick, nickKey)),
 		planner.Facade(SBStoreBid, container.StatelessSession, planner.EdgeNever),
 		planner.Facade(SBStoreComment, container.StatelessSession, planner.EdgeNever),
 		planner.Entity(BeanItem, "items", "id"),
@@ -96,12 +96,15 @@ func idKeyOf(key func(id int64) string) func(args []sqldb.Value) string {
 	return func(args []sqldb.Value) string { return key(args[0].AsInt()) }
 }
 
+// nickKey keys the nickname lookup by the call's first argument.
+func nickKey(args []sqldb.Value) string { return keyUserByNick(args[0].AsString()) }
+
 // edgeForm serves a bid or comment form on an edge: it authenticates
-// (nickname, password) against the cached nickname lookup and answers the
-// third argument's entity from the form's replica.
+// (nickname, password) against the cached nickname lookup its method
+// declares and answers the third argument's entity from the form's replica.
 func edgeForm(p *sim.Proc, m *container.EdgeMethod, inv *container.Invocation) (any, error) {
 	args := inv.Args
-	v, err := m.Cache.Get(p, keyUserByNick(args[0].AsString()))
+	v, err := m.Cache.Get(p, m.Key(args))
 	if err != nil {
 		return nil, err
 	}
@@ -185,12 +188,8 @@ func Deploy(d *core.Deployment, p core.Policy) (*App, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("rubis: %w", err)
 	}
-	switch {
-	case p.DBReplicas:
+	if p.DBReplicas {
 		return nil, fmt.Errorf("rubis: %w", p.Unsupported("RUBiS has no edge database replicas"))
-	case p.QueryCaches && !p.EntityReplicas:
-		// The edge bid and comment forms read the Item and User replicas.
-		return nil, fmt.Errorf("rubis: %w", p.Unsupported("the edge bid and comment forms need the entity replicas"))
 	}
 	if err := InitSchema(d.DB); err != nil {
 		return nil, err

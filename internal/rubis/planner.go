@@ -15,9 +15,10 @@ const visitSamples = 8192
 
 // PlannerModel describes RUBiS to the deployment advisor: the component list
 // Deploy installs from (the linear servlet → session-façade → entity
-// architecture of Section 3.4), each page's
+// architecture of Section 3.4), each page's façade call with its main-side
 // query shapes from the seeded dataset sizes, and the paper's 80/20
-// two-remote-group client mix.
+// two-remote-group client mix. What a call costs from an edge is read from
+// the façades the component list declares.
 func PlannerModel() *planner.Model {
 	costs := DefaultPageCosts()
 
@@ -35,38 +36,21 @@ func PlannerModel() *planner.Model {
 	qComments := planner.SQL{Scan: 2, Out: 1}
 	qAuth := planner.SQL{Scan: 1, Out: 1}
 
-	// cachedRead is a façade deployed with the query caches: a cache hit
-	// on the edges, its SQL on main.
-	cachedRead := func(direct planner.Op) planner.Op {
-		return planner.If{Cond: planner.AtEdge, Then: planner.Hit{}, Else: direct}
-	}
-	// viewRead is a façade deployed with the entity replicas but cached
-	// only at QueryCaching: cache hit when the edge has query caches, a
-	// WAN delegate from an edge without them, its body on main.
-	viewRead := func(direct planner.Op) planner.Op {
-		return planner.If{
-			Cond: planner.EdgeCached,
-			Then: planner.Hit{},
-			Else: planner.If{
-				Cond: planner.AtEdge,
-				Then: planner.Call{Body: direct},
-				Else: direct,
-			},
-		}
-	}
-
+	// The stores run on main: the Bid and Comment inserts have no replicas
+	// to push to, the Item and User updates do.
 	storeBid := planner.Seq{
-		qAuth,            // authenticate
-		planner.Load{},   // Item
-		planner.Insert{}, // Bid (not replicated: no propagation)
-		planner.Update{Push: planner.HasAnyCache}, // Item bid summary
+		qAuth,          // authenticate
+		planner.Load{}, // Item
+		planner.Insert{Bean: BeanBid},
+		planner.Update{Bean: BeanItem}, // bid summary
 	}
 	storeComment := planner.Seq{
 		qAuth,
-		planner.Load{},   // target User
-		planner.Insert{}, // Comment
-		planner.Update{Push: planner.HasAnyCache}, // User rating
+		planner.Load{}, // target User
+		planner.Insert{Bean: BeanComment},
+		planner.Update{Bean: BeanUser}, // rating
 	}
+	form := planner.Seq{qAuth, planner.Load{}} // auth + the Item or User
 
 	page := func(name string, body planner.Op) planner.Page {
 		c := costs[name]
@@ -92,30 +76,20 @@ func PlannerModel() *planner.Model {
 		Pages: []planner.Page{
 			page(PageMain, nil),
 			page(PageBrowse, nil),
-			page(PageAllCategories, planner.Call{Bean: SBBrowseCategories, Body: cachedRead(qAllCats)}),
-			page(PageAllRegions, planner.Call{Bean: SBBrowseRegions, Body: cachedRead(qAllRegs)}),
-			page(PageRegion, planner.Call{Bean: SBBrowseCategories, Body: cachedRead(qRegionCats)}),
-			page(PageCategory, planner.Call{Bean: SBSearchByCategory, Body: cachedRead(qByCategory)}),
-			page(PageCatRegion, planner.Call{Bean: SBSearchByRegion, Body: cachedRead(qByCatRegion)}),
-			page(PageItem, planner.Call{Bean: SBViewItem, Body: planner.If{
-				Cond: planner.AtEdge, Then: planner.Hit{}, Else: planner.Load{},
-			}}),
-			page(PageBids, planner.Call{Bean: SBViewBidHistory, Body: viewRead(qBids)}),
-			page(PageUserInfo, planner.Call{Bean: SBViewUserInfo, Body: viewRead(planner.Seq{planner.Load{}, qComments})}),
+			page(PageAllCategories, planner.Call{Bean: SBBrowseCategories, Method: "getAll", Body: qAllCats}),
+			page(PageAllRegions, planner.Call{Bean: SBBrowseRegions, Method: "getAll", Body: qAllRegs}),
+			page(PageRegion, planner.Call{Bean: SBBrowseCategories, Method: "forRegion", Body: qRegionCats}),
+			page(PageCategory, planner.Call{Bean: SBSearchByCategory, Method: "get", Body: qByCategory}),
+			page(PageCatRegion, planner.Call{Bean: SBSearchByRegion, Method: "get", Body: qByCatRegion}),
+			page(PageItem, planner.Call{Bean: SBViewItem, Method: "get", Body: planner.Load{}}),
+			page(PageBids, planner.Call{Bean: SBViewBidHistory, Method: "get", Body: qBids}),
+			page(PageUserInfo, planner.Call{Bean: SBViewUserInfo, Method: "get", Body: planner.Seq{planner.Load{}, qComments}}),
 			page(PagePutBidAuth, nil),
-			page(PagePutBidForm, planner.Call{Bean: SBPutBid, Body: planner.If{
-				Cond: planner.AtEdge,
-				Then: planner.Seq{planner.Hit{}, planner.Hit{}}, // cached auth + Item replica
-				Else: planner.Seq{qAuth, planner.Load{}},
-			}}),
-			page(PageStoreBid, planner.Call{Bean: SBStoreBid, Body: storeBid}),
+			page(PagePutBidForm, planner.Call{Bean: SBPutBid, Method: "form", Body: form}),
+			page(PageStoreBid, planner.Call{Bean: SBStoreBid, Method: "store", Body: storeBid}),
 			page(PagePutCommentAuth, nil),
-			page(PagePutCommentForm, planner.Call{Bean: SBPutComment, Body: planner.If{
-				Cond: planner.AtEdge,
-				Then: planner.Seq{planner.Hit{}, planner.Hit{}}, // cached auth + User replica
-				Else: planner.Seq{qAuth, planner.Load{}},
-			}}),
-			page(PageStoreComment, planner.Call{Bean: SBStoreComment, Body: storeComment}),
+			page(PagePutCommentForm, planner.Call{Bean: SBPutComment, Method: "form", Body: form}),
+			page(PageStoreComment, planner.Call{Bean: SBStoreComment, Method: "store", Body: storeComment}),
 		},
 	}
 }
