@@ -10,18 +10,8 @@ import (
 	"time"
 
 	"wadeploy/internal/experiment"
-	"wadeploy/internal/petstore"
 	"wadeploy/internal/planner"
-	"wadeploy/internal/rubis"
 )
-
-// plannerModel resolves the -app flag to its planner model.
-func plannerModel(app experiment.AppID) *planner.Model {
-	if app == experiment.RUBiS {
-		return rubis.PlannerModel()
-	}
-	return petstore.PlannerModel()
-}
 
 // plan runs the deployment advisor for one application: an exhaustive search
 // of the pattern space with the analytic cost model. With -sim it also
@@ -32,7 +22,7 @@ func plannerModel(app experiment.AppID) *planner.Model {
 // re-placement controller runs every epoch. The search itself is closed-form
 // and deterministic, so output is byte-identical across -parallel settings.
 func plan(w io.Writer, f *flags, results []*experiment.Result) error {
-	m := plannerModel(f.app)
+	m := experiment.PlannerModel(f.app)
 	var shares map[string]map[string]float64
 	if f.observed != "" {
 		var err error
@@ -40,7 +30,7 @@ func plan(w io.Writer, f *flags, results []*experiment.Result) error {
 			return err
 		}
 	}
-	res, err := planner.SearchObserved(m, shares)
+	res, err := planner.Search(m.WithObservedVisits(shares))
 	if err != nil {
 		return err
 	}
@@ -48,7 +38,7 @@ func plan(w io.Writer, f *flags, results []*experiment.Result) error {
 	if f.sim {
 		sims = make(map[string]time.Duration, len(results))
 		for _, r := range results {
-			sims[r.Spec.Policy.String()] = simulatedOverall(m, r)
+			sims[r.Spec.Policy.String()] = r.Overall(m.Classes)
 		}
 	}
 	if f.json {
@@ -113,18 +103,4 @@ func parseObservedShares(data []byte, app experiment.AppID, cfg string) (map[str
 		have = append(have, run.Config)
 	}
 	return nil, fmt.Errorf("no run for config %q (have %s)", cfg, strings.Join(have, ", "))
-}
-
-// simulatedOverall reproduces the planner's objective from a simulated run:
-// the client-weighted mean of the per-class session means.
-func simulatedOverall(m *planner.Model, r *experiment.Result) time.Duration {
-	var num, den float64
-	for _, cl := range m.Classes {
-		num += float64(cl.Clients) * float64(r.SessionMeans[cl.Pattern][cl.Local])
-		den += float64(cl.Clients)
-	}
-	if den == 0 {
-		return 0
-	}
-	return time.Duration(num / den)
 }

@@ -71,8 +71,12 @@ func TestObservedRejectsMalformedProfile(t *testing.T) {
 // every share finite and in [0, 1], each pattern's shares summing to 1 —
 // and the placements it ranks all cost a non-negative session time.
 func FuzzObservedShares(f *testing.F) {
+	models := map[experiment.AppID]*planner.Model{
+		experiment.PetStore: experiment.PlannerModel(experiment.PetStore),
+		experiment.RUBiS:    experiment.PlannerModel(experiment.RUBiS),
+	}
 	f.Fuzz(func(t *testing.T, data []byte, cfg string) {
-		for _, app := range []experiment.AppID{experiment.PetStore, experiment.RUBiS} {
+		for app, m := range models {
 			shares, err := parseObservedShares(data, app, cfg)
 			if err != nil {
 				continue
@@ -89,7 +93,7 @@ func FuzzObservedShares(f *testing.F) {
 					t.Fatalf("%s: pattern %s shares sum to %v", app, pattern, sum)
 				}
 			}
-			res, err := planner.SearchObserved(plannerModel(app), shares)
+			res, err := planner.Search(m.WithObservedVisits(shares))
 			if err != nil {
 				t.Fatalf("%s: search on accepted shares: %v", app, err)
 			}

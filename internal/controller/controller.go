@@ -337,7 +337,7 @@ func (c *Controller) predictedWin(p *sim.Proc) (win float64, detail string, ok b
 			observed = "observed mix"
 		}
 	}
-	res, err := planner.SearchObserved(c.cfg.Model, shares)
+	res, err := planner.Search(c.cfg.Model.WithObservedVisits(shares))
 	if err != nil {
 		return 0, "", false
 	}

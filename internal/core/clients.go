@@ -10,11 +10,12 @@ import (
 // Per-group client population of Section 3.3 at scale 1: 30 page requests
 // per second combined, 80% browsers / 20% writers, split equally between one
 // local and two remote groups. With an 8-second think time that is 64
-// browsers and 16 writers per group.
+// browsers and 16 writers per group. The deployment advisor's client classes
+// (planner.ClientMix) are the same population.
 const (
-	paperBrowsers     = 64
-	paperWriters      = 16
-	paperRemoteGroups = 2
+	PaperBrowsers     = 64
+	PaperWriters      = 16
+	PaperRemoteGroups = 2
 )
 
 // ClientGroups builds the deployment's client groups from tmpl, which carries
@@ -29,8 +30,8 @@ const (
 // Remote groups are named by index on every topology: client names derive
 // from the group name and key both web sessions and trace sampling.
 func (d *Deployment) ClientGroups(tmpl workload.Group, scale float64) []workload.Group {
-	browsers := max(int(paperBrowsers*scale+0.5), 1)
-	writers := max(int(paperWriters*scale+0.5), 1)
+	browsers := max(int(PaperBrowsers*scale+0.5), 1)
+	writers := max(int(PaperWriters*scale+0.5), 1)
 	n := len(d.Edges)
 	groups := make([]workload.Group, 0, 1+n)
 	add := func(name, node string, local bool, browsers, writers int) {
@@ -42,7 +43,7 @@ func (d *Deployment) ClientGroups(tmpl workload.Group, scale float64) []workload
 	add("local", simnet.NodeClientsMain, true, browsers, writers)
 	for i, edge := range d.Edges {
 		add("remote-"+strconv.Itoa(i+1), d.ClientNodeOf(edge.Name()), false,
-			share(paperRemoteGroups*browsers, n, i), share(paperRemoteGroups*writers, n, i))
+			share(PaperRemoteGroups*browsers, n, i), share(PaperRemoteGroups*writers, n, i))
 	}
 	return groups
 }

@@ -255,6 +255,20 @@ var apps = map[AppID]*appDef{
 	},
 }
 
+// PlannerModel is app's deployment-advisor model: what `wadeploy plan` ranks
+// and an adaptive run's controller re-plans with.
+func PlannerModel(app AppID) *planner.Model { return apps[app].model() }
+
+// Overall is the run's value of the advisor's objective (planner.Overall)
+// over a model's client classes.
+func (r *Result) Overall(classes []planner.Class) time.Duration {
+	per := make([]planner.ClassMean, len(classes))
+	for i, cl := range classes {
+		per[i] = planner.ClassMean{Class: cl, Mean: r.SessionMeans[cl.Pattern][cl.Local]}
+	}
+	return planner.Overall(per)
+}
+
 // Testbed is one application deployed on its simulated network and not yet
 // driven: what every run and `wadeploy explain` starts from.
 type Testbed struct {

@@ -13,7 +13,6 @@ import (
 	"wadeploy/internal/core"
 	"wadeploy/internal/petstore"
 	"wadeploy/internal/planner"
-	"wadeploy/internal/rubis"
 	"wadeploy/internal/sim"
 	"wadeploy/internal/simnet"
 	"wadeploy/internal/workload"
@@ -27,21 +26,54 @@ import (
 const accuracyBand = 0.10
 
 func plannerModels() map[AppID]*planner.Model {
-	return map[AppID]*planner.Model{
-		PetStore: petstore.PlannerModel(),
-		RUBiS:    rubis.PlannerModel(),
-	}
+	return map[AppID]*planner.Model{PetStore: PlannerModel(PetStore), RUBiS: PlannerModel(RUBiS)}
 }
 
-// simOverall reproduces the planner's objective from a simulated run: the
-// client-weighted mean of the per-class session means.
-func simOverall(m *planner.Model, r *Result) time.Duration {
-	var num, den float64
-	for _, cl := range m.Classes {
-		num += float64(cl.Clients) * float64(r.SessionMeans[cl.Pattern][cl.Local])
-		den += float64(cl.Clients)
+// TestPlannerClientMixMatchesWorkload: each app's advisor model weighs the
+// clients App.Workload(1) runs on the paper star — its classes are the
+// groups' client sums by (pattern, locality) — and each pattern's page
+// weights are the expected visits of the generator those clients run, so
+// advisor and driver cannot drift.
+func TestPlannerClientMixMatchesWorkload(t *testing.T) {
+	const samples = 8192 // sessions the planner averages page weights over
+	type class struct {
+		pattern string
+		local   bool
 	}
-	return time.Duration(num / den)
+	for app, m := range plannerModels() {
+		d, err := core.NewPaperDeployment(sim.NewEnv(1), apps[app].options())
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := apps[app].deploy(d, core.Centralized)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients := make(map[class]int)
+		visits := make(map[string]map[string]float64)
+		for _, g := range inst.Workload(1) {
+			clients[class{g.BrowserPattern, g.Local}] += g.Browsers
+			clients[class{g.WriterPattern, g.Local}] += g.Writers
+			visits[g.BrowserPattern] = workload.ExpectedVisits(g.BrowserGen, samples, 1)
+			visits[g.WriterPattern] = workload.ExpectedVisits(g.WriterGen, samples, 1)
+		}
+		planned := make(map[class]int)
+		for _, cl := range m.Classes {
+			planned[class{cl.Pattern, cl.Local}] += cl.Clients
+		}
+		if !reflect.DeepEqual(planned, clients) {
+			t.Errorf("%s: the model's classes %v, the workload's clients %v", app, planned, clients)
+		}
+		for _, pat := range m.Patterns {
+			if !reflect.DeepEqual(pat.Visits, visits[pat.Name]) {
+				t.Errorf("%s: %s visits %v, the workload's generator %v", app, pat.Name, pat.Visits, visits[pat.Name])
+			}
+		}
+		if len(m.Patterns) != len(visits) {
+			t.Errorf("%s: %d patterns, the workload runs %d", app, len(m.Patterns), len(visits))
+		}
+		d.Env.Close()
+	}
 }
 
 func relErr(pred, sim time.Duration) float64 {
@@ -80,7 +112,7 @@ func TestPlannerPredictionsMatchSimulation(t *testing.T) {
 						e*100, accuracyBand*100)
 				}
 			}
-			simOv := simOverall(m, sim)
+			simOv := sim.Overall(m.Classes)
 			if e := relErr(rk.Overall, simOv); e > accuracyBand {
 				t.Errorf("%s/%s overall: predicted %v, simulated %v (err %.1f%% > %.0f%%)",
 					app, rk.Policy, rk.Overall, simOv, e*100, accuracyBand*100)
@@ -116,7 +148,7 @@ func TestPlannerRecommendsAsyncUpdates(t *testing.T) {
 		// The simulation ranks the paper configs the same way at the top.
 		bestSim, bestCfg := time.Duration(math.MaxInt64), core.Centralized
 		for _, r := range sims[app] {
-			if ov := simOverall(m, r); ov < bestSim {
+			if ov := r.Overall(m.Classes); ov < bestSim {
 				bestSim, bestCfg = ov, r.Spec.Policy
 			}
 		}

@@ -3,27 +3,18 @@ package petstore
 import (
 	"wadeploy/internal/core"
 	"wadeploy/internal/planner"
-	"wadeploy/internal/workload"
 )
 
 // replicaPushBytes is the replica-refresh payload the wiring configures;
 // the planner charges the same size per blocking push.
 const replicaPushBytes = 1024
 
-// visitSamples is the number of generated sessions used to estimate page
-// weights; the browser pattern is stochastic, so the planner averages the
-// same generator the workload driver runs.
-const visitSamples = 8192
-
 // PlannerModel describes Pet Store to the deployment advisor: the component
-// list Deploy installs from, the page cost profiles behind Tables 2–3 (each
-// page's stub calls with their main-side SQL shapes, rendering cost and
-// response size), and the paper's 80/20 two-remote-group client mix. What a
-// call costs from an edge is read from the edge Catalog the component list
-// declares.
+// list Deploy installs from, each page of Tables 2–3 as its stub calls with
+// their main-side SQL shapes, the render costs the web tier charges, and
+// the client mix Workload runs. What a call costs from an edge is read from
+// the edge Catalog the component list declares.
 func PlannerModel() *planner.Model {
-	costs := DefaultPageCosts()
-
 	// Catalog SQL shapes (schema.go sizing: 10 categories × 10 products ×
 	// 5 items; all finders are primary-key or indexed lookups except the
 	// LIKE search, which scans the product table).
@@ -55,54 +46,41 @@ func PlannerModel() *planner.Model {
 		planner.Update{Bean: BeanInventory},
 	}
 
-	page := func(name string, body planner.Op) planner.Page {
-		c := costs[name]
-		return planner.Page{
-			Name: name, RenderCPU: c.CPU, RenderLat: c.Lat, Bytes: c.Page.Bytes, Body: body,
-		}
-	}
-
+	patterns, classes := planner.ClientMix(clientGroup)
 	return &planner.Model{
 		Layout:    layout,
 		Options:   core.DefaultOptions(),
 		PushBytes: replicaPushBytes,
-		Patterns: []planner.Pattern{
-			{Name: PatternBrowser, Visits: workload.ExpectedVisits(BrowserStream, visitSamples, 1)},
-			{Name: PatternBuyer, Visits: workload.ExpectedVisits(BuyerStream, 1, 1)},
-		},
-		Classes: []planner.Class{
-			{Pattern: PatternBrowser, Local: true, Clients: 64},
-			{Pattern: PatternBrowser, Local: false, Clients: 128},
-			{Pattern: PatternBuyer, Local: true, Clients: 16},
-			{Pattern: PatternBuyer, Local: false, Clients: 32},
-		},
+		Patterns:  patterns,
+		Classes:   classes,
+		PageCosts: DefaultPageCosts(),
 		Pages: []planner.Page{
-			page(PageMain, nil),
-			page(PageCategory, planner.Call{Bean: BeanCatalog, Method: "getProductsOf", Body: productsOf}),
-			page(PageProduct, planner.Call{Bean: BeanCatalog, Method: "getItemsOf", Body: itemsOf}),
-			page(PageItem, getItemVia),
-			page(PageSearch, planner.Call{Bean: BeanCatalog, Method: "search", Body: searchSQL}),
-			page(PageSignin, nil),
-			page(PageVerifySignin, planner.Seq{
+			{Name: PageMain},
+			{Name: PageCategory, Body: planner.Call{Bean: BeanCatalog, Method: "getProductsOf", Body: productsOf}},
+			{Name: PageProduct, Body: planner.Call{Bean: BeanCatalog, Method: "getItemsOf", Body: itemsOf}},
+			{Name: PageItem, Body: getItemVia},
+			{Name: PageSearch, Body: planner.Call{Bean: BeanCatalog, Method: "search", Body: searchSQL}},
+			{Name: PageSignin},
+			{Name: PageVerifySignin, Body: planner.Seq{
 				planner.Call{Bean: BeanCustomer, Method: "createCustomer", Body: planner.Load{}}, // SignOn
 				planner.Call{Bean: BeanCustomer, Method: "getProfile", Body: planner.Load{}},     // Account
-			}),
-			page(PageCart, planner.Seq{
+			}},
+			{Name: PageCart, Body: planner.Seq{
 				planner.Call{Bean: BeanController, Method: "handleEvent"},
 				planner.Call{Bean: BeanCart, Method: "addItem", Body: getItemVia},
-			}),
-			page(PageCheckout, planner.Seq{
+			}},
+			{Name: PageCheckout, Body: planner.Seq{
 				planner.Call{Bean: BeanController, Method: "handleEvent"},
 				planner.Call{Bean: BeanCart, Method: "summary"},
-			}),
-			page(PagePlaceOrder, nil),
-			page(PageBilling, nil),
-			page(PageCommit, planner.Seq{
+			}},
+			{Name: PagePlaceOrder},
+			{Name: PageBilling},
+			{Name: PageCommit, Body: planner.Seq{
 				planner.Call{Bean: BeanController, Method: "handleEvent"},
 				planner.Call{Bean: BeanCart, Method: "firstItem"},
 				planner.Call{Bean: BeanCustomer, Method: "placeOrder", Body: placeOrder},
-			}),
-			page(PageSignout, planner.Call{Bean: BeanCart, Method: "clear"}),
+			}},
+			{Name: PageSignout, Body: planner.Call{Bean: BeanCart, Method: "clear"}},
 		},
 	}
 }

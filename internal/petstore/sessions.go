@@ -35,14 +35,20 @@ var BrowserRefill = workload.Refill(BrowserStream)
 // paper group and 30 req/s combined at scale 1 — the knob behind
 // load-sensitivity sweeps.
 func (a *App) Workload(scale float64) []workload.Group {
-	return a.d.ClientGroups(workload.Group{
-		Delay:          8 * time.Second,
-		BrowserPattern: PatternBrowser,
-		WriterPattern:  PatternBuyer,
-		BrowserGen:     BrowserStream,
-		WriterGen:      BuyerStream,
-		Request:        a.RequestFunc(),
-	}, scale)
+	g := clientGroup
+	g.Request = a.RequestFunc()
+	return a.d.ClientGroups(g, scale)
+}
+
+// clientGroup is what every client group of Workload shares, less the
+// request function: the think time and each pattern's session generator.
+// The deployment advisor's client mix (PlannerModel) is read from it.
+var clientGroup = workload.Group{
+	Delay:          8 * time.Second,
+	BrowserPattern: PatternBrowser,
+	WriterPattern:  PatternBuyer,
+	BrowserGen:     BrowserStream,
+	WriterGen:      BuyerStream,
 }
 
 // PaperWorkload and TopoWorkload are the names the benchmark calls for

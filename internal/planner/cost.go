@@ -53,11 +53,6 @@ type Params struct {
 	PublishCPU     time.Duration
 	PushBytes      int // replica-refresh payload per blocking push
 	PushReplyBytes int // push acknowledgement
-
-	// Replication options (Options.Replication). Zero values — the
-	// paper default — leave every prediction untouched.
-	DeltaBytes   int  // wire size of a one-field delta push
-	DeltaDefault bool // deltas-by-default armed
 }
 
 // Substrate constants the model shares with the engine but that are not
@@ -65,18 +60,7 @@ type Params struct {
 const (
 	handshakeSegment = 64 // web container TCP SYN/SYN-ACK segment
 	pushReplySegment = 64 // propagation push acknowledgement
-
-	// Delta-push wire sizing, mirroring container.Update.WireBytes: a
-	// small header plus a per-changed-field charge.
-	deltaHeaderSegment = 64
-	deltaFieldSegment  = 96
 )
-
-// DeltaPushBytes is the wire size of a delta push carrying the given
-// number of changed fields (container.Update.WireBytes for a delta).
-func DeltaPushBytes(fields int) int {
-	return deltaHeaderSegment + deltaFieldSegment*fields
-}
 
 // Params derives the model constants from the application's deployment
 // options (the same values core.NewPaperDeployment builds the simulated
@@ -86,7 +70,7 @@ func DeltaPushBytes(fields int) int {
 func (m *Model) Params() Params {
 	opts := m.Options
 	topo := opts.Topology.WithDefaults()
-	p := Params{
+	return Params{
 		WANOneWay: topo.Backbone.OneWay + topo.Metro.OneWay,
 		LANOneWay: topo.LAN.OneWay,
 		WANBps:    min(topo.Backbone.Bps, topo.Metro.Bps),
@@ -119,13 +103,6 @@ func (m *Model) Params() Params {
 		PushBytes:      m.PushBytes,
 		PushReplyBytes: pushReplySegment,
 	}
-	// One-field deltas dominate the paper workloads' write paths (cart
-	// quantity, inventory decrement, bid amount).
-	p.DeltaBytes = DeltaPushBytes(1)
-	if r := opts.Replication; r != nil {
-		p.DeltaDefault = r.DeltasByDefault
-	}
-	return p
 }
 
 // Evaluator computes predicted response times for one model.
@@ -258,14 +235,9 @@ func (ev *Evaluator) pushCost(c core.Policy) time.Duration {
 	if c.AsyncUpdates {
 		return p.PublishCPU
 	}
-	bytes := p.PushBytes
-	if p.DeltaDefault {
-		// Deltas-by-default: the blocking push ships changed fields only.
-		bytes = p.DeltaBytes
-	}
 	apply := p.MethodCPU + p.CacheHitCPU // Updater façade applying the state
 	one := p.MarshalCPU
-	one += xfer(p.WANOneWay, bytes, p.WANBps)
+	one += xfer(p.WANOneWay, p.PushBytes, p.WANBps)
 	one += apply
 	one += xfer(p.WANOneWay, p.PushReplyBytes, p.WANBps)
 	one += time.Duration((p.Rounds - 1) * float64(2*p.WANOneWay))
@@ -354,7 +326,7 @@ func (u Update) cost(ev *Evaluator, at site) time.Duration {
 // PageCost predicts the response time of one page for a client of the given
 // locality under policy c: TCP handshake (keep-alive off), request
 // transfer, servlet dispatch, the handler's stub calls, rendering, and the
-// response transfer.
+// response transfer (the page's Model.PageCosts entry).
 func (ev *Evaluator) PageCost(c core.Policy, page *Page, local bool) time.Duration {
 	p := ev.p
 	atEdge := !local && c.ReplicateWeb
@@ -371,10 +343,11 @@ func (ev *Evaluator) PageCost(c core.Policy, page *Page, local bool) time.Durati
 	d += xfer(lat, p.WebReqBytes, bps)
 	d += p.DispatchCPU
 	d += costAt(page.Body, ev, site{placed: ev.place(c), edge: atEdge})
-	d += page.RenderCPU + page.RenderLat
-	bytes := page.Bytes
-	if bytes == 0 {
-		bytes = p.PageBytes
+	render := ev.m.PageCosts[page.Name]
+	d += render.CPU + render.Lat
+	bytes := p.PageBytes
+	if render.Page != nil && render.Page.Bytes != 0 {
+		bytes = render.Page.Bytes
 	}
 	d += xfer(lat, bytes, bps)
 	return d
@@ -403,21 +376,4 @@ func (ev *Evaluator) SessionMean(c core.Policy, pattern string, local bool) time
 		return 0
 	}
 	return time.Duration(sum / visits)
-}
-
-// Overall predicts the mean response time across all client classes,
-// weighted by client count: soft think-time pacing gives every client the
-// same request rate, so a class contributes in proportion to its
-// population. This is the search objective.
-func (ev *Evaluator) Overall(c core.Policy) time.Duration {
-	var sum float64
-	clients := 0
-	for _, cl := range ev.m.Classes {
-		sum += float64(cl.Clients) * float64(ev.SessionMean(c, cl.Pattern, cl.Local))
-		clients += cl.Clients
-	}
-	if clients == 0 {
-		return 0
-	}
-	return time.Duration(sum / float64(clients))
 }

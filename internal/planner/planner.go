@@ -6,17 +6,19 @@
 // application states its components once, as a Layout; the planner
 // synthesizes the core.Plan any core.Policy places from it (the plan the
 // application's Deploy validates), and from an application model — the
-// layout plus page profiles, session mixes and the substrate's calibration
+// layout plus page profiles, the application's render costs, the client
+// mix its workload runs (ClientMix) and the substrate's calibration
 // constants (see internal/experiment/calibrate.go) — predicts the mean
 // response time of every pattern set in closed form over
 //
 //	rounds × RTT + payload/bandwidth + service time
 //
-// and searches them for the cheapest placement. A page profile states only
-// what its calls do on the main server; what a call costs from an edge comes
-// from the edge façades the layout declares for the policy
-// (Layout.EdgeFacades), and a write pushes when the policy replicates its
-// bean.
+// and searches them for the cheapest placement, pricing each class's
+// session once per set. A page profile states only what its calls do on the
+// main server; what a call costs from an edge comes from the edge façades
+// the layout declares for the policy (Layout.EdgeFacades), and a write
+// pushes when the policy replicates its bean. To plan for an observed page
+// mix, search Model.WithObservedVisits.
 package planner
 
 import (
@@ -25,6 +27,7 @@ import (
 
 	"wadeploy/internal/container"
 	"wadeploy/internal/core"
+	"wadeploy/internal/workload"
 )
 
 // Feature is one rung of the pattern ladder.
@@ -112,31 +115,27 @@ func Entity(name, table, pk string) Component {
 }
 
 // Pattern is a service usage pattern (Section 3.3): its name and the
-// expected number of visits to each page per session, as produced by
-// workload.ExpectedVisits over the pattern's session generator.
+// expected number of visits to each page per session, as ClientMix derives
+// it from the pattern's session generator.
 type Pattern struct {
 	Name   string
 	Visits map[string]float64
 }
 
-// Class is one client population: a usage pattern at one locality, weighted
-// by its concurrent client count. Soft think-time pacing makes every client
-// issue requests at the same rate, so the overall objective weights session
-// means by client count.
+// Class is one client population: a usage pattern at one locality and its
+// concurrent client count, its weight in the objective (Overall).
 type Class struct {
 	Pattern string
 	Local   bool
 	Clients int
 }
 
-// Page is the cost profile of one page: the stub calls its handler makes
-// (Body), its rendering cost and its response size.
+// Page is the cost profile of one page: the stub calls its handler makes.
+// Its rendering cost and response size are the application's
+// container.PageCost for the page (Model.PageCosts).
 type Page struct {
-	Name      string
-	RenderCPU time.Duration // JSP/servlet CPU burst, charged on the web server
-	RenderLat time.Duration // non-CPU latency (logging, connection handling)
-	Bytes     int           // response size (0 = web container default)
-	Body      Op            // handler ops; nil for a static page
+	Name string
+	Body Op // handler ops; nil for a static page
 }
 
 // Layout is an application's component list: the one statement of its beans
@@ -222,6 +221,37 @@ type Model struct {
 	Patterns []Pattern
 	Classes  []Class
 	Pages    []Page
+
+	// PageCosts are the render costs the application's web tier charges,
+	// by page name; a page without one renders for free at the web
+	// container's default response size.
+	PageCosts map[string]container.PageCost
+}
+
+// visitSamples is the number of generated sessions ClientMix averages page
+// weights over; the browser generators are stochastic, the writers' page
+// sequences fixed.
+const visitSamples = 8192
+
+// ClientMix derives a model's usage patterns and client classes from the
+// client-group template an application's Workload hands
+// core.Deployment.ClientGroups, at the paper's population (core.PaperBrowsers
+// and core.PaperWriters per group, one local group and
+// core.PaperRemoteGroups remote ones): each pattern's page weights are the
+// workload.ExpectedVisits of the generator its clients run, so the advisor
+// and the driver share one definition of a session.
+func ClientMix(tmpl workload.Group) ([]Pattern, []Class) {
+	patterns := []Pattern{
+		{Name: tmpl.BrowserPattern, Visits: workload.ExpectedVisits(tmpl.BrowserGen, visitSamples, 1)},
+		{Name: tmpl.WriterPattern, Visits: workload.ExpectedVisits(tmpl.WriterGen, visitSamples, 1)},
+	}
+	var classes []Class
+	for i, n := range []int{core.PaperBrowsers, core.PaperWriters} {
+		classes = append(classes,
+			Class{Pattern: patterns[i].Name, Local: true, Clients: n},
+			Class{Pattern: patterns[i].Name, Local: false, Clients: core.PaperRemoteGroups * n})
+	}
+	return patterns, classes
 }
 
 // WithObservedVisits returns a copy of m whose per-pattern page-visit
@@ -230,8 +260,12 @@ type Model struct {
 // its modeled visit total per session (so absolute cost scales stay
 // comparable); only the split across pages moves to what the tracer actually
 // saw. Patterns or pages absent from shares keep their modeled weights —
-// the planner never drops a page just because sampling missed it.
+// the planner never drops a page just because sampling missed it — and empty
+// shares return m itself.
 func (m *Model) WithObservedVisits(shares map[string]map[string]float64) *Model {
+	if len(shares) == 0 {
+		return m
+	}
 	out := *m
 	out.Patterns = make([]Pattern, len(m.Patterns))
 	for i, pat := range m.Patterns {

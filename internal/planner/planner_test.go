@@ -12,6 +12,7 @@ import (
 	"wadeploy/internal/sim"
 	"wadeploy/internal/simnet"
 	"wadeploy/internal/sqldb"
+	"wadeploy/internal/web"
 )
 
 // testModel is a deliberately tiny application — one façade serving reads
@@ -46,9 +47,10 @@ func testModel() *planner.Model {
 			{Pattern: "Writer", Local: true, Clients: 16},
 			{Pattern: "Writer", Local: false, Clients: 32},
 		},
-		Pages: []planner.Page{
-			{Name: "View", RenderCPU: 10 * time.Millisecond, RenderLat: 50 * time.Millisecond, Bytes: 8 * 1024, Body: read},
-			{Name: "Save", RenderCPU: 12 * time.Millisecond, RenderLat: 60 * time.Millisecond, Bytes: 4 * 1024, Body: write},
+		Pages: []planner.Page{{Name: "View", Body: read}, {Name: "Save", Body: write}},
+		PageCosts: map[string]container.PageCost{
+			"View": {CPU: 10 * time.Millisecond, Lat: 50 * time.Millisecond, Page: &web.Response{Bytes: 8 * 1024}},
+			"Save": {CPU: 12 * time.Millisecond, Lat: 60 * time.Millisecond, Page: &web.Response{Bytes: 4 * 1024}},
 		},
 	}
 }
@@ -274,9 +276,12 @@ func TestWithObservedVisits(t *testing.T) {
 	if got.Patterns[1].Visits["Cart"] != 1 {
 		t.Errorf("Buyer visits perturbed: %v", got.Patterns[1].Visits)
 	}
-	// The receiver is untouched.
+	// The receiver is untouched, and no shares leave the model as it is.
 	if m.Patterns[0].Visits["Main"] != 2 {
 		t.Errorf("original model mutated: %v", m.Patterns[0].Visits)
+	}
+	if m.WithObservedVisits(nil) != m {
+		t.Error("empty shares returned a copy")
 	}
 }
 

@@ -9,12 +9,27 @@ import (
 	"wadeploy/internal/core"
 )
 
-// ClassMean is one client class's predicted session mean.
+// ClassMean is one client class's session mean, predicted or simulated.
 type ClassMean struct {
-	Pattern string
-	Local   bool
-	Clients int
-	Mean    time.Duration
+	Class
+	Mean time.Duration
+}
+
+// Overall is the search objective: the mean response time across client
+// classes, weighted by client count. Soft think-time pacing gives every
+// client the same request rate, so a class contributes in proportion to its
+// population.
+func Overall(per []ClassMean) time.Duration {
+	var sum float64
+	clients := 0
+	for _, cm := range per {
+		sum += float64(cm.Clients) * float64(cm.Mean)
+		clients += cm.Clients
+	}
+	if clients == 0 {
+		return 0
+	}
+	return time.Duration(sum / float64(clients))
 }
 
 // Ranked is one evaluated pattern set: its predicted cost and the
@@ -73,25 +88,24 @@ func (r *Result) Greedy() core.Policy {
 }
 
 // Search evaluates every valid pattern set exhaustively (the pattern space is
-// six points — exhaustive is exact and cheap) and runs the greedy ladder
-// climb for comparison and for the report's narrative. A page that calls,
-// from an edge, a method its edge façade does not declare is an error.
+// six points — exhaustive is exact and cheap), pricing each class's session
+// once per set, and climbs the greedy ladder over those prices for
+// comparison and for the report's narrative. A page that calls, from an
+// edge, a method its edge façade does not declare is an error.
 func Search(m *Model) (*Result, error) {
 	if len(m.Pages) == 0 || len(m.Classes) == 0 {
 		return nil, fmt.Errorf("planner: model %s has no pages or classes", m.App)
 	}
 	ev := NewEvaluator(m)
 	res := &Result{App: m.App}
+	overall := make(map[core.Policy]time.Duration)
 	for _, c := range core.PatternSets() {
-		r := Ranked{Policy: c, Overall: ev.Overall(c), Plan: m.PlanFor(c)}
+		r := Ranked{Policy: c, Plan: m.PlanFor(c)}
 		for _, cl := range m.Classes {
-			r.PerClass = append(r.PerClass, ClassMean{
-				Pattern: cl.Pattern,
-				Local:   cl.Local,
-				Clients: cl.Clients,
-				Mean:    ev.SessionMean(c, cl.Pattern, cl.Local),
-			})
+			r.PerClass = append(r.PerClass, ClassMean{Class: cl, Mean: ev.SessionMean(c, cl.Pattern, cl.Local)})
 		}
+		r.Overall = Overall(r.PerClass)
+		overall[c] = r.Overall
 		if ev.err != nil {
 			return nil, ev.err
 		}
@@ -106,7 +120,7 @@ func Search(m *Model) (*Result, error) {
 		return res.Ranked[i].Overall < res.Ranked[j].Overall
 	})
 
-	res.Base = ev.Overall(core.Centralized)
+	res.Base = overall[core.Centralized]
 	cur, best := core.Centralized, res.Base
 	for {
 		var (
@@ -118,11 +132,10 @@ func Search(m *Model) (*Result, error) {
 			if f.In(cur) {
 				continue
 			}
-			next := f.With(cur)
-			if !next.Valid() {
+			cost, valid := overall[f.With(cur)]
+			if !valid {
 				continue
 			}
-			cost := ev.Overall(next)
 			if cost < best && (!found || cost < pickCost) {
 				pick, pickCost, found = f, cost, true
 			}

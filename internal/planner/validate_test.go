@@ -11,6 +11,7 @@ import (
 	"wadeploy/internal/planner"
 	"wadeploy/internal/sim"
 	"wadeploy/internal/sqldb"
+	"wadeploy/internal/web"
 )
 
 // randomModel builds a random but well-formed application model: a random
@@ -23,6 +24,7 @@ func randomModel(rng *rand.Rand) *planner.Model {
 		Layout:    &planner.Layout{App: fmt.Sprintf("rand%04d", rng.Intn(10000))},
 		Options:   core.DefaultOptions(),
 		PushBytes: 64 << rng.Intn(8),
+		PageCosts: make(map[string]container.PageCost),
 	}
 
 	serve := func(*sim.Proc, *container.EdgeMethod, *container.Invocation) (any, error) { return nil, nil }
@@ -127,13 +129,12 @@ func randomModel(rng *rand.Rand) *planner.Model {
 	visits := make(map[string]float64)
 	for i := 0; i < nPages; i++ {
 		name := fmt.Sprintf("page%02d", i)
-		m.Pages = append(m.Pages, planner.Page{
-			Name:      name,
-			RenderCPU: time.Duration(rng.Intn(int(20 * time.Millisecond))),
-			RenderLat: time.Duration(rng.Intn(int(100 * time.Millisecond))),
-			Bytes:     rng.Intn(16 * 1024),
-			Body:      randOp(3),
-		})
+		m.PageCosts[name] = container.PageCost{
+			CPU:  time.Duration(rng.Intn(int(20 * time.Millisecond))),
+			Lat:  time.Duration(rng.Intn(int(100 * time.Millisecond))),
+			Page: &web.Response{Bytes: rng.Intn(16 * 1024)},
+		}
+		m.Pages = append(m.Pages, planner.Page{Name: name, Body: randOp(3)})
 		visits[name] = 1 + rng.Float64()*9
 	}
 	m.Patterns = []planner.Pattern{{Name: "P", Visits: visits}}

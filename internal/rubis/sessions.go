@@ -47,14 +47,20 @@ func (a *App) RequestFunc() workload.RequestFunc {
 // browsers / 20% bidders at an 8-second think time, 30 req/s combined at
 // scale 1 — the knob behind load-sensitivity sweeps.
 func (a *App) Workload(scale float64) []workload.Group {
-	return a.d.ClientGroups(workload.Group{
-		Delay:          8 * time.Second,
-		BrowserPattern: PatternBrowser,
-		WriterPattern:  PatternBidder,
-		BrowserGen:     BrowserStream,
-		WriterGen:      BidderStream,
-		Request:        a.RequestFunc(),
-	}, scale)
+	g := clientGroup
+	g.Request = a.RequestFunc()
+	return a.d.ClientGroups(g, scale)
+}
+
+// clientGroup is what every client group of Workload shares, less the
+// request function: the think time and each pattern's session generator.
+// The deployment advisor's client mix (PlannerModel) is read from it.
+var clientGroup = workload.Group{
+	Delay:          8 * time.Second,
+	BrowserPattern: PatternBrowser,
+	WriterPattern:  PatternBidder,
+	BrowserGen:     BrowserStream,
+	WriterGen:      BidderStream,
 }
 
 // PaperWorkload is the name the benchmark calls for a.Workload(1).

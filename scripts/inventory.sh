@@ -33,7 +33,7 @@ faults      80.6
 jms         91.2
 metrics     84.0
 petstore    83.9
-planner     92.7
+planner     93.8
 rmi         90.9
 rubis       83.1
 sim         89.3
