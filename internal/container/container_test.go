@@ -2,6 +2,8 @@ package container
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -228,6 +230,84 @@ func TestRWEntityCRUDAgainstDB(t *testing.T) {
 	if writes := f.count("container_ejb_store_total"); writes != 2 {
 		t.Fatalf("writes = %d", writes)
 	}
+}
+
+// TestWritePushesStoredRow: a write pushes the row the database stored, the
+// row main's Load of the key returns — every column in table order, NULLs
+// and coerced values included, whatever columns the writer named — so the
+// replicas hold main's row shape.
+func TestWritePushesStoredRow(t *testing.T) {
+	f := newFixture(t)
+	if _, err := f.db.Exec(`CREATE TABLE item (id INT PRIMARY KEY, name TEXT, price FLOAT, qty INT)`); err != nil {
+		t.Fatal(err)
+	}
+	rw, err := DeployRWEntity(f.main, "ItemRW", "item", "id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := NewUpdateBuffer()
+	rw.AddPropagator(buf)
+	pk := sqldb.Int(1)
+	f.run(t, func(p *sim.Proc) {
+		pushed := func(write string) {
+			ups := buf.Drain()
+			main, err := rw.Load(p, pk)
+			if err != nil || len(ups) != 1 {
+				t.Errorf("%s: %d updates pushed, load: %v", write, len(ups), err)
+				return
+			}
+			got := ups[0].State
+			if !slices.Equal(got.columns(), main.columns()) || !slices.Equal(got.vals, main.vals) {
+				t.Errorf("%s pushed %v %v, main loads %v %v", write, got.columns(), got.vals, main.columns(), main.vals)
+			}
+		}
+		if err := rw.Insert(p, State{"id": pk, "price": sqldb.Int(3)}); err != nil {
+			t.Errorf("insert: %v", err)
+		}
+		pushed("Insert")
+		if _, err := rw.UpdateFields(p, pk, State{"qty": sqldb.Int(4)}); err != nil {
+			t.Errorf("update: %v", err)
+		}
+		pushed("UpdateFields")
+	})
+}
+
+// TestWriteAllocs: a warm Insert or UpdateFields allocates only what its
+// statement stores, the new value slice and the row that holds it (the
+// UPDATE's Load reads a stored row's view): no argument list, no merged or
+// pushed row of its own.
+func TestWriteAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	f := newFixture(t)
+	inv, err := DeployRWEntity(f.main, "InventoryRW", "inventory", "item_id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]sqldb.Value, 128)
+	for i := range keys {
+		keys[i] = sqldb.Str(fmt.Sprintf("k%d", i))
+	}
+	f.run(t, func(p *sim.Proc) {
+		st, changes := State{"item_id": keys[0], "qty": sqldb.Int(1)}, State{"qty": sqldb.Int(0)}
+		n := 0
+		insert := testing.AllocsPerRun(100, func() {
+			st["item_id"], n = keys[n], n+1
+			if err := inv.Insert(p, st); err != nil {
+				t.Errorf("insert: %v", err)
+			}
+		})
+		update := testing.AllocsPerRun(100, func() {
+			changes["qty"], n = sqldb.Int(int64(n)), n+1
+			if _, err := inv.UpdateFields(p, sqldb.Str("i1"), changes); err != nil {
+				t.Errorf("update: %v", err)
+			}
+		})
+		if insert != 2 || update != 2 {
+			t.Errorf("Insert allocates %.0f, UpdateFields %.0f per write, want the statement's 2 each", insert, update)
+		}
+	})
 }
 
 func TestROEntityHitMissAndPullRefresh(t *testing.T) {

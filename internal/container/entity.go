@@ -28,7 +28,7 @@ var ErrStaleVersion = errors.New("container: stale version")
 type Update struct {
 	Bean  string      // read-write bean name
 	PK    sqldb.Value // primary key of the affected entity
-	State Row         // full post-write state (changed fields only when Delta)
+	State Row         // the row the write stored, every column (changed fields only when Delta)
 
 	// Delta marks State as containing only the fields the write changed
 	// (the paper's Section 4.3 optimization: "transferring only the
@@ -197,17 +197,16 @@ func (b *RWEntity) Load(p *sim.Proc, pk sqldb.Value) (Row, error) {
 	return row, nil
 }
 
-// colStmt is a statement's text over one column set, sorted by name. A Row
-// a write over the set builds shares the column list.
+// colStmt is a statement's text over one column set, sorted by name. A
+// delta Row a write over the set builds shares the column list.
 type colStmt struct {
 	cols []string
 	sql  string
 }
 
-// rowFor returns st as a Row (see State.over) over the column list of its
-// set's entry in *stmts, and the entry's text; the set's first use adds the
-// entry, its text built by text.
-func rowFor(stmts *[]*colStmt, st State, text func(cols []string) string) (Row, string) {
+// stmtFor returns the entry of *stmts over st's columns; the set's first use
+// adds the entry, its text built by text.
+func stmtFor(stmts *[]*colStmt, st State, text func(cols []string) string) *colStmt {
 	var buf [16]string
 	cols := st.sorted(buf[:0]) // sorted: deterministic SQL text
 	i := slices.IndexFunc(*stmts, func(s *colStmt) bool { return slices.Equal(s.cols, cols) })
@@ -216,25 +215,27 @@ func rowFor(stmts *[]*colStmt, st State, text func(cols []string) string) (Row, 
 		cs.sql = text(cs.cols)
 		i, *stmts = len(*stmts), append(*stmts, cs)
 	}
-	cs := (*stmts)[i]
-	return st.over(&cs.cols), cs.sql
+	return (*stmts)[i]
 }
 
-// Insert creates a new entity (ejbCreate) and propagates it.
+// Insert creates a new entity (ejbCreate) and propagates the stored row.
 func (b *RWEntity) Insert(p *sim.Proc, st State) error {
 	b.srv.Compute(p, b.srv.costs.EntityStoreCPU)
-	image, q := rowFor(&b.inserts, st, func(cols []string) string {
+	cs := stmtFor(&b.inserts, st, func(cols []string) string {
 		return "INSERT INTO " + b.table + " (" + strings.Join(cols, ", ") + ") VALUES (" + strings.TrimPrefix(strings.Repeat(", ?", len(cols)), ", ") + ")"
 	})
-	if _, err := b.srv.SQL(p, q, image.vals...); err != nil {
+	var args [16]sqldb.Value
+	res, err := b.srv.SQL(p, cs.sql, st.values(args[:0], cs.cols)...)
+	if err != nil {
 		return fmt.Errorf("entity %s insert: %w", b.name, err)
 	}
 	b.mStore.Inc()
+	image := FirstRow(res)
 	return b.commit(p, Update{Bean: b.name, PK: image.Get(b.pkCol), State: image}, image, Row{})
 }
 
 // UpdateFields applies changes to the entity (ejbStore at commit) and
-// propagates the merged post-write state (or, with delta pushes, the row of
+// propagates the row the database stored (or, with delta pushes, the row of
 // changed columns alone).
 func (b *RWEntity) UpdateFields(p *sim.Proc, pk sqldb.Value, changes State) (Row, error) {
 	cur, err := b.Load(p, pk)
@@ -242,23 +243,25 @@ func (b *RWEntity) UpdateFields(p *sim.Proc, pk sqldb.Value, changes State) (Row
 		return Row{}, err
 	}
 	b.srv.Compute(p, b.srv.costs.EntityStoreCPU)
-	delta, q := rowFor(&b.updates, changes, func(cols []string) string {
+	cs := stmtFor(&b.updates, changes, func(cols []string) string {
 		return "UPDATE " + b.table + " SET " + strings.Join(cols, " = ?, ") + " = ? WHERE " + b.pkCol + " = ?"
 	})
-	// The pk lands in the spare slot past the delta's values.
-	if _, err := b.srv.SQL(p, q, append(delta.vals, pk)...); err != nil {
+	var args [16]sqldb.Value
+	res, err := b.srv.SQL(p, cs.sql, append(changes.values(args[:0], cs.cols), pk)...)
+	if err != nil {
 		return Row{}, fmt.Errorf("entity %s update: %w", b.name, err)
 	}
 	b.mStore.Inc()
-	merged := cur.With(delta)
-	u := Update{Bean: b.name, PK: pk, State: merged}
+	stored := FirstRow(res)
+	u := Update{Bean: b.name, PK: pk, State: stored}
 	if b.deltaPush {
-		u = Update{Bean: b.name, PK: pk, State: delta, Delta: true}
+		delta := changes.values(make([]sqldb.Value, 0, len(cs.cols)), cs.cols)
+		u = Update{Bean: b.name, PK: pk, State: Row{&cs.cols, delta}, Delta: true}
 	}
-	if err := b.commit(p, u, merged, cur); err != nil {
+	if err := b.commit(p, u, stored, cur); err != nil {
 		return Row{}, err
 	}
-	return merged, nil
+	return stored, nil
 }
 
 // UpdateIfVersion is the optimistic variant of UpdateFields: it applies

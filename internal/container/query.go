@@ -302,13 +302,14 @@ func (v *QueryViews) committed(c Commit, shipped bool) error {
 	ref := entityRef{c.Bean, c.PK}
 	keys := v.touched[ref]
 	n := len(keys)
-	for _, q := range v.byBean[c.Bean] {
+	qs := v.byBean[c.Bean]
+	for _, q := range qs {
 		key := q.Key(c)
 		if key != "" {
 			if err := v.refresh(q, key, c, true); err != nil {
 				return err
 			}
-			keys = addKey(keys, key)
+			keys = addKey(keys, key, len(qs))
 		}
 		if c.Prev.IsZero() {
 			continue
@@ -320,7 +321,7 @@ func (v *QueryViews) committed(c Commit, shipped bool) error {
 			if err := v.refresh(q, left, undo, false); err != nil {
 				return err
 			}
-			keys = addKey(keys, left)
+			keys = addKey(keys, left, len(qs))
 		}
 	}
 	if shipped && len(keys) != n {
@@ -348,11 +349,15 @@ func (v *QueryViews) refresh(q *QueryView, key string, c Commit, maintain bool) 
 	return nil
 }
 
-func addKey(keys []string, key string) []string {
+// addKey adds key unless keys hold it; a new entity's list is sized for room.
+func addKey(keys []string, key string, room int) []string {
 	for _, k := range keys {
 		if k == key {
 			return keys
 		}
+	}
+	if keys == nil {
+		keys = make([]string, 0, room)
 	}
 	return append(keys, key)
 }

@@ -23,7 +23,7 @@ func (st State) Clone() State {
 // row returns the state as a Row, columns sorted by name.
 func (st State) row() Row {
 	cols := st.sorted(nil)
-	return st.over(&cols)
+	return Row{&cols, st.values(make([]sqldb.Value, 0, len(cols)), cols)}
 }
 
 // sorted appends the state's column names to buf and sorts them.
@@ -35,14 +35,12 @@ func (st State) sorted(buf []string) []string {
 	return buf
 }
 
-// over returns the state as a Row over cols, which it keeps. The values have
-// room for one more: the primary key an UPDATE's WHERE binds after them.
-func (st State) over(cols *[]string) Row {
-	vals := make([]sqldb.Value, len(*cols), len(*cols)+1)
-	for i, c := range *cols {
-		vals[i] = st[c]
+// values appends the state's values to buf in the order of cols.
+func (st State) values(buf []sqldb.Value, cols []string) []sqldb.Value {
+	for _, c := range cols {
+		buf = append(buf, st[c])
 	}
-	return Row{cols, vals}
+	return buf
 }
 
 // Row is an entity's field values as the container holds and returns them:

@@ -82,9 +82,9 @@ func TestPageAllocBudget(t *testing.T) {
 		spec   simnet.HierarchySpec
 		budget float64
 	}{
-		{"petstore-centralized", PetStore, core.Centralized, simnet.HierarchySpec{}, 0.9},
-		{"rubis-async", RUBiS, core.AsyncUpdates, simnet.HierarchySpec{}, 1.8},
-		{"petstore-topo128", PetStore, topo128Policy(), simnet.DefaultHierarchySpec(128), 1.0},
+		{"petstore-centralized", PetStore, core.Centralized, simnet.HierarchySpec{}, 0.46},
+		{"rubis-async", RUBiS, core.AsyncUpdates, simnet.HierarchySpec{}, 1.38},
+		{"petstore-topo128", PetStore, topo128Policy(), simnet.DefaultHierarchySpec(128), 0.5},
 	}
 	const warmup = 2 * time.Minute
 	for _, c := range cases {
@@ -110,7 +110,7 @@ func TestPageAllocBudget(t *testing.T) {
 		perPage := float64(after.Mallocs-before.Mallocs) / float64(pages-warm)
 		t.Logf("%s: %.2f allocs/page over %d pages after warm-up", c.name, perPage, pages-warm)
 		if perPage > c.budget {
-			t.Errorf("%s allocates %.2f objects per page, budget %.1f", c.name, perPage, c.budget)
+			t.Errorf("%s allocates %.2f objects per page, budget %.2f", c.name, perPage, c.budget)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -243,10 +244,9 @@ func TestSelectMemoHitAllocGuard(t *testing.T) {
 }
 
 // A one-row SELECT * allocates nothing: the Result is the caller's value and
-// its row list is the view the stored row built when its values were
-// installed. A point projection is its slab and row list. Arguments passed
-// variadically are copied into the plan, so the caller's slice stays on its
-// stack.
+// its row list is the view the stored row struct holds. A point projection
+// is its slab and row list. Arguments passed variadically are copied into
+// the plan, so the caller's slice stays on its stack.
 func TestOneRowResultAllocGuard(t *testing.T) {
 	db := newBenchDB(t)
 	allocGuard(t, db, 0, 1, `SELECT * FROM item WHERE id = ?`, Int(7))
@@ -265,4 +265,42 @@ func TestOneRowResultAllocGuard(t *testing.T) {
 func TestIndexJoinAllocGuard(t *testing.T) {
 	allocGuard(t, newBenchDB(t), 3, 120,
 		`SELECT item.name, detail.note FROM item JOIN detail ON detail.item_id = item.id WHERE item.grp = ? ORDER BY detail.id DESC`, Int(3))
+}
+
+// A warm UPDATE by primary key allocates what it stores: its new value
+// slice and the row that holds it. A single-row INSERT allocates the same
+// two, plus its share of the growth of the row list, the primary-key
+// index's map, key order and bucket blocks.
+func TestWriteAllocGuard(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates; alloc guard runs without -race")
+	}
+	db := newBenchDB(t)
+	const update = `UPDATE item SET price = ? WHERE id = ?`
+	n := int64(0)
+	if avg := testing.AllocsPerRun(100, func() {
+		if n++; mustExec(t, db, update, Float(float64(n)), Int(n%2000)).Rows == nil {
+			t.Fatal("the UPDATE returned no row")
+		}
+	}); avg != 2 {
+		t.Fatalf("a point UPDATE allocates %.2f/op, want 2", avg)
+	}
+	mustExec(t, db, `CREATE TABLE note (id INT PRIMARY KEY, body TEXT)`)
+	const insert = `INSERT INTO note VALUES (?, ?)`
+	mustExec(t, db, insert, Int(0), Str("x"))
+	// testing.AllocsPerRun truncates its mean; the growth shares need the
+	// exact one.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const inserts = 4096
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range inserts {
+		if mustExec(t, db, insert, Int(int64(i+1)), Str("x")).Rows == nil {
+			t.Fatal("the INSERT returned no row")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if avg := float64(after.Mallocs-before.Mallocs) / inserts; avg > 2.04 {
+		t.Fatalf("a single-row INSERT allocates %.3f/op, ceiling 2.04", avg)
+	}
 }

@@ -191,7 +191,7 @@ func clobber(t *testing.T, db *DB) {
 		if tab.pk < 0 || len(tab.rows) == 0 {
 			continue
 		}
-		dup := tab.rows[0].vals
+		dup := tab.rows[0].vals()
 		fresh := slices.Clone(dup)
 		fresh[tab.pk] = Int(-1)
 		tuple := "(?" + strings.Repeat(", ?", len(dup)-1) + ")"
@@ -210,8 +210,8 @@ func TestResultRowsAreSnapshots(t *testing.T) {
 	db := newBenchDB(t)
 	// A stored slice may have spare capacity (UPDATE builds its new values
 	// by append); give row 7's some, which no result may expose.
-	r7 := db.tables["item"].rows[7]
-	r7.set(append(make([]Value, 0, 2*len(r7.vals)), r7.vals...))
+	r7 := db.tables["item"].rows[7].vals()
+	db.tables["item"].rows[7] = newRow(append(make([]Value, 0, 2*len(r7)), r7...))
 	for _, sql := range []string{
 		`SELECT * FROM item WHERE id = 7`,
 		`SELECT * FROM item WHERE grp = 3 ORDER BY price DESC LIMIT 1`,
@@ -226,7 +226,7 @@ func TestResultRowsAreSnapshots(t *testing.T) {
 		res := mustExec(t, db, sql)
 		if isStar(sql) {
 			stored := db.tables["item"].rows[res.Rows[0][0].AsInt()]
-			if &res.Rows[0][0] != &stored.vals[0] {
+			if &res.Rows[0][0] != &stored.vals()[0] {
 				t.Errorf("%s: the first row is a copy, not the stored slice", sql)
 			}
 			if res.Len() == 1 && &res.Rows[0] != &stored.view[0] {

@@ -46,15 +46,16 @@ func (c CostModel) cost(scanned, written, returned int) time.Duration {
 // Result is the outcome of one statement, returned by value: it lives in the
 // caller's frame, and only its rows' storage is ever on the heap.
 type Result struct {
-	// Cols is the result's column names (SELECT only): the cached plan's own
-	// list, so a holder that keeps the pointer keeps no Result. The caller
-	// must not change it.
+	// Cols is the result's column names: a SELECT's cached plan's own list,
+	// or the table's for a single-row INSERT or UPDATE, so a holder that
+	// keeps the pointer keeps no Result. The caller must not change it.
 	Cols *[]string
 
-	// Rows is the result rows (SELECT only), read-only. A single-table
-	// SELECT * returns the stored value slices, and its row list is shared,
-	// like its rows: the plan memoises it, unless it reads the whole table
-	// bare, and drops it on its first run after a write to the table.
+	// Rows is the result rows, read-only. A single-table SELECT * returns
+	// the stored value slices, and its row list is shared, like its rows:
+	// the plan memoises it, unless it reads the whole table bare, and drops
+	// it on its first run after a write to the table. A write returns the
+	// row it stored when it wrote one (RETURNING *), counted as none.
 	Rows [][]Value
 
 	Affected int // rows inserted/updated
@@ -83,35 +84,34 @@ type Result struct {
 // Len returns the number of result rows.
 func (r *Result) Len() int { return len(r.Rows) }
 
-// row is one stored tuple. vals is never written in place: UPDATE and its
-// undo swap in another slice, which is why a snapshot and a SELECT * result
-// may share it.
+// row is one stored tuple, never changed once stored: UPDATE and its undo
+// install another row, which is why a snapshot and a SELECT * result may
+// share its values.
 type row struct {
-	vals []Value
-
-	// view is {vals}, full-capped: the Rows of a SELECT * that returns this
-	// row alone. It is built by set, wherever vals is installed, and shared
-	// with vals by a snapshot; nothing writes it after.
-	view [][]Value
+	// view is {vals}, full-capped: the Rows of a SELECT * or a write that
+	// returns this row alone. A snapshot copies it with the struct.
+	view [1][]Value
 
 	// folded is vals with every TEXT value lower-cased (strings.ToLower),
-	// built by the first folded LIKE that reads the row and dropped wherever
-	// vals is swapped. Only the row struct, which no other database shares,
-	// points at it.
+	// built by the first folded LIKE that reads the row. Only the row
+	// struct, which no other database shares, points at it.
 	folded *[]string
 }
 
-// set installs vals as the row's values.
-func (r *row) set(vals []Value) {
-	r.vals, r.view, r.folded = vals, [][]Value{vals[:len(vals):len(vals)]}, nil
+// newRow returns a row holding vals, which it keeps.
+func newRow(vals []Value) *row {
+	return &row{view: [1][]Value{vals[:len(vals):len(vals)]}}
 }
+
+// vals returns the row's values, read-only.
+func (r *row) vals() []Value { return r.view[0] }
 
 // fold returns the lower-cased copy of the row's TEXT value in column col.
 // Like every execution it runs under db.mu.
 func (r *row) fold(col int) string {
 	if r.folded == nil {
-		f := make([]string, len(r.vals))
-		for i, v := range r.vals {
+		f := make([]string, len(r.vals()))
+		for i, v := range r.vals() {
 			if v.K == KindString {
 				f[i] = strings.ToLower(v.S)
 			}
@@ -123,9 +123,12 @@ func (r *row) fold(col int) string {
 
 // bucket is one key of an index and the row positions holding it.
 type bucket struct {
-	k   key
-	pos []int // ascending, never empty
+	k     key
+	pos   []int  // ascending, never empty
+	first [1]int // pos's array while it holds one position
 }
+
+const bucketBlock = 64 // buckets an index allocates at once
 
 // index is a hash index over a single column whose buckets are also held in
 // key order, so an ORDER BY on the column walks them without hashing. Two
@@ -144,6 +147,7 @@ type index struct {
 	unique bool
 	m      map[key]*bucket
 	sorted []*bucket
+	spare  []bucket // the unused rest of the index's last bucket block
 }
 
 func newIndex(name string, col int, unique bool) *index {
@@ -161,7 +165,11 @@ func (ix *index) lookup(k key) []int {
 func (ix *index) add(k key, pos int) {
 	b := ix.m[k]
 	if b == nil {
-		b = &bucket{k: k}
+		if len(ix.spare) == 0 {
+			ix.spare = make([]bucket, bucketBlock)
+		}
+		b, ix.spare = &ix.spare[0], ix.spare[1:]
+		b.k, b.pos = k, b.first[:0]
 		ix.m[k] = b
 		n := len(ix.sorted)
 		// Monotonically growing keys (sequential primary keys) append.
@@ -212,6 +220,7 @@ func (ix *index) search(k key) int {
 type table struct {
 	name    string
 	cols    []ColumnDef
+	names   []string // the column names, in order: a write's Result.Cols
 	colIdx  map[string]int
 	pk      int // primary key column index, or -1
 	rows    []*row
@@ -412,7 +421,10 @@ func (db *DB) execLocked(p *Prepared, args []Value) (Result, error) {
 	res, err := db.dispatchLocked(p.st, args)
 	if err == nil && (db.observer != nil || db.profiling) {
 		info := p.info
-		info.Scanned, info.Written, info.Returned = res.Scanned, res.Affected, len(res.Rows)
+		info.Scanned, info.Written = res.Scanned, res.Affected
+		if !p.write {
+			info.Returned = len(res.Rows)
+		}
 		info.IndexUsed, info.PlanHit = res.IndexUsed, res.PlanCached
 		info.ScannedActual, info.IndexProbes = res.ScannedActual, res.IndexProbes
 		if db.observer != nil {
@@ -458,6 +470,7 @@ func (db *DB) execCreateTable(s *CreateTableStmt) (Result, error) {
 			return Result{}, fmt.Errorf("sqldb: duplicate column %s.%s", s.Name, c.Name)
 		}
 		t.colIdx[c.Name] = i
+		t.names = append(t.names, c.Name)
 		if c.PrimaryKey {
 			if t.pk >= 0 {
 				return Result{}, fmt.Errorf("sqldb: table %s has multiple primary keys", s.Name)
@@ -489,8 +502,9 @@ func (db *DB) execCreateIndex(s *CreateIndexStmt) (Result, error) {
 	}
 	ix := newIndex(s.Name, c, s.Unique)
 	for pos, r := range t.rows {
-		k := r.vals[c].mapKey()
-		if s.Unique && len(ix.lookup(k)) > 0 && !r.vals[c].IsNull() {
+		v := r.vals()[c]
+		k := v.mapKey()
+		if s.Unique && len(ix.lookup(k)) > 0 && !v.IsNull() {
 			return Result{}, fmt.Errorf("%w: building unique index %s", ErrDuplicateKey, s.Name)
 		}
 		ix.add(k, pos)
@@ -520,9 +534,7 @@ func (db *DB) insertPlanFor(s *InsertStmt) (*insertPlan, error) {
 	}
 	pl := &insertPlan{planStamp: db.stamp(), t: t, cols: s.Cols}
 	if len(pl.cols) == 0 {
-		for _, c := range t.cols {
-			pl.cols = append(pl.cols, c.Name)
-		}
+		pl.cols = t.names
 	}
 	for _, name := range pl.cols {
 		c, err := t.col(name)
@@ -583,7 +595,11 @@ func (db *DB) execInsert(s *InsertStmt, args []Value) (Result, error) {
 			return Result{}, err
 		}
 	}
-	return Result{Affected: len(pl.rows), Cost: db.cost.cost(0, len(pl.rows), 0)}, nil
+	res := Result{Affected: len(pl.rows), Cost: db.cost.cost(0, len(pl.rows), 0)}
+	if len(pl.rows) == 1 {
+		res.Cols, res.Rows = &t.names, t.rows[first].view[:]
+	}
+	return res, nil
 }
 
 // insertRow validates constraints and appends vals to t.
@@ -599,9 +615,7 @@ func (t *table) insertRow(vals []Value) error {
 		}
 	}
 	pos := len(t.rows)
-	r := &row{}
-	r.set(vals)
-	t.rows = append(t.rows, r)
+	t.rows = append(t.rows, newRow(vals))
 	t.version++
 	for _, ix := range t.indexes {
 		ix.add(vals[ix.col].mapKey(), pos)
@@ -614,7 +628,7 @@ func (t *table) insertRow(vals []Value) error {
 func (t *table) truncate(n int) {
 	for pos := len(t.rows) - 1; pos >= n; pos-- {
 		for _, ix := range t.indexes {
-			ix.remove(t.rows[pos].vals[ix.col].mapKey(), pos)
+			ix.remove(t.rows[pos].vals()[ix.col].mapKey(), pos)
 		}
 		t.rows[pos] = nil
 		t.version++
@@ -622,18 +636,18 @@ func (t *table) truncate(n int) {
 	t.rows = t.rows[:n]
 }
 
-// replaceRow swaps in a new value slice for the row at pos, moving its index
-// entries. Stored vals are never mutated in place.
-func (t *table) replaceRow(pos int, vals []Value) {
-	r := t.rows[pos]
+// replaceRow installs r as the row at pos, moving its index entries. A
+// stored row is never changed in place.
+func (t *table) replaceRow(pos int, r *row) {
+	old, vals := t.rows[pos].vals(), r.vals()
 	for _, ix := range t.indexes {
-		oldK, newK := r.vals[ix.col].mapKey(), vals[ix.col].mapKey()
+		oldK, newK := old[ix.col].mapKey(), vals[ix.col].mapKey()
 		if oldK != newK {
 			ix.remove(oldK, pos)
 			ix.add(newK, pos)
 		}
 	}
-	r.set(vals)
+	t.rows[pos] = r
 	t.version++
 }
 
@@ -653,7 +667,7 @@ func (db *DB) execUpdate(s *UpdateStmt, args []Value) (Result, error) {
 	for _, pos := range pl.pos {
 		r := t.rows[pos]
 		pl.fr.rows[0] = r
-		vals := append([]Value(nil), r.vals...)
+		vals := slices.Clone(r.vals())
 		for j, set := range pl.sets {
 			v, err := set.val(&pl.fr)
 			if err != nil {
@@ -673,23 +687,23 @@ func (db *DB) execUpdate(s *UpdateStmt, args []Value) (Result, error) {
 	}
 	// Phase 2: apply with undo-on-conflict so intra-statement unique
 	// violations roll the whole statement back.
-	pl.oldVals = pl.oldVals[:0]
+	pl.oldRows = pl.oldRows[:0]
 	for i, pos := range pl.pos {
-		old, vals := t.rows[pos].vals, pl.newVals[i]
+		old, vals := t.rows[pos], pl.newVals[i]
 		for _, ix := range t.indexes {
 			if !ix.unique {
 				continue
 			}
-			oldK, newK := old[ix.col].mapKey(), vals[ix.col].mapKey()
+			oldK, newK := old.vals()[ix.col].mapKey(), vals[ix.col].mapKey()
 			if oldK != newK && !vals[ix.col].IsNull() && len(ix.lookup(newK)) > 0 {
-				for i := len(pl.oldVals) - 1; i >= 0; i-- {
-					t.replaceRow(pl.pos[i], pl.oldVals[i])
+				for i := len(pl.oldRows) - 1; i >= 0; i-- {
+					t.replaceRow(pl.pos[i], pl.oldRows[i])
 				}
 				return Result{}, fmt.Errorf("%w: %s.%s = %v", ErrDuplicateKey, t.name, t.cols[ix.col].Name, vals[ix.col])
 			}
 		}
-		t.replaceRow(pos, vals)
-		pl.oldVals = append(pl.oldVals, old)
+		t.replaceRow(pos, newRow(vals))
+		pl.oldRows = append(pl.oldRows, old)
 	}
 	// The virtual and the actual scan figure coincide: a probed bucket's
 	// length, or every row.
@@ -703,6 +717,9 @@ func (db *DB) execUpdate(s *UpdateStmt, args []Value) (Result, error) {
 	}
 	if probed {
 		res.IndexProbes = 1
+	}
+	if len(pl.pos) == 1 {
+		res.Cols, res.Rows = &t.names, t.rows[pl.pos[0]].view[:]
 	}
 	return res, nil
 }

@@ -229,6 +229,53 @@ func TestInsertColumnSubset(t *testing.T) {
 	}
 }
 
+// TestWriteReturnsStoredRow: a single-row INSERT or UPDATE returns the row
+// it stored, as RETURNING * would: the table's columns and the values a
+// fresh SELECT * by key reads, defaults and coercions included. A write of
+// more rows returns none, and no write counts a row as returned. A returned
+// row is a snapshot a later UPDATE leaves alone.
+func TestWriteReturnsStoredRow(t *testing.T) {
+	db := newTestDB(t)
+	var returned []int
+	db.SetObserver(func(info StatementInfo) {
+		if info.Verb != "select" {
+			returned = append(returned, info.Returned)
+		}
+	})
+	for _, c := range []struct {
+		sql  string
+		args []Value
+		id   int64
+	}{
+		{`INSERT INTO items (id, name, price) VALUES (?, ?, ?)`, []Value{Int(9), Str("rug"), Int(20)}, 9},
+		{`UPDATE items SET qty = seller, price = ? WHERE id = ?`, []Value{Int(60), Int(1)}, 1},
+		{`UPDATE items SET category = NULL WHERE name = ?`, []Value{Str("lamp")}, 3},
+	} {
+		res := mustExec(t, db, c.sql, c.args...)
+		fresh := mustExec(t, db, `SELECT * FROM items WHERE id = ?`, Int(c.id))
+		if res.Cols == nil || !reflect.DeepEqual(*res.Cols, *fresh.Cols) || !reflect.DeepEqual(res.Rows, fresh.Rows) {
+			t.Fatalf("%s returned %v %v, the stored row is %v %v", c.sql, res.Cols, res.Rows, *fresh.Cols, fresh.Rows)
+		}
+	}
+	stored := mustExec(t, db, `UPDATE items SET qty = 5 WHERE id = 2`)
+	want := append([]Value(nil), stored.Rows[0]...)
+	mustExec(t, db, `UPDATE items SET qty = 6, name = 'green bike' WHERE id = 2`)
+	if !reflect.DeepEqual(stored.Rows[0], want) {
+		t.Fatalf("a later UPDATE changed a returned row: %v, was %v", stored.Rows[0], want)
+	}
+	for _, sql := range []string{
+		`INSERT INTO users VALUES (7, 'dee', 'west', 1), (8, 'eve', 'east', 2)`,
+		`UPDATE items SET qty = 0 WHERE category = 'sports'`,
+	} {
+		if res := mustExec(t, db, sql); res.Affected != 2 || res.Len() != 0 {
+			t.Fatalf("%s: %d affected, %d rows returned, want 2 and none", sql, res.Affected, res.Len())
+		}
+	}
+	if !reflect.DeepEqual(returned, make([]int, 7)) {
+		t.Fatalf("writes observed returning %v rows, want 0 each of 7", returned)
+	}
+}
+
 func TestCoercionIntToFloatColumn(t *testing.T) {
 	db := newTestDB(t)
 	if _, err := db.Exec(`INSERT INTO items VALUES (9, 'rug', 1, 'home', 20, 1)`); err != nil {

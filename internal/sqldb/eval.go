@@ -81,7 +81,7 @@ func (sc scope) compile(e Expr) evalFn {
 		if err != nil {
 			return failing(err)
 		}
-		return func(fr *frame) (Value, error) { return fr.rows[slot].vals[col], nil }
+		return func(fr *frame) (Value, error) { return fr.rows[slot].vals()[col], nil }
 	case *BinaryExpr:
 		return sc.compileBinary(x)
 	default:

@@ -74,7 +74,7 @@ type updatePlan struct {
 	fr      frame
 	pos     []int     // matched row positions
 	newVals [][]Value // the new row per matched position
-	oldVals [][]Value // the replaced row per applied position
+	oldRows []*row    // the replaced row per applied position
 }
 
 // level is one FROM table of a SELECT: its probe candidates, matched against

@@ -10,9 +10,9 @@ import "slices"
 // SELECT * hands back the stored value slices themselves, capacity cut to
 // length — no allocation for one row, whose stored view is the row list, and
 // one (the row list) for more; projections, joins and DISTINCT project into
-// one slab (two allocations whatever the row count). Stored slices and views
-// are never written in place, so a result is a snapshot that no later write
-// or Restore changes.
+// one slab (two allocations whatever the row count). Stored rows are never
+// written in place, so a result is a snapshot that no later write or Restore
+// changes.
 //
 // A SELECT * plan that has once done more than a point lookup memoises its
 // Result by bound arguments for one table version: a hit is the Result a
@@ -116,7 +116,7 @@ func (db *DB) runSelect(pl *selectPlan, hit bool, s *SelectStmt, args []Value) (
 		if ordered {
 			k = run.ord[0]
 		}
-		res.Rows = pl.tabs[0].rows[run.pos[k]].view
+		res.Rows = pl.tabs[0].rows[run.pos[k]].view[:]
 	case m > 0:
 		width := len(pl.cols)
 		var slab []Value
@@ -130,7 +130,7 @@ func (db *DB) runSelect(pl *selectPlan, hit bool, s *SelectStmt, args []Value) (
 				k = run.ord[i]
 			}
 			if pl.star {
-				vals := pl.tabs[0].rows[run.pos[k]].vals
+				vals := pl.tabs[0].rows[run.pos[k]].vals()
 				res.Rows[i] = vals[:width:width]
 				continue
 			}
@@ -248,7 +248,7 @@ func (pl *selectPlan) project(out []Value) error {
 	for _, item := range pl.items {
 		if item == nil {
 			for _, r := range fr.rows {
-				o += copy(out[o:], r.vals)
+				o += copy(out[o:], r.vals())
 			}
 			continue
 		}
@@ -291,7 +291,7 @@ func (pl *selectPlan) sortMatches(m int) error {
 			var c int
 			if pl.plainOrder {
 				rows := pl.tabs[key.slot].rows
-				c = Compare(rows[run.pos[a*n+key.slot]].vals[key.col], rows[run.pos[b*n+key.slot]].vals[key.col])
+				c = Compare(rows[run.pos[a*n+key.slot]].vals()[key.col], rows[run.pos[b*n+key.slot]].vals()[key.col])
 			} else {
 				c = Compare(run.keys[a*nk+j], run.keys[b*nk+j])
 			}

@@ -5,13 +5,13 @@ package sqldb
 // captures the seeded state once so later databases can Restore it — a deep
 // structural copy with no SQL in the loop.
 //
-// Row value slices, and each row's one-row view of its slice, are shared
-// between the snapshot, every database restored from it and every SELECT *
-// result read from those. That is safe because the engine never mutates a
-// vals slice in place: UPDATE builds a fresh slice and swaps the pointer.
-// Column definitions and name maps are immutable after CREATE TABLE and are
-// shared too. A row's folded copy is not carried: each database builds its
-// own, under its own mutex.
+// Row value slices are shared between the snapshot, every database restored
+// from it and every SELECT * result read from those. That is safe because
+// the engine never changes a stored row: UPDATE installs a new one. Each
+// database has its own row structs, and so its own one-row views of the
+// shared slices. Column definitions and names are immutable after CREATE
+// TABLE and are shared too. A row's folded copy is not carried: each
+// database builds its own, under its own mutex.
 
 // Snapshot is an immutable copy of a database's full state.
 type Snapshot struct {
@@ -78,13 +78,14 @@ func (db *DB) Restore(s *Snapshot) {
 	db.mu.Unlock()
 }
 
-// copyTable deep-copies row and index structure. Immutable parts — name,
-// column definitions, the column-name map, vals slices and their views — are
-// shared.
+// copyTable deep-copies row and index structure, row structs and their
+// views included. Immutable parts — name, columns, the column-name map and
+// the vals slices — are shared.
 func copyTable(t *table) *table {
 	nt := &table{
 		name:   t.name,
 		cols:   t.cols,
+		names:  t.names,
 		colIdx: t.colIdx,
 		pk:     t.pk,
 	}
@@ -94,7 +95,7 @@ func copyTable(t *table) *table {
 		block := make([]row, len(t.rows))
 		nt.rows = make([]*row, len(t.rows))
 		for i, r := range t.rows {
-			block[i] = row{vals: r.vals, view: r.view}
+			block[i] = row{view: r.view}
 			nt.rows[i] = &block[i]
 		}
 	}

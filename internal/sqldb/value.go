@@ -14,10 +14,10 @@
 // orders them. A Result is returned by value and its rows are read-only
 // snapshots: a single-table SELECT * returns the stored value slices,
 // capacity cut to length (one allocation, the row list, whatever the row
-// count; none for a single row, whose view the row built when its values
-// were installed, or for a repeat its plan memoised while the table stood
-// still), any other SELECT one slab (two), and stored slices are never
-// written in place. Arguments are copied into
+// count; none for a single row, whose view its row struct holds, or for a
+// repeat its plan memoised while the table stood still), any other SELECT
+// one slab (two), and stored rows are never written in place: a one-row
+// write returns the new row it stored. Arguments are copied into
 // plan scratch, never kept, so a caller's variadic arguments stay on its
 // stack; the write hook gets a copy of its own. A col LIKE '%word%' searches a
 // lower-cased copy of the stored value, made once per row version. A Value is
