@@ -167,6 +167,7 @@ func TestRunAdapt(t *testing.T) {
 
 func TestRunConsistency(t *testing.T) {
 	golden(t, "consistency", tiny("consistency")...)
+	golden(t, "consistency-rubis", tiny("-app", "rubis", "consistency")...)
 }
 
 func TestRunFaultsTiny(t *testing.T) {

@@ -69,7 +69,7 @@ func run() error {
 	// deployed on the edges until the controller extends the bundle.
 	wiring, err := core.AutoWire(d, &container.ExtendedDescriptor{
 		Replicas: []container.ReplicaSpec{
-			{Bean: "Price", Update: container.SyncUpdate},
+			{Bean: "Price", Update: container.Propagation{}},
 		},
 	}, core.WireOptions{
 		PushBytes: pushBytes,

@@ -70,7 +70,7 @@ func run() error {
 	wiring, err := core.AutoWire(d, &container.ExtendedDescriptor{
 		Topic: "article-updates",
 		Replicas: []container.ReplicaSpec{
-			{Bean: "Article", Update: container.AsyncUpdate},
+			{Bean: "Article", Update: container.Propagation{Async: true}},
 		},
 	}, core.WireOptions{
 		PushBytes: 2048,

@@ -9,39 +9,34 @@ import (
 	"wadeploy/internal/sqldb"
 )
 
+// TestExtendedDescriptorValidateReplicationRules is the Validate table for
+// a replica's Propagation: every combination is a method of update the
+// Pusher runs, so only a topic-less async and negative durations fail.
 func TestExtendedDescriptorValidateReplicationRules(t *testing.T) {
-	good := []*ExtendedDescriptor{
-		{Replicas: []ReplicaSpec{{Bean: "A", Update: LeaseUpdate, MaxStaleness: time.Second}}},
-		{Replicas: []ReplicaSpec{{Bean: "A", Update: LeaseUpdate, BatchWindow: 100 * time.Millisecond}}},
-		{Topic: "t", Replicas: []ReplicaSpec{{Bean: "A", Update: AsyncUpdate, BatchWindow: 100 * time.Millisecond}}},
-	}
-	for i, d := range good {
-		if err := d.Validate(); err != nil {
-			t.Errorf("good[%d]: rejected: %v", i, err)
-		}
-	}
-	bad := []struct {
-		d    *ExtendedDescriptor
-		want string
+	cases := []struct {
+		topic string
+		p     Propagation
+		want  string // "" accepts
 	}{
-		{&ExtendedDescriptor{Replicas: []ReplicaSpec{{Bean: "A"}}}, "update mode not set"},
-		{&ExtendedDescriptor{Replicas: []ReplicaSpec{{Bean: "A", Update: SyncUpdate, MaxStaleness: -1}}}, "negative max staleness"},
-		{&ExtendedDescriptor{Replicas: []ReplicaSpec{{Bean: "A", Update: SyncUpdate, BatchWindow: -1}}}, "negative batch window"},
-		{&ExtendedDescriptor{Replicas: []ReplicaSpec{{Bean: "A", Update: LeaseUpdate}}}, "staleness budget"},
-		{&ExtendedDescriptor{Replicas: []ReplicaSpec{{Bean: "A", Update: SyncUpdate, BatchWindow: time.Second}}}, "sync updates are unbatched"},
+		{"", Propagation{}, ""},
+		{"", Propagation{Window: 100 * time.Millisecond, Delta: true, MaxStaleness: time.Second}, ""},
+		{"t", Propagation{Async: true}, ""},
+		{"t", Propagation{Async: true, Window: 100 * time.Millisecond}, ""},
+		{"", Propagation{Async: true}, "async update requires a topic"},
+		{"", Propagation{Window: -1}, "negative window"},
+		{"", Propagation{MaxStaleness: -1}, "negative max staleness"},
 	}
-	for i, c := range bad {
-		err := c.d.Validate()
-		if !errors.Is(err, ErrBadDescriptor) {
-			t.Errorf("bad[%d]: err = %v, want ErrBadDescriptor", i, err)
-			continue
+	for _, c := range cases {
+		d := &ExtendedDescriptor{Topic: c.topic, Replicas: []ReplicaSpec{{Bean: "A", Update: c.p}}}
+		err := d.Validate()
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%+v (topic %q): rejected: %v", c.p, c.topic, err)
+		case c.want != "" && !errors.Is(err, ErrBadDescriptor):
+			t.Errorf("%+v (topic %q): err = %v, want ErrBadDescriptor", c.p, c.topic, err)
+		case c.want != "" && !strings.Contains(err.Error(), c.want):
+			t.Errorf("%+v (topic %q): err = %v, want substring %q", c.p, c.topic, err, c.want)
 		}
-		if !strings.Contains(err.Error(), c.want) {
-			t.Errorf("bad[%d]: err = %v, want substring %q", i, err, c.want)
-		}
-	}
-	if LeaseUpdate.String() != "lease" {
-		t.Fatalf("LeaseUpdate.String() = %q", LeaseUpdate.String())
 	}
 }
 

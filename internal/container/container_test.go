@@ -553,8 +553,8 @@ func TestExtendedDescriptorValidate(t *testing.T) {
 	good := &ExtendedDescriptor{
 		Topic: "updates",
 		Replicas: []ReplicaSpec{
-			{Bean: "ItemRW", Update: AsyncUpdate},
-			{Bean: "UserRW", Update: SyncUpdate},
+			{Bean: "ItemRW", Update: Propagation{Async: true}},
+			{Bean: "UserRW"},
 		},
 		CachedQueries: []CachedQuerySpec{
 			{Name: "itemsByProduct", InvalidatedBy: []string{"ItemRW"}},
@@ -564,13 +564,9 @@ func TestExtendedDescriptorValidate(t *testing.T) {
 		t.Fatalf("valid descriptor rejected: %v", err)
 	}
 	bad := []*ExtendedDescriptor{
-		{Replicas: []ReplicaSpec{{Bean: "", Update: SyncUpdate}}},
-		{Replicas: []ReplicaSpec{
-			{Bean: "A", Update: SyncUpdate},
-			{Bean: "A", Update: SyncUpdate},
-		}},
-		{Replicas: []ReplicaSpec{{Bean: "A"}}},
-		{Replicas: []ReplicaSpec{{Bean: "A", Update: AsyncUpdate}}}, // no topic
+		{Replicas: []ReplicaSpec{{Bean: ""}}},
+		{Replicas: []ReplicaSpec{{Bean: "A"}, {Bean: "A"}}},
+		{Replicas: []ReplicaSpec{{Bean: "A", Update: Propagation{Async: true}}}}, // no topic
 		{CachedQueries: []CachedQuerySpec{{Name: ""}}},
 		{CachedQueries: []CachedQuerySpec{{Name: "q"}, {Name: "q"}}},
 	}
@@ -636,9 +632,6 @@ func TestBeanKindStrings(t *testing.T) {
 		Entity.String() != "entity" ||
 		MessageDriven.String() != "message-driven" {
 		t.Fatal("BeanKind strings wrong")
-	}
-	if SyncUpdate.String() != "sync" || AsyncUpdate.String() != "async" {
-		t.Fatal("UpdateMode strings wrong")
 	}
 }
 

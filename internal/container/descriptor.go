@@ -26,35 +26,26 @@ type Descriptor struct {
 	Facade bool
 }
 
-// UpdateMode selects how replica refresh traffic is delivered.
-type UpdateMode int
-
-// Update modes for read-only replicas and query caches.
-const (
-	// SyncUpdate blocks the writer until every replica applied the push
-	// (zero staleness).
-	SyncUpdate UpdateMode = iota + 1
-	// AsyncUpdate publishes to a JMS topic and returns immediately.
-	AsyncUpdate
-	// LeaseUpdate sits between the two: the writer returns immediately,
-	// and everything committed inside a tick window is coalesced into one
-	// last-writer delta per entity, pushed to each edge as a single RMI
-	// message per window. Staleness is bounded by the window
-	// (MaxStaleness, or an explicit BatchWindow).
-	LeaseUpdate
-)
-
-func (m UpdateMode) String() string {
-	switch m {
-	case SyncUpdate:
-		return "sync"
-	case AsyncUpdate:
-		return "async"
-	case LeaseUpdate:
-		return "lease"
-	default:
-		return fmt.Sprintf("UpdateMode(%d)", int(m))
-	}
+// Propagation is a replica's method of update, stated as the values its
+// Pusher runs on (see the Pusher doc table). The zero value is the paper's
+// blocking push: RMI to every edge inside the writer's commit.
+type Propagation struct {
+	// Async publishes to the descriptor's JMS topic instead of pushing over
+	// RMI (Section 4.5).
+	Async bool
+	// Window, when positive, coalesces commits last-writer-wins and flushes
+	// them once per window, off the writer's path: over RMI a lease, over
+	// the topic one message per window.
+	Window time.Duration
+	// Delta propagates only changed fields (Section 4.3's "transfer only
+	// the changes" optimization).
+	Delta bool
+	// MaxStaleness, when positive, bounds how stale a replica read may be:
+	// entries older than this refresh through the fetch path even if no
+	// update arrived (the "application-specific relaxed consistency
+	// parameters" the paper's Section 5 points at, in the spirit of TACT).
+	// It is the safety net for lost asynchronous pushes.
+	MaxStaleness time.Duration
 }
 
 // ReplicaSpec is the extended-descriptor entry for a read-only replica of an
@@ -65,25 +56,8 @@ func (m UpdateMode) String() string {
 type ReplicaSpec struct {
 	// Bean is the read-write entity bean to replicate.
 	Bean string
-	// Update is the method of update: sync, async or lease. With
-	// BatchWindow it resolves to the Pusher's (transport, window) pair.
-	Update UpdateMode
-	// MaxStaleness, when positive, bounds how stale a replica read may be:
-	// entries older than this refresh through the fetch path even if no
-	// invalidation arrived (the "application-specific relaxed consistency
-	// parameters" the paper's Section 5 points at, in the spirit of TACT).
-	// It is the safety net for lost asynchronous pushes.
-	MaxStaleness time.Duration
-	// DeltaPush propagates only changed fields (Section 4.3's "transfer
-	// only the changes" optimization).
-	DeltaPush bool
-	// BatchWindow, when positive, batches and coalesces pushes per
-	// (destination, window): async publishes collapse into one topic
-	// message per window, lease pushes into one RMI message per edge per
-	// window. A lease without an explicit window derives one from
-	// MaxStaleness. Not meaningful for SyncUpdate (the writer blocks per
-	// commit by definition).
-	BatchWindow time.Duration
+	// Update is the method of update.
+	Update Propagation
 	// Partition, when set, shards the bean's key space: each edge replica
 	// holds (and receives pushes for) only its assigned partitions instead
 	// of the full key set. nil keeps the paper's full replication.
@@ -137,31 +111,14 @@ func (d *ExtendedDescriptor) Validate() error {
 			return fmt.Errorf("%w: duplicate replica for bean %s", ErrBadDescriptor, r.Bean)
 		}
 		seen[r.Bean] = true
-		// A zero-valued mode means the descriptor author forgot the field
-		// entirely — report that as its own error instead of folding it
-		// into "unknown", so the fix ("set Update") is obvious.
-		if r.Update == 0 {
-			return fmt.Errorf("%w: replica %s: update mode not set", ErrBadDescriptor, r.Bean)
-		}
-		switch r.Update {
-		case SyncUpdate, AsyncUpdate, LeaseUpdate:
-		default:
-			return fmt.Errorf("%w: replica %s: unknown update mode", ErrBadDescriptor, r.Bean)
-		}
-		if r.Update == AsyncUpdate && d.Topic == "" {
+		if r.Update.Async && d.Topic == "" {
 			return fmt.Errorf("%w: replica %s: async update requires a topic", ErrBadDescriptor, r.Bean)
 		}
-		if r.MaxStaleness < 0 {
+		if r.Update.Window < 0 {
+			return fmt.Errorf("%w: replica %s: negative window", ErrBadDescriptor, r.Bean)
+		}
+		if r.Update.MaxStaleness < 0 {
 			return fmt.Errorf("%w: replica %s: negative max staleness", ErrBadDescriptor, r.Bean)
-		}
-		if r.BatchWindow < 0 {
-			return fmt.Errorf("%w: replica %s: negative batch window", ErrBadDescriptor, r.Bean)
-		}
-		if r.Update == LeaseUpdate && r.MaxStaleness <= 0 && r.BatchWindow <= 0 {
-			return fmt.Errorf("%w: replica %s: lease update needs a staleness budget (MaxStaleness or BatchWindow)", ErrBadDescriptor, r.Bean)
-		}
-		if r.Update == SyncUpdate && r.BatchWindow > 0 {
-			return fmt.Errorf("%w: replica %s: sync updates are unbatched (use a lease)", ErrBadDescriptor, r.Bean)
 		}
 		if err := r.Partition.Validate(); err != nil {
 			return fmt.Errorf("replica %s: %w", r.Bean, err)

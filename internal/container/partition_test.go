@@ -157,7 +157,7 @@ func TestPartitionScopedServeStale(t *testing.T) {
 
 func TestDescriptorValidatesPartitionSpec(t *testing.T) {
 	d := &ExtendedDescriptor{Replicas: []ReplicaSpec{{
-		Bean: "Item", Update: SyncUpdate,
+		Bean:      "Item",
 		Partition: &PartitionSpec{Scheme: HashPartition},
 	}}}
 	if err := d.Validate(); !errors.Is(err, ErrBadDescriptor) {

@@ -21,11 +21,11 @@ type PushTarget struct {
 // commit, on the writer's process; a positive window coalesces commits
 // last-writer-wins and flushes once per window, off the writer's path.
 //
-//	transport  window  descriptor word  the writer             counted in
-//	RMI        0       sync             blocks on every edge   container_sync_push*
-//	RMI        w       lease            returns at once        push_batch_*
-//	JMS        0       async            pays the local publish container_async_publishes_total
-//	JMS        w       async + window   returns at once        push_batch_*
+//	transport  window  Propagation                the writer             counted in
+//	RMI        0       {}                         blocks on every edge   container_sync_push*
+//	RMI        w       {Window: w}                returns at once        push_batch_*
+//	JMS        0       {Async: true}              pays the local publish container_async_publishes_total
+//	JMS        w       {Async: true, Window: w}   returns at once        push_batch_*
 //
 // Zero staleness is the first row (Section 4.3: write response time grows
 // with the number of replicas because the pushes run one after the other);

@@ -81,7 +81,7 @@ func priceRig(tb testing.TB, env *sim.Env, opts core.Options, rows int, wired bo
 	}
 	w, err := core.AutoWire(d, &container.ExtendedDescriptor{
 		Replicas: []container.ReplicaSpec{
-			{Bean: "Price", Update: container.SyncUpdate},
+			{Bean: "Price"},
 		},
 	}, core.WireOptions{PushBytes: 256}, on...)
 	if err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"wadeploy/internal/container"
@@ -40,10 +41,9 @@ type Wiring struct {
 	Caches      map[string]*container.QueryCache
 	Subscribers map[string]*container.MDBean
 
-	d     *Deployment
-	ext   *container.ExtendedDescriptor
-	specs []container.ReplicaSpec // effective specs (replication overrides applied)
-	opts  WireOptions
+	d    *Deployment
+	ext  *container.ExtendedDescriptor // the propagation override applied
+	opts WireOptions
 	// methods are the declared edge façades' methods on each edge.
 	methods map[string][]*container.EdgeMethod
 	// owned is each partitioned bean's assignment: its partitions
@@ -51,7 +51,7 @@ type Wiring struct {
 	owned map[string]PartitionAssignment
 	// The pushers, by transport: RMI ones per read-write bean (sync and
 	// lease specs; partition scopes are per bean), topic ones per distinct
-	// batch window (async specs share a message per window).
+	// window (async specs share a message per window).
 	rmiPushers   map[string]*container.Pusher
 	topicPushers map[time.Duration]*container.Pusher
 	views        *container.QueryViews // main-side results of the push-refreshed queries, or nil
@@ -114,19 +114,19 @@ func (w *Wiring) target(server string) container.PushTarget {
 // the re-placement controller extends passes none and leaves each server to
 // Wiring.ExtendTo. Application deployers only write the descriptor.
 func AutoWire(d *Deployment, ext *container.ExtendedDescriptor, opts WireOptions, on ...*container.Server) (*Wiring, error) {
-	if err := ext.Validate(); err != nil {
+	// The deployment's propagation override replaces every replica's method
+	// of update; the descriptor itself is never mutated.
+	eff := *ext
+	if d.Propagation != nil {
+		eff.Replicas = slices.Clone(ext.Replicas)
+		for i := range eff.Replicas {
+			eff.Replicas[i].Update = *d.Propagation
+		}
+	}
+	if err := eff.Validate(); err != nil {
 		return nil, fmt.Errorf("core: autowire: %w", err)
 	}
-	// Apply the deployment's replication overrides (deltas-by-default,
-	// batch windows, experiment mode sweeps) and re-validate the result, so
-	// an override that produces an illegal combination fails as loudly as a
-	// hand-written descriptor would.
-	specs := d.Replication.effectiveReplicas(ext.Replicas)
-	eff := &container.ExtendedDescriptor{Replicas: specs, CachedQueries: ext.CachedQueries, Topic: ext.Topic}
-	if err := eff.Validate(); err != nil {
-		return nil, fmt.Errorf("core: autowire (replication overrides): %w", err)
-	}
-	for _, spec := range specs {
+	for _, spec := range eff.Replicas {
 		if d.RW(spec.Bean) == nil {
 			return nil, fmt.Errorf("core: autowire: read-write bean %s is not registered", spec.Bean)
 		}
@@ -139,36 +139,31 @@ func AutoWire(d *Deployment, ext *container.ExtendedDescriptor, opts WireOptions
 		Subscribers:  make(map[string]*container.MDBean),
 		methods:      make(map[string][]*container.EdgeMethod),
 		d:            d,
-		ext:          ext,
-		specs:        specs,
+		ext:          &eff,
 		opts:         opts,
 		owned:        make(map[string]PartitionAssignment),
 		rmiPushers:   make(map[string]*container.Pusher),
 		topicPushers: make(map[time.Duration]*container.Pusher),
 	}
 
-	for _, spec := range specs {
+	for _, spec := range eff.Replicas {
 		if spec.Partition != nil {
 			w.owned[spec.Bean] = RoundRobinAssignment(spec.Partition, d.EdgeNames())
 		}
 	}
 
-	// Resolve each spec's method of update to its pusher's (transport,
-	// window) pair and attach the pusher to the read-write bean. RMI targets
-	// accrue as servers are wired, so a wiring on no server starts with
-	// empty fan-out; creating a topic pusher declares the topic before any
-	// edge subscriber attaches to it.
-	for _, spec := range specs {
+	// Attach each spec's pusher, (transport, window), to the read-write
+	// bean. RMI targets accrue as servers are wired, so a wiring on no
+	// server starts with empty fan-out; creating a topic pusher declares the
+	// topic before any edge subscriber attaches to it.
+	for _, spec := range eff.Replicas {
 		rw := d.RW(spec.Bean)
-		if spec.DeltaPush {
+		if spec.Update.Delta {
 			rw.SetDeltaPush(true)
 		}
-		topic, window := "", spec.BatchWindow
-		switch {
-		case spec.Update == container.AsyncUpdate:
-			topic = ext.Topic
-		case spec.Update == container.LeaseUpdate && window <= 0:
-			window = stalenessWindow(spec.MaxStaleness)
+		topic, window := "", spec.Update.Window
+		if spec.Update.Async {
+			topic = eff.Topic
 		}
 		var ps *container.Pusher
 		if topic != "" {
@@ -227,13 +222,6 @@ func AutoWire(d *Deployment, ext *container.ExtendedDescriptor, opts WireOptions
 	return w, nil
 }
 
-// stalenessWindow derives the flush window for a lease from its staleness
-// budget: half the budget, leaving the other half for WAN delivery and
-// apply, floored at 1ms so a tiny budget still batches something.
-func stalenessWindow(maxStaleness time.Duration) time.Duration {
-	return max(maxStaleness/2, time.Millisecond)
-}
-
 // Preload warm-deploys every wired replica with its read-write bean's current
 // table contents, modeling replicas shipped with a data snapshot
 // (measurement runs start after warm-up either way). Each entity's row is
@@ -243,7 +231,7 @@ func (w *Wiring) Preload() error {
 	if len(w.Updaters) == 0 {
 		return nil
 	}
-	for _, spec := range w.specs {
+	for _, spec := range w.ext.Replicas {
 		image, err := w.d.RW(spec.Bean).Image()
 		if err != nil {
 			return fmt.Errorf("core: preload: %w", err)
@@ -276,7 +264,7 @@ func (w *Wiring) ExtendTo(server *container.Server) error {
 	w.Updaters[server.Name()] = uf
 	w.Replicas[server.Name()] = make(map[string]*container.ROEntity)
 
-	for _, spec := range w.specs {
+	for _, spec := range w.ext.Replicas {
 		var fetch container.FetchFunc
 		if w.opts.FetchFor != nil {
 			fetch = w.opts.FetchFor(server, spec.Bean)
@@ -285,13 +273,13 @@ func (w *Wiring) ExtendTo(server *container.Server) error {
 		if err != nil {
 			return fmt.Errorf("core: autowire replica %s on %s: %w", spec.Bean, server.Name(), err)
 		}
-		if spec.MaxStaleness > 0 {
+		if spec.Update.MaxStaleness > 0 {
 			// Relaxed-consistency bound: timeout invalidation caps how
 			// stale a read can be even if pushes are lost.
-			ro.SetTTL(spec.MaxStaleness)
+			ro.SetTTL(spec.Update.MaxStaleness)
 		}
 		if w.d.Resilience {
-			if spec.MaxStaleness == 0 {
+			if spec.Update.MaxStaleness == 0 {
 				ro.SetTTL(replicaTTL)
 			}
 			ro.SetServeStale(staleMaxAge)
@@ -346,8 +334,8 @@ func (w *Wiring) ExtendTo(server *container.Server) error {
 // ReplicaBeans returns the read-write bean names the descriptor replicates,
 // in descriptor order — the bundle a live migration moves.
 func (w *Wiring) ReplicaBeans() []string {
-	out := make([]string, 0, len(w.specs))
-	for _, spec := range w.specs {
+	out := make([]string, 0, len(w.ext.Replicas))
+	for _, spec := range w.ext.Replicas {
 		out = append(out, spec.Bean)
 	}
 	return out

@@ -19,8 +19,11 @@ func reportMs(b *testing.B, name string, d time.Duration) {
 // replicated entity update under blocking RMI push vs JMS publication — the
 // Section 4.3 vs 4.5 trade-off in isolation.
 func BenchmarkAblationSyncVsAsyncPush(b *testing.B) {
-	for _, mode := range []container.UpdateMode{container.SyncUpdate, container.AsyncUpdate} {
-		b.Run(mode.String(), func(b *testing.B) {
+	for _, mode := range []struct {
+		name   string
+		update container.Propagation
+	}{{"sync", container.Propagation{}}, {"async", container.Propagation{Async: true}}} {
+		b.Run(mode.name, func(b *testing.B) {
 			env := sim.NewEnv(5)
 			d, err := core.NewPaperDeployment(env, core.DefaultOptions())
 			if err != nil {
@@ -40,7 +43,7 @@ func BenchmarkAblationSyncVsAsyncPush(b *testing.B) {
 			if _, err := core.AutoWire(d, &container.ExtendedDescriptor{
 				Topic: "kv-updates",
 				Replicas: []container.ReplicaSpec{
-					{Bean: "KV", Update: mode},
+					{Bean: "KV", Update: mode.update},
 				},
 			}, core.WireOptions{PushBytes: 256}, d.Edges...); err != nil {
 				b.Fatal(err)

@@ -57,9 +57,9 @@ type Deployment struct {
 	// staleness-fallback pieces to the replicas it materializes.
 	Resilience bool
 
-	// Replication echoes Options.Replication so AutoWire can rewrite the
-	// propagation path (deltas-by-default, batching, leases).
-	Replication *ReplicationOptions
+	// Propagation echoes Options.Propagation so AutoWire can put it in
+	// place of every replica's method of update.
+	Propagation *container.Propagation
 
 	rw map[string]*container.RWEntity
 
@@ -84,11 +84,11 @@ type Options struct {
 	// output.
 	Resilience bool
 
-	// Replication, when non-nil, arms the post-paper propagation defaults
-	// (deltas-by-default, batched/coalesced pushes, bounded-staleness
-	// leases). Nil (the default)
-	// keeps the paper's propagation path and byte-identical table output.
-	Replication *ReplicationOptions
+	// Propagation, when non-nil, replaces every replica spec's method of
+	// update (the consistency spectrum sweeps one workload across them).
+	// Nil (the default) keeps each descriptor's own and byte-identical
+	// table output.
+	Propagation *container.Propagation
 }
 
 // DefaultOptions returns the substrate defaults.
@@ -146,7 +146,7 @@ func buildDeployment(env *sim.Env, opts Options) (*Deployment, *simnet.Hierarchy
 		RMI:         rt,
 		JMS:         provider,
 		Resilience:  opts.Resilience,
-		Replication: opts.Replication,
+		Propagation: opts.Propagation,
 		rw:          make(map[string]*container.RWEntity),
 		topo:        h,
 		byClient:    make(map[string]*container.Server),

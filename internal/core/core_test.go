@@ -224,7 +224,7 @@ func TestAutoWireSyncPush(t *testing.T) {
 	d, rw := wireFixture(t)
 	ext := &container.ExtendedDescriptor{
 		Replicas: []container.ReplicaSpec{
-			{Bean: "ItemRW", Update: container.SyncUpdate},
+			{Bean: "ItemRW"},
 		},
 	}
 	w, err := AutoWire(d, ext, WireOptions{PushBytes: 256}, d.Edges...)
@@ -274,7 +274,7 @@ func TestAutoWireAsyncDoesNotBlock(t *testing.T) {
 	ext := &container.ExtendedDescriptor{
 		Topic: "item-updates",
 		Replicas: []container.ReplicaSpec{
-			{Bean: "ItemRW", Update: container.AsyncUpdate},
+			{Bean: "ItemRW", Update: container.Propagation{Async: true}},
 		},
 	}
 	w, err := AutoWire(d, ext, WireOptions{}, d.Edges...)
@@ -321,7 +321,7 @@ func TestAutoWireOneTopicPusherPerWindow(t *testing.T) {
 		beans[name] = rw
 	}
 	async := func(bean string, window time.Duration) container.ReplicaSpec {
-		return container.ReplicaSpec{Bean: bean, Update: container.AsyncUpdate, BatchWindow: window}
+		return container.ReplicaSpec{Bean: bean, Update: container.Propagation{Async: true, Window: window}}
 	}
 	w, err := AutoWire(d, &container.ExtendedDescriptor{
 		Topic: "item-updates",
@@ -362,7 +362,7 @@ func TestAutoWireQueryCaches(t *testing.T) {
 	d, rw := wireFixture(t)
 	ext := &container.ExtendedDescriptor{
 		Replicas: []container.ReplicaSpec{
-			{Bean: "ItemRW", Update: container.SyncUpdate},
+			{Bean: "ItemRW"},
 		},
 		CachedQueries: []container.CachedQuerySpec{
 			{Name: "itemsByQty", InvalidatedBy: []string{"ItemRW"}},
@@ -410,14 +410,14 @@ func TestAutoWireErrors(t *testing.T) {
 	d, _ := wireFixture(t)
 	// Unregistered RW bean.
 	_, err := AutoWire(d, &container.ExtendedDescriptor{
-		Replicas: []container.ReplicaSpec{{Bean: "Ghost", Update: container.SyncUpdate}},
+		Replicas: []container.ReplicaSpec{{Bean: "Ghost"}},
 	}, WireOptions{}, d.Edges...)
 	if err == nil {
 		t.Fatal("unregistered bean accepted")
 	}
-	// Invalid descriptor.
+	// Invalid descriptor: asynchronous updates without a topic.
 	_, err = AutoWire(d, &container.ExtendedDescriptor{
-		Replicas: []container.ReplicaSpec{{Bean: "ItemRW"}},
+		Replicas: []container.ReplicaSpec{{Bean: "ItemRW", Update: container.Propagation{Async: true}}},
 	}, WireOptions{}, d.Edges...)
 	if !errors.Is(err, container.ErrBadDescriptor) {
 		t.Fatalf("err = %v", err)

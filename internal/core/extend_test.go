@@ -28,7 +28,7 @@ func unwiredFixture(t *testing.T) (*Deployment, *container.RWEntity, *Wiring) {
 	}
 	w, err := AutoWire(d, &container.ExtendedDescriptor{
 		Replicas: []container.ReplicaSpec{
-			{Bean: "ItemRW", Update: container.SyncUpdate},
+			{Bean: "ItemRW"},
 		},
 	}, WireOptions{
 		FetchFor: func(server *container.Server, rwBean string) container.FetchFunc {
@@ -123,7 +123,7 @@ func TestAutoWireWithMaxStalenessSetsTTL(t *testing.T) {
 	w, err := AutoWire(d, &container.ExtendedDescriptor{
 		Topic: "t",
 		Replicas: []container.ReplicaSpec{
-			{Bean: "ItemRW", Update: container.AsyncUpdate, MaxStaleness: 30 * time.Second},
+			{Bean: "ItemRW", Update: container.Propagation{Async: true, MaxStaleness: 30 * time.Second}},
 		},
 	}, WireOptions{FetchFor: func(*container.Server, string) container.FetchFunc { return rw.Load }}, d.Edges...)
 	if err != nil {

@@ -25,7 +25,7 @@ func TestQueryViewOneApplierPerBean(t *testing.T) {
 		d, rw := wireFixture(t)
 		ext := &container.ExtendedDescriptor{
 			Replicas: []container.ReplicaSpec{
-				{Bean: "ItemRW", Update: container.SyncUpdate},
+				{Bean: "ItemRW"},
 			},
 			CachedQueries: []container.CachedQuerySpec{
 				constView("a", "ItemRW"), constView("b", "ItemRW"), constView("c", "ItemRW"),
@@ -65,7 +65,7 @@ func TestQueryViewOneApplierPerBean(t *testing.T) {
 		d, rw := wireFixture(t)
 		ext := &container.ExtendedDescriptor{
 			Replicas: []container.ReplicaSpec{
-				{Bean: "ItemRW", Update: container.SyncUpdate},
+				{Bean: "ItemRW"},
 			},
 			// Pet Store's Product: listed by both queries.
 			CachedQueries: []container.CachedQuerySpec{
@@ -122,7 +122,7 @@ func TestQueryViewMixedDescriptor(t *testing.T) {
 	fetches := 0
 	ext := &container.ExtendedDescriptor{
 		Replicas: []container.ReplicaSpec{
-			{Bean: "ItemRW", Update: container.SyncUpdate},
+			{Bean: "ItemRW"},
 		},
 		CachedQueries: []container.CachedQuerySpec{
 			constView("pushed", "ItemRW"),
@@ -186,7 +186,7 @@ func TestResilientPushOnlyCacheKeepsEntries(t *testing.T) {
 			}
 		}
 		w, err := AutoWire(d, &container.ExtendedDescriptor{
-			Replicas:      []container.ReplicaSpec{{Bean: "ItemRW", Update: container.SyncUpdate}},
+			Replicas:      []container.ReplicaSpec{{Bean: "ItemRW"}},
 			CachedQueries: []container.CachedQuerySpec{constView("a", "ItemRW")},
 		}, wopts, d.Edges...)
 		if err != nil {

@@ -28,7 +28,7 @@ var (
 const (
 	// replicaTTL bounds the freshness of edge replicas and of query caches
 	// with a fetch path that the descriptor does not already bound
-	// (spec.MaxStaleness wins when set). Entries older than the TTL are refetched on access, which
+	// (spec.Update.MaxStaleness wins when set). Entries older than the TTL are refetched on access, which
 	// is what exposes a WAN outage to the serve-stale fallback below.
 	replicaTTL = time.Minute
 

@@ -67,7 +67,7 @@ func (w *Wiring) OwnsKey(server, bean string, pk sqldb.Value) bool {
 	if ro := w.Replica(server, bean); ro != nil {
 		return ro.Owns(pk)
 	}
-	for _, spec := range w.specs {
+	for _, spec := range w.ext.Replicas {
 		if spec.Bean == bean && spec.Partition != nil {
 			return slices.Contains(w.owned[bean][server], spec.Partition.PartitionFor(pk))
 		}

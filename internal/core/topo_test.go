@@ -63,12 +63,18 @@ func TestRoundRobinAssignment(t *testing.T) {
 // the commit or with a lease's window — leaves main for exactly the owning
 // edge.
 func TestAutoWirePartitionedReplicas(t *testing.T) {
-	for _, mode := range []container.UpdateMode{container.SyncUpdate, container.LeaseUpdate} {
-		t.Run(mode.String(), func(t *testing.T) { testPartitionedReplicas(t, mode) })
+	for _, row := range []struct {
+		name   string
+		update container.Propagation
+	}{
+		{"sync", container.Propagation{MaxStaleness: time.Second}},
+		{"lease", container.Propagation{Window: 500 * time.Millisecond, MaxStaleness: time.Second}},
+	} {
+		t.Run(row.name, func(t *testing.T) { testPartitionedReplicas(t, row.update) })
 	}
 }
 
-func testPartitionedReplicas(t *testing.T, mode container.UpdateMode) {
+func testPartitionedReplicas(t *testing.T, update container.Propagation) {
 	d, _ := newHierDeployment(t, simnet.HierarchySpec{Edges: 2, Hubs: 1})
 	if _, err := d.DB.Exec(`CREATE TABLE item (id TEXT PRIMARY KEY, qty INT NOT NULL)`); err != nil {
 		t.Fatal(err)
@@ -86,7 +92,7 @@ func testPartitionedReplicas(t *testing.T, mode container.UpdateMode) {
 	pspec := &container.PartitionSpec{Scheme: container.HashPartition, Partitions: 2}
 	ext := &container.ExtendedDescriptor{
 		Replicas: []container.ReplicaSpec{
-			{Bean: "ItemRW", Update: mode, MaxStaleness: time.Second, Partition: pspec},
+			{Bean: "ItemRW", Update: update, Partition: pspec},
 		},
 	}
 	edges := []string{d.Edges[0].Name(), d.Edges[1].Name()}

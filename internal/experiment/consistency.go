@@ -13,35 +13,32 @@ import (
 
 // ConsistencyArms returns the staleness-latency spectrum: base's
 // application in its asynchronous-updates configuration, one arm per
-// replication override that pins every replica to one propagation mode,
-// ordered from strongest to weakest consistency: synchronous full-state
-// pushes (the paper's sync path), synchronous deltas, bounded-staleness
-// leases at three budgets, batched asynchronous deltas, and the paper's
-// plain asynchronous updates.
+// method of update that replaces every replica's own, ordered from
+// strongest to weakest consistency: synchronous full-state pushes (the
+// paper's sync path), synchronous deltas, bounded-staleness leases at three
+// budgets (each flushing at half its budget, the other half left for WAN
+// delivery and apply), batched asynchronous deltas, and the paper's plain
+// asynchronous updates.
 func ConsistencyArms(base Spec) []Spec {
-	lease := func(d time.Duration) *core.ReplicationOptions {
-		return &core.ReplicationOptions{Mode: container.LeaseUpdate, MaxStaleness: d, DeltasByDefault: true}
+	lease := func(d time.Duration) *container.Propagation {
+		return &container.Propagation{Window: d / 2, Delta: true, MaxStaleness: d}
 	}
 	arms := []struct {
-		label string
-		repl  *core.ReplicationOptions
+		label  string
+		update *container.Propagation
 	}{
-		{"sync", &core.ReplicationOptions{Mode: container.SyncUpdate}},
-		{"sync-delta", &core.ReplicationOptions{Mode: container.SyncUpdate, DeltasByDefault: true}},
+		{"sync", &container.Propagation{}},
+		{"sync-delta", &container.Propagation{Delta: true}},
 		{"lease-250ms", lease(250 * time.Millisecond)},
 		{"lease-1s", lease(time.Second)},
 		{"lease-5s", lease(5 * time.Second)},
-		{"async-batched-250ms", &core.ReplicationOptions{
-			Mode:            container.AsyncUpdate,
-			BatchWindow:     250 * time.Millisecond,
-			DeltasByDefault: true,
-		}},
+		{"async-batched-250ms", &container.Propagation{Async: true, Window: 250 * time.Millisecond, Delta: true}},
 		{"async", nil},
 	}
 	specs := make([]Spec, len(arms))
 	for i, a := range arms {
 		specs[i] = base
-		specs[i].Policy, specs[i].Label, specs[i].Replication = core.AsyncUpdates, a.label, a.repl
+		specs[i].Policy, specs[i].Label, specs[i].Propagation = core.AsyncUpdates, a.label, a.update
 	}
 	return specs
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"time"
 
+	"wadeploy/internal/container"
 	"wadeploy/internal/controller"
 	"wadeploy/internal/core"
 	"wadeploy/internal/faults"
@@ -70,11 +71,10 @@ type Spec struct {
 	// Result.Observed carries what the partitioned edge's clients saw.
 	Schedule *faults.Schedule
 
-	// Replication, when non-nil, arms the delta-replication machinery
-	// (deltas-by-default, batched/coalesced pushes, bounded-staleness
-	// leases, a swept update mode) on the deployment under test.
-	// Nil keeps the paper's propagation path and byte-identical output.
-	Replication *core.ReplicationOptions
+	// Propagation, when non-nil, replaces every replica's method of update
+	// on the deployment under test (core.Options.Propagation). Nil keeps
+	// each descriptor's own and byte-identical output.
+	Propagation *container.Propagation
 
 	// MetricsTick, when positive, samples every counter and gauge into its
 	// time series on this virtual-time interval. Sampling is armed as a raw
@@ -324,7 +324,7 @@ func Deploy(s Spec) (*Testbed, error) {
 	}
 	copts := def.options()
 	copts.Resilience = s.Schedule != nil
-	copts.Replication = s.Replication
+	copts.Propagation = s.Propagation
 	d, h, err := core.NewHierarchicalDeployment(env, copts, s.Topology)
 	if err != nil {
 		return nil, err

@@ -176,13 +176,9 @@ func (l *Layout) DeployEntities(d *core.Deployment) error {
 // updates, over topic, the sharded ones partitioned per p, and the edge
 // façades p places.
 func (l *Layout) Descriptor(p core.Policy, topic string) *container.ExtendedDescriptor {
-	update := container.SyncUpdate
-	if p.AsyncUpdates {
-		update = container.AsyncUpdate
-	}
 	ext := &container.ExtendedDescriptor{Topic: topic, EdgeFacades: l.EdgeFacades(p)}
 	for _, bean := range l.Replicated {
-		spec := container.ReplicaSpec{Bean: bean, Update: update}
+		spec := container.ReplicaSpec{Bean: bean, Update: container.Propagation{Async: p.AsyncUpdates}}
 		if slices.Contains(l.Sharded, bean) {
 			spec.Partition = p.Partition
 		}

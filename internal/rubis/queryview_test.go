@@ -16,12 +16,12 @@ import (
 	"wadeploy/internal/sqldb"
 )
 
-// deployOn deploys RUBiS under cfg on topology spec with a replication
-// override (nil keeps the paper's propagation path).
-func deployOn(t *testing.T, seed int64, cfg core.Policy, spec simnet.HierarchySpec, repl *core.ReplicationOptions) *App {
+// deployOn deploys RUBiS under cfg on topology spec with a propagation
+// override (nil keeps the descriptor's own).
+func deployOn(t *testing.T, seed int64, cfg core.Policy, spec simnet.HierarchySpec, update *container.Propagation) *App {
 	t.Helper()
 	opts := DeployOptions()
-	opts.Replication = repl
+	opts.Propagation = update
 	d, _, err := core.NewHierarchicalDeployment(sim.NewEnv(seed), opts, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -44,13 +44,13 @@ const preloadedQueryKeys = 2 + NumRegions + NumCategories + NumCategories*NumReg
 // itemsByCategory stale, created keys for category 0, region 0 and the empty
 // nickname, and overwrote userInfo's User with the lone rating field.
 func TestDeltaModeKeepsQueryCachesFresh(t *testing.T) {
-	for name, repl := range map[string]*core.ReplicationOptions{
-		"sync-delta":    {Mode: container.SyncUpdate, DeltasByDefault: true},
-		"async-batched": {Mode: container.AsyncUpdate, BatchWindow: 250 * time.Millisecond, DeltasByDefault: true},
+	for name, update := range map[string]*container.Propagation{
+		"sync-delta":    {Delta: true},
+		"async-batched": {Async: true, Window: 250 * time.Millisecond, Delta: true},
 	} {
-		repl := repl
+		update := update
 		t.Run(name, func(t *testing.T) {
-			a := deployOn(t, 9, core.AsyncUpdates, simnet.HierarchySpec{}, repl)
+			a := deployOn(t, 9, core.AsyncUpdates, simnet.HierarchySpec{}, update)
 			env := a.d.Env
 			defer env.Close()
 			const item, seller = int64(33), int64(33)
@@ -191,12 +191,12 @@ func (vp *viewProbe) checkUser(id int64) {
 // cache entry is the view's value and every view is fresh.
 func TestQueryViewMaintainedEqualsRequeried(t *testing.T) {
 	modes := []struct {
-		name string
-		repl core.ReplicationOptions
+		name   string
+		update container.Propagation
 	}{
-		{"sync", core.ReplicationOptions{Mode: container.SyncUpdate}},
-		{"async", core.ReplicationOptions{Mode: container.AsyncUpdate}},
-		{"async-batched", core.ReplicationOptions{Mode: container.AsyncUpdate, BatchWindow: 250 * time.Millisecond, DeltasByDefault: true}},
+		{"sync", container.Propagation{}},
+		{"async", container.Propagation{Async: true}},
+		{"async-batched", container.Propagation{Async: true, Window: 250 * time.Millisecond, Delta: true}},
 	}
 	const (
 		calm       = 10 * time.Second // phase 1 ends: no fault so far
@@ -208,7 +208,7 @@ func TestQueryViewMaintainedEqualsRequeried(t *testing.T) {
 		for _, seed := range []int64{3, 17, 42} {
 			mode, seed := mode, seed
 			t.Run(fmt.Sprintf("%s/seed%d", mode.name, seed), func(t *testing.T) {
-				a := deployOn(t, seed, core.AsyncUpdates, simnet.HierarchySpec{}, &mode.repl)
+				a := deployOn(t, seed, core.AsyncUpdates, simnet.HierarchySpec{}, &mode.update)
 				d := a.d
 				env := d.Env
 				defer env.Close()

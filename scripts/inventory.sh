@@ -65,7 +65,6 @@ sqldb/db.go:truncate                        the undo of a multi-row INSERT that 
 sqldb/value.go:String                       Kind.String, the %v of a kind in error text; no program statement fails
 sqldb/value.go:String                       Value.String, the %v of a value in error text; no program statement fails
 container/batch.go:CoalesceUpdates          the batch form of the coalescer of the windowed pusher: container and rubis tests replay a drain buffer through it
-container/descriptor.go:String              UpdateMode.String: names the mode in the per-mode core benchmarks and in test failures
 container/entity.go:UpdateIfVersion         the paper section 4.5 version-number pattern (DESIGN.md); container tests
 container/pusher.go:RemoveTarget            Wiring.SuspendTargets on an edge with RMI pushes: controller tests; no program suspends one
 container/query.go:Size                     the content read tests assert query caches with
