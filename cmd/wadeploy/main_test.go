@@ -163,6 +163,7 @@ func TestRunPlan(t *testing.T) {
 
 func TestRunAdapt(t *testing.T) {
 	golden(t, "adapt", tiny("-epoch", "5s", "adapt")...)
+	golden(t, "adapt-rubis", tiny("-app", "rubis", "-epoch", "5s", "adapt")...)
 }
 
 func TestRunConsistency(t *testing.T) {
@@ -182,20 +183,14 @@ func TestRunFaultsRUBiS(t *testing.T) {
 	golden(t, "faults-rubis", "-warmup", "5s", "-duration", "4m", "-app", "rubis", "-faults", "canonical", "faults")
 }
 
-// TestRunAdaptRefusesPolicy: an adaptive run needs a replica bundle to extend
-// and an application that can extend one, so the remote-façade target (no
-// bundle) and RUBiS (no live extension path) fail with a policy error naming
-// the policy.
+// TestRunAdaptRefusesPolicy: an adaptive run needs a replica bundle to
+// extend, so the remote-façade target, which has none, fails with a policy
+// error naming the policy, for either app.
 func TestRunAdaptRefusesPolicy(t *testing.T) {
-	for _, c := range []struct {
-		args   []string
-		policy core.Policy
-	}{
-		{tiny("-app", "rubis", "adapt"), core.AsyncUpdates},
-		{tiny("-config", "remote-facade", "adapt"), core.RemoteFacade},
-	} {
-		if err := run(c.args); !errors.Is(err, core.ErrPolicy) || !strings.Contains(err.Error(), c.policy.String()) {
-			t.Errorf("wadeploy %s: %v, want a policy error naming %s", strings.Join(c.args, " "), err, c.policy)
+	for _, app := range []string{"petstore", "rubis"} {
+		args := tiny("-app", app, "-config", "remote-facade", "adapt")
+		if err := run(args); !errors.Is(err, core.ErrPolicy) || !strings.Contains(err.Error(), core.RemoteFacade.String()) {
+			t.Errorf("wadeploy %s: %v, want a policy error naming %s", strings.Join(args, " "), err, core.RemoteFacade)
 		}
 	}
 }
@@ -304,6 +299,7 @@ func TestParallelRunTableDeterminism(t *testing.T) {
 		{"metrics", []string{"-app", "rubis", "-ext", "metrics"}},
 		{"faults", []string{"-diag", "faults"}},
 		{"adapt", []string{"-epoch", "5s", "adapt"}},
+		{"adapt-rubis", []string{"-app", "rubis", "-epoch", "5s", "adapt"}},
 		{"consistency", []string{"-diag", "consistency"}},
 		{"consistency-rubis", []string{"-app", "rubis", "consistency"}},
 		{"plan", []string{"-sim", "plan"}},

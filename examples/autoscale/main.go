@@ -22,10 +22,6 @@ import (
 	"wadeploy/internal/sqldb"
 )
 
-// pushBytes is the replica-refresh payload for the Price bundle; the
-// advisor's model below charges the same size per push.
-const pushBytes = 256
-
 // seed keys the run: the workload, the simulation and the controller's
 // retry-jitter stream all derive from it.
 const seed = 23
@@ -72,7 +68,6 @@ func run() error {
 			{Bean: "Price", Update: container.Propagation{}},
 		},
 	}, core.WireOptions{
-		PushBytes: pushBytes,
 		FetchFor: func(server *container.Server, rwBean string) container.FetchFunc {
 			return container.FetchFrom(server, simnet.NodeMain, "PriceFacade", "get")
 		},
@@ -96,10 +91,9 @@ func run() error {
 			},
 			Replicated: []string{"Price"},
 		},
-		Options:   core.DefaultOptions(),
-		PushBytes: pushBytes,
-		Patterns:  []planner.Pattern{{Name: "Reader", Visits: map[string]float64{"price": 1}}},
-		Classes:   []planner.Class{{Pattern: "Reader", Clients: 1}},
+		Options:  core.DefaultOptions(),
+		Patterns: []planner.Pattern{{Name: "Reader", Visits: map[string]float64{"price": 1}}},
+		Classes:  []planner.Class{{Pattern: "Reader", Clients: 1}},
 		Pages: []planner.Page{{Name: "price", Body: planner.Read{
 			Beans: []string{"Price"},
 			Else:  planner.Call{Bean: "PriceFacade", Method: "get", Body: planner.Load{}},

@@ -73,7 +73,6 @@ func run() error {
 			{Bean: "Article", Update: container.Propagation{Async: true}},
 		},
 	}, core.WireOptions{
-		PushBytes: 2048,
 		FetchFor: func(server *container.Server, rwBean string) container.FetchFunc {
 			return container.FetchFrom(server, d.Main.Name(), "ArticleFacade", "fetch")
 		},

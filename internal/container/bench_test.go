@@ -16,9 +16,9 @@ import (
 
 // newPusher builds an RMI pusher with the given window from srv to the
 // "Updater" façade on each edge.
-func newPusher(b *testing.B, srv *container.Server, window time.Duration, msgBytes int, edges ...string) *container.Pusher {
+func newPusher(b *testing.B, srv *container.Server, window time.Duration, edges ...string) *container.Pusher {
 	b.Helper()
-	ps, err := container.NewPusher(srv, "", window, msgBytes)
+	ps, err := container.NewPusher(srv, "", window)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -86,8 +86,9 @@ func BenchmarkAblationDeltaVsFullPush(b *testing.B) {
 				b.Fatal(err)
 			}
 			uf.Register("Wide", ro)
-			// Full-state records on this table are large (wide rows).
-			rw.AddPropagator(newPusher(b, main, 0, 64*1024, "edge"))
+			// A full-state record is FullStateBytes; a one-field delta is
+			// a fraction of it.
+			rw.AddPropagator(newPusher(b, main, 0, "edge"))
 			var mean time.Duration
 			env.Spawn("writer", func(p *sim.Proc) {
 				var total time.Duration
@@ -169,7 +170,7 @@ func BenchmarkBatchedPushThroughput(b *testing.B) {
 			if batched {
 				window = 100 * time.Millisecond
 			}
-			rw.AddPropagator(newPusher(b, main, window, 64*1024, "edge"))
+			rw.AddPropagator(newPusher(b, main, window, "edge"))
 			// Each iteration drives a burst of commits, so even the CI
 			// smoke's single iteration spans many coalescing windows.
 			const burst = 50
@@ -265,7 +266,7 @@ func BenchmarkAblationSeqVsParallelFanOut(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			sp := newPusher(b, main, 0, 512, edges...)
+			sp := newPusher(b, main, 0, edges...)
 			sp.Parallel = parallel
 			rw.AddPropagator(sp)
 			var mean time.Duration

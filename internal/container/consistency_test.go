@@ -92,7 +92,7 @@ func TestROEntityPropagationDelayMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	uf.Register("InventoryRW", ro)
-	rw.AddPropagator(newPusher(t, f.main, "updates", 0, 512))
+	rw.AddPropagator(newPusher(t, f.main, "updates", 0))
 	if _, err := DeployUpdateSubscriber(f.edge, "Sub", "updates", uf); err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestPusherBestEffortSkipsPartitionedEdge(t *testing.T) {
 		t.Fatal(err)
 	}
 	uf.Register("InventoryRW", ro)
-	sp := newPusher(t, f.main, "", 0, 512, edgeUpdater)
+	sp := newPusher(t, f.main, "", 0, edgeUpdater)
 	sp.BestEffort = true
 	rw.AddPropagator(sp)
 	if err := f.net.SetLinkState("main", "edge", false); err != nil {
@@ -195,7 +195,7 @@ func TestPusherStrictFailsOnPartition(t *testing.T) {
 	if _, err := DeployUpdaterFacade(f.edge, "Updater"); err != nil {
 		t.Fatal(err)
 	}
-	rw.AddPropagator(newPusher(t, f.main, "", 0, 512, edgeUpdater))
+	rw.AddPropagator(newPusher(t, f.main, "", 0, edgeUpdater))
 	if err := f.net.SetLinkState("main", "edge", false); err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestDeltaPushMergesChangedFieldsOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	uf.Register("InventoryRW", ro)
-	rw.AddPropagator(newPusher(t, f.main, "", 0, 4096, edgeUpdater))
+	rw.AddPropagator(newPusher(t, f.main, "", 0, edgeUpdater))
 	ro.Preload(sqldb.Str("i1"), State{"item_id": sqldb.Str("i1"), "qty": sqldb.Int(10)})
 	f.run(t, func(p *sim.Proc) {
 		if _, err := rw.UpdateFields(p, sqldb.Str("i1"), State{"qty": sqldb.Int(7)}); err != nil {
@@ -259,7 +259,7 @@ func TestDeltaPushWithoutLocalCopyIsIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	uf.Register("InventoryRW", ro)
-	rw.AddPropagator(newPusher(t, f.main, "", 0, 1024, edgeUpdater))
+	rw.AddPropagator(newPusher(t, f.main, "", 0, edgeUpdater))
 	f.run(t, func(p *sim.Proc) {
 		// Delta arrives for an entity the replica never loaded: ignored.
 		if _, err := rw.UpdateFields(p, sqldb.Str("i2"), State{"qty": sqldb.Int(1)}); err != nil {
@@ -340,7 +340,7 @@ func TestParallelSyncPushOverlapsFanOut(t *testing.T) {
 			}
 			uf.Register("KV", ro)
 		}
-		sp := newPusher(t, main, "", 0, 512,
+		sp := newPusher(t, main, "", 0,
 			PushTarget{Server: "e1", Facade: "Updater"}, PushTarget{Server: "e2", Facade: "Updater"})
 		sp.Parallel = parallel
 		rw.AddPropagator(sp)

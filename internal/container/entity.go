@@ -42,13 +42,27 @@ type Update struct {
 	CommittedAt time.Duration
 }
 
+// FullStateBytes is the wire size of a full-state update record, what a push,
+// a migration and the advisor's push cost all charge for one.
+const FullStateBytes = 1024
+
 // WireBytes estimates the update's payload size on the wire: deltas cost a
-// small header plus a per-field charge, full-state pushes a fixed record.
+// small header plus a per-field charge, full-state pushes FullStateBytes.
 func (u Update) WireBytes() int {
 	if u.Delta {
 		return 64 + 96*u.State.Len()
 	}
-	return 1024
+	return FullStateBytes
+}
+
+// BatchBytes sizes a message or a transfer of updates: the sum of their
+// WireBytes.
+func BatchBytes(updates []Update) int {
+	total := 0
+	for _, u := range updates {
+		total += u.WireBytes()
+	}
+	return total
 }
 
 // Propagator observes committed updates in chain order. Pusher delivers them

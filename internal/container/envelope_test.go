@@ -219,7 +219,7 @@ func TestPusherDeliversToOwnersOnly(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ps := newPusher(t, f.main, "", row.window, 1024)
+			ps := newPusher(t, f.main, "", row.window)
 			rw.AddPropagator(ps)
 			got := make([]countingApplier, len(owned))
 			for i := range owned {
@@ -274,7 +274,7 @@ func TestPusherRouteAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := &PartitionSpec{Scheme: HashPartition, Partitions: 8}
-	ps := newPusher(t, f.main, "", 0, 1024)
+	ps := newPusher(t, f.main, "", 0)
 	rw.AddPropagator(ps)
 	part := spec.PartitionForKey("i1")
 	for i := 0; i < 16; i++ {

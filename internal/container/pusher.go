@@ -36,7 +36,6 @@ type Pusher struct {
 	srv    *Server
 	topic  string
 	window time.Duration
-	bytes  int // full-state record size
 
 	// targets are the destinations. The topic is a JMS pusher's only one,
 	// held as the zero PushTarget so every row walks the same list.
@@ -99,14 +98,11 @@ func (d *pushDest) keep(updates []Update, parts []int) []Update {
 // without one the pusher sends RMI to the targets AddTarget gives it. Each
 // row registers only its own metric family, so a run that never builds a row
 // exports a snapshot without it.
-func NewPusher(srv *Server, topic string, window time.Duration, msgBytes int) (*Pusher, error) {
+func NewPusher(srv *Server, topic string, window time.Duration) (*Pusher, error) {
 	if window < 0 {
 		return nil, fmt.Errorf("container: pusher on %s: negative window", srv.name)
 	}
-	if msgBytes <= 0 {
-		msgBytes = 1024
-	}
-	ps := &Pusher{srv: srv, topic: topic, window: window, bytes: msgBytes, scopes: map[PushTarget][]bool{}}
+	ps := &Pusher{srv: srv, topic: topic, window: window, scopes: map[PushTarget][]bool{}}
 	if topic != "" {
 		if srv.jms == nil {
 			return nil, fmt.Errorf("container: pusher on %s: no JMS provider", srv.name)
@@ -174,23 +170,6 @@ func (ps *Pusher) SetTargetPartitions(t PushTarget, spec *PartitionSpec, owned [
 	}
 }
 
-// batchBytes sizes a message: deltas ride their WireBytes estimate,
-// full-state updates the configured record size.
-func (ps *Pusher) batchBytes(updates []Update) int {
-	total := 0
-	for _, u := range updates {
-		if u.Delta {
-			total += u.WireBytes()
-		} else {
-			total += ps.bytes
-		}
-	}
-	if total <= 0 {
-		total = ps.bytes
-	}
-	return total
-}
-
 // Propagate takes a commit. With a window it coalesces the commit into the
 // pending batch and returns — the first commit of an idle window arms the
 // flush timer, so an idle system schedules no events at all. Without one it
@@ -247,7 +226,6 @@ func (ps *Pusher) flush() {
 // the replica's MaxStaleness fetch path is the safety net for a lost one.
 func (ps *Pusher) send(p *sim.Proc, updates []Update) error {
 	inline := p != nil && !ps.parallel()
-	payload := ps.batchBytes(updates)
 	parts := make([]int, 0, 4)
 	if ps.part != nil {
 		for _, u := range updates {
@@ -256,18 +234,17 @@ func (ps *Pusher) send(p *sim.Proc, updates []Update) error {
 	}
 	var waits []*sim.Promise[struct{}]
 	for _, d := range ps.targets {
-		batch, pl, t := updates, payload, d.PushTarget
+		batch, t := updates, d.PushTarget
 		if d.owns != nil {
 			if batch = d.keep(updates, parts); len(batch) == 0 {
 				continue
 			}
-			pl = ps.batchBytes(batch)
 		}
 		if !inline {
-			if done := ps.spawn(p, t, pl, batch); done != nil {
+			if done := ps.spawn(p, t, batch); done != nil {
 				waits = append(waits, done)
 			}
-		} else if err := ps.deliver(p, t, pl, batch); err != nil && !ps.skip() {
+		} else if err := ps.deliver(p, t, batch); err != nil && !ps.skip() {
 			return err
 		}
 	}
@@ -294,7 +271,7 @@ func (ps *Pusher) skip() bool {
 // spawn runs one delivery on its own process. For a waiting writer the
 // process continues the writer's trace and the returned promise carries the
 // outcome; a flush gets nil.
-func (ps *Pusher) spawn(p *sim.Proc, t PushTarget, payload int, batch []Update) *sim.Promise[struct{}] {
+func (ps *Pusher) spawn(p *sim.Proc, t PushTarget, batch []Update) *sim.Promise[struct{}] {
 	env := ps.srv.Env()
 	var done *sim.Promise[struct{}]
 	var ctx trace.Ctx
@@ -308,7 +285,7 @@ func (ps *Pusher) spawn(p *sim.Proc, t PushTarget, payload int, batch []Update) 
 		case ps.topic == "":
 			defer trace.Op(pp, "push", "lease batch", ps.srv.name, t.Server, trace.CauseService)()
 		}
-		err := ps.deliver(pp, t, payload, batch)
+		err := ps.deliver(pp, t, batch)
 		switch {
 		case done == nil:
 		case err != nil:
@@ -323,7 +300,8 @@ func (ps *Pusher) spawn(p *sim.Proc, t PushTarget, payload int, batch []Update) 
 // deliver carries one message to one destination on p — publish on the
 // topic, or the bulk apply call on t's updater façade — and counts it once it
 // got there.
-func (ps *Pusher) deliver(p *sim.Proc, t PushTarget, payload int, batch []Update) error {
+func (ps *Pusher) deliver(p *sim.Proc, t PushTarget, batch []Update) error {
+	payload := BatchBytes(batch)
 	if ps.topic != "" {
 		label := "publish "
 		if ps.window > 0 {

@@ -34,9 +34,9 @@ var pushFamilies = []string{"container_sync_push", "container_async_publishes", 
 var edgeUpdater = PushTarget{Server: "edge", Facade: "Updater"}
 
 // newPusher builds a pusher on srv and attaches the RMI targets.
-func newPusher(t testing.TB, srv *Server, topic string, window time.Duration, msgBytes int, targets ...PushTarget) *Pusher {
+func newPusher(t testing.TB, srv *Server, topic string, window time.Duration, targets ...PushTarget) *Pusher {
 	t.Helper()
-	ps, err := NewPusher(srv, topic, window, msgBytes)
+	ps, err := NewPusher(srv, topic, window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func newPusher(t testing.TB, srv *Server, topic string, window time.Duration, ms
 // wireRow deploys InvRW on main and a push-fed replica of it on edge, joined
 // by one pusher of the given row: over the edge's updater façade, or over the
 // topic and an update subscriber.
-func wireRow(main, edge *Server, row pushRow, msgBytes int) (rw *RWEntity, ro *ROEntity, ps *Pusher, err error) {
+func wireRow(main, edge *Server, row pushRow) (rw *RWEntity, ro *ROEntity, ps *Pusher, err error) {
 	if rw, err = DeployRWEntity(main, "InvRW", "inventory", "item_id"); err != nil {
 		return
 	}
@@ -61,7 +61,7 @@ func wireRow(main, edge *Server, row pushRow, msgBytes int) (rw *RWEntity, ro *R
 		return
 	}
 	uf.Register("InvRW", ro)
-	if ps, err = NewPusher(main, row.topic, row.window, msgBytes); err != nil {
+	if ps, err = NewPusher(main, row.topic, row.window); err != nil {
 		return
 	}
 	if row.topic == "" {
@@ -77,7 +77,7 @@ func wireRow(main, edge *Server, row pushRow, msgBytes int) (rw *RWEntity, ro *R
 // entities preloaded at the replica.
 func wirePusher(t *testing.T, f *fixture, row pushRow) (*RWEntity, *ROEntity, *Pusher) {
 	t.Helper()
-	rw, ro, ps, err := wireRow(f.main, f.edge, row, 1024)
+	rw, ro, ps, err := wireRow(f.main, f.edge, row)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestPusherWithoutTargetsRecordsFanOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rw.AddPropagator(newPusher(t, f.main, "", 0, 512))
+	rw.AddPropagator(newPusher(t, f.main, "", 0))
 	spans := tracedCommit(t, f, rw)
 	if !spans["push/sync fan-out"] {
 		t.Fatalf("spans = %v, want push/sync fan-out", spans)
@@ -305,8 +305,8 @@ func TestPusherFilterAtSource(t *testing.T) {
 }
 
 // One sizing rule on every row: an unbatched publish, like every other
-// message, prices a delta at its WireBytes estimate and only a full-state
-// update at the configured record size.
+// message, prices each update at its WireBytes, a delta by its fields and a
+// full-state update at FullStateBytes.
 func TestPusherUnbatchedPublishSizesByPayload(t *testing.T) {
 	delta := Update{Bean: "InvRW", PK: sqldb.Str("i1"), Delta: true, State: State{"qty": sqldb.Int(1)}.row()}
 	cases := []struct {
@@ -314,12 +314,12 @@ func TestPusherUnbatchedPublishSizesByPayload(t *testing.T) {
 		u    Update
 		want int
 	}{
-		{"full", Update{Bean: "InvRW", PK: sqldb.Str("i1"), State: State{"qty": sqldb.Int(1)}.row()}, 512},
+		{"full", Update{Bean: "InvRW", PK: sqldb.Str("i1"), State: State{"qty": sqldb.Int(1)}.row()}, FullStateBytes},
 		{"delta", delta, delta.WireBytes()},
 	}
 	for _, c := range cases {
 		f := newFixture(t)
-		ps := newPusher(t, f.main, "updates", 0, 512)
+		ps := newPusher(t, f.main, "updates", 0)
 		got := -1
 		if err := f.jms.Subscribe("updates", "edge", "probe", func(_ *sim.Proc, msg *jms.Message) { got = msg.Bytes }); err != nil {
 			t.Fatal(err)
@@ -360,7 +360,7 @@ func TestPusherSeparateWindows(t *testing.T) {
 
 func TestPusherValidation(t *testing.T) {
 	f := newFixture(t)
-	if _, err := NewPusher(f.main, "", -time.Second, 0); err == nil {
+	if _, err := NewPusher(f.main, "", -time.Second); err == nil {
 		t.Fatal("negative window accepted")
 	}
 	noJMS, err := NewServer(Config{
@@ -371,7 +371,7 @@ func TestPusherValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, window := range []time.Duration{0, time.Second} {
-		if _, err := NewPusher(noJMS, "t", window, 0); err == nil {
+		if _, err := NewPusher(noJMS, "t", window); err == nil {
 			t.Fatalf("topic pusher (window %v) without a JMS provider accepted", window)
 		}
 	}
@@ -383,7 +383,7 @@ func TestPusherValidation(t *testing.T) {
 // copy in place (0 measured; the ceiling leaves room for one).
 func TestPusherCoalesceAllocs(t *testing.T) {
 	f := newFixture(t)
-	ps := newPusher(t, f.main, "", time.Second, 1024, edgeUpdater)
+	ps := newPusher(t, f.main, "", time.Second, edgeUpdater)
 	seedBatch := []Update{{Bean: "Inv", PK: sqldb.Str("i1"), Delta: true, State: State{"qty": sqldb.Int(0)}.row()}}
 	if err := ps.Propagate(nil, seedBatch); err != nil { // arms the window, inserts the pending entry
 		t.Fatal(err)

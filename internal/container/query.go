@@ -2,6 +2,7 @@ package container
 
 import (
 	"fmt"
+	"iter"
 	"strings"
 	"time"
 
@@ -85,6 +86,17 @@ func (qc *QueryCache) SetServeStale(maxAge time.Duration) {
 
 // Size returns the number of cached query results.
 func (qc *QueryCache) Size() int { return len(qc.entries) }
+
+// All yields every cached key and result, stale ones included, charging nothing.
+func (qc *QueryCache) All() iter.Seq2[string, any] {
+	return func(yield func(string, any) bool) {
+		for key, e := range qc.entries {
+			if !yield(key, e.result) {
+				return
+			}
+		}
+	}
+}
 
 // Get returns the cached result for key, fetching on a miss or after a pull
 // invalidation.
@@ -235,7 +247,6 @@ type QueryView struct {
 // is charged its database service time in between, and for that long the
 // database is a row ahead of the views, as it is of the entity replicas).
 type QueryViews struct {
-	specs   map[string]*QueryView   // query name -> declaration
 	byBean  map[string][]*QueryView // invalidating bean -> views, descriptor order
 	results map[string]any
 	// touched lists, per entity, the keys its commits have refreshed — what
@@ -264,7 +275,6 @@ func NewQueryViews(reg *metrics.Registry, queries []CachedQuerySpec) *QueryViews
 		}
 		if v == nil {
 			v = &QueryViews{
-				specs:       make(map[string]*QueryView),
 				byBean:      make(map[string][]*QueryView),
 				results:     make(map[string]any),
 				touched:     make(map[entityRef][]string),
@@ -272,7 +282,6 @@ func NewQueryViews(reg *metrics.Registry, queries []CachedQuerySpec) *QueryViews
 				mRequeries:  reg.Counter("container_queryview_requeries_total"),
 			}
 		}
-		v.specs[q.Name] = q.View
 		for _, bean := range q.InvalidatedBy {
 			v.byBean[bean] = append(v.byBean[bean], q.View)
 		}
@@ -280,12 +289,18 @@ func NewQueryViews(reg *metrics.Registry, queries []CachedQuerySpec) *QueryViews
 	return v
 }
 
-// Seed installs a preloaded result as key's current value; keys of queries
-// without a view are ignored.
-func (v *QueryViews) Seed(key string, result any) {
-	name, _, _ := strings.Cut(key, ":")
-	if v.specs[name] != nil {
-		v.results[key] = result
+// Seed installs a preloaded result as key's current value. A key of a query
+// without a view is held as seeded: no commit refreshes it.
+func (v *QueryViews) Seed(key string, result any) { v.results[key] = result }
+
+// Fill puts every key's current value into qc, as Put does, counting no push:
+// how an edge cache is warmed, extended to or reset. Nil v or qc fills nothing.
+func (v *QueryViews) Fill(qc *QueryCache) {
+	if v == nil || qc == nil {
+		return
+	}
+	for key, r := range v.results {
+		qc.Put(key, r)
 	}
 }
 
@@ -309,7 +324,9 @@ func (v *QueryViews) committed(c Commit, shipped bool) error {
 			if err := v.refresh(q, key, c, true); err != nil {
 				return err
 			}
-			keys = addKey(keys, key, len(qs))
+			if shipped {
+				keys = addKey(keys, key, len(qs))
+			}
 		}
 		if c.Prev.IsZero() {
 			continue
@@ -321,10 +338,12 @@ func (v *QueryViews) committed(c Commit, shipped bool) error {
 			if err := v.refresh(q, left, undo, false); err != nil {
 				return err
 			}
-			keys = addKey(keys, left, len(qs))
+			if shipped {
+				keys = addKey(keys, left, len(qs))
+			}
 		}
 	}
-	if shipped && len(keys) != n {
+	if len(keys) != n {
 		v.touched[ref] = keys
 	}
 	return nil

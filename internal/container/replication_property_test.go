@@ -140,7 +140,7 @@ func newPropFixture(seed int64) *fixtureP {
 
 // wire is wireRow on the property fixture, with the replica preloaded.
 func (f *fixtureP) wire(row pushRow) (*RWEntity, *ROEntity) {
-	rw, ro, _, err := wireRow(f.main, f.edge, row, 256)
+	rw, ro, _, err := wireRow(f.main, f.edge, row)
 	if err != nil {
 		panic(err)
 	}

@@ -83,7 +83,7 @@ func priceRig(tb testing.TB, env *sim.Env, opts core.Options, rows int, wired bo
 		Replicas: []container.ReplicaSpec{
 			{Bean: "Price"},
 		},
-	}, core.WireOptions{PushBytes: 256}, on...)
+	}, core.WireOptions{}, on...)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -104,10 +104,9 @@ func priceModel(remote bool) *planner.Model {
 			},
 			Replicated: []string{"Price"},
 		},
-		Options:   core.DefaultOptions(),
-		PushBytes: 256,
-		Patterns:  []planner.Pattern{{Name: "Reader", Visits: map[string]float64{"price": 1}}},
-		Classes:   []planner.Class{{Pattern: "Reader", Local: !remote, Clients: 1}},
+		Options:  core.DefaultOptions(),
+		Patterns: []planner.Pattern{{Name: "Reader", Visits: map[string]float64{"price": 1}}},
+		Classes:  []planner.Class{{Pattern: "Reader", Local: !remote, Clients: 1}},
 		Pages: []planner.Page{{Name: "price", Body: planner.Read{
 			Beans: []string{"Price"},
 			Else:  planner.Call{Bean: "PriceFacade", Method: "get", Body: planner.Load{}},

@@ -31,9 +31,10 @@ import (
 //     because a round only carries what committed while the previous one
 //     was in flight.
 //  4. Cut over in a single simulation event (no sleeps, so no commit can
-//     interleave): wire the edge (or reset its stale replicas), install the
-//     snapshot, detach the buffer, and replay every buffered update through
-//     the edge's updater façade in commit order. Full-state updates make
+//     interleave): wire the edge (or reset its stale replicas), fill its
+//     query cache from the main server's views, install the snapshot,
+//     detach the buffer, and replay every buffered update through the
+//     edge's updater façade in commit order. Full-state updates make
 //     the replay idempotent and convergent, so the migrated replica is
 //     byte-identical to one that observed every commit live.
 //
@@ -87,9 +88,7 @@ func (c *Controller) migrate(p *sim.Proc, edge *container.Server, resync bool) M
 		}
 		rows = owned(rows)
 		snaps[bean] = rows
-		for _, u := range rows {
-			m.SnapshotBytes += u.WireBytes()
-		}
+		m.SnapshotBytes += container.BatchBytes(rows)
 	}
 
 	if err := c.transfer(p, main, name, m.SnapshotBytes, &m); err != nil {
@@ -105,10 +104,7 @@ func (c *Controller) migrate(p *sim.Proc, edge *container.Server, resync bool) M
 			break
 		}
 		m.Rounds++
-		bytes := 0
-		for _, u := range batch {
-			bytes += u.WireBytes()
-		}
+		bytes := container.BatchBytes(batch)
 		m.CatchUpBytes += bytes
 		replay = append(replay, batch...)
 		if err := c.transfer(p, main, name, bytes, &m); err != nil {
@@ -122,11 +118,7 @@ func (c *Controller) migrate(p *sim.Proc, edge *container.Server, resync bool) M
 	// the replay; their wire cost was prepaid by the delta stream the
 	// propagators will push once targets resume.
 	if resync {
-		for _, bean := range beans {
-			if ro := w.Replica(name, bean); ro != nil {
-				ro.Reset()
-			}
-		}
+		w.Reset(name)
 	} else if err := w.ExtendTo(edge); err != nil {
 		return fail(fmt.Errorf("extend: %w", err))
 	}

@@ -18,9 +18,6 @@ const (
 
 // WireOptions parameterizes AutoWire.
 type WireOptions struct {
-	// PushBytes is the payload size for update propagation.
-	PushBytes int
-
 	// FetchFor builds the fetch path a replica of rwBean deployed on server
 	// takes on a cold miss, an expired entry or an unowned key. Nil (or a
 	// nil return) yields push-only replicas. Typically this wraps one RMI
@@ -79,18 +76,6 @@ func (w *Wiring) EdgeMethod(server, bean, method string) *container.EdgeMethod {
 // QueryViews returns the main server's materialised results of the
 // push-refreshed cached queries, or nil when the descriptor declares none.
 func (w *Wiring) QueryViews() *container.QueryViews { return w.views }
-
-// SeedQuery warm-deploys one query result computed at deploy time: into
-// every wired edge cache, and into the main server's view when the query is
-// push-refreshed, so the first commit can maintain it.
-func (w *Wiring) SeedQuery(key string, result any) {
-	for _, qc := range w.Caches {
-		qc.Put(key, result)
-	}
-	if w.views != nil {
-		w.views.Seed(key, result)
-	}
-}
 
 // DeployedOn reports whether the replica bundle is live on server.
 func (w *Wiring) DeployedOn(server string) bool {
@@ -171,7 +156,7 @@ func AutoWire(d *Deployment, ext *container.ExtendedDescriptor, opts WireOptions
 		}
 		if ps == nil {
 			var err error
-			if ps, err = container.NewPusher(d.Main, topic, window, opts.PushBytes); err != nil {
+			if ps, err = container.NewPusher(d.Main, topic, window); err != nil {
 				return nil, fmt.Errorf("core: autowire: %w", err)
 			}
 			if topic != "" {
@@ -224,12 +209,16 @@ func AutoWire(d *Deployment, ext *container.ExtendedDescriptor, opts WireOptions
 
 // Preload warm-deploys every wired replica with its read-write bean's current
 // table contents, modeling replicas shipped with a data snapshot
-// (measurement runs start after warm-up either way). Each entity's row is
+// (measurement runs start after warm-up either way), and every wired query
+// cache with the main server's seeded view results. Each entity's row is
 // shared by every edge holding it. A wiring on no server has nothing to warm
 // and reads nothing.
 func (w *Wiring) Preload() error {
 	if len(w.Updaters) == 0 {
 		return nil
+	}
+	for _, qc := range w.Caches {
+		w.views.Fill(qc)
 	}
 	for _, spec := range w.ext.Replicas {
 		image, err := w.d.RW(spec.Bean).Image()
@@ -248,11 +237,12 @@ func (w *Wiring) Preload() error {
 }
 
 // ExtendTo materializes the descriptor's replica bundle on one more server:
-// updater façade, read-only replicas (with TTL staleness bounds), query
-// caches, async subscribers, and sync-propagation targets, and binds the
-// server's edge façades to its replicas and cache in the same event. It is
-// safe to call at runtime while traffic flows — the demand-driven
-// redeployment path. Extending a server that is already wired is a no-op.
+// updater façade, read-only replicas (with TTL staleness bounds), a query
+// cache filled from the main server's views, async subscribers and
+// sync-propagation targets, and binds the server's edge façades to its
+// replicas and cache in the same event. It is safe to call at runtime while
+// traffic flows — the demand-driven redeployment path. Extending a server
+// that is already wired is a no-op.
 func (w *Wiring) ExtendTo(server *container.Server) error {
 	if w.DeployedOn(server.Name()) {
 		return nil
@@ -303,6 +293,7 @@ func (w *Wiring) ExtendTo(server *container.Server) error {
 			qc.SetServeStale(staleMaxAge)
 		}
 		w.Caches[server.Name()] = qc
+		w.views.Fill(qc)
 		// One applier per invalidating bean, however many queries list it.
 		inval := &container.QueryInvalidation{Cache: qc, Affected: affectedFunc(w.ext), Views: w.views}
 		registered := make(map[string]bool)
@@ -329,6 +320,15 @@ func (w *Wiring) ExtendTo(server *container.Server) error {
 	}
 	w.ResumeTargets(server.Name())
 	return nil
+}
+
+// Reset starts a resync cut-over on server: its replicas drop every entry and
+// its query cache is filled from the main server's views again.
+func (w *Wiring) Reset(server string) {
+	for _, ro := range w.Replicas[server] {
+		ro.Reset()
+	}
+	w.views.Fill(w.Caches[server])
 }
 
 // ReplicaBeans returns the read-write bean names the descriptor replicates,

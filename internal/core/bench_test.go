@@ -45,7 +45,7 @@ func BenchmarkAblationSyncVsAsyncPush(b *testing.B) {
 				Replicas: []container.ReplicaSpec{
 					{Bean: "KV", Update: mode.update},
 				},
-			}, core.WireOptions{PushBytes: 256}, d.Edges...); err != nil {
+			}, core.WireOptions{}, d.Edges...); err != nil {
 				b.Fatal(err)
 			}
 			var mean time.Duration

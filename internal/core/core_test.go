@@ -227,7 +227,7 @@ func TestAutoWireSyncPush(t *testing.T) {
 			{Bean: "ItemRW"},
 		},
 	}
-	w, err := AutoWire(d, ext, WireOptions{PushBytes: 256}, d.Edges...)
+	w, err := AutoWire(d, ext, WireOptions{}, d.Edges...)
 	if err != nil {
 		t.Fatal(err)
 	}

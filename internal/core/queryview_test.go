@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"wadeploy/internal/container"
@@ -35,7 +36,7 @@ func TestQueryViewOneApplierPerBean(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w.SeedQuery("a:", "seeded")
+		w.QueryViews().Seed("a:", "seeded")
 		runWarm(d.Env, "writer", func(p *sim.Proc) {
 			if _, err := rw.UpdateFields(p, sqldb.Str("i1"), container.State{"qty": sqldb.Int(5)}); err != nil {
 				t.Errorf("update: %v", err)
@@ -140,8 +141,11 @@ func TestQueryViewMixedDescriptor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.SeedQuery("pushed:", "old")
-	w.SeedQuery("pulled:", "old")
+	w.QueryViews().Seed("pushed:", "old")
+	w.QueryViews().Seed("pulled:", "old")
+	if err := w.Preload(); err != nil {
+		t.Fatal(err)
+	}
 	qc := w.Caches[d.Edges[0].Name()]
 	runWarm(d.Env, "writer", func(p *sim.Proc) {
 		if _, err := rw.UpdateFields(p, sqldb.Str("i1"), container.State{"qty": sqldb.Int(5)}); err != nil {
@@ -192,7 +196,10 @@ func TestResilientPushOnlyCacheKeepsEntries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w.SeedQuery("a:", "seeded")
+		w.QueryViews().Seed("a:", "seeded")
+		if err := w.Preload(); err != nil {
+			t.Fatal(err)
+		}
 		want := "seeded"
 		if pull {
 			want = "refetched"
@@ -205,4 +212,46 @@ func TestResilientPushOnlyCacheKeepsEntries(t *testing.T) {
 		})
 		d.Env.Close()
 	}
+}
+
+// TestQueryViewFillsJoiningEdge: an edge wired after the views were seeded
+// and refreshed starts from main's current results, view-less queries
+// included, and a reset edge takes them again; neither copy counts a push.
+func TestQueryViewFillsJoiningEdge(t *testing.T) {
+	d, rw := wireFixture(t)
+	w, err := AutoWire(d, &container.ExtendedDescriptor{
+		Replicas:      []container.ReplicaSpec{{Bean: "ItemRW"}},
+		CachedQueries: []container.CachedQuerySpec{constView("a", "ItemRW"), {Name: "static"}},
+	}, WireOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.QueryViews().Seed("a:", "seeded")
+	w.QueryViews().Seed("static:", "seeded")
+	runWarm(d.Env, "writer", func(p *sim.Proc) {
+		if _, err := rw.UpdateFields(p, sqldb.Str("i1"), container.State{"qty": sqldb.Int(5)}); err != nil {
+			t.Errorf("update: %v", err)
+		}
+	})
+	edge := d.Edges[0]
+	check := func(when string) {
+		t.Helper()
+		got := make(map[string]any)
+		for k, v := range w.Caches[edge.Name()].All() {
+			got[k] = v
+		}
+		if want := map[string]any{"a:": "a", "static:": "seeded"}; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: edge cache %v, want main's %v", when, got, want)
+		}
+		if pushed := d.Env.Metrics().CounterValue("container_querycache_pushed_total"); pushed != 0 {
+			t.Errorf("%s: %d pushes counted", when, pushed)
+		}
+	}
+	if err := w.ExtendTo(edge); err != nil {
+		t.Fatal(err)
+	}
+	check("extended")
+	w.Caches[edge.Name()].Put("a:", "stale")
+	w.Reset(edge.Name())
+	check("reset")
 }

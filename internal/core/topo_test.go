@@ -96,7 +96,7 @@ func testPartitionedReplicas(t *testing.T, update container.Propagation) {
 		},
 	}
 	edges := []string{d.Edges[0].Name(), d.Edges[1].Name()}
-	w, err := AutoWire(d, ext, WireOptions{PushBytes: 256}, d.Edges...)
+	w, err := AutoWire(d, ext, WireOptions{}, d.Edges...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,9 +25,11 @@ import (
 //     bundle wired onto no server and the controller on (base.Adaptive's
 //     options); the controller observes the traced page mix, extends the
 //     bundle to the edges by live migration, suspends pushes across the
-//     partition and resynchronizes the stale edge after it heals. A policy
-//     with no replica bundle leaves it nothing to extend, and the run fails
-//     naming the policy.
+//     partition and resynchronizes the stale edge after it heals. Each
+//     cut-over fills the edge's query cache from the main server's views,
+//     so RUBiS's push-fed caches start warm. A policy with no replica
+//     bundle leaves it nothing to extend, and the run fails naming the
+//     policy.
 func AdaptArms(base Spec) []Spec {
 	if base.Schedule == nil {
 		base.Schedule = faults.Canonical(base.Warmup, base.Duration)

@@ -80,20 +80,15 @@ func TestRunAdaptQuick(t *testing.T) {
 
 // TestRunAdaptNeedsReplicaBundle: the adaptive arm wires its target's replica
 // bundle for the controller, so a target with none fails naming the policy,
-// and RUBiS, which has no live extension path, is refused before any arm
-// runs.
+// for either app.
 func TestRunAdaptNeedsReplicaBundle(t *testing.T) {
-	s := adaptQuickSpec()
-	s.Policy = core.RemoteFacade
-	s.Warmup, s.Duration = time.Second, 10*time.Second
-	_, err := Run(s)
-	if !errors.Is(err, core.ErrPolicy) || !strings.Contains(err.Error(), core.RemoteFacade.String()) {
-		t.Fatalf("Run(adaptive remote-facade) = %v, want a policy error naming it", err)
-	}
-	s = adaptQuickSpec()
-	s.App = RUBiS
-	rs, err := RunAll(AdaptArms(s))
-	if !errors.Is(err, core.ErrPolicy) || !strings.Contains(err.Error(), s.Policy.String()) || rs != nil {
-		t.Fatalf("RunAll(rubis adapt arms) = %v, %v, want a policy error naming %s before any run", rs, err, s.Policy)
+	for _, app := range []AppID{PetStore, RUBiS} {
+		s := adaptQuickSpec()
+		s.App, s.Policy = app, core.RemoteFacade
+		s.Warmup, s.Duration = time.Second, 10*time.Second
+		_, err := Run(s)
+		if !errors.Is(err, core.ErrPolicy) || !strings.Contains(err.Error(), core.RemoteFacade.String()) {
+			t.Errorf("Run(%s adaptive remote-facade) = %v, want a policy error naming it", app, err)
+		}
 	}
 }

@@ -91,10 +91,10 @@ type Spec struct {
 	Trace *trace.Options
 
 	// Adaptive, when non-nil, deploys the remote-façade configuration with
-	// the policy's replica bundle wired onto no server, and starts the online
-	// re-placement controller with these options, extending the bundle edge
-	// by edge. Only Pet Store has that path. Result.Adapt carries the
-	// adaptation report.
+	// the policy's replica bundle wired onto no server (the app's Wire), and
+	// starts the online re-placement controller with these options,
+	// extending the bundle edge by edge. Result.Adapt carries the adaptation
+	// report.
 	Adaptive *controller.Options
 
 	RunOptions
@@ -191,6 +191,7 @@ func (r *Result) Mean(pattern, page string, local bool) time.Duration {
 type application interface {
 	Workload(scale float64) []workload.Group
 	Wiring() *core.Wiring
+	Wire(p core.Policy, on ...*container.Server) (*core.Wiring, error)
 }
 
 // appDef is everything the runner needs to know about one application under
@@ -198,7 +199,6 @@ type application interface {
 type appDef struct {
 	options  func() core.Options                                      // substrate calibration
 	deploy   func(*core.Deployment, core.Policy) (application, error) // the app's Deploy
-	adapt    func(*core.Deployment, core.Policy) (application, error) // an adaptive run's start, or nil
 	model    func() *planner.Model                                    // what the controller re-plans with
 	patterns []string                                                 // usage patterns: browser, then writer
 	columns  []column                                                 // the table's columns, in the paper's order
@@ -229,16 +229,6 @@ var apps = map[AppID]*appDef{
 		options: core.DefaultOptions,
 		deploy: func(d *core.Deployment, p core.Policy) (application, error) {
 			return petstore.Deploy(d, p)
-		},
-		adapt: func(d *core.Deployment, p core.Policy) (application, error) {
-			start := core.RemoteFacade
-			start.DBReplicas = p.DBReplicas // edge database replicas do not migrate
-			a, err := petstore.Deploy(d, start)
-			if err != nil {
-				return nil, err
-			}
-			_, err = a.Wire(p)
-			return a, err
 		},
 		model:    petstore.PlannerModel,
 		patterns: []string{petstore.PatternBrowser, petstore.PatternBuyer},
@@ -295,9 +285,6 @@ func (s Spec) validate() error {
 	if err := s.Policy.Validate(); err != nil {
 		return fmt.Errorf("experiment: %w", err)
 	}
-	if s.Adaptive != nil && apps[s.App].adapt == nil {
-		return fmt.Errorf("experiment: %w", s.Policy.Unsupported(fmt.Sprintf("%s has no live extension path", s.App)))
-	}
 	return nil
 }
 
@@ -329,23 +316,29 @@ func Deploy(s Spec) (*Testbed, error) {
 	if err != nil {
 		return nil, err
 	}
-	deploy := def.deploy
+	// An adaptive run starts from the remote façade and hands the policy's
+	// bundle, wired onto no server, to the re-placement controller.
+	p := s.Policy
 	if s.Adaptive != nil {
-		deploy = def.adapt
+		p = core.RemoteFacade
+		p.DBReplicas = s.Policy.DBReplicas // edge database replicas do not migrate
 	}
-	inst, err := deploy(d, s.Policy)
+	inst, err := def.deploy(d, p)
 	if err != nil {
 		return nil, err
 	}
 	var ctrl *controller.Controller
 	if s.Adaptive != nil {
-		ctrl, err = controller.Start(controller.Config{
-			Deployment: d,
-			Wiring:     inst.Wiring(),
-			Model:      def.model(),
-			Seed:       s.Seed,
-			Options:    *s.Adaptive,
-		})
+		w, err := inst.Wire(s.Policy)
+		if err == nil {
+			ctrl, err = controller.Start(controller.Config{
+				Deployment: d,
+				Wiring:     w,
+				Model:      def.model(),
+				Seed:       s.Seed,
+				Options:    *s.Adaptive,
+			})
+		}
 		if err != nil {
 			return nil, fmt.Errorf("experiment: adaptive %s: %w", s.Policy, err)
 		}

@@ -13,6 +13,7 @@ import (
 	"wadeploy/internal/core"
 	"wadeploy/internal/petstore"
 	"wadeploy/internal/planner"
+	"wadeploy/internal/rubis"
 	"wadeploy/internal/sim"
 	"wadeploy/internal/simnet"
 	"wadeploy/internal/workload"
@@ -266,70 +267,111 @@ func TestDeployedMatchesPlanned(t *testing.T) {
 }
 
 // TestAdaptedMatchesPlanned is TestDeployedMatchesPlanned for a live
-// extension, on Pet Store: for every pattern set with entity replicas, on the
+// extension: for both apps, every pattern set with entity replicas, on the
 // star and the 4-edge/2-hub hierarchy, fully replicated and with 4 hash
 // partitions, an adaptive run — the remote-façade deployment, the policy's
-// bundle wired onto no server, the controller on — driven by the Pet Store
+// bundle wired onto no server, the controller on — driven by the app's
 // workload while the controller extends, then run to quiescence, ends with
 // the bundle on every edge, every server holding exactly the beans PlanFor
-// places there, and every replica equal to the read-write state on the keys
-// it owns and holding no other.
+// places there, every replica equal to the read-write state on the keys it
+// owns and holding no other, and every edge query cache entry the main
+// server's current view result for its key.
 func TestAdaptedMatchesPlanned(t *testing.T) {
-	// A buyer commits every 72 s, and with 20 s epochs the controller
-	// migrates one edge every 20 s from 40 s on: orders commit while edges
-	// are cut over.
+	// A Pet Store buyer commits every 72 s, and with 20 s epochs the
+	// controller migrates one edge every 20 s from 40 s on: writes commit
+	// while edges are cut over.
 	const stop, quiet = 150 * time.Second, 4 * time.Minute
-	m := plannerModels()[PetStore]
-	for topo, spec := range planTopologies {
-		m.Options.Topology = spec
-		for _, partitions := range []int{0, 4} {
-			for _, p := range core.PatternSets() {
-				if !p.EntityReplicas {
-					continue
-				}
-				if partitions > 0 {
-					p.Partition = &container.PartitionSpec{Scheme: container.HashPartition, Partitions: partitions}
-				}
-				what := fmt.Sprintf("%s/%s/%d partitions", p.Patterns(), topo, partitions)
-				tb, err := Deploy(Spec{App: PetStore, Policy: p, Topology: spec,
-					Adaptive: &controller.Options{Epoch: 20 * time.Second}, RunOptions: RunOptions{Seed: 1}})
-				if err != nil {
-					t.Fatalf("%s: %v", what, err)
-				}
-				commits := driveUntil(t, tb.Env, tb.Groups, stop)
-				tb.Env.Run(quiet)
-				if *commits == 0 {
-					t.Errorf("%s: the workload committed no orders", what)
-				}
-				rep := tb.ctrl.Report()
-				if !rep.Extended {
-					t.Errorf("%s: the controller did not extend to every edge: %+v", what, rep.Events)
-				}
-				installs(t, what, tb.d, m.PlanFor(p))
-				w := tb.inst.Wiring()
-				for _, bean := range w.ReplicaBeans() {
-					image, err := tb.d.RW(bean).Image()
+	for app, m := range plannerModels() {
+		for topo, spec := range planTopologies {
+			m.Options.Topology = spec
+			for _, partitions := range []int{0, 4} {
+				for _, p := range core.PatternSets() {
+					if !p.EntityReplicas {
+						continue
+					}
+					if partitions > 0 {
+						p.Partition = &container.PartitionSpec{Scheme: container.HashPartition, Partitions: partitions}
+					}
+					what := fmt.Sprintf("%s/%s/%s/%d partitions", app, p.Patterns(), topo, partitions)
+					tb, err := Deploy(Spec{App: app, Policy: p, Topology: spec,
+						Adaptive: &controller.Options{Epoch: 20 * time.Second}, RunOptions: RunOptions{Seed: 1}})
 					if err != nil {
-						t.Fatal(err)
+						t.Fatalf("%s: %v", what, err)
 					}
-					for _, edge := range tb.d.EdgeNames() {
-						ro := w.Replica(edge, bean)
-						if ro == nil {
-							continue // reported by installs
-						}
-						for _, u := range image {
-							got, ok := ro.Peek(u.PK)
-							switch owned := w.OwnsKey(edge, bean, u.PK); {
-							case owned && (!ok || !reflect.DeepEqual(got, u.State)):
-								t.Errorf("%s: %s %s %v: replica %v (held %v), read-write %v", what, edge, bean, u.PK, got, ok, u.State)
-							case !owned && ok:
-								t.Errorf("%s: %s %s holds %v outside its partitions", what, edge, bean, u.PK)
-							}
-						}
+					writes := driveUntil(t, tb.Env, tb.Groups, stop, writePages[app])
+					tb.Env.Run(quiet)
+					if *writes == 0 {
+						t.Errorf("%s: the workload committed no writes", what)
 					}
+					rep := tb.ctrl.Report()
+					if !rep.Extended {
+						t.Errorf("%s: the controller did not extend to every edge: %+v", what, rep.Events)
+					}
+					installs(t, what, tb.d, m.PlanFor(p))
+					w := tb.inst.Wiring()
+					replicasMatchMain(t, what, tb.d, w)
+					cachesMatchViews(t, what, tb.d, w)
+					tb.Env.Close()
 				}
-				tb.Env.Close()
 			}
+		}
+	}
+}
+
+// writePages are each app's pages that commit a write.
+var writePages = map[AppID][]string{
+	PetStore: {petstore.PageCommit},
+	RUBiS:    {rubis.PageStoreBid, rubis.PageStoreComment},
+}
+
+// replicasMatchMain checks that every edge replica of w equals the
+// read-write state on the keys it owns and holds no other.
+func replicasMatchMain(t *testing.T, what string, d *core.Deployment, w *core.Wiring) {
+	t.Helper()
+	for _, bean := range w.ReplicaBeans() {
+		image, err := d.RW(bean).Image()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, edge := range d.EdgeNames() {
+			ro := w.Replica(edge, bean)
+			if ro == nil {
+				continue // reported by installs
+			}
+			for _, u := range image {
+				got, ok := ro.Peek(u.PK)
+				switch owned := w.OwnsKey(edge, bean, u.PK); {
+				case owned && (!ok || !reflect.DeepEqual(got, u.State)):
+					t.Errorf("%s: %s %s %v: replica %v (held %v), read-write %v", what, edge, bean, u.PK, got, ok, u.State)
+				case !owned && ok:
+					t.Errorf("%s: %s %s holds %v outside its partitions", what, edge, bean, u.PK)
+				}
+			}
+		}
+	}
+}
+
+// cachesMatchViews checks that every edge query cache of w holds, for every
+// key the main server's views hold, exactly their current result, and no
+// other key: the edge ≡ main invariant of push-refreshed queries.
+func cachesMatchViews(t *testing.T, what string, d *core.Deployment, w *core.Wiring) {
+	t.Helper()
+	views := w.QueryViews()
+	if views == nil {
+		return // pull-refreshed caches fetch on demand
+	}
+	for edge, qc := range w.Caches {
+		n := 0
+		for key, got := range qc.All() {
+			n++
+			if want, ok := views.Result(key); !ok || got != want {
+				t.Errorf("%s: %s caches %s as %v, main's view %v (held %t)", what, edge, key, got, want, ok)
+			}
+		}
+		all := container.NewQueryCache(d.Main, "views", nil)
+		views.Fill(all)
+		if n != all.Size() {
+			t.Errorf("%s: %s caches %d keys, main's views hold %d", what, edge, n, all.Size())
 		}
 	}
 }
@@ -378,10 +420,10 @@ func TestMigrationShipsOwnedKeys(t *testing.T) {
 
 // driveUntil runs every client of groups, as workload.Run does — each starts
 // at a random offset, draws its sessions from its pattern's generator and
-// starts a request per think time — but only until stop, and leaves the environment open so the run can
-// quiesce. It returns the count of Commit pages served, read once the run is
-// over.
-func driveUntil(t *testing.T, env *sim.Env, groups []workload.Group, stop time.Duration) *int {
+// starts a request per think time — but only until stop, and leaves the
+// environment open so the run can quiesce. It returns the count of served
+// pages named in writes, read once the run is over.
+func driveUntil(t *testing.T, env *sim.Env, groups []workload.Group, stop time.Duration, writes []string) *int {
 	t.Helper()
 	commits := new(int)
 	for _, g := range groups {
@@ -406,7 +448,7 @@ func driveUntil(t *testing.T, env *sim.Env, groups []workload.Group, stop time.D
 						t.Errorf("%s %s: %v", client.ID, step.Page, err)
 						return
 					}
-					if step.Page == petstore.PageCommit {
+					if slices.Contains(writes, step.Page) {
 						*commits++
 					}
 					p.Sleep(g.Delay)

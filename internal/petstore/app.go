@@ -474,10 +474,9 @@ func itemFromReplicas(p *sim.Proc, replicas []*container.ROEntity, itemID sqldb.
 // component list's replicated beans with push refresh (Item and Inventory,
 // which share the itemid key space, sharded per p's partition spec), the two
 // catalog query caches when p has them, sync vs async propagation and the
-// edge façades p places. Deploy wires every edge. An adaptive run deploys the
-// remote-façade configuration, wires its target onto no server and hands the
-// wiring to the re-placement controller: each edge Catalog forwards its reads
-// to main until a migration cuts its edge over.
+// edge façades p places. Deploy wires every edge; an adaptive run wires none,
+// and each edge Catalog forwards its reads to main until a migration cuts
+// its edge over.
 func (a *App) Wire(p core.Policy, on ...*container.Server) (*core.Wiring, error) {
 	if !p.EntityReplicas {
 		return nil, fmt.Errorf("petstore: %w", p.Unsupported("it has no entity replicas to wire"))
@@ -490,7 +489,6 @@ func (a *App) Wire(p core.Policy, on ...*container.Server) (*core.Wiring, error)
 		}
 	}
 	w, err := core.AutoWire(a.d, ext, core.WireOptions{
-		PushBytes: replicaPushBytes,
 		FetchFor: func(server *container.Server, rwBean string) container.FetchFunc {
 			return container.FetchFrom(server, simnet.NodeMain, BeanCatalog, "fetchState", sqldb.Str(rwBean))
 		},

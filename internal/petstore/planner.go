@@ -5,10 +5,6 @@ import (
 	"wadeploy/internal/planner"
 )
 
-// replicaPushBytes is the replica-refresh payload the wiring configures;
-// the planner charges the same size per blocking push.
-const replicaPushBytes = 1024
-
 // PlannerModel describes Pet Store to the deployment advisor: the component
 // list Deploy installs from, each page of Tables 2–3 as its stub calls with
 // their main-side SQL shapes, the render costs the web tier charges, and
@@ -50,7 +46,6 @@ func PlannerModel() *planner.Model {
 	return &planner.Model{
 		Layout:    layout,
 		Options:   core.DefaultOptions(),
-		PushBytes: replicaPushBytes,
 		Patterns:  patterns,
 		Classes:   classes,
 		PageCosts: DefaultPageCosts(),

@@ -51,7 +51,6 @@ type Params struct {
 
 	// JMS and replica propagation.
 	PublishCPU     time.Duration
-	PushBytes      int // replica-refresh payload per blocking push
 	PushReplyBytes int // push acknowledgement
 }
 
@@ -100,7 +99,6 @@ func (m *Model) Params() Params {
 		SQLPerRowReturned: opts.DBCost.PerRowReturned,
 
 		PublishCPU:     opts.JMS.PublishCPU,
-		PushBytes:      m.PushBytes,
 		PushReplyBytes: pushReplySegment,
 	}
 }
@@ -237,7 +235,7 @@ func (ev *Evaluator) pushCost(c core.Policy) time.Duration {
 	}
 	apply := p.MethodCPU + p.CacheHitCPU // Updater façade applying the state
 	one := p.MarshalCPU
-	one += xfer(p.WANOneWay, p.PushBytes, p.WANBps)
+	one += xfer(p.WANOneWay, container.FullStateBytes, p.WANBps) // one full-state record
 	one += apply
 	one += xfer(p.WANOneWay, p.PushReplyBytes, p.WANBps)
 	one += time.Duration((p.Rounds - 1) * float64(2*p.WANOneWay))

@@ -211,8 +211,7 @@ func (l *Layout) EdgeFacades(p core.Policy) []container.EdgeFacadeSpec {
 // Model is everything the planner needs to know about one application.
 type Model struct {
 	*Layout
-	Options   core.Options // substrate knobs (RMI rounds, costs, topology)
-	PushBytes int          // replica-refresh push payload (WireOptions.PushBytes)
+	Options core.Options // substrate knobs (RMI rounds, costs, topology)
 
 	Patterns []Pattern
 	Classes  []Class

@@ -35,8 +35,7 @@ func testModel() *planner.Model {
 			},
 			Replicated: []string{"Thing"},
 		},
-		Options:   core.DefaultOptions(),
-		PushBytes: 1024,
+		Options: core.DefaultOptions(),
 		Patterns: []planner.Pattern{
 			{Name: "Reader", Visits: map[string]float64{"View": 10}},
 			{Name: "Writer", Visits: map[string]float64{"View": 2, "Save": 1}},

@@ -23,7 +23,6 @@ func randomModel(rng *rand.Rand) *planner.Model {
 	m := &planner.Model{
 		Layout:    &planner.Layout{App: fmt.Sprintf("rand%04d", rng.Intn(10000))},
 		Options:   core.DefaultOptions(),
-		PushBytes: 64 << rng.Intn(8),
 		PageCosts: make(map[string]container.PageCost),
 	}
 

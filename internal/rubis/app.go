@@ -183,7 +183,7 @@ func DeployOptions() core.Options {
 // active server, and — depending on p — the replica bundle Wire installs on
 // every edge, whose edge façades are declared in the component list. The
 // deployment is checked against the plan the planner synthesizes for p from
-// the component list. RUBiS has no adaptive run and no DB-replica path.
+// the component list. RUBiS has no DB-replica path.
 func Deploy(d *core.Deployment, p core.Policy) (*App, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("rubis: %w", err)

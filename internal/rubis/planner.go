@@ -4,10 +4,6 @@ import (
 	"wadeploy/internal/planner"
 )
 
-// replicaPushBytes is the replica-refresh payload the wiring configures;
-// the planner charges the same size per blocking push.
-const replicaPushBytes = 1024
-
 // PlannerModel describes RUBiS to the deployment advisor: the component list
 // Deploy installs from (the linear servlet → session-façade → entity
 // architecture of Section 3.4), each page's façade call with its main-side
@@ -49,7 +45,6 @@ func PlannerModel() *planner.Model {
 	return &planner.Model{
 		Layout:    layout,
 		Options:   DeployOptions(),
-		PushBytes: replicaPushBytes,
 		Patterns:  patterns,
 		Classes:   classes,
 		PageCosts: DefaultPageCosts(),

@@ -25,7 +25,6 @@ func (a *App) Wire(p core.Policy, on ...*container.Server) (*core.Wiring, error)
 		ext.CachedQueries = a.cachedQueries()
 	}
 	w, err := core.AutoWire(a.d, ext, core.WireOptions{
-		PushBytes: replicaPushBytes,
 		FetchFor: func(server *container.Server, rwBean string) container.FetchFunc {
 			return container.FetchFrom(server, simnet.NodeMain, SBViewItem, "fetchState", sqldb.Str(rwBean))
 		},
@@ -34,11 +33,13 @@ func (a *App) Wire(p core.Policy, on ...*container.Server) (*core.Wiring, error)
 		return nil, fmt.Errorf("rubis: %w", err)
 	}
 	a.wiring = w
+	if p.QueryCaches {
+		if err := a.seedQueries(); err != nil {
+			return nil, err
+		}
+	}
 	if err := w.Preload(); err != nil {
 		return nil, fmt.Errorf("rubis: %w", err)
-	}
-	if p.QueryCaches {
-		return w, a.seedQueries()
 	}
 	return w, nil
 }
@@ -229,9 +230,10 @@ func oneRow(r container.Row) *container.Rows {
 	return &rows
 }
 
-// seedQueries warm-deploys the edge query caches and the main server's views
-// with current database contents.
+// seedQueries seeds the main server's views with current database contents;
+// Preload and each cut-over copy them into the edge query caches.
 func (a *App) seedQueries() error {
+	views := a.wiring.QueryViews()
 	type entry struct {
 		key string
 		q   query
@@ -261,7 +263,7 @@ func (a *App) seedQueries() error {
 		if err != nil {
 			return fmt.Errorf("rubis preload %s: %w", e.key, err)
 		}
-		a.wiring.SeedQuery(e.key, &rows)
+		views.Seed(e.key, &rows)
 	}
 	for i := range userRows.Len() {
 		u := userRows.At(i)
@@ -270,8 +272,8 @@ func (a *App) seedQueries() error {
 		if err != nil {
 			return fmt.Errorf("rubis preload user info: %w", err)
 		}
-		a.wiring.SeedQuery(keyUserInfo(id), &UserInfoPage{User: u, Comments: comments})
-		a.wiring.SeedQuery(keyUserByNick(u.Get("nickname").AsString()), oneRow(u))
+		views.Seed(keyUserInfo(id), &UserInfoPage{User: u, Comments: comments})
+		views.Seed(keyUserByNick(u.Get("nickname").AsString()), oneRow(u))
 	}
 	return nil
 }

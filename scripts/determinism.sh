@@ -72,6 +72,11 @@ echo '== online re-placement controller =='
 $GO run ./cmd/wadeploy -quick -parallel 1 adapt > "$out/adapt-p1.txt"
 $GO run ./cmd/wadeploy -quick -parallel 8 adapt > "$out/adapt-p8.txt"
 diff "$out/adapt-p1.txt" "$out/adapt-p8.txt"
+# RUBiS extends through the same start path; its cut-over also fills each
+# edge's push-fed query cache from the main server's views.
+$GO run ./cmd/wadeploy -quick -app rubis -parallel 1 adapt > "$out/adapt-rubis-p1.txt"
+$GO run ./cmd/wadeploy -quick -app rubis -parallel 8 adapt > "$out/adapt-rubis-p8.txt"
+diff "$out/adapt-rubis-p1.txt" "$out/adapt-rubis-p8.txt"
 
 echo '== consistency spectrum across arm parallelism =='
 # Each replication arm is an independent seeded simulation.

@@ -67,7 +67,6 @@ sqldb/value.go:String                       Value.String, the %v of a value in e
 container/batch.go:CoalesceUpdates          the batch form of the coalescer of the windowed pusher: container and rubis tests replay a drain buffer through it
 container/entity.go:UpdateIfVersion         the paper section 4.5 version-number pattern (DESIGN.md); container tests
 container/pusher.go:RemoveTarget            Wiring.SuspendTargets on an edge with RMI pushes: controller tests; no program suspends one
-container/query.go:Size                     the content read tests assert query caches with
 container/query.go:InvalidatePrefix         the paper section 4.4 pull invalidation: no benchmark page writes Product or Category
 container/row.go:Clone                      the copy UpdateIfVersion makes of the changes it is handed
 container/session.go:Instances              the content read container tests assert the sessions of a stateful bean with
