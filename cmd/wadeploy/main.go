@@ -277,6 +277,9 @@ func parseFlags(args []string) (*flags, []string, error) {
 	if f.cfg, err = parseConfig(*cfgFlag); err != nil {
 		return nil, nil, err
 	}
+	if err := f.spec(f.app).Validate(); err != nil {
+		return nil, nil, err
+	}
 	cmds := fs.Args()
 	if len(cmds) == 0 {
 		cmds = []string{"all"}

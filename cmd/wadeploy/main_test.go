@@ -195,6 +195,16 @@ func TestRunAdaptRefusesPolicy(t *testing.T) {
 	}
 }
 
+// TestRunRefusesUndeployableConfig: RUBiS declares no edge method that
+// reads a database replica, so its layout refuses DB replication, and a
+// command naming that pair fails with a policy error naming the policy.
+func TestRunRefusesUndeployableConfig(t *testing.T) {
+	args := tiny("-app", "rubis", "-config", "db-replication", "table7")
+	if err := run(args); !errors.Is(err, core.ErrPolicy) || !strings.Contains(err.Error(), core.DBReplication.String()) {
+		t.Errorf("wadeploy %s: %v, want a policy error naming %s", strings.Join(args, " "), err, core.DBReplication)
+	}
+}
+
 // TestRunFaultsFile: a schedule file written by MarshalJSON runs exactly as
 // the schedule it was written from, so `-faults FILE` and `-faults canonical`
 // print the same report.

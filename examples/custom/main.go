@@ -5,9 +5,9 @@
 // The app is a small news site: an Article entity on the main server, a
 // servlet that renders articles, and an editor that updates them. The
 // extended deployment descriptor declares a read-only Article replica with
-// asynchronous push refresh; core.AutoWire materializes the replicas,
-// updater façades, JMS topic and MDB subscribers — no hand-written update
-// machinery.
+// asynchronous push refresh and an edge ArticleFacade that serves fetch from
+// it; core.AutoWire materializes the replicas, updater façades, JMS topic,
+// MDB subscribers and edge façades — no hand-written update machinery.
 package main
 
 import (
@@ -66,12 +66,19 @@ func run() error {
 		return err
 	}
 
-	// Declarative wide-area caching: one extended-descriptor entry.
+	// Declarative wide-area caching: a replica entry, and the edge façade
+	// whose fetch reads it.
 	wiring, err := core.AutoWire(d, &container.ExtendedDescriptor{
 		Topic: "article-updates",
 		Replicas: []container.ReplicaSpec{
 			{Bean: "Article", Update: container.Propagation{Async: true}},
 		},
+		EdgeFacades: []container.EdgeFacadeSpec{{Bean: "ArticleFacade", Methods: []container.EdgeMethodSpec{
+			container.FromReplicas("fetch", func(p *sim.Proc, m *container.EdgeMethod, inv *container.Invocation) (any, error) {
+				row, err := m.Replicas[0].Get(p, inv.Args[0])
+				return container.Reply(inv, row, err)
+			}, "Article"),
+		}}},
 	}, core.WireOptions{
 		FetchFor: func(server *container.Server, rwBean string) container.FetchFunc {
 			return container.FetchFrom(server, d.Main.Name(), "ArticleFacade", "fetch")
@@ -81,16 +88,21 @@ func run() error {
 		return err
 	}
 
-	// A servlet on each edge server renders articles from the local replica.
+	// A servlet on each edge server renders articles through its edge
+	// ArticleFacade.
 	for _, edge := range d.Edges {
 		edge := edge
-		replica := wiring.Replica(edge.Name(), "Article")
 		edge.Web().Handle("article", func(p *sim.Proc, r *web.Request) (*web.Response, error) {
 			id, _ := strconv.ParseInt(r.Param("id"), 10, 64)
-			st, err := replica.Get(p, sqldb.Int(id))
+			stub, err := d.FacadeStub(p, edge, "ArticleFacade")
 			if err != nil {
 				return nil, err
 			}
+			v, err := stub.Invoke(p, "fetch", sqldb.Int(id))
+			if err != nil {
+				return nil, err
+			}
+			st := *v.(*container.Row)
 			edge.Compute(p, 2*time.Millisecond)
 			return &web.Response{Bytes: len(st.Get("body").AsString()) + 2048}, nil
 		})

@@ -242,9 +242,6 @@ func (s *Server) StubFor(p *sim.Proc, targetServer, bean string) (*rmi.Stub, err
 // SQLReplica reads (the Section 6 database-replication extension).
 func (s *Server) AttachReplicaDB(db *sqldb.DB) { s.replicaDB = db }
 
-// HasReplicaDB reports whether a local database replica is attached.
-func (s *Server) HasReplicaDB() bool { return s.replicaDB != nil }
-
 // SQLReplica executes a read-only statement against this server's local
 // database replica: no JDBC round trips, cost charged to this node's CPU.
 func (s *Server) SQLReplica(p *sim.Proc, query string, args ...sqldb.Value) (sqldb.Result, error) {

@@ -589,7 +589,7 @@ func TestExtendedDescriptorValidate(t *testing.T) {
 		bad = append(bad, &d)
 	}
 	good.EdgeFacades = []EdgeFacadeSpec{{Bean: "SB", Methods: []EdgeMethodSpec{
-		facade.OwnedBy("ItemRW"), FromReplicas("item", read, "ItemRW", "UserRW"), Local("local", read), Delegate("put"),
+		facade.OwnedBy("ItemRW"), FromReplicas("item", read, "ItemRW", "UserRW"), FromReplicas("local", read), Delegate("put"),
 		FromReplicas("form", read, "UserRW").Reads("itemsByProduct", key),
 	}}}
 	if err := good.Validate(); err != nil {

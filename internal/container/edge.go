@@ -10,9 +10,9 @@ import (
 // EdgeMethodSpec declares one method of an edge façade, served by one of
 // four kinds: Delegate (one WAN call to main's method of the same name),
 // FromCache (the edge's query cache), FromReplicas (a handler over the edge's
-// replicas) or Local (a handler on the edge). Until its edge is wired, every
-// kind but Local delegates. A spec holds no per-edge state, so one table
-// serves every edge of every deployment.
+// replicas) or FromEdgeDB (a statement on the edge's database replica). Until
+// its edge is wired, every kind delegates. A spec holds no per-edge state, so
+// one table serves every edge of every deployment.
 type EdgeMethodSpec struct {
 	Name string
 	// FromCache: the cached query, the key a call names in it, and the
@@ -22,13 +22,16 @@ type EdgeMethodSpec struct {
 	Query string
 	Key   func(args []sqldb.Value) string
 	Owner string
-	// FromReplicas and Local: the handler, and the beans whose edge replicas
+	// FromReplicas: the handler, and the beans whose edge replicas
 	// EdgeMethod.Replicas holds for it.
 	Handler EdgeHandler
 	Beans   []string
+	// FromEdgeDB: the statement, and its arguments from the call's.
+	SQL  string
+	Args func(args []sqldb.Value) []sqldb.Value
 }
 
-// EdgeHandler serves a FromReplicas or Local method from its bound handles,
+// EdgeHandler serves a FromReplicas method from its bound handles,
 // answering inv through Reply as main's method does.
 type EdgeHandler func(p *sim.Proc, m *EdgeMethod, inv *Invocation) (any, error)
 
@@ -45,8 +48,24 @@ func FromReplicas(name string, h EdgeHandler, beans ...string) EdgeMethodSpec {
 	return EdgeMethodSpec{Name: name, Handler: h, Beans: beans}
 }
 
-// Local declares a method h serves on the edge.
-func Local(name string, h EdgeHandler) EdgeMethodSpec { return FromReplicas(name, h) }
+// FromEdgeDB declares a method that answers the rows sql returns, with args
+// of the call's arguments, from the edge's database replica.
+func FromEdgeDB(name, sql string, args func([]sqldb.Value) []sqldb.Value) EdgeMethodSpec {
+	return EdgeMethodSpec{Name: name, SQL: sql, Args: args}
+}
+
+// ReadsEdgeDB reports whether any method of facades is FromEdgeDB: the
+// edges then need database replicas.
+func ReadsEdgeDB(facades []EdgeFacadeSpec) bool {
+	for _, f := range facades {
+		for _, m := range f.Methods {
+			if m.SQL != "" {
+				return true
+			}
+		}
+	}
+	return false
+}
 
 // Reads declares that m's handler reads the cache of query at key, which it
 // looks up through m.Key.
@@ -135,8 +154,11 @@ func (m *EdgeMethod) Wired() bool { return m.wired }
 // the fill returns.
 func (m *EdgeMethod) serve(p *sim.Proc, inv *Invocation) (any, error) {
 	switch {
-	case m.Handler != nil && (m.wired || len(m.Beans) == 0):
+	case m.Handler != nil && m.wired:
 		return m.Handler(p, m, inv)
+	case m.SQL != "" && m.wired:
+		res, err := m.Server.SQLReplica(p, m.SQL, m.Args(inv.Args)...)
+		return Reply(inv, RowsOf(res), err)
 	case m.Query != "" && m.Cache != nil && (m.owner == nil || m.owner.Owns(inv.Args[0])):
 		return m.Cache.Get(p, m.Key(inv.Args))
 	}

@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"wadeploy/internal/container"
+	"wadeploy/internal/dbrepl"
+	"wadeploy/internal/simnet"
 )
 
 // The beans AutoWire deploys on every server it extends to, besides the
@@ -52,6 +54,9 @@ type Wiring struct {
 	rmiPushers   map[string]*container.Pusher
 	topicPushers map[time.Duration]*container.Pusher
 	views        *container.QueryViews // main-side results of the push-refreshed queries, or nil
+	// db ships main's committed statements to each wired edge's database
+	// replica, when an edge method reads one (container.FromEdgeDB).
+	db *dbrepl.Primary
 }
 
 // Replica returns the read-only replica of rwBean on server, or nil.
@@ -93,11 +98,12 @@ func (w *Wiring) target(server string) container.PushTarget {
 // matching pushers to the registered read-write beans and deploys, on each
 // server in on, the read-only replicas and query caches the descriptor
 // declares, an updater façade that applies pushed updates in one bulk call,
-// and — for async replicas — the JMS topic and message-driven subscriber.
-// It deploys the declared edge façades on every edge, each delegating to
-// main until its edge is wired. A static deployment passes every edge; one
-// the re-placement controller extends passes none and leaves each server to
-// Wiring.ExtendTo. Application deployers only write the descriptor.
+// and — for async replicas — the JMS topic and message-driven subscriber,
+// plus a database replica when a declared edge method reads one. It deploys
+// the declared edge façades on every edge, each delegating to main until its
+// edge is wired. A static deployment passes every edge; one the re-placement
+// controller extends passes none and leaves each server to Wiring.ExtendTo.
+// Application deployers only write the descriptor.
 func AutoWire(d *Deployment, ext *container.ExtendedDescriptor, opts WireOptions, on ...*container.Server) (*Wiring, error) {
 	// The deployment's propagation override replaces every replica's method
 	// of update; the descriptor itself is never mutated.
@@ -189,6 +195,12 @@ func AutoWire(d *Deployment, ext *container.ExtendedDescriptor, opts WireOptions
 		}
 	}
 
+	if container.ReadsEdgeDB(ext.EdgeFacades) {
+		var err error
+		if w.db, err = dbrepl.NewPrimary(d.Net, simnet.NodeDB, d.DB); err != nil {
+			return nil, fmt.Errorf("core: autowire: %w", err)
+		}
+	}
 	for _, edge := range d.Edges {
 		for i := range ext.EdgeFacades {
 			ms, err := container.DeployEdgeFacade(edge, d.Main.Name(), &ext.EdgeFacades[i])
@@ -238,11 +250,12 @@ func (w *Wiring) Preload() error {
 
 // ExtendTo materializes the descriptor's replica bundle on one more server:
 // updater façade, read-only replicas (with TTL staleness bounds), a query
-// cache filled from the main server's views, async subscribers and
-// sync-propagation targets, and binds the server's edge façades to its
-// replicas and cache in the same event. It is safe to call at runtime while
-// traffic flows — the demand-driven redeployment path. Extending a server
-// that is already wired is a no-op.
+// cache filled from the main server's views, a database replica holding
+// every commit so far, async subscribers and sync-propagation targets, and
+// binds the server's edge façades to its replicas, cache and database in
+// the same event. It is safe to call at runtime while traffic flows — the
+// demand-driven redeployment path. Extending a server that is already wired
+// is a no-op.
 func (w *Wiring) ExtendTo(server *container.Server) error {
 	if w.DeployedOn(server.Name()) {
 		return nil
@@ -313,6 +326,14 @@ func (w *Wiring) ExtendTo(server *container.Server) error {
 			return fmt.Errorf("core: autowire subscriber on %s: %w", server.Name(), err)
 		}
 		w.Subscribers[server.Name()] = sub
+	}
+
+	if w.db != nil {
+		r, err := w.db.Attach(server.Name())
+		if err != nil {
+			return fmt.Errorf("core: autowire database replica on %s: %w", server.Name(), err)
+		}
+		server.AttachReplicaDB(r.DB)
 	}
 
 	for _, m := range w.methods[server.Name()] {

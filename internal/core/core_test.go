@@ -119,6 +119,7 @@ func TestPolicyValid(t *testing.T) {
 		{ReplicateWeb: true, QueryCaches: true},
 		{ReplicateWeb: true, QueryCaches: true, AsyncUpdates: true},
 		{EntityReplicas: true, QueryCaches: true, AsyncUpdates: true},
+		{ReplicateWeb: true, DBReplicas: true},
 	} {
 		if p.Valid() || p.Validate() == nil {
 			t.Errorf("%+v should be invalid", p)

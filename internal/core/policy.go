@@ -142,12 +142,13 @@ func (p Policy) Patterns() string {
 // Valid reports whether p respects the pattern dependencies, each pattern
 // built on the one before it: entity replicas need an edge web tier to serve
 // from, query caches are kept fresh by the entity replicas' update pushes,
-// and asynchronous updates carry those pushes.
+// asynchronous updates carry those pushes, and DB replicas are attached by
+// the replica bundle's wiring.
 func (p Policy) Valid() bool {
 	switch {
 	case p.EntityReplicas && !p.ReplicateWeb:
 		return false
-	case (p.QueryCaches || p.AsyncUpdates) && !p.EntityReplicas:
+	case (p.QueryCaches || p.AsyncUpdates || p.DBReplicas) && !p.EntityReplicas:
 		return false
 	}
 	return true
@@ -161,7 +162,7 @@ var ErrPolicy = errors.New("core: policy cannot be deployed")
 // otherwise an ErrPolicy naming p.
 func (p Policy) Validate() error {
 	if !p.Valid() {
-		return p.Unsupported("it breaks a pattern dependency (entity replicas need edge web components, query caches and async updates need entity replicas)")
+		return p.Unsupported("it breaks a pattern dependency (entity replicas need edge web components, query caches, async updates and DB replicas need entity replicas)")
 	}
 	if err := p.Partition.Validate(); err != nil {
 		return fmt.Errorf("%w: %s: %w", ErrPolicy, p.describe(), err)

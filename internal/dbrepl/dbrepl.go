@@ -97,20 +97,16 @@ func NewPrimary(net *simnet.Network, node string, db *sqldb.DB) (*Primary, error
 	return p, nil
 }
 
-// Attach creates a replica on node whose contents are initialized by init
-// (typically the same schema+seed routine used for the primary, which
-// yields an identical snapshot). Writes after attachment stream to it.
-func (p *Primary) Attach(node string, init func(db *sqldb.DB) error) (*Replica, error) {
+// Attach creates a replica on node holding a snapshot of the primary taken
+// now, so it holds every commit before the attach; every commit after it
+// streams to it.
+func (p *Primary) Attach(node string) (*Replica, error) {
 	n := p.net.Node(node)
 	if n == nil {
 		return nil, fmt.Errorf("dbrepl: no such node %s", node)
 	}
 	db := sqldb.New()
-	if init != nil {
-		if err := init(db); err != nil {
-			return nil, fmt.Errorf("dbrepl: init replica on %s: %w", node, err)
-		}
-	}
+	db.Restore(p.db.Snapshot())
 	r := &Replica{DB: db, node: n}
 	p.replicas = append(p.replicas, r)
 	return r, nil
@@ -121,6 +117,9 @@ func (p *Primary) Attach(node string, init func(db *sqldb.DB) error) (*Replica, 
 // parameter, so the causal context is read off the environment's currently
 // executing process (the one whose statement committed).
 func (p *Primary) ship(sql string, args []sqldb.Value) {
+	if len(p.replicas) == 0 {
+		return
+	}
 	p.mShipped.Inc()
 	argsCopy := append([]sqldb.Value(nil), args...)
 	now := p.env.Now()

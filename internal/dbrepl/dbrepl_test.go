@@ -45,7 +45,7 @@ func newFixture(t *testing.T) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := p.Attach("edge", initKV)
+	r, err := p.Attach("edge")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,26 +169,62 @@ func TestValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Attach("ghost", nil); err == nil {
+	if _, err := p.Attach("ghost"); err == nil {
 		t.Fatal("replica on missing node accepted")
-	}
-	bad := func(d *sqldb.DB) error { return errInit }
-	if _, err := net.AddNode("edge", 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := net.AddLink("main", "edge", time.Millisecond, 1e9); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Attach("edge", bad); err == nil {
-		t.Fatal("failing init accepted")
 	}
 	if len(p.replicas) != 0 {
 		t.Fatalf("replicas = %d", len(p.replicas))
 	}
 }
 
-var errInit = errString("init failed")
-
-type errString string
-
-func (e errString) Error() string { return string(e) }
+// TestLateAttachHoldsEarlierCommits: a replica attached after N commits
+// holds them, from the snapshot Attach takes, and receives the next ones in
+// commit order.
+func TestLateAttachHoldsEarlierCommits(t *testing.T) {
+	f := newFixture(t)
+	if _, err := f.net.AddNode("late", 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.net.AddLink("main", "late", 50*time.Millisecond, 1e12); err != nil {
+		t.Fatal(err)
+	}
+	insert := func(from, to int) {
+		for i := from; i <= to; i++ {
+			if _, err := f.main.Exec(`INSERT INTO kv VALUES (?, ?)`, sqldb.Int(int64(i)), sqldb.Int(int64(i))); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.main.Exec(`UPDATE kv SET v = ? WHERE id = 1`, sqldb.Int(int64(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var late *Replica
+	f.env.Spawn("writer", func(p *sim.Proc) {
+		insert(3, 7) // five commits before the attach
+		p.Sleep(time.Second)
+		var err error
+		if late, err = f.primary.Attach("late"); err != nil {
+			t.Error(err)
+			return
+		}
+		insert(8, 10)
+	})
+	f.env.RunAll()
+	f.env.Close()
+	for _, db := range []*sqldb.DB{f.replica.DB, late.DB} {
+		res, err := db.Exec(`SELECT id, v FROM kv ORDER BY id`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// id 1 holds the last of its updates, applied in order.
+		want := []int64{10, 0, 3, 4, 5, 6, 7, 8, 9, 10}
+		if res.Len() != len(want) {
+			t.Fatalf("replica holds %d rows, want %d", res.Len(), len(want))
+		}
+		for i, row := range res.Rows {
+			if row[0].AsInt() != int64(i+1) || row[1].AsInt() != want[i] {
+				t.Errorf("row %d = %v, want id %d v %d", i, row, i+1, want[i])
+			}
+		}
+	}
+}

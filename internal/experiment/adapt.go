@@ -184,9 +184,9 @@ func FormatAdapt(arms []*Result) string {
 	fmt.Fprintf(&b, "\nAvailability on %s during the outage window [%v, %v]:\n",
 		scoredNode, window[0].Round(time.Second), window[1].Round(time.Second))
 	for _, arm := range arms {
-		w := arm.Observed.Buckets.Range(window[0], window[1])
+		w := arm.Observed.Range(window[0], window[1])
 		fmt.Fprintf(&b, "  %-10s (%-22s) %6.1f%%  ok=%-6d fail=%-6d mean-ok=%s\n",
-			arm.Spec.Label, arm.Spec.Policy.Title(), 100*w.Availability(), w.OK, w.Fail, ms(w.Mean())+"ms")
+			arm.Spec.Label, arm.Spec.Policy.Title(), 100*w.SuccessRate(), w.OK, w.Fail, ms(w.MeanOK)+"ms")
 	}
 
 	// Steady-state latency: the same two stretches scored for every arm —
@@ -198,9 +198,9 @@ func FormatAdapt(arms []*Result) string {
 		fmt.Fprintf(&b, "\nSteady-state mean latency on %s (pre: [0, %v) before extension; post: fault-free [%v, %v) after it):\n",
 			scoredNode, first.Round(time.Second), postFrom.Round(time.Second), postTo.Round(time.Second))
 		for _, arm := range arms {
-			pre := arm.Observed.Buckets.Range(0, first)
-			post := arm.Observed.Buckets.Range(postFrom, postTo)
-			fmt.Fprintf(&b, "  %-10s pre=%sms post=%sms\n", arm.Spec.Label, ms(pre.Mean()), ms(post.Mean()))
+			pre := arm.Observed.Range(0, first)
+			post := arm.Observed.Range(postFrom, postTo)
+			fmt.Fprintf(&b, "  %-10s pre=%sms post=%sms\n", arm.Spec.Label, ms(pre.MeanOK), ms(post.MeanOK))
 		}
 	} else {
 		fmt.Fprintln(&b, "\n(controller never migrated; no steady-state comparison)")

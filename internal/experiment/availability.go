@@ -15,10 +15,6 @@ import (
 // collocated with the first edge, whose uplink the canonical outage cuts.
 const scoredNode = simnet.NodeClientsEdge1
 
-// bucketWidth is the width of Observed.Buckets: fine enough to separate the
-// pre-migration, steady-state and outage phases of a quick adaptive run.
-const bucketWidth = 10 * time.Second
-
 // PageAvail is one page's availability figures on the partitioned edge
 // during the scored outage window: request counts by outcome and the mean
 // response time of the successful requests.
@@ -44,9 +40,36 @@ type Observed struct {
 	// Pages are its requests inside the schedule's scored window, per page,
 	// sorted by (pattern, page).
 	Pages []PageAvail
-	// Buckets slices all of its requests, warm-up included, into
-	// bucketWidth buckets.
-	Buckets *workload.WindowObserver
+	// Requests are all of its requests, warm-up included, in completion
+	// order.
+	Requests []Request
+}
+
+// Request is one request of the scored node: when it completed, its
+// response time, and whether it failed.
+type Request struct {
+	At, RT time.Duration
+	Failed bool
+}
+
+// Range sums the requests that completed in [from, to), the mean over the
+// successful ones.
+func (o *Observed) Range(from, to time.Duration) PageAvail {
+	var out PageAvail
+	for _, r := range o.Requests {
+		switch {
+		case r.At < from || r.At >= to:
+		case r.Failed:
+			out.Fail++
+		default:
+			out.OK++
+			out.MeanOK += r.RT
+		}
+	}
+	if out.OK > 0 {
+		out.MeanOK /= time.Duration(out.OK)
+	}
+	return out
 }
 
 // split sums the pages into the browse pattern's requests and the other
@@ -66,22 +89,21 @@ func (o *Observed) split(browse string) (b, w PageAvail) {
 // observer accumulates a faulted run's Observed. Client processes run one at
 // a time in the discrete-event engine, so plain fields suffice.
 type observer struct {
-	window  [2]time.Duration
-	pages   map[workload.SeriesKey]*PageAvail
-	buckets *workload.WindowObserver
+	window   [2]time.Duration
+	pages    map[workload.SeriesKey]*PageAvail
+	requests []Request
 }
 
 func newObserver(window [2]time.Duration) *observer {
-	return &observer{
-		window:  window,
-		pages:   make(map[workload.SeriesKey]*PageAvail),
-		buckets: workload.NewWindowObserver(scoredNode, bucketWidth),
-	}
+	return &observer{window: window, pages: make(map[workload.SeriesKey]*PageAvail)}
 }
 
 func (o *observer) observe(now time.Duration, client workload.Client, key workload.SeriesKey, rt time.Duration, err error) {
-	o.buckets.Observe(now, client, key, rt, err)
-	if client.Node != scoredNode || now < o.window[0] || now >= o.window[1] {
+	if client.Node != scoredNode {
+		return
+	}
+	o.requests = append(o.requests, Request{At: now, RT: rt, Failed: err != nil})
+	if now < o.window[0] || now >= o.window[1] {
 		return
 	}
 	p := o.pages[key]
@@ -98,7 +120,7 @@ func (o *observer) observe(now time.Duration, client workload.Client, key worklo
 }
 
 func (o *observer) result() *Observed {
-	out := &Observed{Buckets: o.buckets}
+	out := &Observed{Requests: o.requests}
 	for _, p := range o.pages {
 		if p.OK > 0 {
 			p.MeanOK /= time.Duration(p.OK)

@@ -200,6 +200,7 @@ type appDef struct {
 	options  func() core.Options                                      // substrate calibration
 	deploy   func(*core.Deployment, core.Policy) (application, error) // the app's Deploy
 	model    func() *planner.Model                                    // what the controller re-plans with
+	layout   *planner.Layout                                          // the component list, which says what the app can deploy
 	patterns []string                                                 // usage patterns: browser, then writer
 	columns  []column                                                 // the table's columns, in the paper's order
 }
@@ -231,6 +232,7 @@ var apps = map[AppID]*appDef{
 			return petstore.Deploy(d, p)
 		},
 		model:    petstore.PlannerModel,
+		layout:   petstore.Layout(),
 		patterns: []string{petstore.PatternBrowser, petstore.PatternBuyer},
 		columns:  columns(petstore.PatternBrowser, petstore.BrowserPages, petstore.PatternBuyer, petstore.BuyerPages),
 	},
@@ -240,6 +242,7 @@ var apps = map[AppID]*appDef{
 			return rubis.Deploy(d, p)
 		},
 		model:    rubis.PlannerModel,
+		layout:   rubis.Layout(),
 		patterns: []string{rubis.PatternBrowser, rubis.PatternBidder},
 		columns:  columns(rubis.PatternBrowser, rubis.BrowserPages, rubis.PatternBidder, rubis.BidderPages),
 	},
@@ -274,16 +277,18 @@ type Testbed struct {
 	ctrl *controller.Controller
 }
 
-// validate rejects a spec no run can start from, before any run starts.
-func (s Spec) validate() error {
+// Validate rejects a spec no run can start from, before any run starts: an
+// unknown app, a negative load or edge count, or a policy the app's layout
+// cannot deploy.
+func (s Spec) Validate() error {
 	if apps[s.App] == nil {
 		return fmt.Errorf("experiment: unknown app %q", s.App)
 	}
 	if s.Load < 0 || s.Topology.Edges < 0 {
 		return fmt.Errorf("experiment: negative load %v or edge count %d", s.Load, s.Topology.Edges)
 	}
-	if err := s.Policy.Validate(); err != nil {
-		return fmt.Errorf("experiment: %w", err)
+	if err := apps[s.App].layout.Check(s.Policy); err != nil {
+		return fmt.Errorf("experiment: %s: %w", s.App, err)
 	}
 	return nil
 }
@@ -301,7 +306,7 @@ func (s Spec) window() [2]time.Duration {
 // substrate, application, the re-placement controller of an adaptive run,
 // and the client groups at the spec's load.
 func Deploy(s Spec) (*Testbed, error) {
-	if err := s.validate(); err != nil {
+	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	def := apps[s.App]
@@ -321,7 +326,6 @@ func Deploy(s Spec) (*Testbed, error) {
 	p := s.Policy
 	if s.Adaptive != nil {
 		p = core.RemoteFacade
-		p.DBReplicas = s.Policy.DBReplicas // edge database replicas do not migrate
 	}
 	inst, err := def.deploy(d, p)
 	if err != nil {
@@ -369,7 +373,7 @@ func RunAll(specs []Spec) ([]*Result, error) {
 		return nil, nil
 	}
 	for _, s := range specs {
-		if err := s.validate(); err != nil {
+		if err := s.Validate(); err != nil {
 			return nil, err
 		}
 	}
@@ -386,11 +390,13 @@ func RunAll(specs []Spec) ([]*Result, error) {
 
 // Table returns the specs of a table run, one per configuration of the
 // paper (core.Configs) on base, plus with ext the extension configurations
-// the application has (DB replication, Pet Store only).
+// the application can deploy.
 func Table(base Spec, ext bool) []Spec {
 	configs := core.Configs
-	if ext && base.App == PetStore {
-		configs = append(configs[:len(configs):len(configs)], core.ExtensionConfigs...)
+	for _, p := range core.ExtensionConfigs {
+		if ext && (Spec{App: base.App, Policy: p}).Validate() == nil {
+			configs = append(configs[:len(configs):len(configs)], p)
+		}
 	}
 	specs := make([]Spec, len(configs))
 	for i, cfg := range configs {

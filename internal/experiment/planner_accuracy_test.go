@@ -227,15 +227,17 @@ func installs(t *testing.T, what string, d *core.Deployment, pl *core.Plan) {
 
 // TestDeployedMatchesPlanned pins each application's one Deploy against the
 // plan the planner synthesizes from the same component list: for both apps,
-// every pattern set the planner ranks (plus DB replication for Pet Store),
-// on the star and on a 4-edge/2-hub hierarchy, fully replicated and with 4
-// hash partitions, Deploy installs on every server exactly the beans
-// PlanFor places there.
+// every pattern set the planner ranks plus every extension configuration its
+// layout deploys, on the star and on a 4-edge/2-hub hierarchy, fully
+// replicated and with 4 hash partitions, Deploy installs on every server
+// exactly the beans PlanFor places there.
 func TestDeployedMatchesPlanned(t *testing.T) {
 	for app, m := range plannerModels() {
 		policies := core.PatternSets()
-		if app == PetStore {
-			policies = append(policies, core.DBReplication)
+		for _, p := range core.ExtensionConfigs {
+			if m.Layout.Check(p) == nil {
+				policies = append(policies, p)
+			}
 		}
 		for topo, spec := range planTopologies {
 			m.Options.Topology = spec

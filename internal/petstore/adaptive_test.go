@@ -2,6 +2,7 @@ package petstore
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -250,4 +251,79 @@ func TestWireNeedsEntityReplicas(t *testing.T) {
 			t.Errorf("Wire(%s) = %v, want a policy error naming it", p, err)
 		}
 	}
+}
+
+// TestAdaptiveDBReplicasArriveWithCutOver: an adaptive run toward DB
+// replication attaches each edge's database replica in the cut-over that
+// binds its Catalog. A buyer on edge1 commits orders before and after the
+// extension; once the run is quiet, every edge's replica holds main's orders
+// and inventory rows, and a remote search makes no RMI call.
+func TestAdaptiveDBReplicasArriveWithCutOver(t *testing.T) {
+	env, d, a := deployAdaptive(t, 2, core.DBReplication)
+	ctrl := startCutOverController(t, d, a, 2)
+	env.Spawn("buyer", func(p *sim.Proc) {
+		for i := 0; p.Now() < time.Minute; i++ {
+			user := UserID(i % NumAccounts)
+			for _, step := range []struct {
+				page   string
+				params map[string]string
+			}{
+				{PageMain, nil}, {PageSignin, nil},
+				{PageVerifySignin, map[string]string{"user": user, "password": "pw-" + user}},
+				{PageCart, map[string]string{"item": ItemID(i%NumCategories, 1, 2)}},
+				{PageCheckout, nil}, {PagePlaceOrder, nil}, {PageBilling, nil}, {PageCommit, nil}, {PageSignout, nil},
+			} {
+				get(t, a, p, remoteClient, step.page, step.params)
+			}
+		}
+	})
+	env.Run(2 * time.Minute)
+	rep := ctrl.Report()
+	if !rep.Extended {
+		t.Fatalf("controller never completed the extension program: %+v", rep.Events)
+	}
+	var first time.Duration
+	for _, ev := range rep.Events {
+		if ev.Kind == controller.EventMigrated {
+			first = ev.At
+			break
+		}
+	}
+	reg := env.Metrics()
+	env.Spawn("probe", func(p *sim.Proc) {
+		before := reg.CounterValue("rmi_remote_calls_total")
+		get(t, a, p, remoteClient, PageSearch, map[string]string{"q": "P04"})
+		if got := reg.CounterValue("rmi_remote_calls_total") - before; got != 0 {
+			t.Errorf("search after the cut-over made %d RMI calls, want 0 (edge DB replica)", got)
+		}
+		for _, q := range []string{`SELECT * FROM orders ORDER BY orderid`, `SELECT * FROM inventory ORDER BY itemid`} {
+			want, err := d.DB.Exec(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, edge := range d.Edges {
+				got, err := edge.SQLReplica(p, q)
+				if err != nil || fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
+					t.Errorf("%s on %s's replica: %d rows (err %v), want main's %d", q, edge.Name(), got.Len(), err, want.Len())
+				}
+			}
+		}
+		orders, err := d.DB.Exec(`SELECT orderdate FROM orders`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pre, post int
+		for _, row := range orders.Rows {
+			if time.Duration(row[0].AsInt())*time.Millisecond < first {
+				pre++
+			} else {
+				post++
+			}
+		}
+		if pre == 0 || post == 0 {
+			t.Errorf("orders before/after the first cut-over at %v = %d/%d, want some of each", first, pre, post)
+		}
+	})
+	env.Run(2*time.Minute + 10*time.Second)
+	env.Close()
 }

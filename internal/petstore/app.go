@@ -7,7 +7,6 @@ import (
 
 	"wadeploy/internal/container"
 	"wadeploy/internal/core"
-	"wadeploy/internal/dbrepl"
 	"wadeploy/internal/planner"
 	"wadeploy/internal/sim"
 	"wadeploy/internal/simnet"
@@ -69,10 +68,13 @@ var layout = &planner.Layout{
 	Sharded:    []string{BeanItem, BeanInventory}, // one itemid key space
 }
 
+// Layout is Pet Store's component list: what it deploys under each policy.
+func Layout() *planner.Layout { return layout }
+
 // edgeCatalog declares the edge Catalog (Fig. 4/5 wiring): the two catalog
 // queries from the edge's query cache, scoped to its Item slice; an item
 // from the Item and Inventory replicas; the keyword search, never cached
-// (Section 4.4), on the edge's database replica when it has one.
+// (Section 4.4), on the edge's database replica when the policy has them.
 var edgeCatalog = []container.EdgeMethodSpec{
 	container.FromCache("getProductsOf", QueryProductsByCategory, catalogKey(QueryProductsByCategory)).OwnedBy(BeanItem),
 	container.FromCache("getItemsOf", QueryItemsByProduct, catalogKey(QueryItemsByProduct)).OwnedBy(BeanItem),
@@ -80,13 +82,9 @@ var edgeCatalog = []container.EdgeMethodSpec{
 		page, err := itemFromReplicas(p, m.Replicas, inv.Args[0])
 		return container.Reply(inv, page, err)
 	}, BeanItem, BeanInventory),
-	container.Local("search", func(p *sim.Proc, m *container.EdgeMethod, inv *container.Invocation) (any, error) {
-		if !m.Server.HasReplicaDB() {
-			return m.Delegate(p, inv)
-		}
-		like := likeArg(inv.Args[0])
-		res, err := m.Server.SQLReplica(p, searchSQL, like, like)
-		return container.Reply(inv, container.RowsOf(res), err)
+	container.FromEdgeDB("search", searchSQL, func(args []sqldb.Value) []sqldb.Value {
+		like := likeArg(args[0])
+		return []sqldb.Value{like, like}
 	}),
 }
 
@@ -162,11 +160,11 @@ func DefaultPageCosts() PageCosts {
 // Deploy installs Pet Store into d under policy p: the schema and data, the
 // entity beans and façades on the main server, web components and stateful
 // session beans on every active server, and — depending on p — the
-// replica bundle Wire installs on every edge and edge database replicas. The
-// deployment is checked against the plan the planner synthesizes for p from
-// the component list.
+// replica bundle Wire installs on every edge, edge database replicas
+// included. The deployment is checked against the plan the planner
+// synthesizes for p from the component list.
 func Deploy(d *core.Deployment, p core.Policy) (*App, error) {
-	if err := p.Validate(); err != nil {
+	if err := layout.Check(p); err != nil {
 		return nil, fmt.Errorf("petstore: %w", err)
 	}
 	if err := InitSchema(d.DB); err != nil {
@@ -197,35 +195,10 @@ func Deploy(d *core.Deployment, p core.Policy) (*App, error) {
 			return nil, err
 		}
 	}
-	if p.DBReplicas {
-		if err := a.wireDBReplicas(); err != nil {
-			return nil, err
-		}
-	}
 	if err := layout.Plan(p, d.Main.Name(), d.EdgeNames()).Validate(); err != nil {
 		return nil, fmt.Errorf("petstore: %w", err)
 	}
 	return a, nil
-}
-
-// wireDBReplicas sets up the Section 6 extension: asynchronous
-// statement-based database replication to every edge server, so highly
-// customized aggregate queries (the keyword Search) execute locally at the
-// edges instead of crossing the WAN. Each replica starts from an identical
-// schema+seed snapshot; committed writes stream to it in order.
-func (a *App) wireDBReplicas() error {
-	primary, err := dbrepl.NewPrimary(a.d.Net, simnet.NodeDB, a.d.DB)
-	if err != nil {
-		return fmt.Errorf("petstore: %w", err)
-	}
-	for _, edge := range a.d.Edges {
-		replica, err := primary.Attach(edge.Name(), InitSchema)
-		if err != nil {
-			return fmt.Errorf("petstore: %w", err)
-		}
-		edge.AttachReplicaDB(replica.DB)
-	}
-	return nil
 }
 
 // Wiring exposes the auto-wired replicas and caches (nil without entity

@@ -50,16 +50,16 @@ func driveSessions(t *testing.T, p *sim.Proc, a *App, client workload.Client, ge
 }
 
 // TestEdgeFacadesMatchMain is the edge ≡ main invariant of the declared edge
-// façades. Under every pattern set with entity replicas (and the DB-replica
-// extension), unpartitioned and hash-partitioned four ways over four edges,
+// façades. Under every pattern set with entity replicas and every extension
+// configuration the layout deploys, unpartitioned and hash-partitioned four ways over four edges,
 // a seeded run of browsers and buyers (whose orders write Inventory) runs
 // from every client node and quiesces. Then every method of every declared
 // façade on every edge returns what the main façade's method returns for the
 // same arguments, drawn from the seed data.
 func TestEdgeFacadesMatchMain(t *testing.T) {
-	policies := []core.Policy{core.DBReplication}
-	for _, p := range core.PatternSets() {
-		if p.EntityReplicas {
+	var policies []core.Policy
+	for _, p := range append(core.PatternSets(), core.ExtensionConfigs...) {
+		if p.EntityReplicas && layout.Check(p) == nil {
 			policies = append(policies, p)
 		}
 	}

@@ -452,9 +452,11 @@ func TestDBReplicationMakesSearchLocal(t *testing.T) {
 		}
 	})
 	for _, edge := range a.d.Edges {
-		if !edge.HasReplicaDB() {
-			t.Fatalf("DB replication not wired to %s", edge.Name())
-		}
+		runWarm(a.d.Env, "check", func(p *sim.Proc) {
+			if _, err := edge.SQLReplica(p, searchSQL, likeArg(sqldb.Str("P04")), likeArg(sqldb.Str("P04"))); err != nil {
+				t.Errorf("DB replication not wired to %s: %v", edge.Name(), err)
+			}
+		})
 	}
 }
 

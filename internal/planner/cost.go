@@ -131,7 +131,7 @@ const wan = -1
 
 // edgeHits prices one declared edge method: a FromCache method is one hit; a
 // FromReplicas method one per bean, plus one for a query its handler reads;
-// a Delegate method, and a Local one since the planner prices no edge
+// a Delegate method, and a FromEdgeDB one since the planner prices no edge
 // database, a WAN call of main's method.
 func edgeHits(m container.EdgeMethodSpec) int {
 	switch {

@@ -189,8 +189,8 @@ func (l *Layout) Descriptor(p core.Policy, topic string) *container.ExtendedDesc
 
 // EdgeFacades declares the edge façades p places: every component with
 // edge methods whose rule puts it on the edges under p. Without query caches
-// no edge holds a cache, so a method that reads a cached query is declared
-// Delegate.
+// no edge holds a cache, and without DB replicas no edge holds a database, so
+// a method that reads one is declared Delegate.
 func (l *Layout) EdgeFacades(p core.Policy) []container.EdgeFacadeSpec {
 	var out []container.EdgeFacadeSpec
 	for _, c := range l.Components {
@@ -199,13 +199,26 @@ func (l *Layout) EdgeFacades(p core.Policy) []container.EdgeFacadeSpec {
 		}
 		f := container.EdgeFacadeSpec{Bean: c.Desc.Name, Methods: slices.Clone(c.Edge)}
 		for i, m := range f.Methods {
-			if m.Query != "" && !p.QueryCaches {
+			if m.Query != "" && !p.QueryCaches || m.SQL != "" && !p.DBReplicas {
 				f.Methods[i] = container.Delegate(m.Name)
 			}
 		}
 		out = append(out, f)
 	}
 	return out
+}
+
+// Check returns nil when the application can deploy p: p is valid, and
+// when p has DB replicas, an edge method p places reads them. Otherwise it
+// returns a core.ErrPolicy naming p.
+func (l *Layout) Check(p core.Policy) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	if p.DBReplicas && !container.ReadsEdgeDB(l.EdgeFacades(p)) {
+		return p.Unsupported("no edge method it places reads a database replica")
+	}
+	return nil
 }
 
 // Model is everything the planner needs to know about one application.

@@ -1,6 +1,7 @@
 package planner_test
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -174,7 +175,7 @@ func TestSearchRejectsUndeclaredEdgeMethod(t *testing.T) {
 
 // TestEdgeMethodsPricedByKind: an edge call costs what its declared method
 // serves it from — a FromCache method one hit, a FromReplicas method a hit
-// per bean plus one for a query its handler reads, a Delegate or Local
+// per bean plus one for a query its handler reads, a Delegate or FromEdgeDB
 // method a WAN call of main's body — and without query caches a cached
 // method delegates.
 func TestEdgeMethodsPricedByKind(t *testing.T) {
@@ -186,7 +187,7 @@ func TestEdgeMethodsPricedByKind(t *testing.T) {
 		container.FromReplicas("replica", serve, "Thing"),
 		container.FromReplicas("form", serve, "Thing").Reads("q", key),
 		container.Delegate("delegate"),
-		container.Local("local", serve))
+		container.FromEdgeDB("db", "SELECT * FROM thing", nil))
 	ev := planner.NewEvaluator(m)
 	cost := func(p core.Policy, method string) time.Duration {
 		page := planner.Page{Name: method, Body: planner.Call{Bean: "Facade", Method: method, Body: planner.SQL{Scan: 100, Out: 10}}}
@@ -196,8 +197,8 @@ func TestEdgeMethodsPricedByKind(t *testing.T) {
 	if hit := m.Options.Costs.CacheHitCPU; cost(q, "cached") != cost(q, "replica") || cost(q, "form") != cost(q, "replica")+hit {
 		t.Errorf("cached %v, replica %v, form %v: want one hit, one hit, two hits", cost(q, "cached"), cost(q, "replica"), cost(q, "form"))
 	}
-	if cost(q, "local") != cost(q, "delegate") || cost(q, "delegate") <= cost(q, "cached")+m.Params().WANOneWay {
-		t.Errorf("delegate %v, local %v: want the same WAN call, above a hit %v", cost(q, "delegate"), cost(q, "local"), cost(q, "cached"))
+	if db := core.DBReplication; cost(db, "db") != cost(q, "delegate") || cost(q, "delegate") <= cost(q, "cached")+m.Params().WANOneWay {
+		t.Errorf("delegate %v, db %v: want the same WAN call, above a hit %v", cost(q, "delegate"), cost(db, "db"), cost(q, "cached"))
 	}
 	if s := core.StatefulCaching; cost(s, "cached") != cost(s, "delegate") {
 		t.Errorf("without query caches a cached method costs %v, want a delegate's %v", cost(s, "cached"), cost(s, "delegate"))
@@ -333,5 +334,23 @@ func TestModelReadsTopologySpec(t *testing.T) {
 		if pm.Desc.Name == "ThingRO" && !reflect.DeepEqual(pm.Servers, want) {
 			t.Errorf("replicas on %v, want %v", pm.Servers, want)
 		}
+	}
+}
+
+// TestLayoutCheck: a layout deploys a valid policy and refuses a broken one,
+// and it deploys DB replicas only once an edge method it places reads them.
+func TestLayoutCheck(t *testing.T) {
+	l := testModel().Layout
+	if err := l.Check(core.AsyncUpdates); err != nil {
+		t.Errorf("Check(%s) = %v", core.AsyncUpdates, err)
+	}
+	for _, p := range []core.Policy{{ReplicateWeb: true, DBReplicas: true}, core.DBReplication} {
+		if err := l.Check(p); !errors.Is(err, core.ErrPolicy) || !strings.Contains(err.Error(), p.String()) {
+			t.Errorf("Check(%s) = %v, want a policy error naming it", p, err)
+		}
+	}
+	l.Components[0].Edge = append(l.Components[0].Edge, container.FromEdgeDB("find", "SELECT * FROM things", nil))
+	if err := l.Check(core.DBReplication); err != nil {
+		t.Errorf("Check(%s) with an edge DB read = %v", core.DBReplication, err)
 	}
 }

@@ -61,7 +61,7 @@ func randomModel(rng *rand.Rand) *planner.Model {
 			case 1:
 				edge = append(edge, container.FromCache(method, "q", key))
 			case 2:
-				edge = append(edge, container.Local(method, serve))
+				edge = append(edge, container.FromReplicas(method, serve))
 			default:
 				spec := container.FromReplicas(method, serve, randBeans()...)
 				if rng.Intn(2) == 0 {

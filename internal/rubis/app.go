@@ -91,6 +91,9 @@ var layout = &planner.Layout{
 	Sharded: []string{BeanItem},
 }
 
+// Layout is RUBiS's component list: what it deploys under each policy.
+func Layout() *planner.Layout { return layout }
+
 // idKeyOf keys a cached query by the call's first argument, an id.
 func idKeyOf(key func(id int64) string) func(args []sqldb.Value) string {
 	return func(args []sqldb.Value) string { return key(args[0].AsInt()) }
@@ -183,13 +186,10 @@ func DeployOptions() core.Options {
 // active server, and — depending on p — the replica bundle Wire installs on
 // every edge, whose edge façades are declared in the component list. The
 // deployment is checked against the plan the planner synthesizes for p from
-// the component list. RUBiS has no DB-replica path.
+// the component list. No edge façade reads a database replica.
 func Deploy(d *core.Deployment, p core.Policy) (*App, error) {
-	if err := p.Validate(); err != nil {
+	if err := layout.Check(p); err != nil {
 		return nil, fmt.Errorf("rubis: %w", err)
-	}
-	if p.DBReplicas {
-		return nil, fmt.Errorf("rubis: %w", p.Unsupported("RUBiS has no edge database replicas"))
 	}
 	if err := InitSchema(d.DB); err != nil {
 		return nil, err

@@ -71,7 +71,8 @@ func driveSessions(t *testing.T, p *sim.Proc, a *App, client workload.Client, ge
 }
 
 // TestEdgeFacadesMatchMain is the edge ≡ main invariant of the declared edge
-// façades. Under every pattern set with entity replicas, unpartitioned and
+// façades. Under every pattern set with entity replicas and every extension
+// configuration the layout deploys, unpartitioned and
 // hash-partitioned four ways over four edges, a seeded run of browsers and
 // bidders (whose bids and comments write Item, Bid, User and Comment) runs
 // from every client node and quiesces. Then every method of every declared
@@ -79,8 +80,8 @@ func driveSessions(t *testing.T, p *sim.Proc, a *App, client workload.Client, ge
 // same arguments: draws from the seed data plus every item bid on and every
 // user commented on.
 func TestEdgeFacadesMatchMain(t *testing.T) {
-	for _, base := range core.PatternSets() {
-		if !base.EntityReplicas {
+	for _, base := range append(core.PatternSets(), core.ExtensionConfigs...) {
+		if !base.EntityReplicas || layout.Check(base) != nil {
 			continue
 		}
 		for _, parts := range []int{0, 4} {
