@@ -61,9 +61,10 @@ profile:
 # Exact heap allocations per page, by source line, of one steady-state round
 # of the same benchmarks (BENCH as for profile): every allocation sampled
 # (-memprofilerate=1) into allocs.out, the deploy left out, and pprof's
-# per-line counts divided by the round's pages (scripts/allocs.sh); BENCH=all
-# prints the totals of all three, one line each. Kept apart from profile,
-# whose CPU profile that sampling rate would distort.
+# per-line counts divided by the round's pages (scripts/allocs.sh), then the
+# round's allocs/page and bytes/page (B/op / pages); BENCH=all prints those
+# totals of all three, one line each. Kept apart from profile, whose CPU
+# profile that sampling rate would distort.
 allocs:
 	BENCH=$(BENCH) GO=$(GO) sh scripts/allocs.sh
 

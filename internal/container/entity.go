@@ -66,7 +66,8 @@ func BatchBytes(updates []Update) int {
 }
 
 // Propagator observes committed updates in chain order. Pusher delivers them
-// to the replicas; UpdateBuffer only records them.
+// to the replicas; UpdateBuffer only records them. Neither keeps the slice
+// past Propagate: a commit reuses it.
 type Propagator interface {
 	Propagate(p *sim.Proc, updates []Update) error
 }
@@ -93,6 +94,8 @@ type RWEntity struct {
 	// writer has used, so a write finds its text by comparing columns
 	// instead of building and hashing a fresh string.
 	inserts, updates []*colStmt
+
+	ones sim.Free[[1]Update] // the one-update batches commits pass their propagators
 
 	mLoad  *metrics.Counter
 	mStore *metrics.Counter
@@ -309,8 +312,11 @@ func (b *RWEntity) commit(p *sim.Proc, u Update, state, prev Row) error {
 			return fmt.Errorf("entity %s commit: %w", b.name, err)
 		}
 	}
+	// Commits that interleave across a blocking push each hold a batch.
+	one := b.ones.Take([1]Update{u})
+	defer b.ones.Put(one)
 	for _, pr := range b.props {
-		if err := pr.Propagate(p, []Update{u}); err != nil {
+		if err := pr.Propagate(p, one[:]); err != nil {
 			return fmt.Errorf("entity %s propagate: %w", b.name, err)
 		}
 	}
@@ -619,13 +625,13 @@ func (u *UpdaterFacade) handle(p *sim.Proc, call *rmi.Call) (any, error) {
 	if call.Method != MethodApply {
 		return nil, fmt.Errorf("container: %s.%s: %w", u.name, call.Method, ErrNoSuchMethod)
 	}
-	updates, ok := call.Payload.(*[]Update)
+	b, ok := call.Payload.(*pushBatch)
 	if !ok {
-		return nil, fmt.Errorf("container: %s.apply: payload must be *[]Update", u.name)
+		return nil, fmt.Errorf("container: %s.apply: payload must be a pusher's batch", u.name)
 	}
 	u.srv.Compute(p, u.srv.costs.MethodCPU)
-	u.Apply(p, *updates)
-	return len(*updates), nil
+	u.Apply(p, b.updates)
+	return len(b.updates), nil
 }
 
 // UpdateBuffer is a Propagator that records committed updates instead of
@@ -658,10 +664,8 @@ func (ub *UpdateBuffer) Drain() []Update {
 // façade from the topic (the UpdateSubscriber MDB of Fig. 6).
 func DeployUpdateSubscriber(srv *Server, name, topic string, facade *UpdaterFacade) (*MDBean, error) {
 	return DeployMDB(srv, name, topic, func(p *sim.Proc, s *Server, msg *jms.Message) {
-		updates, ok := msg.Body.([]Update)
-		if !ok {
-			return
+		if b, ok := msg.Body.(*pushBatch); ok {
+			facade.Apply(p, b.updates)
 		}
-		facade.Apply(p, updates)
 	})
 }

@@ -58,9 +58,9 @@ type Pusher struct {
 	// push latency instead of the sum.
 	Parallel bool
 
-	buf   coalescer
-	armed bool
-	held  sim.Free[[]Update] // apply-call payloads of the deliveries in flight
+	buf     coalescer
+	armed   bool
+	batches sim.Free[pushBatch] // records of no message in flight (Reuse/Keep)
 
 	mDelivered *metrics.Counter // messages that reached their destination, in the row's family
 	mSkipped   *metrics.Counter // RMI, window 0
@@ -70,6 +70,27 @@ type Pusher struct {
 	mFlushes   *metrics.Counter
 	mBytes     *metrics.Counter
 }
+
+// pushBatch is one message's updates in a record its pusher recycles: an
+// apply call's payload, back when the call returns, or a published body,
+// which the JMS provider releases after its last delivery.
+type pushBatch struct {
+	updates []Update
+	free    *sim.Free[pushBatch]
+}
+
+// batch copies updates into a record of ps's.
+func (ps *Pusher) batch(updates []Update) *pushBatch {
+	b := ps.batches.Reuse()
+	if b == nil {
+		b = &pushBatch{free: &ps.batches}
+	}
+	b.updates = append(b.updates[:0], updates...)
+	return b
+}
+
+// Release gives the record back to its pusher, its updates cleared.
+func (b *pushBatch) Release() { clear(b.updates); b.free.Keep(b) }
 
 // pushDest is one destination and the partitions it owns (nil: all).
 type pushDest struct {
@@ -308,15 +329,17 @@ func (ps *Pusher) deliver(p *sim.Proc, t PushTarget, batch []Update) error {
 			label = "batch publish "
 		}
 		defer trace.Opf(p, "jms", ps.srv.name, "", trace.CauseService, label, ps.topic, "")()
-		if err := ps.srv.jms.Publish(p, ps.srv.name, ps.topic, batch, payload); err != nil {
+		b := ps.batch(batch) // once published, the provider's to release
+		if err := ps.srv.jms.Publish(p, ps.srv.name, ps.topic, b, payload); err != nil {
+			b.Release()
 			return fmt.Errorf("async push: %w", err)
 		}
 	} else {
 		stub, err := ps.srv.StubFor(p, t.Server, t.Facade)
 		if err == nil {
-			held := ps.held.Take(batch) // one recycled pointer: the payload boxes nothing
-			_, err = stub.InvokeSized(p, MethodApply, payload, 64, held, nil)
-			ps.held.Put(held)
+			b := ps.batch(batch) // one recycled pointer: the payload boxes nothing
+			_, err = stub.InvokeSized(p, MethodApply, payload, 64, b, nil)
+			b.Release()
 		}
 		if err != nil {
 			return fmt.Errorf("sync push to %s/%s: %w", t.Server, t.Facade, err)

@@ -68,9 +68,9 @@ func topo128Policy() core.Policy {
 // TestPageAllocBudget holds each full-stack workload to its heap-allocation
 // budget per page, counted over the pages of a short round after its
 // warm-up: a call envelope, row slice, boxed argument or reply, result
-// header, response, push batch, cache key, query argument list or JMS
-// delivery closure that starts being allocated per page again shows here
-// first.
+// header, response, stored row, push batch, cache key, query argument list,
+// JMS message or delivery process that starts being allocated per page again
+// shows here first.
 func TestPageAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates; alloc guard runs without -race")
@@ -82,9 +82,9 @@ func TestPageAllocBudget(t *testing.T) {
 		spec   simnet.HierarchySpec
 		budget float64
 	}{
-		{"petstore-centralized", PetStore, core.Centralized, simnet.HierarchySpec{}, 0.46},
-		{"rubis-async", RUBiS, core.AsyncUpdates, simnet.HierarchySpec{}, 1.38},
-		{"petstore-topo128", PetStore, topo128Policy(), simnet.DefaultHierarchySpec(128), 0.5},
+		{"petstore-centralized", PetStore, core.Centralized, simnet.HierarchySpec{}, 0.23},
+		{"rubis-async", RUBiS, core.AsyncUpdates, simnet.HierarchySpec{}, 0.83},
+		{"petstore-topo128", PetStore, topo128Policy(), simnet.DefaultHierarchySpec(128), 0.23},
 	}
 	const warmup = 2 * time.Minute
 	for _, c := range cases {
@@ -108,7 +108,7 @@ func TestPageAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		perPage := float64(after.Mallocs-before.Mallocs) / float64(pages-warm)
-		t.Logf("%s: %.2f allocs/page over %d pages after warm-up", c.name, perPage, pages-warm)
+		t.Logf("%s: %.3f allocs/page over %d pages after warm-up", c.name, perPage, pages-warm)
 		if perPage > c.budget {
 			t.Errorf("%s allocates %.2f objects per page, budget %.2f", c.name, perPage, c.budget)
 		}

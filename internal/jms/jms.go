@@ -12,9 +12,10 @@
 // fills one in, the record is the arrival event (and, under a redelivery
 // policy, each re-attempt's event), and the MDB process it starts takes its
 // fields and hands it back to the Provider's free list on its first step. A
-// dropped or dead-lettered delivery hands its record back at once. Records
-// are made only when the list is empty, so a steady publish allocates its
-// Message and one process per delivery.
+// dropped or dead-lettered delivery hands its record back at once, and a
+// Message goes back to a list of its own when its last delivery ends. Both
+// are made only when their list is empty, and an MDB process reuses a
+// returned one's Proc, so a steady publish allocates nothing.
 package jms
 
 import (
@@ -37,10 +38,14 @@ type Message struct {
 	Body        any
 	Bytes       int
 	PublishedAt time.Duration // virtual publish time
+
+	pending int // deliveries not yet ended, and Publish while it runs
 }
 
 // Subscriber handles one delivered message on the subscriber's node. It runs
-// in its own process (the MDB's onMessage) and should charge its own CPU.
+// in its own process (the MDB's onMessage) and should charge its own CPU. It
+// must not keep msg or its body after it returns: once the message's last
+// delivery ends, the Provider reuses the Message and releases the body.
 type Subscriber func(p *sim.Proc, msg *Message)
 
 // Options is the messaging cost model.
@@ -120,6 +125,7 @@ type Provider struct {
 	mDeadLetter *metrics.Counter
 
 	dels sim.Free[delivery] // records of no delivery in flight (Reuse/Keep)
+	msgs sim.Free[Message]  // messages with no delivery left
 }
 
 // NewProvider creates a broker on node.
@@ -175,7 +181,8 @@ func (pr *Provider) Subscribe(topic, node, name string, fn Subscriber) error {
 // to the broker if the broker is remote — in the paper's deployment the
 // topic is local to the writers); deliveries are scheduled asynchronously.
 // Unreachable subscribers are skipped: messages to them are dropped,
-// mirroring a WAN partition.
+// mirroring a WAN partition. Once Publish returns nil, body is the
+// Provider's: its Release method, if any, is called after the last delivery.
 func (pr *Provider) Publish(p *sim.Proc, fromNode, topic string, body any, bytes int) error {
 	t, ok := pr.topics[topic]
 	if !ok {
@@ -188,7 +195,8 @@ func (pr *Provider) Publish(p *sim.Proc, fromNode, topic string, body any, bytes
 	if err := pr.net.Transfer(p, fromNode, pr.node, bytes); err != nil {
 		return fmt.Errorf("jms: publish %s: %w", topic, err)
 	}
-	msg := &Message{Topic: topic, Body: body, Bytes: bytes, PublishedAt: pr.env.Now()}
+	// One use more than deliveries, Publish's own: a delivery may end at once.
+	msg := pr.msgs.Take(Message{Topic: topic, Body: body, Bytes: bytes, PublishedAt: pr.env.Now(), pending: len(t.subs) + 1})
 	pr.mPub.Inc()
 	t.mPub.Inc()
 	for _, sub := range t.subs {
@@ -203,7 +211,18 @@ func (pr *Provider) Publish(p *sim.Proc, fromNode, topic string, body any, bytes
 		d.t, d.sub, d.msg, d.ctx = t, sub, msg, trace.Capture(p)
 		d.try(1)
 	}
+	pr.end(msg)
 	return nil
+}
+
+// end ends one use of msg; after the last, msg and its body are released.
+func (pr *Provider) end(msg *Message) {
+	if msg.pending--; msg.pending == 0 {
+		if b, ok := msg.Body.(interface{ Release() }); ok {
+			b.Release()
+		}
+		pr.msgs.Put(msg)
+	}
 }
 
 // delivery is one message on its way to one subscription. It is the event
@@ -248,6 +267,7 @@ func (d *delivery) try(attempt int) {
 			pr.mDeadLetter.Inc()
 		}
 		d.ctx.Drop()
+		pr.end(d.msg)
 		d.release()
 		return
 	}
@@ -286,4 +306,5 @@ func (d *delivery) start(dp *sim.Proc) {
 	t.mDel.Inc()
 	pr.mLag.Observe(dp.Now() - msg.PublishedAt)
 	sub.fn(dp, msg)
+	pr.end(msg)
 }

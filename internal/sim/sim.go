@@ -14,11 +14,12 @@
 // touches a channel, the run queue or a second thread. Three rules make the
 // hand-off cheaper still without moving a single event:
 //
-//   - Coroutines outlive processes: when a process function returns, its
-//     coroutine parks on Env.idle and the next process's first step reuses it
-//     (the Proc is always a fresh value). Close ends them all, and so does the
-//     dispatch loop once the queue is empty and no process is left on a
-//     stack, so an Env run to quiescence and dropped holds no goroutine.
+//   - Coroutines and Procs outlive processes: when a process function
+//     returns, its coroutine parks on Env.idle for the next first step and
+//     its Proc, cleared, is the next Spawn's. Close ends the coroutines, and
+//     so does the dispatch loop once the queue is empty and no process is
+//     left on a stack, so an Env run to quiescence and dropped holds no
+//     goroutine. A killed or panicking process's Proc is never reused.
 //   - Proc.RestartAt, as a process's last act, gives its coroutine back while
 //     it waits: the same Proc runs its function again from the top at the
 //     queue position and Dispatched count a Sleep until then would take, so
@@ -149,7 +150,8 @@ type Env struct {
 	idle    []*coroutine  // the ones whose process returned, awaiting the next first step
 	live    int           // processes spawned and neither finished nor killed
 	closed  bool
-	curr    *Proc // process currently holding control, if any
+	curr    *Proc      // process currently holding control, if any
+	procs   Free[Proc] // the Procs of processes whose function returned
 
 	metrics *metrics.Registry // lazily created; reads the virtual clock
 
@@ -265,18 +267,17 @@ func (p *Proc) Now() time.Duration { return p.env.now }
 
 // Spawn starts a new process running fn at the current virtual time. The
 // process begins execution when the scheduler reaches its start event during
-// Run or RunAll.
-func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc { return e.SpawnAt(e.now, name, fn) }
+// Run or RunAll. Its Proc is the one fn is passed: once fn returns, the next
+// Spawn may hand it out again, so nothing may keep it past that.
+func (e *Env) Spawn(name string, fn func(p *Proc)) { e.SpawnAt(e.now, name, fn) }
 
 // SpawnAt starts a new process running fn at virtual time at.
-func (e *Env) SpawnAt(at time.Duration, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name, fn: fn}
+func (e *Env) SpawnAt(at time.Duration, name string, fn func(p *Proc)) {
 	if e.closed {
-		return p
+		return
 	}
 	e.live++
-	e.schedule(event{at: at, proc: p})
-	return p
+	e.schedule(event{at: at, proc: e.procs.Take(Proc{env: e, name: name, fn: fn})})
 }
 
 // coroutine is the stack a process runs on. It takes one process after
@@ -318,8 +319,8 @@ func (c *coroutine) run() (parked bool) {
 		p.restart = false
 		e.schedule(event{at: p.restartAt, proc: p})
 	} else {
-		p.fn = nil
 		e.live--
+		e.procs.Put(p)
 	}
 	e.idle = append(e.idle, c)
 	return true

@@ -463,36 +463,70 @@ func TestNoGoroutineOutlivesTheRun(t *testing.T) {
 	}
 }
 
-// TestCoroutineReuseStartsClean pins that what is pooled is the stack, never
-// the process: the second process on a coroutine is a fresh Proc with its own
-// name and no trace context, and the first one's handle stays what it was.
+// TestCoroutineReuseStartsClean pins what a process that returned leaves
+// behind: its coroutine and its Proc both serve the next Spawn, and the
+// recycled Proc starts clean, with the new name, no trace context, no
+// pending restart, and Current() pointing at it.
 func TestCoroutineReuseStartsClean(t *testing.T) {
 	e := NewEnv(1)
-	first := e.Spawn("first", func(p *Proc) { p.SetTraceCtx("span of first") })
+	var first *Proc
+	e.Spawn("first", func(p *Proc) {
+		first = p
+		if p.Now() == 0 {
+			p.SetTraceCtx("span of first")
+			p.RestartAt(time.Millisecond / 2) // one restart, then it returns
+		}
+	})
 	e.Spawn("driver", func(p *Proc) {
 		p.Sleep(time.Millisecond) // first has returned: its coroutine is idle
-		second := e.Spawn("second", func(q *Proc) {
-			if q.name != "second" || q.TraceCtx() != nil {
-				t.Errorf("reused coroutine started %q with trace context %v", q.name, q.TraceCtx())
+		e.Spawn("second", func(q *Proc) {
+			if q != first {
+				t.Errorf("Spawn made a new Proc while the finished one was free")
+			}
+			if q.name != "second" || q.TraceCtx() != nil || q.restart {
+				t.Errorf("recycled Proc started as %q with trace context %v, restart %t", q.name, q.TraceCtx(), q.restart)
 			}
 			if e.Current() != q {
 				t.Errorf("Current() = %v inside second", e.Current())
 			}
 		})
 		p.Sleep(time.Millisecond)
-		if second == first {
-			t.Error("Spawn handed out the finished process's Proc again")
-		}
 		if len(e.coros) != 2 || len(e.idle) != 1 {
 			t.Errorf("%d coroutines, %d idle, after three processes never more than two at a time; want 2 and 1 (second reuses first's)",
 				len(e.coros), len(e.idle))
 		}
 	})
 	e.Run(time.Second)
-	if first.name != "first" || first.TraceCtx() != "span of first" {
-		t.Errorf("finished process's handle changed: %q, %v", first.name, first.TraceCtx())
-	}
 	e.Close()
+}
+
+// TestEndedProcsNeverReused: the Proc of a process killed by Close or ended
+// by a panic is never handed out again; only one whose function returned is.
+func TestEndedProcsNeverReused(t *testing.T) {
+	e := NewEnv(1)
+	var bad, stuck *Proc
+	never := NewPromise[int](e)
+	e.Spawn("stuck", func(p *Proc) { stuck = p; Await(p, never) })
+	e.Spawn("bad", func(p *Proc) { bad = p; panic("kaboom") })
+	func() {
+		defer func() { _ = recover() }()
+		e.Run(time.Second)
+	}()
+	for i := range 4 {
+		e.Spawn("next", func(p *Proc) {
+			if p == bad {
+				t.Errorf("spawn %d reran on the panicked process's Proc", i)
+			}
+		})
+	}
+	e.Run(2 * time.Second)
+	e.Close()
+	if slices.Contains(e.procs.free, bad) || slices.Contains(e.procs.free, stuck) {
+		t.Error("a killed or panicked process's Proc is on the free list")
+	}
+	if stuck == nil || bad == nil || len(e.procs.free) == 0 {
+		t.Fatalf("stuck %p, bad %p, %d free Procs: the processes did not run", stuck, bad, len(e.procs.free))
+	}
 }
 
 func TestUtilizationZeroAtStart(t *testing.T) {
@@ -699,15 +733,19 @@ func TestTraceCtxSlotRoundTrips(t *testing.T) {
 
 func TestEnvCurrentTracksRunningProc(t *testing.T) {
 	e := NewEnv(1)
-	var inProc, inCallback *Proc
+	var inCallback *Proc
+	inProc := "never ran"
 	e.Spawn("p", func(p *Proc) {
-		inProc = e.Current()
+		// Read while p runs: once it returns, its Proc is the next Spawn's.
+		if inProc = "another Proc"; e.Current() == p {
+			inProc = p.name
+		}
 	})
 	e.After(time.Millisecond, func() { inCallback = e.Current() })
 	e.RunAll()
 	e.Close()
-	if inProc == nil || inProc.name != "p" {
-		t.Fatalf("Current inside process = %v", inProc)
+	if inProc != "p" {
+		t.Fatalf("Current inside process p: %s", inProc)
 	}
 	if inCallback != nil {
 		t.Fatalf("Current inside raw callback = %v, want nil", inCallback)
@@ -830,8 +868,10 @@ func TestRestartRules(t *testing.T) {
 		e := NewEnv(1)
 		runs := 0
 		var proc *Proc
-		proc = e.Spawn("restarter", func(p *Proc) {
-			runs++
+		e.Spawn("restarter", func(p *Proc) {
+			if runs++; runs == 1 {
+				proc = p
+			}
 			if p != proc || e.Current() != p || p.name != "restarter" {
 				t.Errorf("run %d: on %p named %q (Current %p), want the spawned %p", runs, p, p.name, e.Current(), proc)
 			}

@@ -211,7 +211,7 @@ func TestResultRowsAreSnapshots(t *testing.T) {
 	// A stored slice may have spare capacity (UPDATE builds its new values
 	// by append); give row 7's some, which no result may expose.
 	r7 := db.tables["item"].rows[7].vals()
-	db.tables["item"].rows[7] = newRow(append(make([]Value, 0, 2*len(r7)), r7...))
+	db.tables["item"].rows[7] = db.blocks.row(append(make([]Value, 0, 2*len(r7)), r7...))
 	for _, sql := range []string{
 		`SELECT * FROM item WHERE id = 7`,
 		`SELECT * FROM item WHERE grp = 3 ORDER BY price DESC LIMIT 1`,

@@ -98,9 +98,35 @@ type row struct {
 	folded *[]string
 }
 
-// newRow returns a row holding vals, which it keeps.
-func newRow(vals []Value) *row {
-	return &row{view: [1][]Value{vals[:len(vals):len(vals)]}}
+// blocks are a database's row structs and values: a write takes the next
+// slots, so it allocates only its share of a block, sized by slices.Grow to
+// fill its size class. No slot is handed out twice, not even a failed
+// statement's, and slices of slots are full-capped, so rows stay immutable
+// snapshots. A replaced row is collected with its block, not alone.
+type blocks struct {
+	rows []row
+	vals []Value
+}
+
+const rowBlock, valBlock = 64, 128 // slots per block, before slices.Grow rounds up
+
+// take returns the next n slots of *block, starting a new block of at least
+// size slots when fewer are left.
+func take[T any](block *[]T, n, size int) []T {
+	if len(*block) < n {
+		*block = slices.Grow([]T(nil), max(n, size))
+		*block = (*block)[:cap(*block)]
+	}
+	s := (*block)[:n:n]
+	*block = (*block)[n:]
+	return s
+}
+
+// row returns a new stored row holding vals, which it keeps.
+func (b *blocks) row(vals []Value) *row {
+	r := &take(&b.rows, 1, rowBlock)[0]
+	r.view[0] = vals[:len(vals):len(vals)]
+	return r
 }
 
 // vals returns the row's values, read-only.
@@ -225,6 +251,7 @@ type table struct {
 	pk      int // primary key column index, or -1
 	rows    []*row
 	indexes []*index
+	blocks  *blocks // where its rows are stored: its database's
 
 	// version counts row writes: every insert, replacement and truncation,
 	// undo included. A memoised SELECT * result stays valid while the
@@ -257,6 +284,7 @@ type DB struct {
 	tables   map[string]*table
 	prepared map[string]*Prepared
 	cost     CostModel
+	blocks   blocks
 
 	// epoch counts schema changes (CREATE TABLE, CREATE INDEX, Restore).
 	// Cached query plans record the epoch they were built at and rebuild
@@ -464,6 +492,7 @@ func (db *DB) execCreateTable(s *CreateTableStmt) (Result, error) {
 		cols:   append([]ColumnDef(nil), s.Cols...),
 		colIdx: make(map[string]int, len(s.Cols)),
 		pk:     -1,
+		blocks: &db.blocks,
 	}
 	for i, c := range s.Cols {
 		if _, dup := t.colIdx[c.Name]; dup {
@@ -560,7 +589,7 @@ func (pl *insertPlan) row(exprs []evalFn) ([]Value, error) {
 	if len(exprs) != len(pl.cols) {
 		return nil, fmt.Errorf("sqldb: insert into %s: %d values for %d columns", t.name, len(exprs), len(pl.cols))
 	}
-	vals := make([]Value, len(t.cols))
+	vals := take(&t.blocks.vals, len(t.cols), valBlock)
 	for i, e := range exprs {
 		v, err := e(&pl.fr)
 		if err != nil {
@@ -615,7 +644,7 @@ func (t *table) insertRow(vals []Value) error {
 		}
 	}
 	pos := len(t.rows)
-	t.rows = append(t.rows, newRow(vals))
+	t.rows = append(t.rows, t.blocks.row(vals))
 	t.version++
 	for _, ix := range t.indexes {
 		ix.add(vals[ix.col].mapKey(), pos)
@@ -667,7 +696,8 @@ func (db *DB) execUpdate(s *UpdateStmt, args []Value) (Result, error) {
 	for _, pos := range pl.pos {
 		r := t.rows[pos]
 		pl.fr.rows[0] = r
-		vals := slices.Clone(r.vals())
+		vals := take(&t.blocks.vals, len(r.vals()), valBlock)
+		copy(vals, r.vals())
 		for j, set := range pl.sets {
 			v, err := set.val(&pl.fr)
 			if err != nil {
@@ -702,7 +732,7 @@ func (db *DB) execUpdate(s *UpdateStmt, args []Value) (Result, error) {
 				return Result{}, fmt.Errorf("%w: %s.%s = %v", ErrDuplicateKey, t.name, t.cols[ix.col].Name, vals[ix.col])
 			}
 		}
-		t.replaceRow(pos, newRow(vals))
+		t.replaceRow(pos, t.blocks.row(vals))
 		pl.oldRows = append(pl.oldRows, old)
 	}
 	// The virtual and the actual scan figure coincide: a probed bucket's

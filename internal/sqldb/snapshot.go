@@ -8,10 +8,10 @@ package sqldb
 // Row value slices are shared between the snapshot, every database restored
 // from it and every SELECT * result read from those. That is safe because
 // the engine never changes a stored row: UPDATE installs a new one. Each
-// database has its own row structs, and so its own one-row views of the
-// shared slices. Column definitions and names are immutable after CREATE
-// TABLE and are shared too. A row's folded copy is not carried: each
-// database builds its own, under its own mutex.
+// database has its own row structs, in its own blocks, and so its own
+// one-row views of the shared slices. Column definitions and names are
+// immutable after CREATE TABLE and are shared too. A row's folded copy is
+// not carried: each database builds its own, under its own mutex.
 
 // Snapshot is an immutable copy of a database's full state.
 type Snapshot struct {
@@ -42,8 +42,9 @@ func (db *DB) Snapshot() *Snapshot {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	s := &Snapshot{tables: make(map[string]*table, len(db.tables))}
+	b := new(blocks) // the snapshot's row structs: nothing writes its tables
 	for name, t := range db.tables {
-		s.tables[name] = copyTable(t)
+		s.tables[name] = copyTable(t, b)
 	}
 	if len(db.profile) > 0 {
 		s.profile = append([]StatementInfo(nil), db.profile...)
@@ -60,7 +61,7 @@ func (db *DB) Restore(s *Snapshot) {
 	db.mu.Lock()
 	db.tables = make(map[string]*table, len(s.tables))
 	for name, t := range s.tables {
-		db.tables[name] = copyTable(t)
+		db.tables[name] = copyTable(t, &db.blocks)
 	}
 	db.epoch++ // invalidate any cached plans bound to the old tables
 	observer := db.observer
@@ -79,23 +80,23 @@ func (db *DB) Restore(s *Snapshot) {
 }
 
 // copyTable deep-copies row and index structure, row structs and their
-// views included. Immutable parts — name, columns, the column-name map and
-// the vals slices — are shared.
-func copyTable(t *table) *table {
+// views included, the row structs from b, which the copy keeps for its
+// writes. Immutable parts — name, columns, the column-name map and the vals
+// slices — are shared.
+func copyTable(t *table, b *blocks) *table {
 	nt := &table{
 		name:   t.name,
 		cols:   t.cols,
 		names:  t.names,
 		colIdx: t.colIdx,
 		pk:     t.pk,
+		blocks: b,
 	}
 	if len(t.rows) > 0 {
-		// Block-allocate the row structs: one allocation instead of one per
-		// row, and better locality for scans.
-		block := make([]row, len(t.rows))
+		block := take(&b.rows, len(t.rows), rowBlock)
 		nt.rows = make([]*row, len(t.rows))
 		for i, r := range t.rows {
-			block[i] = row{view: r.view}
+			block[i].view = r.view
 			nt.rows[i] = &block[i]
 		}
 	}

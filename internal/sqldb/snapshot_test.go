@@ -1,6 +1,10 @@
 package sqldb
 
 import (
+	"errors"
+	"fmt"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -187,4 +191,105 @@ func TestConcurrentRestoresShareSnapshot(t *testing.T) {
 	if got := queryAll(t, src); got != want {
 		t.Fatalf("source mutated by concurrent restores:\n%s", got)
 	}
+}
+
+// slots returns the addresses of the row struct and the first value a
+// one-row write stored: the block slots it took.
+func slots(res Result) (*[]Value, *Value) { return &res.Rows[0], &res.Rows[0][0] }
+
+// TestRestoredDatabasesShareNoSlot: two databases restored from one snapshot
+// and written at once, more writes than a block holds, store every row in
+// slots of their own: no row struct or value slot of one is the other's, or
+// handed out twice, and neither sees the other's rows.
+func TestRestoredDatabasesShareNoSlot(t *testing.T) {
+	snap := seedSnapshotDB(t).Snapshot()
+	dbs := [2]*DB{New(), New()}
+	var taken [2]map[any]bool
+	var wg sync.WaitGroup
+	for i, db := range dbs {
+		db.Restore(snap)
+		taken[i] = map[any]bool{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range 2 * valBlock {
+				id := int64(1000*(i+1) + k)
+				ins, err1 := db.Exec(`INSERT INTO kv VALUES (?, 'w', ?)`, Int(id), Int(int64(i)))
+				upd, err2 := db.Exec(`UPDATE kv SET n = ? WHERE id = ?`, Int(id), Int(int64(1+k%3)))
+				if err := errors.Join(err1, err2); err != nil {
+					t.Error(err)
+					return
+				}
+				for _, res := range []Result{ins, upd} {
+					r, v := slots(res)
+					if taken[i][r] || taken[i][v] {
+						t.Errorf("database %d: a slot was handed out twice", i)
+						return
+					}
+					taken[i][r], taken[i][v] = true, true
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for slot := range taken[0] {
+		if taken[1][slot] {
+			t.Fatal("two databases restored from one snapshot stored rows in one slot")
+		}
+	}
+	for i, db := range dbs {
+		res := mustExec(t, db, `SELECT id FROM kv WHERE n = ?`, Int(int64(1-i)))
+		for _, row := range res.Rows {
+			if row[0].AsInt() >= 1000 {
+				t.Fatalf("database %d holds row %d, which the other wrote", i, row[0].AsInt())
+			}
+		}
+		checkAllIndexes(t, db)
+	}
+}
+
+// TestResultsSurviveLaterWritesInTheirBlock: rows returned before later
+// writes into the same blocks stay as they were read, through a failed
+// multi-row INSERT and a failed multi-row UPDATE that each waste slots, and
+// through enough writes to fill the blocks; every row handed out is
+// full-capped, so no append reaches a neighbour's slot.
+func TestResultsSurviveLaterWritesInTheirBlock(t *testing.T) {
+	db := New()
+	mustExec(t, db, `CREATE TABLE kv (id INT PRIMARY KEY, v TEXT, n INT NOT NULL)`)
+	mustExec(t, db, `CREATE UNIQUE INDEX idx_kv_v ON kv (v)`)
+	var held, want [][]Value
+	hold := func(res Result) {
+		for _, row := range res.Rows {
+			if cap(row) != len(row) {
+				t.Fatalf("a stored row has capacity %d past its %d values", cap(row), len(row))
+			}
+			held, want = append(held, row), append(want, slices.Clone(row))
+		}
+	}
+	hold(mustExec(t, db, `INSERT INTO kv VALUES (1, 'a', 1)`))
+	hold(mustExec(t, db, `INSERT INTO kv VALUES (2, 'b', 2)`))
+	hold(mustExec(t, db, `UPDATE kv SET n = 20 WHERE id = 2`))
+	hold(mustExec(t, db, `SELECT * FROM kv`))
+	for _, bad := range []struct {
+		sql  string
+		want error
+	}{
+		{`INSERT INTO kv VALUES (3, 'c', 3), (1, 'd', 4)`, ErrDuplicateKey},
+		{`UPDATE kv SET v = 'z' WHERE n > 0`, ErrDuplicateKey},
+		{`UPDATE kv SET n = NULL WHERE n > 0`, ErrNotNull},
+	} {
+		if _, err := db.Exec(bad.sql); !errors.Is(err, bad.want) {
+			t.Fatalf("%s: %v, want %v", bad.sql, err, bad.want)
+		}
+	}
+	for k := range 2 * valBlock {
+		hold(mustExec(t, db, `INSERT INTO kv VALUES (?, ?, ?)`, Int(int64(10+k)), Str(fmt.Sprint("w", k)), Int(int64(k))))
+		hold(mustExec(t, db, `UPDATE kv SET n = ? WHERE id = 1`, Int(int64(k))))
+	}
+	for i := range held {
+		if !slices.Equal(held[i], want[i]) {
+			t.Fatalf("held row %d is %v, read as %v: a later write reached its slot", i, held[i], want[i])
+		}
+	}
+	checkAllIndexes(t, db)
 }
