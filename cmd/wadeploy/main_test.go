@@ -183,6 +183,22 @@ func TestRunFaultsRUBiS(t *testing.T) {
 	golden(t, "faults-rubis", "-warmup", "5s", "-duration", "4m", "-app", "rubis", "-faults", "canonical", "faults")
 }
 
+// TestRunAdaptNamesDBReplicas: an adaptive db-replication run prices the
+// extension as the four paper patterns, which is all the advisor ranks, and
+// its report names the policy the run extended to, the edges' database
+// replicas included.
+func TestRunAdaptNamesDBReplicas(t *testing.T) {
+	out := string(stdout(t, tiny("-config", "db-replication", "-epoch", "5s", "adapt")))
+	for _, want := range []string{
+		"(" + core.AsyncUpdates.Patterns() + ", ",
+		"extended=true final=" + core.DBReplication.Title() + "\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("the report lacks %q:\n%s", want, out)
+		}
+	}
+}
+
 // TestRunAdaptRefusesPolicy: an adaptive run needs a replica bundle to
 // extend, so the remote-façade target, which has none, fails with a policy
 // error naming the policy, for either app.

@@ -47,6 +47,7 @@ type updateKey struct {
 // zero value is empty and ready.
 type coalescer struct {
 	pending []Update
+	spare   []Update // the batch handed off before the last: the next window's buffer
 	owned   []bool
 	index   map[updateKey]int
 }
@@ -68,10 +69,13 @@ func (c *coalescer) add(u Update) bool {
 	return false
 }
 
-// take empties the buffer and returns what was pending.
+// take empties the buffer and hands off what was pending, full-capped. The
+// buffer alternates between two slices, so a handed-off batch is written
+// again only by the window after next.
 func (c *coalescer) take() []Update {
-	out := c.pending
-	c.pending, c.owned = nil, c.owned[:0]
+	out := c.pending[:len(c.pending):len(c.pending)]
+	c.pending, c.spare = c.spare[:0], c.pending
+	c.owned = c.owned[:0]
 	clear(c.index)
 	return out
 }

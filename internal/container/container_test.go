@@ -273,60 +273,72 @@ func TestWritePushesStoredRow(t *testing.T) {
 	})
 }
 
-// TestWriteAllocs: a warm Insert or UpdateFields whose commit is published
-// to an edge replica (the asynchronous-updates row) allocates only its share
-// of the database's row and value blocks (about 0.03 a write), plus for an
-// Insert the growth of the table's index and the replica's map: no argument
-// list, row, batch, message or delivery process of its own (the UPDATE's Load
-// reads a stored row's view).
+// TestWriteAllocs: a warm Insert or UpdateFields whose commit is pushed to
+// an edge replica — published (the asynchronous-updates row), or coalesced
+// into a window that RMI or the topic carries (the lease and async-batched
+// rows) — allocates only its share of the database's row and value blocks
+// (about 0.03 a write), plus for an Insert the growth of the table's index
+// and the replica's map: no argument list, row, batch, message or delivery
+// process of its own (the UPDATE's Load reads a stored row's view), and a
+// window no buffer or timer callback.
 func TestWriteAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts differ under -race")
 	}
-	f := newFixture(t)
-	inv, _, _, err := wireRow(f.main, f.edge, pushRows[2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	const runs = 1000
-	keys := make([]sqldb.Value, 2*runs)
-	for i := range keys {
-		keys[i] = sqldb.Str(fmt.Sprintf("k%d", i))
-	}
-	perWrite := func(write func()) float64 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-		for range runs { // until the deliveries in flight hold steady
-			write()
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for range runs {
-			write()
-		}
-		runtime.ReadMemStats(&after)
-		return float64(after.Mallocs-before.Mallocs) / runs
-	}
-	f.run(t, func(p *sim.Proc) {
-		st, changes := State{"item_id": keys[0], "qty": sqldb.Int(1)}, State{"qty": sqldb.Int(0)}
-		n := 0
-		insert := perWrite(func() {
-			st["item_id"], n = keys[n], n+1
-			if err := inv.Insert(p, st); err != nil {
-				t.Errorf("insert: %v", err)
+	for _, row := range []pushRow{pushRows[1], pushRows[2], pushRows[3]} {
+		t.Run(row.name, func(t *testing.T) {
+			f := newFixture(t)
+			inv, ro, _, err := wireRow(f.main, f.edge, row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const runs = 1000
+			keys := make([]sqldb.Value, 2*runs)
+			for i := range keys {
+				keys[i] = sqldb.Str(fmt.Sprintf("k%d", i))
+			}
+			perWrite := func(write func()) float64 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+				for range runs { // until the deliveries in flight hold steady
+					write()
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for range runs {
+					write()
+				}
+				runtime.ReadMemStats(&after)
+				return float64(after.Mallocs-before.Mallocs) / runs
+			}
+			f.run(t, func(p *sim.Proc) {
+				st, changes := State{"item_id": keys[0], "qty": sqldb.Int(1)}, State{"qty": sqldb.Int(0)}
+				n := 0
+				insert := perWrite(func() {
+					st["item_id"], n = keys[n], n+1
+					if err := inv.Insert(p, st); err != nil {
+						t.Errorf("insert: %v", err)
+					}
+				})
+				update := perWrite(func() {
+					changes["qty"], n = sqldb.Int(int64(n)), n+1
+					if _, err := inv.UpdateFields(p, sqldb.Str("i1"), changes); err != nil {
+						t.Errorf("update: %v", err)
+					}
+				})
+				t.Logf("%s: Insert %.4f, UpdateFields %.4f allocations per write", row.name, insert, update)
+				if insert > 0.1 || update > 0.04 {
+					t.Errorf("a pushed Insert allocates %.3f, UpdateFields %.3f per write, ceilings 0.1 and 0.04", insert, update)
+				}
+			})
+			// Every write reached the edge: each insert is a key of its own,
+			// and a window coalesces i1's updates into the last of them.
+			if got := f.count("container_updates_applied_total"); got <= 2*runs || row.window == 0 && got != 4*runs {
+				t.Errorf("the edge applied %d updates, want every write's (a window's last per entity)", got)
+			}
+			if q := peekQty(ro, "i1"); q != 4*runs-1 {
+				t.Errorf("the edge holds qty %d for i1, want the last write's %d", q, 4*runs-1)
 			}
 		})
-		update := perWrite(func() {
-			changes["qty"], n = sqldb.Int(int64(n)), n+1
-			if _, err := inv.UpdateFields(p, sqldb.Str("i1"), changes); err != nil {
-				t.Errorf("update: %v", err)
-			}
-		})
-		if insert > 0.1 || update > 0.04 {
-			t.Errorf("a published Insert allocates %.3f, UpdateFields %.3f per write, ceilings 0.1 and 0.04", insert, update)
-		}
-	})
-	if got := f.count("container_updates_applied_total"); got != 4*runs {
-		t.Errorf("the edge applied %d updates, want every write's", got)
 	}
 }
 

@@ -60,6 +60,7 @@ type Pusher struct {
 
 	buf     coalescer
 	armed   bool
+	flushFn func()              // flush, bound once for the window's timer
 	batches sim.Free[pushBatch] // records of no message in flight (Reuse/Keep)
 
 	mDelivered *metrics.Counter // messages that reached their destination, in the row's family
@@ -124,6 +125,7 @@ func NewPusher(srv *Server, topic string, window time.Duration) (*Pusher, error)
 		return nil, fmt.Errorf("container: pusher on %s: negative window", srv.name)
 	}
 	ps := &Pusher{srv: srv, topic: topic, window: window, scopes: map[PushTarget][]bool{}}
+	ps.flushFn = ps.flush
 	if topic != "" {
 		if srv.jms == nil {
 			return nil, fmt.Errorf("container: pusher on %s: no JMS provider", srv.name)
@@ -205,7 +207,7 @@ func (ps *Pusher) Propagate(p *sim.Proc, updates []Update) error {
 		}
 		if !ps.armed {
 			ps.armed = true
-			ps.srv.Env().After(ps.window, ps.flush)
+			ps.srv.Env().After(ps.window, ps.flushFn)
 		}
 		return nil
 	}
@@ -335,12 +337,14 @@ func (ps *Pusher) deliver(p *sim.Proc, t PushTarget, batch []Update) error {
 			return fmt.Errorf("async push: %w", err)
 		}
 	} else {
+		// Copied before the stub lookup can block: a window's batch is the
+		// coalescing buffer's, for one window.
+		b := ps.batch(batch) // one recycled pointer: the payload boxes nothing
 		stub, err := ps.srv.StubFor(p, t.Server, t.Facade)
 		if err == nil {
-			b := ps.batch(batch) // one recycled pointer: the payload boxes nothing
 			_, err = stub.InvokeSized(p, MethodApply, payload, 64, b, nil)
-			b.Release()
 		}
+		b.Release()
 		if err != nil {
 			return fmt.Errorf("sync push to %s/%s: %w", t.Server, t.Facade, err)
 		}

@@ -398,3 +398,28 @@ func TestPusherCoalesceAllocs(t *testing.T) {
 		t.Fatalf("coalescing a pending same-key delta allocates %.1f times per commit, want <= 1", allocs)
 	}
 }
+
+// TestCoalescerHandsOffIntactBatches: a window's batch is handed off
+// full-capped, and the next window fills the other buffer, so a delivery that
+// copies its batch when it starts never reads the next window's updates.
+func TestCoalescerHandsOffIntactBatches(t *testing.T) {
+	var c coalescer
+	up := func(pk, qty int64) Update {
+		return Update{Bean: "Inv", PK: sqldb.Int(pk), State: State{"qty": sqldb.Int(qty)}.row()}
+	}
+	var handed [][]Update
+	for w := int64(0); w < 4; w++ {
+		c.add(up(w, w))
+		c.add(up(w+10, w))
+		batch := c.take()
+		if len(batch) != 2 || cap(batch) != 2 {
+			t.Fatalf("window %d: handed off %d updates with capacity %d, want 2 full-capped", w, len(batch), cap(batch))
+		}
+		handed = append(handed, batch)
+		if w > 0 {
+			if prev := handed[w-1]; prev[0].PK.AsInt() != w-1 || prev[1].PK.AsInt() != w+9 {
+				t.Fatalf("window %d overwrote the batch window %d handed off: %v", w, w-1, prev)
+			}
+		}
+	}
+}

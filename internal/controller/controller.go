@@ -153,7 +153,8 @@ type Report struct {
 	Migrations []Migration
 
 	// Extended reports whether the extension program completed on every
-	// edge; FinalConfig is the policy the final placement corresponds to.
+	// edge; FinalConfig is the policy the final placement deploys, edge
+	// database replicas included.
 	Extended    bool
 	FinalConfig core.Policy
 }
@@ -420,11 +421,15 @@ func (c *Controller) act(p *sim.Proc) {
 
 // Report snapshots the adaptation log.
 func (c *Controller) Report() *Report {
+	final := c.current
+	if c.extended {
+		final = c.cfg.Wiring.Extends() // the priced target, edge database replicas included
+	}
 	return &Report{
 		Epochs:      c.epoch,
 		Events:      append([]Event(nil), c.events...),
 		Migrations:  append([]Migration(nil), c.migs...),
 		Extended:    c.extended,
-		FinalConfig: c.current,
+		FinalConfig: final,
 	}
 }

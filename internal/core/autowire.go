@@ -375,6 +375,15 @@ func (w *Wiring) Provides() Policy {
 	}
 }
 
+// Extends is the policy the bundle leaves deployed once extended to every
+// edge: Provides plus the edge database replicas its declared methods read,
+// which the advisor does not price.
+func (w *Wiring) Extends() Policy {
+	p := w.Provides()
+	p.DBReplicas = w.db != nil
+	return p
+}
+
 // SuspendTargets stops RMI pushes (sync and lease) to server's updater façade — the
 // retirement half of the controller's decisions, taken when an edge has been
 // unreachable for several epochs. The replica bundle stays deployed (a

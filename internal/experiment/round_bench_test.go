@@ -83,7 +83,7 @@ func TestPageAllocBudget(t *testing.T) {
 		budget float64
 	}{
 		{"petstore-centralized", PetStore, core.Centralized, simnet.HierarchySpec{}, 0.23},
-		{"rubis-async", RUBiS, core.AsyncUpdates, simnet.HierarchySpec{}, 0.83},
+		{"rubis-async", RUBiS, core.AsyncUpdates, simnet.HierarchySpec{}, 0.76},
 		{"petstore-topo128", PetStore, topo128Policy(), simnet.DefaultHierarchySpec(128), 0.23},
 	}
 	const warmup = 2 * time.Minute

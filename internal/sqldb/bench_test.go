@@ -64,15 +64,24 @@ func BenchmarkSqldbPointLookup(b *testing.B) {
 	}
 }
 
+// BenchmarkSqldbOrderedLimit writes to the walked table between walks, so
+// every walk misses the memo; the point UPDATE is timed too.
 func BenchmarkSqldbOrderedLimit(b *testing.B) {
 	db := newBenchDB(b)
 	st, err := db.PrepareStmt(`SELECT id, name FROM item WHERE price < ? ORDER BY id LIMIT 25`)
 	if err != nil {
 		b.Fatal(err)
 	}
+	up, err := db.PrepareStmt(`UPDATE item SET price = ? WHERE id = ?`)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if _, err := up.Exec(Float(float64(i%500)), Int(int64(i%2000))); err != nil {
+			b.Fatal(err)
+		}
 		r, err := st.Exec(Float(400))
 		if err != nil || r.Len() != 25 {
 			b.Fatalf("rows=%d err=%v", r.Len(), err)
@@ -80,6 +89,8 @@ func BenchmarkSqldbOrderedLimit(b *testing.B) {
 	}
 }
 
+// BenchmarkSqldbIndexJoin writes to the joined table between joins, so
+// every join misses the memo; the point UPDATE is timed too.
 func BenchmarkSqldbIndexJoin(b *testing.B) {
 	db := newBenchDB(b)
 	st, err := db.PrepareStmt(
@@ -87,9 +98,16 @@ func BenchmarkSqldbIndexJoin(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	up, err := db.PrepareStmt(`UPDATE detail SET note = ? WHERE id = ?`)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if _, err := up.Exec(Str("note"), Int(int64(i%6000))); err != nil {
+			b.Fatal(err)
+		}
 		r, err := st.Exec(Int(int64(i % 50)))
 		if err != nil || r.Len() == 0 {
 			b.Fatalf("rows=%d err=%v", r.Len(), err)
@@ -113,6 +131,24 @@ func BenchmarkSqldbSelectStarMemo(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r, err := st.Exec(Int(int64(i % 50)))
 		if err != nil || r.Len() != 40 {
+			b.Fatalf("rows=%d err=%v", r.Len(), err)
+		}
+	}
+}
+
+// BenchmarkSqldbProjectionMemo repeats a listing projection whose table is
+// never written, so every execution after the first per group is a memo hit.
+func BenchmarkSqldbProjectionMemo(b *testing.B) {
+	db := newBenchDB(b)
+	st, err := db.PrepareStmt(`SELECT id, name, price FROM item WHERE grp = ? ORDER BY price DESC LIMIT 25`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := st.Exec(Int(int64(i % 50)))
+		if err != nil || r.Len() != 25 {
 			b.Fatalf("rows=%d err=%v", r.Len(), err)
 		}
 	}
@@ -160,7 +196,7 @@ func BenchmarkSqldbSnapshotRestore(b *testing.B) {
 // SELECT * of one row nothing at all. Everything else an execution needs is
 // plan scratch. A reintroduced per-row or per-statement allocation trips
 // these. Each timed execution is a real one: before it, every table's
-// version moves as a row write would move it, so no memoised SELECT * is
+// version moves as a row write would move it, so no memoised SELECT is
 // served from its plan's memo (the memo's hit has its own guard).
 
 func allocGuard(t *testing.T, db *DB, ceiling float64, wantRows int, sql string, args ...Value) {
@@ -245,8 +281,9 @@ func TestSelectStarAllocGuard(t *testing.T) {
 	allocGuard(t, db, 1, 25, likeSQL, Str("%none%"), Str("%M-19%"))
 }
 
-// TestSelectMemoHitAllocGuard: a SELECT * its plan memoised, repeated while
-// its table stands still, is served from the memo and allocates nothing.
+// TestSelectMemoHitAllocGuard: a SELECT its plan memoised — a SELECT *, a
+// projection, a join or a DISTINCT — repeated while its tables stand still,
+// is served from the memo and allocates nothing.
 func TestSelectMemoHitAllocGuard(t *testing.T) {
 	db := newBenchDB(t)
 	for _, c := range []struct {
@@ -257,6 +294,9 @@ func TestSelectMemoHitAllocGuard(t *testing.T) {
 		{500, `SELECT * FROM item ORDER BY id DESC LIMIT 500`, nil},
 		{500, `SELECT * FROM item WHERE price < ? ORDER BY name DESC, grp LIMIT 500`, []Value{Float(400)}},
 		{25, likeSQL, []Value{Str("%none%"), Str("%M-19%")}},
+		{25, `SELECT id, name FROM item WHERE price < ? ORDER BY id LIMIT 25`, []Value{Float(400)}},
+		{120, `SELECT item.name, detail.note FROM item JOIN detail ON detail.item_id = item.id WHERE item.grp = ?`, []Value{Int(3)}},
+		{10, `SELECT DISTINCT price FROM item WHERE grp = ?`, []Value{Int(3)}},
 	} {
 		if avg := allocsPerExec(t, db, false, c.rows, c.sql, c.args...); avg > 0 {
 			t.Fatalf("%s: a memo hit allocates %.1f/op, want 0", c.sql, avg)
@@ -289,6 +329,16 @@ func TestOneRowResultAllocGuard(t *testing.T) {
 func TestIndexJoinAllocGuard(t *testing.T) {
 	allocGuard(t, newBenchDB(t), 3, 120,
 		`SELECT item.name, detail.note FROM item JOIN detail ON detail.item_id = item.id WHERE item.grp = ? ORDER BY detail.id DESC`, Int(3))
+}
+
+// TestDistinctAllocGuard: a DISTINCT that misses the memo allocates only its
+// row list and slab, as any projection: the first-key map and the chain of
+// kept rows are plan scratch.
+func TestDistinctAllocGuard(t *testing.T) {
+	db := newBenchDB(t)
+	allocGuard(t, db, 2, 10, `SELECT DISTINCT price FROM item WHERE grp = ?`, Int(3))
+	allocGuard(t, db, 2, 50, `SELECT DISTINCT grp FROM item WHERE price < ? ORDER BY grp`, Float(400))
+	allocGuard(t, db, 2, 120, `SELECT DISTINCT item.id, detail.id FROM item JOIN detail ON detail.item_id = item.id WHERE item.grp = ?`, Int(3))
 }
 
 // A warm write allocates only its share of the database's blocks: a point

@@ -116,15 +116,6 @@ func dumpAB(t *testing.T, db *DB) string {
 	return fingerprint(mustExec(t, db, `SELECT * FROM a`)) + fingerprint(mustExec(t, db, `SELECT * FROM b`))
 }
 
-// scribble overwrites every value of a result that owns its rows.
-func scribble(r Result) {
-	for _, row := range r.Rows {
-		for j := range row {
-			row[j] = Str("scribbled")
-		}
-	}
-}
-
 // isStar reports whether sql is a single-table SELECT * without DISTINCT,
 // whose result rows are the stored value slices.
 func isStar(sql string) bool {
@@ -133,14 +124,39 @@ func isStar(sql string) bool {
 	return err == nil && ok && len(s.From) == 1 && len(s.Items) == 1 && s.Items[0].Star && !s.Distinct
 }
 
-// checkResultIsSnapshot holds res, which db just returned for sql, to the
-// result contract. A SELECT * row is a stored slice whose capacity is its
-// length, so a caller's append copies; any other row is in a slab the result
-// owns, so scribbling on it changes no later execution. No later UPDATE,
-// failed INSERT or Restore changes a row already returned, nor the first row
-// held apart from its by-value Result. After the writes and after the
-// Restore, sql returns what a fresh execution does (checkFresh), whatever db
-// memoised before. db ends as it started.
+// sameRowList reports whether a and b share one row list.
+func sameRowList(a, b Result) bool {
+	return len(a.Rows) == len(b.Rows) && (len(a.Rows) == 0 || &a.Rows[0] == &b.Rows[0])
+}
+
+// otherArgs returns args with every value changed: a number moved by one, a
+// string prefixed, anything else made 1.
+func otherArgs(args []Value) []Value {
+	out := make([]Value, len(args))
+	for i, a := range args {
+		switch a.K {
+		case KindInt:
+			out[i] = Int(a.AsInt() + 1)
+		case KindFloat:
+			out[i] = Float(a.AsFloat() + 1)
+		case KindString:
+			out[i] = Str("a" + a.S)
+		default:
+			out[i] = Int(1)
+		}
+	}
+	return out
+}
+
+// checkResultIsSnapshot holds res, the first result db returned for sql, to
+// the result contract. A SELECT * row is a stored slice whose capacity is its
+// length, so a caller's append copies. A repeat before any write equals res
+// and, where the plan memoised it, is res's row list itself. An execution
+// with other arguments, which reuses the plan's scratch, leaves res as it
+// was. No later UPDATE, failed INSERT or Restore changes a row already
+// returned, nor the first row held apart from its by-value Result. After the
+// writes and after the Restore, sql returns what a fresh execution does
+// (checkFresh), whatever db memoised before. db ends as it started.
 func checkResultIsSnapshot(t *testing.T, db *DB, sql string, args []Value, res Result) {
 	t.Helper()
 	want := fingerprint(res)
@@ -154,10 +170,18 @@ func checkResultIsSnapshot(t *testing.T, db *DB, sql string, args []Value, res R
 				t.Fatalf("%s: row %d has capacity %d past its %d values: an append would write into the store", sql, i, cap(row), len(row))
 			}
 		}
-	} else {
-		scribble(mustExec(t, db, sql, args...))
-		if again := mustExec(t, db, sql, args...); fingerprint(again) != want {
-			t.Fatalf("%s: scribbling on one result changed the next:\n%s\nwant\n%s", sql, fingerprint(again), want)
+	}
+	again := mustExec(t, db, sql, args...)
+	if fingerprint(again) != want {
+		t.Fatalf("%s %v: a repeat returned\n%s\nwant\n%s", sql, args, fingerprint(again), want)
+	}
+	if memoised(db, sql, args) && !sameRowList(again, res) {
+		t.Fatalf("%s %v: a memoised repeat built a row list of its own", sql, args)
+	}
+	if len(args) > 0 {
+		_, _ = db.Exec(sql, otherArgs(args)...) // an error is fine: the scratch was used
+		if got := fingerprint(res); got != want {
+			t.Fatalf("%s %v: an execution with other arguments changed a returned result:\n%s\nwant\n%s", sql, args, got, want)
 		}
 	}
 	snap := db.Snapshot()
@@ -203,75 +227,118 @@ func clobber(t *testing.T, db *DB) {
 }
 
 // TestResultRowsAreSnapshots: whatever plan produced it, a result is a
-// read-only snapshot (checkResultIsSnapshot), and a single-table SELECT *
-// hands back the stored value slices themselves — for one row, as the view
-// the stored row built when its values were installed.
+// shared, read-only snapshot (checkResultIsSnapshot), and a single-table
+// SELECT * hands back the stored value slices themselves — for one row, as
+// the view the stored row built when its values were installed.
 func TestResultRowsAreSnapshots(t *testing.T) {
 	db := newBenchDB(t)
 	// A stored slice may have spare capacity (UPDATE builds its new values
 	// by append); give row 7's some, which no result may expose.
 	r7 := db.tables["item"].rows[7].vals()
 	db.tables["item"].rows[7] = db.blocks.row(append(make([]Value, 0, 2*len(r7)), r7...))
-	for _, sql := range []string{
-		`SELECT * FROM item WHERE id = 7`,
-		`SELECT * FROM item WHERE grp = 3 ORDER BY price DESC LIMIT 1`,
-		`SELECT name, price FROM item WHERE id = 7`,
-		`SELECT * FROM item WHERE grp = 3 ORDER BY price DESC LIMIT 9`,
-		`SELECT * FROM item ORDER BY id DESC LIMIT 9`,
-		`SELECT id, name FROM item ORDER BY id LIMIT 9`,
-		`SELECT item.name, detail.note FROM item JOIN detail ON detail.item_id = item.id WHERE item.grp = 3 ORDER BY detail.id`,
-		`SELECT DISTINCT grp FROM item ORDER BY grp`,
-		`SELECT DISTINCT * FROM item WHERE grp = 3`,
+	for _, c := range []struct {
+		sql  string
+		args []Value
+	}{
+		{`SELECT * FROM item WHERE id = ?`, []Value{Int(7)}},
+		{`SELECT * FROM item WHERE grp = ? ORDER BY price DESC LIMIT 1`, []Value{Int(3)}},
+		{`SELECT name, price FROM item WHERE id = ?`, []Value{Int(7)}},
+		{`SELECT * FROM item WHERE grp = ? ORDER BY price DESC LIMIT 9`, []Value{Int(3)}},
+		{`SELECT * FROM item ORDER BY id DESC LIMIT 9`, nil},
+		{`SELECT id, name FROM item ORDER BY id LIMIT 9`, nil},
+		{`SELECT id, name FROM item WHERE price < ? ORDER BY id LIMIT 9`, []Value{Float(400)}},
+		{`SELECT item.name, detail.note FROM item JOIN detail ON detail.item_id = item.id WHERE item.grp = ? ORDER BY detail.id`, []Value{Int(3)}},
+		{`SELECT DISTINCT grp FROM item WHERE price < ? ORDER BY grp`, []Value{Float(400)}},
+		{`SELECT DISTINCT * FROM item WHERE grp = ?`, []Value{Int(3)}},
 	} {
-		res := mustExec(t, db, sql)
-		if isStar(sql) {
+		res := mustExec(t, db, c.sql, c.args...)
+		if isStar(c.sql) {
 			stored := db.tables["item"].rows[res.Rows[0][0].AsInt()]
 			if &res.Rows[0][0] != &stored.vals()[0] {
-				t.Errorf("%s: the first row is a copy, not the stored slice", sql)
+				t.Errorf("%s: the first row is a copy, not the stored slice", c.sql)
 			}
 			if res.Len() == 1 && &res.Rows[0] != &stored.view[0] {
-				t.Errorf("%s: a one-row result built its own row list, not the stored row's view", sql)
+				t.Errorf("%s: a one-row result built its own row list, not the stored row's view", c.sql)
 			}
 		}
-		checkResultIsSnapshot(t, db, sql, nil, res)
+		checkResultIsSnapshot(t, db, c.sql, c.args, res)
 	}
 }
 
-// TestConcurrentPreparedSelect runs one prepared SELECT from several
-// goroutines on one DB: plan scratch is shared and only db.mu orders its
-// use, which the race detector checks (the race job repeats this package).
+// TestConcurrentPreparedSelect runs a prepared join and a prepared DISTINCT
+// from several goroutines on one DB while another goroutine rewrites rows of
+// both joined tables with the values they hold, so every write empties the
+// memos and executions interleave with hits: plan scratch and memo are
+// shared and only db.mu orders their use, which the race detector checks
+// (the race job repeats this package). Every result equals a sequential
+// run's, and still does once every goroutine has finished: no execution
+// wrote into a result another holds.
 func TestConcurrentPreparedSelect(t *testing.T) {
 	db := newBenchDB(t)
-	st, err := db.PrepareStmt(
-		`SELECT item.name, detail.id FROM item JOIN detail ON detail.item_id = item.id WHERE item.grp = ? ORDER BY detail.id DESC LIMIT 20`)
-	if err != nil {
-		t.Fatal(err)
+	const groups = 50
+	var stmts [2]*Prepared
+	var want [2][groups]string
+	for i, sql := range []string{
+		`SELECT item.name, detail.id FROM item JOIN detail ON detail.item_id = item.id WHERE item.grp = ? ORDER BY detail.id DESC LIMIT 20`,
+		`SELECT DISTINCT price FROM item WHERE grp = ? ORDER BY price`,
+	} {
+		st, err := db.PrepareStmt(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stmts[i] = st
+		for g := range want[i] {
+			want[i][g] = fingerprint(mustExec(t, db, sql, Int(int64(g))))
+		}
 	}
-	want := make([]string, 50)
-	for g := range want {
-		want[g] = fingerprint(mustExec(t, db, st.sql, Int(int64(g))))
+	type heldResult struct {
+		res     Result
+		st, grp int
 	}
+	held := make([][]heldResult, 4)
 	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			id := int64(i * 7 % 2000)
+			if _, err := db.Exec(`UPDATE item SET price = ? WHERE id = ?`, Float(float64(id%500)), Int(id)); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := db.Exec(`UPDATE detail SET note = ? WHERE id = ?`, Str("note"), Int(id)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for w := range held {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				g := (i*7 + w) % len(want)
-				res, err := st.Exec(Int(int64(g)))
+				s, g := i%2, (i*7+w)%groups
+				res, err := stmts[s].Exec(Int(int64(g)))
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if got := fingerprint(res); got != want[g] {
-					t.Errorf("grp %d: got %s, want %s", g, got, want[g])
+				if got := fingerprint(res); got != want[s][g] {
+					t.Errorf("%s grp %d: got %s, want %s", stmts[s].sql, g, got, want[s][g])
 					return
 				}
-				scribble(res)
+				held[w] = append(held[w], heldResult{res, s, g})
 			}
 		}()
 	}
 	wg.Wait()
+	for _, hs := range held {
+		for _, h := range hs {
+			if got := fingerprint(h.res); got != want[h.st][h.grp] {
+				t.Fatalf("%s grp %d: a held result changed to %s, want %s", stmts[h.st].sql, h.grp, got, want[h.st][h.grp])
+			}
+		}
+	}
 }
 
 // TestLikeFastPathMatchesGeneralMatcher: whatever analyseLike decides, a

@@ -51,11 +51,12 @@ type Result struct {
 	// keeps the pointer keeps no Result. The caller must not change it.
 	Cols *[]string
 
-	// Rows is the result rows, read-only. A single-table SELECT * returns
-	// the stored value slices, and its row list is shared, like its rows:
-	// the plan memoises it, unless it reads the whole table bare, and drops
-	// it on its first run after a write to the table. A write returns the
-	// row it stored when it wrote one (RETURNING *), counted as none.
+	// Rows is the result rows, a shared, read-only snapshot. A single-table
+	// SELECT * returns the stored value slices; any other SELECT, its own
+	// slab. The plan memoises the row list, unless it reads a whole table
+	// bare, and drops it on its first run after a write to any table it
+	// reads. A write returns the row it stored when it wrote one (RETURNING
+	// *), counted as none.
 	Rows [][]Value
 
 	Affected int // rows inserted/updated
@@ -254,8 +255,8 @@ type table struct {
 	blocks  *blocks // where its rows are stored: its database's
 
 	// version counts row writes: every insert, replacement and truncation,
-	// undo included. A memoised SELECT * result stays valid while the
-	// version is the one it was read at.
+	// undo included. A memoised SELECT result stays valid while the
+	// versions of the tables it reads are the ones it was read at.
 	version uint64
 }
 

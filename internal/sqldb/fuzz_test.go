@@ -17,10 +17,11 @@ import (
 // stop, index nested-loop join), a statement must return exactly the rows, in
 // exactly the order, of a reference database that has no indexes at all and
 // can only full-scan in insertion order. FuzzSelect takes the statement text
-// from the fuzzer and derives data and arguments from the seed; tier-1 runs
-// its seed corpus — the statements below at several seeds, plus the
-// applications' own statement texts checked in under testdata/fuzz —
-// and CI fuzzes it for 30 s:
+// from the fuzzer and derives data and arguments from the seed; across writes
+// to each table a SELECT reads, it also holds the SELECT's memoised repeats
+// to a memo-free execution (checkFresh). Tier-1 runs its seed corpus — the
+// statements below at several seeds, plus the applications' own statement
+// texts checked in under testdata/fuzz — and CI fuzzes it for 30 s:
 //
 //	go test -run '^$' -fuzz FuzzSelect -fuzztime 30s ./internal/sqldb
 
@@ -185,14 +186,14 @@ func FuzzSelect(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, seed int64, text string) {
-		isSelect := false
+		var sel *SelectStmt
 		if st, err := Parse(text); err == nil {
 			switch s := st.(type) {
 			case *SelectStmt:
 				if len(s.From) > 3 {
 					t.Skip("a cross product this wide only burns time")
 				}
-				isSelect = true
+				sel = s
 			case *CreateIndexStmt:
 				t.Skip("index DDL would change what distinguishes the two databases")
 			}
@@ -220,18 +221,34 @@ func FuzzSelect(f *testing.F) {
 		if fingerprint(got) != fingerprint(want) {
 			t.Fatalf("seed %d: %s %v\nindexed:   %s\nreference: %s", seed, text, args, fingerprint(got), fingerprint(want))
 		}
-		if isSelect {
-			// A repeat, a memo hit for a SELECT * that scanned, returns the
+		if sel != nil {
+			// A repeat, a memo hit wherever the plan memoised, returns the
 			// first run's Result exactly, through the cached plan.
 			again, err := indexed.Exec(text, args...)
 			if err != nil || resultKey(again) != resultKey(got) || !again.PlanCached {
 				t.Fatalf("seed %d: %s %v\nrepeat: %s (plan cached %v, err %v)\nfirst:  %s",
 					seed, text, args, resultKey(again), again.PlanCached, err, resultKey(got))
 			}
-			// The rows are a snapshot: no later write, failed statement or
-			// Restore changes them, and the tables below are compared after
-			// all that.
+			// The rows are a snapshot: no later execution, write, failed
+			// statement or Restore changes them, and the tables below are
+			// compared after all that.
 			checkResultIsSnapshot(t, indexed, text, args, got)
+			// A write to any table the statement reads, the last joined
+			// first, reaches its memo: after each, the two databases agree
+			// again and a repeat is a fresh execution's result.
+			for i := len(sel.From) - 1; i >= 0; i-- {
+				fuzzWrite(t, rng, sel.From[i].Table, indexed, reference)
+				g, gerr := indexed.Exec(text, args...)
+				w, werr := reference.Exec(text, args...)
+				if werr != nil {
+					break // the one asymmetry, as above
+				}
+				if gerr != nil || fingerprint(g) != fingerprint(w) {
+					t.Fatalf("seed %d: %s %v after a write to %s\nindexed:   %s (err %v)\nreference: %s",
+						seed, text, args, sel.From[i].Table, fingerprint(g), gerr, fingerprint(w))
+				}
+				checkFresh(t, indexed, DefaultCostModel, text, args...)
+			}
 		}
 		checkAllIndexes(t, indexed)
 		for name := range reference.tables {
@@ -242,6 +259,21 @@ func FuzzSelect(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fuzzWrite updates one column of the rows of table that hold a stored
+// row's value in another column, the same in both databases.
+func fuzzWrite(t *testing.T, rng *rand.Rand, table string, dbs ...*DB) {
+	t.Helper()
+	tab := dbs[len(dbs)-1].tables[table]
+	if tab == nil || len(tab.rows) == 0 {
+		return
+	}
+	c, d := rng.Intn(len(tab.cols)), rng.Intn(len(tab.cols))
+	val, where := fuzzValue(rng, tab.cols[c].Kind), tab.rows[rng.Intn(len(tab.rows))].vals()[d]
+	for _, db := range dbs {
+		mustExec(t, db, `UPDATE `+table+` SET `+tab.cols[c].Name+` = ? WHERE `+tab.cols[d].Name+` = ?`, val, where)
+	}
 }
 
 // fingerprint renders a result's columns, affected count and ordered rows

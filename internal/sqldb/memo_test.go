@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// The SELECT * memo (select.go) may only ever return what a fresh execution
+// The SELECT memo (select.go) may only ever return what a fresh execution
 // returns. The reference for "fresh" is a database restored from a snapshot
 // of the same state: its plans are new, so it has memoised nothing.
 
@@ -50,10 +50,30 @@ func memoEntries(db *DB, sql string) int {
 	return 0
 }
 
-// TestSelectMemoInvalidation: after every kind of write — each row primitive,
-// and a statement that fails part-way and undoes what it wrote — and after
-// Restore, CREATE INDEX and a new cost model, a memoised SELECT * returns what
-// a fresh execution does.
+// memoised reports whether sql's plan, as of its last execution, holds a
+// memo entry for args.
+func memoised(db *DB, sql string, args []Value) bool {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	p := db.prepared[sql]
+	if p == nil {
+		return false
+	}
+	s, ok := p.st.(*SelectStmt)
+	if !ok || s.plan == nil || len(args) > len(memoKey{}.args) {
+		return false
+	}
+	k := memoKey{n: len(args)}
+	copy(k.args[:], args)
+	_, found := s.plan.memo[k]
+	return found
+}
+
+// TestSelectMemoInvalidation: after every kind of write to any table a
+// statement reads — each row primitive, and a statement that fails part-way
+// and undoes what it wrote — and after Restore, CREATE INDEX and a new cost
+// model, a memoised SELECT of every shape returns what a fresh execution
+// does.
 func TestSelectMemoInvalidation(t *testing.T) {
 	db := New()
 	mustExec(t, db, `CREATE TABLE t (id INT PRIMARY KEY, grp INT, name TEXT)`)
@@ -61,34 +81,59 @@ func TestSelectMemoInvalidation(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		mustExec(t, db, `INSERT INTO t VALUES (?, ?, ?)`, Int(int64(i)), Int(int64(i%3)), Str("n"+strconv.Itoa(i)))
 	}
+	mustExec(t, db, `CREATE TABLE u (id INT PRIMARY KEY, tid INT, note TEXT)`)
+	mustExec(t, db, `CREATE INDEX ix_u_tid ON u (tid)`)
+	for i := 0; i < 18; i++ {
+		mustExec(t, db, `INSERT INTO u VALUES (?, ?, ?)`, Int(int64(i)), Int(int64(i%12)), Str("u"+strconv.Itoa(i%5)))
+	}
 	cost := DefaultCostModel
 	stmts := []string{
-		`SELECT * FROM t WHERE grp = ? ORDER BY id`,  // probe, then sort
-		`SELECT * FROM t WHERE name LIKE ?`,          // full scan
-		`SELECT * FROM t ORDER BY name DESC LIMIT 5`, // no arguments
-		`SELECT * FROM t WHERE id = ?`,               // a point lookup: never memoised
-		`SELECT * FROM t`,                            // a bare whole-table read: never memoised
+		`SELECT * FROM t WHERE grp = ? ORDER BY id`,                                         // probe, then sort
+		`SELECT name, id FROM t WHERE grp = ? ORDER BY name DESC`,                           // a projection
+		`SELECT t.name, u.note FROM t JOIN u ON u.tid = t.id WHERE t.grp = ? ORDER BY u.id`, // a join: u is read too
+		`SELECT DISTINCT u.note, t.grp FROM t JOIN u ON u.tid = t.id WHERE t.grp = ?`,       // DISTINCT over a join
+		`SELECT * FROM t WHERE name LIKE ?`,                                                 // full scan
+		`SELECT DISTINCT grp FROM t WHERE name LIKE ?`,                                      // DISTINCT over a scan
+		`SELECT * FROM t ORDER BY name DESC LIMIT 5`,                                        // no arguments
+		`SELECT * FROM t WHERE id = ?`,                                                      // a point lookup: never memoised
+		`SELECT * FROM t`,                                                                   // a bare whole-table read: never memoised
+		`SELECT note FROM u`,                                                                // and a bare projection
 	}
+	// stmts[:probed] take a group, stmts[probed:scanned] a pattern, stmts[point]
+	// a key and the rest nothing; none from stmts[point] on is memoised.
+	const probed, scanned, point = 4, 6, 7
 	check := func(step string) {
 		t.Helper()
 		for _, g := range []int64{0, 1, 2} {
-			checkFresh(t, db, cost, stmts[0], Int(g))
-			checkFresh(t, db, cost, stmts[1], Str("%"+strconv.FormatInt(g, 10)+"%"))
-			checkFresh(t, db, cost, stmts[3], Int(g))
+			for _, sql := range stmts[:probed] {
+				checkFresh(t, db, cost, sql, Int(g))
+			}
+			for _, sql := range stmts[probed:scanned] {
+				checkFresh(t, db, cost, sql, Str("%"+strconv.FormatInt(g, 10)+"%"))
+			}
+			checkFresh(t, db, cost, stmts[point], Int(g))
 		}
-		checkFresh(t, db, cost, stmts[2])
-		checkFresh(t, db, cost, stmts[4])
-		checkFresh(t, db, cost, stmts[0], Null())
-		checkFresh(t, db, cost, stmts[0]) // a missing argument is no NULL: an error
+		for _, sql := range stmts[scanned:point] {
+			checkFresh(t, db, cost, sql)
+		}
+		for _, sql := range stmts[point+1:] {
+			checkFresh(t, db, cost, sql)
+		}
+		for _, sql := range stmts[:probed] {
+			checkFresh(t, db, cost, sql, Null())
+			checkFresh(t, db, cost, sql) // a missing argument is no NULL: an error
+		}
 		if t.Failed() {
 			t.Fatalf("after %s", step)
 		}
 	}
 	check("seeding")
-	if n := memoEntries(db, stmts[0]); n != 4 {
-		t.Fatalf("%s memoised %d argument tuples, want 4: three groups and NULL", stmts[0], n)
+	for _, sql := range stmts[:probed] {
+		if n := memoEntries(db, sql); n != 4 {
+			t.Fatalf("%s memoised %d argument tuples, want 4: three groups and NULL", sql, n)
+		}
 	}
-	for _, sql := range stmts[3:] {
+	for _, sql := range stmts[point:] {
 		if n := memoEntries(db, sql); n != 0 {
 			t.Fatalf("%s memoised %d argument tuples, want none", sql, n)
 		}
@@ -105,6 +150,9 @@ func TestSelectMemoInvalidation(t *testing.T) {
 		{"an UPDATE of an unindexed column", `UPDATE t SET name = ? WHERE grp = ?`, []Value{Str("m"), Int(0)}, false},
 		{"a multi-row INSERT that fails part-way", `INSERT INTO t VALUES (?, 0, 'x'), (?, 1, 'y')`, []Value{Int(21), Int(3)}, true},
 		{"an UPDATE that fails part-way", `UPDATE t SET id = ? WHERE grp = ?`, []Value{Int(30), Int(1)}, true},
+		{"an INSERT into the joined table", `INSERT INTO u VALUES (?, ?, ?)`, []Value{Int(30), Int(1), Str("u9")}, false},
+		{"an UPDATE of the joined table", `UPDATE u SET note = ? WHERE tid = ?`, []Value{Str("v"), Int(2)}, false},
+		{"an INSERT into the joined table that fails part-way", `INSERT INTO u VALUES (?, 0, 'x'), (?, 1, 'y')`, []Value{Int(31), Int(3)}, true},
 	}
 	for _, w := range writes {
 		if _, err := db.Exec(w.sql, w.args...); w.fail != errors.Is(err, ErrDuplicateKey) || !w.fail && err != nil {
@@ -124,6 +172,22 @@ func TestSelectMemoInvalidation(t *testing.T) {
 	cost.PerRowReturned *= 3
 	db.SetCostModel(cost)
 	check("SetCostModel")
+}
+
+// TestDistinctScratchIsPerExecution: DISTINCT's first-key map and chain of
+// kept rows are plan scratch, and each miss starts them empty. Group 1 keeps
+// two rows under one first key, so its second copy of (1, x) is found only
+// by walking the chain past its head, which group 0's chain must not leave
+// entries in.
+func TestDistinctScratchIsPerExecution(t *testing.T) {
+	db := New()
+	mustExec(t, db, `CREATE TABLE d (id INT PRIMARY KEY, g INT, a INT, b TEXT)`)
+	mustExec(t, db, `INSERT INTO d VALUES (0, 0, 1, 'x'), (1, 0, 2, 'x'), (2, 1, 1, 'x'), (3, 1, 1, 'y'), (4, 1, 1, 'x')`)
+	const sql = `SELECT DISTINCT a, b FROM d WHERE g = ?`
+	for _, g := range []int64{0, 1, 0, 1} {
+		checkFresh(t, db, DefaultCostModel, sql, Int(g))
+		mustExec(t, db, `UPDATE d SET a = a WHERE id = 0`) // a write: the next run misses
+	}
 }
 
 // TestSelectMemoIsBounded: a plan memoises at most memoCap argument tuples;
@@ -147,12 +211,13 @@ func TestSelectMemoIsBounded(t *testing.T) {
 	}
 }
 
-// TestConcurrentSelectMemo runs one SELECT * from several goroutines while
-// another writes its table: the memo lives on the plan and only db.mu orders
-// its use, which the race detector checks (the race job repeats this
-// package), and every result is one of the table's states.
+// TestConcurrentSelectMemo runs a SELECT * and a projection of the same
+// columns from several goroutines while another writes their table: the memo
+// lives on each plan and only db.mu orders its use, which the race detector
+// checks (the race job repeats this package), and every result is one of the
+// table's states.
 func TestConcurrentSelectMemo(t *testing.T) {
-	const sql = `SELECT * FROM t WHERE grp = ? ORDER BY id`
+	sqls := [2]string{`SELECT * FROM t WHERE grp = ? ORDER BY id`, `SELECT id, grp, v FROM t WHERE grp = ? ORDER BY id`}
 	setup := func() *DB {
 		db := New()
 		mustExec(t, db, `CREATE TABLE t (id INT PRIMARY KEY, grp INT, v INT)`)
@@ -180,8 +245,7 @@ func TestConcurrentSelectMemo(t *testing.T) {
 		return err
 	}
 	const steps = 150
-	// The states, read by a projection of the same columns, which no memo
-	// serves, from a database the same writes reach one at a time.
+	// The states, read from a database the same writes reach one at a time.
 	ref := setup()
 	states := make(map[string]bool)
 	for i := 0; i <= steps; i++ {
@@ -190,9 +254,9 @@ func TestConcurrentSelectMemo(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		states[fingerprint(mustExec(t, ref, `SELECT id, grp, v FROM t WHERE grp = ? ORDER BY id`, Int(0)))] = true
+		states[fingerprint(mustExec(t, ref, sqls[0], Int(0)))] = true
 	}
-	stable := fingerprint(mustExec(t, ref, `SELECT id, grp, v FROM t WHERE grp = ? ORDER BY id`, Int(1)))
+	stable := fingerprint(mustExec(t, ref, sqls[0], Int(1)))
 
 	db := setup()
 	var wg sync.WaitGroup
@@ -212,7 +276,7 @@ func TestConcurrentSelectMemo(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
 				g := int64((i + w) % 2)
-				res, err := db.Exec(sql, Int(g))
+				res, err := db.Exec(sqls[i/2%2], Int(g))
 				if err != nil {
 					t.Error(err)
 					return

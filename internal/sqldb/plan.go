@@ -119,8 +119,8 @@ type selectPlan struct {
 	plainItems, plainOrder, star bool
 
 	run         selectRun
-	memo        map[memoKey]Result // a star plan's memoised results (select.go); nil until it scans
-	memoVersion uint64             // the table version every memo entry was read at
+	memo        map[memoKey]Result // memoised results (select.go); nil until the plan does more than a point lookup
+	memoVersion uint64             // the sum of tabs' versions every memo entry was read at
 }
 
 // andConjuncts flattens a predicate's top-level AND tree left-to-right,

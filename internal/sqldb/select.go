@@ -6,26 +6,26 @@ import "slices"
 // tuples (one position per FROM table) into plan scratch — by nested loops
 // with a probe per level, or by walking an ordered index's buckets in key
 // order — and orders them. Pass 2 builds the result, which the caller holds
-// by value, never aliases plan scratch and is read-only: a single-table
-// SELECT * hands back the stored value slices themselves, capacity cut to
-// length — no allocation for one row, whose stored view is the row list, and
-// one (the row list) for more; projections, joins and DISTINCT project into
-// one slab (two allocations whatever the row count). Stored rows are never
-// written in place, so a result is a snapshot that no later write or Restore
-// changes.
+// by value, never aliases plan scratch and is a shared, read-only snapshot:
+// a single-table SELECT * hands back the stored value slices themselves,
+// capacity cut to length — no allocation for one row, whose stored view is
+// the row list, and one (the row list) for more; projections, joins and
+// DISTINCT project into one slab (two allocations whatever the row count).
+// Stored rows are never written in place, so no later write or Restore
+// changes a result.
 //
-// A SELECT * plan that has once done more than a point lookup memoises its
-// Result by bound arguments for one table version: a hit is the Result a
-// fresh run would return, charged under the current cost model, and its row
-// list is shared and read-only, like its rows. The first run after a write
-// empties the memo; a plan rebuild drops it. A bare whole-table read (no
-// WHERE, ORDER BY or LIMIT), a snapshot's, and projections, joins and
-// DISTINCT, whose rows their caller owns, always run.
+// A plan that has once done more than a point lookup memoises its Result by
+// bound arguments while the version of every table it reads stands still: a
+// hit is the Result a fresh run would return, charged under the current cost
+// model, and shares its row list and rows with every other hit. The first
+// run after a write to any of its tables empties the memo; a plan rebuild
+// drops it. A bare whole-table read (no WHERE, ORDER BY or LIMIT), a
+// snapshot's, always runs.
 
 // memoCap bounds the tuples one plan memoises (Pet Store's largest is 100).
 const memoCap = 1024
 
-// memoKey is a SELECT *'s bound arguments; a statement with more arguments
+// memoKey is a SELECT's bound arguments; a statement with more arguments
 // than it holds is not memoised.
 type memoKey struct {
 	n    int
@@ -35,10 +35,12 @@ type memoKey struct {
 // selectRun is a selectPlan's execution scratch, reused under db.mu.
 type selectRun struct {
 	fr   frame
-	cur  []int   // the tuple being extended, one position per level
-	pos  []int   // accepted tuples, flattened
-	ord  []int   // tuple numbers in result order (ORDER BY only)
-	keys []Value // evaluated ORDER BY keys per tuple (non-plain keys only)
+	cur  []int       // the tuple being extended, one position per level
+	pos  []int       // accepted tuples, flattened
+	ord  []int       // tuple numbers in result order (ORDER BY only)
+	keys []Value     // evaluated ORDER BY keys per tuple (non-plain keys only)
+	last map[key]int // DISTINCT: first column's key -> latest kept row with it
+	prev []int       // DISTINCT: kept row -> the kept row before it with its key, or -1
 
 	scanned, probes int
 	usedIndex       bool
@@ -50,11 +52,15 @@ func (db *DB) execSelect(s *SelectStmt, args []Value) (Result, error) {
 		return Result{}, err
 	}
 	var k memoKey
-	if !pl.star || len(args) > len(k.args) || s.Where == nil && s.OrderBy == nil && s.Limit < 0 {
+	if len(args) > len(k.args) || s.Where == nil && s.OrderBy == nil && s.Limit < 0 {
 		return db.runSelect(pl, hit, s, args) // a bare whole-table read is a snapshot's
 	}
 	k.n = copy(k.args[:], args)
-	if v := pl.tabs[0].version; pl.memoVersion != v {
+	var v uint64 // versions only grow, so their sum moves exactly when one does
+	for _, t := range pl.tabs {
+		v += t.version
+	}
+	if pl.memoVersion != v {
 		clear(pl.memo) // read before a write
 		pl.memoVersion = v
 	}
@@ -142,7 +148,7 @@ func (db *DB) runSelect(pl *selectPlan, hit bool, s *SelectStmt, args []Value) (
 			res.Rows[i] = out
 		}
 		if s.Distinct {
-			res.Rows = distinctRows(res.Rows)
+			res.Rows = run.distinct(res.Rows)
 		}
 		if s.Limit >= 0 && s.Limit < len(res.Rows) {
 			res.Rows = res.Rows[:s.Limit]
@@ -331,28 +337,31 @@ func exprName(e Expr) string {
 	return "expr"
 }
 
-// distinctRows removes duplicate rows, keeping first occurrences. Rows are
-// duplicates when their values' distinctKeys are equal column by column. A
-// row is hashed by its first column and compared in full with the kept rows
-// chained under the same first key.
-func distinctRows(rows [][]Value) [][]Value {
-	last := make(map[key]int, len(rows)) // first column's key -> latest kept row with it
-	prev := make([]int, 0, len(rows))    // kept row -> the kept row before it with the same first key, or -1
+// distinct removes duplicate rows in place, keeping first occurrences. Rows
+// are duplicates when their values' distinctKeys are equal column by column.
+// A row is hashed by its first column and compared in full with the kept
+// rows chained under the same first key.
+func (run *selectRun) distinct(rows [][]Value) [][]Value {
+	if run.last == nil {
+		run.last = make(map[key]int, len(rows))
+	}
+	clear(run.last)
+	run.prev = run.prev[:0]
 	out := rows[:0]
 next:
 	for _, r := range rows {
 		k := r[0].distinctKey()
-		head, ok := last[k]
+		head, ok := run.last[k]
 		if !ok {
 			head = -1
 		}
-		for j := head; j >= 0; j = prev[j] {
+		for j := head; j >= 0; j = run.prev[j] {
 			if slices.EqualFunc(out[j], r, func(a, b Value) bool { return a.distinctKey() == b.distinctKey() }) {
 				continue next
 			}
 		}
-		last[k] = len(out)
-		prev = append(prev, head)
+		run.last[k] = len(out)
+		run.prev = append(run.prev, head)
 		out = append(out, r)
 	}
 	return out

@@ -11,13 +11,13 @@
 // scratch an execution reuses; plans run under the database mutex, one
 // execution at a time. A SELECT collects the accepted row positions (an
 // indexed ORDER BY walks the index's key-sorted buckets, never hashing) and
-// orders them. A Result is returned by value and its rows are read-only
-// snapshots: a single-table SELECT * returns the stored value slices,
-// capacity cut to length (one allocation, the row list, whatever the row
-// count; none for a single row, whose view its row struct holds, or for a
-// repeat its plan memoised while the table stood still), any other SELECT
-// one slab (two), and stored rows are never written in place: a one-row
-// write returns the new row it stored. Arguments are copied into
+// orders them. A Result is returned by value and its rows are shared,
+// read-only snapshots: a single-table SELECT * returns the stored value
+// slices, capacity cut to length (one allocation, the row list, whatever the
+// row count; none for a single row, whose view its row struct holds), any
+// other SELECT one slab (two), a repeat its plan memoised while the tables it
+// reads stood still nothing, and stored rows are never written in place: a
+// one-row write returns the new row it stored. Arguments are copied into
 // plan scratch, never kept, so a caller's variadic arguments stay on its
 // stack; the write hook gets a copy of its own. A col LIKE '%word%' searches a
 // lower-cased copy of the stored value, made once per row version. A Value is
