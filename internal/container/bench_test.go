@@ -1,8 +1,9 @@
 // Ablation benchmarks for replica propagation: payload shape, batching and
-// fan-out order, in virtual time per write.
+// fan-out width, in virtual time per write.
 package container_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -64,7 +65,7 @@ func BenchmarkAblationDeltaVsFullPush(b *testing.B) {
 			mk := func(nodeName string) *container.Server {
 				s, err := container.NewServer(container.Config{
 					Name: nodeName, DBNode: "main", DB: db, Net: net, RMI: rt,
-					Web: web.DefaultOptions, Costs: container.DefaultCostModel,
+					Web: web.DefaultOptions,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -144,7 +145,7 @@ func BenchmarkBatchedPushThroughput(b *testing.B) {
 			mk := func(nodeName string) *container.Server {
 				s, err := container.NewServer(container.Config{
 					Name: nodeName, DBNode: "main", DB: db, Net: net, RMI: rt,
-					Web: web.DefaultOptions, Costs: container.DefaultCostModel,
+					Web: web.DefaultOptions,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -214,21 +215,21 @@ func BenchmarkBatchedPushThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSeqVsParallelFanOut compares sequential and parallel
-// blocking fan-out to two edge replicas — the knob that brackets the paper's
-// measured Commit times.
-func BenchmarkAblationSeqVsParallelFanOut(b *testing.B) {
-	for _, parallel := range []bool{false, true} {
-		name := "sequential"
-		if parallel {
-			name = "parallel"
-		}
-		b.Run(name, func(b *testing.B) {
+// BenchmarkAblationSyncFanOut is the writer's cost of a blocking push to 1,
+// 2 and 4 edge replicas: the pushes run one after the other, so write time
+// grows with the replicas (Section 4.3).
+func BenchmarkAblationSyncFanOut(b *testing.B) {
+	for _, n := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("edges=%d", n), func(b *testing.B) {
 			env := sim.NewEnv(4)
-			net, err := simnet.PaperTopology(env)
+			// The star's WAN legs, 100 ms one way between servers, under one
+			// router.
+			leg := simnet.LinkClass{OneWay: simnet.WANOneWay / 2, Bps: simnet.WANBps}
+			h, err := simnet.BuildHierarchy(env, simnet.HierarchySpec{Edges: n, Hubs: 1, Backbone: leg, Metro: leg})
 			if err != nil {
 				b.Fatal(err)
 			}
+			net := h.Net
 			db := sqldb.New()
 			if _, err := db.Exec(`CREATE TABLE kv (id INT PRIMARY KEY, v INT NOT NULL)`); err != nil {
 				b.Fatal(err)
@@ -240,7 +241,7 @@ func BenchmarkAblationSeqVsParallelFanOut(b *testing.B) {
 			mk := func(nodeName string) *container.Server {
 				s, err := container.NewServer(container.Config{
 					Name: nodeName, DBNode: simnet.NodeDB, DB: db, Net: net, RMI: rt,
-					Web: web.DefaultOptions, Costs: container.DefaultCostModel,
+					Web: web.DefaultOptions,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -248,8 +249,8 @@ func BenchmarkAblationSeqVsParallelFanOut(b *testing.B) {
 				return s
 			}
 			main := mk(simnet.NodeMain)
-			var edges []string
-			for _, edgeName := range []string{simnet.NodeEdge1, simnet.NodeEdge2} {
+			edges := h.ServerNodes()[1:]
+			for _, edgeName := range edges {
 				edge := mk(edgeName)
 				ro, err := container.DeployROEntity(edge, "KVRO", "KV", nil)
 				if err != nil {
@@ -260,15 +261,12 @@ func BenchmarkAblationSeqVsParallelFanOut(b *testing.B) {
 					b.Fatal(err)
 				}
 				uf.Register("KV", ro)
-				edges = append(edges, edgeName)
 			}
 			rw, err := container.DeployRWEntity(main, "KV", "kv", "id")
 			if err != nil {
 				b.Fatal(err)
 			}
-			sp := newPusher(b, main, 0, edges...)
-			sp.Parallel = parallel
-			rw.AddPropagator(sp)
+			rw.AddPropagator(newPusher(b, main, 0, edges...))
 			var mean time.Duration
 			env.Spawn("writer", func(p *sim.Proc) {
 				var total time.Duration

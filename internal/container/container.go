@@ -63,35 +63,26 @@ func (k BeanKind) String() string {
 	}
 }
 
-// CostModel is the container-side CPU cost model.
-type CostModel struct {
+// The container-side cost model, approximating the paper's JBoss 2.4/3.0
+// era containers.
+const (
 	// MethodCPU is charged per business-method invocation: transaction
 	// demarcation, security checks and interceptors.
-	MethodCPU time.Duration
+	MethodCPU = 400 * time.Microsecond
 
 	// EntityLoadCPU / EntityStoreCPU cover ejbLoad/ejbStore field
 	// marshalling on top of the SQL cost.
-	EntityLoadCPU  time.Duration
-	EntityStoreCPU time.Duration
+	EntityLoadCPU  = 300 * time.Microsecond
+	EntityStoreCPU = 300 * time.Microsecond
 
 	// CacheHitCPU is the cost of serving state from a read-only bean or
 	// query cache.
-	CacheHitCPU time.Duration
+	CacheHitCPU = 150 * time.Microsecond
 
 	// JDBCRounds is the number of network round trips per SQL statement
-	// between an application server and the database node (connection
-	// management makes this exceed 1 for non-pooled access).
-	JDBCRounds float64
-}
-
-// DefaultCostModel approximates the paper's JBoss 2.4/3.0 era containers.
-var DefaultCostModel = CostModel{
-	MethodCPU:      400 * time.Microsecond,
-	EntityLoadCPU:  300 * time.Microsecond,
-	EntityStoreCPU: 300 * time.Microsecond,
-	CacheHitCPU:    150 * time.Microsecond,
-	JDBCRounds:     1,
-}
+	// between an application server and the database node.
+	JDBCRounds = 1
+)
 
 // Server is one application server: a container environment on a node.
 type Server struct {
@@ -105,7 +96,6 @@ type Server struct {
 	// dbRoute is the JDBC connection's route to the database node.
 	dbRoute *simnet.Route
 	jms     *jms.Provider
-	costs   CostModel
 	stubs   *rmi.StubCache
 
 	beans map[string]*binding
@@ -136,7 +126,6 @@ type Config struct {
 	RMI    *rmi.Runtime
 	JMS    *jms.Provider // may be nil if the deployment does not use messaging
 	Web    web.Options
-	Costs  CostModel
 }
 
 // NewServer creates an application server on cfg.Name.
@@ -164,7 +153,6 @@ func NewServer(cfg Config) (*Server, error) {
 		dbSrv:       dbNode,
 		dbRoute:     cfg.Net.Route(cfg.Name, cfg.DBNode),
 		jms:         cfg.JMS,
-		costs:       cfg.Costs,
 		stubs:       rmi.NewStubCache(cfg.RMI, cfg.Name, bindPrefix),
 		beans:       make(map[string]*binding),
 		mSQL:        reg.CounterVec("container_sql_statements_total", "server").With(cfg.Name),
@@ -282,15 +270,11 @@ func (s *Server) SQL(p *sim.Proc, query string, args ...sqldb.Value) (sqldb.Resu
 	}
 	defer endSQL()
 	if remote {
-		rounds := s.costs.JDBCRounds
-		if rounds < 1 {
-			rounds = 1
-		}
 		rtt, err := s.dbRoute.RTT()
 		if err != nil {
 			return sqldb.Result{}, fmt.Errorf("container: jdbc %s->%s: %w", s.name, s.dbSrv.ID, err)
 		}
-		p.Sleep(time.Duration(rounds * float64(rtt)))
+		p.Sleep(JDBCRounds * rtt)
 	}
 	res, err := s.db.Exec(query, args...)
 	if err != nil {

@@ -157,7 +157,7 @@ func (b *RWEntity) RemovePropagator(pr Propagator) {
 // cost on the bean's server; the caller pays the wire cost of shipping the
 // image (sum of WireBytes) separately.
 func (b *RWEntity) Snapshot(p *sim.Proc) ([]Update, error) {
-	b.srv.Compute(p, b.srv.costs.EntityLoadCPU)
+	b.srv.Compute(p, EntityLoadCPU)
 	res, err := b.srv.SQL(p, b.snapshotSQL)
 	if err != nil {
 		return nil, fmt.Errorf("entity %s snapshot: %w", b.name, err)
@@ -202,7 +202,7 @@ func (b *RWEntity) SetDeltaPush(on bool) { b.deltaPush = on }
 // so this is a single SELECT). The row is the SELECT's own: no copy.
 func (b *RWEntity) Load(p *sim.Proc, pk sqldb.Value) (Row, error) {
 	b.mLoad.Inc()
-	b.srv.Compute(p, b.srv.costs.EntityLoadCPU)
+	b.srv.Compute(p, EntityLoadCPU)
 	res, err := b.srv.SQL(p, b.loadSQL, pk)
 	if err != nil {
 		return Row{}, fmt.Errorf("entity %s load: %w", b.name, err)
@@ -237,7 +237,7 @@ func stmtFor(stmts *[]*colStmt, st State, text func(cols []string) string) *colS
 
 // Insert creates a new entity (ejbCreate) and propagates the stored row.
 func (b *RWEntity) Insert(p *sim.Proc, st State) error {
-	b.srv.Compute(p, b.srv.costs.EntityStoreCPU)
+	b.srv.Compute(p, EntityStoreCPU)
 	cs := stmtFor(&b.inserts, st, func(cols []string) string {
 		return "INSERT INTO " + b.table + " (" + strings.Join(cols, ", ") + ") VALUES (" + strings.TrimPrefix(strings.Repeat(", ?", len(cols)), ", ") + ")"
 	})
@@ -259,7 +259,7 @@ func (b *RWEntity) UpdateFields(p *sim.Proc, pk sqldb.Value, changes State) (Row
 	if err != nil {
 		return Row{}, err
 	}
-	b.srv.Compute(p, b.srv.costs.EntityStoreCPU)
+	b.srv.Compute(p, EntityStoreCPU)
 	cs := stmtFor(&b.updates, changes, func(cols []string) string {
 		return "UPDATE " + b.table + " SET " + strings.Join(cols, " = ?, ") + " = ? WHERE " + b.pkCol + " = ?"
 	})
@@ -488,7 +488,7 @@ func (b *ROEntity) Get(p *sim.Proc, pk sqldb.Value) (Row, error) {
 	e, ok := b.entries[pk]
 	if ok && !b.expired(e) {
 		b.mHits.Inc()
-		b.srv.Compute(p, b.srv.costs.CacheHitCPU)
+		b.srv.Compute(p, CacheHitCPU)
 		return e.state, nil
 	}
 	if b.fetch == nil {
@@ -598,7 +598,7 @@ func (u *UpdaterFacade) Register(rwBean string, a Applier) {
 
 // Apply applies a batch locally (used by MDB delivery on the same server).
 func (u *UpdaterFacade) Apply(p *sim.Proc, updates []Update) {
-	u.srv.Compute(p, u.srv.costs.CacheHitCPU)
+	u.srv.Compute(p, CacheHitCPU)
 	for _, up := range updates {
 		u.mApplied.Inc()
 		for _, a := range u.appliers[up.Bean] {
@@ -629,7 +629,7 @@ func (u *UpdaterFacade) handle(p *sim.Proc, call *rmi.Call) (any, error) {
 	if !ok {
 		return nil, fmt.Errorf("container: %s.apply: payload must be a pusher's batch", u.name)
 	}
-	u.srv.Compute(p, u.srv.costs.MethodCPU)
+	u.srv.Compute(p, MethodCPU)
 	u.Apply(p, b.updates)
 	return len(b.updates), nil
 }

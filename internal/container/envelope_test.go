@@ -152,11 +152,11 @@ func TestEnvelopeLifetime(t *testing.T) {
 		}
 		net.EnableFaults(5)
 		opts := rmi.DefaultOptions
-		opts.Retry = &rmi.RetryPolicy{CallTimeout: 500 * time.Millisecond, MaxAttempts: 4, Backoff: 100 * time.Millisecond}
+		opts.Resilient = true
 		rt := rmi.NewRuntime(net, opts)
 		srv := map[string]*Server{}
 		for _, name := range []string{"main", "edge"} {
-			s, err := NewServer(Config{Name: name, DBNode: "main", DB: sqldb.New(), Net: net, RMI: rt, Web: web.DefaultOptions, Costs: DefaultCostModel})
+			s, err := NewServer(Config{Name: name, DBNode: "main", DB: sqldb.New(), Net: net, RMI: rt, Web: web.DefaultOptions})
 			if err != nil {
 				t.Fatal(err)
 			}

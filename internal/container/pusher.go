@@ -9,6 +9,10 @@ import (
 	"wadeploy/internal/trace"
 )
 
+// PushReplyBytes is the acknowledgement an updater façade returns for a
+// push.
+const PushReplyBytes = 64
+
 // PushTarget names an updater façade deployment.
 type PushTarget struct {
 	Server string // node ID
@@ -52,16 +56,11 @@ type Pusher struct {
 	// availability during WAN partitions. A flush has no writer to fail.
 	BestEffort bool
 
-	// Parallel is the ablation switch that brackets the paper's measured
-	// Commit times (EXPERIMENTS.md): a blocking fan-out runs one process per
-	// destination, as every flush does, and the writer waits for roughly one
-	// push latency instead of the sum.
-	Parallel bool
-
 	buf     coalescer
 	armed   bool
 	flushFn func()              // flush, bound once for the window's timer
 	batches sim.Free[pushBatch] // records of no message in flight (Reuse/Keep)
+	flights sim.Free[flight]    // records of no flushed message on its way (Reuse/Keep)
 
 	mDelivered *metrics.Counter // messages that reached their destination, in the row's family
 	mSkipped   *metrics.Counter // RMI, window 0
@@ -93,10 +92,12 @@ func (ps *Pusher) batch(updates []Update) *pushBatch {
 // Release gives the record back to its pusher, its updates cleared.
 func (b *pushBatch) Release() { clear(b.updates); b.free.Keep(b) }
 
-// pushDest is one destination and the partitions it owns (nil: all).
+// pushDest is one destination, the partitions it owns (nil: all), and the
+// name of the process that carries a flushed window to it.
 type pushDest struct {
 	PushTarget
 	owns []bool
+	proc string
 }
 
 // keep returns the updates (of partitions parts) d owns: updates itself when
@@ -131,7 +132,7 @@ func NewPusher(srv *Server, topic string, window time.Duration) (*Pusher, error)
 			return nil, fmt.Errorf("container: pusher on %s: no JMS provider", srv.name)
 		}
 		srv.jms.CreateTopic(topic)
-		ps.targets = []pushDest{{}}
+		ps.targets = []pushDest{{proc: "push:" + topic}}
 	}
 	reg := srv.Env().Metrics()
 	switch {
@@ -160,7 +161,7 @@ func (ps *Pusher) AddTarget(t PushTarget) {
 			return
 		}
 	}
-	ps.targets = append(ps.targets, pushDest{t, ps.scopes[t]})
+	ps.targets = append(ps.targets, pushDest{t, ps.scopes[t], "push:" + t.Server + ps.topic})
 }
 
 // RemoveTarget detaches a replica destination at runtime (suspension of
@@ -212,21 +213,10 @@ func (ps *Pusher) Propagate(p *sim.Proc, updates []Update) error {
 		return nil
 	}
 	if ps.topic == "" {
-		// Sequential pushes nest their rmi spans right here, so the fan-out
-		// span's self-time is ~0 and each call claims its own cause. Parallel
-		// pushes run on spawned processes (async spans), leaving the wait for
-		// the slowest target as this span's self-time — wide-area wait
-		// whenever any target is across a WAN link.
-		cause := trace.CauseService
-		if ps.parallel() && trace.Active(p) {
-			for _, t := range ps.targets {
-				if t.Server != ps.srv.name && ps.srv.net.WideArea(ps.srv.name, t.Server) {
-					cause = trace.CauseWAN
-					break
-				}
-			}
-		}
-		defer trace.Op(p, "push", "sync fan-out", ps.srv.name, "", cause)()
+		// The pushes run one after the other on the writer's process and
+		// nest their rmi spans right here, so the fan-out span's self-time
+		// is ~0 and each call claims its own cause.
+		defer trace.Op(p, "push", "sync fan-out", ps.srv.name, "", trace.CauseService)()
 		start := p.Now()
 		defer func() { ps.mPushNs.Observe(p.Now() - start) }()
 	}
@@ -242,46 +232,34 @@ func (ps *Pusher) flush() {
 }
 
 // send ships updates to every destination, each getting the part its scope
-// keeps. A writer (p != nil) blocks until all of them applied it — one after
-// the other on its own process, or with Parallel all at once on a process
-// each — and sees the first failure unless BestEffort. A flush (p == nil) has
-// nobody waiting, so nobody to fail: the deliveries finish on their own and
-// the replica's MaxStaleness fetch path is the safety net for a lost one.
+// keeps. A writer (p != nil) blocks until all of them applied it, one after
+// the other on its own process (Section 4.3), and sees the first failure
+// unless BestEffort. A flush (p == nil) has nobody waiting, so nobody to
+// fail: it starts a process per destination, the deliveries finish on their
+// own and the replica's MaxStaleness fetch path is the safety net for a lost
+// one.
 func (ps *Pusher) send(p *sim.Proc, updates []Update) error {
-	inline := p != nil && !ps.parallel()
 	parts := make([]int, 0, 4)
 	if ps.part != nil {
 		for _, u := range updates {
 			parts = append(parts, ps.part.PartitionFor(u.PK))
 		}
 	}
-	var waits []*sim.Promise[struct{}]
 	for _, d := range ps.targets {
-		batch, t := updates, d.PushTarget
+		batch := updates
 		if d.owns != nil {
 			if batch = d.keep(updates, parts); len(batch) == 0 {
 				continue
 			}
 		}
-		if !inline {
-			if done := ps.spawn(p, t, batch); done != nil {
-				waits = append(waits, done)
-			}
-		} else if err := ps.deliver(p, t, batch); err != nil && !ps.skip() {
+		if p == nil {
+			ps.spawn(d, batch)
+		} else if err := ps.deliver(p, d.PushTarget, batch); err != nil && !ps.skip() {
 			return err
 		}
 	}
-	var firstErr error
-	for _, done := range waits {
-		if _, err := sim.Await(p, done); err != nil && !ps.skip() && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return nil
 }
-
-// parallel reports whether a blocking fan-out overlaps its pushes.
-func (ps *Pusher) parallel() bool { return ps.Parallel && len(ps.targets) > 1 }
 
 // skip reports whether a failed blocking push may be skipped, counting it.
 func (ps *Pusher) skip() bool {
@@ -291,33 +269,37 @@ func (ps *Pusher) skip() bool {
 	return ps.BestEffort
 }
 
-// spawn runs one delivery on its own process. For a waiting writer the
-// process continues the writer's trace and the returned promise carries the
-// outcome; a flush gets nil.
-func (ps *Pusher) spawn(p *sim.Proc, t PushTarget, batch []Update) *sim.Promise[struct{}] {
-	env := ps.srv.Env()
-	var done *sim.Promise[struct{}]
-	var ctx trace.Ctx
-	if p != nil {
-		done, ctx = sim.NewPromise[struct{}](env), trace.Capture(p)
+// flight is a flushed window's message on its way to one destination, in a
+// record its pusher recycles: run, bound when the record is made, is the
+// body of the process that carries it.
+type flight struct {
+	ps    *Pusher
+	to    PushTarget
+	batch []Update
+	run   func(*sim.Proc)
+}
+
+// spawn carries batch to d on a process of its own.
+func (ps *Pusher) spawn(d pushDest, batch []Update) {
+	f := ps.flights.Reuse()
+	if f == nil {
+		f = &flight{ps: ps}
+		f.run = f.fly
 	}
-	env.Spawn("push:"+t.Server+ps.topic, func(pp *sim.Proc) {
-		switch {
-		case done != nil:
-			defer trace.Adopt(pp, ctx, "push", "apply batch", t.Server, trace.CauseService)()
-		case ps.topic == "":
-			defer trace.Op(pp, "push", "lease batch", ps.srv.name, t.Server, trace.CauseService)()
-		}
-		err := ps.deliver(pp, t, batch)
-		switch {
-		case done == nil:
-		case err != nil:
-			done.Fail(err)
-		default:
-			done.Resolve(struct{}{})
-		}
-	})
-	return done
+	f.to, f.batch = d.PushTarget, batch
+	ps.srv.Env().Spawn(d.proc, f.run)
+}
+
+// fly is a flight's process: it takes the message off f, gives f back, and
+// delivers it.
+func (f *flight) fly(p *sim.Proc) {
+	ps, to, batch := f.ps, f.to, f.batch
+	f.batch = nil
+	ps.flights.Keep(f)
+	if ps.topic == "" {
+		defer trace.Op(p, "push", "lease batch", ps.srv.name, to.Server, trace.CauseService)()
+	}
+	_ = ps.deliver(p, to, batch)
 }
 
 // deliver carries one message to one destination on p — publish on the
@@ -342,7 +324,7 @@ func (ps *Pusher) deliver(p *sim.Proc, t PushTarget, batch []Update) error {
 		b := ps.batch(batch) // one recycled pointer: the payload boxes nothing
 		stub, err := ps.srv.StubFor(p, t.Server, t.Facade)
 		if err == nil {
-			_, err = stub.InvokeSized(p, MethodApply, payload, 64, b, nil)
+			_, err = stub.InvokeSized(p, MethodApply, payload, PushReplyBytes, b, nil)
 		}
 		b.Release()
 		if err != nil {

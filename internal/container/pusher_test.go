@@ -232,29 +232,19 @@ func tracedCommit(t *testing.T, f *fixture, rw *RWEntity) map[string]bool {
 // processes no page is waiting for, so its spans never attach to a trace).
 func TestPusherSpanLabels(t *testing.T) {
 	cases := []struct {
-		row      pushRow
-		parallel bool
-		want     []string
+		row  pushRow
+		want []string
 	}{
-		{pushRows[0], false, []string{"push/sync fan-out"}},
-		{pushRows[0], true, []string{"push/sync fan-out", "push/apply batch"}},
-		{pushRows[2], false, []string{"jms/publish updates"}},
+		{pushRows[0], []string{"push/sync fan-out"}},
+		{pushRows[2], []string{"jms/publish updates"}},
 	}
 	for _, c := range cases {
 		f := newFixture(t)
-		rw, _, ps := wirePusher(t, f, c.row)
-		if c.parallel {
-			// Parallel needs a second destination to fan out to.
-			if _, err := DeployUpdaterFacade(f.main, "Updater"); err != nil {
-				t.Fatal(err)
-			}
-			ps.AddTarget(PushTarget{Server: "main", Facade: "Updater"})
-			ps.Parallel = true
-		}
+		rw, _, _ := wirePusher(t, f, c.row)
 		spans := tracedCommit(t, f, rw)
 		for _, want := range c.want {
 			if !spans[want] {
-				t.Errorf("row %s parallel=%v: spans = %v, want %s", c.row.name, c.parallel, spans, want)
+				t.Errorf("row %s: spans = %v, want %s", c.row.name, spans, want)
 			}
 		}
 	}
@@ -365,7 +355,7 @@ func TestPusherValidation(t *testing.T) {
 	}
 	noJMS, err := NewServer(Config{
 		Name: "edge", DBNode: "main", DB: f.db, Net: f.net, RMI: f.rt,
-		Web: web.DefaultOptions, Costs: DefaultCostModel,
+		Web: web.DefaultOptions,
 	})
 	if err != nil {
 		t.Fatal(err)

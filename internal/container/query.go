@@ -107,7 +107,7 @@ func (qc *QueryCache) Get(p *sim.Proc, key string) (any, error) {
 	if ok && !e.stale && !expired {
 		qc.mHits.Inc()
 		endHit := trace.Opf(p, "cache", qc.srv.name, "", trace.CauseService, "hit ", qc.name, "")
-		qc.srv.Compute(p, qc.srv.costs.CacheHitCPU)
+		qc.srv.Compute(p, CacheHitCPU)
 		endHit()
 		return e.result, nil
 	}

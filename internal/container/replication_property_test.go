@@ -121,14 +121,14 @@ func newPropFixture(seed int64) *fixtureP {
 	mustExecP(db, `CREATE TABLE inventory (item_id TEXT PRIMARY KEY, qty INT NOT NULL)`)
 	mustExecP(db, `INSERT INTO inventory VALUES ('i1', 10)`)
 	rt := rmi.NewRuntime(net, rmi.DefaultOptions)
-	provider, err := jms.NewProvider(net, "main", jms.DefaultOptions)
+	provider, err := jms.NewProvider(net, "main", false)
 	if err != nil {
 		panic(err)
 	}
 	mk := func(name string) *Server {
 		s, err := NewServer(Config{
 			Name: name, DBNode: "main", DB: db, Net: net, RMI: rt, JMS: provider,
-			Web: web.DefaultOptions, Costs: DefaultCostModel,
+			Web: web.DefaultOptions,
 		})
 		if err != nil {
 			panic(err)

@@ -93,7 +93,7 @@ func (b *StatelessBean) handle(p *sim.Proc, call *rmi.Call) (any, error) {
 		return nil, fmt.Errorf("container: %s.%s: %w", b.name, call.Method, ErrNoSuchMethod)
 	}
 	b.mCalls.Inc()
-	b.srv.Compute(p, b.srv.costs.MethodCPU)
+	b.srv.Compute(p, MethodCPU)
 	inv := b.srv.invs.Take(Invocation{Server: b.srv, Method: call.Method, Args: call.Args, Caller: call.Caller, Out: call.Out})
 	defer b.srv.invs.Put(inv)
 	return m(p, inv)
@@ -155,7 +155,7 @@ func (b *StatefulBean) handle(p *sim.Proc, call *rmi.Call) (any, error) {
 		b.mActivations.Inc()
 	}
 	b.mCalls.Inc()
-	b.srv.Compute(p, b.srv.costs.MethodCPU)
+	b.srv.Compute(p, MethodCPU)
 	inv := b.srv.invs.Take(Invocation{Server: b.srv, Method: call.Method, Args: call.Args[1:], Caller: call.Caller,
 		Session: sessionKey, State: st, Out: call.Out})
 	defer b.srv.invs.Put(inv)
@@ -178,7 +178,7 @@ func DeployMDB(srv *Server, name, topic string, onMessage func(p *sim.Proc, srvr
 	b := &MDBean{mRecv: srv.Env().Metrics().Counter("container_mdb_deliveries_total")}
 	err := srv.jms.Subscribe(topic, srv.name, name, func(p *sim.Proc, msg *jms.Message) {
 		b.mRecv.Inc()
-		srv.Compute(p, srv.costs.MethodCPU)
+		srv.Compute(p, MethodCPU)
 		onMessage(p, srv, msg)
 	})
 	if err != nil {

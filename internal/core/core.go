@@ -70,18 +70,15 @@ type Deployment struct {
 
 // Options configures a deployment.
 type Options struct {
-	RMI      rmi.Options
-	JMS      jms.Options
+	RMI      rmi.Options // Rounds; Resilient follows Resilience
 	Web      web.Options
-	Costs    container.CostModel
-	DBCost   sqldb.CostModel
 	Topology simnet.HierarchySpec // the zero value is the paper's Fig. 2 star
 
 	// Resilience arms the WAN-degradation machinery across the substrate:
-	// RMI retries/breakers, JMS redelivery, best-effort pushes, and
-	// serve-stale bounds on AutoWired replicas and caches (resilience.go).
-	// Off (the default) keeps strict semantics and byte-identical metric
-	// output.
+	// RMI retries/breakers and JMS redelivery at their packages' constant
+	// policies, best-effort pushes, and serve-stale bounds on AutoWired
+	// replicas and caches (resilience.go). Off (the default) keeps strict
+	// semantics and byte-identical metric output.
 	Resilience bool
 
 	// Propagation, when non-nil, replaces every replica spec's method of
@@ -93,13 +90,7 @@ type Options struct {
 
 // DefaultOptions returns the substrate defaults.
 func DefaultOptions() Options {
-	return Options{
-		RMI:    rmi.DefaultOptions,
-		JMS:    jms.DefaultOptions,
-		Web:    web.DefaultOptions,
-		Costs:  container.DefaultCostModel,
-		DBCost: sqldb.DefaultCostModel,
-	}
+	return Options{RMI: rmi.DefaultOptions, Web: web.DefaultOptions}
 }
 
 // NewPaperDeployment builds a deployment on opts.Topology — left zero, the
@@ -127,15 +118,10 @@ func buildDeployment(env *sim.Env, opts Options) (*Deployment, *simnet.Hierarchy
 		return nil, nil, fmt.Errorf("core: %w", err)
 	}
 	db := sqldb.New()
-	db.SetCostModel(opts.DBCost)
 	InstrumentDB(env.Metrics(), db)
-	if opts.Resilience {
-		opts.RMI.Retry = &resilienceRetry
-		opts.RMI.Breaker = &resilienceBreaker
-		opts.JMS.Redelivery = &resilienceRedelivery
-	}
+	opts.RMI.Resilient = opts.Resilience
 	rt := rmi.NewRuntime(h.Net, opts.RMI)
-	provider, err := jms.NewProvider(h.Net, simnet.NodeMain, opts.JMS)
+	provider, err := jms.NewProvider(h.Net, simnet.NodeMain, opts.Resilience)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: %w", err)
 	}
@@ -160,7 +146,6 @@ func buildDeployment(env *sim.Env, opts Options) (*Deployment, *simnet.Hierarchy
 			RMI:    rt,
 			JMS:    provider,
 			Web:    opts.Web,
-			Costs:  opts.Costs,
 		})
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: server %s: %w", name, err)

@@ -11,33 +11,38 @@ package experiment
 //	WAN one-way latency   100 ms   (paper: "100 ms latency each way")
 //	WAN bandwidth         100 Mbit/s combined
 //	LAN one-way latency   250 µs
-//	server CPUs           2 slots  (dual-processor Pentium III)
+//	server CPUs           2 slots  (dual-processor Pentium III; simnet.ServerCPUs)
 //
-// HTTP (web.DefaultOptions, Section 3.3):
+// HTTP (Section 3.3; web.HandshakeBytes, web.RequestBytes,
+// web.DefaultPageBytes, and web.DefaultOptions / rubis.DeployOptions for
+// the servlet dispatch CPU, 2 ms Pet Store, 1 ms RUBiS):
 //
 //	keep-alive            off      => TCP handshake RTT + request RTT per page
 //	                                  (the centralized config's +400 ms)
 //
-// RMI (rmi.DefaultOptions / rubis.DeployOptions):
+// RMI (rmi.DefaultOptions / rubis.DeployOptions for the rounds; the sizes
+// and CPU costs are rmi.RequestBytes, rmi.ReplyBytes, rmi.LocalDispatch and
+// rmi.MarshalCPU):
 //
 //	rounds per call       1.5      Pet Store (JBoss 2.4.4-era RMI with
 //	                               ping/DGC traffic, ref [5] in the paper)
 //	rounds per call       1.25     RUBiS (JBoss 3.0.3 / Jetty 4.1.0, leaner)
 //	JNDI lookup           1 remote call, removed by EJBHomeFactory caching
 //
-// Container (container.DefaultCostModel):
+// Container (container.MethodCPU, EntityLoadCPU, EntityStoreCPU,
+// CacheHitCPU, JDBCRounds):
 //
 //	business method       400 µs   tx demarcation + interceptors
 //	ejbLoad/ejbStore      300 µs   field marshalling on top of SQL cost
 //	cache hit             150 µs   read-only bean / query-cache read
 //	JDBC                  1 round trip per statement to the DB node
 //
-// Database (sqldb.DefaultCostModel):
+// Database (sqldb.Cost over its per-statement and per-row constants):
 //
 //	per statement         300 µs; scans 4 µs/row; writes 40 µs/row.
 //	Utilization stays under ~5% in all runs (paper, Section 3.1).
 //
-// JMS (jms.DefaultOptions, Section 4.5):
+// JMS (jms.PublishCPU, jms.DeliverCPU, Section 4.5):
 //
 //	publish               2 ms     local transactional enqueue (this is why
 //	                               the async Commit costs more than a plain
@@ -51,6 +56,9 @@ package experiment
 //	values fitted to the paper — against the *centralized/local* row of each
 //	table only. Every other cell in Tables 6-7 is model output.
 //
-// Changing a knob changes the tables proportionally; the shape tests in
+// Only the RMI rounds and the dispatch CPU differ between the two stacks;
+// every other value is a constant of the package that charges it, which the
+// advisor (internal/planner) prices from too. Changing a knob changes the
+// tables proportionally; the shape tests in
 // shape_test.go pin the qualitative structure so recalibration cannot
 // silently break the reproduction.

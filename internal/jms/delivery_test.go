@@ -22,9 +22,7 @@ func TestSameInstantArrivalsKeepPublishOrder(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			env := sim.NewEnv(1)
 			net := brokerNet(t, env)
-			opts := DefaultOptions
 			if redelivered {
-				opts = redeliveryOpts(5, time.Second)
 				if err := net.SetLinkState("main", "edge1", false); err != nil {
 					t.Fatal(err)
 				}
@@ -34,8 +32,7 @@ func TestSameInstantArrivalsKeepPublishOrder(t *testing.T) {
 					}
 				})
 			}
-			opts.PublishCPU = 0 // every publish at t = 0
-			pr, err := NewProvider(net, "main", opts)
+			pr, err := NewProvider(net, "main", redelivered)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -47,13 +44,15 @@ func TestSameInstantArrivalsKeepPublishOrder(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			env.Spawn("writer", func(p *sim.Proc) {
-				for i := 1; i <= 3; i++ {
+			// Three writers started at t = 0 publish at one instant, once
+			// the publish CPU is spent, in the order they were started.
+			for i := 1; i <= 3; i++ {
+				env.Spawn("writer", func(p *sim.Proc) {
 					if err := pr.Publish(p, "main", "updates", i, 100); err != nil {
 						t.Error(err)
 					}
-				}
-			})
+				})
+			}
 			env.RunAll()
 			if !slices.Equal(order, []int{1, 2, 3}) {
 				t.Fatalf("order = %v, want [1 2 3]", order)
@@ -78,7 +77,7 @@ func TestWarmPublishAllocs(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()
 	net := brokerNet(t, env)
-	pr, err := NewProvider(net, "main", DefaultOptions)
+	pr, err := NewProvider(net, "main", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,17 +137,13 @@ func TestMessageEndsOnce(t *testing.T) {
 	}{
 		{"handled", []string{"edge1", "edge2"}, "", false, 0},
 		{"dropped", []string{"edge1", "edge2"}, "edge2", false, 0},
-		{"dead-lettered", []string{"edge1", "edge2"}, "edge2", true, 2 * time.Second},
+		{"dead-lettered", []string{"edge1", "edge2"}, "edge2", true, (redeliveryAttempts - 1) * redeliveryDelay},
 		{"no subscribers", nil, "", false, 0},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			env := sim.NewEnv(1)
 			net := brokerNet(t, env)
-			opts := DefaultOptions
-			if c.redeliver {
-				opts = redeliveryOpts(3, time.Second)
-			}
-			pr, err := NewProvider(net, "main", opts)
+			pr, err := NewProvider(net, "main", c.redeliver)
 			if err != nil {
 				t.Fatal(err)
 			}

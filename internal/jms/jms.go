@@ -9,8 +9,8 @@
 // per-subscription FIFO ordering.
 //
 // Each (message, subscription) pair travels as a delivery record: Publish
-// fills one in, the record is the arrival event (and, under a redelivery
-// policy, each re-attempt's event), and the MDB process it starts takes its
+// fills one in, the record is the arrival event (and, with redelivery
+// armed, each re-attempt's event), and the MDB process it starts takes its
 // fields and hands it back to the Provider's free list on its first step. A
 // dropped or dead-lettered delivery hands its record back at once, and a
 // Message goes back to a list of its own when its last delivery ends. Both
@@ -48,43 +48,33 @@ type Message struct {
 // delivery ends, the Provider reuses the Message and releases the body.
 type Subscriber func(p *sim.Proc, msg *Message)
 
-// Options is the messaging cost model.
-type Options struct {
+// The messaging cost model of a persistent JMS provider of the paper's era:
+// a publish is a local transactional enqueue (milliseconds), delivery
+// dispatch is cheap.
+const (
 	// PublishCPU is the publisher-side cost of a publish call: message
 	// marshalling plus the (transactional) handoff to the broker.
-	PublishCPU time.Duration
+	PublishCPU = 2 * time.Millisecond
 
 	// DeliverCPU is charged on the subscriber node when a message is
 	// dispatched into an MDB, before the subscriber function runs.
-	DeliverCPU time.Duration
+	DeliverCPU = 200 * time.Microsecond
 
 	// MessageBytes is the default payload size.
-	MessageBytes int
+	MessageBytes = 1024
+)
 
-	// Redelivery, when non-nil, re-attempts deliveries that fail because
-	// the subscriber is unreachable (or the message is lost to a lossy
-	// link) instead of dropping them. See RedeliveryPolicy.
-	Redelivery *RedeliveryPolicy
-}
-
-// RedeliveryPolicy makes delivery at-least-once across failures: a failed
-// delivery is re-attempted every Delay until it lands or MaxAttempts is
-// reached, at which point it is counted as a dead letter. Redelivered
-// messages may arrive out of publish order, exactly like a real provider's
-// redelivery queue.
-type RedeliveryPolicy struct {
-	MaxAttempts int           // total attempts per subscription, including the first
-	Delay       time.Duration // pause between attempts
-}
-
-// DefaultOptions models a persistent JMS provider of the paper's era: a
-// publish is a local transactional enqueue (milliseconds), delivery dispatch
-// is cheap.
-var DefaultOptions = Options{
-	PublishCPU:   2 * time.Millisecond,
-	DeliverCPU:   200 * time.Microsecond,
-	MessageBytes: 1024,
-}
+// The redelivery policy NewProvider's redeliver arms, which makes delivery
+// at-least-once across failures: a delivery that fails because the
+// subscriber is unreachable (or the message is lost to a lossy link) is
+// re-attempted every redeliveryDelay until it lands or redeliveryAttempts
+// (the first included) is reached, at which point it is counted as a dead
+// letter. Redelivered messages may arrive out of publish order, exactly like
+// a real provider's redelivery queue.
+const (
+	redeliveryAttempts = 6
+	redeliveryDelay    = 5 * time.Second
+)
 
 type subscription struct {
 	node  string
@@ -110,7 +100,6 @@ type Provider struct {
 	env    *sim.Env
 	net    *simnet.Network
 	node   string
-	opts   Options
 	topics map[string]*Topic
 
 	mPub   *metrics.Counter
@@ -119,8 +108,8 @@ type Provider struct {
 	pubVec *metrics.CounterVec
 	delVec *metrics.CounterVec
 
-	// Registered only when a redelivery policy is configured, so
-	// redelivery-free runs export byte-identical metric snapshots.
+	// Registered only when redelivery is armed, so redelivery-free runs
+	// export byte-identical metric snapshots; nil otherwise.
 	mRedeliver  *metrics.Counter
 	mDeadLetter *metrics.Counter
 
@@ -128,8 +117,9 @@ type Provider struct {
 	msgs sim.Free[Message]  // messages with no delivery left
 }
 
-// NewProvider creates a broker on node.
-func NewProvider(net *simnet.Network, node string, opts Options) (*Provider, error) {
+// NewProvider creates a broker on node. With redeliver a failed delivery is
+// re-attempted (see redeliveryAttempts); without it, it is dropped.
+func NewProvider(net *simnet.Network, node string, redeliver bool) (*Provider, error) {
 	if net.Node(node) == nil {
 		return nil, fmt.Errorf("jms: no such node %s", node)
 	}
@@ -138,7 +128,6 @@ func NewProvider(net *simnet.Network, node string, opts Options) (*Provider, err
 		env:    net.Env(),
 		net:    net,
 		node:   node,
-		opts:   opts,
 		topics: make(map[string]*Topic),
 		mPub:   reg.Counter("jms_published_total"),
 		mDel:   reg.Counter("jms_delivered_total"),
@@ -146,7 +135,7 @@ func NewProvider(net *simnet.Network, node string, opts Options) (*Provider, err
 		pubVec: reg.CounterVec("jms_published_total", "topic"),
 		delVec: reg.CounterVec("jms_delivered_total", "topic"),
 	}
-	if opts.Redelivery != nil {
+	if redeliver {
 		pr.mRedeliver = reg.Counter("jms_redeliveries_total")
 		pr.mDeadLetter = reg.Counter("jms_deadletters_total")
 	}
@@ -189,9 +178,9 @@ func (pr *Provider) Publish(p *sim.Proc, fromNode, topic string, body any, bytes
 		return fmt.Errorf("jms: publish %s: %w", topic, ErrNoSuchTopic)
 	}
 	if bytes <= 0 {
-		bytes = pr.opts.MessageBytes
+		bytes = MessageBytes
 	}
-	p.Sleep(pr.opts.PublishCPU)
+	p.Sleep(PublishCPU)
 	if err := pr.net.Transfer(p, fromNode, pr.node, bytes); err != nil {
 		return fmt.Errorf("jms: publish %s: %w", topic, err)
 	}
@@ -246,24 +235,24 @@ func (d *delivery) release() {
 }
 
 // try schedules the given attempt of d. A failed attempt is dropped
-// (at-most-once, the historical behavior) unless a redelivery policy is
-// configured, in which case it is re-attempted up to the policy's cap and
-// then counted as a dead letter.
+// (at-most-once, the historical behavior) unless redelivery is armed, in
+// which case it is re-attempted up to the policy's cap and then counted as
+// a dead letter.
 func (d *delivery) try(attempt int) {
 	pr, sub := d.pr, d.sub
 	d.attempt = attempt
 	delay, err := sub.route.Delay(d.msg.Bytes)
 	if err != nil {
-		rd := pr.opts.Redelivery
-		if rd != nil && attempt < rd.MaxAttempts {
+		redeliver := pr.mRedeliver != nil
+		if redeliver && attempt < redeliveryAttempts {
 			pr.mRedeliver.Inc()
 			d.retry = true
-			pr.env.AfterTask(rd.Delay, d)
+			pr.env.AfterTask(redeliveryDelay, d)
 			return
 		}
 		// Partitioned subscriber with no attempt left: drop
 		// (at-most-once across failures) or dead-letter.
-		if rd != nil {
+		if redeliver {
 			pr.mDeadLetter.Inc()
 		}
 		d.ctx.Drop()
@@ -301,7 +290,7 @@ func (d *delivery) start(dp *sim.Proc) {
 	}
 	d.release()
 	defer trace.Adoptf(dp, ctx, "jms", sub.node, cause, "deliver ", sub.name, "")()
-	dp.Sleep(pr.opts.DeliverCPU)
+	dp.Sleep(DeliverCPU)
 	pr.mDel.Inc()
 	t.mDel.Inc()
 	pr.mLag.Observe(dp.Now() - msg.PublishedAt)

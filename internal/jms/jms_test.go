@@ -29,7 +29,7 @@ func brokerNet(t *testing.T, env *sim.Env) *simnet.Network {
 func TestPublisherDoesNotBlockOnWANDelivery(t *testing.T) {
 	env := sim.NewEnv(1)
 	net := brokerNet(t, env)
-	pr, err := NewProvider(net, "main", DefaultOptions)
+	pr, err := NewProvider(net, "main", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestPublisherDoesNotBlockOnWANDelivery(t *testing.T) {
 func TestFanOutToAllSubscribers(t *testing.T) {
 	env := sim.NewEnv(1)
 	net := brokerNet(t, env)
-	pr, _ := NewProvider(net, "main", DefaultOptions)
+	pr, _ := NewProvider(net, "main", false)
 	pr.CreateTopic("updates")
 	got := map[string]int{}
 	for _, node := range []string{"edge1", "edge2", "main"} {
@@ -92,7 +92,7 @@ func TestFanOutToAllSubscribers(t *testing.T) {
 func TestFIFODeliveryPerSubscription(t *testing.T) {
 	env := sim.NewEnv(1)
 	net := brokerNet(t, env)
-	pr, _ := NewProvider(net, "main", DefaultOptions)
+	pr, _ := NewProvider(net, "main", false)
 	pr.CreateTopic("updates")
 	var order []int
 	if err := pr.Subscribe("updates", "edge1", "mdb", func(p *sim.Proc, m *Message) {
@@ -119,7 +119,7 @@ func TestFIFODeliveryPerSubscription(t *testing.T) {
 func TestPublishToMissingTopic(t *testing.T) {
 	env := sim.NewEnv(1)
 	net := brokerNet(t, env)
-	pr, _ := NewProvider(net, "main", DefaultOptions)
+	pr, _ := NewProvider(net, "main", false)
 	env.Spawn("writer", func(p *sim.Proc) {
 		if err := pr.Publish(p, "main", "ghost", nil, 0); !errors.Is(err, ErrNoSuchTopic) {
 			t.Errorf("err = %v, want ErrNoSuchTopic", err)
@@ -131,7 +131,7 @@ func TestPublishToMissingTopic(t *testing.T) {
 func TestSubscribeValidation(t *testing.T) {
 	env := sim.NewEnv(1)
 	net := brokerNet(t, env)
-	pr, _ := NewProvider(net, "main", DefaultOptions)
+	pr, _ := NewProvider(net, "main", false)
 	if err := pr.Subscribe("ghost", "edge1", "mdb", nil); !errors.Is(err, ErrNoSuchTopic) {
 		t.Fatalf("err = %v", err)
 	}
@@ -144,7 +144,7 @@ func TestSubscribeValidation(t *testing.T) {
 func TestPartitionedSubscriberSkipped(t *testing.T) {
 	env := sim.NewEnv(1)
 	net := brokerNet(t, env)
-	pr, _ := NewProvider(net, "main", DefaultOptions)
+	pr, _ := NewProvider(net, "main", false)
 	pr.CreateTopic("updates")
 	edge1Got, edge2Got := 0, 0
 	if err := pr.Subscribe("updates", "edge1", "mdb1", func(p *sim.Proc, m *Message) { edge1Got++ }); err != nil {
@@ -170,7 +170,7 @@ func TestPartitionedSubscriberSkipped(t *testing.T) {
 func TestCreateTopicIdempotent(t *testing.T) {
 	env := sim.NewEnv(1)
 	net := brokerNet(t, env)
-	pr, _ := NewProvider(net, "main", DefaultOptions)
+	pr, _ := NewProvider(net, "main", false)
 	t1 := pr.CreateTopic("t")
 	if err := pr.Subscribe("t", "edge1", "mdb", func(p *sim.Proc, m *Message) {}); err != nil {
 		t.Fatal(err)
@@ -184,7 +184,7 @@ func TestCreateTopicIdempotent(t *testing.T) {
 func TestProviderOnMissingNode(t *testing.T) {
 	env := sim.NewEnv(1)
 	net := brokerNet(t, env)
-	if _, err := NewProvider(net, "nowhere", DefaultOptions); err == nil {
+	if _, err := NewProvider(net, "nowhere", false); err == nil {
 		t.Fatal("provider on missing node accepted")
 	}
 }
@@ -192,10 +192,10 @@ func TestProviderOnMissingNode(t *testing.T) {
 func TestMessageMetadata(t *testing.T) {
 	env := sim.NewEnv(1)
 	net := brokerNet(t, env)
-	pr, _ := NewProvider(net, "main", DefaultOptions)
+	pr, _ := NewProvider(net, "main", false)
 	pr.CreateTopic("t")
 	if err := pr.Subscribe("t", "main", "mdb", func(p *sim.Proc, m *Message) {
-		if m.Topic != "t" || m.Bytes != DefaultOptions.MessageBytes {
+		if m.Topic != "t" || m.Bytes != MessageBytes {
 			t.Errorf("message = %+v", m)
 		}
 		if m.PublishedAt <= 0 {
@@ -216,9 +216,7 @@ func TestMessageMetadata(t *testing.T) {
 func TestPublishFromRemoteNodePaysBrokerHop(t *testing.T) {
 	env := sim.NewEnv(1)
 	net := brokerNet(t, env)
-	opts := DefaultOptions
-	opts.PublishCPU = 0
-	pr, err := NewProvider(net, "main", opts)
+	pr, err := NewProvider(net, "main", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,8 +230,9 @@ func TestPublishFromRemoteNodePaysBrokerHop(t *testing.T) {
 		cost = p.Now() - start
 	})
 	env.RunAll()
-	// The publisher pays the one-way hop to the broker (100ms), no more.
-	if cost < 100*time.Millisecond || cost > 150*time.Millisecond {
+	// The publisher pays the publish CPU and the one-way hop to the broker
+	// (100ms), no more.
+	if cost < PublishCPU+100*time.Millisecond || cost > PublishCPU+150*time.Millisecond {
 		t.Fatalf("remote publish cost %v, want ~one-way hop to broker", cost)
 	}
 }
@@ -241,7 +240,7 @@ func TestPublishFromRemoteNodePaysBrokerHop(t *testing.T) {
 func TestPublishFromPartitionedNodeFails(t *testing.T) {
 	env := sim.NewEnv(1)
 	net := brokerNet(t, env)
-	pr, _ := NewProvider(net, "main", DefaultOptions)
+	pr, _ := NewProvider(net, "main", false)
 	pr.CreateTopic("t")
 	if err := net.SetLinkState("main", "edge1", false); err != nil {
 		t.Fatal(err)

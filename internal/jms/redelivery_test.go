@@ -7,16 +7,10 @@ import (
 	"wadeploy/internal/sim"
 )
 
-func redeliveryOpts(max int, delay time.Duration) Options {
-	o := DefaultOptions
-	o.Redelivery = &RedeliveryPolicy{MaxAttempts: max, Delay: delay}
-	return o
-}
-
 func TestRedeliveryLandsAfterPartitionHeals(t *testing.T) {
 	env := sim.NewEnv(1)
 	net := brokerNet(t, env)
-	pr, err := NewProvider(net, "main", redeliveryOpts(10, time.Second))
+	pr, err := NewProvider(net, "main", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +29,8 @@ func TestRedeliveryLandsAfterPartitionHeals(t *testing.T) {
 			t.Errorf("publish: %v", err)
 		}
 	})
-	// Heal the partition after 3 s: redelivery attempts land the message.
+	// Heal the partition after 3 s: the redelivery 5 s after the first
+	// attempt lands the message.
 	env.At(3*time.Second, func() {
 		if err := net.SetLinkState("main", "edge1", true); err != nil {
 			t.Error(err)
@@ -45,8 +40,8 @@ func TestRedeliveryLandsAfterPartitionHeals(t *testing.T) {
 	if delivered != 1 {
 		t.Fatalf("delivered = %d, want 1 (redelivery after heal)", delivered)
 	}
-	if got := env.Metrics().CounterValue("jms_redeliveries_total"); got == 0 {
-		t.Fatal("no redeliveries recorded")
+	if got := env.Metrics().CounterValue("jms_redeliveries_total"); got != 1 {
+		t.Fatalf("redeliveries = %d, want 1", got)
 	}
 	if got := env.Metrics().CounterValue("jms_deadletters_total"); got != 0 {
 		t.Fatalf("deadletters = %d, want 0", got)
@@ -56,7 +51,7 @@ func TestRedeliveryLandsAfterPartitionHeals(t *testing.T) {
 func TestRedeliveryDeadLettersAfterCap(t *testing.T) {
 	env := sim.NewEnv(2)
 	net := brokerNet(t, env)
-	pr, err := NewProvider(net, "main", redeliveryOpts(3, time.Second))
+	pr, err := NewProvider(net, "main", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,8 +74,8 @@ func TestRedeliveryDeadLettersAfterCap(t *testing.T) {
 	if delivered != 0 {
 		t.Fatalf("delivered = %d, want 0", delivered)
 	}
-	if got := env.Metrics().CounterValue("jms_redeliveries_total"); got != 2 {
-		t.Fatalf("redeliveries = %d, want 2 (3 attempts total)", got)
+	if got := env.Metrics().CounterValue("jms_redeliveries_total"); got != redeliveryAttempts-1 {
+		t.Fatalf("redeliveries = %d, want %d (%d attempts total)", got, redeliveryAttempts-1, redeliveryAttempts)
 	}
 	if got := env.Metrics().CounterValue("jms_deadletters_total"); got != 1 {
 		t.Fatalf("deadletters = %d, want 1", got)
@@ -90,7 +85,7 @@ func TestRedeliveryDeadLettersAfterCap(t *testing.T) {
 func TestNoRedeliveryMetricsWithoutPolicy(t *testing.T) {
 	env := sim.NewEnv(3)
 	net := brokerNet(t, env)
-	if _, err := NewProvider(net, "main", DefaultOptions); err != nil {
+	if _, err := NewProvider(net, "main", false); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range env.Metrics().Snapshot().Counters {

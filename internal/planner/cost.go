@@ -6,13 +6,18 @@ import (
 
 	"wadeploy/internal/container"
 	"wadeploy/internal/core"
+	"wadeploy/internal/jms"
+	"wadeploy/internal/rmi"
+	"wadeploy/internal/sqldb"
+	"wadeploy/internal/web"
 )
 
-// Params are the calibration constants the closed-form model is built from.
-// Every value traces to a substrate knob documented in
-// internal/experiment/calibrate.go; Model.Params derives them from the same
-// core.Options the simulator deploys with, so prediction and simulation
-// share one source of truth.
+// Params are the calibration values a Model varies: its topology's legs and
+// edge count, and the two values the application stacks set differently
+// (internal/experiment/calibrate.go). Model.Params derives them from the
+// same core.Options the simulator deploys with; every other cost the
+// evaluator reads is the constant the simulator charges, so prediction and
+// simulation share one source of truth.
 type Params struct {
 	// Topology (Fig. 2): a star of three application servers around a
 	// router, the database on the main server's LAN, clients on each
@@ -23,45 +28,11 @@ type Params struct {
 	LANBps    float64       // LAN bandwidth, bytes/s
 	Edges     int           // edge servers receiving replicas/pushes
 
-	// RMI.
-	Rounds        float64 // network round trips per remote invocation
-	ReqBytes      int     // default request payload
-	ReplyBytes    int     // default reply payload
-	LocalDispatch time.Duration
-	MarshalCPU    time.Duration
-
-	// HTTP.
-	HandshakeBytes int // TCP SYN/SYN-ACK segment size
-	WebReqBytes    int
-	PageBytes      int // default response size
-	DispatchCPU    time.Duration
-
-	// Container.
-	MethodCPU      time.Duration
-	EntityLoadCPU  time.Duration
-	EntityStoreCPU time.Duration
-	CacheHitCPU    time.Duration
-	JDBCRounds     float64
-
-	// Database.
-	SQLPerStatement   time.Duration
-	SQLPerRowScanned  time.Duration
-	SQLPerRowWritten  time.Duration
-	SQLPerRowReturned time.Duration
-
-	// JMS and replica propagation.
-	PublishCPU     time.Duration
-	PushReplyBytes int // push acknowledgement
+	Rounds      float64       // network round trips per remote invocation
+	DispatchCPU time.Duration // servlet dispatch
 }
 
-// Substrate constants the model shares with the engine but that are not
-// exposed through an options struct.
-const (
-	handshakeSegment = 64 // web container TCP SYN/SYN-ACK segment
-	pushReplySegment = 64 // propagation push acknowledgement
-)
-
-// Params derives the model constants from the application's deployment
+// Params derives the model's values from the application's deployment
 // options (the same values core.NewPaperDeployment builds the simulated
 // testbed from). The model is star-shaped: a WAN path is one main-to-edge
 // route of opts.Topology (backbone leg plus metro leg, at the bandwidth of
@@ -70,36 +41,13 @@ func (m *Model) Params() Params {
 	opts := m.Options
 	topo := opts.Topology.WithDefaults()
 	return Params{
-		WANOneWay: topo.Backbone.OneWay + topo.Metro.OneWay,
-		LANOneWay: topo.LAN.OneWay,
-		WANBps:    min(topo.Backbone.Bps, topo.Metro.Bps),
-		LANBps:    topo.LAN.Bps,
-		Edges:     topo.Edges,
-
-		Rounds:        opts.RMI.Rounds,
-		ReqBytes:      opts.RMI.RequestBytes,
-		ReplyBytes:    opts.RMI.ReplyBytes,
-		LocalDispatch: opts.RMI.LocalDispatch,
-		MarshalCPU:    opts.RMI.MarshalCPU,
-
-		HandshakeBytes: handshakeSegment,
-		WebReqBytes:    opts.Web.RequestBytes,
-		PageBytes:      opts.Web.DefaultPageBytes,
-		DispatchCPU:    opts.Web.DispatchCPU,
-
-		MethodCPU:      opts.Costs.MethodCPU,
-		EntityLoadCPU:  opts.Costs.EntityLoadCPU,
-		EntityStoreCPU: opts.Costs.EntityStoreCPU,
-		CacheHitCPU:    opts.Costs.CacheHitCPU,
-		JDBCRounds:     opts.Costs.JDBCRounds,
-
-		SQLPerStatement:   opts.DBCost.PerStatement,
-		SQLPerRowScanned:  opts.DBCost.PerRowScanned,
-		SQLPerRowWritten:  opts.DBCost.PerRowWritten,
-		SQLPerRowReturned: opts.DBCost.PerRowReturned,
-
-		PublishCPU:     opts.JMS.PublishCPU,
-		PushReplyBytes: pushReplySegment,
+		WANOneWay:   topo.Backbone.OneWay + topo.Metro.OneWay,
+		LANOneWay:   topo.LAN.OneWay,
+		WANBps:      min(topo.Backbone.Bps, topo.Metro.Bps),
+		LANBps:      topo.LAN.Bps,
+		Edges:       topo.Edges,
+		Rounds:      opts.RMI.Rounds,
+		DispatchCPU: opts.Web.DispatchCPU,
 	}
 }
 
@@ -193,35 +141,29 @@ func xfer(lat time.Duration, bytes int, bps float64) time.Duration {
 // pair).
 func (ev *Evaluator) remoteCall(body time.Duration) time.Duration {
 	p := ev.p
-	d := p.MarshalCPU
-	d += xfer(p.WANOneWay, p.ReqBytes, p.WANBps)
-	d += p.MethodCPU + body
-	d += xfer(p.WANOneWay, p.ReplyBytes, p.WANBps)
+	d := rmi.MarshalCPU
+	d += xfer(p.WANOneWay, rmi.RequestBytes, p.WANBps)
+	d += container.MethodCPU + body
+	d += xfer(p.WANOneWay, rmi.ReplyBytes, p.WANBps)
 	d += time.Duration((p.Rounds - 1) * float64(2*p.WANOneWay))
 	return d
 }
 
 // localCall is an in-VM invocation through a co-located stub.
 func (ev *Evaluator) localCall(body time.Duration) time.Duration {
-	return ev.p.LocalDispatch + ev.p.MethodCPU + body
+	return rmi.LocalDispatch + container.MethodCPU + body
 }
 
 // sqlCost is one statement over JDBC from the main server to the database
 // node: connection round trips plus the engine's per-row cost model.
 func (ev *Evaluator) sqlCost(scan, write, out int) time.Duration {
-	p := ev.p
-	d := time.Duration(p.JDBCRounds * float64(2*p.LANOneWay))
-	d += p.SQLPerStatement
-	d += time.Duration(scan) * p.SQLPerRowScanned
-	d += time.Duration(write) * p.SQLPerRowWritten
-	d += time.Duration(out) * p.SQLPerRowReturned
-	return d
+	return container.JDBCRounds*2*ev.p.LANOneWay + sqldb.Cost(scan, write, out)
 }
 
 // loadCost is an entity-bean ejbLoad: field marshalling plus the
 // primary-key SELECT.
 func (ev *Evaluator) loadCost() time.Duration {
-	return ev.p.EntityLoadCPU + ev.sqlCost(1, 0, 1)
+	return container.EntityLoadCPU + ev.sqlCost(1, 0, 1)
 }
 
 // pushCost is the write-side cost of propagating one update to the edge
@@ -231,13 +173,13 @@ func (ev *Evaluator) loadCost() time.Duration {
 func (ev *Evaluator) pushCost(c core.Policy) time.Duration {
 	p := ev.p
 	if c.AsyncUpdates {
-		return p.PublishCPU
+		return jms.PublishCPU
 	}
-	apply := p.MethodCPU + p.CacheHitCPU // Updater façade applying the state
-	one := p.MarshalCPU
+	apply := container.MethodCPU + container.CacheHitCPU // Updater façade applying the state
+	one := rmi.MarshalCPU
 	one += xfer(p.WANOneWay, container.FullStateBytes, p.WANBps) // one full-state record
 	one += apply
-	one += xfer(p.WANOneWay, p.PushReplyBytes, p.WANBps)
+	one += xfer(p.WANOneWay, container.PushReplyBytes, p.WANBps)
 	one += time.Duration((p.Rounds - 1) * float64(2*p.WANOneWay))
 	return time.Duration(p.Edges) * one
 }
@@ -283,7 +225,7 @@ func (c Call) cost(ev *Evaluator, at site) time.Duration {
 	case hits == wan:
 		return ev.localCall(ev.remoteCall(costAt(c.Body, ev, main)))
 	}
-	return ev.localCall(time.Duration(hits) * ev.p.CacheHitCPU)
+	return ev.localCall(time.Duration(hits) * container.CacheHitCPU)
 }
 
 func (r Read) cost(ev *Evaluator, at site) time.Duration {
@@ -295,7 +237,7 @@ func (r Read) cost(ev *Evaluator, at site) time.Duration {
 			return r.Else.cost(ev, at)
 		}
 	}
-	return time.Duration(len(r.Beans)) * ev.p.CacheHitCPU
+	return time.Duration(len(r.Beans)) * container.CacheHitCPU
 }
 
 func (s SQL) cost(ev *Evaluator, _ site) time.Duration {
@@ -305,7 +247,7 @@ func (s SQL) cost(ev *Evaluator, _ site) time.Duration {
 func (Load) cost(ev *Evaluator, _ site) time.Duration { return ev.loadCost() }
 
 func (i Insert) cost(ev *Evaluator, at site) time.Duration {
-	d := ev.p.EntityStoreCPU + ev.sqlCost(0, 1, 0)
+	d := container.EntityStoreCPU + ev.sqlCost(0, 1, 0)
 	if at.replicas[i.Bean] {
 		d += ev.pushCost(at.c)
 	}
@@ -314,7 +256,7 @@ func (i Insert) cost(ev *Evaluator, at site) time.Duration {
 
 func (u Update) cost(ev *Evaluator, at site) time.Duration {
 	d := ev.loadCost() // the container re-loads fields before storing
-	d += ev.p.EntityStoreCPU + ev.sqlCost(1, 1, 0)
+	d += container.EntityStoreCPU + ev.sqlCost(1, 1, 0)
 	if at.replicas[u.Bean] {
 		d += ev.pushCost(at.c)
 	}
@@ -337,13 +279,13 @@ func (ev *Evaluator) PageCost(c core.Policy, page *Page, local bool) time.Durati
 		bps = p.WANBps
 	}
 
-	d := 2 * xfer(lat, p.HandshakeBytes, bps)
-	d += xfer(lat, p.WebReqBytes, bps)
+	d := 2 * xfer(lat, web.HandshakeBytes, bps)
+	d += xfer(lat, web.RequestBytes, bps)
 	d += p.DispatchCPU
 	d += costAt(page.Body, ev, site{placed: ev.place(c), edge: atEdge})
 	render := ev.m.PageCosts[page.Name]
 	d += render.CPU + render.Lat
-	bytes := p.PageBytes
+	bytes := web.DefaultPageBytes
 	if render.Page != nil && render.Page.Bytes != 0 {
 		bytes = render.Page.Bytes
 	}

@@ -194,7 +194,7 @@ func TestEdgeMethodsPricedByKind(t *testing.T) {
 		return ev.PageCost(p, &page, false)
 	}
 	q := core.QueryCaching
-	if hit := m.Options.Costs.CacheHitCPU; cost(q, "cached") != cost(q, "replica") || cost(q, "form") != cost(q, "replica")+hit {
+	if hit := container.CacheHitCPU; cost(q, "cached") != cost(q, "replica") || cost(q, "form") != cost(q, "replica")+hit {
 		t.Errorf("cached %v, replica %v, form %v: want one hit, one hit, two hits", cost(q, "cached"), cost(q, "replica"), cost(q, "form"))
 	}
 	if db := core.DBReplication; cost(db, "db") != cost(q, "delegate") || cost(q, "delegate") <= cost(q, "cached")+m.Params().WANOneWay {

@@ -129,9 +129,7 @@ func TestEnvelopeLifetime(t *testing.T) {
 		env := sim.NewEnv(5)
 		net := twoNodeNet(t, env)
 		net.EnableFaults(5)
-		opts := resilientOpts()
-		opts.Breaker = nil
-		rt := NewRuntime(net, opts)
+		rt := NewRuntime(net, resilientOpts)
 		var used []*Call
 		if _, err := rt.Bind("b", "svc", func(p *sim.Proc, c *Call) (any, error) {
 			if len(used) == 0 || used[len(used)-1] != c {

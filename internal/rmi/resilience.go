@@ -4,9 +4,9 @@ package rmi
 // exponential backoff with a runtime-wide retry budget, and a
 // per-destination circuit breaker.
 //
-// All of it is opt-in (Options.Retry / Options.Breaker nil by default), and
-// its metric families are registered only when a policy is configured, so
-// resilience-free runs export byte-identical metrics snapshots.
+// All of it is opt-in (Options.Resilient), and its metric families are
+// registered only then, so resilience-free runs export byte-identical
+// metrics snapshots.
 
 import (
 	"errors"
@@ -36,37 +36,32 @@ func (e *BreakerOpenError) Error() string {
 	return fmt.Sprintf("rmi: circuit breaker open for %s -> %s", e.Caller, e.Target)
 }
 
-// RetryPolicy enables per-call timeouts and capped exponential backoff for
-// remote invocations that fail with network errors (unreachable, dropped,
-// timed out). Application errors returned by the remote handler are never
-// retried. Note the at-least-once caveat: a reply dropped after the handler
-// ran is indistinguishable from a dropped request, so retried methods should
-// be idempotent.
-type RetryPolicy struct {
-	// CallTimeout is the time a caller waits before declaring a silently
-	// dropped request or reply lost. Unreachable destinations fail fast
-	// (the connection is refused) and are not charged the timeout.
-	CallTimeout time.Duration
-	// MaxAttempts is the total number of tries, including the first.
-	MaxAttempts int
-	// Backoff is the sleep before the first retry; it doubles per retry
-	// up to BackoffMax.
-	Backoff    time.Duration
-	BackoffMax time.Duration
-	// Budget caps the total number of retries across the runtime's
-	// lifetime (0 = unlimited): a storm of failing calls degrades to
-	// fail-fast instead of multiplying offered load.
-	Budget int64
-}
-
-// BreakerPolicy enables a per-destination circuit breaker: after Threshold
-// consecutive network failures from one caller node to one target node the
-// breaker opens and calls fail fast; after Cooldown a single probe is let
-// through (half-open) and its outcome closes or re-opens the circuit.
-type BreakerPolicy struct {
-	Threshold int
-	Cooldown  time.Duration
-}
+// The WAN-degradation policy Options.Resilient arms. A remote call that
+// fails at the transport level (unreachable, dropped, timed out) is retried:
+// a silently dropped request or reply costs the caller callTimeout before it
+// is declared lost (an unreachable destination refuses the connection at
+// once), there are maxAttempts tries in all, the first retry waits
+// backoffBase and each later one twice the last, up to backoffMax, and
+// retryBudget caps the retries of the runtime's lifetime, so a storm of
+// failing calls degrades to fail-fast instead of multiplying offered load.
+// Application errors returned by the remote handler are never retried. Note
+// the at-least-once caveat: a reply dropped after the handler ran is
+// indistinguishable from a dropped request, so retried methods should be
+// idempotent.
+//
+// After breakerThreshold consecutive network failures from one caller node
+// to one target node the breaker opens and calls fail fast; after
+// breakerCooldown a single probe is let through (half-open) and its outcome
+// closes or re-opens the circuit.
+const (
+	callTimeout      = time.Second
+	maxAttempts      = 3
+	backoffBase      = 200 * time.Millisecond
+	backoffMax       = 2 * time.Second
+	retryBudget      = 1 << 30
+	breakerThreshold = 5
+	breakerCooldown  = 10 * time.Second
+)
 
 const (
 	breakerClosed = iota
@@ -80,12 +75,9 @@ type breakerState struct {
 	openedAt time.Duration
 }
 
-// resilience is the runtime's resilience state; nil when neither policy is
-// configured (the hot path then skips it entirely).
+// resilience is the runtime's resilience state; nil when Options.Resilient
+// is off.
 type resilience struct {
-	retry   *RetryPolicy
-	breaker *BreakerPolicy
-
 	budgetUsed int64
 	breakers   map[string]*breakerState // "caller|target"
 
@@ -96,18 +88,11 @@ type resilience struct {
 	mTransitions *metrics.CounterVec
 }
 
-func newResilience(reg *metrics.Registry, retry *RetryPolicy, breaker *BreakerPolicy) *resilience {
-	if retry == nil && breaker == nil {
+func newResilience(reg *metrics.Registry, on bool) *resilience {
+	if !on {
 		return nil
 	}
-	if retry != nil && retry.MaxAttempts < 1 {
-		r := *retry
-		r.MaxAttempts = 1
-		retry = &r
-	}
 	return &resilience{
-		retry:        retry,
-		breaker:      breaker,
 		breakers:     make(map[string]*breakerState),
 		mRetries:     reg.Counter("rmi_retries_total"),
 		mTimeouts:    reg.Counter("rmi_call_timeouts_total"),
@@ -134,9 +119,6 @@ func (res *resilience) transition(b *breakerState, to int, now time.Duration) {
 // allow gates one attempt through the breaker for key, failing fast while
 // the circuit is open and cooling down.
 func (res *resilience) allow(now time.Duration, caller, target string) error {
-	if res.breaker == nil {
-		return nil
-	}
 	key := caller + "|" + target
 	b := res.breakers[key]
 	if b == nil {
@@ -145,7 +127,7 @@ func (res *resilience) allow(now time.Duration, caller, target string) error {
 	}
 	switch b.state {
 	case breakerOpen:
-		if now-b.openedAt >= res.breaker.Cooldown {
+		if now-b.openedAt >= breakerCooldown {
 			res.transition(b, breakerHalfOpen, now)
 			return nil
 		}
@@ -159,9 +141,6 @@ func (res *resilience) allow(now time.Duration, caller, target string) error {
 // record feeds one attempt's outcome (network-level ok or failure) back into
 // the breaker.
 func (res *resilience) record(now time.Duration, caller, target string, ok bool) {
-	if res.breaker == nil {
-		return
-	}
 	b := res.breakers[caller+"|"+target]
 	if b == nil {
 		return
@@ -177,14 +156,14 @@ func (res *resilience) record(now time.Duration, caller, target string, ok bool)
 	switch {
 	case b.state == breakerHalfOpen:
 		res.transition(b, breakerOpen, now)
-	case b.state == breakerClosed && b.fails >= res.breaker.Threshold:
+	case b.state == breakerClosed && b.fails >= breakerThreshold:
 		res.transition(b, breakerOpen, now)
 	}
 }
 
 // takeBudget consumes one retry from the runtime-wide budget.
 func (res *resilience) takeBudget() bool {
-	if res.retry.Budget > 0 && res.budgetUsed >= res.retry.Budget {
+	if res.budgetUsed >= retryBudget {
 		res.mBudgetOut.Inc()
 		return false
 	}
@@ -200,26 +179,26 @@ func isNetworkError(err error) bool {
 	return errors.As(err, &ue) || errors.As(err, &de) || errors.Is(err, ErrCallTimeout)
 }
 
-// transferOrTimeout performs one one-way transfer over r; a silent drop
-// charges the per-call timeout (the caller has no signal until its timer
-// fires) and maps to ErrCallTimeout.
+// transferOrTimeout performs one one-way transfer over r. Under resilience
+// a silent drop charges the per-call timeout (the caller has no signal until
+// its timer fires) and maps to ErrCallTimeout; without it the drop is the
+// error.
 func (s *Stub) transferOrTimeout(p *sim.Proc, r *simnet.Route, bytes int) error {
 	err := r.Transfer(p, bytes)
-	var de *simnet.DroppedError
-	if errors.As(err, &de) && s.rt.resil.retry != nil {
-		s.rt.resil.mTimeouts.Inc()
-		if t := s.rt.resil.retry.CallTimeout; t > 0 {
-			p.Sleep(t)
+	if res := s.rt.resil; res != nil && err != nil {
+		var de *simnet.DroppedError
+		if errors.As(err, &de) {
+			res.mTimeouts.Inc()
+			p.Sleep(callTimeout)
+			return fmt.Errorf("%w (%s -> %s)", ErrCallTimeout, de.From, de.To)
 		}
-		return fmt.Errorf("%w (%s -> %s)", ErrCallTimeout, de.From, de.To)
 	}
 	return err
 }
 
-// attemptRemote performs one marshal + request + dispatch + reply exchange.
-func (s *Stub) attemptRemote(p *sim.Proc, call *Call, reqBytes, replyBytes int) (any, error) {
-	rt := s.rt
-	p.Sleep(rt.opts.MarshalCPU)
+// attempt performs one marshal + request + dispatch + reply exchange.
+func (s *Stub) attempt(p *sim.Proc, call *Call, reqBytes, replyBytes int) (any, error) {
+	p.Sleep(MarshalCPU)
 	out, back := s.routes()
 	if err := s.transferOrTimeout(p, out, reqBytes); err != nil {
 		return nil, fmt.Errorf("rmi: invoke %s.%s: %w", s.obj.Name, call.Method, err)
@@ -228,32 +207,28 @@ func (s *Stub) attemptRemote(p *sim.Proc, call *Call, reqBytes, replyBytes int) 
 	if terr := s.transferOrTimeout(p, back, replyBytes); terr != nil {
 		return nil, fmt.Errorf("rmi: invoke %s.%s (reply): %w", s.obj.Name, call.Method, terr)
 	}
-	if extra := rt.opts.Rounds - 1; extra > 0 {
-		rtt, rttErr := out.RTT()
-		if rttErr == nil {
+	// Extra round trips for RMI ping/DGC traffic.
+	if extra := s.rt.opts.Rounds - 1; extra > 0 {
+		if rtt, rttErr := out.RTT(); rttErr == nil {
 			p.Sleep(time.Duration(extra * float64(rtt)))
 		}
 	}
 	return result, err
 }
 
-// invokeResilient is the remote-call path when a retry or breaker policy is
-// active: breaker gate, attempt, then capped exponential backoff while the
-// failure is network-level and budget remains.
-func (s *Stub) invokeResilient(p *sim.Proc, call *Call, reqBytes, replyBytes int) (any, error) {
+// invokeRemote is the one remote-call path: breaker gate, attempt, then
+// capped exponential backoff while the failure is network-level and budget
+// remains. Without resilience it makes one attempt and no breaker check.
+func (s *Stub) invokeRemote(p *sim.Proc, call *Call, reqBytes, replyBytes int) (any, error) {
 	rt := s.rt
 	res := rt.resil
 	start := p.Now()
-	maxAttempts := 1
-	var backoff, backoffMax time.Duration
-	if res.retry != nil {
-		maxAttempts = res.retry.MaxAttempts
-		backoff = res.retry.Backoff
-		backoffMax = res.retry.BackoffMax
-	}
+	backoff := backoffBase
 	for attempt := 1; ; attempt++ {
-		if err := res.allow(p.Now(), s.caller, s.obj.Node); err != nil {
-			return nil, err
+		if res != nil {
+			if err := res.allow(p.Now(), s.caller, s.obj.Node); err != nil {
+				return nil, err
+			}
 		}
 		// Re-attempts after a network failure are charged to retry/backoff
 		// in the critical-path decomposition; the first attempt stays part
@@ -262,26 +237,23 @@ func (s *Stub) invokeResilient(p *sim.Proc, call *Call, reqBytes, replyBytes int
 		if attempt > 1 {
 			endAttempt = trace.Opf(p, "retry", s.obj.Node, "", trace.CauseRetry, "reattempt ", call.Method, "")
 		}
-		result, err := s.attemptRemote(p, call, reqBytes, replyBytes)
+		result, err := s.attempt(p, call, reqBytes, replyBytes)
 		endAttempt()
 		netFail := err != nil && isNetworkError(err)
-		res.record(p.Now(), s.caller, s.obj.Node, !netFail)
+		if res != nil {
+			res.record(p.Now(), s.caller, s.obj.Node, !netFail)
+		}
 		if !netFail {
 			rt.mRemoteNs.Observe(p.Now() - start)
 			return result, err
 		}
-		if attempt >= maxAttempts || !res.takeBudget() {
+		if res == nil || attempt >= maxAttempts || !res.takeBudget() {
 			return nil, err
 		}
 		res.mRetries.Inc()
-		if backoff > 0 {
-			endBackoff := trace.Op(p, "retry", "backoff", s.caller, "", trace.CauseRetry)
-			p.Sleep(backoff)
-			endBackoff()
-			backoff *= 2
-			if backoffMax > 0 && backoff > backoffMax {
-				backoff = backoffMax
-			}
-		}
+		endBackoff := trace.Op(p, "retry", "backoff", s.caller, "", trace.CauseRetry)
+		p.Sleep(backoff)
+		endBackoff()
+		backoff = min(2*backoff, backoffMax)
 	}
 }

@@ -10,18 +10,10 @@ import (
 	"wadeploy/internal/simnet"
 )
 
-func resilientOpts() Options {
-	o := DefaultOptions
-	o.Rounds = 1
-	o.Retry = &RetryPolicy{
-		CallTimeout: 500 * time.Millisecond,
-		MaxAttempts: 3,
-		Backoff:     100 * time.Millisecond,
-		BackoffMax:  time.Second,
-	}
-	o.Breaker = &BreakerPolicy{Threshold: 3, Cooldown: 2 * time.Second}
-	return o
-}
+// resilientOpts arms the constant resilience policy: 1 s call timeouts, 3
+// attempts with 200 ms then 400 ms of backoff, and a 5-failure breaker with
+// a 10 s cooldown.
+var resilientOpts = Options{Rounds: 1, Resilient: true}
 
 func counter(t *testing.T, env *sim.Env, name string) int64 {
 	t.Helper()
@@ -32,9 +24,7 @@ func TestRetryRecoversFromDrops(t *testing.T) {
 	env := sim.NewEnv(5)
 	net := twoNodeNet(t, env)
 	net.EnableFaults(5)
-	opts := resilientOpts()
-	opts.Breaker = nil
-	rt := NewRuntime(net, opts)
+	rt := NewRuntime(net, resilientOpts)
 	calls := 0
 	if _, err := rt.Bind("b", "svc", func(p *sim.Proc, c *Call) (any, error) {
 		calls++
@@ -42,9 +32,9 @@ func TestRetryRecoversFromDrops(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// Heavy loss: many invocations still succeed thanks to retries, and
+	// 10% loss each way: invocations still succeed thanks to retries, and
 	// timeout + retry counters move.
-	if err := net.SetLinkQuality("a", "b", simnet.LinkQuality{DropProb: 0.3}); err != nil {
+	if err := net.SetLinkQuality("a", "b", simnet.LinkQuality{DropProb: 0.1}); err != nil {
 		t.Fatal(err)
 	}
 	ok, fail := 0, 0
@@ -63,10 +53,12 @@ func TestRetryRecoversFromDrops(t *testing.T) {
 		}
 	})
 	env.RunAll()
-	// Per-attempt success under 30% loss on two transfers is ~49%, so
-	// without retries ~25/50 succeed; with 3 attempts ~87% do.
-	if ok < 33 {
-		t.Fatalf("only %d/50 calls succeeded under 30%% loss with 3 attempts", ok)
+	// Per-attempt success under 10% loss on two transfers is 81%, so
+	// without retries ~40/50 succeed (48 or more 0.3% of the time); with 3
+	// attempts 99.3% do. The loss stays under what opens the breaker: five
+	// failed attempts in a row, which would fail every later call fast.
+	if ok < 48 {
+		t.Fatalf("only %d/50 calls succeeded under 10%% loss with 3 attempts", ok)
 	}
 	if got := counter(t, env, "rmi_retries_total"); got == 0 {
 		t.Fatal("no retries recorded")
@@ -80,9 +72,7 @@ func TestDroppedCallChargesTimeoutAndBackoff(t *testing.T) {
 	env := sim.NewEnv(9)
 	net := twoNodeNet(t, env)
 	net.EnableFaults(9)
-	opts := resilientOpts()
-	opts.Breaker = nil
-	rt := NewRuntime(net, opts)
+	rt := NewRuntime(net, resilientOpts)
 	if _, err := rt.Bind("b", "svc", func(p *sim.Proc, c *Call) (any, error) {
 		return "ok", nil
 	}); err != nil {
@@ -102,8 +92,9 @@ func TestDroppedCallChargesTimeoutAndBackoff(t *testing.T) {
 	if !errors.Is(callErr, ErrCallTimeout) {
 		t.Fatalf("err = %v, want ErrCallTimeout", callErr)
 	}
-	// 3 attempts x (marshal + 500ms timeout) + backoffs of 100ms + 200ms.
-	want := 3*(DefaultOptions.MarshalCPU+500*time.Millisecond) + 300*time.Millisecond
+	// 3 attempts x (marshal + 1s timeout) + backoffs of 200ms + 400ms: the
+	// backoff doubles.
+	want := 3*(MarshalCPU+time.Second) + 600*time.Millisecond
 	if elapsed != want {
 		t.Fatalf("failed call took %v, want %v", elapsed, want)
 	}
@@ -119,10 +110,8 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	env := sim.NewEnv(2)
 	net := twoNodeNet(t, env)
 	net.EnableFaults(2)
-	opts := resilientOpts()
-	opts.Breaker = nil
-	opts.Retry.Budget = 3
-	rt := NewRuntime(net, opts)
+	rt := NewRuntime(net, resilientOpts)
+	rt.resil.budgetUsed = retryBudget - 3 // three retries left of the lifetime's
 	if _, err := rt.Bind("b", "svc", func(p *sim.Proc, c *Call) (any, error) {
 		return "ok", nil
 	}); err != nil {
@@ -141,7 +130,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	})
 	env.RunAll()
 	if got := counter(t, env, "rmi_retries_total"); got != 3 {
-		t.Fatalf("retries = %d, want exactly the budget of 3", got)
+		t.Fatalf("retries = %d, want exactly the 3 the budget had left", got)
 	}
 	if got := counter(t, env, "rmi_retry_budget_exhausted_total"); got == 0 {
 		t.Fatal("budget exhaustion not recorded")
@@ -151,9 +140,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 func TestBreakerOpensFastFailsAndRecovers(t *testing.T) {
 	env := sim.NewEnv(3)
 	net := twoNodeNet(t, env)
-	opts := resilientOpts()
-	opts.Retry = nil // isolate the breaker
-	rt := NewRuntime(net, opts)
+	rt := NewRuntime(net, resilientOpts)
 	if _, err := rt.Bind("b", "svc", func(p *sim.Proc, c *Call) (any, error) {
 		return "ok", nil
 	}); err != nil {
@@ -164,16 +151,19 @@ func TestBreakerOpensFastFailsAndRecovers(t *testing.T) {
 	}
 	env.Spawn("caller", func(p *sim.Proc) {
 		stub, _ := rt.LocalStub("a", "b", "svc")
-		// Three unreachable failures open the breaker.
-		for i := 0; i < 3; i++ {
-			var ue *simnet.UnreachableError
-			if _, err := stub.Invoke(p, "m"); !errors.As(err, &ue) {
-				t.Errorf("call %d: err = %v, want UnreachableError", i, err)
-			}
+		// The first call's three attempts fail unreachable.
+		var ue *simnet.UnreachableError
+		if _, err := stub.Invoke(p, "m"); !errors.As(err, &ue) {
+			t.Errorf("first call: err = %v, want UnreachableError", err)
+		}
+		// The second call's second attempt is the fifth consecutive failure:
+		// it opens the breaker, and the third attempt fails fast.
+		var boe *BreakerOpenError
+		if _, err := stub.Invoke(p, "m"); !errors.As(err, &boe) {
+			t.Errorf("second call: err = %v, want BreakerOpenError", err)
 		}
 		// While open, calls fail fast without touching the network.
 		before := p.Now()
-		var boe *BreakerOpenError
 		if _, err := stub.Invoke(p, "m"); !errors.As(err, &boe) {
 			t.Errorf("err = %v, want BreakerOpenError", err)
 		}
@@ -185,7 +175,7 @@ func TestBreakerOpensFastFailsAndRecovers(t *testing.T) {
 		if err := net.SetLinkState("a", "b", true); err != nil {
 			t.Error(err)
 		}
-		p.Sleep(2 * time.Second)
+		p.Sleep(breakerCooldown)
 		if v, err := stub.Invoke(p, "m"); err != nil || v != "ok" {
 			t.Errorf("post-cooldown probe: %v, %v", v, err)
 		}
@@ -194,8 +184,11 @@ func TestBreakerOpensFastFailsAndRecovers(t *testing.T) {
 		}
 	})
 	env.RunAll()
-	if got := counter(t, env, "rmi_breaker_fastfail_total"); got != 1 {
-		t.Fatalf("fast fails = %d, want 1", got)
+	if got := counter(t, env, "rmi_breaker_fastfail_total"); got != 2 {
+		t.Fatalf("fast fails = %d, want 2", got)
+	}
+	if got := counter(t, env, "rmi_retries_total"); got != 4 {
+		t.Fatalf("retries = %d, want 4 (two per failed call)", got)
 	}
 	for state, want := range map[string]int64{"open": 1, "half-open": 1, "closed": 1} {
 		name := metrics.LabelName("rmi_breaker_transitions_total", "to", state)
@@ -208,7 +201,7 @@ func TestBreakerOpensFastFailsAndRecovers(t *testing.T) {
 func TestApplicationErrorsAreNotRetried(t *testing.T) {
 	env := sim.NewEnv(4)
 	net := twoNodeNet(t, env)
-	rt := NewRuntime(net, resilientOpts())
+	rt := NewRuntime(net, resilientOpts)
 	appErr := errors.New("boom")
 	calls := 0
 	if _, err := rt.Bind("b", "svc", func(p *sim.Proc, c *Call) (any, error) {
@@ -242,6 +235,70 @@ func TestNoResilienceMetricsWithoutPolicies(t *testing.T) {
 		case "rmi_retries_total", "rmi_call_timeouts_total",
 			"rmi_retry_budget_exhausted_total", "rmi_breaker_fastfail_total":
 			t.Fatalf("resilience metric %s registered without a policy", c.Name)
+		}
+	}
+}
+
+// TestResilienceOffIsOneAttempt: a remote call whose request a lossy link
+// drops makes one attempt without resilience — the drop comes back at once,
+// with no call timeout slept and no resilience family registered — and, with
+// it, three attempts a call timeout each, 200 ms then 400 ms of backoff
+// apart.
+func TestResilienceOffIsOneAttempt(t *testing.T) {
+	families := []string{"rmi_retries_total", "rmi_call_timeouts_total",
+		"rmi_retry_budget_exhausted_total", "rmi_breaker_fastfail_total", "rmi_breaker_transitions_total"}
+	for _, c := range []struct {
+		resilient bool
+		want      time.Duration
+		retries   int64
+	}{
+		{false, MarshalCPU, 0},
+		{true, 3*(MarshalCPU+callTimeout) + backoffBase + 2*backoffBase, 2},
+	} {
+		env := sim.NewEnv(7)
+		net := twoNodeNet(t, env)
+		net.EnableFaults(7)
+		rt := NewRuntime(net, Options{Rounds: 1, Resilient: c.resilient})
+		calls := 0
+		if _, err := rt.Bind("b", "svc", func(p *sim.Proc, _ *Call) (any, error) {
+			calls++
+			return nil, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := net.SetLinkQuality("a", "b", simnet.LinkQuality{DropProb: 1}); err != nil {
+			t.Fatal(err)
+		}
+		var elapsed time.Duration
+		var callErr error
+		env.Spawn("caller", func(p *sim.Proc) {
+			stub, _ := rt.LocalStub("a", "b", "svc")
+			_, callErr = stub.Invoke(p, "m")
+			elapsed = p.Now()
+		})
+		env.RunAll()
+		var de *simnet.DroppedError
+		if c.resilient {
+			if !errors.Is(callErr, ErrCallTimeout) {
+				t.Errorf("resilient: err = %v, want ErrCallTimeout", callErr)
+			}
+		} else if !errors.As(callErr, &de) {
+			t.Errorf("resilience off: err = %v, want the *simnet.DroppedError", callErr)
+		}
+		if elapsed != c.want || calls != 0 {
+			t.Errorf("resilient=%v: the call took %v and ran the handler %d times, want %v and 0", c.resilient, elapsed, calls, c.want)
+		}
+		if got := counter(t, env, "rmi_retries_total"); got != c.retries {
+			t.Errorf("resilient=%v: retries = %d, want %d", c.resilient, got, c.retries)
+		}
+		registered := map[string]bool{}
+		for _, s := range env.Metrics().Snapshot().Counters {
+			registered[s.Name] = true
+		}
+		for _, f := range families {
+			if !c.resilient && registered[f] {
+				t.Errorf("resilience off registered %s", f)
+			}
 		}
 	}
 }

@@ -76,42 +76,35 @@ type Object struct {
 	h    Handler
 }
 
-// Options is the invocation cost model.
+// The calibrated cost of a call, the same under both application stacks.
+const (
+	// RequestBytes and ReplyBytes are the default payload sizes.
+	RequestBytes = 512
+	ReplyBytes   = 2048
+
+	// LocalDispatch is the CPU cost of an in-VM (co-located) call.
+	LocalDispatch = 50 * time.Microsecond
+
+	// MarshalCPU is the caller/callee CPU cost of serializing a remote
+	// call's request plus reply.
+	MarshalCPU = 500 * time.Microsecond
+)
+
+// Options are what the two application stacks set differently.
 type Options struct {
 	// Rounds is the number of network round trips per remote invocation.
 	// Plain request/response is 1.0; values above 1 model RMI's ping and
 	// distributed-GC traffic.
 	Rounds float64
 
-	// RequestBytes and ReplyBytes are default payload sizes.
-	RequestBytes int
-	ReplyBytes   int
-
-	// LocalDispatch is the CPU cost of an in-VM (co-located) call.
-	LocalDispatch time.Duration
-
-	// MarshalCPU is the caller/callee CPU cost of serializing a remote
-	// call's request plus reply.
-	MarshalCPU time.Duration
-
-	// Retry, when non-nil, enables per-call timeouts and capped
-	// exponential backoff for remote calls that fail at the transport
-	// level. See RetryPolicy.
-	Retry *RetryPolicy
-
-	// Breaker, when non-nil, enables a per-destination circuit breaker
-	// for remote calls. See BreakerPolicy.
-	Breaker *BreakerPolicy
+	// Resilient arms per-call timeouts, capped exponential backoff and a
+	// per-destination circuit breaker for remote calls, at the constant
+	// policy of resilience.go. Off, a remote call makes one attempt.
+	Resilient bool
 }
 
-// DefaultOptions is a reasonable year-2002 JVM RMI cost model.
-var DefaultOptions = Options{
-	Rounds:        1.5,
-	RequestBytes:  512,
-	ReplyBytes:    2048,
-	LocalDispatch: 50 * time.Microsecond,
-	MarshalCPU:    500 * time.Microsecond,
-}
+// DefaultOptions is a year-2002 JVM RMI (JBoss 2.4.4, Pet Store's stack).
+var DefaultOptions = Options{Rounds: 1.5}
 
 // Runtime owns the registries of every node and performs invocations.
 type Runtime struct {
@@ -128,8 +121,8 @@ type Runtime struct {
 	mStubHits   *metrics.Counter
 	mStubMiss   *metrics.Counter
 
-	// resil is nil unless a retry or breaker policy is configured; its
-	// metric families exist only in resilience-enabled runs.
+	// resil is nil unless Options.Resilient; its metric families exist
+	// only in resilience-enabled runs.
 	resil *resilience
 	calls sim.Free[Call] // envelopes of the invocations not in flight
 }
@@ -142,7 +135,7 @@ func NewRuntime(net *simnet.Network, opts Options) *Runtime {
 	mreg := net.Env().Metrics()
 	mreg.Gauge("rmi_configured_rounds_milli").Set(int64(opts.Rounds * 1000))
 	return &Runtime{
-		resil:       newResilience(mreg, opts.Retry, opts.Breaker),
+		resil:       newResilience(mreg, opts.Resilient),
 		net:         net,
 		opts:        opts,
 		reg:         make(map[string]map[string]*Object),
@@ -219,7 +212,7 @@ func (rt *Runtime) Lookup(p *sim.Proc, callerNode, registryNode, name string) (*
 			return nil, fmt.Errorf("rmi: lookup %s on %s: %w", name, registryNode, err)
 		}
 	} else {
-		p.Sleep(rt.opts.LocalDispatch)
+		p.Sleep(LocalDispatch)
 	}
 	obj := rt.resolve(registryNode, name)
 	if obj == nil {
@@ -255,7 +248,7 @@ func (s *Stub) Invoke(p *sim.Proc, method string, args ...sqldb.Value) (any, err
 
 // InvokeInto is Invoke with the caller's reply record (see Call.Out).
 func (s *Stub) InvokeInto(p *sim.Proc, reply any, method string, args ...sqldb.Value) (any, error) {
-	return s.InvokeSized(p, method, s.rt.opts.RequestBytes, s.rt.opts.ReplyBytes, nil, reply, args...)
+	return s.InvokeSized(p, method, RequestBytes, ReplyBytes, nil, reply, args...)
 }
 
 // InvokeSized calls method with explicit request/reply payload sizes, a
@@ -271,11 +264,11 @@ func (s *Stub) InvokeSized(p *sim.Proc, method string, reqBytes, replyBytes int,
 	if !s.Remote() {
 		rt.mLocal.Inc()
 		defer trace.Opf(p, "call", s.caller, "", trace.CauseService, s.obj.Name, ".", method)()
-		p.Sleep(rt.opts.LocalDispatch)
+		p.Sleep(LocalDispatch)
 		return s.obj.h(p, call)
 	}
 	rt.mRemote.Inc()
-	out, back := s.routes()
+	out, _ := s.routes()
 	wide := true // unreachable counts as wide: whatever stalls there, a LAN did not
 	if oneWay, owErr := out.Latency(); owErr == nil {
 		wide = oneWay >= wideAreaOneWay
@@ -291,27 +284,7 @@ func (s *Stub) InvokeSized(p *sim.Proc, method string, reqBytes, replyBytes int,
 	// handler runs on the calling process, so its work (SQL, nested calls)
 	// nests as child spans and claims its own causes.
 	defer trace.Opf(p, "rmi", s.obj.Node, s.caller, callCause, s.obj.Name, ".", method)()
-	if rt.resil != nil {
-		return s.invokeResilient(p, call, reqBytes, replyBytes)
-	}
-	start := p.Now()
-	p.Sleep(rt.opts.MarshalCPU)
-	if err := out.Transfer(p, reqBytes); err != nil {
-		return nil, fmt.Errorf("rmi: invoke %s.%s: %w", s.obj.Name, method, err)
-	}
-	result, err := s.obj.h(p, call)
-	if terr := back.Transfer(p, replyBytes); terr != nil {
-		return nil, fmt.Errorf("rmi: invoke %s.%s (reply): %w", s.obj.Name, method, terr)
-	}
-	// Extra round trips for RMI ping/DGC traffic.
-	if extra := rt.opts.Rounds - 1; extra > 0 {
-		rtt, rttErr := out.RTT()
-		if rttErr == nil {
-			p.Sleep(time.Duration(extra * float64(rtt)))
-		}
-	}
-	rt.mRemoteNs.Observe(p.Now() - start)
-	return result, err
+	return s.invokeRemote(p, call, reqBytes, replyBytes)
 }
 
 // networkRoundTrip models one request/response exchange without dispatch.

@@ -49,8 +49,8 @@ func TestLocalInvokeCostsDispatchOnly(t *testing.T) {
 		elapsed = p.Now()
 	})
 	env.RunAll()
-	if elapsed != DefaultOptions.LocalDispatch {
-		t.Fatalf("local call took %v, want %v", elapsed, DefaultOptions.LocalDispatch)
+	if elapsed != LocalDispatch {
+		t.Fatalf("local call took %v, want %v", elapsed, LocalDispatch)
 	}
 	if l, r := counter(t, env, "rmi_local_calls_total"), counter(t, env, "rmi_remote_calls_total"); l != 1 || r != 0 {
 		t.Fatalf("local calls %d, remote calls %d", l, r)
@@ -60,10 +60,7 @@ func TestLocalInvokeCostsDispatchOnly(t *testing.T) {
 func TestRemoteInvokeCostsRoundsTimesRTT(t *testing.T) {
 	env := sim.NewEnv(1)
 	net := twoNodeNet(t, env)
-	opts := DefaultOptions
-	opts.Rounds = 1.5
-	opts.MarshalCPU = 0
-	rt := NewRuntime(net, opts)
+	rt := NewRuntime(net, Options{Rounds: 1.5})
 	if _, err := rt.Bind("b", "svc", func(p *sim.Proc, c *Call) (any, error) {
 		return 42, nil
 	}); err != nil {
@@ -83,9 +80,9 @@ func TestRemoteInvokeCostsRoundsTimesRTT(t *testing.T) {
 		elapsed = p.Now()
 	})
 	env.RunAll()
-	// RTT = 200ms; 1.5 rounds = 300ms.
-	if elapsed != 300*time.Millisecond {
-		t.Fatalf("remote call took %v, want 300ms", elapsed)
+	// RTT = 200ms; 1.5 rounds = 300ms, after the marshalling CPU.
+	if want := MarshalCPU + 300*time.Millisecond; elapsed != want {
+		t.Fatalf("remote call took %v, want %v", elapsed, want)
 	}
 	if r := counter(t, env, "rmi_remote_calls_total"); r != 1 {
 		t.Fatalf("remote calls %d", r)
@@ -95,9 +92,7 @@ func TestRemoteInvokeCostsRoundsTimesRTT(t *testing.T) {
 func TestRemoteLookupCostsRoundTrip(t *testing.T) {
 	env := sim.NewEnv(1)
 	net := twoNodeNet(t, env)
-	opts := DefaultOptions
-	opts.LocalDispatch = 0
-	rt := NewRuntime(net, opts)
+	rt := NewRuntime(net, DefaultOptions)
 	if _, err := rt.Bind("b", "svc", func(p *sim.Proc, c *Call) (any, error) { return nil, nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -269,8 +264,7 @@ func TestInvokePayloadSizeAffectsDuration(t *testing.T) {
 	if _, err := net.AddLink("a", "b", time.Millisecond, 1024); err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Rounds: 1, MarshalCPU: 0}
-	rt := NewRuntime(net, opts)
+	rt := NewRuntime(net, Options{Rounds: 1})
 	if _, err := rt.Bind("b", "svc", func(p *sim.Proc, c *Call) (any, error) { return nil, nil }); err != nil {
 		t.Fatal(err)
 	}

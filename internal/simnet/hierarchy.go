@@ -53,12 +53,6 @@ type HierarchySpec struct {
 	// of partitioning the whole subtree. Meaningful only with Hubs >= 2.
 	RedundantUplinks bool
 
-	// ServerCPUs/ClientCPUs override the per-node CPU slot counts; zero
-	// selects the paper's values (2 server CPUs, effectively unlimited
-	// client CPUs).
-	ServerCPUs int
-	ClientCPUs int
-
 	// star is set by WithDefaults on a zero-Edges spec: nodes take the
 	// paper's names instead of the numbered hierarchy names.
 	star bool
@@ -108,12 +102,6 @@ func (s HierarchySpec) WithDefaults() HierarchySpec {
 	}
 	if s.LAN.Bps <= 0 {
 		s.LAN.Bps = DefaultLANClass.Bps
-	}
-	if s.ServerCPUs <= 0 {
-		s.ServerCPUs = ServerCPUs
-	}
-	if s.ClientCPUs <= 0 {
-		s.ClientCPUs = ClientCPUs
 	}
 	return s
 }
@@ -201,13 +189,13 @@ func BuildHierarchy(env *sim.Env, spec HierarchySpec) (*Hierarchy, error) {
 		return nil, fmt.Errorf("simnet: hierarchy: %w", err)
 	}
 	// Root site: main application server, database, local clients.
-	if _, err := n.AddNode(NodeMain, spec.ServerCPUs); err != nil {
+	if _, err := n.AddNode(NodeMain, ServerCPUs); err != nil {
 		return fail(err)
 	}
-	if _, err := n.AddNode(NodeDB, spec.ServerCPUs); err != nil {
+	if _, err := n.AddNode(NodeDB, ServerCPUs); err != nil {
 		return fail(err)
 	}
-	if _, err := n.AddNode(NodeClientsMain, spec.ClientCPUs); err != nil {
+	if _, err := n.AddNode(NodeClientsMain, ClientCPUs); err != nil {
 		return fail(err)
 	}
 	if _, err := n.AddLink(NodeDB, NodeMain, spec.LAN.OneWay, spec.LAN.Bps); err != nil {
@@ -220,7 +208,7 @@ func BuildHierarchy(env *sim.Env, spec HierarchySpec) (*Hierarchy, error) {
 	// Regional hubs: pure routing nodes one backbone hop below main.
 	for i := 0; i < spec.Hubs; i++ {
 		hub := spec.hubName(i)
-		if _, err := n.AddNode(hub, spec.ServerCPUs); err != nil {
+		if _, err := n.AddNode(hub, ServerCPUs); err != nil {
 			return fail(err)
 		}
 		if _, err := n.AddLink(NodeMain, hub, spec.Backbone.OneWay, spec.Backbone.Bps); err != nil {
@@ -235,10 +223,10 @@ func BuildHierarchy(env *sim.Env, spec HierarchySpec) (*Hierarchy, error) {
 	for i := 0; i < spec.Edges; i++ {
 		edge, clients := spec.edgeNames(i)
 		hub := h.HubNames[i%spec.Hubs]
-		if _, err := n.AddNode(edge, spec.ServerCPUs); err != nil {
+		if _, err := n.AddNode(edge, ServerCPUs); err != nil {
 			return fail(err)
 		}
-		if _, err := n.AddNode(clients, spec.ClientCPUs); err != nil {
+		if _, err := n.AddNode(clients, ClientCPUs); err != nil {
 			return fail(err)
 		}
 		if _, err := n.AddLink(edge, hub, spec.Metro.OneWay, spec.Metro.Bps); err != nil {

@@ -233,7 +233,7 @@ func TestMultiRowInsertIsAtomic(t *testing.T) {
 	if after := mustExec(t, db, memoised, Int(0)); fingerprint(after) != fingerprint(before) {
 		t.Fatalf("memoised read:\n%s\nwant\n%s", fingerprint(after), fingerprint(before))
 	}
-	checkFresh(t, db, DefaultCostModel, memoised, Int(0))
+	checkFresh(t, db, memoised, Int(0))
 	// The rows the statement dropped can be inserted again and found.
 	mustExec(t, db, `INSERT INTO users VALUES (50, 'x', 'east', 0), (51, 'y', 'north', 1)`)
 	if r := mustExec(t, db, `SELECT nick FROM users WHERE id = 51`); r.Len() != 1 || r.Rows[0][0].S != "y" {

@@ -186,9 +186,9 @@ func checkResultIsSnapshot(t *testing.T, db *DB, sql string, args []Value, res R
 	}
 	snap := db.Snapshot()
 	clobber(t, db)
-	checkFresh(t, db, DefaultCostModel, sql, args...)
+	checkFresh(t, db, sql, args...)
 	db.Restore(snap)
-	checkFresh(t, db, DefaultCostModel, sql, args...)
+	checkFresh(t, db, sql, args...)
 	if got := fingerprint(res); got != want {
 		t.Fatalf("%s: later writes and a Restore changed a returned result:\n%s\nwant\n%s", sql, got, want)
 	}

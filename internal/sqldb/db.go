@@ -18,29 +18,24 @@ var (
 	ErrNotNull      = errors.New("sqldb: NOT NULL constraint violated")
 )
 
-// CostModel converts executor work counters into a virtual service time so
-// the simulation can charge database CPU. All costs are per statement.
-type CostModel struct {
-	PerStatement   time.Duration // fixed parse/plan/dispatch overhead
-	PerRowScanned  time.Duration // per row examined
-	PerRowWritten  time.Duration // per row inserted/updated
-	PerRowReturned time.Duration // per row in the result set
-}
+// The cost model converts executor work counters into a virtual service
+// time so the simulation can charge database CPU. It approximates a
+// well-indexed year-2002 database server: sub-millisecond point queries,
+// milliseconds for scans of hundreds of rows.
+const (
+	perStatement   = 300 * time.Microsecond // fixed parse/plan/dispatch overhead
+	perRowScanned  = 4 * time.Microsecond   // per row examined
+	perRowWritten  = 40 * time.Microsecond  // per row inserted/updated
+	perRowReturned = 2 * time.Microsecond   // per row in the result set
+)
 
-// DefaultCostModel approximates a well-indexed year-2002 database server:
-// sub-millisecond point queries, milliseconds for scans of hundreds of rows.
-var DefaultCostModel = CostModel{
-	PerStatement:   300 * time.Microsecond,
-	PerRowScanned:  4 * time.Microsecond,
-	PerRowWritten:  40 * time.Microsecond,
-	PerRowReturned: 2 * time.Microsecond,
-}
-
-func (c CostModel) cost(scanned, written, returned int) time.Duration {
-	return c.PerStatement +
-		time.Duration(scanned)*c.PerRowScanned +
-		time.Duration(written)*c.PerRowWritten +
-		time.Duration(returned)*c.PerRowReturned
+// Cost is the service time of one statement that examined scanned rows,
+// wrote written and returned returned.
+func Cost(scanned, written, returned int) time.Duration {
+	return perStatement +
+		time.Duration(scanned)*perRowScanned +
+		time.Duration(written)*perRowWritten +
+		time.Duration(returned)*perRowReturned
 }
 
 // Result is the outcome of one statement, returned by value: it lives in the
@@ -284,7 +279,6 @@ type DB struct {
 	mu       sync.Mutex
 	tables   map[string]*table
 	prepared map[string]*Prepared
-	cost     CostModel
 	blocks   blocks
 
 	// epoch counts schema changes (CREATE TABLE, CREATE INDEX, Restore).
@@ -335,21 +329,12 @@ type StmtID struct {
 	SQL string // the statement text
 }
 
-// New returns an empty database with the default cost model.
+// New returns an empty database.
 func New() *DB {
 	return &DB{
 		tables:   make(map[string]*table),
 		prepared: make(map[string]*Prepared),
-		cost:     DefaultCostModel,
 	}
-}
-
-// SetCostModel replaces the cost model; every later statement is charged
-// under it, a memoised SELECT too.
-func (db *DB) SetCostModel(c CostModel) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.cost = c
 }
 
 // PreparedTexts returns, sorted, every statement text in the
@@ -513,7 +498,7 @@ func (db *DB) execCreateTable(s *CreateTableStmt) (Result, error) {
 	}
 	db.tables[s.Name] = t
 	db.epoch++
-	return Result{Cost: db.cost.cost(0, 0, 0)}, nil
+	return Result{Cost: Cost(0, 0, 0)}, nil
 }
 
 func (db *DB) execCreateIndex(s *CreateIndexStmt) (Result, error) {
@@ -541,7 +526,7 @@ func (db *DB) execCreateIndex(s *CreateIndexStmt) (Result, error) {
 	}
 	t.indexes = append(t.indexes, ix)
 	db.epoch++
-	return Result{Cost: db.cost.cost(len(t.rows), 0, 0)}, nil
+	return Result{Cost: Cost(len(t.rows), 0, 0)}, nil
 }
 
 // insertPlan is an INSERT's column binding and compiled value expressions.
@@ -625,7 +610,7 @@ func (db *DB) execInsert(s *InsertStmt, args []Value) (Result, error) {
 			return Result{}, err
 		}
 	}
-	res := Result{Affected: len(pl.rows), Cost: db.cost.cost(0, len(pl.rows), 0)}
+	res := Result{Affected: len(pl.rows), Cost: Cost(0, len(pl.rows), 0)}
 	if len(pl.rows) == 1 {
 		res.Cols, res.Rows = &t.names, t.rows[first].view[:]
 	}
@@ -744,7 +729,7 @@ func (db *DB) execUpdate(s *UpdateStmt, args []Value) (Result, error) {
 		IndexUsed:     probed,
 		ScannedActual: scanned,
 		PlanCached:    hit,
-		Cost:          db.cost.cost(scanned, len(pl.pos), 0),
+		Cost:          Cost(scanned, len(pl.pos), 0),
 	}
 	if probed {
 		res.IndexProbes = 1

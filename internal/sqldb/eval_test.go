@@ -181,20 +181,13 @@ func TestSyntaxErrorMessage(t *testing.T) {
 
 func TestTablesAndCostModelAccessors(t *testing.T) {
 	db := evalDB(t)
-	// A heavier cost model increases reported statement cost.
-	cheap, err := db.Exec(`SELECT * FROM v`)
-	if err != nil || cheap.Len() != 2 {
-		t.Fatalf("SELECT * FROM v: %d rows, %v", cheap.Len(), err)
+	// A statement is charged the cost model's price of its work.
+	res, err := db.Exec(`SELECT * FROM v`)
+	if err != nil || res.Len() != 2 {
+		t.Fatalf("SELECT * FROM v: %d rows, %v", res.Len(), err)
 	}
-	expensive := DefaultCostModel
-	expensive.PerStatement *= 10
-	db.SetCostModel(expensive)
-	costly, err := db.Exec(`SELECT * FROM v`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if costly.Cost <= cheap.Cost {
-		t.Fatalf("cost model ignored: %v <= %v", costly.Cost, cheap.Cost)
+	if want := perStatement + 2*perRowScanned + 2*perRowReturned; res.Cost != want || Cost(res.Scanned, 0, res.Len()) != want {
+		t.Fatalf("SELECT * FROM v cost %v, want %v", res.Cost, want)
 	}
 	if _, err := db.Exec(`SELECT * FROM ghost`); !errors.Is(err, ErrNoSuchTable) {
 		t.Fatalf("SELECT * FROM ghost: %v", err)

@@ -247,7 +247,7 @@ func FuzzSelect(f *testing.F) {
 					t.Fatalf("seed %d: %s %v after a write to %s\nindexed:   %s (err %v)\nreference: %s",
 						seed, text, args, sel.From[i].Table, fingerprint(g), gerr, fingerprint(w))
 				}
-				checkFresh(t, indexed, DefaultCostModel, text, args...)
+				checkFresh(t, indexed, text, args...)
 			}
 		}
 		checkAllIndexes(t, indexed)

@@ -21,12 +21,10 @@ func resultKey(r Result) string {
 
 // checkFresh runs sql twice on db, the second time a memo hit wherever the
 // first memoised, and requires both results to equal, counter for counter,
-// a fresh execution on a database restored from db's current state under
-// cost model c.
-func checkFresh(t *testing.T, db *DB, c CostModel, sql string, args ...Value) {
+// a fresh execution on a database restored from db's current state.
+func checkFresh(t *testing.T, db *DB, sql string, args ...Value) {
 	t.Helper()
 	fresh := New()
-	fresh.SetCostModel(c)
 	fresh.Restore(db.Snapshot())
 	want, werr := fresh.Exec(sql, args...)
 	for i := 0; i < 2; i++ {
@@ -86,7 +84,6 @@ func TestSelectMemoInvalidation(t *testing.T) {
 	for i := 0; i < 18; i++ {
 		mustExec(t, db, `INSERT INTO u VALUES (?, ?, ?)`, Int(int64(i)), Int(int64(i%12)), Str("u"+strconv.Itoa(i%5)))
 	}
-	cost := DefaultCostModel
 	stmts := []string{
 		`SELECT * FROM t WHERE grp = ? ORDER BY id`,                                         // probe, then sort
 		`SELECT name, id FROM t WHERE grp = ? ORDER BY name DESC`,                           // a projection
@@ -106,22 +103,22 @@ func TestSelectMemoInvalidation(t *testing.T) {
 		t.Helper()
 		for _, g := range []int64{0, 1, 2} {
 			for _, sql := range stmts[:probed] {
-				checkFresh(t, db, cost, sql, Int(g))
+				checkFresh(t, db, sql, Int(g))
 			}
 			for _, sql := range stmts[probed:scanned] {
-				checkFresh(t, db, cost, sql, Str("%"+strconv.FormatInt(g, 10)+"%"))
+				checkFresh(t, db, sql, Str("%"+strconv.FormatInt(g, 10)+"%"))
 			}
-			checkFresh(t, db, cost, stmts[point], Int(g))
+			checkFresh(t, db, stmts[point], Int(g))
 		}
 		for _, sql := range stmts[scanned:point] {
-			checkFresh(t, db, cost, sql)
+			checkFresh(t, db, sql)
 		}
 		for _, sql := range stmts[point+1:] {
-			checkFresh(t, db, cost, sql)
+			checkFresh(t, db, sql)
 		}
 		for _, sql := range stmts[:probed] {
-			checkFresh(t, db, cost, sql, Null())
-			checkFresh(t, db, cost, sql) // a missing argument is no NULL: an error
+			checkFresh(t, db, sql, Null())
+			checkFresh(t, db, sql) // a missing argument is no NULL: an error
 		}
 		if t.Failed() {
 			t.Fatalf("after %s", step)
@@ -168,10 +165,6 @@ func TestSelectMemoInvalidation(t *testing.T) {
 	check("Restore")
 	mustExec(t, db, `CREATE INDEX ix_t_name ON t (name)`)
 	check("CREATE INDEX")
-	cost.PerStatement *= 10
-	cost.PerRowReturned *= 3
-	db.SetCostModel(cost)
-	check("SetCostModel")
 }
 
 // TestDistinctScratchIsPerExecution: DISTINCT's first-key map and chain of
@@ -185,7 +178,7 @@ func TestDistinctScratchIsPerExecution(t *testing.T) {
 	mustExec(t, db, `INSERT INTO d VALUES (0, 0, 1, 'x'), (1, 0, 2, 'x'), (2, 1, 1, 'x'), (3, 1, 1, 'y'), (4, 1, 1, 'x')`)
 	const sql = `SELECT DISTINCT a, b FROM d WHERE g = ?`
 	for _, g := range []int64{0, 1, 0, 1} {
-		checkFresh(t, db, DefaultCostModel, sql, Int(g))
+		checkFresh(t, db, sql, Int(g))
 		mustExec(t, db, `UPDATE d SET a = a WHERE id = 0`) // a write: the next run misses
 	}
 }
@@ -204,8 +197,8 @@ func TestSelectMemoIsBounded(t *testing.T) {
 		t.Fatalf("%d memo entries, want %d", n, memoCap)
 	}
 	mustExec(t, db, `UPDATE t SET v = 5 WHERE id = 1`)
-	checkFresh(t, db, DefaultCostModel, sql, Int(3))
-	checkFresh(t, db, DefaultCostModel, sql, Int(memoCap+5))
+	checkFresh(t, db, sql, Int(3))
+	checkFresh(t, db, sql, Int(memoCap+5))
 	if n := memoEntries(db, sql); n != 2 {
 		t.Fatalf("%d memo entries after a write and two tuples, want 2", n)
 	}

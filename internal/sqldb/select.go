@@ -16,8 +16,8 @@ import "slices"
 //
 // A plan that has once done more than a point lookup memoises its Result by
 // bound arguments while the version of every table it reads stands still: a
-// hit is the Result a fresh run would return, charged under the current cost
-// model, and shares its row list and rows with every other hit. The first
+// hit is the Result a fresh run would return, its cost included, and shares
+// its row list and rows with every other hit. The first
 // run after a write to any of its tables empties the memo; a plan rebuild
 // drops it. A bare whole-table read (no WHERE, ORDER BY or LIMIT), a
 // snapshot's, always runs.
@@ -66,7 +66,6 @@ func (db *DB) execSelect(s *SelectStmt, args []Value) (Result, error) {
 	}
 	if res, found := pl.memo[k]; found {
 		res.PlanCached = hit
-		res.Cost = db.cost.cost(res.Scanned, 0, len(res.Rows))
 		return res, nil
 	}
 	res, err := db.runSelect(pl, hit, s, args)
@@ -154,7 +153,7 @@ func (db *DB) runSelect(pl *selectPlan, hit bool, s *SelectStmt, args []Value) (
 			res.Rows = res.Rows[:s.Limit]
 		}
 	}
-	res.Cost = db.cost.cost(res.Scanned, 0, len(res.Rows))
+	res.Cost = Cost(res.Scanned, 0, len(res.Rows))
 	return res, nil
 }
 

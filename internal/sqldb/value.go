@@ -26,7 +26,7 @@
 //
 // It substitutes for the Oracle/MySQL servers of the paper's testbed: the
 // entity beans' loads, stores and finders and the applications'
-// listing queries execute against it. A pluggable cost model reports a
+// listing queries execute against it. A fixed cost model (Cost) reports a
 // virtual service time per statement so the discrete-event simulation can
 // charge database work to the DB node's CPU.
 package sqldb

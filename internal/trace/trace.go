@@ -108,7 +108,7 @@ func (t *Trace) Root() Span {
 // addSpan appends a span and returns its ID, or (0, false) when the
 // per-trace span cap is exhausted.
 func (t *Trace) addSpan(s Span) (SpanID, bool) {
-	if t.tr != nil && len(t.Spans) >= t.tr.maxSpans {
+	if t.tr != nil && len(t.Spans) >= maxSpans {
 		t.Dropped++
 		return 0, false
 	}
@@ -218,7 +218,7 @@ func open(p *sim.Proc, st *pstate, layer, label, node, peer string, cause Cause)
 }
 
 // Ctx carries a trace across an asynchronous hand-off: capture it on the
-// requesting process, store it in the message/queue entry, and Adopt it on
+// requesting process, store it in the message/queue entry, and Adoptf it on
 // the process that continues the work. The zero Ctx is inert, so untraced
 // paths pass it through for free.
 type Ctx struct {
@@ -259,31 +259,20 @@ func (c Ctx) Drop() {
 	c.t.maybeFinish()
 }
 
-// Adopt attaches the captured trace to process p and opens an async span
-// under the captured parent. The returned closer ends the span, releases the
-// context, and detaches the trace from p. Adopting a zero Ctx is a no-op.
-func Adopt(p *sim.Proc, c Ctx, layer, label, node string, cause Cause) func() {
-	if c.t == nil {
-		return noop
-	}
-	return adopt(p, c, layer, label, node, cause)
-}
-
-// Adoptf is Adopt with the label built lazily from up to three parts, so
-// per-delivery call sites pay no concatenation when the hand-off is untraced.
+// Adoptf attaches the captured trace to process p and opens an async span
+// under the captured parent, labelled with up to three parts, so per-delivery
+// call sites pay no concatenation when the hand-off is untraced. The
+// returned closer ends the span, releases the context, and detaches the
+// trace from p. Adopting a zero Ctx is a no-op.
 func Adoptf(p *sim.Proc, c Ctx, layer, node string, cause Cause, l0, l1, l2 string) func() {
 	if c.t == nil {
 		return noop
 	}
-	return adopt(p, c, layer, l0+l1+l2, node, cause)
-}
-
-func adopt(p *sim.Proc, c Ctx, layer, label, node string, cause Cause) func() {
 	t := c.t
 	id, ok := t.addSpan(Span{
 		Parent: c.parent,
 		Layer:  layer,
-		Label:  label,
+		Label:  l0 + l1 + l2,
 		Node:   node,
 		Cause:  cause,
 		Async:  true,

@@ -66,7 +66,7 @@ func buildPageTrace(t *testing.T) *Trace {
 		// Async hand-off: a cache-update delivery on another node.
 		ctx := Capture(p)
 		env.Spawn("jms:edge-2", func(dp *sim.Proc) {
-			endD := Adopt(dp, ctx, "jms", "deliver updates", "edge-2", CauseService)
+			endD := Adoptf(dp, ctx, "jms", "edge-2", CauseService, "deliver updates", "", "")
 			dp.Sleep(3 * time.Millisecond)
 			endD()
 		})
@@ -206,13 +206,13 @@ func TestRecorderRingEvictsOldest(t *testing.T) {
 
 func TestSpanCapCountsDropped(t *testing.T) {
 	env := sim.NewEnv(1)
-	tr := New(env, Options{MaxSpans: 2})
+	tr := New(env, Options{})
 	tr.Install(env)
 	var got *Trace
 	tr.onFinish = func(tc *Trace) { got = tc }
 	env.Spawn("client", func(p *sim.Proc) {
 		end := tr.StartPage(p, 1, "p", "x", "n", true)
-		for i := 0; i < 5; i++ {
+		for i := 0; i < maxSpans+3; i++ { // the root and maxSpans+3 ops: 4 too many
 			endOp := Op(p, "sql", "q", "n", "", CauseService)
 			p.Sleep(time.Millisecond)
 			endOp()
@@ -224,8 +224,8 @@ func TestSpanCapCountsDropped(t *testing.T) {
 	if got == nil {
 		t.Fatal("trace did not finish despite dropped spans")
 	}
-	if len(got.Spans) != 2 || got.Dropped != 4 {
-		t.Fatalf("spans=%d dropped=%d, want 2/4", len(got.Spans), got.Dropped)
+	if len(got.Spans) != maxSpans || got.Dropped != 4 {
+		t.Fatalf("spans=%d dropped=%d, want %d/4", len(got.Spans), got.Dropped, maxSpans)
 	}
 }
 
@@ -262,7 +262,7 @@ func TestUntracedFastPathIsInert(t *testing.T) {
 			t.Error("untraced capture returned a live context")
 		}
 		ctx.Drop()
-		Adopt(p, ctx, "jms", "x", "n", CauseService)()
+		Adoptf(p, ctx, "jms", "n", CauseService, "x", "", "")()
 	})
 	env.RunAll()
 	env.Close()

@@ -47,6 +47,10 @@ func SessionKey(classKey, index uint64) uint64 {
 	return mix64(classKey ^ mix64(index))
 }
 
+// maxSpans caps spans recorded per trace; excess spans are counted in
+// Trace.Dropped instead of growing memory.
+const maxSpans = 512
+
 // Options configures a Tracer.
 type Options struct {
 	// SampleEvery samples 1 in N page requests (≤1 samples every page).
@@ -58,10 +62,6 @@ type Options struct {
 	// are evicted and counted in trace_dropped_total.
 	MaxTraces int
 
-	// MaxSpans caps spans recorded per trace (default 512); excess spans
-	// are counted in Trace.Dropped instead of growing memory.
-	MaxSpans int
-
 	// OnFinish, when set, observes every finished trace (after aggregation
 	// and recording). Tests use it; the CLI uses the recorder.
 	OnFinish func(*Trace)
@@ -72,7 +72,6 @@ type Options struct {
 // the env's trace-hook slot; substrates pick it up at construction time.
 type Tracer struct {
 	sampleEvery uint64
-	maxSpans    int
 	rec         *Recorder
 	agg         *Aggregator
 	onFinish    func(*Trace)
@@ -90,13 +89,9 @@ func New(env *sim.Env, opts Options) *Tracer {
 	if opts.MaxTraces <= 0 {
 		opts.MaxTraces = 1024
 	}
-	if opts.MaxSpans <= 0 {
-		opts.MaxSpans = 512
-	}
 	reg := env.Metrics()
 	return &Tracer{
 		sampleEvery: opts.SampleEvery,
-		maxSpans:    opts.MaxSpans,
 		rec:         newRecorder(opts.MaxTraces, reg.Counter("trace_dropped_total")),
 		agg:         NewAggregator(),
 		onFinish:    opts.OnFinish,

@@ -41,7 +41,7 @@ func TestUntracedFastPathZeroAllocs(t *testing.T) {
 			Op(p, "sql", "q", "n", "", CauseService)()
 			ctx := Capture(p)
 			ctx.Drop()
-			Adopt(p, ctx, "jms", "x", "n", CauseService)()
+			Adoptf(p, ctx, "jms", "n", CauseService, "x", "", "")()
 		}); n != 0 {
 			t.Errorf("untraced fast path allocates %.1f per event, want 0", n)
 		}

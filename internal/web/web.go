@@ -70,26 +70,28 @@ type Response struct {
 // charges dispatch CPU around them).
 type Handler func(p *sim.Proc, req *Request) (*Response, error)
 
-// Options is the HTTP/servlet cost model.
-type Options struct {
+// The HTTP sizes of the paper's methodology (Section 3.3).
+const (
+	// HandshakeBytes is a TCP SYN or SYN-ACK segment.
+	HandshakeBytes = 64
+
 	// RequestBytes is the HTTP request size.
-	RequestBytes int
+	RequestBytes = 512
 
 	// DefaultPageBytes is the response size when the handler leaves
 	// Response.Bytes zero.
-	DefaultPageBytes int
+	DefaultPageBytes = 8 * 1024
+)
 
+// Options is what the two application stacks set differently.
+type Options struct {
 	// DispatchCPU is the container-side cost of HTTP parsing and servlet
 	// dispatch, charged against the server's CPU.
 	DispatchCPU time.Duration
 }
 
-// DefaultOptions matches the paper's methodology (Section 3.3).
-var DefaultOptions = Options{
-	RequestBytes:     512,
-	DefaultPageBytes: 8 * 1024,
-	DispatchCPU:      2 * time.Millisecond,
-}
+// DefaultOptions is Pet Store's servlet container.
+var DefaultOptions = Options{DispatchCPU: 2 * time.Millisecond}
 
 // Container is one server's servlet container (Jetty in the paper).
 type Container struct {
@@ -120,7 +122,7 @@ func NewContainer(net *simnet.Network, node string, opts Options) (*Container, e
 		opts:      opts,
 		servlets:  make(map[string]Handler),
 		conns:     make(map[string]*conn),
-		dflt:      Response{Status: 200, Bytes: opts.DefaultPageBytes},
+		dflt:      Response{Status: 200, Bytes: DefaultPageBytes},
 		mReqs:     reg.CounterVec("web_requests_total", "server").With(node),
 		mErrors:   reg.Counter("web_request_errors_total"),
 		mSessions: reg.CounterVec("web_sessions_created_total", "server").With(node),
@@ -199,15 +201,15 @@ func (c *Container) Get(p *sim.Proc, clientNode, page string, params map[string]
 	endTCP := trace.Opf(p, "tcp", server, clientNode, netCause, "handshake ", clientNode, " -> "+server)
 	// TCP three-way handshake: one round trip before data flows, as no
 	// connection is kept alive.
-	err := cn.up.Transfer(p, 64)
+	err := cn.up.Transfer(p, HandshakeBytes)
 	if err == nil {
-		err = cn.down.Transfer(p, 64)
+		err = cn.down.Transfer(p, HandshakeBytes)
 	}
 	endTCP()
 	if err != nil {
 		return nil, 0, fmt.Errorf("web: connect %s->%s: %w", clientNode, server, err)
 	}
-	if err := cn.up.Transfer(p, c.opts.RequestBytes); err != nil {
+	if err := cn.up.Transfer(p, RequestBytes); err != nil {
 		return nil, 0, fmt.Errorf("web: request %s: %w", page, err)
 	}
 	req := c.reqs.Take(Request{Page: page, Params: params, Session: sess, ClientNode: clientNode})

@@ -23,6 +23,12 @@ func testNet(t *testing.T, env *sim.Env) *simnet.Network {
 	return n
 }
 
+// serialize is the time a 1e12 B/s link, the test networks', takes to put
+// bytes on the wire, one message at a time.
+func serialize(bytes int) time.Duration {
+	return time.Duration(float64(bytes) / 1e12 * float64(time.Second))
+}
+
 func TestGetCostsTwoRoundTripsWithoutKeepAlive(t *testing.T) {
 	env := sim.NewEnv(1)
 	net := testNet(t, env)
@@ -54,8 +60,7 @@ func TestGetCostsTwoRoundTripsWithoutKeepAlive(t *testing.T) {
 func TestDispatchCPUCharged(t *testing.T) {
 	env := sim.NewEnv(1)
 	net := testNet(t, env)
-	opts := Options{DispatchCPU: 5 * time.Millisecond, RequestBytes: 1, DefaultPageBytes: 1}
-	c, _ := NewContainer(net, "server", opts)
+	c, _ := NewContainer(net, "server", Options{DispatchCPU: 5 * time.Millisecond})
 	c.Handle("main", func(p *sim.Proc, r *Request) (*Response, error) { return nil, nil })
 	var elapsed time.Duration
 	env.Spawn("client", func(p *sim.Proc) {
@@ -66,8 +71,9 @@ func TestDispatchCPUCharged(t *testing.T) {
 		elapsed = d
 	})
 	env.RunAll()
-	if elapsed != 405*time.Millisecond {
-		t.Fatalf("elapsed = %v, want 405ms (handshake RTT + request RTT + dispatch)", elapsed)
+	// The link's 1e12 B/s serializes the default page in 8 ns.
+	if want := 405*time.Millisecond + 2*serialize(HandshakeBytes) + serialize(RequestBytes) + serialize(DefaultPageBytes); elapsed != want {
+		t.Fatalf("elapsed = %v, want %v (handshake RTT + request RTT + dispatch)", elapsed, want)
 	}
 	if served := env.Metrics().CounterValue(`web_requests_total{server="server"}`); served != 1 {
 		t.Fatalf("served = %d", served)
@@ -86,8 +92,7 @@ func TestConcurrentRequestsQueueOnCPU(t *testing.T) {
 	if _, err := net.AddLink("client", "server", 0, 1e12); err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{DispatchCPU: 10 * time.Millisecond, RequestBytes: 1, DefaultPageBytes: 1}
-	c, _ := NewContainer(net, "server", opts)
+	c, _ := NewContainer(net, "server", Options{DispatchCPU: 10 * time.Millisecond})
 	c.Handle("main", func(p *sim.Proc, r *Request) (*Response, error) { return nil, nil })
 	done := 0
 	for i := 0; i < 3; i++ {
@@ -102,9 +107,10 @@ func TestConcurrentRequestsQueueOnCPU(t *testing.T) {
 	if done != 3 {
 		t.Fatalf("done = %d", done)
 	}
-	// Single CPU slot: three 10ms dispatches serialize to 30ms total.
-	if env.Now() != 30*time.Millisecond {
-		t.Fatalf("clock = %v, want 30ms (CPU serialized)", env.Now())
+	// Single CPU slot: three 10ms dispatches serialize to 30ms total, and
+	// the last page then crosses the link.
+	if want := 30*time.Millisecond + serialize(DefaultPageBytes); env.Now() != want {
+		t.Fatalf("clock = %v, want %v (CPU serialized)", env.Now(), want)
 	}
 }
 
@@ -204,7 +210,7 @@ func TestResponseDefaults(t *testing.T) {
 			t.Errorf("get: %v", err)
 			return
 		}
-		if resp.Status != 200 || resp.Bytes != DefaultOptions.DefaultPageBytes {
+		if resp.Status != 200 || resp.Bytes != DefaultPageBytes {
 			t.Errorf("resp = %+v", resp)
 		}
 	})

@@ -25,6 +25,11 @@ import (
 // large run parallelizes across OS threads with deterministic results for
 // any worker count.
 
+// streamWindow is the barrier lookahead passed to sim.NewShards. The
+// streaming engine itself sends no cross-lane traffic, so the window only
+// sets barrier frequency.
+const streamWindow = 10 * time.Millisecond
+
 // StreamState is the per-session generator state: the step position plus
 // three scratch registers generators use to carry cross-step context (the
 // Pet Store browser's current category/product, the bidder's item, ...).
@@ -102,11 +107,6 @@ type StreamConfig struct {
 	// Workers caps OS-level parallelism within each round (default:
 	// Shards). Results are byte-identical for any value.
 	Workers int
-
-	// Window is the barrier lookahead passed to sim.NewShards (default
-	// 10ms). The streaming engine itself sends no cross-lane traffic, so
-	// the window only sets barrier frequency.
-	Window time.Duration
 
 	// Trace, when non-nil, installs a flight-recorder tracer on every lane.
 	// Trace IDs derive from (class name, slab index, page ordinal) — pure
@@ -228,8 +228,8 @@ func (s *streamSession) Fire(e *sim.Env) {
 }
 
 // RunStream executes the configured session classes and returns merged
-// statistics. Runs are deterministic in (Seed, Classes, durations, Shards,
-// Window) and independent of Workers.
+// statistics. Runs are deterministic in (Seed, Classes, durations, Shards)
+// and independent of Workers.
 func RunStream(cfg StreamConfig) (*StreamResult, error) {
 	if len(cfg.Classes) == 0 {
 		return nil, fmt.Errorf("workload: no session classes")
@@ -245,10 +245,6 @@ func RunStream(cfg StreamConfig) (*StreamResult, error) {
 	if workers < 1 {
 		workers = shards
 	}
-	window := cfg.Window
-	if window <= 0 {
-		window = 10 * time.Millisecond
-	}
 	for i := range cfg.Classes {
 		c := &cfg.Classes[i]
 		if c.Gen == nil || c.Request == nil {
@@ -259,7 +255,7 @@ func RunStream(cfg StreamConfig) (*StreamResult, error) {
 		}
 	}
 
-	lanes := sim.NewShards(cfg.Seed, shards, window)
+	lanes := sim.NewShards(cfg.Seed, shards, streamWindow)
 	var tracers []*trace.Tracer
 	if cfg.Trace != nil {
 		tracers = make([]*trace.Tracer, shards)

@@ -62,7 +62,6 @@ func testStreamConfig(workers int) StreamConfig {
 		Duration: 20 * time.Second,
 		Shards:   4,
 		Workers:  workers,
-		Window:   5 * time.Millisecond,
 	}
 }
 

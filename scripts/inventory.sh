@@ -24,7 +24,7 @@ GO="${GO:-go}"
 # Package, floor (% of statements) of the programs' coverage.
 FLOORS='
 sqldb       74.3
-container   78.8
+container   81.9
 controller  81.5
 core        91.2
 dbrepl      64.4
@@ -34,11 +34,11 @@ jms         91.2
 metrics     84.0
 petstore    83.9
 planner     93.8
-rmi         90.9
+rmi         93.7
 rubis       83.1
 sim         89.3
 simnet      85.6
-trace       91.4
+trace       92.1
 web         89.2
 workload    90.2
 '
@@ -80,13 +80,12 @@ rubis/queries.go:qUser                      the re-query of the UserInfo view af
 sim/shard.go:Send                           cross-lane sends the planned sharded lanes build on (ROADMAP.md); sim tests
 sim/sim.go:Pending                          the queue-depth read of the engine tests
 sim/sim.go:Live                             the no-leaked-process read of the engine tests
-sim/sim.go:Fail                             Promise.Fail: a failed push of the parallel pusher (container/pusher.go); sim tests
+sim/sim.go:Fail                             Promise.Fail: the error Await returns, which the promise probe of bench reads; no program fails a promise; sim tests
 sim/wheel.go:len                            the count Pending reads
 simnet/hierarchy.go:BackupHub               the redundant uplinks SubtreePartition cuts; simnet and faults tests
 simnet/hierarchy.go:Subtree                 the blast radius SubtreePartition cuts off; simnet, faults and core tests
 simnet/simnet.go:Error                      the error method of BulkError: the migration reads Sent and resumes, nothing prints one
 simnet/simnet.go:Unwrap                     the cause of a BulkError, for errors.Is: simnet tests
-trace/trace.go:Adopt                        the span of one push of the parallel pusher (container/pusher.go): container tests
 web/web.go:Pages                            petstore and rubis tests check which servers serve pages
 '
 
