@@ -351,44 +351,25 @@ func FetchFrom(srv *Server, node, bean, method string, args ...sqldb.Value) Fetc
 }
 
 // ROEntity is a read-only replica of an entity bean deployed on an edge
-// server (the read-mostly pattern, Section 4.3). Reads are served from local
-// memory; freshness is maintained by pushed updates, with an optional
-// timeout that refetches entries a lost push left behind.
+// server (the read-mostly pattern, Section 4.3): a store keyed by primary
+// key. Reads are served from local memory; freshness is maintained by pushed
+// updates, with an optional timeout that refetches entries a lost push left
+// behind.
 type ROEntity struct {
-	srv   *Server
-	name  string
-	fetch FetchFunc
-	ttl   time.Duration // 0 = no timeout invalidation
-
-	entries map[sqldb.Value]roEntry
-
-	// staleMaxAge, when positive, lets a failed refresh serve the cached
-	// copy while it is younger than the bound (graceful degradation when
-	// the central server is unreachable).
-	staleMaxAge time.Duration
+	store[sqldb.Value, Row]
+	name string
 
 	// owns, when set, restricts the replica to its partition slice: only
 	// owned keys are cached and refreshed locally; unowned keys pass
 	// through the fetch path every time without ever entering the cache.
 	owns func(sqldb.Value) bool
 
-	mHits     *metrics.Counter
-	mMisses   *metrics.Counter
-	mStaleRef *metrics.Counter
-	mPushes   *metrics.Counter
+	mPushes *metrics.Counter
 	// mStaleness is the commit-to-apply delay of pushed updates.
 	mStaleness *metrics.Histogram
-	// Registered lazily by SetServeStale so degradation-free runs export
+	// Registered lazily by SetOwnership so unpartitioned runs export
 	// byte-identical metric snapshots.
-	mStale    *metrics.Counter
-	mStaleAge *metrics.Histogram
-	// Registered lazily by SetOwnership for the same reason.
 	mRemoteGets *metrics.Counter
-}
-
-type roEntry struct {
-	state    Row
-	loadedAt time.Duration
 }
 
 // DeployROEntity deploys a read-only replica of rwBean (named for the reader:
@@ -401,36 +382,14 @@ func DeployROEntity(srv *Server, name, rwBean string, fetch FetchFunc) (*ROEntit
 	}
 	reg := srv.Env().Metrics()
 	b := &ROEntity{
-		srv:        srv,
+		store: newStore[sqldb.Value, Row](srv, fetch,
+			"container_replica_hits_total", "container_replica_misses_total", "container_replica_stale_refreshes_total"),
 		name:       name,
-		fetch:      fetch,
-		entries:    make(map[sqldb.Value]roEntry),
-		mHits:      reg.Counter("container_replica_hits_total"),
-		mMisses:    reg.Counter("container_replica_misses_total"),
-		mStaleRef:  reg.Counter("container_replica_stale_refreshes_total"),
 		mPushes:    reg.Counter("container_replica_pushes_total"),
 		mStaleness: reg.Histogram("container_replica_staleness_ns"),
 	}
 	srv.beans[name] = &binding{name: name, kind: Entity}
 	return b, nil
-}
-
-// SetTTL enables timeout invalidation: entries older than ttl refresh via
-// the fetch path on their next read (the vendor-standard read-only bean
-// mode the paper describes, and the fallback that bounds staleness when an
-// asynchronous push is lost). ttl <= 0 disables the timeout.
-func (b *ROEntity) SetTTL(ttl time.Duration) { b.ttl = ttl }
-
-// SetServeStale enables graceful degradation: when a refresh fails (the
-// central server is unreachable) and a local copy younger than maxAge
-// exists, Get serves the stale copy instead of erroring.
-func (b *ROEntity) SetServeStale(maxAge time.Duration) {
-	b.staleMaxAge = maxAge
-	if maxAge > 0 && b.mStale == nil {
-		reg := b.srv.Env().Metrics()
-		b.mStale = reg.Counter("container_stale_serves_total")
-		b.mStaleAge = reg.Histogram("container_stale_serve_age_ns")
-	}
 }
 
 // SetOwnership restricts the replica to a partition slice: reads for keys
@@ -456,15 +415,7 @@ func (b *ROEntity) Cached() int { return len(b.entries) }
 // diagnostics that must observe cache contents without mutating them.
 func (b *ROEntity) Peek(pk sqldb.Value) (Row, bool) {
 	e, ok := b.entries[pk]
-	if !ok {
-		return Row{}, false
-	}
-	return e.state, true
-}
-
-// expired reports whether an entry has outlived the timeout invalidation.
-func (b *ROEntity) expired(e roEntry) bool {
-	return b.ttl > 0 && b.srv.Env().Now()-e.loadedAt > b.ttl
+	return e.val, ok
 }
 
 // Get serves the entity's state: locally when fresh, via fetch on a miss or
@@ -485,35 +436,17 @@ func (b *ROEntity) Get(p *sim.Proc, pk sqldb.Value) (Row, error) {
 		}
 		return st, nil
 	}
-	e, ok := b.entries[pk]
-	if ok && !b.expired(e) {
-		b.mHits.Inc()
+	if st, ok := b.hit(pk); ok {
 		b.srv.Compute(p, CacheHitCPU)
-		return e.state, nil
+		return st, nil
 	}
-	if b.fetch == nil {
+	st, err := b.load(p, pk)
+	if errors.Is(err, errNoFetch) {
 		return Row{}, fmt.Errorf("read-only %s pk %v (no fetch path): %w", b.name, pk, ErrNoSuchEntity)
 	}
-	if ok {
-		b.mStaleRef.Inc()
-	} else {
-		b.mMisses.Inc()
-	}
-	st, err := b.fetch(p, pk)
 	if err != nil {
-		// Serve-stale degradation: a refresh that cannot reach the
-		// central server falls back to the local copy while it is
-		// younger than the staleness bound.
-		if ok && b.staleMaxAge > 0 {
-			if age := p.Now() - e.loadedAt; age <= b.staleMaxAge {
-				b.mStale.Inc()
-				b.mStaleAge.Observe(age)
-				return e.state, nil
-			}
-		}
 		return Row{}, fmt.Errorf("read-only %s refresh: %w", b.name, err)
 	}
-	b.entries[pk] = roEntry{state: st, loadedAt: p.Now()}
 	return st, nil
 }
 
@@ -521,10 +454,9 @@ func (b *ROEntity) Get(p *sim.Proc, pk sqldb.Value) (Row, error) {
 // snapshot). Keys outside the replica's partition slice are dropped. A Row
 // never changes, so one may seed any number of replicas.
 func (b *ROEntity) Seed(pk sqldb.Value, row Row) {
-	if !b.Owns(pk) {
-		return
+	if b.Owns(pk) {
+		b.put(pk, row)
 	}
-	b.entries[pk] = roEntry{state: row, loadedAt: b.srv.Env().Now()}
 }
 
 // Preload is Seed from a State, columns sorted by name.
@@ -538,20 +470,19 @@ func (b *ROEntity) ApplyUpdate(u Update) {
 		return
 	}
 	b.mPushes.Inc()
-	now := b.srv.Env().Now()
 	if u.CommittedAt > 0 {
-		b.mStaleness.Observe(now - u.CommittedAt)
+		b.mStaleness.Observe(b.srv.Env().Now() - u.CommittedAt)
 	}
+	state := u.State
 	if u.Delta {
 		e, ok := b.entries[u.PK]
 		if !ok {
 			// No local copy to patch: leave it to the next read's fetch.
 			return
 		}
-		b.entries[u.PK] = roEntry{state: e.state.With(u.State), loadedAt: now}
-		return
+		state = e.val.With(u.State)
 	}
-	b.entries[u.PK] = roEntry{state: u.State, loadedAt: now}
+	b.put(u.PK, state)
 }
 
 // Reset drops every cached entry: a resync migration clears the replica
@@ -596,15 +527,11 @@ func (u *UpdaterFacade) Register(rwBean string, a Applier) {
 	u.appliers[rwBean] = append(u.appliers[rwBean], a)
 }
 
-// Apply applies a batch locally (used by MDB delivery on the same server).
+// Apply charges a batch's apply CPU and applies it locally (used by MDB
+// delivery on the same server).
 func (u *UpdaterFacade) Apply(p *sim.Proc, updates []Update) {
 	u.srv.Compute(p, CacheHitCPU)
-	for _, up := range updates {
-		u.mApplied.Inc()
-		for _, a := range u.appliers[up.Bean] {
-			a.ApplyUpdate(up)
-		}
-	}
+	u.ApplyLocal(updates)
 }
 
 // ApplyLocal applies a batch with no CPU accounting — the zero-virtual-time

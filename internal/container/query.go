@@ -1,10 +1,10 @@
 package container
 
 import (
+	"errors"
 	"fmt"
 	"iter"
 	"strings"
-	"time"
 
 	"wadeploy/internal/metrics"
 	"wadeploy/internal/sim"
@@ -17,70 +17,26 @@ import (
 // the database; on the main server it is a local database query.
 type QueryFetch func(p *sim.Proc, queryKey string) (any, error)
 
-// QueryCache caches aggregate-query results at a server (Section 4.4). The
-// EJB specification allows this soft state to live inside stateless session
-// beans, which is where the applications incorporate it. Keys follow the
-// convention "<queryName>:<param>", so invalidation by query name uses the
-// "<queryName>:" prefix.
+// QueryCache caches aggregate-query results at a server (Section 4.4): a
+// store keyed by query key. The EJB specification allows this soft state to
+// live inside stateless session beans, which is where the applications
+// incorporate it. Keys follow the convention "<queryName>:<param>", so
+// invalidation by query name uses the "<queryName>:" prefix.
 type QueryCache struct {
-	srv   *Server
-	name  string
-	fetch QueryFetch
+	store[string, any]
+	name string
 
-	entries map[string]queryEntry
-
-	// ttl, when positive, bounds how long an entry is served without a
-	// refetch; staleMaxAge, when positive, lets a failed refetch fall
-	// back to the cached value while it is younger than the bound
-	// (graceful degradation during WAN outages).
-	ttl         time.Duration
-	staleMaxAge time.Duration
-
-	mHits    *metrics.Counter
-	mMisses  *metrics.Counter
-	mRefresh *metrics.Counter
-	mPushed  *metrics.Counter
-	// Registered lazily by SetServeStale so degradation-free runs export
-	// byte-identical metric snapshots.
-	mStale    *metrics.Counter
-	mStaleAge *metrics.Histogram
-}
-
-type queryEntry struct {
-	result   any
-	stale    bool
-	loadedAt time.Duration
+	mPushed *metrics.Counter
 }
 
 // NewQueryCache creates a query cache owned by srv. fetch may be nil for
 // strictly push-fed caches.
 func NewQueryCache(srv *Server, name string, fetch QueryFetch) *QueryCache {
-	reg := srv.Env().Metrics()
 	return &QueryCache{
-		srv:      srv,
-		name:     name,
-		fetch:    fetch,
-		entries:  make(map[string]queryEntry),
-		mHits:    reg.Counter("container_querycache_hits_total"),
-		mMisses:  reg.Counter("container_querycache_misses_total"),
-		mRefresh: reg.Counter("container_querycache_refresh_total"),
-		mPushed:  reg.Counter("container_querycache_pushed_total"),
-	}
-}
-
-// SetTTL bounds entry freshness: entries older than ttl are refetched on
-// access (0 disables, the default).
-func (qc *QueryCache) SetTTL(ttl time.Duration) { qc.ttl = ttl }
-
-// SetServeStale enables graceful degradation: when a refetch fails (the
-// central server is unreachable) and a previously cached value younger than
-// maxAge exists, Get serves the stale value instead of erroring.
-func (qc *QueryCache) SetServeStale(maxAge time.Duration) {
-	qc.staleMaxAge = maxAge
-	if maxAge > 0 && qc.mStale == nil {
-		reg := qc.srv.Env().Metrics()
-		qc.mStale = reg.Counter("container_stale_serves_total")
-		qc.mStaleAge = reg.Histogram("container_stale_serve_age_ns")
+		store: newStore[string, any](srv, fetch,
+			"container_querycache_hits_total", "container_querycache_misses_total", "container_querycache_refresh_total"),
+		name:    name,
+		mPushed: srv.Env().Metrics().Counter("container_querycache_pushed_total"),
 	}
 }
 
@@ -91,59 +47,37 @@ func (qc *QueryCache) Size() int { return len(qc.entries) }
 func (qc *QueryCache) All() iter.Seq2[string, any] {
 	return func(yield func(string, any) bool) {
 		for key, e := range qc.entries {
-			if !yield(key, e.result) {
+			if !yield(key, e.val) {
 				return
 			}
 		}
 	}
 }
 
-// Get returns the cached result for key, fetching on a miss or after a pull
-// invalidation.
+// Get returns the cached result for key, fetching on a miss, after a pull
+// invalidation or after timeout expiry.
 func (qc *QueryCache) Get(p *sim.Proc, key string) (any, error) {
-	now := qc.srv.Env().Now()
-	e, ok := qc.entries[key]
-	expired := ok && qc.ttl > 0 && now-e.loadedAt >= qc.ttl
-	if ok && !e.stale && !expired {
-		qc.mHits.Inc()
+	if v, ok := qc.hit(key); ok {
 		endHit := trace.Opf(p, "cache", qc.srv.name, "", trace.CauseService, "hit ", qc.name, "")
 		qc.srv.Compute(p, CacheHitCPU)
 		endHit()
-		return e.result, nil
+		return v, nil
 	}
 	// Misses and refreshes run the fetch path (the facade's remote query or
 	// local SQL), which contributes its own spans under this one.
 	defer trace.Opf(p, "cache", qc.srv.name, "", trace.CauseService, "fetch ", qc.name, "")()
-	if qc.fetch == nil {
+	v, err := qc.load(p, key)
+	if errors.Is(err, errNoFetch) {
 		return nil, fmt.Errorf("query cache %s: no entry for %q and no fetch path", qc.name, key)
 	}
-	if ok {
-		qc.mRefresh.Inc()
-	} else {
-		qc.mMisses.Inc()
-	}
-	v, err := qc.fetch(p, key)
 	if err != nil {
-		// Serve-stale degradation: a refetch that cannot reach the
-		// central server falls back to the cached value while it is
-		// younger than the staleness bound.
-		if ok && qc.staleMaxAge > 0 {
-			if age := p.Now() - e.loadedAt; age <= qc.staleMaxAge {
-				qc.mStale.Inc()
-				qc.mStaleAge.Observe(age)
-				return e.result, nil
-			}
-		}
 		return nil, fmt.Errorf("query cache %s fetch %q: %w", qc.name, key, err)
 	}
-	qc.entries[key] = queryEntry{result: v, loadedAt: p.Now()}
 	return v, nil
 }
 
 // Put stores a result directly (warm-up, or computing on the fly).
-func (qc *QueryCache) Put(key string, v any) {
-	qc.entries[key] = queryEntry{result: v, loadedAt: qc.srv.Env().Now()}
-}
+func (qc *QueryCache) Put(key string, v any) { qc.put(key, v) }
 
 // InvalidatePrefix marks every entry whose key starts with prefix stale
 // (pull mode). Use "<queryName>:" to drop one query's results, or "" to
@@ -164,7 +98,7 @@ func (qc *QueryCache) InvalidatePrefix(prefix string) int {
 // readers are never penalized).
 func (qc *QueryCache) ApplyPush(key string, v any) {
 	qc.mPushed.Inc()
-	qc.entries[key] = queryEntry{result: v, loadedAt: qc.srv.Env().Now()}
+	qc.put(key, v)
 }
 
 // QueryInvalidation adapts a QueryCache to the Applier interface so an

@@ -55,7 +55,8 @@ func TestRowWithLeavesInputsUntouched(t *testing.T) {
 	}
 }
 
-// A replica hit returns the stored row itself: no copy, no allocation.
+// A replica hit returns the stored row itself and a query-cache hit the
+// stored result: no copy, no allocation.
 func TestROEntityHitAllocs(t *testing.T) {
 	f := newFixture(t)
 	ro, err := DeployROEntity(f.edge, "InvRO", "InvRW", nil)
@@ -65,7 +66,9 @@ func TestROEntityHitAllocs(t *testing.T) {
 	stored := State{"item_id": sqldb.Str("i1"), "qty": sqldb.Int(10)}.row()
 	pk := sqldb.Str("i1")
 	ro.Seed(pk, stored)
-	var allocs float64
+	qc := NewQueryCache(f.edge, "itemsOf", nil)
+	qc.Put("itemsOf:p1", stored)
+	var allocs, qallocs float64
 	f.run(t, func(p *sim.Proc) {
 		got, err := ro.Get(p, pk)
 		if err != nil || &got.vals[0] != &stored.vals[0] {
@@ -76,9 +79,17 @@ func TestROEntityHitAllocs(t *testing.T) {
 				t.Error(err)
 			}
 		})
+		qallocs = testing.AllocsPerRun(100, func() {
+			if _, err := qc.Get(p, "itemsOf:p1"); err != nil {
+				t.Error(err)
+			}
+		})
 	})
 	if allocs != 0 {
 		t.Fatalf("a replica hit allocates %.1f times, want 0", allocs)
+	}
+	if qallocs != 0 {
+		t.Fatalf("a query-cache hit allocates %.1f times, want 0", qallocs)
 	}
 }
 

@@ -248,6 +248,29 @@ func (w *Wiring) Preload() error {
 	return nil
 }
 
+// edgeStore is an edge cache's expiry: a read-only replica or a query cache.
+type edgeStore interface {
+	SetTTL(time.Duration)
+	SetServeStale(time.Duration)
+}
+
+// arm sets an edge store's expiry by one rule. A declared relaxed-consistency
+// bound (maxStaleness > 0) caps how stale a read can be even if pushes are
+// lost. Under resilience a store that can refetch also expires after
+// replicaTTL when undeclared, and a failed refetch serves its copy up to
+// staleMaxAge; a push-only store has no refetch to expire into and keeps
+// serving what was last pushed.
+func (w *Wiring) arm(s edgeStore, maxStaleness time.Duration, refetches bool) {
+	ttl := maxStaleness
+	if w.d.Resilience && refetches {
+		if ttl == 0 {
+			ttl = replicaTTL
+		}
+		s.SetServeStale(staleMaxAge)
+	}
+	s.SetTTL(ttl)
+}
+
 // ExtendTo materializes the descriptor's replica bundle on one more server:
 // updater façade, read-only replicas (with TTL staleness bounds), a query
 // cache filled from the main server's views, a database replica holding
@@ -276,17 +299,7 @@ func (w *Wiring) ExtendTo(server *container.Server) error {
 		if err != nil {
 			return fmt.Errorf("core: autowire replica %s on %s: %w", spec.Bean, server.Name(), err)
 		}
-		if spec.Update.MaxStaleness > 0 {
-			// Relaxed-consistency bound: timeout invalidation caps how
-			// stale a read can be even if pushes are lost.
-			ro.SetTTL(spec.Update.MaxStaleness)
-		}
-		if w.d.Resilience {
-			if spec.Update.MaxStaleness == 0 {
-				ro.SetTTL(replicaTTL)
-			}
-			ro.SetServeStale(staleMaxAge)
-		}
+		w.arm(ro, spec.Update.MaxStaleness, fetch != nil)
 		uf.Register(spec.Bean, ro)
 		w.applyPartitioning(server.Name(), spec, ro)
 		w.Replicas[server.Name()][spec.Bean] = ro
@@ -298,13 +311,7 @@ func (w *Wiring) ExtendTo(server *container.Server) error {
 			qfetch = w.opts.QueryFetchFor(server)
 		}
 		qc := container.NewQueryCache(server, UpdaterBean+"Queries", qfetch)
-		if w.d.Resilience && qfetch != nil {
-			// Only a cache that can refetch has entries to expire and a
-			// refetch to fall back from: a push-only cache keeps serving
-			// its last pushed result.
-			qc.SetTTL(replicaTTL)
-			qc.SetServeStale(staleMaxAge)
-		}
+		w.arm(qc, 0, qfetch != nil)
 		w.Caches[server.Name()] = qc
 		w.views.Fill(qc)
 		// One applier per invalidating bean, however many queries list it.

@@ -170,11 +170,13 @@ func TestQueryViewNeedsRegisteredBean(t *testing.T) {
 	}
 }
 
-// TestResilientPushOnlyCacheKeepsEntries: under resilience a push-fed cache,
-// which has no fetch path, serves its last pushed result however old it is,
-// while a cache that can refetch still refreshes an entry past the replica
-// TTL.
+// TestResilientPushOnlyCacheKeepsEntries: under resilience a push-fed edge
+// store, which has no fetch path, serves its last pushed state however old it
+// is, while one that can refetch still refreshes an entry past the replica
+// TTL. It holds for query caches and read-only replicas alike.
 func TestResilientPushOnlyCacheKeepsEntries(t *testing.T) {
+	cols := []string{"id", "qty"}
+	refetched := container.RowOf(&cols, []sqldb.Value{sqldb.Str("i1"), sqldb.Int(99)})
 	for _, pull := range []bool{false, true} {
 		opts := DefaultOptions()
 		opts.Resilience = true
@@ -188,6 +190,9 @@ func TestResilientPushOnlyCacheKeepsEntries(t *testing.T) {
 			wopts.QueryFetchFor = func(*container.Server) container.QueryFetch {
 				return func(*sim.Proc, string) (any, error) { return "refetched", nil }
 			}
+			wopts.FetchFor = func(*container.Server, string) container.FetchFunc {
+				return func(*sim.Proc, sqldb.Value) (container.Row, error) { return refetched, nil }
+			}
 		}
 		w, err := AutoWire(d, &container.ExtendedDescriptor{
 			Replicas:      []container.ReplicaSpec{{Bean: "ItemRW"}},
@@ -200,14 +205,18 @@ func TestResilientPushOnlyCacheKeepsEntries(t *testing.T) {
 		if err := w.Preload(); err != nil {
 			t.Fatal(err)
 		}
-		want := "seeded"
+		want, wantQty := "seeded", int64(10)
 		if pull {
-			want = "refetched"
+			want, wantQty = "refetched", 99
 		}
+		edge := d.Edges[0].Name()
 		runWarm(d.Env, "reader", func(p *sim.Proc) {
 			p.Sleep(2 * replicaTTL)
-			if v, err := w.Caches[d.Edges[0].Name()].Get(p, "a:"); err != nil || v != want {
-				t.Errorf("pull=%v: Get after %v = %v (%v), want %v", pull, 2*replicaTTL, v, err, want)
+			if v, err := w.Caches[edge].Get(p, "a:"); err != nil || v != want {
+				t.Errorf("pull=%v: cache Get after %v = %v (%v), want %v", pull, 2*replicaTTL, v, err, want)
+			}
+			if row, err := w.Replica(edge, "ItemRW").Get(p, sqldb.Str("i1")); err != nil || row.Get("qty").AsInt() != wantQty {
+				t.Errorf("pull=%v: replica Get after %v = %v (%v), want qty %d", pull, 2*replicaTTL, row, err, wantQty)
 			}
 		})
 		d.Env.Close()

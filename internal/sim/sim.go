@@ -52,22 +52,30 @@ import (
 // that runs the process and never escapes to user code.
 var errKilled = errors.New("sim: process killed by Env.Close")
 
-// event is a scheduled callback, process resumption or task firing. seq
-// breaks ties so that events scheduled earlier at the same instant run first,
-// keeping runs deterministic.
+// event is a scheduled Task firing: a raw callback (Env.At/After), a process
+// resumption or a task (Env.AtTask/AfterTask). seq breaks ties so that events
+// scheduled earlier at the same instant run first, keeping runs
+// deterministic.
 //
-// Process resumptions and task firings are the engine's hot paths (every
-// Sleep, Await wake-up, Resource hand-off and streaming-session transition is
-// one), so they are stored as a *Proc / Task interface rather than a
-// `func() { ... }` closure: the scheduler dispatches directly and the queue
-// slot carries no per-event heap allocation.
+// Each kind is one pointer-shaped Task — a func value as funcTask, a *Proc as
+// *resume — so the slot holds no per-event heap allocation and the
+// scheduler makes one call whatever the kind.
 type event struct {
 	at   time.Duration
 	seq  uint64
-	fn   func() // raw callback (Env.At/After); nil otherwise
-	proc *Proc  // process to resume; nil otherwise
-	task Task   // task to fire (Env.AtTask/AfterTask); nil otherwise
+	task Task
 }
+
+// funcTask fires a raw callback scheduled with Env.At.
+type funcTask func()
+
+func (f funcTask) Fire(*Env) { f() }
+
+// resume fires a process resumption: a *Proc converted, so that Proc itself
+// gains no exported Fire.
+type resume Proc
+
+func (r *resume) Fire(e *Env) { e.step((*Proc)(r)) }
 
 // eventHeap is a min-heap of events ordered by (at, seq). The engine's event
 // queue (timerQueue) uses it for wheel slots and the far-timer overflow; the
@@ -95,7 +103,7 @@ func (h *eventHeap) pop() event {
 	old[0] = old[n]
 	// The vacated slot is deliberately not re-zeroed: the backing array is a
 	// freelist that the next push overwrites in place, and clearing it here
-	// costs a write per event on the hot path. Stale fn/proc references are
+	// costs a write per event on the hot path. Stale task references are
 	// retained at most until the slot is reused or the Env is dropped, both
 	// bounded by the peak event-queue size of the run.
 	*h = old[:n]
@@ -229,7 +237,7 @@ func (e *Env) schedule(ev event) {
 
 // At schedules fn to run at virtual time at (clamped to now if in the past).
 // fn runs on the scheduler and must not call blocking process operations.
-func (e *Env) At(at time.Duration, fn func()) { e.schedule(event{at: at, fn: fn}) }
+func (e *Env) At(at time.Duration, fn func()) { e.schedule(event{at: at, task: funcTask(fn)}) }
 
 // After schedules fn to run d from now.
 func (e *Env) After(d time.Duration, fn func()) { e.At(e.now+d, fn) }
@@ -277,7 +285,7 @@ func (e *Env) SpawnAt(at time.Duration, name string, fn func(p *Proc)) {
 		return
 	}
 	e.live++
-	e.schedule(event{at: at, proc: e.procs.Take(Proc{env: e, name: name, fn: fn})})
+	e.schedule(event{at: at, task: (*resume)(e.procs.Take(Proc{env: e, name: name, fn: fn}))})
 }
 
 // coroutine is the stack a process runs on. It takes one process after
@@ -317,7 +325,7 @@ func (c *coroutine) run() (parked bool) {
 	c.proc, p.co = nil, nil
 	if p.restart {
 		p.restart = false
-		e.schedule(event{at: p.restartAt, proc: p})
+		e.schedule(event{at: p.restartAt, task: (*resume)(p)})
 	} else {
 		e.live--
 		e.procs.Put(p)
@@ -372,7 +380,7 @@ func (p *Proc) Sleep(d time.Duration) {
 		e.dispatched++
 		return
 	}
-	e.schedule(event{at: at, proc: p})
+	e.schedule(event{at: at, task: (*resume)(p)})
 	p.pause()
 }
 
@@ -406,14 +414,7 @@ func (e *Env) dispatch(horizon time.Duration) {
 		ev := e.events.pop()
 		e.now = ev.at
 		e.dispatched++
-		switch {
-		case ev.proc != nil:
-			e.step(ev.proc)
-		case ev.task != nil:
-			ev.task.Fire(e)
-		default:
-			ev.fn()
-		}
+		ev.task.Fire(e)
 	}
 }
 
@@ -483,11 +484,11 @@ func (pr *Promise[T]) complete(v T, err error) {
 	pr.err = err
 	e := pr.env
 	if pr.waiter != nil {
-		e.schedule(event{at: e.now, proc: pr.waiter})
+		e.schedule(event{at: e.now, task: (*resume)(pr.waiter)})
 		pr.waiter = nil
 	}
 	for _, w := range pr.waiters {
-		e.schedule(event{at: e.now, proc: w})
+		e.schedule(event{at: e.now, task: (*resume)(w)})
 	}
 	pr.waiters = nil
 }
@@ -566,7 +567,7 @@ func (r *Resource) Release() {
 			r.queue, r.head = r.queue[:copy(r.queue, r.queue[r.head:])], 0
 		}
 		// The slot transfers directly: inUse stays constant.
-		r.env.schedule(event{at: r.env.now, proc: next})
+		r.env.schedule(event{at: r.env.now, task: (*resume)(next)})
 		return
 	}
 	r.account()

@@ -12,6 +12,10 @@ const (
 	wheelShift = 22
 	wheelSlots = 4096
 	wheelMask  = wheelSlots - 1
+
+	// slotCap is the room a slot's first backing array is made with, in
+	// one allocation where append would take four (1, 2, 4, 8 events).
+	slotCap = 8
 )
 
 // timerQueue is the engine's event queue: a near-horizon timer wheel whose
@@ -86,8 +90,12 @@ func (q *timerQueue) push(ev event, now time.Duration) {
 // pushSlot files ev, whose tick is inside the window, in its wheel slot.
 func (q *timerQueue) pushSlot(tick int64, ev event) {
 	h := &q.slots[tick&wheelMask]
-	if n := len(q.free); *h == nil && n > 0 {
-		*h, q.free[n-1], q.free = q.free[n-1], nil, q.free[:n-1]
+	if *h == nil {
+		if n := len(q.free); n > 0 {
+			*h, q.free[n-1], q.free = q.free[n-1], nil, q.free[:n-1]
+		} else {
+			*h = make(eventHeap, 0, slotCap)
+		}
 	}
 	h.push(ev)
 	q.size++
